@@ -63,6 +63,11 @@ func splineWeights(order int, u float64, w, dw []float64) (k0 int) {
 	return k0
 }
 
+// splineBase is splineWeights' k0 alone: the first grid index of the
+// order-point support of scaled coordinate u (possibly negative; callers
+// wrap).
+func splineBase(order int, u float64) int { return int(floor(u)) - order + 1 }
+
 func floor(x float64) float64 {
 	f := float64(int(x))
 	if f > x {

@@ -28,16 +28,16 @@ type PME struct {
 	// first Recip call; the two paths agree to roundoff but not bitwise.
 	ExactFFT bool
 
-	plan  *fft.Plan3D      // complex reference path + modelled op counts
-	rplan *fft.RealPlan3D  // half-spectrum path (nil when K1 is odd)
-	grid  []complex128     // complex-path buffers, allocated on first use
-	conv  []complex128
-	rgrid []float64        // real-path buffers, allocated on first use
-	rconv []float64
-	spec  []complex128     // half spectrum, (K1/2+1)·K2·K3
-	eCoefH []float64       // Hermitian-weighted energy coefs, half spectrum
-	cCoefH []float64       // convolution coefs, half spectrum
-	lastReal bool          // which path the latest Recip took
+	plan     *fft.Plan3D     // complex reference path + modelled op counts
+	rplan    *fft.RealPlan3D // half-spectrum path (nil when K1 is odd)
+	grid     []complex128    // complex-path buffers, allocated on first use
+	conv     []complex128
+	rgrid    []float64 // real-path buffers, allocated on first use
+	rconv    []float64
+	spec     []complex128 // half spectrum, (K1/2+1)·K2·K3
+	eCoefH   []float64    // Hermitian-weighted energy coefs, half spectrum
+	cCoefH   []float64    // convolution coefs, half spectrum
+	lastReal bool         // which path the latest Recip took
 
 	bsq1 []float64 // |b(m)|² per dimension
 	bsq2 []float64
@@ -73,15 +73,15 @@ type PME struct {
 	// Shard closures are bound once at SetPool (a per-call closure would
 	// allocate on every Recip); the per-call arguments travel through the
 	// c* fields below, set immediately before each pool.Run.
-	zeroFn, enerFn           func(int)
-	spreadEvenR, spreadOddR  func(int)
-	spreadEvenC, spreadOddC  func(int)
-	interpRFn, interpCFn     func(int)
-	cPos                     []vec.V
-	cQ                       []float64
-	cFrc                     []vec.V
-	cGrid, cConv             []complex128
-	cLo                      int
+	zeroFn, enerFn          func(int)
+	spreadEvenR, spreadOddR func(int)
+	spreadEvenC, spreadOddC func(int)
+	interpRFn, interpCFn    func(int)
+	cPos                    []vec.V
+	cQ                      []float64
+	cFrc                    []vec.V
+	cGrid, cConv            []complex128
+	cLo                     int
 }
 
 // NewPME builds a PME engine for the given box, splitting parameter β
@@ -358,7 +358,6 @@ func (p *PME) recipRealPooled(pos []vec.V, charges []float64, frc []vec.V) float
 
 // bucketByChunk fills p.buckets with the atoms of [lo, hi) keyed by the
 // x chunk owning their B-spline support base, in ascending atom order.
-// The base index replicates splineWeights' k0 exactly.
 func (p *PME) bucketByChunk(pos []vec.V, charges []float64, lo, hi int) {
 	for c := range p.buckets {
 		p.buckets[c] = p.buckets[c][:0]
@@ -368,8 +367,7 @@ func (p *PME) bucketByChunk(pos []vec.V, charges []float64, lo, hi int) {
 		if charges[i] == 0 {
 			continue
 		}
-		u1 := p.Box.Frac(pos[i]).X * k1f
-		k01 := int(floor(u1)) - p.Order + 1
+		k01 := splineBase(p.Order, p.Box.Frac(pos[i]).X*k1f)
 		c := p.chunkOf[mod(k01, p.K1)]
 		p.buckets[c] = append(p.buckets[c], int32(i))
 	}
@@ -584,6 +582,21 @@ func (p *PME) wrapIndices(k01, k02, k03 int, i1, i2, i3 *[maxOrder]int) {
 		i2[t] = mod(k02+t, p.K2)
 		i3[t] = mod(k03+t, p.K3)
 	}
+}
+
+// Footprint returns, per dimension, the wrapped mesh indices of the B-spline
+// support of a charge at r (the first Order entries of each array): Spread
+// adds to exactly the Order³ cells (i1[a]·K2 + i2[b])·K3 + i3[c]. Callers
+// that merge a sparsely filled accumulation grid visit those cells instead
+// of the whole mesh.
+func (p *PME) Footprint(r vec.V) (i1, i2, i3 [maxOrder]int) {
+	f := p.Box.Frac(r)
+	p.wrapIndices(
+		splineBase(p.Order, f.X*float64(p.K1)),
+		splineBase(p.Order, f.Y*float64(p.K2)),
+		splineBase(p.Order, f.Z*float64(p.K3)),
+		&i1, &i2, &i3)
+	return i1, i2, i3
 }
 
 // influence multiplies the transformed grid by the PME influence function

@@ -225,18 +225,46 @@ func (in *Injector) Install(m *cluster.Machine) {
 				continue
 			}
 		}
-		node := m.Nodes[f.node]
-		start, hold := at, dur
-		m.Env.Spawn(fmt.Sprintf("flap node%d", f.node), func(p *sim.Proc) {
-			p.Advance(start)
-			node.NicTx.Acquire(p)
-			node.NicRx.Acquire(p)
-			p.Advance(hold)
-			node.NicRx.Release()
-			node.NicTx.Release()
-		})
+		m.Env.SpawnStep(&flapper{node: m.Nodes[f.node], start: at, hold: dur})
 	}
 }
+
+// flapper is the callback process of one NIC-flap occurrence: wait for the
+// start, seize the transmit then the receive engine (queueing behind any
+// transfer in progress), hold both for the duration, release.
+type flapper struct {
+	node        *cluster.Node
+	start, hold float64
+	state       int
+}
+
+func (f *flapper) Step(p *sim.Proc) bool {
+	for {
+		f.state++
+		switch f.state {
+		case 1:
+			p.WakeIn(f.start)
+			return false
+		case 2:
+			if !f.node.NicTx.AcquireStep(p) {
+				return false
+			}
+		case 3:
+			if !f.node.NicRx.AcquireStep(p) {
+				return false
+			}
+		case 4:
+			p.WakeIn(f.hold)
+			return false
+		default:
+			f.node.NicRx.Release()
+			f.node.NicTx.Release()
+			return true
+		}
+	}
+}
+
+func (f *flapper) Name() string { return fmt.Sprintf("flap node%d", f.node.ID) }
 
 // Events renders the injected faults as trace events so timelines show
 // the windows. Node-scoped faults land on the node's first rank lane;

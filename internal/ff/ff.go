@@ -107,7 +107,7 @@ type ForceField struct {
 
 	// Tabulated-kernel data, nil/empty when Opts.ExactKernels is set.
 	table  *InteractionTable
-	typ    []int32   // atom → type index
+	typ    []int32 // atom → type index
 	ntypes int
 	ljA    []float64 // eps·rmin¹² per type pair, ntypes×ntypes
 	ljB    []float64 // 2·eps·rmin⁶ per type pair

@@ -52,7 +52,7 @@ const ShardCount = 16
 type Pool struct {
 	workers int
 
-	gauge *obs.Gauge     // repro_kernel_workers, when attached
+	gauge *obs.Gauge                    // repro_kernel_workers, when attached
 	hist  atomic.Pointer[obs.Histogram] // shard imbalance, when attached
 }
 

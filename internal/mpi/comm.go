@@ -245,7 +245,7 @@ type Options struct {
 	// HostWorkers sizes the host worker pool for ComputeSeg closures:
 	// > 1 overlaps compute segments of different ranks on that many host
 	// goroutines (output stays bitwise-identical to the serial schedule);
-	// ≤ 1 runs everything inline on the scheduler thread.
+	// ≤ 1 runs every segment inline on its rank's own goroutine.
 	HostWorkers int
 }
 
@@ -309,32 +309,40 @@ func RunOpts(cfg cluster.Config, cost cluster.CostModel, opts Options, fn func(*
 	return accts, err
 }
 
-// spawnKillers schedules one killer process per crash in the fault model:
-// at the scheduled virtual time it marks the rank crashed and, if the rank
-// is parked in a matching loop, wakes it so the abort is prompt.
+// spawnKillers schedules one killer process per crash in the fault model.
 func spawnKillers(env *sim.Env, w *World, faults cluster.FaultModel) {
 	for _, r := range w.ranks {
 		t, ok := faults.CrashTime(r.ID)
 		if !ok {
 			continue
 		}
-		if t < 0 {
-			t = 0
-		}
-		rk := r
-		env.Spawn(fmt.Sprintf("kill rank%d", rk.ID), func(p *sim.Proc) {
-			p.Advance(t)
-			if rk.P.Done() {
-				return
-			}
-			rk.crashed = true
-			if rk.waiting {
-				rk.waiting = false
-				env.Unpark(rk.P)
-			}
-		})
+		env.SpawnStep(&killer{rank: r, at: max(t, 0)})
 	}
 }
+
+// killer is a callback process that, at the scheduled virtual time, marks
+// its rank crashed and, if the rank is parked in a matching loop, wakes it
+// so the abort is prompt.
+type killer struct {
+	rank  *Rank
+	at    float64
+	armed bool
+}
+
+func (k *killer) Step(p *sim.Proc) bool {
+	if !k.armed {
+		k.armed = true
+		p.WakeIn(k.at)
+		return false
+	}
+	if !k.rank.P.Done() {
+		k.rank.crashed = true
+		k.rank.wakeIfWaiting()
+	}
+	return true
+}
+
+func (k *killer) Name() string { return fmt.Sprintf("kill rank%d", k.rank.ID) }
 
 // selectError merges the simulation outcome with recovered rank panics,
 // preferring the most specific diagnosis: an injected crash, then a

@@ -591,3 +591,30 @@ func TestInterleavedTagsProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestSendrecvAllocCeiling keeps "no goroutine per message" from
+// regressing silently: one eager Sendrecv costs its transfer record and
+// the two callback processes that carry it (sender leg, delivery) — three
+// allocations, where a goroutine helper pair took well over a dozen
+// (closures, channels, formatted names, a scratch Rank). The ceiling
+// leaves room for amortized inbox and event-queue growth only.
+func TestSendrecvAllocCeiling(t *testing.T) {
+	cfg := uniCluster(2, netmodel.TCPGigE())
+	perRun := func(exchanges int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			_, err := Run(cfg, cluster.PentiumIII1GHz(), func(r *Rank) {
+				for i := 0; i < exchanges; i++ {
+					r.Sendrecv(1-r.ID, i, 512, 1-r.ID, i)
+				}
+			})
+			if err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	const n = 500
+	perSendrecv := (perRun(n) - perRun(0)) / (2 * n) // both ranks of the pair call it
+	if perSendrecv > 3.5 {
+		t.Fatalf("%.2f allocations per eager Sendrecv, ceiling 3.5", perSendrecv)
+	}
+}

@@ -25,7 +25,7 @@ type message struct {
 	arrived    bool // payload available at the receiver
 	recvPosted bool // a receiver has matched this message
 
-	senderRank *Rank // parked rendezvous sender awaiting clear-to-send
+	sender     *sim.Proc // rendezvous: the process awaiting clear-to-send
 	senderPark bool
 	cleared    bool // clear-to-send granted by the receiver
 }
@@ -42,35 +42,14 @@ func (r *Rank) Send(dst, tag, bytes int) {
 	}
 	r.checkCrash()
 	t0 := r.Now()
-	net := r.W.M.Cfg.Net
-	dstRank := r.W.ranks[dst]
-	msg := &message{src: r.ID, dst: dst, tag: tag, bytes: bytes}
 
 	// Per-message host overhead on the sender.
-	r.P.Advance(net.SendOverhead)
+	r.P.Advance(r.W.M.Cfg.Net.SendOverhead)
 
-	if bytes > net.EagerLimit {
-		// Rendezvous: deposit the envelope, park until the receiver posts
-		// and the clear-to-send returns, then push the payload.
-		msg.rendezvous = true
-		msg.senderRank = r
-		r.deposit(dstRank, msg)
-		var wds wdState
-		for !msg.cleared {
-			r.checkCrash()
-			msg.senderPark = true
-			ok := r.guardedPark(&wds)
-			msg.senderPark = false
-			if !ok {
-				panic(wds.timeout(r, "send-rendezvous", dst))
-			}
-		}
-		r.checkCrash()
-	} else {
-		r.deposit(dstRank, msg)
+	t := r.newTransfer(dst, tag, bytes)
+	for !t.Step(r.P) {
+		r.P.Yield()
 	}
-
-	r.transferPayload(msg)
 	r.acct.BytesSent += int64(bytes)
 	r.W.observeMsg(bytes)
 	r.chargeMsg(r.Now()-t0, false)
@@ -81,101 +60,277 @@ func (r *Rank) Send(dst, tag, bytes int) {
 	r.traceEvent(kind, "send", t0)
 }
 
-// deposit appends the message to the destination inbox and wakes the
-// receiver if it is parked in a matching loop. A receiver whose watchdog
-// already woke it (flag still set, process queued) just has the flag
-// cleared: it will rescan its inbox when it resumes.
-func (r *Rank) deposit(dst *Rank, msg *message) {
-	dst.inbox = append(dst.inbox, msg)
-	if dst.waiting {
-		dst.waiting = false
-		if dst.P.Parked() {
-			r.W.M.Env.Unpark(dst.P)
+// wakeIfWaiting resumes a rank parked inside a matching loop. A rank whose
+// watchdog already woke it (flag still set, process queued) just has the
+// flag cleared: it will rescan its inbox when it resumes.
+func (r *Rank) wakeIfWaiting() {
+	if r.waiting {
+		r.waiting = false
+		if r.P.Parked() {
+			r.W.M.Env.Unpark(r.P)
 		}
 	}
 }
 
-// transferPayload pushes the payload through both NICs and schedules the
-// delivery (latency, stall, receive-side packet processing, arrival).
-func (r *Rank) transferPayload(msg *message) {
-	net := r.W.M.Cfg.Net
-	m := r.W.M
-	srcNode := m.NodeOf(msg.src)
-	dstNode := m.NodeOf(msg.dst)
-	pkts := net.Packets(msg.bytes)
-	sameNode := srcNode == dstNode
+// transfer carries one message from deposit to arrival. Its sender leg
+// (Step) deposits the envelope, waits out the rendezvous handshake and
+// pushes the payload through both NICs: blocking Send steps it on the
+// rank's own process, Isend registers it as a callback process so the rank
+// runs on. Its delivery leg (delivery.Step: latency, stall, receive-side
+// packet processing, arrival) is always a callback process of its own,
+// started when the payload has left the sender.
+type transfer struct {
+	msg message
+	req Request // the Isend handle; unused by blocking Send
+	r   *Rank   // the sending rank
+	dst *Rank
 
-	// Per-packet send processing on the sender CPU.
-	r.P.Advance(float64(pkts) * net.PerPacketSend)
-	// The payload occupies the sender's transmit engine and the receiver's
-	// receive engine for the serialized transfer time (cut-through
-	// pipelining: one bandwidth term, not two). Same-node ranks do not
-	// traverse the NIC (shared memory / loopback), but an interrupt-driven
-	// stack still burns receive CPU below. Link-degradation faults scale
-	// the wire terms; the degradation in effect when the transfer starts
-	// governs the whole message.
-	transfer := float64(msg.bytes) / net.Bandwidth
-	bwDiv, latMul := m.LinkScaleAt(r.P.Now(), srcNode.ID, dstNode.ID)
-	var stall, latency float64
-	switch {
-	case !sameNode:
-		m.ActiveFlows++
-		srcNode.NicTx.Acquire(r.P)
-		dstNode.NicRx.Acquire(r.P)
-		r.P.Advance(transfer * bwDiv)
-		srcNode.NicTx.Release()
-		dstNode.NicRx.Release()
-		stall = m.StallDelay()
-		latency = net.Latency * latMul
-	case net.InterruptDriven:
-		// TCP loopback between two CPUs of one node runs the whole
-		// protocol stack (§4.3): full transfer cost, full latency, and the
-		// interrupt work below — there is no shared-memory fast path.
-		r.P.Advance(transfer)
-		latency = net.Latency
-	default:
-		// SCore / Myrinet shared-memory drivers handle same-node traffic
-		// effectively (paper §4.3).
-		r.P.Advance(transfer * 0.3)
-		latency = net.Latency * 0.25
+	state    xferState
+	parked   bool    // a guarded park of the rendezvous wait is outstanding
+	wds      wdState // that wait's watchdog budget
+	pkts     int
+	sameNode bool
+	wire     float64 // serialized transfer time, link degradation included
+	delay    float64 // delivery: wire latency plus any flow-control stall
+	cost     float64 // delivery: interrupt service time
+}
+
+type xferState uint8
+
+const (
+	xferDeposit xferState = iota
+	xferAwaitClear
+	xferPackets
+	xferWire
+	xferAcquireRx
+	xferOccupy
+	xferRelease
+	xferLeft
+
+	dlvFlight
+	dlvProcess
+	dlvService
+	dlvServiced
+	dlvArrive
+)
+
+func (r *Rank) newTransfer(dst, tag, bytes int) *transfer {
+	return &transfer{
+		msg: message{src: r.ID, dst: dst, tag: tag, bytes: bytes},
+		r:   r,
+		dst: r.W.ranks[dst],
 	}
+}
 
-	env := m.Env
-	env.Spawn(fmt.Sprintf("dlv %d->%d", msg.src, msg.dst), func(p *sim.Proc) {
-		p.Advance(latency + stall)
-		// Receive-side packet processing: serialized on the interrupt CPU
-		// for interrupt-driven stacks, handled by the NIC processor
-		// otherwise.
-		cost := float64(pkts) * net.PerPacketRecv
-		if net.InterruptDriven {
+// Step advances the sender leg on process p. Only the rank's own process
+// may unwind — there a crash or an exhausted watchdog panics as in any
+// other blocking call. The Isend helper is stepped on some other process's
+// stack, so it abandons the transfer quietly and leaves the report to the
+// sender's Wait and to the receiver's own watchdog.
+func (t *transfer) Step(p *sim.Proc) bool {
+	r, msg := t.r, &t.msg
+	m := r.W.M
+	net := &m.Cfg.Net
+	own := p == r.P
+	for {
+		switch t.state {
+		case xferDeposit:
+			t.state = xferPackets
+			if msg.bytes > net.EagerLimit {
+				// Rendezvous: deposit the envelope, park until the receiver
+				// posts and the clear-to-send returns, then push the payload.
+				msg.rendezvous = true
+				msg.sender = p
+				t.state = xferAwaitClear
+			}
+			t.dst.inbox = append(t.dst.inbox, msg)
+			t.dst.wakeIfWaiting()
+
+		case xferAwaitClear:
+			if t.parked {
+				t.parked = false
+				msg.senderPark = false
+				if !r.W.parkOutcome(p, &t.wds) {
+					if own {
+						panic(t.wds.timeout(r, "send-rendezvous", msg.dst))
+					}
+					t.req.abandoned = true
+					return t.finish(p)
+				}
+			}
+			if !msg.cleared {
+				if own {
+					r.checkCrash()
+				}
+				msg.senderPark = true
+				t.parked = true
+				r.W.armPark(p, &t.wds)
+				return false
+			}
+			if own {
+				r.checkCrash()
+			}
+			t.state = xferPackets
+
+		case xferPackets:
+			// Per-packet send processing on the sender CPU.
+			t.pkts = net.Packets(msg.bytes)
+			t.state = xferWire
+			p.WakeIn(float64(t.pkts) * net.PerPacketSend)
+			return false
+
+		case xferWire:
+			// The payload occupies the sender's transmit engine and the
+			// receiver's receive engine for the serialized transfer time
+			// (cut-through pipelining: one bandwidth term, not two).
+			// Same-node ranks do not traverse the NIC (shared memory /
+			// loopback), but an interrupt-driven stack still burns receive
+			// CPU in the delivery leg. Link-degradation faults scale the
+			// wire terms; the degradation in effect when the transfer
+			// starts governs the whole message.
+			srcNode, dstNode := m.NodeOf(msg.src), m.NodeOf(msg.dst)
+			t.sameNode = srcNode == dstNode
+			transfer := float64(msg.bytes) / net.Bandwidth
+			bwDiv, latMul := m.LinkScaleAt(p.Now(), srcNode.ID, dstNode.ID)
+			switch {
+			case !t.sameNode:
+				m.ActiveFlows++
+				t.wire = transfer * bwDiv
+				t.delay = net.Latency * latMul
+				t.state = xferAcquireRx
+				if !srcNode.NicTx.AcquireStep(p) {
+					return false
+				}
+			case net.InterruptDriven:
+				// TCP loopback between two CPUs of one node runs the whole
+				// protocol stack (§4.3): full transfer cost, full latency,
+				// and the interrupt work of the delivery leg — there is no
+				// shared-memory fast path.
+				t.delay = net.Latency
+				t.state = xferLeft
+				p.WakeIn(transfer)
+				return false
+			default:
+				// SCore / Myrinet shared-memory drivers handle same-node
+				// traffic effectively (paper §4.3).
+				t.delay = net.Latency * 0.25
+				t.state = xferLeft
+				p.WakeIn(transfer * 0.3)
+				return false
+			}
+
+		case xferAcquireRx:
+			t.state = xferOccupy
+			if !m.NodeOf(msg.dst).NicRx.AcquireStep(p) {
+				return false
+			}
+
+		case xferOccupy:
+			t.state = xferRelease
+			p.WakeIn(t.wire)
+			return false
+
+		case xferRelease:
+			m.NodeOf(msg.src).NicTx.Release()
+			m.NodeOf(msg.dst).NicRx.Release()
+			t.delay += m.StallDelay()
+			t.state = xferLeft
+
+		case xferLeft:
+			t.state = dlvFlight
+			m.Env.SpawnStep((*delivery)(t))
+			return t.finish(p)
+
+		default:
+			panic("mpi: sender leg stepped after the payload left")
+		}
+	}
+}
+
+// finish ends the sender leg; the Isend helper completes its request and
+// resumes a rank blocked in Wait.
+func (t *transfer) finish(p *sim.Proc) bool {
+	if r := t.r; p != r.P {
+		t.req.done = true
+		if t.req.waiter {
+			t.req.waiter = false
+			if r.P.Parked() {
+				r.W.M.Env.Unpark(r.P)
+			}
+		}
+	}
+	return true
+}
+
+// Name is the helper's label in a deadlock report.
+func (t *transfer) Name() string { return fmt.Sprintf("isend %d->%d", t.msg.src, t.msg.dst) }
+
+// delivery is the receive leg of a transfer, stepped as its own process.
+type delivery transfer
+
+func (d *delivery) Step(p *sim.Proc) bool {
+	msg := &d.msg
+	m := d.r.W.M
+	net := &m.Cfg.Net
+	for {
+		switch d.state {
+		case dlvFlight:
+			d.state = dlvProcess
+			p.WakeIn(d.delay)
+			return false
+
+		case dlvProcess:
+			// Receive-side packet processing: serialized on the interrupt
+			// CPU for interrupt-driven stacks, handled by the NIC processor
+			// otherwise.
+			cost := float64(d.pkts) * net.PerPacketRecv
+			if !net.InterruptDriven {
+				d.state = dlvArrive
+				p.WakeIn(cost)
+				return false
+			}
 			// The paper's machines were dual-CPU boards: in uni-processor
 			// runs the idle second CPU absorbed the interrupt load, while
 			// with both CPUs computing the stack steals compute cycles and
-			// contends with two processes (§4.3 and [18]). Model the loss
-			// as a contention multiplier on the interrupt service time. A
-			// straggler fault slows the interrupt CPU like any other core
-			// of the node.
+			// contends with two processes (§4.3 and [18]). Model the loss as
+			// a contention multiplier on the interrupt service time. A
+			// straggler fault slows the interrupt CPU like any other core of
+			// the node.
 			if m.Cfg.CPUsPerNode > 1 {
 				cost *= dualInterruptPenalty
 			}
-			cost *= m.ComputeScaleAt(p.Now(), dstNode.ID)
-			dstNode.Intr.Use(p, cost)
-		} else {
-			p.Advance(cost)
-		}
-		if !sameNode {
-			m.ActiveFlows--
-		}
-		msg.arrived = true
-		dst := r.W.ranks[msg.dst]
-		if dst.waiting {
-			dst.waiting = false
-			if dst.P.Parked() {
-				env.Unpark(dst.P)
+			dstNode := m.NodeOf(msg.dst)
+			d.cost = cost * m.ComputeScaleAt(p.Now(), dstNode.ID)
+			d.state = dlvService
+			if !dstNode.Intr.AcquireStep(p) {
+				return false
 			}
+
+		case dlvService:
+			d.state = dlvServiced
+			p.WakeIn(d.cost)
+			return false
+
+		case dlvServiced:
+			m.NodeOf(msg.dst).Intr.Release()
+			d.state = dlvArrive
+
+		case dlvArrive:
+			if !d.sameNode {
+				m.ActiveFlows--
+			}
+			msg.arrived = true
+			d.dst.wakeIfWaiting()
+			return true
+
+		default:
+			panic("mpi: delivery leg stepped before the payload left")
 		}
-	})
+	}
 }
+
+// Name is the delivery's label in a deadlock report.
+func (d *delivery) Name() string { return fmt.Sprintf("dlv %d->%d", d.msg.src, d.msg.dst) }
 
 // match scans the inbox for the oldest message from src with tag.
 func (r *Rank) match(src, tag int) *message {
@@ -228,14 +383,14 @@ func (r *Rank) Recv(src, tag int) int {
 	msg.recvPosted = true
 
 	// Phase 2 (comm): the transfer.
-	if msg.rendezvous && msg.senderRank != nil {
+	if msg.rendezvous {
 		// Clear-to-send control round trip, then the sender pushes.
 		r.P.Advance(2 * net.Latency)
 		msg.cleared = true
 		if msg.senderPark {
 			msg.senderPark = false
-			if msg.senderRank.P.Parked() {
-				r.W.M.Env.Unpark(msg.senderRank.P)
+			if msg.sender.Parked() {
+				r.W.M.Env.Unpark(msg.sender)
 			}
 		}
 	}
@@ -288,51 +443,16 @@ func (r *Rank) Isend(dst, tag, bytes int) *Request {
 		panic("mpi: isend to self")
 	}
 	r.checkCrash()
-	req := &Request{rank: r, isSend: true, dst: dst, bytes: bytes}
 	t0 := r.Now()
-	net := r.W.M.Cfg.Net
-	r.P.Advance(net.SendOverhead)
+	r.P.Advance(r.W.M.Cfg.Net.SendOverhead)
 	r.chargeMsg(r.Now()-t0, false)
 
-	dstRank := r.W.ranks[dst]
-	msg := &message{src: r.ID, dst: dst, tag: tag, bytes: bytes}
-	env := r.W.M.Env
-	env.Spawn(fmt.Sprintf("isend %d->%d", r.ID, dst), func(p *sim.Proc) {
-		helper := &Rank{W: r.W, ID: r.ID, P: p} // transfer on the sender's node
-		if bytes > net.EagerLimit {
-			msg.rendezvous = true
-			msg.senderRank = helper
-			helper.deposit(dstRank, msg)
-			// A panic here would kill the whole process (no recover wraps
-			// helper goroutines), so an exhausted watchdog abandons the
-			// transfer quietly; the receiver's own watchdog reports it.
-			var wds wdState
-			for !msg.cleared {
-				msg.senderPark = true
-				ok := helper.guardedPark(&wds)
-				msg.senderPark = false
-				if !ok {
-					req.abandoned = true
-					break
-				}
-			}
-		} else {
-			helper.deposit(dstRank, msg)
-		}
-		if !req.abandoned {
-			helper.transferPayload(msg)
-		}
-		req.done = true
-		if req.waiter {
-			req.waiter = false
-			if r.P.Parked() {
-				env.Unpark(r.P)
-			}
-		}
-	})
+	t := r.newTransfer(dst, tag, bytes)
+	t.req = Request{rank: r, isSend: true, dst: dst, bytes: bytes}
+	r.W.M.Env.SpawnStep(t)
 	r.acct.BytesSent += int64(bytes)
 	r.W.observeMsg(bytes)
-	return req
+	return &t.req
 }
 
 // Irecv posts a non-blocking receive; completion is driven by Wait.

@@ -3,6 +3,8 @@ package mpi
 import (
 	"errors"
 	"fmt"
+
+	"repro/internal/sim"
 )
 
 // ErrTimeout matches (via errors.Is) every watchdog expiry surfaced by Run.
@@ -73,33 +75,46 @@ type wdState struct {
 	t0    float64
 }
 
-// guardedPark parks the rank once within a wait loop. With the watchdog
-// disabled it parks unconditionally; enabled, the park is bounded and the
-// retry budget is consumed by expiries. It returns false when the budget
-// is spent — the caller aborts (panic with a *TimeoutError, converted to
-// a typed error by Run) or, for helper processes that must not unwind,
-// abandons the operation quietly.
-func (r *Rank) guardedPark(s *wdState) bool {
-	wd := r.W.Wd
-	if !wd.Enabled() {
-		r.P.Park()
-		return true
+// armPark parks p — a rank's own process or a transfer helper — for one
+// round of a wait loop: unconditionally with the watchdog disabled, bounded
+// by the current round's timeout otherwise. The caller yields (or returns
+// from its step) and reads the result with parkOutcome once p runs again.
+func (w *World) armPark(p *sim.Proc, s *wdState) {
+	if !w.Wd.Enabled() {
+		p.ParkStep()
+		return
 	}
 	if s.wait == 0 {
-		s.wait = wd.Timeout
-		s.t0 = r.Now()
+		s.wait = w.Wd.Timeout
+		s.t0 = p.Now()
 	}
-	if r.P.ParkTimeout(s.wait) {
+	p.ParkTimeoutStep(s.wait)
+}
+
+// parkOutcome consumes the retry budget when the park armed by armPark
+// expired. It returns false when the budget is spent — a rank aborts
+// (panic with a *TimeoutError, converted to a typed error by Run); a
+// helper process, which must not unwind, abandons the operation quietly.
+func (w *World) parkOutcome(p *sim.Proc, s *wdState) bool {
+	if !p.TimedOut() {
 		return true // woken by progress (or an unrelated deposit)
 	}
 	s.tries++
-	if s.tries > wd.Retries {
+	if s.tries > w.Wd.Retries {
 		return false
 	}
-	if wd.Backoff > 1 {
-		s.wait *= wd.Backoff
+	if w.Wd.Backoff > 1 {
+		s.wait *= w.Wd.Backoff
 	}
 	return true
+}
+
+// guardedPark blocks the rank for one round of a wait loop and reports
+// whether the wait may go on.
+func (r *Rank) guardedPark(s *wdState) bool {
+	r.W.armPark(r.P, s)
+	r.P.Yield()
+	return r.W.parkOutcome(r.P, s)
 }
 
 // timeout builds the typed abort error for an exhausted wait.

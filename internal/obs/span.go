@@ -238,6 +238,8 @@ func (r *Recorder) Spans() []SpanRecord {
 func (r *Recorder) WriteChromeJSON(w io.Writer) error { return r.col.WriteChromeJSON(w) }
 
 // RenderTimeline writes the per-rank ASCII gantt of the flat view.
-func (r *Recorder) RenderTimeline(w io.Writer, width int) error { return r.col.RenderTimeline(w, width) }
+func (r *Recorder) RenderTimeline(w io.Writer, width int) error {
+	return r.col.RenderTimeline(w, width)
+}
 
 var _ trace.Sink = (*Recorder)(nil)

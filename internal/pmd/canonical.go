@@ -242,7 +242,11 @@ func (c *canonical) listValid(st *canonState) bool {
 // per-rank partitions evaluated rank 0..p-1 into a zeroed scratch, the
 // same rank-ascending merges. The scratch reuse is bitwise safe: every
 // accumulator starts at +0.0 and x + (−x) rounds to +0.0, so no merge
-// input ever differs from the replicated path's per-rank arrays.
+// input ever differs from the replicated path's per-rank arrays. For the
+// same reason neither charge grid can hold −0.0 (a −0.0 product added to a
+// +0.0 accumulator gives +0.0), so adding a scratch cell that is +0.0 is a
+// bitwise no-op and the grid merge may skip every cell outside the rank's
+// B-spline footprint, and every cell inside it that summed to zero.
 func (c *canonical) forceEval(st *canonState) {
 	sys := c.sys
 	n := sys.N()
@@ -293,13 +297,28 @@ func (c *canonical) forceEval(st *canonState) {
 	for i := range c.fullGrid {
 		c.fullGrid[i] = 0
 	}
+	// scratchGrid is all zero here: it starts so, and each rank's merge
+	// clears every cell the rank's spread can have touched.
+	order := pmeCfg.Order
 	for rk := 0; rk < c.p; rk++ {
-		for i := range c.scratchGrid {
-			c.scratchGrid[i] = 0
-		}
-		c.pme.Spread(st.pos, c.charges, c.atomOff[rk], c.atomOff[rk+1], c.scratchGrid)
-		for i := range c.fullGrid {
-			c.fullGrid[i] += c.scratchGrid[i]
+		lo, hi := c.atomOff[rk], c.atomOff[rk+1]
+		c.pme.Spread(st.pos, c.charges, lo, hi, c.scratchGrid)
+		for i := lo; i < hi; i++ {
+			if c.charges[i] == 0 {
+				continue // Spread skips it too
+			}
+			i1, i2, i3 := c.pme.Footprint(st.pos[i])
+			for _, a := range i1[:order] {
+				for _, b := range i2[:order] {
+					base := (a*k2 + b) * k3
+					for _, z := range i3[:order] {
+						if s := c.scratchGrid[base+z]; s != 0 {
+							c.fullGrid[base+z] += s
+							c.scratchGrid[base+z] = 0
+						}
+					}
+				}
+			}
 		}
 	}
 	for x := 0; x < k1; x++ {

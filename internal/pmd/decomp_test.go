@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/md"
+	"repro/internal/mpi"
 	"repro/internal/netmodel"
 	"repro/internal/obs"
 	"repro/internal/vec"
@@ -326,4 +327,44 @@ func gaugeValue(reg *obs.Registry, name string) (float64, bool) {
 		}
 	}
 	return 0, false
+}
+
+// TestGoroutineBudget pins the transport's process model: rank processes
+// are the only goroutines a simulation owns. Message transfers,
+// deliveries and watchdog timers — hundreds in flight at any instant of a
+// 64-rank exchange — are callback processes, and compute segments share a
+// fixed pool. Sampled at every step boundary, where deliveries and stale
+// timers of the step's collectives are still pending.
+func TestGoroutineBudget(t *testing.T) {
+	const p = 64
+	sys := testSystem(100, 24, 1)
+	for _, tc := range []struct {
+		name    string
+		wd      mpi.Watchdog
+		workers int
+	}{
+		{"plain", mpi.Watchdog{}, 0},
+		{"watchdog", mpi.DefaultWatchdog(), 0},
+		{"watchdog+host-workers", mpi.DefaultWatchdog(), 3},
+	} {
+		cfg := domainCfg(sys, 3)
+		cfg.Watchdog = tc.wd
+		cfg.HostWorkers = tc.workers
+		base := runtime.NumGoroutine()
+		peak, samples := 0, 0
+		cfg.OnStep = func(int, StepTiming, md.EnergyReport) {
+			peak = max(peak, runtime.NumGoroutine())
+			samples++
+		}
+		if _, err := Run(clusterCfg(p, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), cfg); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if samples != cfg.Steps {
+			t.Fatalf("%s: sampled %d of %d steps", tc.name, samples, cfg.Steps)
+		}
+		if budget := base + p + tc.workers + 2; peak > budget {
+			t.Errorf("%s: %d goroutines at a step boundary, budget %d (%d before the run + %d ranks + %d host workers + 2)",
+				tc.name, peak, budget, base, p, tc.workers)
+		}
+	}
 }

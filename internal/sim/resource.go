@@ -21,15 +21,24 @@ func NewResource(env *Env, name string, capacity int) *Resource {
 	return &Resource{env: env, name: name, capacity: capacity}
 }
 
-// Acquire takes one unit, parking the caller until one is free.
-func (r *Resource) Acquire(p *Proc) {
+// AcquireStep takes one unit if one is free and reports true. Otherwise it
+// queues p, parks it and reports false: once p runs again it holds the
+// unit, which the releaser transferred before unparking it.
+func (r *Resource) AcquireStep(p *Proc) bool {
 	if r.inUse < r.capacity {
 		r.inUse++
-		return
+		return true
 	}
 	r.waiters = append(r.waiters, p)
-	p.Park()
-	// The releaser transferred the unit to us before unparking.
+	p.ParkStep()
+	return false
+}
+
+// Acquire takes one unit, blocking the caller until one is free.
+func (r *Resource) Acquire(p *Proc) {
+	if !r.AcquireStep(p) {
+		p.Yield()
+	}
 }
 
 // Release returns one unit and hands it to the oldest waiter, if any.

@@ -1,49 +1,84 @@
 // Package sim is a process-oriented discrete-event simulation engine in the
-// style of SimPy: simulated processes are goroutines that run strictly one
-// at a time under a virtual clock, yielding to the scheduler when they
-// advance time, park on an event, or finish. Determinism is guaranteed by a
-// total order on wakeups (time, then sequence number).
+// style of SimPy: simulated processes run strictly one at a time under a
+// virtual clock, giving up control when they advance time, park on an
+// event, or finish. Determinism is guaranteed by a total order on wakeups
+// (time, then sequence number).
 //
-// The cluster performance model runs every simulated MPI rank as one
-// process; between yields a process executes real Go code (the actual MD
-// computation), so simulated timing and real physics stay coupled.
+// There are two kinds of process. A goroutine process (Spawn) runs ordinary
+// blocking Go code — the cluster performance model runs every simulated MPI
+// rank as one, executing the actual MD computation between yields, so
+// simulated timing and real physics stay coupled. A callback process
+// (SpawnStep) is a small state machine the scheduler steps inline on
+// whichever goroutine is dispatching; message transfers, timers and fault
+// injectors are callback processes, so they cost no goroutine, channel or
+// context switch. Both kinds take their IDs and sequence numbers at the same
+// points, so a body behaves identically in either form.
+//
+// There is no scheduler goroutine: the process giving up control pops the
+// next event itself and wakes its owner directly (one goroutine switch per
+// wakeup, none when a process pops its own event). Run only starts the
+// chain and waits for the end.
 //
 // Compute segments — real host work whose virtual duration is only known
 // after running it — can optionally execute on a bounded pool of host
 // worker goroutines (SetWorkers), overlapping the physics of independent
-// processes while the scheduler preserves the exact serial event order; see
+// processes while the dispatch order stays exactly the serial one; see
 // Proc.Compute.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
+	"sync"
 )
 
+// Stepper is the body of a callback process.
+type Stepper interface {
+	// Step runs the process from where it left off. It returns true when
+	// the process has finished; otherwise it must have scheduled its next
+	// wakeup — WakeIn, ParkStep, ParkTimeoutStep, or a Resource.AcquireStep
+	// that reported false — immediately before returning false. Step runs
+	// on an arbitrary process's goroutine: it must not block, call the
+	// goroutine-style methods (Advance, Park, Compute, ...) or panic.
+	Step(p *Proc) (done bool)
+	// Name labels the process in the deadlock report. It is called only
+	// when a report is rendered, never on the event path.
+	Name() string
+}
+
 // Proc is one simulated process. Its methods must only be called from
-// inside the process's own function, except where noted.
+// inside the process's own function or Step, except where noted.
 type Proc struct {
-	env      *Env
-	id       int
-	slot     int // index in env.procs; -1 once finished
-	name     string
-	wake     chan struct{}
-	state    procState
-	wakeAt   float64
-	seq      int64 // tie-break for deterministic ordering
+	env    *Env
+	id     int
+	slot   int // index in env.procs; -1 once finished
+	state  procState
+	wakeAt float64
+	seq    int64 // tie-break for deterministic ordering
+
+	name string        // goroutine process
+	wake chan struct{} // goroutine process: resumed by a receive here
+	body Stepper       // callback process; nil for a goroutine process
+
 	finished bool
-
-	parkGen  int64 // distinguishes park episodes for ParkTimeout timers
+	killed   bool  // goroutine released after a deadlock; it must exit
 	timedOut bool  // set by a firing timer before the timeout unpark
+	parkGen  int64 // distinguishes park episodes for ParkTimeout timers
 
-	// Compute-segment bookkeeping (host-parallel mode only).
-	computeAt    float64       // virtual submission time
-	computeMin   float64       // declared lower bound on the segment cost
-	computeCost  float64       // closure result, read after computeDone
-	computePanic interface{}   // recovered closure panic, re-raised in Compute
-	computeDone  chan struct{} // signalled once the closure has returned
+	compute *computeSeg // host-parallel compute bookkeeping, lazily allocated
+}
+
+// computeSeg is one process's in-flight Compute closure (host-parallel
+// mode only).
+type computeSeg struct {
+	fn     func() float64
+	at     float64       // virtual submission time
+	min    float64       // declared lower bound on the segment cost
+	cost   float64       // closure result, read after done
+	panicV interface{}   // recovered closure panic, re-raised in Compute
+	done   chan struct{} // signalled once the closure has returned
 }
 
 type procState int
@@ -56,27 +91,34 @@ const (
 	stateDone
 )
 
-// Env is the simulation environment: virtual clock plus scheduler.
+// Env is the simulation environment: virtual clock plus event queue.
 type Env struct {
 	now     float64
 	procs   []*Proc // live (unfinished) processes; finished ones are reaped
-	queue   wakeQueue
-	yield   chan struct{}
+	queue   eventQueue
 	seq     int64
 	spawned int // total processes ever spawned (stable IDs)
 	alive   int // processes spawned and not yet finished
 	running bool
-	current *Proc
+
+	// done carries the end of the event chain to Run (from the goroutine
+	// that found nothing left to dispatch) and, after a deadlock, each
+	// released goroutine's exit acknowledgement.
+	done       chan struct{}
+	deadlocked bool
+
+	onPop func(now float64, seq int64, id int) // test hook: the pop trace
 
 	// Host-parallel compute support.
-	workers   int           // pool size; ≤1 runs compute closures inline
-	sem       chan struct{} // pool slots, created lazily
-	computing []*Proc       // processes with an unresolved compute closure
+	workers   int        // pool size; ≤1 runs compute closures inline
+	jobs      chan *Proc // submitted segments; nil until the first one
+	pool      sync.WaitGroup
+	computing []*Proc // processes with an unresolved compute closure
 }
 
 // NewEnv returns an empty environment at time 0.
 func NewEnv() *Env {
-	return &Env{yield: make(chan struct{})}
+	return &Env{done: make(chan struct{})}
 }
 
 // SetWorkers sets the host worker pool size for Proc.Compute closures.
@@ -91,7 +133,6 @@ func (e *Env) SetWorkers(n int) {
 		n = 0
 	}
 	e.workers = n
-	e.sem = nil
 }
 
 // Workers returns the configured host worker pool size.
@@ -103,40 +144,57 @@ func (e *Env) LiveProcs() int { return e.alive }
 // Now returns the current virtual time in seconds.
 func (e *Env) Now() float64 { return e.now }
 
-// Spawn registers a new process. The function body starts running at the
-// current virtual time once Run is in control. Spawn may be called before
-// Run or from inside a running process.
+// Spawn registers a new goroutine process. The function body starts running
+// at the current virtual time once Run is in control. Spawn may be called
+// before Run or from inside a running process.
 func (e *Env) Spawn(name string, fn func(*Proc)) *Proc {
-	p := &Proc{
-		env:  e,
-		id:   e.spawned,
-		slot: len(e.procs),
-		name: name,
-		wake: make(chan struct{}),
-	}
+	p := &Proc{name: name, wake: make(chan struct{})}
+	e.register(p)
+	go func() {
+		defer func() {
+			if p.killed {
+				e.done <- struct{}{} // acknowledge the release to Run
+			}
+		}()
+		<-p.wake // wait for first schedule
+		fn(p)
+		e.finish(p)
+		e.switchTo(e.next())
+	}()
+	return p
+}
+
+// SpawnStep registers a new callback process. Its first Step runs at the
+// current virtual time, at the point a goroutine process spawned here would
+// start. SpawnStep may be called before Run, from a running process or from
+// another Step.
+func (e *Env) SpawnStep(body Stepper) *Proc {
+	p := &Proc{body: body}
+	e.register(p)
+	return p
+}
+
+// register gives p its ID and schedules its start at the current time.
+func (e *Env) register(p *Proc) {
+	p.env = e
+	p.id = e.spawned
+	p.slot = len(e.procs)
 	e.spawned++
 	e.alive++
 	e.procs = append(e.procs, p)
 	p.state = stateTimed
 	p.wakeAt = e.now
 	p.seq = e.nextSeq()
-	heap.Push(&e.queue, p)
-	go func() {
-		<-p.wake // wait for first schedule
-		fn(p)
-		p.state = stateDone
-		p.finished = true
-		e.reap(p)
-		e.yield <- struct{}{}
-	}()
-	return p
+	e.queue.push(p)
 }
 
-// reap removes a finished process from the live set so long runs with many
+// finish retires p and removes it from the live set so long runs with many
 // short-lived helper processes (message deliveries, watchdog timers) do not
 // grow the process table without bound. Runs in the finishing process's
 // exclusive window, so no lock is needed.
-func (e *Env) reap(p *Proc) {
+func (e *Env) finish(p *Proc) {
+	p.state = stateDone
+	p.finished = true
 	e.alive--
 	last := len(e.procs) - 1
 	if p.slot != last {
@@ -155,13 +213,50 @@ func (e *Env) nextSeq() int64 {
 }
 
 // Run executes the simulation until every process has finished. It returns
-// an error describing the parked processes if the simulation deadlocks.
+// an error describing the parked processes if the simulation deadlocks; the
+// goroutines of those processes are released (they exit, running their
+// deferred calls) before Run returns.
 func (e *Env) Run() error {
 	if e.running {
 		panic("sim: Run reentered")
 	}
 	e.running = true
 	defer func() { e.running = false }()
+	e.deadlocked = false
+	if first := e.next(); first != nil {
+		first.wake <- struct{}{}
+		<-e.done
+	}
+	if e.jobs != nil {
+		close(e.jobs)
+		e.pool.Wait()
+		e.jobs = nil
+	}
+	if !e.deadlocked {
+		return nil
+	}
+	err := e.deadlockError()
+	// Every goroutine process still alive is blocked on its wake channel
+	// and would stay so forever, pinning everything its stack references.
+	// Release them one at a time, so their deferred calls stay serialized.
+	for _, p := range e.procs {
+		if p.body == nil {
+			p.killed = true
+			p.wake <- struct{}{}
+			<-e.done
+		}
+	}
+	e.procs, e.alive = nil, 0
+	return err
+}
+
+// next dispatches events in (time, seq) order, stepping callback processes
+// inline, until an event belongs to a goroutine process, and returns that
+// process with the clock advanced to its wakeup. It returns nil when the
+// simulation is over: every process has finished or, with e.deadlocked
+// set, nothing is scheduled. It runs on the goroutine that is giving up
+// control.
+func (e *Env) next() *Proc {
 	for {
 		if e.alive == 0 {
 			return nil
@@ -174,28 +269,68 @@ func (e *Env) Run() error {
 		// serial schedule.
 		for len(e.computing) > 0 {
 			c := e.minPendingCompute()
-			if e.queue.Len() > 0 {
-				head := e.queue[0]
-				bound := c.computeAt + c.computeMin
-				if head.wakeAt < bound || (head.wakeAt == bound && head.seq < c.seq) {
+			if len(e.queue) > 0 {
+				head := &e.queue[0]
+				bound := c.compute.at + c.compute.min
+				if head.at < bound || (head.at == bound && head.seq < c.seq) {
 					break // head provably precedes every in-flight segment
 				}
 			}
 			e.resolveCompute(c)
 		}
-		if e.queue.Len() == 0 {
-			return e.deadlockError()
+		if len(e.queue) == 0 {
+			e.deadlocked = true
+			return nil
 		}
-		p := heap.Pop(&e.queue).(*Proc)
-		if p.wakeAt < e.now {
-			panic(fmt.Sprintf("sim: time went backwards: %g -> %g", e.now, p.wakeAt))
+		ev := e.queue.pop()
+		if ev.at < e.now {
+			panic(fmt.Sprintf("sim: time went backwards: %g -> %g", e.now, ev.at))
 		}
-		e.now = p.wakeAt
+		e.now = ev.at
+		p := ev.p
 		p.state = stateRunning
-		e.current = p
+		if e.onPop != nil {
+			e.onPop(e.now, ev.seq, p.id)
+		}
+		if p.body == nil {
+			return p
+		}
+		if p.body.Step(p) {
+			e.finish(p)
+		} else if p.state == stateRunning {
+			panic(fmt.Sprintf("sim: callback process %q returned without scheduling a wakeup", p.Name()))
+		}
+	}
+}
+
+// switchTo resumes the goroutine of p, or reports the end of the event
+// chain to Run when p is nil.
+func (e *Env) switchTo(p *Proc) {
+	if p != nil {
 		p.wake <- struct{}{}
-		<-e.yield
-		e.current = nil
+	} else {
+		e.done <- struct{}{}
+	}
+}
+
+// Yield blocks a goroutine process until the wakeup it has just scheduled
+// with WakeIn, ParkStep, ParkTimeoutStep or a Resource.AcquireStep that
+// reported false: Advance is WakeIn followed by Yield. The yielding
+// goroutine dispatches the following events itself; when the next one is
+// its own it simply continues.
+func (p *Proc) Yield() {
+	if p.killed {
+		runtime.Goexit() // a deferred call of a released process tried to block
+	}
+	e := p.env
+	next := e.next()
+	if next == p {
+		return
+	}
+	e.switchTo(next)
+	<-p.wake
+	if p.killed {
+		runtime.Goexit()
 	}
 }
 
@@ -203,9 +338,9 @@ func (e *Env) Run() error {
 // (earliest possible wakeup, seq) key.
 func (e *Env) minPendingCompute() *Proc {
 	best := e.computing[0]
-	bestAt := best.computeAt + best.computeMin
+	bestAt := best.compute.at + best.compute.min
 	for _, c := range e.computing[1:] {
-		at := c.computeAt + c.computeMin
+		at := c.compute.at + c.compute.min
 		if at < bestAt || (at == bestAt && c.seq < best.seq) {
 			best, bestAt = c, at
 		}
@@ -217,23 +352,24 @@ func (e *Env) minPendingCompute() *Proc {
 // wakeup at submission time + actual cost, under the seq assigned at
 // submission.
 func (e *Env) resolveCompute(c *Proc) {
-	<-c.computeDone
-	if c.computePanic == nil {
-		d := c.computeCost
+	seg := c.compute
+	<-seg.done
+	if seg.panicV == nil {
+		d := seg.cost
 		if math.IsNaN(d) || d < 0 {
-			c.computePanic = fmt.Sprintf("sim: invalid compute cost %g", d)
-		} else if d < c.computeMin {
-			c.computePanic = fmt.Sprintf("sim: compute cost %g below declared lower bound %g", d, c.computeMin)
+			seg.panicV = fmt.Sprintf("sim: invalid compute cost %g", d)
+		} else if d < seg.min {
+			seg.panicV = fmt.Sprintf("sim: compute cost %g below declared lower bound %g", d, seg.min)
 		}
 	}
-	if c.computePanic != nil {
+	if seg.panicV != nil {
 		// Wake as early as allowed so the panic unwinds the process.
-		c.wakeAt = c.computeAt + c.computeMin
+		c.wakeAt = seg.at + seg.min
 	} else {
-		c.wakeAt = c.computeAt + c.computeCost
+		c.wakeAt = seg.at + seg.cost
 	}
 	c.state = stateTimed
-	heap.Push(&e.queue, c)
+	e.queue.push(c)
 	for i, p := range e.computing {
 		if p == c {
 			e.computing = append(e.computing[:i], e.computing[i+1:]...)
@@ -246,48 +382,53 @@ func (e *Env) deadlockError() error {
 	var parked []string
 	for _, p := range e.procs {
 		if !p.finished && p.state == stateParked {
-			parked = append(parked, p.name)
+			parked = append(parked, p.Name())
 		}
 	}
 	sort.Strings(parked)
 	return fmt.Errorf("sim: deadlock at t=%.9f, parked processes: %v", e.now, parked)
 }
 
-// yieldToScheduler hands control back and blocks until rescheduled.
-func (p *Proc) yieldToScheduler() {
-	p.env.yield <- struct{}{}
-	<-p.wake
-}
-
 // Now returns the current virtual time.
 func (p *Proc) Now() float64 { return p.env.now }
 
 // Name returns the process name.
-func (p *Proc) Name() string { return p.name }
+func (p *Proc) Name() string {
+	if p.body != nil {
+		return p.body.Name()
+	}
+	return p.name
+}
 
 // ID returns the process creation index within its environment.
 func (p *Proc) ID() int { return p.id }
 
-// Done reports whether the process function has returned. Unlike the other
-// Proc methods it is safe to call from any process.
+// Done reports whether the process has finished. Unlike the other Proc
+// methods it is safe to call from any process.
 func (p *Proc) Done() bool { return p.finished }
 
-// Parked reports whether the process is currently blocked in Park. Safe to
-// call from any process; protocols that signal wakeups through shared flags
-// use it to avoid unparking a process that already woke by timeout.
+// Parked reports whether the process is currently blocked in a park. Safe
+// to call from any process; protocols that signal wakeups through shared
+// flags use it to avoid unparking a process that already woke by timeout.
 func (p *Proc) Parked() bool { return p.state == stateParked }
 
-// Advance blocks the process for d seconds of virtual time. d must be
-// non-negative.
-func (p *Proc) Advance(d float64) {
+// WakeIn schedules the process's next wakeup d seconds of virtual time from
+// now. d must be non-negative.
+func (p *Proc) WakeIn(d float64) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative advance %g", d))
 	}
 	p.state = stateTimed
 	p.wakeAt = p.env.now + d
 	p.seq = p.env.nextSeq()
-	heap.Push(&p.env.queue, p)
-	p.yieldToScheduler()
+	p.env.queue.push(p)
+}
+
+// Advance blocks the process for d seconds of virtual time. d must be
+// non-negative.
+func (p *Proc) Advance(d float64) {
+	p.WakeIn(d)
+	p.Yield()
 }
 
 // Compute executes fn — pure host-side work that must not touch the
@@ -318,70 +459,121 @@ func (p *Proc) Compute(minCost float64, fn func() float64) float64 {
 		p.Advance(d)
 		return d
 	}
-	if p.computeDone == nil {
-		p.computeDone = make(chan struct{}, 1)
+	if p.compute == nil {
+		p.compute = &computeSeg{done: make(chan struct{}, 1)}
 	}
-	if e.sem == nil {
-		e.sem = make(chan struct{}, e.workers)
+	if e.jobs == nil {
+		e.startPool()
 	}
-	p.computeAt = e.now
-	p.computeMin = minCost
-	p.computePanic = nil
+	seg := p.compute
+	seg.fn, seg.at, seg.min, seg.panicV = fn, e.now, minCost, nil
 	p.state = stateComputing
 	p.seq = e.nextSeq() // same numbering point as the serial Advance
 	e.computing = append(e.computing, p)
-	go func() {
-		defer func() {
-			if v := recover(); v != nil {
-				p.computePanic = v
-			}
-			p.computeDone <- struct{}{}
-		}()
-		e.sem <- struct{}{}
-		defer func() { <-e.sem }()
-		p.computeCost = fn()
-	}()
-	p.yieldToScheduler()
-	if v := p.computePanic; v != nil {
-		p.computePanic = nil
+	e.jobs <- p
+	p.Yield()
+	if v := seg.panicV; v != nil {
+		seg.panicV = nil
 		panic(v)
 	}
-	return p.computeCost
+	return seg.cost
+}
+
+// startPool starts the host workers; Run stops them. A process has at most
+// one segment in flight, so a queue as long as the process table never
+// blocks a submitter; processes spawned later can at worst wait for a
+// worker, which costs overlap but not correctness.
+func (e *Env) startPool() {
+	e.jobs = make(chan *Proc, max(e.alive, e.workers))
+	for i := 0; i < e.workers; i++ {
+		e.pool.Add(1)
+		go func() {
+			defer e.pool.Done()
+			for p := range e.jobs {
+				p.compute.run()
+			}
+		}()
+	}
+}
+
+func (seg *computeSeg) run() {
+	defer func() {
+		if v := recover(); v != nil {
+			seg.panicV = v
+		}
+		seg.done <- struct{}{}
+	}()
+	seg.cost = seg.fn()
+}
+
+// ParkStep marks the process parked until another process calls Unpark on
+// it.
+func (p *Proc) ParkStep() {
+	p.parkGen++
+	p.timedOut = false
+	p.state = stateParked
 }
 
 // Park blocks the process until another process calls Unpark on it.
 func (p *Proc) Park() {
-	p.parkGen++
-	p.timedOut = false
-	p.state = stateParked
-	p.yieldToScheduler()
+	p.ParkStep()
+	p.Yield()
 }
+
+// ParkTimeoutStep is ParkStep bounded by d seconds of virtual time: once
+// the process runs again, TimedOut tells which of the two woke it. d must
+// be positive.
+//
+// The timeout is a helper callback process; if the park ends early the
+// stale timer recognizes the finished episode (via a generation counter)
+// and does nothing. Finished timers are reaped from the process table like
+// any other process.
+func (p *Proc) ParkTimeoutStep(d float64) {
+	if d <= 0 {
+		panic(fmt.Sprintf("sim: non-positive park timeout %g", d))
+	}
+	// The timer is spawned before the park, carrying the generation
+	// ParkStep assigns below.
+	p.env.SpawnStep(&timer{target: p, gen: p.parkGen + 1, d: d})
+	p.ParkStep()
+}
+
+// TimedOut reports whether the process's latest park was ended by its
+// ParkTimeoutStep timer rather than by Unpark.
+func (p *Proc) TimedOut() bool { return p.timedOut }
 
 // ParkTimeout parks the process until another process calls Unpark on it
 // or until d seconds of virtual time elapse, whichever comes first. It
 // reports whether the process was woken by Unpark (true) or by the
 // timeout (false). d must be positive.
-//
-// The timeout is implemented as a helper process; if the park ends early
-// the stale timer recognizes the finished episode (via a generation
-// counter) and does nothing. Finished timers are reaped from the process
-// table like any other process.
 func (p *Proc) ParkTimeout(d float64) bool {
-	if d <= 0 {
-		panic(fmt.Sprintf("sim: non-positive park timeout %g", d))
-	}
-	gen := p.parkGen + 1 // the generation Park assigns below
-	env := p.env
-	env.Spawn("timeout:"+p.name, func(t *Proc) {
-		t.Advance(d)
-		if p.state == stateParked && p.parkGen == gen {
-			p.timedOut = true
-			env.Unpark(p)
-		}
-	})
-	p.Park()
+	p.ParkTimeoutStep(d)
+	p.Yield()
 	return !p.timedOut
 }
+
+// timer is the callback process behind ParkTimeoutStep.
+type timer struct {
+	target *Proc
+	gen    int64
+	d      float64
+	armed  bool
+}
+
+func (t *timer) Step(p *Proc) bool {
+	if !t.armed {
+		t.armed = true
+		p.WakeIn(t.d)
+		return false
+	}
+	if t.target.state == stateParked && t.target.parkGen == t.gen {
+		t.target.timedOut = true
+		p.env.Unpark(t.target)
+	}
+	return true
+}
+
+func (t *timer) Name() string { return "timeout:" + t.target.Name() }
 
 // Unpark makes a parked process runnable at the current virtual time.
 // It must be called from the currently running process (or before Run).
@@ -389,31 +581,77 @@ func (p *Proc) ParkTimeout(d float64) bool {
 // error in the calling protocol.
 func (e *Env) Unpark(p *Proc) {
 	if p.state != stateParked {
-		panic(fmt.Sprintf("sim: Unpark of non-parked process %q", p.name))
+		panic(fmt.Sprintf("sim: Unpark of non-parked process %q", p.Name()))
 	}
 	p.state = stateTimed
 	p.wakeAt = e.now
 	p.seq = e.nextSeq()
-	heap.Push(&e.queue, p)
+	e.queue.push(p)
 }
 
-// wakeQueue is a min-heap on (wakeAt, seq).
-type wakeQueue []*Proc
+// event is one scheduled wakeup. The key is stored inline so ordering
+// comparisons do not chase the process pointer.
+type event struct {
+	at  float64
+	seq int64
+	p   *Proc
+}
 
-func (q wakeQueue) Len() int { return len(q) }
-func (q wakeQueue) Less(i, j int) bool {
-	if q[i].wakeAt != q[j].wakeAt {
-		return q[i].wakeAt < q[j].wakeAt
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
-func (q wakeQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *wakeQueue) Push(x interface{}) { *q = append(*q, x.(*Proc)) }
-func (q *wakeQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	p := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return p
+
+// eventQueue is a binary min-heap on (at, seq). Sequence numbers are
+// unique, so the order is total and the pop sequence does not depend on
+// the heap's internal layout.
+type eventQueue []event
+
+// push schedules p at its (wakeAt, seq).
+func (q *eventQueue) push(p *Proc) {
+	h := append(*q, event{at: p.wakeAt, seq: p.seq, p: p})
+	i := len(h) - 1
+	ev := h[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
+	*q = h
+}
+
+// pop removes and returns the earliest event.
+func (q *eventQueue) pop() event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	ev := h[n]
+	h[n] = event{} // drop the process reference
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			child := 2*i + 1
+			if child >= n {
+				break
+			}
+			if r := child + 1; r < n && h[r].before(&h[child]) {
+				child = r
+			}
+			if !h[child].before(&ev) {
+				break
+			}
+			h[i] = h[child]
+			i = child
+		}
+		h[i] = ev
+	}
+	*q = h
+	return top
 }

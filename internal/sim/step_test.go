@@ -1,0 +1,365 @@
+package sim
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+)
+
+// ---------------------------------------------------------------------------
+// Schedule equivalence: a body behaves identically as a goroutine process
+// and as a callback process.
+
+type progOp struct {
+	kind   byte    // 'a'dvance, 'p'ark, 'u'npark, 'r'esource use, 't'imed park, 's'pawn
+	d      float64 // duration / timeout
+	target int     // unpark: program index; resource use: resource index
+	child  *prog   // spawn
+}
+
+type prog struct {
+	idx int
+	ops []progOp
+}
+
+func (pr *prog) name() string { return fmt.Sprintf("prog%d", pr.idx) }
+
+// genProgs draws a random forest of programs. Durations come from a small
+// set with repeats and zeros, so same-instant wakeups — where only the
+// sequence numbers order the pops — are the rule.
+func genProgs(rnd *rand.Rand) (tops []*prog, total int) {
+	durations := []float64{0, 0, 0.5, 1, 1, 1.5, 2.5}
+	var gen func(depth int) *prog
+	gen = func(depth int) *prog {
+		pr := &prog{idx: total}
+		total++
+		for n := 1 + rnd.Intn(12); n > 0; n-- {
+			op := progOp{d: durations[rnd.Intn(len(durations))]}
+			switch k := rnd.Intn(20); {
+			case k < 7:
+				op.kind = 'a'
+			case k < 8:
+				op.kind = 'p'
+			case k < 12:
+				op.kind = 'u'
+				op.target = rnd.Intn(total + 2) // may name a program not spawned yet, or never
+			case k < 15:
+				op.kind = 'r'
+				op.target = rnd.Intn(2)
+			case k < 18 || depth == 2:
+				op.kind = 't'
+				op.d += 0.25 // timeouts must be positive
+			default:
+				op.kind = 's'
+				op.child = gen(depth + 1)
+			}
+			pr.ops = append(pr.ops, op)
+		}
+		return pr
+	}
+	for n := 2 + rnd.Intn(5); n > 0; n-- {
+		tops = append(tops, gen(0))
+	}
+	return tops, total
+}
+
+// progWorld is one execution of a program forest.
+type progWorld struct {
+	env      *Env
+	res      []*Resource
+	procs    []*Proc
+	plain    []bool              // program is in an op-level park (not a resource queue)
+	callback func(pr *prog) bool // which flavour a program runs as
+	log      []string            // pop trace and observable results
+}
+
+func (w *progWorld) spawn(pr *prog) {
+	if w.callback(pr) {
+		w.procs[pr.idx] = w.env.SpawnStep(&progStepper{w: w, pr: pr})
+	} else {
+		w.procs[pr.idx] = w.env.Spawn(pr.name(), func(p *Proc) { w.runBlocking(p, pr) })
+	}
+}
+
+func (w *progWorld) unpark(target int) {
+	if target < len(w.procs) && w.plain[target] && w.procs[target].Parked() {
+		w.env.Unpark(w.procs[target])
+	}
+}
+
+func (w *progWorld) note(pr *prog, what string) {
+	w.log = append(w.log, fmt.Sprintf("%s %s @%v", pr.name(), what, w.env.Now()))
+}
+
+// runBlocking interprets pr with the goroutine-style primitives.
+func (w *progWorld) runBlocking(p *Proc, pr *prog) {
+	for _, op := range pr.ops {
+		switch op.kind {
+		case 'a':
+			p.Advance(op.d)
+		case 'p':
+			w.plain[pr.idx] = true
+			p.Park()
+			w.plain[pr.idx] = false
+			w.note(pr, "unparked")
+		case 'u':
+			w.unpark(op.target)
+		case 'r':
+			w.res[op.target].Use(p, op.d)
+		case 't':
+			w.plain[pr.idx] = true
+			ok := p.ParkTimeout(op.d)
+			w.plain[pr.idx] = false
+			w.note(pr, fmt.Sprintf("timed park woken=%v", ok))
+		case 's':
+			w.spawn(op.child)
+		}
+	}
+	w.note(pr, "end")
+}
+
+// progStepper interprets the same program with the step-style primitives.
+type progStepper struct {
+	w     *progWorld
+	pr    *prog
+	pc    int
+	phase int
+}
+
+func (s *progStepper) Name() string { return s.pr.name() }
+
+func (s *progStepper) Step(p *Proc) bool {
+	w, pr := s.w, s.pr
+	for ; s.pc < len(pr.ops); s.pc++ {
+		op := &pr.ops[s.pc]
+		switch op.kind {
+		case 'a':
+			if s.phase == 0 {
+				s.phase = 1
+				p.WakeIn(op.d)
+				return false
+			}
+		case 'p':
+			if s.phase == 0 {
+				s.phase = 1
+				w.plain[pr.idx] = true
+				p.ParkStep()
+				return false
+			}
+			w.plain[pr.idx] = false
+			w.note(pr, "unparked")
+		case 'u':
+			w.unpark(op.target)
+		case 'r':
+			r := w.res[op.target]
+			if s.phase == 0 {
+				s.phase = 1
+				if !r.AcquireStep(p) {
+					return false
+				}
+			}
+			if s.phase == 1 {
+				s.phase = 2
+				p.WakeIn(op.d)
+				return false
+			}
+			r.Release()
+		case 't':
+			if s.phase == 0 {
+				s.phase = 1
+				w.plain[pr.idx] = true
+				p.ParkTimeoutStep(op.d)
+				return false
+			}
+			w.plain[pr.idx] = false
+			w.note(pr, fmt.Sprintf("timed park woken=%v", !p.TimedOut()))
+		case 's':
+			w.spawn(op.child)
+		}
+		s.phase = 0
+	}
+	w.note(pr, "end")
+	return true
+}
+
+func runProgs(tops []*prog, total int, callback func(*prog) bool) (string, string) {
+	env := NewEnv()
+	w := &progWorld{
+		env:      env,
+		res:      []*Resource{NewResource(env, "r1", 1), NewResource(env, "r2", 2)},
+		procs:    make([]*Proc, total),
+		plain:    make([]bool, total),
+		callback: callback,
+	}
+	env.onPop = func(now float64, seq int64, id int) {
+		w.log = append(w.log, fmt.Sprintf("pop t=%v seq=%d id=%d", now, seq, id))
+	}
+	for _, pr := range tops {
+		w.spawn(pr)
+	}
+	errText := "<nil>"
+	if err := env.Run(); err != nil {
+		errText = err.Error()
+	}
+	return strings.Join(w.log, "\n"), errText
+}
+
+func TestScheduleEquivalence(t *testing.T) {
+	deadlocks := 0
+	for seed := int64(1); seed <= 300; seed++ {
+		tops, total := genProgs(rand.New(rand.NewSource(seed)))
+		wantLog, wantErr := runProgs(tops, total, func(*prog) bool { return false })
+		if wantErr != "<nil>" {
+			deadlocks++
+		}
+		mix := rand.New(rand.NewSource(seed))
+		flavours := map[string]func(*prog) bool{
+			"callback": func(*prog) bool { return true },
+			"mixed":    func(*prog) bool { return mix.Intn(2) == 0 },
+		}
+		for name, callback := range flavours {
+			gotLog, gotErr := runProgs(tops, total, callback)
+			if gotErr != wantErr {
+				t.Fatalf("seed %d, %s processes: outcome %q, goroutine processes gave %q", seed, name, gotErr, wantErr)
+			}
+			if gotLog != wantLog {
+				t.Fatalf("seed %d, %s processes: trace differs from goroutine processes\n%s", seed, name, firstDiff(wantLog, gotLog))
+			}
+		}
+	}
+	// The generator must keep producing both outcomes, or half the
+	// property (identical deadlock text) silently stops being tested.
+	if deadlocks < 30 || deadlocks > 270 {
+		t.Fatalf("%d of 300 programs deadlocked; the generator lost its balance", deadlocks)
+	}
+}
+
+func firstDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := range w {
+		if i >= len(g) || w[i] != g[i] {
+			gl := "<end of trace>"
+			if i < len(g) {
+				gl = g[i]
+			}
+			return fmt.Sprintf("line %d:\n want %s\n got  %s", i, w[i], gl)
+		}
+	}
+	return fmt.Sprintf("got %d extra lines, first: %s", len(g)-len(w), g[len(w)])
+}
+
+// ---------------------------------------------------------------------------
+// Callback-process contract.
+
+type idleStepper struct{}
+
+func (idleStepper) Step(*Proc) bool { return false }
+func (idleStepper) Name() string    { return "idle" }
+
+func TestStepWithoutWakeupPanics(t *testing.T) {
+	env := NewEnv()
+	env.SpawnStep(idleStepper{})
+	defer func() {
+		if v := recover(); v == nil || !strings.Contains(fmt.Sprint(v), "idle") {
+			t.Fatalf("recovered %v, want a panic naming the process", v)
+		}
+	}()
+	env.Run()
+}
+
+func TestCallbackOnlyRunNeedsNoGoroutine(t *testing.T) {
+	env := NewEnv()
+	before := runtime.NumGoroutine()
+	peak := 0
+	env.onPop = func(float64, int64, int) { peak = max(peak, runtime.NumGoroutine()) }
+	target := env.SpawnStep(&progStepper{
+		w:  &progWorld{env: env, plain: make([]bool, 1)},
+		pr: &prog{ops: []progOp{{kind: 't', d: 3}, {kind: 'a', d: 1}}},
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !target.Done() || env.Now() != 4 || env.LiveProcs() != 0 {
+		t.Fatalf("done=%v now=%g live=%d, want true 4 0", target.Done(), env.Now(), env.LiveProcs())
+	}
+	if peak > before {
+		t.Fatalf("a run of callback processes started goroutines: %d -> %d", before, peak)
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Goroutine lifetime.
+
+// waitGoroutines polls until the goroutine count is back at want: a
+// released goroutine acknowledges before it has fully exited.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines alive, want %d", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func TestDeadlockReleasesGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	unwound := 0
+	for run := 0; run < 100; run++ {
+		env := NewEnv()
+		r := NewResource(env, "nic", 1)
+		for i := 0; i < 10; i++ {
+			i := i
+			env.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+				defer func() {
+					unwound++
+					p.Advance(1) // a deferred call that tries to block must not hang the release
+					t.Error("released process resumed after a blocking call")
+				}()
+				p.Advance(float64(i))
+				if i%2 == 0 {
+					p.Park()
+				} else {
+					r.Acquire(p) // the first holder never releases: the rest queue forever
+					p.Park()
+				}
+			})
+		}
+		err := env.Run()
+		if err == nil || !strings.Contains(err.Error(), "p9") {
+			t.Fatalf("run %d: want a deadlock naming every process, got %v", run, err)
+		}
+		if n := env.LiveProcs(); n != 0 {
+			t.Fatalf("run %d: %d processes still registered after the release", run, n)
+		}
+	}
+	// Run waits for each released goroutine's deferred calls.
+	if unwound != 1000 {
+		t.Fatalf("%d of 1000 deadlocked processes unwound before Run returned", unwound)
+	}
+	waitGoroutines(t, before)
+}
+
+func TestWorkerPoolStopsWithRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for _, deadlock := range []bool{false, true} {
+		env := NewEnv()
+		env.SetWorkers(3)
+		for i := 0; i < 6; i++ {
+			env.Spawn("w", func(p *Proc) {
+				p.Compute(0.5, func() float64 { return 1 })
+				if deadlock {
+					p.Park()
+				}
+			})
+		}
+		if err := env.Run(); (err != nil) != deadlock {
+			t.Fatalf("deadlock=%v: %v", deadlock, err)
+		}
+	}
+	waitGoroutines(t, before)
+}
