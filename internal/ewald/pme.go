@@ -28,8 +28,9 @@ type PME struct {
 	// first Recip call; the two paths agree to roundoff but not bitwise.
 	ExactFFT bool
 
-	plan     *fft.Plan3D     // complex reference path + modelled op counts
+	plan     *fft.Plan3D     // complex reference path, built with its buffers on first use
 	rplan    *fft.RealPlan3D // half-spectrum path (nil when K1 is odd)
+	fftOps   int64           // modelled flops of one Recip: two complex 3-D transforms
 	grid     []complex128    // complex-path buffers, allocated on first use
 	conv     []complex128
 	rgrid    []float64 // real-path buffers, allocated on first use
@@ -99,7 +100,7 @@ func NewPME(box space.Box, beta float64, k1, k2, k3, order int) *PME {
 	}
 	p := &PME{
 		Box: box, Beta: beta, K1: k1, K2: k2, K3: k3, Order: order,
-		plan: fft.NewPlan3D(k1, k2, k3),
+		fftOps: 2 * fft.Ops3D(k1, k2, k3),
 	}
 	// Real charge grid → half-spectrum transform whenever K1 is even
 	// (every production mesh); odd K1 falls back to the complex plan.
@@ -247,9 +248,10 @@ func bsplineModuli(k, order int) []float64 {
 	return out
 }
 
-// Ops returns the analytic FFT flop count for one Recip call (two 3-D
-// transforms), for the performance model.
-func (p *PME) Ops() int64 { return 2 * p.plan.Ops() }
+// Ops returns the analytic FFT flop count for one Recip call (two complex
+// 3-D transforms), for the performance model. It is a function of the mesh
+// dimensions alone; no plan is built to answer it.
+func (p *PME) Ops() int64 { return p.fftOps }
 
 // GridLen returns the number of mesh points.
 func (p *PME) GridLen() int { return p.K1 * p.K2 * p.K3 }
@@ -280,7 +282,10 @@ func (p *PME) Recip(pos []vec.V, charges []float64, frc []vec.V, w *work.Counter
 
 // recipComplex is the reference mesh pipeline on a complex grid.
 func (p *PME) recipComplex(pos []vec.V, charges []float64, frc []vec.V) float64 {
-	if p.grid == nil {
+	if p.plan == nil {
+		// Only ExactFFT and odd-K1 meshes ever transform a complex grid;
+		// every other PME (one per simulated rank) never pays for this.
+		p.plan = fft.NewPlan3D(p.K1, p.K2, p.K3)
 		p.grid = make([]complex128, p.GridLen())
 		p.conv = make([]complex128, p.GridLen())
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/fft"
 	"repro/internal/rng"
 	"repro/internal/space"
 	"repro/internal/vec"
@@ -108,5 +109,49 @@ func TestRealRecipCountersUnchanged(t *testing.T) {
 	}
 	if wReal.FFTOps != pReal.Ops() {
 		t.Fatalf("FFTOps %d, want modelled %d", wReal.FFTOps, pReal.Ops())
+	}
+}
+
+// TestOpsNeedsNoComplexPlan: Ops is answered from the mesh dimensions —
+// the integer the recursive FFT's plans gave for the paper mesh, and the
+// count a built complex plan reports for a mesh with a Bluestein axis —
+// and the complex plan is built only by the paths that transform with it.
+func TestOpsNeedsNoComplexPlan(t *testing.T) {
+	box := space.NewBox(56.702, 25.181, 33.575)
+	p := NewPME(box, 0.34, 80, 36, 48, 4)
+	if got := p.Ops(); got != 23597568 {
+		t.Fatalf("paper-mesh Ops = %d, recorded 23597568", got)
+	}
+	r := rng.New(15)
+	pos, charges := randomNeutralSystem(r, 20, box)
+	p.Recip(pos, charges, nil, nil)
+	if p.plan != nil {
+		t.Fatal("the half-spectrum path built the complex plan")
+	}
+	p.ExactFFT = true
+	p.Recip(pos, charges, nil, nil)
+	if p.plan == nil {
+		t.Fatal("ExactFFT ran without the complex plan")
+	}
+	blu := NewPME(box, 0.34, 74, 37, 10, 4)
+	if got, want := blu.Ops(), 2*fft.NewPlan3D(74, 37, 10).Ops(); got != want {
+		t.Fatalf("Bluestein-mesh Ops = %d, a built plan gives %d", got, want)
+	}
+}
+
+// The serial Recip sizes its grids and the FFT scratch on the first call;
+// after that a step allocates nothing.
+func TestSerialRecipDoesNotAllocateSteadyState(t *testing.T) {
+	box := space.NewBox(20, 18, 22)
+	r := rng.New(16)
+	pos, charges := randomNeutralSystem(r, 60, box)
+	for _, exact := range []bool{false, true} {
+		p := NewPME(box, 0.34, 40, 18, 24, 4)
+		p.ExactFFT = exact
+		frc := make([]vec.V, len(pos))
+		p.Recip(pos, charges, frc, nil)
+		if allocs := testing.AllocsPerRun(5, func() { p.Recip(pos, charges, frc, nil) }); allocs != 0 {
+			t.Fatalf("ExactFFT=%v: serial Recip allocates %v per call in steady state", exact, allocs)
+		}
 	}
 }

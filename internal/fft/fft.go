@@ -5,8 +5,19 @@
 // (80×36×48 in the paper's myoglobin system, which factors as 2⁴·5, 2²·3²
 // and 2⁴·3).
 //
-// Plans precompute twiddle tables and scratch space; a Plan is NOT safe for
-// concurrent use (each simulated rank owns its own plans).
+// A plan is two things. Its tables — the input permutation and one twiddle
+// table per butterfly level (tables.go) — are immutable, depend on the
+// length alone, and are shared by every plan of that length in the process.
+// Its scratch, the rows the butterflies run over, is private and sized on
+// first use; because of it a Plan is NOT safe for concurrent use (each
+// simulated rank, and each shard of a pooled transform, owns its own).
+//
+// A transform is one permuting load into the scratch, in-place butterfly
+// passes over contiguous blocks (butterfly.go), and one store. The
+// multi-dimensional plans never gather single strided lines: they hand the
+// 1-D plan a block of adjacent lines, which it loads, transforms side by
+// side and stores as contiguous runs. The inverse's conjugations and 1/n
+// scale ride on those loads and stores.
 package fft
 
 import (
@@ -15,17 +26,18 @@ import (
 	"math/cmplx"
 )
 
-// maxRadix is the largest prime handled by the direct mixed-radix combine
-// step; sizes containing a larger prime factor go through Bluestein.
-const maxRadix = 31
+// lineBlock is the number of adjacent lines a plan transforms side by side.
+// Eight complex128 values are two cache lines per row: the strided loads and
+// stores move whole lines and the column loops amortise the twiddle loads.
+// Widths of 8, 16 and 32 measure the same on the PME mesh, so the smallest
+// scratch wins (10 KiB for the longest dimension, 80 rows).
+const lineBlock = 8
 
 // Plan computes forward and inverse DFTs of length N.
 type Plan struct {
-	n       int
-	factors []int        // prime factorization of n, ascending (empty for bluestein path)
-	w       []complex128 // w[j] = exp(-2πi j / n), length n
-	scratch []complex128
-	blu     *bluestein // non-nil when n has a prime factor > maxRadix
+	t       *tables
+	scratch []complex128 // rows under transformation; grown on first use
+	conv    *Plan        // Bluestein only: the power-of-two convolution plan
 }
 
 // NewPlan returns a plan for transforms of length n ≥ 1.
@@ -33,232 +45,166 @@ func NewPlan(n int) *Plan {
 	if n < 1 {
 		panic(fmt.Sprintf("fft: invalid length %d", n))
 	}
-	p := &Plan{n: n}
-	f := factorize(n)
-	smooth := true
-	for _, q := range f {
-		if q > maxRadix {
-			smooth = false
-			break
-		}
-	}
-	if smooth {
-		p.factors = f
-		p.w = twiddles(n)
-		p.scratch = make([]complex128, n)
-	} else {
-		p.blu = newBluestein(n)
+	p := &Plan{t: tablesFor(n)}
+	if c := p.t.chirp; c != nil {
+		p.conv = NewPlan(c.m)
 	}
 	return p
 }
 
 // N returns the transform length.
-func (p *Plan) N() int { return p.n }
-
-func twiddles(n int) []complex128 {
-	w := make([]complex128, n)
-	for j := range w {
-		theta := -2 * math.Pi * float64(j) / float64(n)
-		w[j] = cmplx.Exp(complex(0, theta))
-	}
-	return w
-}
-
-func factorize(n int) []int {
-	var f []int
-	for _, q := range []int{2, 3, 5, 7} {
-		for n%q == 0 {
-			f = append(f, q)
-			n /= q
-		}
-	}
-	for q := 11; q*q <= n; q += 2 {
-		for n%q == 0 {
-			f = append(f, q)
-			n /= q
-		}
-	}
-	if n > 1 {
-		f = append(f, n)
-	}
-	return f
-}
+func (p *Plan) N() int { return p.t.n }
 
 // Forward computes the in-place forward DFT of x (len(x) must equal N):
 // X[k] = Σ_j x[j]·exp(-2πi jk/N).
 func (p *Plan) Forward(x []complex128) {
-	p.transform(x, false)
+	p.checkLen(x)
+	p.line(x, false)
 }
 
 // Inverse computes the in-place inverse DFT of x, including the 1/N
 // normalization, so that Inverse(Forward(x)) == x.
 func (p *Plan) Inverse(x []complex128) {
-	p.transform(x, true)
+	p.checkLen(x)
+	p.line(x, true)
 }
 
-func (p *Plan) transform(x []complex128, inverse bool) {
-	if len(x) != p.n {
-		panic(fmt.Sprintf("fft: length %d does not match plan length %d", len(x), p.n))
-	}
-	if p.n == 1 {
-		return
-	}
-	if inverse {
-		conjAll(x)
-	}
-	if p.blu != nil {
-		p.blu.forward(x)
-	} else {
-		p.rec(x, p.scratch, p.n, 1, 1, p.factors)
-	}
-	if inverse {
-		scale := 1 / float64(p.n)
-		for i := range x {
-			x[i] = complex(real(x[i])*scale, -imag(x[i])*scale)
-		}
+func (p *Plan) checkLen(x []complex128) {
+	if len(x) != p.t.n {
+		panic(fmt.Sprintf("fft: length %d does not match plan length %d", len(x), p.t.n))
 	}
 }
 
-func conjAll(x []complex128) {
-	for i := range x {
-		x[i] = complex(real(x[i]), -imag(x[i]))
-	}
+// ForwardLines transforms count adjacent strided lines in place: line c,
+// c = 0..count−1, is x[base+c+j·stride] for j = 0..N−1. It is the transform
+// of one axis of a row-major grid whose faster axes hold count values, at
+// the speed of contiguous data.
+func (p *Plan) ForwardLines(x []complex128, base, stride, count int) {
+	p.lines(x, base, stride, count, false)
 }
 
-// rec computes the length-n DFT of the elements x[0], x[stride],
-// x[2·stride], … writing the result densely into x[0..n) — callers at the
-// top level pass stride 1 so input and output coincide. tw is the step into
-// the global twiddle table for this recursion level (n·tw·twStride == p.n).
-//
-// Implementation: decimation in time over the smallest remaining factor.
-func (p *Plan) rec(x, tmp []complex128, n, stride, tw int, factors []int) {
+// InverseLines is ForwardLines for the inverse transform, 1/N included.
+func (p *Plan) InverseLines(x []complex128, base, stride, count int) {
+	p.lines(x, base, stride, count, true)
+}
+
+// line is lines for the one contiguous line x[0..N), without the column
+// loops: the z axis of every grid goes through it.
+func (p *Plan) line(x []complex128, inverse bool) {
+	n := p.t.n
 	if n == 1 {
 		return
 	}
-	r := factors[0] // radix for this level
-	m := n / r
-	if m == 1 {
-		// Base case: direct length-r DFT of x[0], x[stride], ...
-		p.smallDFT(x, tmp, r, stride, tw)
+	x = x[:n]
+	s := p.rows(1)
+	if inverse {
+		for pos, src := range p.t.perm {
+			v := x[src]
+			s[pos] = complex(real(v), -imag(v))
+		}
+	} else {
+		for pos, src := range p.t.perm {
+			s[pos] = x[src]
+		}
+	}
+	p.run(s, 1)
+	if inverse {
+		scale := 1 / float64(n)
+		for k, v := range s[:n] {
+			x[k] = complex(real(v)*scale, -imag(v)*scale)
+		}
+	} else {
+		copy(x, s)
+	}
+}
+
+// lines transforms count adjacent strided lines (see ForwardLines),
+// lineBlock at a time: a permuting load of whole rows — conjugated for the
+// inverse — the butterflies, and a store that carries the inverse's
+// conjugate and 1/N.
+func (p *Plan) lines(x []complex128, base, stride, count int, inverse bool) {
+	n := p.t.n
+	if n == 1 {
 		return
 	}
-	// Recurse on r interleaved subsequences; each result lands strided in x,
-	// then the combine pass writes the reordered output through tmp.
-	for q := 0; q < r; q++ {
-		p.rec(x[q*stride:], tmp, m, stride*r, tw*r, factors[1:])
-	}
-	// After recursion, subsequence q's DFT occupies x[q*stride + j*stride*r]
-	// for j = 0..m-1. Combine into tmp[0..n) densely, then scatter back.
-	var acc [maxRadix]complex128
-	for k := 0; k < m; k++ {
-		for q := 0; q < r; q++ {
-			acc[q] = x[(q+k*r)*stride]
-		}
-		for out := 0; out < r; out++ {
-			kk := out*m + k
-			sum := acc[0]
-			for q := 1; q < r; q++ {
-				// twiddle exponent q*kk (mod n) scaled by tw into the
-				// global table.
-				idx := (q * kk % n) * tw
-				sum += p.w[idx] * acc[q]
+	scale := 1 / float64(n)
+	for c0 := 0; c0 < count; c0 += lineBlock {
+		width := min(lineBlock, count-c0)
+		s := p.rows(width)
+		at := base + c0
+		for pos, src := range p.t.perm {
+			row := s[pos*width : (pos+1)*width]
+			in := x[at+int(src)*stride:][:width]
+			if inverse {
+				for c, v := range in {
+					row[c] = complex(real(v), -imag(v))
+				}
+			} else {
+				copy(row, in)
 			}
-			tmp[kk] = sum
+		}
+		p.run(s, width)
+		for k := 0; k < n; k++ {
+			row := s[k*width : (k+1)*width]
+			out := x[at+k*stride:][:width]
+			if inverse {
+				for c, v := range row {
+					out[c] = complex(real(v)*scale, -imag(v)*scale)
+				}
+			} else {
+				copy(out, row)
+			}
 		}
 	}
-	for j := 0; j < n; j++ {
-		x[j*stride] = tmp[j]
-	}
 }
 
-// smallDFT computes a direct DFT of prime length r over strided data.
-func (p *Plan) smallDFT(x, tmp []complex128, r, stride, tw int) {
-	var in [maxRadix]complex128
-	for j := 0; j < r; j++ {
-		in[j] = x[j*stride]
+// rows returns the scratch for `width` side-by-side transforms: row
+// p.t.perm-position pos is s[pos·width : (pos+1)·width]. A caller fills
+// every row, calls run, and reads output bin k from row k.
+func (p *Plan) rows(width int) []complex128 {
+	need := p.t.n * width
+	if c := p.t.chirp; c != nil {
+		need = c.m * width
 	}
-	for k := 0; k < r; k++ {
-		sum := in[0]
-		for j := 1; j < r; j++ {
-			idx := (j * k % r) * tw
-			sum += p.w[idx] * in[j]
+	if cap(p.scratch) < need {
+		p.scratch = make([]complex128, need)
+	}
+	return p.scratch[:need]
+}
+
+// run computes the forward DFT of the loaded rows in place.
+func (p *Plan) run(s []complex128, width int) {
+	c := p.t.chirp
+	if c == nil {
+		p.t.butterflies(s, width)
+		return
+	}
+	// Bluestein: chirp, convolve with the conjugate chirp through the
+	// power-of-two plan, chirp again. Rows past n are the zero padding.
+	scaleRows(s, c.a, width)
+	pad := s[p.t.n*width:]
+	for i := range pad {
+		pad[i] = 0
+	}
+	p.conv.lines(s, 0, width, width, false)
+	scaleRows(s, c.bf, width)
+	p.conv.lines(s, 0, width, width, true)
+	scaleRows(s, c.a, width)
+}
+
+// scaleRows multiplies row j of s by coef[j].
+func scaleRows(s, coef []complex128, width int) {
+	for j, a := range coef {
+		row := s[j*width : (j+1)*width]
+		for i := range row {
+			row[i] *= a
 		}
-		tmp[k] = sum
-	}
-	for k := 0; k < r; k++ {
-		x[k*stride] = tmp[k]
 	}
 }
 
-// Ops returns the analytic floating-point operation count of one transform,
-// used by the performance model: ~5·n·log2(n) for smooth sizes, and the
-// cost of the three embedded power-of-two transforms for Bluestein.
-func (p *Plan) Ops() int64 {
-	if p.blu != nil {
-		m := float64(p.blu.m)
-		return int64(3*5*m*math.Log2(m) + 8*m)
-	}
-	n := float64(p.n)
-	if n < 2 {
-		return 1
-	}
-	return int64(5 * n * math.Log2(n))
-}
-
-// bluestein implements the chirp-z transform: a length-n DFT via cyclic
-// convolution of size m = next power of two ≥ 2n−1.
-type bluestein struct {
-	n, m int
-	a    []complex128 // chirp: exp(-πi j²/n)
-	bf   []complex128 // FFT of the conjugate chirp, precomputed
-	pm   *Plan        // power-of-two sub-plan of length m
-	buf  []complex128
-}
-
-func newBluestein(n int) *bluestein {
-	m := 1
-	for m < 2*n-1 {
-		m *= 2
-	}
-	b := &bluestein{n: n, m: m}
-	b.a = make([]complex128, n)
-	for j := 0; j < n; j++ {
-		// j² mod 2n keeps the argument small for large n.
-		e := (int64(j) * int64(j)) % int64(2*n)
-		theta := -math.Pi * float64(e) / float64(n)
-		b.a[j] = cmplx.Exp(complex(0, theta))
-	}
-	bvec := make([]complex128, m)
-	bvec[0] = complex(real(b.a[0]), -imag(b.a[0]))
-	for j := 1; j < n; j++ {
-		c := complex(real(b.a[j]), -imag(b.a[j]))
-		bvec[j] = c
-		bvec[m-j] = c
-	}
-	b.pm = NewPlan(m)
-	b.pm.Forward(bvec)
-	b.bf = bvec
-	b.buf = make([]complex128, m)
-	return b
-}
-
-func (b *bluestein) forward(x []complex128) {
-	buf := b.buf
-	for i := range buf {
-		buf[i] = 0
-	}
-	for j := 0; j < b.n; j++ {
-		buf[j] = x[j] * b.a[j]
-	}
-	b.pm.Forward(buf)
-	for i := range buf {
-		buf[i] *= b.bf[i]
-	}
-	b.pm.Inverse(buf)
-	for k := 0; k < b.n; k++ {
-		x[k] = buf[k] * b.a[k]
-	}
-}
+// Ops returns the analytic floating-point operation count of one
+// transform, Ops(N).
+func (p *Plan) Ops() int64 { return Ops(p.t.n) }
 
 // NaiveDFT computes the forward DFT by the O(n²) definition. It is the
 // ground truth for tests.

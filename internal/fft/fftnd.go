@@ -6,8 +6,8 @@ import "fmt"
 // [x][y][z], i.e. element (ix, iy, iz) lives at (ix·Ny + iy)·Nz + iz.
 type Plan3D struct {
 	nx, ny, nz int
-	px, py, pz *Plan
-	line       []complex128 // gather buffer for strided lines
+	px         *Plan
+	plane      *Plan2D // the y×z planes
 }
 
 // NewPlan3D returns a 3-D plan for an nx×ny×nz grid.
@@ -15,18 +15,7 @@ func NewPlan3D(nx, ny, nz int) *Plan3D {
 	if nx < 1 || ny < 1 || nz < 1 {
 		panic(fmt.Sprintf("fft: invalid 3-D dims %d×%d×%d", nx, ny, nz))
 	}
-	n := nx
-	if ny > n {
-		n = ny
-	}
-	if nz > n {
-		n = nz
-	}
-	return &Plan3D{
-		nx: nx, ny: ny, nz: nz,
-		px: NewPlan(nx), py: NewPlan(ny), pz: NewPlan(nz),
-		line: make([]complex128, n),
-	}
+	return &Plan3D{nx: nx, ny: ny, nz: nz, px: NewPlan(nx), plane: NewPlan2D(ny, nz)}
 }
 
 // Dims returns (nx, ny, nz).
@@ -46,58 +35,18 @@ func (p *Plan3D) transform(x []complex128, inverse bool) {
 	if len(x) != p.Len() {
 		panic(fmt.Sprintf("fft: data length %d != %d", len(x), p.Len()))
 	}
-	apply := func(pl *Plan, v []complex128) {
-		if inverse {
-			pl.Inverse(v)
-		} else {
-			pl.Forward(v)
-		}
+	// Along z and y plane by plane, then along x: ny·nz adjacent lines of
+	// stride ny·nz.
+	plane := p.ny * p.nz
+	for off := 0; off < len(x); off += plane {
+		p.plane.transform(x[off:off+plane], inverse)
 	}
-	// Along z: contiguous lines.
-	for ix := 0; ix < p.nx; ix++ {
-		for iy := 0; iy < p.ny; iy++ {
-			off := (ix*p.ny + iy) * p.nz
-			apply(p.pz, x[off:off+p.nz])
-		}
-	}
-	// Along y: stride nz.
-	for ix := 0; ix < p.nx; ix++ {
-		for iz := 0; iz < p.nz; iz++ {
-			base := ix*p.ny*p.nz + iz
-			p.strided(x, base, p.nz, p.ny, p.py, inverse)
-		}
-	}
-	// Along x: stride ny·nz.
-	for iy := 0; iy < p.ny; iy++ {
-		for iz := 0; iz < p.nz; iz++ {
-			base := iy*p.nz + iz
-			p.strided(x, base, p.ny*p.nz, p.nx, p.px, inverse)
-		}
-	}
-}
-
-func (p *Plan3D) strided(x []complex128, base, stride, n int, pl *Plan, inverse bool) {
-	line := p.line[:n]
-	for j := 0; j < n; j++ {
-		line[j] = x[base+j*stride]
-	}
-	if inverse {
-		pl.Inverse(line)
-	} else {
-		pl.Forward(line)
-	}
-	for j := 0; j < n; j++ {
-		x[base+j*stride] = line[j]
-	}
+	p.px.lines(x, 0, plane, plane, inverse)
 }
 
 // Ops returns the analytic flop count of one full 3-D transform, the
 // quantity charged by the performance model.
-func (p *Plan3D) Ops() int64 {
-	return int64(p.ny*p.nz)*p.px.Ops() +
-		int64(p.nx*p.nz)*p.py.Ops() +
-		int64(p.nx*p.ny)*p.pz.Ops()
-}
+func (p *Plan3D) Ops() int64 { return Ops3D(p.nx, p.ny, p.nz) }
 
 // Plan2D computes forward/inverse 2-D DFTs on row-major ny×nz data
 // (element (iy, iz) at iy·Nz + iz). The slab-decomposed parallel FFT uses
@@ -105,7 +54,6 @@ func (p *Plan3D) Ops() int64 {
 type Plan2D struct {
 	ny, nz int
 	py, pz *Plan
-	line   []complex128
 }
 
 // NewPlan2D returns a 2-D plan for an ny×nz grid.
@@ -113,11 +61,7 @@ func NewPlan2D(ny, nz int) *Plan2D {
 	if ny < 1 || nz < 1 {
 		panic(fmt.Sprintf("fft: invalid 2-D dims %d×%d", ny, nz))
 	}
-	n := ny
-	if nz > n {
-		n = nz
-	}
-	return &Plan2D{ny: ny, nz: nz, py: NewPlan(ny), pz: NewPlan(nz), line: make([]complex128, n)}
+	return &Plan2D{ny: ny, nz: nz, py: NewPlan(ny), pz: NewPlan(nz)}
 }
 
 // Forward computes the in-place forward 2-D DFT.
@@ -130,26 +74,12 @@ func (p *Plan2D) transform(x []complex128, inverse bool) {
 	if len(x) != p.ny*p.nz {
 		panic(fmt.Sprintf("fft: data length %d != %d", len(x), p.ny*p.nz))
 	}
-	apply := func(pl *Plan, v []complex128) {
-		if inverse {
-			pl.Inverse(v)
-		} else {
-			pl.Forward(v)
-		}
+	// Along z the lines are contiguous; along y they are nz adjacent
+	// lines of stride nz.
+	for off := 0; off < len(x); off += p.nz {
+		p.pz.line(x[off:], inverse)
 	}
-	for iy := 0; iy < p.ny; iy++ {
-		apply(p.pz, x[iy*p.nz:(iy+1)*p.nz])
-	}
-	for iz := 0; iz < p.nz; iz++ {
-		line := p.line[:p.ny]
-		for iy := 0; iy < p.ny; iy++ {
-			line[iy] = x[iy*p.nz+iz]
-		}
-		apply(p.py, line)
-		for iy := 0; iy < p.ny; iy++ {
-			x[iy*p.nz+iz] = line[iy]
-		}
-	}
+	p.py.lines(x, 0, p.nz, p.nz, inverse)
 }
 
 // Ops returns the analytic flop count of one 2-D transform.

@@ -14,7 +14,6 @@ type RealPlan struct {
 	n    int
 	half *Plan
 	w    []complex128 // w[k] = exp(−2πi k / n), k = 0..n/2
-	buf  []complex128
 }
 
 // NewRealPlan returns a plan for real transforms of even length n ≥ 2.
@@ -27,7 +26,6 @@ func NewRealPlan(n int) *RealPlan {
 	for k := range p.w {
 		p.w[k] = cmplx.Exp(complex(0, -2*math.Pi*float64(k)/float64(n)))
 	}
-	p.buf = make([]complex128, n/2)
 	return p
 }
 
@@ -41,26 +39,10 @@ func (p *RealPlan) SpectrumLen() int { return p.n/2 + 1 }
 // X[k] = Σ_j x[j]·exp(−2πi jk/n). The remaining bins follow from
 // X[n−k] = conj(X[k]). spec must have length SpectrumLen().
 func (p *RealPlan) Forward(x []float64, spec []complex128) {
-	m := p.n / 2
-	if len(x) != p.n || len(spec) != m+1 {
+	if len(x) != p.n || len(spec) != p.n/2+1 {
 		panic(fmt.Sprintf("fft: real forward lengths %d/%d for n=%d", len(x), len(spec), p.n))
 	}
-	z := p.buf
-	for k := 0; k < m; k++ {
-		z[k] = complex(x[2*k], x[2*k+1])
-	}
-	p.half.Forward(z)
-	zAt := func(k int) complex128 {
-		if k == m {
-			return z[0]
-		}
-		return z[k]
-	}
-	for k := 0; k <= m; k++ {
-		s := zAt(k)
-		t := cmplx.Conj(zAt(m - k))
-		spec[k] = 0.5*(s+t) - 0.5i*p.w[k]*(s-t)
-	}
+	p.forwardLines(x, spec, 0, 1, 1)
 }
 
 // Inverse reconstructs the real sequence from its half spectrum,
@@ -68,21 +50,85 @@ func (p *RealPlan) Forward(x []float64, spec []complex128) {
 // imaginary parts of spec[0] and spec[n/2] are ignored (they are zero for
 // any spectrum of a real sequence).
 func (p *RealPlan) Inverse(spec []complex128, x []float64) {
-	m := p.n / 2
-	if len(x) != p.n || len(spec) != m+1 {
+	if len(x) != p.n || len(spec) != p.n/2+1 {
 		panic(fmt.Sprintf("fft: real inverse lengths %d/%d for n=%d", len(spec), len(x), p.n))
 	}
-	z := p.buf
-	for k := 0; k < m; k++ {
-		a := spec[k]
-		b := cmplx.Conj(spec[m-k])
-		// W^{−k} = conj(w[k]).
-		z[k] = 0.5 * ((a + b) + 1i*cmplx.Conj(p.w[k])*(a-b))
+	p.inverseLines(spec, x, 0, 1, 1)
+}
+
+// forwardLines computes the half spectra of count adjacent strided real
+// lines: line c is x[base+c+j·stride], j = 0..n−1, and its spectrum goes
+// to spec[base+c+k·stride], k = 0..n/2. Even and odd samples load as the
+// real and imaginary parts of the half-length complex transform; the
+// untangling pass is its store.
+func (p *RealPlan) forwardLines(x []float64, spec []complex128, base, stride, count int) {
+	m := p.n / 2
+	for c0 := 0; c0 < count; c0 += lineBlock {
+		width := min(lineBlock, count-c0)
+		s := p.half.rows(width)
+		at := base + c0
+		for pos, src := range p.half.t.perm {
+			row := s[pos*width : (pos+1)*width]
+			even := x[at+2*int(src)*stride:][:width]
+			odd := x[at+(2*int(src)+1)*stride:][:width]
+			for c := range row {
+				row[c] = complex(even[c], odd[c])
+			}
+		}
+		p.half.run(s, width)
+		for k := 0; k <= m; k++ {
+			// Bin m of the half transform is bin 0 again.
+			ks, kt := k, m-k
+			if ks == m {
+				ks = 0
+			}
+			if kt == m {
+				kt = 0
+			}
+			zs := s[ks*width:][:width]
+			zt := s[kt*width:][:width]
+			out := spec[at+k*stride:][:width]
+			wk := p.w[k]
+			for c := range out {
+				u, v := zs[c], cmplx.Conj(zt[c])
+				out[c] = 0.5*(u+v) - 0.5i*wk*(u-v)
+			}
+		}
 	}
-	p.half.Inverse(z)
-	for k := 0; k < m; k++ {
-		x[2*k] = real(z[k])
-		x[2*k+1] = imag(z[k])
+}
+
+// inverseLines is forwardLines' mirror: the re-tangling pass is the load
+// (conjugated, as the inverse of the half transform wants it) and the
+// 1/(n/2) scale rides on the store.
+func (p *RealPlan) inverseLines(spec []complex128, x []float64, base, stride, count int) {
+	m := p.n / 2
+	scale := 1 / float64(m)
+	for c0 := 0; c0 < count; c0 += lineBlock {
+		width := min(lineBlock, count-c0)
+		s := p.half.rows(width)
+		at := base + c0
+		for pos, src := range p.half.t.perm {
+			k := int(src)
+			row := s[pos*width : (pos+1)*width]
+			sa := spec[at+k*stride:][:width]
+			sb := spec[at+(m-k)*stride:][:width]
+			// W^{−k} = conj(w[k]).
+			wk := cmplx.Conj(p.w[k])
+			for c := range row {
+				a, b := sa[c], cmplx.Conj(sb[c])
+				row[c] = cmplx.Conj(0.5 * ((a + b) + 1i*wk*(a-b)))
+			}
+		}
+		p.half.run(s, width)
+		for k := 0; k < m; k++ {
+			row := s[k*width : (k+1)*width]
+			even := x[at+2*k*stride:][:width]
+			odd := x[at+(2*k+1)*stride:][:width]
+			for c, v := range row {
+				even[c] = real(v) * scale
+				odd[c] = -imag(v) * scale
+			}
+		}
 	}
 }
 

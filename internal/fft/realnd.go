@@ -6,12 +6,6 @@ import (
 	"repro/internal/kernels"
 )
 
-// xposeBlock is the number of (y,z) columns gathered per blocked-transpose
-// pass. 32 rows of the largest practical line length (a few hundred
-// complex128s) stay well inside L1/L2 while every grid read and write in
-// the pass touches contiguous runs of xposeBlock values.
-const xposeBlock = 32
-
 // RealPlan3D computes forward/inverse 3-D DFTs of real row-major data
 // indexed [x][y][z] (element (ix, iy, iz) at (ix·Ny + iy)·Nz + iz), storing
 // only the non-redundant half spectrum kx = 0..Nx/2. For the real charge
@@ -19,34 +13,37 @@ const xposeBlock = 32
 // memory of a complex Plan3D; the discarded half follows from Hermitian
 // symmetry F(Nx−kx, (Ny−ky) mod Ny, (Nz−kz) mod Nz) = conj(F(kx, ky, kz)).
 //
-// The x lines (stride Ny·Nz) go through the 1-D RealPlan via cache-blocked
-// gather/scatter transposes; the half-spectrum planes are contiguous and
-// use a complex Plan2D in place. Like all plans in this package, a
-// RealPlan3D is not safe for concurrent use.
+// The x lines (stride Ny·Nz, adjacent in y·z) go through the 1-D RealPlan a
+// block of lines at a time, straight between the grid and the spectrum; the
+// half-spectrum planes are contiguous and use a complex Plan2D in place.
+// Like all plans in this package, a RealPlan3D is not safe for concurrent
+// use.
 type RealPlan3D struct {
 	nx, ny, nz int
 	hx         int // nx/2 + 1 stored x frequencies
 	rpx        *RealPlan
 	plane      *Plan2D
 
-	rblk []float64    // blocked transpose scratch: xposeBlock × nx reals
-	cblk []complex128 // blocked transpose scratch: xposeBlock × hx bins
-
 	pool   *kernels.Pool  // nil → serial transforms
-	shards []*realShard3D // per-shard scratch + plan clones when pooled
+	shards []*realShard3D // per-shard plans when pooled
+
+	// Shard functions are bound once at SetPool (a per-call closure would
+	// escape to the pool's helper goroutines and allocate on every
+	// transform); the per-call arguments travel through cx and cspec, set
+	// immediately before each pool.Run.
+	fwdLines, fwdPlanes func(int)
+	invPlanes, invLines func(int)
+	cx                  []float64
+	cspec               []complex128
 }
 
-// realShard3D is one worker shard's private transform state: its own
-// transpose scratch plus clones of the 1-D real and 2-D complex plans
-// (both hold mutable per-transform buffers, so they cannot be shared
-// across goroutines). Clones are built by the same deterministic plan
-// constructors, so a line transformed by any shard's plan produces bits
-// identical to the primary plan's — which is why the pooled transform is
-// bitwise equal to the serial one at every worker count: every output
-// element is written exactly once, by identical arithmetic.
+// realShard3D is one worker shard's private transform state: its own 1-D
+// real and 2-D complex plans, which is to say its own scratch — the tables
+// are the primary plan's. A line transformed by any shard therefore
+// produces bits identical to the primary plan's, which is why the pooled
+// transform is bitwise equal to the serial one at every worker count: every
+// output element is written exactly once, by identical arithmetic.
 type realShard3D struct {
-	rblk  []float64
-	cblk  []complex128
 	rpx   *RealPlan
 	plane *Plan2D
 }
@@ -63,13 +60,10 @@ func NewRealPlan3D(nx, ny, nz int) (*RealPlan3D, error) {
 	if nx%2 != 0 {
 		return nil, fmt.Errorf("fft: real 3-D transform needs even x dim, got %d", nx)
 	}
-	hx := nx/2 + 1
 	return &RealPlan3D{
-		nx: nx, ny: ny, nz: nz, hx: hx,
+		nx: nx, ny: ny, nz: nz, hx: nx/2 + 1,
 		rpx:   NewRealPlan(nx),
 		plane: NewPlan2D(ny, nz),
-		rblk:  make([]float64, xposeBlock*nx),
-		cblk:  make([]complex128, xposeBlock*hx),
 	}, nil
 }
 
@@ -89,9 +83,10 @@ func (p *RealPlan3D) HX() int { return p.hx }
 // blocks and y×z planes across it. The decomposition is fixed (strided
 // over at most kernels.ShardCount shards) and every output element is
 // written once, so pooled transforms are bitwise identical to serial
-// ones at any worker count. Per-shard scratch and plan clones are
-// allocated here, before first use, so the hot path stays allocation-free
-// and first-touch race-free. SetPool(nil) restores the serial path.
+// ones at any worker count. Per-shard plans and the shard functions are
+// made here, and each shard's scratch is sized by its first transform, so
+// the hot path stays allocation-free. SetPool(nil) restores the serial
+// path.
 func (p *RealPlan3D) SetPool(pool *kernels.Pool) {
 	p.pool = pool
 	if pool == nil || pool.Workers() <= 1 {
@@ -100,64 +95,45 @@ func (p *RealPlan3D) SetPool(pool *kernels.Pool) {
 	}
 	p.shards = make([]*realShard3D, kernels.ShardCount)
 	for i := range p.shards {
-		p.shards[i] = &realShard3D{
-			rblk:  make([]float64, xposeBlock*p.nx),
-			cblk:  make([]complex128, xposeBlock*p.hx),
-			rpx:   NewRealPlan(p.nx),
-			plane: NewPlan2D(p.ny, p.nz),
+		p.shards[i] = &realShard3D{rpx: NewRealPlan(p.nx), plane: NewPlan2D(p.ny, p.nz)}
+	}
+	planeLen := p.ny * p.nz
+	lineStep := p.lineShards() * lineBlock
+	planeStep := p.planeShards()
+	p.fwdLines = func(s int) {
+		rpx := p.shards[s].rpx
+		for j0 := s * lineBlock; j0 < planeLen; j0 += lineStep {
+			rpx.forwardLines(p.cx, p.cspec, j0, planeLen, min(lineBlock, planeLen-j0))
+		}
+	}
+	p.invLines = func(s int) {
+		rpx := p.shards[s].rpx
+		for j0 := s * lineBlock; j0 < planeLen; j0 += lineStep {
+			rpx.inverseLines(p.cspec, p.cx, j0, planeLen, min(lineBlock, planeLen-j0))
+		}
+	}
+	p.fwdPlanes = func(s int) {
+		plane := p.shards[s].plane
+		for ix := s; ix < p.hx; ix += planeStep {
+			plane.Forward(p.cspec[ix*planeLen : (ix+1)*planeLen])
+		}
+	}
+	p.invPlanes = func(s int) {
+		plane := p.shards[s].plane
+		for ix := s; ix < p.hx; ix += planeStep {
+			plane.Inverse(p.cspec[ix*planeLen : (ix+1)*planeLen])
 		}
 	}
 }
 
-// forwardBlock transforms the xposeBlock-wide column block starting at
-// plane offset j0: gather strided x lines, real-transform them, scatter
-// the half spectra.
-func (p *RealPlan3D) forwardBlock(x []float64, spec []complex128, j0 int, rblk []float64, cblk []complex128, rpx *RealPlan) {
-	planeLen := p.ny * p.nz
-	w := planeLen - j0
-	if w > xposeBlock {
-		w = xposeBlock
-	}
-	for ix := 0; ix < p.nx; ix++ {
-		src := x[ix*planeLen+j0 : ix*planeLen+j0+w]
-		for b, v := range src {
-			rblk[b*p.nx+ix] = v
-		}
-	}
-	for b := 0; b < w; b++ {
-		rpx.Forward(rblk[b*p.nx:(b+1)*p.nx], cblk[b*p.hx:(b+1)*p.hx])
-	}
-	for ix := 0; ix < p.hx; ix++ {
-		dst := spec[ix*planeLen+j0 : ix*planeLen+j0+w]
-		for b := range dst {
-			dst[b] = cblk[b*p.hx+ix]
-		}
-	}
+// lineShards and planeShards are the shard counts of the two pooled
+// passes: blocks of lineBlock adjacent x lines, and stored planes, each
+// dealt round-robin.
+func (p *RealPlan3D) lineShards() int {
+	return min(len(p.shards), (p.ny*p.nz+lineBlock-1)/lineBlock)
 }
 
-// inverseBlock is forwardBlock's mirror for the spectrum→real direction.
-func (p *RealPlan3D) inverseBlock(spec []complex128, x []float64, j0 int, rblk []float64, cblk []complex128, rpx *RealPlan) {
-	planeLen := p.ny * p.nz
-	w := planeLen - j0
-	if w > xposeBlock {
-		w = xposeBlock
-	}
-	for ix := 0; ix < p.hx; ix++ {
-		src := spec[ix*planeLen+j0 : ix*planeLen+j0+w]
-		for b, v := range src {
-			cblk[b*p.hx+ix] = v
-		}
-	}
-	for b := 0; b < w; b++ {
-		rpx.Inverse(cblk[b*p.hx:(b+1)*p.hx], rblk[b*p.nx:(b+1)*p.nx])
-	}
-	for ix := 0; ix < p.nx; ix++ {
-		dst := x[ix*planeLen+j0 : ix*planeLen+j0+w]
-		for b := range dst {
-			dst[b] = rblk[b*p.nx+ix]
-		}
-	}
-}
+func (p *RealPlan3D) planeShards() int { return min(len(p.shards), p.hx) }
 
 // Forward computes the half spectrum of the real grid x:
 // spec[(kx·Ny + ky)·Nz + kz] = F(kx, ky, kz) for kx = 0..Nx/2. The input
@@ -169,37 +145,17 @@ func (p *RealPlan3D) Forward(x []float64, spec []complex128) {
 	}
 	planeLen := p.ny * p.nz
 	if p.shards != nil {
-		// Pooled: shard the column blocks, then the planes, each strided
-		// over a fixed shard count. Disjoint writes per shard.
-		nBlocks := (planeLen + xposeBlock - 1) / xposeBlock
-		sb := len(p.shards)
-		if sb > nBlocks {
-			sb = nBlocks
-		}
-		p.pool.Run(sb, func(s int) {
-			sh := p.shards[s]
-			for bi := s; bi < nBlocks; bi += sb {
-				p.forwardBlock(x, spec, bi*xposeBlock, sh.rblk, sh.cblk, sh.rpx)
-			}
-		})
-		sp := len(p.shards)
-		if sp > p.hx {
-			sp = p.hx
-		}
-		p.pool.Run(sp, func(s int) {
-			sh := p.shards[s]
-			for ix := s; ix < p.hx; ix += sp {
-				sh.plane.Forward(spec[ix*planeLen : (ix+1)*planeLen])
-			}
-		})
+		// Pooled: shard the line blocks, then the planes. Disjoint writes
+		// per shard.
+		p.cx, p.cspec = x, spec
+		p.pool.Run(p.lineShards(), p.fwdLines)
+		p.pool.Run(p.planeShards(), p.fwdPlanes)
+		p.cx, p.cspec = nil, nil
 		return
 	}
-	// Real transforms along x: gather blocks of xposeBlock strided lines
-	// into contiguous rows, transform, scatter the half spectra.
-	for j0 := 0; j0 < planeLen; j0 += xposeBlock {
-		p.forwardBlock(x, spec, j0, p.rblk, p.cblk, p.rpx)
-	}
-	// Complex transforms over the stored (contiguous) y×z planes.
+	// Real transforms along x, then complex transforms over the stored
+	// (contiguous) y×z planes.
+	p.rpx.forwardLines(x, spec, 0, planeLen, planeLen)
 	for ix := 0; ix < p.hx; ix++ {
 		p.plane.Forward(spec[ix*planeLen : (ix+1)*planeLen])
 	}
@@ -215,35 +171,16 @@ func (p *RealPlan3D) Inverse(spec []complex128, x []float64) {
 	}
 	planeLen := p.ny * p.nz
 	if p.shards != nil {
-		sp := len(p.shards)
-		if sp > p.hx {
-			sp = p.hx
-		}
-		p.pool.Run(sp, func(s int) {
-			sh := p.shards[s]
-			for ix := s; ix < p.hx; ix += sp {
-				sh.plane.Inverse(spec[ix*planeLen : (ix+1)*planeLen])
-			}
-		})
-		nBlocks := (planeLen + xposeBlock - 1) / xposeBlock
-		sb := len(p.shards)
-		if sb > nBlocks {
-			sb = nBlocks
-		}
-		p.pool.Run(sb, func(s int) {
-			sh := p.shards[s]
-			for bi := s; bi < nBlocks; bi += sb {
-				p.inverseBlock(spec, x, bi*xposeBlock, sh.rblk, sh.cblk, sh.rpx)
-			}
-		})
+		p.cx, p.cspec = x, spec
+		p.pool.Run(p.planeShards(), p.invPlanes)
+		p.pool.Run(p.lineShards(), p.invLines)
+		p.cx, p.cspec = nil, nil
 		return
 	}
 	for ix := 0; ix < p.hx; ix++ {
 		p.plane.Inverse(spec[ix*planeLen : (ix+1)*planeLen])
 	}
-	for j0 := 0; j0 < planeLen; j0 += xposeBlock {
-		p.inverseBlock(spec, x, j0, p.rblk, p.cblk, p.rpx)
-	}
+	p.rpx.inverseLines(spec, x, 0, planeLen, planeLen)
 }
 
 // Ops returns the analytic flop count of one half-spectrum transform: the

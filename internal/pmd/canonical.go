@@ -59,7 +59,6 @@ type canonical struct {
 	plan1d *fft.Plan
 
 	// Scratch reused across evaluations (never concurrent, see above).
-	line        []complex128
 	scratchGrid []complex128 // one rank's spread contribution
 	fullGrid    []complex128 // assembled grid / spectrum / potential
 	partial     []vec.V
@@ -132,7 +131,6 @@ func newCanonical(p int, cfg Config, sh *shared, seedEngine *md.Engine) *canonic
 		c.pme.SetPool(sh.pool)
 	}
 	g := pmeCfg.K1 * pmeCfg.K2 * pmeCfg.K3
-	c.line = make([]complex128, pmeCfg.K1)
 	c.scratchGrid = make([]complex128, g)
 	c.fullGrid = make([]complex128, g)
 	c.partial = make([]vec.V, n)
@@ -329,22 +327,17 @@ func (c *canonical) forceEval(st *canonState) {
 	for rk := 0; rk < c.p; rk++ {
 		var eR float64
 		for y := c.yOff[rk]; y < c.yOff[rk+1]; y++ {
+			c.plan1d.ForwardLines(c.fullGrid, y*k3, planeLen, k3)
 			for z := 0; z < k3; z++ {
-				for x := 0; x < k1; x++ {
-					c.line[x] = c.fullGrid[(x*k2+y)*k3+z]
-				}
-				c.plan1d.Forward(c.line)
 				for m1 := 0; m1 < k1; m1++ {
 					eC, cC := c.pme.Psi(m1, y, z)
-					v := c.line[m1]
+					i := (m1*k2+y)*k3 + z
+					v := c.fullGrid[i]
 					eR += eC * (real(v)*real(v) + imag(v)*imag(v))
-					c.line[m1] = v * complex(cC, 0)
-				}
-				c.plan1d.Inverse(c.line)
-				for x := 0; x < k1; x++ {
-					c.fullGrid[(x*k2+y)*k3+z] = c.line[x]
+					c.fullGrid[i] = v * complex(cC, 0)
 				}
 			}
+			c.plan1d.InverseLines(c.fullGrid, y*k3, planeLen, k3)
 		}
 		c.eRecipPart[rk] = eR
 	}

@@ -47,7 +47,8 @@ type domainGeometry struct {
 	// (sum of every domain's overlapping footprint, own region included).
 	pencilPts []int64
 
-	planX, planY, planZ *fft.Plan
+	// Modelled flops of one 1-D transform along each mesh axis.
+	opsX, opsY, opsZ int64
 }
 
 func newDomainGeometry(p int, cfg Config) *domainGeometry {
@@ -61,9 +62,7 @@ func newDomainGeometry(p int, cfg Config) *domainGeometry {
 	g.zOff3 = blockPartition(k3, g.p3)
 	g.xsOff = blockPartition(g.h1, g.p2)
 	g.ysOff = blockPartition(k2, g.p3)
-	g.planX = fft.NewPlan(k1)
-	g.planY = fft.NewPlan(k2)
-	g.planZ = fft.NewPlan(k3)
+	g.opsX, g.opsY, g.opsZ = fft.Ops(k1), fft.Ops(k2), fft.Ops(k3)
 
 	// Halo coupling: domains whose regions come within the list cutoff
 	// of each other under the minimum image convention.
@@ -478,21 +477,21 @@ func (d *domainDecomp) pipeline(w *worker, st *StepTiming, tr phaseTracker) md.E
 	// (half the complex plan's work on real input).
 	min1 := work.Counters{
 		RecipPoints: geo.pencilPts[me],
-		FFTOps:      yW2 * zW3 * geo.planX.Ops() / 2,
+		FFTOps:      yW2 * zW3 * geo.opsX / 2,
 	}
 	w.seg(min1, func(wc *work.Counters) { wc.Add(min1) })
 	w.c.AlltoallvSparse(geo.sizesT1F)
 	// Stage 2: y-FFTs on the x-spectrum pencils.
 	min2 := work.Counters{
 		Other:  xsW * int64(k2) * zW3,
-		FFTOps: xsW * zW3 * geo.planY.Ops(),
+		FFTOps: xsW * zW3 * geo.opsY,
 	}
 	w.seg(min2, func(wc *work.Counters) { wc.Add(min2) })
 	w.c.AlltoallvSparse(geo.sizesT2F)
 	// Stage 3: z-FFTs, influence multiply + energy, inverse z-FFTs.
 	min3 := work.Counters{
 		Other:       xsW * ysW * int64(k3),
-		FFTOps:      2 * xsW * ysW * geo.planZ.Ops(),
+		FFTOps:      2 * xsW * ysW * geo.opsZ,
 		RecipPoints: xsW * ysW * int64(k3),
 	}
 	w.seg(min3, func(wc *work.Counters) { wc.Add(min3) })
@@ -500,14 +499,14 @@ func (d *domainDecomp) pipeline(w *worker, st *StepTiming, tr phaseTracker) md.E
 	// Inverse stage 2.
 	min4 := work.Counters{
 		Other:  xsW * int64(k2) * zW3,
-		FFTOps: xsW * zW3 * geo.planY.Ops(),
+		FFTOps: xsW * zW3 * geo.opsY,
 	}
 	w.seg(min4, func(wc *work.Counters) { wc.Add(min4) })
 	w.c.AlltoallvSparse(geo.sizesT1B)
 	// Inverse stage 1 (c2r x-FFTs back to the real grid).
 	min5 := work.Counters{
 		Other:  int64(k1) * yW2 * zW3,
-		FFTOps: yW2 * zW3 * geo.planX.Ops() / 2,
+		FFTOps: yW2 * zW3 * geo.opsX / 2,
 	}
 	w.seg(min5, func(wc *work.Counters) { wc.Add(min5) })
 	// Return the convolved potential cells to the domains.

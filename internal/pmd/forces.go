@@ -210,24 +210,21 @@ func (w *worker) computeForces(st *StepTiming, tr phaseTracker) md.EnergyReport 
 		}
 		wp.Other += int64(k1 * myYW * k3)
 
+		// The x lines of one y are k3 adjacent lines of stride myYW·k3.
+		// The energy keeps its z-outer, m1-inner summation order.
 		for yy := 0; yy < myYW; yy++ {
+			w.plan1d.ForwardLines(w.xlines, yy*k3, myYW*k3, k3)
+			m2 := w.yOff[me] + yy
 			for z := 0; z < k3; z++ {
-				for x := 0; x < k1; x++ {
-					w.line[x] = w.xlines[(x*myYW+yy)*k3+z]
-				}
-				w.plan1d.Forward(w.line)
-				m2 := w.yOff[me] + yy
 				for m1 := 0; m1 < k1; m1++ {
 					eC, cC := w.pme.Psi(m1, m2, z)
-					v := w.line[m1]
+					i := (m1*myYW+yy)*k3 + z
+					v := w.xlines[i]
 					eRecip += eC * (real(v)*real(v) + imag(v)*imag(v))
-					w.line[m1] = v * complex(cC, 0)
-				}
-				w.plan1d.Inverse(w.line)
-				for x := 0; x < k1; x++ {
-					w.xlines[(x*myYW+yy)*k3+z] = w.line[x]
+					w.xlines[i] = v * complex(cC, 0)
 				}
 			}
+			w.plan1d.InverseLines(w.xlines, yy*k3, myYW*k3, k3)
 		}
 		wp.FFTOps += 2 * int64(myYW*k3) * w.plan1d.Ops()
 		wp.RecipPoints += int64(k1 * myYW * k3)

@@ -219,7 +219,6 @@ type worker struct {
 	convFull  []complex128 // assembled potential grid
 	plan2d    *fft.Plan2D
 	plan1d    *fft.Plan
-	line      []complex128
 	packF     [][]complex128 // forward transpose send blocks, per dst
 	packB     [][]complex128 // backward transpose send blocks, per dst
 
@@ -364,7 +363,6 @@ func newWorker(r *mpi.Rank, cfg Config, sh *shared, seedEngine *md.Engine, tape 
 	w.slab = make([]complex128, w.myXW()*planeLen)
 	w.xlines = make([]complex128, pmeCfg.K1*w.myYW()*pmeCfg.K3)
 	w.convFull = make([]complex128, g)
-	w.line = make([]complex128, pmeCfg.K1)
 	w.packF = make([][]complex128, p)
 	w.packB = make([][]complex128, p)
 	for dst := 0; dst < p; dst++ {
