@@ -2,7 +2,6 @@ package repro
 
 import (
 	"io"
-	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -220,31 +219,11 @@ func BenchmarkSequentialMDStep(b *testing.B) {
 	}
 }
 
-// exactKernelBench reports whether the micro-benchmarks below should run
-// the reference (pre-optimization) kernels instead of the fast ones — set
-// REPRO_EXACT_KERNELS=1 to measure the legacy paths (that is how the
-// checked-in bench/baseline_kernels.txt numbers were captured).
-func exactKernelBench() bool { return os.Getenv("REPRO_EXACT_KERNELS") == "1" }
-
-// BenchmarkFFT3D measures one forward+inverse 3-D transform of the paper's
-// 80×36×48 PME charge grid: half-spectrum r2c/c2r by default, the complex
-// reference plan under REPRO_EXACT_KERNELS=1.
+// BenchmarkFFT3D measures one forward+inverse half-spectrum r2c/c2r 3-D
+// transform of the paper's 80×36×48 PME charge grid.
 func BenchmarkFFT3D(b *testing.B) {
 	const nx, ny, nz = 80, 36, 48
 	r := rng.New(9)
-	if exactKernelBench() {
-		p := fft.NewPlan3D(nx, ny, nz)
-		x := make([]complex128, nx*ny*nz)
-		for i := range x {
-			x[i] = complex(r.Range(-1, 1), 0)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p.Forward(x)
-			p.Inverse(x)
-		}
-		return
-	}
 	p, err := fft.NewRealPlan3D(nx, ny, nz)
 	if err != nil {
 		b.Fatal(err)
@@ -275,7 +254,6 @@ func BenchmarkPMEReciprocal(b *testing.B) {
 		charges[i] = r.Range(-0.8, 0.8)
 	}
 	p := ewald.NewPME(box, 0.34, 80, 36, 48, 4)
-	p.ExactFFT = exactKernelBench()
 	frc := make([]vec.V, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -284,14 +262,11 @@ func BenchmarkPMEReciprocal(b *testing.B) {
 }
 
 // BenchmarkNonbondedKernel measures the short-range pair loop over the
-// relaxed myoglobin neighbour list: the SoA table kernel by default, the
-// exact-math reference loop under REPRO_EXACT_KERNELS=1.
+// relaxed myoglobin neighbour list with the SoA table kernel.
 func BenchmarkNonbondedKernel(b *testing.B) {
 	sys := topol.NewMyoglobinSystem(topol.MyoglobinConfig{Seed: 1})
 	md.Relax(sys, 40)
-	opts := ff.PMEOptions()
-	opts.ExactKernels = exactKernelBench()
-	f := ff.New(sys, opts)
+	f := ff.New(sys, ff.PMEOptions())
 	pairs := f.BuildPairs(sys.Pos, nil)
 	k := f.NewNonbondedKernel()
 	frc := make([]vec.V, sys.N())

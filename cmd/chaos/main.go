@@ -13,27 +13,24 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/cli"
 	"repro/internal/netmodel"
 	"repro/internal/obs"
 	"repro/internal/pmd"
 )
 
-// obsDrainTimeout bounds how long exit paths wait for in-flight /metrics
-// and /runz scrapes to finish before force-closing the obs server.
-const obsDrainTimeout = 2 * time.Second
-
 func main() {
+	app := cli.New("chaos", flag.CommandLine)
 	runs := flag.Int("runs", 20, "number of random scenarios to soak")
 	seed := flag.Uint64("seed", 1, "base seed (run i uses a derived stream)")
 	steps := flag.Int("steps", 4, "MD steps per run")
@@ -43,40 +40,26 @@ func main() {
 	atoms := flag.Int("atoms", 300, "solvated-box size in atoms")
 	workersList := flag.String("workers", "1,4", "comma-separated host-worker counts cross-checked bitwise")
 	mwName := flag.String("mw", "mpi", "middleware: mpi or cmpi")
-	decompFlag := flag.String("decomp", "replicated", "decomposition: replicated or domain")
-	recoveryFlag := flag.String("recovery", "global", "crash recovery strategy: global (checkpoint rewind) or local (buddy-restore; needs -decomp domain)")
-	ckptEvery := flag.Int("ckpt-every", 2, "checkpoint cadence in steps")
+	app.DecompFlag("decomposition: replicated or domain")
+	app.RecoveryFlag()
+	app.CkptEveryFlag(2, 0, "checkpoint cadence in steps")
 	failDir := flag.String("fail-dir", "", "write the failing scenario JSON here")
 	verbose := flag.Bool("v", false, "per-run progress")
-	obsAddr := flag.String("obs-addr", "", "serve live introspection (/metrics, /runz, /debug/pprof) on this address")
-	obsManifest := flag.String("obs-manifest", "", "write the JSON run manifest (provenance + final metrics) to this file")
-	flag.Parse()
+	app.ObsFlags()
+	app.Parse(os.Args[1:])
 
-	obsDrain := func() {}
-	fail := func(format string, args ...interface{}) {
-		fmt.Fprintf(os.Stderr, "chaos: "+format+"\n", args...)
-		obsDrain()
-		os.Exit(2)
-	}
-	// die drains the obs server before exiting so a collector mid-scrape
-	// still gets a complete exposition of the failed soak.
-	die := func(args ...interface{}) {
-		fmt.Fprintln(os.Stderr, append([]interface{}{"chaos:"}, args...)...)
-		obsDrain()
-		os.Exit(1)
-	}
 	if *runs < 1 {
-		fail("-runs must be >= 1 (got %d)", *runs)
+		app.Usagef("-runs must be >= 1 (got %d)", *runs)
 	}
 	net, ok := netmodel.ByName(*netName)
 	if !ok {
-		fail("unknown network %q", *netName)
+		app.Usagef("unknown network %q", *netName)
 	}
 	if *cpus != 1 && *cpus != 2 {
-		fail("-cpus must be 1 or 2 (got %d)", *cpus)
+		app.Usagef("-cpus must be 1 or 2 (got %d)", *cpus)
 	}
 	if *procs < 2**cpus || *procs%*cpus != 0 {
-		fail("-p (%d) must be a multiple of -cpus (%d) spanning at least 2 nodes", *procs, *cpus)
+		app.Usagef("-p (%d) must be a multiple of -cpus (%d) spanning at least 2 nodes", *procs, *cpus)
 	}
 	var mw pmd.MiddlewareKind
 	switch *mwName {
@@ -85,21 +68,13 @@ func main() {
 	case "cmpi":
 		mw = pmd.MiddlewareCMPI
 	default:
-		fail("-mw must be mpi or cmpi (got %q)", *mwName)
-	}
-	dk, err := pmd.ParseDecomp(*decompFlag)
-	if err != nil {
-		fail("%v", err)
-	}
-	rk, err := pmd.ParseRecovery(*recoveryFlag)
-	if err != nil {
-		fail("%v", err)
+		app.Usagef("-mw must be mpi or cmpi (got %q)", *mwName)
 	}
 	var workers []int
 	for _, s := range strings.Split(*workersList, ",") {
 		w, err := strconv.Atoi(strings.TrimSpace(s))
 		if err != nil || w < 1 {
-			fail("bad -workers entry %q", s)
+			app.Usagef("bad -workers entry %q", s)
 		}
 		workers = append(workers, w)
 	}
@@ -111,41 +86,9 @@ func main() {
 		}
 	}
 
-	reg := obs.NewRegistry()
-	if *obsAddr != "" {
-		srv, err := obs.NewServer(*obsAddr, reg, obs.ServeOptions{
-			Status: func() []string { return []string{fmt.Sprintf("chaos: soaking %d scenarios", *runs)} },
-		})
-		if err != nil {
-			die(err)
-		}
-		obsDrain = func() {
-			ctx, cancel := context.WithTimeout(context.Background(), obsDrainTimeout)
-			defer cancel()
-			_ = srv.Close(ctx)
-		}
-		defer obsDrain()
-		fmt.Fprintf(os.Stderr, "obs: http://%s/{metrics,runz,debug/pprof}\n", srv.Addr())
-	}
-	writeManifest := func() {
-		if *obsManifest == "" {
-			return
-		}
-		m := obs.NewManifest()
-		m.Seeds["base"] = *seed
-		m.Config["runs"] = *runs
-		m.Config["steps"] = *steps
-		m.Config["procs"] = *procs
-		m.Config["net"] = *netName
-		m.Config["decomp"] = dk.String()
-		m.Config["recovery"] = rk.String()
-		m.Attach(reg)
-		if err := m.WriteFile(*obsManifest); err != nil {
-			die("manifest:", err)
-		}
-		fmt.Fprintln(os.Stderr, "obs: manifest written to", *obsManifest)
-	}
-
+	defer app.StartObs(obs.ServeOptions{
+		Status: func() []string { return []string{fmt.Sprintf("chaos: soaking %d scenarios", *runs)} },
+	})()
 	h, err := chaos.NewHarness(chaos.Config{
 		Seed:            *seed,
 		Steps:           *steps,
@@ -153,23 +96,29 @@ func main() {
 		CPUsPerNode:     *cpus,
 		Net:             net,
 		Middleware:      mw,
-		Decomp:          dk,
-		Recovery:        rk,
+		Decomp:          app.Decomp,
+		Recovery:        app.Recovery,
 		Atoms:           *atoms,
 		Workers:         workers,
-		CheckpointEvery: *ckptEvery,
-		Obs:             reg,
+		CheckpointEvery: app.CkptEvery,
+		Obs:             app.Reg,
 		Logf:            logf,
 	})
+	// The harness owns the workload's PME mesh, so the tiling check is its
+	// first act; a rank count it rejects is a usage error like any other.
+	var de *pmd.DecompError
+	if errors.As(err, &de) {
+		err = &cli.UsageError{Err: err}
+	}
 	if err != nil {
-		die(err)
+		app.Fail(err)
 	}
 	fmt.Printf("soaking %d scenarios: p=%d (%d CPU/node) on %s, %s/%s, %d atoms, %d steps, workers %v, horizon %.3gs\n",
-		*runs, *procs, *cpus, net.Name, dk, rk, *atoms, *steps, workers, h.Horizon())
+		*runs, *procs, *cpus, net.Name, app.Decomp, app.Recovery, *atoms, *steps, workers, h.Horizon())
 
 	reports, failure, err := h.Soak(*runs)
 	if err != nil {
-		die("harness error:", err)
+		app.Fail(fmt.Errorf("harness error: %w", err))
 	}
 	if failure == nil {
 		var faults, recoveries int
@@ -179,35 +128,42 @@ func main() {
 		}
 		fmt.Printf("PASS: %d runs, %d faults injected, %d crash recoveries, 0 invariant violations\n",
 			len(reports), faults, recoveries)
-		writeManifest()
-		return
+	} else {
+		fmt.Printf("FAIL: run %d (seed %d) violated invariant %q\n", failure.Index, failure.Seed, failure.Err.Name)
+		fmt.Printf("  detail:   %s\n", failure.Err.Detail)
+		fmt.Printf("  scenario: %s\n", failure.Scenario.DSL())
+		fmt.Printf("  minimal:  %s\n", failure.Minimal.DSL())
+		fmt.Printf("  reproduce: %s\n", chaos.Repro{
+			DSL: failure.Minimal.DSL(), Seed: failure.Seed, Procs: *procs, CPUs: *cpus,
+			Net: *netName, Steps: *steps, Atoms: *atoms, Decomp: app.Decomp, Recovery: app.Recovery,
+		}.Line())
+		if *failDir != "" {
+			if err := os.MkdirAll(*failDir, 0o755); err != nil {
+				app.Fail(err)
+			}
+			path := filepath.Join(*failDir, fmt.Sprintf("scenario-%d.json", failure.Seed))
+			buf, err := json.MarshalIndent(failure.Scenario, "", "  ")
+			if err == nil {
+				err = os.WriteFile(path, buf, 0o644)
+			}
+			if err != nil {
+				app.Fail(err)
+			}
+			fmt.Printf("  scenario JSON written to %s\n", path)
+		}
 	}
-
-	fmt.Printf("FAIL: run %d (seed %d) violated invariant %q\n", failure.Index, failure.Seed, failure.Err.Name)
-	fmt.Printf("  detail:   %s\n", failure.Err.Detail)
-	fmt.Printf("  scenario: %s\n", failure.Scenario.DSL())
-	fmt.Printf("  minimal:  %s\n", failure.Minimal.DSL())
-	fmt.Printf("  reproduce: %s\n", chaos.Repro{
-		DSL: failure.Minimal.DSL(), Seed: failure.Seed, Procs: *procs, CPUs: *cpus,
-		Net: *netName, Steps: *steps, Atoms: *atoms, Decomp: dk, Recovery: rk,
-	}.Line())
-	if *failDir != "" {
-		if err := os.MkdirAll(*failDir, 0o755); err != nil {
-			die(err)
-		}
-		path := filepath.Join(*failDir, fmt.Sprintf("scenario-%d.json", failure.Seed))
-		buf, err := json.MarshalIndent(failure.Scenario, "", "  ")
-		if err == nil {
-			err = os.WriteFile(path, buf, 0o644)
-		}
-		if err != nil {
-			die(err)
-		}
-		fmt.Printf("  scenario JSON written to %s\n", path)
+	app.WriteManifest(func(m *obs.Manifest) {
+		m.Seeds["base"] = *seed
+		m.Config["runs"] = *runs
+		m.Config["steps"] = *steps
+		m.Config["procs"] = *procs
+		m.Config["net"] = *netName
+		m.Config["decomp"] = app.Decomp.String()
+		m.Config["recovery"] = app.Recovery.String()
+	})
+	if failure != nil {
+		// A FAIL exit still drains the obs endpoint: the final counters cover
+		// the run that violated the invariant, exactly what a collector wants.
+		app.Exit(1)
 	}
-	writeManifest()
-	// A FAIL exit still drains the obs endpoint: the final counters cover
-	// the run that violated the invariant, exactly what a collector wants.
-	obsDrain()
-	os.Exit(1)
 }

@@ -10,7 +10,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -23,102 +22,47 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/md"
 	"repro/internal/obs"
-	"repro/internal/pmd"
 )
 
-// obsDrainTimeout bounds how long exit paths wait for in-flight /metrics
-// and /runz scrapes to finish before force-closing the obs server.
-const obsDrainTimeout = 2 * time.Second
-
 func main() {
+	app := cli.New("charmmbench", flag.CommandLine)
 	figure := flag.String("figure", "all", "experiment to reproduce: 1..9, factorial, effects, ablation, scalelimit, ceiling, recovery, attribution, or all")
 	format := flag.String("format", "text", "output format: text or csv")
 	steps := flag.Int("steps", 0, "MD steps per measurement (default: the paper's 10)")
 	procs := flag.String("procs", "", "comma-separated processor counts (default 1,2,4,8)")
-	decomp := flag.String("decomp", "replicated", "decomposition for the paper figures: replicated or domain (ceiling sweeps both)")
+	app.DecompFlag("decomposition for the paper figures: replicated or domain (ceiling sweeps both)")
 	quick := flag.Bool("quick", false, "reduced protocol (2 steps, p ≤ 4) for smoke runs")
 	seed := flag.Uint64("seed", 0, "override the deterministic seeds")
 	outdir := flag.String("outdir", "", "also write every figure as CSV into this directory")
 	workers := flag.Int("workers", 0, "host worker goroutines for compute segments (0 = one per CPU, 1 = serial; output is identical)")
-	kernelWorkers := flag.Int("kernel-workers", 0, "spread the physics kernels over this many host cores (0 = legacy serial; figure bytes identical for any value >= 1)")
-	skin := flag.Float64("skin", 0, "pin the neighbour-list skin width in Å (0 = config default; exclusive with -tune-skin)")
-	tuneSkin := flag.Bool("tune-skin", false, "auto-tune the neighbour-list skin on the study workload before any figure runs")
-	tuneWindow := flag.Int("tune-window", 0, "timed steps per skin-tuner candidate (0 = default 20)")
+	app.KernelWorkersFlag("spread the physics kernels over this many host cores (0 = legacy serial; figure bytes identical for any value >= 1)")
+	app.SkinFlags("auto-tune the neighbour-list skin on the study workload before any figure runs")
 	verbose := flag.Bool("v", false, "print run-cache and physics-tape statistics to stderr")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	tracefile := flag.String("trace", "", "write a Go execution trace to this file")
-	obsAddr := flag.String("obs-addr", "", "serve live introspection (/metrics, /runz, /debug/pprof) on this address")
-	obsManifest := flag.String("obs-manifest", "", "write the JSON run manifest (provenance + final metrics) to this file")
-	profileOut := flag.String("profile-out", "", "write the per-cell attribution profiles (JSON map keyed network/decomp/p) to this file; requires -figure attribution")
-	flag.Parse()
+	app.ObsFlags()
+	app.ProfileOutFlag("write the per-cell attribution profiles (JSON map keyed network/decomp/p) to this file; requires -figure attribution")
+	app.Parse(os.Args[1:])
 
-	reg := obs.NewRegistry()
-	obsDrain := func() {}
-	// die drains the obs server before exiting so a collector mid-scrape
-	// still gets a complete exposition of the failed run.
-	die := func(args ...interface{}) {
-		fmt.Fprintln(os.Stderr, append([]interface{}{"charmmbench:"}, args...)...)
-		obsDrain()
-		os.Exit(1)
-	}
-	if *obsAddr != "" {
-		srv, err := obs.NewServer(*obsAddr, reg, obs.ServeOptions{
-			Status: func() []string { return []string{"charmmbench: figure " + *figure} },
-		})
-		if err != nil {
-			die(err)
-		}
-		obsDrain = func() {
-			ctx, cancel := context.WithTimeout(context.Background(), obsDrainTimeout)
-			defer cancel()
-			_ = srv.Close(ctx)
-		}
-		defer obsDrain()
-		fmt.Fprintf(os.Stderr, "obs: http://%s/{metrics,runz,debug/pprof}\n", srv.Addr())
-	}
-
-	if *kernelWorkers < 0 {
-		fmt.Fprintf(os.Stderr, "charmmbench: -kernel-workers must be >= 0 (got %d)\n", *kernelWorkers)
-		obsDrain()
-		os.Exit(2)
-	}
-	if *skin < 0 || (*skin > 0 && *tuneSkin) {
-		fmt.Fprintln(os.Stderr, "charmmbench: -skin must be >= 0 and exclusive with -tune-skin")
-		obsDrain()
-		os.Exit(2)
-	}
-	if *profileOut != "" && *figure != "attribution" {
-		fmt.Fprintln(os.Stderr, "charmmbench: -profile-out requires -figure attribution")
-		obsDrain()
-		os.Exit(2)
-	}
-	dk, derr := pmd.ParseDecomp(*decomp)
-	if derr != nil {
-		fmt.Fprintln(os.Stderr, "charmmbench:", derr)
-		obsDrain()
-		os.Exit(2)
+	if app.ProfileOut != "" && *figure != "attribution" {
+		app.Usagef("-profile-out requires -figure attribution")
 	}
 	opts := core.Options{Quick: *quick, Steps: *steps, SystemSeed: *seed, ClusterSeed: *seed,
-		Workers: *workers, KernelWorkers: *kernelWorkers, Obs: reg, Decomp: dk}
+		Workers: *workers, KernelWorkers: app.KernelWorkers, Obs: app.Reg, Decomp: app.Decomp}
 	if *procs != "" {
 		for _, tok := range strings.Split(*procs, ",") {
 			v, err := strconv.Atoi(strings.TrimSpace(tok))
 			if err != nil || v < 1 {
-				fmt.Fprintf(os.Stderr, "charmmbench: bad -procs entry %q\n", tok)
-				obsDrain()
-				os.Exit(2)
+				app.Usagef("bad -procs entry %q", tok)
 			}
 			// Reject rank counts the chosen decomposition cannot tile on the
 			// paper's PME mesh before any simulation starts.
-			if err := pmd.ValidateDecomp(dk, v, md.PaperPME()); err != nil {
-				fmt.Fprintln(os.Stderr, "charmmbench:", err)
-				obsDrain()
-				os.Exit(2)
-			}
+			app.Tiling(v, md.PaperPME())
 			opts.Procs = append(opts.Procs, v)
 		}
 	}
@@ -129,28 +73,29 @@ func main() {
 	case "csv":
 		f = core.FormatCSV
 	default:
-		fmt.Fprintf(os.Stderr, "charmmbench: unknown format %q\n", *format)
-		obsDrain()
-		os.Exit(2)
+		app.Usagef("unknown format %q", *format)
 	}
+	defer app.StartObs(obs.ServeOptions{
+		Status: func() []string { return []string{"charmmbench: figure " + *figure} },
+	})()
 
 	if *cpuprofile != "" {
 		pf, err := os.Create(*cpuprofile)
 		if err != nil {
-			die(err)
+			app.Fail(err)
 		}
 		if err := pprof.StartCPUProfile(pf); err != nil {
-			die(err)
+			app.Fail(err)
 		}
 		defer pprof.StopCPUProfile()
 	}
 	if *tracefile != "" {
 		tf, err := os.Create(*tracefile)
 		if err != nil {
-			die(err)
+			app.Fail(err)
 		}
 		if err := trace.Start(tf); err != nil {
-			die(err)
+			app.Fail(err)
 		}
 		defer trace.Stop()
 	}
@@ -159,17 +104,17 @@ func main() {
 	study := core.NewStudy(opts)
 	// Skin pinning / tuning mutate the suite's MD config before the first
 	// figure triggers a simulation; the choice applies to every run.
-	if *skin > 0 {
-		study.Suite.Cfg.MD.FF.ListCutoff = study.Suite.Cfg.MD.FF.CutOff + *skin
+	if app.Skin > 0 {
+		study.Suite.Cfg.MD.FF.ListCutoff = study.Suite.Cfg.MD.FF.CutOff + app.Skin
 	}
-	if *tuneSkin {
-		tuning := md.TuneSkin(study.System(), study.Suite.Cfg.MD, md.TuneOptions{Window: *tuneWindow, Log: os.Stderr})
+	if app.TuneSkin {
+		tuning := md.TuneSkin(study.System(), study.Suite.Cfg.MD, md.TuneOptions{Window: app.TuneWindow, Log: os.Stderr})
 		study.Suite.Cfg.MD = tuning.Apply(study.Suite.Cfg.MD)
 		fmt.Fprintf(os.Stderr, "tune-skin: chose %.1f Å (replay with -skin %.1f)\n", tuning.Chosen, tuning.Chosen)
 	}
 	if *outdir != "" {
 		if err := os.MkdirAll(*outdir, 0o755); err != nil {
-			die(err)
+			app.Fail(err)
 		}
 		for _, id := range core.FigureIDs() {
 			if id == "1" || id == "2" {
@@ -181,13 +126,13 @@ func main() {
 			path := filepath.Join(*outdir, "figure_"+id+".csv")
 			out, err := os.Create(path)
 			if err != nil {
-				die(err)
+				app.Fail(err)
 			}
 			if err := study.Figure(id, out, core.FormatCSV); err != nil {
-				die(err)
+				app.Fail(err)
 			}
 			if err := out.Close(); err != nil {
-				die(err)
+				app.Fail(err)
 			}
 			fmt.Fprintln(os.Stderr, "wrote", path)
 		}
@@ -195,37 +140,30 @@ func main() {
 	var err error
 	if *figure == "all" {
 		if f == core.FormatCSV {
-			fmt.Fprintln(os.Stderr, "charmmbench: -format csv needs a single -figure")
-			obsDrain()
-			os.Exit(2)
+			app.Usagef("-format csv needs a single -figure")
 		}
 		err = study.All(os.Stdout)
 	} else {
 		err = study.Figure(*figure, os.Stdout, f)
 	}
 	if err != nil {
-		die(err)
+		app.Fail(err)
 	}
 
 	// All attribution cells are memoized by the run cache at this point, so
 	// re-deriving their profiles costs no extra simulation.
-	if *profileOut != "" {
+	if app.ProfileOut != "" {
 		res, aerr := study.Suite.Attribution()
 		if aerr != nil {
-			die("profile:", aerr)
+			app.Fail(fmt.Errorf("profile: %w", aerr))
 		}
 		profs, perr := res.Profiles(study.Suite)
 		if perr != nil {
-			die("profile:", perr)
+			app.Fail(fmt.Errorf("profile: %w", perr))
 		}
 		buf, jerr := json.MarshalIndent(profs, "", "  ")
-		if jerr != nil {
-			die("profile:", jerr)
-		}
-		if werr := os.WriteFile(*profileOut, append(buf, '\n'), 0o644); werr != nil {
-			die("profile:", werr)
-		}
-		fmt.Fprintf(os.Stderr, "profile: %d cell profiles written to %s\n", len(profs), *profileOut)
+		app.WriteProfile(append(buf, '\n'), jerr)
+		fmt.Fprintf(os.Stderr, "profile: %d cell profiles written to %s\n", len(profs), app.ProfileOut)
 	}
 
 	if *verbose {
@@ -234,34 +172,28 @@ func main() {
 			"charmmbench: %s wall, %d unique runs simulated, %d cache hits, %d tapes recorded, %d tape replays\n",
 			time.Since(start).Round(time.Millisecond), st.Misses, st.Hits, st.TapeRecords, st.TapeReplays)
 	}
-	if *obsManifest != "" {
-		m := obs.NewManifest()
+	app.WriteManifest(func(m *obs.Manifest) {
 		m.Seeds["system"] = *seed
 		m.Config["figure"] = *figure
 		m.Config["steps"] = *steps
 		m.Config["quick"] = *quick
 		m.Config["workers"] = *workers
-		m.Config["kernel_workers"] = *kernelWorkers
-		m.Config["decomp"] = dk.String()
+		m.Config["kernel_workers"] = app.KernelWorkers
+		m.Config["decomp"] = app.Decomp.String()
 		m.Config["skin_angstrom"] = study.Suite.Cfg.MD.FF.ListCutoff - study.Suite.Cfg.MD.FF.CutOff
-		m.Config["skin_tuned"] = *tuneSkin
-		m.Attach(reg)
-		if err := m.WriteFile(*obsManifest); err != nil {
-			die(err)
-		}
-		fmt.Fprintln(os.Stderr, "obs: manifest written to", *obsManifest)
-	}
+		m.Config["skin_tuned"] = app.TuneSkin
+	})
 	if *memprofile != "" {
 		mf, err := os.Create(*memprofile)
 		if err != nil {
-			die(err)
+			app.Fail(err)
 		}
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(mf); err != nil {
-			die(err)
+			app.Fail(err)
 		}
 		if err := mf.Close(); err != nil {
-			die(err)
+			app.Fail(err)
 		}
 	}
 }

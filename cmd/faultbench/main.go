@@ -13,14 +13,13 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
+	"repro/internal/cli"
 	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/md"
@@ -32,11 +31,8 @@ import (
 	"repro/internal/topol"
 )
 
-// obsDrainTimeout bounds how long exit paths wait for in-flight /metrics
-// and /runz scrapes to finish before force-closing the obs server.
-const obsDrainTimeout = 2 * time.Second
-
 func main() {
+	app := cli.New("faultbench", flag.CommandLine)
 	scenarioFile := flag.String("scenario", "", "JSON fault scenario file")
 	spec := flag.String("spec", "", "fault scenario DSL (see internal/fault.ParseSpec)")
 	sevList := flag.String("severity", "1", "comma-separated severity multipliers")
@@ -45,8 +41,8 @@ func main() {
 	cpus := flag.Int("cpus", 1, "CPUs per node (1 or 2)")
 	steps := flag.Int("steps", 4, "MD steps")
 	mwName := flag.String("mw", "both", "middleware: mpi, cmpi or both")
-	decompFlag := flag.String("decomp", "replicated", "decomposition: replicated or domain")
-	recoveryFlag := flag.String("recovery", "global", "crash recovery strategy: global (checkpoint rewind) or local (buddy-restore; needs -decomp domain)")
+	app.DecompFlag("decomposition: replicated or domain")
+	app.RecoveryFlag()
 	tuneCkpt := flag.Bool("tune-ckpt", false, "retune the checkpoint cadence from the observed failure rate (Young/Daly)")
 	ckptCost := flag.Float64("ckpt-cost", 0, "virtual seconds one checkpoint costs, the C in the Young/Daly formula (needed by -tune-ckpt)")
 	atoms := flag.Int("atoms", 600, "solvated-box size in atoms")
@@ -54,56 +50,32 @@ func main() {
 	wdTimeout := flag.Float64("timeout", 30, "watchdog timeout (virtual s); 0 disables")
 	wdRetries := flag.Int("retries", 2, "watchdog retry budget")
 	wdBackoff := flag.Float64("backoff", 2, "watchdog backoff multiplier")
-	ckptEvery := flag.Int("ckpt-every", 1, "checkpoint every k steps (0 = default)")
-	ckptDir := flag.String("ckpt-dir", "", "durable checkpoint directory (resumes a killed run found there)")
-	ckptKeep := flag.Int("ckpt-keep", 0, "on-disk checkpoint ring depth (0 = default)")
+	app.CkptEveryFlag(1, 0, "checkpoint every k steps (0 = default)")
+	app.CkptRingFlags("durable checkpoint directory (resumes a killed run found there)", "on-disk checkpoint ring depth (0 = default)", true)
 	restartCost := flag.Float64("restart-cost", 10, "virtual seconds charged per recovery")
 	format := flag.String("format", "text", "output format: text or csv")
-	obsAddr := flag.String("obs-addr", "", "serve live introspection (/metrics, /runz, /debug/pprof) on this address")
-	obsManifest := flag.String("obs-manifest", "", "write the JSON run manifest (provenance + final metrics) to this file")
-	profileOut := flag.String("profile-out", "", "write the newest faulted run's bottleneck-attribution profile (perf.Profile JSON, recovery bucket included) to this file")
-	flag.Parse()
+	app.ObsFlags()
+	app.ProfileOutFlag("write the newest faulted run's bottleneck-attribution profile (perf.Profile JSON, recovery bucket included) to this file")
+	app.Parse(os.Args[1:])
 
-	obsDrain := func() {}
-	fail := func(formatStr string, args ...interface{}) {
-		fmt.Fprintf(os.Stderr, "faultbench: "+formatStr+"\n", args...)
-		obsDrain()
-		os.Exit(2)
-	}
-	// die drains the obs server before exiting so a collector mid-scrape
-	// still gets a complete exposition of the failed run.
-	die := func(args ...interface{}) {
-		fmt.Fprintln(os.Stderr, append([]interface{}{"faultbench:"}, args...)...)
-		obsDrain()
-		os.Exit(1)
-	}
 	net, ok := netmodel.ByName(*netName)
 	if !ok {
-		fail("unknown network %q", *netName)
+		app.Usagef("unknown network %q", *netName)
 	}
 	if *cpus != 1 && *cpus != 2 {
-		fail("-cpus must be 1 or 2 (got %d)", *cpus)
+		app.Usagef("-cpus must be 1 or 2 (got %d)", *cpus)
 	}
 	if *procs < 1 || *procs%*cpus != 0 {
-		fail("-p (%d) must be a positive multiple of -cpus (%d)", *procs, *cpus)
+		app.Usagef("-p (%d) must be a positive multiple of -cpus (%d)", *procs, *cpus)
 	}
 	if *steps < 1 {
-		fail("-steps must be >= 1 (got %d)", *steps)
-	}
-	if *ckptEvery < 0 {
-		fail("-ckpt-every must be >= 0, 0 meaning the default (got %d)", *ckptEvery)
-	}
-	if *ckptKeep < 0 {
-		fail("-ckpt-keep must be >= 0, 0 meaning the default (got %d)", *ckptKeep)
-	}
-	if *ckptKeep > 0 && *ckptDir == "" {
-		fail("-ckpt-keep needs -ckpt-dir")
+		app.Usagef("-steps must be >= 1 (got %d)", *steps)
 	}
 	if *format != "text" && *format != "csv" {
-		fail("-format must be text or csv (got %q)", *format)
+		app.Usagef("-format must be text or csv (got %q)", *format)
 	}
 	if *scenarioFile != "" && *spec != "" {
-		fail("-scenario and -spec are mutually exclusive")
+		app.Usagef("-scenario and -spec are mutually exclusive")
 	}
 	var sc *fault.Scenario
 	var err error
@@ -113,10 +85,10 @@ func main() {
 	case *spec != "":
 		sc, err = fault.ParseSpec(*spec)
 	default:
-		fail("need -scenario or -spec")
+		app.Usagef("need -scenario or -spec")
 	}
 	if err != nil {
-		fail("%v", err)
+		app.Usagef("%v", err)
 	}
 	if sc.Seed == 0 {
 		sc.Seed = *seed
@@ -125,7 +97,7 @@ func main() {
 	for _, s := range strings.Split(*sevList, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 		if err != nil || v < 0 {
-			fail("bad severity %q", s)
+			app.Usagef("bad severity %q", s)
 		}
 		sevs = append(sevs, v)
 	}
@@ -138,19 +110,11 @@ func main() {
 	case "both":
 		mws = []pmd.MiddlewareKind{pmd.MiddlewareMPI, pmd.MiddlewareCMPI}
 	default:
-		fail("-mw must be mpi, cmpi or both (got %q)", *mwName)
+		app.Usagef("-mw must be mpi, cmpi or both (got %q)", *mwName)
 	}
 
-	dk, err := pmd.ParseDecomp(*decompFlag)
-	if err != nil {
-		fail("%v", err)
-	}
-	rk, err := pmd.ParseRecovery(*recoveryFlag)
-	if err != nil {
-		fail("%v", err)
-	}
 	if *tuneCkpt && *ckptCost <= 0 {
-		fail("-tune-ckpt needs a positive -ckpt-cost (the Young/Daly formula prices a checkpoint)")
+		app.Usagef("-tune-ckpt needs a positive -ckpt-cost (the Young/Daly formula prices a checkpoint)")
 	}
 
 	sys, k := topol.NewSolvatedBox(*atoms, *seed)
@@ -162,9 +126,7 @@ func main() {
 	mdCfg.Seed = *seed
 	// The PME mesh depends on the solvated-box size, so the tiling check
 	// has to wait until the mesh is known.
-	if err := pmd.ValidateDecomp(dk, *procs, mdCfg.PME); err != nil {
-		fail("%v", err)
-	}
+	app.Tiling(*procs, mdCfg.PME)
 
 	clCfg := cluster.Config{Nodes: *procs / *cpus, CPUsPerNode: *cpus, Net: net, Seed: *seed}
 	wd := mpi.Watchdog{Timeout: *wdTimeout, Retries: *wdRetries, Backoff: *wdBackoff}
@@ -173,32 +135,19 @@ func main() {
 	// Observability is opt-in here: recording every transport interval of a
 	// severity sweep costs memory, so the recorder only exists when an
 	// introspection endpoint or manifest was asked for.
-	reg := obs.NewRegistry()
 	var rec *obs.Recorder
-	if *obsAddr != "" || *obsManifest != "" {
-		rec = obs.NewRecorder(reg)
+	if app.ObsAddr != "" || app.ObsManifest != "" {
+		rec = obs.NewRecorder(app.Reg)
 	}
-	if *obsAddr != "" {
-		srv, err := obs.NewServer(*obsAddr, reg, obs.ServeOptions{
-			Status: func() []string { return []string{"faultbench: scenario " + sc.Name} },
-		})
-		if err != nil {
-			die(err)
-		}
-		obsDrain = func() {
-			ctx, cancel := context.WithTimeout(context.Background(), obsDrainTimeout)
-			defer cancel()
-			_ = srv.Close(ctx)
-		}
-		defer obsDrain()
-		fmt.Fprintf(os.Stderr, "obs: http://%s/{metrics,runz,debug/pprof}\n", srv.Addr())
-	}
+	defer app.StartObs(obs.ServeOptions{
+		Status: func() []string { return []string{"faultbench: scenario " + sc.Name} },
+	})()
 
 	// The durable directory identifies ONE run's checkpoint ring, so it
 	// only applies to the single faulted run of a 1-severity invocation —
 	// the healthy baseline and severity sweeps stay in-memory.
-	if *ckptDir != "" && (len(sevs) != 1 || len(mws) != 1) {
-		fail("-ckpt-dir needs exactly one severity and one middleware (the ring identifies one run)")
+	if app.CkptDir != "" && (len(sevs) != 1 || len(mws) != 1) {
+		app.Usagef("-ckpt-dir needs exactly one severity and one middleware (the ring identifies one run)")
 	}
 	run := func(mw pmd.MiddlewareKind, scenario *fault.Scenario, dir string) *pmd.ResilientResult {
 		res, err := pmd.RunResilient(clCfg, cost, pmd.ResilientConfig{
@@ -207,28 +156,28 @@ func main() {
 				MD:         mdCfg,
 				Steps:      *steps,
 				Middleware: mw,
-				Decomp:     dk,
+				Decomp:     app.Decomp,
 				Watchdog:   wd,
 				Obs:        rec,
 			},
 			Scenario:        scenario,
-			CheckpointEvery: *ckptEvery,
+			CheckpointEvery: app.CkptEvery,
 			CheckpointDir:   dir,
-			KeepCheckpoints: *ckptKeep,
+			KeepCheckpoints: app.CkptKeep,
 			RestartCost:     *restartCost,
-			Recovery:        rk,
+			Recovery:        app.Recovery,
 			TuneCheckpoint:  *tuneCkpt,
 			CheckpointCost:  *ckptCost,
 		})
 		if err != nil {
-			die(err)
+			app.Fail(err)
 		}
 		if res.Resumed != nil {
 			fmt.Fprintf(os.Stderr, "faultbench: resumed from on-disk checkpoint at step %d (%d corrupt skipped, %.3gs lost)\n",
 				res.Resumed.Step, res.Resumed.SkippedCheckpoints, res.Resumed.LostOnDisk)
 		}
 		if rec != nil && res.Final != nil {
-			res.Final.RecordObs(reg)
+			res.Final.RecordObs(app.Reg)
 		}
 		return res
 	}
@@ -239,7 +188,7 @@ func main() {
 	for _, mw := range mws {
 		healthy := run(mw, nil, "")
 		for _, sev := range sevs {
-			res := run(mw, sc.Scale(sev), *ckptDir)
+			res := run(mw, sc.Scale(sev), app.CkptDir)
 			last = res
 			if res.IntervalTuned {
 				fmt.Fprintf(os.Stderr, "faultbench: Young/Daly retuned the checkpoint cadence to every %d step(s)\n",
@@ -279,44 +228,32 @@ func main() {
 		werr = report.Table(os.Stdout, headers, rows)
 	}
 	if werr != nil {
-		die(werr)
+		app.Fail(werr)
 	}
 
 	// The attribution view of the newest faulted run: same buckets as the
 	// table above plus the recovery detail (rewinds, lost work, restarts).
-	if *profileOut != "" {
+	if app.ProfileOut != "" {
 		if last == nil {
-			die("profile: no faulted run to profile")
+			app.Fail(fmt.Errorf("profile: no faulted run to profile"))
 		}
-		buf, perr := last.Profile(nil).Encode()
-		if perr != nil {
-			die("profile:", perr)
-		}
-		if werr := os.WriteFile(*profileOut, buf, 0o644); werr != nil {
-			die("profile:", werr)
-		}
-		fmt.Fprintln(os.Stderr, "profile: written to", *profileOut)
+		app.WriteProfile(last.Profile(nil).Encode())
+		fmt.Fprintln(os.Stderr, "profile: written to", app.ProfileOut)
 	}
 
-	if *obsManifest != "" {
+	app.WriteManifest(func(m *obs.Manifest) {
 		rec.Close()
-		m := obs.NewManifest()
 		m.Seeds["system"] = *seed
 		m.Config["scenario"] = sc.Name
 		m.Config["severities"] = sevs
 		m.Config["procs"] = *procs
 		m.Config["steps"] = *steps
 		m.Config["net"] = net.Name
-		m.Config["decomp"] = dk.String()
-		m.Config["recovery"] = rk.String()
+		m.Config["decomp"] = app.Decomp.String()
+		m.Config["recovery"] = app.Recovery.String()
 		if last != nil {
 			m.Config["checkpoint_interval"] = last.CheckpointInterval
 			m.Config["interval_tuned"] = last.IntervalTuned
 		}
-		m.Attach(reg)
-		if err := m.WriteFile(*obsManifest); err != nil {
-			die(err)
-		}
-		fmt.Fprintln(os.Stderr, "obs: manifest written to", *obsManifest)
-	}
+	})
 }

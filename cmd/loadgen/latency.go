@@ -3,12 +3,9 @@ package main
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
-
-	"repro/internal/benchfmt"
 )
 
 // latencyTracker measures the submit-to-done latency of every accepted
@@ -108,54 +105,4 @@ func (l *latencyTracker) summary() []string {
 			percentile(ls, 0.99).Round(time.Microsecond), thr))
 	}
 	return out
-}
-
-// report renders the measured latencies in benchreport's JSON shape so
-// `benchreport -check bench/baseline_serve.json new.json` gates serve
-// latency exactly like kernel cost. Per kind with ≥ 1 completion:
-//
-//	Serve/<kind>/p50latency   ns/op = median submit-to-done latency
-//	Serve/<kind>/p99latency   ns/op = p99 submit-to-done latency
-//	Serve/<kind>/throughput   ns/op = measured span / completions
-//
-// Workers records the server's executor count (the serve analogue of
-// GOMAXPROCS). Samples is 1: one load phase, one sample per statistic.
-func (l *latencyTracker) report(serveWorkers int) benchfmt.Report {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	rep := benchfmt.Report{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		NumCPU:      runtime.NumCPU(),
-		Suite:       "serve",
-		Samples:     1,
-	}
-	span := l.lastDone.Sub(l.firstSubmit)
-	kinds := make([]string, 0, len(l.byKind))
-	for k := range l.byKind {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	add := func(name string, ns float64) {
-		rep.Benchmarks = append(rep.Benchmarks, benchfmt.BenchEntry{
-			Name:    name,
-			NumCPU:  runtime.NumCPU(),
-			Workers: serveWorkers,
-			Current: benchfmt.Measurement{NsPerOp: ns},
-		})
-	}
-	total := 0
-	for _, kind := range kinds {
-		ls := l.byKind[kind]
-		total += len(ls)
-		add("Serve/"+kind+"/p50latency", float64(percentile(ls, 0.50)))
-		add("Serve/"+kind+"/p99latency", float64(percentile(ls, 0.99)))
-		add("Serve/"+kind+"/throughput", float64(span)/float64(len(ls)))
-	}
-	if total > 0 && span > 0 {
-		add("Serve/all/throughput", float64(span)/float64(total))
-	}
-	return rep
 }

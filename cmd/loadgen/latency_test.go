@@ -51,36 +51,23 @@ func TestLatencyTrackerFirstStampWins(t *testing.T) {
 	}
 }
 
-func TestLatencyReportShape(t *testing.T) {
+func TestLatencySummaryLines(t *testing.T) {
+	t0 := time.Unix(0, 0)
 	l := newLatencyTracker()
-	for _, id := range []string{"r1", "r2", "s1"} {
-		l.submitted(id)
+	l.byKind["sweep"] = []time.Duration{40 * time.Millisecond}
+	l.byKind["run"] = []time.Duration{3 * time.Millisecond, time.Millisecond, 2 * time.Millisecond}
+	l.firstSubmit, l.lastDone = t0, t0.Add(2*time.Second)
+	want := []string{ // kinds sorted, throughput over the first-submit to last-done span
+		"latency run: n=3 p50=2ms p99=3ms throughput=1.5 jobs/s",
+		"latency sweep: n=1 p50=40ms p99=40ms throughput=0.5 jobs/s",
 	}
-	l.completed("r1", "run")
-	l.completed("r2", "run")
-	l.completed("s1", "sweep")
-	rep := l.report(2)
-	if rep.Suite != "serve" || rep.Samples != 1 {
-		t.Errorf("suite/samples: %q/%d", rep.Suite, rep.Samples)
+	got := l.summary()
+	if len(got) != len(want) {
+		t.Fatalf("got %d lines, want %d: %q", len(got), len(want), got)
 	}
-	// Two kinds × three stats + the aggregate throughput row.
-	want := []string{
-		"Serve/run/p50latency", "Serve/run/p99latency", "Serve/run/throughput",
-		"Serve/sweep/p50latency", "Serve/sweep/p99latency", "Serve/sweep/throughput",
-		"Serve/all/throughput",
-	}
-	if len(rep.Benchmarks) != len(want) {
-		t.Fatalf("got %d entries, want %d: %+v", len(rep.Benchmarks), len(want), rep.Benchmarks)
-	}
-	for i, e := range rep.Benchmarks {
-		if e.Name != want[i] {
-			t.Errorf("entry %d: %q, want %q", i, e.Name, want[i])
-		}
-		if e.Workers != 2 {
-			t.Errorf("entry %s: workers %d, want 2", e.Name, e.Workers)
-		}
-		if e.Current.NsPerOp < 0 {
-			t.Errorf("entry %s: negative ns/op", e.Name)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("line %d: %q, want %q", i, got[i], want[i])
 		}
 	}
 }

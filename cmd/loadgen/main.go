@@ -53,7 +53,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "workload randomization seed")
 		state    = flag.String("state", "", "state directory (default: a temp dir)")
 		quantum  = flag.Duration("quantum", 5*time.Millisecond, "server preemption quantum (0 disables; >0 required for the resume check)")
-		benchOut = flag.String("bench-out", "", "write per-kind p50/p99 latency + throughput as a benchreport JSON report (gate with benchreport -check)")
 	)
 	flag.Parse()
 
@@ -115,28 +114,9 @@ func main() {
 	// is actually proven.
 	ok := h.settle(2 * time.Minute)
 	h.shutdown()
-	passed := h.report(ok, *chaos, *quantum)
-	if *benchOut != "" {
-		if err := h.writeBenchReport(*benchOut); err != nil {
-			fmt.Fprintln(os.Stderr, "loadgen:", err)
-			passed = false
-		}
-	}
-	if !passed {
+	if !h.report(ok, *chaos, *quantum) {
 		os.Exit(1)
 	}
-}
-
-// writeBenchReport renders the measured latencies in benchreport's JSON
-// shape so serve latency can be gated against bench/baseline_serve.json
-// with the same -check machinery as the kernel benchmarks.
-func (h *harness) writeBenchReport(path string) error {
-	rep := h.lat.report(h.cfg().Workers)
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // harness owns the server lifecycle, the reference results and the

@@ -15,14 +15,13 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"sync"
-	"time"
 
+	"repro/internal/cli"
 	"repro/internal/cluster"
 	"repro/internal/guard"
 	"repro/internal/md"
@@ -34,11 +33,8 @@ import (
 	"repro/internal/work"
 )
 
-// obsDrainTimeout bounds how long exit paths wait for in-flight /metrics
-// and /runz scrapes to finish before force-closing the obs server.
-const obsDrainTimeout = 2 * time.Second
-
 func main() {
+	app := cli.New("mdrun", flag.CommandLine)
 	steps := flag.Int("steps", 10, "dynamics steps")
 	minimize := flag.Int("minimize", 50, "steepest-descent steps before dynamics")
 	temp := flag.Float64("temp", 300, "initial temperature (K)")
@@ -47,87 +43,37 @@ func main() {
 	dt := flag.Float64("dt", 1.0, "timestep (fs)")
 	xyz := flag.String("xyz", "", "write an XYZ trajectory to this file")
 	every := flag.Int("every", 1, "trajectory output interval (steps)")
-	ckptDir := flag.String("ckpt-dir", "", "durable checkpoint ring directory (resumes a killed run found there)")
-	ckptEvery := flag.Int("ckpt-every", 10, "checkpoint interval in steps")
-	ckptKeep := flag.Int("ckpt-keep", 0, "checkpoint ring depth (0 = default)")
+	app.CkptRingFlags("durable checkpoint ring directory (resumes a killed run found there)", "checkpoint ring depth (0 = default)", false)
+	app.CkptEveryFlag(10, 1, "checkpoint interval in steps")
 	guardOn := flag.Bool("guard", false, "enable numeric guardrails (NaN/Inf + energy drift)")
 	guardPolicy := flag.String("guard-policy", "fallback", "on a guard trip: fallback (redo step on exact kernels) or abort")
 	guardDrift := flag.Float64("guard-drift", 0, "energy-drift tolerance in kcal/mol (0 disables drift checks)")
 	guardWindow := flag.Int("guard-window", 0, "drift window in steps (0 = default)")
 	guardInject := flag.Int("guard-inject", 0, "force a synthetic guard trip at this step (test hook)")
-	obsAddr := flag.String("obs-addr", "", "serve live introspection (/metrics, /runz, /debug/pprof) on this address")
-	obsManifest := flag.String("obs-manifest", "", "write the JSON run manifest (provenance + final metrics) to this file")
-	kernelWorkers := flag.Int("kernel-workers", 0, "spread the physics kernels over this many host cores (0 = legacy serial; results identical for any value >= 1)")
-	skin := flag.Float64("skin", 0, "pin the neighbour-list skin width in Å (0 = config default; exclusive with -tune-skin)")
-	tuneSkin := flag.Bool("tune-skin", false, "auto-tune the neighbour-list skin before the run (choice recorded in the manifest; replay it with -skin)")
-	tuneWindow := flag.Int("tune-window", 0, "timed steps per skin-tuner candidate (0 = default 20)")
+	app.ObsFlags()
+	app.KernelWorkersFlag("spread the physics kernels over this many host cores (0 = legacy serial; results identical for any value >= 1)")
+	app.SkinFlags("auto-tune the neighbour-list skin before the run (choice recorded in the manifest; replay it with -skin)")
 	ranks := flag.Int("ranks", 1, "simulated MPI ranks (1 = the plain sequential engine; > 1 runs the simulated cluster over Gigabit TCP)")
-	decompFlag := flag.String("decomp", "replicated", "decomposition for -ranks > 1: replicated or domain")
-	profileOut := flag.String("profile-out", "", "write the bottleneck-attribution profile (perf.Profile JSON) to this file; requires -ranks > 1")
-	flag.Parse()
+	app.DecompFlag("decomposition for -ranks > 1: replicated or domain")
+	app.ProfileOutFlag("write the bottleneck-attribution profile (perf.Profile JSON) to this file; requires -ranks > 1")
+	app.Parse(os.Args[1:])
 
 	if *steps < 0 {
-		fmt.Fprintf(os.Stderr, "mdrun: -steps must be >= 0 (got %d)\n", *steps)
-		flag.Usage()
-		os.Exit(2)
+		app.Usagef("-steps must be >= 0 (got %d)", *steps)
 	}
 	if *every < 1 {
-		fmt.Fprintf(os.Stderr, "mdrun: -every must be >= 1 (got %d)\n", *every)
-		flag.Usage()
-		os.Exit(2)
+		app.Usagef("-every must be >= 1 (got %d)", *every)
 	}
 	if *dt <= 0 {
-		fmt.Fprintf(os.Stderr, "mdrun: -dt must be > 0 (got %g)\n", *dt)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *ckptEvery < 1 {
-		fmt.Fprintf(os.Stderr, "mdrun: -ckpt-every must be >= 1 (got %d)\n", *ckptEvery)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *ckptKeep < 0 {
-		fmt.Fprintf(os.Stderr, "mdrun: -ckpt-keep must be >= 0 (got %d)\n", *ckptKeep)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *kernelWorkers < 0 {
-		fmt.Fprintf(os.Stderr, "mdrun: -kernel-workers must be >= 0 (got %d)\n", *kernelWorkers)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *skin < 0 {
-		fmt.Fprintf(os.Stderr, "mdrun: -skin must be >= 0 (got %g)\n", *skin)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *skin > 0 && *tuneSkin {
-		fmt.Fprintln(os.Stderr, "mdrun: -skin and -tune-skin are mutually exclusive")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *tuneWindow < 0 {
-		fmt.Fprintf(os.Stderr, "mdrun: -tune-window must be >= 0 (got %d)\n", *tuneWindow)
-		flag.Usage()
-		os.Exit(2)
+		app.Usagef("-dt must be > 0 (got %g)", *dt)
 	}
 	if *ranks < 1 {
-		fmt.Fprintf(os.Stderr, "mdrun: -ranks must be >= 1 (got %d)\n", *ranks)
-		flag.Usage()
-		os.Exit(2)
+		app.Usagef("-ranks must be >= 1 (got %d)", *ranks)
 	}
-	dk, err := pmd.ParseDecomp(*decompFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mdrun:", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *profileOut != "" && *ranks == 1 {
+	if app.ProfileOut != "" && *ranks == 1 {
 		// Attribution needs the per-rank phase decomposition of the
 		// simulated cluster; the sequential engine has nothing to attribute.
-		fmt.Fprintln(os.Stderr, "mdrun: -profile-out requires -ranks > 1")
-		flag.Usage()
-		os.Exit(2)
+		app.Usagef("-profile-out requires -ranks > 1")
 	}
 	if *ranks > 1 {
 		// The simulated-cluster path measures the PME workload and reports
@@ -140,21 +86,16 @@ func main() {
 		}{
 			{!*usePME, "-pme=false"},
 			{*xyz != "", "-xyz"},
-			{*ckptDir != "", "-ckpt-dir"},
+			{app.CkptDir != "", "-ckpt-dir"},
 			{*guardOn, "-guard"},
 		} {
 			if bad.set {
-				fmt.Fprintf(os.Stderr, "mdrun: %s is not supported with -ranks > 1\n", bad.flag)
-				flag.Usage()
-				os.Exit(2)
+				app.Usagef("%s is not supported with -ranks > 1", bad.flag)
 			}
 		}
 		// Reject rank counts the decomposition cannot tile before building
 		// the system.
-		if err := pmd.ValidateDecomp(dk, *ranks, md.PaperPME()); err != nil {
-			fmt.Fprintln(os.Stderr, "mdrun:", err)
-			os.Exit(2)
-		}
+		app.Tiling(*ranks, md.PaperPME())
 	}
 	var policy guard.Policy
 	switch *guardPolicy {
@@ -163,21 +104,11 @@ func main() {
 	case "abort":
 		policy = guard.PolicyAbort
 	default:
-		fmt.Fprintf(os.Stderr, "mdrun: -guard-policy must be fallback or abort (got %q)\n", *guardPolicy)
-		flag.Usage()
-		os.Exit(2)
+		app.Usagef("-guard-policy must be fallback or abort (got %q)", *guardPolicy)
 	}
 
-	reg := obs.NewRegistry()
+	reg := app.Reg
 	stepGauge := reg.Gauge("repro_run_step", "current MD step of the live run")
-	obsDrain := func() {}
-	// die drains the obs server before exiting so a collector mid-scrape
-	// still gets a complete exposition of the failed run.
-	die := func(args ...interface{}) {
-		fmt.Fprintln(os.Stderr, append([]interface{}{"mdrun:"}, args...)...)
-		obsDrain()
-		os.Exit(1)
-	}
 	// The attribution profile is computed after the run; until then the
 	// obs server's /profilez answers 503 so a scraper can tell "not yet"
 	// from "never" (404 when -profile-out is off entirely).
@@ -188,34 +119,22 @@ func main() {
 		profJSON = buf
 		profMu.Unlock()
 	}
-	if *obsAddr != "" {
-		opts := obs.ServeOptions{
-			Status: func() []string {
-				return []string{fmt.Sprintf("mdrun: step %.0f of %d", stepGauge.Value(), *steps)}
-			},
-		}
-		if *profileOut != "" {
-			opts.Profile = func() ([]byte, error) {
-				profMu.Lock()
-				defer profMu.Unlock()
-				if profJSON == nil {
-					return nil, fmt.Errorf("run still in progress")
-				}
-				return profJSON, nil
-			}
-		}
-		srv, err := obs.NewServer(*obsAddr, reg, opts)
-		if err != nil {
-			die(err)
-		}
-		obsDrain = func() {
-			ctx, cancel := context.WithTimeout(context.Background(), obsDrainTimeout)
-			defer cancel()
-			_ = srv.Close(ctx)
-		}
-		defer obsDrain()
-		fmt.Printf("obs: http://%s/{metrics,runz,debug/pprof}\n", srv.Addr())
+	opts := obs.ServeOptions{
+		Status: func() []string {
+			return []string{fmt.Sprintf("mdrun: step %.0f of %d", stepGauge.Value(), *steps)}
+		},
 	}
+	if app.ProfileOut != "" {
+		opts.Profile = func() ([]byte, error) {
+			profMu.Lock()
+			defer profMu.Unlock()
+			if profJSON == nil {
+				return nil, fmt.Errorf("run still in progress")
+			}
+			return profJSON, nil
+		}
+	}
+	defer app.StartObs(opts)()
 
 	sys := topol.NewMyoglobinSystem(topol.MyoglobinConfig{Seed: *seed})
 	var cfg md.Config
@@ -227,19 +146,40 @@ func main() {
 	cfg.Temperature = 0 // heat after minimization
 	cfg.TimestepFS = *dt
 	cfg.Seed = *seed
-	cfg.KernelWorkers = *kernelWorkers
-	if *skin > 0 {
-		cfg.FF.ListCutoff = cfg.FF.CutOff + *skin
+	cfg.KernelWorkers = app.KernelWorkers
+	if app.Skin > 0 {
+		cfg.FF.ListCutoff = cfg.FF.CutOff + app.Skin
 	}
 
 	fmt.Printf("system: %d atoms, %d bonds, box %.0f×%.0f×%.0f Å, net charge %+.1f\n",
 		sys.N(), len(sys.Bonds), sys.Box.L.X, sys.Box.L.Y, sys.Box.L.Z, sys.TotalCharge())
 
-	if *tuneSkin {
-		tuning := md.TuneSkin(sys, cfg, md.TuneOptions{Window: *tuneWindow, Log: os.Stdout})
+	if app.TuneSkin {
+		tuning := md.TuneSkin(sys, cfg, md.TuneOptions{Window: app.TuneWindow, Log: os.Stdout})
 		cfg = tuning.Apply(cfg)
 		fmt.Printf("tune-skin: chose %.1f Å (list cutoff %.1f Å, %d-step windows)\n",
 			tuning.Chosen, cfg.FF.ListCutoff, tuning.Window)
+	}
+
+	// One manifest for both paths: the knobs they share, then what only the
+	// simulated cluster or only the sequential engine has.
+	writeManifest := func() {
+		app.WriteManifest(func(m *obs.Manifest) {
+			m.Seeds["system"] = *seed
+			m.Config["steps"] = *steps
+			m.Config["kernel_workers"] = app.KernelWorkers
+			if *ranks > 1 {
+				m.Config["ranks"] = *ranks
+				m.Config["decomp"] = app.Decomp.String()
+				m.Config["profile_out"] = app.ProfileOut
+				return
+			}
+			m.Config["pme"] = *usePME
+			m.Config["dt_fs"] = *dt
+			m.Config["guard"] = *guardOn
+			m.Config["skin_angstrom"] = cfg.FF.ListCutoff - cfg.FF.CutOff
+			m.Config["skin_tuned"] = app.TuneSkin
+		})
 	}
 
 	engine := md.NewEngine(sys, cfg)
@@ -261,7 +201,7 @@ func main() {
 		// clock and phase split of the simulated platform.
 		rec := obs.NewRecorder(reg)
 		var tl *perf.Timeline
-		if *profileOut != "" {
+		if app.ProfileOut != "" {
 			tl = perf.NewTimeline(*ranks, *steps)
 		}
 		res, err := pmd.Run(
@@ -272,17 +212,17 @@ func main() {
 				MD:         cfg,
 				Steps:      *steps,
 				Middleware: pmd.MiddlewareMPI,
-				Decomp:     dk,
+				Decomp:     app.Decomp,
 				Init:       engine.Snapshot(),
 				Obs:        rec,
 				Perf:       tl,
 			})
 		if err != nil {
-			die(err)
+			app.Fail(err)
 		}
 		rec.Close()
 		fmt.Printf("simulated cluster: %d ranks over %s, %s decomposition\n",
-			*ranks, netmodel.TCPGigE().Name, dk)
+			*ranks, netmodel.TCPGigE().Name, app.Decomp)
 		fmt.Printf("%6s %14s %14s %14s %10s\n", "step", "classic", "pme", "total", "temp(K)")
 		for s, rep := range res.Energies {
 			stepGauge.Set(float64(s + 1))
@@ -292,36 +232,18 @@ func main() {
 		c, pm := res.PhaseTotals()
 		fmt.Printf("virtual wall: %.3f s | classic comp %.3f comm %.3f sync %.3f | pme comp %.3f comm %.3f sync %.3f\n",
 			res.Wall, c.Comp, c.Comm, c.Sync, pm.Comp, pm.Comm, pm.Sync)
-		if *profileOut != "" {
+		if app.ProfileOut != "" {
 			prof := res.Profile(tl)
 			prof.RecordObs(reg)
 			buf, err := prof.Encode()
-			if err != nil {
-				die("profile:", err)
-			}
+			app.WriteProfile(buf, err)
 			setProfile(buf)
-			if err := os.WriteFile(*profileOut, buf, 0o644); err != nil {
-				die("profile:", err)
-			}
 			a := prof.Attribution
 			fmt.Printf("attribution: %s-bound | compute %.3f comm %.3f wait %.3f imbalance %.3f recovery %.3f of %.3f s\n",
 				a.Dominant, a.ComputeSeconds, a.CommSeconds, a.WaitSeconds, a.ImbalanceSeconds, a.RecoverySeconds, a.WallSeconds)
-			fmt.Printf("profile: written to %s\n", *profileOut)
+			fmt.Printf("profile: written to %s\n", app.ProfileOut)
 		}
-		if *obsManifest != "" {
-			m := obs.NewManifest()
-			m.Seeds["system"] = *seed
-			m.Config["steps"] = *steps
-			m.Config["ranks"] = *ranks
-			m.Config["decomp"] = dk.String()
-			m.Config["kernel_workers"] = *kernelWorkers
-			m.Config["profile_out"] = *profileOut
-			m.Attach(reg)
-			if err := m.WriteFile(*obsManifest); err != nil {
-				die("manifest:", err)
-			}
-			fmt.Printf("obs: manifest written to %s\n", *obsManifest)
-		}
+		writeManifest()
 		return
 	}
 
@@ -330,20 +252,20 @@ func main() {
 	// start fresh and fill the ring as the run progresses.
 	var ring *md.CheckpointRing
 	startStep := 0
-	if *ckptDir != "" {
-		ring = &md.CheckpointRing{Dir: *ckptDir, Keep: *ckptKeep, Obs: reg}
+	if app.CkptDir != "" {
+		ring = &md.CheckpointRing{Dir: app.CkptDir, Keep: app.CkptKeep, Obs: reg}
 		cp, meta, skipped, err := ring.LoadNewest()
 		switch {
 		case err == nil:
 			if err := engine.Restore(cp); err != nil {
-				die(err)
+				app.Fail(err)
 			}
 			startStep = meta.Step
 			fmt.Printf("resumed from checkpoint at step %d (%d corrupt file(s) skipped)\n", startStep, skipped)
 		case errors.Is(err, md.ErrNoCheckpoint):
 			// fresh run
 		default:
-			die(err)
+			app.Fail(err)
 		}
 	}
 	if startStep >= *steps && *steps > 0 {
@@ -364,7 +286,7 @@ func main() {
 		var err error
 		traj, err = os.Create(*xyz)
 		if err != nil {
-			die(err)
+			app.Fail(err)
 		}
 		defer traj.Close()
 	}
@@ -376,19 +298,19 @@ func main() {
 		stepGauge.Set(float64(s))
 		rep, err := engine.StepGuarded(mon, s, &wc, &wp)
 		if err != nil {
-			die(err)
+			app.Fail(err)
 		}
 		fmt.Printf("%6d %14.3f %14.3f %14.3f %14.3f %10.1f\n",
 			s, rep.Potential(), rep.Classic(), rep.PME(), rep.Total(), engine.Temperature())
 		if traj != nil && s%*every == 0 {
 			if err := sys.WriteXYZ(traj, engine.Pos, fmt.Sprintf("step %d E=%.3f", s, rep.Total())); err != nil {
-				die(err)
+				app.Fail(err)
 			}
 		}
-		if ring != nil && s%*ckptEvery == 0 {
+		if ring != nil && s%app.CkptEvery == 0 {
 			meta := md.DurableMeta{Step: s, RankAcct: make([][4]float64, 1)}
 			if err := ring.Save(engine.Snapshot(), meta); err != nil {
-				die("checkpoint:", err)
+				app.Fail(fmt.Errorf("checkpoint: %w", err))
 			}
 		}
 	}
@@ -408,20 +330,5 @@ func main() {
 		decomp("classic", "compute"), decomp("classic", "comm"), decomp("classic", "sync"),
 		decomp("pme", "compute"), decomp("pme", "comm"), decomp("pme", "sync"))
 
-	if *obsManifest != "" {
-		m := obs.NewManifest()
-		m.Seeds["system"] = *seed
-		m.Config["steps"] = *steps
-		m.Config["pme"] = *usePME
-		m.Config["dt_fs"] = *dt
-		m.Config["guard"] = *guardOn
-		m.Config["kernel_workers"] = *kernelWorkers
-		m.Config["skin_angstrom"] = cfg.FF.ListCutoff - cfg.FF.CutOff
-		m.Config["skin_tuned"] = *tuneSkin
-		m.Attach(reg)
-		if err := m.WriteFile(*obsManifest); err != nil {
-			die("manifest:", err)
-		}
-		fmt.Printf("obs: manifest written to %s\n", *obsManifest)
-	}
+	writeManifest()
 }

@@ -28,11 +28,12 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/obs"
+	"repro/internal/cli"
 	"repro/internal/serve"
 )
 
 func main() {
+	app := cli.New("mdserve", flag.CommandLine)
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8080", "listen address (host:0 picks a free port)")
 		state      = flag.String("state", "mdserve-state", "state directory (store, journal, parked checkpoints)")
@@ -44,8 +45,8 @@ func main() {
 		quantum    = flag.Duration("quantum", 0, "preempt long runs at their next checkpoint boundary after this much execution (0 disables)")
 		weights    = flag.String("weights", "", "fair-queue tenant weights, e.g. alice=2,bob=1")
 		drain      = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget before force-close")
-		kernelW    = flag.Int("kernel-workers", 0, "spread each job's physics kernels over this many host cores (0 = legacy serial; results identical for any value >= 1, but differ at roundoff from 0 — use a fresh -state when changing)")
 	)
+	app.KernelWorkersFlag("spread each job's physics kernels over this many host cores (0 = legacy serial; results identical for any value >= 1, but differ at roundoff from 0 — use a fresh -state when changing)")
 	flag.Parse()
 
 	die := func(args ...interface{}) {
@@ -78,8 +79,8 @@ func main() {
 		DefaultDeadline: *deadline,
 		MaxRetries:      *retries,
 		PreemptQuantum:  *quantum,
-		KernelWorkers:   *kernelW,
-		Obs:             obs.NewRegistry(),
+		KernelWorkers:   app.KernelWorkers,
+		Obs:             app.Reg,
 	})
 	if err != nil {
 		die(err)

@@ -124,14 +124,21 @@ func NewHarness(cfg Config) (*Harness, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...interface{}) {}
 	}
-	if cfg.Recovery == pmd.RecoveryLocal && cfg.Decomp != pmd.DecompDomain {
-		return nil, fmt.Errorf("chaos: localized recovery needs the domain decomposition")
+	if err := pmd.ValidateRecovery(cfg.Recovery, cfg.Decomp); err != nil {
+		return nil, err
 	}
 
 	sys, k := topol.NewSolvatedBox(cfg.Atoms, cfg.Seed+1)
+	pme := md.PMEConfig{Beta: 0.34, K1: k, K2: k, K3: k, Order: 4}
+	// A rank count the decomposition cannot tile on this mesh is rejected
+	// before any simulation, as the bare *pmd.DecompError so that a caller
+	// can tell a bad configuration from a failed probe.
+	if err := pmd.ValidateDecomp(cfg.Decomp, cfg.Nodes*cfg.CPUsPerNode, pme); err != nil {
+		return nil, err
+	}
 	md.Relax(sys, 60)
 	mdCfg := md.ClampCutoffs(md.PMEDefaultConfig(), sys.Box)
-	mdCfg.PME = md.PMEConfig{Beta: 0.34, K1: k, K2: k, K3: k, Order: 4}
+	mdCfg.PME = pme
 	mdCfg.FF.Beta = mdCfg.PME.Beta
 	mdCfg.Temperature = 300
 	mdCfg.Seed = cfg.Seed + 1

@@ -89,6 +89,15 @@ func TestSoakLocalizedNeedsDomain(t *testing.T) {
 	}
 }
 
+// An untileable rank count comes back as the bare *pmd.DecompError (the
+// commands print it as a usage error), not wrapped as a failed probe run.
+func TestHarnessRejectsUntileableRanks(t *testing.T) {
+	_, err := NewHarness(Config{Seed: 1, Nodes: 100})
+	if de, ok := err.(*pmd.DecompError); !ok || de.Ranks != 100 {
+		t.Fatalf("100 ranks on the 300-atom mesh: got %v, want a *pmd.DecompError", err)
+	}
+}
+
 func TestScenarioSeedsDiffer(t *testing.T) {
 	seen := map[uint64]bool{}
 	for i := 0; i < 100; i++ {

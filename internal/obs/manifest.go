@@ -11,9 +11,8 @@ import (
 )
 
 // Manifest is the JSON run-manifest: enough provenance to tell whether
-// two runs are comparable (the regression gate refuses apples-to-oranges
-// comparisons on exactly these fields) plus the final registry snapshot —
-// the per-phase aggregates included.
+// two runs are comparable (host, toolchain, commit, seeds, config) plus
+// the final registry snapshot — the per-phase aggregates included.
 type Manifest struct {
 	Schema      string `json:"schema"` // "repro/obs/v1"
 	GeneratedAt string `json:"generated_at"`

@@ -51,9 +51,8 @@ type canonical struct {
 	seedPos, seedVel []vec.V
 
 	// Replicated-equivalent partitions at rank count p.
-	atomOff, bondOff, angOff []int
-	dihOff, imprOff, p14Off  []int
-	yOff                     []int
+	atomOff, yOff []int
+	classicParts
 
 	plan2d *fft.Plan2D
 	plan1d *fft.Plan
@@ -62,7 +61,6 @@ type canonical struct {
 	scratchGrid []complex128 // one rank's spread contribution
 	fullGrid    []complex128 // assembled grid / spectrum / potential
 	partial     []vec.V
-	eRecipPart  []float64
 
 	mu     sync.Mutex
 	states map[int]*canonState
@@ -117,11 +115,7 @@ func newCanonical(p int, cfg Config, sh *shared, seedEngine *md.Engine) *canonic
 		c.invMass[i] = 1 / sys.Mass(i)
 	}
 	c.atomOff = blockPartition(n, p)
-	c.bondOff = blockPartition(len(sys.Bonds), p)
-	c.angOff = blockPartition(len(sys.Angles), p)
-	c.dihOff = blockPartition(len(sys.Dihedrals), p)
-	c.imprOff = blockPartition(len(sys.Impropers), p)
-	c.p14Off = blockPartition(len(sys.Pairs14), p)
+	c.classicParts = newClassicParts(sys, p)
 	c.yOff = blockPartition(pmeCfg.K2, p)
 	c.pme = ewald.NewPME(sys.Box, pmeCfg.Beta, pmeCfg.K1, pmeCfg.K2, pmeCfg.K3, pmeCfg.Order)
 	c.plan2d = fft.NewPlan2D(pmeCfg.K2, pmeCfg.K3)
@@ -134,7 +128,6 @@ func newCanonical(p int, cfg Config, sh *shared, seedEngine *md.Engine) *canonic
 	c.scratchGrid = make([]complex128, g)
 	c.fullGrid = make([]complex128, g)
 	c.partial = make([]vec.V, n)
-	c.eRecipPart = make([]float64, p)
 	c.geo = newDomainGeometry(p, cfg)
 	return c
 }
@@ -221,21 +214,6 @@ func (c *canonical) evalStep(st *canonState) {
 	st.rep.Kinetic = kinTotal
 }
 
-// listValid mirrors worker.listValid over the snapshot.
-func (c *canonical) listValid(st *canonState) bool {
-	if st.listGen < 0 {
-		return false
-	}
-	limit := (c.cfg.MD.FF.ListCutoff - c.cfg.MD.FF.CutOff) / 2
-	limit2 := limit * limit
-	for i := range st.pos {
-		if vec.Dist2(st.pos[i], st.listOrigin[i]) > limit2 {
-			return false
-		}
-	}
-	return true
-}
-
 // forceEval reproduces computeForces' arithmetic serially: the same
 // per-rank partitions evaluated rank 0..p-1 into a zeroed scratch, the
 // same rank-ascending merges. The scratch reuse is bitwise safe: every
@@ -253,7 +231,7 @@ func (c *canonical) forceEval(st *canonState) {
 	planeLen := k2 * k3
 
 	// Neighbour-list management; a rebuild starts a new ownership epoch.
-	if !c.listValid(st) {
+	if !listValid(c.cfg.MD, st.listGen, st.pos, st.listOrigin) {
 		st.listGen++
 		st.pairs, st.distEvals = c.sh.sharedList(st.listGen, c.ffield, st.pos)
 		st.listOrigin = append([]vec.V(nil), st.pos...)
@@ -274,16 +252,9 @@ func (c *canonical) forceEval(st *canonState) {
 	// Classic terms: per-rank partials merged rank-ascending.
 	st.frcTotal = make([]vec.V, n)
 	var eAll ff.Energies
+	var wc work.Counters // the canonical evaluation charges no work; the domain ranks do
 	for rk := 0; rk < c.p; rk++ {
-		var wc work.Counters
-		var e ff.Energies
-		vec.Fill(c.partial, vec.Zero)
-		e.Bond = c.ffield.BondsRange(st.pos, c.partial, &wc, c.bondOff[rk], c.bondOff[rk+1])
-		e.Angle = c.ffield.AnglesRange(st.pos, c.partial, &wc, c.angOff[rk], c.angOff[rk+1])
-		e.Dihedral = c.ffield.DihedralsRange(st.pos, c.partial, &wc, c.dihOff[rk], c.dihOff[rk+1])
-		e.Improper = c.ffield.ImpropersRange(st.pos, c.partial, &wc, c.imprOff[rk], c.imprOff[rk+1])
-		e.Add(c.nbk.Compute(st.pos, st.pairs[st.pairOff[rk]:st.pairOff[rk+1]], c.partial, &wc))
-		e.Add(c.ffield.Pairs14Range(st.pos, c.partial, &wc, c.p14Off[rk], c.p14Off[rk+1]))
+		e := c.classic(rk, c.ffield, c.nbk, st.pos, st.pairs[st.pairOff[rk]:st.pairOff[rk+1]], c.partial, &wc)
 		vec.AddTo(st.frcTotal, c.partial)
 		eAll.Add(e)
 	}
@@ -322,40 +293,24 @@ func (c *canonical) forceEval(st *canonState) {
 	for x := 0; x < k1; x++ {
 		c.plan2d.Forward(c.fullGrid[x*planeLen : (x+1)*planeLen])
 	}
-	// Spectrum lines in the replicated y-block order; per-rank eRecip
-	// subtotals are kept apart and merged rank-ascending below.
+	// Spectrum lines in the replicated y-block order; the per-rank eRecip
+	// subtotals merge rank-ascending.
 	for rk := 0; rk < c.p; rk++ {
 		var eR float64
 		for y := c.yOff[rk]; y < c.yOff[rk+1]; y++ {
-			c.plan1d.ForwardLines(c.fullGrid, y*k3, planeLen, k3)
-			for z := 0; z < k3; z++ {
-				for m1 := 0; m1 < k1; m1++ {
-					eC, cC := c.pme.Psi(m1, y, z)
-					i := (m1*k2+y)*k3 + z
-					v := c.fullGrid[i]
-					eR += eC * (real(v)*real(v) + imag(v)*imag(v))
-					c.fullGrid[i] = v * complex(cC, 0)
-				}
-			}
-			c.plan1d.InverseLines(c.fullGrid, y*k3, planeLen, k3)
+			eR = spectrumLines(c.plan1d, c.pme, c.fullGrid, y*k3, planeLen, k1, k3, y, eR)
 		}
-		c.eRecipPart[rk] = eR
+		st.rep.Recip += eR
 	}
 	for x := 0; x < k1; x++ {
 		c.plan2d.Inverse(c.fullGrid[x*planeLen : (x+1)*planeLen])
 	}
 	// Interpolation + exclusion correction per rank block, merged in the
 	// replicated order: forces rank-ascending on top of the classic sum,
-	// then the Recip/ExclCorr scalars rank-ascending.
+	// then the ExclCorr scalar rank-ascending.
 	for rk := 0; rk < c.p; rk++ {
-		var wc work.Counters
-		vec.Fill(c.partial, vec.Zero)
-		c.pme.Interpolate(c.fullGrid, st.pos, c.charges, c.atomOff[rk], c.atomOff[rk+1], c.partial)
-		eExcl := ewald.ExclusionCorrectionRange(sys.Box, st.pos, c.charges, sys.Excl,
-			c.pme.Beta, c.atomOff[rk], c.atomOff[rk+1], c.partial, &wc)
+		st.rep.ExclCorr += recipForces(c.pme, sys, c.fullGrid, st.pos, c.charges, c.atomOff[rk], c.atomOff[rk+1], c.partial, &wc)
 		vec.AddTo(st.frcTotal, c.partial)
-		st.rep.Recip += c.eRecipPart[rk]
-		st.rep.ExclCorr += eExcl
 	}
 	st.rep.Self = ewald.SelfEnergy(c.charges, c.pme.Beta)
 	st.rep.Background = ewald.BackgroundEnergy(c.charges, c.pme.Beta, sys.Box.Volume())

@@ -88,11 +88,11 @@ func ValidateDecomp(kind DecompKind, p int, pme md.PMEConfig) error {
 	case DecompDomain:
 		p2, p3 := pencilFactors(p)
 		h1 := pme.K1/2 + 1
-		if lim := min2(pme.K2, h1); p2 > lim {
+		if lim := min(pme.K2, h1); p2 > lim {
 			return &DecompError{Decomp: kind, Ranks: p, Constraint: fmt.Sprintf(
 				"pencil grid %d×%d needs p2 ≤ min(K2=%d, K1/2+1=%d)", p2, p3, pme.K2, h1)}
 		}
-		if lim := min2(pme.K3, pme.K2); p3 > lim {
+		if lim := min(pme.K3, pme.K2); p3 > lim {
 			return &DecompError{Decomp: kind, Ranks: p, Constraint: fmt.Sprintf(
 				"pencil grid %d×%d needs p3 ≤ min(K3=%d, K2=%d)", p2, p3, pme.K3, pme.K2)}
 		}
@@ -139,11 +139,4 @@ func factor3(p int) (dx, dy, dz int) {
 		}
 	}
 	return dx, dy, dz
-}
-
-func min2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

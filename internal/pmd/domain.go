@@ -281,27 +281,27 @@ func (g *domainGeometry) buildEpoch(c *canonical, st *canonState) *epochData {
 	// in its halo, computes the term and returns the partial forces.
 	own := ep.own
 	for _, b := range sys.Bonds {
-		cnt.bonds[max32(own[b[0]], own[b[1]])]++
+		cnt.bonds[max(own[b[0]], own[b[1]])]++
 	}
 	for _, a := range sys.Angles {
-		cnt.angles[max32(own[a[0]], max32(own[a[1]], own[a[2]]))]++
+		cnt.angles[max(own[a[0]], max(own[a[1]], own[a[2]]))]++
 	}
 	for _, t := range sys.Dihedrals {
-		cnt.dihs[max32(max32(own[t[0]], own[t[1]]), max32(own[t[2]], own[t[3]]))]++
+		cnt.dihs[max(max(own[t[0]], own[t[1]]), max(own[t[2]], own[t[3]]))]++
 	}
 	for _, t := range sys.Impropers {
-		cnt.imprs[max32(max32(own[t[0]], own[t[1]]), max32(own[t[2]], own[t[3]]))]++
+		cnt.imprs[max(max(own[t[0]], own[t[1]]), max(own[t[2]], own[t[3]]))]++
 	}
 	for _, pr := range sys.Pairs14 {
-		cnt.p14[max32(own[pr[0]], own[pr[1]])]++
+		cnt.p14[max(own[pr[0]], own[pr[1]])]++
 	}
 	for _, pr := range st.pairs {
-		cnt.pairs[max32(own[pr.I], own[pr.J])]++
+		cnt.pairs[max(own[pr.I], own[pr.J])]++
 	}
 	for i := 0; i < n; i++ {
 		for _, j := range sys.Excl.Of(int(i)) {
 			if int(j) > i {
-				cnt.excl[max32(own[i], own[j])]++
+				cnt.excl[max(own[i], own[j])]++
 			}
 		}
 	}
@@ -341,13 +341,6 @@ func gridIndex(f float64, d int) int {
 		i = 0
 	}
 	return i
-}
-
-func max32(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // domainDecomp drives one rank of the spatial decomposition. All physics

@@ -3,28 +3,95 @@ package pmd
 import (
 	"repro/internal/ewald"
 	"repro/internal/ff"
+	"repro/internal/fft"
 	"repro/internal/md"
+	"repro/internal/space"
+	"repro/internal/topol"
 	"repro/internal/vec"
 	"repro/internal/work"
 )
 
 // listValid mirrors the sequential engine's Verlet-skin check; every rank
-// holds an identical replica, so all ranks reach the same decision. It is
-// also evaluated on the scheduler thread to pick the classic segment's
-// work lower bound — it reads only this rank's replica, which no compute
-// closure touches between the drift segment and the classic segment.
-func (w *worker) listValid() bool {
-	if w.listGen < 0 {
+// holds an identical replica, so all ranks reach the same decision. The
+// worker also evaluates it on the scheduler thread to pick the classic
+// segment's work lower bound — it reads only that rank's replica, which no
+// compute closure touches between the drift segment and the classic
+// segment.
+func listValid(cfg md.Config, listGen int, pos, origin []vec.V) bool {
+	if listGen < 0 {
 		return false
 	}
-	limit := (w.cfg.MD.FF.ListCutoff - w.cfg.MD.FF.CutOff) / 2
+	limit := (cfg.FF.ListCutoff - cfg.FF.CutOff) / 2
 	limit2 := limit * limit
-	for i := range w.pos {
-		if vec.Dist2(w.pos[i], w.listOrigin[i]) > limit2 {
+	for i := range pos {
+		if vec.Dist2(pos[i], origin[i]) > limit2 {
 			return false
 		}
 	}
 	return true
+}
+
+// classicParts is the replicated block partition of the bonded terms and
+// the 1-4 pairs over the ranks. It and the functions below are the per-rank
+// arithmetic the partitioned worker (computeForces) and the domain path's
+// canonical evaluator (forceEval) both call, so the two cannot drift apart.
+type classicParts struct {
+	bondOff, angOff         []int
+	dihOff, imprOff, p14Off []int
+}
+
+func newClassicParts(sys *topol.System, p int) classicParts {
+	return classicParts{
+		bondOff: blockPartition(len(sys.Bonds), p),
+		angOff:  blockPartition(len(sys.Angles), p),
+		dihOff:  blockPartition(len(sys.Dihedrals), p),
+		imprOff: blockPartition(len(sys.Impropers), p),
+		p14Off:  blockPartition(len(sys.Pairs14), p),
+	}
+}
+
+// classic evaluates rank rk's classic forces into out (zeroed first) and
+// returns its energies; pairs is the rank's block of the pair list.
+func (cp *classicParts) classic(rk int, f *ff.ForceField, nbk *ff.NonbondedKernel,
+	pos []vec.V, pairs []space.Pair, out []vec.V, wc *work.Counters) ff.Energies {
+	var e ff.Energies
+	vec.Fill(out, vec.Zero)
+	e.Bond = f.BondsRange(pos, out, wc, cp.bondOff[rk], cp.bondOff[rk+1])
+	e.Angle = f.AnglesRange(pos, out, wc, cp.angOff[rk], cp.angOff[rk+1])
+	e.Dihedral = f.DihedralsRange(pos, out, wc, cp.dihOff[rk], cp.dihOff[rk+1])
+	e.Improper = f.ImpropersRange(pos, out, wc, cp.imprOff[rk], cp.imprOff[rk+1])
+	e.Add(nbk.Compute(pos, pairs, out, wc))
+	e.Add(f.Pairs14Range(pos, out, wc, cp.p14Off[rk], cp.p14Off[rk+1]))
+	return e
+}
+
+// spectrumLines runs the reciprocal sum over the k3 x-lines of mesh row
+// m2, which start at buf[base] and step by stride along x: forward 1-D
+// FFTs, the influence multiply, inverse FFTs. The lines' energy is added
+// to eRecip term by term, z-outer and m1-inner, and the sum returned.
+func spectrumLines(plan *fft.Plan, pme *ewald.PME, buf []complex128, base, stride, k1, k3, m2 int, eRecip float64) float64 {
+	plan.ForwardLines(buf, base, stride, k3)
+	for z := 0; z < k3; z++ {
+		for m1 := 0; m1 < k1; m1++ {
+			eC, cC := pme.Psi(m1, m2, z)
+			i := base + m1*stride + z
+			v := buf[i]
+			eRecip += eC * (real(v)*real(v) + imag(v)*imag(v))
+			buf[i] = v * complex(cC, 0)
+		}
+	}
+	plan.InverseLines(buf, base, stride, k3)
+	return eRecip
+}
+
+// recipForces interpolates the PME forces of atoms [lo, hi) from the
+// convolved potential into out (zeroed first), adds the excluded-pair
+// correction of the same exclusion rows and returns its energy.
+func recipForces(pme *ewald.PME, sys *topol.System, conv []complex128, pos []vec.V,
+	charges []float64, lo, hi int, out []vec.V, wc *work.Counters) float64 {
+	vec.Fill(out, vec.Zero)
+	pme.Interpolate(conv, pos, charges, lo, hi, out)
+	return ewald.ExclusionCorrectionRange(sys.Box, pos, charges, sys.Excl, pme.Beta, lo, hi, out, wc)
 }
 
 // computeForces evaluates the classic and PME phases, producing the new
@@ -70,7 +137,7 @@ func (w *worker) computeForces(st *StepTiming, tr phaseTracker) md.EnergyReport 
 			DihedralTerms: int64(w.dihOff[me+1]-w.dihOff[me]) + int64(w.imprOff[me+1]-w.imprOff[me]),
 			PairEvals:     int64(w.p14Off[me+1] - w.p14Off[me]),
 		}
-		if w.listValid() {
+		if listValid(w.cfg.MD, w.listGen, w.pos, w.listOrigin) {
 			minC.PairEvals += int64(w.pairOff[me+1] - w.pairOff[me])
 		}
 	}
@@ -81,7 +148,7 @@ func (w *worker) computeForces(st *StepTiming, tr phaseTracker) md.EnergyReport 
 		// build is shared across ranks (constructed once per generation)
 		// while each rank still charges its 1/p share of the distributed
 		// search work, exactly like CHARMM's parallel list builder.
-		if !w.listValid() {
+		if !listValid(w.cfg.MD, w.listGen, w.pos, w.listOrigin) {
 			w.listGen++
 			pairs, distEvals := w.sh.sharedList(w.listGen, w.ff, w.pos)
 			w.pairs = pairs
@@ -91,13 +158,7 @@ func (w *worker) computeForces(st *StepTiming, tr phaseTracker) md.EnergyReport 
 		}
 
 		// Partial classic forces and energies over this rank's partitions.
-		vec.Fill(w.partial, vec.Zero)
-		e.Bond = w.ff.BondsRange(w.pos, w.partial, wc, w.bondOff[me], w.bondOff[me+1])
-		e.Angle = w.ff.AnglesRange(w.pos, w.partial, wc, w.angOff[me], w.angOff[me+1])
-		e.Dihedral = w.ff.DihedralsRange(w.pos, w.partial, wc, w.dihOff[me], w.dihOff[me+1])
-		e.Improper = w.ff.ImpropersRange(w.pos, w.partial, wc, w.imprOff[me], w.imprOff[me+1])
-		e.Add(w.nbk.Compute(w.pos, w.pairs[w.pairOff[me]:w.pairOff[me+1]], w.partial, wc))
-		e.Add(w.ff.Pairs14Range(w.pos, w.partial, wc, w.p14Off[me], w.p14Off[me+1]))
+		e = w.classic(me, w.ff, w.nbk, w.pos, w.pairs[w.pairOff[me]:w.pairOff[me+1]], w.partial, wc)
 	})
 
 	w.inline(func() {
@@ -211,20 +272,8 @@ func (w *worker) computeForces(st *StepTiming, tr phaseTracker) md.EnergyReport 
 		wp.Other += int64(k1 * myYW * k3)
 
 		// The x lines of one y are k3 adjacent lines of stride myYW·k3.
-		// The energy keeps its z-outer, m1-inner summation order.
 		for yy := 0; yy < myYW; yy++ {
-			w.plan1d.ForwardLines(w.xlines, yy*k3, myYW*k3, k3)
-			m2 := w.yOff[me] + yy
-			for z := 0; z < k3; z++ {
-				for m1 := 0; m1 < k1; m1++ {
-					eC, cC := w.pme.Psi(m1, m2, z)
-					i := (m1*myYW+yy)*k3 + z
-					v := w.xlines[i]
-					eRecip += eC * (real(v)*real(v) + imag(v)*imag(v))
-					w.xlines[i] = v * complex(cC, 0)
-				}
-			}
-			w.plan1d.InverseLines(w.xlines, yy*k3, myYW*k3, k3)
+			eRecip = spectrumLines(w.plan1d, w.pme, w.xlines, yy*k3, myYW*k3, k1, k3, w.yOff[me]+yy, eRecip)
 		}
 		wp.FFTOps += 2 * int64(myYW*k3) * w.plan1d.Ops()
 		wp.RecipPoints += int64(k1 * myYW * k3)
@@ -297,10 +346,8 @@ func (w *worker) computeForces(st *StepTiming, tr phaseTracker) md.EnergyReport 
 			copy(w.convFull[w.xOff[rk]*planeLen:w.xOff[rk+1]*planeLen], w.sh.convSlabs[rk])
 		}
 		wp.Other += int64(len(w.convFull))
-		vec.Fill(w.partial, vec.Zero)
-		w.pme.Interpolate(w.convFull, w.pos, charges, aLo, aHi, w.partial)
 		wp.GridCharges += nOwn * o3
-		eExcl = ewald.ExclusionCorrectionRange(sys.Box, w.pos, charges, sys.Excl, w.pme.Beta, aLo, aHi, w.partial, wp)
+		eExcl = recipForces(w.pme, sys, w.convFull, w.pos, charges, aLo, aHi, w.partial, wp)
 	})
 
 	w.inline(func() {

@@ -52,6 +52,15 @@ func ParseRecovery(s string) (RecoveryKind, error) {
 	return 0, fmt.Errorf("pmd: unknown recovery strategy %q (want global or local)", s)
 }
 
+// ValidateRecovery rejects a recovery strategy the decomposition cannot
+// carry out, with a *ConfigError.
+func ValidateRecovery(rk RecoveryKind, dk DecompKind) error {
+	if rk == RecoveryLocal && dk != DecompDomain {
+		return &ConfigError{"Recovery", "localized recovery repairs spatial domains; it needs Decomp == DecompDomain"}
+	}
+	return nil
+}
+
 // ResilientConfig configures a fault-tolerant parallel run: a base Config
 // plus a fault scenario and the checkpoint-restart policy.
 type ResilientConfig struct {
@@ -400,6 +409,9 @@ func (rec *recorder) assemble(idx int, atomOff []int, timestepFS float64) *md.Ch
 
 // validate checks the resilience knobs and applies defaults in place.
 func (rcfg *ResilientConfig) validate() error {
+	if err := ValidateRecovery(rcfg.Recovery, rcfg.Decomp); err != nil {
+		return err
+	}
 	switch {
 	case rcfg.CheckpointEvery < 0:
 		return &ConfigError{"CheckpointEvery",
@@ -417,8 +429,6 @@ func (rcfg *ResilientConfig) validate() error {
 		return &ConfigError{"HaltAfterStep", "simulated kill needs CheckpointDir to resume from"}
 	case rcfg.Preempt != nil && rcfg.CheckpointDir == "":
 		return &ConfigError{"Preempt", "graceful preemption needs CheckpointDir to park the run in"}
-	case rcfg.Recovery == RecoveryLocal && rcfg.Decomp != DecompDomain:
-		return &ConfigError{"Recovery", "localized recovery repairs spatial domains; it needs Decomp == DecompDomain"}
 	case rcfg.CheckpointCost < 0:
 		return &ConfigError{"CheckpointCost", fmt.Sprintf("must be >= 0, got %g", rcfg.CheckpointCost)}
 	case rcfg.TuneCheckpoint && rcfg.CheckpointCost <= 0:

@@ -198,12 +198,11 @@ type worker struct {
 	mGuardTrips *obs.Counter
 
 	// Partitions.
-	p                       int
-	atomOff                 []int // atoms
-	bondOff, angOff         []int
-	dihOff, imprOff, p14Off []int
-	xOff, yOff              []int // PME slab partitions
-	pairOff                 []int // nonbonded pair list (rebuilt with the list)
+	p          int
+	atomOff    []int // atoms
+	xOff, yOff []int // PME slab partitions
+	pairOff    []int // nonbonded pair list (rebuilt with the list)
+	classicParts
 
 	// Collective size tables; fixed by the partitions, computed once.
 	blocks     []int   // position all-gather
@@ -287,11 +286,7 @@ func newWorker(r *mpi.Rank, cfg Config, sh *shared, seedEngine *md.Engine, tape 
 		return w
 	}
 	w.d = replicatedDecomp{}
-	w.bondOff = blockPartition(len(sys.Bonds), p)
-	w.angOff = blockPartition(len(sys.Angles), p)
-	w.dihOff = blockPartition(len(sys.Dihedrals), p)
-	w.imprOff = blockPartition(len(sys.Impropers), p)
-	w.p14Off = blockPartition(len(sys.Pairs14), p)
+	w.classicParts = newClassicParts(sys, p)
 	w.xOff = blockPartition(pmeCfg.K1, p)
 	w.yOff = blockPartition(pmeCfg.K2, p)
 
