@@ -132,13 +132,6 @@ func main() {
 	wd := mpi.Watchdog{Timeout: *wdTimeout, Retries: *wdRetries, Backoff: *wdBackoff}
 	cost := cluster.PentiumIII1GHz()
 
-	// Observability is opt-in here: recording every transport interval of a
-	// severity sweep costs memory, so the recorder only exists when an
-	// introspection endpoint or manifest was asked for.
-	var rec *obs.Recorder
-	if app.ObsAddr != "" || app.ObsManifest != "" {
-		rec = obs.NewRecorder(app.Reg)
-	}
 	defer app.StartObs(obs.ServeOptions{
 		Status: func() []string { return []string{"faultbench: scenario " + sc.Name} },
 	})()
@@ -158,7 +151,7 @@ func main() {
 				Middleware: mw,
 				Decomp:     app.Decomp,
 				Watchdog:   wd,
-				Obs:        rec,
+				Obs:        app.Reg,
 			},
 			Scenario:        scenario,
 			CheckpointEvery: app.CkptEvery,
@@ -176,7 +169,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "faultbench: resumed from on-disk checkpoint at step %d (%d corrupt skipped, %.3gs lost)\n",
 				res.Resumed.Step, res.Resumed.SkippedCheckpoints, res.Resumed.LostOnDisk)
 		}
-		if rec != nil && res.Final != nil {
+		if res.Final != nil {
 			res.Final.RecordObs(app.Reg)
 		}
 		return res
@@ -242,7 +235,6 @@ func main() {
 	}
 
 	app.WriteManifest(func(m *obs.Manifest) {
-		rec.Close()
 		m.Seeds["system"] = *seed
 		m.Config["scenario"] = sc.Name
 		m.Config["severities"] = sevs

@@ -199,7 +199,6 @@ func main() {
 		// Simulated cluster run: the minimized, heated state seeds every
 		// rank; the run reports per-step energies plus the virtual wall
 		// clock and phase split of the simulated platform.
-		rec := obs.NewRecorder(reg)
 		var tl *perf.Timeline
 		if app.ProfileOut != "" {
 			tl = perf.NewTimeline(*ranks, *steps)
@@ -214,13 +213,12 @@ func main() {
 				Middleware: pmd.MiddlewareMPI,
 				Decomp:     app.Decomp,
 				Init:       engine.Snapshot(),
-				Obs:        rec,
+				Obs:        reg,
 				Perf:       tl,
 			})
 		if err != nil {
 			app.Fail(err)
 		}
-		rec.Close()
 		fmt.Printf("simulated cluster: %d ranks over %s, %s decomposition\n",
 			*ranks, netmodel.TCPGigE().Name, app.Decomp)
 		fmt.Printf("%6s %14s %14s %14s %10s\n", "step", "classic", "pme", "total", "temp(K)")

@@ -2,18 +2,15 @@ package chaos
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"repro/internal/pmd"
 )
 
 // Repro is the canonical faultbench reproduction command for a failing
 // soak scenario. Both the chaos CLI and the CI soak print failures
-// through Line(), and ParseRepro round-trips the result, so a repro line
-// pasted from a log always carries every knob that shaped the run —
-// including the decomposition and recovery strategy, which change which
-// code path a crash exercises.
+// through Line(), so a repro line pasted from a log always carries every
+// knob that shaped the run — including the decomposition and recovery
+// strategy, which change which code path a crash exercises.
 type Repro struct {
 	DSL      string // minimal fault-scenario DSL
 	Seed     uint64
@@ -30,80 +27,4 @@ type Repro struct {
 func (r Repro) Line() string {
 	return fmt.Sprintf("faultbench -spec '%s' -seed %d -p %d -cpus %d -net %s -steps %d -atoms %d -decomp %s -recovery %s",
 		r.DSL, r.Seed, r.Procs, r.CPUs, r.Net, r.Steps, r.Atoms, r.Decomp, r.Recovery)
-}
-
-// ParseRepro parses a Line()-formatted command back into its fields, so
-// tooling can lift a repro out of a CI log without re-tokenizing flags
-// by hand. The command name is checked but any path prefix is accepted.
-func ParseRepro(line string) (Repro, error) {
-	toks, err := splitQuoted(strings.TrimSpace(line))
-	if err != nil {
-		return Repro{}, err
-	}
-	if len(toks) == 0 || !strings.HasSuffix(toks[0], "faultbench") {
-		return Repro{}, fmt.Errorf("chaos: not a faultbench repro line: %q", line)
-	}
-	r := Repro{}
-	for i := 1; i < len(toks); i += 2 {
-		if i+1 >= len(toks) {
-			return Repro{}, fmt.Errorf("chaos: flag %q missing its value", toks[i])
-		}
-		flag, val := toks[i], toks[i+1]
-		var err error
-		switch flag {
-		case "-spec":
-			r.DSL = val
-		case "-seed":
-			r.Seed, err = strconv.ParseUint(val, 10, 64)
-		case "-p":
-			r.Procs, err = strconv.Atoi(val)
-		case "-cpus":
-			r.CPUs, err = strconv.Atoi(val)
-		case "-net":
-			r.Net = val
-		case "-steps":
-			r.Steps, err = strconv.Atoi(val)
-		case "-atoms":
-			r.Atoms, err = strconv.Atoi(val)
-		case "-decomp":
-			r.Decomp, err = pmd.ParseDecomp(val)
-		case "-recovery":
-			r.Recovery, err = pmd.ParseRecovery(val)
-		default:
-			return Repro{}, fmt.Errorf("chaos: unknown repro flag %q", flag)
-		}
-		if err != nil {
-			return Repro{}, fmt.Errorf("chaos: repro flag %s=%q: %w", flag, val, err)
-		}
-	}
-	return r, nil
-}
-
-// splitQuoted splits on spaces, treating a single-quoted span as one
-// token (the DSL contains commas and semicolons but never quotes).
-func splitQuoted(s string) ([]string, error) {
-	var toks []string
-	for len(s) > 0 {
-		s = strings.TrimLeft(s, " ")
-		if len(s) == 0 {
-			break
-		}
-		if s[0] == '\'' {
-			end := strings.IndexByte(s[1:], '\'')
-			if end < 0 {
-				return nil, fmt.Errorf("chaos: unterminated quote in %q", s)
-			}
-			toks = append(toks, s[1:1+end])
-			s = s[end+2:]
-			continue
-		}
-		sp := strings.IndexByte(s, ' ')
-		if sp < 0 {
-			toks = append(toks, s)
-			break
-		}
-		toks = append(toks, s[:sp])
-		s = s[sp+1:]
-	}
-	return toks, nil
 }

@@ -1,64 +1,34 @@
 package chaos
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/pmd"
 )
 
-func TestReproRoundTrip(t *testing.T) {
-	cases := []Repro{
+// TestReproLine: the printed command carries every field, the
+// decomposition and recovery strategy included, in faultbench's flags.
+func TestReproLine(t *testing.T) {
+	for _, tc := range []struct {
+		r    Repro
+		want string
+	}{
 		{
-			DSL: "crash@12,rank=2", Seed: 42, Procs: 4, CPUs: 1, Net: "tcp",
-			Steps: 4, Atoms: 300,
+			Repro{DSL: "crash@12,rank=2", Seed: 42, Procs: 4, CPUs: 1, Net: "tcp", Steps: 4, Atoms: 300},
+			"faultbench -spec 'crash@12,rank=2' -seed 42 -p 4 -cpus 1 -net tcp -steps 4 -atoms 300 -decomp replicated -recovery global",
 		},
 		{
-			DSL:   "link@0:60,bw=8;straggler@5:25,node=1,slow=4;crash@12,rank=61",
-			Seed:  18446744073709551615, // max uint64 survives the trip
-			Procs: 64, CPUs: 2, Net: "myrinet", Steps: 3, Atoms: 600,
-			Decomp: pmd.DecompDomain, Recovery: pmd.RecoveryLocal,
+			Repro{
+				DSL:   "link@0:60,bw=8;straggler@5:25,node=1,slow=4;crash@12,rank=61",
+				Seed:  18446744073709551615, // max uint64 prints unsigned
+				Procs: 64, CPUs: 2, Net: "myrinet", Steps: 3, Atoms: 600,
+				Decomp: pmd.DecompDomain, Recovery: pmd.RecoveryLocal,
+			},
+			"faultbench -spec 'link@0:60,bw=8;straggler@5:25,node=1,slow=4;crash@12,rank=61' -seed 18446744073709551615 -p 64 -cpus 2 -net myrinet -steps 3 -atoms 600 -decomp domain -recovery local",
 		},
-	}
-	for _, want := range cases {
-		line := want.Line()
-		if !strings.Contains(line, "-decomp "+want.Decomp.String()) ||
-			!strings.Contains(line, "-recovery "+want.Recovery.String()) {
-			t.Errorf("repro line drops the decomposition or recovery strategy: %s", line)
-		}
-		got, err := ParseRepro(line)
-		if err != nil {
-			t.Fatalf("ParseRepro(%q): %v", line, err)
-		}
-		if got != want {
-			t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, want)
-		}
-	}
-}
-
-func TestParseReproRejectsMalformed(t *testing.T) {
-	for _, line := range []string{
-		"",
-		"somethingelse -spec 'x'",
-		"faultbench -spec 'unterminated",
-		"faultbench -spec",
-		"faultbench -bogus 1",
-		"faultbench -p notanumber",
-		"faultbench -recovery sideways",
 	} {
-		if _, err := ParseRepro(line); err == nil {
-			t.Errorf("ParseRepro(%q) accepted a malformed line", line)
+		if got := tc.r.Line(); got != tc.want {
+			t.Errorf("Line() = %s\nwant     %s", got, tc.want)
 		}
-	}
-}
-
-// A path-prefixed command (as printed by CI wrappers) still parses.
-func TestParseReproPathPrefix(t *testing.T) {
-	r, err := ParseRepro("./bin/faultbench -spec 'crash@5,rank=1' -p 8 -decomp domain -recovery local")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Procs != 8 || r.Decomp != pmd.DecompDomain || r.Recovery != pmd.RecoveryLocal {
-		t.Errorf("parsed %+v", r)
 	}
 }

@@ -179,7 +179,8 @@ func (m *Machine) LinkScaleAt(now float64, a, b int) (bandwidthDiv, latencyMul f
 }
 
 // CostModel converts work counters into CPU seconds on the modelled
-// processor. The constants are calibrated once (cmd/calib) so the
+// processor. The constants are calibrated once (against the phase totals
+// `charmmbench -figure factorial` prints for the same runs) so the
 // sequential 10-step paper workload lands near the published Fig. 3 wall
 // times (classic ≈ 3.4 s, PME ≈ 2.8 s on the 1 GHz Pentium III) and are
 // never varied between experiments.

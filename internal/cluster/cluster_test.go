@@ -123,7 +123,7 @@ func TestCostModelSeconds(t *testing.T) {
 
 // TestCalibrationAnchors pins the calibrated sequential split near the
 // paper's Fig. 3 (classic ≈ 3.3 s, PME ≈ 2.8 s per 10 steps). The counter
-// values come from cmd/calib measurements of the 3552-atom workload.
+// values were measured on a sequential run of the 3552-atom workload.
 func TestCalibrationAnchors(t *testing.T) {
 	cm := PentiumIII1GHz()
 	classic := work.Counters{

@@ -15,9 +15,8 @@ package cmpi
 import "repro/internal/mpi"
 
 const (
-	tagSync  = 1 << 18
-	tagRing  = tagSync + 1024
-	tagChain = tagSync + 2048
+	tagSync = 1 << 18
+	tagRing = tagSync + 1024
 )
 
 // Middleware wraps a rank with CMPI-style operations.
@@ -71,10 +70,10 @@ func (m *Middleware) fence() {
 	}
 }
 
-// GlobalSum is CMPI's allreduce: a synchronization fence, then a ring pass
+// Allreduce is CMPI's global sum: a synchronization fence, then a ring pass
 // where each rank forwards the full buffer p−1 times, combining at each
 // hop (volume (p−1)·bytes per rank — the unsegmented portable ring).
-func (m *Middleware) GlobalSum(bytes int, reduceOp float64) {
+func (m *Middleware) Allreduce(bytes int, reduceOp float64) {
 	r := m.R
 	p := r.Size()
 	if p == 1 {
@@ -91,25 +90,6 @@ func (m *Middleware) GlobalSum(bytes int, reduceOp float64) {
 			r.Compute(reduceOp)
 		}
 		r.Wait(sreq)
-	}
-	m.fence()
-}
-
-// Broadcast is CMPI's chain broadcast: the payload trickles down the rank
-// ring 0→1→…→p−1 (latency grows linearly with p).
-func (m *Middleware) Broadcast(root, bytes int) {
-	r := m.R
-	p := r.Size()
-	if p == 1 {
-		return
-	}
-	m.fence()
-	vrank := (r.ID - root + p) % p
-	if vrank > 0 {
-		r.Recv((r.ID-1+p)%p, tagChain)
-	}
-	if vrank < p-1 {
-		r.Send((r.ID+1)%p, tagChain, bytes)
 	}
 	m.fence()
 }

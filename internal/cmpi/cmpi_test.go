@@ -66,11 +66,11 @@ func TestSyncCostGrowsWithRanks(t *testing.T) {
 	}
 }
 
-func TestGlobalSumCompletes(t *testing.T) {
+func TestAllreduceCompletes(t *testing.T) {
 	for _, p := range []int{2, 4, 8} {
 		done := 0
 		run(t, p, netmodel.SCoreGigE(), func(m *Middleware) {
-			m.GlobalSum(85000, 10e-6)
+			m.Allreduce(85000, 10e-6)
 			done++
 		})
 		if done != p {
@@ -79,13 +79,13 @@ func TestGlobalSumCompletes(t *testing.T) {
 	}
 }
 
-func TestGlobalSumVolumeExceedsMPI(t *testing.T) {
+func TestAllreduceVolumeExceedsMPI(t *testing.T) {
 	// The unsegmented ring moves (p−1)·bytes per rank; MPICH's reduce+bcast
 	// moves at most ~2·bytes·log p / p per hop chain. CMPI must ship more
 	// bytes overall at p=8.
 	const bytes = 85000
 	cmpiAccts := run(t, 8, netmodel.SCoreGigE(), func(m *Middleware) {
-		m.GlobalSum(bytes, 0)
+		m.Allreduce(bytes, 0)
 	})
 	cfg := cluster.Config{Nodes: 8, CPUsPerNode: 1, Net: netmodel.SCoreGigE(), Seed: 1}
 	mpiAccts, err := mpi.Run(cfg, cluster.PentiumIII1GHz(), func(r *mpi.Rank) {
@@ -104,7 +104,7 @@ func TestGlobalSumVolumeExceedsMPI(t *testing.T) {
 	}
 }
 
-func TestBroadcastAndAllgatherv(t *testing.T) {
+func TestAllgathervCompletes(t *testing.T) {
 	for _, p := range []int{2, 3, 8} {
 		done := 0
 		blocks := make([]int, p)
@@ -112,7 +112,6 @@ func TestBroadcastAndAllgatherv(t *testing.T) {
 			blocks[i] = 1000 + i
 		}
 		run(t, p, netmodel.MyrinetGM(), func(m *Middleware) {
-			m.Broadcast(0, 5000)
 			m.Allgatherv(blocks)
 			done++
 		})
@@ -155,7 +154,7 @@ func TestCMPISlowerThanMPIOnTCP(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				if useCMPI {
 					m := New(r)
-					m.GlobalSum(bytes, 0)
+					m.Allreduce(bytes, 0)
 				} else {
 					r.Allreduce(bytes, 0)
 				}
@@ -179,9 +178,8 @@ func TestCMPISlowerThanMPIOnTCP(t *testing.T) {
 func TestDeterministic(t *testing.T) {
 	one := func() []mpi.Accounting {
 		return run(t, 4, netmodel.TCPGigE(), func(m *Middleware) {
-			m.GlobalSum(50000, 0)
+			m.Allreduce(50000, 0)
 			m.Sync()
-			m.Broadcast(0, 20000)
 		})
 	}
 	a, b := one(), one()

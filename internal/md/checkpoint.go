@@ -1,9 +1,7 @@
 package md
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 
 	"repro/internal/vec"
 )
@@ -86,20 +84,4 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 		e.listOrigin = nil // force a list rebuild at the next evaluation
 	}
 	return nil
-}
-
-// WriteCheckpoint serializes the engine's dynamic state with encoding/gob.
-func (e *Engine) WriteCheckpoint(w io.Writer) error {
-	cp := e.Snapshot()
-	return gob.NewEncoder(w).Encode(cp)
-}
-
-// ReadCheckpoint restores the engine's dynamic state from a gob stream
-// written by WriteCheckpoint, with the same validation as Restore.
-func (e *Engine) ReadCheckpoint(r io.Reader) error {
-	var cp Checkpoint
-	if err := gob.NewDecoder(r).Decode(&cp); err != nil {
-		return fmt.Errorf("md: reading checkpoint: %w", err)
-	}
-	return e.Restore(&cp)
 }

@@ -1,10 +1,6 @@
 package md
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestCheckpointRoundTripContinuesTrajectory(t *testing.T) {
 	build := func() *Engine {
@@ -22,12 +18,8 @@ func TestCheckpointRoundTripContinuesTrajectory(t *testing.T) {
 	// Split: 5 steps, checkpoint, restore into a fresh engine, 5 more.
 	a := build()
 	a.Run(5, nil, nil)
-	var buf bytes.Buffer
-	if err := a.WriteCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
 	b := build()
-	if err := b.ReadCheckpoint(&buf); err != nil {
+	if err := b.Restore(a.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	// Continue without re-evaluating step 0 forces (they were restored):
@@ -37,9 +29,8 @@ func TestCheckpointRoundTripContinuesTrajectory(t *testing.T) {
 		got = append(got, b.Step(nil, nil))
 	}
 	for s := 0; s < 5; s++ {
-		want := refReports[5+s].Total()
-		if diff := got[s].Total() - want; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("restarted step %d: %g vs straight %g", s, got[s].Total(), want)
+		if want := refReports[5+s]; got[s] != want {
+			t.Fatalf("restarted step %d: %+v vs straight %+v", s, got[s], want)
 		}
 	}
 }
@@ -48,26 +39,15 @@ func TestCheckpointValidation(t *testing.T) {
 	sysA := waterBox(27, 12, 52)
 	sysB := waterBox(8, 12, 52)
 	cfg := smallCutoffs(DefaultConfig())
-	a := NewEngine(sysA, cfg)
-	var buf bytes.Buffer
-	if err := a.WriteCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
+	cp := NewEngine(sysA, cfg).Snapshot()
 	// Wrong atom count.
-	b := NewEngine(sysB, cfg)
-	if err := b.ReadCheckpoint(bytes.NewReader(buf.Bytes())); err == nil {
+	if err := NewEngine(sysB, cfg).Restore(cp); err == nil {
 		t.Fatal("atom-count mismatch accepted")
 	}
 	// Wrong timestep.
 	cfg2 := cfg
 	cfg2.TimestepFS = 2
-	c := NewEngine(sysA, cfg2)
-	if err := c.ReadCheckpoint(bytes.NewReader(buf.Bytes())); err == nil {
+	if err := NewEngine(sysA, cfg2).Restore(cp); err == nil {
 		t.Fatal("timestep mismatch accepted")
-	}
-	// Garbage input.
-	d := NewEngine(sysA, cfg)
-	if err := d.ReadCheckpoint(strings.NewReader("not a checkpoint")); err == nil {
-		t.Fatal("garbage accepted")
 	}
 }

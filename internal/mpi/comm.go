@@ -13,6 +13,7 @@ package mpi
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
@@ -61,9 +62,9 @@ func (a *Accounting) Add(b Accounting) {
 type World struct {
 	M      *cluster.Machine
 	Cost   cluster.CostModel
-	Tracer trace.Sink    // optional event collection (flat collector or obs recorder)
-	Obs    *obs.Recorder // optional metrics + hierarchical spans
-	Wd     Watchdog      // zero value: blocking waits are unbounded
+	Tracer *trace.Collector // optional: keeps every interval for timeline rendering
+	Obs    *obs.Registry    // optional: transport metrics and per-(kind, rank) interval counters
+	Wd     Watchdog         // zero value: blocking waits are unbounded
 	ranks  []*Rank
 
 	// Registry-backed transport metrics, created once per job when Obs is
@@ -78,12 +79,12 @@ type World struct {
 var collOps = []string{"barrier", "allreduce", "allgatherv", "alltoallv"}
 
 // initMetrics creates the world's transport metric handles on the
-// recorder's registry.
+// registry.
 func (w *World) initMetrics() {
-	if w.Obs == nil {
+	reg := w.Obs
+	if reg == nil {
 		return
 	}
-	reg := w.Obs.Registry()
 	// Message sizes from 64 B to ~1 GB; collective latencies from 1 µs to
 	// ~1000 s of virtual time.
 	w.mMsgBytes = reg.Histogram("repro_mpi_message_bytes",
@@ -129,6 +130,11 @@ type Rank struct {
 	crashed bool // set by an injected crash; next yield aborts the rank
 	acct    Accounting
 
+	// mTrace caches the rank's repro_trace_* handles per interval kind,
+	// created on the kind's first interval (nil without a registry). Only
+	// the rank's own process touches it.
+	mTrace map[trace.Kind]traceCounters
+
 	// SyncClass forces all message time into the Sync bucket while true —
 	// the CMPI middleware turns it on around its synchronization-by-
 	// messages pattern (§4.2 of the paper).
@@ -160,36 +166,60 @@ func (r *Rank) Compute(d float64) {
 	r.traceEvent(trace.KindCompute, "compute", t0)
 }
 
-// traceEvent records [t0, now] on the world tracer when one is attached.
+// traceCounters are one rank's interval counters for one kind.
+type traceCounters struct {
+	seconds, events *obs.Counter
+}
+
+// traceEvent emits [t0, now]: every compute, send, recv and sync interval
+// of the transport goes through here, so an unobserved job leaves at once.
 func (r *Rank) traceEvent(kind trace.Kind, label string, t0 float64) {
-	if r.W.Tracer == nil {
+	if r.W.Tracer == nil && r.W.Obs == nil {
 		return
 	}
-	// Errors cannot occur: now ≥ t0 by construction of virtual time.
-	_ = r.W.Tracer.Add(trace.Event{Rank: r.ID, Kind: kind, Label: label, Start: t0, End: r.Now()})
+	r.TraceSpan(kind, label, t0, r.Now())
 }
 
-// TraceSpan records an arbitrary labelled interval (the parallel MD uses
-// it for its phase background lanes).
+// TraceSpan emits an arbitrary labelled interval (the parallel MD uses it
+// for its phase background lanes and guard trips): the collector keeps it
+// when one is attached, and the registry counts it. Intervals with
+// end < start are dropped.
 func (r *Rank) TraceSpan(kind trace.Kind, label string, start, end float64) {
-	if r.W.Tracer == nil {
+	if r.W.Tracer != nil {
+		_ = r.W.Tracer.Add(trace.Event{Rank: r.ID, Kind: kind, Label: label, Start: start, End: end})
+	}
+	r.CountSpan(kind, start, end)
+}
+
+// CountSpan adds an interval to the registry's per-(kind, rank) second
+// and event counters without keeping it — for intervals that cover others
+// (a whole step) and would only paint over them on a timeline. It is the
+// one place the repro_trace_* families are fed, so they read the same
+// whether or not a collector is attached.
+func (r *Rank) CountSpan(kind trace.Kind, start, end float64) {
+	if r.W.Obs == nil || end < start {
 		return
 	}
-	_ = r.W.Tracer.Add(trace.Event{Rank: r.ID, Kind: kind, Label: label, Start: start, End: end})
-}
-
-// Recorder returns the world's observability recorder (nil when the job
-// runs without one). Layers above use it to open hierarchical spans that
-// the flat trace events nest under.
-func (r *Rank) Recorder() *obs.Recorder { return r.W.Obs }
-
-// Metrics returns the registry behind the observability recorder, or nil.
-func (r *Rank) Metrics() *obs.Registry {
-	if r.W.Obs == nil {
-		return nil
+	tc, ok := r.mTrace[kind]
+	if !ok {
+		kl, rl := obs.L("kind", string(kind)), obs.L("rank", strconv.Itoa(r.ID))
+		tc = traceCounters{
+			seconds: r.W.Obs.Counter("repro_trace_seconds_total",
+				"virtual seconds covered by trace intervals, by kind and rank", kl, rl),
+			events: r.W.Obs.Counter("repro_trace_events_total",
+				"trace intervals recorded, by kind and rank", kl, rl),
+		}
+		if r.mTrace == nil {
+			r.mTrace = map[trace.Kind]traceCounters{}
+		}
+		r.mTrace[kind] = tc
 	}
-	return r.W.Obs.Registry()
+	tc.seconds.Add(end - start)
+	tc.events.Inc()
 }
+
+// Metrics returns the job's registry, or nil when it runs without one.
+func (r *Rank) Metrics() *obs.Registry { return r.W.Obs }
 
 // ComputeWork charges the CPU time of the counted work through the world's
 // cost model.
@@ -232,12 +262,15 @@ func (r *Rank) chargeMsg(d float64, sync bool) {
 
 // Options configures one simulated job beyond the machine and cost model.
 type Options struct {
-	Tracer trace.Sink // optional event collection
+	// Tracer keeps every compute/send/recv/sync interval of every rank
+	// (and whatever the layers above emit through Rank.TraceSpan) for
+	// timeline rendering and the Chrome export.
+	Tracer *trace.Collector
 
-	// Obs attaches the observability recorder: transport metrics (message
-	// sizes, collective latencies) land on its registry and, when Tracer
-	// is nil, it also becomes the event sink so spans nest hierarchically.
-	Obs *obs.Recorder
+	// Obs receives the transport metrics (message sizes, collective
+	// latencies) and the per-(kind, rank) second and event counters of
+	// the same intervals, whether or not a Tracer is attached.
+	Obs *obs.Registry
 
 	Faults   cluster.FaultModel // optional platform degradation
 	Watchdog Watchdog           // zero value: unbounded blocking waits
@@ -256,12 +289,6 @@ func Run(cfg cluster.Config, cost cluster.CostModel, fn func(*Rank)) ([]Accounti
 	return RunOpts(cfg, cost, Options{}, fn)
 }
 
-// RunTraced is Run with an optional event sink receiving every
-// compute/communication interval of every rank.
-func RunTraced(cfg cluster.Config, cost cluster.CostModel, tracer trace.Sink, fn func(*Rank)) ([]Accounting, error) {
-	return RunOpts(cfg, cost, Options{Tracer: tracer}, fn)
-}
-
 // RunOpts is the full-control entry point: tracing, fault injection and
 // watchdogs. Configuration problems come back as errors (not panics), and
 // injected crashes / watchdog expiries surface as typed errors matching
@@ -276,9 +303,6 @@ func RunOpts(cfg cluster.Config, cost cluster.CostModel, opts Options, fn func(*
 	m := cluster.New(env, cfg)
 	m.Faults = opts.Faults
 	w := &World{M: m, Cost: cost, Tracer: opts.Tracer, Obs: opts.Obs, Wd: opts.Watchdog}
-	if w.Tracer == nil && opts.Obs != nil {
-		w.Tracer = opts.Obs
-	}
 	w.initMetrics()
 	var panics []interface{}
 	for i := 0; i < m.Ranks(); i++ {
@@ -384,13 +408,4 @@ func selectError(runErr error, panics []interface{}) error {
 	default:
 		return runErr
 	}
-}
-
-// RunCollect is Run plus a per-rank result value produced by fn.
-func RunCollect[T any](cfg cluster.Config, cost cluster.CostModel, fn func(*Rank) T) ([]T, []Accounting, error) {
-	out := make([]T, cfg.Nodes*cfg.CPUsPerNode)
-	accts, err := Run(cfg, cost, func(r *Rank) {
-		out[r.ID] = fn(r)
-	})
-	return out, accts, err
 }

@@ -125,7 +125,7 @@ var goldenOps = []struct {
 		r.Barrier()
 	}},
 	{"cmpi_ring", func(r *mpi.Rank, net netmodel.Params) {
-		cmpi.New(r).GlobalSum(4096, 1e-5)
+		cmpi.New(r).Allreduce(4096, 1e-5)
 	}},
 }
 

@@ -422,15 +422,12 @@ func (r *Rank) Recv(src, tag int) int {
 	return msg.bytes
 }
 
-// Request is a non-blocking operation handle.
+// Request is the handle of a non-blocking send.
 type Request struct {
 	rank      *Rank
-	isSend    bool
 	done      bool
 	abandoned bool // helper gave up (watchdog) without transferring
-	src       int
 	dst       int
-	tag       int
 	bytes     int
 	waiter    bool
 }
@@ -448,45 +445,36 @@ func (r *Rank) Isend(dst, tag, bytes int) *Request {
 	r.chargeMsg(r.Now()-t0, false)
 
 	t := r.newTransfer(dst, tag, bytes)
-	t.req = Request{rank: r, isSend: true, dst: dst, bytes: bytes}
+	t.req = Request{rank: r, dst: dst, bytes: bytes}
 	r.W.M.Env.SpawnStep(t)
 	r.acct.BytesSent += int64(bytes)
 	r.W.observeMsg(bytes)
 	return &t.req
 }
 
-// Irecv posts a non-blocking receive; completion is driven by Wait.
-func (r *Rank) Irecv(src, tag int) *Request {
-	return &Request{rank: r, isSend: false, src: src, tag: tag}
-}
-
-// Wait blocks until the request completes. For receives it performs the
-// actual matching (equivalent to MPI's progression happening at the wait).
+// Wait blocks until the payload of the send has left and returns its size.
 func (r *Rank) Wait(req *Request) int {
 	if req.rank != r {
 		panic("mpi: waiting on another rank's request")
 	}
-	if req.isSend {
+	r.checkCrash()
+	t0 := r.Now()
+	var wds wdState
+	for !req.done {
 		r.checkCrash()
-		t0 := r.Now()
-		var wds wdState
-		for !req.done {
-			r.checkCrash()
-			req.waiter = true
-			ok := r.guardedPark(&wds)
-			req.waiter = false
-			if !ok {
-				panic(wds.timeout(r, "wait-send", req.dst))
-			}
+		req.waiter = true
+		ok := r.guardedPark(&wds)
+		req.waiter = false
+		if !ok {
+			panic(wds.timeout(r, "wait-send", req.dst))
 		}
-		r.checkCrash()
-		if req.abandoned {
-			panic(&TimeoutError{Rank: r.ID, Partner: req.dst, Op: "send-rendezvous", At: r.Now(), Since: t0})
-		}
-		r.chargeMsg(r.Now()-t0, false)
-		return req.bytes
 	}
-	return r.Recv(req.src, req.tag)
+	r.checkCrash()
+	if req.abandoned {
+		panic(&TimeoutError{Rank: r.ID, Partner: req.dst, Op: "send-rendezvous", At: r.Now(), Since: t0})
+	}
+	r.chargeMsg(r.Now()-t0, false)
+	return req.bytes
 }
 
 // Sendrecv exchanges messages with two (possibly different) partners

@@ -1,9 +1,10 @@
 // Package obs is the observability layer of the reproduction: a typed
-// metrics registry (counters, gauges, fixed-bucket histograms), a
-// hierarchical span recorder that subsumes internal/trace, and the sinks
-// that make a run inspectable — Prometheus-style text exposition, a JSON
-// run manifest with provenance, and an opt-in net/http introspection
-// server.
+// metrics registry (counters, gauges, fixed-bucket histograms) and the
+// sinks that make a run inspectable — Prometheus-style text exposition, a
+// JSON run manifest with provenance, and an opt-in net/http introspection
+// server. It stores no events: the intervals of a simulated run are kept,
+// when asked for, by an internal/trace collector, and this package only
+// holds their per-(kind, rank) totals.
 //
 // The paper's methodology *is* observability: it decomposes wall time per
 // processor into computation / data transfer / control transfer and

@@ -44,18 +44,18 @@ var PhaseNames = [NumPhases]string{"classic", "pme"}
 // turning the profiler into the biggest allocation in the process.
 const maxBoundedSteps = 8192
 
-// Sample is one rank's measured decomposition of one phase of one step.
-// It mirrors the engine's PhaseSample (the engine imports this package,
-// not the reverse).
+// Sample is one rank's measured decomposition of one phase of one step
+// (the engine's PhaseSample is this type).
 type Sample struct {
 	Comp  float64
 	Comm  float64
 	Sync  float64
-	Wall  float64
-	Bytes int64
+	Wall  float64 // elapsed virtual time of the phase
+	Bytes int64   // bytes sent during the phase
 }
 
-func (s *Sample) add(o Sample) {
+// Add accumulates o into s.
+func (s *Sample) Add(o Sample) {
 	s.Comp += o.Comp
 	s.Comm += o.Comm
 	s.Sync += o.Sync
@@ -150,7 +150,7 @@ func (tl *Timeline) Record(rank, step, phase int, s Sample) {
 		// Overflow: fold into the per-rank spill total. Overwrite
 		// semantics are lost out here — rewound steps double-count —
 		// which is why the profile surfaces the truncation count.
-		tl.spill[rank][phase].add(s)
+		tl.spill[rank][phase].Add(s)
 		tl.spillN[rank]++
 		return
 	}

@@ -298,19 +298,19 @@ func TestPMEIdleRanksGauge(t *testing.T) {
 		{DecompReplicated, 8},
 		{DecompDomain, 0},
 	} {
-		rec := obs.NewRecorder(obs.NewRegistry())
+		reg := obs.NewRegistry()
 		_, err := Run(clusterCfg(16, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), Config{
 			System:     sys,
 			MD:         cfg,
 			Steps:      1,
 			Middleware: MiddlewareMPI,
 			Decomp:     tc.decomp,
-			Obs:        rec,
+			Obs:        reg,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, ok := gaugeValue(rec.Registry(), "repro_pme_idle_ranks")
+		got, ok := gaugeValue(reg, "repro_pme_idle_ranks")
 		if !ok {
 			t.Fatalf("%v: repro_pme_idle_ranks not exported", tc.decomp)
 		}

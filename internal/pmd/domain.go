@@ -400,9 +400,7 @@ func (d *domainDecomp) forces(w *worker, st *StepTiming, tr phaseTracker) md.Ene
 func (d *domainDecomp) kick(w *worker, rep *md.EnergyReport) {
 	cs := d.cur
 	nOwn := int64(cs.epoch.nOwn[w.me()])
-	w.seg(work.Counters{Integrate: nOwn}, func(wc *work.Counters) {
-		wc.Integrate += nOwn
-	})
+	w.r.ComputeWork(work.Counters{Integrate: nOwn})
 	w.c.Barrier()
 	rep.Kinetic = cs.rep.Kinetic
 	d.adopt(w)
@@ -443,7 +441,7 @@ func (d *domainDecomp) pipeline(w *worker, st *StepTiming, tr phaseTracker) md.E
 	if cs.rebuilt {
 		minC.ListDistEvals = cs.distEvals / int64(w.p)
 	}
-	w.seg(minC, func(wc *work.Counters) { wc.Add(minC) })
+	w.r.ComputeWork(minC)
 
 	// Return the partial forces of imported halo atoms to their owners,
 	// then the per-step energy-array reduction.
@@ -463,7 +461,7 @@ func (d *domainDecomp) pipeline(w *worker, st *StepTiming, tr phaseTracker) md.E
 
 	// Spread own atoms onto the domain's local grid region.
 	minSpread := work.Counters{GridCharges: nOwn * o3}
-	w.seg(minSpread, func(wc *work.Counters) { wc.Add(minSpread) })
+	w.r.ComputeWork(minSpread)
 	// Ship the contributions to the stage-1 pencil owners.
 	w.c.AlltoallvSparse(geo.sizesAssm)
 	// Stage 1: assemble the pencil's (y,z) block and run the r2c x-FFTs
@@ -472,14 +470,14 @@ func (d *domainDecomp) pipeline(w *worker, st *StepTiming, tr phaseTracker) md.E
 		RecipPoints: geo.pencilPts[me],
 		FFTOps:      yW2 * zW3 * geo.opsX / 2,
 	}
-	w.seg(min1, func(wc *work.Counters) { wc.Add(min1) })
+	w.r.ComputeWork(min1)
 	w.c.AlltoallvSparse(geo.sizesT1F)
 	// Stage 2: y-FFTs on the x-spectrum pencils.
 	min2 := work.Counters{
 		Other:  xsW * int64(k2) * zW3,
 		FFTOps: xsW * zW3 * geo.opsY,
 	}
-	w.seg(min2, func(wc *work.Counters) { wc.Add(min2) })
+	w.r.ComputeWork(min2)
 	w.c.AlltoallvSparse(geo.sizesT2F)
 	// Stage 3: z-FFTs, influence multiply + energy, inverse z-FFTs.
 	min3 := work.Counters{
@@ -487,21 +485,21 @@ func (d *domainDecomp) pipeline(w *worker, st *StepTiming, tr phaseTracker) md.E
 		FFTOps:      2 * xsW * ysW * geo.opsZ,
 		RecipPoints: xsW * ysW * int64(k3),
 	}
-	w.seg(min3, func(wc *work.Counters) { wc.Add(min3) })
+	w.r.ComputeWork(min3)
 	w.c.AlltoallvSparse(geo.sizesT2B)
 	// Inverse stage 2.
 	min4 := work.Counters{
 		Other:  xsW * int64(k2) * zW3,
 		FFTOps: xsW * zW3 * geo.opsY,
 	}
-	w.seg(min4, func(wc *work.Counters) { wc.Add(min4) })
+	w.r.ComputeWork(min4)
 	w.c.AlltoallvSparse(geo.sizesT1B)
 	// Inverse stage 1 (c2r x-FFTs back to the real grid).
 	min5 := work.Counters{
 		Other:  int64(k1) * yW2 * zW3,
 		FFTOps: yW2 * zW3 * geo.opsX / 2,
 	}
-	w.seg(min5, func(wc *work.Counters) { wc.Add(min5) })
+	w.r.ComputeWork(min5)
 	// Return the convolved potential cells to the domains.
 	w.c.AlltoallvSparse(geo.sizesGath)
 	// Interpolate forces for owned atoms + owned exclusion corrections.
@@ -510,7 +508,7 @@ func (d *domainDecomp) pipeline(w *worker, st *StepTiming, tr phaseTracker) md.E
 		GridCharges: nOwn * o3,
 		PairEvals:   cnt.excl[me],
 	}
-	w.seg(min6, func(wc *work.Counters) { wc.Add(min6) })
+	w.r.ComputeWork(min6)
 	// Exclusion corrections touch halo atoms too: return those partial
 	// forces, then merge the reciprocal energy scalars.
 	w.c.AlltoallvSparse(ep.frcRetSizes)

@@ -22,7 +22,6 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/cmpi"
 	"repro/internal/guard"
 	"repro/internal/md"
 	"repro/internal/mpi"
@@ -75,16 +74,16 @@ type Config struct {
 	// algorithms rather than network hardware. MPI middleware only.
 	ModernCollectives bool
 
-	// Tracer, when non-nil, receives every compute/communication interval
-	// of every rank plus classic/PME phase spans for timeline rendering.
-	// Any trace.Sink works: a *trace.Collector for the flat view, or an
-	// *obs.Recorder for the hierarchical one.
-	Tracer trace.Sink
+	// Tracer, when non-nil, keeps every compute/communication interval of
+	// every rank plus the labelled classic/PME phase lanes and guard trips,
+	// for timeline rendering and the Chrome export.
+	Tracer *trace.Collector
 
-	// Obs, when non-nil, receives hierarchical step spans and live metrics
-	// (current step, guard trips, per-rank transport counters). When Tracer
-	// is nil the recorder also doubles as the event sink.
-	Obs *obs.Recorder
+	// Obs, when non-nil, receives the live metrics (current step, guard
+	// trips, transport histograms, idle PME ranks) and counts the same
+	// intervals a Tracer would keep, plus each whole step, per kind and
+	// rank (repro_trace_*). The counts do not depend on Tracer.
+	Obs *obs.Registry
 
 	// Init, when non-nil, starts the run from a checkpoint instead of the
 	// system's build-time state (same atom count and timestep required).
@@ -146,23 +145,9 @@ type Config struct {
 }
 
 // PhaseSample is the measured decomposition of one phase of one step on
-// one rank.
-type PhaseSample struct {
-	Comp  float64
-	Comm  float64
-	Sync  float64
-	Wall  float64 // elapsed virtual time of the phase
-	Bytes int64   // bytes sent during the phase
-}
-
-// Add accumulates o into s.
-func (s *PhaseSample) Add(o PhaseSample) {
-	s.Comp += o.Comp
-	s.Comm += o.Comm
-	s.Sync += o.Sync
-	s.Wall += o.Wall
-	s.Bytes += o.Bytes
-}
+// one rank: compute/comm/sync seconds, the phase's elapsed virtual time
+// and the bytes sent during it.
+type PhaseSample = perf.Sample
 
 // StepTiming is the per-step classic/PME split of §3.2.
 type StepTiming struct {
@@ -266,8 +251,8 @@ func blockPartition(n, p int) []int {
 	return off
 }
 
-// comms is the middleware abstraction the engine drives; both the raw MPI
-// collectives and the CMPI layer satisfy it.
+// comms is the middleware abstraction the engine drives; *mpi.Rank (the
+// raw MPI collectives) and *cmpi.Middleware both satisfy it.
 type comms interface {
 	Allreduce(bytes int, reduceOp float64)
 	Allgatherv(blocks []int)
@@ -282,14 +267,6 @@ type comms interface {
 	Barrier()
 }
 
-type mpiComms struct{ r *mpi.Rank }
-
-func (c mpiComms) Allreduce(bytes int, reduceOp float64) { c.r.Allreduce(bytes, reduceOp) }
-func (c mpiComms) Allgatherv(blocks []int)               { c.r.Allgatherv(blocks) }
-func (c mpiComms) Alltoallv(sizes [][]int)               { c.r.Alltoallv(sizes) }
-func (c mpiComms) AlltoallvSparse(sizes [][]int)         { c.r.AlltoallvSparse(sizes) }
-func (c mpiComms) Barrier()                              { c.r.Barrier() }
-
 // mpiModernComms swaps in the post-2004 collective algorithms.
 type mpiModernComms struct{ r *mpi.Rank }
 
@@ -300,14 +277,6 @@ func (c mpiModernComms) Allgatherv(blocks []int)       { c.r.AllgathervRing(bloc
 func (c mpiModernComms) Alltoallv(sizes [][]int)       { c.r.Alltoallv(sizes) }
 func (c mpiModernComms) AlltoallvSparse(sizes [][]int) { c.r.AlltoallvSparse(sizes) }
 func (c mpiModernComms) Barrier()                      { c.r.Barrier() }
-
-type cmpiComms struct{ m *cmpi.Middleware }
-
-func (c cmpiComms) Allreduce(bytes int, reduceOp float64) { c.m.GlobalSum(bytes, reduceOp) }
-func (c cmpiComms) Allgatherv(blocks []int)               { c.m.Allgatherv(blocks) }
-func (c cmpiComms) Alltoallv(sizes [][]int)               { c.m.Alltoallv(sizes) }
-func (c cmpiComms) AlltoallvSparse(sizes [][]int)         { c.m.AlltoallvSparse(sizes) }
-func (c cmpiComms) Barrier()                              { c.m.Barrier() }
 
 // Run executes the parallel MD under the given cluster configuration.
 func Run(clusterCfg cluster.Config, cost cluster.CostModel, cfg Config) (*Result, error) {

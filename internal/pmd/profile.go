@@ -41,11 +41,6 @@ func (c perfComms) Barrier() {
 	c.inner.Barrier()
 }
 
-// perfSample converts the engine's phase sample to the perf mirror.
-func perfSample(s PhaseSample) perf.Sample {
-	return perf.Sample{Comp: s.Comp, Comm: s.Comm, Sync: s.Sync, Wall: s.Wall, Bytes: s.Bytes}
-}
-
 // perfAccts converts per-rank transport accounting to the perf mirror.
 func perfAccts(acct []mpi.Accounting) []perf.RankAcct {
 	out := make([]perf.RankAcct, len(acct))
@@ -70,8 +65,8 @@ func timelineFromTimings(p int, timings [][]StepTiming, base int) *perf.Timeline
 	tl := perf.NewTimeline(p, steps)
 	for rank, row := range timings {
 		for step, st := range row {
-			tl.Record(rank, base+step, perf.PhaseClassic, perfSample(st.Classic))
-			tl.Record(rank, base+step, perf.PhasePME, perfSample(st.PME))
+			tl.Record(rank, base+step, perf.PhaseClassic, st.Classic)
+			tl.Record(rank, base+step, perf.PhasePME, st.PME)
 		}
 	}
 	return tl

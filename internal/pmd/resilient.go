@@ -9,7 +9,6 @@ import (
 	"repro/internal/guard"
 	"repro/internal/md"
 	"repro/internal/mpi"
-	"repro/internal/obs"
 	"repro/internal/recover"
 	"repro/internal/vec"
 )
@@ -477,12 +476,9 @@ func RunResilient(clusterCfg cluster.Config, cost cluster.CostModel, rcfg Resili
 		wd = mpi.DefaultWatchdog()
 	}
 
-	// Resilience metrics (nil-gated: a run without an obs recorder pays
+	// Resilience metrics (nil-gated: a run without a registry pays
 	// nothing). Counters accumulate across attempts of this invocation.
-	var reg *obs.Registry
-	if rcfg.Obs != nil {
-		reg = rcfg.Obs.Registry()
-	}
+	reg := rcfg.Obs
 	obsCount := func(name, help string, v float64) {
 		if reg != nil {
 			reg.Counter(name, help).Add(v)

@@ -132,7 +132,7 @@ func newShared(p int, cfg Config, seedEngine *md.Engine) *shared {
 }
 
 // decomposition is the strategy a rank drives its step pipeline through.
-// The shared run loop in worker.run owns step spans, guard checks, phase
+// The shared run loop in worker.run owns step intervals, guard checks, phase
 // samples and result assembly; the strategy owns how positions propagate
 // (replica all-gather vs halo exchange), how forces are evaluated and
 // combined, and how the reciprocal mesh is distributed (x-slabs vs 2-D
@@ -191,7 +191,7 @@ type worker struct {
 	// Only touched from inline/onStep code on the scheduler thread.
 	stop bool
 
-	// Cached live-metric handles (nil without an obs recorder). The step
+	// Cached live-metric handles (nil without a registry). The step
 	// gauge is rank 0's; the trip counter fires on every attempt, including
 	// ones whose partial result is later discarded.
 	mStep       *obs.Gauge
@@ -238,11 +238,11 @@ func newWorker(r *mpi.Rank, cfg Config, sh *shared, seedEngine *md.Engine, tape 
 	}
 	switch {
 	case cfg.Middleware == MiddlewareCMPI:
-		w.c = cmpiComms{m: cmpi.New(r)}
+		w.c = cmpi.New(r)
 	case cfg.ModernCollectives:
 		w.c = mpiModernComms{r: r}
 	default:
-		w.c = mpiComms{r: r}
+		w.c = r
 	}
 	if cfg.Perf != nil && r.ID == 0 {
 		// One observer per collective: rank 0's comms feed the
@@ -429,6 +429,20 @@ func (t phaseTracker) sample() PhaseSample {
 	}
 }
 
+// emitStep publishes a completed step's intervals: the classic and PME
+// phase lanes (the background of the timeline; the labels exist only for
+// a collector, so they are only built for one) and then the step as a
+// whole, which is counted but never drawn — it would cover its own lanes.
+func (w *worker) emitStep(step int, st *StepTiming, stepStart, stepEnd float64) {
+	var classic, pme string
+	if w.cfg.Tracer != nil {
+		classic, pme = fmt.Sprintf("classic %d", step), fmt.Sprintf("pme %d", step)
+	}
+	w.r.TraceSpan(trace.KindPhase, classic, stepStart, stepStart+st.Classic.Wall)
+	w.r.TraceSpan(trace.KindPhase, pme, stepEnd-st.PME.Wall, stepEnd)
+	w.r.CountSpan(trace.KindPhase, stepStart, stepEnd)
+}
+
 // run executes the configured number of steps.
 func (w *worker) run(res *Result) {
 	timings := make([]StepTiming, 0, w.cfg.Steps)
@@ -439,13 +453,6 @@ func (w *worker) run(res *Result) {
 
 	for step := 0; step < w.cfg.Steps; step++ {
 		var st StepTiming
-
-		// Hierarchical step span: the flat intervals and phase lanes the
-		// step emits below nest under it in the recorder's view.
-		var stepSpan *obs.Span
-		if rec := w.r.Recorder(); rec != nil {
-			stepSpan = rec.Begin(w.me(), trace.KindPhase, fmt.Sprintf("step %d", step), w.r.Now())
-		}
 		if w.mStep != nil {
 			w.mStep.Set(float64(step))
 		}
@@ -463,10 +470,8 @@ func (w *worker) run(res *Result) {
 		w.d.kick(w, &rep)
 		st.PME.Add(tp.sample())
 
-		// Phase background lanes for the timeline.
 		stepEnd := w.r.Now()
-		w.r.TraceSpan(trace.KindPhase, fmt.Sprintf("classic %d", step), tr.t0, tr.t0+st.Classic.Wall)
-		w.r.TraceSpan(trace.KindPhase, fmt.Sprintf("pme %d", step), stepEnd-st.PME.Wall, stepEnd)
+		w.emitStep(step, &st, tr.t0, stepEnd)
 
 		// Numeric guardrails. frcTotal and rep are replicated bitwise
 		// identically on every rank, so every monitor reaches the same
@@ -491,9 +496,6 @@ func (w *worker) run(res *Result) {
 				}
 			})
 		}
-		if stepSpan != nil {
-			stepSpan.End(stepEnd)
-		}
 		if tripped {
 			// The tripped step's timings and energies are discarded — the
 			// step is suspect; recovery redoes it on exact math.
@@ -503,8 +505,8 @@ func (w *worker) run(res *Result) {
 		timings = append(timings, st)
 		if tl := w.cfg.Perf; tl != nil {
 			g := w.cfg.perfBase + step
-			tl.Record(w.me(), g, perf.PhaseClassic, perfSample(st.Classic))
-			tl.Record(w.me(), g, perf.PhasePME, perfSample(st.PME))
+			tl.Record(w.me(), g, perf.PhaseClassic, st.Classic)
+			tl.Record(w.me(), g, perf.PhasePME, st.PME)
 		}
 		if w.me() == 0 {
 			if w.replay != nil {

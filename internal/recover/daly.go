@@ -24,9 +24,6 @@ func (e *MTTFEstimator) Fail(wall float64) {
 	e.failures++
 }
 
-// Failures returns the number of crashes observed.
-func (e *MTTFEstimator) Failures() int { return e.failures }
-
 // Estimate returns the current MTTF in virtual seconds; ok is false
 // until at least one failure has been observed.
 func (e *MTTFEstimator) Estimate() (mttf float64, ok bool) {

@@ -62,9 +62,3 @@ func (r *Resource) Use(p *Proc, d float64) {
 	p.Advance(d)
 	r.Release()
 }
-
-// InUse returns the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
-// QueueLen returns the number of parked waiters.
-func (r *Resource) QueueLen() int { return len(r.waiters) }

@@ -111,9 +111,6 @@ func (cl *CellList) cellIndex(p vec.V) int {
 	return (ix*cl.ny+iy)*cl.nz + iz
 }
 
-// NumCells returns the total number of cells.
-func (cl *CellList) NumCells() int { return len(cl.cells) }
-
 // Pairs returns all unordered pairs (i<j) whose minimum-image distance is
 // at most the cutoff. The work counter, if non-nil, is incremented by the
 // number of distance evaluations performed (the quantity the performance

@@ -57,13 +57,6 @@ func KnownKind(s string) bool {
 	return false
 }
 
-// Sink receives trace events. *Collector is the plain implementation; the
-// obs.Recorder is the richer one (hierarchical spans, metric aggregation)
-// — every layer that used to require a *Collector accepts a Sink.
-type Sink interface {
-	Add(Event) error
-}
-
 // Collector accumulates events. The zero value is ready to use. All
 // methods are safe for concurrent use: the discrete-event simulation is
 // sequential, but the host-parallel worker pool (-workers, see
