@@ -276,6 +276,21 @@ func BenchmarkNonbondedKernel(b *testing.B) {
 	}
 }
 
+// BenchmarkNeighbourListBuild measures one steady-state neighbour-list
+// rebuild (cell binning, pair scan, exclusion filter) on the relaxed
+// myoglobin system: what a sequential step pays each time the skin is
+// crossed.
+func BenchmarkNeighbourListBuild(b *testing.B) {
+	sys := topol.NewMyoglobinSystem(topol.MyoglobinConfig{Seed: 1})
+	md.Relax(sys, 40)
+	pl := ff.New(sys, ff.PMEOptions()).NewPairLister()
+	pl.Build(sys.Pos, nil)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pl.Build(sys.Pos, nil)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Pooled-kernel variants: the same workloads with the physics kernels
 // spread over GOMAXPROCS host cores (kernels.Pool). Run them with

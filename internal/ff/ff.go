@@ -103,7 +103,11 @@ type ForceField struct {
 	charge   []float64
 	eps      []float64
 	rminHalf []float64
-	is14     map[[2]int32]bool // 1-4 pairs to drop from the nonbonded list
+
+	// The pairs filterPairs drops from the nonbonded list, in CSR layout:
+	// atom i's excluded (1-2, 1-3) and 1-4 partners j > i, ascending, are
+	// skipList[skipIdx[i]:skipIdx[i+1]].
+	skipIdx, skipList []int32
 
 	// Tabulated-kernel data, nil/empty when Opts.ExactKernels is set.
 	table  *InteractionTable
@@ -148,10 +152,7 @@ func New(sys *topol.System, opts Options) *ForceField {
 		f.eps[i] = t.Eps
 		f.rminHalf[i] = t.RminHalf
 	}
-	f.is14 = make(map[[2]int32]bool, len(sys.Pairs14))
-	for _, p := range sys.Pairs14 {
-		f.is14[p] = true
-	}
+	f.skipIdx, f.skipList = buildSkipList(sys)
 	if !opts.ExactKernels {
 		f.table = NewInteractionTable(opts, defaultTableIntervals)
 		f.ntypes = len(sys.Types)
@@ -186,31 +187,83 @@ func (f *ForceField) Charges() []float64 { return f.charge }
 // constraint target.
 func (f *ForceField) BondR0(bi int) float64 { return f.bonds[bi].R0 }
 
+// buildSkipList merges each atom's exclusion row with its 1-4 partners into
+// one CSR of the partners j > i, ascending, in two counting passes.
+func buildSkipList(sys *topol.System) (idx, list []int32) {
+	n := sys.N()
+	each := func(visit func(i, j int32)) {
+		for i := 0; i < n; i++ {
+			for _, j := range sys.Excl.Of(i) {
+				if int(j) > i {
+					visit(int32(i), j)
+				}
+			}
+		}
+		for _, p := range sys.Pairs14 {
+			if p[0] < p[1] {
+				visit(p[0], p[1])
+			}
+		}
+	}
+	idx = make([]int32, n+1)
+	each(func(i, _ int32) { idx[i+1]++ })
+	for i := 0; i < n; i++ {
+		idx[i+1] += idx[i]
+	}
+	// Fill with idx[i] as row i's cursor; the cursors end one row ahead and
+	// are shifted back.
+	list = make([]int32, idx[n])
+	each(func(i, j int32) {
+		list[idx[i]] = j
+		idx[i]++
+	})
+	copy(idx[1:], idx)
+	idx[0] = 0
+	// Insertion sort per row: the exclusions arrive sorted, so only the few
+	// 1-4 partners behind them are out of place.
+	for i := 0; i < n; i++ {
+		row := list[idx[i]:idx[i+1]]
+		for a := 1; a < len(row); a++ {
+			v := row[a]
+			b := a
+			for ; b > 0 && row[b-1] > v; b-- {
+				row[b] = row[b-1]
+			}
+			row[b] = v
+		}
+	}
+	return idx, list
+}
+
 // BuildPairs constructs the nonbonded neighbour list at the list cutoff,
 // with excluded (1-2, 1-3) and 1-4 pairs removed — 1-4 interactions are
 // evaluated separately with their scale factors. Each call allocates a
 // fresh list; steady-state callers rebuilding every few steps should hold
 // a PairLister instead.
 func (f *ForceField) BuildPairs(pos []vec.V, w *work.Counters) []space.Pair {
-	cl := space.NewCellList(f.Sys.Box, f.Opts.ListCutoff, pos)
-	var distEvals int64
-	raw := cl.Pairs(pos, &distEvals)
-	if w != nil {
-		w.ListDistEvals += distEvals
-	}
-	return f.filterPairs(raw)
+	return f.NewPairLister().Build(pos, w)
 }
 
-// filterPairs drops excluded and 1-4 pairs in place.
+// filterPairs drops excluded and 1-4 pairs in place. A pair (I < J) can
+// only be in I's skip row when J is no larger than the row's last entry,
+// which rules out all but the bonded neighbourhood without a scan.
 func (f *ForceField) filterPairs(raw []space.Pair) []space.Pair {
-	out := raw[:0]
+	idx, list := f.skipIdx, f.skipList
+	n := 0
+pairs:
 	for _, p := range raw {
-		if f.Sys.Excl.Excluded(p.I, p.J) || f.is14[[2]int32{p.I, p.J}] {
-			continue
+		row := list[idx[p.I]:idx[p.I+1]]
+		if len(row) > 0 && p.J <= row[len(row)-1] {
+			for _, j := range row {
+				if j == p.J {
+					continue pairs
+				}
+			}
 		}
-		out = append(out, p)
+		raw[n] = p
+		n++
 	}
-	return out
+	return raw[:n]
 }
 
 // PairLister builds neighbour lists repeatedly over one topology without

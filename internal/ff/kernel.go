@@ -179,9 +179,8 @@ func shardArrays(n int) [][]float64 {
 // grouped.
 func (f *ForceField) pairRange(x, y, z []float64, pairs []space.Pair, fx, fy, fz []float64) (eLJ, eElec float64) {
 	tab := f.table
-	charge := f.charge
-	typ := f.typ
-	ljA, ljB := f.ljA, f.ljB
+	ljA := f.ljA
+	ljB := f.ljB[:len(ljA)]
 	nt := f.ntypes
 	coef := tab.coef
 	u0, inv := tab.U0, tab.inv
@@ -189,16 +188,36 @@ func (f *ForceField) pairRange(x, y, z []float64, pairs []space.Pair, fx, fy, fz
 	box := f.Sys.Box
 	lx, ly, lz := box.L.X, box.L.Y, box.L.Z
 	invLx, invLy, invLz := 1/lx, 1/ly, 1/lz
+	// Within 0.49·L of each other on an axis the nearest image is the atom
+	// itself: |d·(1/L)| < 0.5, math.Round gives ±0 and d − L·(±0) is d bit
+	// for bit. Only pairs that straddle a periodic face pay for the
+	// rounding. (The one exception, d = −0, came out of the subtraction as
+	// +0; the sign reaches nothing but the zero fmag·d added to force
+	// accumulators that start at +0 and so never hold −0.)
+	hx, hy, hz := 0.49*lx, 0.49*ly, 0.49*lz
 	cut2 := f.Opts.CutOff * f.Opts.CutOff
+
+	// One length for every per-atom array, so one bounds check per index
+	// covers them all.
+	n := len(x)
+	y, z = y[:n], z[:n]
+	fx, fy, fz = fx[:n], fy[:n], fz[:n]
+	charge, typ := f.charge[:n], f.typ[:n]
 
 	for _, p := range pairs {
 		i, j := int(p.I), int(p.J)
 		dx := x[i] - x[j]
 		dy := y[i] - y[j]
 		dz := z[i] - z[j]
-		dx -= lx * math.Round(dx*invLx)
-		dy -= ly * math.Round(dy*invLy)
-		dz -= lz * math.Round(dz*invLz)
+		if dx > hx || dx < -hx {
+			dx -= lx * math.Round(dx*invLx)
+		}
+		if dy > hy || dy < -hy {
+			dy -= ly * math.Round(dy*invLy)
+		}
+		if dz > hz || dz < -hz {
+			dz -= lz * math.Round(dz*invLz)
+		}
 		u := dx*dx + dy*dy + dz*dz
 		if u > cut2 || u == 0 {
 			continue
@@ -213,8 +232,8 @@ func (f *ForceField) pairRange(x, y, z []float64, pairs []space.Pair, fx, fy, fz
 			}
 			t := ui - float64(ii)
 			c := coef[ii*12 : ii*12+12 : ii*12+12]
-			A := ljA[int(typ[i])*nt+int(typ[j])]
-			B := ljB[int(typ[i])*nt+int(typ[j])]
+			tij := int(typ[i])*nt + int(typ[j])
+			A, B := ljA[tij], ljB[tij]
 			e12 := ((c[3]*t+c[2])*t+c[1])*t + c[0]
 			g12 := (3*c[3]*t+2*c[2])*t + c[1]
 			e6 := ((c[7]*t+c[6])*t+c[5])*t + c[4]

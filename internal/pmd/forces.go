@@ -121,6 +121,7 @@ func (w *worker) computeForces(st *StepTiming, tr phaseTracker) md.EnergyReport 
 	if w.replay == nil {
 		charges = w.ff.Charges()
 	}
+	w.eval++
 
 	// ---------------- Classic phase (continued) -------------------------
 
@@ -172,11 +173,18 @@ func (w *worker) computeForces(st *StepTiming, tr phaseTracker) md.EnergyReport 
 	w.c.Allreduce(bytesPerCoord*n, reduceOp)
 	w.c.Allreduce(2048, 0)
 	w.inline(func() {
-		vec.Fill(w.frcTotal, vec.Zero)
+		sh := w.sh
+		if sh.classicEval != w.eval {
+			vec.Fill(sh.frcSum, vec.Zero)
+			for rk := 0; rk < w.p; rk++ {
+				vec.AddTo(sh.frcSum, sh.classicFrc[rk])
+			}
+			sh.classicEval = w.eval
+		}
+		copy(w.frcTotal, sh.frcSum)
 		var eAll ff.Energies
 		for rk := 0; rk < w.p; rk++ {
-			vec.AddTo(w.frcTotal, w.sh.classicFrc[rk])
-			eAll.Add(w.sh.energy[rk].FF)
+			eAll.Add(sh.energy[rk].FF)
 		}
 		rep.FF = eAll
 	})
@@ -336,18 +344,16 @@ func (w *worker) computeForces(st *StepTiming, tr phaseTracker) md.EnergyReport 
 	var minP5 work.Counters
 	if w.replay == nil {
 		minP5 = work.Counters{
-			Other:       int64(len(w.convFull)),
+			Other:       int64(k1 * planeLen),
 			GridCharges: nOwn * o3,
 		}
 	}
 	var eExcl float64
 	w.seg(minP5, func(wp *work.Counters) {
-		for rk := 0; rk < w.p; rk++ {
-			copy(w.convFull[w.xOff[rk]*planeLen:w.xOff[rk+1]*planeLen], w.sh.convSlabs[rk])
-		}
-		wp.Other += int64(len(w.convFull))
+		conv := w.sh.conv.assembled(w.eval, w.sh.convSlabs, w.xOff, planeLen)
+		wp.Other += int64(k1 * planeLen)
 		wp.GridCharges += nOwn * o3
-		eExcl = recipForces(w.pme, sys, w.convFull, w.pos, charges, aLo, aHi, w.partial, wp)
+		eExcl = recipForces(w.pme, sys, conv, w.pos, charges, aLo, aHi, w.partial, wp)
 	})
 
 	w.inline(func() {
@@ -359,10 +365,17 @@ func (w *worker) computeForces(st *StepTiming, tr phaseTracker) md.EnergyReport 
 	// Combine PME forces and energies.
 	w.c.Allreduce(bytesPerCoord*n+64, reduceOp)
 	w.inline(func() {
+		sh := w.sh
+		if sh.totalEval != w.eval {
+			for rk := 0; rk < w.p; rk++ {
+				vec.AddTo(sh.frcSum, sh.pmeFrc[rk])
+			}
+			sh.totalEval = w.eval
+		}
+		copy(w.frcTotal, sh.frcSum)
 		for rk := 0; rk < w.p; rk++ {
-			vec.AddTo(w.frcTotal, w.sh.pmeFrc[rk])
-			rep.Recip += w.sh.energy[rk].Recip
-			rep.ExclCorr += w.sh.energy[rk].ExclCorr
+			rep.Recip += sh.energy[rk].Recip
+			rep.ExclCorr += sh.energy[rk].ExclCorr
 		}
 		rep.Self = ewald.SelfEnergy(charges, w.pme.Beta)
 		rep.Background = ewald.BackgroundEnergy(charges, w.pme.Beta, sys.Box.Volume())

@@ -53,6 +53,19 @@ type shared struct {
 
 	lists listCache
 
+	// What every replica would compute identically at the combine points of
+	// a force evaluation is computed once, by the first rank to get there,
+	// in the same rank-ascending order: frcSum holds the classic force
+	// total of evaluation classicEval, and from the PME combine of
+	// evaluation totalEval on, the classic+PME total; the other ranks copy
+	// it. Both combines are inline code, so one rank at a time is in them,
+	// and the collectives between two combine points keep a lagging reader
+	// ahead of the next writer. conv is the same for the assembled
+	// potential grid, which the interpolation segments share.
+	frcSum                 []vec.V
+	classicEval, totalEval int
+	conv                   convGrid
+
 	// pool is the host-core kernel pool shared by every rank's kernels
 	// (nil when cfg.MD.KernelWorkers is 0). Sharing one pool bounds the
 	// total helper-goroutine concurrency of an attempt regardless of the
@@ -86,6 +99,31 @@ type listEntry struct {
 	once      sync.Once
 	pairs     []space.Pair
 	distEvals int64
+}
+
+// convGrid is the convolved potential grid assembled from every rank's
+// x-slab: once per force evaluation, by the first interpolation segment to
+// ask for it, while the others wait on the lock and then read it. One grid
+// serves every evaluation for the reason listCache gives for its
+// generations: a rank enters the all-gather that precedes the next assembly
+// only after its own interpolation segment returned, and no rank leaves
+// that all-gather before every rank entered it.
+type convGrid struct {
+	mu   sync.Mutex
+	eval int // the evaluation grid holds; evaluations count from 1
+	grid []complex128
+}
+
+func (c *convGrid) assembled(eval int, slabs [][]complex128, xOff []int, planeLen int) []complex128 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.eval != eval {
+		for rk, slab := range slabs {
+			copy(c.grid[xOff[rk]*planeLen:xOff[rk+1]*planeLen], slab)
+		}
+		c.eval = eval
+	}
+	return c.grid
 }
 
 // sharedList returns the neighbour list of generation gen, building it
@@ -124,6 +162,10 @@ func newShared(p int, cfg Config, seedEngine *md.Engine) *shared {
 	}
 	if cfg.MD.KernelWorkers > 0 {
 		sh.pool = kernels.NewPool(cfg.MD.KernelWorkers)
+	}
+	if cfg.Decomp == DecompReplicated && seedEngine != nil {
+		sh.frcSum = make([]vec.V, cfg.System.N())
+		sh.conv.grid = make([]complex128, cfg.MD.PME.K1*cfg.MD.PME.K2*cfg.MD.PME.K3)
 	}
 	if cfg.Decomp == DecompDomain && seedEngine != nil {
 		sh.canon = newCanonical(p, cfg, sh, seedEngine)
@@ -173,6 +215,7 @@ type worker struct {
 	pairs      []space.Pair
 	listOrigin []vec.V
 	listGen    int // neighbour-list generation, in lockstep on all ranks
+	eval       int // force evaluations started, in lockstep on all ranks
 
 	// Tape mode: at most one of rec/replay is non-nil. Recording appends
 	// every segment's counters; replaying charges the recorded counters and
@@ -215,7 +258,6 @@ type worker struct {
 	localGrid []complex128 // full grid, own-atom spreading
 	slab      []complex128 // owned x-slab [myX][K2][K3]
 	xlines    []complex128 // transposed layout [K1][myY][K3]
-	convFull  []complex128 // assembled potential grid
 	plan2d    *fft.Plan2D
 	plan1d    *fft.Plan
 	packF     [][]complex128 // forward transpose send blocks, per dst
@@ -357,7 +399,6 @@ func newWorker(r *mpi.Rank, cfg Config, sh *shared, seedEngine *md.Engine, tape 
 	w.localGrid = make([]complex128, g)
 	w.slab = make([]complex128, w.myXW()*planeLen)
 	w.xlines = make([]complex128, pmeCfg.K1*w.myYW()*pmeCfg.K3)
-	w.convFull = make([]complex128, g)
 	w.packF = make([][]complex128, p)
 	w.packB = make([][]complex128, p)
 	for dst := 0; dst < p; dst++ {

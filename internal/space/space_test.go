@@ -240,3 +240,49 @@ func TestCellListDenseCluster(t *testing.T) {
 		t.Fatalf("expected all pairs within cutoff, got %d", len(got))
 	}
 }
+
+// Rebuild at new positions — some outside the primary cell — lists what a
+// fresh cell list lists, in the same order, and allocates nothing.
+func TestCellListRebuildMatchesFresh(t *testing.T) {
+	b := NewBox(30, 22, 26)
+	r := rng.New(11)
+	pos := randomPositions(r, 400, b)
+	cl := NewCellList(b, 7, pos)
+	buf := cl.Pairs(pos, nil)
+	for i := range pos {
+		pos[i] = pos[i].Add(vec.New(r.Range(-40, 40), r.Range(-3, 3), r.Range(-3, 3)))
+	}
+	if allocs := testing.AllocsPerRun(1, func() { cl.Rebuild(pos) }); allocs != 0 {
+		t.Errorf("Rebuild allocates %v times", allocs)
+	}
+	var evals, wantEvals int64
+	got := cl.PairsAppend(pos, buf, &evals)
+	want := NewCellList(b, 7, pos).Pairs(pos, &wantEvals)
+	if len(got) != len(want) || evals != wantEvals {
+		t.Fatalf("rebuilt list: %d pairs in %d evaluations; fresh list %d in %d", len(got), evals, len(want), wantEvals)
+	}
+	for k := range got {
+		if got[k] != want[k] {
+			t.Fatalf("pair %d: rebuilt list has %v, fresh list %v", k, got[k], want[k])
+		}
+	}
+}
+
+// Pairs sizes its buffer from a sample scan: once, with room to spare but
+// not much, whether the atoms fill the box evenly or half of them sit in
+// one blob (where cell occupancies say little about the pair count).
+func TestPairsBufferSizedOnce(t *testing.T) {
+	b := NewBox(40, 36, 48)
+	r := rng.New(5)
+	uniform := randomPositions(r, 3000, b)
+	blob := randomPositions(r, 3000, b)
+	for i := 0; i < len(blob)/2; i++ {
+		blob[i] = vec.New(r.Range(14, 22), r.Range(14, 22), r.Range(14, 22))
+	}
+	for name, pos := range map[string][]vec.V{"uniform": uniform, "blob": blob} {
+		pairs := NewCellList(b, 10, pos).Pairs(pos, nil)
+		if est := cap(pairs); est < len(pairs) || 10*est > 14*len(pairs) {
+			t.Errorf("%s: buffer of %d for %d pairs", name, est, len(pairs))
+		}
+	}
+}
