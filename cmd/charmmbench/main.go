@@ -38,7 +38,7 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced protocol (2 steps, p ≤ 4) for smoke runs")
 	seed := flag.Uint64("seed", 0, "override the deterministic seeds")
 	outdir := flag.String("outdir", "", "also write every figure as CSV into this directory")
-	workers := flag.Int("workers", 0, "host worker goroutines for compute segments (0 = one per CPU, 1 = serial; output is identical)")
+	workers := flag.Int("workers", 0, "cells in flight and compute-segment goroutines; 0 = one per CPU, 1 = serial; output is identical")
 	app.KernelWorkersFlag("spread the physics kernels over this many host cores (0 = legacy serial; figure bytes identical for any value >= 1)")
 	app.SkinFlags("auto-tune the neighbour-list skin on the study workload before any figure runs")
 	verbose := flag.Bool("v", false, "print run-cache and physics-tape statistics to stderr")
@@ -51,6 +51,9 @@ func main() {
 
 	if app.ProfileOut != "" && *figure != "attribution" {
 		app.Usagef("-profile-out requires -figure attribution")
+	}
+	if *workers < 0 {
+		app.Usagef("-workers must be >= 0, got %d", *workers)
 	}
 	opts := core.Options{Quick: *quick, Steps: *steps, SystemSeed: *seed, ClusterSeed: *seed,
 		Workers: *workers, KernelWorkers: app.KernelWorkers, Obs: app.Reg, Decomp: app.Decomp}
@@ -74,6 +77,9 @@ func main() {
 		f = core.FormatCSV
 	default:
 		app.Usagef("unknown format %q", *format)
+	}
+	if *figure == "all" && f == core.FormatCSV {
+		app.Usagef("-format csv needs a single -figure")
 	}
 	defer app.StartObs(obs.ServeOptions{
 		Status: func() []string { return []string{"charmmbench: figure " + *figure} },
@@ -112,6 +118,7 @@ func main() {
 		study.Suite.Cfg.MD = tuning.Apply(study.Suite.Cfg.MD)
 		fmt.Fprintf(os.Stderr, "tune-skin: chose %.1f Å (replay with -skin %.1f)\n", tuning.Chosen, tuning.Chosen)
 	}
+	figStart := time.Now()
 	if *outdir != "" {
 		if err := os.MkdirAll(*outdir, 0o755); err != nil {
 			app.Fail(err)
@@ -139,9 +146,6 @@ func main() {
 	}
 	var err error
 	if *figure == "all" {
-		if f == core.FormatCSV {
-			app.Usagef("-format csv needs a single -figure")
-		}
 		err = study.All(os.Stdout)
 	} else {
 		err = study.Figure(*figure, os.Stdout, f)
@@ -168,9 +172,12 @@ func main() {
 
 	if *verbose {
 		st := study.Stats()
+		// Since figStart there were only batches and their rendering: cell
+		// seconds over that wall is the mean number of cells in flight.
 		fmt.Fprintf(os.Stderr,
-			"charmmbench: %s wall, %d unique runs simulated, %d cache hits, %d tapes recorded, %d tape replays\n",
-			time.Since(start).Round(time.Millisecond), st.Misses, st.Hits, st.TapeRecords, st.TapeReplays)
+			"charmmbench: %s wall, %d unique runs simulated, %d cache hits, %d tapes recorded, %d tape replays, %.2f cells in flight\n",
+			time.Since(start).Round(time.Millisecond), st.Misses, st.Hits, st.TapeRecords, st.TapeReplays,
+			study.Suite.CellSeconds()/time.Since(figStart).Seconds())
 	}
 	app.WriteManifest(func(m *obs.Manifest) {
 		m.Seeds["system"] = *seed

@@ -306,6 +306,8 @@ func TestCommands(t *testing.T) {
 		{"chaos", "-runs 1 -recovery local", "chaos: pmd: invalid Recovery: localized recovery repairs spatial domains; it needs Decomp == DecompDomain\n"},
 		{"mdrun", "-ranks 16 -xyz t.xyz", "mdrun: -xyz is not supported with -ranks > 1\n"},
 		{"charmmbench", "-profile-out p.json", "charmmbench: -profile-out requires -figure attribution\n"},
+		{"charmmbench", "-figure 3 -quick -workers -3", "charmmbench: -workers must be >= 0, got -3\n"},
+		{"charmmbench", "-format csv -figure all", "charmmbench: -format csv needs a single -figure\n"},
 	} {
 		if got, code := run(tc.name, strings.Fields(tc.args)...); got != tc.want || code != 2 {
 			t.Errorf("%s %s: exit %d, stderr %q; want exit 2, %q", tc.name, tc.args, code, got, tc.want)

@@ -112,147 +112,113 @@ func FigureIDs() []string {
 	return ids
 }
 
-// Figure regenerates one paper figure (or the factorial table) and writes
-// it in the requested format.
-func (s *Study) Figure(id string, w io.Writer, format Format) error {
+// figure is one experiment as a Study runs it: the cells it needs, in
+// request order, and the rendering of their results.
+type figure struct {
+	cells  []figures.CellKey
+	render func(w io.Writer, format Format, results []*pmd.Result) error
+}
+
+// planned adapts a figure's plan and its two renderers.
+func planned[R any](p figures.Plan[R], text, csv func(io.Writer, R) error) figure {
+	return figure{cells: p.Cells, render: func(w io.Writer, format Format, results []*pmd.Result) error {
+		rows, err := p.Fold(results)
+		if err != nil {
+			return err
+		}
+		if format == FormatCSV {
+			return csv(w, rows)
+		}
+		return text(w, rows)
+	}}
+}
+
+// diagram adapts a figure that has no cells and one rendering.
+func diagram(render func(io.Writer) error) figure {
+	return figure{render: func(w io.Writer, _ Format, _ []*pmd.Result) error { return render(w) }}
+}
+
+// figure looks an experiment up by id.
+func (s *Study) figure(id string) (figure, error) {
+	fs := s.Suite
 	switch id {
 	case "1":
-		return figures.RenderFig1(w)
+		return diagram(figures.RenderFig1), nil
 	case "2":
-		return figures.RenderFig2(w)
+		return diagram(figures.RenderFig2), nil
 	case "3":
-		rows, err := s.Suite.Fig3()
-		if err != nil {
-			return err
-		}
-		if format == FormatCSV {
-			return figures.CSVFig3(w, rows)
-		}
-		return figures.RenderFig3(w, rows)
+		return planned(fs.Fig3Plan(), figures.RenderFig3, figures.CSVFig3), nil
 	case "4":
-		rows, err := s.Suite.Fig4()
-		if err != nil {
-			return err
-		}
-		if format == FormatCSV {
-			return figures.CSVFig4(w, rows)
-		}
-		return figures.RenderFig4(w, rows)
-	case "5", "6":
-		nets, err := s.Suite.Fig56()
-		if err != nil {
-			return err
-		}
-		if format == FormatCSV {
-			return figures.CSVFig56(w, nets)
-		}
-		if id == "5" {
-			return figures.RenderFig5(w, nets)
-		}
-		return figures.RenderFig6(w, nets)
+		return planned(fs.Fig4Plan(), figures.RenderFig4, figures.CSVFig4), nil
+	case "5":
+		return planned(fs.Fig56Plan(), figures.RenderFig5, figures.CSVFig56), nil
+	case "6":
+		return planned(fs.Fig56Plan(), figures.RenderFig6, figures.CSVFig56), nil
 	case "7":
-		rows, err := s.Suite.Fig7()
-		if err != nil {
-			return err
-		}
-		if format == FormatCSV {
-			return figures.CSVFig7(w, rows)
-		}
-		return figures.RenderFig7(w, rows)
+		return planned(fs.Fig7Plan(), figures.RenderFig7, figures.CSVFig7), nil
 	case "8":
-		rows, err := s.Suite.Fig8()
-		if err != nil {
-			return err
-		}
-		if format == FormatCSV {
-			return figures.CSVFig8(w, rows)
-		}
-		return figures.RenderFig8(w, rows)
+		return planned(fs.Fig8Plan(), figures.RenderFig8, figures.CSVFig8), nil
 	case "9":
-		rows, err := s.Suite.Fig9()
-		if err != nil {
-			return err
-		}
-		if format == FormatCSV {
-			return figures.CSVFig9(w, rows)
-		}
-		return figures.RenderFig9(w, rows)
+		return planned(fs.Fig9Plan(), figures.RenderFig9, figures.CSVFig9), nil
 	case "factorial":
-		rows, err := s.Suite.Factorial()
-		if err != nil {
-			return err
-		}
-		if format == FormatCSV {
-			return figures.CSVFactorial(w, rows)
-		}
-		return figures.RenderFactorial(w, rows)
+		return planned(fs.FactorialPlan(), figures.RenderFactorial, figures.CSVFactorial), nil
 	case "effects":
-		a, err := s.Suite.FactorAnalysis()
-		if err != nil {
-			return err
-		}
-		if format == FormatCSV {
-			return figures.CSVEffects(w, a)
-		}
-		return figures.RenderEffects(w, a)
+		return planned(fs.EffectsPlan(), figures.RenderEffects, figures.CSVEffects), nil
 	case "ablation":
-		rows, err := s.Suite.Ablation()
-		if err != nil {
-			return err
-		}
-		if format == FormatCSV {
-			return figures.CSVAblation(w, rows)
-		}
-		return figures.RenderAblation(w, rows)
+		return planned(fs.AblationPlan(), figures.RenderAblation, figures.CSVAblation), nil
 	case "scalelimit":
-		rows, err := s.Suite.ScaleLimit()
-		if err != nil {
-			return err
-		}
-		if format == FormatCSV {
-			return figures.CSVScaleLimit(w, rows)
-		}
-		return figures.RenderScaleLimit(w, rows)
+		return planned(fs.ScaleLimitPlan(), figures.RenderScaleLimit, figures.CSVScaleLimit), nil
 	case "ceiling":
-		res, err := s.Suite.Ceiling()
-		if err != nil {
-			return err
-		}
-		if format == FormatCSV {
-			return figures.CSVCeiling(w, res)
-		}
-		return figures.RenderCeiling(w, res)
+		return planned(fs.CeilingPlan(), figures.RenderCeiling, figures.CSVCeiling), nil
 	case "recovery":
-		res, err := s.Suite.Recovery()
-		if err != nil {
-			return err
-		}
-		if format == FormatCSV {
-			return figures.CSVRecovery(w, res)
-		}
-		return figures.RenderRecovery(w, res)
+		return planned(fs.RecoveryPlan(), figures.RenderRecovery, figures.CSVRecovery), nil
 	case "attribution":
-		res, err := s.Suite.Attribution()
-		if err != nil {
-			return err
-		}
-		if format == FormatCSV {
-			return figures.CSVAttribution(w, res)
-		}
-		return figures.RenderAttribution(w, res)
+		return planned(fs.AttributionPlan(), figures.RenderAttribution, figures.CSVAttribution), nil
 	}
-	return fmt.Errorf("core: unknown figure %q (known: %v)", id, FigureIDs())
+	return figure{}, fmt.Errorf("core: unknown figure %q (known: %v)", id, FigureIDs())
+}
+
+// Figure regenerates one paper figure (or the factorial table) and writes
+// it in the requested format. The figure's cells run as one batch.
+func (s *Study) Figure(id string, w io.Writer, format Format) error {
+	fig, err := s.figure(id)
+	if err != nil {
+		return err
+	}
+	results, err := s.Suite.RunCells(fig.cells)
+	if err != nil {
+		return err
+	}
+	return fig.render(w, format, results)
 }
 
 // All regenerates every paper figure in text form, separated by blank
 // lines. The ceiling, recovery and attribution studies are not part of
 // the paper and sweep to hundreds of ranks, so they only run when
-// requested by id.
+// requested by id. The figures' cell lists, concatenated in figure order,
+// run as one batch — the records of a late figure overlap an early one's —
+// and each figure renders from its own stretch of the results.
 func (s *Study) All(w io.Writer) error {
+	var figs []figure
+	var cells []figures.CellKey
 	for _, id := range []string{"1", "2", "3", "4", "5", "6", "7", "8", "9", "factorial", "effects", "ablation", "scalelimit"} {
-		if err := s.Figure(id, w, FormatText); err != nil {
+		fig, err := s.figure(id)
+		if err != nil {
 			return err
 		}
+		figs = append(figs, fig)
+		cells = append(cells, fig.cells...)
+	}
+	results, err := s.Suite.RunCells(cells)
+	if err != nil {
+		return err
+	}
+	for _, fig := range figs {
+		n := len(fig.cells)
+		if err := fig.render(w, FormatText, results[:n]); err != nil {
+			return err
+		}
+		results = results[n:]
 		if _, err := fmt.Fprintln(w); err != nil {
 			return err
 		}

@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/figures"
 )
 
 // sharedStudy is reused across tests: the suite caches runs, so building it
@@ -52,15 +54,31 @@ func TestFigureTextAndCSV(t *testing.T) {
 	}
 }
 
+// TestAll: the whole report, one batch of cells, is the same bytes from
+// the same RunStats however many of its cells are in flight.
 func TestAll(t *testing.T) {
-	s := quickStudy()
-	var b strings.Builder
-	if err := s.All(&b); err != nil {
-		t.Fatal(err)
-	}
-	for _, marker := range []string{"Figure 3", "Figure 7", "factorial"} {
-		if !strings.Contains(b.String(), marker) {
-			t.Fatalf("All output missing %q", marker)
+	var serial string
+	var serialStats figures.RunStats
+	for _, workers := range []int{1, 2, 4, 8} {
+		s := NewStudy(Options{Quick: true, Workers: workers})
+		var b strings.Builder
+		if err := s.All(&b); err != nil {
+			t.Fatal(err)
+		}
+		if workers == 1 {
+			serial, serialStats = b.String(), s.Stats()
+			for _, marker := range []string{"Figure 3", "Figure 7", "factorial"} {
+				if !strings.Contains(serial, marker) {
+					t.Fatalf("All output missing %q", marker)
+				}
+			}
+			continue
+		}
+		if b.String() != serial {
+			t.Fatalf("All output at Workers=%d differs from the serial bytes", workers)
+		}
+		if st := s.Stats(); st != serialStats {
+			t.Fatalf("RunStats %+v at Workers=%d, serial %+v", st, workers, serialStats)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/cluster"
 	"repro/internal/netmodel"
 	"repro/internal/pmd"
 	"repro/internal/report"
@@ -30,7 +29,10 @@ type AblationRow struct {
 // It quantifies the paper's closing claim that "optimizing the
 // communication code ... will add a significant amount of scalability to
 // CHARMM at no extra hardware cost".
-func (s *Suite) Ablation() ([]AblationRow, error) {
+func (s *Suite) Ablation() ([]AblationRow, error) { return RunPlan(s, s.AblationPlan()) }
+
+// AblationPlan is the ablation study as a plan.
+func (s *Suite) AblationPlan() Plan[[]AblationRow] {
 	p := s.Cfg.Procs[len(s.Cfg.Procs)-1]
 	noStall := netmodel.TCPGigE()
 	noStall.Name = "TCP/IP (no stalls)"
@@ -47,22 +49,23 @@ func (s *Suite) Ablation() ([]AblationRow, error) {
 		{"both fixes", noStall, true},
 	}
 
-	var out []AblationRow
+	var cells []CellKey
 	for _, v := range variants {
-		res, err := s.runCase(
-			cluster.Config{Nodes: p, CPUsPerNode: 1, Net: v.net, Seed: s.Cfg.ClusterSeed},
-			pmd.MiddlewareMPI, v.modern, s.Cfg.Decomp,
-		)
-		if err != nil {
-			return nil, err
-		}
-		c, pm := res.PhaseTotals()
-		out = append(out, AblationRow{
-			Variant: v.name, P: p,
-			Classic: c.Wall, PME: pm.Wall, Total: c.Wall + pm.Wall,
-		})
+		c := s.cell(v.net, p, 1, pmd.MiddlewareMPI, s.Cfg.Decomp)
+		c.Modern = v.modern
+		cells = append(cells, c)
 	}
-	return out, nil
+	return Plan[[]AblationRow]{Cells: cells, Fold: func(results []*pmd.Result) ([]AblationRow, error) {
+		var out []AblationRow
+		for i, res := range results {
+			c, pm := res.PhaseTotals()
+			out = append(out, AblationRow{
+				Variant: variants[i].name, P: res.P,
+				Classic: c.Wall, PME: pm.Wall, Total: c.Wall + pm.Wall,
+			})
+		}
+		return out, nil
+	}}
 }
 
 // RenderAblation writes the ablation table.

@@ -53,45 +53,50 @@ type AttributionResult struct {
 // cell, the bucket (compute, comm, wait, imbalance) that owns the wall
 // clock. Profiles are derived from the same cached results the other
 // figures use, so the study is byte-identical across host worker counts.
-func (s *Suite) Attribution() (*AttributionResult, error) {
-	procs := s.Cfg.CeilingProcs
-	if len(procs) == 0 {
-		procs = []int{1, 8, 16, 64, 256, 1024}
-	}
-	out := &AttributionResult{}
-	for _, net := range netmodel.All() {
-		verdict := AttributionVerdict{Network: net.Name}
-		for _, decomp := range []pmd.DecompKind{pmd.DecompReplicated, pmd.DecompDomain} {
-			var last *AttributionRow
-			for _, p := range procs {
-				row := AttributionRow{Network: net.Name, Decomp: decomp.String(), P: p}
-				if err := pmd.ValidateDecomp(decomp, p, s.Cfg.MD.PME); err != nil {
-					row.Err = err.Error()
-					out.Rows = append(out.Rows, row)
-					continue
+func (s *Suite) Attribution() (*AttributionResult, error) { return RunPlan(s, s.AttributionPlan()) }
+
+// AttributionPlan is the attribution study as a plan over the ceiling
+// sweep's cells.
+func (s *Suite) AttributionPlan() Plan[*AttributionResult] {
+	var rows []AttributionRow
+	cells := s.ceilingSweep(func(network, decomp string, p int, tileErr string) {
+		rows = append(rows, AttributionRow{Network: network, Decomp: decomp, P: p, Err: tileErr})
+	})
+	return Plan[*AttributionResult]{Cells: cells, Fold: func(results []*pmd.Result) (*AttributionResult, error) {
+		out := &AttributionResult{Rows: append([]AttributionRow(nil), rows...)}
+		for i := range out.Rows {
+			row := &out.Rows[i]
+			if row.Err != "" {
+				continue
+			}
+			prof := results[0].Profile(nil)
+			results = results[1:]
+			att := prof.Attribution
+			row.Wall = att.WallSeconds
+			row.Compute, row.Comm = att.ComputeSeconds, att.CommSeconds
+			row.Wait, row.Imbalance = att.WaitSeconds, att.ImbalanceSeconds
+			row.Dominant = att.Dominant
+			for _, ph := range prof.Phases {
+				switch ph.Phase {
+				case "classic":
+					row.ClassicImb = ph.Imbalance
+				case "pme":
+					row.PMEImb = ph.Imbalance
 				}
-				res, err := s.RunDecomp(net, p, 1, pmd.MiddlewareMPI, decomp)
-				if err != nil {
-					return nil, err
-				}
-				prof := res.Profile(nil)
-				att := prof.Attribution
-				row.Wall = att.WallSeconds
-				row.Compute, row.Comm = att.ComputeSeconds, att.CommSeconds
-				row.Wait, row.Imbalance = att.WaitSeconds, att.ImbalanceSeconds
-				row.Dominant = att.Dominant
-				for _, ph := range prof.Phases {
-					switch ph.Phase {
-					case "classic":
-						row.ClassicImb = ph.Imbalance
-					case "pme":
-						row.PMEImb = ph.Imbalance
+			}
+		}
+		for _, net := range netmodel.All() {
+			verdict := AttributionVerdict{Network: net.Name}
+			for _, decomp := range []pmd.DecompKind{pmd.DecompReplicated, pmd.DecompDomain} {
+				var last *AttributionRow // the deepest rank count the strategy tiles
+				for i := range out.Rows {
+					if r := &out.Rows[i]; r.Network == net.Name && r.Decomp == decomp.String() && r.Err == "" {
+						last = r
 					}
 				}
-				out.Rows = append(out.Rows, row)
-				last = &out.Rows[len(out.Rows)-1]
-			}
-			if last != nil {
+				if last == nil {
+					continue
+				}
 				share := 0.0
 				if last.Wall > 0 {
 					share = 100 * bucketValue(last) / last.Wall
@@ -100,10 +105,10 @@ func (s *Suite) Attribution() (*AttributionResult, error) {
 					"%s @ p=%d: %s-bound (%.0f%% of wall)",
 					last.Decomp, last.P, last.Dominant, share))
 			}
+			out.Verdicts = append(out.Verdicts, verdict)
 		}
-		out.Verdicts = append(out.Verdicts, verdict)
-	}
-	return out, nil
+		return out, nil
+	}}
 }
 
 // bucketValue returns the seconds of the row's dominant bucket.

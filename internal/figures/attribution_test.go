@@ -1,7 +1,7 @@
 package figures
 
 import (
-	"bytes"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -121,31 +121,23 @@ func TestAttributionRendersUntileableCells(t *testing.T) {
 }
 
 // TestAttributionOutputIdenticalAcrossWorkers: rendered attribution
-// bytes are identical between the serial schedule, the host-parallel
-// one, and the pooled kernels — the acceptance determinism contract.
+// bytes and run counters are identical between the serial schedule, every
+// number of cells in flight, and the pooled kernels — the acceptance
+// determinism contract.
 func TestAttributionOutputIdenticalAcrossWorkers(t *testing.T) {
-	render := func(workers, kernelWorkers int) []byte {
-		cfg := quickConfig()
-		cfg.Workers = workers
-		cfg.MD.KernelWorkers = kernelWorkers
-		cfg.CeilingProcs = []int{1, 16}
-		s := NewSuite(cfg)
+	cfgs := workerConfigs(func(c *Config) { c.CeilingProcs = []int{1, 16} })
+	for _, workers := range []int{1, 4} {
+		pooled := cfgs[0]
+		pooled.Workers, pooled.MD.KernelWorkers = workers, 2
+		cfgs = append(cfgs, pooled)
+	}
+	identicalAcross(t, cfgs, func(s *Suite, w io.Writer) error {
 		res, err := s.Attribution()
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		var buf bytes.Buffer
-		if err := RenderAttribution(&buf, res); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	ref := render(1, 0)
-	for _, c := range [][2]int{{4, 0}, {1, 2}, {4, 2}} {
-		if got := render(c[0], c[1]); !bytes.Equal(got, ref) {
-			t.Fatalf("attribution bytes differ at workers=%d kernel-workers=%d", c[0], c[1])
-		}
-	}
+		return RenderAttribution(w, res)
+	})
 }
 
 // TestAttributionProfilesServeEveryTileableCell: the machine-readable

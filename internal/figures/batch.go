@@ -1,0 +1,199 @@
+package figures
+
+import (
+	"slices"
+	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/netmodel"
+	"repro/internal/pmd"
+)
+
+// Plan is a figure before its cells have run: the cells it needs, in
+// request order, and the fold from their results (same order, same length)
+// to the figure's data. Every figure builds its plan in one place; the
+// figure's own method runs it as one batch (RunPlan), and core.Study.All
+// concatenates the Cells of thirteen plans into a single batch and folds
+// each figure from its sub-slice.
+type Plan[R any] struct {
+	Cells []CellKey
+	Fold  func(results []*pmd.Result) (R, error)
+}
+
+// RunPlan executes the plan's cells as one batch and folds the results.
+func RunPlan[R any](s *Suite, p Plan[R]) (R, error) {
+	res, err := s.RunCells(p.Cells)
+	if err != nil {
+		var zero R
+		return zero, err
+	}
+	return p.Fold(res)
+}
+
+// cell names one cell of this suite's workload: procs processors on nodes
+// of cpusPerNode CPUs (procs must divide evenly).
+func (s *Suite) cell(net netmodel.Params, procs, cpusPerNode int, mw pmd.MiddlewareKind, decomp pmd.DecompKind) CellKey {
+	return CellKey{
+		Cluster: cluster.Config{
+			Nodes:       procs / cpusPerNode,
+			CPUsPerNode: cpusPerNode,
+			Net:         net,
+			Seed:        s.Cfg.ClusterSeed,
+		},
+		Middleware: mw,
+		Steps:      s.Cfg.Steps,
+		FaultSpec:  s.Cfg.FaultSpec,
+		Decomp:     decomp,
+	}
+}
+
+// procs is the cell's processor count.
+func (k CellKey) procs() int { return k.Cluster.Nodes * k.Cluster.CPUsPerNode }
+
+// job is one cache-missing cell of a batch. The requesting goroutine owns
+// every field except res, err and secs, which the goroutine executing the
+// cell writes before it hands the job back.
+type job struct {
+	cell  CellKey
+	tape  *pmd.Tape // nil for a domain cell
+	after *job      // the job of this batch recording tape; nil if tape was complete, or this job records it
+
+	started, done bool
+	res           *pmd.Result
+	err           error
+	secs          float64 // host seconds inside the cell
+}
+
+// RunCells is the suite's one way to execute cells: it returns the
+// (cached) results of the requested cells, in request order, simulating
+// the cache misses with at most Cfg.Workers of them in flight. Three rules
+// keep figure bytes and RunStats independent of the worker count:
+//
+//   - All bookkeeping — run cache, tapes, counters — happens here, on the
+//     requesting goroutine, in request order. Goroutines executing cells
+//     receive a (cell, tape) pair and return a (result, error) pair.
+//   - Per rank count, the first requester whose tape is missing records it
+//     alone; the other cells of that rank count start once it has finished
+//     and replay. A failed recorder is their error too. Domain cells have
+//     no tape and wait for nobody.
+//   - The first error in request order is the batch's error, and nothing
+//     requested after it is kept: the suite is left as if the cells had
+//     been requested one at a time up to the failure.
+//
+// A batch with at most one miss, or Workers = 1, runs inline on the caller
+// in request order — no goroutine, no channel.
+func (s *Suite) RunCells(cells []CellKey) ([]*pmd.Result, error) {
+	keys := make([]string, len(cells))
+	var jobs []*job
+	queued := map[string]*job{} // this batch's misses by key
+	recorder := map[int]*job{}  // this batch's recording job per rank count
+	for i, c := range cells {
+		keys[i] = c.String()
+		if s.cache[keys[i]] != nil || queued[keys[i]] != nil {
+			continue
+		}
+		j := &job{cell: c}
+		// Physics tapes are a replicated-path shortcut: the domain path's
+		// per-rank work depends on the spatial grid, not the block partition a
+		// tape records, so domain cells always execute their kernels.
+		if c.Decomp == pmd.DecompReplicated {
+			p := c.procs()
+			switch rec := recorder[p]; {
+			case s.tapes[p] != nil:
+				j.tape = s.tapes[p]
+			case rec != nil:
+				j.tape, j.after = rec.tape, rec
+			default:
+				j.tape = pmd.NewTape()
+				recorder[p] = j
+			}
+		}
+		queued[keys[i]] = j
+		jobs = append(jobs, j)
+	}
+	s.execute(jobs)
+
+	out := make([]*pmd.Result, len(cells))
+	for i, key := range keys {
+		if r := s.cache[key]; r != nil {
+			s.mHits.Inc()
+			out[i] = r
+			continue
+		}
+		j := queued[key]
+		if j.err != nil {
+			return nil, j.err
+		}
+		s.mMisses.Inc()
+		s.mCellSeconds.Add(j.secs)
+		switch {
+		case j.tape == nil:
+		case recorder[j.cell.procs()] != j:
+			s.mReplays.Inc()
+		case j.tape.Complete():
+			s.tapes[j.cell.procs()] = j.tape
+			s.mRecords.Inc()
+		}
+		s.cache[key] = j.res
+		out[i] = j.res
+	}
+	return out, nil
+}
+
+// execute runs the jobs (in request order) with at most workers() of them
+// in flight and returns when none is. After a failure no job requested
+// later than the failed one is started.
+func (s *Suite) execute(jobs []*job) {
+	limit := min(s.workers(), len(jobs))
+	if limit <= 1 {
+		for _, j := range jobs {
+			if s.run(j); j.err != nil {
+				return
+			}
+		}
+		return
+	}
+	finished := make(chan *job)
+	for inFlight := 0; ; {
+		for _, j := range jobs {
+			if inFlight == limit {
+				break
+			}
+			if j.started || (j.after != nil && !j.after.done) {
+				continue
+			}
+			j.started = true
+			inFlight++
+			go func(j *job) {
+				s.run(j)
+				finished <- j
+			}(j)
+		}
+		if inFlight == 0 {
+			return
+		}
+		j := <-finished
+		inFlight--
+		j.done = true
+		if j.err != nil {
+			if i := slices.Index(jobs, j); i >= 0 {
+				jobs = jobs[:i]
+			}
+		}
+	}
+}
+
+// run simulates one cell. It is the only call of pmd.Run in the package
+// and touches nothing of the suite that a batch mutates.
+func (s *Suite) run(j *job) {
+	start := time.Now()
+	j.res, j.err = pmd.Run(j.cell.Cluster, s.Cfg.Cost, pmd.Config{
+		System: s.sys, MD: s.Cfg.MD, Steps: j.cell.Steps,
+		Middleware: j.cell.Middleware, ModernCollectives: j.cell.Modern,
+		Faults:      s.faults,
+		Decomp:      j.cell.Decomp,
+		Tape:        j.tape,
+		HostWorkers: s.workers(),
+	})
+	j.secs = time.Since(start).Seconds()
+}

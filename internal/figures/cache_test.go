@@ -2,6 +2,7 @@ package figures
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"repro/internal/netmodel"
@@ -13,7 +14,7 @@ import (
 // sharing a rank count share one physics tape (one recording, the rest
 // replays).
 func TestRunStatsCountUniqueConfigs(t *testing.T) {
-	s := NewSuite(quickConfig())
+	s := freshSuite(quickConfig())
 	cells := []struct {
 		net netmodel.Params
 		p   int
@@ -46,16 +47,36 @@ func TestRunStatsCountUniqueConfigs(t *testing.T) {
 	if st.TapeReplays != 2 {
 		t.Fatalf("tape replays = %d, want 2", st.TapeReplays)
 	}
+
+	// One batch: a cached cell, a fresh rank count three times over and one
+	// of those cells again. The first p=1 cell records alone, the other two
+	// replay it, and the repeat is a hit although its first request missed
+	// in the same batch.
+	fresh := func(net netmodel.Params) CellKey { return s.cell(net, 1, 1, pmd.MiddlewareMPI, pmd.DecompReplicated) }
+	res, err := s.RunCells([]CellKey{
+		s.cell(netmodel.MyrinetGM(), 4, 1, pmd.MiddlewareMPI, pmd.DecompReplicated),
+		fresh(netmodel.TCPGigE()), fresh(netmodel.SCoreGigE()), fresh(netmodel.TCPGigE()), fresh(netmodel.MyrinetGM()),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[1] != res[3] {
+		t.Fatal("a cell requested twice in one batch came back as two results")
+	}
+	want := RunStats{Misses: st.Misses + 3, Hits: st.Hits + 2, TapeRecords: st.TapeRecords + 1, TapeReplays: st.TapeReplays + 2}
+	if got := s.Stats(); got != want {
+		t.Fatalf("after the batch: %+v, want %+v", got, want)
+	}
 }
 
 // TestFaultSpecPartitionsCache: a faulted suite must never serve a healthy
 // suite's timing (the spec is part of the content key) and its results
 // must differ.
 func TestFaultSpecPartitionsCache(t *testing.T) {
-	healthy := NewSuite(quickConfig())
+	healthy := freshSuite(quickConfig())
 	cfg := quickConfig()
 	cfg.FaultSpec = "straggler@0:1000,node=0,slow=3"
-	faulted := NewSuite(cfg)
+	faulted := freshSuite(cfg)
 
 	a, err := healthy.Run(netmodel.MyrinetGM(), 2, 1, pmd.MiddlewareMPI)
 	if err != nil {
@@ -70,34 +91,75 @@ func TestFaultSpecPartitionsCache(t *testing.T) {
 	}
 }
 
-// TestFigureOutputIdenticalAcrossWorkers: the rendered figure bytes —
-// the user-visible artifact — are identical between the serial schedule
-// and the host-parallel one.
-func TestFigureOutputIdenticalAcrossWorkers(t *testing.T) {
-	render := func(workers int) []byte {
+// workerConfigs returns the quick configuration at Workers = 1, 2, 4, 8,
+// serial first.
+func workerConfigs(configure func(*Config)) []Config {
+	var cfgs []Config
+	for _, workers := range []int{1, 2, 4, 8} {
 		cfg := quickConfig()
 		cfg.Workers = workers
-		s := NewSuite(cfg)
-		rows, err := s.Fig3()
-		if err != nil {
-			t.Fatal(err)
+		if configure != nil {
+			configure(&cfg)
 		}
+		cfgs = append(cfgs, cfg)
+	}
+	return cfgs
+}
+
+// identicalAcross renders on a fresh suite per configuration and fails
+// unless every one produces the bytes and the RunStats of the first.
+func identicalAcross(t *testing.T, cfgs []Config, render func(s *Suite, w io.Writer) error) {
+	t.Helper()
+	var refBytes []byte
+	var refStats RunStats
+	for i, cfg := range cfgs {
+		s := freshSuite(cfg)
 		var buf bytes.Buffer
-		if err := RenderFig3(&buf, rows); err != nil {
+		if err := render(s, &buf); err != nil {
 			t.Fatal(err)
 		}
-		rows8, err := s.Fig8()
-		if err != nil {
-			t.Fatal(err)
+		if i == 0 {
+			refBytes, refStats = buf.Bytes(), s.Stats()
+			continue
 		}
-		if err := RenderFig8(&buf, rows8); err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(buf.Bytes(), refBytes) {
+			t.Fatalf("bytes differ at workers=%d kernel-workers=%d", cfg.Workers, cfg.MD.KernelWorkers)
 		}
-		return buf.Bytes()
+		if got := s.Stats(); got != refStats {
+			t.Fatalf("RunStats %+v at workers=%d kernel-workers=%d, serial %+v", got, cfg.Workers, cfg.MD.KernelWorkers, refStats)
+		}
 	}
-	serial := render(1)
-	parallel := render(4)
-	if !bytes.Equal(serial, parallel) {
-		t.Fatal("figure bytes differ between serial and host-parallel schedules")
+}
+
+// renderFig38 renders Figs. 3 and 8: a tape record per rank count, then
+// their replays.
+func renderFig38(s *Suite, w io.Writer) error {
+	rows, err := s.Fig3()
+	if err != nil {
+		return err
 	}
+	if err := RenderFig3(w, rows); err != nil {
+		return err
+	}
+	rows8, err := s.Fig8()
+	if err != nil {
+		return err
+	}
+	return RenderFig8(w, rows8)
+}
+
+// TestFigureOutputIdenticalAcrossWorkers: the rendered figure bytes —
+// the user-visible artifact — and the run counters are identical between
+// the serial schedule and every number of cells in flight.
+func TestFigureOutputIdenticalAcrossWorkers(t *testing.T) {
+	identicalAcross(t, workerConfigs(nil), renderFig38)
+}
+
+// TestFaultedOutputIdenticalAcrossWorkers: the shared fault injector is
+// read-only, so a degraded link plus a straggler change nothing about that.
+func TestFaultedOutputIdenticalAcrossWorkers(t *testing.T) {
+	cfgs := workerConfigs(func(c *Config) {
+		c.FaultSpec = "link@0:1000,node=1,bw=8;straggler@0:1000,node=0,slow=3"
+	})
+	identicalAcross(t, []Config{cfgs[0], cfgs[2]}, renderFig38)
 }

@@ -55,73 +55,109 @@ type CeilingResult struct {
 // strategy? Untileable replicated cells render their tiling error; the
 // DOE analysis runs over the processor counts where both strategies have
 // results, so the decomposition factor is not confounded with coverage.
-func (s *Suite) Ceiling() (*CeilingResult, error) {
-	procs := s.Cfg.CeilingProcs
-	if len(procs) == 0 {
-		procs = []int{1, 8, 16, 64, 256, 1024}
+func (s *Suite) Ceiling() (*CeilingResult, error) { return RunPlan(s, s.CeilingPlan()) }
+
+// ceilingProcs is the rank ladder of the ceiling and attribution studies.
+func (s *Suite) ceilingProcs() []int {
+	if len(s.Cfg.CeilingProcs) == 0 {
+		return []int{1, 8, 16, 64, 256, 1024}
 	}
-	out := &CeilingResult{}
-	var obs []doe.Observation
+	return s.Cfg.CeilingProcs
+}
+
+// ceilingSweep enumerates networks × decompositions × the ceiling ladder
+// (MPI, uni-processor): one (network, decomp, p, tiling error) label per
+// grid point through row, and the cells of the points that tile.
+func (s *Suite) ceilingSweep(row func(network, decomp string, p int, tileErr string)) []CellKey {
+	var cells []CellKey
+	for _, net := range netmodel.All() {
+		for _, decomp := range []pmd.DecompKind{pmd.DecompReplicated, pmd.DecompDomain} {
+			for _, p := range s.ceilingProcs() {
+				if err := pmd.ValidateDecomp(decomp, p, s.Cfg.MD.PME); err != nil {
+					row(net.Name, decomp.String(), p, err.Error())
+					continue
+				}
+				row(net.Name, decomp.String(), p, "")
+				cells = append(cells, s.cell(net, p, 1, pmd.MiddlewareMPI, decomp))
+			}
+		}
+	}
+	return cells
+}
+
+// CeilingPlan is the ceiling study as a plan: the healthy cells of the
+// sweep; untileable grid points are rows without a cell.
+func (s *Suite) CeilingPlan() Plan[*CeilingResult] {
+	var rows []CeilingRow
+	cells := s.ceilingSweep(func(network, decomp string, p int, tileErr string) {
+		rows = append(rows, CeilingRow{Network: network, Decomp: decomp, P: p, Err: tileErr})
+	})
 	bothTile := func(p int) bool {
 		return pmd.ValidateDecomp(pmd.DecompReplicated, p, s.Cfg.MD.PME) == nil &&
 			pmd.ValidateDecomp(pmd.DecompDomain, p, s.Cfg.MD.PME) == nil
 	}
-	for _, net := range netmodel.All() {
-		cross := CeilingCrossover{Network: net.Name}
-		for _, decomp := range []pmd.DecompKind{pmd.DecompReplicated, pmd.DecompDomain} {
-			for _, p := range procs {
-				row := CeilingRow{Network: net.Name, Decomp: decomp.String(), P: p}
-				if err := pmd.ValidateDecomp(decomp, p, s.Cfg.MD.PME); err != nil {
-					row.Err = err.Error()
-					out.Rows = append(out.Rows, row)
-					continue
-				}
-				res, err := s.RunDecomp(net, p, 1, pmd.MiddlewareMPI, decomp)
-				if err != nil {
-					return nil, err
-				}
-				c, pm := res.PhaseTotals()
-				row.Classic, row.PME = c.Wall, pm.Wall
-				out.Rows = append(out.Rows, row)
-				switch decomp {
-				case pmd.DecompReplicated:
-					if cross.ReplicatedAtP == 0 || row.Total() < cross.ReplicatedBest {
-						cross.ReplicatedBest, cross.ReplicatedAtP = row.Total(), p
-					}
-				case pmd.DecompDomain:
-					if cross.DomainAtP == 0 || row.Total() < cross.DomainBest {
-						cross.DomainBest, cross.DomainAtP = row.Total(), p
-					}
-				}
-				if bothTile(p) {
-					obs = append(obs, doe.Observation{
-						Levels: map[string]string{
-							"network": net.Name,
-							"decomp":  decomp.String(),
-							"procs":   fmt.Sprintf("%d", p),
-						},
-						Y: row.Total(),
-					})
-				}
+	return Plan[*CeilingResult]{Cells: cells, Fold: func(results []*pmd.Result) (*CeilingResult, error) {
+		out := &CeilingResult{Rows: append([]CeilingRow(nil), rows...)}
+		var obs []doe.Observation
+		for i := range out.Rows {
+			row := &out.Rows[i]
+			if row.Err != "" {
+				continue
+			}
+			c, pm := results[0].PhaseTotals()
+			results = results[1:]
+			row.Classic, row.PME = c.Wall, pm.Wall
+			if bothTile(row.P) {
+				obs = append(obs, doe.Observation{
+					Levels: map[string]string{
+						"network": row.Network,
+						"decomp":  row.Decomp,
+						"procs":   fmt.Sprintf("%d", row.P),
+					},
+					Y: row.Total(),
+				})
 			}
 		}
-		// Crossover: smallest domain rank count that beats the best the
-		// replicated strategy achieves anywhere in the sweep.
-		for _, r := range out.Rows {
-			if r.Network == net.Name && r.Decomp == pmd.DecompDomain.String() &&
-				r.Err == "" && cross.ReplicatedAtP > 0 && r.Total() < cross.ReplicatedBest {
-				cross.CrossoverP = r.P
-				break
+		for _, net := range netmodel.All() {
+			out.Crossover = append(out.Crossover, crossoverOf(net.Name, out.Rows))
+		}
+		a, err := doe.Analyze(obs)
+		if err != nil {
+			return nil, err
+		}
+		out.Effects = a
+		return out, nil
+	}}
+}
+
+// crossoverOf reads one network's verdict off the sweep: each strategy's
+// best total, and the smallest domain rank count that beats the best the
+// replicated strategy achieves anywhere in the sweep.
+func crossoverOf(network string, rows []CeilingRow) CeilingCrossover {
+	cross := CeilingCrossover{Network: network}
+	for _, r := range rows {
+		if r.Network != network || r.Err != "" {
+			continue
+		}
+		switch r.Decomp {
+		case pmd.DecompReplicated.String():
+			if cross.ReplicatedAtP == 0 || r.Total() < cross.ReplicatedBest {
+				cross.ReplicatedBest, cross.ReplicatedAtP = r.Total(), r.P
+			}
+		case pmd.DecompDomain.String():
+			if cross.DomainAtP == 0 || r.Total() < cross.DomainBest {
+				cross.DomainBest, cross.DomainAtP = r.Total(), r.P
 			}
 		}
-		out.Crossover = append(out.Crossover, cross)
 	}
-	a, err := doe.Analyze(obs)
-	if err != nil {
-		return nil, err
+	for _, r := range rows {
+		if r.Network == network && r.Decomp == pmd.DecompDomain.String() &&
+			r.Err == "" && cross.ReplicatedAtP > 0 && r.Total() < cross.ReplicatedBest {
+			cross.CrossoverP = r.P
+			break
+		}
 	}
-	out.Effects = a
-	return out, nil
+	return cross
 }
 
 // RenderCeiling writes the ceiling study: the sweep table, the crossover

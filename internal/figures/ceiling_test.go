@@ -1,7 +1,7 @@
 package figures
 
 import (
-	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
@@ -100,28 +100,17 @@ func TestCeilingRendersUntileableCells(t *testing.T) {
 	}
 }
 
-// TestCeilingOutputIdenticalAcrossWorkers: the rendered ceiling bytes are
-// identical between the serial schedule and the host-parallel one — the
-// determinism contract extended past 8 ranks.
+// TestCeilingOutputIdenticalAcrossWorkers: the rendered ceiling bytes and
+// the run counters are identical between the serial schedule and every
+// number of cells in flight — the determinism contract extended past 8
+// ranks, and to domain cells, which wait for no tape.
 func TestCeilingOutputIdenticalAcrossWorkers(t *testing.T) {
-	render := func(workers int) []byte {
-		cfg := quickConfig()
-		cfg.Workers = workers
-		cfg.CeilingProcs = []int{1, 16}
-		s := NewSuite(cfg)
+	cfgs := workerConfigs(func(c *Config) { c.CeilingProcs = []int{1, 16} })
+	identicalAcross(t, cfgs, func(s *Suite, w io.Writer) error {
 		res, err := s.Ceiling()
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		var buf bytes.Buffer
-		if err := RenderCeiling(&buf, res); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	serial := render(1)
-	parallel := render(4)
-	if !bytes.Equal(serial, parallel) {
-		t.Fatal("ceiling bytes differ between serial and host-parallel schedules")
-	}
+		return RenderCeiling(w, res)
+	})
 }

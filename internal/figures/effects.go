@@ -6,29 +6,37 @@ import (
 	"sort"
 
 	"repro/internal/doe"
+	"repro/internal/pmd"
 	"repro/internal/report"
 )
 
 // FactorAnalysis runs Jain's allocation-of-variation analysis (§3.1 cites
 // Jain [11] for the methodology) over the full factorial design, using the
 // total energy-calculation time as the response variable.
-func (s *Suite) FactorAnalysis() (*doe.Analysis, error) {
-	rows, err := s.Factorial()
-	if err != nil {
-		return nil, err
-	}
-	obs := make([]doe.Observation, 0, len(rows))
-	for _, r := range rows {
-		obs = append(obs, doe.Observation{
-			Levels: map[string]string{
-				"network":    r.Network,
-				"middleware": r.Middleware,
-				"cpus/node":  fmt.Sprintf("%d", r.CPUs),
-			},
-			Y: r.Total,
-		})
-	}
-	return doe.Analyze(obs)
+func (s *Suite) FactorAnalysis() (*doe.Analysis, error) { return RunPlan(s, s.EffectsPlan()) }
+
+// EffectsPlan is the factor analysis as a plan: the factorial's cells,
+// folded on into the analysis.
+func (s *Suite) EffectsPlan() Plan[*doe.Analysis] {
+	factorial := s.FactorialPlan()
+	return Plan[*doe.Analysis]{Cells: factorial.Cells, Fold: func(results []*pmd.Result) (*doe.Analysis, error) {
+		rows, err := factorial.Fold(results)
+		if err != nil {
+			return nil, err
+		}
+		obs := make([]doe.Observation, 0, len(rows))
+		for _, r := range rows {
+			obs = append(obs, doe.Observation{
+				Levels: map[string]string{
+					"network":    r.Network,
+					"middleware": r.Middleware,
+					"cpus/node":  fmt.Sprintf("%d", r.CPUs),
+				},
+				Y: r.Total,
+			})
+		}
+		return doe.Analyze(obs)
+	}}
 }
 
 // RenderEffects writes the factor-effect analysis: main effects per level

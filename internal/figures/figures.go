@@ -48,10 +48,11 @@ type Config struct {
 	Cost        cluster.CostModel //
 	MD          md.Config         // PME MD configuration
 
-	// Workers sizes the host worker pool for compute segments: 0 picks
-	// GOMAXPROCS, 1 forces the serial schedule, > 1 overlaps segments of
-	// different simulated ranks on that many host goroutines. Figure
-	// output is bitwise identical across all settings.
+	// Workers bounds the host parallelism: the cells of a batch in flight
+	// together and, inside each cell, the goroutines overlapping compute
+	// segments of different simulated ranks. 0 picks GOMAXPROCS, 1 runs one
+	// cell at a time on the serial schedule. Figure output and RunStats
+	// are bitwise identical across all settings.
 	Workers int
 
 	// FaultSpec, when non-empty, is a fault-DSL scenario injected into
@@ -126,15 +127,19 @@ type RunStats struct {
 // Suite lifetime) and, below it, per-rank-count physics tapes that let
 // cache *misses* sharing a rank count skip the MD kernels and replay
 // recorded work counters through the event simulation.
+//
+// A Suite serves one caller at a time: its methods must not be called
+// concurrently. The concurrency is inside RunCells, which keeps a batch's
+// cache misses in flight together and all bookkeeping on the caller.
 type Suite struct {
 	Cfg    Config
 	sys    *topol.System
 	cache  map[string]*pmd.Result
-	tapes  map[int]*pmd.Tape
+	tapes  map[int]*pmd.Tape // complete tapes by rank count
 	faults cluster.FaultModel
 
-	// Registry-backed run counters (the RunStats view reads these).
-	mHits, mMisses, mRecords, mReplays *obs.Counter
+	// Registry-backed run counters (the RunStats view reads the first four).
+	mHits, mMisses, mRecords, mReplays, mCellSeconds *obs.Counter
 }
 
 // NewSuite builds the molecular system once, relaxes the strained built
@@ -144,6 +149,12 @@ type Suite struct {
 func NewSuite(cfg Config) *Suite {
 	sys := topol.NewMyoglobinSystem(topol.MyoglobinConfig{Seed: cfg.SystemSeed})
 	md.Relax(sys, 80)
+	return newSuite(cfg, sys)
+}
+
+// newSuite is NewSuite on a system that is already built and relaxed; a
+// suite only ever reads it, so suites may share one.
+func newSuite(cfg Config, sys *topol.System) *Suite {
 	s := &Suite{
 		Cfg:   cfg,
 		sys:   sys,
@@ -158,6 +169,7 @@ func NewSuite(cfg Config) *Suite {
 	s.mMisses = reg.Counter("repro_figures_cache_misses_total", "unique experiment configurations simulated")
 	s.mRecords = reg.Counter("repro_figures_tape_records_total", "runs that recorded a physics tape")
 	s.mReplays = reg.Counter("repro_figures_tape_replays_total", "runs that replayed a tape instead of executing kernels")
+	s.mCellSeconds = reg.Counter("repro_figures_cell_seconds_total", "host seconds spent inside simulated cells (over a batch's wall: mean cells in flight)")
 	if cfg.FaultSpec != "" {
 		sc, err := fault.ParseSpec(cfg.FaultSpec)
 		if err != nil {
@@ -186,59 +198,19 @@ func (s *Suite) Stats() RunStats {
 	}
 }
 
-// workers resolves the configured pool size (0 = one worker per host CPU).
-func (s *Suite) workers() int {
-	if s.Cfg.Workers == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return s.Cfg.Workers
-}
+// CellSeconds returns the host seconds spent inside simulated cells so far.
+// Divided by the wall time of the batches that ran them it is the mean
+// number of cells in flight.
+func (s *Suite) CellSeconds() float64 { return s.mCellSeconds.Value() }
 
-// runCase simulates one fully specified configuration, memoized on its
-// content key.
-func (s *Suite) runCase(clusterCfg cluster.Config, mw pmd.MiddlewareKind, modern bool, decomp pmd.DecompKind) (*pmd.Result, error) {
-	key := CellKey{
-		Cluster: clusterCfg, Middleware: mw, Modern: modern,
-		Steps: s.Cfg.Steps, FaultSpec: s.Cfg.FaultSpec, Decomp: decomp,
-	}.String()
-	if r, ok := s.cache[key]; ok {
-		s.mHits.Inc()
-		return r, nil
+// workers resolves Cfg.Workers to the bound it sets, never below 1: the
+// cells a batch keeps in flight and, inside each, the host goroutines for
+// compute segments (0 = one per host CPU; a negative value means 1).
+func (s *Suite) workers() int {
+	if w := s.Cfg.Workers; w != 0 {
+		return max(w, 1)
 	}
-	p := clusterCfg.Nodes * clusterCfg.CPUsPerNode
-	// Physics tapes are a replicated-path shortcut: the domain path's
-	// per-rank work depends on the spatial grid, not the block partition a
-	// tape records, so domain cells always execute their kernels.
-	var tape *pmd.Tape
-	if decomp == pmd.DecompReplicated {
-		tape = s.tapes[p]
-		if tape == nil {
-			tape = pmd.NewTape()
-			s.tapes[p] = tape
-		}
-	}
-	wasComplete := tape.Complete()
-	res, err := pmd.Run(clusterCfg, s.Cfg.Cost, pmd.Config{
-		System: s.sys, MD: s.Cfg.MD, Steps: s.Cfg.Steps,
-		Middleware: mw, ModernCollectives: modern,
-		Faults:      s.faults,
-		Decomp:      decomp,
-		Tape:        tape,
-		HostWorkers: s.workers(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.mMisses.Inc()
-	switch {
-	case tape == nil:
-	case wasComplete:
-		s.mReplays.Inc()
-	case tape.Complete():
-		s.mRecords.Inc()
-	}
-	s.cache[key] = res
-	return res, nil
+	return runtime.GOMAXPROCS(0)
 }
 
 // Run returns the (cached) result of one experiment cell under the
@@ -248,18 +220,17 @@ func (s *Suite) Run(net netmodel.Params, procs, cpusPerNode int, mw pmd.Middlewa
 	return s.RunDecomp(net, procs, cpusPerNode, mw, s.Cfg.Decomp)
 }
 
-// RunDecomp is Run with an explicit decomposition — the ceiling study
-// sweeps both strategies from one suite and one cache.
+// RunDecomp is Run with an explicit decomposition — a batch of one,
+// executed inline on the caller.
 func (s *Suite) RunDecomp(net netmodel.Params, procs, cpusPerNode int, mw pmd.MiddlewareKind, decomp pmd.DecompKind) (*pmd.Result, error) {
 	if procs%cpusPerNode != 0 {
 		return nil, fmt.Errorf("figures: %d processors not divisible by %d CPUs/node", procs, cpusPerNode)
 	}
-	return s.runCase(cluster.Config{
-		Nodes:       procs / cpusPerNode,
-		CPUsPerNode: cpusPerNode,
-		Net:         net,
-		Seed:        s.Cfg.ClusterSeed,
-	}, mw, false, decomp)
+	res, err := s.RunCells([]CellKey{s.cell(net, procs, cpusPerNode, mw, decomp)})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }
 
 // ---------------------------------------------------------------------------
@@ -275,18 +246,38 @@ type Fig3Row struct {
 // Total returns classic+PME.
 func (r Fig3Row) Total() float64 { return r.Classic + r.PME }
 
-// Fig3 runs the reference case (TCP/IP, MPI, uni-processor).
-func (s *Suite) Fig3() ([]Fig3Row, error) {
-	var rows []Fig3Row
-	for _, p := range s.Cfg.Procs {
-		res, err := s.Run(netmodel.TCPGigE(), p, 1, pmd.MiddlewareMPI)
-		if err != nil {
-			return nil, err
+// sweep lists the MPI, uni-processor cells of nets × procs under the
+// suite's decomposition, network by network — the grid Figs. 3–6 and the
+// scale-limit table read.
+func (s *Suite) sweep(nets []netmodel.Params, procs []int) []CellKey {
+	var cells []CellKey
+	for _, net := range nets {
+		for _, p := range procs {
+			cells = append(cells, s.cell(net, p, 1, pmd.MiddlewareMPI, s.Cfg.Decomp))
 		}
-		c, pm := res.PhaseTotals()
-		rows = append(rows, Fig3Row{P: p, Classic: c.Wall, PME: pm.Wall})
 	}
-	return rows, nil
+	return cells
+}
+
+// referenceCells are the cells of the reference case (TCP/IP, MPI,
+// uni-processor) over the configured processor counts — Figs. 3 and 4.
+func (s *Suite) referenceCells() []CellKey {
+	return s.sweep([]netmodel.Params{netmodel.TCPGigE()}, s.Cfg.Procs)
+}
+
+// Fig3 runs the reference case (TCP/IP, MPI, uni-processor).
+func (s *Suite) Fig3() ([]Fig3Row, error) { return RunPlan(s, s.Fig3Plan()) }
+
+// Fig3Plan is Fig. 3 as a plan.
+func (s *Suite) Fig3Plan() Plan[[]Fig3Row] {
+	return Plan[[]Fig3Row]{Cells: s.referenceCells(), Fold: func(results []*pmd.Result) ([]Fig3Row, error) {
+		var rows []Fig3Row
+		for _, res := range results {
+			c, pm := res.PhaseTotals()
+			rows = append(rows, Fig3Row{P: res.P, Classic: c.Wall, PME: pm.Wall})
+		}
+		return rows, nil
+	}}
 }
 
 // ---------------------------------------------------------------------------
@@ -299,19 +290,24 @@ type Fig4Row struct {
 	PME     Breakdown
 }
 
+func fig4RowOf(res *pmd.Result) Fig4Row {
+	c, pm := res.PhaseTotals()
+	return Fig4Row{P: res.P, Classic: breakdownOf(c), PME: breakdownOf(pm)}
+}
+
 // Fig4 computes the comp/comm/sync percentages of Fig. 4 (same runs as
 // Fig. 3).
-func (s *Suite) Fig4() ([]Fig4Row, error) {
-	var rows []Fig4Row
-	for _, p := range s.Cfg.Procs {
-		res, err := s.Run(netmodel.TCPGigE(), p, 1, pmd.MiddlewareMPI)
-		if err != nil {
-			return nil, err
+func (s *Suite) Fig4() ([]Fig4Row, error) { return RunPlan(s, s.Fig4Plan()) }
+
+// Fig4Plan is Fig. 4 as a plan.
+func (s *Suite) Fig4Plan() Plan[[]Fig4Row] {
+	return Plan[[]Fig4Row]{Cells: s.referenceCells(), Fold: func(results []*pmd.Result) ([]Fig4Row, error) {
+		var rows []Fig4Row
+		for _, res := range results {
+			rows = append(rows, fig4RowOf(res))
 		}
-		c, pm := res.PhaseTotals()
-		rows = append(rows, Fig4Row{P: p, Classic: breakdownOf(c), PME: breakdownOf(pm)})
-	}
-	return rows, nil
+		return rows, nil
+	}}
 }
 
 // ---------------------------------------------------------------------------
@@ -325,21 +321,22 @@ type NetworkRows struct {
 
 // Fig56 runs the three networks (TCP/IP, SCore, Myrinet) over the
 // processor counts; Fig. 5 uses the wall times, Fig. 6 the percentages.
-func (s *Suite) Fig56() ([]NetworkRows, error) {
-	var out []NetworkRows
-	for _, net := range netmodel.All() {
-		e := NetworkRows{Network: net.Name}
-		for _, p := range s.Cfg.Procs {
-			res, err := s.Run(net, p, 1, pmd.MiddlewareMPI)
-			if err != nil {
-				return nil, err
+func (s *Suite) Fig56() ([]NetworkRows, error) { return RunPlan(s, s.Fig56Plan()) }
+
+// Fig56Plan is the network sweep of Figs. 5 and 6 as a plan.
+func (s *Suite) Fig56Plan() Plan[[]NetworkRows] {
+	cells := s.sweep(netmodel.All(), s.Cfg.Procs)
+	return Plan[[]NetworkRows]{Cells: cells, Fold: func(results []*pmd.Result) ([]NetworkRows, error) {
+		var out []NetworkRows
+		for i, res := range results {
+			if name := cells[i].Cluster.Net.Name; len(out) == 0 || out[len(out)-1].Network != name {
+				out = append(out, NetworkRows{Network: name})
 			}
-			c, pm := res.PhaseTotals()
-			e.Rows = append(e.Rows, Fig4Row{P: p, Classic: breakdownOf(c), PME: breakdownOf(pm)})
+			e := &out[len(out)-1]
+			e.Rows = append(e.Rows, fig4RowOf(res))
 		}
-		out = append(out, e)
-	}
-	return out, nil
+		return out, nil
+	}}
 }
 
 // ---------------------------------------------------------------------------
@@ -356,17 +353,22 @@ type Fig7Row struct {
 
 // Fig7 samples the per-rank per-step communication speed (bytes sent over
 // time spent in data transfer) for p ≥ 2.
-func (s *Suite) Fig7() ([]Fig7Row, error) {
-	var out []Fig7Row
+func (s *Suite) Fig7() ([]Fig7Row, error) { return RunPlan(s, s.Fig7Plan()) }
+
+// Fig7Plan is Fig. 7 as a plan.
+func (s *Suite) Fig7Plan() Plan[[]Fig7Row] {
+	var cells []CellKey
 	for _, net := range netmodel.All() {
 		for _, p := range s.Cfg.Procs {
 			if p < 2 {
 				continue
 			}
-			res, err := s.Run(net, p, 1, pmd.MiddlewareMPI)
-			if err != nil {
-				return nil, err
-			}
+			cells = append(cells, s.cell(net, p, 1, pmd.MiddlewareMPI, s.Cfg.Decomp))
+		}
+	}
+	return Plan[[]Fig7Row]{Cells: cells, Fold: func(results []*pmd.Result) ([]Fig7Row, error) {
+		var out []Fig7Row
+		for i, res := range results {
 			var speeds []float64
 			for _, rankSteps := range res.Timings {
 				for _, st := range rankSteps {
@@ -379,12 +381,12 @@ func (s *Suite) Fig7() ([]Fig7Row, error) {
 			}
 			sum := stats.Summarize(speeds)
 			out = append(out, Fig7Row{
-				Network: net.Name, P: p,
+				Network: cells[i].Cluster.Net.Name, P: res.P,
 				AvgMBs: sum.Mean, MinMBs: sum.Min, MaxMBs: sum.Max,
 			})
 		}
-	}
-	return out, nil
+		return out, nil
+	}}
 }
 
 // ---------------------------------------------------------------------------
@@ -401,14 +403,19 @@ type Fig8Row struct {
 }
 
 // Fig8 compares the middlewares on TCP/IP, uni-processor nodes.
-func (s *Suite) Fig8() ([]Fig8Row, error) {
-	var out []Fig8Row
+func (s *Suite) Fig8() ([]Fig8Row, error) { return RunPlan(s, s.Fig8Plan()) }
+
+// Fig8Plan is Fig. 8 as a plan.
+func (s *Suite) Fig8Plan() Plan[[]Fig8Row] {
+	var cells []CellKey
 	for _, mw := range []pmd.MiddlewareKind{pmd.MiddlewareMPI, pmd.MiddlewareCMPI} {
 		for _, p := range s.Cfg.Procs {
-			res, err := s.Run(netmodel.TCPGigE(), p, 1, mw)
-			if err != nil {
-				return nil, err
-			}
+			cells = append(cells, s.cell(netmodel.TCPGigE(), p, 1, mw, s.Cfg.Decomp))
+		}
+	}
+	return Plan[[]Fig8Row]{Cells: cells, Fold: func(results []*pmd.Result) ([]Fig8Row, error) {
+		var out []Fig8Row
+		for i, res := range results {
 			c, pm := res.PhaseTotals()
 			total := Breakdown{
 				Comp: c.Comp + pm.Comp,
@@ -416,12 +423,12 @@ func (s *Suite) Fig8() ([]Fig8Row, error) {
 				Sync: c.Sync + pm.Sync,
 			}
 			out = append(out, Fig8Row{
-				Middleware: mw.String(), P: p,
+				Middleware: cells[i].Middleware.String(), P: res.P,
 				Classic: c.Wall, PME: pm.Wall, Total: total,
 			})
 		}
-	}
-	return out, nil
+		return out, nil
+	}}
 }
 
 // ---------------------------------------------------------------------------
@@ -439,8 +446,12 @@ type Fig9Row struct {
 // Fig9 sweeps CPUs per node for TCP/IP (9a) and Myrinet (9b). Dual-node
 // cells need an even processor count; p=1 reuses the uni-processor cell,
 // as on the real machine (one busy CPU on a dual board).
-func (s *Suite) Fig9() ([]Fig9Row, error) {
-	var out []Fig9Row
+func (s *Suite) Fig9() ([]Fig9Row, error) { return RunPlan(s, s.Fig9Plan()) }
+
+// Fig9Plan is Fig. 9 as a plan.
+func (s *Suite) Fig9Plan() Plan[[]Fig9Row] {
+	var cells []CellKey
+	var rows []Fig9Row // the labels: a row's CPUs is the board, not what p=1 runs on
 	for _, net := range []netmodel.Params{netmodel.TCPGigE(), netmodel.MyrinetGM()} {
 		for _, cpus := range []int{1, 2} {
 			for _, p := range s.Cfg.Procs {
@@ -451,19 +462,19 @@ func (s *Suite) Fig9() ([]Fig9Row, error) {
 				if p%useCPUs != 0 {
 					continue
 				}
-				res, err := s.Run(net, p, useCPUs, pmd.MiddlewareMPI)
-				if err != nil {
-					return nil, err
-				}
-				c, pm := res.PhaseTotals()
-				out = append(out, Fig9Row{
-					Network: net.Name, CPUs: cpus, P: p,
-					Classic: c.Wall, PME: pm.Wall,
-				})
+				cells = append(cells, s.cell(net, p, useCPUs, pmd.MiddlewareMPI, s.Cfg.Decomp))
+				rows = append(rows, Fig9Row{Network: net.Name, CPUs: cpus, P: p})
 			}
 		}
 	}
-	return out, nil
+	return Plan[[]Fig9Row]{Cells: cells, Fold: func(results []*pmd.Result) ([]Fig9Row, error) {
+		out := append([]Fig9Row(nil), rows...)
+		for i, res := range results {
+			c, pm := res.PhaseTotals()
+			out[i].Classic, out[i].PME = c.Wall, pm.Wall
+		}
+		return out, nil
+	}}
 }
 
 // ---------------------------------------------------------------------------
@@ -482,26 +493,32 @@ type FactorialRow struct {
 
 // Factorial runs every factor combination at the largest configured
 // processor count.
-func (s *Suite) Factorial() ([]FactorialRow, error) {
+func (s *Suite) Factorial() ([]FactorialRow, error) { return RunPlan(s, s.FactorialPlan()) }
+
+// FactorialPlan is the factorial table as a plan.
+func (s *Suite) FactorialPlan() Plan[[]FactorialRow] {
 	p := s.Cfg.Procs[len(s.Cfg.Procs)-1]
-	var out []FactorialRow
+	var cells []CellKey
 	for _, net := range netmodel.All() {
 		for _, mw := range []pmd.MiddlewareKind{pmd.MiddlewareMPI, pmd.MiddlewareCMPI} {
 			for _, cpus := range []int{1, 2} {
 				if p%cpus != 0 {
 					continue
 				}
-				res, err := s.Run(net, p, cpus, mw)
-				if err != nil {
-					return nil, err
-				}
-				c, pm := res.PhaseTotals()
-				out = append(out, FactorialRow{
-					Network: net.Name, Middleware: mw.String(), CPUs: cpus, P: p,
-					Classic: c.Wall, PME: pm.Wall, Total: c.Wall + pm.Wall,
-				})
+				cells = append(cells, s.cell(net, p, cpus, mw, s.Cfg.Decomp))
 			}
 		}
 	}
-	return out, nil
+	return Plan[[]FactorialRow]{Cells: cells, Fold: func(results []*pmd.Result) ([]FactorialRow, error) {
+		var out []FactorialRow
+		for i, res := range results {
+			c, pm := res.PhaseTotals()
+			out = append(out, FactorialRow{
+				Network: cells[i].Cluster.Net.Name, Middleware: cells[i].Middleware.String(),
+				CPUs: cells[i].Cluster.CPUsPerNode, P: res.P,
+				Classic: c.Wall, PME: pm.Wall, Total: c.Wall + pm.Wall,
+			})
+		}
+		return out, nil
+	}}
 }

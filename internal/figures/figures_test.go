@@ -14,6 +14,10 @@ import (
 // the cells are cached, so each configuration runs once.
 var quickSuite = NewSuite(quickConfig())
 
+// freshSuite is an empty suite on quickSuite's system (suites only read
+// it): what NewSuite(cfg) returns, without building and relaxing again.
+func freshSuite(cfg Config) *Suite { return newSuite(cfg, quickSuite.sys) }
+
 func quickConfig() Config {
 	c := Quick()
 	c.Procs = []int{1, 2, 4}

@@ -5,7 +5,6 @@ import (
 	"io"
 	"strings"
 
-	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/netmodel"
 	"repro/internal/pmd"
@@ -92,7 +91,14 @@ func recoveryScenario(healthy *pmd.Result, p, k int) (*fault.Scenario, error) {
 // against the fault-free trajectory (bitwise) and its Lost bucket is
 // split into rewind/replay/park, showing where each strategy's time goes
 // as the cluster grows.
-func (s *Suite) Recovery() (*RecoveryResult, error) {
+func (s *Suite) Recovery() (*RecoveryResult, error) { return RunPlan(s, s.RecoveryPlan()) }
+
+// RecoveryPlan is the lost-work study as a plan. Its cells are the
+// fault-free runs (a rank count the domain decomposition cannot tile is
+// their *pmd.DecompError); its fold is more than a fold — it derives each
+// crash scenario from its healthy run and executes the resilient runs,
+// one at a time, before scoring them.
+func (s *Suite) RecoveryPlan() Plan[*RecoveryResult] {
 	procs := s.Cfg.RecoveryProcs
 	if len(procs) == 0 {
 		procs = []int{16, 64, 256}
@@ -101,16 +107,16 @@ func (s *Suite) Recovery() (*RecoveryResult, error) {
 	if len(crashes) == 0 {
 		crashes = []int{1, 2}
 	}
-	out := &RecoveryResult{}
+	var cells []CellKey
 	for _, net := range netmodel.All() {
 		for _, p := range procs {
-			if err := pmd.ValidateDecomp(pmd.DecompDomain, p, s.Cfg.MD.PME); err != nil {
-				return nil, err
-			}
-			healthy, err := s.RunDecomp(net, p, 1, pmd.MiddlewareMPI, pmd.DecompDomain)
-			if err != nil {
-				return nil, err
-			}
+			cells = append(cells, s.cell(net, p, 1, pmd.MiddlewareMPI, pmd.DecompDomain))
+		}
+	}
+	return Plan[*RecoveryResult]{Cells: cells, Fold: func(results []*pmd.Result) (*RecoveryResult, error) {
+		out := &RecoveryResult{}
+		for i, healthy := range results {
+			net, p := cells[i].Cluster.Net, healthy.P
 			for _, k := range crashes {
 				sc, err := recoveryScenario(healthy, p, k)
 				if err != nil {
@@ -123,9 +129,7 @@ func (s *Suite) Recovery() (*RecoveryResult, error) {
 						name = "localized"
 					}
 					row := RecoveryRow{Network: net.Name, Strategy: name, P: p, Crashes: k}
-					res, err := pmd.RunResilient(cluster.Config{
-						Nodes: p, CPUsPerNode: 1, Net: net, Seed: s.Cfg.ClusterSeed,
-					}, s.Cfg.Cost, pmd.ResilientConfig{
+					res, err := pmd.RunResilient(cells[i].Cluster, s.Cfg.Cost, pmd.ResilientConfig{
 						Config: pmd.Config{
 							System: s.sys, MD: s.Cfg.MD, Steps: s.Cfg.Steps,
 							Middleware: pmd.MiddlewareMPI, Decomp: pmd.DecompDomain,
@@ -168,8 +172,8 @@ func (s *Suite) Recovery() (*RecoveryResult, error) {
 				out.Verdicts = append(out.Verdicts, verdict)
 			}
 		}
-	}
-	return out, nil
+		return out, nil
+	}}
 }
 
 // sameRun reports whether a faulted resilient run reproduced the

@@ -24,33 +24,32 @@ type ScaleLimitRow struct {
 // calculation has enough parallelism for 32–64 processor clusters while
 // PME stops paying at about a quarter of that unless the interconnect is
 // a low-overhead SAN.
-func (s *Suite) ScaleLimit() ([]ScaleLimitRow, error) {
-	procs := []int{1, 2, 4, 8, 16, 32}
-	var out []ScaleLimitRow
-	for _, net := range netmodel.All() {
-		var cSeq, pSeq float64
-		for _, p := range procs {
-			res, err := s.Run(net, p, 1, pmd.MiddlewareMPI)
-			if err != nil {
-				return nil, err
-			}
+func (s *Suite) ScaleLimit() ([]ScaleLimitRow, error) { return RunPlan(s, s.ScaleLimitPlan()) }
+
+// ScaleLimitPlan is the scalability-limit table as a plan.
+func (s *Suite) ScaleLimitPlan() Plan[[]ScaleLimitRow] {
+	cells := s.sweep(netmodel.All(), []int{1, 2, 4, 8, 16, 32})
+	return Plan[[]ScaleLimitRow]{Cells: cells, Fold: func(results []*pmd.Result) ([]ScaleLimitRow, error) {
+		var out []ScaleLimitRow
+		var cSeq, pSeq float64 // each network's sweep starts at its p = 1 cell
+		for i, res := range results {
 			c, pm := res.PhaseTotals()
-			if p == 1 {
+			if res.P == 1 {
 				cSeq, pSeq = c.Wall, pm.Wall
 			}
 			total := c.Wall + pm.Wall
 			row := ScaleLimitRow{
-				Network:        net.Name,
-				P:              p,
+				Network:        cells[i].Cluster.Net.Name,
+				P:              res.P,
 				ClassicSpeedup: cSeq / c.Wall,
 				PMESpeedup:     pSeq / pm.Wall,
 				TotalSpeedup:   (cSeq + pSeq) / total,
 			}
-			row.ParallelEfficient = row.TotalSpeedup/float64(p) >= 0.5
+			row.ParallelEfficient = row.TotalSpeedup/float64(res.P) >= 0.5
 			out = append(out, row)
 		}
-	}
-	return out, nil
+		return out, nil
+	}}
 }
 
 // RenderScaleLimit writes the scalability-limit table.
