@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/cli"
-	"repro/internal/netmodel"
 	"repro/internal/obs"
 	"repro/internal/pmd"
 )
@@ -34,9 +33,7 @@ func main() {
 	runs := flag.Int("runs", 20, "number of random scenarios to soak")
 	seed := flag.Uint64("seed", 1, "base seed (run i uses a derived stream)")
 	steps := flag.Int("steps", 4, "MD steps per run")
-	procs := flag.Int("p", 4, "processors")
-	cpus := flag.Int("cpus", 1, "CPUs per node (1 or 2)")
-	netName := flag.String("net", "tcp", "network: tcp, score, myrinet, fast")
+	app.ClusterFlags(2) // a crash drops a node
 	atoms := flag.Int("atoms", 300, "solvated-box size in atoms")
 	workersList := flag.String("workers", "1,4", "comma-separated host-worker counts cross-checked bitwise")
 	mwName := flag.String("mw", "mpi", "middleware: mpi or cmpi")
@@ -51,16 +48,7 @@ func main() {
 	if *runs < 1 {
 		app.Usagef("-runs must be >= 1 (got %d)", *runs)
 	}
-	net, ok := netmodel.ByName(*netName)
-	if !ok {
-		app.Usagef("unknown network %q", *netName)
-	}
-	if *cpus != 1 && *cpus != 2 {
-		app.Usagef("-cpus must be 1 or 2 (got %d)", *cpus)
-	}
-	if *procs < 2**cpus || *procs%*cpus != 0 {
-		app.Usagef("-p (%d) must be a multiple of -cpus (%d) spanning at least 2 nodes", *procs, *cpus)
-	}
+	net, procs, cpus := app.Net, app.Procs, app.CPUs
 	var mw pmd.MiddlewareKind
 	switch *mwName {
 	case "mpi":
@@ -92,8 +80,8 @@ func main() {
 	h, err := chaos.NewHarness(chaos.Config{
 		Seed:            *seed,
 		Steps:           *steps,
-		Nodes:           *procs / *cpus,
-		CPUsPerNode:     *cpus,
+		Nodes:           procs / cpus,
+		CPUsPerNode:     cpus,
 		Net:             net,
 		Middleware:      mw,
 		Decomp:          app.Decomp,
@@ -114,7 +102,7 @@ func main() {
 		app.Fail(err)
 	}
 	fmt.Printf("soaking %d scenarios: p=%d (%d CPU/node) on %s, %s/%s, %d atoms, %d steps, workers %v, horizon %.3gs\n",
-		*runs, *procs, *cpus, net.Name, app.Decomp, app.Recovery, *atoms, *steps, workers, h.Horizon())
+		*runs, procs, cpus, net.Name, app.Decomp, app.Recovery, *atoms, *steps, workers, h.Horizon())
 
 	reports, failure, err := h.Soak(*runs)
 	if err != nil {
@@ -134,8 +122,8 @@ func main() {
 		fmt.Printf("  scenario: %s\n", failure.Scenario.DSL())
 		fmt.Printf("  minimal:  %s\n", failure.Minimal.DSL())
 		fmt.Printf("  reproduce: %s\n", chaos.Repro{
-			DSL: failure.Minimal.DSL(), Seed: failure.Seed, Procs: *procs, CPUs: *cpus,
-			Net: *netName, Steps: *steps, Atoms: *atoms, Decomp: app.Decomp, Recovery: app.Recovery,
+			DSL: failure.Minimal.DSL(), Seed: failure.Seed, Procs: procs, CPUs: cpus,
+			Net: app.NetName, Steps: *steps, Atoms: *atoms, Decomp: app.Decomp, Recovery: app.Recovery,
 		}.Line())
 		if *failDir != "" {
 			if err := os.MkdirAll(*failDir, 0o755); err != nil {
@@ -156,8 +144,8 @@ func main() {
 		m.Seeds["base"] = *seed
 		m.Config["runs"] = *runs
 		m.Config["steps"] = *steps
-		m.Config["procs"] = *procs
-		m.Config["net"] = *netName
+		m.Config["procs"] = procs
+		m.Config["net"] = app.NetName
 		m.Config["decomp"] = app.Decomp.String()
 		m.Config["recovery"] = app.Recovery.String()
 	})

@@ -24,11 +24,9 @@ import (
 	"repro/internal/fault"
 	"repro/internal/md"
 	"repro/internal/mpi"
-	"repro/internal/netmodel"
 	"repro/internal/obs"
 	"repro/internal/pmd"
 	"repro/internal/report"
-	"repro/internal/topol"
 )
 
 func main() {
@@ -36,9 +34,7 @@ func main() {
 	scenarioFile := flag.String("scenario", "", "JSON fault scenario file")
 	spec := flag.String("spec", "", "fault scenario DSL (see internal/fault.ParseSpec)")
 	sevList := flag.String("severity", "1", "comma-separated severity multipliers")
-	netName := flag.String("net", "tcp", "network: tcp, score, myrinet, fast")
-	procs := flag.Int("p", 4, "processors")
-	cpus := flag.Int("cpus", 1, "CPUs per node (1 or 2)")
+	app.ClusterFlags(1)
 	steps := flag.Int("steps", 4, "MD steps")
 	mwName := flag.String("mw", "both", "middleware: mpi, cmpi or both")
 	app.DecompFlag("decomposition: replicated or domain")
@@ -58,16 +54,7 @@ func main() {
 	app.ProfileOutFlag("write the newest faulted run's bottleneck-attribution profile (perf.Profile JSON, recovery bucket included) to this file")
 	app.Parse(os.Args[1:])
 
-	net, ok := netmodel.ByName(*netName)
-	if !ok {
-		app.Usagef("unknown network %q", *netName)
-	}
-	if *cpus != 1 && *cpus != 2 {
-		app.Usagef("-cpus must be 1 or 2 (got %d)", *cpus)
-	}
-	if *procs < 1 || *procs%*cpus != 0 {
-		app.Usagef("-p (%d) must be a positive multiple of -cpus (%d)", *procs, *cpus)
-	}
+	net, procs, cpus := app.Net, app.Procs, app.CPUs
 	if *steps < 1 {
 		app.Usagef("-steps must be >= 1 (got %d)", *steps)
 	}
@@ -117,18 +104,12 @@ func main() {
 		app.Usagef("-tune-ckpt needs a positive -ckpt-cost (the Young/Daly formula prices a checkpoint)")
 	}
 
-	sys, k := topol.NewSolvatedBox(*atoms, *seed)
-	md.Relax(sys, 60)
-	mdCfg := md.ClampCutoffs(md.PMEDefaultConfig(), sys.Box)
-	mdCfg.PME = md.PMEConfig{Beta: 0.34, K1: k, K2: k, K3: k, Order: 4}
-	mdCfg.FF.Beta = mdCfg.PME.Beta
-	mdCfg.Temperature = 300
-	mdCfg.Seed = *seed
 	// The PME mesh depends on the solvated-box size, so the tiling check
 	// has to wait until the mesh is known.
-	app.Tiling(*procs, mdCfg.PME)
+	sys, mdCfg, _ := md.NewSolvatedWorkload(*atoms, *seed, nil)
+	app.Tiling(procs, mdCfg.PME)
 
-	clCfg := cluster.Config{Nodes: *procs / *cpus, CPUsPerNode: *cpus, Net: net, Seed: *seed}
+	clCfg := cluster.Config{Nodes: procs / cpus, CPUsPerNode: cpus, Net: net, Seed: *seed}
 	wd := mpi.Watchdog{Timeout: *wdTimeout, Retries: *wdRetries, Backoff: *wdBackoff}
 	cost := cluster.PentiumIII1GHz()
 
@@ -213,7 +194,7 @@ func main() {
 	}
 
 	fmt.Printf("scenario %q on %s, p=%d (%d CPU/node), %d atoms, %d steps\n",
-		sc.Name, net.Name, *procs, *cpus, sys.N(), *steps)
+		sc.Name, net.Name, procs, cpus, sys.N(), *steps)
 	var werr error
 	if *format == "csv" {
 		werr = report.CSV(os.Stdout, headers, rows)
@@ -238,7 +219,7 @@ func main() {
 		m.Seeds["system"] = *seed
 		m.Config["scenario"] = sc.Name
 		m.Config["severities"] = sevs
-		m.Config["procs"] = *procs
+		m.Config["procs"] = procs
 		m.Config["steps"] = *steps
 		m.Config["net"] = net.Name
 		m.Config["decomp"] = app.Decomp.String()

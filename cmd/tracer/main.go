@@ -17,20 +17,19 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/md"
 	"repro/internal/mpi"
-	"repro/internal/netmodel"
 	"repro/internal/pmd"
 	"repro/internal/topol"
 	"repro/internal/trace"
 )
 
 func main() {
-	netName := flag.String("net", "tcp", "network: tcp, score, myrinet, fast")
-	procs := flag.Int("p", 4, "processors")
-	cpus := flag.Int("cpus", 1, "CPUs per node (1 or 2)")
+	app := cli.New("tracer", flag.CommandLine)
+	app.ClusterFlags(1)
 	steps := flag.Int("steps", 2, "MD steps")
 	useCMPI := flag.Bool("cmpi", false, "use the CMPI middleware")
 	width := flag.Int("width", 120, "timeline width in characters")
@@ -38,41 +37,25 @@ func main() {
 	faultSpec := flag.String("faults", "", "fault scenario DSL (see internal/fault.ParseSpec) or @file.json")
 	kindsFlag := flag.String("kinds", "", "comma-separated interval kinds to keep (compute,send,recv,sync,phase,fault,guard); empty keeps all")
 	minDur := flag.Float64("min-dur", 0, "drop intervals shorter than this (virtual seconds)")
-	flag.Parse()
+	app.Parse(os.Args[1:])
 
-	fail := func(format string, args ...interface{}) {
-		fmt.Fprintf(os.Stderr, "tracer: "+format+"\n", args...)
-		os.Exit(2)
-	}
-	net, ok := netmodel.ByName(*netName)
-	if !ok {
-		fail("unknown network %q", *netName)
-	}
-	if *cpus != 1 && *cpus != 2 {
-		fail("-cpus must be 1 or 2 (got %d)", *cpus)
-	}
-	if *procs < 1 {
-		fail("-p must be >= 1 (got %d)", *procs)
-	}
-	if *procs%*cpus != 0 {
-		fail("-p (%d) must be a multiple of -cpus (%d)", *procs, *cpus)
-	}
+	net, procs, cpus := app.Net, app.Procs, app.CPUs
 	if *steps < 1 {
-		fail("-steps must be >= 1 (got %d)", *steps)
+		app.Usagef("-steps must be >= 1 (got %d)", *steps)
 	}
 	mw := pmd.MiddlewareMPI
 	if *useCMPI {
 		mw = pmd.MiddlewareCMPI
 	}
 	if *minDur < 0 {
-		fail("-min-dur must be >= 0 (got %g)", *minDur)
+		app.Usagef("-min-dur must be >= 0 (got %g)", *minDur)
 	}
 	var kinds []trace.Kind
 	if *kindsFlag != "" {
 		for _, s := range strings.Split(*kindsFlag, ",") {
 			s = strings.TrimSpace(s)
 			if !trace.KnownKind(s) {
-				fail("unknown trace kind %q (known: compute,send,recv,sync,phase,fault,guard)", s)
+				app.Usagef("unknown trace kind %q (known: compute,send,recv,sync,phase,fault,guard)", s)
 			}
 			kinds = append(kinds, trace.Kind(s))
 		}
@@ -88,10 +71,10 @@ func main() {
 			sc, err = fault.ParseSpec(*faultSpec)
 		}
 		if err != nil {
-			fail("%v", err)
+			app.Usagef("%v", err)
 		}
 		if inj, err = fault.NewInjector(sc, fault.Options{}); err != nil {
-			fail("%v", err)
+			app.Usagef("%v", err)
 		}
 	}
 
@@ -106,22 +89,20 @@ func main() {
 		pcfg.Faults = inj
 		pcfg.Watchdog = mpi.DefaultWatchdog()
 	}
-	nodes := *procs / *cpus
+	nodes := procs / cpus
 	res, err := pmd.Run(
-		cluster.Config{Nodes: nodes, CPUsPerNode: *cpus, Net: net, Seed: 1},
+		cluster.Config{Nodes: nodes, CPUsPerNode: cpus, Net: net, Seed: 1},
 		cluster.PentiumIII1GHz(),
 		pcfg,
 	)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracer:", err)
-		os.Exit(1)
+		app.Fail(err)
 	}
 
 	if inj != nil {
-		for _, e := range inj.Events(nodes, *cpus, res.Wall) {
+		for _, e := range inj.Events(nodes, cpus, res.Wall) {
 			if err := col.Add(e); err != nil {
-				fmt.Fprintln(os.Stderr, "tracer:", err)
-				os.Exit(1)
+				app.Fail(err)
 			}
 		}
 	}
@@ -135,10 +116,9 @@ func main() {
 
 	c, pm := res.PhaseTotals()
 	fmt.Printf("%s, p=%d (%d CPU/node), %d steps, %s middleware: classic %.3f s, pme %.3f s\n\n",
-		net.Name, *procs, *cpus, *steps, mw, c.Wall, pm.Wall)
+		net.Name, procs, cpus, *steps, mw, c.Wall, pm.Wall)
 	if err := view.RenderTimeline(os.Stdout, *width); err != nil {
-		fmt.Fprintln(os.Stderr, "tracer:", err)
-		os.Exit(1)
+		app.Fail(err)
 	}
 	busy := view.Busy(trace.KindCompute)
 	fmt.Printf("\n%d of %d events shown; rank-0 compute occupancy %.1f%%\n",
@@ -147,13 +127,11 @@ func main() {
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tracer:", err)
-			os.Exit(1)
+			app.Fail(err)
 		}
 		defer f.Close()
 		if err := view.WriteChromeJSON(f); err != nil {
-			fmt.Fprintln(os.Stderr, "tracer:", err)
-			os.Exit(1)
+			app.Fail(err)
 		}
 		fmt.Printf("wrote %s\n", *out)
 	}

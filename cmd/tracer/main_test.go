@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -46,5 +47,15 @@ func TestTimelineAndChromeExport(t *testing.T) {
 	}
 	if sum := sha256.Sum256(chrome); hex.EncodeToString(sum[:]) != chromeSHA256 {
 		t.Errorf("Chrome trace sha256 %x, want %s", sum, chromeSHA256)
+	}
+
+	// tracer has no recovery loop: a crash scenario is a failed run (exit
+	// 1, the typed error naming the rank), not a usage error.
+	cmd = exec.Command(bin, "-p", "2", "-steps", "2", "-faults", "crash@0.05,rank=1")
+	stderr.Reset()
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); cmd.ProcessState == nil || cmd.ProcessState.ExitCode() != 1 ||
+		!strings.HasPrefix(stderr.String(), "tracer: ") || !strings.Contains(stderr.String(), "rank 1") {
+		t.Errorf("crash under tracer: %v, stderr %q; want exit 1 and a tracer: line naming rank 1", err, stderr.String())
 	}
 }

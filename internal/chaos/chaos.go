@@ -128,20 +128,15 @@ func NewHarness(cfg Config) (*Harness, error) {
 		return nil, err
 	}
 
-	sys, k := topol.NewSolvatedBox(cfg.Atoms, cfg.Seed+1)
-	pme := md.PMEConfig{Beta: 0.34, K1: k, K2: k, K3: k, Order: 4}
-	// A rank count the decomposition cannot tile on this mesh is rejected
-	// before any simulation, as the bare *pmd.DecompError so that a caller
-	// can tell a bad configuration from a failed probe.
-	if err := pmd.ValidateDecomp(cfg.Decomp, cfg.Nodes*cfg.CPUsPerNode, pme); err != nil {
+	// A rank count the decomposition cannot tile on the workload's mesh is
+	// rejected before any simulation, as the bare *pmd.DecompError so that
+	// a caller can tell a bad configuration from a failed probe.
+	sys, mdCfg, err := md.NewSolvatedWorkload(cfg.Atoms, cfg.Seed+1, func(pme md.PMEConfig) error {
+		return pmd.ValidateDecomp(cfg.Decomp, cfg.Nodes*cfg.CPUsPerNode, pme)
+	})
+	if err != nil {
 		return nil, err
 	}
-	md.Relax(sys, 60)
-	mdCfg := md.ClampCutoffs(md.PMEDefaultConfig(), sys.Box)
-	mdCfg.PME = pme
-	mdCfg.FF.Beta = mdCfg.PME.Beta
-	mdCfg.Temperature = 300
-	mdCfg.Seed = cfg.Seed + 1
 
 	h := &Harness{cfg: cfg, sys: sys, mdCfg: mdCfg, cost: cluster.PentiumIII1GHz()}
 	probe, err := h.run(nil, cfg.Workers[0], "", 0)
@@ -180,6 +175,33 @@ func (h *Harness) run(sc *fault.Scenario, workers int, ckptDir string, halt int)
 	})
 }
 
+// violated builds the error of a broken invariant.
+func violated(name, format string, args ...interface{}) *InvariantError {
+	return &InvariantError{name, fmt.Sprintf(format, args...)}
+}
+
+// trajectoryDiff names the first place a run's merged energies and final
+// positions differ bitwise from the reference's, "" when they do not.
+func trajectoryDiff(energies []md.EnergyReport, final *pmd.Result, ref *pmd.ResilientResult) string {
+	if len(energies) != len(ref.Energies) {
+		return fmt.Sprintf("%d energy steps, reference has %d", len(energies), len(ref.Energies))
+	}
+	for i := range energies {
+		if energies[i] != ref.Energies[i] {
+			return fmt.Sprintf("step %d: energies differ from the reference", i)
+		}
+	}
+	if final == nil || ref.Final == nil {
+		return "missing final state"
+	}
+	for i, p := range ref.Final.FinalPos {
+		if final.FinalPos[i] != p {
+			return fmt.Sprintf("atom %d: final position differs from the reference", i)
+		}
+	}
+	return ""
+}
+
 // Check runs the full invariant pipeline for one scenario. It returns a
 // report of the primary run, the first violated invariant (nil when all
 // hold), and an infrastructure error (temp dirs, persistence) that is
@@ -192,7 +214,7 @@ func (h *Harness) Check(sc *fault.Scenario) (RunReport, *InvariantError, error) 
 	// turns a would-be deadlock into a typed error caught here.
 	base, err := h.run(sc, h.cfg.Workers[0], "", 0)
 	if err != nil {
-		return rep, &InvariantError{"terminates", err.Error()}, nil
+		return rep, violated("terminates", "%v", err), nil
 	}
 	rep.Recoveries = len(base.Recoveries)
 	rep.Wall = base.Wall
@@ -200,14 +222,12 @@ func (h *Harness) Check(sc *fault.Scenario) (RunReport, *InvariantError, error) 
 
 	// Invariant: every reported energy is finite.
 	if len(base.Energies) != h.cfg.Steps {
-		return rep, &InvariantError{"finite-energies",
-			fmt.Sprintf("got %d energy steps, want %d", len(base.Energies), h.cfg.Steps)}, nil
+		return rep, violated("finite-energies", "got %d energy steps, want %d", len(base.Energies), h.cfg.Steps), nil
 	}
 	for i, e := range base.Energies {
 		for _, v := range []float64{e.Potential(), e.Kinetic, e.Total()} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return rep, &InvariantError{"finite-energies",
-					fmt.Sprintf("step %d: non-finite energy %g", i, v)}, nil
+				return rep, violated("finite-energies", "step %d: non-finite energy %g", i, v), nil
 			}
 		}
 	}
@@ -219,50 +239,28 @@ func (h *Harness) Check(sc *fault.Scenario) (RunReport, *InvariantError, error) 
 	// a crash, which changes the physics partition, so the invariant only
 	// applies to the localized strategy.)
 	if h.cfg.Recovery == pmd.RecoveryLocal {
-		for i := range base.Energies {
-			if base.Energies[i] != h.probe.Energies[i] {
-				return rep, &InvariantError{"recovery-fidelity",
-					fmt.Sprintf("step %d: energies differ from the fault-free run", i)}, nil
-			}
-		}
-		if base.Final == nil || h.probe.Final == nil {
-			return rep, &InvariantError{"recovery-fidelity", "missing final state"}, nil
-		}
-		for i, p := range h.probe.Final.FinalPos {
-			if base.Final.FinalPos[i] != p {
-				return rep, &InvariantError{"recovery-fidelity",
-					fmt.Sprintf("atom %d: final position differs from the fault-free run", i)}, nil
-			}
+		if diff := trajectoryDiff(base.Energies, base.Final, h.probe); diff != "" {
+			return rep, violated("recovery-fidelity", "against the fault-free run: %s", diff), nil
 		}
 	}
 
 	// Invariant: replay determinism — the identical scenario on other
-	// host-worker counts must reproduce energies, wall clock and
-	// accounting bitwise.
+	// host-worker counts must reproduce energies, final positions, wall
+	// clock and accounting bitwise.
 	for _, w := range h.cfg.Workers[1:] {
 		alt, err := h.run(sc, w, "", 0)
 		if err != nil {
-			return rep, &InvariantError{"worker-determinism",
-				fmt.Sprintf("workers=%d failed: %v", w, err)}, nil
+			return rep, violated("worker-determinism", "workers=%d failed: %v", w, err), nil
 		}
 		if alt.Wall != base.Wall {
-			return rep, &InvariantError{"worker-determinism",
-				fmt.Sprintf("workers=%d wall %g != %g", w, alt.Wall, base.Wall)}, nil
+			return rep, violated("worker-determinism", "workers=%d wall %g != %g", w, alt.Wall, base.Wall), nil
 		}
-		if len(alt.Energies) != len(base.Energies) {
-			return rep, &InvariantError{"worker-determinism",
-				fmt.Sprintf("workers=%d energy count %d != %d", w, len(alt.Energies), len(base.Energies))}, nil
-		}
-		for i := range base.Energies {
-			if alt.Energies[i] != base.Energies[i] {
-				return rep, &InvariantError{"worker-determinism",
-					fmt.Sprintf("workers=%d step %d energies differ", w, i)}, nil
-			}
+		if diff := trajectoryDiff(alt.Energies, alt.Final, base); diff != "" {
+			return rep, violated("worker-determinism", "workers=%d against workers=%d: %s", w, h.cfg.Workers[0], diff), nil
 		}
 		for i := range base.Acct {
 			if alt.Acct[i] != base.Acct[i] {
-				return rep, &InvariantError{"worker-determinism",
-					fmt.Sprintf("workers=%d rank %d accounting differs", w, i)}, nil
+				return rep, violated("worker-determinism", "workers=%d rank %d accounting differs", w, i), nil
 			}
 		}
 	}
@@ -300,44 +298,30 @@ func (h *Harness) checkDurable(sc *fault.Scenario) (*InvariantError, error) {
 			h.cfg.CheckpointEvery, h.cfg.Steps)
 		return nil, nil
 	}
+	const name = "checkpoint-restart"
 	w := h.cfg.Workers[0]
 	ref, err := h.run(sc, w, "", 0)
 	if err != nil {
-		return &InvariantError{"checkpoint-restart", fmt.Sprintf("reference run failed: %v", err)}, nil
+		return violated(name, "reference run failed: %v", err), nil
 	}
 	halted, err := h.run(sc, w, dir, halt)
 	if err != pmd.ErrHalted {
-		return &InvariantError{"checkpoint-restart",
-			fmt.Sprintf("halted run: want ErrHalted, got %v", err)}, nil
+		return violated(name, "halted run: want ErrHalted, got %v", err), nil
 	}
 	resumed, err := h.run(sc, w, dir, 0)
 	if err != nil {
-		return &InvariantError{"checkpoint-restart", fmt.Sprintf("resume failed: %v", err)}, nil
+		return violated(name, "resume failed: %v", err), nil
 	}
 	if resumed.Resumed == nil {
-		return &InvariantError{"checkpoint-restart", "resume did not use the on-disk checkpoint"}, nil
+		return violated(name, "resume did not use the on-disk checkpoint"), nil
 	}
 	cut := resumed.Resumed.Step
 	if cut > len(halted.Energies) {
-		return &InvariantError{"checkpoint-restart",
-			fmt.Sprintf("resume step %d beyond halted prefix %d", cut, len(halted.Energies))}, nil
+		return violated(name, "resume step %d beyond halted prefix %d", cut, len(halted.Energies)), nil
 	}
 	stitched := append(append([]md.EnergyReport{}, halted.Energies[:cut]...), resumed.Energies...)
-	if len(stitched) != len(ref.Energies) {
-		return &InvariantError{"checkpoint-restart",
-			fmt.Sprintf("stitched %d steps, reference %d", len(stitched), len(ref.Energies))}, nil
-	}
-	for i := range stitched {
-		if stitched[i] != ref.Energies[i] {
-			return &InvariantError{"checkpoint-restart",
-				fmt.Sprintf("step %d: stitched energies differ from uninterrupted reference", i)}, nil
-		}
-	}
-	for i, p := range ref.Final.FinalPos {
-		if resumed.Final.FinalPos[i] != p {
-			return &InvariantError{"checkpoint-restart",
-				fmt.Sprintf("atom %d: final position differs from uninterrupted reference", i)}, nil
-		}
+	if diff := trajectoryDiff(stitched, resumed.Final, ref); diff != "" {
+		return violated(name, "halted and resumed against uninterrupted: %s", diff), nil
 	}
 	return nil, nil
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/md"
+	"repro/internal/netmodel"
 	"repro/internal/obs"
 	"repro/internal/pmd"
 )
@@ -39,12 +40,15 @@ func Usagef(format string, args ...interface{}) error {
 
 // App is one command's share of the common tooling. The exported fields
 // below Reg hold the values of the shared flags the command registered;
-// Decomp and Recovery are set by Validate.
+// Decomp, Recovery and Net are set by Validate.
 type App struct {
 	Name string        // prefix of every diagnostic line
 	Reg  *obs.Registry // what the obs server exposes and the manifest snapshots
 
 	ObsAddr, ObsManifest, ProfileOut string
+	NetName                          string // the -net value; Net is its model
+	Net                              netmodel.Params
+	Procs, CPUs                      int
 	Decomp                           pmd.DecompKind
 	Recovery                         pmd.RecoveryKind
 	KernelWorkers                    int
@@ -56,6 +60,7 @@ type App struct {
 
 	fs               *flag.FlagSet
 	decomp, recovery string
+	minNodes         int // > 0 once ClusterFlags registered
 	ckptEveryMin     int
 	keepNeedsDir     bool
 
@@ -74,6 +79,15 @@ func New(name string, fs *flag.FlagSet) *App {
 func (a *App) ObsFlags() {
 	a.fs.StringVar(&a.ObsAddr, "obs-addr", "", "serve live introspection (/metrics, /runz, /debug/pprof) on this address")
 	a.fs.StringVar(&a.ObsManifest, "obs-manifest", "", "write the JSON run manifest (provenance + final metrics) to this file")
+}
+
+// ClusterFlags registers -net, -p and -cpus; minNodes (at least 1) is the
+// fewest nodes the command can run on.
+func (a *App) ClusterFlags(minNodes int) {
+	a.minNodes = minNodes
+	a.fs.StringVar(&a.NetName, "net", "tcp", "network: tcp, score, myrinet, fast")
+	a.fs.IntVar(&a.Procs, "p", 4, "processors")
+	a.fs.IntVar(&a.CPUs, "cpus", 1, "CPUs per node (1 or 2)")
 }
 
 // ProfileOutFlag registers -profile-out.
@@ -137,6 +151,17 @@ func (a *App) Validate() error {
 	}
 	if err := pmd.ValidateRecovery(a.Recovery, a.Decomp); err != nil {
 		return &UsageError{err}
+	}
+	if a.minNodes > 0 {
+		var ok bool
+		switch a.Net, ok = netmodel.ByName(a.NetName); {
+		case !ok:
+			return Usagef("unknown network %q", a.NetName)
+		case a.CPUs != 1 && a.CPUs != 2:
+			return Usagef("-cpus must be 1 or 2 (got %d)", a.CPUs)
+		case a.Procs < a.minNodes*a.CPUs || a.Procs%a.CPUs != 0:
+			return Usagef("-p (%d) must be a multiple of -cpus (%d) spanning at least %d node(s)", a.Procs, a.CPUs, a.minNodes)
+		}
 	}
 	switch {
 	case a.KernelWorkers < 0:

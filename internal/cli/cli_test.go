@@ -59,6 +59,7 @@ func mdrunFlags(a *App) {
 }
 
 func faultbenchFlags(a *App) {
+	a.ClusterFlags(1)
 	a.DecompFlag("decomp")
 	a.RecoveryFlag()
 	a.CkptEveryFlag(1, 0, "every")
@@ -94,6 +95,15 @@ func TestSharedValidation(t *testing.T) {
 		{name: "pencil p3 limit", register: mdrunFlags, args: []string{"-decomp", "domain"}, tile: 29, pme: small,
 			want: "pmd: domain decomposition cannot tile 29 ranks: pencil grid 1×29 needs p3 ≤ min(K3=24, K2=24)"},
 		{name: "pencil fits", register: mdrunFlags, args: []string{"-decomp", "domain"}, tile: 64, pme: small},
+		{name: "unknown network", register: faultbenchFlags, args: []string{"-net", "atm"},
+			want: `unknown network "atm"`},
+		{name: "three CPUs per node", register: faultbenchFlags, args: []string{"-cpus", "3"},
+			want: "-cpus must be 1 or 2 (got 3)"},
+		{name: "ranks not filling the nodes", register: faultbenchFlags, args: []string{"-p", "5", "-cpus", "2"},
+			want: "-p (5) must be a multiple of -cpus (2) spanning at least 1 node(s)"},
+		{name: "no ranks", register: faultbenchFlags, args: []string{"-p", "0"},
+			want: "-p (0) must be a multiple of -cpus (1) spanning at least 1 node(s)"},
+		{name: "dual-CPU nodes", register: faultbenchFlags, args: []string{"-p", "8", "-cpus", "2", "-net", "myrinet"}},
 		{name: "negative kernel workers", register: mdrunFlags, args: []string{"-kernel-workers", "-1"},
 			want: "-kernel-workers must be >= 0 (got -1)"},
 		{name: "negative skin", register: mdrunFlags, args: []string{"-skin", "-0.5"},
@@ -256,17 +266,18 @@ func TestWriteProfile(t *testing.T) {
 	}
 }
 
-// TestCommands builds the four commands that share the flag set and holds
+// TestCommands builds the five commands that share the flag set and holds
 // them to the parent commit: testdata/*.help is the -h output of the
-// binaries built before internal/cli existed, so any flag, default or
-// help string that moves shows here. It also runs the command lines whose
-// exit code is part of the contract.
+// binaries built before the command registered its flags through
+// internal/cli, so any flag, default or help string that moves shows
+// here. It also runs the command lines whose exit code is part of the
+// contract.
 func TestCommands(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("no go toolchain in PATH")
 	}
 	bin := t.TempDir()
-	names := []string{"mdrun", "faultbench", "charmmbench", "chaos"}
+	names := []string{"mdrun", "faultbench", "charmmbench", "chaos", "tracer"}
 	build := exec.Command("go", "build", "-o", bin+string(os.PathSeparator))
 	for _, n := range names {
 		build.Args = append(build.Args, "repro/cmd/"+n)
@@ -304,6 +315,10 @@ func TestCommands(t *testing.T) {
 		{"chaos", "-runs 1 -p 100 -steps 2", "chaos: " + untileable},
 		{"faultbench", "-spec crash@0.1,rank=1 -p 100 -atoms 300 -steps 2", "faultbench: " + untileable},
 		{"chaos", "-runs 1 -recovery local", "chaos: pmd: invalid Recovery: localized recovery repairs spatial domains; it needs Decomp == DecompDomain\n"},
+		{"chaos", "-runs 1 -p 2 -cpus 2", "chaos: -p (2) must be a multiple of -cpus (2) spanning at least 2 node(s)\n"},
+		{"faultbench", "-spec crash@0.1,rank=1 -net atm", "faultbench: unknown network \"atm\"\n"},
+		{"tracer", "-p 3 -cpus 2", "tracer: -p (3) must be a multiple of -cpus (2) spanning at least 1 node(s)\n"},
+		{"tracer", "-cpus 3", "tracer: -cpus must be 1 or 2 (got 3)\n"},
 		{"mdrun", "-ranks 16 -xyz t.xyz", "mdrun: -xyz is not supported with -ranks > 1\n"},
 		{"charmmbench", "-profile-out p.json", "charmmbench: -profile-out requires -figure attribution\n"},
 		{"charmmbench", "-figure 3 -quick -workers -3", "charmmbench: -workers must be >= 0, got -3\n"},
@@ -312,5 +327,45 @@ func TestCommands(t *testing.T) {
 		if got, code := run(tc.name, strings.Fields(tc.args)...); got != tc.want || code != 2 {
 			t.Errorf("%s %s: exit %d, stderr %q; want exit 2, %q", tc.name, tc.args, code, got, tc.want)
 		}
+	}
+}
+
+// TestEveryMainIsExercised keeps programs nothing runs from piling up:
+// every main package under cmd/ and examples/ has a test file of its own
+// or is run by a step of the CI workflow.
+func TestEveryMainIsExercised(t *testing.T) {
+	root := filepath.Join("..", "..")
+	ci, err := os.ReadFile(filepath.Join(root, ".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mains := 0
+	for _, parent := range []string{"cmd", "examples"} {
+		dirs, err := os.ReadDir(filepath.Join(root, parent))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range dirs {
+			files, _ := filepath.Glob(filepath.Join(root, parent, d.Name(), "*.go"))
+			isMain, tested := false, false
+			for _, f := range files {
+				if strings.HasSuffix(f, "_test.go") {
+					tested = true
+				} else if src, err := os.ReadFile(f); err == nil && bytes.Contains(src, []byte("\npackage main\n")) {
+					isMain = true
+				}
+			}
+			if !isMain {
+				continue
+			}
+			mains++
+			rel := "./" + parent + "/" + d.Name()
+			if !tested && !bytes.Contains(ci, []byte(rel+" ")) && !bytes.Contains(ci, []byte(rel+"\n")) {
+				t.Errorf("%s is a main package with no _test.go file and no mention in ci.yml: test it, run it in CI, or delete it", rel)
+			}
+		}
+	}
+	if mains == 0 {
+		t.Fatal("found no main package under cmd/ or examples/; the walk is broken")
 	}
 }

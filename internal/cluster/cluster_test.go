@@ -114,8 +114,7 @@ func TestCostModelSeconds(t *testing.T) {
 	}
 	// Additivity.
 	w2 := work.Counters{BondTerms: 5, GridCharges: 7}
-	sum := w
-	sum.Add(w2)
+	sum := work.Counters{PairEvals: 1000, FFTOps: 1000, BondTerms: 5, GridCharges: 7}
 	if cm.Seconds(sum) != cm.Seconds(w)+cm.Seconds(w2) {
 		t.Fatal("cost not additive")
 	}

@@ -320,35 +320,37 @@ func ReadDurable(path string) (*Checkpoint, DurableMeta, error) {
 	return cp, meta, nil
 }
 
-// atomicWrite lands data at path via temp file + fsync + rename.
+// atomicWrite lands data at path; an interrupted write leaves only a
+// dot-file the ring's listing ignores.
 func atomicWrite(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-"+filepath.Base(path)+"-*")
+	return WriteFileAtomic(path, ".tmp-"+filepath.Base(path)+"-*", data)
+}
+
+// WriteFileAtomic is the one durable write of the tree (the checkpoint
+// ring, the job server's result store and its journal): the bytes land in
+// a temp file next to path (named by the os.CreateTemp pattern tmpPattern,
+// by which each caller recognises the debris of a crash mid-write), are
+// fsynced, and only then renamed into place, so path never names a
+// half-written file. On any failure the temp file is removed.
+func WriteFileAtomic(path, tmpPattern string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), tmpPattern)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if _, err := tmp.Write(data); err != nil {
-		return err
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	name := tmp.Name()
-	if err := tmp.Close(); err != nil {
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	tmp = nil
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return err
+	if err != nil {
+		os.Remove(tmp.Name())
 	}
-	return nil
+	return err
 }
 
 // CheckpointRing manages a directory holding the last Keep durable

@@ -197,16 +197,3 @@ func (r *Rank) AlltoallvSparse(sizes [][]int) {
 	}
 	r.W.observeColl("alltoallv", r.Now()-t0)
 }
-
-// AlltoallUniform is Alltoallv with the same block size to every partner.
-func (r *Rank) AlltoallUniform(bytesPerPartner int) {
-	p := r.Size()
-	if p == 1 {
-		return
-	}
-	for shift := 1; shift < p; shift++ {
-		dst := (r.ID + shift) % p
-		src := (r.ID - shift + p) % p
-		r.Sendrecv(dst, tagAlltoall+shift, bytesPerPartner, src, tagAlltoall+shift)
-	}
-}

@@ -390,10 +390,19 @@ func TestTCPStallVariability(t *testing.T) {
 	// fastest and slowest rank; SCore must stay tight (Fig. 7 behaviour).
 	spread := func(net netmodel.Params) float64 {
 		cfg := uniCluster(8, net)
+		sizes := make([][]int, cfg.Nodes)
+		for i := range sizes {
+			sizes[i] = make([]int, cfg.Nodes)
+			for j := range sizes[i] {
+				if i != j {
+					sizes[i][j] = 60000
+				}
+			}
+		}
 		accts := mustRun(t, cfg, func(r *Rank) {
 			// All-to-all style traffic for several rounds.
 			for round := 0; round < 5; round++ {
-				r.AlltoallUniform(60000)
+				r.Alltoallv(sizes)
 			}
 		})
 		lo, hi := math.Inf(1), 0.0

@@ -13,141 +13,6 @@ import (
 	"repro/internal/vec"
 )
 
-// RecoveryKind selects how RunResilient repairs an injected rank crash.
-type RecoveryKind int
-
-const (
-	// RecoveryGlobal is the classic checkpoint-restart: the crash drops
-	// the whole node, every survivor rewinds to the newest globally
-	// consistent checkpoint and the remaining steps re-run on a smaller
-	// cluster. Lost work scales with rank count × checkpoint cadence.
-	RecoveryGlobal RecoveryKind = iota
-	// RecoveryLocal repairs only the crashed domain: a respawned rank
-	// restores it from its buddy's micro-checkpoint (taken at every
-	// neighbour-list rebuild epoch) and replays forward on re-sent halo
-	// messages while the healthy ranks park at their next collective.
-	// Rank numbering and cluster size never change, so the recovered
-	// trajectory stays bitwise-identical to the fault-free run. Requires
-	// the spatial domain decomposition.
-	RecoveryLocal
-)
-
-func (k RecoveryKind) String() string {
-	if k == RecoveryLocal {
-		return "local"
-	}
-	return "global"
-}
-
-// ParseRecovery parses a -recovery flag value. The empty string selects
-// the classic global rewind.
-func ParseRecovery(s string) (RecoveryKind, error) {
-	switch s {
-	case "", "global":
-		return RecoveryGlobal, nil
-	case "local":
-		return RecoveryLocal, nil
-	}
-	return 0, fmt.Errorf("pmd: unknown recovery strategy %q (want global or local)", s)
-}
-
-// ValidateRecovery rejects a recovery strategy the decomposition cannot
-// carry out, with a *ConfigError.
-func ValidateRecovery(rk RecoveryKind, dk DecompKind) error {
-	if rk == RecoveryLocal && dk != DecompDomain {
-		return &ConfigError{"Recovery", "localized recovery repairs spatial domains; it needs Decomp == DecompDomain"}
-	}
-	return nil
-}
-
-// ResilientConfig configures a fault-tolerant parallel run: a base Config
-// plus a fault scenario and the checkpoint-restart policy.
-type ResilientConfig struct {
-	Config
-
-	// Scenario is the fault script; nil runs healthy (RunResilient then
-	// degenerates to Run plus accounting plumbing).
-	Scenario *fault.Scenario
-
-	// CheckpointEvery takes a snapshot every k completed steps; 0 means
-	// the default of 1, negative values are a *ConfigError. Larger values
-	// lose more work per crash.
-	CheckpointEvery int
-
-	// RestartCost is the virtual time charged per recovery (failure
-	// detection, job relaunch, checkpoint distribution).
-	RestartCost float64
-
-	// MaxRestarts bounds crash-recovery attempts; 0 means one per crash
-	// spec in the scenario.
-	MaxRestarts int
-
-	// CheckpointDir, when non-empty, persists checkpoints durably: a ring
-	// of the last KeepCheckpoints checksummed checkpoint files plus a
-	// per-step progress journal (see internal/md durable format). If the
-	// directory already holds a valid checkpoint the run RESUMES from the
-	// newest one that validates, booking the killed process's
-	// post-checkpoint work as Lost; corrupt newer files are skipped.
-	CheckpointDir string
-
-	// KeepCheckpoints is the on-disk ring depth; 0 means md.DefaultKeep,
-	// negative values are a *ConfigError.
-	KeepCheckpoints int
-
-	// HaltAfterStep > 0 simulates a kill -9 for tests and examples: the
-	// run stops right after that global step completes (persistence is
-	// current up to it, nothing later reaches disk) and RunResilient
-	// returns the partial result with ErrHalted. Requires CheckpointDir.
-	HaltAfterStep int
-
-	// Preempt, when non-nil, is polled once per globally completed step
-	// on the scheduler thread (it must not block). The first time it
-	// returns true the run latches the NEXT step boundary as the
-	// preemption point: every rank checkpoints there, the checkpoint is
-	// persisted to CheckpointDir, and RunResilient returns the completed
-	// prefix with ErrPreempted. A later invocation with the same
-	// CheckpointDir resumes from that checkpoint with zero lost work —
-	// this is the graceful-preemption hook the serve layer uses to yield
-	// a long run to waiting tenants. Requires CheckpointDir.
-	Preempt func() bool
-
-	// Recovery selects the crash-repair strategy. RecoveryLocal requires
-	// Decomp == DecompDomain (the repair unit is a spatial domain).
-	Recovery RecoveryKind
-
-	// TuneCheckpoint enables the failure-rate-aware cadence tuner: after
-	// the first observed crash the durable-checkpoint interval is re-set
-	// from the online MTTF estimate via the Young/Daly formula
-	// (CheckpointEvery remains the zero-failure fallback). Requires
-	// CheckpointCost > 0 — the formula needs the checkpoint's price.
-	TuneCheckpoint bool
-
-	// CheckpointCost is the virtual seconds one durable checkpoint costs,
-	// the C in the Young/Daly interval √(2·C·MTTF). Negative values are a
-	// *ConfigError.
-	CheckpointCost float64
-}
-
-// ConfigError reports an invalid ResilientConfig field.
-type ConfigError struct {
-	Field string
-	Msg   string
-}
-
-func (e *ConfigError) Error() string { return fmt.Sprintf("pmd: invalid %s: %s", e.Field, e.Msg) }
-
-// ErrHalted marks a run stopped at the configured HaltAfterStep kill
-// point. The result returned alongside it holds the completed prefix; a
-// follow-up RunResilient with the same CheckpointDir resumes from disk.
-var ErrHalted = errors.New("pmd: run halted at the simulated kill point")
-
-// ErrPreempted marks a run stopped at a Preempt-requested checkpoint
-// boundary. Unlike ErrHalted (a simulated crash that loses the work past
-// the last periodic checkpoint), a preempted run checkpoints the exact
-// boundary it stops at: resuming with the same CheckpointDir loses
-// nothing. The result alongside holds the completed prefix.
-var ErrPreempted = errors.New("pmd: run preempted at a checkpoint boundary")
-
 // RecoveryEvent records one crash-and-rewind cycle.
 type RecoveryEvent struct {
 	CrashedRank int     // rank id (pre-restart numbering) that crashed
@@ -180,9 +45,19 @@ type ResilientResult struct {
 	// Resumed is set when the run restarted from an on-disk checkpoint.
 	Resumed *ResumeInfo
 
-	// Breakdown splits the Lost bucket by mechanism: global-rewind
-	// discards, localized replay, and healthy-rank park time.
+	// Breakdown splits what THIS invocation's crash recoveries booked as
+	// Lost by mechanism: global-rewind discards, localized replay, and
+	// healthy-rank park time. It is not the whole Lost bucket of Acct:
+	//
+	//	LostTotal() + Lost of the ranks global rewinds dropped
+	//	  = Breakdown.Total() + guard-fallback rewind discards
+	//	  + Resumed.LostOnDisk + Lost the resumed checkpoint already carried
+	//
+	// (up to float regrouping). The three terms no exported field reports
+	// are kept below for the test of that identity.
 	Breakdown recover.LostBreakdown
+
+	lostDropped, lostGuard, lostInherited float64
 
 	// Local records the localized repairs (RecoveryLocal runs only); each
 	// entry also has a matching RecoveryEvent in Recoveries.
@@ -204,6 +79,10 @@ func (r *ResilientResult) LostTotal() float64 {
 	return s
 }
 
+func quadToAcct(q [4]float64) mpi.Accounting {
+	return mpi.Accounting{Comp: q[0], Comm: q[1], Sync: q[2], Lost: q[3]}
+}
+
 // ckptEntry is one rank's recorded state at a checkpoint step.
 type ckptEntry struct {
 	step   int
@@ -214,38 +93,32 @@ type ckptEntry struct {
 	origin []vec.V // rank 0 only: Verlet-list origin (replicated on all ranks)
 }
 
-// recorder collects per-rank checkpoint entries during an attempt and,
-// when a durable ring is attached, persists each globally completed
-// checkpoint (plus a per-step progress journal) to disk. The sim engine
-// runs onStep hooks strictly one rank at a time on the scheduler thread,
-// so plain field writes are safe. Full in-memory history is kept because
-// ranks can be one checkpoint apart when a crash interrupts a collective:
-// the rewind uses the newest step every rank (including the crashed one)
-// has recorded.
+// recorder is one attempt: it collects per-rank checkpoint entries while
+// the attempt runs and, when the driver has a durable ring, persists each
+// globally completed checkpoint (plus a per-step progress journal) to
+// disk; afterwards it holds how the attempt ended. What an attempt starts
+// from (steps done, clocks, carried accounting, cadence) it reads from the
+// driver, which changes only between attempts. The sim engine runs onStep
+// hooks strictly one rank at a time on the scheduler thread, so plain
+// field writes are safe. Full in-memory history is kept because ranks can
+// be one checkpoint apart when a crash interrupts a collective: the rewind
+// uses the newest step every rank (including the crashed one) has
+// recorded.
 type recorder struct {
-	every int
-	p     int
-	hist  [][]ckptEntry
+	d       *driver
+	p       int
+	hist    [][]ckptEntry
+	atomOff []int
 
-	// Durable persistence; ring == nil keeps everything in memory only.
-	ring       *md.CheckpointRing
-	atomOff    []int
-	timestepFS float64
-	baseStep   int              // globally completed steps before this attempt
-	baseWall   float64          // scenario clock at attempt start
-	carried    []mpi.Accounting // global cumulative accounting per rank before this attempt
-	consumed   []int            // crash spec indices already recovered
-	haltAfter  int              // global step to stop at (simulated kill); 0 = never
 	halted     bool
-	preempt    func() bool // polled at globally consistent step boundaries
-	preemptAt  int         // global step every rank stops after; 0 = none latched
+	preemptAt  int // global step every rank stops after; 0 = none latched
 	preempted  bool
 	nowMax     float64
 	acct       []mpi.Accounting // current attempt accounting, refreshed every onStep
 	seen       map[int]int      // local step -> ranks that completed it
 	persistErr error
 
-	// Localized-recovery bookkeeping (RecoveryLocal only). With local set
+	// Localized-recovery bookkeeping (RecoveryLocal only). In local mode
 	// the recorder keeps a full entry for EVERY completed step — the
 	// cluster resumes from the last globally completed step instead of a
 	// cadence checkpoint — and rank 0 mirrors the domain grid's buddy
@@ -255,15 +128,22 @@ type recorder struct {
 	nbrs       [][]int // domain halo neighbours, from the grid geometry
 	epochSteps []int   // local steps that began a rebuild epoch, ascending
 	lastGen    int     // neighbour-list generation at the previous step
+
+	// How the attempt ended.
+	inj   *fault.Injector
+	res   *Result          // partial when the attempt failed
+	accts []mpi.Accounting // this attempt only
+	err   error            // nil means it completed
 }
 
 func (rec *recorder) onStep(w *worker, step int) {
 	me := w.me()
-	global := rec.baseStep + step + 1
+	haltAfter := rec.d.rcfg.HaltAfterStep
+	global := rec.d.stepsDone + step + 1
 	// A preemption boundary forces a checkpoint regardless of cadence:
 	// preemptAt was latched before any rank started this step (see below),
 	// so every rank agrees on the forced entry.
-	ckptStep := (step+1)%rec.every == 0 || (rec.preemptAt > 0 && global == rec.preemptAt)
+	ckptStep := (step+1)%rec.d.every == 0 || (rec.preemptAt > 0 && global == rec.preemptAt)
 	// Localized recovery keeps an entry for every completed step: the
 	// in-memory history is what lets the healthy ranks resume from the
 	// newest globally completed step rather than a cadence checkpoint.
@@ -308,7 +188,7 @@ func (rec *recorder) onStep(w *worker, step int) {
 	// The halt step itself still persists: every rank completes it (each
 	// sets only its own stop flag), so its checkpoint must reach disk
 	// before the simulated kill — that is the state the restart resumes.
-	if rec.ring != nil && (rec.haltAfter == 0 || global <= rec.haltAfter) {
+	if rec.d.ring != nil && (haltAfter == 0 || global <= haltAfter) {
 		rec.acct[me] = w.r.Acct()
 		if now := w.r.Now(); now > rec.nowMax {
 			rec.nowMax = now
@@ -319,8 +199,8 @@ func (rec *recorder) onStep(w *worker, step int) {
 			// before any rank reaches the next one, so the state gathered
 			// across ranks is globally consistent here.
 			delete(rec.seen, step)
-			rec.persist(step, ckptStep)
-			if rec.preempt != nil && rec.preemptAt == 0 && rec.preempt() {
+			rec.persist(global, ckptStep)
+			if preempt := rec.d.rcfg.Preempt; preempt != nil && rec.preemptAt == 0 && preempt() {
 				// Latch the stop point one boundary ahead: the other ranks
 				// already passed their stop check for this step, so the next
 				// boundary is the earliest one all ranks still observe. No
@@ -330,7 +210,7 @@ func (rec *recorder) onStep(w *worker, step int) {
 			}
 		}
 	}
-	if rec.haltAfter > 0 && global >= rec.haltAfter {
+	if haltAfter > 0 && global >= haltAfter {
 		rec.halted = true
 		w.stop = true
 	}
@@ -340,32 +220,34 @@ func (rec *recorder) onStep(w *worker, step int) {
 	}
 }
 
-// persist writes the progress journal for the just-completed step and,
-// on checkpoint steps, the durable checkpoint itself. Persistence errors
-// are remembered (first one wins) and surfaced after the attempt.
-func (rec *recorder) persist(localStep int, ckptStep bool) {
+// persist writes the progress journal for the just-completed global step
+// and, on checkpoint steps, the durable checkpoint itself. Persistence
+// errors are remembered (first one wins) and surfaced after the attempt.
+func (rec *recorder) persist(global int, ckptStep bool) {
 	if rec.persistErr != nil {
 		return
 	}
-	global := rec.baseStep + localStep + 1
-	wall := rec.baseWall + rec.nowMax
+	d := rec.d
+	wall := d.offset + rec.nowMax
 	quads := make([][4]float64, rec.p)
-	for i := 0; i < rec.p; i++ {
-		a := rec.carried[i]
+	for i := range quads {
+		var a mpi.Accounting
+		if d.carried != nil {
+			a = d.carried[i]
+		}
 		a.Add(rec.acct[i])
 		quads[i] = [4]float64{a.Comp, a.Comm, a.Sync, a.Lost}
 	}
 	if ckptStep {
-		idx := len(rec.hist[0]) - 1
-		cp := rec.assemble(idx, rec.atomOff, rec.timestepFS)
+		cp := rec.assemble(len(rec.hist[0]) - 1)
 		meta := md.DurableMeta{Step: global, Wall: wall, RankAcct: quads}
-		if err := rec.ring.Save(cp, meta); err != nil {
+		if err := d.ring.Save(cp, meta); err != nil {
 			rec.persistErr = err
 			return
 		}
 	}
-	prog := md.Progress{Step: global, Wall: wall, RankAcct: quads, ConsumedCrashes: rec.consumed}
-	if err := rec.ring.MarkProgress(prog); err != nil {
+	prog := md.Progress{Step: global, Wall: wall, RankAcct: quads, ConsumedCrashes: d.consumed}
+	if err := d.ring.MarkProgress(prog); err != nil {
 		rec.persistErr = err
 	}
 }
@@ -387,18 +269,18 @@ func (rec *recorder) rewindIndex() int {
 // and forces from rank 0's replica (consistent after the step's gather and
 // reduction), velocities from the per-rank owned blocks (velocities are
 // never gathered during a run, so no single replica holds them all).
-func (rec *recorder) assemble(idx int, atomOff []int, timestepFS float64) *md.Checkpoint {
+func (rec *recorder) assemble(idx int) *md.Checkpoint {
 	root := rec.hist[0][idx]
 	n := len(root.pos)
 	cp := &md.Checkpoint{
 		N:          n,
-		TimestepFS: timestepFS,
+		TimestepFS: rec.d.rcfg.MD.TimestepFS,
 		Pos:        append([]vec.V(nil), root.pos...),
 		Vel:        make([]vec.V, n),
 		Frc:        append([]vec.V(nil), root.frc...),
 	}
 	for rk := range rec.hist {
-		copy(cp.Vel[atomOff[rk]:atomOff[rk+1]], rec.hist[rk][idx].vel)
+		copy(cp.Vel[rec.atomOff[rk]:rec.atomOff[rk+1]], rec.hist[rk][idx].vel)
 	}
 	if root.origin != nil {
 		cp.ListOrigin = append([]vec.V(nil), root.origin...)
@@ -406,53 +288,68 @@ func (rec *recorder) assemble(idx int, atomOff []int, timestepFS float64) *md.Ch
 	return cp
 }
 
-// validate checks the resilience knobs and applies defaults in place.
-func (rcfg *ResilientConfig) validate() error {
-	if err := ValidateRecovery(rcfg.Recovery, rcfg.Decomp); err != nil {
-		return err
+// replayPrice prices the localized repair of rank c when the cluster
+// resumes at history index idx. The restore epoch is the newest rebuild
+// whose buddy micro-checkpoint the crashed rank is known to have completed
+// — one at or before the last globally completed step. A rebuild the crash
+// interrupted mid-migration is NOT a valid restore point: its mirror may
+// describe atoms still in flight between domains. From there the respawned
+// rank replays its domain serially: re-execution of its own compute with
+// halo inputs re-sent from the neighbours' message logs — no collectives,
+// so no Comm/Sync share in the replay price.
+func (rec *recorder) replayPrice(c, idx int) (epoch int, replayT float64) {
+	epoch = -1
+	for _, es := range rec.epochSteps {
+		if es > idx {
+			break
+		}
+		epoch = es
 	}
-	switch {
-	case rcfg.CheckpointEvery < 0:
-		return &ConfigError{"CheckpointEvery",
-			fmt.Sprintf("must be >= 0 (0 means the default of 1), got %d", rcfg.CheckpointEvery)}
-	case rcfg.KeepCheckpoints < 0:
-		return &ConfigError{"KeepCheckpoints",
-			fmt.Sprintf("must be >= 0 (0 means the default of %d), got %d", md.DefaultKeep, rcfg.KeepCheckpoints)}
-	case rcfg.RestartCost < 0:
-		return &ConfigError{"RestartCost", fmt.Sprintf("must be >= 0, got %g", rcfg.RestartCost)}
-	case rcfg.MaxRestarts < 0:
-		return &ConfigError{"MaxRestarts", fmt.Sprintf("must be >= 0, got %d", rcfg.MaxRestarts)}
-	case rcfg.HaltAfterStep < 0:
-		return &ConfigError{"HaltAfterStep", fmt.Sprintf("must be >= 0, got %d", rcfg.HaltAfterStep)}
-	case rcfg.HaltAfterStep > 0 && rcfg.CheckpointDir == "":
-		return &ConfigError{"HaltAfterStep", "simulated kill needs CheckpointDir to resume from"}
-	case rcfg.Preempt != nil && rcfg.CheckpointDir == "":
-		return &ConfigError{"Preempt", "graceful preemption needs CheckpointDir to park the run in"}
-	case rcfg.CheckpointCost < 0:
-		return &ConfigError{"CheckpointCost", fmt.Sprintf("must be >= 0, got %g", rcfg.CheckpointCost)}
-	case rcfg.TuneCheckpoint && rcfg.CheckpointCost <= 0:
-		return &ConfigError{"TuneCheckpoint", "the Young/Daly interval needs CheckpointCost > 0"}
+	if idx >= 0 {
+		replayT = rec.hist[c][idx].acct.Comp
+		if epoch >= 0 {
+			replayT -= rec.hist[c][epoch].acct.Comp
+		}
+		if replayT < 0 {
+			replayT = 0
+		}
 	}
-	if rcfg.CheckpointEvery == 0 {
-		rcfg.CheckpointEvery = 1
-	}
-	return nil
+	return epoch, replayT
 }
 
-func quadToAcct(q [4]float64) mpi.Accounting {
-	return mpi.Accounting{Comp: q[0], Comm: q[1], Sync: q[2], Lost: q[3]}
+// driver is the state RunResilient carries from one attempt to the next.
+type driver struct {
+	rcfg *ResilientConfig
+	cost cluster.CostModel
+	cfg  cluster.Config     // the cluster still standing: a global rewind drops a node
+	wd   mpi.Watchdog       // the configured one, or the default when crashes are scripted
+	ring *md.CheckpointRing // nil keeps checkpoints in memory only
+	out  *ResilientResult
+
+	stepsDone int              // globally completed steps behind the next attempt
+	offset    float64          // scenario clock at the next attempt's start
+	init      *md.Checkpoint   // state the next attempt starts from
+	exact     bool             // sticky: set by the ExactKernels config or a guard fallback
+	consumed  []int            // crash spec indices already recovered
+	carried   []mpi.Accounting // per standing rank, merged over earlier attempts; nil until a resume or rewind
+
+	restarts, maxRestarts int
+
+	every int            // durable cadence in effect: CheckpointEvery until the tuner re-derives it
+	tuner *recover.Tuner // nil unless TuneCheckpoint
 }
 
 // RunResilient executes the parallel MD under fault injection with
-// checkpoint-restart recovery. On an injected rank crash it drops the
-// crashed rank's whole node, rewinds to the newest globally consistent
-// checkpoint and re-runs the remaining steps on the survivors; the
-// discarded virtual time lands in the Lost accounting bucket. On a
-// numeric guard trip with guard.PolicyFallback it rewinds the same way
-// and continues on exact kernels. With CheckpointDir set, checkpoints
-// also persist to disk and a later invocation resumes a killed run from
-// the newest valid file. Other errors (including watchdog timeouts with
-// no crash behind them) are returned as-is.
+// checkpoint-restart recovery: resume → attempt loop → one rewind. With
+// CheckpointDir set, checkpoints also persist to disk and an invocation
+// that finds a valid one there resumes the killed run from it. A failed
+// attempt is priced by driver.rewind and the next one starts from the
+// rewind point: after an injected rank crash on the survivors of the
+// dropped node (global) or with the crashed domain repaired in place
+// (local), after a numeric guard trip under guard.PolicyFallback on exact
+// kernels. The discarded virtual time lands in the Lost accounting
+// bucket. Other errors (including watchdog timeouts with no crash behind
+// them) are returned as-is.
 func RunResilient(clusterCfg cluster.Config, cost cluster.CostModel, rcfg ResilientConfig) (*ResilientResult, error) {
 	if err := clusterCfg.Validate(); err != nil {
 		return nil, err
@@ -464,449 +361,376 @@ func RunResilient(clusterCfg cluster.Config, cost cluster.CostModel, rcfg Resili
 	if rcfg.Scenario != nil {
 		crashSpecs = len(rcfg.Scenario.CrashSpecs())
 	}
-	maxRestarts := rcfg.MaxRestarts
-	if maxRestarts == 0 {
-		maxRestarts = crashSpecs
+	d := &driver{
+		rcfg: &rcfg, cost: cost, cfg: clusterCfg, wd: rcfg.Watchdog,
+		out: &ResilientResult{}, init: rcfg.Init, exact: rcfg.MD.FF.ExactKernels,
+		maxRestarts: rcfg.MaxRestarts, every: rcfg.CheckpointEvery,
 	}
-	wd := rcfg.Watchdog
-	if !wd.Enabled() && crashSpecs > 0 {
+	if d.maxRestarts == 0 {
+		d.maxRestarts = crashSpecs
+	}
+	if !d.wd.Enabled() && crashSpecs > 0 {
 		// Crash detection relies on bounded waits: without a watchdog the
 		// survivors would park forever and the run would end in a sim
 		// deadlock instead of a recoverable typed error.
-		wd = mpi.DefaultWatchdog()
+		d.wd = mpi.DefaultWatchdog()
 	}
-
-	// Resilience metrics (nil-gated: a run without a registry pays
-	// nothing). Counters accumulate across attempts of this invocation.
-	reg := rcfg.Obs
-	obsCount := func(name, help string, v float64) {
-		if reg != nil {
-			reg.Counter(name, help).Add(v)
-		}
-	}
-
-	out := &ResilientResult{}
-	curCfg := clusterCfg
-	totalSteps := rcfg.Steps
-	stepsDone := 0
-	offset := 0.0
-	init := rcfg.Init
-	exact := rcfg.MD.FF.ExactKernels
-	var consumed []int
-	var carried []mpi.Accounting
-	restarts := 0
-
-	// every is the durable cadence actually in effect; the Young/Daly
-	// tuner re-derives it after each observed crash, otherwise it stays at
-	// the configured fallback.
-	every := rcfg.CheckpointEvery
-	var tuner *recover.Tuner
 	if rcfg.TuneCheckpoint {
-		tuner = &recover.Tuner{Fixed: rcfg.CheckpointEvery, CkptCost: rcfg.CheckpointCost, MaxSteps: totalSteps}
+		d.tuner = &recover.Tuner{Fixed: rcfg.CheckpointEvery, CkptCost: rcfg.CheckpointCost, MaxSteps: rcfg.Steps}
 	}
-	obsGauge := func(name, help string, v float64) {
-		if reg != nil {
-			reg.Gauge(name, help).Set(v)
-		}
-	}
-	retune := func() {
-		if tuner == nil {
-			return
-		}
-		tuner.Fail(out.Wall)
-		tuner.Progress(out.Wall, stepsDone)
-		every, _ = tuner.Interval()
-		if mttf, ok := tuner.Estimate(); ok {
-			obsGauge("repro_mttf_seconds", "online mean-time-to-failure estimate (virtual s)", mttf)
-		}
-		obsGauge("repro_checkpoint_interval_steps", "durable checkpoint cadence in effect", float64(every))
-	}
-
-	var ring *md.CheckpointRing
 	if rcfg.CheckpointDir != "" {
-		ring = &md.CheckpointRing{Dir: rcfg.CheckpointDir, Keep: rcfg.KeepCheckpoints, Obs: reg}
-		cp, meta, skipped, err := ring.LoadNewest()
-		switch {
-		case err == nil:
-			// Resume a killed run: the checkpoint fixes the dynamic state
-			// and the surviving rank count; the progress journal, when it
-			// reaches past the checkpoint, fixes what the killed process
-			// had additionally spent — that delta is Lost.
-			if len(meta.RankAcct)%clusterCfg.CPUsPerNode != 0 {
-				return nil, fmt.Errorf("pmd: checkpoint has %d ranks, not a multiple of %d CPUs/node",
-					len(meta.RankAcct), clusterCfg.CPUsPerNode)
-			}
-			if meta.Step >= totalSteps {
-				return nil, fmt.Errorf("pmd: checkpoint already at step %d of a %d-step run", meta.Step, totalSteps)
-			}
-			curCfg.Nodes = len(meta.RankAcct) / clusterCfg.CPUsPerNode
-			stepsDone = meta.Step
-			init = cp
-			carried = make([]mpi.Accounting, len(meta.RankAcct))
-			for i, q := range meta.RankAcct {
-				carried[i] = quadToAcct(q)
-			}
-			resumeWall := meta.Wall
-			var lostOnDisk float64
-			if prog, perr := ring.ReadProgress(); perr == nil &&
-				prog.Step >= meta.Step && len(prog.RankAcct) == len(meta.RankAcct) {
-				consumed = prog.ConsumedCrashes
-				resumeWall = prog.Wall
-				for i, q := range prog.RankAcct {
-					if lost := quadToAcct(q).Total() - carried[i].Total(); lost > 0 {
-						carried[i].Lost += lost
-						lostOnDisk += lost
-					}
-				}
-			}
-			out.Wall = resumeWall + rcfg.RestartCost
-			offset = out.Wall
-			out.Resumed = &ResumeInfo{Step: stepsDone, SkippedCheckpoints: skipped, LostOnDisk: lostOnDisk}
-		case errors.Is(err, md.ErrNoCheckpoint):
-			// Fresh run; the ring fills as steps complete.
-		default:
+		d.ring = &md.CheckpointRing{Dir: rcfg.CheckpointDir, Keep: rcfg.KeepCheckpoints, Obs: rcfg.Obs}
+		if err := d.resume(); err != nil {
 			return nil, err
 		}
 	}
-
 	for {
-		var inj *fault.Injector
-		if rcfg.Scenario != nil {
-			var err error
-			inj, err = fault.NewInjector(rcfg.Scenario, fault.Options{Offset: offset, ConsumedCrashes: consumed})
-			if err != nil {
-				return nil, err
-			}
+		rec, err := d.attempt()
+		if err != nil {
+			return nil, err
 		}
-		p := curCfg.Nodes * curCfg.CPUsPerNode
-		base := carried
-		if base == nil {
-			base = make([]mpi.Accounting, p)
+		if rec.err == nil {
+			return d.finish(rec)
 		}
-		rec := &recorder{
-			every: every, p: p, hist: make([][]ckptEntry, p),
-			ring: ring, atomOff: blockPartition(rcfg.System.N(), p),
-			timestepFS: rcfg.MD.TimestepFS,
-			baseStep:   stepsDone, baseWall: offset, carried: base,
-			consumed: consumed, haltAfter: rcfg.HaltAfterStep,
-			preempt: rcfg.Preempt,
-			acct:    make([]mpi.Accounting, p), seen: map[int]int{},
-			local: rcfg.Recovery == RecoveryLocal,
-		}
-
-		attempt := rcfg.Config
-		attempt.Steps = totalSteps - stepsDone
-		attempt.Init = init
-		attempt.Watchdog = wd
-		attempt.onStep = rec.onStep
-		// Perf samples and OnStep telemetry use global step indices so a
-		// resumed attempt overwrites the rewound steps' cells instead of
-		// restarting the timeline at zero.
-		attempt.perfBase = stepsDone
-		if exact {
-			attempt.MD.FF.ExactKernels = true
-		}
-		if inj != nil {
-			attempt.Faults = inj
-		}
-
-		res, accts, err := runAttempt(curCfg, cost, attempt)
-		if rec.persistErr != nil {
-			return nil, fmt.Errorf("pmd: durable checkpoint: %w", rec.persistErr)
-		}
-		if err == nil {
-			if carried == nil {
-				out.Acct = accts
-			} else {
-				out.Acct = carried
-				for i := range accts {
-					out.Acct[i].Add(accts[i])
-				}
-			}
-			out.Final = res
-			out.Ranks = p
-			out.Energies = append(out.Energies, res.Energies...)
-			out.Wall += res.Wall
-			out.GuardTrips = append(out.GuardTrips, res.GuardEvents...)
-			out.CheckpointInterval = every
-			out.IntervalTuned = tuner != nil && tuner.Tuned()
-			if rec.halted {
-				return out, ErrHalted
-			}
-			// Preemption at the final boundary is indistinguishable from
-			// finishing — only an actually shortened run reports it.
-			if rec.preempted && stepsDone+len(res.Energies) < totalSteps {
-				obsCount("repro_preemptions_total", "graceful checkpoint preemptions", 1)
-				return out, ErrPreempted
-			}
-			return out, nil
-		}
-
-		// The failed attempt ran until the last rank stopped accruing
-		// time; for a crash this is a lower bound refined below.
-		detected := 0.0
-		for _, a := range accts {
-			if t := a.Total(); t > detected {
-				detected = t
-			}
-		}
-
-		var te *guard.TripError
-		var ce *mpi.CrashError
-		switch {
-		case errors.As(err, &te):
-			if rcfg.Guard.Policy != guard.PolicyFallback || exact {
-				return nil, err
-			}
-			// Degrade to exact kernels: rewind to the newest checkpoint
-			// and redo from there on exact math. The exact flag is sticky,
-			// so this branch runs at most once.
-			exact = true
-			ev := te.Ev
-			ev.Recovered = true
-			out.GuardTrips = append(out.GuardTrips, ev)
-
-			idx := rec.rewindIndex()
-			var cp *md.Checkpoint
-			keep := 0
-			if idx >= 0 {
-				cp = rec.assemble(idx, rec.atomOff, rcfg.MD.TimestepFS)
-				keep = rec.hist[0][idx].step + 1
-			}
-			if carried == nil {
-				carried = make([]mpi.Accounting, p)
-			}
-			for i := 0; i < p; i++ {
-				var keptAcct mpi.Accounting
-				if idx >= 0 {
-					keptAcct = rec.hist[i][idx].acct
-				}
-				carried[i].Add(keptAcct)
-				carried[i].Lost += accts[i].Total() - keptAcct.Total()
-			}
-			if keep > 0 {
-				out.Energies = append(out.Energies, res.Energies[:keep]...)
-			}
-			stepsDone += keep
-			if cp != nil {
-				init = cp
-			}
-			out.Wall += detected + rcfg.RestartCost
-			offset += detected + rcfg.RestartCost
-			obsCount("repro_guard_fallbacks_total", "guard trips healed by the exact-kernel fallback", 1)
-
-		case errors.As(err, &ce):
-			restarts++
-			if restarts > maxRestarts {
-				return nil, fmt.Errorf("pmd: restart budget (%d) exhausted: %w", maxRestarts, ce)
-			}
-			if ce.At > detected {
-				detected = ce.At
-			}
-
-			if rcfg.Recovery == RecoveryLocal {
-				if p < 2 {
-					return nil, fmt.Errorf("pmd: localized recovery needs a buddy rank: %w", ce)
-				}
-				// Resume point: the newest step EVERY rank completed (the
-				// recorder keeps all of them in local mode). Healthy ranks
-				// already hold that state — nobody rewinds, the cluster
-				// parks at the next collective while the crashed domain is
-				// repaired. Rank numbering and cluster size are unchanged,
-				// which is what keeps the trajectory bitwise-identical to
-				// the fault-free run.
-				idx := rec.rewindIndex()
-				var cp *md.Checkpoint
-				keep := 0
-				if idx >= 0 {
-					cp = rec.assemble(idx, rec.atomOff, rcfg.MD.TimestepFS)
-					keep = rec.hist[0][idx].step + 1
-				}
-				// Restore epoch: the newest rebuild whose buddy
-				// micro-checkpoint the crashed rank is known to have
-				// completed — i.e. one at or before the last globally
-				// completed step. A rebuild the crash interrupted
-				// mid-migration is NOT a valid restore point: its mirror
-				// may describe atoms still in flight between domains.
-				epoch := -1
-				for _, es := range rec.epochSteps {
-					if es > idx {
-						break
-					}
-					epoch = es
-				}
-				c := ce.Rank
-				// The respawned rank replays its domain serially from the
-				// epoch: re-execution of its own compute with halo inputs
-				// re-sent from the neighbours' message logs — no
-				// collectives, so no Comm/Sync share in the replay price.
-				replayT := 0.0
-				if idx >= 0 {
-					replayT = rec.hist[c][idx].acct.Comp
-					if epoch >= 0 {
-						replayT -= rec.hist[c][epoch].acct.Comp
-					}
-					if replayT < 0 {
-						replayT = 0
-					}
-				}
-
-				if carried == nil {
-					carried = make([]mpi.Accounting, p)
-				}
-				var parked, replayLost float64
-				for i := 0; i < p; i++ {
-					var keptAcct mpi.Accounting
-					if idx >= 0 {
-						keptAcct = rec.hist[i][idx].acct
-					}
-					// Each rank loses its own partial step past the resume
-					// point plus the wait for the domain replay. (The park
-					// until crash DETECTION is symmetric with the global
-					// rewind and stays out of the Lost bucket for both.)
-					li := accts[i].Total() - keptAcct.Total() + replayT
-					if li < 0 {
-						li = 0
-					}
-					carried[i].Add(keptAcct)
-					carried[i].Lost += li
-					if i == c {
-						replayLost += li
-					} else {
-						parked += li
-					}
-				}
-				out.Breakdown.Replay += replayLost
-				out.Breakdown.Park += parked
-
-				if keep > 0 {
-					out.Energies = append(out.Energies, res.Energies[:keep]...)
-				}
-				ev := recover.Event{
-					Rank:        c,
-					EpochStep:   stepsDone + epoch + 1,
-					ResumeStep:  stepsDone + keep,
-					ReplaySteps: idx - epoch,
-					Detect:      detected,
-					Restore:     rcfg.RestartCost,
-					Replay:      replayT,
-					Park:        parked,
-				}
-				if rec.micro != nil {
-					ev.Buddy = rec.micro.Buddy(c)
-					if mc, ok := rec.micro.Restore(c, idx); ok {
-						ev.RestoredBytes = mc.Bytes
-					}
-					if c < len(rec.nbrs) {
-						ev.ResentBytes = rec.micro.Resent(rec.nbrs[c], epoch, idx)
-					}
-				}
-				out.Local = append(out.Local, ev)
-				out.Recoveries = append(out.Recoveries, RecoveryEvent{
-					CrashedRank: c,
-					DetectedAt:  detected,
-					RewindStep:  stepsDone + keep,
-					Lost:        replayLost + parked,
-					Checkpoint:  cp,
-				})
-				obsCount("repro_recoveries_total", "crash-and-rewind recovery cycles", 1)
-				obsCount("repro_recoveries_localized_total", "localized (buddy-restore) crash repairs", 1)
-				obsCount("repro_recovery_lost_seconds_total", "virtual seconds discarded by crash rewinds", replayLost+parked)
-				if inj != nil {
-					if spec, ok := inj.CrashSpecAt(c); ok {
-						consumed = append(consumed, spec)
-					}
-				}
-
-				stepsDone += keep
-				if cp != nil {
-					init = cp
-				}
-				stall := detected + rcfg.RestartCost + replayT
-				out.Wall += stall
-				offset += stall
-				retune()
-				continue
-			}
-
-			crashedNode := ce.Rank / curCfg.CPUsPerNode
-			if curCfg.Nodes < 2 {
-				return nil, fmt.Errorf("pmd: no surviving nodes after %w", ce)
-			}
-			if rcfg.Decomp == DecompDomain {
-				// A global rewind drops the node and re-tiles the domain
-				// grid over the survivors; reject a survivor count the PME
-				// pencils cannot tile instead of running a malformed grid.
-				// (Localized recovery above never re-tiles — its cluster
-				// size is constant.)
-				if verr := ValidateDecomp(DecompDomain, (curCfg.Nodes-1)*curCfg.CPUsPerNode, rcfg.MD.PME); verr != nil {
-					return nil, fmt.Errorf("pmd: global rewind cannot re-tile the survivors: %w", verr)
-				}
-			}
-
-			// Rewind point: the newest checkpoint every rank recorded.
-			idx := rec.rewindIndex()
-			var cp *md.Checkpoint
-			keep := 0
-			if idx >= 0 {
-				cp = rec.assemble(idx, rec.atomOff, rcfg.MD.TimestepFS)
-				keep = rec.hist[0][idx].step + 1
-			}
-
-			// Merge kept state and book lost time, dropping the crashed
-			// node's ranks and renumbering the survivors.
-			if carried == nil {
-				carried = make([]mpi.Accounting, p)
-			}
-			survivors := make([]mpi.Accounting, 0, p-curCfg.CPUsPerNode)
-			var lost float64
-			for i := 0; i < p; i++ {
-				var keptAcct mpi.Accounting
-				if idx >= 0 {
-					keptAcct = rec.hist[i][idx].acct
-				}
-				li := accts[i].Total() - keptAcct.Total()
-				lost += li
-				if i/curCfg.CPUsPerNode == crashedNode {
-					continue
-				}
-				a := carried[i]
-				a.Add(keptAcct)
-				a.Lost += li
-				survivors = append(survivors, a)
-			}
-			carried = survivors
-			out.Breakdown.Rewind += lost
-
-			if keep > 0 {
-				out.Energies = append(out.Energies, res.Energies[:keep]...)
-			}
-			out.Recoveries = append(out.Recoveries, RecoveryEvent{
-				CrashedRank: ce.Rank,
-				DetectedAt:  detected,
-				RewindStep:  stepsDone + keep,
-				Lost:        lost,
-				Checkpoint:  cp,
-			})
-			obsCount("repro_recoveries_total", "crash-and-rewind recovery cycles", 1)
-			obsCount("repro_recovery_lost_seconds_total", "virtual seconds discarded by crash rewinds", lost)
-			if inj != nil {
-				if spec, ok := inj.CrashSpecAt(ce.Rank); ok {
-					consumed = append(consumed, spec)
-				}
-			}
-
-			stepsDone += keep
-			if cp != nil {
-				init = cp
-			}
-			out.Wall += detected + rcfg.RestartCost
-			offset += detected + rcfg.RestartCost
-			curCfg.Nodes--
-			retune()
-
-		default:
+		if err := d.recover(rec); err != nil {
 			return nil, err
 		}
 	}
+}
+
+// count feeds a resilience counter (nil-gated: a run without a registry
+// pays nothing). Counters accumulate across the attempts of one invocation.
+func (d *driver) count(name, help string, v float64) {
+	if d.rcfg.Obs != nil {
+		d.rcfg.Obs.Counter(name, help).Add(v)
+	}
+}
+
+// resume restarts a killed run from the newest checkpoint in the ring that
+// validates: the checkpoint fixes the dynamic state and the surviving rank
+// count; the progress journal, when it reaches past the checkpoint, fixes
+// what the killed process had additionally spent — that delta is Lost. An
+// empty ring is a fresh run; it fills as steps complete.
+func (d *driver) resume() error {
+	cp, meta, skipped, err := d.ring.LoadNewest()
+	if errors.Is(err, md.ErrNoCheckpoint) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	cpus := d.cfg.CPUsPerNode
+	if n := len(meta.RankAcct); n == 0 || n%cpus != 0 {
+		return fmt.Errorf("pmd: checkpoint has %d ranks, not a positive multiple of %d CPUs/node", n, cpus)
+	}
+	if meta.Step >= d.rcfg.Steps {
+		return fmt.Errorf("pmd: checkpoint already at step %d of a %d-step run", meta.Step, d.rcfg.Steps)
+	}
+	d.cfg.Nodes = len(meta.RankAcct) / cpus
+	d.stepsDone = meta.Step
+	d.init = cp
+	d.carried = make([]mpi.Accounting, len(meta.RankAcct))
+	for i, q := range meta.RankAcct {
+		d.carried[i] = quadToAcct(q)
+		d.out.lostInherited += q[3]
+	}
+	resumeWall := meta.Wall
+	var lostOnDisk float64
+	if prog, perr := d.ring.ReadProgress(); perr == nil &&
+		prog.Step >= meta.Step && len(prog.RankAcct) == len(meta.RankAcct) {
+		d.consumed = prog.ConsumedCrashes
+		resumeWall = prog.Wall
+		for i, q := range prog.RankAcct {
+			if lost := quadToAcct(q).Total() - d.carried[i].Total(); lost > 0 {
+				d.carried[i].Lost += lost
+				lostOnDisk += lost
+			}
+		}
+	}
+	d.out.Wall = resumeWall + d.rcfg.RestartCost
+	d.offset = d.out.Wall
+	d.out.Resumed = &ResumeInfo{Step: d.stepsDone, SkippedCheckpoints: skipped, LostOnDisk: lostOnDisk}
+	return nil
+}
+
+// attempt runs the steps still owed on the standing cluster from d.init.
+// The error it returns is fatal; a failure recover can price is rec.err.
+func (d *driver) attempt() (*recorder, error) {
+	rcfg := d.rcfg
+	p := d.cfg.Nodes * d.cfg.CPUsPerNode
+	rec := &recorder{
+		d: d, p: p, hist: make([][]ckptEntry, p), atomOff: blockPartition(rcfg.System.N(), p),
+		acct: make([]mpi.Accounting, p), seen: map[int]int{}, local: rcfg.Recovery == RecoveryLocal,
+	}
+	cfg := rcfg.Config
+	if rcfg.Scenario != nil {
+		var err error
+		rec.inj, err = fault.NewInjector(rcfg.Scenario, fault.Options{Offset: d.offset, ConsumedCrashes: d.consumed})
+		if err != nil {
+			return nil, err
+		}
+		cfg.Faults = rec.inj
+	}
+	cfg.Steps = rcfg.Steps - d.stepsDone
+	cfg.Init = d.init
+	cfg.Watchdog = d.wd
+	cfg.onStep = rec.onStep
+	// Perf samples and OnStep telemetry use global step indices so a
+	// resumed attempt overwrites the rewound steps' cells instead of
+	// restarting the timeline at zero.
+	cfg.perfBase = d.stepsDone
+	if d.exact {
+		cfg.MD.FF.ExactKernels = true
+	}
+	rec.res, rec.accts, rec.err = runAttempt(d.cfg, d.cost, cfg)
+	if rec.persistErr != nil {
+		return nil, fmt.Errorf("pmd: durable checkpoint: %w", rec.persistErr)
+	}
+	return rec, nil
+}
+
+// finish merges the completing attempt into the result.
+func (d *driver) finish(rec *recorder) (*ResilientResult, error) {
+	out, res := d.out, rec.res
+	out.Acct = rec.accts
+	if d.carried != nil {
+		out.Acct = d.carried
+		for i := range rec.accts {
+			out.Acct[i].Add(rec.accts[i])
+		}
+	}
+	out.Final = res
+	out.Ranks = rec.p
+	out.Energies = append(out.Energies, res.Energies...)
+	out.Wall += res.Wall
+	out.GuardTrips = append(out.GuardTrips, res.GuardEvents...)
+	out.CheckpointInterval = d.every
+	out.IntervalTuned = d.tuner != nil && d.tuner.Tuned()
+	if rec.halted {
+		return out, ErrHalted
+	}
+	// Preemption at the final boundary is indistinguishable from
+	// finishing — only an actually shortened run reports it.
+	if rec.preempted && d.stepsDone+len(res.Energies) < d.rcfg.Steps {
+		d.count("repro_preemptions_total", "graceful checkpoint preemptions", 1)
+		return out, ErrPreempted
+	}
+	return out, nil
+}
+
+// rewindStrategy is all the three failure kinds differ in while
+// driver.rewind prices them; recover books the returned loss.
+//
+//	failure        extra per-rank loss      drops         clamp  loss booked to
+//	guard trip     none                     nobody        no     no Breakdown bucket
+//	crash, global  none                     crashed node  no     Breakdown.Rewind
+//	crash, local   crashed domain's replay  nobody        yes    Breakdown.Replay / Park
+type rewindStrategy struct {
+	extra    func(idx int) float64 // every rank's wait on top of its own loss, given the rewind index; nil is none
+	clamp    bool                  // floor a rank's loss at zero
+	dropNode int                   // node whose ranks leave the cluster, the rest renumbered; -1 keeps all
+}
+
+// rewound is what one rewind decided and booked.
+type rewound struct {
+	idx  int            // history index every rank rewound to; -1 when some rank had none
+	cp   *md.Checkpoint // state at the rewind point; nil when idx < 0
+	lost []float64      // Lost booked per rank of the failed attempt (numbering before the drop)
+}
+
+// rewind is the one place a failed attempt is priced. It finds the newest
+// checkpoint every rank recorded, assembles it, merges each rank's
+// accounting up to that point into d.carried, books what the rank spent
+// past it (plus the strategy's extra) as Lost, splices the surviving
+// energies into the result and moves the driver's step count, start state
+// and clocks past the stall.
+func (d *driver) rewind(rec *recorder, detected float64, s rewindStrategy) rewound {
+	out := d.out
+	rw := rewound{idx: rec.rewindIndex(), lost: make([]float64, rec.p)}
+	extra := 0.0
+	if s.extra != nil {
+		extra = s.extra(rw.idx)
+	}
+	if d.carried == nil {
+		d.carried = make([]mpi.Accounting, rec.p)
+	}
+	standing := d.carried[:0] // filtered in place: a survivor never lands past the slot it was read from
+	for i, merged := range d.carried {
+		var kept mpi.Accounting
+		if rw.idx >= 0 {
+			kept = rec.hist[i][rw.idx].acct
+		}
+		li := rec.accts[i].Total() - kept.Total() + extra
+		if s.clamp && li < 0 {
+			li = 0
+		}
+		rw.lost[i] = li
+		merged.Add(kept)
+		merged.Lost += li
+		if i/d.cfg.CPUsPerNode == s.dropNode {
+			out.lostDropped += merged.Lost
+			continue
+		}
+		standing = append(standing, merged)
+	}
+	d.carried = standing
+	if rw.idx >= 0 {
+		rw.cp = rec.assemble(rw.idx)
+		keep := rec.hist[0][rw.idx].step + 1 // steps of the failed attempt that survive
+		out.Energies = append(out.Energies, rec.res.Energies[:keep]...)
+		d.stepsDone += keep
+		d.init = rw.cp
+	}
+	stall := detected + d.rcfg.RestartCost + extra
+	out.Wall += stall
+	d.offset += stall
+	return rw
+}
+
+// recover prices a failed attempt and readies the driver for the next
+// one, or returns the attempt's error when nothing here can repair it.
+func (d *driver) recover(rec *recorder) error {
+	// The failed attempt ran until the last rank stopped accruing time;
+	// for a crash this is a lower bound refined by the crash time.
+	detected := 0.0
+	for _, acct := range rec.accts {
+		if t := acct.Total(); t > detected {
+			detected = t
+		}
+	}
+	var te *guard.TripError
+	var ce *mpi.CrashError
+	switch {
+	case errors.As(rec.err, &te):
+		if d.rcfg.Guard.Policy != guard.PolicyFallback || d.exact {
+			return rec.err
+		}
+		// Degrade to exact kernels: rewind to the newest checkpoint and
+		// redo from there on exact math. The exact flag is sticky, so this
+		// branch runs at most once.
+		d.exact = true
+		ev := te.Ev
+		ev.Recovered = true
+		d.out.GuardTrips = append(d.out.GuardTrips, ev)
+		for _, li := range d.rewind(rec, detected, rewindStrategy{dropNode: -1}).lost {
+			d.out.lostGuard += li
+		}
+		d.count("repro_guard_fallbacks_total", "guard trips healed by the exact-kernel fallback", 1)
+		return nil
+	case errors.As(rec.err, &ce):
+		d.restarts++
+		if d.restarts > d.maxRestarts {
+			return fmt.Errorf("pmd: restart budget (%d) exhausted: %w", d.maxRestarts, ce)
+		}
+		if ce.At > detected {
+			detected = ce.At
+		}
+		return d.repairCrash(rec, ce, detected)
+	}
+	return rec.err
+}
+
+// repairCrash recovers from a rank crash with the configured strategy.
+func (d *driver) repairCrash(rec *recorder, ce *mpi.CrashError, detected float64) error {
+	rcfg, out := d.rcfg, d.out
+	local := rcfg.Recovery == RecoveryLocal
+	s := rewindStrategy{dropNode: -1}
+	var epoch int
+	var replayT float64
+	switch {
+	case local && rec.p < 2:
+		return fmt.Errorf("pmd: localized recovery needs a buddy rank: %w", ce)
+	case local:
+		// The cluster resumes from the newest step EVERY rank completed
+		// (the recorder keeps all of them in local mode). Healthy ranks
+		// already hold that state — nobody rewinds, they park at the next
+		// collective while the crashed domain is repaired. Rank numbering
+		// and cluster size are unchanged, which is what keeps the
+		// trajectory bitwise-identical to the fault-free run. Each rank
+		// loses its own partial step past the resume point plus the wait
+		// for the domain replay. (The park until crash DETECTION is
+		// symmetric with the global rewind and stays out of the Lost bucket
+		// for both.)
+		s.clamp = true
+		s.extra = func(idx int) float64 {
+			epoch, replayT = rec.replayPrice(ce.Rank, idx)
+			return replayT
+		}
+	case d.cfg.Nodes < 2:
+		return fmt.Errorf("pmd: no surviving nodes after %w", ce)
+	default:
+		// The crash drops the rank's whole node and the survivors are
+		// renumbered. Under the domain decomposition that re-tiles the
+		// grid; reject a survivor count the PME pencils cannot tile
+		// instead of running a malformed grid.
+		s.dropNode = ce.Rank / d.cfg.CPUsPerNode
+		if rcfg.Decomp == DecompDomain {
+			if verr := ValidateDecomp(DecompDomain, (d.cfg.Nodes-1)*d.cfg.CPUsPerNode, rcfg.MD.PME); verr != nil {
+				return fmt.Errorf("pmd: global rewind cannot re-tile the survivors: %w", verr)
+			}
+		}
+	}
+	base := d.stepsDone // the failed attempt's first step: epoch is an index into that attempt
+	rw := d.rewind(rec, detected, s)
+
+	var lost float64
+	if local {
+		c := ce.Rank
+		var parked, replayLost float64
+		for i, li := range rw.lost {
+			if i == c {
+				replayLost += li
+			} else {
+				parked += li
+			}
+		}
+		out.Breakdown.Replay += replayLost
+		out.Breakdown.Park += parked
+		lost = replayLost + parked
+		ev := recover.Event{
+			Rank: c, EpochStep: base + epoch + 1, ResumeStep: d.stepsDone, ReplaySteps: rw.idx - epoch,
+			Detect: detected, Restore: rcfg.RestartCost, Replay: replayT, Park: parked,
+		}
+		if rec.micro != nil {
+			ev.Buddy = rec.micro.Buddy(c)
+			if mc, ok := rec.micro.Restore(c, rw.idx); ok {
+				ev.RestoredBytes = mc.Bytes
+			}
+			if c < len(rec.nbrs) {
+				ev.ResentBytes = rec.micro.Resent(rec.nbrs[c], epoch, rw.idx)
+			}
+		}
+		out.Local = append(out.Local, ev)
+	} else {
+		for _, li := range rw.lost {
+			lost += li
+		}
+		out.Breakdown.Rewind += lost
+		d.cfg.Nodes--
+	}
+	out.Recoveries = append(out.Recoveries, RecoveryEvent{
+		CrashedRank: ce.Rank, DetectedAt: detected, RewindStep: d.stepsDone, Lost: lost, Checkpoint: rw.cp,
+	})
+	d.count("repro_recoveries_total", "crash-and-rewind recovery cycles", 1)
+	if local {
+		d.count("repro_recoveries_localized_total", "localized (buddy-restore) crash repairs", 1)
+	}
+	d.count("repro_recovery_lost_seconds_total", "virtual seconds discarded by crash rewinds", lost)
+	if rec.inj != nil {
+		if spec, ok := rec.inj.CrashSpecAt(ce.Rank); ok {
+			d.consumed = append(d.consumed, spec)
+		}
+	}
+	if d.tuner != nil {
+		d.tuner.Fail(out.Wall)
+		d.tuner.Progress(out.Wall, d.stepsDone)
+		d.every, _ = d.tuner.Interval()
+		if reg := rcfg.Obs; reg != nil {
+			if mttf, ok := d.tuner.Estimate(); ok {
+				reg.Gauge("repro_mttf_seconds", "online mean-time-to-failure estimate (virtual s)").Set(mttf)
+			}
+			reg.Gauge("repro_checkpoint_interval_steps", "durable checkpoint cadence in effect").Set(float64(d.every))
+		}
+	}
+	return nil
 }

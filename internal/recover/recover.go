@@ -159,11 +159,13 @@ type Event struct {
 	Park    float64 // total healthy-rank park time at the next collective
 }
 
-// LostBreakdown splits the Lost accounting bucket by recovery mechanism:
+// LostBreakdown splits the Lost that crash recoveries book by mechanism:
 // Rewind is work discarded by a global rewind to the last full-cluster
-// checkpoint, Replay is the crashed domain's redo from its buddy
-// micro-checkpoint, Park is healthy ranks waiting at the next collective
-// for a localized repair to finish.
+// checkpoint (the dropped ranks' share included), Replay is the crashed
+// domain's redo from its buddy micro-checkpoint, Park is healthy ranks
+// waiting at the next collective for a localized repair to finish. Lost
+// booked by a guard-fallback rewind or found on disk by a resume is in no
+// component; pmd.ResilientResult.Breakdown states the full identity.
 type LostBreakdown struct {
 	Rewind float64
 	Replay float64
@@ -172,10 +174,3 @@ type LostBreakdown struct {
 
 // Total sums the three components.
 func (b LostBreakdown) Total() float64 { return b.Rewind + b.Replay + b.Park }
-
-// Add accumulates o into b.
-func (b *LostBreakdown) Add(o LostBreakdown) {
-	b.Rewind += o.Rewind
-	b.Replay += o.Replay
-	b.Park += o.Park
-}

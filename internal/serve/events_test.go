@@ -415,3 +415,47 @@ func TestServeEventsHeartbeatAndProfileRouting(t *testing.T) {
 		t.Fatalf("bad Last-Event-ID = %d, want 400", r2.StatusCode)
 	}
 }
+
+// TestTerminateOnceAndStreamBeforeDone pins the one terminal transition:
+// when done closes the hub already holds the terminal event, and of
+// several racing terminations (a DELETE of a queued job against the worker
+// that just dequeued it) exactly one acts.
+func TestTerminateOnceAndStreamBeforeDone(t *testing.T) {
+	spec := JobSpec{Kind: KindRun, Steps: 4}
+	j := newJobState("id", "tenant", "key", spec, time.Now().Add(time.Minute))
+	seen := make(chan []event, 1)
+	go func() {
+		<-j.done
+		replay, _, cancel := j.hub.subscribe(0)
+		cancel()
+		seen <- replay
+	}()
+	var wg sync.WaitGroup
+	wins := make(chan string, 8)
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		status := []string{StatusCanceled, StatusFailed}[i%2]
+		go func() {
+			defer wg.Done()
+			if j.terminate(status, Errf(KindCanceled, "race"), []byte(status)) {
+				wins <- status
+			}
+		}()
+	}
+	wg.Wait()
+	close(wins)
+	var won []string
+	for s := range wins {
+		won = append(won, s)
+	}
+	if len(won) != 1 {
+		t.Fatalf("%d terminations acted (%v), want exactly one", len(won), won)
+	}
+	replay := <-seen
+	if len(replay) != 1 || replay[0].typ != won[0] || replay[0].id != spec.Steps+1 || string(replay[0].data) != won[0] {
+		t.Fatalf("a waiter released by done found %+v in the hub, want the one %s terminal event", replay, won[0])
+	}
+	if st, _, _, jerr := j.snapshot(); st != won[0] || jerr == nil {
+		t.Fatalf("snapshot after the race: status %q, error %v", st, jerr)
+	}
+}

@@ -77,9 +77,8 @@ type studyEntry struct {
 }
 
 // system returns the relaxed solvated box for (atoms, seed), building it
-// on first use. The recipe matches the chaos harness: relax, clamp the
-// cutoffs to the box and put the PME mesh at the builder's recommended
-// dimension — so serve results are comparable with the soak corpus.
+// on first use. It is the chaos harness's workload with the same seed
+// convention, so serve results are comparable with the soak corpus.
 func (e *Env) system(atoms int, seed uint64) (*topol.System, md.Config) {
 	k := sysCacheKey{atoms: atoms, seed: seed}
 	e.mu.Lock()
@@ -90,13 +89,7 @@ func (e *Env) system(atoms int, seed uint64) (*topol.System, md.Config) {
 	}
 	e.mu.Unlock()
 	ent.once.Do(func() {
-		sys, mesh := topol.NewSolvatedBox(atoms, seed+1)
-		md.Relax(sys, 60)
-		cfg := md.ClampCutoffs(md.PMEDefaultConfig(), sys.Box)
-		cfg.PME = md.PMEConfig{Beta: 0.34, K1: mesh, K2: mesh, K3: mesh, Order: 4}
-		cfg.FF.Beta = cfg.PME.Beta
-		cfg.Temperature = 300
-		cfg.Seed = seed + 1
+		sys, cfg, _ := md.NewSolvatedWorkload(atoms, seed+1, nil) // nothing to veto: tiling is per job, in decompFor
 		cfg.KernelWorkers = e.KernelWorkers
 		ent.sys, ent.mdCfg = sys, cfg
 	})
@@ -266,14 +259,16 @@ func (e *Env) ExecRun(spec JobSpec, ckptDir string, preempt func() bool, onStep 
 // compared across interconnects, in the paper's comp/comm/sync split
 // (virtual seconds, deterministic).
 type sweepPayload struct {
-	Kind string `json:"kind"`
-	Rows []struct {
-		Net  string  `json:"net"`
-		Wall float64 `json:"wall_s"`
-		Comp float64 `json:"comp_s"`
-		Comm float64 `json:"comm_s"`
-		Sync float64 `json:"sync_s"`
-	} `json:"rows"`
+	Kind string     `json:"kind"`
+	Rows []sweepRow `json:"rows"`
+}
+
+type sweepRow struct {
+	Net  string  `json:"net"`
+	Wall float64 `json:"wall_s"`
+	Comp float64 `json:"comp_s"`
+	Comm float64 `json:"comm_s"`
+	Sync float64 `json:"sync_s"`
 }
 
 func (e *Env) execSweep(spec JobSpec) ([]byte, error) {
@@ -299,13 +294,7 @@ func (e *Env) execSweep(spec JobSpec) ([]byte, error) {
 		if err != nil {
 			return nil, Errf(KindInternal, "sweep %s: %v", name, err)
 		}
-		row := struct {
-			Net  string  `json:"net"`
-			Wall float64 `json:"wall_s"`
-			Comp float64 `json:"comp_s"`
-			Comm float64 `json:"comm_s"`
-			Sync float64 `json:"sync_s"`
-		}{Net: name, Wall: res.Wall}
+		row := sweepRow{Net: name, Wall: res.Wall}
 		for _, a := range res.Acct {
 			row.Comp += a.Comp
 			row.Comm += a.Comm

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"time"
+
+	"repro/internal/md"
 )
 
 // journal is the durable accepted-job record: one JSON file per job,
@@ -45,23 +47,7 @@ func (j *journal) append(e journalEntry) error {
 	if err != nil {
 		return Errf(KindInternal, "journal marshal: %v", err)
 	}
-	tmp, err := os.CreateTemp(j.dir, e.ID+"-*.tmp")
-	if err != nil {
-		return Errf(KindTransient, "journal: %v", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		return Errf(KindTransient, "journal: %v", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return Errf(KindTransient, "journal: %v", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return Errf(KindTransient, "journal: %v", err)
-	}
-	if err := os.Rename(tmp.Name(), j.path(e.ID)); err != nil {
+	if err := md.WriteFileAtomic(j.path(e.ID), e.ID+"-*.tmp", buf); err != nil {
 		return Errf(KindTransient, "journal: %v", err)
 	}
 	return nil

@@ -55,6 +55,7 @@ type jobState struct {
 
 	cancelOnce sync.Once
 	cancelCh   chan struct{}
+	termOnce   sync.Once
 	done       chan struct{} // closed at terminal states
 
 	hub *eventHub // SSE fan-out; terminal exactly once, steps monotone
@@ -76,6 +77,24 @@ func newJobState(id, tenant, key string, spec JobSpec, deadline time.Time) *jobS
 // of the spec — a server reopened after a crash re-derives the same id,
 // which is what lets Last-Event-ID resume across process lives.
 func (j *jobState) terminalEventID() int { return j.spec.Steps + 1 }
+
+// terminate is the one terminal transition of a job: the status (and
+// error) become visible, the hub takes the single terminal event, and only
+// then are the waiters on done released, so whoever wakes on done finds
+// the stream already ended. Only the first call acts and reports true — a
+// DELETE of a queued job can race the worker that just dequeued it.
+func (j *jobState) terminate(status string, jerr *JobError, payload []byte) (first bool) {
+	j.termOnce.Do(func() {
+		first = true
+		j.mu.Lock()
+		j.status = status
+		j.jerr = jerr
+		j.mu.Unlock()
+		j.hub.terminal(j.terminalEventID(), status, payload)
+		close(j.done)
+	})
+	return first
+}
 
 func (j *jobState) setStatus(st string) {
 	j.mu.Lock()
@@ -237,9 +256,7 @@ func (s *Server) replay() error {
 		}
 		j := newJobState(e.ID, e.Tenant, e.Key, spec, time.Now().Add(budget))
 		if payload, ok := s.store.Get(e.Key); ok {
-			j.setStatus(StatusDone)
-			close(j.done)
-			j.hub.terminal(j.terminalEventID(), StatusDone, payload)
+			j.terminate(StatusDone, nil, payload)
 			s.jnl.remove(e.ID)
 			s.cleanupCkpt(j)
 		} else {
@@ -299,20 +316,17 @@ func (s *Server) worker() {
 // and payload carries those exact bytes so the stream's terminal event is
 // byte-identical to what the polling result endpoint serves.
 func (s *Server) finish(j *jobState, status string, jerr *JobError, payload []byte) {
-	j.mu.Lock()
-	j.status = status
-	j.jerr = jerr
-	j.mu.Unlock()
 	s.jnl.remove(j.id)
 	s.cleanupCkpt(j)
-	close(j.done)
 	if status == StatusDone && payload == nil {
 		payload, _ = s.store.Get(j.key)
 	}
 	if status != StatusDone {
 		payload, _ = json.Marshal(jobResponse{ID: j.id, Status: status, Kind: j.spec.Kind, Error: jerr})
 	}
-	j.hub.terminal(j.terminalEventID(), status, payload)
+	if !j.terminate(status, jerr, payload) {
+		return
+	}
 	s.reg.Counter("repro_serve_jobs_total", "terminal jobs by kind and outcome",
 		obs.L("kind", string(j.spec.Kind)), obs.L("outcome", status)).Add(1)
 	s.jobSecs.Observe(time.Since(j.created).Seconds())
@@ -599,9 +613,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// Store hit: the work is already done — no queueing, no journal.
 	if payload, ok := s.store.Get(key); ok {
-		j.setStatus(StatusDone)
-		close(j.done)
-		j.hub.terminal(j.terminalEventID(), StatusDone, payload)
+		j.terminate(StatusDone, nil, payload)
 		writeJSON(w, http.StatusOK, jobResponse{ID: id, Status: StatusDone, Kind: req.Spec.Kind, Cached: true})
 		return
 	}

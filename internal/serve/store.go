@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/md"
 	"repro/internal/obs"
 )
 
@@ -209,23 +210,7 @@ func (s *Store) Put(key string, payload []byte) error {
 	id := JobID(key)
 	buf := encode(key, payload)
 
-	tmp, err := os.CreateTemp(s.dir, id+"-*.tmp")
-	if err != nil {
-		return Errf(KindTransient, "store put: %v", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		return Errf(KindTransient, "store put: %v", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return Errf(KindTransient, "store put: %v", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return Errf(KindTransient, "store put: %v", err)
-	}
-	if err := os.Rename(tmp.Name(), s.path(id)); err != nil {
+	if err := md.WriteFileAtomic(s.path(id), id+"-*.tmp", buf); err != nil {
 		return Errf(KindTransient, "store put: %v", err)
 	}
 

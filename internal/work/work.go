@@ -20,20 +20,6 @@ type Counters struct {
 	Other         int64 // miscellaneous per-atom passes (scaling, copies)
 }
 
-// Add accumulates other into c.
-func (c *Counters) Add(o Counters) {
-	c.BondTerms += o.BondTerms
-	c.AngleTerms += o.AngleTerms
-	c.DihedralTerms += o.DihedralTerms
-	c.PairEvals += o.PairEvals
-	c.ListDistEvals += o.ListDistEvals
-	c.GridCharges += o.GridCharges
-	c.FFTOps += o.FFTOps
-	c.RecipPoints += o.RecipPoints
-	c.Integrate += o.Integrate
-	c.Other += o.Other
-}
-
 // Sub returns c − o component-wise.
 func (c Counters) Sub(o Counters) Counters {
 	return Counters{
