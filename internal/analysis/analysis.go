@@ -1,6 +1,6 @@
 // Package analysis provides the standard trajectory analyses an MD user
-// expects next to the engine: radial distribution functions, mean-square
-// displacement and velocity autocorrelation.
+// expects next to the engine: radial distribution functions and mean-square
+// displacement.
 package analysis
 
 import (
@@ -112,34 +112,6 @@ func MSD(frames [][]vec.V, sel []int32) ([]float64, error) {
 			s += vec.Dist2(f[i], ref[i])
 		}
 		out[t] = s / float64(len(sel))
-	}
-	return out, nil
-}
-
-// VACF computes the normalized velocity autocorrelation function
-// C(t) = ⟨v(0)·v(t)⟩ / ⟨v(0)·v(0)⟩ over the selected atoms.
-func VACF(frames [][]vec.V, sel []int32) ([]float64, error) {
-	if len(frames) == 0 {
-		return nil, fmt.Errorf("analysis: no frames")
-	}
-	if len(sel) == 0 {
-		return nil, fmt.Errorf("analysis: empty selection")
-	}
-	ref := frames[0]
-	var norm float64
-	for _, i := range sel {
-		norm += ref[i].Dot(ref[i])
-	}
-	if norm == 0 {
-		return nil, fmt.Errorf("analysis: zero initial velocities")
-	}
-	out := make([]float64, len(frames))
-	for t, f := range frames {
-		var s float64
-		for _, i := range sel {
-			s += ref[i].Dot(f[i])
-		}
-		out[t] = s / norm
 	}
 	return out, nil
 }

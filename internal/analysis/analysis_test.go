@@ -124,29 +124,6 @@ func TestMSDBallistic(t *testing.T) {
 	}
 }
 
-func TestVACF(t *testing.T) {
-	// Constant velocities: C(t) = 1 for all t. Reversed velocities: −1.
-	const n = 6
-	f0 := make([]vec.V, n)
-	for i := range f0 {
-		f0[i] = vec.New(1, float64(i), -1)
-	}
-	rev := make([]vec.V, n)
-	for i := range rev {
-		rev[i] = f0[i].Neg()
-	}
-	c, err := VACF([][]vec.V{f0, f0, rev}, all(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c[0] != 1 || c[1] != 1 || math.Abs(c[2]+1) > 1e-12 {
-		t.Fatalf("VACF = %v", c)
-	}
-	if _, err := VACF([][]vec.V{make([]vec.V, n)}, all(n)); err == nil {
-		t.Fatal("zero velocities accepted")
-	}
-}
-
 func TestSelectByName(t *testing.T) {
 	names := []string{"OW", "HW1", "HW2", "OW"}
 	got := SelectByName(names, "OW")

@@ -117,11 +117,6 @@ func (m *Machine) NodeOf(rank int) *Node {
 	return m.Nodes[rank/m.Cfg.CPUsPerNode]
 }
 
-// SameNode reports whether two ranks share a node.
-func (m *Machine) SameNode(a, b int) bool {
-	return a/m.Cfg.CPUsPerNode == b/m.Cfg.CPUsPerNode
-}
-
 // StallDelay draws a flow-control stall for one message, or 0. It
 // implements the TCP pathology: stalls appear only when the fabric carries
 // more concurrent flows than the threshold and grow more likely with

@@ -23,8 +23,8 @@ func TestRankPlacement(t *testing.T) {
 	if m.NodeOf(1) == m.NodeOf(2) {
 		t.Fatal("ranks 1,2 should be on different nodes")
 	}
-	if !m.SameNode(6, 7) || m.SameNode(5, 6) {
-		t.Fatal("SameNode wrong")
+	if m.NodeOf(6) != m.NodeOf(7) || m.NodeOf(5) == m.NodeOf(6) {
+		t.Fatal("ranks 6,7 should share node 3, apart from rank 5")
 	}
 	uni := machine(4, 1)
 	for r := 0; r < 4; r++ {

@@ -61,9 +61,6 @@ type Options struct {
 	// replicated data, the strategy the paper measures). The ceiling
 	// figure sweeps both regardless.
 	Decomp pmd.DecompKind
-	// CeilingProcs overrides the ceiling study's processor sweep when
-	// non-empty (default 1, 8, 16, 64, 256, 1024; quick stops at 64).
-	CeilingProcs []int
 }
 
 // Study owns a cached experiment suite.
@@ -93,9 +90,6 @@ func NewStudy(o Options) *Study {
 	cfg.MD.KernelWorkers = o.KernelWorkers
 	cfg.Obs = o.Obs
 	cfg.Decomp = o.Decomp
-	if len(o.CeilingProcs) > 0 {
-		cfg.CeilingProcs = o.CeilingProcs
-	}
 	return &Study{Suite: figures.NewSuite(cfg)}
 }
 

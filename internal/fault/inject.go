@@ -56,7 +56,6 @@ type Options struct {
 // the scenario seed, so two injectors built from the same scenario and
 // options behave identically.
 type Injector struct {
-	sc      *Scenario
 	opts    Options
 	windows []window
 	crashes []crash
@@ -75,7 +74,7 @@ func NewInjector(sc *Scenario, opts Options) (*Injector, error) {
 		consumed[i] = true
 	}
 	src := rng.New(sc.Seed ^ jitterSeedSalt)
-	inj := &Injector{sc: sc, opts: opts}
+	inj := &Injector{opts: opts}
 	for i, f := range sc.Faults {
 		// One jitter draw per spec regardless of use keeps the stream
 		// aligned when specs are toggled by severity scaling upstream.
@@ -119,9 +118,6 @@ func NewInjector(sc *Scenario, opts Options) (*Injector, error) {
 	}
 	return inj, nil
 }
-
-// Scenario returns the scenario this injector was built from.
-func (in *Injector) Scenario() *Scenario { return in.sc }
 
 // scenarioTime maps local virtual time to the scenario clock.
 func (in *Injector) scenarioTime(now float64) float64 { return now + in.opts.Offset }

@@ -176,16 +176,8 @@ func New(sys *topol.System, opts Options) *ForceField {
 	return f
 }
 
-// Table returns the interaction table backing the fast nonbonded kernel,
-// or nil when Opts.ExactKernels disabled it.
-func (f *ForceField) Table() *InteractionTable { return f.table }
-
 // Charges returns the per-atom charge array (shared; do not modify).
 func (f *ForceField) Charges() []float64 { return f.charge }
-
-// BondR0 returns the equilibrium length of bond index bi — the SHAKE
-// constraint target.
-func (f *ForceField) BondR0(bi int) float64 { return f.bonds[bi].R0 }
 
 // buildSkipList merges each atom's exclusion row with its 1-4 partners into
 // one CSR of the partners j > i, ascending, in two counting passes.

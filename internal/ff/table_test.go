@@ -109,10 +109,10 @@ func TestExactKernelsSkipsTable(t *testing.T) {
 	o := DefaultOptions()
 	o.ExactKernels = true
 	f := New(sys, o)
-	if f.Table() != nil {
+	if f.table != nil {
 		t.Fatal("ExactKernels force field must not build a table")
 	}
-	if New(sys, DefaultOptions()).Table() == nil {
+	if New(sys, DefaultOptions()).table == nil {
 		t.Fatal("default force field must build a table")
 	}
 }

@@ -52,9 +52,6 @@ func NewPlan(n int) *Plan {
 	return p
 }
 
-// N returns the transform length.
-func (p *Plan) N() int { return p.t.n }
-
 // Forward computes the in-place forward DFT of x (len(x) must equal N):
 // X[k] = Σ_j x[j]·exp(-2πi jk/N).
 func (p *Plan) Forward(x []complex128) {

@@ -18,9 +18,6 @@ func NewPlan3D(nx, ny, nz int) *Plan3D {
 	return &Plan3D{nx: nx, ny: ny, nz: nz, px: NewPlan(nx), plane: NewPlan2D(ny, nz)}
 }
 
-// Dims returns (nx, ny, nz).
-func (p *Plan3D) Dims() (int, int, int) { return p.nx, p.ny, p.nz }
-
 // Len returns the total number of grid points.
 func (p *Plan3D) Len() int { return p.nx * p.ny * p.nz }
 

@@ -29,9 +29,6 @@ func NewRealPlan(n int) *RealPlan {
 	return p
 }
 
-// N returns the transform length.
-func (p *RealPlan) N() int { return p.n }
-
 // SpectrumLen returns the half-spectrum length n/2+1.
 func (p *RealPlan) SpectrumLen() int { return p.n/2 + 1 }
 

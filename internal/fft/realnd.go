@@ -67,9 +67,6 @@ func NewRealPlan3D(nx, ny, nz int) (*RealPlan3D, error) {
 	}, nil
 }
 
-// Dims returns the real-space dimensions (nx, ny, nz).
-func (p *RealPlan3D) Dims() (int, int, int) { return p.nx, p.ny, p.nz }
-
 // Len returns the number of real grid points nx·ny·nz.
 func (p *RealPlan3D) Len() int { return p.nx * p.ny * p.nz }
 

@@ -265,7 +265,9 @@ func (s *Suite) referenceCells() []CellKey {
 	return s.sweep([]netmodel.Params{netmodel.TCPGigE()}, s.Cfg.Procs)
 }
 
-// Fig3 runs the reference case (TCP/IP, MPI, uni-processor).
+// Fig3 runs the reference case (TCP/IP, MPI, uni-processor). The programs
+// batch plans through core.Study; Fig3 and its sibling one-line wrappers
+// (one per plan) are how the tests and benchmarks run one figure alone.
 func (s *Suite) Fig3() ([]Fig3Row, error) { return RunPlan(s, s.Fig3Plan()) }
 
 // Fig3Plan is Fig. 3 as a plan.

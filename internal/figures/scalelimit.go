@@ -19,14 +19,11 @@ type ScaleLimitRow struct {
 	ParallelEfficient bool // total efficiency ≥ 50 %
 }
 
-// ScaleLimit extends the processor sweep to 16 and 32 ranks and reports
-// per-phase speedups — the paper's closing claim is that the classic
-// calculation has enough parallelism for 32–64 processor clusters while
-// PME stops paying at about a quarter of that unless the interconnect is
-// a low-overhead SAN.
-func (s *Suite) ScaleLimit() ([]ScaleLimitRow, error) { return RunPlan(s, s.ScaleLimitPlan()) }
-
-// ScaleLimitPlan is the scalability-limit table as a plan.
+// ScaleLimitPlan is the scalability-limit table as a plan: it extends the
+// processor sweep to 16 and 32 ranks and reports per-phase speedups — the
+// paper's closing claim is that the classic calculation has enough
+// parallelism for 32–64 processor clusters while PME stops paying at about
+// a quarter of that unless the interconnect is a low-overhead SAN.
 func (s *Suite) ScaleLimitPlan() Plan[[]ScaleLimitRow] {
 	cells := s.sweep(netmodel.All(), []int{1, 2, 4, 8, 16, 32})
 	return Plan[[]ScaleLimitRow]{Cells: cells, Fold: func(results []*pmd.Result) ([]ScaleLimitRow, error) {

@@ -241,8 +241,10 @@ func ReadDurable(path string) (*Checkpoint, DurableMeta, error) {
 	if magic := r.take(4); magic == nil || string(magic) != durableMagic {
 		return corrupt("bad magic")
 	}
-	if v := r.u32(); r.err || v != durableVersion {
-		return corrupt(fmt.Sprintf("unsupported version %d", r.buf[4:8]))
+	if v := r.u32(); r.err {
+		return corrupt("truncated header")
+	} else if v != durableVersion {
+		return corrupt(fmt.Sprintf("unsupported version %d", v))
 	}
 	hlen := int(r.u32())
 	header := r.take(hlen)

@@ -115,15 +115,18 @@ func TestDurableDetectsCorruption(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func([]byte) []byte
+		reason string // exact CorruptError.Reason; "" = any
 	}{
-		{"bad magic", func(b []byte) []byte { b[0] ^= 0xFF; return b }},
-		{"wrong version", func(b []byte) []byte { b[4] ^= 0xFF; return b }},
-		{"header bit flip", func(b []byte) []byte { b[16] ^= 0x01; return b }},
-		{"section bit flip", func(b []byte) []byte { b[len(b)/2] ^= 0x80; return b }},
-		{"origin bit flip", func(b []byte) []byte { b[len(b)-8] ^= 0x01; return b }},
-		{"truncated", func(b []byte) []byte { return b[:len(b)-13] }},
-		{"trailing garbage", func(b []byte) []byte { return append(b, 0xAB) }},
-		{"empty", func(b []byte) []byte { return nil }},
+		{"bad magic", func(b []byte) []byte { b[0] ^= 0xFF; return b }, "bad magic"},
+		{"wrong version", func(b []byte) []byte { b[4] = 2; return b }, "unsupported version 2"},
+		{"4-byte file", func(b []byte) []byte { return b[:4] }, "truncated header"},
+		{"7-byte file", func(b []byte) []byte { return b[:7] }, "truncated header"},
+		{"header bit flip", func(b []byte) []byte { b[16] ^= 0x01; return b }, ""},
+		{"section bit flip", func(b []byte) []byte { b[len(b)/2] ^= 0x80; return b }, ""},
+		{"origin bit flip", func(b []byte) []byte { b[len(b)-8] ^= 0x01; return b }, ""},
+		{"truncated", func(b []byte) []byte { return b[:len(b)-13] }, ""},
+		{"trailing garbage", func(b []byte) []byte { return append(b, 0xAB) }, ""},
+		{"empty", func(b []byte) []byte { return nil }, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -135,6 +138,9 @@ func TestDurableDetectsCorruption(t *testing.T) {
 			var ce *CorruptError
 			if !errors.As(err, &ce) {
 				t.Fatalf("want CorruptError, got %v", err)
+			}
+			if tc.reason != "" && ce.Reason != tc.reason {
+				t.Fatalf("reason %q, want %q", ce.Reason, tc.reason)
 			}
 		})
 	}

@@ -42,13 +42,6 @@ type Config struct {
 	Temperature float64 // initial velocity temperature (K); 0 = start at rest
 	Seed        uint64  // velocity RNG stream
 
-	// ConstrainHBonds applies SHAKE/RATTLE to every bond involving a
-	// hydrogen (CHARMM's SHAKE BONH), allowing a 2 fs timestep.
-	ConstrainHBonds bool
-
-	// Thermostat couples the system to a heat bath (nil = NVE).
-	Thermostat *ThermostatConfig
-
 	// KernelWorkers sizes the deterministic sharded kernel pool shared by
 	// the nonbonded, FFT and PME hot loops. 0 (the default) keeps the
 	// legacy serial kernels and their exact historical bytes; any value
@@ -123,11 +116,6 @@ type Engine struct {
 	listOrigin []vec.V        // positions at last list build
 	listFresh  bool
 
-	constraints []constraint
-	refPos      []vec.V // pre-drift positions for SHAKE
-
-	langevin *langevinState // lazily initialized by StepLangevin
-
 	// Host-time phase counters, installed by SetObs (nil otherwise). The
 	// sequential engine runs on the host clock, so its §3.2 decomposition
 	// is pure compute: classic and PME force-section seconds at rank 0.
@@ -135,8 +123,7 @@ type Engine struct {
 	mPME     *obs.Counter
 	mEvals   *obs.Counter
 
-	invMass []float64
-	dtAKMA  float64
+	integ *Integrator
 }
 
 // NewEngine builds an engine over sys with its own copies of the
@@ -156,11 +143,7 @@ func NewEngine(sys *topol.System, cfg Config) *Engine {
 		Vel: make([]vec.V, sys.N()),
 		Frc: make([]vec.V, sys.N()),
 
-		invMass: make([]float64, sys.N()),
-		dtAKMA:  units.FSToAKMA(cfg.TimestepFS),
-	}
-	for i := range e.invMass {
-		e.invMass[i] = 1 / sys.Mass(i)
+		integ: newIntegrator(sys, cfg),
 	}
 	e.nbk = e.FF.NewNonbondedKernel()
 	if cfg.UsePME {
@@ -175,10 +158,6 @@ func NewEngine(sys *topol.System, cfg Config) *Engine {
 		if e.pme != nil {
 			e.pme.SetPool(e.pool)
 		}
-	}
-	e.buildConstraints()
-	if len(e.constraints) > 0 {
-		e.refPos = make([]vec.V, sys.N())
 	}
 	if cfg.Temperature > 0 {
 		e.InitVelocities(cfg.Temperature, cfg.Seed)
@@ -208,21 +187,9 @@ func (e *Engine) InitVelocities(tK float64, seed uint64) {
 // skin returns the Verlet-list skin width.
 func (e *Engine) skin() float64 { return e.Cfg.FF.ListCutoff - e.Cfg.FF.CutOff }
 
-// listValid reports whether the current neighbour list still covers all
-// interactions (no atom moved more than half the skin since the build).
-func (e *Engine) listValid() bool {
-	if e.listOrigin == nil {
-		return false
-	}
-	limit := e.skin() / 2
-	limit2 := limit * limit
-	for i := range e.Pos {
-		if vec.Dist2(e.Pos[i], e.listOrigin[i]) > limit2 {
-			return false
-		}
-	}
-	return true
-}
+// Integrator returns the engine's velocity-Verlet arithmetic, for callers
+// that advance their own copy of the state over a sub-range of the atoms.
+func (e *Engine) Integrator() *Integrator { return e.integ }
 
 // RefreshList rebuilds the neighbour list unconditionally.
 func (e *Engine) RefreshList(w *work.Counters) {
@@ -291,7 +258,7 @@ func (e *Engine) ComputeForces(w, wPME *work.Counters) EnergyReport {
 	if e.mClassic != nil {
 		t0 = time.Now()
 	}
-	if !e.listValid() {
+	if !e.integ.ListValid(e.Pos, e.listOrigin) {
 		e.RefreshList(w)
 	}
 	vec.Fill(e.Frc, vec.Zero)
@@ -322,16 +289,12 @@ func (e *Engine) ComputeForces(w, wPME *work.Counters) EnergyReport {
 }
 
 // KineticEnergy returns ½Σmv² in kcal/mol.
-func (e *Engine) KineticEnergy() float64 {
-	var ke float64
-	for i, v := range e.Vel {
-		ke += 0.5 * e.Sys.Mass(i) * v.Norm2()
-	}
-	return ke
-}
+func (e *Engine) KineticEnergy() float64 { return e.integ.Kinetic(e.Vel, 0, len(e.Vel)) }
 
-// Temperature returns the instantaneous temperature in K, over the
-// unconstrained degrees of freedom.
+// DegreesOfFreedom returns the 3N degrees of freedom Temperature counts.
+func (e *Engine) DegreesOfFreedom() int { return 3 * e.Sys.N() }
+
+// Temperature returns the instantaneous temperature in K.
 func (e *Engine) Temperature() float64 {
 	return units.KineticTemperature(e.KineticEnergy(), e.DegreesOfFreedom())
 }
@@ -340,23 +303,12 @@ func (e *Engine) Temperature() float64 {
 // new positions. Forces must be current on entry (call ComputeForces once
 // before the first Step); on exit they are current for the next Step.
 func (e *Engine) Step(w, wPME *work.Counters) EnergyReport {
-	half := 0.5 * e.dtAKMA
-	if e.refPos != nil {
-		copy(e.refPos, e.Pos)
-	}
-	for i := range e.Pos {
-		e.Vel[i] = e.Vel[i].Add(e.Frc[i].Scale(half * e.invMass[i]))
-		e.Pos[i] = e.Pos[i].Add(e.Vel[i].Scale(e.dtAKMA))
-	}
-	e.shake(e.refPos)
+	n := len(e.Pos)
+	e.integ.KickDrift(e.Pos, e.Vel, e.Frc, 0, n)
 	rep := e.ComputeForces(w, wPME)
-	for i := range e.Vel {
-		e.Vel[i] = e.Vel[i].Add(e.Frc[i].Scale(half * e.invMass[i]))
-	}
-	e.rattleVelocities()
-	e.applyThermostat()
+	e.integ.Kick(e.Vel, e.Frc, 0, n)
 	if w != nil {
-		w.Integrate += int64(2 * len(e.Pos))
+		w.Integrate += int64(2 * n)
 	}
 	rep.Kinetic = e.KineticEnergy()
 	return rep
@@ -409,13 +361,4 @@ func (e *Engine) Minimize(maxSteps int, initialStep float64) float64 {
 		}
 	}
 	return prev
-}
-
-// Wrap maps all positions back into the primary cell (positions drift out
-// during dynamics; energies are wrap-invariant, this is cosmetic for
-// output).
-func (e *Engine) Wrap() {
-	for i := range e.Pos {
-		e.Pos[i] = e.Sys.Box.Wrap(e.Pos[i])
-	}
 }

@@ -84,7 +84,9 @@ func (m *Manifest) WriteFile(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// LoadManifest reads a manifest written by WriteFile.
+// LoadManifest reads a manifest written by WriteFile. No program reads one
+// back; it is the read side of the published format, and what the tests
+// check a written manifest with.
 func LoadManifest(path string) (*Manifest, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -18,9 +18,6 @@ type RankAcct struct {
 	Lost float64
 }
 
-// Total is the rank's accounted virtual time.
-func (a RankAcct) Total() float64 { return a.Comp + a.Comm + a.Sync + a.Lost }
-
 // RecoveryDetail splits the recovery bucket the way the resilient driver
 // accounts lost work.
 type RecoveryDetail struct {
@@ -356,7 +353,9 @@ func (p *Profile) Encode() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// Parse decodes a profile document, rejecting unknown schemas.
+// Parse decodes a profile document, rejecting unknown schemas. No program
+// reads one back; it is the read side of the published format, and what
+// the serve tests check an emitted profile with.
 func Parse(b []byte) (*Profile, error) {
 	dec := json.NewDecoder(bytes.NewReader(b))
 	var p Profile

@@ -137,9 +137,6 @@ func NewTimeline(ranks, steps int) *Timeline {
 	return tl
 }
 
-// Ranks returns the rank count the timeline was sized for.
-func (tl *Timeline) Ranks() int { return tl.ranks }
-
 // Record stores one rank's sample for one phase of one step. Safe to
 // call concurrently from different ranks; a rank must not race itself.
 func (tl *Timeline) Record(rank, step, phase int, s Sample) {

@@ -45,8 +45,7 @@ type canonical struct {
 	geo    *domainGeometry
 
 	charges []float64
-	invMass []float64
-	dtAKMA  float64
+	integ   *md.Integrator // the seed engine's
 
 	seedPos, seedVel []vec.V
 
@@ -103,17 +102,13 @@ func newCanonical(p int, cfg Config, sh *shared, seedEngine *md.Engine) *canonic
 		sys:     sys,
 		ffield:  seedEngine.FF,
 		sh:      sh,
-		dtAKMA:  dtAKMA(cfg.MD),
+		integ:   seedEngine.Integrator(),
 		seedPos: append([]vec.V(nil), seedEngine.Pos...),
 		seedVel: append([]vec.V(nil), seedEngine.Vel...),
 		states:  map[int]*canonState{},
 	}
 	c.nbk = c.ffield.NewNonbondedKernel()
 	c.charges = c.ffield.Charges()
-	c.invMass = make([]float64, n)
-	for i := range c.invMass {
-		c.invMass[i] = 1 / sys.Mass(i)
-	}
 	c.atomOff = blockPartition(n, p)
 	c.classicParts = newClassicParts(sys, p)
 	c.yOff = blockPartition(pmeCfg.K2, p)
@@ -164,13 +159,11 @@ func (c *canonical) state(step int) *canonState {
 // checkpointed origin so the restarted trajectory stays bitwise
 // identical), then one force evaluation.
 func (c *canonical) evalInit(st *canonState) {
-	n := c.sys.N()
 	st.pos = append([]vec.V(nil), c.seedPos...)
 	st.vel = append([]vec.V(nil), c.seedVel...)
-	st.listOrigin = make([]vec.V, n)
 	st.listGen = -1
-	if init := c.cfg.Init; init != nil && len(init.ListOrigin) == n {
-		copy(st.listOrigin, init.ListOrigin)
+	if init := c.cfg.Init; init != nil && len(init.ListOrigin) == c.sys.N() {
+		st.listOrigin = append([]vec.V(nil), init.ListOrigin...)
 		st.listGen = 0
 		st.pairs, _ = c.sh.sharedList(0, c.ffield, st.listOrigin)
 		st.pairOff = blockPartition(len(st.pairs), c.p)
@@ -183,13 +176,10 @@ func (c *canonical) evalInit(st *canonState) {
 // the kinetic energy — all in the replicated path's arithmetic order.
 func (c *canonical) evalStep(st *canonState) {
 	prev := st.prev
-	half := 0.5 * c.dtAKMA
+	n := c.sys.N()
 	st.pos = append([]vec.V(nil), prev.pos...)
 	st.vel = append([]vec.V(nil), prev.vel...)
-	for i := range st.pos {
-		st.vel[i] = st.vel[i].Add(prev.frcTotal[i].Scale(half * c.invMass[i]))
-		st.pos[i] = st.pos[i].Add(st.vel[i].Scale(c.dtAKMA))
-	}
+	c.integ.KickDrift(st.pos, st.vel, prev.frcTotal, 0, n)
 	st.listGen = prev.listGen
 	st.listOrigin = prev.listOrigin
 	st.pairs = prev.pairs
@@ -198,18 +188,12 @@ func (c *canonical) evalStep(st *canonState) {
 
 	c.forceEval(st)
 
-	for i := range st.vel {
-		st.vel[i] = st.vel[i].Add(st.frcTotal[i].Scale(half * c.invMass[i]))
-	}
+	c.integ.Kick(st.vel, st.frcTotal, 0, n)
 	// Kinetic energy: per-rank block sums merged rank-ascending, exactly
 	// like the replicated kick + barrier combine.
 	var kinTotal float64
 	for rk := 0; rk < c.p; rk++ {
-		var kin float64
-		for i := c.atomOff[rk]; i < c.atomOff[rk+1]; i++ {
-			kin += 0.5 * c.sys.Mass(i) * st.vel[i].Norm2()
-		}
-		kinTotal += kin
+		kinTotal += c.integ.Kinetic(st.vel, c.atomOff[rk], c.atomOff[rk+1])
 	}
 	st.rep.Kinetic = kinTotal
 }
@@ -231,7 +215,7 @@ func (c *canonical) forceEval(st *canonState) {
 	planeLen := k2 * k3
 
 	// Neighbour-list management; a rebuild starts a new ownership epoch.
-	if !listValid(c.cfg.MD, st.listGen, st.pos, st.listOrigin) {
+	if !c.integ.ListValid(st.pos, st.listOrigin) {
 		st.listGen++
 		st.pairs, st.distEvals = c.sh.sharedList(st.listGen, c.ffield, st.pos)
 		st.listOrigin = append([]vec.V(nil), st.pos...)

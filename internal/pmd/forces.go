@@ -11,26 +11,6 @@ import (
 	"repro/internal/work"
 )
 
-// listValid mirrors the sequential engine's Verlet-skin check; every rank
-// holds an identical replica, so all ranks reach the same decision. The
-// worker also evaluates it on the scheduler thread to pick the classic
-// segment's work lower bound — it reads only that rank's replica, which no
-// compute closure touches between the drift segment and the classic
-// segment.
-func listValid(cfg md.Config, listGen int, pos, origin []vec.V) bool {
-	if listGen < 0 {
-		return false
-	}
-	limit := (cfg.FF.ListCutoff - cfg.FF.CutOff) / 2
-	limit2 := limit * limit
-	for i := range pos {
-		if vec.Dist2(pos[i], origin[i]) > limit2 {
-			return false
-		}
-	}
-	return true
-}
-
 // classicParts is the replicated block partition of the bonded terms and
 // the 1-4 pairs over the ranks. It and the functions below are the per-rank
 // arithmetic the partitioned worker (computeForces) and the domain path's
@@ -138,7 +118,11 @@ func (w *worker) computeForces(st *StepTiming, tr phaseTracker) md.EnergyReport 
 			DihedralTerms: int64(w.dihOff[me+1]-w.dihOff[me]) + int64(w.imprOff[me+1]-w.imprOff[me]),
 			PairEvals:     int64(w.p14Off[me+1] - w.p14Off[me]),
 		}
-		if listValid(w.cfg.MD, w.listGen, w.pos, w.listOrigin) {
+		// The skin check runs here on the scheduler thread as well as in
+		// the segment: it reads only this rank's replica, which no compute
+		// closure touches between the drift segment and this one, and every
+		// rank holds an identical replica, so all reach the same decision.
+		if w.integ.ListValid(w.pos, w.listOrigin) {
 			minC.PairEvals += int64(w.pairOff[me+1] - w.pairOff[me])
 		}
 	}
@@ -149,12 +133,12 @@ func (w *worker) computeForces(st *StepTiming, tr phaseTracker) md.EnergyReport 
 		// build is shared across ranks (constructed once per generation)
 		// while each rank still charges its 1/p share of the distributed
 		// search work, exactly like CHARMM's parallel list builder.
-		if !listValid(w.cfg.MD, w.listGen, w.pos, w.listOrigin) {
+		if !w.integ.ListValid(w.pos, w.listOrigin) {
 			w.listGen++
 			pairs, distEvals := w.sh.sharedList(w.listGen, w.ff, w.pos)
 			w.pairs = pairs
 			wc.ListDistEvals += distEvals / int64(w.p)
-			copy(w.listOrigin, w.pos)
+			w.listOrigin = append(w.listOrigin[:0], w.pos...)
 			w.pairOff = blockPartition(len(w.pairs), w.p)
 		}
 

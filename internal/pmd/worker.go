@@ -213,9 +213,9 @@ type worker struct {
 	partial  []vec.V // scratch partial force array
 
 	pairs      []space.Pair
-	listOrigin []vec.V
-	listGen    int // neighbour-list generation, in lockstep on all ranks
-	eval       int // force evaluations started, in lockstep on all ranks
+	listOrigin []vec.V // nil until the first list build
+	listGen    int     // neighbour-list generation, in lockstep on all ranks
+	eval       int     // force evaluations started, in lockstep on all ranks
 
 	// Tape mode: at most one of rec/replay is non-nil. Recording appends
 	// every segment's counters; replaying charges the recorded counters and
@@ -263,8 +263,7 @@ type worker struct {
 	packF     [][]complex128 // forward transpose send blocks, per dst
 	packB     [][]complex128 // backward transpose send blocks, per dst
 
-	invMass []float64
-	dtAKMA  float64
+	integ *md.Integrator // the seed engine's, shared read-only by all ranks
 }
 
 func newWorker(r *mpi.Rank, cfg Config, sh *shared, seedEngine *md.Engine, tape *Tape) *worker {
@@ -291,7 +290,6 @@ func newWorker(r *mpi.Rank, cfg Config, sh *shared, seedEngine *md.Engine, tape 
 		// attribution timeline's communication matrices.
 		w.c = perfComms{inner: w.c, tl: cfg.Perf}
 	}
-	w.dtAKMA = dtAKMA(cfg.MD)
 	if reg := r.Metrics(); reg != nil {
 		if r.ID == 0 {
 			w.mStep = reg.Gauge("repro_run_step", "current MD step of the live run")
@@ -372,7 +370,6 @@ func newWorker(r *mpi.Rank, cfg Config, sh *shared, seedEngine *md.Engine, tape 
 	w.vel = append([]vec.V(nil), seedEngine.Vel...)
 	w.frcTotal = make([]vec.V, n)
 	w.partial = make([]vec.V, n)
-	w.listOrigin = make([]vec.V, n)
 	w.listGen = -1 // no list yet; first build is generation 0
 	if init := cfg.Init; init != nil && len(init.ListOrigin) == n {
 		// Resume with the interrupted run's Verlet-list state: rebuild the
@@ -380,15 +377,12 @@ func newWorker(r *mpi.Rank, cfg Config, sh *shared, seedEngine *md.Engine, tape 
 		// so the restarted trajectory stays bitwise identical. The build is
 		// shared across ranks and charges no work — the interrupted run
 		// already paid for it at the step where the list was built.
-		copy(w.listOrigin, init.ListOrigin)
+		w.listOrigin = append([]vec.V(nil), init.ListOrigin...)
 		w.listGen = 0
 		w.pairs, _ = w.sh.sharedList(0, seedEngine.FF, w.listOrigin)
 		w.pairOff = blockPartition(len(w.pairs), p)
 	}
-	w.invMass = make([]float64, n)
-	for i := range w.invMass {
-		w.invMass[i] = 1 / sys.Mass(i)
-	}
+	w.integ = seedEngine.Integrator()
 	w.pme = ewald.NewPME(sys.Box, pmeCfg.Beta, pmeCfg.K1, pmeCfg.K2, pmeCfg.K3, pmeCfg.Order)
 	if sh.pool != nil {
 		w.nbk.SetPool(sh.pool)
@@ -406,11 +400,6 @@ func newWorker(r *mpi.Rank, cfg Config, sh *shared, seedEngine *md.Engine, tape 
 		w.packB[dst] = make([]complex128, (w.xOff[dst+1]-w.xOff[dst])*w.myYW()*pmeCfg.K3)
 	}
 	return w
-}
-
-func dtAKMA(cfg md.Config) float64 {
-	const akmaFS = 48.88821
-	return cfg.TimestepFS / akmaFS
 }
 
 func (w *worker) me() int             { return w.r.ID }
@@ -593,14 +582,10 @@ func (replicatedDecomp) initialForces(w *worker) {
 func (replicatedDecomp) drift(w *worker, step int) {
 	aLo, aHi := w.myAtoms()
 	nOwn := int64(aHi - aLo)
-	half := 0.5 * w.dtAKMA
 
 	// Half-kick + drift for the owned atom block.
 	w.seg(work.Counters{Integrate: nOwn}, func(wc *work.Counters) {
-		for i := aLo; i < aHi; i++ {
-			w.vel[i] = w.vel[i].Add(w.frcTotal[i].Scale(half * w.invMass[i]))
-			w.pos[i] = w.pos[i].Add(w.vel[i].Scale(w.dtAKMA))
-		}
+		w.integ.KickDrift(w.pos, w.vel, w.frcTotal, aLo, aHi)
 		wc.Integrate += nOwn
 	})
 
@@ -622,18 +607,12 @@ func (replicatedDecomp) forces(w *worker, st *StepTiming, tr phaseTracker) md.En
 }
 
 func (replicatedDecomp) kick(w *worker, rep *md.EnergyReport) {
-	sys := w.cfg.System
 	aLo, aHi := w.myAtoms()
 	nOwn := int64(aHi - aLo)
-	half := 0.5 * w.dtAKMA
 	var kin float64
 	w.seg(work.Counters{Integrate: nOwn}, func(wk *work.Counters) {
-		for i := aLo; i < aHi; i++ {
-			w.vel[i] = w.vel[i].Add(w.frcTotal[i].Scale(half * w.invMass[i]))
-		}
-		for i := aLo; i < aHi; i++ {
-			kin += 0.5 * sys.Mass(i) * w.vel[i].Norm2()
-		}
+		w.integ.Kick(w.vel, w.frcTotal, aLo, aHi)
+		kin = w.integ.Kinetic(w.vel, aLo, aHi)
 		wk.Integrate += nOwn
 	})
 	w.inline(func() { w.sh.energy[w.me()].Kinetic = kin })

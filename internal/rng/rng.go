@@ -32,12 +32,6 @@ func (r *Source) Reseed(seed uint64) {
 	}
 }
 
-// Split returns a new Source whose stream is independent of r's, derived
-// from r's state. Use it to hand child components their own streams.
-func (r *Source) Split() *Source {
-	return New(r.Uint64() ^ 0xa0761d6478bd642f)
-}
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 uniformly random bits.

@@ -152,21 +152,6 @@ func TestPerm(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := New(23)
-	child := parent.Split()
-	// The child stream must not equal a shifted copy of the parent stream.
-	same := 0
-	for i := 0; i < 100; i++ {
-		if parent.Uint64() == child.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Fatalf("%d collisions between parent and split child", same)
-	}
-}
-
 func TestReseedRestoresStream(t *testing.T) {
 	r := New(99)
 	first := make([]uint64, 16)

@@ -113,10 +113,6 @@ func OpenStore(dir string, maxBytes int64, reg *obs.Registry) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory (chaos harnesses corrupt files
-// under it to prove the CRC protection).
-func (s *Store) Dir() string { return s.dir }
-
 func (s *Store) path(id string) string { return filepath.Join(s.dir, id) }
 
 // encode renders the store file for (key, payload).

@@ -34,7 +34,8 @@ func (r *Resource) AcquireStep(p *Proc) bool {
 	return false
 }
 
-// Acquire takes one unit, blocking the caller until one is free.
+// Acquire takes one unit, blocking the caller until one is free. Reference
+// form of AcquireStep, see Proc.Park.
 func (r *Resource) Acquire(p *Proc) {
 	if !r.AcquireStep(p) {
 		p.Yield()
@@ -57,6 +58,7 @@ func (r *Resource) Release() {
 }
 
 // Use acquires the resource, advances d seconds, and releases it.
+// Reference form, see Proc.Park.
 func (r *Resource) Use(p *Proc, d float64) {
 	r.Acquire(p)
 	p.Advance(d)

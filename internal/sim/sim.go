@@ -135,9 +135,6 @@ func (e *Env) SetWorkers(n int) {
 	e.workers = n
 }
 
-// Workers returns the configured host worker pool size.
-func (e *Env) Workers() int { return e.workers }
-
 // LiveProcs returns the number of spawned processes that have not finished.
 func (e *Env) LiveProcs() int { return e.alive }
 
@@ -400,9 +397,6 @@ func (p *Proc) Name() string {
 	return p.name
 }
 
-// ID returns the process creation index within its environment.
-func (p *Proc) ID() int { return p.id }
-
 // Done reports whether the process has finished. Unlike the other Proc
 // methods it is safe to call from any process.
 func (p *Proc) Done() bool { return p.finished }
@@ -514,7 +508,10 @@ func (p *Proc) ParkStep() {
 	p.state = stateParked
 }
 
-// Park blocks the process until another process calls Unpark on it.
+// Park blocks the process until another process calls Unpark on it. The
+// programs run on the step forms (ParkStep + Yield); the blocking forms
+// Park, ParkTimeout, Resource.Acquire and Resource.Use stay as the
+// reference side of TestScheduleEquivalence.
 func (p *Proc) Park() {
 	p.ParkStep()
 	p.Yield()
@@ -545,7 +542,7 @@ func (p *Proc) TimedOut() bool { return p.timedOut }
 // ParkTimeout parks the process until another process calls Unpark on it
 // or until d seconds of virtual time elapse, whichever comes first. It
 // reports whether the process was woken by Unpark (true) or by the
-// timeout (false). d must be positive.
+// timeout (false). d must be positive. Reference form, see Park.
 func (p *Proc) ParkTimeout(d float64) bool {
 	p.ParkTimeoutStep(d)
 	p.Yield()

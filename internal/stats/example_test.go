@@ -8,7 +8,7 @@ import (
 
 func ExampleSummarize() {
 	s := stats.Summarize([]float64{10, 20, 60})
-	fmt.Printf("mean %.0f, min %.0f, max %.0f, spread %.2f\n", s.Mean, s.Min, s.Max, s.RelSpread())
+	fmt.Printf("mean %.0f, min %.0f, max %.0f\n", s.Mean, s.Min, s.Max)
 	// Output:
-	// mean 30, min 10, max 60, spread 0.83
+	// mean 30, min 10, max 60
 }

@@ -53,12 +53,3 @@ func Summarize(xs []float64) Summary {
 	}
 	return s
 }
-
-// RelSpread returns (max−min)/max, the variability measure the paper uses
-// to flag unstable configurations; zero for empty or all-zero samples.
-func (s Summary) RelSpread() float64 {
-	if s.Max == 0 {
-		return 0
-	}
-	return (s.Max - s.Min) / s.Max
-}

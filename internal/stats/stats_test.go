@@ -55,12 +55,3 @@ func TestBoundsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestRelSpread(t *testing.T) {
-	if got := Summarize([]float64{50, 100}).RelSpread(); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("RelSpread %v", got)
-	}
-	if got := (Summary{}).RelSpread(); got != 0 {
-		t.Fatalf("zero summary spread %v", got)
-	}
-}

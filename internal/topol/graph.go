@@ -108,14 +108,3 @@ func (s *System) DeriveConnectivity() {
 	s.Excl = NewExclusions(exclSets)
 	s.Pairs14 = pairs14
 }
-
-// BondedDegree returns the number of bonds attached to atom i.
-func (s *System) BondedDegree(i int32) int {
-	d := 0
-	for _, b := range s.Bonds {
-		if b[0] == i || b[1] == i {
-			d++
-		}
-	}
-	return d
-}

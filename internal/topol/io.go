@@ -4,30 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
 	"repro/internal/vec"
 )
-
-// WritePDB writes the system as PDB ATOM records (orthorhombic CRYST1
-// header plus one record per atom), enough for any molecular viewer to
-// display the synthetic structure.
-func (s *System) WritePDB(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "CRYST1%9.3f%9.3f%9.3f  90.00  90.00  90.00 P 1           1\n",
-		s.Box.L.X, s.Box.L.Y, s.Box.L.Z)
-	for i, a := range s.Atoms {
-		res := s.Residues[a.Residue]
-		p := s.Pos[i]
-		// Serial numbers wrap at PDB's column limit; viewers tolerate it.
-		fmt.Fprintf(bw, "ATOM  %5d %-4s %-4s %4d    %8.3f%8.3f%8.3f  1.00  0.00          %2s\n",
-			(i+1)%100000, clip(a.Name, 4), clip(res.Name, 4), int(a.Residue)%10000+1,
-			p.X, p.Y, p.Z, element(s.Types[a.Type].Name))
-	}
-	fmt.Fprintln(bw, "END")
-	return bw.Flush()
-}
 
 // element derives the element symbol from the type name.
 func element(typeName string) string {
@@ -49,74 +28,6 @@ func element(typeName string) string {
 	return "X"
 }
 
-func clip(s string, n int) string {
-	if len(s) > n {
-		return s[:n]
-	}
-	return s
-}
-
-// WritePSF writes an X-PLOR-style PSF: the topology sections (atoms with
-// charges and masses, bonds, angles, dihedrals, impropers) CHARMM tools
-// expect.
-func (s *System) WritePSF(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "PSF")
-	fmt.Fprintln(bw)
-	fmt.Fprintf(bw, "%8d !NTITLE\n", 1)
-	fmt.Fprintln(bw, " REMARKS synthetic myoglobin-class workload (repro)")
-	fmt.Fprintln(bw)
-
-	fmt.Fprintf(bw, "%8d !NATOM\n", s.N())
-	for i, a := range s.Atoms {
-		res := s.Residues[a.Residue]
-		fmt.Fprintf(bw, "%8d MAIN %-4d %-4s %-4s %-4s %10.6f %13.4f %11d\n",
-			i+1, int(a.Residue)+1, clip(res.Name, 4), clip(a.Name, 4),
-			clip(s.Types[a.Type].Name, 4), a.Charge, s.Types[a.Type].Mass, 0)
-	}
-	fmt.Fprintln(bw)
-
-	writeIdx := func(title string, count int, flat []int32, perLine int) {
-		fmt.Fprintf(bw, "%8d !%s\n", count, title)
-		for i, v := range flat {
-			fmt.Fprintf(bw, "%8d", v+1)
-			if (i+1)%perLine == 0 {
-				fmt.Fprintln(bw)
-			}
-		}
-		if len(flat)%perLine != 0 {
-			fmt.Fprintln(bw)
-		}
-		fmt.Fprintln(bw)
-	}
-
-	flat2 := make([]int32, 0, 2*len(s.Bonds))
-	for _, b := range s.Bonds {
-		flat2 = append(flat2, b[0], b[1])
-	}
-	writeIdx("NBOND: bonds", len(s.Bonds), flat2, 8)
-
-	flat3 := make([]int32, 0, 3*len(s.Angles))
-	for _, a := range s.Angles {
-		flat3 = append(flat3, a[0], a[1], a[2])
-	}
-	writeIdx("NTHETA: angles", len(s.Angles), flat3, 9)
-
-	flat4 := make([]int32, 0, 4*len(s.Dihedrals))
-	for _, d := range s.Dihedrals {
-		flat4 = append(flat4, d[0], d[1], d[2], d[3])
-	}
-	writeIdx("NPHI: dihedrals", len(s.Dihedrals), flat4, 8)
-
-	flatI := make([]int32, 0, 4*len(s.Impropers))
-	for _, d := range s.Impropers {
-		flatI = append(flatI, d[0], d[1], d[2], d[3])
-	}
-	writeIdx("NIMPHI: impropers", len(s.Impropers), flatI, 8)
-
-	return bw.Flush()
-}
-
 // WriteXYZ writes one XYZ-format frame of the given positions with a
 // comment line. Positions default to the system's own when pos is nil.
 func (s *System) WriteXYZ(w io.Writer, pos []vec.V, comment string) error {
@@ -133,65 +44,4 @@ func (s *System) WriteXYZ(w io.Writer, pos []vec.V, comment string) error {
 			element(s.Types[s.Atoms[i].Type].Name), pos[i].X, pos[i].Y, pos[i].Z)
 	}
 	return bw.Flush()
-}
-
-// XYZReader iterates over the frames of a (possibly multi-frame) XYZ
-// stream, as written by WriteXYZ once per frame.
-type XYZReader struct {
-	sc *bufio.Scanner
-}
-
-// NewXYZReader wraps r for frame-by-frame reading.
-func NewXYZReader(r io.Reader) *XYZReader {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	return &XYZReader{sc: sc}
-}
-
-// Next parses the next frame. It returns io.EOF (wrapped in nothing) once
-// the stream is exhausted.
-func (xr *XYZReader) Next() (elements []string, pos []vec.V, comment string, err error) {
-	sc := xr.sc
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, nil, "", err
-		}
-		return nil, nil, "", io.EOF
-	}
-	n, cErr := strconv.Atoi(strings.TrimSpace(sc.Text()))
-	if cErr != nil || n < 0 {
-		return nil, nil, "", fmt.Errorf("topol: bad XYZ atom count %q", sc.Text())
-	}
-	if !sc.Scan() {
-		return nil, nil, "", fmt.Errorf("topol: XYZ missing comment line")
-	}
-	comment = sc.Text()
-	for i := 0; i < n; i++ {
-		if !sc.Scan() {
-			return nil, nil, "", fmt.Errorf("topol: XYZ truncated at atom %d of %d", i, n)
-		}
-		fields := strings.Fields(sc.Text())
-		if len(fields) < 4 {
-			return nil, nil, "", fmt.Errorf("topol: malformed XYZ line %q", sc.Text())
-		}
-		x, ex := strconv.ParseFloat(fields[1], 64)
-		y, ey := strconv.ParseFloat(fields[2], 64)
-		z, ez := strconv.ParseFloat(fields[3], 64)
-		if ex != nil || ey != nil || ez != nil {
-			return nil, nil, "", fmt.Errorf("topol: bad coordinates in %q", sc.Text())
-		}
-		elements = append(elements, fields[0])
-		pos = append(pos, vec.New(x, y, z))
-	}
-	return elements, pos, comment, nil
-}
-
-// ReadXYZ parses one XYZ frame, returning the element symbols, positions
-// and the comment line.
-func ReadXYZ(r io.Reader) (elements []string, pos []vec.V, comment string, err error) {
-	el, pos, comment, err := NewXYZReader(r).Next()
-	if err == io.EOF {
-		return nil, nil, "", fmt.Errorf("topol: empty XYZ input")
-	}
-	return el, pos, comment, err
 }

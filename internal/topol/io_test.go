@@ -1,81 +1,9 @@
 package topol
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
-
-func TestWritePDB(t *testing.T) {
-	s := tinyChain()
-	var b strings.Builder
-	if err := s.WritePDB(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.HasPrefix(out, "CRYST1") {
-		t.Fatal("missing CRYST1 header")
-	}
-	if got := strings.Count(out, "\nATOM "); got != s.N() {
-		t.Fatalf("ATOM records = %d, want %d", got, s.N())
-	}
-	if !strings.Contains(out, "END") {
-		t.Fatal("missing END")
-	}
-}
-
-func TestWritePSFSections(t *testing.T) {
-	s := NewMyoglobinSystem(MyoglobinConfig{Seed: 1})
-	var b strings.Builder
-	if err := s.WritePSF(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, section := range []string{"!NATOM", "!NBOND", "!NTHETA", "!NPHI", "!NIMPHI"} {
-		if !strings.Contains(out, section) {
-			t.Fatalf("missing section %s", section)
-		}
-	}
-	// Counts embedded in the headers must match the topology.
-	if !strings.Contains(out, "    3552 !NATOM") {
-		t.Fatal("NATOM count wrong")
-	}
-}
-
-func TestXYZRoundTrip(t *testing.T) {
-	s := NewMyoglobinSystem(MyoglobinConfig{Seed: 2})
-	var b strings.Builder
-	if err := s.WriteXYZ(&b, nil, "frame 0"); err != nil {
-		t.Fatal(err)
-	}
-	elements, pos, comment, err := ReadXYZ(strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if comment != "frame 0" {
-		t.Fatalf("comment %q", comment)
-	}
-	if len(pos) != s.N() || len(elements) != s.N() {
-		t.Fatalf("parsed %d/%d entries", len(pos), len(elements))
-	}
-	for i := range pos {
-		if math.Abs(pos[i].X-s.Pos[i].X) > 1e-7 ||
-			math.Abs(pos[i].Y-s.Pos[i].Y) > 1e-7 ||
-			math.Abs(pos[i].Z-s.Pos[i].Z) > 1e-7 {
-			t.Fatalf("atom %d: %v vs %v", i, pos[i], s.Pos[i])
-		}
-	}
-	// Element sanity: waters contribute O and H.
-	seen := map[string]bool{}
-	for _, e := range elements {
-		seen[e] = true
-	}
-	for _, want := range []string{"C", "N", "O", "H", "S"} {
-		if !seen[want] {
-			t.Fatalf("element %s missing", want)
-		}
-	}
-}
 
 func TestWriteXYZValidation(t *testing.T) {
 	s := tinyChain()
@@ -83,19 +11,18 @@ func TestWriteXYZValidation(t *testing.T) {
 	if err := s.WriteXYZ(&b, s.Pos[:2], "bad"); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-}
 
-func TestReadXYZErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"abc\ncomment\n",
-		"3\ncomment\nC 1 2 3\n", // truncated
-		"1\ncomment\nC 1 2\n",   // malformed line
-		"1\ncomment\nC a b c\n", // bad floats
+	// A nil pos writes the system's own frame: atom count, comment, then
+	// one "element x y z" line per atom at 8 decimals.
+	b.Reset()
+	if err := s.WriteXYZ(&b, nil, "frame 0"); err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		if _, _, _, err := ReadXYZ(strings.NewReader(c)); err == nil {
-			t.Fatalf("input %q accepted", c)
-		}
+	lines := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
+	if len(lines) != 2+s.N() || lines[0] != "5" || lines[1] != "frame 0" {
+		t.Fatalf("frame header/length wrong:\n%s", b.String())
+	}
+	if want := "C      6.50000000    25.00000000    25.00000000"; lines[3] != want {
+		t.Fatalf("atom line %q, want %q", lines[3], want)
 	}
 }

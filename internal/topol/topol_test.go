@@ -206,7 +206,7 @@ func TestMyoglobinConnectivityScale(t *testing.T) {
 	if len(s.Impropers) != NumResidues-1 {
 		t.Fatalf("impropers = %d, want %d", len(s.Impropers), NumResidues-1)
 	}
-	if s.Excl.Count() == 0 || len(s.Pairs14) == 0 {
+	if len(s.Excl.list) == 0 || len(s.Pairs14) == 0 {
 		t.Fatal("missing exclusions or 1-4 pairs")
 	}
 	// Every bond is excluded; no 1-4 pair is excluded.
@@ -237,25 +237,6 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	s.Pos = s.Pos[:3]
 	if err := s.Validate(); err == nil {
 		t.Fatal("Validate accepted position/atom mismatch")
-	}
-}
-
-func TestTotalMass(t *testing.T) {
-	s := NewMyoglobinSystem(MyoglobinConfig{Seed: 5})
-	m := s.TotalMass()
-	// 3552 atoms averaging ≈7 amu (lots of hydrogens): between 20k and 40k.
-	if m < 20000 || m > 40000 {
-		t.Fatalf("total mass %g amu implausible", m)
-	}
-}
-
-func TestBondedDegree(t *testing.T) {
-	s := tinyChain()
-	if d := s.BondedDegree(0); d != 1 {
-		t.Fatalf("degree(0) = %d", d)
-	}
-	if d := s.BondedDegree(2); d != 2 {
-		t.Fatalf("degree(2) = %d", d)
 	}
 }
 

@@ -106,15 +106,6 @@ func (s *System) TotalCharge() float64 {
 	return q
 }
 
-// TotalMass returns the total mass in amu.
-func (s *System) TotalMass() float64 {
-	var m float64
-	for i := range s.Atoms {
-		m += s.Mass(i)
-	}
-	return m
-}
-
 // Validate checks structural invariants and returns the first violation.
 func (s *System) Validate() error {
 	n := int32(s.N())
@@ -199,12 +190,12 @@ func (e Exclusions) Of(i int) []int32 {
 	return e.list[e.idx[i]:e.idx[i+1]]
 }
 
-// Excluded reports whether the pair (i, j) is excluded.
+// Excluded reports whether the pair (i, j) is excluded. No program calls
+// it (the kernels walk Of's rows); it stays as the membership oracle the
+// connectivity tests here and the exclusion-filter tests of internal/ff
+// compare against.
 func (e Exclusions) Excluded(i, j int32) bool {
 	l := e.Of(int(i))
 	k := sort.Search(len(l), func(m int) bool { return l[m] >= j })
 	return k < len(l) && l[k] == j
 }
-
-// Count returns the total number of (directed) exclusion entries.
-func (e Exclusions) Count() int { return len(e.list) }

@@ -35,9 +35,6 @@ const (
 // FSToAKMA converts a duration in femtoseconds to AKMA time units.
 func FSToAKMA(fs float64) float64 { return fs / AKMATimeFS }
 
-// AKMAToFS converts a duration in AKMA time units to femtoseconds.
-func AKMAToFS(akma float64) float64 { return akma * AKMATimeFS }
-
 // KineticTemperature returns the instantaneous temperature in Kelvin for a
 // system with the given kinetic energy (kcal/mol) and number of degrees of
 // freedom.

@@ -65,12 +65,6 @@ func Dist(a, b V) float64 { return a.Sub(b).Norm() }
 // Dist2 returns |a − b|².
 func Dist2(a, b V) float64 { return a.Sub(b).Norm2() }
 
-// Lerp returns a + t·(b − a).
-func Lerp(a, b V, t float64) V { return a.Add(b.Sub(a).Scale(t)) }
-
-// MulElem returns the element-wise product of a and b.
-func (a V) MulElem(b V) V { return V{a.X * b.X, a.Y * b.Y, a.Z * b.Z} }
-
 // String implements fmt.Stringer.
 func (a V) String() string { return fmt.Sprintf("(%.6g, %.6g, %.6g)", a.X, a.Y, a.Z) }
 
@@ -78,22 +72,6 @@ func (a V) String() string { return fmt.Sprintf("(%.6g, %.6g, %.6g)", a.X, a.Y, 
 func Angle(a, b V) float64 {
 	// Use the atan2 form: numerically stable near 0 and π, unlike acos.
 	return math.Atan2(a.Cross(b).Norm(), a.Dot(b))
-}
-
-// Dihedral returns the dihedral (torsion) angle in radians defined by the
-// four points p1..p4, in (−π, π]. It is the angle between the plane
-// (p1,p2,p3) and the plane (p2,p3,p4), signed by the right-hand rule about
-// the p2→p3 axis.
-func Dihedral(p1, p2, p3, p4 V) float64 {
-	b1 := p2.Sub(p1)
-	b2 := p3.Sub(p2)
-	b3 := p4.Sub(p3)
-	n1 := b1.Cross(b2)
-	n2 := b2.Cross(b3)
-	m := n1.Cross(b2.Unit())
-	x := n1.Dot(n2)
-	y := m.Dot(n2)
-	return math.Atan2(y, x)
 }
 
 // Sum returns the sum of the vectors in s.
@@ -123,8 +101,9 @@ func Fill(s []V, v V) {
 	}
 }
 
-// MaxNormDiff returns the largest |a[i]−b[i]| over all i, a convenient
-// metric when comparing force arrays.
+// MaxNormDiff returns the largest |a[i]−b[i]| over all i. No program calls
+// it; it is the comparator of the force-array equivalence tests in md and
+// pmd.
 func MaxNormDiff(a, b []V) float64 {
 	if len(a) != len(b) {
 		panic("vec: MaxNormDiff length mismatch")

@@ -87,14 +87,11 @@ func TestUnit(t *testing.T) {
 	Zero.Unit()
 }
 
-func TestDistLerp(t *testing.T) {
+func TestDist(t *testing.T) {
 	a := New(0, 0, 0)
 	b := New(2, 0, 0)
 	if !near(Dist(a, b), 2, eps) || !near(Dist2(a, b), 4, eps) {
 		t.Fatal("Dist wrong")
-	}
-	if got := Lerp(a, b, 0.25); !near(got.X, 0.5, eps) {
-		t.Fatalf("Lerp = %v", got)
 	}
 }
 
@@ -112,26 +109,6 @@ func TestAngle(t *testing.T) {
 		if got := Angle(c.a, c.b); !near(got, c.want, 1e-12) {
 			t.Errorf("Angle(%v,%v) = %v want %v", c.a, c.b, got, c.want)
 		}
-	}
-}
-
-func TestDihedral(t *testing.T) {
-	// A planar cis arrangement has dihedral 0; trans has ±π.
-	p1 := New(1, 1, 0)
-	p2 := New(1, 0, 0)
-	p3 := New(0, 0, 0)
-	cis := New(0, 1, 0)
-	trans := New(0, -1, 0)
-	if got := Dihedral(p1, p2, p3, cis); !near(got, 0, 1e-12) {
-		t.Errorf("cis dihedral = %v", got)
-	}
-	if got := math.Abs(Dihedral(p1, p2, p3, trans)); !near(got, math.Pi, 1e-12) {
-		t.Errorf("trans dihedral = %v", got)
-	}
-	// 90 degree twist.
-	up := New(0, 0, 1)
-	if got := math.Abs(Dihedral(p1, p2, p3, up)); !near(got, math.Pi/2, 1e-12) {
-		t.Errorf("twist dihedral = %v", got)
 	}
 }
 
@@ -174,11 +151,5 @@ func TestMismatchedLengthsPanic(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestMulElem(t *testing.T) {
-	if got := New(1, 2, 3).MulElem(New(4, 5, 6)); got != New(4, 10, 18) {
-		t.Fatalf("MulElem = %v", got)
 	}
 }

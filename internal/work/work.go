@@ -20,22 +20,6 @@ type Counters struct {
 	Other         int64 // miscellaneous per-atom passes (scaling, copies)
 }
 
-// Sub returns c − o component-wise.
-func (c Counters) Sub(o Counters) Counters {
-	return Counters{
-		BondTerms:     c.BondTerms - o.BondTerms,
-		AngleTerms:    c.AngleTerms - o.AngleTerms,
-		DihedralTerms: c.DihedralTerms - o.DihedralTerms,
-		PairEvals:     c.PairEvals - o.PairEvals,
-		ListDistEvals: c.ListDistEvals - o.ListDistEvals,
-		GridCharges:   c.GridCharges - o.GridCharges,
-		FFTOps:        c.FFTOps - o.FFTOps,
-		RecipPoints:   c.RecipPoints - o.RecipPoints,
-		Integrate:     c.Integrate - o.Integrate,
-		Other:         c.Other - o.Other,
-	}
-}
-
 // IsZero reports whether every counter is zero.
 func (c Counters) IsZero() bool {
 	return c == Counters{}
