@@ -150,9 +150,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "faultbench: resumed from on-disk checkpoint at step %d (%d corrupt skipped, %.3gs lost)\n",
 				res.Resumed.Step, res.Resumed.SkippedCheckpoints, res.Resumed.LostOnDisk)
 		}
-		if res.Final != nil {
-			res.Final.RecordObs(app.Reg)
-		}
+		res.Final.RecordObs(app.Reg)
 		return res
 	}
 
@@ -211,7 +209,7 @@ func main() {
 		if last == nil {
 			app.Fail(fmt.Errorf("profile: no faulted run to profile"))
 		}
-		app.WriteProfile(last.Profile(nil).Encode())
+		app.WriteProfile(last.Profile().Encode())
 		fmt.Fprintln(os.Stderr, "profile: written to", app.ProfileOut)
 	}
 

@@ -192,9 +192,6 @@ func main() {
 	if *temp > 0 {
 		engine.InitVelocities(*temp, *seed)
 	}
-	// Attach the phase timers after minimization so the decomposition
-	// covers the measured dynamics only.
-	engine.SetObs(reg)
 
 	if *ranks > 1 {
 		// Simulated cluster run: the minimized, heated state seeds every
@@ -202,7 +199,7 @@ func main() {
 		// clock and phase split of the simulated platform.
 		var tl *perf.Timeline
 		if app.ProfileOut != "" {
-			tl = perf.NewTimeline(*ranks, *steps)
+			tl = perf.NewTimeline(*ranks)
 		}
 		res, err := pmd.Run(
 			cluster.Config{Nodes: *ranks, CPUsPerNode: 1, Net: netmodel.TCPGigE(), Seed: *seed},
@@ -228,11 +225,14 @@ func main() {
 			fmt.Printf("%6d %14.3f %14.3f %14.3f %10s\n",
 				s+1, rep.Classic(), rep.PME(), rep.Total(), "-")
 		}
+		// The run's decomposition for /metrics, /runz and the manifest: the
+		// same rows the split below is summed from.
+		res.RecordObs(reg)
 		c, pm := res.PhaseTotals()
 		fmt.Printf("virtual wall: %.3f s | classic comp %.3f comm %.3f sync %.3f | pme comp %.3f comm %.3f sync %.3f\n",
 			res.Wall, c.Comp, c.Comm, c.Sync, pm.Comp, pm.Comm, pm.Sync)
 		if app.ProfileOut != "" {
-			prof := res.Profile(tl)
+			prof := res.Profile()
 			prof.RecordObs(reg)
 			buf, err := prof.Encode()
 			app.WriteProfile(buf, err)
@@ -245,6 +245,10 @@ func main() {
 		writeManifest()
 		return
 	}
+
+	// Attach the host-clock phase timers after minimization so the
+	// decomposition covers the measured dynamics only.
+	engine.SetObs(reg)
 
 	// Durable checkpoint ring: resume from the newest valid on-disk
 	// checkpoint if one exists (corrupt newer files are skipped), else

@@ -69,7 +69,7 @@ func (s *Suite) AttributionPlan() Plan[*AttributionResult] {
 			if row.Err != "" {
 				continue
 			}
-			prof := results[0].Profile(nil)
+			prof := results[0].Profile()
 			results = results[1:]
 			att := prof.Attribution
 			row.Wall = att.WallSeconds
@@ -147,7 +147,7 @@ func (a *AttributionResult) Profiles(s *Suite) (map[string]*perf.Profile, error)
 		if err != nil {
 			return nil, err
 		}
-		out[fmt.Sprintf("%s/%s/p=%d", r.Network, r.Decomp, r.P)] = res.Profile(nil)
+		out[fmt.Sprintf("%s/%s/p=%d", r.Network, r.Decomp, r.P)] = res.Profile()
 	}
 	return out, nil
 }

@@ -233,7 +233,7 @@ func (e *Engine) SetObs(reg *obs.Registry) {
 	}
 	reg.Gauge("repro_skin_width_angstrom",
 		"Neighbour-list skin width in effect (ListCutoff - CutOff).").Set(e.skin())
-	help := "virtual seconds per rank, phase and time class (§3.2 decomposition)"
+	help := "host seconds of the sequential engine per phase and time class (§3.2 decomposition; one rank, compute only)"
 	rl := obs.L("rank", "0")
 	for _, phase := range []string{"classic", "pme"} {
 		pl := obs.L("phase", phase)

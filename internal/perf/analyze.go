@@ -81,39 +81,47 @@ type CriticalPath struct {
 
 // Profile is the versioned attribution document.
 type Profile struct {
-	Schema           string           `json:"schema"`
-	Ranks            int              `json:"ranks"`
-	Steps            int              `json:"steps"`
-	TruncatedSamples int64            `json:"truncated_samples,omitempty"`
-	WallSeconds      float64          `json:"wall_seconds"`
-	Attribution      Attribution      `json:"attribution"`
-	Phases           []PhaseStat      `json:"phases"`
-	CriticalPath     CriticalPath     `json:"critical_path"`
-	Collectives      []CollectiveStat `json:"collectives,omitempty"`
-	CommMatrix       [][]int64        `json:"comm_matrix,omitempty"`
-	NamedMatrices    []NamedMatrix    `json:"named_matrices,omitempty"`
-	Recovery         *RecoveryDetail  `json:"recovery,omitempty"`
+	Schema        string           `json:"schema"`
+	Ranks         int              `json:"ranks"`
+	Steps         int              `json:"steps"`
+	WallSeconds   float64          `json:"wall_seconds"`
+	Attribution   Attribution      `json:"attribution"`
+	Phases        []PhaseStat      `json:"phases"`
+	CriticalPath  CriticalPath     `json:"critical_path"`
+	Collectives   []CollectiveStat `json:"collectives,omitempty"`
+	CommMatrix    [][]int64        `json:"comm_matrix,omitempty"`
+	NamedMatrices []NamedMatrix    `json:"named_matrices,omitempty"`
+	Recovery      *RecoveryDetail  `json:"recovery,omitempty"`
 }
 
-// Analyze builds the attribution profile for a run.
+// Analyze builds the attribution profile of a run from its timing table:
+// rows[rank][i] is the rank's sample of global step base+i (base > 0 when
+// the rows come from the completing attempt of a resumed or recovered
+// run). Rows may be ragged; a step a rank has no row for reads as zero.
+// comm, when non-nil, adds the run's communication log.
 //
 // The bucket totals come from the whole-run per-rank accounting (acct),
 // not the per-step samples — the accounting also covers the unmeasured
-// setup (the step-0 force evaluation velocity Verlet needs), so the
-// identity  compute + comm + wait + imbalance + recovery = wall  holds
-// for the full wall clock, not just the measured steps. The samples
-// supply structure: which phase is imbalanced, and how much of the
-// measured synchronization is directly explained by compute imbalance
-// (the slowest rank's excess over the mean, per cell) versus residual
-// wait at collectives (latency chains, fault windows, stalls).
-func (tl *Timeline) Analyze(wall float64, acct []RankAcct, rec *RecoveryDetail) *Profile {
-	p := &Profile{
-		Schema:           Schema,
-		Ranks:            tl.ranks,
-		Steps:            tl.steps(),
-		TruncatedSamples: tl.truncated(),
-		WallSeconds:      wall,
+// setup (the step-0 force evaluation velocity Verlet needs) and the
+// attempts before base, so the identity  compute + comm + wait +
+// imbalance + recovery = wall  holds for the full wall clock, not just
+// the rows. The samples supply structure: which phase is imbalanced, and
+// how much of the measured synchronization is directly explained by
+// compute imbalance (the slowest rank's excess over the mean, per cell)
+// versus residual wait at collectives (latency chains, fault windows,
+// stalls). Structure covers the steps that have rows; Steps reports the
+// global count.
+func Analyze(rows [][]StepTiming, base int, wall float64, acct []RankAcct, rec *RecoveryDetail, comm *Timeline) *Profile {
+	ranks, ran := len(rows), 0
+	if ranks < 1 {
+		panic("perf: timing table has no ranks")
 	}
+	for _, row := range rows {
+		if len(row) > ran {
+			ran = len(row)
+		}
+	}
+	p := &Profile{Schema: Schema, Ranks: ranks, Steps: base + ran, WallSeconds: wall}
 
 	// Whole-run means across ranks.
 	var meanComp, meanComm, meanSync, meanLost float64
@@ -131,22 +139,26 @@ func (tl *Timeline) Analyze(wall float64, acct []RankAcct, rec *RecoveryDetail) 
 	}
 
 	// Per-phase rank totals and the per-cell imbalance integral.
-	steps := p.Steps
 	var imbDirect float64
 	var compTot, wallTot [NumPhases][]float64
 	for ph := 0; ph < NumPhases; ph++ {
-		compTot[ph] = make([]float64, tl.ranks)
-		wallTot[ph] = make([]float64, tl.ranks)
+		compTot[ph] = make([]float64, ranks)
+		wallTot[ph] = make([]float64, ranks)
 	}
-	occ := make([]int, tl.ranks)
-	cells := 0
+	occ := make([]int, ranks)
 	var cpSeconds, cpComp, cpComm float64
-	for step := 0; step < steps; step++ {
+	for step := 0; step < ran; step++ {
 		for ph := 0; ph < NumPhases; ph++ {
 			var maxComp, meanCell, maxWall, maxComm float64
 			slowest := 0
-			for r := 0; r < tl.ranks; r++ {
-				s := tl.cells[r][step][ph]
+			for r, row := range rows {
+				var s Sample
+				if step < len(row) {
+					s = row[step].Classic
+					if ph == PhasePME {
+						s = row[step].PME
+					}
+				}
 				compTot[ph][r] += s.Comp
 				wallTot[ph][r] += s.Wall
 				meanCell += s.Comp
@@ -161,32 +173,12 @@ func (tl *Timeline) Analyze(wall float64, acct []RankAcct, rec *RecoveryDetail) 
 					slowest = r
 				}
 			}
-			meanCell /= float64(tl.ranks)
+			meanCell /= float64(ranks)
 			imbDirect += maxComp - meanCell
 			cpSeconds += maxWall
 			cpComp += maxComp
 			cpComm += maxComm
 			occ[slowest]++
-			cells++
-		}
-	}
-	// Spilled (truncated) steps still contribute their fold to the
-	// imbalance integral at phase granularity.
-	for ph := 0; ph < NumPhases; ph++ {
-		var maxComp, meanCell float64
-		any := false
-		for r := 0; r < tl.ranks; r++ {
-			s := tl.spill[r][ph]
-			if s != (Sample{}) {
-				any = true
-			}
-			meanCell += s.Comp
-			if s.Comp > maxComp {
-				maxComp = s.Comp
-			}
-		}
-		if any {
-			imbDirect += maxComp - meanCell/float64(tl.ranks)
 		}
 	}
 
@@ -223,8 +215,8 @@ func (tl *Timeline) Analyze(wall float64, acct []RankAcct, rec *RecoveryDetail) 
 	// Phase stats.
 	for ph := 0; ph < NumPhases; ph++ {
 		st := PhaseStat{Phase: PhaseNames[ph]}
-		for r := 0; r < tl.ranks; r++ {
-			c, w := compTot[ph][r]+tl.spill[r][ph].Comp, wallTot[ph][r]+tl.spill[r][ph].Wall
+		for r := 0; r < ranks; r++ {
+			c, w := compTot[ph][r], wallTot[ph][r]
 			st.MeanComp += c
 			st.MeanWall += w
 			if c > st.MaxComp {
@@ -234,8 +226,8 @@ func (tl *Timeline) Analyze(wall float64, acct []RankAcct, rec *RecoveryDetail) 
 				st.MaxWall = w
 			}
 		}
-		st.MeanComp /= float64(tl.ranks)
-		st.MeanWall /= float64(tl.ranks)
+		st.MeanComp /= float64(ranks)
+		st.MeanWall /= float64(ranks)
 		if st.MeanComp > 0 {
 			st.Imbalance = st.MaxComp / st.MeanComp
 		}
@@ -247,11 +239,11 @@ func (tl *Timeline) Analyze(wall float64, acct []RankAcct, rec *RecoveryDetail) 
 		Seconds:        cpSeconds,
 		ComputeSeconds: cpComp,
 		CommSeconds:    cpComm,
-		Occupancy:      make([]float64, tl.ranks),
+		Occupancy:      make([]float64, ranks),
 	}
-	if cells > 0 {
+	if cells := ran * NumPhases; cells > 0 {
 		best := 0
-		for r := 0; r < tl.ranks; r++ {
+		for r := 0; r < ranks; r++ {
 			cp.Occupancy[r] = float64(occ[r]) / float64(cells)
 			if occ[r] > occ[best] {
 				best = r
@@ -261,13 +253,26 @@ func (tl *Timeline) Analyze(wall float64, acct []RankAcct, rec *RecoveryDetail) 
 	}
 	p.CriticalPath = cp
 
-	// Communication aggregates, deterministically ordered.
+	if comm != nil {
+		comm.export(p)
+	}
+	if rec != nil {
+		r := *rec
+		p.Recovery = &r
+	}
+	return p
+}
+
+// export copies the log's aggregates into p, deterministically ordered.
+func (tl *Timeline) export(p *Profile) {
 	tl.mu.Lock()
+	defer tl.mu.Unlock()
 	for _, c := range tl.colls {
 		p.Collectives = append(p.Collectives, *c)
 	}
+	sort.Slice(p.Collectives, func(i, j int) bool { return p.Collectives[i].Kind < p.Collectives[j].Kind })
 	var anyPair bool
-	for r := 0; r < tl.ranks && !anyPair; r++ {
+	for r := 0; r < len(tl.mat) && !anyPair; r++ {
 		for _, b := range tl.mat[r] {
 			if b != 0 {
 				anyPair = true
@@ -276,27 +281,20 @@ func (tl *Timeline) Analyze(wall float64, acct []RankAcct, rec *RecoveryDetail) 
 		}
 	}
 	if anyPair {
-		p.CommMatrix = make([][]int64, tl.ranks)
-		for r := 0; r < tl.ranks; r++ {
-			p.CommMatrix[r] = append([]int64(nil), tl.mat[r]...)
-		}
+		p.CommMatrix = cloneMatrix(tl.mat)
 	}
 	for _, nm := range tl.named {
-		cp := NamedMatrix{Name: nm.Name, Calls: nm.Calls, Bytes: make([][]int64, len(nm.Bytes))}
-		for r := range nm.Bytes {
-			cp.Bytes[r] = append([]int64(nil), nm.Bytes[r]...)
-		}
-		p.NamedMatrices = append(p.NamedMatrices, cp)
+		p.NamedMatrices = append(p.NamedMatrices, NamedMatrix{Name: nm.Name, Calls: nm.Calls, Bytes: cloneMatrix(nm.Bytes)})
 	}
-	tl.mu.Unlock()
-	sort.Slice(p.Collectives, func(i, j int) bool { return p.Collectives[i].Kind < p.Collectives[j].Kind })
 	sort.Slice(p.NamedMatrices, func(i, j int) bool { return p.NamedMatrices[i].Name < p.NamedMatrices[j].Name })
+}
 
-	if rec != nil {
-		r := *rec
-		p.Recovery = &r
+func cloneMatrix(m [][]int64) [][]int64 {
+	out := make([][]int64, len(m))
+	for r := range m {
+		out[r] = append([]int64(nil), m[r]...)
 	}
-	return p
+	return out
 }
 
 // dominant names the bucket that explains the wall clock.

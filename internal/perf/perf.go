@@ -1,19 +1,20 @@
-// Package perf is the performance-attribution subsystem: a bounded,
-// allocation-disciplined per-step timeline of rank × phase samples plus
-// collective byte matrices, and an analyzer that explains a run's wall
-// clock the way the source paper explains CHARMM's — but automatically.
-// Where the paper decomposes wall time into phases by hand (§3.2), the
-// analyzer computes the critical path through the step's collective DAG,
-// per-phase load imbalance across ranks, a rank-to-rank communication
-// matrix, and an attribution report splitting wall time into compute /
-// comm / wait-at-collective / imbalance / recovery buckets that sum to
-// the measured wall by construction.
+// Package perf is the performance-attribution subsystem: an analyzer that
+// explains a run's wall clock the way the source paper explains CHARMM's —
+// but automatically. Where the paper decomposes wall time into phases by
+// hand (§3.2), Analyze computes the critical path through the step's
+// collective DAG, per-phase load imbalance across ranks, a rank-to-rank
+// communication matrix, and an attribution report splitting wall time into
+// compute / comm / wait-at-collective / imbalance / recovery buckets that
+// sum to the measured wall by construction.
 //
-// The timeline is fed from the same PhaseSample hooks the printed report
-// uses, so the profile and the paper tables always agree; the profile
-// serializes as a versioned JSON document (Schema "repro/perf/v1") that
-// the run manifest, the obs server's /profilez view and the serve tier's
-// /v1/jobs/<id>/profile endpoint all share.
+// The samples it reads are the run result's own [rank][step] timing table
+// (pmd.Result.Timings) — the table the printed report, the obs counters
+// and the figures read too, so every view agrees because there is one
+// record. The only thing a run records besides it is the Timeline: the
+// collective counts and byte matrices the timing table cannot reproduce.
+// The profile serializes as a versioned JSON document (Schema
+// "repro/perf/v1") that the run manifest, the obs server's /profilez view
+// and the serve tier's /v1/jobs/<id>/profile endpoint all share.
 package perf
 
 import (
@@ -25,8 +26,8 @@ import (
 // incompatible change to the Profile shape.
 const Schema = "repro/perf/v1"
 
-// Phase indices of the paper's classic/PME step split. The timeline is
-// sized for exactly these; a third phase would be a schema change.
+// Phase indices of the paper's classic/PME step split. StepTiming holds
+// exactly these; a third phase would be a schema change.
 const (
 	PhaseClassic = 0
 	PhasePME     = 1
@@ -35,14 +36,6 @@ const (
 
 // PhaseNames maps phase indices to their exposition names.
 var PhaseNames = [NumPhases]string{"classic", "pme"}
-
-// maxBoundedSteps caps the per-step sample store regardless of the
-// configured step count: beyond it, samples fold into per-rank overflow
-// totals and the profile reports how many were truncated. At the cap the
-// store is the same order of memory as the engine's own per-step timing
-// table, so the bound exists to keep pathological step counts from
-// turning the profiler into the biggest allocation in the process.
-const maxBoundedSteps = 8192
 
 // Sample is one rank's measured decomposition of one phase of one step
 // (the engine's PhaseSample is this type).
@@ -63,8 +56,13 @@ func (s *Sample) Add(o Sample) {
 	s.Bytes += o.Bytes
 }
 
-// stepCell holds one step's samples for every phase.
-type stepCell [NumPhases]Sample
+// StepTiming is one rank's classic/PME split of one step (§3.2) — a row
+// element of the timing table Analyze reads (the engine's StepTiming is
+// this type).
+type StepTiming struct {
+	Classic Sample
+	PME     Sample
+}
 
 // CollectiveStat aggregates one collective kind over a run.
 type CollectiveStat struct {
@@ -81,80 +79,52 @@ type NamedMatrix struct {
 	Bytes [][]int64 `json:"bytes"`
 }
 
-// Timeline is the bounded per-step sample store one run feeds. Per-rank
-// sample rows are preallocated at construction and written lock-free —
-// each rank writes only its own row, the same discipline the engine's
-// timing table uses — while the shared collective aggregates take a
-// mutex (collectives are recorded once per call, not once per rank).
-//
-// Recording a step that was already recorded overwrites the cell: a
-// resilient rewind replays its steps and the final profile must describe
-// the completed trajectory, not the sum of attempts. Steps at or beyond
-// the bound fold into per-rank overflow totals and count as truncated.
+// Timeline is the communication log of one run: per-kind collective
+// counts and the rank-to-rank byte matrices, recorded once per collective
+// invocation (from rank 0's view — collectives are symmetric). It holds no
+// time samples; those are the run result's timing table.
 type Timeline struct {
-	ranks  int
-	bound  int
-	cells  [][]stepCell
-	hi     []int // per-rank: highest recorded step + 1 (bounded part)
-	spill  []stepCell
-	spillN []int64
-
 	mu    sync.Mutex
 	colls map[string]*CollectiveStat
 	mat   [][]int64
 	named map[string]*NamedMatrix
 }
 
-// NewTimeline sizes a timeline for a run of the given rank and step
-// counts. All per-step storage is allocated here; Record never
-// allocates.
-func NewTimeline(ranks, steps int) *Timeline {
+// NewTimeline returns an empty communication log for a run of the given
+// rank count.
+func NewTimeline(ranks int) *Timeline {
 	if ranks < 1 {
 		panic(fmt.Sprintf("perf: non-positive rank count %d", ranks))
 	}
-	if steps < 0 {
-		steps = 0
+	return &Timeline{
+		colls: map[string]*CollectiveStat{},
+		named: map[string]*NamedMatrix{},
+		mat:   newMatrix(ranks),
 	}
-	bound := steps
-	if bound > maxBoundedSteps {
-		bound = maxBoundedSteps
-	}
-	tl := &Timeline{
-		ranks:  ranks,
-		bound:  bound,
-		cells:  make([][]stepCell, ranks),
-		hi:     make([]int, ranks),
-		spill:  make([]stepCell, ranks),
-		spillN: make([]int64, ranks),
-		colls:  map[string]*CollectiveStat{},
-		named:  map[string]*NamedMatrix{},
-		mat:    make([][]int64, ranks),
-	}
-	for r := 0; r < ranks; r++ {
-		tl.cells[r] = make([]stepCell, bound)
-		tl.mat[r] = make([]int64, ranks)
-	}
-	return tl
 }
 
-// Record stores one rank's sample for one phase of one step. Safe to
-// call concurrently from different ranks; a rank must not race itself.
-func (tl *Timeline) Record(rank, step, phase int, s Sample) {
-	if rank < 0 || rank >= tl.ranks || step < 0 || phase < 0 || phase >= NumPhases {
-		return
+// newMatrix returns a zeroed ranks × ranks byte matrix.
+func newMatrix(ranks int) [][]int64 {
+	m := make([][]int64, ranks)
+	for r := range m {
+		m[r] = make([]int64, ranks)
 	}
-	if step >= tl.bound {
-		// Overflow: fold into the per-rank spill total. Overwrite
-		// semantics are lost out here — rewound steps double-count —
-		// which is why the profile surfaces the truncation count.
-		tl.spill[rank][phase].Add(s)
-		tl.spillN[rank]++
-		return
+	return m
+}
+
+// addSizes adds the positive entries of sizes[src][dst] that fall inside m
+// to it and returns their sum.
+func addSizes(m [][]int64, sizes [][]int) (total int64) {
+	for src := 0; src < len(sizes) && src < len(m); src++ {
+		row := sizes[src]
+		for dst := 0; dst < len(row) && dst < len(m); dst++ {
+			if b := row[dst]; b > 0 {
+				m[src][dst] += int64(b)
+				total += int64(b)
+			}
+		}
 	}
-	tl.cells[rank][step][phase] = s
-	if step+1 > tl.hi[rank] {
-		tl.hi[rank] = step + 1
-	}
+	return total
 }
 
 // Collective records one invocation of a collective with its aggregate
@@ -163,16 +133,16 @@ func (tl *Timeline) Record(rank, step, phase int, s Sample) {
 func (tl *Timeline) Collective(kind string, bytes int64) {
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
-	tl.collLocked(kind, 1, bytes)
+	tl.collLocked(kind, bytes)
 }
 
-func (tl *Timeline) collLocked(kind string, calls, bytes int64) {
+func (tl *Timeline) collLocked(kind string, bytes int64) {
 	c := tl.colls[kind]
 	if c == nil {
 		c = &CollectiveStat{Kind: kind}
 		tl.colls[kind] = c
 	}
-	c.Calls += calls
+	c.Calls++
 	c.Bytes += bytes
 }
 
@@ -182,17 +152,7 @@ func (tl *Timeline) collLocked(kind string, calls, bytes int64) {
 func (tl *Timeline) Matrix(kind string, sizes [][]int) {
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
-	var total int64
-	for src := 0; src < len(sizes) && src < tl.ranks; src++ {
-		row := sizes[src]
-		for dst := 0; dst < len(row) && dst < tl.ranks; dst++ {
-			if b := row[dst]; b > 0 {
-				tl.mat[src][dst] += int64(b)
-				total += int64(b)
-			}
-		}
-	}
-	tl.collLocked(kind, 1, total)
+	tl.collLocked(kind, addSizes(tl.mat, sizes))
 }
 
 // Blocks records one all-gather (blocks[src] bytes broadcast by each
@@ -201,19 +161,19 @@ func (tl *Timeline) Blocks(kind string, blocks []int) {
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
 	var total int64
-	for src := 0; src < len(blocks) && src < tl.ranks; src++ {
+	for src := 0; src < len(blocks) && src < len(tl.mat); src++ {
 		b := int64(blocks[src])
 		if b <= 0 {
 			continue
 		}
-		for dst := 0; dst < tl.ranks; dst++ {
+		for dst := range tl.mat {
 			if dst != src {
 				tl.mat[src][dst] += b
 				total += b
 			}
 		}
 	}
-	tl.collLocked(kind, 1, total)
+	tl.collLocked(kind, total)
 }
 
 // NamedMatrix additionally aggregates sizes under a decomposition-level
@@ -224,39 +184,9 @@ func (tl *Timeline) NamedMatrix(name string, sizes [][]int) {
 	defer tl.mu.Unlock()
 	nm := tl.named[name]
 	if nm == nil {
-		nm = &NamedMatrix{Name: name, Bytes: make([][]int64, tl.ranks)}
-		for r := 0; r < tl.ranks; r++ {
-			nm.Bytes[r] = make([]int64, tl.ranks)
-		}
+		nm = &NamedMatrix{Name: name, Bytes: newMatrix(len(tl.mat))}
 		tl.named[name] = nm
 	}
 	nm.Calls++
-	for src := 0; src < len(sizes) && src < tl.ranks; src++ {
-		row := sizes[src]
-		for dst := 0; dst < len(row) && dst < tl.ranks; dst++ {
-			if b := row[dst]; b > 0 {
-				nm.Bytes[src][dst] += int64(b)
-			}
-		}
-	}
-}
-
-// steps returns the number of bounded steps any rank recorded.
-func (tl *Timeline) steps() int {
-	max := 0
-	for _, h := range tl.hi {
-		if h > max {
-			max = h
-		}
-	}
-	return max
-}
-
-// truncated returns the total samples folded past the bound.
-func (tl *Timeline) truncated() int64 {
-	var n int64
-	for _, v := range tl.spillN {
-		n += v
-	}
-	return n
+	addSizes(nm.Bytes, sizes)
 }

@@ -9,17 +9,16 @@ import (
 	"repro/internal/obs"
 )
 
-// synthetic builds a 2-rank, 3-step timeline with rank 1 computing twice
-// rank 0's classic share (the imbalance the analyzer must attribute).
-func synthetic() (*Timeline, float64, []RankAcct) {
-	tl := NewTimeline(2, 3)
+// synthetic builds a 2-rank, 3-step timing table with rank 1 computing
+// twice rank 0's classic share (the imbalance the analyzer must attribute).
+func synthetic() ([][]StepTiming, float64, []RankAcct) {
+	rows := make([][]StepTiming, 2)
 	for step := 0; step < 3; step++ {
 		// classic: rank0 1s comp, rank1 2s comp; both then wait/sync to 2s.
-		tl.Record(0, step, PhaseClassic, Sample{Comp: 1, Sync: 1, Wall: 2})
-		tl.Record(1, step, PhaseClassic, Sample{Comp: 2, Wall: 2})
 		// pme: balanced 1s comp + 0.5s comm each.
-		tl.Record(0, step, PhasePME, Sample{Comp: 1, Comm: 0.5, Wall: 1.5})
-		tl.Record(1, step, PhasePME, Sample{Comp: 1, Comm: 0.5, Wall: 1.5})
+		pme := Sample{Comp: 1, Comm: 0.5, Wall: 1.5}
+		rows[0] = append(rows[0], StepTiming{Classic: Sample{Comp: 1, Sync: 1, Wall: 2}, PME: pme})
+		rows[1] = append(rows[1], StepTiming{Classic: Sample{Comp: 2, Wall: 2}, PME: pme})
 	}
 	// Whole-run accounting: the 3 steps plus 1s of setup compute each.
 	acct := []RankAcct{
@@ -27,12 +26,12 @@ func synthetic() (*Timeline, float64, []RankAcct) {
 		{Comp: 1 + 3*(2+1), Comm: 3 * 0.5, Sync: 0},
 	}
 	// wall = slowest path: 1 setup + 3*(2+1.5) = 11.5
-	return tl, 11.5, acct
+	return rows, 11.5, acct
 }
 
 func TestAnalyzeIdentityAndImbalance(t *testing.T) {
-	tl, wall, acct := synthetic()
-	p := tl.Analyze(wall, acct, nil)
+	rows, wall, acct := synthetic()
+	p := Analyze(rows, 0, wall, acct, nil, nil)
 
 	if got := p.Attribution.Sum(); math.Abs(got-wall) > 1e-9 {
 		t.Fatalf("attribution identity: buckets sum to %g, wall %g", got, wall)
@@ -87,44 +86,14 @@ func TestAnalyzeDominant(t *testing.T) {
 	}
 }
 
-func TestRecordOverwriteIsIdempotent(t *testing.T) {
-	tl := NewTimeline(1, 2)
-	tl.Record(0, 0, PhaseClassic, Sample{Comp: 5, Wall: 5})
-	// A resilient rewind re-records the step; the profile must not sum
-	// the attempts.
-	tl.Record(0, 0, PhaseClassic, Sample{Comp: 1, Wall: 1})
-	p := tl.Analyze(1, []RankAcct{{Comp: 1}}, nil)
-	if p.Phases[PhaseClassic].MaxComp != 1 {
-		t.Fatalf("overwrite failed: max comp %g", p.Phases[PhaseClassic].MaxComp)
-	}
-}
-
-func TestTimelineBoundSpills(t *testing.T) {
-	tl := NewTimeline(1, 1) // bound = 1 step
-	tl.Record(0, 0, PhaseClassic, Sample{Comp: 1, Wall: 1})
-	tl.Record(0, 5, PhaseClassic, Sample{Comp: 2, Wall: 2}) // beyond the bound
-	p := tl.Analyze(3, []RankAcct{{Comp: 3}}, nil)
-	if p.TruncatedSamples != 1 {
-		t.Fatalf("truncated = %d, want 1", p.TruncatedSamples)
-	}
-	// The spilled comp still reaches the phase totals.
-	if p.Phases[PhaseClassic].MaxComp != 3 {
-		t.Fatalf("spilled comp lost: max %g", p.Phases[PhaseClassic].MaxComp)
-	}
-	// Out-of-range records are dropped, not panics.
-	tl.Record(7, 0, PhaseClassic, Sample{})
-	tl.Record(0, -1, PhaseClassic, Sample{})
-	tl.Record(0, 0, 9, Sample{})
-}
-
 func TestCommAggregates(t *testing.T) {
-	tl := NewTimeline(3, 1)
+	tl := NewTimeline(3)
 	tl.Matrix("alltoallv", [][]int{{0, 10, 0}, {0, 0, 20}, {0, 0, 0}})
 	tl.Matrix("alltoallv", [][]int{{0, 10, 0}, {0, 0, 20}, {0, 0, 0}})
 	tl.Blocks("allgatherv", []int{5, 5, 5})
 	tl.Collective("allreduce", 64)
 	tl.NamedMatrix("halo", [][]int{{0, 3, 0}, {3, 0, 0}, {0, 0, 0}})
-	p := tl.Analyze(1, nil, nil)
+	p := Analyze(make([][]StepTiming, 3), 0, 1, nil, nil, tl)
 
 	if len(p.Collectives) != 3 {
 		t.Fatalf("collectives: %+v", p.Collectives)
@@ -148,8 +117,8 @@ func TestCommAggregates(t *testing.T) {
 }
 
 func TestEncodeParseRoundTrip(t *testing.T) {
-	tl, wall, acct := synthetic()
-	p := tl.Analyze(wall, acct, &RecoveryDetail{ReplaySeconds: 1, Events: 2})
+	rows, wall, acct := synthetic()
+	p := Analyze(rows, 0, wall, acct, &RecoveryDetail{ReplaySeconds: 1, Events: 2}, nil)
 	b1, err := p.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -177,8 +146,8 @@ func TestEncodeParseRoundTrip(t *testing.T) {
 }
 
 func TestRecordObsGauges(t *testing.T) {
-	tl, wall, acct := synthetic()
-	p := tl.Analyze(wall, acct, nil)
+	rows, wall, acct := synthetic()
+	p := Analyze(rows, 0, wall, acct, nil, nil)
 	reg := obs.NewRegistry()
 	p.RecordObs(reg)
 	got := reg.Value("repro_imbalance_ratio", obs.L("phase", "classic"))
@@ -190,31 +159,69 @@ func TestRecordObsGauges(t *testing.T) {
 	}
 }
 
-// TestConcurrentRanks exercises the lock-free per-rank rows plus the
-// mutexed collective aggregates under the race detector.
-func TestConcurrentRanks(t *testing.T) {
-	const ranks, steps = 8, 64
-	tl := NewTimeline(ranks, steps)
-	var wg sync.WaitGroup
-	for r := 0; r < ranks; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for s := 0; s < steps; s++ {
-				tl.Record(r, s, PhaseClassic, Sample{Comp: 1, Wall: 1})
-				tl.Record(r, s, PhasePME, Sample{Comp: 1, Wall: 1})
-				if r == 0 {
-					tl.Collective("allreduce", 8)
+// TestProfileIsAFunctionOfTheRecord: the profile depends on the rows, the
+// base, the accounting, the wall and the communication log, and on nothing
+// else. Ranks fill their own rows concurrently and finish in a shuffled
+// order (rank 0 also feeding the log, as in a run); no byte moves. The rows
+// start at global step 6 of 8 with the last rank slowest in every cell, so
+// the steps that have no rows must not appear as cells either.
+func TestProfileIsAFunctionOfTheRecord(t *testing.T) {
+	const ranks, base, ran = 4, 6, 2
+	acct := make([]RankAcct, ranks)
+	build := func(order []int) []byte {
+		rows := make([][]StepTiming, ranks)
+		tl := NewTimeline(ranks)
+		turn := make([]chan struct{}, ranks+1)
+		for i := range turn {
+			turn[i] = make(chan struct{})
+		}
+		var wg sync.WaitGroup
+		for i, r := range order {
+			wg.Add(1)
+			go func(i, r int) {
+				defer wg.Done()
+				var row []StepTiming
+				for s := 0; s < ran; s++ {
+					w := float64(r+1) + float64(s)/8
+					row = append(row, StepTiming{
+						Classic: Sample{Comp: w, Wall: w, Bytes: 8},
+						PME:     Sample{Comp: 1, Comm: w / 2, Wall: 1 + w/2},
+					})
+					if r == 0 {
+						tl.Collective("allreduce", 8)
+						tl.Blocks("allgatherv", []int{1, 2, 3, 4})
+					}
 				}
-			}
-		}(r)
+				<-turn[i] // finish in the order given
+				rows[r] = row
+				close(turn[i+1])
+			}(i, r)
+		}
+		close(turn[0])
+		wg.Wait()
+		b, err := Analyze(rows, base, 20, acct, nil, tl).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	wg.Wait()
-	p := tl.Analyze(float64(2*steps), nil, nil)
-	if p.Steps != steps {
-		t.Fatalf("steps = %d", p.Steps)
+	ref := build([]int{0, 1, 2, 3})
+	for _, order := range [][]int{{3, 2, 1, 0}, {2, 0, 3, 1}, {1, 3, 0, 2}} {
+		if got := build(order); !bytes.Equal(got, ref) {
+			t.Fatalf("ranks finishing in order %v changed the profile:\n%s\n----\n%s", order, got, ref)
+		}
 	}
-	if p.CriticalPath.Seconds != float64(2*steps) {
-		t.Fatalf("critical path = %g", p.CriticalPath.Seconds)
+	p, err := Parse(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Steps != base+ran {
+		t.Fatalf("steps = %d, want the global count %d", p.Steps, base+ran)
+	}
+	if cp := p.CriticalPath; cp.DominantRank != ranks-1 || cp.Occupancy[ranks-1] != 1 || cp.Occupancy[0] != 0 {
+		t.Fatalf("critical path counts cells no rank ran: dominant %d, occupancy %v", cp.DominantRank, cp.Occupancy)
+	}
+	if len(p.Collectives) != 2 || p.Collectives[1].Calls != ran {
+		t.Fatalf("collectives: %+v", p.Collectives)
 	}
 }

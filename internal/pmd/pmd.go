@@ -129,9 +129,10 @@ type Config struct {
 	// consumers that need each step once must filter monotonically.
 	OnStep func(step int, timing StepTiming, energy md.EnergyReport)
 
-	// Perf, when non-nil, receives every rank's per-step phase samples
-	// plus the collective byte matrices (recorded once per collective,
-	// from rank 0's view) for bottleneck attribution. See Result.Profile.
+	// Perf, when non-nil, is the communication log the run feeds: every
+	// collective's kind and byte matrix, recorded once per invocation from
+	// rank 0's view. It adds the comm aggregates to Result.Profile; the
+	// profile's time samples are Result.Timings with or without it.
 	Perf *perf.Timeline
 
 	// onStep, when non-nil, runs on every rank at the end of every
@@ -139,9 +140,9 @@ type Config struct {
 	// resilient driver hooks its checkpoint recorder here.
 	onStep func(w *worker, step int)
 
-	// perfBase is the global-step offset the resilient driver applies to
-	// Perf samples and OnStep indices of resumed attempts.
-	perfBase int
+	// stepBase is the global-step offset the resilient driver applies to
+	// the OnStep indices of resumed attempts.
+	stepBase int
 }
 
 // PhaseSample is the measured decomposition of one phase of one step on
@@ -150,10 +151,7 @@ type Config struct {
 type PhaseSample = perf.Sample
 
 // StepTiming is the per-step classic/PME split of §3.2.
-type StepTiming struct {
-	Classic PhaseSample
-	PME     PhaseSample
-}
+type StepTiming = perf.StepTiming
 
 // Result is the outcome of one parallel run.
 type Result struct {
@@ -163,6 +161,7 @@ type Result struct {
 	FinalPos []vec.V           // rank 0 replica after the run
 	Wall     float64           // virtual wall clock of the whole run
 	Acct     []mpi.Accounting  // per-rank transport accounting
+	Comm     *perf.Timeline    // the communication log the run fed (Config.Perf; nil without one)
 
 	// GuardEvents are the guard trips recorded during the run (rank 0's
 	// log; verdicts are identical on every rank). A trip also surfaces as
@@ -190,7 +189,7 @@ func (r *Result) RecordObs(reg *obs.Registry) {
 		rl := obs.L("rank", fmt.Sprintf("%d", rank))
 		for i, phase := range []string{"classic", "pme"} {
 			pl := obs.L("phase", phase)
-			help := "virtual seconds per rank, phase and time class (§3.2 decomposition)"
+			help := "virtual seconds of the simulated cluster per rank, phase and time class (§3.2 decomposition)"
 			reg.Counter("repro_phase_seconds_total", help, rl, pl, obs.L("bucket", "compute")).Add(tot[i].Comp)
 			reg.Counter("repro_phase_seconds_total", help, rl, pl, obs.L("bucket", "comm")).Add(tot[i].Comm)
 			reg.Counter("repro_phase_seconds_total", help, rl, pl, obs.L("bucket", "sync")).Add(tot[i].Sync)
@@ -345,6 +344,7 @@ func runAttempt(clusterCfg cluster.Config, cost cluster.CostModel, cfg Config) (
 		P:        p,
 		Timings:  make([][]StepTiming, p),
 		Energies: make([]md.EnergyReport, 0, cfg.Steps),
+		Comm:     cfg.Perf,
 	}
 
 	opts := mpi.Options{

@@ -5,7 +5,7 @@ import (
 	"repro/internal/perf"
 )
 
-// perfComms wraps a middleware for the attribution timeline: rank 0's
+// perfComms wraps a middleware for the communication log: rank 0's
 // comms record every collective (kind, byte matrix) before forwarding,
 // so the communication matrix covers the halo exchanges, migrations and
 // pencil transposes without the decompositions knowing about perf.
@@ -50,65 +50,26 @@ func perfAccts(acct []mpi.Accounting) []perf.RankAcct {
 	return out
 }
 
-// timelineFromTimings rebuilds a sample timeline from a result's timing
-// table — the path for memoized/cached results that ran without a live
-// Config.Perf timeline. The samples are the very same PhaseSamples, so
-// the derived profile is identical except for the communication
-// aggregates only a live timeline observes.
-func timelineFromTimings(p int, timings [][]StepTiming, base int) *perf.Timeline {
-	steps := 0
-	for _, row := range timings {
-		if base+len(row) > steps {
-			steps = base + len(row)
-		}
-	}
-	tl := perf.NewTimeline(p, steps)
-	for rank, row := range timings {
-		for step, st := range row {
-			tl.Record(rank, base+step, perf.PhaseClassic, st.Classic)
-			tl.Record(rank, base+step, perf.PhasePME, st.PME)
-		}
-	}
-	return tl
-}
-
-// Profile builds the attribution profile of a completed run. Pass the
-// run's Config.Perf timeline to include the communication matrices it
-// observed; with tl == nil the samples are rebuilt from r.Timings (the
-// memoized-figure path) and the profile carries no comm aggregates.
-// The bucket identity compute+comm+wait+imbalance+recovery == Wall
-// holds either way — buckets come from the per-rank accounting.
-func (r *Result) Profile(tl *perf.Timeline) *perf.Profile {
-	if tl == nil {
-		tl = timelineFromTimings(r.P, r.Timings, 0)
-	}
-	return tl.Analyze(r.Wall, perfAccts(r.Acct), nil)
+// Profile builds the attribution profile of a completed run from its own
+// record: the samples are r.Timings, the buckets come from r.Acct (so
+// compute+comm+wait+imbalance+recovery == Wall), and r.Comm, when the run
+// fed one, adds the communication aggregates.
+func (r *Result) Profile() *perf.Profile {
+	return perf.Analyze(r.Timings, 0, r.Wall, perfAccts(r.Acct), nil, r.Comm)
 }
 
 // Profile builds the attribution profile of a fault-tolerant run: the
 // buckets come from the merged per-attempt accounting (so the recovery
 // bucket is the run's real Lost time) and the recovery detail splits it
-// by mechanism. With tl == nil the samples cover the completing
-// attempt's steps, placed at their global offsets.
-func (r *ResilientResult) Profile(tl *perf.Timeline) *perf.Profile {
-	if tl == nil {
-		base := 0
-		if r.Final != nil && len(r.Final.Timings) > 0 {
-			if n := len(r.Final.Timings[0]); len(r.Energies) > n {
-				base = len(r.Energies) - n
-			}
-		}
-		var timings [][]StepTiming
-		if r.Final != nil {
-			timings = r.Final.Timings
-		}
-		tl = timelineFromTimings(r.Ranks, timings, base)
-	}
+// by mechanism. The samples are the completing attempt's — the steps a
+// rewind discarded or an earlier process ran have no rows here — at their
+// global offsets.
+func (r *ResilientResult) Profile() *perf.Profile {
 	det := &perf.RecoveryDetail{
 		RewindSeconds: r.Breakdown.Rewind,
 		ReplaySeconds: r.Breakdown.Replay,
 		ParkSeconds:   r.Breakdown.Park,
 		Events:        len(r.Recoveries),
 	}
-	return tl.Analyze(r.Wall, perfAccts(r.Acct), det)
+	return perf.Analyze(r.Final.Timings, r.finalBase, r.Wall, perfAccts(r.Acct), det, r.Final.Comm)
 }

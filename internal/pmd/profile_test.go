@@ -2,7 +2,10 @@ package pmd
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/cluster"
@@ -24,7 +27,6 @@ func attributionError(p *perf.Profile) float64 {
 func TestProfileIdentityAndTelemetry(t *testing.T) {
 	sys := testSystem(64, 24, 21)
 	const steps, p = 3, 4
-	tl := perf.NewTimeline(p, steps)
 	var hookSteps []int
 	var hookEnergies []md.EnergyReport
 	cfg := Config{
@@ -32,7 +34,7 @@ func TestProfileIdentityAndTelemetry(t *testing.T) {
 		MD:         testMDConfig(),
 		Steps:      steps,
 		Middleware: MiddlewareMPI,
-		Perf:       tl,
+		Perf:       perf.NewTimeline(p),
 		OnStep: func(step int, st StepTiming, e md.EnergyReport) {
 			hookSteps = append(hookSteps, step)
 			hookEnergies = append(hookEnergies, e)
@@ -58,7 +60,7 @@ func TestProfileIdentityAndTelemetry(t *testing.T) {
 		}
 	}
 
-	prof := res.Profile(tl)
+	prof := res.Profile()
 	if e := attributionError(prof); e > 0.01 {
 		t.Fatalf("attribution identity violated: %.4f relative error (buckets %+v, wall %g)",
 			e, prof.Attribution, prof.WallSeconds)
@@ -69,9 +71,9 @@ func TestProfileIdentityAndTelemetry(t *testing.T) {
 	if prof.Steps != steps || prof.Ranks != p {
 		t.Fatalf("profile shape: steps=%d ranks=%d", prof.Steps, prof.Ranks)
 	}
-	// The live timeline observed the replicated path's collectives.
+	// The log observed the replicated path's collectives.
 	if len(prof.Collectives) == 0 || prof.CommMatrix == nil {
-		t.Fatalf("live timeline recorded no communication: %+v", prof.Collectives)
+		t.Fatalf("the run's log recorded no communication: %+v", prof.Collectives)
 	}
 	var gathered bool
 	for _, c := range prof.Collectives {
@@ -88,38 +90,35 @@ func TestProfileIdentityAndTelemetry(t *testing.T) {
 		}
 	}
 
-	// The offline rebuild (memoized-figure path) agrees on everything
-	// the samples determine.
-	off := res.Profile(nil)
-	if off.Attribution != prof.Attribution {
-		t.Fatalf("offline attribution differs:\n%+v\n%+v", off.Attribution, prof.Attribution)
-	}
-	if off.CriticalPath.Seconds != prof.CriticalPath.Seconds {
-		t.Fatalf("offline critical path differs: %g vs %g",
-			off.CriticalPath.Seconds, prof.CriticalPath.Seconds)
-	}
-	if len(off.Collectives) != 0 {
-		t.Fatal("offline rebuild invented collectives")
+	// The log adds the communication aggregates and nothing else: the
+	// same result without one (the memoized-figure path) yields the same
+	// bytes less those three fields.
+	bare := *res
+	bare.Comm = nil
+	stripped := *prof
+	stripped.Collectives, stripped.CommMatrix, stripped.NamedMatrices = nil, nil, nil
+	want, _ := stripped.Encode()
+	if got, _ := bare.Profile().Encode(); !bytes.Equal(got, want) {
+		t.Fatalf("profile without a log differs beyond the comm aggregates:\n%s\n----\n%s", got, want)
 	}
 }
 
 func TestProfileDomainNamedMatrices(t *testing.T) {
 	sys := testSystem(64, 24, 22)
 	const steps, p = 2, 4
-	tl := perf.NewTimeline(p, steps)
 	cfg := Config{
 		System:     sys,
 		MD:         testMDConfig(),
 		Steps:      steps,
 		Middleware: MiddlewareMPI,
 		Decomp:     DecompDomain,
-		Perf:       tl,
+		Perf:       perf.NewTimeline(p),
 	}
 	res, err := Run(clusterCfg(p, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := res.Profile(tl)
+	prof := res.Profile()
 	if e := attributionError(prof); e > 0.01 {
 		t.Fatalf("domain attribution identity violated: %.4f", e)
 	}
@@ -180,7 +179,6 @@ func TestProfileBytesDeterministicAcrossHostWorkers(t *testing.T) {
 	sys := testSystem(64, 24, 24)
 	run := func(hostWorkers, kernelWorkers int) []byte {
 		const steps, p = 2, 4
-		tl := perf.NewTimeline(p, steps)
 		mdc := testMDConfig()
 		mdc.KernelWorkers = kernelWorkers
 		res, err := Run(clusterCfg(p, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), Config{
@@ -189,18 +187,27 @@ func TestProfileBytesDeterministicAcrossHostWorkers(t *testing.T) {
 			Steps:       steps,
 			Middleware:  MiddlewareMPI,
 			HostWorkers: hostWorkers,
-			Perf:        tl,
+			Perf:        perf.NewTimeline(p),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := res.Profile(tl).Encode()
+		b, err := res.Profile().Encode()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return b
 	}
 	ref := run(1, 0)
+	// Captured from this test at commit be9ebb8, when the samples still
+	// came from a store the timeline kept beside Result.Timings.
+	golden, err := os.ReadFile(filepath.Join("testdata", "profile_p4_steps2.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ref, golden) {
+		t.Fatalf("profile bytes differ from testdata/profile_p4_steps2.json:\n%s", ref)
+	}
 	for _, c := range [][2]int{{3, 0}, {1, 2}, {3, 2}} {
 		if got := run(c[0], c[1]); !bytes.Equal(got, ref) {
 			t.Fatalf("profile bytes differ at hostWorkers=%d kernelWorkers=%d", c[0], c[1])
@@ -229,7 +236,7 @@ func TestResilientProfileRecoveryBucket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := res.Profile(nil)
+	prof := res.Profile()
 	if prof.Recovery == nil || prof.Recovery.Events != 1 {
 		t.Fatalf("recovery detail: %+v", prof.Recovery)
 	}
@@ -239,5 +246,103 @@ func TestResilientProfileRecoveryBucket(t *testing.T) {
 	if e := attributionError(prof); e > 0.01 {
 		t.Fatalf("resilient attribution identity violated: %.4f (buckets %+v, wall %g)",
 			e, prof.Attribution, prof.WallSeconds)
+	}
+}
+
+// TestResilientProfileCoversTheStepsThatRan: when the completing attempt
+// starts at global step b > 0 — after a crash rewind, or in a process that
+// resumed a killed run from disk — the profile's cells are that attempt's
+// steps and no others. Steps before b have no rows in this result; counting
+// them as cells (every rank at zero, "slowest" rank 0) used to dilute the
+// occupancy and could name the wrong dominant rank. steps stays global.
+func TestResilientProfileCoversTheStepsThatRan(t *testing.T) {
+	sys := testSystem(64, 24, 25)
+	sc, err := fault.ParseSpec("crash@0.2,rank=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const steps = 6
+	cl, cost := clusterCfg(4, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz()
+	mk := func(sc *fault.Scenario, dir string, halt int) ResilientConfig {
+		return ResilientConfig{
+			Config:          Config{System: sys, MD: testMDConfig(), Steps: steps, Middleware: MiddlewareMPI},
+			Scenario:        sc,
+			CheckpointEvery: 2,
+			RestartCost:     5,
+			CheckpointDir:   dir,
+			HaltAfterStep:   halt,
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T) *ResilientResult
+	}{
+		{"crash rewind", func(t *testing.T) *ResilientResult {
+			res, err := RunResilient(cl, cost, mk(sc, "", 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}},
+		{"halt then resume", func(t *testing.T) *ResilientResult {
+			dir := t.TempDir()
+			if _, err := RunResilient(cl, cost, mk(nil, dir, 3)); !errors.Is(err, ErrHalted) {
+				t.Fatalf("want ErrHalted, got %v", err)
+			}
+			res, err := RunResilient(cl, cost, mk(nil, dir, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := tc.run(t)
+			rows := res.Final.Timings
+			ran := len(rows[0])
+			if ran == 0 || ran >= steps {
+				t.Fatalf("completing attempt ran %d of %d steps; the case needs a base > 0", ran, steps)
+			}
+			// Slowest rank per cell, straight from the rows (ties to the
+			// lowest rank, as the profile documents).
+			count := make([]int, len(rows))
+			for i := 0; i < ran; i++ {
+				for _, phase := range []func(StepTiming) PhaseSample{
+					func(st StepTiming) PhaseSample { return st.Classic },
+					func(st StepTiming) PhaseSample { return st.PME },
+				} {
+					slowest := 0
+					for r := range rows {
+						if phase(rows[r][i]).Wall > phase(rows[slowest][i]).Wall {
+							slowest = r
+						}
+					}
+					count[slowest]++
+				}
+			}
+			dominant := 0
+			for r := range count {
+				if count[r] > count[dominant] {
+					dominant = r
+				}
+			}
+
+			prof := res.Profile()
+			if prof.Steps != steps {
+				t.Fatalf("steps = %d, want the global count %d", prof.Steps, steps)
+			}
+			cp := prof.CriticalPath
+			for r, n := range count {
+				if want := float64(n) / float64(2*ran); cp.Occupancy[r] != want {
+					t.Fatalf("occupancy = %v, want rank %d at %d of the %d cells that ran", cp.Occupancy, r, n, 2*ran)
+				}
+			}
+			if cp.DominantRank != dominant {
+				t.Fatalf("dominant rank = %d, want %d (cells per rank %v)", cp.DominantRank, dominant, count)
+			}
+			if e := attributionError(prof); e > 0.01 {
+				t.Fatalf("attribution identity violated: %.4f", e)
+			}
+		})
 	}
 }

@@ -32,6 +32,7 @@ type ResumeInfo struct {
 // ResilientResult is the outcome of a fault-tolerant run.
 type ResilientResult struct {
 	Final      *Result           // the completing attempt
+	finalBase  int               // global step Final's first row is
 	Energies   []md.EnergyReport // merged across attempts, one per MD step
 	Wall       float64           // total virtual time including failed attempts and restarts
 	Ranks      int               // surviving rank count
@@ -475,10 +476,8 @@ func (d *driver) attempt() (*recorder, error) {
 	cfg.Init = d.init
 	cfg.Watchdog = d.wd
 	cfg.onStep = rec.onStep
-	// Perf samples and OnStep telemetry use global step indices so a
-	// resumed attempt overwrites the rewound steps' cells instead of
-	// restarting the timeline at zero.
-	cfg.perfBase = d.stepsDone
+	// OnStep telemetry uses global step indices.
+	cfg.stepBase = d.stepsDone
 	if d.exact {
 		cfg.MD.FF.ExactKernels = true
 	}
@@ -499,7 +498,7 @@ func (d *driver) finish(rec *recorder) (*ResilientResult, error) {
 			out.Acct[i].Add(rec.accts[i])
 		}
 	}
-	out.Final = res
+	out.Final, out.finalBase = res, d.stepsDone
 	out.Ranks = rec.p
 	out.Energies = append(out.Energies, res.Energies...)
 	out.Wall += res.Wall

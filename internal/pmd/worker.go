@@ -13,7 +13,6 @@ import (
 	"repro/internal/md"
 	"repro/internal/mpi"
 	"repro/internal/obs"
-	"repro/internal/perf"
 	"repro/internal/space"
 	"repro/internal/trace"
 	"repro/internal/vec"
@@ -287,7 +286,7 @@ func newWorker(r *mpi.Rank, cfg Config, sh *shared, seedEngine *md.Engine, tape 
 	}
 	if cfg.Perf != nil && r.ID == 0 {
 		// One observer per collective: rank 0's comms feed the
-		// attribution timeline's communication matrices.
+		// communication log.
 		w.c = perfComms{inner: w.c, tl: cfg.Perf}
 	}
 	if reg := r.Metrics(); reg != nil {
@@ -533,18 +532,13 @@ func (w *worker) run(res *Result) {
 		}
 
 		timings = append(timings, st)
-		if tl := w.cfg.Perf; tl != nil {
-			g := w.cfg.perfBase + step
-			tl.Record(w.me(), g, perf.PhaseClassic, st.Classic)
-			tl.Record(w.me(), g, perf.PhasePME, st.PME)
-		}
 		if w.me() == 0 {
 			if w.replay != nil {
 				rep = w.replay.energies[step]
 			}
 			res.Energies = append(res.Energies, rep)
 			if w.cfg.OnStep != nil {
-				w.cfg.OnStep(w.cfg.perfBase+step, st, rep)
+				w.cfg.OnStep(w.cfg.stepBase+step, st, rep)
 			}
 		}
 		if w.cfg.onStep != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 
 	"repro/internal/md"
 	"repro/internal/pmd"
@@ -52,31 +51,14 @@ type progressEventData struct {
 	ResumeStep int    `json:"resume_step,omitempty"`
 }
 
-// eventHub fans one job's event stream out to any number of SSE
-// subscribers. Id-carrying events (steps, terminal) are buffered for
-// Last-Event-ID replay; the buffer is bounded by the spec's step cap.
-// Rewound steps re-fire from the engine after a rank crash; the hub's
-// monotone filter drops them so subscribers see each step exactly once
-// and strictly in order.
-type eventHub struct {
-	mu       sync.Mutex
-	events   []event            // id-carrying only, ascending ids
-	lastStep int                // newest step broadcast, -1 before the first
-	closed   bool               // terminal event emitted
-	subs     map[chan event]int // value: the subscriber's Last-Event-ID
-}
-
-func newEventHub() *eventHub {
-	return &eventHub{lastStep: -1, subs: map[chan event]int{}}
-}
-
 // broadcast delivers e to every live subscriber without blocking: a
 // subscriber whose buffer is full misses the frame and recovers it on
 // reconnect from the replay buffer. Id-carrying events at or below a
 // subscriber's Last-Event-ID are skipped — after a crash the reopened
 // server recomputes (and re-publishes) steps the client already has.
-func (h *eventHub) broadcast(e event) {
-	for ch, lastID := range h.subs {
+// Caller holds j.mu.
+func (j *jobState) broadcast(e event) {
+	for ch, lastID := range j.subs {
 		if e.id > 0 && e.id <= lastID {
 			continue
 		}
@@ -87,9 +69,10 @@ func (h *eventHub) broadcast(e event) {
 	}
 }
 
-// step publishes one completed MD step. Steps arriving out of monotone
-// order (checkpoint-rewind replays) are dropped.
-func (h *eventHub) step(step int, timing pmd.StepTiming, energy md.EnergyReport) {
+// step publishes one completed MD step. Rewound steps re-fire from the
+// engine after a rank crash; steps arriving out of monotone order are
+// dropped, so subscribers see each step exactly once and in order.
+func (j *jobState) step(step int, timing pmd.StepTiming, energy md.EnergyReport) {
 	data, err := json.Marshal(stepEventData{
 		Step:     step,
 		Total:    energy.Total(),
@@ -102,77 +85,42 @@ func (h *eventHub) step(step int, timing pmd.StepTiming, energy md.EnergyReport)
 	if err != nil {
 		return
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed || step <= h.lastStep {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if terminalStatus(j.status) || step <= j.lastStep {
 		return
 	}
-	h.lastStep = step
+	j.lastStep = step
 	e := event{id: step + 1, typ: EventStep, data: data}
-	h.events = append(h.events, e)
-	h.broadcast(e)
-}
-
-// progress publishes a lifecycle transition (queued, running, parked, …).
-// Not buffered, not replayed.
-func (h *eventHub) progress(status string, attempts, resumeStep int) {
-	data, err := json.Marshal(progressEventData{
-		Status: status, Attempts: attempts, ResumeStep: resumeStep,
-	})
-	if err != nil {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
-		return
-	}
-	h.broadcast(event{typ: EventProgress, data: data})
-}
-
-// terminal publishes the job's single terminal event and closes the hub:
-// every subscriber channel is closed after the frame so streams end. The
-// event type is the terminal status; for a done run the data is the exact
-// result payload the polling endpoint serves.
-func (h *eventHub) terminal(id int, status string, data []byte) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
-		return
-	}
-	h.closed = true
-	e := event{id: id, typ: status, data: data}
-	h.events = append(h.events, e)
-	h.broadcast(e)
-	for ch := range h.subs {
-		close(ch)
-		delete(h.subs, ch)
-	}
+	j.events = append(j.events, e)
+	j.broadcast(e)
 }
 
 // subscribe registers a stream resuming after lastID: buffered events
 // with greater ids are returned for immediate replay, and live events
-// follow on the channel. ch is nil when the hub is already closed — the
+// follow on the channel. ch is nil when the job is already terminal — the
 // replay then already ends with the terminal event (or is empty if the
 // client saw it). cancel is safe to call in every case.
-func (h *eventHub) subscribe(lastID int) (replay []event, ch chan event, cancel func()) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, e := range h.events {
+func (j *jobState) subscribe(lastID int) (replay []event, ch chan event, cancel func()) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for _, e := range j.events {
 		if e.id > lastID {
 			replay = append(replay, e)
 		}
 	}
-	if h.closed {
+	if terminalStatus(j.status) {
 		return replay, nil, func() {}
 	}
+	// Room for a whole run's frames between two reads of a slow client:
+	// broadcast never blocks the engine, it drops.
 	ch = make(chan event, 1024)
-	h.subs[ch] = lastID
+	j.subs[ch] = lastID
 	return replay, ch, func() {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		if _, ok := h.subs[ch]; ok {
-			delete(h.subs, ch)
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		if _, ok := j.subs[ch]; ok {
+			delete(j.subs, ch)
 			close(ch)
 		}
 	}

@@ -10,10 +10,13 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/md"
 	"repro/internal/perf"
+	"repro/internal/pmd"
 )
 
 // sseEvent is one parsed text/event-stream frame.
@@ -135,7 +138,7 @@ func checkStepInvariants(t *testing.T, evs []sseEvent) sseEvent {
 
 // TestServeEventsStreamAndProfile: the live SSE stream delivers every
 // step exactly once and a terminal event byte-identical to the polling
-// result; late subscribers replay the same story from the hub buffer; and
+// result; late subscribers replay the same story from the job record; and
 // the profile endpoint serves a valid attribution profile whose buckets
 // sum to its wall.
 func TestServeEventsStreamAndProfile(t *testing.T) {
@@ -417,7 +420,7 @@ func TestServeEventsHeartbeatAndProfileRouting(t *testing.T) {
 }
 
 // TestTerminateOnceAndStreamBeforeDone pins the one terminal transition:
-// when done closes the hub already holds the terminal event, and of
+// when done closes the record already holds the terminal event, and of
 // several racing terminations (a DELETE of a queued job against the worker
 // that just dequeued it) exactly one acts.
 func TestTerminateOnceAndStreamBeforeDone(t *testing.T) {
@@ -426,7 +429,7 @@ func TestTerminateOnceAndStreamBeforeDone(t *testing.T) {
 	seen := make(chan []event, 1)
 	go func() {
 		<-j.done
-		replay, _, cancel := j.hub.subscribe(0)
+		replay, _, cancel := j.subscribe(0)
 		cancel()
 		seen <- replay
 	}()
@@ -453,9 +456,94 @@ func TestTerminateOnceAndStreamBeforeDone(t *testing.T) {
 	}
 	replay := <-seen
 	if len(replay) != 1 || replay[0].typ != won[0] || replay[0].id != spec.Steps+1 || string(replay[0].data) != won[0] {
-		t.Fatalf("a waiter released by done found %+v in the hub, want the one %s terminal event", replay, won[0])
+		t.Fatalf("a waiter released by done found %+v in the record, want the one %s terminal event", replay, won[0])
 	}
 	if st, _, _, jerr := j.snapshot(); st != won[0] || jerr == nil {
 		t.Fatalf("snapshot after the race: status %q, error %v", st, jerr)
 	}
+
+	// The same transition with every writer and reader in flight: streams
+	// attach while update and step publish and two terminations race. Each
+	// stream carries exactly one terminal frame, as its last, and by the
+	// time a reader holds that frame the poll and the long-poll wake-up
+	// already agree with it.
+	t.Run("concurrent", func(t *testing.T) {
+		spec := JobSpec{Kind: KindRun, Steps: 64}
+		j := newJobState("id", "tenant", "key", spec, time.Now().Add(time.Minute))
+		start := make(chan struct{})
+		var writers, readers sync.WaitGroup
+		writers.Add(2)
+		go func() {
+			defer writers.Done()
+			<-start
+			for i := 0; i < spec.Steps; i++ {
+				j.update(func() { j.status = StatusRunning; j.attempts++ })
+			}
+		}()
+		go func() {
+			defer writers.Done()
+			<-start
+			for i := 0; i < spec.Steps; i++ {
+				j.step(i, pmd.StepTiming{}, md.EnergyReport{})
+			}
+		}()
+		var acted atomic.Int32
+		for _, status := range []string{StatusDone, StatusCanceled} {
+			writers.Add(1)
+			go func(status string) {
+				defer writers.Done()
+				<-start
+				time.Sleep(200 * time.Microsecond) // let some frames out first
+				if j.terminate(status, nil, []byte(status)) {
+					acted.Add(1)
+				}
+			}(status)
+		}
+		for i := 0; i < 16; i++ {
+			readers.Add(1)
+			go func(i int) {
+				defer readers.Done()
+				<-start
+				time.Sleep(time.Duration(i*25) * time.Microsecond) // attach at staggered points
+				stream, ch, cancel := j.subscribe(0)
+				defer cancel()
+				if ch != nil { // nil when already terminal: the replay is the stream
+					for e := range ch {
+						stream = append(stream, e)
+					}
+				}
+				terminals, lastID := 0, 0
+				for k, e := range stream {
+					if e.id > 0 {
+						if e.id <= lastID {
+							t.Errorf("reader %d: id %d after %d", i, e.id, lastID)
+						}
+						lastID = e.id
+					}
+					if !terminalStatus(e.typ) {
+						continue
+					}
+					terminals++
+					if k != len(stream)-1 || e.id != spec.Steps+1 || string(e.data) != e.typ {
+						t.Errorf("reader %d: terminal frame %+v at %d of %d", i, e, k+1, len(stream))
+					}
+					if st, _, _, _ := j.snapshot(); st != e.typ || !j.terminal() {
+						t.Errorf("reader %d holds the %s frame; poll says %q, done closed %v", i, e.typ, st, j.terminal())
+					}
+				}
+				if terminals != 1 {
+					t.Errorf("reader %d: %d terminal frames in %d, want exactly one", i, terminals, len(stream))
+				}
+			}(i)
+		}
+		close(start)
+		writers.Wait()
+		readers.Wait()
+		if acted.Load() != 1 {
+			t.Fatalf("%d terminations acted, want exactly one", acted.Load())
+		}
+		if j.update(func() { j.status = StatusRunning }) {
+			t.Fatal("update changed a terminal record")
+		}
+	})
 }

@@ -138,8 +138,8 @@ func decompFor(spec JobSpec, mdCfg md.Config) (pmd.DecompKind, error) {
 	return dk, nil
 }
 
-func clusterFor(spec JobSpec) cluster.Config {
-	net, _ := netmodel.ByName(spec.Net)
+func clusterFor(spec JobSpec, netName string) cluster.Config {
+	net, _ := netmodel.ByName(netName)
 	return cluster.Config{
 		Nodes: spec.Procs / spec.CPUs, CPUsPerNode: spec.CPUs, Net: net, Seed: spec.Seed,
 	}
@@ -212,15 +212,14 @@ func (e *Env) ExecRun(spec JobSpec, ckptDir string, preempt func() bool, onStep 
 		}
 	}
 
-	tl := perf.NewTimeline(spec.Procs, spec.Steps)
-	res, err := pmd.RunResilient(clusterFor(spec), cluster.PentiumIII1GHz(), pmd.ResilientConfig{
+	res, err := pmd.RunResilient(clusterFor(spec, spec.Net), cluster.PentiumIII1GHz(), pmd.ResilientConfig{
 		Config: pmd.Config{
 			System:     sys,
 			MD:         mdCfg,
 			Steps:      spec.Steps,
 			Middleware: middleware(spec.MW),
 			Decomp:     dk,
-			Perf:       tl,
+			Perf:       perf.NewTimeline(spec.Procs),
 			OnStep:     onStep,
 		},
 		CheckpointEvery: 1,
@@ -248,7 +247,7 @@ func (e *Env) ExecRun(spec JobSpec, ckptDir string, preempt func() bool, onStep 
 	if merr != nil {
 		return nil, nil, res.Resumed, Errf(KindInternal, "marshal run payload: %v", merr)
 	}
-	prof, perr := res.Profile(tl).Encode()
+	prof, perr := res.Profile().Encode()
 	if perr != nil {
 		prof = nil // provenance only; never fail the job over it
 	}
@@ -280,11 +279,7 @@ func (e *Env) execSweep(spec JobSpec) ([]byte, error) {
 	var p sweepPayload
 	p.Kind = string(KindSweep)
 	for _, name := range spec.Nets {
-		net, _ := netmodel.ByName(name)
-		cl := cluster.Config{
-			Nodes: spec.Procs / spec.CPUs, CPUsPerNode: spec.CPUs, Net: net, Seed: spec.Seed,
-		}
-		res, err := pmd.Run(cl, cluster.PentiumIII1GHz(), pmd.Config{
+		res, err := pmd.Run(clusterFor(spec, name), cluster.PentiumIII1GHz(), pmd.Config{
 			System:     sys,
 			MD:         mdCfg,
 			Steps:      spec.Steps,

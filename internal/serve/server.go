@@ -37,7 +37,13 @@ const (
 	StatusParked = "parked"
 )
 
-// jobState is the in-memory lifecycle of one accepted job.
+// jobState is the one lifecycle record of an accepted job. Everything a
+// reader can observe — status, attempts, resume step, error, the buffered
+// id-carrying events and the live subscribers — sits under mu and changes
+// only in update, step and terminate, each of which broadcasts what it
+// changed before it unlocks. The plain GET, the ?wait= long-poll and the
+// SSE stream are three readers of this record; they cannot disagree
+// because there is no second copy to fall behind.
 type jobState struct {
 	id       string
 	tenant   string
@@ -52,13 +58,13 @@ type jobState struct {
 	attempts   int
 	resumeStep int // newest step a resumed attempt started from
 	jerr       *JobError
+	events     []event            // id-carrying only (steps, terminal), ascending ids; bounded by the spec's step cap
+	lastStep   int                // newest step broadcast, -1 before the first
+	subs       map[chan event]int // value: the subscriber's Last-Event-ID
 
 	cancelOnce sync.Once
 	cancelCh   chan struct{}
-	termOnce   sync.Once
-	done       chan struct{} // closed at terminal states
-
-	hub *eventHub // SSE fan-out; terminal exactly once, steps monotone
+	done       chan struct{} // closed by terminate: the wake-up ?wait selects on
 }
 
 func newJobState(id, tenant, key string, spec JobSpec, deadline time.Time) *jobState {
@@ -66,10 +72,16 @@ func newJobState(id, tenant, key string, spec JobSpec, deadline time.Time) *jobS
 		id: id, tenant: tenant, key: key, spec: spec,
 		deadline: deadline, created: time.Now(),
 		status:   StatusQueued,
+		lastStep: -1,
+		subs:     map[chan event]int{},
 		cancelCh: make(chan struct{}),
 		done:     make(chan struct{}),
-		hub:      newEventHub(),
 	}
+}
+
+// terminalStatus reports whether st is one a job never leaves.
+func terminalStatus(st string) bool {
+	return st == StatusDone || st == StatusFailed || st == StatusCanceled
 }
 
 // terminalEventID is the id of a job's terminal SSE event: one past the
@@ -78,35 +90,53 @@ func newJobState(id, tenant, key string, spec JobSpec, deadline time.Time) *jobS
 // which is what lets Last-Event-ID resume across process lives.
 func (j *jobState) terminalEventID() int { return j.spec.Steps + 1 }
 
-// terminate is the one terminal transition of a job: the status (and
-// error) become visible, the hub takes the single terminal event, and only
-// then are the waiters on done released, so whoever wakes on done finds
-// the stream already ended. Only the first call acts and reports true — a
-// DELETE of a queued job can race the worker that just dequeued it.
+// terminate is the one terminal transition of a job: status and error
+// change, the single terminal event is buffered and broadcast, every
+// stream is ended after it, and done is closed — all before the lock is
+// released, so whoever wakes on done, polls, or subscribes finds the same
+// finished record. The event type is the terminal status; for a done run
+// the data is the exact result payload the polling endpoint serves. Only
+// the first call acts and reports true — a DELETE of a queued job can race
+// the worker that just dequeued it.
 func (j *jobState) terminate(status string, jerr *JobError, payload []byte) (first bool) {
-	j.termOnce.Do(func() {
-		first = true
-		j.mu.Lock()
-		j.status = status
-		j.jerr = jerr
-		j.mu.Unlock()
-		j.hub.terminal(j.terminalEventID(), status, payload)
-		close(j.done)
-	})
-	return first
-}
-
-func (j *jobState) setStatus(st string) {
 	j.mu.Lock()
-	j.status = st
-	j.mu.Unlock()
+	defer j.mu.Unlock()
+	if terminalStatus(j.status) {
+		return false
+	}
+	j.status, j.jerr = status, jerr
+	e := event{id: j.terminalEventID(), typ: status, data: payload}
+	j.events = append(j.events, e)
+	j.broadcast(e)
+	for ch := range j.subs {
+		close(ch)
+		delete(j.subs, ch)
+	}
+	close(j.done)
+	return true
 }
 
-// announce publishes the job's current lifecycle snapshot as a progress
-// event.
-func (j *jobState) announce() {
-	st, attempts, resume, _ := j.snapshot()
-	j.hub.progress(st, attempts, resume)
+// update is the one non-terminal transition: mutate changes the record
+// (status, attempts, resume step) and the progress event describing the
+// result goes out in the same critical section. Progress events carry no
+// id and are not buffered or replayed. A terminal record no longer
+// changes: update then does nothing and reports false.
+func (j *jobState) update(mutate func()) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if terminalStatus(j.status) {
+		return false
+	}
+	mutate()
+	if len(j.subs) > 0 { // unbuffered: with nobody listening there is no frame to build
+		data, err := json.Marshal(progressEventData{
+			Status: j.status, Attempts: j.attempts, ResumeStep: j.resumeStep,
+		})
+		if err == nil {
+			j.broadcast(event{typ: EventProgress, data: data})
+		}
+	}
+	return true
 }
 
 func (j *jobState) snapshot() (status string, attempts, resumeStep int, jerr *JobError) {
@@ -353,22 +383,20 @@ func (s *Server) execute(j *jobState) {
 			return
 		}
 
-		j.mu.Lock()
-		j.status = StatusRunning
-		j.attempts++
-		attempt := j.attempts
-		j.mu.Unlock()
-		j.announce()
+		var attempt int
+		if !j.update(func() {
+			j.status = StatusRunning
+			j.attempts++
+			attempt = j.attempts
+		}) {
+			return // cancelled between the check above and here
+		}
 		s.busy.Add(1)
 		start := time.Now()
 		payload, profile, resumed, err := s.attempt(j, attempt, start)
 		s.busy.Add(-1)
 		if resumed != nil && resumed.Step > 0 {
-			j.mu.Lock()
-			if resumed.Step > j.resumeStep {
-				j.resumeStep = resumed.Step
-			}
-			j.mu.Unlock()
+			j.update(func() { j.resumeStep = max(j.resumeStep, resumed.Step) })
 			s.reg.Counter("repro_serve_resumed_total",
 				"attempts resumed from a parked checkpoint").Add(1)
 		}
@@ -405,11 +433,10 @@ func (s *Server) execute(j *jobState) {
 				// Quantum expired: back to the queue at the head of this
 				// tenant's line. Attempts are not consumed — preemption is
 				// scheduling, not failure.
-				j.mu.Lock()
-				j.status = StatusQueued
-				j.attempts--
-				j.mu.Unlock()
-				j.announce()
+				j.update(func() {
+					j.status = StatusQueued
+					j.attempts--
+				})
 				s.queue.requeueFront(j.tenant, j)
 				s.refreshDepthGauges()
 				s.reg.Counter("repro_serve_preempted_total",
@@ -426,10 +453,8 @@ func (s *Server) execute(j *jobState) {
 			if je.Kind.Retryable() && attempt <= s.cfg.MaxRetries {
 				s.reg.Counter("repro_serve_retries_total",
 					"retryable job failures re-executed").Add(1)
-				if !s.backoff(j, attempt) {
-					continue // interrupted: loop re-checks cancel/close
-				}
-				continue
+				s.backoff(j, attempt)
+				continue // slept or interrupted: the loop re-checks cancel/close
 			}
 			s.finish(j, StatusFailed, je, nil)
 			return
@@ -470,7 +495,7 @@ func (s *Server) attempt(j *jobState, attempt int, start time.Time) (payload, pr
 			}
 			return quantum > 0 && time.Since(start) > quantum
 		}
-		onStep = j.hub.step
+		onStep = j.step
 	}
 	return s.env.Execute(j.spec, ckptDir, preempt, onStep)
 }
@@ -480,17 +505,16 @@ func (s *Server) attempt(j *jobState, attempt int, start time.Time) (payload, pr
 // is reopened. Parked is not terminal: waiters are not woken, because the
 // job has not finished — this process just cannot finish it.
 func (s *Server) park(j *jobState) {
-	j.setStatus(StatusParked)
-	j.announce()
+	j.update(func() { j.status = StatusParked })
 	s.reg.Counter("repro_serve_parked_total",
 		"jobs checkpoint-parked by shutdown").Add(1)
 }
 
 // backoff sleeps the exponential, jittered retry delay for attempt.
 // The jitter is a deterministic function of (job id, attempt) so reruns
-// of the same failure schedule identically. Returns false when
-// interrupted by cancellation or shutdown.
-func (s *Server) backoff(j *jobState, attempt int) bool {
+// of the same failure schedule identically. Cancellation and shutdown
+// cut the sleep short.
+func (s *Server) backoff(j *jobState, attempt int) {
 	d := s.cfg.RetryBaseDelay << uint(attempt-1)
 	if max := 5 * time.Second; d > max {
 		d = max
@@ -503,11 +527,8 @@ func (s *Server) backoff(j *jobState, attempt int) bool {
 	d = time.Duration(float64(d) * (0.5 + float64(h.Sum32()%1000)/1000))
 	select {
 	case <-time.After(d):
-		return true
 	case <-j.cancelCh:
-		return false
 	case <-s.quit:
-		return false
 	}
 }
 
@@ -764,7 +785,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, j *jobStat
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	replay, ch, cancel := j.hub.subscribe(lastID)
+	replay, ch, cancel := j.subscribe(lastID)
 	defer cancel()
 	for _, e := range replay {
 		writeSSE(w, e)
@@ -779,7 +800,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, j *jobStat
 		select {
 		case e, open := <-ch:
 			if !open {
-				return // hub closed after its terminal event
+				return // ended by terminate, after the terminal event
 			}
 			writeSSE(w, e)
 			fl.Flush()
