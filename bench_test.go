@@ -1,17 +1,13 @@
 package repro
 
 import (
-	"io"
 	"runtime"
-	"sync"
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/ewald"
 	"repro/internal/ff"
 	"repro/internal/fft"
-	"repro/internal/figures"
 	"repro/internal/kernels"
 	"repro/internal/md"
 	"repro/internal/netmodel"
@@ -22,187 +18,9 @@ import (
 	"repro/internal/vec"
 )
 
-// The figure benchmarks share one suite running the paper's full protocol
-// (10 MD steps of the 3552-atom system, p ∈ {1, 2, 4, 8}). The first
-// benchmark touching a cell pays its cost; the per-figure model metrics
-// reported below are the reproduction deliverable, the wall-clock ns/op of
-// cached re-reads is not meaningful.
-var (
-	suiteOnce  sync.Once
-	benchSuite *figures.Suite
-)
-
-func suite() *figures.Suite {
-	suiteOnce.Do(func() {
-		benchSuite = figures.NewSuite(figures.Default())
-	})
-	return benchSuite
-}
-
-// report emits a modeled-seconds metric for the largest processor count.
-func reportModel(b *testing.B, name string, v float64) {
-	b.Helper()
-	b.ReportMetric(v, name)
-}
-
-// BenchmarkFig3ReferenceWallClock regenerates Fig. 3: total energy
-// calculation wall time on the reference platform.
-func BenchmarkFig3ReferenceWallClock(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := suite().Fig3()
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportModel(b, "model_total_p1_s", rows[0].Total())
-		reportModel(b, "model_total_p8_s", rows[len(rows)-1].Total())
-		reportModel(b, "model_pme_p2_s", rows[1].PME)
-	}
-}
-
-// BenchmarkFig4ReferenceBreakdown regenerates Fig. 4: comp/comm/sync
-// percentages of the classic and PME parts.
-func BenchmarkFig4ReferenceBreakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := suite().Fig4()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := rows[len(rows)-1]
-		_, cm, cs := last.Classic.Percent()
-		_, pm, ps := last.PME.Percent()
-		reportModel(b, "classic_overhead_p8_pct", cm+cs)
-		reportModel(b, "pme_overhead_p8_pct", pm+ps)
-	}
-}
-
-// BenchmarkFig5NetworkWallClock regenerates Fig. 5: the network sweep.
-func BenchmarkFig5NetworkWallClock(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		nets, err := suite().Fig56()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, n := range nets {
-			last := n.Rows[len(n.Rows)-1]
-			key := "total_p8_tcp_s"
-			switch n.Network {
-			case "SCore on Ethernet":
-				key = "total_p8_score_s"
-			case "Myrinet":
-				key = "total_p8_myrinet_s"
-			}
-			reportModel(b, key, last.Classic.Total()+last.PME.Total())
-		}
-	}
-}
-
-// BenchmarkFig6NetworkBreakdown regenerates Fig. 6 from the same sweep.
-func BenchmarkFig6NetworkBreakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		nets, err := suite().Fig56()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := nets[0].Rows[len(nets[0].Rows)-1] // TCP
-		_, pm, ps := last.PME.Percent()
-		reportModel(b, "tcp_pme_overhead_p8_pct", pm+ps)
-	}
-}
-
-// BenchmarkFig7CommSpeed regenerates Fig. 7: per-node communication speed
-// with its variability.
-func BenchmarkFig7CommSpeed(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := suite().Fig7()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.P != 8 {
-				continue
-			}
-			switch r.Network {
-			case "TCP/IP on Ethernet":
-				reportModel(b, "tcp_avg_mbs", r.AvgMBs)
-				reportModel(b, "tcp_spread_mbs", r.MaxMBs-r.MinMBs)
-			case "Myrinet":
-				reportModel(b, "myrinet_avg_mbs", r.AvgMBs)
-			}
-		}
-	}
-}
-
-// BenchmarkFig8Middleware regenerates Fig. 8: MPI vs CMPI.
-func BenchmarkFig8Middleware(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := suite().Fig8()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.P != 8 {
-				continue
-			}
-			if r.Middleware == "CMPI" {
-				reportModel(b, "cmpi_total_p8_s", r.Classic+r.PME)
-			} else {
-				reportModel(b, "mpi_total_p8_s", r.Classic+r.PME)
-			}
-		}
-	}
-}
-
-// BenchmarkFig9DualProcessor regenerates Fig. 9: uni vs dual CPUs/node.
-func BenchmarkFig9DualProcessor(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := suite().Fig9()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.P != 8 {
-				continue
-			}
-			switch {
-			case r.Network == "TCP/IP on Ethernet" && r.CPUs == 2:
-				reportModel(b, "tcp_dual_total_p8_s", r.Classic+r.PME)
-			case r.Network == "TCP/IP on Ethernet" && r.CPUs == 1:
-				reportModel(b, "tcp_uni_total_p8_s", r.Classic+r.PME)
-			case r.Network == "Myrinet" && r.CPUs == 2:
-				reportModel(b, "myrinet_dual_total_p8_s", r.Classic+r.PME)
-			}
-		}
-	}
-}
-
-// BenchmarkFactorialDesign regenerates the full 12-cell factorial table of
-// §3.1.
-func BenchmarkFactorialDesign(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := suite().Factorial()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 12 {
-			b.Fatalf("factorial cells = %d", len(rows))
-		}
-	}
-}
-
-// BenchmarkStudyAllFigures renders the entire text report through the
-// public façade (what cmd/charmmbench -figure all does).
-func BenchmarkStudyAllFigures(b *testing.B) {
-	study := &core.Study{Suite: suite()}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := study.All(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Kernel benchmarks with meaningful ns/op: the real computation.
+// Kernel and step benchmarks: the real computation, with meaningful ns/op.
+// The figure suite has no Go benchmark — a figure re-read from the run
+// cache times nothing; benchmark/'s figure_all workload is its instrument.
 
 // BenchmarkSequentialMDStep measures one real MD step of the full
 // 3552-atom PME workload on the host machine.

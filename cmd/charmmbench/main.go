@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/core"
+	"repro/internal/figures"
 	"repro/internal/md"
 	"repro/internal/obs"
 )
@@ -78,8 +79,18 @@ func main() {
 	default:
 		app.Usagef("unknown format %q", *format)
 	}
-	if *figure == "all" && f == core.FormatCSV {
-		app.Usagef("-format csv needs a single -figure")
+	// Validate -figure against the registry before the study is built: a
+	// typo must not cost the 3552-atom set-up first.
+	fig, known := figures.Lookup(*figure)
+	switch {
+	case *figure == "all":
+		if f == core.FormatCSV {
+			app.Usagef("-format csv needs a single -figure")
+		}
+	case !known:
+		app.Usagef("unknown figure %q (known: %v, all)", *figure, core.FigureIDs())
+	case f == core.FormatCSV && !fig.HasData():
+		app.Usagef("figure %s is a diagram and has no CSV form", *figure)
 	}
 	defer app.StartObs(obs.ServeOptions{
 		Status: func() []string { return []string{"charmmbench: figure " + *figure} },
@@ -123,19 +134,18 @@ func main() {
 		if err := os.MkdirAll(*outdir, 0o755); err != nil {
 			app.Fail(err)
 		}
-		for _, id := range core.FigureIDs() {
-			if id == "1" || id == "2" {
-				continue // diagrams have no data rows
+		for _, entry := range figures.Registry() {
+			// The paper report's data: diagrams have no rows, and the
+			// hundreds-of-ranks sweeps are requested explicitly via -figure.
+			if !entry.HasData() || !entry.Paper {
+				continue
 			}
-			if id == "ceiling" || id == "recovery" || id == "attribution" {
-				continue // hundreds-of-ranks sweeps; request them explicitly via -figure
-			}
-			path := filepath.Join(*outdir, "figure_"+id+".csv")
+			path := filepath.Join(*outdir, "figure_"+entry.ID+".csv")
 			out, err := os.Create(path)
 			if err != nil {
 				app.Fail(err)
 			}
-			if err := study.Figure(id, out, core.FormatCSV); err != nil {
+			if err := study.Figure(entry.ID, out, core.FormatCSV); err != nil {
 				app.Fail(err)
 			}
 			if err := out.Close(); err != nil {
@@ -155,16 +165,13 @@ func main() {
 	}
 
 	// All attribution cells are memoized by the run cache at this point, so
-	// re-deriving their profiles costs no extra simulation.
+	// asking for the rows again costs no extra simulation.
 	if app.ProfileOut != "" {
-		res, aerr := study.Suite.Attribution()
-		if aerr != nil {
-			app.Fail(fmt.Errorf("profile: %w", aerr))
+		rows, rerr := study.Suite.Rows(fig)
+		if rerr != nil {
+			app.Fail(fmt.Errorf("profile: %w", rerr))
 		}
-		profs, perr := res.Profiles(study.Suite)
-		if perr != nil {
-			app.Fail(fmt.Errorf("profile: %w", perr))
-		}
+		profs := figures.Profiles(rows[0])
 		buf, jerr := json.MarshalIndent(profs, "", "  ")
 		app.WriteProfile(append(buf, '\n'), jerr)
 		fmt.Fprintf(os.Stderr, "profile: %d cell profiles written to %s\n", len(profs), app.ProfileOut)

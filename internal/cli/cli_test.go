@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/figures"
 	"repro/internal/md"
 	"repro/internal/obs"
 	"repro/internal/pmd"
@@ -323,9 +324,33 @@ func TestCommands(t *testing.T) {
 		{"charmmbench", "-profile-out p.json", "charmmbench: -profile-out requires -figure attribution\n"},
 		{"charmmbench", "-figure 3 -quick -workers -3", "charmmbench: -workers must be >= 0, got -3\n"},
 		{"charmmbench", "-format csv -figure all", "charmmbench: -format csv needs a single -figure\n"},
+		{"charmmbench", "-figure bogus", "charmmbench: unknown figure \"bogus\" (known: [1 2 3 4 5 6 7 8 9 ablation attribution ceiling effects factorial recovery scalelimit], all)\n"},
+		{"charmmbench", "-figure 1 -format csv", "charmmbench: figure 1 is a diagram and has no CSV form\n"},
 	} {
 		if got, code := run(tc.name, strings.Fields(tc.args)...); got != tc.want || code != 2 {
 			t.Errorf("%s %s: exit %d, stderr %q; want exit 2, %q", tc.name, tc.args, code, got, tc.want)
+		}
+	}
+}
+
+// TestFigureHelpNamesEveryFigure: charmmbench's -figure help (the golden
+// TestCommands holds the binary to) names every id of the registry, the
+// digits through its "1..9".
+func TestFigureHelpNamesEveryFigure(t *testing.T) {
+	help, err := os.ReadFile(filepath.Join("testdata", "charmmbench.help"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, _ := strings.Cut(string(help), "  -figure string\n")
+	line, _, _ := strings.Cut(rest, "\n")
+	line = strings.Replace(line, "1..9", "1, 2, 3, 4, 5, 6, 7, 8, 9", 1)
+	named := map[string]bool{}
+	for _, word := range strings.FieldsFunc(line, func(r rune) bool { return r == ',' || r == ' ' || r == ':' }) {
+		named[word] = true
+	}
+	for _, fig := range figures.Registry() {
+		if !named[fig.ID] {
+			t.Errorf("figure %q is in the registry but not in the -figure help: %s", fig.ID, strings.TrimSpace(line))
 		}
 	}
 }

@@ -99,121 +99,52 @@ func (s *Study) System() *topol.System { return s.Suite.System() }
 // Stats returns the suite's run-cache and physics-tape counters.
 func (s *Study) Stats() figures.RunStats { return s.Suite.Stats() }
 
-// FigureIDs lists the reproducible experiment identifiers.
+// FigureIDs lists the reproducible experiment identifiers, sorted.
 func FigureIDs() []string {
-	ids := []string{"1", "2", "3", "4", "5", "6", "7", "8", "9", "factorial", "effects", "ablation", "scalelimit", "ceiling", "recovery", "attribution"}
+	var ids []string
+	for _, fig := range figures.Registry() {
+		ids = append(ids, fig.ID)
+	}
 	sort.Strings(ids)
 	return ids
-}
-
-// figure is one experiment as a Study runs it: the cells it needs, in
-// request order, and the rendering of their results.
-type figure struct {
-	cells  []figures.CellKey
-	render func(w io.Writer, format Format, results []*pmd.Result) error
-}
-
-// planned adapts a figure's plan and its two renderers.
-func planned[R any](p figures.Plan[R], text, csv func(io.Writer, R) error) figure {
-	return figure{cells: p.Cells, render: func(w io.Writer, format Format, results []*pmd.Result) error {
-		rows, err := p.Fold(results)
-		if err != nil {
-			return err
-		}
-		if format == FormatCSV {
-			return csv(w, rows)
-		}
-		return text(w, rows)
-	}}
-}
-
-// diagram adapts a figure that has no cells and one rendering.
-func diagram(render func(io.Writer) error) figure {
-	return figure{render: func(w io.Writer, _ Format, _ []*pmd.Result) error { return render(w) }}
-}
-
-// figure looks an experiment up by id.
-func (s *Study) figure(id string) (figure, error) {
-	fs := s.Suite
-	switch id {
-	case "1":
-		return diagram(figures.RenderFig1), nil
-	case "2":
-		return diagram(figures.RenderFig2), nil
-	case "3":
-		return planned(fs.Fig3Plan(), figures.RenderFig3, figures.CSVFig3), nil
-	case "4":
-		return planned(fs.Fig4Plan(), figures.RenderFig4, figures.CSVFig4), nil
-	case "5":
-		return planned(fs.Fig56Plan(), figures.RenderFig5, figures.CSVFig56), nil
-	case "6":
-		return planned(fs.Fig56Plan(), figures.RenderFig6, figures.CSVFig56), nil
-	case "7":
-		return planned(fs.Fig7Plan(), figures.RenderFig7, figures.CSVFig7), nil
-	case "8":
-		return planned(fs.Fig8Plan(), figures.RenderFig8, figures.CSVFig8), nil
-	case "9":
-		return planned(fs.Fig9Plan(), figures.RenderFig9, figures.CSVFig9), nil
-	case "factorial":
-		return planned(fs.FactorialPlan(), figures.RenderFactorial, figures.CSVFactorial), nil
-	case "effects":
-		return planned(fs.EffectsPlan(), figures.RenderEffects, figures.CSVEffects), nil
-	case "ablation":
-		return planned(fs.AblationPlan(), figures.RenderAblation, figures.CSVAblation), nil
-	case "scalelimit":
-		return planned(fs.ScaleLimitPlan(), figures.RenderScaleLimit, figures.CSVScaleLimit), nil
-	case "ceiling":
-		return planned(fs.CeilingPlan(), figures.RenderCeiling, figures.CSVCeiling), nil
-	case "recovery":
-		return planned(fs.RecoveryPlan(), figures.RenderRecovery, figures.CSVRecovery), nil
-	case "attribution":
-		return planned(fs.AttributionPlan(), figures.RenderAttribution, figures.CSVAttribution), nil
-	}
-	return figure{}, fmt.Errorf("core: unknown figure %q (known: %v)", id, FigureIDs())
 }
 
 // Figure regenerates one paper figure (or the factorial table) and writes
 // it in the requested format. The figure's cells run as one batch.
 func (s *Study) Figure(id string, w io.Writer, format Format) error {
-	fig, err := s.figure(id)
-	if err != nil {
-		return err
+	fig, ok := figures.Lookup(id)
+	if !ok {
+		return fmt.Errorf("core: unknown figure %q (known: %v)", id, FigureIDs())
 	}
-	results, err := s.Suite.RunCells(fig.cells)
-	if err != nil {
-		return err
-	}
-	return fig.render(w, format, results)
+	return s.write(w, format, "", fig)
 }
 
-// All regenerates every paper figure in text form, separated by blank
-// lines. The ceiling, recovery and attribution studies are not part of
-// the paper and sweep to hundreds of ranks, so they only run when
-// requested by id. The figures' cell lists, concatenated in figure order,
-// run as one batch — the records of a late figure overlap an early one's —
-// and each figure renders from its own stretch of the results.
+// All regenerates every paper figure in text form, each followed by a
+// blank line. The ceiling, recovery and attribution studies are not part
+// of the paper and sweep to hundreds of ranks, so they only run when
+// requested by id. The figures' cells run as one batch.
 func (s *Study) All(w io.Writer) error {
-	var figs []figure
-	var cells []figures.CellKey
-	for _, id := range []string{"1", "2", "3", "4", "5", "6", "7", "8", "9", "factorial", "effects", "ablation", "scalelimit"} {
-		fig, err := s.figure(id)
-		if err != nil {
-			return err
+	var paper []figures.Figure
+	for _, fig := range figures.Registry() {
+		if fig.Paper {
+			paper = append(paper, fig)
 		}
-		figs = append(figs, fig)
-		cells = append(cells, fig.cells...)
 	}
-	results, err := s.Suite.RunCells(cells)
+	return s.write(w, FormatText, "\n", paper...)
+}
+
+// write runs the figures' cells as one batch and renders each figure from
+// its own rows, followed by sep.
+func (s *Study) write(w io.Writer, format Format, sep string, figs ...figures.Figure) error {
+	rows, err := s.Suite.Rows(figs...)
 	if err != nil {
 		return err
 	}
-	for _, fig := range figs {
-		n := len(fig.cells)
-		if err := fig.render(w, FormatText, results[:n]); err != nil {
+	for i, fig := range figs {
+		if err := s.Suite.Render(w, fig, rows[i], format == FormatCSV); err != nil {
 			return err
 		}
-		results = results[n:]
-		if _, err := fmt.Fprintln(w); err != nil {
+		if _, err := io.WriteString(w, sep); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -13,10 +16,23 @@ var sharedStudy = NewStudy(Options{Quick: true})
 
 func quickStudy() *Study { return sharedStudy }
 
+// TestFigureIDs: the ids are the registry's, each once.
 func TestFigureIDs(t *testing.T) {
 	ids := FigureIDs()
-	if len(ids) != 16 {
+	if len(ids) != 16 || !sort.StringsAreSorted(ids) {
 		t.Fatalf("ids = %v", ids)
+	}
+	inRegistry := map[string]int{}
+	for _, fig := range figures.Registry() {
+		inRegistry[fig.ID]++
+	}
+	for _, id := range ids {
+		if inRegistry[id] != 1 {
+			t.Errorf("id %q occurs %d times in the registry", id, inRegistry[id])
+		}
+	}
+	if len(inRegistry) != len(ids) {
+		t.Errorf("registry has %d distinct ids, FigureIDs %d", len(inRegistry), len(ids))
 	}
 }
 
@@ -28,18 +44,41 @@ func TestUnknownFigure(t *testing.T) {
 	}
 }
 
+// golden reads testdata/quick/<name>: the bytes `charmmbench -quick` wrote
+// for the figure at the commit before the figures became registry entries
+// (capture them on a parent checkout and cmp; see the verify skill).
+func golden(t *testing.T, name string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "quick", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
 func TestFigureTextAndCSV(t *testing.T) {
 	s := quickStudy()
-	for _, id := range FigureIDs() {
+	for _, fig := range figures.Registry() {
+		id := fig.ID
 		var txt, csv strings.Builder
 		if err := s.Figure(id, &txt, FormatText); err != nil {
 			t.Fatalf("figure %s text: %v", id, err)
 		}
-		if err := s.Figure(id, &csv, FormatCSV); err != nil {
+		if txt.String() != golden(t, id+".txt") {
+			t.Errorf("figure %s text differs from testdata/quick/%s.txt:\n%s", id, id, txt.String())
+		}
+		err := s.Figure(id, &csv, FormatCSV)
+		if !fig.HasData() {
+			if err == nil || csv.Len() != 0 {
+				t.Errorf("figure %s is a diagram, yet its CSV rendered (error %v):\n%s", id, err, csv.String())
+			}
+			continue
+		}
+		if err != nil {
 			t.Fatalf("figure %s csv: %v", id, err)
 		}
-		if strings.Count(txt.String(), "\n") < 3 {
-			t.Fatalf("figure %s text too short:\n%s", id, txt.String())
+		if csv.String() != golden(t, id+".csv") {
+			t.Errorf("figure %s csv differs from testdata/quick/%s.csv:\n%s", id, id, csv.String())
 		}
 		lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
 		if len(lines) < 2 {
@@ -54,7 +93,7 @@ func TestFigureTextAndCSV(t *testing.T) {
 	}
 }
 
-// TestAll: the whole report, one batch of cells, is the same bytes from
+// TestAll: the whole report, one batch of cells, is the golden bytes from
 // the same RunStats however many of its cells are in flight.
 func TestAll(t *testing.T) {
 	var serial string
@@ -67,10 +106,16 @@ func TestAll(t *testing.T) {
 		}
 		if workers == 1 {
 			serial, serialStats = b.String(), s.Stats()
-			for _, marker := range []string{"Figure 3", "Figure 7", "factorial"} {
-				if !strings.Contains(serial, marker) {
-					t.Fatalf("All output missing %q", marker)
+			// The report is the paper entries of the registry, in its
+			// order, each followed by a blank line.
+			var want strings.Builder
+			for _, fig := range figures.Registry() {
+				if fig.Paper {
+					want.WriteString(golden(t, fig.ID+".txt") + "\n")
 				}
+			}
+			if serial != want.String() || serial != golden(t, "all.txt") {
+				t.Fatalf("All output differs from testdata/quick/all.txt or from its paper figures in registry order:\n%s", serial)
 			}
 			continue
 		}

@@ -3,224 +3,122 @@ package figures
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/netmodel"
 	"repro/internal/perf"
 	"repro/internal/pmd"
-	"repro/internal/report"
 )
 
-// AttributionRow is one (network, decomposition, processors) cell of the
-// bottleneck-attribution study: the paper's Table-style phase breakdown
-// re-derived by the profiler, with the columns the paper could not
-// compute by hand — wait-at-collective, load imbalance, and the per-phase
-// max/mean imbalance ratios. An untileable cell carries the typed tiling
-// error, exactly as the ceiling study renders it.
-type AttributionRow struct {
-	Network string
-	Decomp  string
-	P       int
+// The attribution study runs the perf analyzer on every cell of the
+// ceiling grid: where the ceiling study asks *whether* the 8-rank wall
+// moves, this one asks *why* — naming, per cell, the bucket (compute, comm,
+// wait, imbalance) that owns the wall clock, with the columns the paper
+// could not compute by hand: wait-at-collective, load imbalance, and the
+// per-phase max/mean imbalance ratios. Profiles are derived from the same
+// cached results the other figures use, so the study is byte-identical
+// across host worker counts.
 
-	Wall      float64 // virtual wall seconds of the whole run
-	Compute   float64 // attribution buckets (sum == Wall)
-	Comm      float64
-	Wait      float64
-	Imbalance float64
-
-	ClassicImb float64 // max/mean per-rank compute, classic phase
-	PMEImb     float64 // max/mean per-rank compute, PME phase
-	Dominant   string  // bucket naming the cell's bottleneck
-
-	Err string // non-empty: the strategy cannot run this cell
+// attributionOf is the row's bucket split (sum == wall); zero for an
+// untileable point. The analyzer is one pass over ranks × steps, cheap
+// enough to run per column.
+func attributionOf(r Row) perf.Attribution {
+	if r.Res == nil {
+		return perf.Attribution{}
+	}
+	return r.Res.Profile().Attribution
 }
 
-// AttributionVerdict is the per-network summary line: the dominant
-// bottleneck of each decomposition at the largest rank count it tiles.
-type AttributionVerdict struct {
-	Network string
-	Cells   []string // "replicated @ p=8: comm-bound (62% of wall)"
-}
+func wallSecs(r Row) float64      { return attributionOf(r).WallSeconds }
+func computeSecs(r Row) float64   { return attributionOf(r).ComputeSeconds }
+func commSecs(r Row) float64      { return attributionOf(r).CommSeconds }
+func waitSecs(r Row) float64      { return attributionOf(r).WaitSeconds }
+func imbalanceSecs(r Row) float64 { return attributionOf(r).ImbalanceSeconds }
+func dominant(r Row) string       { return attributionOf(r).Dominant }
 
-// AttributionResult bundles the sweep and the per-network verdicts.
-type AttributionResult struct {
-	Rows     []AttributionRow
-	Verdicts []AttributionVerdict
-}
-
-// Attribution sweeps networks × decompositions × the ceiling rank ladder
-// and runs the perf analyzer on every cell: where the ceiling study asks
-// *whether* the 8-rank wall moves, this one asks *why* — naming, per
-// cell, the bucket (compute, comm, wait, imbalance) that owns the wall
-// clock. Profiles are derived from the same cached results the other
-// figures use, so the study is byte-identical across host worker counts.
-func (s *Suite) Attribution() (*AttributionResult, error) { return RunPlan(s, s.AttributionPlan()) }
-
-// AttributionPlan is the attribution study as a plan over the ceiling
-// sweep's cells.
-func (s *Suite) AttributionPlan() Plan[*AttributionResult] {
-	var rows []AttributionRow
-	cells := s.ceilingSweep(func(network, decomp string, p int, tileErr string) {
-		rows = append(rows, AttributionRow{Network: network, Decomp: decomp, P: p, Err: tileErr})
-	})
-	return Plan[*AttributionResult]{Cells: cells, Fold: func(results []*pmd.Result) (*AttributionResult, error) {
-		out := &AttributionResult{Rows: append([]AttributionRow(nil), rows...)}
-		for i := range out.Rows {
-			row := &out.Rows[i]
-			if row.Err != "" {
-				continue
-			}
-			prof := results[0].Profile()
-			results = results[1:]
-			att := prof.Attribution
-			row.Wall = att.WallSeconds
-			row.Compute, row.Comm = att.ComputeSeconds, att.CommSeconds
-			row.Wait, row.Imbalance = att.WaitSeconds, att.ImbalanceSeconds
-			row.Dominant = att.Dominant
-			for _, ph := range prof.Phases {
-				switch ph.Phase {
-				case "classic":
-					row.ClassicImb = ph.Imbalance
-				case "pme":
-					row.PMEImb = ph.Imbalance
+// imbalanceOf is the max/mean per-rank compute of a phase.
+func imbalanceOf(phase string) func(Row) float64 {
+	return func(r Row) float64 {
+		if r.Res != nil {
+			for _, ph := range r.Res.Profile().Phases {
+				if ph.Phase == phase {
+					return ph.Imbalance
 				}
 			}
 		}
-		for _, net := range netmodel.All() {
-			verdict := AttributionVerdict{Network: net.Name}
-			for _, decomp := range []pmd.DecompKind{pmd.DecompReplicated, pmd.DecompDomain} {
-				var last *AttributionRow // the deepest rank count the strategy tiles
-				for i := range out.Rows {
-					if r := &out.Rows[i]; r.Network == net.Name && r.Decomp == decomp.String() && r.Err == "" {
-						last = r
-					}
-				}
-				if last == nil {
-					continue
-				}
-				share := 0.0
-				if last.Wall > 0 {
-					share = 100 * bucketValue(last) / last.Wall
-				}
-				verdict.Cells = append(verdict.Cells, fmt.Sprintf(
-					"%s @ p=%d: %s-bound (%.0f%% of wall)",
-					last.Decomp, last.P, last.Dominant, share))
-			}
-			out.Verdicts = append(out.Verdicts, verdict)
-		}
-		return out, nil
-	}}
+		return 0
+	}
 }
 
-// bucketValue returns the seconds of the row's dominant bucket.
-func bucketValue(r *AttributionRow) float64 {
-	switch r.Dominant {
+// dominantSecs returns the seconds of the attribution's dominant bucket.
+func dominantSecs(att perf.Attribution) float64 {
+	switch att.Dominant {
 	case "compute":
-		return r.Compute
+		return att.ComputeSeconds
 	case "comm":
-		return r.Comm
+		return att.CommSeconds
 	case "wait":
-		return r.Wait
+		return att.WaitSeconds
 	case "imbalance":
-		return r.Imbalance
+		return att.ImbalanceSeconds
 	}
 	return 0
 }
 
-// Profiles returns the full analyzer output per tileable cell, keyed in
-// row order — the machine-readable companion charmmbench's -profile-out
-// serializes.
-func (a *AttributionResult) Profiles(s *Suite) (map[string]*perf.Profile, error) {
-	out := map[string]*perf.Profile{}
-	for _, r := range a.Rows {
-		if r.Err != "" {
-			continue
-		}
-		net, ok := netByName(r.Network)
-		if !ok {
-			return nil, fmt.Errorf("figures: unknown network %q", r.Network)
-		}
-		dk, err := pmd.ParseDecomp(r.Decomp)
-		if err != nil {
-			return nil, err
-		}
-		res, err := s.RunDecomp(net, r.P, 1, pmd.MiddlewareMPI, dk)
-		if err != nil {
-			return nil, err
-		}
-		out[fmt.Sprintf("%s/%s/p=%d", r.Network, r.Decomp, r.P)] = res.Profile()
-	}
-	return out, nil
-}
+const attributionTitle = "Bottleneck attribution — compute / comm / wait / imbalance buckets (sum = wall)"
 
-func netByName(name string) (netmodel.Params, bool) {
+var (
+	attributionText = []column{colNet, colDecomp, colProcs,
+		secs("wall", wallSecs), secs("compute", computeSecs), secs("comm", commSecs),
+		secs("wait", waitSecs), secs("imbal", imbalanceSecs),
+		num("classic max/mean", "%.2f", imbalanceOf("classic")), num("pme max/mean", "%.2f", imbalanceOf("pme")),
+		tileMark("dominant", dominant)}
+	attributionCSV = []column{csvNet, colDecomp, colProcs,
+		csvf("wall_s", wallSecs), csvf("compute_s", computeSecs), csvf("comm_s", commSecs),
+		csvf("wait_s", waitSecs), csvf("imbalance_s", imbalanceSecs),
+		csvf("classic_imbalance", imbalanceOf("classic")), csvf("pme_imbalance", imbalanceOf("pme")),
+		col("dominant", dominant), csvErr}
+)
+
+// attributionVerdicts is one line per network: the dominant bottleneck of
+// each decomposition at the deepest rank count it tiles, e.g.
+// "replicated @ p=8: comm-bound (62% of wall)".
+func attributionVerdicts(rows []Row) []string {
+	var lines []string
 	for _, net := range netmodel.All() {
-		if net.Name == name {
-			return net, true
+		var cells []string
+		for _, decomp := range []pmd.DecompKind{pmd.DecompReplicated, pmd.DecompDomain} {
+			var last *Row // the deepest rank count the strategy tiles
+			for i := range rows {
+				if r := &rows[i]; r.Network() == net.Name && r.Cell.Decomp == decomp && r.Err == "" {
+					last = r
+				}
+			}
+			if last == nil {
+				continue
+			}
+			att, share := attributionOf(*last), 0.0
+			if att.WallSeconds > 0 {
+				share = 100 * dominantSecs(att) / att.WallSeconds
+			}
+			cells = append(cells, fmt.Sprintf("%s @ p=%d: %s-bound (%.0f%% of wall)",
+				decomp, last.P(), att.Dominant, share))
 		}
+		lines = append(lines, fmt.Sprintf("verdict: %s — %s", net.Name, strings.Join(cells, "; ")))
 	}
-	return netmodel.Params{}, false
+	return lines
 }
 
-// RenderAttribution writes the study: the bucket table with imbalance
-// columns, then one verdict line per network naming the dominant
-// bottleneck of each decomposition at its largest feasible rank count.
-func RenderAttribution(w io.Writer, a *AttributionResult) error {
-	fmt.Fprintln(w, "Bottleneck attribution — compute / comm / wait / imbalance buckets (sum = wall)")
-	var cells [][]string
-	for _, r := range a.Rows {
-		if r.Err != "" {
-			cells = append(cells, []string{
-				r.Network, r.Decomp, fmt.Sprintf("%d", r.P),
-				"—", "—", "—", "—", "—", "—", "—", "cannot tile",
-			})
-			continue
-		}
-		cells = append(cells, []string{
-			r.Network, r.Decomp, fmt.Sprintf("%d", r.P),
-			report.Seconds(r.Wall), report.Seconds(r.Compute), report.Seconds(r.Comm),
-			report.Seconds(r.Wait), report.Seconds(r.Imbalance),
-			fmt.Sprintf("%.2f", r.ClassicImb), fmt.Sprintf("%.2f", r.PMEImb),
-			r.Dominant,
-		})
-	}
-	if err := report.Table(w, []string{
-		"network", "decomp", "procs", "wall", "compute", "comm", "wait", "imbal",
-		"classic max/mean", "pme max/mean", "dominant",
-	}, cells); err != nil {
-		return err
-	}
-
+// attributionTrailer writes one verdict line per network after the bucket
+// table.
+func attributionTrailer(w io.Writer, rows []Row) error {
 	fmt.Fprintln(w, "\nDominant bottleneck at each strategy's deepest feasible rank count:")
-	for _, v := range a.Verdicts {
-		line := ""
-		for i, c := range v.Cells {
-			if i > 0 {
-				line += "; "
-			}
-			line += c
-		}
-		fmt.Fprintf(w, "verdict: %s — %s\n", v.Network, line)
+	for _, line := range attributionVerdicts(rows) {
+		fmt.Fprintln(w, line)
 	}
 	fmt.Fprintln(w, "\nReading it: the paper's plateau shows up here as the comm and wait buckets")
 	fmt.Fprintln(w, "swallowing the wall under the replicated strategy, while the imbalance")
 	fmt.Fprintln(w, "columns show the spatial domains trading a little balance for locality —")
 	fmt.Fprintln(w, "the buckets, not the totals, say which lever to pull next.")
 	return nil
-}
-
-// CSVAttribution writes the sweep as CSV (untileable cells carry the
-// error text).
-func CSVAttribution(w io.Writer, a *AttributionResult) error {
-	var cells [][]string
-	for _, r := range a.Rows {
-		cells = append(cells, []string{
-			csvName(r.Network), r.Decomp, fmt.Sprintf("%d", r.P),
-			f(r.Wall), f(r.Compute), f(r.Comm), f(r.Wait), f(r.Imbalance),
-			f(r.ClassicImb), f(r.PMEImb), r.Dominant, csvName(r.Err),
-		})
-	}
-	return report.CSV(w, []string{
-		"network", "decomp", "procs", "wall_s", "compute_s", "comm_s", "wait_s",
-		"imbalance_s", "classic_imbalance", "pme_imbalance", "dominant", "error",
-	}, cells)
 }

@@ -1,57 +1,50 @@
 package figures
 
 import (
-	"io"
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/pmd"
 )
 
 // TestAttributionIdentityOverQuickGrid is the acceptance criterion: in
 // every tileable cell of the quick ceiling grid, the attribution buckets
 // sum to the measured wall within 1%.
 func TestAttributionIdentityOverQuickGrid(t *testing.T) {
-	res, err := quickSuite.Attribution()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := figureRows(t, quickSuite, "attribution")
 	cells := 0
-	for _, r := range res.Rows {
+	for _, r := range rows {
 		if r.Err != "" {
 			continue
 		}
 		cells++
-		sum := r.Compute + r.Comm + r.Wait + r.Imbalance
-		if r.Wall <= 0 {
-			t.Fatalf("%s/%s p=%d: non-positive wall %g", r.Network, r.Decomp, r.P, r.Wall)
+		name := r.Network() + "/" + r.Cell.Decomp.String()
+		sum := computeSecs(r) + commSecs(r) + waitSecs(r) + imbalanceSecs(r)
+		if wallSecs(r) <= 0 {
+			t.Fatalf("%s p=%d: non-positive wall %g", name, r.P(), wallSecs(r))
 		}
-		if rel := math.Abs(sum-r.Wall) / r.Wall; rel > 0.01 {
-			t.Fatalf("%s/%s p=%d: buckets sum to %g, wall %g (rel %.4f)",
-				r.Network, r.Decomp, r.P, sum, r.Wall, rel)
+		if rel := math.Abs(sum-wallSecs(r)) / wallSecs(r); rel > 0.01 {
+			t.Fatalf("%s p=%d: buckets sum to %g, wall %g (rel %.4f)", name, r.P(), sum, wallSecs(r), rel)
 		}
-		if r.ClassicImb < 1 || r.PMEImb < 1 {
-			t.Fatalf("%s/%s p=%d: imbalance ratio below 1: classic %g pme %g",
-				r.Network, r.Decomp, r.P, r.ClassicImb, r.PMEImb)
+		if c, p := imbalanceOf("classic")(r), imbalanceOf("pme")(r); c < 1 || p < 1 {
+			t.Fatalf("%s p=%d: imbalance ratio below 1: classic %g pme %g", name, r.P(), c, p)
 		}
-		if r.Dominant == "" {
-			t.Fatalf("%s/%s p=%d: no dominant bucket", r.Network, r.Decomp, r.P)
+		if dominant(r) == "" {
+			t.Fatalf("%s p=%d: no dominant bucket", name, r.P())
 		}
 	}
 	if cells == 0 {
 		t.Fatal("no tileable cells in the quick grid")
 	}
 	// One verdict per network, each covering both decompositions.
-	if len(res.Verdicts) != 3 {
-		t.Fatalf("verdicts: %+v", res.Verdicts)
+	verdicts := attributionVerdicts(rows)
+	if len(verdicts) != 3 {
+		t.Fatalf("verdicts: %q", verdicts)
 	}
-	for _, v := range res.Verdicts {
-		if len(v.Cells) != 2 {
-			t.Fatalf("network %s verdict cells: %v", v.Network, v.Cells)
-		}
-		for _, c := range v.Cells {
-			if !strings.Contains(c, "-bound") {
-				t.Fatalf("verdict cell does not name a bottleneck: %q", c)
-			}
+	for _, v := range verdicts {
+		if strings.Count(v, " @ p=") != 2 || strings.Count(v, "-bound (") != 2 {
+			t.Fatalf("verdict does not name a bottleneck per decomposition: %q", v)
 		}
 	}
 }
@@ -62,60 +55,51 @@ func TestAttributionIdentityOverQuickGrid(t *testing.T) {
 // wait + imbalance) own more of the step than the physics does on
 // Gigabit TCP.
 func TestAttributionExplainsTheCeiling(t *testing.T) {
-	res, err := quickSuite.Attribution()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var top *AttributionRow
-	for i := range res.Rows {
-		r := &res.Rows[i]
-		if r.Network == "TCP/IP on Ethernet" && r.Decomp == "replicated" && r.Err == "" {
-			if top == nil || r.P > top.P {
-				top = r
+	var top *Row
+	for _, r := range figureRows(t, quickSuite, "attribution") {
+		if r.Network() == "TCP/IP on Ethernet" && r.Cell.Decomp == pmd.DecompReplicated && r.Err == "" {
+			if top == nil || r.P() > top.P() {
+				top = &r
 			}
 		}
 	}
 	if top == nil {
 		t.Fatal("no replicated TCP cells")
 	}
-	if top.Compute > 0.5*top.Wall {
+	if computeSecs(*top) > 0.5*wallSecs(*top) {
 		t.Fatalf("replicated TCP at p=%d is still compute-bound (%.0f%%) — nothing to attribute",
-			top.P, 100*top.Compute/top.Wall)
+			top.P(), 100*computeSecs(*top)/wallSecs(*top))
 	}
 }
 
 // TestAttributionRendersUntileableCells mirrors the ceiling contract:
-// cells the strategy cannot tile carry the error, not silence.
+// cells the strategy cannot tile carry the error, not silence, and the
+// verdict is read off the deepest rank count that does tile.
 func TestAttributionRendersUntileableCells(t *testing.T) {
-	res := &AttributionResult{
-		Rows: []AttributionRow{
-			{Network: "TCP/IP on Ethernet", Decomp: "replicated", P: 8,
-				Wall: 3, Compute: 1, Comm: 1, Wait: 0.5, Imbalance: 0.5,
-				ClassicImb: 1.2, PMEImb: 1.1, Dominant: "comm"},
-			{Network: "TCP/IP on Ethernet", Decomp: "replicated", P: 256,
-				Err: "pmd: replicated decomposition cannot tile 256 ranks"},
-		},
-		Verdicts: []AttributionVerdict{{
-			Network: "TCP/IP on Ethernet",
-			Cells:   []string{"replicated @ p=8: comm-bound (33% of wall)"},
-		}},
-	}
+	rows := untiled(t, figureRows(t, quickSuite, "attribution"))
+
 	var b strings.Builder
-	if err := RenderAttribution(&b, res); err != nil {
+	if err := quickSuite.Render(&b, figure(t, "attribution"), rows, false); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
-	if !strings.Contains(out, "cannot tile") {
+	marked := false
+	for _, line := range strings.Split(out, "\n") {
+		if strings.Contains(line, "replicated  256") {
+			marked = strings.HasSuffix(line, "cannot tile") && strings.Count(line, "—") == 7
+		}
+	}
+	if !marked {
 		t.Fatalf("untileable cell not marked:\n%s", out)
 	}
-	if !strings.Contains(out, "verdict: TCP/IP on Ethernet — replicated @ p=8: comm-bound") {
+	if !strings.Contains(out, "verdict: TCP/IP on Ethernet — replicated @ p=16: ") {
 		t.Fatalf("verdict line missing:\n%s", out)
 	}
 	var c strings.Builder
-	if err := CSVAttribution(&c, res); err != nil {
+	if err := quickSuite.Render(&c, figure(t, "attribution"), rows, true); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(c.String(), "cannot_tile_256_ranks") {
+	if !strings.Contains(c.String(), ",256,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,,pmd:_replicated_decomposition_cannot_tile_256_ranks") {
 		t.Fatalf("csv lost the tiling error:\n%s", c.String())
 	}
 }
@@ -131,28 +115,16 @@ func TestAttributionOutputIdenticalAcrossWorkers(t *testing.T) {
 		pooled.Workers, pooled.MD.KernelWorkers = workers, 2
 		cfgs = append(cfgs, pooled)
 	}
-	identicalAcross(t, cfgs, func(s *Suite, w io.Writer) error {
-		res, err := s.Attribution()
-		if err != nil {
-			return err
-		}
-		return RenderAttribution(w, res)
-	})
+	identicalAcross(t, cfgs, renderFigures("attribution"))
 }
 
 // TestAttributionProfilesServeEveryTileableCell: the machine-readable
 // profile map matches the row set and every profile passes the identity.
 func TestAttributionProfilesServeEveryTileableCell(t *testing.T) {
-	res, err := quickSuite.Attribution()
-	if err != nil {
-		t.Fatal(err)
-	}
-	profs, err := res.Profiles(quickSuite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := untiled(t, figureRows(t, quickSuite, "attribution"))
+	profs := Profiles(rows)
 	want := 0
-	for _, r := range res.Rows {
+	for _, r := range rows {
 		if r.Err == "" {
 			want++
 		}

@@ -9,27 +9,6 @@ import (
 	"repro/internal/pmd"
 )
 
-// Plan is a figure before its cells have run: the cells it needs, in
-// request order, and the fold from their results (same order, same length)
-// to the figure's data. Every figure builds its plan in one place; the
-// figure's own method runs it as one batch (RunPlan), and core.Study.All
-// concatenates the Cells of thirteen plans into a single batch and folds
-// each figure from its sub-slice.
-type Plan[R any] struct {
-	Cells []CellKey
-	Fold  func(results []*pmd.Result) (R, error)
-}
-
-// RunPlan executes the plan's cells as one batch and folds the results.
-func RunPlan[R any](s *Suite, p Plan[R]) (R, error) {
-	res, err := s.RunCells(p.Cells)
-	if err != nil {
-		var zero R
-		return zero, err
-	}
-	return p.Fold(res)
-}
-
 // cell names one cell of this suite's workload: procs processors on nodes
 // of cpusPerNode CPUs (procs must divide evenly).
 func (s *Suite) cell(net netmodel.Params, procs, cpusPerNode int, mw pmd.MiddlewareKind, decomp pmd.DecompKind) CellKey {

@@ -2,6 +2,7 @@ package figures
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"testing"
 
@@ -131,22 +132,30 @@ func identicalAcross(t *testing.T, cfgs []Config, render func(s *Suite, w io.Wri
 	}
 }
 
+// renderFigures renders the named registry figures in order, each one's
+// cells as a batch of its own.
+func renderFigures(ids ...string) func(s *Suite, w io.Writer) error {
+	return func(s *Suite, w io.Writer) error {
+		for _, id := range ids {
+			fig, ok := Lookup(id)
+			if !ok {
+				return fmt.Errorf("no figure %q in the registry", id)
+			}
+			rows, err := s.Rows(fig)
+			if err != nil {
+				return err
+			}
+			if err := s.Render(w, fig, rows[0], false); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
 // renderFig38 renders Figs. 3 and 8: a tape record per rank count, then
 // their replays.
-func renderFig38(s *Suite, w io.Writer) error {
-	rows, err := s.Fig3()
-	if err != nil {
-		return err
-	}
-	if err := RenderFig3(w, rows); err != nil {
-		return err
-	}
-	rows8, err := s.Fig8()
-	if err != nil {
-		return err
-	}
-	return RenderFig8(w, rows8)
-}
+var renderFig38 = renderFigures("3", "8")
 
 // TestFigureOutputIdenticalAcrossWorkers: the rendered figure bytes —
 // the user-visible artifact — and the run counters are identical between

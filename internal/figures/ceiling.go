@@ -3,6 +3,7 @@ package figures
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/doe"
 	"repro/internal/netmodel"
@@ -10,27 +11,57 @@ import (
 	"repro/internal/report"
 )
 
-// CeilingRow is one (network, decomposition, processors) cell of the
-// ceiling study: the sweep past the paper's 8-rank wall. A cell the
-// decomposition cannot tile carries the typed error text instead of
-// timings — the replicated/slab strategy simply has no configuration
-// there, which is the point of the figure.
-type CeilingRow struct {
-	Network string
-	Decomp  string
-	P       int
-	Classic float64 // seconds over the measured steps
-	PME     float64
-	Err     string // non-empty: the strategy cannot run this cell
+// ceilingRows sweep both decompositions out to the configured CeilingProcs
+// (default 1, 8, 16, 64, 256, 1024) on all three networks with the MPI
+// middleware — the grid of the ceiling study, which asks whether the
+// 8-rank plateau is a property of CHARMM-style MD or of the replicated-data
+// strategy, and of the attribution study, which asks why. A point the
+// decomposition cannot tile is a row carrying the typed error text and no
+// cell: the replicated/slab strategy simply has no configuration there,
+// which is the point of the figure.
+func (s *Suite) ceilingRows() []Row {
+	var rows []Row
+	for _, net := range netmodel.All() {
+		for _, decomp := range []pmd.DecompKind{pmd.DecompReplicated, pmd.DecompDomain} {
+			for _, p := range s.Cfg.CeilingProcs {
+				r := s.row(net, p, 1, pmd.MiddlewareMPI, decomp)
+				if err := pmd.ValidateDecomp(decomp, p, s.Cfg.MD.PME); err != nil {
+					r.Err = err.Error()
+				}
+				rows = append(rows, r)
+			}
+		}
+	}
+	return rows
 }
 
-// Total returns classic+PME (0 for an untileable cell).
-func (r CeilingRow) Total() float64 { return r.Classic + r.PME }
+// tileMark is the last text column of the ceiling grid's tables: what a
+// tiled point says there, "cannot tile" for the others.
+func tileMark(head string, tiled func(Row) string) column {
+	return col(head, func(r Row) string {
+		if r.Err != "" {
+			return "cannot tile"
+		}
+		return tiled(r)
+	})
+}
 
-// CeilingCrossover is the per-network verdict: where (and whether) the
+// csvErr carries an untileable point's error into its CSV line.
+var csvErr = col("error", func(r Row) string { return csvName(r.Err) })
+
+const ceilingTitle = "Breaking the 8-rank ceiling — replicated/slab vs spatial domains + 2-D pencil PME"
+
+var (
+	ceilingText = []column{colNet, colDecomp, colProcs,
+		secs("classic", classicWall), secs("pme", pmeWall), secs("total", totalWall),
+		tileMark("", func(Row) string { return "" })}
+	ceilingCSV = slices.Concat([]column{csvNet, colDecomp, colProcs}, csvWalls, []column{csvErr})
+)
+
+// ceilingCrossover is the per-network verdict: where (and whether) the
 // spatial decomposition beats the best the replicated strategy can do at
 // any rank count.
-type CeilingCrossover struct {
+type ceilingCrossover struct {
 	Network        string
 	ReplicatedBest float64 // best replicated total over the sweep (s)
 	ReplicatedAtP  int     // rank count achieving it
@@ -39,151 +70,73 @@ type CeilingCrossover struct {
 	DomainAtP      int
 }
 
-// CeilingResult bundles the sweep, the per-network crossover verdicts and
-// the extended factorial analysis (network × decomposition × processors,
-// over the cells both strategies can run).
-type CeilingResult struct {
-	Rows      []CeilingRow
-	Crossover []CeilingCrossover
-	Effects   *doe.Analysis
-}
-
-// Ceiling sweeps both decompositions out to the configured CeilingProcs
-// (default 1, 8, 16, 64, 256, 1024) on all three networks with the MPI
-// middleware, and answers the question the paper left open: is the 8-rank
-// plateau a property of CHARMM-style MD, or of the replicated-data
-// strategy? Untileable replicated cells render their tiling error; the
-// DOE analysis runs over the processor counts where both strategies have
-// results, so the decomposition factor is not confounded with coverage.
-func (s *Suite) Ceiling() (*CeilingResult, error) { return RunPlan(s, s.CeilingPlan()) }
-
-// ceilingProcs is the rank ladder of the ceiling and attribution studies.
-func (s *Suite) ceilingProcs() []int {
-	if len(s.Cfg.CeilingProcs) == 0 {
-		return []int{1, 8, 16, 64, 256, 1024}
-	}
-	return s.Cfg.CeilingProcs
-}
-
-// ceilingSweep enumerates networks × decompositions × the ceiling ladder
-// (MPI, uni-processor): one (network, decomp, p, tiling error) label per
-// grid point through row, and the cells of the points that tile.
-func (s *Suite) ceilingSweep(row func(network, decomp string, p int, tileErr string)) []CellKey {
-	var cells []CellKey
-	for _, net := range netmodel.All() {
-		for _, decomp := range []pmd.DecompKind{pmd.DecompReplicated, pmd.DecompDomain} {
-			for _, p := range s.ceilingProcs() {
-				if err := pmd.ValidateDecomp(decomp, p, s.Cfg.MD.PME); err != nil {
-					row(net.Name, decomp.String(), p, err.Error())
-					continue
-				}
-				row(net.Name, decomp.String(), p, "")
-				cells = append(cells, s.cell(net, p, 1, pmd.MiddlewareMPI, decomp))
-			}
-		}
-	}
-	return cells
-}
-
-// CeilingPlan is the ceiling study as a plan: the healthy cells of the
-// sweep; untileable grid points are rows without a cell.
-func (s *Suite) CeilingPlan() Plan[*CeilingResult] {
-	var rows []CeilingRow
-	cells := s.ceilingSweep(func(network, decomp string, p int, tileErr string) {
-		rows = append(rows, CeilingRow{Network: network, Decomp: decomp, P: p, Err: tileErr})
-	})
-	bothTile := func(p int) bool {
-		return pmd.ValidateDecomp(pmd.DecompReplicated, p, s.Cfg.MD.PME) == nil &&
-			pmd.ValidateDecomp(pmd.DecompDomain, p, s.Cfg.MD.PME) == nil
-	}
-	return Plan[*CeilingResult]{Cells: cells, Fold: func(results []*pmd.Result) (*CeilingResult, error) {
-		out := &CeilingResult{Rows: append([]CeilingRow(nil), rows...)}
-		var obs []doe.Observation
-		for i := range out.Rows {
-			row := &out.Rows[i]
-			if row.Err != "" {
-				continue
-			}
-			c, pm := results[0].PhaseTotals()
-			results = results[1:]
-			row.Classic, row.PME = c.Wall, pm.Wall
-			if bothTile(row.P) {
-				obs = append(obs, doe.Observation{
-					Levels: map[string]string{
-						"network": row.Network,
-						"decomp":  row.Decomp,
-						"procs":   fmt.Sprintf("%d", row.P),
-					},
-					Y: row.Total(),
-				})
-			}
-		}
-		for _, net := range netmodel.All() {
-			out.Crossover = append(out.Crossover, crossoverOf(net.Name, out.Rows))
-		}
-		a, err := doe.Analyze(obs)
-		if err != nil {
-			return nil, err
-		}
-		out.Effects = a
-		return out, nil
-	}}
-}
-
 // crossoverOf reads one network's verdict off the sweep: each strategy's
 // best total, and the smallest domain rank count that beats the best the
 // replicated strategy achieves anywhere in the sweep.
-func crossoverOf(network string, rows []CeilingRow) CeilingCrossover {
-	cross := CeilingCrossover{Network: network}
+func crossoverOf(network string, rows []Row) ceilingCrossover {
+	cross := ceilingCrossover{Network: network}
 	for _, r := range rows {
-		if r.Network != network || r.Err != "" {
+		if r.Network() != network || r.Err != "" {
 			continue
 		}
-		switch r.Decomp {
-		case pmd.DecompReplicated.String():
-			if cross.ReplicatedAtP == 0 || r.Total() < cross.ReplicatedBest {
-				cross.ReplicatedBest, cross.ReplicatedAtP = r.Total(), r.P
+		switch r.Cell.Decomp {
+		case pmd.DecompReplicated:
+			if cross.ReplicatedAtP == 0 || totalWall(r) < cross.ReplicatedBest {
+				cross.ReplicatedBest, cross.ReplicatedAtP = totalWall(r), r.P()
 			}
-		case pmd.DecompDomain.String():
-			if cross.DomainAtP == 0 || r.Total() < cross.DomainBest {
-				cross.DomainBest, cross.DomainAtP = r.Total(), r.P
+		case pmd.DecompDomain:
+			if cross.DomainAtP == 0 || totalWall(r) < cross.DomainBest {
+				cross.DomainBest, cross.DomainAtP = totalWall(r), r.P()
 			}
 		}
 	}
 	for _, r := range rows {
-		if r.Network == network && r.Decomp == pmd.DecompDomain.String() &&
-			r.Err == "" && cross.ReplicatedAtP > 0 && r.Total() < cross.ReplicatedBest {
-			cross.CrossoverP = r.P
+		if r.Network() == network && r.Cell.Decomp == pmd.DecompDomain &&
+			r.Err == "" && cross.ReplicatedAtP > 0 && totalWall(r) < cross.ReplicatedBest {
+			cross.CrossoverP = r.P()
 			break
 		}
 	}
 	return cross
 }
 
-// RenderCeiling writes the ceiling study: the sweep table, the crossover
-// verdicts and the extended factor analysis.
-func RenderCeiling(w io.Writer, c *CeilingResult) error {
-	fmt.Fprintln(w, "Breaking the 8-rank ceiling — replicated/slab vs spatial domains + 2-D pencil PME")
-	var cells [][]string
-	for _, r := range c.Rows {
+// ceilingEffects is the extended factorial analysis (network ×
+// decomposition × processors). It runs over the processor counts where
+// both strategies have results, so the decomposition factor is not
+// confounded with coverage.
+func ceilingEffects(rows []Row) (*doe.Analysis, error) {
+	untiled := map[int]bool{}
+	for _, r := range rows {
 		if r.Err != "" {
-			cells = append(cells, []string{
-				r.Network, r.Decomp, fmt.Sprintf("%d", r.P), "—", "—", "—", "cannot tile",
-			})
-			continue
+			untiled[r.P()] = true
 		}
-		cells = append(cells, []string{
-			r.Network, r.Decomp, fmt.Sprintf("%d", r.P),
-			report.Seconds(r.Classic), report.Seconds(r.PME), report.Seconds(r.Total()), "",
-		})
 	}
-	if err := report.Table(w, []string{"network", "decomp", "procs", "classic", "pme", "total", ""}, cells); err != nil {
+	var shared []Row
+	for _, r := range rows {
+		if !untiled[r.P()] {
+			shared = append(shared, r)
+		}
+	}
+	return effectsOf(shared, func(r Row) map[string]string {
+		return map[string]string{
+			"network": r.Network(),
+			"decomp":  r.Cell.Decomp.String(),
+			"procs":   fmt.Sprintf("%d", r.P()),
+		}
+	})
+}
+
+// ceilingTrailer writes what follows the sweep table: the crossover
+// verdicts and the extended factor analysis.
+func ceilingTrailer(w io.Writer, rows []Row) error {
+	effects, err := ceilingEffects(rows)
+	if err != nil {
 		return err
 	}
-
 	fmt.Fprintln(w, "\nCrossover (domain total vs the best replicated total at any rank count):")
-	cells = cells[:0]
-	for _, x := range c.Crossover {
+	var cells [][]string
+	for _, net := range netmodel.All() {
+		x := crossoverOf(net.Name, rows)
 		verdict := "never"
 		if x.CrossoverP > 0 {
 			verdict = fmt.Sprintf("p=%d", x.CrossoverP)
@@ -200,7 +153,7 @@ func RenderCeiling(w io.Writer, c *CeilingResult) error {
 	}
 
 	fmt.Fprintln(w, "\nExtended factorial (network × decomposition × processors, shared cells):")
-	if err := RenderEffects(w, c.Effects); err != nil {
+	if err := renderEffects(w, effects); err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "\nThe paper's answer to \"is there any easy parallelism in CHARMM?\" was no —")
@@ -209,16 +162,4 @@ func RenderCeiling(w io.Writer, c *CeilingResult) error {
 	fmt.Fprintln(w, "past a handful of ranks. Owner-computes domains with halo exchange and a")
 	fmt.Fprintln(w, "2-D pencil transpose keep both phases decomposable to O(1000) ranks.")
 	return nil
-}
-
-// CSVCeiling writes the sweep as CSV (untileable cells carry the error).
-func CSVCeiling(w io.Writer, c *CeilingResult) error {
-	var cells [][]string
-	for _, r := range c.Rows {
-		cells = append(cells, []string{
-			csvName(r.Network), r.Decomp, fmt.Sprintf("%d", r.P),
-			f(r.Classic), f(r.PME), f(r.Total()), csvName(r.Err),
-		})
-	}
-	return report.CSV(w, []string{"network", "decomp", "procs", "classic_s", "pme_s", "total_s", "error"}, cells)
 }

@@ -1,16 +1,17 @@
 package figures
 
 import (
-	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/pmd"
 )
 
-func ceilingRows(res *CeilingResult, network, decomp string) map[int]CeilingRow {
-	out := map[int]CeilingRow{}
-	for _, r := range res.Rows {
-		if r.Network == network && r.Decomp == decomp {
-			out[r.P] = r
+func ceilingRowsOf(rows []Row, net string, decomp pmd.DecompKind) map[int]Row {
+	out := map[int]Row{}
+	for _, r := range rows {
+		if r.Network() == net && r.Cell.Decomp == decomp {
+			out[r.P()] = r
 		}
 	}
 	return out
@@ -21,81 +22,85 @@ func ceilingRows(res *CeilingResult, network, decomp string) map[int]CeilingRow 
 // while the domain strategy at the top of the sweep still beats the best
 // replicated total anywhere in it.
 func TestCeilingShape(t *testing.T) {
-	res, err := quickSuite.Ceiling()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := figureRows(t, quickSuite, "ceiling")
 	procs := quickSuite.Cfg.CeilingProcs
 	top := procs[len(procs)-1]
 
-	rep := ceilingRows(res, "TCP/IP on Ethernet", "replicated")
-	dom := ceilingRows(res, "TCP/IP on Ethernet", "domain")
-	repBest := rep[1].Total()
+	rep := ceilingRowsOf(rows, "TCP/IP on Ethernet", pmd.DecompReplicated)
+	dom := ceilingRowsOf(rows, "TCP/IP on Ethernet", pmd.DecompDomain)
+	repBest := totalWall(rep[1])
 	for _, r := range rep {
-		if r.Err == "" && r.Total() < repBest {
-			repBest = r.Total()
+		if r.Err == "" && totalWall(r) < repBest {
+			repBest = totalWall(r)
 		}
 	}
 	// The plateau: going past 8 ranks buys the replicated path nothing.
-	if rep[top].Err == "" && rep[top].Total() < rep[8].Total() {
+	if rep[top].Err == "" && totalWall(rep[top]) < totalWall(rep[8]) {
 		t.Fatalf("replicated kept scaling past 8: p=8 %g vs p=%d %g",
-			rep[8].Total(), top, rep[top].Total())
+			totalWall(rep[8]), top, totalWall(rep[top]))
 	}
 	// The win: the domain path at the top of the sweep beats the best the
 	// replicated path achieves at any rank count.
-	if dom[top].Total() >= repBest {
+	if totalWall(dom[top]) >= repBest {
 		t.Fatalf("domain at p=%d (%g) does not beat replicated best (%g)",
-			top, dom[top].Total(), repBest)
+			top, totalWall(dom[top]), repBest)
 	}
 
-	for _, x := range res.Crossover {
-		if x.Network == "TCP/IP on Ethernet" && x.CrossoverP == 0 {
-			t.Fatal("no crossover reported on TCP although the domain path wins")
-		}
+	if crossoverOf("TCP/IP on Ethernet", rows).CrossoverP == 0 {
+		t.Fatal("no crossover reported on TCP although the domain path wins")
 	}
-	if res.Effects == nil || res.Effects.MainSS["decomp"] <= 0 {
-		t.Fatal("DOE analysis missing the decomposition factor")
+	if effects, err := ceilingEffects(rows); err != nil || effects.MainSS["decomp"] <= 0 {
+		t.Fatalf("DOE analysis missing the decomposition factor (error: %v)", err)
 	}
 }
 
+// untiled replaces the quick grid's replicated TCP row at the top of the
+// sweep by the row the full ladder has at p = 256: a point the strategy
+// cannot tile, with the typed error and no cell behind it.
+func untiled(t *testing.T, rows []Row) []Row {
+	t.Helper()
+	const tilingErr = "pmd: replicated decomposition cannot tile 256 ranks: slab PME assigns whole x-slabs; ranks must not exceed the K1=80 mesh slabs"
+	for i, r := range rows {
+		if r.Network() == "TCP/IP on Ethernet" && r.Cell.Decomp == pmd.DecompReplicated && r.P() == 64 {
+			rows[i] = quickSuite.row(r.Cell.Cluster.Net, 256, 1, pmd.MiddlewareMPI, pmd.DecompReplicated)
+			rows[i].Err = tilingErr
+			return rows
+		}
+	}
+	t.Fatal("no replicated TCP row at p=64 in the quick grid")
+	return nil
+}
+
 // TestCeilingRendersUntileableCells: cells the strategy cannot tile carry
-// the typed error instead of silently vanishing from the table.
+// the typed error instead of silently vanishing from the table, and the
+// crossover verdict is still read off the cells that ran.
 func TestCeilingRendersUntileableCells(t *testing.T) {
-	res := &CeilingResult{
-		Rows: []CeilingRow{
-			{Network: "TCP/IP on Ethernet", Decomp: "replicated", P: 8, Classic: 1, PME: 2},
-			{Network: "TCP/IP on Ethernet", Decomp: "replicated", P: 256,
-				Err: "pmd: replicated decomposition cannot tile 256 ranks: slab PME assigns whole x-slabs; ranks must not exceed the K1=80 mesh slabs"},
-			{Network: "TCP/IP on Ethernet", Decomp: "domain", P: 256, Classic: 0.1, PME: 0.2},
-		},
-		Crossover: []CeilingCrossover{{
-			Network: "TCP/IP on Ethernet", ReplicatedBest: 3, ReplicatedAtP: 8,
-			DomainBest: 0.3, DomainAtP: 256, CrossoverP: 256,
-		}},
-	}
-	a, err := quickSuite.FactorAnalysis()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Effects = a
+	rows := untiled(t, figureRows(t, quickSuite, "ceiling"))
 
 	var b strings.Builder
-	if err := RenderCeiling(&b, res); err != nil {
+	if err := quickSuite.Render(&b, figure(t, "ceiling"), rows, false); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
-	if !strings.Contains(out, "cannot tile") {
+	marked := false
+	for _, line := range strings.Split(out, "\n") {
+		if strings.Contains(line, "replicated  256") {
+			marked = strings.HasSuffix(line, "cannot tile") && strings.Count(line, "—") == 3
+		}
+	}
+	if !marked {
 		t.Fatalf("untileable cell not marked:\n%s", out)
 	}
-	if !strings.Contains(out, "p=256") {
+	if !strings.Contains(out, "domain wins from") || !strings.Contains(out, " @ p=8") {
 		t.Fatalf("crossover verdict missing:\n%s", out)
 	}
 
 	var c strings.Builder
-	if err := CSVCeiling(&c, res); err != nil {
+	if err := quickSuite.Render(&c, figure(t, "ceiling"), rows, true); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(c.String(), "K1=80") {
+	if !strings.Contains(c.String(), "TCP/IP_on_Ethernet,replicated,256,0.000000,0.000000,0.000000,pmd:_replicated_decomposition_cannot_tile_256_ranks:") ||
+		!strings.Contains(c.String(), "K1=80") {
 		t.Fatalf("csv lost the tiling error:\n%s", c.String())
 	}
 }
@@ -106,11 +111,5 @@ func TestCeilingRendersUntileableCells(t *testing.T) {
 // ranks, and to domain cells, which wait for no tape.
 func TestCeilingOutputIdenticalAcrossWorkers(t *testing.T) {
 	cfgs := workerConfigs(func(c *Config) { c.CeilingProcs = []int{1, 16} })
-	identicalAcross(t, cfgs, func(s *Suite, w io.Writer) error {
-		res, err := s.Ceiling()
-		if err != nil {
-			return err
-		}
-		return RenderCeiling(w, res)
-	})
+	identicalAcross(t, cfgs, renderFigures("ceiling"))
 }

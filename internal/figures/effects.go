@@ -6,42 +6,47 @@ import (
 	"sort"
 
 	"repro/internal/doe"
-	"repro/internal/pmd"
 	"repro/internal/report"
 )
 
-// FactorAnalysis runs Jain's allocation-of-variation analysis (§3.1 cites
-// Jain [11] for the methodology) over the full factorial design, using the
-// total energy-calculation time as the response variable.
-func (s *Suite) FactorAnalysis() (*doe.Analysis, error) { return RunPlan(s, s.EffectsPlan()) }
-
-// EffectsPlan is the factor analysis as a plan: the factorial's cells,
-// folded on into the analysis.
-func (s *Suite) EffectsPlan() Plan[*doe.Analysis] {
-	factorial := s.FactorialPlan()
-	return Plan[*doe.Analysis]{Cells: factorial.Cells, Fold: func(results []*pmd.Result) (*doe.Analysis, error) {
-		rows, err := factorial.Fold(results)
-		if err != nil {
-			return nil, err
-		}
-		obs := make([]doe.Observation, 0, len(rows))
-		for _, r := range rows {
-			obs = append(obs, doe.Observation{
-				Levels: map[string]string{
-					"network":    r.Network,
-					"middleware": r.Middleware,
-					"cpus/node":  fmt.Sprintf("%d", r.CPUs),
-				},
-				Y: r.Total,
-			})
-		}
-		return doe.Analyze(obs)
-	}}
+// effectsOf runs Jain's allocation-of-variation analysis (§3.1 cites Jain
+// [11] for the methodology) over the rows, each at the factor levels given,
+// with the total energy-calculation time as the response variable.
+func effectsOf(rows []Row, levels func(Row) map[string]string) (*doe.Analysis, error) {
+	obs := make([]doe.Observation, 0, len(rows))
+	for _, r := range rows {
+		obs = append(obs, doe.Observation{Levels: levels(r), Y: totalWall(r)})
+	}
+	return doe.Analyze(obs)
 }
 
-// RenderEffects writes the factor-effect analysis: main effects per level
+// factorialEffects analyzes the full factorial design of §3.1.
+func factorialEffects(rows []Row) (*doe.Analysis, error) {
+	return effectsOf(rows, func(r Row) map[string]string {
+		return map[string]string{
+			"network":    r.Network(),
+			"middleware": r.Cell.Middleware.String(),
+			"cpus/node":  fmt.Sprintf("%d", r.CPUs),
+		}
+	})
+}
+
+// renderFactorialEffects is the effects figure: the factorial's rows,
+// folded on into the analysis.
+func renderFactorialEffects(_ *Suite, w io.Writer, rows []Row, csv bool) error {
+	a, err := factorialEffects(rows)
+	if err != nil {
+		return err
+	}
+	if csv {
+		return csvEffects(w, a)
+	}
+	return renderEffects(w, a)
+}
+
+// renderEffects writes the factor-effect analysis: main effects per level
 // and the allocation of variation.
-func RenderEffects(w io.Writer, a *doe.Analysis) error {
+func renderEffects(w io.Writer, a *doe.Analysis) error {
 	fmt.Fprintln(w, "Factorial analysis (Jain) — which platform factor matters?")
 	fmt.Fprintf(w, "grand mean of the total energy-calculation time: %.3f s\n\n", a.GrandMean)
 
@@ -88,8 +93,8 @@ func RenderEffects(w io.Writer, a *doe.Analysis) error {
 	return nil
 }
 
-// CSVEffects writes the factor effects as CSV.
-func CSVEffects(w io.Writer, a *doe.Analysis) error {
+// csvEffects writes the factor effects as CSV.
+func csvEffects(w io.Writer, a *doe.Analysis) error {
 	var cells [][]string
 	for _, e := range a.Effects {
 		cells = append(cells, []string{

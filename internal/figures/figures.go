@@ -1,7 +1,9 @@
 // Package figures regenerates every figure of the paper's evaluation
 // (Figs. 3–9) plus the full-factorial table of §3.1 from simulated runs of
-// the parallel MD workload. A Suite caches run results so figures sharing
-// the same configuration (3/4, 5/6/7) reuse one run per cell.
+// the parallel MD workload. The evaluation is one table of experiment
+// cells read many ways: a figure (registry.go) is a list of cells and a
+// list of columns over their Rows. A Suite caches run results so figures
+// sharing the same configuration (3/4, 5/6/7) reuse one run per cell.
 package figures
 
 import (
@@ -14,7 +16,6 @@ import (
 	"repro/internal/netmodel"
 	"repro/internal/obs"
 	"repro/internal/pmd"
-	"repro/internal/stats"
 	"repro/internal/topol"
 )
 
@@ -155,6 +156,20 @@ func NewSuite(cfg Config) *Suite {
 // newSuite is NewSuite on a system that is already built and relaxed; a
 // suite only ever reads it, so suites may share one.
 func newSuite(cfg Config, sys *topol.System) *Suite {
+	// An empty ladder is the paper's: the plans sweep and index them.
+	paper := Default()
+	if len(cfg.Procs) == 0 {
+		cfg.Procs = paper.Procs
+	}
+	if len(cfg.CeilingProcs) == 0 {
+		cfg.CeilingProcs = paper.CeilingProcs
+	}
+	if len(cfg.RecoveryProcs) == 0 {
+		cfg.RecoveryProcs = paper.RecoveryProcs
+	}
+	if len(cfg.RecoveryCrashes) == 0 {
+		cfg.RecoveryCrashes = paper.RecoveryCrashes
+	}
 	s := &Suite{
 		Cfg:   cfg,
 		sys:   sys,
@@ -231,296 +246,4 @@ func (s *Suite) RunDecomp(net netmodel.Params, procs, cpusPerNode int, mw pmd.Mi
 		return nil, err
 	}
 	return res[0], nil
-}
-
-// ---------------------------------------------------------------------------
-// Figure 3: wall clock of the total energy calculation, reference case.
-
-// Fig3Row is one processor count of Fig. 3.
-type Fig3Row struct {
-	P       int
-	Classic float64 // seconds over the measured steps
-	PME     float64
-}
-
-// Total returns classic+PME.
-func (r Fig3Row) Total() float64 { return r.Classic + r.PME }
-
-// sweep lists the MPI, uni-processor cells of nets × procs under the
-// suite's decomposition, network by network — the grid Figs. 3–6 and the
-// scale-limit table read.
-func (s *Suite) sweep(nets []netmodel.Params, procs []int) []CellKey {
-	var cells []CellKey
-	for _, net := range nets {
-		for _, p := range procs {
-			cells = append(cells, s.cell(net, p, 1, pmd.MiddlewareMPI, s.Cfg.Decomp))
-		}
-	}
-	return cells
-}
-
-// referenceCells are the cells of the reference case (TCP/IP, MPI,
-// uni-processor) over the configured processor counts — Figs. 3 and 4.
-func (s *Suite) referenceCells() []CellKey {
-	return s.sweep([]netmodel.Params{netmodel.TCPGigE()}, s.Cfg.Procs)
-}
-
-// Fig3 runs the reference case (TCP/IP, MPI, uni-processor). The programs
-// batch plans through core.Study; Fig3 and its sibling one-line wrappers
-// (one per plan) are how the tests and benchmarks run one figure alone.
-func (s *Suite) Fig3() ([]Fig3Row, error) { return RunPlan(s, s.Fig3Plan()) }
-
-// Fig3Plan is Fig. 3 as a plan.
-func (s *Suite) Fig3Plan() Plan[[]Fig3Row] {
-	return Plan[[]Fig3Row]{Cells: s.referenceCells(), Fold: func(results []*pmd.Result) ([]Fig3Row, error) {
-		var rows []Fig3Row
-		for _, res := range results {
-			c, pm := res.PhaseTotals()
-			rows = append(rows, Fig3Row{P: res.P, Classic: c.Wall, PME: pm.Wall})
-		}
-		return rows, nil
-	}}
-}
-
-// ---------------------------------------------------------------------------
-// Figure 4: percentage breakdown for the reference case.
-
-// Fig4Row is one processor count of Fig. 4a/4b.
-type Fig4Row struct {
-	P       int
-	Classic Breakdown
-	PME     Breakdown
-}
-
-func fig4RowOf(res *pmd.Result) Fig4Row {
-	c, pm := res.PhaseTotals()
-	return Fig4Row{P: res.P, Classic: breakdownOf(c), PME: breakdownOf(pm)}
-}
-
-// Fig4 computes the comp/comm/sync percentages of Fig. 4 (same runs as
-// Fig. 3).
-func (s *Suite) Fig4() ([]Fig4Row, error) { return RunPlan(s, s.Fig4Plan()) }
-
-// Fig4Plan is Fig. 4 as a plan.
-func (s *Suite) Fig4Plan() Plan[[]Fig4Row] {
-	return Plan[[]Fig4Row]{Cells: s.referenceCells(), Fold: func(results []*pmd.Result) ([]Fig4Row, error) {
-		var rows []Fig4Row
-		for _, res := range results {
-			rows = append(rows, fig4RowOf(res))
-		}
-		return rows, nil
-	}}
-}
-
-// ---------------------------------------------------------------------------
-// Figures 5 and 6: the network sweep.
-
-// NetworkRows bundles one network's sweep.
-type NetworkRows struct {
-	Network string
-	Rows    []Fig4Row // wall times recoverable via Breakdown.Total
-}
-
-// Fig56 runs the three networks (TCP/IP, SCore, Myrinet) over the
-// processor counts; Fig. 5 uses the wall times, Fig. 6 the percentages.
-func (s *Suite) Fig56() ([]NetworkRows, error) { return RunPlan(s, s.Fig56Plan()) }
-
-// Fig56Plan is the network sweep of Figs. 5 and 6 as a plan.
-func (s *Suite) Fig56Plan() Plan[[]NetworkRows] {
-	cells := s.sweep(netmodel.All(), s.Cfg.Procs)
-	return Plan[[]NetworkRows]{Cells: cells, Fold: func(results []*pmd.Result) ([]NetworkRows, error) {
-		var out []NetworkRows
-		for i, res := range results {
-			if name := cells[i].Cluster.Net.Name; len(out) == 0 || out[len(out)-1].Network != name {
-				out = append(out, NetworkRows{Network: name})
-			}
-			e := &out[len(out)-1]
-			e.Rows = append(e.Rows, fig4RowOf(res))
-		}
-		return out, nil
-	}}
-}
-
-// ---------------------------------------------------------------------------
-// Figure 7: per-node communication speed, average and variability.
-
-// Fig7Row is one (network, processors) cell.
-type Fig7Row struct {
-	Network string
-	P       int
-	AvgMBs  float64
-	MinMBs  float64
-	MaxMBs  float64
-}
-
-// Fig7 samples the per-rank per-step communication speed (bytes sent over
-// time spent in data transfer) for p ≥ 2.
-func (s *Suite) Fig7() ([]Fig7Row, error) { return RunPlan(s, s.Fig7Plan()) }
-
-// Fig7Plan is Fig. 7 as a plan.
-func (s *Suite) Fig7Plan() Plan[[]Fig7Row] {
-	var cells []CellKey
-	for _, net := range netmodel.All() {
-		for _, p := range s.Cfg.Procs {
-			if p < 2 {
-				continue
-			}
-			cells = append(cells, s.cell(net, p, 1, pmd.MiddlewareMPI, s.Cfg.Decomp))
-		}
-	}
-	return Plan[[]Fig7Row]{Cells: cells, Fold: func(results []*pmd.Result) ([]Fig7Row, error) {
-		var out []Fig7Row
-		for i, res := range results {
-			var speeds []float64
-			for _, rankSteps := range res.Timings {
-				for _, st := range rankSteps {
-					bytes := float64(st.Classic.Bytes + st.PME.Bytes)
-					tcomm := st.Classic.Comm + st.PME.Comm
-					if tcomm > 0 && bytes > 0 {
-						speeds = append(speeds, bytes/tcomm/1e6)
-					}
-				}
-			}
-			sum := stats.Summarize(speeds)
-			out = append(out, Fig7Row{
-				Network: cells[i].Cluster.Net.Name, P: res.P,
-				AvgMBs: sum.Mean, MinMBs: sum.Min, MaxMBs: sum.Max,
-			})
-		}
-		return out, nil
-	}}
-}
-
-// ---------------------------------------------------------------------------
-// Figure 8: MPI vs CMPI middleware on the reference network.
-
-// Fig8Row is one (middleware, processors) cell: phase wall times plus the
-// total-energy breakdown of Fig. 8b.
-type Fig8Row struct {
-	Middleware string
-	P          int
-	Classic    float64
-	PME        float64
-	Total      Breakdown
-}
-
-// Fig8 compares the middlewares on TCP/IP, uni-processor nodes.
-func (s *Suite) Fig8() ([]Fig8Row, error) { return RunPlan(s, s.Fig8Plan()) }
-
-// Fig8Plan is Fig. 8 as a plan.
-func (s *Suite) Fig8Plan() Plan[[]Fig8Row] {
-	var cells []CellKey
-	for _, mw := range []pmd.MiddlewareKind{pmd.MiddlewareMPI, pmd.MiddlewareCMPI} {
-		for _, p := range s.Cfg.Procs {
-			cells = append(cells, s.cell(netmodel.TCPGigE(), p, 1, mw, s.Cfg.Decomp))
-		}
-	}
-	return Plan[[]Fig8Row]{Cells: cells, Fold: func(results []*pmd.Result) ([]Fig8Row, error) {
-		var out []Fig8Row
-		for i, res := range results {
-			c, pm := res.PhaseTotals()
-			total := Breakdown{
-				Comp: c.Comp + pm.Comp,
-				Comm: c.Comm + pm.Comm,
-				Sync: c.Sync + pm.Sync,
-			}
-			out = append(out, Fig8Row{
-				Middleware: cells[i].Middleware.String(), P: res.P,
-				Classic: c.Wall, PME: pm.Wall, Total: total,
-			})
-		}
-		return out, nil
-	}}
-}
-
-// ---------------------------------------------------------------------------
-// Figure 9: uni- vs dual-processor nodes on TCP/IP and Myrinet.
-
-// Fig9Row is one (network, CPUs-per-node, processors) cell.
-type Fig9Row struct {
-	Network string
-	CPUs    int
-	P       int
-	Classic float64
-	PME     float64
-}
-
-// Fig9 sweeps CPUs per node for TCP/IP (9a) and Myrinet (9b). Dual-node
-// cells need an even processor count; p=1 reuses the uni-processor cell,
-// as on the real machine (one busy CPU on a dual board).
-func (s *Suite) Fig9() ([]Fig9Row, error) { return RunPlan(s, s.Fig9Plan()) }
-
-// Fig9Plan is Fig. 9 as a plan.
-func (s *Suite) Fig9Plan() Plan[[]Fig9Row] {
-	var cells []CellKey
-	var rows []Fig9Row // the labels: a row's CPUs is the board, not what p=1 runs on
-	for _, net := range []netmodel.Params{netmodel.TCPGigE(), netmodel.MyrinetGM()} {
-		for _, cpus := range []int{1, 2} {
-			for _, p := range s.Cfg.Procs {
-				useCPUs := cpus
-				if p == 1 {
-					useCPUs = 1
-				}
-				if p%useCPUs != 0 {
-					continue
-				}
-				cells = append(cells, s.cell(net, p, useCPUs, pmd.MiddlewareMPI, s.Cfg.Decomp))
-				rows = append(rows, Fig9Row{Network: net.Name, CPUs: cpus, P: p})
-			}
-		}
-	}
-	return Plan[[]Fig9Row]{Cells: cells, Fold: func(results []*pmd.Result) ([]Fig9Row, error) {
-		out := append([]Fig9Row(nil), rows...)
-		for i, res := range results {
-			c, pm := res.PhaseTotals()
-			out[i].Classic, out[i].PME = c.Wall, pm.Wall
-		}
-		return out, nil
-	}}
-}
-
-// ---------------------------------------------------------------------------
-// The full factorial design of §3.1 (12 cells at a fixed processor count).
-
-// FactorialRow is one cell of the 3×2×2 design.
-type FactorialRow struct {
-	Network    string
-	Middleware string
-	CPUs       int
-	P          int
-	Classic    float64
-	PME        float64
-	Total      float64
-}
-
-// Factorial runs every factor combination at the largest configured
-// processor count.
-func (s *Suite) Factorial() ([]FactorialRow, error) { return RunPlan(s, s.FactorialPlan()) }
-
-// FactorialPlan is the factorial table as a plan.
-func (s *Suite) FactorialPlan() Plan[[]FactorialRow] {
-	p := s.Cfg.Procs[len(s.Cfg.Procs)-1]
-	var cells []CellKey
-	for _, net := range netmodel.All() {
-		for _, mw := range []pmd.MiddlewareKind{pmd.MiddlewareMPI, pmd.MiddlewareCMPI} {
-			for _, cpus := range []int{1, 2} {
-				if p%cpus != 0 {
-					continue
-				}
-				cells = append(cells, s.cell(net, p, cpus, mw, s.Cfg.Decomp))
-			}
-		}
-	}
-	return Plan[[]FactorialRow]{Cells: cells, Fold: func(results []*pmd.Result) ([]FactorialRow, error) {
-		var out []FactorialRow
-		for i, res := range results {
-			c, pm := res.PhaseTotals()
-			out = append(out, FactorialRow{
-				Network: cells[i].Cluster.Net.Name, Middleware: cells[i].Middleware.String(),
-				CPUs: cells[i].Cluster.CPUsPerNode, P: res.P,
-				Classic: c.Wall, PME: pm.Wall, Total: c.Wall + pm.Wall,
-			})
-		}
-		return out, nil
-	}}
 }

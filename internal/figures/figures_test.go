@@ -2,6 +2,7 @@ package figures
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -27,6 +28,26 @@ func quickConfig() Config {
 	return c
 }
 
+// figure looks a registry entry up; an unknown id fails the test.
+func figure(t testing.TB, id string) Figure {
+	t.Helper()
+	fig, ok := Lookup(id)
+	if !ok {
+		t.Fatalf("no figure %q in the registry", id)
+	}
+	return fig
+}
+
+// figureRows runs one registry figure's cells on s as one batch.
+func figureRows(t testing.TB, s *Suite, id string) []Row {
+	t.Helper()
+	rows, err := s.Rows(figure(t, id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows[0]
+}
+
 func TestBreakdownPercent(t *testing.T) {
 	b := Breakdown{Comp: 2, Comm: 1, Sync: 1}
 	c, m, s := b.Percent()
@@ -42,39 +63,33 @@ func TestBreakdownPercent(t *testing.T) {
 }
 
 func TestFig3ShapeF1(t *testing.T) {
-	rows, err := quickSuite.Fig3()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := figureRows(t, quickSuite, "3")
 	if len(rows) != len(quickSuite.Cfg.Procs) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	seq := rows[0]
-	if seq.P != 1 {
+	if seq.P() != 1 {
 		t.Fatal("first row should be sequential")
 	}
 	// F1: sequentially, PME is slightly less than half the total.
-	frac := seq.PME / seq.Total()
+	frac := pmeWall(seq) / totalWall(seq)
 	if frac < 0.3 || frac > 0.55 {
 		t.Fatalf("sequential PME fraction %.2f out of paper range", frac)
 	}
 	// F1: PME time at 2 processors exceeds the sequential PME time.
-	if rows[1].PME <= seq.PME {
-		t.Fatalf("PME(2)=%g not above PME(1)=%g", rows[1].PME, seq.PME)
+	if pmeWall(rows[1]) <= pmeWall(seq) {
+		t.Fatalf("PME(2)=%g not above PME(1)=%g", pmeWall(rows[1]), pmeWall(seq))
 	}
 	// Classic part must parallelize.
-	if rows[1].Classic >= seq.Classic {
-		t.Fatalf("classic did not speed up: %g vs %g", rows[1].Classic, seq.Classic)
+	if classicWall(rows[1]) >= classicWall(seq) {
+		t.Fatalf("classic did not speed up: %g vs %g", classicWall(rows[1]), classicWall(seq))
 	}
 }
 
 func TestFig4ShapeF2(t *testing.T) {
-	rows, err := quickSuite.Fig4()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := figureRows(t, quickSuite, "4")
 	// Sequential: 100% computation.
-	cc, cm, cs := rows[0].Classic.Percent()
+	cc, cm, cs := classicSplit(rows[0]).Percent()
 	if cc < 99.9 || cm > 0.1 || cs > 0.1 {
 		t.Fatalf("sequential breakdown not pure compute: %v %v %v", cc, cm, cs)
 	}
@@ -84,28 +99,27 @@ func TestFig4ShapeF2(t *testing.T) {
 		return m + s
 	}
 	last := len(rows) - 1
-	if overhead(rows[last].Classic) <= overhead(rows[1].Classic) {
-		t.Fatalf("classic overhead not growing: %v then %v", overhead(rows[1].Classic), overhead(rows[last].Classic))
+	if overhead(classicSplit(rows[last])) <= overhead(classicSplit(rows[1])) {
+		t.Fatalf("classic overhead not growing: %v then %v", overhead(classicSplit(rows[1])), overhead(classicSplit(rows[last])))
 	}
 	// PME overhead is the dominant problem (paper: >50% already at 2).
-	if overhead(rows[1].PME) < 30 {
-		t.Fatalf("PME overhead at p=2 only %.1f%%", overhead(rows[1].PME))
+	if overhead(pmeSplit(rows[1])) < 30 {
+		t.Fatalf("PME overhead at p=2 only %.1f%%", overhead(pmeSplit(rows[1])))
 	}
 }
 
 func TestFig56ShapeF3(t *testing.T) {
-	nets, err := quickSuite.Fig56()
-	if err != nil {
-		t.Fatal(err)
+	rows := figureRows(t, quickSuite, "5")
+	var last []Row // each network's stretch of the sweep ends at its largest processor count
+	for i, r := range rows {
+		if i+1 == len(rows) || rows[i+1].Network() != r.Network() {
+			last = append(last, r)
+		}
 	}
-	if len(nets) != 3 {
-		t.Fatalf("networks = %d", len(nets))
+	if len(last) != 3 {
+		t.Fatalf("networks = %d", len(last))
 	}
-	total := func(n NetworkRows, i int) float64 {
-		return n.Rows[i].Classic.Total() + n.Rows[i].PME.Total()
-	}
-	last := len(nets[0].Rows) - 1
-	tcp, score, myri := total(nets[0], last), total(nets[1], last), total(nets[2], last)
+	tcp, score, myri := totalSum(last[0]), totalSum(last[1]), totalSum(last[2])
 	// F3: Myrinet fastest; SCore recovers most of the gap on the same wire.
 	if !(myri < score && score < tcp) {
 		t.Fatalf("network ordering violated: tcp=%g score=%g myrinet=%g", tcp, score, myri)
@@ -116,18 +130,14 @@ func TestFig56ShapeF3(t *testing.T) {
 }
 
 func TestFig7ShapeF4(t *testing.T) {
-	rows, err := quickSuite.Fig7()
-	if err != nil {
-		t.Fatal(err)
-	}
 	spread := map[string]float64{}
 	avg := map[string]float64{}
-	for _, r := range rows {
-		if r.P != 4 {
+	for _, r := range figureRows(t, quickSuite, "7") {
+		if r.P() != 4 {
 			continue
 		}
-		spread[r.Network] = (r.MaxMBs - r.MinMBs) / r.MaxMBs
-		avg[r.Network] = r.AvgMBs
+		spread[r.Network()] = (maxMBs(r) - minMBs(r)) / maxMBs(r)
+		avg[r.Network()] = avgMBs(r)
 	}
 	// F4: TCP slowest and most variable; Myrinet fastest.
 	if !(avg["Myrinet"] > avg["SCore on Ethernet"] && avg["SCore on Ethernet"] > avg["TCP/IP on Ethernet"]) {
@@ -139,38 +149,29 @@ func TestFig7ShapeF4(t *testing.T) {
 }
 
 func TestFig8ShapeF5(t *testing.T) {
-	rows, err := quickSuite.Fig8()
-	if err != nil {
-		t.Fatal(err)
+	last := quickSuite.topProcs()
+	byMW := map[string]Row{} // at the largest size
+	for _, r := range figureRows(t, quickSuite, "8") {
+		if r.P() == last {
+			byMW[r.Cell.Middleware.String()] = r
+		}
 	}
-	byKey := map[string]Fig8Row{}
-	for _, r := range rows {
-		byKey[r.Middleware+string(rune('0'+r.P))] = r
-	}
-	last := quickSuite.Cfg.Procs[len(quickSuite.Cfg.Procs)-1]
-	lk := string(rune('0' + last))
-	mpiT := byKey["MPI"+lk].Classic + byKey["MPI"+lk].PME
-	cmpiT := byKey["CMPI"+lk].Classic + byKey["CMPI"+lk].PME
+	mpiT, cmpiT := totalWall(byMW["MPI"]), totalWall(byMW["CMPI"])
 	if cmpiT <= mpiT {
 		t.Fatalf("F5 violated: CMPI %g not slower than MPI %g at p=%d", cmpiT, mpiT, last)
 	}
 	// CMPI books more synchronization than MPI at the largest size.
-	if byKey["CMPI"+lk].Total.Sync <= byKey["MPI"+lk].Total.Sync {
+	if totalSplit(byMW["CMPI"]).Sync <= totalSplit(byMW["MPI"]).Sync {
 		t.Fatal("CMPI sync not dominant")
 	}
 }
 
 func TestFig9ShapeF6(t *testing.T) {
-	rows, err := quickSuite.Fig9()
-	if err != nil {
-		t.Fatal(err)
-	}
 	total := map[string]float64{}
-	for _, r := range rows {
-		total[r.Network+"-"+string(rune('0'+r.CPUs))+"-"+string(rune('0'+r.P))] = r.Classic + r.PME
+	for _, r := range figureRows(t, quickSuite, "9") {
+		total[r.Network()+"-"+string(rune('0'+r.CPUs))+"-"+string(rune('0'+r.P()))] = totalWall(r)
 	}
-	last := quickSuite.Cfg.Procs[len(quickSuite.Cfg.Procs)-1]
-	lk := string(rune('0' + last))
+	lk := string(rune('0' + quickSuite.topProcs()))
 	// F6: dual-processor hurts on TCP...
 	if total["TCP/IP on Ethernet-2-"+lk] <= total["TCP/IP on Ethernet-1-"+lk] {
 		t.Fatalf("dual TCP (%g) not slower than uni TCP (%g)", total["TCP/IP on Ethernet-2-"+lk], total["TCP/IP on Ethernet-1-"+lk])
@@ -182,23 +183,51 @@ func TestFig9ShapeF6(t *testing.T) {
 }
 
 func TestFactorialCoversAllCells(t *testing.T) {
-	rows, err := quickSuite.Factorial()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := figureRows(t, quickSuite, "factorial")
 	// 3 networks × 2 middlewares × 2 node types = 12 cells (p divisible by 2).
 	if len(rows) != 12 {
 		t.Fatalf("factorial cells = %d, want 12", len(rows))
 	}
 	seen := map[string]bool{}
 	for _, r := range rows {
-		key := r.Network + r.Middleware + string(rune('0'+r.CPUs))
+		key := r.Network() + r.Cell.Middleware.String() + string(rune('0'+r.CPUs))
 		if seen[key] {
 			t.Fatalf("duplicate cell %s", key)
 		}
 		seen[key] = true
-		if r.Total <= 0 || math.IsNaN(r.Total) {
-			t.Fatalf("bad total in %+v", r)
+		if totalWall(r) <= 0 || math.IsNaN(totalWall(r)) {
+			t.Fatalf("bad total in %v", r.Cell)
+		}
+	}
+}
+
+// TestZeroConfigPlansEveryFigure: a hand-built Config that names no
+// ladder gets the paper's, once, when the suite is built — so every
+// registry entry plans its rows (the factorial and the ablation index the
+// last processor count).
+func TestZeroConfigPlansEveryFigure(t *testing.T) {
+	quick := quickConfig()
+	s := freshSuite(Config{Steps: quick.Steps, Cost: quick.Cost, MD: quick.MD})
+	paper := Default()
+	for _, ladder := range []struct {
+		name      string
+		got, want []int
+	}{
+		{"Procs", s.Cfg.Procs, paper.Procs},
+		{"CeilingProcs", s.Cfg.CeilingProcs, paper.CeilingProcs},
+		{"RecoveryProcs", s.Cfg.RecoveryProcs, paper.RecoveryProcs},
+		{"RecoveryCrashes", s.Cfg.RecoveryCrashes, paper.RecoveryCrashes},
+	} {
+		if !slices.Equal(ladder.got, ladder.want) {
+			t.Errorf("%s = %v, want the paper's %v", ladder.name, ladder.got, ladder.want)
+		}
+	}
+	for _, fig := range Registry() {
+		if !fig.HasData() {
+			continue
+		}
+		if rows := fig.plan(s); len(rows) == 0 {
+			t.Errorf("figure %s plans no rows", fig.ID)
 		}
 	}
 }
@@ -221,44 +250,6 @@ func TestSuiteCaching(t *testing.T) {
 	}
 }
 
-func TestRenderersProduceOutput(t *testing.T) {
-	f3, err := quickSuite.Fig3()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f4, _ := quickSuite.Fig4()
-	f56, _ := quickSuite.Fig56()
-	f7, _ := quickSuite.Fig7()
-	f8, _ := quickSuite.Fig8()
-	f9, _ := quickSuite.Fig9()
-	fact, _ := quickSuite.Factorial()
-
-	checks := []struct {
-		name   string
-		render func(w *strings.Builder) error
-		want   string
-	}{
-		{"fig3", func(w *strings.Builder) error { return RenderFig3(w, f3) }, "Figure 3"},
-		{"fig4", func(w *strings.Builder) error { return RenderFig4(w, f4) }, "Figure 4"},
-		{"fig5", func(w *strings.Builder) error { return RenderFig5(w, f56) }, "Figure 5"},
-		{"fig6", func(w *strings.Builder) error { return RenderFig6(w, f56) }, "Figure 6"},
-		{"fig7", func(w *strings.Builder) error { return RenderFig7(w, f7) }, "Figure 7"},
-		{"fig8", func(w *strings.Builder) error { return RenderFig8(w, f8) }, "Figure 8"},
-		{"fig9", func(w *strings.Builder) error { return RenderFig9(w, f9) }, "Figure 9"},
-		{"factorial", func(w *strings.Builder) error { return RenderFactorial(w, fact) }, "factorial"},
-	}
-	for _, c := range checks {
-		var b strings.Builder
-		if err := c.render(&b); err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		out := b.String()
-		if !strings.Contains(out, c.want) || strings.Count(out, "\n") < 3 {
-			t.Fatalf("%s output suspicious:\n%s", c.name, out)
-		}
-	}
-}
-
 func TestSystemMatchesPaperScale(t *testing.T) {
 	if n := quickSuite.System().N(); n != 3552 {
 		t.Fatalf("workload has %d atoms, want 3552", n)
@@ -266,7 +257,7 @@ func TestSystemMatchesPaperScale(t *testing.T) {
 }
 
 func TestFactorAnalysis(t *testing.T) {
-	a, err := quickSuite.FactorAnalysis()
+	a, err := factorialEffects(figureRows(t, quickSuite, "effects"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,14 +270,14 @@ func TestFactorAnalysis(t *testing.T) {
 		t.Fatalf("dominant factor %q, expected a communication factor", d)
 	}
 	var b strings.Builder
-	if err := RenderEffects(&b, a); err != nil {
+	if err := renderEffects(&b, a); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "Allocation of variation") {
 		t.Fatalf("render output:\n%s", b.String())
 	}
 	var c strings.Builder
-	if err := CSVEffects(&c, a); err != nil {
+	if err := csvEffects(&c, a); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Count(c.String(), "\n") < 5 {
@@ -295,28 +286,25 @@ func TestFactorAnalysis(t *testing.T) {
 }
 
 func TestAblationShape(t *testing.T) {
-	rows, err := quickSuite.Ablation()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := figureRows(t, quickSuite, "ablation")
 	if len(rows) != 4 {
 		t.Fatalf("variants = %d", len(rows))
 	}
-	base := rows[0].Total
-	both := rows[3].Total
+	base := totalWall(rows[0])
+	both := totalWall(rows[3])
 	// Software fixes alone must recover a meaningful fraction of the loss.
 	if both >= base {
 		t.Fatalf("software fixes did not help: %g vs baseline %g", both, base)
 	}
 	var b strings.Builder
-	if err := RenderAblation(&b, rows); err != nil {
+	if err := quickSuite.Render(&b, figure(t, "ablation"), rows, false); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "Ablation") {
 		t.Fatal("render output missing header")
 	}
 	var c strings.Builder
-	if err := CSVAblation(&c, rows); err != nil {
+	if err := quickSuite.Render(&c, figure(t, "ablation"), rows, true); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Count(c.String(), "\n") != 5 {

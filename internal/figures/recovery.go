@@ -86,94 +86,86 @@ func recoveryScenario(healthy *pmd.Result, p, k int) (*fault.Scenario, error) {
 	return fault.ParseSpec(strings.Join(specs, ";"))
 }
 
-// Recovery runs the lost-work study: crash counts × recovery strategy ×
-// domain rank counts on all three networks. Every faulted run is scored
-// against the fault-free trajectory (bitwise) and its Lost bucket is
-// split into rewind/replay/park, showing where each strategy's time goes
-// as the cluster grows.
-func (s *Suite) Recovery() (*RecoveryResult, error) { return RunPlan(s, s.RecoveryPlan()) }
-
-// RecoveryPlan is the lost-work study as a plan. Its cells are the
-// fault-free runs (a rank count the domain decomposition cannot tile is
-// their *pmd.DecompError); its fold is more than a fold — it derives each
-// crash scenario from its healthy run and executes the resilient runs,
-// one at a time, before scoring them.
-func (s *Suite) RecoveryPlan() Plan[*RecoveryResult] {
-	procs := s.Cfg.RecoveryProcs
-	if len(procs) == 0 {
-		procs = []int{16, 64, 256}
-	}
-	crashes := s.Cfg.RecoveryCrashes
-	if len(crashes) == 0 {
-		crashes = []int{1, 2}
-	}
-	var cells []CellKey
+// recoveryRows are the fault-free runs of the lost-work study: the domain
+// rank counts on all three networks (a rank count the domain decomposition
+// cannot tile is their *pmd.DecompError).
+func (s *Suite) recoveryRows() []Row {
+	var rows []Row
 	for _, net := range netmodel.All() {
-		for _, p := range procs {
-			cells = append(cells, s.cell(net, p, 1, pmd.MiddlewareMPI, pmd.DecompDomain))
+		for _, p := range s.Cfg.RecoveryProcs {
+			rows = append(rows, s.row(net, p, 1, pmd.MiddlewareMPI, pmd.DecompDomain))
 		}
 	}
-	return Plan[*RecoveryResult]{Cells: cells, Fold: func(results []*pmd.Result) (*RecoveryResult, error) {
-		out := &RecoveryResult{}
-		for i, healthy := range results {
-			net, p := cells[i].Cluster.Net, healthy.P
-			for _, k := range crashes {
-				sc, err := recoveryScenario(healthy, p, k)
-				if err != nil {
-					return nil, err
+	return rows
+}
+
+// recoveryStudy runs the lost-work study over its fault-free rows: crash
+// counts × recovery strategy, each crash scenario derived from its healthy
+// run and executed as a resilient run, one at a time. Every faulted run is
+// scored against the fault-free trajectory (bitwise) and its Lost bucket
+// is split into rewind/replay/park, showing where each strategy's time
+// goes as the cluster grows. The study's rows are its own, not Rows: they
+// come from pmd.RunResilient, not from cells.
+func (s *Suite) recoveryStudy(healthyRows []Row) (*RecoveryResult, error) {
+	out := &RecoveryResult{}
+	for _, hr := range healthyRows {
+		healthy, net, p := hr.Res, hr.Cell.Cluster.Net, hr.P()
+		for _, k := range s.Cfg.RecoveryCrashes {
+			sc, err := recoveryScenario(healthy, p, k)
+			if err != nil {
+				return nil, err
+			}
+			verdict := RecoveryVerdict{Network: net.Name, P: p, Crashes: k}
+			for _, strat := range []pmd.RecoveryKind{pmd.RecoveryGlobal, pmd.RecoveryLocal} {
+				name := "global-rewind"
+				if strat == pmd.RecoveryLocal {
+					name = "localized"
 				}
-				verdict := RecoveryVerdict{Network: net.Name, P: p, Crashes: k}
-				for _, strat := range []pmd.RecoveryKind{pmd.RecoveryGlobal, pmd.RecoveryLocal} {
-					name := "global-rewind"
-					if strat == pmd.RecoveryLocal {
-						name = "localized"
-					}
-					row := RecoveryRow{Network: net.Name, Strategy: name, P: p, Crashes: k}
-					res, err := pmd.RunResilient(cells[i].Cluster, s.Cfg.Cost, pmd.ResilientConfig{
-						Config: pmd.Config{
-							System: s.sys, MD: s.Cfg.MD, Steps: s.Cfg.Steps,
-							Middleware: pmd.MiddlewareMPI, Decomp: pmd.DecompDomain,
-							HostWorkers: s.workers(),
-						},
-						Scenario:        sc,
-						CheckpointEvery: recoveryCheckpointEvery,
-						RestartCost:     recoveryRestartCost,
-						Recovery:        strat,
-					})
-					if err != nil {
-						// A strategy that cannot finish the cell (the global
-						// rewind's survivors may no longer tile the PME
-						// pencil grid) is itself a result.
-						row.Err = err.Error()
-						out.Rows = append(out.Rows, row)
-						if strat == pmd.RecoveryGlobal {
-							verdict.GlobalErr = err.Error()
-							verdict.LocalWins = true
-						}
-						continue
-					}
-					row.Wall = res.Wall
-					row.Lost = res.LostTotal()
-					row.Rewind = res.Breakdown.Rewind
-					row.Replay = res.Breakdown.Replay
-					row.Park = res.Breakdown.Park
-					row.Bitwise = sameRun(res, healthy)
+				row := RecoveryRow{Network: net.Name, Strategy: name, P: p, Crashes: k}
+				res, err := pmd.RunResilient(hr.Cell.Cluster, s.Cfg.Cost, pmd.ResilientConfig{
+					Config: pmd.Config{
+						System: s.sys, MD: s.Cfg.MD, Steps: s.Cfg.Steps,
+						Middleware: pmd.MiddlewareMPI, Decomp: pmd.DecompDomain,
+						HostWorkers: s.workers(),
+					},
+					Scenario:        sc,
+					CheckpointEvery: recoveryCheckpointEvery,
+					RestartCost:     recoveryRestartCost,
+					Recovery:        strat,
+				})
+				if err != nil {
+					// A strategy that cannot finish the cell (the global
+					// rewind's survivors may no longer tile the PME
+					// pencil grid) is itself a result.
+					row.Err = err.Error()
 					out.Rows = append(out.Rows, row)
 					if strat == pmd.RecoveryGlobal {
-						verdict.GlobalLost = row.Lost
-					} else {
-						verdict.LocalLost = row.Lost
-						verdict.Bitwise = row.Bitwise
-						if verdict.GlobalErr == "" {
-							verdict.LocalWins = row.Lost < verdict.GlobalLost
-						}
+						verdict.GlobalErr = err.Error()
+						verdict.LocalWins = true
+					}
+					continue
+				}
+				row.Wall = res.Wall
+				row.Lost = res.LostTotal()
+				row.Rewind = res.Breakdown.Rewind
+				row.Replay = res.Breakdown.Replay
+				row.Park = res.Breakdown.Park
+				row.Bitwise = sameRun(res, healthy)
+				out.Rows = append(out.Rows, row)
+				if strat == pmd.RecoveryGlobal {
+					verdict.GlobalLost = row.Lost
+				} else {
+					verdict.LocalLost = row.Lost
+					verdict.Bitwise = row.Bitwise
+					if verdict.GlobalErr == "" {
+						verdict.LocalWins = row.Lost < verdict.GlobalLost
 					}
 				}
-				out.Verdicts = append(out.Verdicts, verdict)
 			}
+			out.Verdicts = append(out.Verdicts, verdict)
 		}
-		return out, nil
-	}}
+	}
+	return out, nil
 }
 
 // sameRun reports whether a faulted resilient run reproduced the
@@ -199,9 +191,20 @@ func sameRun(res *pmd.ResilientResult, healthy *pmd.Result) bool {
 	return true
 }
 
-// RenderRecovery writes the lost-work study: the sweep table and the
-// per-cell verdicts.
-func RenderRecovery(w io.Writer, c *RecoveryResult) error {
+// renderRecovery runs the lost-work study and writes it.
+func renderRecovery(s *Suite, w io.Writer, rows []Row, csv bool) error {
+	c, err := s.recoveryStudy(rows)
+	if err != nil {
+		return err
+	}
+	if csv {
+		return csvRecovery(w, c)
+	}
+	return textRecovery(w, c)
+}
+
+// textRecovery writes the sweep table and the per-cell verdicts.
+func textRecovery(w io.Writer, c *RecoveryResult) error {
 	fmt.Fprintln(w, "Surviving crashes at scale — global checkpoint rewind vs localized buddy-restore")
 	var cells [][]string
 	for _, r := range c.Rows {
@@ -265,8 +268,8 @@ func RenderRecovery(w io.Writer, c *RecoveryResult) error {
 	return nil
 }
 
-// CSVRecovery writes the sweep as CSV (infeasible cells carry the error).
-func CSVRecovery(w io.Writer, c *RecoveryResult) error {
+// csvRecovery writes the sweep as CSV (infeasible cells carry the error).
+func csvRecovery(w io.Writer, c *RecoveryResult) error {
 	var cells [][]string
 	for _, r := range c.Rows {
 		cells = append(cells, []string{

@@ -19,7 +19,7 @@ func TestRecoveryStudySmall(t *testing.T) {
 	cfg.RecoveryCrashes = []int{1}
 	s := NewSuite(cfg)
 
-	res, err := s.Recovery()
+	res, err := s.recoveryStudy(figureRows(t, s, "recovery"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,13 +56,13 @@ func TestRecoveryStudySmall(t *testing.T) {
 	}
 
 	var text, csv strings.Builder
-	if err := RenderRecovery(&text, res); err != nil {
+	if err := textRecovery(&text, res); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(text.String(), "localized wins") {
 		t.Fatalf("render lost the verdict table:\n%s", text.String())
 	}
-	if err := CSVRecovery(&csv, res); err != nil {
+	if err := csvRecovery(&csv, res); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(csv.String(), "rewind_s,replay_s,park_s") {

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/figures"
 	"repro/internal/netmodel"
 	"repro/internal/pmd"
 )
@@ -158,19 +159,10 @@ func (s *JobSpec) Normalize() error {
 	case KindFigure:
 		if s.Figure == "" {
 			bad("figure id is required")
-		} else {
-			found := false
-			for _, id := range core.FigureIDs() {
-				if id == s.Figure {
-					found = true
-					break
-				}
-			}
+		} else if fig, ok := figures.Lookup(s.Figure); !ok || !fig.HasData() {
 			// Diagram-only figures have no data rows to serve.
-			if !found || s.Figure == "1" || s.Figure == "2" {
-				bad("figure must be one of %v minus the diagrams 1 and 2 (got %q)",
-					core.FigureIDs(), s.Figure)
-			}
+			bad("figure must be one of %v minus the diagrams 1 and 2 (got %q)",
+				core.FigureIDs(), s.Figure)
 		}
 		if s.Steps < 0 || s.Steps > 64 {
 			bad("figure steps must be in [0, 64], 0 meaning the protocol default (got %d)", s.Steps)

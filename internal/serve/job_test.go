@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/figures"
 )
 
 func TestSpecNormalizeDefaults(t *testing.T) {
@@ -66,6 +68,23 @@ func TestSpecNormalizeRejects(t *testing.T) {
 				t.Fatalf("message %q missing %q", je.Msg, tc.frag)
 			}
 		})
+	}
+}
+
+// TestFigureSpecAcceptsTheRegistrysData: a figure job is accepted for
+// exactly the registry entries that have data rows to serve.
+func TestFigureSpecAcceptsTheRegistrysData(t *testing.T) {
+	accepted := 0
+	for _, fig := range figures.Registry() {
+		s := JobSpec{Kind: KindFigure, Figure: fig.ID}
+		if err := s.Normalize(); (err == nil) != fig.HasData() {
+			t.Errorf("figure %q: Normalize error %v, has data rows %t", fig.ID, err, fig.HasData())
+		} else if err == nil {
+			accepted++
+		}
+	}
+	if accepted != 14 {
+		t.Errorf("%d figures accepted, want the 14 with data rows", accepted)
 	}
 }
 
