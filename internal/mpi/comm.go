@@ -129,6 +129,7 @@ type Rank struct {
 	waiting bool // parked inside a matching loop
 	crashed bool // set by an injected crash; next yield aborts the rank
 	acct    Accounting
+	call    call // the blocking call in flight
 
 	// mTrace caches the rank's repro_trace_* handles per interval kind,
 	// created on the kind's first interval (nil without a registry). Only
@@ -159,11 +160,18 @@ func (r *Rank) Compute(d float64) {
 	}
 	r.checkCrash()
 	t0 := r.Now()
-	d *= r.W.M.ComputeScaleAt(t0, r.W.M.NodeOf(r.ID).ID)
-	r.acct.Comp += d
-	r.P.Advance(d)
+	r.P.Advance(r.chargeComp(d))
 	r.checkCrash()
 	r.traceEvent(trace.KindCompute, "compute", t0)
+}
+
+// chargeComp books d seconds of computation starting now, scaled by the
+// straggler fault in effect on the rank's node, and returns the scaled
+// time.
+func (r *Rank) chargeComp(d float64) float64 {
+	d *= r.W.M.ComputeScaleAt(r.Now(), r.W.M.NodeOf(r.ID).ID)
+	r.acct.Comp += d
+	return d
 }
 
 // traceCounters are one rank's interval counters for one kind.
@@ -307,6 +315,7 @@ func RunOpts(cfg cluster.Config, cost cluster.CostModel, opts Options, fn func(*
 	var panics []interface{}
 	for i := 0; i < m.Ranks(); i++ {
 		r := &Rank{W: w, ID: i}
+		r.call.r = r
 		w.ranks = append(w.ranks, r)
 	}
 	for i := 0; i < m.Ranks(); i++ {

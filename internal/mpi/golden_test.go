@@ -127,6 +127,46 @@ var goldenOps = []struct {
 	{"cmpi_ring", func(r *mpi.Rank, net netmodel.Params) {
 		cmpi.New(r).Allreduce(4096, 1e-5)
 	}},
+	{"alltoallv_dense", func(r *mpi.Rank, net netmodel.Params) {
+		// Every round posts, empty entries included; one entry is
+		// rendezvous-sized.
+		p := r.Size()
+		sizes := make([][]int, p)
+		for i := range sizes {
+			sizes[i] = make([]int, p)
+			for j := range sizes[i] {
+				if i != j && (i+j)%4 != 0 {
+					sizes[i][j] = 200 + 30*i + 7*j
+				}
+			}
+		}
+		sizes[2][0] = net.EagerLimit + 2048
+		r.Alltoallv(sizes)
+	}},
+	{"gather_allgatherv", func(r *mpi.Rank, net netmodel.Params) {
+		// MPICH-1 Allgatherv: a linear Gather to rank 0, then a Bcast of
+		// the concatenation; one block is rendezvous-sized.
+		blocks := make([]int, r.Size())
+		for i := range blocks {
+			blocks[i] = 600 + 90*i
+		}
+		blocks[3] = net.EagerLimit + 777
+		r.Allgatherv(blocks)
+	}},
+	{"cmpi_sparse", func(r *mpi.Rank, net netmodel.Params) {
+		p := r.Size()
+		sizes := make([][]int, p)
+		for i := range sizes {
+			sizes[i] = make([]int, p)
+			sizes[i][(i+1)%p] = 700 + 11*i
+			if i%2 == 0 {
+				sizes[i][(i+p-3)%p] = net.EagerLimit + 64
+			}
+		}
+		m := cmpi.New(r)
+		m.AlltoallvSparse(sizes)
+		m.Barrier()
+	}},
 }
 
 var goldenNets = []string{"tcp", "score", "myrinet"}
@@ -178,14 +218,7 @@ func computeGolden(t *testing.T) map[string]goldenEntry {
 	net := netmodel.TCPGigE()
 	cfg := cluster.Config{Nodes: 8, CPUsPerNode: 1, Net: net, Seed: 5}
 
-	sc, err := fault.ParseSpec("crash@0.02,rank=3;flap@0.005,node=5,dur=0.004,count=3,period=0.01;link@0.01:0.03,node=1,bw=4,lat=2;straggler@0:0.05,node=6,slow=3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj, err := fault.NewInjector(sc, fault.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	inj := injector(t, "crash@0.02,rank=3;flap@0.005,node=5,dur=0.004,count=3,period=0.01;link@0.01:0.03,node=1,bw=4,lat=2;straggler@0:0.05,node=6,slow=3")
 	e, err := goldenRun(cfg, mpi.Options{Watchdog: wd, Faults: inj}, func(r *mpi.Rank) {
 		blocks := make([]int, r.Size())
 		for i := range blocks {
@@ -217,6 +250,55 @@ func computeGolden(t *testing.T) map[string]goldenEntry {
 	}
 	got["abandoned_isend/p8/tcp"] = e
 
+	// A blocking rendezvous Send nobody receives: the rank's own transfer
+	// gives up and the sender reports it.
+	e, err = goldenRun(cfg, mpi.Options{Watchdog: wd}, func(r *mpi.Rank) {
+		r.Compute(0.0007 * float64(r.ID))
+		if r.ID == 0 {
+			r.Send(1, 9, net.EagerLimit+1)
+		}
+	})
+	if !errors.As(err, &te) || te.Op != "send-rendezvous" || te.Rank != 0 {
+		t.Fatalf("lost rendezvous send: want send-rendezvous ErrTimeout on rank 0, got %v", err)
+	}
+	got["send_rendezvous_timeout/p8/tcp"] = e
+
+	// A crash that lands inside a Reduce merge: the rank is computing, not
+	// parked, so the crash takes effect at the merge's end.
+	e, err = goldenRun(cfg, mpi.Options{Watchdog: wd, Faults: injector(t, "crash@0.003,rank=0")}, func(r *mpi.Rank) {
+		for i := 0; i < 3; i++ {
+			r.Allreduce(4096, 0.004)
+		}
+	})
+	if !errors.As(err, &ce) || ce.Rank != 0 || ce.At <= 0.003 {
+		t.Fatalf("crash in reduce: want ErrCrashed on rank 0 after t=0.003, got %v", err)
+	}
+	got["crash_in_reduce/p8/tcp"] = e
+
+	// The domain path's failure mode: a crash during repeated sparse
+	// exchanges and allreduces at p=64, found by the survivors' watchdogs.
+	cfg64 := cluster.Config{Nodes: 32, CPUsPerNode: 2, Net: net, Seed: 5}
+	e, err = goldenRun(cfg64, mpi.Options{Watchdog: wd, Faults: injector(t, "crash@0.01,rank=17")}, func(r *mpi.Rank) {
+		p := r.Size()
+		sizes := make([][]int, p)
+		for i := range sizes {
+			sizes[i] = make([]int, p)
+			sizes[i][(i+1)%p] = 2000 + 13*i
+			sizes[i][(i+p-1)%p] = 1500
+			sizes[i][(i+8)%p] = 400
+		}
+		sizes[5][6] = net.EagerLimit + 1000
+		for i := 0; i < 30; i++ {
+			r.Compute(0.0005)
+			r.AlltoallvSparse(sizes)
+			r.Allreduce(4096, 1e-5)
+		}
+	})
+	if !errors.Is(err, mpi.ErrCrashed) || !errors.As(err, &ce) || ce.Rank != 17 {
+		t.Fatalf("crash in sparse exchange: want ErrCrashed on rank 17, got %v", err)
+	}
+	got["crash_sparse/p64/tcp"] = e
+
 	// Without a watchdog the same lost rendezvous is a simulation deadlock,
 	// and the report names the parked helper process. (End times are left
 	// out: a deadlocked rank never reaches the end of its function.)
@@ -233,6 +315,20 @@ func computeGolden(t *testing.T) map[string]goldenEntry {
 	}
 	got["deadlock_isend/p8/tcp"] = summarize(make([]float64, len(accts)), accts, err)
 	return got
+}
+
+// injector builds the fault model of a DSL spec.
+func injector(t *testing.T, spec string) *fault.Injector {
+	t.Helper()
+	sc, err := fault.ParseSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := fault.NewInjector(sc, fault.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inj
 }
 
 func TestScheduleGolden(t *testing.T) {

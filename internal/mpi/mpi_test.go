@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -481,6 +482,19 @@ func TestSelfSendPanics(t *testing.T) {
 	}
 }
 
+// A short row would first be read by a later round, planned inside the
+// call on whichever goroutine is dispatching; the shape is checked on the
+// caller's goroutine instead.
+func TestRaggedMatrixRejectedByCaller(t *testing.T) {
+	sizes := [][]int{{0, 8, 8}, {8, 0, 8}, {8}}
+	_, err := Run(uniCluster(3, netmodel.SCoreGigE()), cluster.PentiumIII1GHz(), func(r *Rank) {
+		r.AlltoallvSparse(sizes)
+	})
+	if err == nil || !strings.Contains(err.Error(), "p×p") {
+		t.Fatalf("ragged size matrix: got %v, want the shape rejected", err)
+	}
+}
+
 func TestAllreduceRecursiveDoubling(t *testing.T) {
 	for _, p := range []int{2, 3, 4, 5, 8} {
 		done := 0
@@ -608,12 +622,49 @@ func TestInterleavedTagsProperty(t *testing.T) {
 // (closures, channels, formatted names, a scratch Rank). The ceiling
 // leaves room for amortized inbox and event-queue growth only.
 func TestSendrecvAllocCeiling(t *testing.T) {
-	cfg := uniCluster(2, netmodel.TCPGigE())
-	perRun := func(exchanges int) float64 {
+	perSendrecv := allocsPerMessage(t, 2, 2, func(r *Rank, i int) { // both ranks of the pair call it
+		r.Sendrecv(1-r.ID, i, 512, 1-r.ID, i)
+	})
+	if perSendrecv > 3.5 {
+		t.Fatalf("%.2f allocations per eager Sendrecv, ceiling 3.5", perSendrecv)
+	}
+}
+
+// TestCollectiveAllocCeiling holds collectives to the same ceiling per
+// message posted: a call's plan and step state live in its rank and are
+// reused, so a call costs its messages and nothing of its own.
+func TestCollectiveAllocCeiling(t *testing.T) {
+	const p = 8
+	sparse := make([][]int, p)
+	for i := range sparse {
+		sparse[i] = make([]int, p)
+		sparse[i][(i+3)%p] = 512
+	}
+	for _, c := range []struct {
+		name    string
+		p, msgs int // ranks, messages one call posts over all of them
+		call    func(r *Rank, i int)
+	}{
+		{"eager Barrier at p=2", 2, 2, func(r *Rank, _ int) { r.Barrier() }},
+		{"AlltoallvSparse at p=8", p, p, func(r *Rank, _ int) { r.AlltoallvSparse(sparse) }},
+	} {
+		if got := allocsPerMessage(t, c.p, c.msgs, c.call); got > 3.5 {
+			t.Errorf("%s: %.2f allocations per message, ceiling 3.5", c.name, got)
+		}
+	}
+}
+
+// allocsPerMessage runs call n times on every rank of a p-rank TCP job and
+// returns the allocations beyond the job's own per message posted, msgs
+// being the messages one round of calls posts.
+func allocsPerMessage(t *testing.T, p, msgs int, call func(r *Rank, i int)) float64 {
+	t.Helper()
+	cfg := uniCluster(p, netmodel.TCPGigE())
+	perRun := func(n int) float64 {
 		return testing.AllocsPerRun(5, func() {
 			_, err := Run(cfg, cluster.PentiumIII1GHz(), func(r *Rank) {
-				for i := 0; i < exchanges; i++ {
-					r.Sendrecv(1-r.ID, i, 512, 1-r.ID, i)
+				for i := 0; i < n; i++ {
+					call(r, i)
 				}
 			})
 			if err != nil {
@@ -622,8 +673,5 @@ func TestSendrecvAllocCeiling(t *testing.T) {
 		})
 	}
 	const n = 500
-	perSendrecv := (perRun(n) - perRun(0)) / (2 * n) // both ranks of the pair call it
-	if perSendrecv > 3.5 {
-		t.Fatalf("%.2f allocations per eager Sendrecv, ceiling 3.5", perSendrecv)
-	}
+	return (perRun(n) - perRun(0)) / float64(n*msgs)
 }

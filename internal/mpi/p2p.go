@@ -30,34 +30,380 @@ type message struct {
 	cleared    bool // clear-to-send granted by the receiver
 }
 
-// Send transmits bytes to dst with the given tag, blocking per the
-// underlying protocol: eager sends return once the payload left the NIC;
-// rendezvous sends block until the receiver posts.
-func (r *Rank) Send(dst, tag, bytes int) {
-	if dst == r.ID {
-		panic("mpi: send to self")
-	}
-	if dst < 0 || dst >= r.Size() {
-		panic(fmt.Sprintf("mpi: send to invalid rank %d", dst))
-	}
-	r.checkCrash()
-	t0 := r.Now()
+// call is a rank's blocking operation in step form, run by one stepper
+// while the rank awaits it, so the rank's goroutine resumes once per call
+// however often the call waits. A point-to-point operation is one round of
+// primitives; a collective is one segment per algorithm it runs, and a
+// segment plans its rounds one at a time, each when the one before is
+// done, so a p-round algorithm needs room for one round, not p. The call
+// lives in the Rank and a round has at most four primitives, so a call
+// allocates nothing of its own.
+type call struct {
+	r *Rank
 
-	// Per-message host overhead on the sender.
-	r.P.Advance(r.W.M.Cfg.Net.SendOverhead)
+	segs      [2]segment // Allreduce and Allgatherv compose two
+	nseg, seg int
+	round     int     // the segment's next round
+	plan      [4]prim // the round running
+	n, pc     int     // its length; the primitive running
+	st        uint8   // that primitive's state
 
-	t := r.newTransfer(dst, tag, bytes)
-	for !t.Step(r.P) {
-		r.P.Yield()
+	t0, tMatch float64   // the primitive's start; recv: when its envelope matched
+	wds        wdState   // the current wait's watchdog budget
+	msg        *message  // recv: the matched message
+	xfer       *transfer // send: the rank's own transfer
+	req        *Request  // the latest isend's handle, which a wait reads
+	got        int       // recv: the size received
+
+	fail error // a *CrashError or *TimeoutError for await to raise
+}
+
+// prim is one point-to-point primitive of a call.
+type prim struct {
+	kind      primKind
+	peer, tag int
+	bytes     int
+	d         float64 // compute: seconds before straggler scaling
+}
+
+type primKind uint8
+
+const (
+	primIsend primKind = iota
+	primRecv
+	primWait
+	primSend
+	primCompute
+)
+
+// Recv states; the other primitives use st 0 (start) and 1 (resumed).
+const (
+	recvStart uint8 = iota
+	recvMatch
+	recvMatchWoken
+	recvCleared
+	recvData
+	recvDataWoken
+	recvDone
+)
+
+// segment is one collective algorithm of a call with its arguments. rounds
+// plans round i of it (the add methods) and reports whether there is one;
+// a round may plan nothing.
+type segment struct {
+	rounds   func(r *Rank, s *segment, i int) bool
+	root     int
+	bytes    int
+	reduceOp float64
+	sizes    [][]int // Alltoallv, AlltoallvSparse
+	blocks   []int   // AllgathervRing
+}
+
+// checkPeer panics on a partner that is not another rank of the world. The
+// point-to-point calls check on the rank's own goroutine, before awaiting;
+// a collective computes its partners modulo the world size.
+func (r *Rank) checkPeer(peer int) {
+	if peer == r.ID || peer < 0 || peer >= r.Size() {
+		panic(fmt.Sprintf("mpi: rank %d names invalid partner %d", r.ID, peer))
 	}
-	r.acct.BytesSent += int64(bytes)
-	r.W.observeMsg(bytes)
-	r.chargeMsg(r.Now()-t0, false)
+}
+
+// add appends a primitive to the round being planned.
+func (r *Rank) add(kind primKind, peer, tag, bytes int) {
+	c := &r.call
+	c.plan[c.n] = prim{kind: kind, peer: peer, tag: tag, bytes: bytes}
+	c.n++
+}
+
+// addSendrecv plans an exchange with two (possibly different) partners that
+// cannot deadlock: isend, recv, wait.
+func (r *Rank) addSendrecv(dst, sendTag, sendBytes, src, recvTag int) {
+	r.add(primIsend, dst, sendTag, sendBytes)
+	r.add(primRecv, src, recvTag, 0)
+	r.add(primWait, 0, 0, 0)
+}
+
+// addCompute plans a reduce merge of d seconds, if d is positive.
+func (r *Rank) addCompute(d float64) {
+	if c := &r.call; d > 0 {
+		c.plan[c.n] = prim{kind: primCompute, d: d}
+		c.n++
+	}
+}
+
+// await runs the call — the round already planned, then the segments — on
+// the rank's process and raises what it recorded on the rank's own
+// goroutine, at the pop where blocking code would have panicked.
+func (r *Rank) await(segs ...segment) {
+	c := &r.call
+	c.nseg = copy(c.segs[:], segs)
+	r.P.Await(c)
+	c.segs = [2]segment{} // keep none of the caller's slices
+	c.n, c.pc, c.st, c.nseg, c.seg, c.round = 0, 0, 0, 0, 0, 0
+	if err := c.fail; err != nil {
+		c.fail = nil
+		panic(err)
+	}
+}
+
+// Step runs the call from where it left off.
+func (c *call) Step(*sim.Proc) bool {
+	for {
+		for ; c.pc < c.n; c.pc, c.st = c.pc+1, 0 {
+			pr := &c.plan[c.pc]
+			var done bool
+			switch pr.kind {
+			case primIsend:
+				done = c.isend(pr)
+			case primRecv:
+				done = c.recv(pr)
+			case primWait:
+				done = c.wait()
+			case primSend:
+				done = c.send(pr)
+			case primCompute:
+				done = c.compute(pr)
+			}
+			if !done {
+				return false
+			}
+			if c.fail != nil {
+				return true
+			}
+		}
+		if !c.next() {
+			return true
+		}
+	}
+}
+
+// next plans the following round of the call's segments and reports
+// whether there is one.
+func (c *call) next() bool {
+	c.n, c.pc = 0, 0
+	for ; c.seg < c.nseg; c.seg, c.round = c.seg+1, 0 {
+		s := &c.segs[c.seg]
+		if s.rounds(c.r, s, c.round) {
+			c.round++
+			return true
+		}
+	}
+	return false
+}
+
+// Name is never rendered: an awaiting rank is reported by its own name.
+func (c *call) Name() string { return c.r.P.Name() }
+
+// crashed records an injected crash that has taken effect as the call's
+// failure — the step form of checkCrash — and reports whether it did.
+func (c *call) crashed() bool {
+	if c.r.crashed {
+		c.fail = &CrashError{Rank: c.r.ID, At: c.r.Now()}
+	}
+	return c.r.crashed
+}
+
+// failWith records err as the call's failure and ends the primitive.
+func (c *call) failWith(err error) bool {
+	c.fail = err
+	return true
+}
+
+// park parks the rank for one round of a wait loop with flag raised, so
+// progress knows to unpark it.
+func (c *call) park(flag *bool) bool {
+	*flag = true
+	c.r.W.armPark(c.r.P, &c.wds)
+	return false
+}
+
+// woken lowers flag once the rank runs again and reports whether the wait
+// may go on.
+func (c *call) woken(flag *bool) bool {
+	*flag = false
+	return c.r.W.parkOutcome(c.r.P, &c.wds)
+}
+
+// send transmits bytes to the partner, blocking per the underlying
+// protocol: eager sends finish once the payload left the NIC; rendezvous
+// sends wait until the receiver posts. The transfer's sender leg is
+// stepped on the rank's own process.
+func (c *call) send(pr *prim) bool {
+	r := c.r
+	switch c.st {
+	case 0:
+		if c.crashed() {
+			return true
+		}
+		// Per-message host overhead on the sender.
+		c.t0, c.st = r.Now(), 1
+		r.P.WakeIn(r.W.M.Cfg.Net.SendOverhead)
+		return false
+	case 1:
+		c.xfer, c.st = r.newTransfer(pr.peer, pr.tag, pr.bytes), 2
+	}
+	if !c.xfer.Step(r.P) {
+		return false
+	}
+	c.xfer = nil
+	if c.fail != nil {
+		return true
+	}
+	r.acct.BytesSent += int64(pr.bytes)
+	r.W.observeMsg(pr.bytes)
+	r.chargeMsg(r.Now()-c.t0, false)
 	kind := trace.KindSend
 	if r.SyncClass {
 		kind = trace.KindSync
 	}
-	r.traceEvent(kind, "send", t0)
+	r.traceEvent(kind, "send", c.t0)
+	return true
+}
+
+// isend starts a non-blocking send. The per-message host overhead is
+// charged to the caller (it is real CPU time); the transfer proceeds in a
+// helper process and a later wait reads its handle.
+func (c *call) isend(pr *prim) bool {
+	r := c.r
+	if c.st == 0 {
+		if c.crashed() {
+			return true
+		}
+		c.t0, c.st = r.Now(), 1
+		r.P.WakeIn(r.W.M.Cfg.Net.SendOverhead)
+		return false
+	}
+	r.chargeMsg(r.Now()-c.t0, false)
+	t := r.newTransfer(pr.peer, pr.tag, pr.bytes)
+	t.req = Request{rank: r, dst: pr.peer, bytes: pr.bytes}
+	r.W.M.Env.SpawnStep(t)
+	r.acct.BytesSent += int64(pr.bytes)
+	r.W.observeMsg(pr.bytes)
+	c.req = &t.req
+	return true
+}
+
+// wait finishes once the payload of the latest isend has left.
+func (c *call) wait() bool {
+	r, req := c.r, c.req
+	if c.st == 0 {
+		c.t0, c.wds, c.st = r.Now(), wdState{}, 1
+	} else if !c.woken(&req.waiter) {
+		return c.failWith(c.wds.timeout(r, "wait-send", req.dst))
+	}
+	if c.crashed() {
+		return true
+	}
+	if !req.done {
+		return c.park(&req.waiter)
+	}
+	if req.abandoned {
+		return c.failWith(&TimeoutError{Rank: r.ID, Partner: req.dst, Op: "send-rendezvous", At: r.Now(), Since: c.t0})
+	}
+	r.chargeMsg(r.Now()-c.t0, false)
+	return true
+}
+
+// recv finishes once a message from the partner with the tag is delivered.
+// Waiting before the partner has initiated the send is booked as
+// synchronization; everything after is communication.
+func (c *call) recv(pr *prim) bool {
+	r := c.r
+	net := &r.W.M.Cfg.Net
+	for {
+		switch c.st {
+		case recvStart:
+			c.t0, c.wds, c.st = r.Now(), wdState{}, recvMatch
+
+		case recvMatchWoken:
+			if !c.woken(&r.waiting) {
+				return c.failWith(c.wds.timeout(r, "recv-match", pr.peer))
+			}
+			c.st = recvMatch
+
+		case recvMatch:
+			// Phase 1 (sync): wait until the envelope exists.
+			if c.crashed() {
+				return true
+			}
+			if c.msg = r.match(pr.peer, pr.tag); c.msg == nil {
+				c.st = recvMatchWoken
+				return c.park(&r.waiting)
+			}
+			c.tMatch = r.Now()
+			c.msg.recvPosted = true
+			c.wds, c.st = wdState{}, recvData
+			if c.msg.rendezvous {
+				// Phase 2 (comm): the clear-to-send control round trip,
+				// then the sender pushes.
+				c.st = recvCleared
+				r.P.WakeIn(2 * net.Latency)
+				return false
+			}
+
+		case recvCleared:
+			msg := c.msg
+			msg.cleared = true
+			if msg.senderPark {
+				msg.senderPark = false
+				if msg.sender.Parked() {
+					r.W.M.Env.Unpark(msg.sender)
+				}
+			}
+			c.st = recvData
+
+		case recvDataWoken:
+			if !c.woken(&r.waiting) {
+				return c.failWith(c.wds.timeout(r, "recv-data", pr.peer))
+			}
+			c.st = recvData
+
+		case recvData:
+			if c.crashed() {
+				return true
+			}
+			if !c.msg.arrived {
+				c.st = recvDataWoken
+				return c.park(&r.waiting)
+			}
+			c.st = recvDone
+			r.P.WakeIn(net.RecvOverhead)
+			return false
+
+		case recvDone:
+			msg := c.msg
+			c.msg, c.got = nil, msg.bytes
+			r.remove(msg)
+			r.acct.BytesRecv += int64(msg.bytes)
+			r.chargeMsg(c.tMatch-c.t0, true)     // waiting for the partner
+			r.chargeMsg(r.Now()-c.tMatch, false) // data transfer
+			if c.tMatch > c.t0 {
+				r.traceEvent(trace.KindSync, "wait", c.t0)
+			}
+			kind := trace.KindRecv
+			if r.SyncClass {
+				kind = trace.KindSync
+			}
+			r.traceEvent(kind, "recv", c.tMatch)
+			return true
+		}
+	}
+}
+
+// compute is a reduce merge: d seconds of computation, scaled by a
+// straggler fault in effect at its start, as Rank.Compute.
+func (c *call) compute(pr *prim) bool {
+	r := c.r
+	if c.crashed() {
+		return true
+	}
+	if c.st == 0 {
+		c.t0, c.st = r.Now(), 1
+		r.P.WakeIn(r.chargeComp(pr.d))
+		return false
+	}
+	r.traceEvent(trace.KindCompute, "compute", c.t0)
+	return true
 }
 
 // wakeIfWaiting resumes a rank parked inside a matching loop. A rank whose
@@ -74,14 +420,14 @@ func (r *Rank) wakeIfWaiting() {
 
 // transfer carries one message from deposit to arrival. Its sender leg
 // (Step) deposits the envelope, waits out the rendezvous handshake and
-// pushes the payload through both NICs: blocking Send steps it on the
-// rank's own process, Isend registers it as a callback process so the rank
-// runs on. Its delivery leg (delivery.Step: latency, stall, receive-side
-// packet processing, arrival) is always a callback process of its own,
-// started when the payload has left the sender.
+// pushes the payload through both NICs: a blocking send steps it on the
+// rank's own process, an isend registers it as a callback process so the
+// rank runs on. Its delivery leg (delivery.Step: latency, stall, receive-
+// side packet processing, arrival) is always a callback process of its
+// own, started when the payload has left the sender.
 type transfer struct {
 	msg message
-	req Request // the Isend handle; unused by blocking Send
+	req Request // the isend handle; unused by a blocking send
 	r   *Rank   // the sending rank
 	dst *Rank
 
@@ -122,11 +468,11 @@ func (r *Rank) newTransfer(dst, tag, bytes int) *transfer {
 	}
 }
 
-// Step advances the sender leg on process p. Only the rank's own process
-// may unwind — there a crash or an exhausted watchdog panics as in any
-// other blocking call. The Isend helper is stepped on some other process's
-// stack, so it abandons the transfer quietly and leaves the report to the
-// sender's Wait and to the receiver's own watchdog.
+// Step advances the sender leg on process p. On the rank's own process a
+// crash or an exhausted watchdog ends the leg as the rank's recorded
+// failure. The isend helper is stepped on some other process's stack, so
+// it abandons the transfer quietly and leaves the report to the sender's
+// wait and to the receiver's own watchdog.
 func (t *transfer) Step(p *sim.Proc) bool {
 	r, msg := t.r, &t.msg
 	m := r.W.M
@@ -152,23 +498,20 @@ func (t *transfer) Step(p *sim.Proc) bool {
 				msg.senderPark = false
 				if !r.W.parkOutcome(p, &t.wds) {
 					if own {
-						panic(t.wds.timeout(r, "send-rendezvous", msg.dst))
+						return r.call.failWith(t.wds.timeout(r, "send-rendezvous", msg.dst))
 					}
 					t.req.abandoned = true
 					return t.finish(p)
 				}
 			}
+			if own && r.call.crashed() {
+				return true
+			}
 			if !msg.cleared {
-				if own {
-					r.checkCrash()
-				}
 				msg.senderPark = true
 				t.parked = true
 				r.W.armPark(p, &t.wds)
 				return false
-			}
-			if own {
-				r.checkCrash()
 			}
 			t.state = xferPackets
 
@@ -247,8 +590,8 @@ func (t *transfer) Step(p *sim.Proc) bool {
 	}
 }
 
-// finish ends the sender leg; the Isend helper completes its request and
-// resumes a rank blocked in Wait.
+// finish ends the sender leg; the isend helper completes its request and
+// resumes a rank blocked in a wait.
 func (t *transfer) finish(p *sim.Proc) bool {
 	if r := t.r; p != r.P {
 		t.req.done = true
@@ -353,73 +696,22 @@ func (r *Rank) remove(msg *message) {
 	panic("mpi: removing message not in inbox")
 }
 
+// Send transmits bytes to dst with the given tag, blocking per the
+// underlying protocol: eager sends return once the payload left the NIC;
+// rendezvous sends block until the receiver posts.
+func (r *Rank) Send(dst, tag, bytes int) {
+	r.checkPeer(dst)
+	r.add(primSend, dst, tag, bytes)
+	r.await()
+}
+
 // Recv blocks until a message from src with tag is delivered and returns
-// its size. Waiting before the partner has initiated the send is booked as
-// synchronization; everything after is communication.
+// its size.
 func (r *Rank) Recv(src, tag int) int {
-	if src == r.ID {
-		panic("mpi: recv from self")
-	}
-	r.checkCrash()
-	net := r.W.M.Cfg.Net
-	t0 := r.Now()
-
-	// Phase 1 (sync): wait until the envelope exists.
-	var msg *message
-	var wds wdState
-	for {
-		r.checkCrash()
-		if msg = r.match(src, tag); msg != nil {
-			break
-		}
-		r.waiting = true
-		ok := r.guardedPark(&wds)
-		r.waiting = false
-		if !ok {
-			panic(wds.timeout(r, "recv-match", src))
-		}
-	}
-	tMatch := r.Now()
-	msg.recvPosted = true
-
-	// Phase 2 (comm): the transfer.
-	if msg.rendezvous {
-		// Clear-to-send control round trip, then the sender pushes.
-		r.P.Advance(2 * net.Latency)
-		msg.cleared = true
-		if msg.senderPark {
-			msg.senderPark = false
-			if msg.sender.Parked() {
-				r.W.M.Env.Unpark(msg.sender)
-			}
-		}
-	}
-	wds = wdState{}
-	for !msg.arrived {
-		r.checkCrash()
-		r.waiting = true
-		ok := r.guardedPark(&wds)
-		r.waiting = false
-		if !ok {
-			panic(wds.timeout(r, "recv-data", src))
-		}
-	}
-	r.checkCrash()
-	r.P.Advance(net.RecvOverhead)
-	r.remove(msg)
-
-	r.acct.BytesRecv += int64(msg.bytes)
-	r.chargeMsg(tMatch-t0, true)       // waiting for the partner
-	r.chargeMsg(r.Now()-tMatch, false) // data transfer
-	if tMatch > t0 {
-		r.traceEvent(trace.KindSync, "wait", t0)
-	}
-	kind := trace.KindRecv
-	if r.SyncClass {
-		kind = trace.KindSync
-	}
-	r.traceEvent(kind, "recv", tMatch)
-	return msg.bytes
+	r.checkPeer(src)
+	r.add(primRecv, src, tag, 0)
+	r.await()
+	return r.call.got
 }
 
 // Request is the handle of a non-blocking send.
@@ -432,24 +724,13 @@ type Request struct {
 	waiter    bool
 }
 
-// Isend starts a non-blocking send. The per-message host overhead is
-// charged to the caller immediately (it is real CPU time); the transfer
-// proceeds in a helper process. Wait blocks until the payload has left.
+// Isend starts a non-blocking send and returns once its per-message host
+// overhead is paid; Wait blocks until the payload has left.
 func (r *Rank) Isend(dst, tag, bytes int) *Request {
-	if dst == r.ID {
-		panic("mpi: isend to self")
-	}
-	r.checkCrash()
-	t0 := r.Now()
-	r.P.Advance(r.W.M.Cfg.Net.SendOverhead)
-	r.chargeMsg(r.Now()-t0, false)
-
-	t := r.newTransfer(dst, tag, bytes)
-	t.req = Request{rank: r, dst: dst, bytes: bytes}
-	r.W.M.Env.SpawnStep(t)
-	r.acct.BytesSent += int64(bytes)
-	r.W.observeMsg(bytes)
-	return &t.req
+	r.checkPeer(dst)
+	r.add(primIsend, dst, tag, bytes)
+	r.await()
+	return r.call.req
 }
 
 // Wait blocks until the payload of the send has left and returns its size.
@@ -457,31 +738,18 @@ func (r *Rank) Wait(req *Request) int {
 	if req.rank != r {
 		panic("mpi: waiting on another rank's request")
 	}
-	r.checkCrash()
-	t0 := r.Now()
-	var wds wdState
-	for !req.done {
-		r.checkCrash()
-		req.waiter = true
-		ok := r.guardedPark(&wds)
-		req.waiter = false
-		if !ok {
-			panic(wds.timeout(r, "wait-send", req.dst))
-		}
-	}
-	r.checkCrash()
-	if req.abandoned {
-		panic(&TimeoutError{Rank: r.ID, Partner: req.dst, Op: "send-rendezvous", At: r.Now(), Since: t0})
-	}
-	r.chargeMsg(r.Now()-t0, false)
+	r.call.req = req
+	r.add(primWait, 0, 0, 0)
+	r.await()
 	return req.bytes
 }
 
 // Sendrecv exchanges messages with two (possibly different) partners
 // without deadlocking.
 func (r *Rank) Sendrecv(dst, sendTag, sendBytes, src, recvTag int) int {
-	sreq := r.Isend(dst, sendTag, sendBytes)
-	n := r.Recv(src, recvTag)
-	r.Wait(sreq)
-	return n
+	r.checkPeer(dst)
+	r.checkPeer(src)
+	r.addSendrecv(dst, sendTag, sendBytes, src, recvTag)
+	r.await()
+	return r.call.got
 }

@@ -77,8 +77,8 @@ type wdState struct {
 
 // armPark parks p — a rank's own process or a transfer helper — for one
 // round of a wait loop: unconditionally with the watchdog disabled, bounded
-// by the current round's timeout otherwise. The caller yields (or returns
-// from its step) and reads the result with parkOutcome once p runs again.
+// by the current round's timeout otherwise. The caller returns from its
+// step and reads the result with parkOutcome once p runs again.
 func (w *World) armPark(p *sim.Proc, s *wdState) {
 	if !w.Wd.Enabled() {
 		p.ParkStep()
@@ -92,9 +92,9 @@ func (w *World) armPark(p *sim.Proc, s *wdState) {
 }
 
 // parkOutcome consumes the retry budget when the park armed by armPark
-// expired. It returns false when the budget is spent — a rank aborts
-// (panic with a *TimeoutError, converted to a typed error by Run); a
-// helper process, which must not unwind, abandons the operation quietly.
+// expired. It returns false when the budget is spent — a rank's call
+// records a *TimeoutError, which the rank raises and Run converts to a
+// typed error; a helper process abandons the operation quietly.
 func (w *World) parkOutcome(p *sim.Proc, s *wdState) bool {
 	if !p.TimedOut() {
 		return true // woken by progress (or an unrelated deposit)
@@ -107,14 +107,6 @@ func (w *World) parkOutcome(p *sim.Proc, s *wdState) bool {
 		s.wait *= w.Wd.Backoff
 	}
 	return true
-}
-
-// guardedPark blocks the rank for one round of a wait loop and reports
-// whether the wait may go on.
-func (r *Rank) guardedPark(s *wdState) bool {
-	r.W.armPark(r.P, s)
-	r.P.Yield()
-	return r.W.parkOutcome(r.P, s)
 }
 
 // timeout builds the typed abort error for an exhausted wait.

@@ -14,6 +14,10 @@
 // context switch. Both kinds take their IDs and sequence numbers at the same
 // points, so a body behaves identically in either form.
 //
+// A goroutine process can also hand a whole blocking call to a Stepper
+// (Proc.Await): every wakeup inside the call is stepped inline like a
+// callback process's, and the goroutine resumes only when the call is done.
+//
 // There is no scheduler goroutine: the process giving up control pops the
 // next event itself and wakes its owner directly (one goroutine switch per
 // wakeup, none when a process pops its own event). Run only starts the
@@ -59,8 +63,8 @@ type Proc struct {
 	seq    int64 // tie-break for deterministic ordering
 
 	name string        // goroutine process
-	wake chan struct{} // goroutine process: resumed by a receive here
-	body Stepper       // callback process; nil for a goroutine process
+	wake chan struct{} // goroutine process: resumed by a receive here; nil for a callback process
+	body Stepper       // callback process, or the call a goroutine process awaits; else nil
 
 	finished bool
 	killed   bool  // goroutine released after a deadlock; it must exit
@@ -237,7 +241,7 @@ func (e *Env) Run() error {
 	// and would stay so forever, pinning everything its stack references.
 	// Release them one at a time, so their deferred calls stay serialized.
 	for _, p := range e.procs {
-		if p.body == nil {
+		if p.wake != nil {
 			p.killed = true
 			p.wake <- struct{}{}
 			<-e.done
@@ -248,8 +252,9 @@ func (e *Env) Run() error {
 }
 
 // next dispatches events in (time, seq) order, stepping callback processes
-// inline, until an event belongs to a goroutine process, and returns that
-// process with the clock advanced to its wakeup. It returns nil when the
+// and awaited calls inline, until an event belongs to a goroutine process
+// (or finishes the call it awaits), and returns that process with the
+// clock advanced to its wakeup. It returns nil when the
 // simulation is over: every process has finished or, with e.deadlocked
 // set, nothing is scheduled. It runs on the goroutine that is giving up
 // control.
@@ -293,6 +298,10 @@ func (e *Env) next() *Proc {
 			return p
 		}
 		if p.body.Step(p) {
+			if p.wake != nil {
+				p.body = nil // the awaited call is done: resume its goroutine
+				return p
+			}
 			e.finish(p)
 		} else if p.state == stateRunning {
 			panic(fmt.Sprintf("sim: callback process %q returned without scheduling a wakeup", p.Name()))
@@ -329,6 +338,23 @@ func (p *Proc) Yield() {
 	if p.killed {
 		runtime.Goexit()
 	}
+}
+
+// Await runs body, one blocking call written as a Stepper, to completion on
+// a goroutine process. The first Step runs here; every later wakeup is
+// stepped inline by whichever goroutine is dispatching, as for a callback
+// process, and only the Step that reports done resumes the goroutine. The
+// pop sequence is the one the same call gets written with Advance, Park
+// and Yield; the goroutine switches drop to at most one per call.
+func (p *Proc) Await(body Stepper) {
+	if body.Step(p) {
+		return
+	}
+	if p.state == stateRunning {
+		panic(fmt.Sprintf("sim: callback process %q returned without scheduling a wakeup", p.Name()))
+	}
+	p.body = body
+	p.Yield()
 }
 
 // minPendingCompute returns the in-flight compute with the smallest
@@ -391,10 +417,10 @@ func (p *Proc) Now() float64 { return p.env.now }
 
 // Name returns the process name.
 func (p *Proc) Name() string {
-	if p.body != nil {
-		return p.body.Name()
+	if p.wake != nil {
+		return p.name
 	}
-	return p.name
+	return p.body.Name()
 }
 
 // Done reports whether the process has finished. Unlike the other Proc

@@ -10,8 +10,8 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Schedule equivalence: a body behaves identically as a goroutine process
-// and as a callback process.
+// Schedule equivalence: a body behaves identically as a goroutine process,
+// as a callback process and as one call a goroutine process awaits.
 
 type progOp struct {
 	kind   byte    // 'a'dvance, 'p'ark, 'u'npark, 'r'esource use, 't'imed park, 's'pawn
@@ -66,20 +66,33 @@ func genProgs(rnd *rand.Rand) (tops []*prog, total int) {
 	return tops, total
 }
 
+// progForm is how a program runs: blocking code on a goroutine process, a
+// callback process, or a goroutine process awaiting the whole program.
+type progForm int
+
+const (
+	asGoroutine progForm = iota
+	asCallback
+	asAwait
+)
+
 // progWorld is one execution of a program forest.
 type progWorld struct {
-	env      *Env
-	res      []*Resource
-	procs    []*Proc
-	plain    []bool              // program is in an op-level park (not a resource queue)
-	callback func(pr *prog) bool // which flavour a program runs as
-	log      []string            // pop trace and observable results
+	env   *Env
+	res   []*Resource
+	procs []*Proc
+	plain []bool                  // program is in an op-level park (not a resource queue)
+	form  func(pr *prog) progForm // which flavour a program runs as
+	log   []string                // pop trace and observable results
 }
 
 func (w *progWorld) spawn(pr *prog) {
-	if w.callback(pr) {
+	switch w.form(pr) {
+	case asCallback:
 		w.procs[pr.idx] = w.env.SpawnStep(&progStepper{w: w, pr: pr})
-	} else {
+	case asAwait:
+		w.procs[pr.idx] = w.env.Spawn(pr.name(), func(p *Proc) { p.Await(&progStepper{w: w, pr: pr}) })
+	default:
 		w.procs[pr.idx] = w.env.Spawn(pr.name(), func(p *Proc) { w.runBlocking(p, pr) })
 	}
 }
@@ -185,14 +198,14 @@ func (s *progStepper) Step(p *Proc) bool {
 	return true
 }
 
-func runProgs(tops []*prog, total int, callback func(*prog) bool) (string, string) {
+func runProgs(tops []*prog, total int, form func(*prog) progForm) (string, string) {
 	env := NewEnv()
 	w := &progWorld{
-		env:      env,
-		res:      []*Resource{NewResource(env, "r1", 1), NewResource(env, "r2", 2)},
-		procs:    make([]*Proc, total),
-		plain:    make([]bool, total),
-		callback: callback,
+		env:   env,
+		res:   []*Resource{NewResource(env, "r1", 1), NewResource(env, "r2", 2)},
+		procs: make([]*Proc, total),
+		plain: make([]bool, total),
+		form:  form,
 	}
 	env.onPop = func(now float64, seq int64, id int) {
 		w.log = append(w.log, fmt.Sprintf("pop t=%v seq=%d id=%d", now, seq, id))
@@ -211,17 +224,18 @@ func TestScheduleEquivalence(t *testing.T) {
 	deadlocks := 0
 	for seed := int64(1); seed <= 300; seed++ {
 		tops, total := genProgs(rand.New(rand.NewSource(seed)))
-		wantLog, wantErr := runProgs(tops, total, func(*prog) bool { return false })
+		wantLog, wantErr := runProgs(tops, total, func(*prog) progForm { return asGoroutine })
 		if wantErr != "<nil>" {
 			deadlocks++
 		}
 		mix := rand.New(rand.NewSource(seed))
-		flavours := map[string]func(*prog) bool{
-			"callback": func(*prog) bool { return true },
-			"mixed":    func(*prog) bool { return mix.Intn(2) == 0 },
+		flavours := map[string]func(*prog) progForm{
+			"callback": func(*prog) progForm { return asCallback },
+			"await":    func(*prog) progForm { return asAwait },
+			"mixed":    func(*prog) progForm { return progForm(mix.Intn(3)) },
 		}
-		for name, callback := range flavours {
-			gotLog, gotErr := runProgs(tops, total, callback)
+		for name, form := range flavours {
+			gotLog, gotErr := runProgs(tops, total, form)
 			if gotErr != wantErr {
 				t.Fatalf("seed %d, %s processes: outcome %q, goroutine processes gave %q", seed, name, gotErr, wantErr)
 			}
@@ -342,6 +356,64 @@ func TestDeadlockReleasesGoroutines(t *testing.T) {
 		t.Fatalf("%d of 1000 deadlocked processes unwound before Run returned", unwound)
 	}
 	waitGoroutines(t, before)
+}
+
+// ---------------------------------------------------------------------------
+// Await.
+
+func TestAwaitReleasedAtDeadlock(t *testing.T) {
+	before := runtime.NumGoroutine()
+	unwound := 0
+	for run := 0; run < 50; run++ {
+		env := NewEnv()
+		w := &progWorld{env: env, plain: make([]bool, 1)}
+		env.Spawn("awaiter", func(p *Proc) {
+			defer func() { unwound++ }()
+			// The stepper is named prog0; the report must use the Spawn name.
+			p.Await(&progStepper{w: w, pr: &prog{ops: []progOp{{kind: 'a', d: 1}, {kind: 'p'}}}})
+			t.Error("a released process returned from Await")
+		})
+		err := env.Run()
+		if err == nil || !strings.Contains(err.Error(), "parked processes: [awaiter]") {
+			t.Fatalf("run %d: want a deadlock naming the awaiting process, got %v", run, err)
+		}
+		if n := env.LiveProcs(); n != 0 {
+			t.Fatalf("run %d: %d processes still registered after the release", run, n)
+		}
+	}
+	if unwound != 50 {
+		t.Fatalf("%d of 50 released awaiters unwound before Run returned", unwound)
+	}
+	waitGoroutines(t, before)
+}
+
+// lateIdle schedules its first wakeup, then breaks the contract.
+type lateIdle struct{ armed bool }
+
+func (s *lateIdle) Step(p *Proc) bool {
+	if !s.armed {
+		s.armed = true
+		p.WakeIn(1)
+	}
+	return false
+}
+func (s *lateIdle) Name() string { return "late-idle" }
+
+func TestAwaitStepWithoutWakeupPanics(t *testing.T) {
+	for _, body := range []Stepper{idleStepper{}, &lateIdle{}} {
+		env := NewEnv()
+		var recovered interface{}
+		env.Spawn("awaiter", func(p *Proc) {
+			defer func() { recovered = recover() }()
+			p.Await(body)
+		})
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if v := fmt.Sprint(recovered); !strings.Contains(v, `"awaiter"`) {
+			t.Fatalf("%s: recovered %v, want a panic naming the process", body.Name(), recovered)
+		}
+	}
 }
 
 func TestWorkerPoolStopsWithRun(t *testing.T) {
