@@ -40,7 +40,7 @@ func main() {
 	seed := flag.Uint64("seed", 0, "override the deterministic seeds")
 	outdir := flag.String("outdir", "", "also write every figure as CSV into this directory")
 	workers := flag.Int("workers", 0, "cells in flight and compute-segment goroutines; 0 = one per CPU, 1 = serial; output is identical")
-	app.KernelWorkersFlag("spread the physics kernels over this many host cores (0 = legacy serial; figure bytes identical for any value >= 1)")
+	app.KernelWorkersFlag("spread the physics kernels over this many host cores (0 and 1 run them inline; figure bytes identical for every value)")
 	app.SkinFlags("auto-tune the neighbour-list skin on the study workload before any figure runs")
 	verbose := flag.Bool("v", false, "print run-cache and physics-tape statistics to stderr")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")

@@ -51,7 +51,7 @@ func main() {
 	guardWindow := flag.Int("guard-window", 0, "drift window in steps (0 = default)")
 	guardInject := flag.Int("guard-inject", 0, "force a synthetic guard trip at this step (test hook)")
 	app.ObsFlags()
-	app.KernelWorkersFlag("spread the physics kernels over this many host cores (0 = legacy serial; results identical for any value >= 1)")
+	app.KernelWorkersFlag("spread the physics kernels over this many host cores (0 and 1 run them inline; results identical for every value)")
 	app.SkinFlags("auto-tune the neighbour-list skin before the run (choice recorded in the manifest; replay it with -skin)")
 	ranks := flag.Int("ranks", 1, "simulated MPI ranks (1 = the plain sequential engine; > 1 runs the simulated cluster over Gigabit TCP)")
 	app.DecompFlag("decomposition for -ranks > 1: replicated or domain")

@@ -46,7 +46,7 @@ func main() {
 		weights    = flag.String("weights", "", "fair-queue tenant weights, e.g. alice=2,bob=1")
 		drain      = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget before force-close")
 	)
-	app.KernelWorkersFlag("spread each job's physics kernels over this many host cores (0 = legacy serial; results identical for any value >= 1, but differ at roundoff from 0 — use a fresh -state when changing)")
+	app.KernelWorkersFlag("spread each job's physics kernels over this many host cores (0 and 1 run them inline; results identical for every value)")
 	flag.Parse()
 
 	die := func(args ...interface{}) {

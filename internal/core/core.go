@@ -50,9 +50,8 @@ type Options struct {
 	// serial). Figure output is identical across settings.
 	Workers int
 	// KernelWorkers spreads the physics kernels (pair loop, FFT, PME
-	// spread/interpolate) over host cores. 0 keeps the legacy serial
-	// kernels; any value ≥ 1 uses the pooled deterministic reduction, so
-	// figure output is identical for every KernelWorkers ≥ 1.
+	// spread/interpolate) over host cores; 0 and 1 run them inline.
+	// Figure output is identical for every value.
 	KernelWorkers int
 	// Obs, when non-nil, receives the suite's cache/tape counters
 	// (repro_figures_*). Metrics never alter figure output.

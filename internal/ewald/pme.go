@@ -15,6 +15,18 @@ import (
 
 // PME computes the reciprocal-space part of the Ewald sum on a mesh. It
 // owns its grid and FFT plan; one instance per simulated rank.
+//
+// Every loop runs as shards whose decomposition depends only on the mesh
+// and the atom range, never on the worker count, and every cross-shard
+// reduction merges in ascending shard order, so results are byte-identical
+// whether the shards run inline (no pool, or one worker) or on N workers.
+// The spread decomposes the x dimension into nChunks fixed chunks of width
+// ≥ Order and runs two barrier passes — even chunks, then odd chunks. An
+// atom's order-wide support starting in chunk c stays inside chunks
+// {c, c+1} (cyclically), so chunks of equal parity never touch the same
+// grid point concurrently, and every grid point receives its deposits in a
+// fixed order (even-pass chunk first, bucketed atoms in index order). A
+// mesh too narrow for four chunks is one chunk: the plain serial spread.
 type PME struct {
 	Box   space.Box
 	Beta  float64
@@ -23,55 +35,32 @@ type PME struct {
 	K3    int
 	Order int
 
-	// ExactFFT forces Recip through the reference complex Plan3D path
-	// instead of the real-to-complex half-spectrum path. Set it before the
-	// first Recip call; the two paths agree to roundoff but not bitwise.
-	ExactFFT bool
-
-	plan     *fft.Plan3D     // complex reference path, built with its buffers on first use
-	rplan    *fft.RealPlan3D // half-spectrum path (nil when K1 is odd)
-	fftOps   int64           // modelled flops of one Recip: two complex 3-D transforms
-	grid     []complex128    // complex-path buffers, allocated on first use
-	conv     []complex128
-	rgrid    []float64 // real-path buffers, allocated on first use
-	rconv    []float64
-	spec     []complex128 // half spectrum, (K1/2+1)·K2·K3
-	eCoefH   []float64    // Hermitian-weighted energy coefs, half spectrum
-	cCoefH   []float64    // convolution coefs, half spectrum
-	lastReal bool         // which path the latest Recip took
+	rplan  *fft.RealPlan3D // half-spectrum transform
+	fftOps int64           // modelled flops of one Recip: two complex 3-D transforms
+	rgrid  []float64       // Recip's buffers, allocated by its first call
+	rconv  []float64
+	spec   []complex128 // half spectrum, (K1/2+1)·K2·K3
+	eCoefH []float64    // Hermitian-weighted energy coefs, half spectrum
+	cCoefH []float64    // convolution coefs, half spectrum
 
 	bsq1 []float64 // |b(m)|² per dimension
 	bsq2 []float64
 	bsq3 []float64
 
-	w1, w2, w3    []float64 // spline weight scratch
-	dw1, dw2, dw3 []float64
-
-	// Pooled-kernel state (SetPool). The parallel spread decomposes the x
-	// dimension into nChunks fixed even-count chunks of width ≥ Order and
-	// runs two barrier passes — even chunks, then odd chunks. An atom's
-	// order-wide support starting in chunk c stays inside chunks {c, c+1}
-	// (cyclically), so chunks of equal parity never touch the same grid
-	// point concurrently, and every grid point receives its deposits in a
-	// fixed order (even-pass chunk first, bucketed atoms in index order).
-	// The decomposition depends only on the mesh, so spread results are
-	// byte-identical at every worker count.
 	pool    *kernels.Pool
-	nChunks int       // even x-chunk count; 0 → serial spread fallback
+	nChunks int       // x chunks of the spread: even and ≥ 4, or 1
 	chunkOf []int32   // wrapped x base index → owning chunk
 	buckets [][]int32 // per-chunk atom lists, rebuilt per spread call
 
-	// Per-shard spline scratch (index max(nChunks, ShardCount)) plus
-	// cached partition offsets and energy partials, all pre-sized by
-	// SetPool so the pooled hot path never allocates and never races on
-	// first touch.
-	sw1, sw2, sw3    [][]float64
-	sdw1, sdw2, sdw3 [][]float64
+	// Per-shard spline scratch (index max(nChunks, ShardCount)), partition
+	// offsets and energy partials, reused across calls so the hot path
+	// never allocates.
+	scratch          []splineScratch
 	gridOff, specOff []int
 	atomOff          []int
-	eParts           []float64
+	eParts           [kernels.ShardCount]float64
 
-	// Shard closures are bound once at SetPool (a per-call closure would
+	// Shard closures are bound once by NewPME (a per-call closure would
 	// allocate on every Recip); the per-call arguments travel through the
 	// c* fields below, set immediately before each pool.Run.
 	zeroFn, enerFn          func(int)
@@ -85,9 +74,15 @@ type PME struct {
 	cLo                     int
 }
 
+// splineScratch is one shard's B-spline weights and their derivatives,
+// Order values per dimension.
+type splineScratch struct{ w1, w2, w3, dw1, dw2, dw3 []float64 }
+
 // NewPME builds a PME engine for the given box, splitting parameter β
 // (1/Å), mesh dimensions and interpolation order (≥ 3; the paper-era
-// CHARMM default is 4).
+// CHARMM default is 4). It panics on a mesh it cannot transform — a
+// dimension below 2·order or an odd K1 — which pmd.ValidateDecomp rejects
+// as a typed error before any engine is built.
 func NewPME(box space.Box, beta float64, k1, k2, k3, order int) *PME {
 	if beta <= 0 {
 		panic("ewald: non-positive beta")
@@ -98,94 +93,62 @@ func NewPME(box space.Box, beta float64, k1, k2, k3, order int) *PME {
 	if k1 < 2*order || k2 < 2*order || k3 < 2*order {
 		panic("ewald: mesh too small for interpolation order")
 	}
+	rplan, err := fft.NewRealPlan3D(k1, k2, k3)
+	if err != nil {
+		panic("ewald: " + err.Error())
+	}
 	p := &PME{
 		Box: box, Beta: beta, K1: k1, K2: k2, K3: k3, Order: order,
+		rplan:  rplan,
 		fftOps: 2 * fft.Ops3D(k1, k2, k3),
-	}
-	// Real charge grid → half-spectrum transform whenever K1 is even
-	// (every production mesh); odd K1 falls back to the complex plan.
-	if rp, err := fft.NewRealPlan3D(k1, k2, k3); err == nil {
-		p.rplan = rp
 	}
 	p.bsq1 = bsplineModuli(k1, order)
 	p.bsq2 = bsplineModuli(k2, order)
 	p.bsq3 = bsplineModuli(k3, order)
-	p.w1 = make([]float64, order)
-	p.w2 = make([]float64, order)
-	p.w3 = make([]float64, order)
-	p.dw1 = make([]float64, order)
-	p.dw2 = make([]float64, order)
-	p.dw3 = make([]float64, order)
+
+	// X-chunk spread decomposition: the largest even chunk count whose
+	// blocks are at least Order wide, or one chunk below four.
+	c := k1 / order
+	c -= c % 2
+	if c < 4 {
+		c = 1
+	}
+	p.nChunks = c
+	off := kernels.Partition(k1, c, nil)
+	p.chunkOf = make([]int32, k1)
+	for i := 0; i < c; i++ {
+		for x := off[i]; x < off[i+1]; x++ {
+			p.chunkOf[x] = int32(i)
+		}
+	}
+	p.buckets = make([][]int32, c)
+	p.scratch = make([]splineScratch, max(c, kernels.ShardCount))
+	buf := make([]float64, 6*order*len(p.scratch))
+	next := func() []float64 {
+		v := buf[:order:order]
+		buf = buf[order:]
+		return v
+	}
+	for i := range p.scratch {
+		p.scratch[i] = splineScratch{next(), next(), next(), next(), next(), next()}
+	}
+	p.bindShards()
 	return p
 }
 
-// SetPool attaches a kernel pool: Recip's real pipeline, Spread and
-// Interpolate shard their work across it with worker-count-independent
-// decompositions (see the field comment). Everything the pooled path
-// touches — the real grid, convolution and spectrum buffers, the
-// half-spectrum influence tables, per-shard spline scratch and the chunk
-// map — is allocated here, up front, so the parallel path cannot race on
-// a lazy first-touch allocation and the steady-state step stays
-// allocation-free. The reference paths are exempt: ExactFFT keeps the
-// bit-for-bit serial complex pipeline at any worker count.
-// SetPool(nil) restores the legacy serial kernels and their exact bytes.
+// SetPool attaches (or with nil detaches) the kernel pool Recip, Spread
+// and Interpolate run their shards on, and hands it to the FFT plan. It
+// decides which goroutines run the shards, never a result bit.
 func (p *PME) SetPool(pool *kernels.Pool) {
 	p.pool = pool
-	if p.rplan != nil {
-		p.rplan.SetPool(pool)
-	}
-	if pool == nil {
-		p.nChunks = 0
-		return
-	}
-	// X-chunk spread decomposition: the largest even chunk count whose
-	// blocks are at least Order wide. Meshes too small for four chunks
-	// keep the serial spread (the FFT and interpolation still pool).
-	c := p.K1 / p.Order
-	c -= c % 2
-	if c >= 4 {
-		p.nChunks = c
-		off := kernels.Partition(p.K1, c, nil)
-		p.chunkOf = make([]int32, p.K1)
-		for i := 0; i < c; i++ {
-			for x := off[i]; x < off[i+1]; x++ {
-				p.chunkOf[x] = int32(i)
-			}
-		}
-		p.buckets = make([][]int32, c)
-	} else {
-		p.nChunks = 0
-	}
-	shards := kernels.ShardCount
-	if p.nChunks > shards {
-		shards = p.nChunks
-	}
-	alloc := func() [][]float64 {
-		s := make([][]float64, shards)
-		for i := range s {
-			s[i] = make([]float64, p.Order)
-		}
-		return s
-	}
-	p.sw1, p.sw2, p.sw3 = alloc(), alloc(), alloc()
-	p.sdw1, p.sdw2, p.sdw3 = alloc(), alloc(), alloc()
-	p.eParts = make([]float64, kernels.ShardCount)
-	if p.rplan != nil {
-		p.ensureRealBuffers()
-		p.gridOff = kernels.Partition(len(p.rgrid), kernels.ShardCount, p.gridOff)
-		p.specOff = kernels.Partition(len(p.spec), kernels.ShardCount, p.specOff)
-	}
-	p.prebindPooled()
+	p.rplan.SetPool(pool)
 }
 
-// prebindPooled builds the shard closures once so the pooled hot path
-// hands Run reusable funcs instead of allocating a capture per call.
-func (p *PME) prebindPooled() {
+// bindShards builds the shard closures once so the hot path hands Run
+// reusable funcs instead of allocating a capture per call.
+func (p *PME) bindShards() {
 	p.zeroFn = func(s int) {
-		z := p.rgrid[p.gridOff[s]:p.gridOff[s+1]]
-		for i := range z {
-			z[i] = 0
-		}
+		clear(p.rgrid[p.gridOff[s]:p.gridOff[s+1]])
 	}
 	p.enerFn = func(s int) {
 		var e float64
@@ -201,29 +164,25 @@ func (p *PME) prebindPooled() {
 	p.spreadEvenC = func(s int) { p.spreadChunkCmplx(2*s, p.cPos, p.cQ, p.cGrid) }
 	p.spreadOddC = func(s int) { p.spreadChunkCmplx(2*s+1, p.cPos, p.cQ, p.cGrid) }
 	p.interpRFn = func(s int) {
-		p.interpolateRealRange(p.rconv, p.cPos, p.cQ, p.atomOff[s], p.atomOff[s+1], p.cFrc,
-			p.sw1[s], p.sw2[s], p.sw3[s], p.sdw1[s], p.sdw2[s], p.sdw3[s])
+		p.interpolateRealRange(p.rconv, p.cPos, p.cQ, p.cLo+p.atomOff[s], p.cLo+p.atomOff[s+1], p.cFrc, &p.scratch[s])
 	}
 	p.interpCFn = func(s int) {
-		p.eParts[s] = p.interpolateRange(p.cConv, p.cPos, p.cQ, p.cLo+p.atomOff[s], p.cLo+p.atomOff[s+1], p.cFrc,
-			p.sw1[s], p.sw2[s], p.sw3[s], p.sdw1[s], p.sdw2[s], p.sdw3[s])
+		p.eParts[s] = p.interpolateRange(p.cConv, p.cPos, p.cQ, p.cLo+p.atomOff[s], p.cLo+p.atomOff[s+1], p.cFrc, &p.scratch[s])
 	}
 }
 
-// ensureRealBuffers allocates the real-pipeline grid, convolution and
-// spectrum buffers and the precomputed influence tables. The serial path
-// calls it lazily on first Recip (PME instances that only ever serve the
-// distributed Spread/Interpolate never pay for them); SetPool calls it
-// eagerly so the pooled path starts fully pre-sized.
-func (p *PME) ensureRealBuffers() {
-	if p.rgrid == nil {
-		p.rgrid = make([]float64, p.GridLen())
-		p.rconv = make([]float64, p.GridLen())
-		p.spec = make([]complex128, p.rplan.SpectrumLen())
-	}
-	if p.eCoefH == nil {
-		p.buildHalfInfluence()
-	}
+// allocRecip sizes Recip's grid, convolution and spectrum buffers, the
+// half-spectrum influence tables and their shard offsets. Recip calls it
+// once, before its first fan-out, so no shard races on a first touch; the
+// per-rank PMEs of the parallel engine only spread and interpolate, and
+// never pay for it.
+func (p *PME) allocRecip() {
+	p.rgrid = make([]float64, p.GridLen())
+	p.rconv = make([]float64, p.GridLen())
+	p.spec = make([]complex128, p.rplan.SpectrumLen())
+	p.buildHalfInfluence()
+	p.gridOff = kernels.Partition(len(p.rgrid), kernels.ShardCount, nil)
+	p.specOff = kernels.Partition(len(p.spec), kernels.ShardCount, nil)
 }
 
 // bsplineModuli returns |b(m)|² for m = 0..K−1:
@@ -257,19 +216,33 @@ func (p *PME) Ops() int64 { return p.fftOps }
 func (p *PME) GridLen() int { return p.K1 * p.K2 * p.K3 }
 
 // Recip computes the reciprocal-space Ewald energy (kcal/mol) and
-// accumulates forces into frc. The mesh pipeline is: spread charges →
-// forward 3-D FFT → multiply by the influence function → inverse FFT →
-// interpolate forces. Counters, if non-nil, record the work.
+// accumulates forces into frc. The mesh pipeline is: spread charges onto
+// a real grid → forward half-spectrum FFT → multiply by the precomputed
+// influence coefficients → inverse FFT → interpolate forces. The energy
+// sums eCoefH·|F(Q)|² over the stored half spectrum only; eCoefH carries
+// weight 2 on interior kx planes (each stands in for its conjugate mirror
+// F(K1−kx, −ky, −kz) = conj F, which has the same |F|² and — because
+// signedFreq is odd and the moduli are even — the same ψ) and weight 1 on
+// the self-conjugate kx = 0 and kx = K1/2 planes. The per-shard energy
+// partials merge in shard order. Counters, if non-nil, record the work.
 func (p *PME) Recip(pos []vec.V, charges []float64, frc []vec.V, w *work.Counters) float64 {
-	var energyK float64
-	if p.rplan != nil && !p.ExactFFT {
-		energyK = p.recipReal(pos, charges, frc)
-	} else {
-		energyK = p.recipComplex(pos, charges, frc)
+	if p.rgrid == nil {
+		p.allocRecip()
 	}
+	p.pool.Run(kernels.ShardCount, p.zeroFn)
+	p.spread(pos, charges, 0, len(pos), p.spreadEvenR, p.spreadOddR)
+	p.rplan.Forward(p.rgrid, p.spec) // rgrid preserved for the grid-dot check
+	p.pool.Run(kernels.ShardCount, p.enerFn)
+	var energy float64
+	for _, e := range p.eParts {
+		energy += e
+	}
+	p.rplan.Inverse(p.spec, p.rconv)
+	p.interpolate(pos, charges, 0, len(pos), frc, p.interpRFn)
 	// The counters charge the modelled cost — complex-transform flops and
-	// full-mesh influence points — regardless of which host path ran, so
-	// virtual-time figures are independent of host-side optimizations.
+	// full-mesh influence points — not the half-spectrum work the host
+	// does, so virtual-time figures are independent of host-side
+	// optimizations.
 	if w != nil {
 		n := int64(len(pos))
 		o3 := int64(p.Order * p.Order * p.Order)
@@ -277,88 +250,16 @@ func (p *PME) Recip(pos []vec.V, charges []float64, frc []vec.V, w *work.Counter
 		w.FFTOps += p.Ops()
 		w.RecipPoints += int64(p.GridLen())
 	}
-	return energyK
-}
-
-// recipComplex is the reference mesh pipeline on a complex grid.
-func (p *PME) recipComplex(pos []vec.V, charges []float64, frc []vec.V) float64 {
-	if p.plan == nil {
-		// Only ExactFFT and odd-K1 meshes ever transform a complex grid;
-		// every other PME (one per simulated rank) never pays for this.
-		p.plan = fft.NewPlan3D(p.K1, p.K2, p.K3)
-		p.grid = make([]complex128, p.GridLen())
-		p.conv = make([]complex128, p.GridLen())
-	}
-	p.lastReal = false
-	for i := range p.grid {
-		p.grid[i] = 0
-	}
-	p.Spread(pos, charges, 0, len(pos), p.grid)
-	copy(p.conv, p.grid)
-	p.plan.Forward(p.conv)
-	energyK := p.influence()
-	p.plan.Inverse(p.conv)
-
-	// E = ½ Σ_k Q(k)·conv(k) must equal the k-space sum; both are computed
-	// and the k-space value is returned (they agree to roundoff — asserted
-	// in tests). Forces interpolate the conv grid.
-	p.Interpolate(p.conv, pos, charges, 0, len(pos), frc)
-	return energyK
-}
-
-// recipReal is the optimized pipeline: real charge grid, half-spectrum
-// r2c/c2r transforms, and precomputed influence coefficients. The energy
-// sums eCoefH·|F(Q)|² over the stored half spectrum only; eCoefH carries
-// weight 2 on interior kx planes (each stands in for its conjugate mirror
-// F(K1−kx, −ky, −kz) = conj F, which has the same |F|² and — because
-// signedFreq is odd and the moduli are even — the same ψ) and weight 1 on
-// the self-conjugate kx = 0 and kx = K1/2 planes.
-func (p *PME) recipReal(pos []vec.V, charges []float64, frc []vec.V) float64 {
-	p.ensureRealBuffers()
-	p.lastReal = true
-	if p.pool != nil {
-		return p.recipRealPooled(pos, charges, frc)
-	}
-	for i := range p.rgrid {
-		p.rgrid[i] = 0
-	}
-	p.spreadReal(pos, charges, p.rgrid)
-	p.rplan.Forward(p.rgrid, p.spec) // rgrid preserved for the grid-dot check
-	var energy float64
-	for i, fq := range p.spec {
-		re, im := real(fq), imag(fq)
-		energy += p.eCoefH[i] * (re*re + im*im)
-		p.spec[i] = complex(re*p.cCoefH[i], im*p.cCoefH[i])
-	}
-	p.rplan.Inverse(p.spec, p.rconv)
-	p.interpolateReal(p.rconv, pos, charges, frc)
 	return energy
 }
 
-// recipRealPooled is the sharded real pipeline: fixed-range grid zeroing,
-// parity-chunked spread, pooled half-spectrum transforms, a fixed-range
-// energy/convolution pass with per-shard partials merged in shard order,
-// and interpolation over fixed atom ranges. Every decomposition depends
-// only on the problem shape, so the result is byte-identical at any
-// worker count (but, like any regrouped floating-point reduction, not to
-// the serial path — that is what KernelWorkers = 0 preserves).
-func (p *PME) recipRealPooled(pos []vec.V, charges []float64, frc []vec.V) float64 {
-	s16 := kernels.ShardCount
-	p.pool.Run(s16, p.zeroFn)
-	if p.nChunks > 0 {
-		p.spreadRealChunked(pos, charges)
-	} else {
-		p.spreadReal(pos, charges, p.rgrid)
-	}
-	p.rplan.Forward(p.rgrid, p.spec)
-	p.pool.Run(s16, p.enerFn)
-	var energy float64
-	for _, e := range p.eParts {
-		energy += e
-	}
-	p.rplan.Inverse(p.spec, p.rconv)
-	p.interpolateRealPooled(pos, charges, frc)
-	return energy
+// spread buckets the atoms of [lo, hi) by x chunk and deposits them in two
+// parity passes; even and odd are the chunk closures of the target grid.
+func (p *PME) spread(pos []vec.V, charges []float64, lo, hi int, even, odd func(int)) {
+	p.bucketByChunk(pos, charges, lo, hi)
+	p.cPos, p.cQ = pos, charges
+	p.pool.Run((p.nChunks+1)/2, even)
+	p.pool.Run(p.nChunks/2, odd)
 }
 
 // bucketByChunk fills p.buckets with the atoms of [lo, hi) keyed by the
@@ -378,22 +279,12 @@ func (p *PME) bucketByChunk(pos []vec.V, charges []float64, lo, hi int) {
 	}
 }
 
-// spreadRealChunked deposits charges onto p.rgrid in two parity passes
-// over the x chunks; chunks in the same pass touch disjoint grid regions.
-func (p *PME) spreadRealChunked(pos []vec.V, charges []float64) {
-	p.bucketByChunk(pos, charges, 0, len(pos))
-	p.cPos, p.cQ = pos, charges
-	half := p.nChunks / 2
-	p.pool.Run(half, p.spreadEvenR)
-	p.pool.Run(half, p.spreadOddR)
-}
-
 // spreadChunkReal deposits one chunk's bucketed atoms using the chunk's
 // private spline scratch.
 func (p *PME) spreadChunkReal(c int, pos []vec.V, charges []float64, grid []float64) {
 	order := p.Order
-	w1, w2, w3 := p.sw1[c], p.sw2[c], p.sw3[c]
-	dw1, dw2, dw3 := p.sdw1[c], p.sdw2[c], p.sdw3[c]
+	sc := &p.scratch[c]
+	w1, w2, w3, dw1, dw2, dw3 := sc.w1, sc.w2, sc.w3, sc.dw1, sc.dw2, sc.dw3
 	var i1, i2, i3 [maxOrder]int
 	for _, ii := range p.buckets[c] {
 		i := int(ii)
@@ -424,8 +315,8 @@ func (p *PME) spreadChunkReal(c int, pos []vec.V, charges []float64, grid []floa
 // distributed PME's local accumulation buffers).
 func (p *PME) spreadChunkCmplx(c int, pos []vec.V, charges []float64, grid []complex128) {
 	order := p.Order
-	w1, w2, w3 := p.sw1[c], p.sw2[c], p.sw3[c]
-	dw1, dw2, dw3 := p.sdw1[c], p.sdw2[c], p.sdw3[c]
+	sc := &p.scratch[c]
+	w1, w2, w3, dw1, dw2, dw3 := sc.w1, sc.w2, sc.w3, sc.dw1, sc.dw2, sc.dw3
 	var i1, i2, i3 [maxOrder]int
 	for _, ii := range p.buckets[c] {
 		i := int(ii)
@@ -452,14 +343,12 @@ func (p *PME) spreadChunkCmplx(c int, pos []vec.V, charges []float64, grid []com
 	}
 }
 
-// interpolateRealPooled shards interpolateReal over fixed atom ranges of
-// p.rconv; each atom's force is written by exactly one shard, so the
-// result is bitwise identical to the serial interpolation.
-func (p *PME) interpolateRealPooled(pos []vec.V, charges []float64, frc []vec.V) {
-	s16 := kernels.ShardCount
-	p.atomOff = kernels.Partition(len(pos), s16, p.atomOff)
-	p.cPos, p.cQ, p.cFrc = pos, charges, frc
-	p.pool.Run(s16, p.interpRFn)
+// interpolate runs fn over kernels.ShardCount fixed ranges of the atoms
+// [lo, hi); each atom's force is written by exactly one shard.
+func (p *PME) interpolate(pos []vec.V, charges []float64, lo, hi int, frc []vec.V, fn func(int)) {
+	p.atomOff = kernels.Partition(hi-lo, kernels.ShardCount, p.atomOff)
+	p.cPos, p.cQ, p.cFrc, p.cLo = pos, charges, frc, lo
+	p.pool.Run(kernels.ShardCount, fn)
 }
 
 // buildHalfInfluence precomputes the influence coefficients over the
@@ -490,14 +379,8 @@ func (p *PME) buildHalfInfluence() {
 // exposed for the consistency test.
 func (p *PME) RecipEnergyGridDot() float64 {
 	var e float64
-	if p.lastReal {
-		for i := range p.rgrid {
-			e += p.rgrid[i] * p.rconv[i]
-		}
-	} else {
-		for i := range p.grid {
-			e += real(p.grid[i]) * real(p.conv[i])
-		}
+	for i := range p.rgrid {
+		e += p.rgrid[i] * p.rconv[i]
 	}
 	return 0.5 * e
 }
@@ -506,73 +389,8 @@ func (p *PME) RecipEnergyGridDot() float64 {
 // K1×K2×K3, not zeroed here) with B-spline weights. The distributed PME
 // uses it per atom block; grid may be any rank's local accumulation buffer.
 func (p *PME) Spread(pos []vec.V, charges []float64, lo, hi int, grid []complex128) {
-	if p.pool != nil && !p.ExactFFT && p.nChunks > 0 {
-		p.bucketByChunk(pos, charges, lo, hi)
-		p.cPos, p.cQ, p.cGrid = pos, charges, grid
-		half := p.nChunks / 2
-		p.pool.Run(half, p.spreadEvenC)
-		p.pool.Run(half, p.spreadOddC)
-		return
-	}
-	order := p.Order
-	var i1, i2, i3 [maxOrder]int
-	for i := lo; i < hi; i++ {
-		r := pos[i]
-		q := charges[i]
-		if q == 0 {
-			continue
-		}
-		f := p.Box.Frac(r)
-		u1 := f.X * float64(p.K1)
-		u2 := f.Y * float64(p.K2)
-		u3 := f.Z * float64(p.K3)
-		k01 := splineWeights(order, u1, p.w1, p.dw1)
-		k02 := splineWeights(order, u2, p.w2, p.dw2)
-		k03 := splineWeights(order, u3, p.w3, p.dw3)
-		p.wrapIndices(k01, k02, k03, &i1, &i2, &i3)
-		for a := 0; a < order; a++ {
-			row := i1[a] * p.K2
-			qa := q * p.w1[a]
-			for b := 0; b < order; b++ {
-				qab := qa * p.w2[b]
-				base := (row + i2[b]) * p.K3
-				for c := 0; c < order; c++ {
-					grid[base+i3[c]] += complex(qab*p.w3[c], 0)
-				}
-			}
-		}
-	}
-}
-
-// spreadReal is Spread onto a real grid for the r2c pipeline.
-func (p *PME) spreadReal(pos []vec.V, charges []float64, grid []float64) {
-	order := p.Order
-	var i1, i2, i3 [maxOrder]int
-	for i := range pos {
-		q := charges[i]
-		if q == 0 {
-			continue
-		}
-		f := p.Box.Frac(pos[i])
-		u1 := f.X * float64(p.K1)
-		u2 := f.Y * float64(p.K2)
-		u3 := f.Z * float64(p.K3)
-		k01 := splineWeights(order, u1, p.w1, p.dw1)
-		k02 := splineWeights(order, u2, p.w2, p.dw2)
-		k03 := splineWeights(order, u3, p.w3, p.dw3)
-		p.wrapIndices(k01, k02, k03, &i1, &i2, &i3)
-		for a := 0; a < order; a++ {
-			row := i1[a] * p.K2
-			qa := q * p.w1[a]
-			for b := 0; b < order; b++ {
-				qab := qa * p.w2[b]
-				base := (row + i2[b]) * p.K3
-				for c := 0; c < order; c++ {
-					grid[base+i3[c]] += qab * p.w3[c]
-				}
-			}
-		}
-	}
+	p.cGrid = grid
+	p.spread(pos, charges, lo, hi, p.spreadEvenC, p.spreadOddC)
 }
 
 // maxOrder bounds the interpolation order (NewPME rejects order > 8) so
@@ -602,29 +420,6 @@ func (p *PME) Footprint(r vec.V) (i1, i2, i3 [maxOrder]int) {
 		splineBase(p.Order, f.Z*float64(p.K3)),
 		&i1, &i2, &i3)
 	return i1, i2, i3
-}
-
-// influence multiplies the transformed grid by the PME influence function
-// ψ(m) = (CoulombConst·N/(πV)) · exp(−π²|m̃|²/β²)/|m̃|² · B(m) and returns
-// the reciprocal energy Σ'  (CoulombConst/(2πV))·exp(−π²|m̃|²/β²)/|m̃|²·B(m)·|F(Q)(m)|².
-// The factor N compensates the normalized inverse FFT so that the conv
-// grid carries the real-space convolution used for forces.
-func (p *PME) influence() float64 {
-	var energy float64
-	idx := 0
-	for m1 := 0; m1 < p.K1; m1++ {
-		for m2 := 0; m2 < p.K2; m2++ {
-			for m3 := 0; m3 < p.K3; m3++ {
-				eCoef, cCoef := p.Psi(m1, m2, m3)
-				fq := p.conv[idx]
-				mag2 := real(fq)*real(fq) + imag(fq)*imag(fq)
-				energy += eCoef * mag2
-				p.conv[idx] = fq * complex(cCoef, 0)
-				idx++
-			}
-		}
-	}
-	return energy
 }
 
 // Psi returns the two influence coefficients at mesh frequency
@@ -662,28 +457,23 @@ func signedFreq(m, k int) float64 {
 // Interpolate differentiates the B-spline interpolant of the given conv
 // grid at the charge sites of atoms [lo, hi): F = −q·∇θ, with ∂u/∂x = K/L
 // per dimension. Forces accumulate into frc (when non-nil); the return
-// value is the partial ½ΣQ·conv energy over the block, used as a
-// consistency cross-check. The distributed PME calls it per atom block
-// with the allgathered conv grid.
+// value is the partial ½ΣQ·conv energy over the block, its per-shard
+// partials merged in shard order, used as a consistency cross-check. The
+// distributed PME calls it per atom block with the allgathered conv grid.
 func (p *PME) Interpolate(conv []complex128, pos []vec.V, charges []float64, lo, hi int, frc []vec.V) float64 {
-	if p.pool != nil && !p.ExactFFT {
-		s16 := kernels.ShardCount
-		p.atomOff = kernels.Partition(hi-lo, s16, p.atomOff)
-		p.cConv, p.cPos, p.cQ, p.cFrc, p.cLo = conv, pos, charges, frc, lo
-		p.pool.Run(s16, p.interpCFn)
-		var e float64
-		for _, part := range p.eParts {
-			e += part
-		}
-		return e
+	p.cConv = conv
+	p.interpolate(pos, charges, lo, hi, frc, p.interpCFn)
+	var e float64
+	for _, part := range p.eParts {
+		e += part
 	}
-	return p.interpolateRange(conv, pos, charges, lo, hi, frc,
-		p.w1, p.w2, p.w3, p.dw1, p.dw2, p.dw3)
+	return e
 }
 
-// interpolateRange is Interpolate over atoms [lo, hi) with the caller's
-// spline scratch (the pooled path hands every shard its own).
-func (p *PME) interpolateRange(conv []complex128, pos []vec.V, charges []float64, lo, hi int, frc []vec.V, w1, w2, w3, dw1, dw2, dw3 []float64) float64 {
+// interpolateRange is Interpolate over atoms [lo, hi) with one shard's
+// spline scratch.
+func (p *PME) interpolateRange(conv []complex128, pos []vec.V, charges []float64, lo, hi int, frc []vec.V, sc *splineScratch) float64 {
+	w1, w2, w3, dw1, dw2, dw3 := sc.w1, sc.w2, sc.w3, sc.dw1, sc.dw2, sc.dw3
 	order := p.Order
 	s1 := float64(p.K1) / p.Box.L.X
 	s2 := float64(p.K2) / p.Box.L.Y
@@ -725,17 +515,11 @@ func (p *PME) interpolateRange(conv []complex128, pos []vec.V, charges []float64
 	return e
 }
 
-// interpolateReal is Interpolate over a real conv grid for the r2c
-// pipeline, with the products regrouped to hoist the a/b spline factors
-// out of the inner loop.
-func (p *PME) interpolateReal(conv []float64, pos []vec.V, charges []float64, frc []vec.V) {
-	p.interpolateRealRange(conv, pos, charges, 0, len(pos), frc,
-		p.w1, p.w2, p.w3, p.dw1, p.dw2, p.dw3)
-}
-
-// interpolateRealRange interpolates forces for atoms [lo, hi) using the
-// caller's spline scratch (the pooled path hands every shard its own).
-func (p *PME) interpolateRealRange(conv []float64, pos []vec.V, charges []float64, lo, hi int, frc []vec.V, w1, w2, w3, dw1, dw2, dw3 []float64) {
+// interpolateRealRange is interpolateRange over Recip's real conv grid,
+// with the products regrouped to hoist the a/b spline factors out of the
+// inner loop; it returns no energy.
+func (p *PME) interpolateRealRange(conv []float64, pos []vec.V, charges []float64, lo, hi int, frc []vec.V, sc *splineScratch) {
+	w1, w2, w3, dw1, dw2, dw3 := sc.w1, sc.w2, sc.w3, sc.dw1, sc.dw2, sc.dw3
 	order := p.Order
 	s1 := float64(p.K1) / p.Box.L.X
 	s2 := float64(p.K2) / p.Box.L.Y

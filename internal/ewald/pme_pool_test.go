@@ -56,12 +56,13 @@ func TestRecipPooledBitwiseStableAcrossWorkers(t *testing.T) {
 	}
 }
 
-// The pooled path is a different deterministic association of the same
-// sums; it must agree with the serial path to roundoff.
+// The pooled pipeline is a different association of the same sums as the
+// serial complex oracle; it must agree with it to roundoff.
 func TestRecipPooledMatchesSerialToRoundoff(t *testing.T) {
 	box := space.NewBox(20, 18, 22)
 	pos, charges := poolTestSystem(600, box)
-	serialE, serialF := recipOnce(t, 0, pos, charges, box)
+	serialF := make([]vec.V, len(pos))
+	serialE, _ := complexRecip(NewPME(box, 0.34, 40, 18, 24, 4), pos, charges, serialF)
 	pooledE, pooledF := recipOnce(t, 4, pos, charges, box)
 	if d := math.Abs(pooledE-serialE) / math.Abs(serialE); d > 1e-10 {
 		t.Fatalf("pooled energy %v vs serial %v (rel %g)", pooledE, serialE, d)
@@ -73,22 +74,48 @@ func TestRecipPooledMatchesSerialToRoundoff(t *testing.T) {
 	}
 }
 
+// serialSpread is the plain spread: every charged atom in index order
+// deposits its order³ support onto grid.
+func serialSpread(p *PME, pos []vec.V, charges []float64, grid []complex128) {
+	order := p.Order
+	w1, w2, w3 := make([]float64, order), make([]float64, order), make([]float64, order)
+	dw := make([]float64, order)
+	for i, r := range pos {
+		q := charges[i]
+		if q == 0 {
+			continue
+		}
+		f := p.Box.Frac(r)
+		k01 := splineWeights(order, f.X*float64(p.K1), w1, dw)
+		k02 := splineWeights(order, f.Y*float64(p.K2), w2, dw)
+		k03 := splineWeights(order, f.Z*float64(p.K3), w3, dw)
+		for a := 0; a < order; a++ {
+			for b := 0; b < order; b++ {
+				base := (mod(k01+a, p.K1)*p.K2 + mod(k02+b, p.K2)) * p.K3
+				for c := 0; c < order; c++ {
+					grid[base+mod(k03+c, p.K3)] += complex(q*w1[a]*w2[b]*w3[c], 0)
+				}
+			}
+		}
+	}
+}
+
 // The parity-chunked spread must deposit exactly the same per-atom
 // contributions as the serial spread: the total charge on the grid and
 // each grid point's value agree to roundoff, and repeated pooled runs are
-// bitwise identical.
+// bitwise identical. A mesh too narrow for four chunks is one chunk, and
+// that is the serial spread bit for bit.
 func TestSpreadChunkedMatchesSerial(t *testing.T) {
 	box := space.NewBox(20, 18, 22)
 	pos, charges := poolTestSystem(400, box)
-	serial := NewPME(box, 0.34, 40, 18, 24, 4)
 	pooled := NewPME(box, 0.34, 40, 18, 24, 4)
 	pooled.SetPool(kernels.NewPool(4))
-	if pooled.nChunks == 0 {
+	if pooled.nChunks < 4 {
 		t.Fatal("paper-scale mesh should enable chunked spread")
 	}
-	gs := make([]complex128, serial.GridLen())
+	gs := make([]complex128, pooled.GridLen())
 	gp := make([]complex128, pooled.GridLen())
-	serial.Spread(pos, charges, 0, len(pos), gs)
+	serialSpread(pooled, pos, charges, gs)
 	pooled.Spread(pos, charges, 0, len(pos), gp)
 	var sumS, sumP float64
 	for i := range gs {
@@ -109,47 +136,46 @@ func TestSpreadChunkedMatchesSerial(t *testing.T) {
 			t.Fatalf("pooled spread not repeatable at grid[%d]", i)
 		}
 	}
-}
 
-// ExactFFT is the bit-for-bit reference path; attaching a pool must not
-// change a single bit of it at any worker count.
-func TestExactFFTUnaffectedByPool(t *testing.T) {
-	box := space.NewBox(20, 18, 22)
-	pos, charges := poolTestSystem(300, box)
-	ref := NewPME(box, 0.34, 40, 18, 24, 4)
-	ref.ExactFFT = true
-	frcRef := make([]vec.V, len(pos))
-	eRef := ref.Recip(pos, charges, frcRef, nil)
-	for _, workers := range []int{1, 4} {
-		p := NewPME(box, 0.34, 40, 18, 24, 4)
-		p.ExactFFT = true
-		p.SetPool(kernels.NewPool(workers))
-		frc := make([]vec.V, len(pos))
-		e := p.Recip(pos, charges, frc, nil)
-		if e != eRef {
-			t.Fatalf("workers=%d: exact energy %x != reference %x", workers, e, eRef)
-		}
-		for i := range frc {
-			if frc[i] != frcRef[i] {
-				t.Fatalf("workers=%d: exact frc[%d] differs", workers, i)
-			}
+	narrow := NewPME(box, 0.34, 12, 18, 24, 4)
+	narrow.SetPool(kernels.NewPool(4))
+	if narrow.nChunks != 1 {
+		t.Fatalf("a 12-plane mesh at order 4 has %d chunks, want 1", narrow.nChunks)
+	}
+	gs = make([]complex128, narrow.GridLen())
+	gp = make([]complex128, narrow.GridLen())
+	serialSpread(narrow, pos, charges, gs)
+	narrow.Spread(pos, charges, 0, len(pos), gp)
+	for i := range gs {
+		if gs[i] != gp[i] {
+			t.Fatalf("one-chunk grid[%d]: serial %v, Spread %v", i, gs[i], gp[i])
 		}
 	}
 }
 
-// SetPool pre-sizes every buffer the pooled path touches; the steady
-// state must not allocate.
+// Recip's buffers and the shard scratch are sized by the first call; the
+// steady state must not allocate.
 func TestPooledRecipDoesNotAllocateSteadyState(t *testing.T) {
 	box := space.NewBox(20, 18, 22)
 	pos, charges := poolTestSystem(400, box)
 	p := NewPME(box, 0.34, 40, 18, 24, 4)
-	p.SetPool(kernels.NewPool(1)) // 1 worker: pooled numerics, inline execution
+	p.SetPool(kernels.NewPool(1)) // 1 worker: inline execution
 	frc := make([]vec.V, len(pos))
-	p.Recip(pos, charges, frc, nil) // warm the chunk buckets
+	p.Recip(pos, charges, frc, nil) // warm the buffers and chunk buckets
 	allocs := testing.AllocsPerRun(10, func() {
 		p.Recip(pos, charges, frc, nil)
 	})
 	if allocs > 0 {
 		t.Fatalf("pooled Recip allocates %v per call in steady state", allocs)
+	}
+}
+
+// SetPool allocates none of Recip's buffers: the per-rank PMEs of the
+// parallel engine only spread and interpolate.
+func TestSetPoolLeavesRecipBuffersUnallocated(t *testing.T) {
+	p := NewPME(space.NewBox(20, 18, 22), 0.34, 40, 18, 24, 4)
+	p.SetPool(kernels.NewPool(4))
+	if p.rgrid != nil || p.spec != nil || p.eCoefH != nil {
+		t.Fatal("SetPool allocated Recip's grid, spectrum or influence tables")
 	}
 }

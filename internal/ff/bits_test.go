@@ -25,15 +25,17 @@ import (
 
 // The bits oracle of the classic half of the step. testdata/bits_golden.json
 // holds one SHA-256 per case over the math.Float64bits of the energies and
-// every force component NonbondedKernel.Compute returns (serial, pooled at
-// 1, 2 and 4 workers, and the ExactKernels reference loop), and one over
-// the pair sequence and ListDistEvals of PairLister.Build. It was captured
-// from the implementation that rounded three image shifts per listed pair
-// and filtered the raw list through a binary search and a map probe, so it
-// pins the merged skip list and the image-0 fast path to that
-// implementation's exact pairs, in its order, and its exact sums —
-// including signed zeros. Every trajectory, figure and profile golden in
-// the repository rests on these bits.
+// every force component NonbondedKernel.Compute returns (at 1, 2 and 4
+// workers, and the ExactKernels reference loop), and one over the pair
+// sequence and ListDistEvals of PairLister.Build. The list digests were
+// captured from the implementation that rounded three image shifts per
+// listed pair and filtered the raw list through a binary search and a map
+// probe, so they pin the merged skip list and the image-0 fast path to that
+// implementation's exact pairs, in its order. The pool digests of the
+// one-shard cases (smallbox, edges, edges-shift) are the serial pair
+// loop's sums from before the kernel had one arithmetic — including
+// signed zeros. Every trajectory, figure and profile golden in the
+// repository rests on these bits.
 //
 // The comparison is amd64-only: a target that fuses x*y+z may round an
 // equal expression differently. UPDATE_GOLDEN=1 rewrites the file; do that
@@ -166,7 +168,7 @@ func (b bitsHash) floats(v ...float64) {
 func (b bitsHash) sum() string { return hex.EncodeToString(b.h.Sum(nil)) }
 
 // computeDigest hashes the energies and forces of one Compute from zeroed
-// forces; workers < 0 is the serial kernel.
+// forces; workers 0 attaches no pool.
 func computeDigest(f *ff.ForceField, workers int, pos []vec.V, pairs []space.Pair) string {
 	k := f.NewNonbondedKernel()
 	if workers > 0 {
@@ -199,13 +201,12 @@ func bitsDigests() map[string]string {
 			h.uint64(uint64(w.ListDistEvals))
 			out[c.name+"/list"] = h.sum()
 		}
-		out[c.name+"/serial"] = computeDigest(f, -1, c.pos, pairs)
 		for _, workers := range []int{1, 2, 4} {
 			out[fmt.Sprintf("%s/pool%d", c.name, workers)] = computeDigest(f, workers, c.pos, pairs)
 		}
 		exact := c.opts
 		exact.ExactKernels = true
-		out[c.name+"/exact"] = computeDigest(ff.New(c.sys, exact), -1, c.pos, pairs)
+		out[c.name+"/exact"] = computeDigest(ff.New(c.sys, exact), 0, c.pos, pairs)
 	}
 	return out
 }

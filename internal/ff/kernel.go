@@ -10,83 +10,101 @@ import (
 )
 
 // NonbondedKernel is the table-driven structure-of-arrays pair kernel. It
-// owns the SoA scratch (positions and force accumulators as separate
-// x/y/z slices) so the immutable ForceField stays safe for concurrent use:
-// hold one kernel per goroutine/rank. When the force field was built with
-// ExactKernels, Compute transparently delegates to the reference
-// ForceField.Nonbonded.
+// owns the SoA scratch (positions and per-block force accumulators as
+// separate x/y/z slices) so the immutable ForceField stays safe for
+// concurrent use: hold one kernel per goroutine/rank. When the force field
+// was built with ExactKernels, Compute transparently delegates to the
+// reference ForceField.Nonbonded.
 //
-// SetPool attaches a kernel pool: the pair list is split into
-// kernels.ShardCount fixed contiguous blocks, each block accumulates into
-// its own force arrays and energy partials, and a second pooled pass
-// merges the per-shard forces over fixed atom ranges — always summing
-// shards in ascending order. The decomposition depends only on the pair
-// count, so pooled results are byte-identical at every worker count
-// (though, as a regrouped reduction, not to the serial path — a nil pool
-// preserves the legacy bytes exactly).
+// Compute splits the pair list into pairShards(len(pairs)) contiguous
+// blocks; each block accumulates into its own force arrays and energy
+// partial, and every atom's force is the sum of the blocks' arrays in
+// ascending block order, added to the caller's force once. The
+// decomposition depends only on the pair count, so results are
+// byte-identical at every worker count; the pool only decides how many
+// blocks run at once. A list of at most pairsPerShard pairs is one block,
+// which is the plain serial loop bit for bit: its sum is added to +0,
+// which is exact because pairRange's accumulators start at +0 and so
+// never hold −0.
 type NonbondedKernel struct {
 	f          *ForceField
 	x, y, z    []float64
-	fx, fy, fz []float64
+	acc        []blockForces               // force arrays, one per block in flight
+	eLJ, eElec [kernels.ShardCount]float64 // per-block energy partials
 
-	pool          *kernels.Pool
-	sfx, sfy, sfz [][]float64 // per-shard force accumulators
-	seLJ, seElec  []float64   // per-shard energy partials
-	atomOff       []int
-	pairOff       []int
+	pool    *kernels.Pool
+	shards  int // pair blocks of the current Compute
+	merged  int // force arrays the merge sums: shards, or 1 after an inline fold
+	atomOff []int
+	pairOff []int
 
-	// Shard closures bound once by SetPool; per-call args in c* fields.
+	// Shard closures bound once by NewNonbondedKernel; per-call args in c* fields.
 	fillFn, pairFn, mergeFn func(int)
 	cPos                    []vec.V
 	cPairs                  []space.Pair
 	cFrc                    []vec.V
 }
 
-// NewNonbondedKernel returns a kernel with its own scratch over f.
-func (f *ForceField) NewNonbondedKernel() *NonbondedKernel {
-	return &NonbondedKernel{f: f}
+// blockForces is one pair block's force accumulators.
+type blockForces struct{ fx, fy, fz []float64 }
+
+// pairsPerShard is how many pairs one block of the list carries before
+// the list is split further. The paper system's 574 k-pair list reaches
+// kernels.ShardCount blocks; a p = 8 rank's slice of it gets three.
+const pairsPerShard = 32768
+
+// pairShards is the number of blocks a list of n pairs is split into:
+// ⌈n/pairsPerShard⌉, at least 1 and at most kernels.ShardCount. It is a
+// pure function of n, never of the worker count.
+func pairShards(n int) int {
+	return min(max((n+pairsPerShard-1)/pairsPerShard, 1), kernels.ShardCount)
 }
 
-// SetPool attaches (or with nil detaches) the kernel pool. Per-shard
-// accumulators are sized on the first Compute, before any pooled pass
-// runs, and reused across steps.
-func (k *NonbondedKernel) SetPool(p *kernels.Pool) {
-	k.pool = p
-	if p == nil {
-		k.sfx, k.sfy, k.sfz = nil, nil, nil
-		k.seLJ, k.seElec = nil, nil
-		return
-	}
-	k.seLJ = make([]float64, kernels.ShardCount)
-	k.seElec = make([]float64, kernels.ShardCount)
+// NewNonbondedKernel returns a kernel with its own scratch over f. It
+// runs its blocks inline until SetPool attaches a pool of several workers.
+func (f *ForceField) NewNonbondedKernel() *NonbondedKernel {
+	k := &NonbondedKernel{f: f}
+	// Fill and merge shard s covers atoms [atomOff[s], atomOff[s+1]) of
+	// the merged force arrays; pair shard s owns block s.
 	k.fillFn = func(s int) {
+		lo, hi := k.atomOff[s], k.atomOff[s+1]
 		x, y, z := k.x, k.y, k.z
-		for i := k.atomOff[s]; i < k.atomOff[s+1]; i++ {
+		for i := lo; i < hi; i++ {
 			p := k.cPos[i]
 			x[i], y[i], z[i] = p.X, p.Y, p.Z
 		}
-		fx, fy, fz := k.sfx[s], k.sfy[s], k.sfz[s]
-		for i := range fx {
-			fx[i], fy[i], fz[i] = 0, 0, 0
+		for _, a := range k.acc[:k.merged] {
+			clear(a.fx[lo:hi])
+			clear(a.fy[lo:hi])
+			clear(a.fz[lo:hi])
 		}
 	}
-	k.pairFn = func(s int) {
-		k.seLJ[s], k.seElec[s] = k.f.pairRange(k.x, k.y, k.z,
-			k.cPairs[k.pairOff[s]:k.pairOff[s+1]], k.sfx[s], k.sfy[s], k.sfz[s])
-	}
+	k.pairFn = func(s int) { k.block(s, &k.acc[s]) }
 	k.mergeFn = func(s int) {
+		acc := k.acc[:k.merged]
 		for i := k.atomOff[s]; i < k.atomOff[s+1]; i++ {
 			var sx, sy, sz float64
-			for sh := 0; sh < kernels.ShardCount; sh++ {
-				sx += k.sfx[sh][i]
-				sy += k.sfy[sh][i]
-				sz += k.sfz[sh][i]
+			for _, a := range acc {
+				sx += a.fx[i]
+				sy += a.fy[i]
+				sz += a.fz[i]
 			}
 			if sx != 0 || sy != 0 || sz != 0 {
 				k.cFrc[i] = k.cFrc[i].Add(vec.New(sx, sy, sz))
 			}
 		}
 	}
+	return k
+}
+
+// SetPool attaches (or with nil detaches) the kernel pool the blocks run
+// on. It changes which goroutines run the blocks, never a result bit.
+func (k *NonbondedKernel) SetPool(p *kernels.Pool) { k.pool = p }
+
+// block evaluates pair block s into a, which the caller has zeroed.
+func (k *NonbondedKernel) block(s int, a *blockForces) {
+	k.eLJ[s], k.eElec[s] = k.f.pairRange(k.x, k.y, k.z,
+		k.cPairs[k.pairOff[s]:k.pairOff[s+1]], a.fx, a.fy, a.fz)
 }
 
 // Compute evaluates the prefiltered pair list like ForceField.Nonbonded:
@@ -102,81 +120,74 @@ func (k *NonbondedKernel) Compute(pos []vec.V, pairs []space.Pair, frc []vec.V, 
 		return f.Nonbonded(pos, pairs, frc, w)
 	}
 	n := len(pos)
+	k.shards = pairShards(len(pairs))
+	// Blocks running one after another need two sets of force arrays, not
+	// one per block: see the fold below.
+	inline := k.shards > 1 && k.pool.Workers() <= 1
+	sets := k.shards
+	k.merged = k.shards
+	if inline {
+		sets, k.merged = 2, 1
+	}
 	if cap(k.x) < n {
 		k.x = make([]float64, n)
 		k.y = make([]float64, n)
 		k.z = make([]float64, n)
-		k.fx = make([]float64, n)
-		k.fy = make([]float64, n)
-		k.fz = make([]float64, n)
-	}
-	if k.pool != nil {
-		return k.computePooled(pos, pairs, frc, w)
-	}
-	x, y, z := k.x[:n], k.y[:n], k.z[:n]
-	fx, fy, fz := k.fx[:n], k.fy[:n], k.fz[:n]
-	for i, p := range pos {
-		x[i], y[i], z[i] = p.X, p.Y, p.Z
-		fx[i], fy[i], fz[i] = 0, 0, 0
-	}
-	eLJ, eElec := f.pairRange(x, y, z, pairs, fx, fy, fz)
-	for i := range fx {
-		if fx[i] != 0 || fy[i] != 0 || fz[i] != 0 {
-			frc[i] = frc[i].Add(vec.New(fx[i], fy[i], fz[i]))
-		}
-	}
-	if w != nil {
-		w.PairEvals += int64(len(pairs))
-	}
-	return Energies{LJ: eLJ, Elec: eElec}
-}
-
-// computePooled is the sharded pair loop: fixed pair blocks accumulate
-// into per-shard arrays, then a fixed-range merge folds the shards into
-// frc in ascending shard order.
-func (k *NonbondedKernel) computePooled(pos []vec.V, pairs []space.Pair, frc []vec.V, w *work.Counters) Energies {
-	n := len(pos)
-	if len(k.sfx) == 0 || cap(k.sfx[0]) < n {
-		k.sfx = shardArrays(n)
-		k.sfy = shardArrays(n)
-		k.sfz = shardArrays(n)
-	}
-	for s := 0; s < kernels.ShardCount; s++ {
-		k.sfx[s] = k.sfx[s][:n]
-		k.sfy[s] = k.sfy[s][:n]
-		k.sfz[s] = k.sfz[s][:n]
 	}
 	k.x, k.y, k.z = k.x[:n], k.y[:n], k.z[:n]
-	k.atomOff = kernels.Partition(n, kernels.ShardCount, k.atomOff)
-	k.pairOff = kernels.Partition(len(pairs), kernels.ShardCount, k.pairOff)
+	for len(k.acc) < sets {
+		k.acc = append(k.acc, blockForces{})
+	}
+	for s := range k.acc[:sets] {
+		a := &k.acc[s]
+		if cap(a.fx) < n {
+			a.fx = make([]float64, n)
+			a.fy = make([]float64, n)
+			a.fz = make([]float64, n)
+		}
+		a.fx, a.fy, a.fz = a.fx[:n], a.fy[:n], a.fz[:n]
+	}
+	k.atomOff = kernels.Partition(n, k.shards, k.atomOff)
+	k.pairOff = kernels.Partition(len(pairs), k.shards, k.pairOff)
 	k.cPos, k.cPairs, k.cFrc = pos, pairs, frc
-	k.pool.Run(kernels.ShardCount, k.fillFn)
-	k.pool.Run(kernels.ShardCount, k.pairFn)
-	k.pool.Run(kernels.ShardCount, k.mergeFn)
+	k.pool.Run(k.shards, k.fillFn)
+	if inline {
+		// Block 0 accumulates into acc[0]; every later block into a zeroed
+		// acc[1], which is then added into acc[0]. Each atom's sum is
+		// ((a0 + a1) + a2) + …, the merge's 0 + a0 + a1 + … in the same
+		// order (0 + a0 is exact: a0 is never −0), so the bits are the
+		// parallel path's.
+		sum, b := &k.acc[0], &k.acc[1]
+		k.block(0, sum)
+		for s := 1; s < k.shards; s++ {
+			clear(b.fx)
+			clear(b.fy)
+			clear(b.fz)
+			k.block(s, b)
+			for i := range sum.fx {
+				sum.fx[i] += b.fx[i]
+				sum.fy[i] += b.fy[i]
+				sum.fz[i] += b.fz[i]
+			}
+		}
+	} else {
+		k.pool.Run(k.shards, k.pairFn)
+	}
+	k.pool.Run(k.shards, k.mergeFn)
 	var eLJ, eElec float64
-	for s := 0; s < kernels.ShardCount; s++ {
-		eLJ += k.seLJ[s]
-		eElec += k.seElec[s]
+	for s := 0; s < k.shards; s++ {
+		eLJ += k.eLJ[s]
+		eElec += k.eElec[s]
 	}
 	if w != nil {
 		w.PairEvals += int64(len(pairs))
 	}
 	return Energies{LJ: eLJ, Elec: eElec}
-}
-
-func shardArrays(n int) [][]float64 {
-	out := make([][]float64, kernels.ShardCount)
-	for i := range out {
-		out[i] = make([]float64, n)
-	}
-	return out
 }
 
 // pairRange evaluates one contiguous block of the pair list against the
 // SoA positions, accumulating forces into the caller's fx/fy/fz arrays.
-// It is the single source of the pair arithmetic for both the serial and
-// the sharded path, so the two differ only in how partial sums are
-// grouped.
+// It is the single source of the tabulated pair arithmetic.
 func (f *ForceField) pairRange(x, y, z []float64, pairs []space.Pair, fx, fy, fz []float64) (eLJ, eElec float64) {
 	tab := f.table
 	ljA := f.ljA

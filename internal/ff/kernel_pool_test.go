@@ -6,17 +6,43 @@ import (
 	"testing"
 
 	"repro/internal/kernels"
+	"repro/internal/space"
 	"repro/internal/vec"
 	"repro/internal/work"
 )
 
-// The pooled pair loop must be byte-identical at every worker count: the
-// shard decomposition is fixed by the pair count, and the per-shard
-// forces and energies merge in ascending shard order.
+// longList repeats pairs until the list holds at least n of them: a list
+// long enough for several shards over a system small enough for tests.
+func longList(pairs []space.Pair, n int) []space.Pair {
+	out := make([]space.Pair, 0, n+len(pairs))
+	for len(out) < n {
+		out = append(out, pairs...)
+	}
+	return out
+}
+
+// The shard count is a pure function of the list length: one shard per
+// pairsPerShard pairs, at least one, at most kernels.ShardCount.
+func TestPairShards(t *testing.T) {
+	for _, c := range []struct{ n, want int }{
+		{0, 1}, {1, 1}, {pairsPerShard, 1}, {pairsPerShard + 1, 2},
+		{574000 / 8, 3}, // a p = 8 rank's slice of the paper list
+		{574000, kernels.ShardCount},
+	} {
+		if got := pairShards(c.n); got != c.want {
+			t.Errorf("pairShards(%d) = %d, want %d", c.n, got, c.want)
+		}
+	}
+}
+
+// The pair loop must be byte-identical at every worker count: the shard
+// decomposition is fixed by the pair count, and the per-shard forces and
+// energies merge in ascending shard order — including at one worker,
+// where the blocks run inline and fold into two sets of force arrays.
 func TestKernelPooledBitwiseStableAcrossWorkers(t *testing.T) {
 	sys, pos := smallSystem(4)
 	f := New(sys, PMEOptions())
-	pairs := f.BuildPairs(pos, nil)
+	pairs := longList(f.BuildPairs(pos, nil), 3*pairsPerShard+1)
 
 	run := func(workers int) (Energies, []vec.V, work.Counters) {
 		k := f.NewNonbondedKernel()
@@ -43,16 +69,59 @@ func TestKernelPooledBitwiseStableAcrossWorkers(t *testing.T) {
 	}
 }
 
-// The pooled path is the same arithmetic with regrouped accumulation; it
-// must agree with the serial kernel to roundoff.
-func TestKernelPooledMatchesSerialToRoundoff(t *testing.T) {
+// A list of at most pairsPerShard pairs is one shard, and one shard is the
+// plain serial loop bit for bit: pairRange into zeroed arrays, then every
+// nonzero force added to frc.
+func TestOneShardIsTheSerialLoop(t *testing.T) {
 	sys, pos := smallSystem(4)
 	f := New(sys, PMEOptions())
 	pairs := f.BuildPairs(pos, nil)
+	if pairShards(len(pairs)) != 1 {
+		t.Fatalf("%d pairs are more than one shard", len(pairs))
+	}
+	n := len(pos)
+	x, y, z := make([]float64, n), make([]float64, n), make([]float64, n)
+	fx, fy, fz := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i, p := range pos {
+		x[i], y[i], z[i] = p.X, p.Y, p.Z
+	}
+	eLJ, eElec := f.pairRange(x, y, z, pairs, fx, fy, fz)
+	want := make([]vec.V, n)
+	for i := range want {
+		want[i] = vec.New(1, -2, 0.5) // forces the caller already holds
+		if fx[i] != 0 || fy[i] != 0 || fz[i] != 0 {
+			want[i] = want[i].Add(vec.New(fx[i], fy[i], fz[i]))
+		}
+	}
 
-	serial := f.NewNonbondedKernel()
+	got := make([]vec.V, n)
+	for i := range got {
+		got[i] = vec.New(1, -2, 0.5)
+	}
+	e := f.NewNonbondedKernel().Compute(pos, pairs, got, nil)
+	if e.LJ != eLJ || e.Elec != eElec {
+		t.Fatalf("energies LJ %x Elec %x, serial loop %x %x", e.LJ, e.Elec, eLJ, eElec)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("frc[%d] = %v, serial loop %v", i, got[i], want[i])
+		}
+	}
+}
+
+// A sharded list is a regrouping of the same sums as the serial loop over
+// its one-shard pieces, and agrees with it to roundoff.
+func TestKernelPooledMatchesSerialToRoundoff(t *testing.T) {
+	sys, pos := smallSystem(4)
+	f := New(sys, PMEOptions())
+	pairs := longList(f.BuildPairs(pos, nil), 3*pairsPerShard+1)
+
 	frcS := make([]vec.V, len(pos))
-	eS := serial.Compute(pos, pairs, frcS, nil)
+	var eS Energies
+	serial := f.NewNonbondedKernel()
+	for lo := 0; lo < len(pairs); lo += pairsPerShard {
+		eS.Add(serial.Compute(pos, pairs[lo:min(lo+pairsPerShard, len(pairs))], frcS, nil))
+	}
 
 	pooled := f.NewNonbondedKernel()
 	pooled.SetPool(kernels.NewPool(4))
@@ -96,12 +165,12 @@ func TestKernelPoolIgnoredInExactMode(t *testing.T) {
 	}
 }
 
-// Steady-state pooled Compute must not allocate (scratch is sized on the
-// first call and reused).
+// Steady-state Compute must not allocate (scratch is sized on the first
+// call and reused).
 func TestKernelPooledDoesNotAllocateSteadyState(t *testing.T) {
 	sys, pos := smallSystem(4)
 	f := New(sys, PMEOptions())
-	pairs := f.BuildPairs(pos, nil)
+	pairs := longList(f.BuildPairs(pos, nil), 3*pairsPerShard+1)
 	k := f.NewNonbondedKernel()
 	k.SetPool(kernels.NewPool(1))
 	frc := make([]vec.V, len(pos))

@@ -88,19 +88,19 @@ func TestFilterMatchesOldPredicate(t *testing.T) {
 	}
 }
 
-// The serial kernel sizes its scratch on the first Compute and allocates
-// nothing after; a pooled Compute costs what its three pool.Run calls cost
-// by themselves (the helper goroutines) and nothing on top.
+// Without a pool the kernel sizes its scratch on the first Compute and
+// allocates nothing after; a pooled Compute costs at most what three bare
+// pool.Run calls cost by themselves (the helper goroutines).
 func TestComputeAllocations(t *testing.T) {
 	sys, pos := smallSystem(4)
 	f := New(sys, PMEOptions())
 	pairs := f.BuildPairs(pos, nil)
 	frc := make([]vec.V, len(pos))
 
-	serial := f.NewNonbondedKernel()
-	serial.Compute(pos, pairs, frc, nil)
-	if allocs := testing.AllocsPerRun(10, func() { serial.Compute(pos, pairs, frc, nil) }); allocs != 0 {
-		t.Errorf("serial Compute allocates %v per call after its first", allocs)
+	inline := f.NewNonbondedKernel()
+	inline.Compute(pos, pairs, frc, nil)
+	if allocs := testing.AllocsPerRun(10, func() { inline.Compute(pos, pairs, frc, nil) }); allocs != 0 {
+		t.Errorf("Compute without a pool allocates %v per call after its first", allocs)
 	}
 
 	pool := kernels.NewPool(4)

@@ -1,21 +1,18 @@
 // Package kernels provides the bounded worker pool the physics kernels
 // shard their hot loops over, with a strict determinism contract: the
-// result of a pooled computation depends only on the shard decomposition,
+// result of a sharded computation depends only on the shard decomposition,
 // never on the worker count or the scheduler. A kernel splits its work
-// into a fixed number of shards (fixed per problem shape, NOT derived
-// from the worker count), gives every shard its own scratch and
-// accumulators, and merges the per-shard results in ascending shard
-// order. Workers only decide which goroutine executes a shard — all
-// arithmetic and every cross-shard reduction happens in a fixed order, so
-// a pooled kernel produces byte-identical results at 1, 2, or N workers.
+// into shards whose number is a pure function of the problem shape (the
+// mesh, the atom count, the pair count — never the worker count), gives
+// every shard its own scratch and accumulators, and merges the per-shard
+// results in ascending shard order. Workers only decide which goroutine
+// executes a shard — all arithmetic and every cross-shard reduction
+// happens in a fixed order, so a kernel produces byte-identical results
+// inline, at 1, 2, or N workers.
 //
-// Note the pooled decomposition is a *different* deterministic numeric
-// path from the legacy serial loops: grouping a floating-point reduction
-// into per-shard partial sums changes the association order, so pooled
-// results differ from serial results at the usual 1-ulp-per-term level.
-// Callers that need today's exact bytes simply do not attach a pool
-// (md.Config.KernelWorkers == 0); callers that attach one get bytes that
-// are stable across every worker count.
+// This is the only arithmetic the kernels have: there is no separate
+// serial path. A nil pool and a one-worker pool run the same shards
+// inline, one after another.
 package kernels
 
 import (
@@ -26,12 +23,12 @@ import (
 	"repro/internal/obs"
 )
 
-// ShardCount is the fixed decomposition width kernels use for
-// worker-count-independent sharding of atom ranges and pair blocks. It is
-// deliberately a package constant: baking it into the decomposition (and
-// not the worker count) is what makes pooled results identical at any
-// -kernel-workers value. 16 keeps per-shard accumulator memory small
-// while giving useful parallelism up to 16 cores.
+// ShardCount is the widest decomposition kernels use for
+// worker-count-independent sharding of atom ranges, mesh ranges and pair
+// blocks. It is deliberately a package constant: baking it into the
+// decomposition (and not the worker count) is what makes results
+// identical at any -kernel-workers value. 16 keeps per-shard accumulator
+// memory small while giving useful parallelism up to 16 cores.
 const ShardCount = 16
 
 // Pool bounds how many shards of a kernel invocation execute
@@ -88,7 +85,7 @@ func (p *Pool) SetObs(reg *obs.Registry) {
 		return
 	}
 	p.gauge = reg.Gauge("repro_kernel_workers",
-		"Configured deterministic kernel pool width (0 = serial legacy kernels).")
+		"Configured deterministic kernel pool width (1 = shards run inline).")
 	p.gauge.Set(float64(p.workers))
 	p.hist.Store(reg.Histogram("repro_kernel_shard_imbalance_ratio",
 		"Max/mean shard wall time per pooled kernel invocation (1.0 = perfectly balanced).",

@@ -42,13 +42,10 @@ type Config struct {
 	Temperature float64 // initial velocity temperature (K); 0 = start at rest
 	Seed        uint64  // velocity RNG stream
 
-	// KernelWorkers sizes the deterministic sharded kernel pool shared by
-	// the nonbonded, FFT and PME hot loops. 0 (the default) keeps the
-	// legacy serial kernels and their exact historical bytes; any value
-	// ≥ 1 switches to the sharded path, whose results are byte-identical
-	// at every worker count (1, 2, N) but — being a regrouped
-	// floating-point reduction — differ from the serial path at roundoff.
-	// ExactKernels runs always stay on the serial reference path.
+	// KernelWorkers sizes the kernel pool the nonbonded, FFT and PME hot
+	// loops run their fixed shards on. It decides how many host cores do
+	// the work, never a result bit: 0 and 1 both mean one worker running
+	// the shards inline, and every value gives the same bytes.
 	KernelWorkers int
 }
 
@@ -109,7 +106,7 @@ type Engine struct {
 
 	pme  *ewald.PME
 	nbk  *ff.NonbondedKernel // table-driven pair kernel (exact when configured)
-	pool *kernels.Pool       // deterministic sharded kernel pool (nil = serial)
+	pool *kernels.Pool       // the host cores the kernels' shards run on
 
 	pairs      []space.Pair
 	lister     *ff.PairLister // reusable list builder (no steady-state allocs)
@@ -145,19 +142,12 @@ func NewEngine(sys *topol.System, cfg Config) *Engine {
 
 		integ: newIntegrator(sys, cfg),
 	}
+	e.pool = kernels.NewPool(cfg.KernelWorkers)
 	e.nbk = e.FF.NewNonbondedKernel()
+	e.nbk.SetPool(e.pool)
 	if cfg.UsePME {
 		e.pme = ewald.NewPME(sys.Box, cfg.PME.Beta, cfg.PME.K1, cfg.PME.K2, cfg.PME.K3, cfg.PME.Order)
-		// The exact-kernels flag also pins PME to the reference complex
-		// transform so the whole force evaluation is bit-reproducible.
-		e.pme.ExactFFT = cfg.FF.ExactKernels
-	}
-	if cfg.KernelWorkers > 0 {
-		e.pool = kernels.NewPool(cfg.KernelWorkers)
-		e.nbk.SetPool(e.pool)
-		if e.pme != nil {
-			e.pme.SetPool(e.pool)
-		}
+		e.pme.SetPool(e.pool)
 	}
 	if cfg.Temperature > 0 {
 		e.InitVelocities(cfg.Temperature, cfg.Seed)
@@ -225,12 +215,7 @@ func (e *Engine) SetObs(reg *obs.Registry) {
 	// Parallel-kernel configuration: pool width, shard imbalance, and the
 	// neighbour-list skin actually in effect (tuned or configured), so
 	// /runz and run manifests show how a result was produced.
-	if e.pool != nil {
-		e.pool.SetObs(reg)
-	} else {
-		reg.Gauge("repro_kernel_workers",
-			"Configured deterministic kernel pool width (0 = serial legacy kernels).").Set(0)
-	}
+	e.pool.SetObs(reg)
 	reg.Gauge("repro_skin_width_angstrom",
 		"Neighbour-list skin width in effect (ListCutoff - CutOff).").Set(e.skin())
 	help := "host seconds of the sequential engine per phase and time class (§3.2 decomposition; one rank, compute only)"

@@ -10,10 +10,10 @@ import (
 
 // UseExactKernels degrades the engine to the reference (exact) kernels at
 // runtime: the tabulated nonbonded kernel is replaced by the reference
-// pair loop and PME is pinned to the reference complex FFT. Positions,
-// velocities and forces are untouched; the neighbour list is invalidated
-// so the next evaluation rebuilds it under the new force field. A no-op
-// when the engine is already exact.
+// pair loop. PME has one path and keeps it. Positions, velocities and
+// forces are untouched; the neighbour list is invalidated so the next
+// evaluation rebuilds it under the new force field. A no-op when the
+// engine is already exact.
 func (e *Engine) UseExactKernels() {
 	if e.Cfg.FF.ExactKernels {
 		return
@@ -21,9 +21,6 @@ func (e *Engine) UseExactKernels() {
 	e.Cfg.FF.ExactKernels = true
 	e.FF = ff.New(e.Sys, e.Cfg.FF)
 	e.nbk = e.FF.NewNonbondedKernel()
-	if e.pme != nil {
-		e.pme.ExactFFT = true
-	}
 	e.lister = nil
 	e.listOrigin = nil
 }
@@ -34,8 +31,8 @@ func (e *Engine) UseExactKernels() {
 //
 // On a guard trip with PolicyFallback the engine rewinds to the pre-step
 // state, degrades to exact kernels (UseExactKernels), re-evaluates forces
-// and redoes the step on exact math; the trip is recorded as a recovered
-// Event and the run continues. With PolicyAbort — or when the engine is
+// and redoes the step on the exact pair loop; the trip is recorded as a
+// recovered Event and the run continues. With PolicyAbort — or when the engine is
 // already exact, so there is nothing softer to fall back from — the trip
 // comes back as a *guard.TripError.
 func (e *Engine) StepGuarded(m *guard.Monitor, step int, w, wPME *work.Counters) (EnergyReport, error) {
@@ -58,8 +55,8 @@ func (e *Engine) StepGuarded(m *guard.Monitor, step int, w, wPME *work.Counters)
 	}
 	e.UseExactKernels()
 	m.MarkExact()
-	// Forces in the pre-step snapshot came from the degraded kernels;
-	// re-evaluate them exactly so the redone step is exact end to end.
+	// Forces in the pre-step snapshot came from the tabulated pair kernel;
+	// re-evaluate them on the exact pair loop before redoing the step.
 	e.ComputeForces(w, wPME)
 	rep = e.Step(w, wPME)
 	ev.Recovered = true

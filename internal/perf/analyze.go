@@ -6,17 +6,9 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/mpi"
 	"repro/internal/obs"
 )
-
-// RankAcct is one rank's whole-run transport accounting (the engine's
-// mpi.Accounting, mirrored to keep the import direction engine → perf).
-type RankAcct struct {
-	Comp float64
-	Comm float64
-	Sync float64
-	Lost float64
-}
 
 // RecoveryDetail splits the recovery bucket the way the resilient driver
 // accounts lost work.
@@ -111,7 +103,7 @@ type Profile struct {
 // versus residual wait at collectives (latency chains, fault windows,
 // stalls). Structure covers the steps that have rows; Steps reports the
 // global count.
-func Analyze(rows [][]StepTiming, base int, wall float64, acct []RankAcct, rec *RecoveryDetail, comm *Timeline) *Profile {
+func Analyze(rows [][]StepTiming, base int, wall float64, acct []mpi.Accounting, rec *RecoveryDetail, comm *Timeline) *Profile {
 	ranks, ran := len(rows), 0
 	if ranks < 1 {
 		panic("perf: timing table has no ranks")

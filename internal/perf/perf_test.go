@@ -6,12 +6,13 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/mpi"
 	"repro/internal/obs"
 )
 
 // synthetic builds a 2-rank, 3-step timing table with rank 1 computing
 // twice rank 0's classic share (the imbalance the analyzer must attribute).
-func synthetic() ([][]StepTiming, float64, []RankAcct) {
+func synthetic() ([][]StepTiming, float64, []mpi.Accounting) {
 	rows := make([][]StepTiming, 2)
 	for step := 0; step < 3; step++ {
 		// classic: rank0 1s comp, rank1 2s comp; both then wait/sync to 2s.
@@ -21,7 +22,7 @@ func synthetic() ([][]StepTiming, float64, []RankAcct) {
 		rows[1] = append(rows[1], StepTiming{Classic: Sample{Comp: 2, Wall: 2}, PME: pme})
 	}
 	// Whole-run accounting: the 3 steps plus 1s of setup compute each.
-	acct := []RankAcct{
+	acct := []mpi.Accounting{
 		{Comp: 1 + 3*(1+1), Comm: 3 * 0.5, Sync: 3 * 1},
 		{Comp: 1 + 3*(2+1), Comm: 3 * 0.5, Sync: 0},
 	}
@@ -167,7 +168,7 @@ func TestRecordObsGauges(t *testing.T) {
 // the steps that have no rows must not appear as cells either.
 func TestProfileIsAFunctionOfTheRecord(t *testing.T) {
 	const ranks, base, ran = 4, 6, 2
-	acct := make([]RankAcct, ranks)
+	acct := make([]mpi.Accounting, ranks)
 	build := func(order []int) []byte {
 		rows := make([][]StepTiming, ranks)
 		tl := NewTimeline(ranks)

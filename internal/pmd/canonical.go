@@ -6,6 +6,7 @@ import (
 	"repro/internal/ewald"
 	"repro/internal/ff"
 	"repro/internal/fft"
+	"repro/internal/kernels"
 	"repro/internal/md"
 	"repro/internal/space"
 	"repro/internal/topol"
@@ -109,16 +110,14 @@ func newCanonical(p int, cfg Config, sh *shared, seedEngine *md.Engine) *canonic
 	}
 	c.nbk = c.ffield.NewNonbondedKernel()
 	c.charges = c.ffield.Charges()
-	c.atomOff = blockPartition(n, p)
+	c.atomOff = kernels.Partition(n, p, nil)
 	c.classicParts = newClassicParts(sys, p)
-	c.yOff = blockPartition(pmeCfg.K2, p)
+	c.yOff = kernels.Partition(pmeCfg.K2, p, nil)
 	c.pme = ewald.NewPME(sys.Box, pmeCfg.Beta, pmeCfg.K1, pmeCfg.K2, pmeCfg.K3, pmeCfg.Order)
 	c.plan2d = fft.NewPlan2D(pmeCfg.K2, pmeCfg.K3)
 	c.plan1d = fft.NewPlan(pmeCfg.K1)
-	if sh.pool != nil {
-		c.nbk.SetPool(sh.pool)
-		c.pme.SetPool(sh.pool)
-	}
+	c.nbk.SetPool(sh.pool)
+	c.pme.SetPool(sh.pool)
 	g := pmeCfg.K1 * pmeCfg.K2 * pmeCfg.K3
 	c.scratchGrid = make([]complex128, g)
 	c.fullGrid = make([]complex128, g)
@@ -166,7 +165,7 @@ func (c *canonical) evalInit(st *canonState) {
 		st.listOrigin = append([]vec.V(nil), init.ListOrigin...)
 		st.listGen = 0
 		st.pairs, _ = c.sh.sharedList(0, c.ffield, st.listOrigin)
-		st.pairOff = blockPartition(len(st.pairs), c.p)
+		st.pairOff = kernels.Partition(len(st.pairs), c.p, nil)
 	}
 	c.forceEval(st)
 }
@@ -219,7 +218,7 @@ func (c *canonical) forceEval(st *canonState) {
 		st.listGen++
 		st.pairs, st.distEvals = c.sh.sharedList(st.listGen, c.ffield, st.pos)
 		st.listOrigin = append([]vec.V(nil), st.pos...)
-		st.pairOff = blockPartition(len(st.pairs), c.p)
+		st.pairOff = kernels.Partition(len(st.pairs), c.p, nil)
 		st.rebuilt = true
 		oldEpoch := st.epoch
 		st.epoch = c.geo.buildEpoch(c, st)

@@ -63,6 +63,10 @@ func (e *DecompError) Error() string {
 // given PME mesh. It returns a *DecompError naming the constraint when it
 // cannot.
 //
+// Any decomposition: the mesh must be one the engine's PME can transform —
+// every dimension at least 2·Order points, and K1 even for the real
+// half-spectrum transform (there is no complex fallback).
+//
 // Replicated/slab: the PME forward transform assigns whole x-slabs, so
 // more ranks than K1 slabs leaves ranks with no slab at all (CHARMM's
 // implicit assumption, previously an unchecked silent idle). Ranks beyond
@@ -78,6 +82,14 @@ func (e *DecompError) Error() string {
 func ValidateDecomp(kind DecompKind, p int, pme md.PMEConfig) error {
 	if p < 1 {
 		return &DecompError{Decomp: kind, Ranks: p, Constraint: "need at least one rank"}
+	}
+	if lim := 2 * pme.Order; min(pme.K1, pme.K2, pme.K3) < lim {
+		return &DecompError{Decomp: kind, Ranks: p, Constraint: fmt.Sprintf(
+			"PME mesh %d×%d×%d has a dimension below 2·order = %d points", pme.K1, pme.K2, pme.K3, lim)}
+	}
+	if pme.K1%2 != 0 {
+		return &DecompError{Decomp: kind, Ranks: p, Constraint: fmt.Sprintf(
+			"PME mesh K1=%d is odd; the half-spectrum transform needs an even K1", pme.K1)}
 	}
 	switch kind {
 	case DecompReplicated:

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/kernels"
 	"repro/internal/md"
 	"repro/internal/mpi"
 	"repro/internal/netmodel"
@@ -60,6 +61,11 @@ func TestValidateDecomp(t *testing.T) {
 		{DecompDomain, 2062, paper, false, "p3"},
 		{DecompDomain, 37 * 37, paper, false, "p2"},
 		{DecompReplicated, 0, paper, false, "at least one"},
+		// Meshes the PME cannot transform, for either decomposition.
+		{DecompReplicated, 4, md.PMEConfig{K1: 25, K2: 24, K3: 24, Order: 4}, false, "K1=25 is odd"},
+		{DecompDomain, 4, md.PMEConfig{K1: 13, K2: 32, K3: 32, Order: 4}, false, "K1=13 is odd"},
+		{DecompDomain, 4, md.PMEConfig{K1: 24, K2: 7, K3: 24, Order: 4}, false, "below 2·order = 8"},
+		{DecompReplicated, 1, md.PMEConfig{K1: 24, K2: 24, K3: 9, Order: 5}, false, "below 2·order = 10"},
 	} {
 		err := ValidateDecomp(tc.kind, tc.p, tc.pme)
 		if tc.ok {
@@ -108,6 +114,65 @@ func TestFactor3(t *testing.T) {
 	}
 }
 
+// pencilFactors' documented contract over every rank count up to 2048:
+// p2 × p3 = p with 1 ≤ p2 ≤ p3, and p2 is the largest divisor of p not
+// exceeding √p. Where ValidateDecomp accepts p on a mesh, every pencil
+// block of the stage-1 grid and of both transposes holds at least one line.
+func TestPencilFactorsProperties(t *testing.T) {
+	meshes := []md.PMEConfig{md.PaperPME(), {K1: 24, K2: 24, K3: 24, Order: 4}, {K1: 16, K2: 12, K3: 20, Order: 4}}
+	for p := 1; p <= 2048; p++ {
+		p2, p3 := pencilFactors(p)
+		if p2 < 1 || p3 < p2 || p2*p3 != p {
+			t.Fatalf("pencilFactors(%d) = %d×%d", p, p2, p3)
+		}
+		for d := p2 + 1; d*d <= p; d++ {
+			if p%d == 0 {
+				t.Fatalf("pencilFactors(%d) = %d×%d, but %d divides p and is ≤ √p", p, p2, p3, d)
+			}
+		}
+		for _, pme := range meshes {
+			if ValidateDecomp(DecompDomain, p, pme) != nil {
+				continue
+			}
+			for _, part := range [][2]int{{pme.K2, p2}, {pme.K3, p3}, {pme.K1/2 + 1, p2}, {pme.K2, p3}} {
+				off := kernels.Partition(part[0], part[1], nil)
+				for i := 0; i < part[1]; i++ {
+					if off[i+1] == off[i] {
+						t.Fatalf("p=%d accepted on %+v, but splitting %d lines %d ways leaves block %d empty", p, pme, part[0], part[1], i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// factor3's documented contract over every rank count up to 2048:
+// dx × dy × dz = p with dx ≥ dy ≥ dz ≥ 1, and no factorization of p into
+// three has a smaller inter-domain surface dx·dy + dy·dz + dz·dx.
+func TestFactor3Properties(t *testing.T) {
+	for p := 1; p <= 2048; p++ {
+		dx, dy, dz := factor3(p)
+		if dz < 1 || dy < dz || dx < dy || dx*dy*dz != p {
+			t.Fatalf("factor3(%d) = %d×%d×%d", p, dx, dy, dz)
+		}
+		best := dx*dy + dy*dz + dz*dx
+		for a := 1; a <= p; a++ {
+			if p%a != 0 {
+				continue
+			}
+			for b := 1; b <= p/a; b++ {
+				if (p/a)%b != 0 {
+					continue
+				}
+				c := p / a / b
+				if s := a*b + b*c + c*a; s < best {
+					t.Fatalf("factor3(%d) = %d×%d×%d (surface %d), but %d×%d×%d has surface %d", p, dx, dy, dz, best, a, b, c, s)
+				}
+			}
+		}
+	}
+}
+
 // runDecomp executes the shared test workload under the given
 // decomposition, middleware and host-worker count.
 func runDecomp(t *testing.T, decomp DecompKind, p, steps, workers, kernelWorkers int, mw MiddlewareKind) *Result {
@@ -147,8 +212,8 @@ func TestDecompDeterminismMatrix(t *testing.T) {
 }
 
 // TestDomainKernelWorkerInvariance: the domain path's canonical physics
-// is byte-identical for every kernel-workers ≥ 1 (0 keeps the legacy
-// serial kernels, which round differently — same contract as md.Engine).
+// is byte-identical for every kernel-workers value (same contract as
+// md.Engine).
 func TestDomainKernelWorkerInvariance(t *testing.T) {
 	ref := runDecomp(t, DecompDomain, 4, 3, 2, 1, MiddlewareMPI)
 	for _, kw := range []int{2, 4, runtime.GOMAXPROCS(0) + 3} {

@@ -2,6 +2,7 @@ package pmd
 
 import (
 	"repro/internal/fft"
+	"repro/internal/kernels"
 	"repro/internal/md"
 	"repro/internal/work"
 )
@@ -58,10 +59,10 @@ func newDomainGeometry(p int, cfg Config) *domainGeometry {
 	g.dx, g.dy, g.dz = factor3(p)
 	g.p2, g.p3 = pencilFactors(p)
 	g.h1 = k1/2 + 1
-	g.yOff2 = blockPartition(k2, g.p2)
-	g.zOff3 = blockPartition(k3, g.p3)
-	g.xsOff = blockPartition(g.h1, g.p2)
-	g.ysOff = blockPartition(k2, g.p3)
+	g.yOff2 = kernels.Partition(k2, g.p2, nil)
+	g.zOff3 = kernels.Partition(k3, g.p3, nil)
+	g.xsOff = kernels.Partition(g.h1, g.p2, nil)
+	g.ysOff = kernels.Partition(k2, g.p3, nil)
 	g.opsX, g.opsY, g.opsZ = fft.Ops(k1), fft.Ops(k2), fft.Ops(k3)
 
 	// Halo coupling: domains whose regions come within the list cutoff

@@ -4,6 +4,7 @@ import (
 	"repro/internal/ewald"
 	"repro/internal/ff"
 	"repro/internal/fft"
+	"repro/internal/kernels"
 	"repro/internal/md"
 	"repro/internal/space"
 	"repro/internal/topol"
@@ -22,11 +23,11 @@ type classicParts struct {
 
 func newClassicParts(sys *topol.System, p int) classicParts {
 	return classicParts{
-		bondOff: blockPartition(len(sys.Bonds), p),
-		angOff:  blockPartition(len(sys.Angles), p),
-		dihOff:  blockPartition(len(sys.Dihedrals), p),
-		imprOff: blockPartition(len(sys.Impropers), p),
-		p14Off:  blockPartition(len(sys.Pairs14), p),
+		bondOff: kernels.Partition(len(sys.Bonds), p, nil),
+		angOff:  kernels.Partition(len(sys.Angles), p, nil),
+		dihOff:  kernels.Partition(len(sys.Dihedrals), p, nil),
+		imprOff: kernels.Partition(len(sys.Impropers), p, nil),
+		p14Off:  kernels.Partition(len(sys.Pairs14), p, nil),
 	}
 }
 
@@ -139,7 +140,7 @@ func (w *worker) computeForces(st *StepTiming, tr phaseTracker) md.EnergyReport 
 			w.pairs = pairs
 			wc.ListDistEvals += distEvals / int64(w.p)
 			w.listOrigin = append(w.listOrigin[:0], w.pos...)
-			w.pairOff = blockPartition(len(w.pairs), w.p)
+			w.pairOff = kernels.Partition(len(w.pairs), w.p, nil)
 		}
 
 		// Partial classic forces and energies over this rank's partitions.

@@ -13,9 +13,9 @@ import (
 // decomposition / recovery kinds at the two validators every front end
 // (cli, serve, chaos, figures) relies on: each answers with its typed
 // error or the configuration really runs — a geometry the validators let
-// through must never reach a panic (blockPartition's on a non-positive
-// partition, an FFT of an impossible length, a domain grid with no
-// pencils) inside Run.
+// through must never reach a panic (ewald.NewPME's on a mesh below the
+// interpolation stencil or an odd K1, an FFT of an impossible length, a
+// domain grid with no pencils) inside Run.
 func FuzzValidateDecompRecovery(f *testing.F) {
 	f.Add(4, 1, 24, 24, 24, 0, 0)
 	f.Add(8, 2, 24, 24, 24, 1, 1)
@@ -24,22 +24,17 @@ func FuzzValidateDecompRecovery(f *testing.F) {
 	f.Add(25, 1, 24, 24, 24, 0, 0)  // more ranks than x-slabs
 	f.Add(7, 1, 16, 12, 20, 1, 0)   // prime rank count on an anisotropic mesh
 	f.Add(64, 2, 32, 32, 32, 1, 0)  // the largest grid in range, dual-CPU nodes
-	f.Add(13, 1, 13, 32, 32, 0, 0)  // one x-slab per rank, odd K1
+	f.Add(13, 1, 13, 32, 32, 0, 0)  // one x-slab per rank, odd K1: typed error
 	f.Add(0, 1, 24, 24, 24, 0, 0)
 	f.Add(-3, 2, 24, 24, 24, 1, 1)
-	f.Add(6, 2, 9, 11, 13, 1, 0) // odd mesh: the complex-plan fallback
+	f.Add(6, 2, 9, 11, 13, 1, 0) // odd mesh: typed error, no complex fallback
 	f.Add(2, 1, 8, 8, 8, 0, 1)   // local recovery without domains
 	f.Add(3, 1, 24, 24, 24, 7, 9)
+	f.Add(4, 1, 24, 6, 24, 0, 0) // a dimension below 2·order: typed error
 	sys := testSystem(27, 24, 5)
 	f.Fuzz(func(t *testing.T, p, cpus, k1, k2, k3, decomp, recovery int) {
 		if p > 64 || max(k1, k2, k3) > 32 {
 			t.Skip("keeps one execution in the milliseconds")
-		}
-		if min(k1, k2, k3) < 8 {
-			// ewald.NewPME's precondition (2·order points per dimension), not
-			// a tiling question: the only meshes in the tree are PaperPME
-			// and the solvated-box builder's, both ≥ 8.
-			t.Skip("mesh below the interpolation stencil")
 		}
 		dk, rk := DecompKind(decomp), RecoveryKind(recovery)
 		mdCfg := testMDConfig()
@@ -52,7 +47,11 @@ func FuzzValidateDecompRecovery(f *testing.F) {
 			}
 			return
 		}
-		if err := ValidateDecomp(dk, p, mdCfg.PME); err != nil {
+		err := ValidateDecomp(dk, p, mdCfg.PME)
+		if err == nil && (k1%2 != 0 || min(k1, k2, k3) < 2*mdCfg.PME.Order) {
+			t.Fatalf("ValidateDecomp(%v, %d) accepted the mesh %d×%d×%d, which ewald.NewPME cannot transform", dk, p, k1, k2, k3)
+		}
+		if err != nil {
 			var de *DecompError
 			if !errors.As(err, &de) {
 				t.Fatalf("ValidateDecomp(%v, %d, %+v) = %v (%T), want a *DecompError", dk, p, mdCfg.PME, err, err)

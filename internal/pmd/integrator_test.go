@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/kernels"
 	"repro/internal/md"
 	"repro/internal/netmodel"
 	"repro/internal/vec"
@@ -65,7 +66,10 @@ func vecDigest(vs ...[]vec.V) string {
 // step loops were folded into it. The digests were captured at commit
 // 9e97e27 with this file's captureSteps: the third step's merged kinetic
 // energy (its bits depend on the rank count — p = 8 differs from p = 3 in
-// the last place) and the positions and velocities after it. Here the
+// the last place) and the positions and velocities after it. The state
+// digests were recaptured once when the kernels lost their serial path
+// (the run's PME energy and spread are now sharded at every worker count,
+// and its pair blocks sized by the list); the kinetic bits held. Here the
 // second step's state is advanced by the integrator alone, block by block
 // over the rank partition, and must land on those bytes; the domain
 // decomposition's canonical evaluator must land on them too.
@@ -76,9 +80,9 @@ func TestIntegratorMatchesParentKick(t *testing.T) {
 		kin   uint64
 		state string
 	}{
-		{p: 3, kin: 0x404da93431d3147a, state: "f1a4cd7c8d69ace3"},
-		{p: 5, kin: 0x404da93431d3147a, state: "52996b4f27f6a05d"},
-		{p: 8, kin: 0x404da93431d3147b, state: "8845ce6c1267c36d"},
+		{p: 3, kin: 0x404da93431d3147a, state: "dba567a375a45a8e"},
+		{p: 5, kin: 0x404da93431d3147a, state: "52089e09e7b4aaba"},
+		{p: 8, kin: 0x404da93431d3147b, state: "74083458d08833ff"},
 	}
 	for _, tc := range cases {
 		for _, decomp := range []DecompKind{DecompReplicated, DecompDomain} {
@@ -97,7 +101,7 @@ func TestIntegratorMatchesParentKick(t *testing.T) {
 			// The primitives alone, from the state after step 1 and the
 			// forces of step 2.
 			in := md.NewEngine(sys, cfg.MD).Integrator()
-			off := blockPartition(sys.N(), tc.p)
+			off := kernels.Partition(sys.N(), tc.p, nil)
 			pos := append([]vec.V(nil), st[1].pos...)
 			vel := append([]vec.V(nil), st[1].vel...)
 			var kin float64

@@ -1,16 +1,14 @@
 package pmd
 
 import (
-	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/netmodel"
 )
 
-// runWithKernelWorkers executes the determinism workload with the pooled
-// host kernels enabled at the given width.
+// runWithKernelWorkers executes the determinism workload with the host
+// kernel pool at the given width.
 func runWithKernelWorkers(t *testing.T, p, steps, kw int) *Result {
 	t.Helper()
 	sys := testSystem(100, 24, 1)
@@ -28,37 +26,12 @@ func runWithKernelWorkers(t *testing.T, p, steps, kw int) *Result {
 	return res
 }
 
-// The pooled kernels must not perturb the replicated-determinism claim:
-// a simulated run is byte-identical at every kernel-worker count ≥ 1.
+// The kernel pool must not perturb the replicated-determinism claim: a
+// simulated run is byte-identical at every kernel-worker count.
 func TestKernelWorkersBitwiseStable(t *testing.T) {
 	ref := runWithKernelWorkers(t, 4, 3, 1)
 	for _, kw := range []int{2, 4} {
 		got := runWithKernelWorkers(t, 4, 3, kw)
 		mustEqualResults(t, "kernel-workers", ref, got)
-	}
-}
-
-// Pooled kernels regroup the classic and spread reductions, so a pooled
-// run agrees with the legacy serial run to roundoff, not bitwise; work
-// counters (and hence the virtual schedule) must still match exactly.
-func TestKernelWorkersMatchSerialToRoundoff(t *testing.T) {
-	serial := runWithKernelWorkers(t, 4, 3, 0)
-	pooled := runWithKernelWorkers(t, 4, 3, 2)
-	if serial.Wall != pooled.Wall {
-		t.Fatalf("virtual wall differs: %v vs %v", serial.Wall, pooled.Wall)
-	}
-	if !reflect.DeepEqual(serial.Acct, pooled.Acct) {
-		t.Fatal("accounting differs between serial and pooled kernels")
-	}
-	for i := range serial.Energies {
-		s, p := serial.Energies[i].Total(), pooled.Energies[i].Total()
-		if math.Abs(s-p) > 1e-7*(1+math.Abs(s)) {
-			t.Fatalf("step %d: serial %g vs pooled %g", i, s, p)
-		}
-	}
-	for i := range serial.FinalPos {
-		if serial.FinalPos[i].Sub(pooled.FinalPos[i]).Norm() > 1e-7 {
-			t.Fatalf("atom %d: serial %v vs pooled %v", i, serial.FinalPos[i], pooled.FinalPos[i])
-		}
 	}
 }

@@ -232,24 +232,6 @@ func (r *Result) PhaseTotals() (classic, pme PhaseSample) {
 	return classic, pme
 }
 
-// blockPartition splits n items into p nearly equal contiguous blocks and
-// returns the start offsets (length p+1).
-func blockPartition(n, p int) []int {
-	if p < 1 {
-		panic("pmd: non-positive partition")
-	}
-	off := make([]int, p+1)
-	base, rem := n/p, n%p
-	for i := 0; i < p; i++ {
-		w := base
-		if i < rem {
-			w++
-		}
-		off[i+1] = off[i] + w
-	}
-	return off
-}
-
 // comms is the middleware abstraction the engine drives; *mpi.Rank (the
 // raw MPI collectives) and *cmpi.Middleware both satisfy it.
 type comms interface {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/kernels"
 	"repro/internal/md"
 	"repro/internal/netmodel"
 	"repro/internal/rng"
@@ -211,6 +212,9 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
+// TestBlockPartition pins the block offsets every pmd partition (atoms,
+// bonded terms, pair blocks, mesh slabs and pencils) takes from
+// kernels.Partition: the first n mod p blocks one item larger.
 func TestBlockPartition(t *testing.T) {
 	cases := []struct {
 		n, p int
@@ -223,13 +227,13 @@ func TestBlockPartition(t *testing.T) {
 		{80, 8, []int{0, 10, 20, 30, 40, 50, 60, 70, 80}},
 	}
 	for _, c := range cases {
-		got := blockPartition(c.n, c.p)
+		got := kernels.Partition(c.n, c.p, nil)
 		if len(got) != len(c.want) {
-			t.Fatalf("blockPartition(%d,%d) = %v", c.n, c.p, got)
+			t.Fatalf("kernels.Partition(%d, %d, nil) = %v", c.n, c.p, got)
 		}
 		for i := range got {
 			if got[i] != c.want[i] {
-				t.Fatalf("blockPartition(%d,%d) = %v, want %v", c.n, c.p, got, c.want)
+				t.Fatalf("kernels.Partition(%d, %d, nil) = %v, want %v", c.n, c.p, got, c.want)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package pmd
 
 import (
-	"repro/internal/mpi"
 	"repro/internal/perf"
 )
 
@@ -41,21 +40,12 @@ func (c perfComms) Barrier() {
 	c.inner.Barrier()
 }
 
-// perfAccts converts per-rank transport accounting to the perf mirror.
-func perfAccts(acct []mpi.Accounting) []perf.RankAcct {
-	out := make([]perf.RankAcct, len(acct))
-	for i, a := range acct {
-		out[i] = perf.RankAcct{Comp: a.Comp, Comm: a.Comm, Sync: a.Sync, Lost: a.Lost}
-	}
-	return out
-}
-
 // Profile builds the attribution profile of a completed run from its own
 // record: the samples are r.Timings, the buckets come from r.Acct (so
 // compute+comm+wait+imbalance+recovery == Wall), and r.Comm, when the run
 // fed one, adds the communication aggregates.
 func (r *Result) Profile() *perf.Profile {
-	return perf.Analyze(r.Timings, 0, r.Wall, perfAccts(r.Acct), nil, r.Comm)
+	return perf.Analyze(r.Timings, 0, r.Wall, r.Acct, nil, r.Comm)
 }
 
 // Profile builds the attribution profile of a fault-tolerant run: the
@@ -71,5 +61,5 @@ func (r *ResilientResult) Profile() *perf.Profile {
 		ParkSeconds:   r.Breakdown.Park,
 		Events:        len(r.Recoveries),
 	}
-	return perf.Analyze(r.Final.Timings, r.finalBase, r.Wall, perfAccts(r.Acct), det, r.Final.Comm)
+	return perf.Analyze(r.Final.Timings, r.finalBase, r.Wall, r.Acct, det, r.Final.Comm)
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/guard"
+	"repro/internal/kernels"
 	"repro/internal/md"
 	"repro/internal/mpi"
 	"repro/internal/recover"
@@ -460,7 +461,7 @@ func (d *driver) attempt() (*recorder, error) {
 	rcfg := d.rcfg
 	p := d.cfg.Nodes * d.cfg.CPUsPerNode
 	rec := &recorder{
-		d: d, p: p, hist: make([][]ckptEntry, p), atomOff: blockPartition(rcfg.System.N(), p),
+		d: d, p: p, hist: make([][]ckptEntry, p), atomOff: kernels.Partition(rcfg.System.N(), p, nil),
 		acct: make([]mpi.Accounting, p), seen: map[int]int{}, local: rcfg.Recovery == RecoveryLocal,
 	}
 	cfg := rcfg.Config

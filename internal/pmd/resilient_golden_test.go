@@ -26,8 +26,11 @@ import (
 // present or absent), the resume info, the merged energies and the final
 // positions. It was captured on the code BEFORE the driver was rewritten
 // around one rewind, so a digest that moves means a float is now added in
-// a different order. UPDATE_GOLDEN=1 rewrites the file; do that only to
-// add cases, from a tree where the existing ones pass.
+// a different order. It was recaptured once, when the kernels lost their
+// serial path: the energies and final positions moved at summation-order
+// level, and every priced float (wall, accounting, Lost breakdown, events)
+// held. UPDATE_GOLDEN=1 rewrites the file; do that only to add cases, from
+// a tree where the existing ones pass.
 const resilientGoldenPath = "testdata/resilient_golden.json"
 
 type bitsHash struct{ h hash.Hash }

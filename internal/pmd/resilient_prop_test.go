@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/kernels"
 	"repro/internal/md"
 	"repro/internal/mpi"
 	"repro/internal/rng"
@@ -49,7 +50,7 @@ func TestRewindBooksEachRankOnce(t *testing.T) {
 		rcfg.System = sys
 		d := &driver{rcfg: rcfg, out: &ResilientResult{}, stepsDone: 3, offset: 10}
 		d.cfg.Nodes, d.cfg.CPUsPerNode = nodes, cpus
-		rec := &recorder{d: d, p: p, hist: make([][]ckptEntry, p), atomOff: blockPartition(rcfg.System.N(), p),
+		rec := &recorder{d: d, p: p, hist: make([][]ckptEntry, p), atomOff: kernels.Partition(rcfg.System.N(), p, nil),
 			res: &Result{}, accts: make([]mpi.Accounting, p)}
 		for i := range rec.hist {
 			n := depth

@@ -65,11 +65,10 @@ type shared struct {
 	classicEval, totalEval int
 	conv                   convGrid
 
-	// pool is the host-core kernel pool shared by every rank's kernels
-	// (nil when cfg.MD.KernelWorkers is 0). Sharing one pool bounds the
-	// total helper-goroutine concurrency of an attempt regardless of the
-	// simulated rank count; each rank's kernel keeps its own shard
-	// scratch, so concurrent Runs never alias state.
+	// pool is the host-core kernel pool shared by every rank's kernels.
+	// Sharing one pool bounds the total helper-goroutine concurrency of an
+	// attempt regardless of the simulated rank count; each rank's kernel
+	// keeps its own shard scratch, so concurrent Runs never alias state.
 	pool *kernels.Pool
 
 	// guardTrip is rank 0's record of the guard verdict that ended the
@@ -159,9 +158,7 @@ func newShared(p int, cfg Config, seedEngine *md.Engine) *shared {
 		sh.tblocksF[i] = make([][]complex128, p)
 		sh.tblocksB[i] = make([][]complex128, p)
 	}
-	if cfg.MD.KernelWorkers > 0 {
-		sh.pool = kernels.NewPool(cfg.MD.KernelWorkers)
-	}
+	sh.pool = kernels.NewPool(cfg.MD.KernelWorkers)
 	if cfg.Decomp == DecompReplicated && seedEngine != nil {
 		sh.frcSum = make([]vec.V, cfg.System.N())
 		sh.conv.grid = make([]complex128, cfg.MD.PME.K1*cfg.MD.PME.K2*cfg.MD.PME.K3)
@@ -301,7 +298,7 @@ func newWorker(r *mpi.Rank, cfg Config, sh *shared, seedEngine *md.Engine, tape 
 	}
 	pmeCfg := cfg.MD.PME
 
-	w.atomOff = blockPartition(n, p)
+	w.atomOff = kernels.Partition(n, p, nil)
 	if reg := r.Metrics(); reg != nil && r.ID == 0 {
 		// Slab PME leaves ranks beyond the y-line partition idle through
 		// the spectrum stage (and ranks beyond K1 would hold no slab at
@@ -309,8 +306,8 @@ func newWorker(r *mpi.Rank, cfg Config, sh *shared, seedEngine *md.Engine, tape 
 		// ceiling the domain path exists to break; it reads 0 there.
 		idle := 0
 		if cfg.Decomp == DecompReplicated {
-			xo := blockPartition(pmeCfg.K1, p)
-			yo := blockPartition(pmeCfg.K2, p)
+			xo := kernels.Partition(pmeCfg.K1, p, nil)
+			yo := kernels.Partition(pmeCfg.K2, p, nil)
 			for i := 0; i < p; i++ {
 				if xo[i+1] == xo[i] || yo[i+1] == yo[i] {
 					idle++
@@ -326,8 +323,8 @@ func newWorker(r *mpi.Rank, cfg Config, sh *shared, seedEngine *md.Engine, tape 
 	}
 	w.d = replicatedDecomp{}
 	w.classicParts = newClassicParts(sys, p)
-	w.xOff = blockPartition(pmeCfg.K1, p)
-	w.yOff = blockPartition(pmeCfg.K2, p)
+	w.xOff = kernels.Partition(pmeCfg.K1, p, nil)
+	w.yOff = kernels.Partition(pmeCfg.K2, p, nil)
 
 	// FFT plans are cheap and provide the exact op counts the segment
 	// lower bounds need, so they exist in every mode.
@@ -379,14 +376,12 @@ func newWorker(r *mpi.Rank, cfg Config, sh *shared, seedEngine *md.Engine, tape 
 		w.listOrigin = append([]vec.V(nil), init.ListOrigin...)
 		w.listGen = 0
 		w.pairs, _ = w.sh.sharedList(0, seedEngine.FF, w.listOrigin)
-		w.pairOff = blockPartition(len(w.pairs), p)
+		w.pairOff = kernels.Partition(len(w.pairs), p, nil)
 	}
 	w.integ = seedEngine.Integrator()
 	w.pme = ewald.NewPME(sys.Box, pmeCfg.Beta, pmeCfg.K1, pmeCfg.K2, pmeCfg.K3, pmeCfg.Order)
-	if sh.pool != nil {
-		w.nbk.SetPool(sh.pool)
-		w.pme.SetPool(sh.pool)
-	}
+	w.nbk.SetPool(sh.pool)
+	w.pme.SetPool(sh.pool)
 
 	g := pmeCfg.K1 * planeLen
 	w.localGrid = make([]complex128, g)

@@ -28,9 +28,9 @@ import (
 // Safe for concurrent use.
 type Env struct {
 	// KernelWorkers is threaded into every built md.Config and study
-	// (md.Config.KernelWorkers). Set before first use; caches key on the
+	// (md.Config.KernelWorkers). Set before first use: caches key on the
 	// job inputs only, so flipping it mid-life would hand out configs
-	// built under the old setting.
+	// built under the old setting (with the same result bytes).
 	KernelWorkers int
 
 	mu      sync.Mutex

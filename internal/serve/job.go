@@ -18,8 +18,10 @@ import (
 // that feeds it) changes, so store entries written under the old scheme
 // can never be mistaken for results of the new one — the same discipline
 // as figures.CellKeyVersion, which governs the in-memory run cache this
-// store extends onto disk.
-const SpecKeyVersion = 2
+// store extends onto disk. Version 3: the kernels lost their serial path,
+// so a run or analysis stored under version 2 at KernelWorkers 0 holds
+// bytes no server computes any more.
+const SpecKeyVersion = 3
 
 // JobKind selects what a job computes.
 type JobKind string

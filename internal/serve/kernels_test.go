@@ -6,7 +6,7 @@ import (
 )
 
 // Serve-level face of the kernel determinism contract: the same job spec
-// computes byte-identical results at every KernelWorkers ≥ 1.
+// computes byte-identical results at every KernelWorkers.
 func TestEnvKernelWorkersBitwiseStable(t *testing.T) {
 	spec := JobSpec{Kind: KindRun, Atoms: 200, Steps: 2, Seed: 3, Procs: 2}
 
@@ -27,8 +27,8 @@ func TestEnvKernelWorkersBitwiseStable(t *testing.T) {
 	}
 }
 
-// Negative KernelWorkers in the server config is clamped to 0 (legacy
-// serial kernels) rather than rejected.
+// Negative KernelWorkers in the server config is clamped to 0 (one
+// worker) rather than rejected.
 func TestConfigKernelWorkersClamped(t *testing.T) {
 	c := Config{StateDir: "x", KernelWorkers: -3}
 	if got := c.withDefaults().KernelWorkers; got != 0 {

@@ -112,12 +112,9 @@ type Config struct {
 	Workers int
 
 	// KernelWorkers spreads each job's physics kernels over host cores
-	// (see md.Config.KernelWorkers). 0 keeps the legacy serial kernels;
-	// results are byte-identical for every KernelWorkers ≥ 1 but differ
-	// at roundoff from 0, and the result store keys on the job spec
-	// alone — change this setting only with a fresh StateDir (or accept
-	// that cached results keep the bytes of the setting that computed
-	// them). Negative values are treated as 0.
+	// (see md.Config.KernelWorkers). Results are byte-identical for every
+	// value, so the result store keys on the job spec alone. 0 and
+	// negative values mean one worker.
 	KernelWorkers int
 
 	// QueueDepth bounds each tenant's queue; a submission past it is shed

@@ -96,14 +96,41 @@ func (j *jobState) terminalEventID() int { return j.spec.Steps + 1 }
 // released, so whoever wakes on done, polls, or subscribes finds the same
 // finished record. The event type is the terminal status; for a done run
 // the data is the exact result payload the polling endpoint serves. Only
-// the first call acts and reports true — a DELETE of a queued job can race
-// the worker that just dequeued it.
+// the first call acts and reports true — a worker that finds its job
+// cancelled before start can race the DELETE that cancelled it.
 func (j *jobState) terminate(status string, jerr *JobError, payload []byte) (first bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if terminalStatus(j.status) {
 		return false
 	}
+	j.terminateLocked(status, jerr, payload)
+	return true
+}
+
+// cancelIdle is DELETE's transition, one critical section: a job no worker
+// holds — queued, or parked by a shutdown — terminates as canceled and
+// true is returned. A running or finished job is left as it is: the
+// worker that started it owns it and finds cancelCh closed at its next
+// step boundary, and a worker that dequeues a job after this finds it
+// terminal and skips it. No worker can start the job between the status
+// check and the termination, because starting it is an update under the
+// same lock.
+func (j *jobState) cancelIdle() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.status != StatusQueued && j.status != StatusParked {
+		return false
+	}
+	jerr := Errf(KindCanceled, "cancelled while queued")
+	payload, _ := json.Marshal(jobResponse{ID: j.id, Status: StatusCanceled, Kind: j.spec.Kind, Error: jerr})
+	j.terminateLocked(StatusCanceled, jerr, payload)
+	return true
+}
+
+// terminateLocked makes the terminal change terminate and cancelIdle
+// share. Caller holds j.mu and has checked the record is not terminal.
+func (j *jobState) terminateLocked(status string, jerr *JobError, payload []byte) {
 	j.status, j.jerr = status, jerr
 	e := event{id: j.terminalEventID(), typ: status, data: payload}
 	j.events = append(j.events, e)
@@ -113,7 +140,6 @@ func (j *jobState) terminate(status string, jerr *JobError, payload []byte) (fir
 		delete(j.subs, ch)
 	}
 	close(j.done)
-	return true
 }
 
 // update is the one non-terminal transition: mutate changes the record
@@ -354,9 +380,13 @@ func (s *Server) finish(j *jobState, status string, jerr *JobError, payload []by
 	if status != StatusDone {
 		payload, _ = json.Marshal(jobResponse{ID: j.id, Status: status, Kind: j.spec.Kind, Error: jerr})
 	}
-	if !j.terminate(status, jerr, payload) {
-		return
+	if j.terminate(status, jerr, payload) {
+		s.countTerminal(j, status)
 	}
+}
+
+// countTerminal records a job's terminal transition in the metrics.
+func (s *Server) countTerminal(j *jobState, status string) {
 	s.reg.Counter("repro_serve_jobs_total", "terminal jobs by kind and outcome",
 		obs.L("kind", string(j.spec.Kind)), obs.L("outcome", status)).Add(1)
 	s.jobSecs.Observe(time.Since(j.created).Seconds())
@@ -743,15 +773,14 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		s.handleProfile(w, j)
 	case r.Method == http.MethodDelete && sub == "":
 		j.cancel()
-		st, _, _, _ := j.snapshot()
-		if st == StatusQueued || st == StatusParked {
-			// Not on a worker: terminate immediately; a worker that later
-			// dequeues it sees the terminal state and skips.
-			if !j.terminal() {
-				s.finish(j, StatusCanceled, Errf(KindCanceled, "cancelled while queued"), nil)
-			}
+		if j.cancelIdle() {
+			// Not on a worker, and now no worker will start it: this
+			// request owns the release of its journal entry and checkpoints.
+			s.jnl.remove(j.id)
+			s.cleanupCkpt(j)
+			s.countTerminal(j, StatusCanceled)
 		}
-		st, _, _, _ = j.snapshot()
+		st, _, _, _ := j.snapshot()
 		writeJSON(w, http.StatusAccepted, jobResponse{ID: j.id, Status: st, Kind: j.spec.Kind})
 	default:
 		writeJSON(w, http.StatusMethodNotAllowed, Errf(KindBadRequest, "unsupported %s %s", r.Method, r.URL.Path))

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
 	"os"
 	"strconv"
@@ -477,6 +478,100 @@ func TestServeCancelQueued(t *testing.T) {
 	final := waitStatus(t, base, jr.ID, StatusCanceled, 10*time.Second)
 	if final.Error == nil || final.Error.Kind != KindCanceled {
 		t.Fatalf("error = %+v, want canceled", final.Error)
+	}
+}
+
+// TestServeCancelRacesDequeue races a DELETE against the worker dequeuing
+// the same job. Whichever wins, the job's event stream carries exactly one
+// terminal frame, as its last, and a job cancelled while queued was never
+// started: no running frame precedes its terminal frame and it has no
+// attempts. Run it under -race -count 20.
+func TestServeCancelRacesDequeue(t *testing.T) {
+	// The blocker fails the moment it is released, so the worker dequeues
+	// the victim within microseconds of the release.
+	release := make(chan struct{})
+	hook := func(spec JobSpec, attempt int) error {
+		if spec.Kind == KindAnalysis {
+			<-release
+			return Errf(KindBadRequest, "blocker released")
+		}
+		return nil
+	}
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	s, base := testServer(t, func(c *Config) {
+		c.Workers = 1
+		c.FaultInject = hook
+	})
+	t.Cleanup(unblock)
+
+	if code, _, _ := postJob(t, base, "alice", analysisSpec(), 0); code != http.StatusAccepted {
+		t.Fatalf("blocker submit = %d", code)
+	}
+	code, jr, _ := postJob(t, base, "alice", sweepSpec(), 0)
+	if code != http.StatusAccepted {
+		t.Fatalf("victim submit = %d", code)
+	}
+	// Subscribed while the victim is still queued behind the blocker, so
+	// the stream holds every frame of its life.
+	j := s.lookup(jr.ID)
+	stream, ch, cancel := j.subscribe(0)
+	defer cancel()
+	if ch == nil {
+		t.Fatal("the victim finished behind a blocked worker")
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		// Spread over about one DELETE round trip, so that across -count
+		// runs the DELETE lands before, during and after the dequeue.
+		time.Sleep(time.Duration(rand.Intn(400)) * time.Microsecond)
+		unblock() // the worker fails the blocker and dequeues the victim
+	}()
+	go func() {
+		defer wg.Done()
+		req, _ := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+jr.ID, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Errorf("DELETE: %v", err)
+			return
+		}
+		resp.Body.Close()
+	}()
+	for e := range ch {
+		stream = append(stream, e)
+	}
+	wg.Wait()
+
+	var terminal event
+	terminals, running := 0, false
+	for k, e := range stream {
+		if terminalStatus(e.typ) {
+			terminals++
+			terminal = e
+			if k != len(stream)-1 {
+				t.Errorf("terminal %s frame at %d of %d", e.typ, k+1, len(stream))
+			}
+			continue
+		}
+		var pe progressEventData
+		if e.typ == EventProgress && json.Unmarshal(e.data, &pe) == nil && pe.Status == StatusRunning {
+			running = true
+		}
+	}
+	if terminals != 1 {
+		t.Fatalf("%d terminal frames in %d, want exactly one", terminals, len(stream))
+	}
+	st, attempts, _, jerr := j.snapshot()
+	if st != terminal.typ {
+		t.Fatalf("poll says %q after the %s frame", st, terminal.typ)
+	}
+	t.Logf("outcome %s (%v), %d attempts, %d frames", st, jerr, attempts, len(stream))
+	queuedCancel := st == StatusCanceled && jerr != nil && strings.Contains(jerr.Msg, "while queued")
+	if queuedCancel && (running || attempts != 0) {
+		t.Fatalf("cancelled while queued after a running frame (%v) or with %d attempts", running, attempts)
 	}
 }
 
