@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -106,42 +107,54 @@ func TestBatchErrorIsFirstInRequestOrder(t *testing.T) {
 
 // TestFailedRecorderLeavesNoTape: a recorder that crashes fails the cells
 // waiting to replay it and leaves no tape behind, half-recorded or
-// otherwise — the next request for that rank count records from scratch.
+// otherwise — the next request for that decomposition and rank count
+// records from scratch. The replicated recorder leads the batch; the domain
+// recorder behind it crashes too, or is never started.
 func TestFailedRecorderLeavesNoTape(t *testing.T) {
 	cfg := quickConfig()
 	cfg.Workers = 4
 	cfg.FaultSpec = "crash@0.05,rank=3" // no recovery loop here: fatal to every p ≥ 4 run
 	s := freshSuite(cfg)
-	cells := func(p int) []CellKey {
+	cells := func(p int, decomp pmd.DecompKind) []CellKey {
 		var out []CellKey
 		for _, net := range netmodel.All() {
-			out = append(out, s.cell(net, p, 1, pmd.MiddlewareMPI, pmd.DecompReplicated))
+			out = append(out, s.cell(net, p, 1, pmd.MiddlewareMPI, decomp))
 		}
 		return out
 	}
-	if _, err := s.RunCells(append(cells(4), cells(2)...)); !errors.Is(err, mpi.ErrCrashed) {
-		t.Fatalf("batch led by a crashing recorder: %v, want a crash", err)
-	}
-	if st := s.Stats(); st != (RunStats{}) {
-		t.Fatalf("after the crashed recorder %+v, want nothing kept", st)
+	for _, batch := range [][]CellKey{
+		slices.Concat(cells(4, pmd.DecompReplicated), cells(4, pmd.DecompDomain), cells(2, pmd.DecompReplicated)),
+		slices.Concat(cells(4, pmd.DecompDomain), cells(2, pmd.DecompDomain)),
+	} {
+		if _, err := s.RunCells(batch); !errors.Is(err, mpi.ErrCrashed) {
+			t.Fatalf("batch led by a crashing recorder: %v, want a crash", err)
+		}
+		if st := s.Stats(); st != (RunStats{}) || len(s.tapes) != 0 {
+			t.Fatalf("after the crashed recorder %+v and %d tapes, want nothing kept", st, len(s.tapes))
+		}
 	}
 
 	// Lift the fault (the spec is part of the cell key) and ask again.
 	s.Cfg.FaultSpec, s.faults = "", nil
-	res, err := s.RunCells(cells(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st != (RunStats{Misses: 3, TapeRecords: 1, TapeReplays: 2}) {
-		t.Fatalf("after the healthy batch %+v, want one record and two replays", st)
-	}
-	healthy, err := freshSuite(quickConfig()).RunCells(cells(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range res {
-		if res[i].Wall != healthy[i].Wall || res[i].Energies[0] != healthy[i].Energies[0] {
-			t.Fatalf("cell %d after the crashed recorder differs from a fresh suite's", i)
+	healthy := freshSuite(quickConfig())
+	var want RunStats
+	for _, decomp := range []pmd.DecompKind{pmd.DecompReplicated, pmd.DecompDomain} {
+		res, err := s.RunCells(cells(4, decomp))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Misses, want.TapeRecords, want.TapeReplays = want.Misses+3, want.TapeRecords+1, want.TapeReplays+2
+		if st := s.Stats(); st != want {
+			t.Fatalf("after the healthy %v batch %+v, want one record and two replays more", decomp, st)
+		}
+		fresh, err := healthy.RunCells(cells(4, decomp))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range res {
+			if res[i].Wall != fresh[i].Wall || res[i].Energies[0] != fresh[i].Energies[0] {
+				t.Fatalf("%v cell %d after the crashed recorder differs from a fresh suite's", decomp, i)
+			}
 		}
 	}
 }

@@ -108,8 +108,9 @@ func workerConfigs(configure func(*Config)) []Config {
 }
 
 // identicalAcross renders on a fresh suite per configuration and fails
-// unless every one produces the bytes and the RunStats of the first.
-func identicalAcross(t *testing.T, cfgs []Config, render func(s *Suite, w io.Writer) error) {
+// unless every one produces the bytes and the RunStats of the first, which
+// it returns.
+func identicalAcross(t *testing.T, cfgs []Config, render func(s *Suite, w io.Writer) error) RunStats {
 	t.Helper()
 	var refBytes []byte
 	var refStats RunStats
@@ -130,6 +131,7 @@ func identicalAcross(t *testing.T, cfgs []Config, render func(s *Suite, w io.Wri
 			t.Fatalf("RunStats %+v at workers=%d kernel-workers=%d, serial %+v", got, cfg.Workers, cfg.MD.KernelWorkers, refStats)
 		}
 	}
+	return refStats
 }
 
 // renderFigures renders the named registry figures in order, each one's

@@ -108,8 +108,17 @@ func TestCeilingRendersUntileableCells(t *testing.T) {
 // TestCeilingOutputIdenticalAcrossWorkers: the rendered ceiling bytes and
 // the run counters are identical between the serial schedule and every
 // number of cells in flight — the determinism contract extended past 8
-// ranks, and to domain cells, which wait for no tape.
+// ranks, and to domain cells, whose replays wait for their recorder as
+// replicated ones do. On the quick ladder that is one record and two
+// replays per decomposition and rank count.
 func TestCeilingOutputIdenticalAcrossWorkers(t *testing.T) {
 	cfgs := workerConfigs(func(c *Config) { c.CeilingProcs = []int{1, 16} })
 	identicalAcross(t, cfgs, renderFigures("ceiling"))
+
+	quick := workerConfigs(nil)
+	st := identicalAcross(t, []Config{quick[0], quick[2]}, renderFigures("ceiling"))
+	cells := 3 * 2 * len(quick[0].CeilingProcs)
+	if want := (RunStats{Misses: cells, TapeRecords: cells / 3, TapeReplays: 2 * cells / 3}); st != want {
+		t.Fatalf("quick ceiling RunStats %+v, want %+v", st, want)
+	}
 }

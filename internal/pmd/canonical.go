@@ -32,8 +32,13 @@ import (
 // Concurrency: the first rank to need step s runs the evaluation inside
 // its drift segment's once; the per-step barrier in kick keeps all ranks
 // within one step of each other, so an evaluation never runs concurrently
-// with another (the scratch buffers below are safely reused) and finished
-// snapshots are immutable when read.
+// with another (the scratch buffers and the current pair list below are
+// safely reused) and finished snapshots are immutable when read.
+//
+// The snapshots depend on the workload and p alone, so a recording run
+// keeps every one of them and they become its Tape: a replay serves them
+// to its ranks without building an evaluator at all. Any other run keeps a
+// two-step window.
 type canonical struct {
 	cfg Config
 	p   int
@@ -54,6 +59,11 @@ type canonical struct {
 	atomOff, yOff []int
 	classicParts
 
+	// The current neighbour list and its rank partition. Evaluations run
+	// one at a time in step order, so the next one inherits the last built.
+	pairs   []space.Pair
+	pairOff []int
+
 	plan2d *fft.Plan2D
 	plan1d *fft.Plan
 
@@ -64,13 +74,15 @@ type canonical struct {
 
 	mu     sync.Mutex
 	states map[int]*canonState
+	keep   bool // retain every snapshot: this run records a tape
 }
 
 // canonState is one step's immutable physics snapshot. Step -1 is the
 // initial force evaluation of velocity Verlet. All slices are freshly
 // allocated per step (or inherited unchanged from the previous step) so
 // a rank still reading step s races with nothing while another rank's
-// drift segment evaluates step s+1.
+// drift segment evaluates step s+1, and a taped snapshot serves any number
+// of replays at once.
 type canonState struct {
 	step int
 	once sync.Once
@@ -81,8 +93,6 @@ type canonState struct {
 
 	listGen    int
 	listOrigin []vec.V
-	pairs      []space.Pair
-	pairOff    []int
 	rebuilt    bool
 	distEvals  int64 // full list-search cost when rebuilt
 
@@ -93,7 +103,7 @@ type canonState struct {
 	migration [][]int
 }
 
-func newCanonical(p int, cfg Config, sh *shared, seedEngine *md.Engine) *canonical {
+func newCanonical(p int, cfg Config, sh *shared, seedEngine *md.Engine, keep bool) *canonical {
 	sys := cfg.System
 	n := sys.N()
 	pmeCfg := cfg.MD.PME
@@ -107,6 +117,7 @@ func newCanonical(p int, cfg Config, sh *shared, seedEngine *md.Engine) *canonic
 		seedPos: append([]vec.V(nil), seedEngine.Pos...),
 		seedVel: append([]vec.V(nil), seedEngine.Vel...),
 		states:  map[int]*canonState{},
+		keep:    keep,
 	}
 	c.nbk = c.ffield.NewNonbondedKernel()
 	c.charges = c.ffield.Charges()
@@ -138,7 +149,9 @@ func (c *canonical) state(step int) *canonState {
 			st.prev = c.states[step-1]
 		}
 		c.states[step] = st
-		delete(c.states, step-2) // ranks never lag more than one step
+		if !c.keep {
+			delete(c.states, step-2) // ranks never lag more than one step
+		}
 	}
 	c.mu.Unlock()
 	st.once.Do(func() {
@@ -150,6 +163,16 @@ func (c *canonical) state(step int) *canonState {
 		st.prev = nil
 	})
 	return st
+}
+
+// snapshots returns a recording run's snapshots in step order, step s at
+// index s+1.
+func (c *canonical) snapshots(steps int) []*canonState {
+	out := make([]*canonState, steps+1)
+	for i := range out {
+		out[i] = c.states[i-1]
+	}
+	return out
 }
 
 // evalInit mirrors the replicated worker's construction + initial
@@ -164,8 +187,8 @@ func (c *canonical) evalInit(st *canonState) {
 	if init := c.cfg.Init; init != nil && len(init.ListOrigin) == c.sys.N() {
 		st.listOrigin = append([]vec.V(nil), init.ListOrigin...)
 		st.listGen = 0
-		st.pairs, _ = c.sh.sharedList(0, c.ffield, st.listOrigin)
-		st.pairOff = kernels.Partition(len(st.pairs), c.p, nil)
+		c.pairs, _ = c.sh.sharedList(0, c.ffield, st.listOrigin)
+		c.pairOff = kernels.Partition(len(c.pairs), c.p, nil)
 	}
 	c.forceEval(st)
 }
@@ -181,8 +204,6 @@ func (c *canonical) evalStep(st *canonState) {
 	c.integ.KickDrift(st.pos, st.vel, prev.frcTotal, 0, n)
 	st.listGen = prev.listGen
 	st.listOrigin = prev.listOrigin
-	st.pairs = prev.pairs
-	st.pairOff = prev.pairOff
 	st.epoch = prev.epoch
 
 	c.forceEval(st)
@@ -216,9 +237,9 @@ func (c *canonical) forceEval(st *canonState) {
 	// Neighbour-list management; a rebuild starts a new ownership epoch.
 	if !c.integ.ListValid(st.pos, st.listOrigin) {
 		st.listGen++
-		st.pairs, st.distEvals = c.sh.sharedList(st.listGen, c.ffield, st.pos)
+		c.pairs, st.distEvals = c.sh.sharedList(st.listGen, c.ffield, st.pos)
 		st.listOrigin = append([]vec.V(nil), st.pos...)
-		st.pairOff = kernels.Partition(len(st.pairs), c.p, nil)
+		c.pairOff = kernels.Partition(len(c.pairs), c.p, nil)
 		st.rebuilt = true
 		oldEpoch := st.epoch
 		st.epoch = c.geo.buildEpoch(c, st)
@@ -237,7 +258,7 @@ func (c *canonical) forceEval(st *canonState) {
 	var eAll ff.Energies
 	var wc work.Counters // the canonical evaluation charges no work; the domain ranks do
 	for rk := 0; rk < c.p; rk++ {
-		e := c.classic(rk, c.ffield, c.nbk, st.pos, st.pairs[st.pairOff[rk]:st.pairOff[rk+1]], c.partial, &wc)
+		e := c.classic(rk, c.ffield, c.nbk, st.pos, c.pairs[c.pairOff[rk]:c.pairOff[rk+1]], c.partial, &wc)
 		vec.AddTo(st.frcTotal, c.partial)
 		eAll.Add(e)
 	}

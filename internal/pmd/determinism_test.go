@@ -1,7 +1,10 @@
 package pmd
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
@@ -125,5 +128,41 @@ func TestTapeShapeMismatchIgnored(t *testing.T) {
 	mustEqualResults(t, "mismatch", ref, got)
 	if tape.p != 4 {
 		t.Fatalf("tape clobbered: p=%d", tape.p)
+	}
+}
+
+// TestListCacheKeepsNewestGeneration: the pair-list cache the ranks share
+// holds the newest generation only, so a long run retains one list instead
+// of every list it built, and the trajectory is bit for bit the one the
+// cache produced while it kept every generation (digest taken then, amd64).
+func TestListCacheKeepsNewestGeneration(t *testing.T) {
+	mdc := testMDConfig()
+	mdc.FF.ListCutoff = 9.5 // a thin skin: three rebuilds in 20 steps
+	cfg := Config{System: testSystem(100, 24, 1), MD: mdc, Steps: 20, Middleware: MiddlewareMPI}
+	var sh *shared
+	gen := 0
+	cfg.onStep = func(w *worker, step int) {
+		if w.me() == 0 {
+			sh, gen = w.sh, w.listGen
+		}
+	}
+	res, err := Run(clusterCfg(2, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gen < 3 {
+		t.Fatalf("only %d rebuilds after the first build, want several", gen)
+	}
+	if sh.lists.e == nil || sh.lists.gen != gen {
+		t.Fatalf("cache holds generation %d, the run ended on %d", sh.lists.gen, gen)
+	}
+	if runtime.GOARCH != "amd64" {
+		return
+	}
+	h := sha256.New()
+	fmt.Fprintf(h, "%v|%v|%v", res.Energies, res.FinalPos, res.Wall)
+	const want = "b7186cc23724fedf06018aac13d1ff7d9556a2cd4dd5f4faf1bc16033176a548"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Fatalf("result digest %s, want %s", got, want)
 	}
 }

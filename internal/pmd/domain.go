@@ -296,7 +296,7 @@ func (g *domainGeometry) buildEpoch(c *canonical, st *canonState) *epochData {
 	for _, pr := range sys.Pairs14 {
 		cnt.p14[max(own[pr[0]], own[pr[1]])]++
 	}
-	for _, pr := range st.pairs {
+	for _, pr := range c.pairs {
 		cnt.pairs[max(own[pr.I], own[pr.J])]++
 	}
 	for i := 0; i < n; i++ {
@@ -345,28 +345,43 @@ func gridIndex(f float64, d int) int {
 }
 
 // domainDecomp drives one rank of the spatial decomposition. All physics
-// values come from the canonical snapshots; the rank's own segments and
-// sparse collectives charge the virtual time of the spatial pipeline:
-// drift of owned atoms, migration + half-shell halo exchange,
-// owner-computes classic terms with force return, and the 2-D pencil PME
-// (assemble → r2c x-FFTs → transpose → y-FFTs → transpose → z-FFTs +
-// influence → the inverse chain → potential gather → interpolation).
+// values come from the canonical snapshots, evaluated by this run or
+// served from a tape; the rank's own segments and sparse collectives
+// charge the virtual time of the spatial pipeline, the same with or
+// without a tape: drift of owned atoms, migration + half-shell halo
+// exchange, owner-computes classic terms with force return, and the 2-D
+// pencil PME (assemble → r2c x-FFTs → transpose → y-FFTs → transpose →
+// z-FFTs + influence → the inverse chain → potential gather →
+// interpolation).
 type domainDecomp struct {
-	canon *canonical
+	canon *canonical    // evaluates the snapshots; nil when replaying
+	taped []*canonState // a replay's snapshots, step s at s+1
 	geo   *domainGeometry
 
 	cur, prev *canonState
 }
 
-func newDomainDecomp(w *worker, seedEngine *md.Engine) *domainDecomp {
-	return &domainDecomp{canon: w.sh.canon, geo: w.sh.canon.geo}
+func newDomainDecomp(sh *shared, tape *Tape) *domainDecomp {
+	if tape.Complete() {
+		return &domainDecomp{taped: tape.snaps, geo: tape.geo}
+	}
+	return &domainDecomp{canon: sh.canon, geo: sh.canon.geo}
+}
+
+// state returns step's snapshot.
+func (d *domainDecomp) state(step int) *canonState {
+	if d.canon == nil {
+		return d.taped[step+1]
+	}
+	return d.canon.state(step)
 }
 
 func (d *domainDecomp) initialForces(w *worker) {
 	// The snapshot evaluation happens inside a segment so its host time
 	// overlaps other ranks' schedules; it charges no virtual work (the
-	// pipeline segments below charge the spatial model's work).
-	w.seg(work.Counters{}, func(*work.Counters) { d.cur = d.canon.state(-1) })
+	// pipeline segments below charge the spatial model's work). A replay
+	// runs the same segment around a lookup, so its schedule is the same.
+	w.seg(work.Counters{}, func(*work.Counters) { d.cur = d.state(-1) })
 	d.pipeline(w, nil, phaseTracker{})
 	d.adopt(w)
 }
@@ -375,7 +390,7 @@ func (d *domainDecomp) drift(w *worker, step int) {
 	me := w.me()
 	nOwn := int64(d.prev.epoch.nOwn[me])
 	w.seg(work.Counters{Integrate: nOwn}, func(wc *work.Counters) {
-		d.cur = d.canon.state(step)
+		d.cur = d.state(step)
 		wc.Integrate += nOwn
 	})
 	st := d.cur

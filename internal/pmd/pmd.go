@@ -97,11 +97,13 @@ type Config struct {
 	Watchdog mpi.Watchdog
 
 	// Tape, when non-nil, memoizes the physics across runs of the same
-	// workload and rank count: an empty tape records this run's per-segment
-	// work counters, a completed tape replays them instead of executing the
-	// MD kernels (the simulated timings still come out of the full event
-	// simulation). Ignored when Init or a step hook needs real physics, or
-	// when the tape was recorded for a different rank or step count.
+	// workload, decomposition and rank count: an empty tape records this
+	// run's physics (the replicated path's per-segment work counters, the
+	// domain path's canonical snapshots), a completed tape replays it
+	// instead of executing the MD kernels (the simulated timings still come
+	// out of the full event simulation). Ignored when Init, a step hook or
+	// the guard needs real physics, or when the tape was recorded for a
+	// different decomposition, rank count or step count.
 	Tape *Tape
 
 	// HostWorkers > 1 executes compute segments of different ranks
@@ -292,25 +294,24 @@ func runAttempt(clusterCfg cluster.Config, cost cluster.CostModel, cfg Config) (
 
 	// Tape eligibility: checkpoint starts, step hooks and numeric guards
 	// need the physics actually executed, and a completed tape only fits
-	// the rank/step shape it was recorded for. The domain path's
-	// collective sizes follow the (dynamic) atom ownership, so it always
-	// runs the real physics.
+	// the decomposition, rank count and step count it was recorded for.
 	tape := cfg.Tape
-	if cfg.Init != nil || cfg.onStep != nil || cfg.Guard.Enabled || cfg.Decomp == DecompDomain {
+	if cfg.Init != nil || cfg.onStep != nil || cfg.Guard.Enabled {
 		tape = nil
 	}
-	if tape.Complete() && (tape.p != p || tape.steps != cfg.Steps) {
+	if tape.Complete() && !tape.fits(cfg.Decomp, p, cfg.Steps) {
 		tape = nil
 	}
 	replaying := tape.Complete()
 	if tape != nil && !replaying {
-		tape.begin(p, cfg.Steps)
+		tape.begin(cfg.Decomp, p, cfg.Steps)
 	}
 
 	// The initial state comes from the sequential engine so trajectories
 	// are directly comparable; every rank starts from an identical copy.
-	// A replayed run serves energies and positions from the tape and
-	// needs no physics state at all.
+	// A replayed run serves its physics from the tape — the replicated
+	// path's energies and positions, the domain path's snapshots and
+	// geometry — and builds no seed engine, evaluator or geometry.
 	var seed *md.Engine
 	if !replaying {
 		seed = md.NewEngine(cfg.System, cfg.MD)
@@ -321,7 +322,7 @@ func runAttempt(clusterCfg cluster.Config, cost cluster.CostModel, cfg Config) (
 		}
 	}
 
-	sh := newShared(p, cfg, seed)
+	sh := newShared(p, cfg, seed, tape)
 	res := &Result{
 		P:        p,
 		Timings:  make([][]StepTiming, p),
@@ -342,7 +343,7 @@ func runAttempt(clusterCfg cluster.Config, cost cluster.CostModel, cfg Config) (
 		if err != nil {
 			tape.reset()
 		} else {
-			tape.finish(res.Energies, res.FinalPos)
+			tape.finish(res, sh.canon)
 		}
 	}
 	if err == nil && sh.guardTrip != nil {

@@ -87,10 +87,13 @@ type shared struct {
 // classic compute segment); the others block on the same sync.Once and
 // share the result. Generations never overlap — a rank can only enter the
 // classic segment of step s after every rank passed the collectives of
-// step s−1 — so entries are effectively built one at a time.
+// step s−1 — so entries are built one at a time, and when any rank asks
+// for generation g every rank has already fetched g−1 and holds its own
+// reference to it. The cache therefore keeps the newest generation only.
 type listCache struct {
-	mu      sync.Mutex
-	entries map[int]*listEntry
+	mu  sync.Mutex
+	gen int
+	e   *listEntry // generation gen; nil before the first build
 }
 
 type listEntry struct {
@@ -128,10 +131,10 @@ func (c *convGrid) assembled(eval int, slabs [][]complex128, xOff []int, planeLe
 // exactly once per run across all ranks.
 func (sh *shared) sharedList(gen int, ffield *ff.ForceField, pos []vec.V) ([]space.Pair, int64) {
 	sh.lists.mu.Lock()
-	e, ok := sh.lists.entries[gen]
-	if !ok {
+	e := sh.lists.e
+	if e == nil || sh.lists.gen != gen {
 		e = &listEntry{}
-		sh.lists.entries[gen] = e
+		sh.lists.gen, sh.lists.e = gen, e
 	}
 	sh.lists.mu.Unlock()
 	e.once.Do(func() {
@@ -142,7 +145,10 @@ func (sh *shared) sharedList(gen int, ffield *ff.ForceField, pos []vec.V) ([]spa
 	return e.pairs, e.distEvals
 }
 
-func newShared(p int, cfg Config, seedEngine *md.Engine) *shared {
+// newShared builds the run's blackboard. A domain run that evaluates its
+// physics (seedEngine non-nil) gets the canonical evaluator, which keeps
+// every snapshot when the run records a tape.
+func newShared(p int, cfg Config, seedEngine *md.Engine, tape *Tape) *shared {
 	sh := &shared{
 		posBlocks:  make([][]vec.V, p),
 		classicFrc: make([][]vec.V, p),
@@ -153,7 +159,6 @@ func newShared(p int, cfg Config, seedEngine *md.Engine) *shared {
 		tblocksB:   make([][][]complex128, p),
 		convSlabs:  make([][]complex128, p),
 	}
-	sh.lists.entries = map[int]*listEntry{}
 	for i := 0; i < p; i++ {
 		sh.tblocksF[i] = make([][]complex128, p)
 		sh.tblocksB[i] = make([][]complex128, p)
@@ -164,7 +169,7 @@ func newShared(p int, cfg Config, seedEngine *md.Engine) *shared {
 		sh.conv.grid = make([]complex128, cfg.MD.PME.K1*cfg.MD.PME.K2*cfg.MD.PME.K3)
 	}
 	if cfg.Decomp == DecompDomain && seedEngine != nil {
-		sh.canon = newCanonical(p, cfg, sh, seedEngine)
+		sh.canon = newCanonical(p, cfg, sh, seedEngine, tape != nil)
 	}
 	return sh
 }
@@ -213,9 +218,11 @@ type worker struct {
 	listGen    int     // neighbour-list generation, in lockstep on all ranks
 	eval       int     // force evaluations started, in lockstep on all ranks
 
-	// Tape mode: at most one of rec/replay is non-nil. Recording appends
-	// every segment's counters; replaying charges the recorded counters and
-	// skips the physics (and all physics state below stays unallocated).
+	// Tape mode of the replicated path: at most one of rec/replay is
+	// non-nil. Recording appends every segment's counters; replaying
+	// charges the recorded counters and skips the physics (and all physics
+	// state below stays unallocated). A domain rank leaves both nil: its
+	// counts come from the epoch of the snapshot it is served.
 	rec       *Tape
 	replay    *Tape
 	replayPos int
@@ -268,12 +275,6 @@ func newWorker(r *mpi.Rank, cfg Config, sh *shared, seedEngine *md.Engine, tape 
 	p := r.Size()
 	w := &worker{r: r, cfg: cfg, sh: sh, p: p}
 	switch {
-	case tape.Complete():
-		w.replay = tape
-	case tape != nil:
-		w.rec = tape
-	}
-	switch {
 	case cfg.Middleware == MiddlewareCMPI:
 		w.c = cmpi.New(r)
 	case cfg.ModernCollectives:
@@ -318,8 +319,14 @@ func newWorker(r *mpi.Rank, cfg Config, sh *shared, seedEngine *md.Engine, tape 
 			"ranks with no PME slab or spectrum lines under the current decomposition").Set(float64(idle))
 	}
 	if cfg.Decomp == DecompDomain {
-		w.d = newDomainDecomp(w, seedEngine)
+		w.d = newDomainDecomp(sh, tape)
 		return w
+	}
+	switch {
+	case tape.Complete():
+		w.replay = tape
+	case tape != nil:
+		w.rec = tape
 	}
 	w.d = replicatedDecomp{}
 	w.classicParts = newClassicParts(sys, p)
@@ -405,8 +412,8 @@ func (w *worker) myYW() int           { return w.yOff[w.me()+1] - w.yOff[w.me()]
 // (or collective-ordered) data, reporting its work through the counters.
 // minW must be a guaranteed lower bound on those counters — it is what
 // lets the host-parallel scheduler overlap this segment with other ranks'.
-// Recording mode tapes the counters; replay mode skips fn and charges the
-// recorded counters instead.
+// On the replicated path, recording mode tapes the counters and replay mode
+// skips fn and charges the recorded counters instead.
 func (w *worker) seg(minW work.Counters, fn func(*work.Counters)) {
 	switch {
 	case w.replay != nil:
