@@ -95,26 +95,12 @@ func (m *Middleware) Allreduce(bytes int, reduceOp float64) {
 }
 
 // Allgatherv circulates the variable-size blocks around the ring (p−1
-// rounds; round k moves the block originally owned by (id−k) onward).
+// rounds; round k moves the block originally owned by (id−k) onward)
+// between two fences. The ring is MPI's: the same split isend, receive
+// and wait per round. One rank has nothing to fence or circulate.
 func (m *Middleware) Allgatherv(blocks []int) {
-	r := m.R
-	p := r.Size()
-	if p == 1 {
-		return
-	}
-	if len(blocks) != p {
-		panic("cmpi: Allgatherv needs one block per rank")
-	}
 	m.fence()
-	left := (r.ID - 1 + p) % p
-	right := (r.ID + 1) % p
-	for round := 0; round < p-1; round++ {
-		tag := tagRing + 512 + round
-		sendBlock := blocks[(r.ID-round+p)%p]
-		sreq := r.Isend(right, tag, sendBlock)
-		r.Recv(left, tag)
-		r.Wait(sreq)
-	}
+	m.R.AllgathervRing(blocks)
 	m.fence()
 }
 

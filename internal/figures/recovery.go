@@ -32,7 +32,7 @@ type RecoveryRow struct {
 	Wall     float64 // total virtual wall including repairs
 	Lost     float64 // total virtual seconds lost across ranks
 	Rewind   float64 // discarded by global rewinds
-	Replay   float64 // crashed-domain redo from the buddy micro-checkpoint
+	Replay   float64 // crashed-domain redo from its newest completed rebuild epoch
 	Park     float64 // healthy ranks waiting at the next collective
 	Bitwise  bool    // trajectory bitwise-identical to the fault-free run
 	Err      string  // non-empty: the strategy cannot finish this cell

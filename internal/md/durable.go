@@ -39,6 +39,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/kernels"
 	"repro/internal/obs"
 	"repro/internal/vec"
 )
@@ -92,21 +93,6 @@ type Progress struct {
 	Wall            float64
 	RankAcct        [][4]float64
 	ConsumedCrashes []int // fault-spec indices of crashes already recovered
-}
-
-// durableOffsets splits n atoms into ranks nearly equal contiguous blocks
-// (same partition as the parallel engine) and returns the start offsets.
-func durableOffsets(n, ranks int) []int {
-	off := make([]int, ranks+1)
-	base, rem := n/ranks, n%ranks
-	for i := 0; i < ranks; i++ {
-		w := base
-		if i < rem {
-			w++
-		}
-		off[i+1] = off[i] + w
-	}
-	return off
 }
 
 type leWriter struct{ buf []byte }
@@ -185,7 +171,7 @@ func encodeDurable(cp *Checkpoint, meta DurableMeta) []byte {
 	w.buf = append(w.buf, h.buf...)
 	w.u32(crc32.Checksum(h.buf, crcTable))
 
-	off := durableOffsets(cp.N, ranks)
+	off := kernels.Partition(cp.N, ranks, nil)
 	for r := 0; r < ranks; r++ {
 		var s leWriter
 		for i := off[r]; i < off[r+1]; i++ {
@@ -285,7 +271,7 @@ func ReadDurable(path string) (*Checkpoint, DurableMeta, error) {
 		Vel:        make([]vec.V, n),
 		Frc:        make([]vec.V, n),
 	}
-	off := durableOffsets(n, ranks)
+	off := kernels.Partition(n, ranks, nil)
 	for rk := 0; rk < ranks; rk++ {
 		atoms := off[rk+1] - off[rk]
 		section := r.take(atoms * 9 * 8)

@@ -147,10 +147,7 @@ func (w *worker) computeForces(st *StepTiming, tr phaseTracker) md.EnergyReport 
 		e = w.classic(me, w.ff, w.nbk, w.pos, w.pairs[w.pairOff[me]:w.pairOff[me+1]], w.partial, wc)
 	})
 
-	w.inline(func() {
-		w.sh.classicFrc[me] = w.partial
-		w.sh.energy[me].FF = e
-	})
+	w.inline(func() { w.sh.energy[me].FF = e })
 
 	// Global force combine (the classic "all-to-all collective"), followed
 	// by the separate energy/virial-array sum CHARMM performs per step.
@@ -162,7 +159,7 @@ func (w *worker) computeForces(st *StepTiming, tr phaseTracker) md.EnergyReport 
 		if sh.classicEval != w.eval {
 			vec.Fill(sh.frcSum, vec.Zero)
 			for rk := 0; rk < w.p; rk++ {
-				vec.AddTo(sh.frcSum, sh.classicFrc[rk])
+				vec.AddTo(sh.frcSum, sh.partials[rk])
 			}
 			sh.classicEval = w.eval
 		}
@@ -190,7 +187,6 @@ func (w *worker) computeForces(st *StepTiming, tr phaseTracker) md.EnergyReport 
 		w.pme.Spread(w.pos, charges, aLo, aHi, w.localGrid)
 		wp.GridCharges += nOwn * o3
 	})
-	w.inline(func() { w.sh.grids[me] = w.localGrid })
 
 	// Grid assembly: personalized all-to-all, then sum incoming slab
 	// pieces into the owned x-slab, and forward 2-D FFTs over the owned
@@ -233,7 +229,6 @@ func (w *worker) computeForces(st *StepTiming, tr phaseTracker) md.EnergyReport 
 					bi += k3
 				}
 			}
-			w.sh.tblocksF[me][dst] = block
 		}
 	})
 	w.c.Alltoallv(w.sizesTF)
@@ -284,7 +279,6 @@ func (w *worker) computeForces(st *StepTiming, tr phaseTracker) md.EnergyReport 
 					bi += k3
 				}
 			}
-			w.sh.tblocksB[me][dst] = block
 		}
 	})
 	w.c.Alltoallv(w.sizesTB)
@@ -319,7 +313,6 @@ func (w *worker) computeForces(st *StepTiming, tr phaseTracker) md.EnergyReport 
 
 	// Gather the convolved potential so every rank can interpolate the
 	// forces of its own atoms.
-	w.inline(func() { w.sh.convSlabs[me] = w.slab })
 	w.c.Allgatherv(w.blocksConv)
 
 	// Assemble the full potential grid, interpolate PME forces for the
@@ -342,7 +335,6 @@ func (w *worker) computeForces(st *StepTiming, tr phaseTracker) md.EnergyReport 
 	})
 
 	w.inline(func() {
-		w.sh.pmeFrc[me] = w.partial
 		w.sh.energy[me].Recip = eRecip
 		w.sh.energy[me].ExclCorr = eExcl
 	})
@@ -353,7 +345,7 @@ func (w *worker) computeForces(st *StepTiming, tr phaseTracker) md.EnergyReport 
 		sh := w.sh
 		if sh.totalEval != w.eval {
 			for rk := 0; rk < w.p; rk++ {
-				vec.AddTo(sh.frcSum, sh.pmeFrc[rk])
+				vec.AddTo(sh.frcSum, sh.partials[rk])
 			}
 			sh.totalEval = w.eval
 		}

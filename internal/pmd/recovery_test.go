@@ -52,8 +52,8 @@ func sameTrajectory(t *testing.T, label string, energies []md.EnergyReport, ref 
 }
 
 // TestLocalizedRecoveryBitwiseIdentical is the tentpole acceptance path:
-// a rank crash under the domain decomposition is repaired from the buddy
-// micro-checkpoint without dropping the node, and the full faulted
+// a rank crash under the domain decomposition is repaired from the newest
+// completed rebuild epoch without dropping the node, and the full faulted
 // trajectory is bitwise-identical to the fault-free run — something the
 // global rewind (which shrinks the cluster and re-tiles the grid) cannot
 // deliver.
@@ -89,11 +89,8 @@ func TestLocalizedRecoveryBitwiseIdentical(t *testing.T) {
 	if ev.Rank != 3 {
 		t.Fatalf("recovered rank = %d, want 3", ev.Rank)
 	}
-	if ev.Buddy == ev.Rank {
-		t.Fatalf("buddy of rank %d is itself", ev.Rank)
-	}
-	if ev.RestoredBytes <= 0 {
-		t.Fatal("buddy restore transferred no bytes")
+	if ev.EpochStep > ev.ResumeStep || ev.ReplaySteps < 0 {
+		t.Fatalf("restored epoch step %d, resume step %d, %d replay steps", ev.EpochStep, ev.ResumeStep, ev.ReplaySteps)
 	}
 	if res.Breakdown.Rewind != 0 {
 		t.Fatalf("localized recovery booked %g s of global rewind", res.Breakdown.Rewind)
@@ -178,8 +175,8 @@ func TestLocalizedRecoveryMidMigration(t *testing.T) {
 	sameTrajectory(t, "mid-migration", res.Energies, healthy, res.Final)
 }
 
-// TestLocalizedRecoveryPreemptRace runs the CheckpointRing, the buddy
-// micro-checkpoints and a graceful preemption in the same run: a crash is
+// TestLocalizedRecoveryPreemptRace runs the CheckpointRing, a localized
+// repair and a graceful preemption in the same run: a crash is
 // repaired locally, the Preempt hook parks the run at the next boundary,
 // and the resumed run stitches bitwise into the fault-free trajectory.
 func TestLocalizedRecoveryPreemptRace(t *testing.T) {

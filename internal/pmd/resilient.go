@@ -123,13 +123,11 @@ type recorder struct {
 	// Localized-recovery bookkeeping (RecoveryLocal only). In local mode
 	// the recorder keeps a full entry for EVERY completed step — the
 	// cluster resumes from the last globally completed step instead of a
-	// cadence checkpoint — and rank 0 mirrors the domain grid's buddy
-	// micro-checkpoints and halo message log into micro.
+	// cadence checkpoint — and rank 0 notes the steps that began a rebuild
+	// epoch, the restore points replayPrice chooses from.
 	local      bool
-	micro      *recover.Log
-	nbrs       [][]int // domain halo neighbours, from the grid geometry
-	epochSteps []int   // local steps that began a rebuild epoch, ascending
-	lastGen    int     // neighbour-list generation at the previous step
+	epochSteps []int // local steps that began a rebuild epoch, ascending
+	lastGen    int   // neighbour-list generation at the previous step
 
 	// How the attempt ended.
 	inj   *fault.Injector
@@ -166,26 +164,11 @@ func (rec *recorder) onStep(w *worker, step int) {
 		}
 		rec.hist[me] = append(rec.hist[me], e)
 	}
-	if rec.local && me == 0 {
-		if dd, ok := w.d.(*domainDecomp); ok {
-			// Rank 0's onStep sees the post-step canonical state shared by
-			// the whole grid: owned-atom counts per domain and the list
-			// generation, which bumps exactly at rebuild (migration) epochs.
-			owned := dd.prev.epoch.nOwn
-			if rec.micro == nil {
-				g := dd.geo
-				rec.micro = recover.NewLog(rec.p, g.dx, g.dy, g.dz)
-				rec.micro.BeginEpoch(-1, owned)
-				rec.nbrs = g.nbrs
-				rec.lastGen = 0
-			}
-			if w.listGen > rec.lastGen {
-				rec.micro.BeginEpoch(step, owned)
-				rec.epochSteps = append(rec.epochSteps, step)
-				rec.lastGen = w.listGen
-			}
-			rec.micro.LogStep(step, owned)
-		}
+	// The list generation is in lockstep on every rank and bumps exactly at
+	// rebuild (migration) epochs, so rank 0's view stands for the grid.
+	if rec.local && me == 0 && w.listGen > rec.lastGen {
+		rec.epochSteps = append(rec.epochSteps, step)
+		rec.lastGen = w.listGen
 	}
 	// The halt step itself still persists: every rank completes it (each
 	// sets only its own stop flag), so its checkpoint must reach disk
@@ -292,13 +275,14 @@ func (rec *recorder) assemble(idx int) *md.Checkpoint {
 
 // replayPrice prices the localized repair of rank c when the cluster
 // resumes at history index idx. The restore epoch is the newest rebuild
-// whose buddy micro-checkpoint the crashed rank is known to have completed
-// — one at or before the last globally completed step. A rebuild the crash
-// interrupted mid-migration is NOT a valid restore point: its mirror may
-// describe atoms still in flight between domains. From there the respawned
-// rank replays its domain serially: re-execution of its own compute with
-// halo inputs re-sent from the neighbours' message logs — no collectives,
-// so no Comm/Sync share in the replay price.
+// step in epochSteps at or before idx — one the crashed rank is known to
+// have completed; -1 is the attempt start. A rebuild the crash interrupted
+// mid-migration is NOT a valid restore point: atoms may still be in flight
+// between domains. From there the respawned rank replays its domain
+// serially, so the price is its own compute over (epoch, idx] from the
+// recorded history, floored at 0. Replay runs no collectives, so it has no
+// Comm/Sync share; the bytes that restore the domain and re-send its halo
+// inputs are not priced.
 func (rec *recorder) replayPrice(c, idx int) (epoch int, replayT float64) {
 	epoch = -1
 	for _, es := range rec.epochSteps {
@@ -639,7 +623,7 @@ func (d *driver) repairCrash(rec *recorder, ce *mpi.CrashError, detected float64
 	var replayT float64
 	switch {
 	case local && rec.p < 2:
-		return fmt.Errorf("pmd: localized recovery needs a buddy rank: %w", ce)
+		return fmt.Errorf("pmd: localized recovery needs a surviving rank: %w", ce)
 	case local:
 		// The cluster resumes from the newest step EVERY rank completed
 		// (the recorder keeps all of them in local mode). Healthy ranks
@@ -687,20 +671,10 @@ func (d *driver) repairCrash(rec *recorder, ce *mpi.CrashError, detected float64
 		out.Breakdown.Replay += replayLost
 		out.Breakdown.Park += parked
 		lost = replayLost + parked
-		ev := recover.Event{
+		out.Local = append(out.Local, recover.Event{
 			Rank: c, EpochStep: base + epoch + 1, ResumeStep: d.stepsDone, ReplaySteps: rw.idx - epoch,
 			Detect: detected, Restore: rcfg.RestartCost, Replay: replayT, Park: parked,
-		}
-		if rec.micro != nil {
-			ev.Buddy = rec.micro.Buddy(c)
-			if mc, ok := rec.micro.Restore(c, rw.idx); ok {
-				ev.RestoredBytes = mc.Bytes
-			}
-			if c < len(rec.nbrs) {
-				ev.ResentBytes = rec.micro.Resent(rec.nbrs[c], epoch, rw.idx)
-			}
-		}
-		out.Local = append(out.Local, ev)
+		})
 	} else {
 		for _, li := range rw.lost {
 			lost += li
@@ -713,7 +687,7 @@ func (d *driver) repairCrash(rec *recorder, ce *mpi.CrashError, detected float64
 	})
 	d.count("repro_recoveries_total", "crash-and-rewind recovery cycles", 1)
 	if local {
-		d.count("repro_recoveries_localized_total", "localized (buddy-restore) crash repairs", 1)
+		d.count("repro_recoveries_localized_total", "localized crash repairs", 1)
 	}
 	d.count("repro_recovery_lost_seconds_total", "virtual seconds discarded by crash rewinds", lost)
 	if rec.inj != nil {

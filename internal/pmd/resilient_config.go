@@ -18,9 +18,11 @@ const (
 	// cluster. Lost work scales with rank count × checkpoint cadence.
 	RecoveryGlobal RecoveryKind = iota
 	// RecoveryLocal repairs only the crashed domain: a respawned rank
-	// restores it from its buddy's micro-checkpoint (taken at every
-	// neighbour-list rebuild epoch) and replays forward on re-sent halo
-	// messages while the healthy ranks park at their next collective.
+	// restores it at its newest completed neighbour-list rebuild epoch and
+	// replays forward while the healthy ranks park at their next
+	// collective. The repair is priced as RestartCost plus the crashed
+	// rank's compute since that epoch plus the park; the bytes that would
+	// restore the domain and re-send its halo inputs are not counted.
 	// Rank numbering and cluster size never change, so the recovered
 	// trajectory stays bitwise-identical to the fault-free run. Requires
 	// the spatial domain decomposition.

@@ -31,6 +31,53 @@ func TestLostConservation(t *testing.T) {
 	}
 }
 
+// TestReplayPriceRestoresNewestEpoch drives recorder.replayPrice over
+// random rebuild epochs, resume indices and per-step compute: the restore
+// epoch is the newest rebuild at or before the resume index (-1, the
+// attempt start, when there is none), and the replay costs the crashed
+// rank's compute since that epoch, floored at zero, or nothing when no
+// step completed.
+func TestReplayPriceRestoresNewestEpoch(t *testing.T) {
+	r := rng.New(28)
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + r.Intn(12) // history entries 0 … n-1, one per completed step
+		p := 1 + r.Intn(3)
+		c := r.Intn(p)
+		rec := &recorder{p: p, hist: make([][]ckptEntry, p)}
+		comp := make([]float64, n)
+		for k := range comp {
+			comp[k] = r.Range(0, 10)
+			rec.hist[c] = append(rec.hist[c], ckptEntry{step: k, acct: mpi.Accounting{Comp: comp[k]}})
+		}
+		for s := 0; s < n; s++ {
+			if r.Intn(3) == 0 {
+				rec.epochSteps = append(rec.epochSteps, s)
+			}
+		}
+		for idx := -1; idx < n; idx++ {
+			epoch, replayT := rec.replayPrice(c, idx)
+			wantEpoch := -1
+			for _, es := range rec.epochSteps {
+				if es <= idx {
+					wantEpoch = es
+				}
+			}
+			wantT := 0.0
+			if idx >= 0 {
+				wantT = comp[idx]
+				if wantEpoch >= 0 {
+					wantT -= comp[wantEpoch]
+				}
+				wantT = math.Max(wantT, 0)
+			}
+			if epoch != wantEpoch || replayT != wantT {
+				t.Fatalf("trial %d: epochs %v, idx %d: replayPrice = (%d, %g), want (%d, %g)",
+					trial, rec.epochSteps, idx, epoch, replayT, wantEpoch, wantT)
+			}
+		}
+	}
+}
+
 // TestRewindBooksEachRankOnce drives driver.rewind directly over random
 // histories and strategies: every rank's loss is what it spent past the
 // rewind point plus the strategy's extra (floored when clamped), the kept

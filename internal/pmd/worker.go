@@ -34,16 +34,18 @@ type energyPart struct {
 }
 
 // shared is the data blackboard the ranks exchange real values through.
-// The simulated collectives provide the ordering guarantees: a slot is
-// always written before the collective that logically transports it and
-// read only afterwards. Under host parallelism the same discipline makes
-// the physics closures race-free: a closure only reads remote slots whose
-// writers completed before a collective this rank has already exited.
+// The buffer tables below point at each rank's own working buffers; a
+// rank sets its entry once, in newWorker, and refills the buffer in place
+// every evaluation. The simulated collectives provide the ordering
+// guarantees: a buffer is always filled before the collective that
+// logically transports it and read only afterwards. Under host
+// parallelism the same discipline makes the physics closures race-free: a
+// closure only reads remote buffers whose writers completed before a
+// collective this rank has already exited.
 type shared struct {
-	posBlocks  [][]vec.V
-	classicFrc [][]vec.V
-	pmeFrc     [][]vec.V
-	energy     []energyPart
+	posBlocks [][]vec.V // owned position blocks
+	partials  [][]vec.V // partial forces: classic, then PME, per evaluation
+	energy    []energyPart
 
 	grids     [][]complex128   // full-size per-rank spread accumulations
 	tblocksF  [][][]complex128 // forward transpose blocks [src][dst]
@@ -150,18 +152,13 @@ func (sh *shared) sharedList(gen int, ffield *ff.ForceField, pos []vec.V) ([]spa
 // every snapshot when the run records a tape.
 func newShared(p int, cfg Config, seedEngine *md.Engine, tape *Tape) *shared {
 	sh := &shared{
-		posBlocks:  make([][]vec.V, p),
-		classicFrc: make([][]vec.V, p),
-		pmeFrc:     make([][]vec.V, p),
-		energy:     make([]energyPart, p),
-		grids:      make([][]complex128, p),
-		tblocksF:   make([][][]complex128, p),
-		tblocksB:   make([][][]complex128, p),
-		convSlabs:  make([][]complex128, p),
-	}
-	for i := 0; i < p; i++ {
-		sh.tblocksF[i] = make([][]complex128, p)
-		sh.tblocksB[i] = make([][]complex128, p)
+		posBlocks: make([][]vec.V, p),
+		partials:  make([][]vec.V, p),
+		energy:    make([]energyPart, p),
+		grids:     make([][]complex128, p),
+		tblocksF:  make([][][]complex128, p),
+		tblocksB:  make([][][]complex128, p),
+		convSlabs: make([][]complex128, p),
 	}
 	sh.pool = kernels.NewPool(cfg.MD.KernelWorkers)
 	if cfg.Decomp == DecompReplicated && seedEngine != nil {
@@ -400,6 +397,15 @@ func newWorker(r *mpi.Rank, cfg Config, sh *shared, seedEngine *md.Engine, tape 
 		w.packF[dst] = make([]complex128, w.myXW()*(w.yOff[dst+1]-w.yOff[dst])*pmeCfg.K3)
 		w.packB[dst] = make([]complex128, (w.xOff[dst+1]-w.xOff[dst])*w.myYW()*pmeCfg.K3)
 	}
+
+	// Publish the buffers the other ranks read; they never move.
+	me := w.me()
+	aLo, aHi := w.myAtoms()
+	sh.posBlocks[me] = w.pos[aLo:aHi]
+	sh.partials[me] = w.partial
+	sh.grids[me] = w.localGrid
+	sh.convSlabs[me] = w.slab
+	sh.tblocksF[me], sh.tblocksB[me] = w.packF, w.packB
 	return w
 }
 
@@ -585,8 +591,7 @@ func (replicatedDecomp) drift(w *worker, step int) {
 		wc.Integrate += nOwn
 	})
 
-	// Publish the block, all-gather positions, refresh the replica.
-	w.inline(func() { w.sh.posBlocks[w.me()] = w.pos[aLo:aHi] })
+	// All-gather positions, refresh the replica.
 	w.c.Allgatherv(w.blocks)
 	w.inline(func() {
 		for rk := 0; rk < w.p; rk++ {
