@@ -31,7 +31,7 @@ type Config struct {
 	Net         netmodel.Params
 	Middleware  pmd.MiddlewareKind
 	Decomp      pmd.DecompKind   // replicated (zero value) or domain decomposition
-	Recovery    pmd.RecoveryKind // global rewind (zero value) or localized buddy-restore
+	Recovery    pmd.RecoveryKind // global rewind (zero value) or localized epoch replay
 	Atoms       int              // solvated-box size (default 300)
 	Workers     []int            // host-worker counts cross-checked bitwise (default {1, 4})
 
@@ -232,7 +232,7 @@ func (h *Harness) Check(sc *fault.Scenario) (RunReport, *InvariantError, error) 
 		}
 	}
 
-	// Invariant: recovery fidelity — localized buddy-restore keeps the
+	// Invariant: recovery fidelity — localized epoch replay keeps the
 	// cluster at full size through every fault, so the trajectory must be
 	// bitwise identical to the fault-free run no matter what the scenario
 	// injected. (Global rewind legitimately re-tiles onto fewer ranks after

@@ -49,7 +49,7 @@ func TestSoakHoldsInvariants(t *testing.T) {
 }
 
 // TestSoakLocalizedRecovery runs the soak on the domain decomposition
-// with localized buddy-restore, which arms the extra recovery-fidelity
+// with localized epoch replay, which arms the extra recovery-fidelity
 // invariant: every faulted run must match the fault-free trajectory
 // bitwise because the cluster never shrinks.
 func TestSoakLocalizedRecovery(t *testing.T) {

@@ -103,7 +103,7 @@ func (a *App) KernelWorkersFlag(help string) {
 
 // RecoveryFlag registers -recovery.
 func (a *App) RecoveryFlag() {
-	a.fs.StringVar(&a.recovery, "recovery", "global", "crash recovery strategy: global (checkpoint rewind) or local (buddy-restore; needs -decomp domain)")
+	a.fs.StringVar(&a.recovery, "recovery", "global", "crash recovery strategy: global (checkpoint rewind) or local (epoch replay of the crashed domain; needs -decomp domain)")
 }
 
 // SkinFlags registers -skin, -tune-skin and -tune-window.

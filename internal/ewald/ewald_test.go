@@ -202,7 +202,7 @@ func TestFootprintCoversSpread(t *testing.T) {
 	r := rng.New(9)
 	for _, order := range []int{4, 5} {
 		p := NewPME(box, 0.5, 20, 24, 28, order)
-		grid := make([]complex128, p.GridLen())
+		grid := make([]float64, p.GridLen())
 		for trial := 0; trial < 200; trial++ {
 			pos := []vec.V{vec.New(r.Float64()*40-15, r.Float64()*40-15, r.Float64()*40-15)}
 			p.Spread(pos, []float64{-0.7}, 0, 1, grid)

@@ -63,15 +63,15 @@ type PME struct {
 	// Shard closures are bound once by NewPME (a per-call closure would
 	// allocate on every Recip); the per-call arguments travel through the
 	// c* fields below, set immediately before each pool.Run.
-	zeroFn, enerFn          func(int)
-	spreadEvenR, spreadOddR func(int)
-	spreadEvenC, spreadOddC func(int)
-	interpRFn, interpCFn    func(int)
-	cPos                    []vec.V
-	cQ                      []float64
-	cFrc                    []vec.V
-	cGrid, cConv            []complex128
-	cLo                     int
+	zeroFn, enerFn        func(int)
+	spreadEven, spreadOdd func(int)
+	interpRFn, interpCFn  func(int)
+	cPos                  []vec.V
+	cQ                    []float64
+	cFrc                  []vec.V
+	cGrid                 []float64
+	cConv                 []complex128
+	cLo                   int
 }
 
 // splineScratch is one shard's B-spline weights and their derivatives,
@@ -159,15 +159,13 @@ func (p *PME) bindShards() {
 		}
 		p.eParts[s] = e
 	}
-	p.spreadEvenR = func(s int) { p.spreadChunkReal(2*s, p.cPos, p.cQ, p.rgrid) }
-	p.spreadOddR = func(s int) { p.spreadChunkReal(2*s+1, p.cPos, p.cQ, p.rgrid) }
-	p.spreadEvenC = func(s int) { p.spreadChunkCmplx(2*s, p.cPos, p.cQ, p.cGrid) }
-	p.spreadOddC = func(s int) { p.spreadChunkCmplx(2*s+1, p.cPos, p.cQ, p.cGrid) }
+	p.spreadEven = func(s int) { p.spreadChunk(2*s, p.cPos, p.cQ, p.cGrid) }
+	p.spreadOdd = func(s int) { p.spreadChunk(2*s+1, p.cPos, p.cQ, p.cGrid) }
 	p.interpRFn = func(s int) {
 		p.interpolateRealRange(p.rconv, p.cPos, p.cQ, p.cLo+p.atomOff[s], p.cLo+p.atomOff[s+1], p.cFrc, &p.scratch[s])
 	}
 	p.interpCFn = func(s int) {
-		p.eParts[s] = p.interpolateRange(p.cConv, p.cPos, p.cQ, p.cLo+p.atomOff[s], p.cLo+p.atomOff[s+1], p.cFrc, &p.scratch[s])
+		p.interpolateRange(p.cConv, p.cPos, p.cQ, p.cLo+p.atomOff[s], p.cLo+p.atomOff[s+1], p.cFrc, &p.scratch[s])
 	}
 }
 
@@ -230,7 +228,7 @@ func (p *PME) Recip(pos []vec.V, charges []float64, frc []vec.V, w *work.Counter
 		p.allocRecip()
 	}
 	p.pool.Run(kernels.ShardCount, p.zeroFn)
-	p.spread(pos, charges, 0, len(pos), p.spreadEvenR, p.spreadOddR)
+	p.Spread(pos, charges, 0, len(pos), p.rgrid)
 	p.rplan.Forward(p.rgrid, p.spec) // rgrid preserved for the grid-dot check
 	p.pool.Run(kernels.ShardCount, p.enerFn)
 	var energy float64
@@ -253,15 +251,6 @@ func (p *PME) Recip(pos []vec.V, charges []float64, frc []vec.V, w *work.Counter
 	return energy
 }
 
-// spread buckets the atoms of [lo, hi) by x chunk and deposits them in two
-// parity passes; even and odd are the chunk closures of the target grid.
-func (p *PME) spread(pos []vec.V, charges []float64, lo, hi int, even, odd func(int)) {
-	p.bucketByChunk(pos, charges, lo, hi)
-	p.cPos, p.cQ = pos, charges
-	p.pool.Run((p.nChunks+1)/2, even)
-	p.pool.Run(p.nChunks/2, odd)
-}
-
 // bucketByChunk fills p.buckets with the atoms of [lo, hi) keyed by the
 // x chunk owning their B-spline support base, in ascending atom order.
 func (p *PME) bucketByChunk(pos []vec.V, charges []float64, lo, hi int) {
@@ -279,9 +268,9 @@ func (p *PME) bucketByChunk(pos []vec.V, charges []float64, lo, hi int) {
 	}
 }
 
-// spreadChunkReal deposits one chunk's bucketed atoms using the chunk's
+// spreadChunk deposits one chunk's bucketed atoms using the chunk's
 // private spline scratch.
-func (p *PME) spreadChunkReal(c int, pos []vec.V, charges []float64, grid []float64) {
+func (p *PME) spreadChunk(c int, pos []vec.V, charges []float64, grid []float64) {
 	order := p.Order
 	sc := &p.scratch[c]
 	w1, w2, w3, dw1, dw2, dw3 := sc.w1, sc.w2, sc.w3, sc.dw1, sc.dw2, sc.dw3
@@ -305,38 +294,6 @@ func (p *PME) spreadChunkReal(c int, pos []vec.V, charges []float64, grid []floa
 				base := (row + i2[b]) * p.K3
 				for c3 := 0; c3 < order; c3++ {
 					grid[base+i3[c3]] += qab * w3[c3]
-				}
-			}
-		}
-	}
-}
-
-// spreadChunkCmplx is spreadChunkReal onto a complex grid (the
-// distributed PME's local accumulation buffers).
-func (p *PME) spreadChunkCmplx(c int, pos []vec.V, charges []float64, grid []complex128) {
-	order := p.Order
-	sc := &p.scratch[c]
-	w1, w2, w3, dw1, dw2, dw3 := sc.w1, sc.w2, sc.w3, sc.dw1, sc.dw2, sc.dw3
-	var i1, i2, i3 [maxOrder]int
-	for _, ii := range p.buckets[c] {
-		i := int(ii)
-		q := charges[i]
-		f := p.Box.Frac(pos[i])
-		u1 := f.X * float64(p.K1)
-		u2 := f.Y * float64(p.K2)
-		u3 := f.Z * float64(p.K3)
-		k01 := splineWeights(order, u1, w1, dw1)
-		k02 := splineWeights(order, u2, w2, dw2)
-		k03 := splineWeights(order, u3, w3, dw3)
-		p.wrapIndices(k01, k02, k03, &i1, &i2, &i3)
-		for a := 0; a < order; a++ {
-			row := i1[a] * p.K2
-			qa := q * w1[a]
-			for b := 0; b < order; b++ {
-				qab := qa * w2[b]
-				base := (row + i2[b]) * p.K3
-				for c3 := 0; c3 < order; c3++ {
-					grid[base+i3[c3]] += complex(qab*w3[c3], 0)
 				}
 			}
 		}
@@ -386,11 +343,15 @@ func (p *PME) RecipEnergyGridDot() float64 {
 }
 
 // Spread deposits the charges of atoms [lo, hi) onto grid (row-major
-// K1×K2×K3, not zeroed here) with B-spline weights. The distributed PME
-// uses it per atom block; grid may be any rank's local accumulation buffer.
-func (p *PME) Spread(pos []vec.V, charges []float64, lo, hi int, grid []complex128) {
-	p.cGrid = grid
-	p.spread(pos, charges, lo, hi, p.spreadEvenC, p.spreadOddC)
+// K1×K2×K3, not zeroed here) with B-spline weights: it buckets the atoms by
+// x chunk and runs the chunk kernel in two parity passes. Recip spreads
+// through it, and the distributed PME per atom block onto a rank's own
+// accumulation grid.
+func (p *PME) Spread(pos []vec.V, charges []float64, lo, hi int, grid []float64) {
+	p.bucketByChunk(pos, charges, lo, hi)
+	p.cPos, p.cQ, p.cGrid = pos, charges, grid
+	p.pool.Run((p.nChunks+1)/2, p.spreadEven)
+	p.pool.Run(p.nChunks/2, p.spreadOdd)
 }
 
 // maxOrder bounds the interpolation order (NewPME rejects order > 8) so
@@ -454,32 +415,25 @@ func signedFreq(m, k int) float64 {
 	return float64(m - k)
 }
 
-// Interpolate differentiates the B-spline interpolant of the given conv
-// grid at the charge sites of atoms [lo, hi): F = −q·∇θ, with ∂u/∂x = K/L
-// per dimension. Forces accumulate into frc (when non-nil); the return
-// value is the partial ½ΣQ·conv energy over the block, its per-shard
-// partials merged in shard order, used as a consistency cross-check. The
-// distributed PME calls it per atom block with the allgathered conv grid.
-func (p *PME) Interpolate(conv []complex128, pos []vec.V, charges []float64, lo, hi int, frc []vec.V) float64 {
+// Interpolate differentiates the B-spline interpolant of the real part of
+// the given conv grid at the charge sites of atoms [lo, hi): F = −q·∇θ,
+// with ∂u/∂x = K/L per dimension. Forces accumulate into frc (when
+// non-nil). The distributed PME calls it per atom block with the shared
+// convolved mesh.
+func (p *PME) Interpolate(conv []complex128, pos []vec.V, charges []float64, lo, hi int, frc []vec.V) {
 	p.cConv = conv
 	p.interpolate(pos, charges, lo, hi, frc, p.interpCFn)
-	var e float64
-	for _, part := range p.eParts {
-		e += part
-	}
-	return e
 }
 
 // interpolateRange is Interpolate over atoms [lo, hi) with one shard's
 // spline scratch.
-func (p *PME) interpolateRange(conv []complex128, pos []vec.V, charges []float64, lo, hi int, frc []vec.V, sc *splineScratch) float64 {
+func (p *PME) interpolateRange(conv []complex128, pos []vec.V, charges []float64, lo, hi int, frc []vec.V, sc *splineScratch) {
 	w1, w2, w3, dw1, dw2, dw3 := sc.w1, sc.w2, sc.w3, sc.dw1, sc.dw2, sc.dw3
 	order := p.Order
 	s1 := float64(p.K1) / p.Box.L.X
 	s2 := float64(p.K2) / p.Box.L.Y
 	s3 := float64(p.K3) / p.Box.L.Z
 	var i1, i2, i3 [maxOrder]int
-	var e float64
 	for i := lo; i < hi; i++ {
 		r := pos[i]
 		q := charges[i]
@@ -494,30 +448,27 @@ func (p *PME) interpolateRange(conv []complex128, pos []vec.V, charges []float64
 		k02 := splineWeights(order, u2, w2, dw2)
 		k03 := splineWeights(order, u3, w3, dw3)
 		p.wrapIndices(k01, k02, k03, &i1, &i2, &i3)
-		var gx, gy, gz, pot float64
+		var gx, gy, gz float64
 		for a := 0; a < order; a++ {
 			for b := 0; b < order; b++ {
 				base := (i1[a]*p.K2 + i2[b]) * p.K3
 				for c := 0; c < order; c++ {
 					t := real(conv[base+i3[c]])
-					pot += w1[a] * w2[b] * w3[c] * t
 					gx += dw1[a] * w2[b] * w3[c] * t
 					gy += w1[a] * dw2[b] * w3[c] * t
 					gz += w1[a] * w2[b] * dw3[c] * t
 				}
 			}
 		}
-		e += 0.5 * q * pot
 		if frc != nil {
 			frc[i] = frc[i].Add(vec.New(-q*gx*s1, -q*gy*s2, -q*gz*s3))
 		}
 	}
-	return e
 }
 
 // interpolateRealRange is interpolateRange over Recip's real conv grid,
 // with the products regrouped to hoist the a/b spline factors out of the
-// inner loop; it returns no energy.
+// inner loop.
 func (p *PME) interpolateRealRange(conv []float64, pos []vec.V, charges []float64, lo, hi int, frc []vec.V, sc *splineScratch) {
 	w1, w2, w3, dw1, dw2, dw3 := sc.w1, sc.w2, sc.w3, sc.dw1, sc.dw2, sc.dw3
 	order := p.Order

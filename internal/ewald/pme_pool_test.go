@@ -76,7 +76,7 @@ func TestRecipPooledMatchesSerialToRoundoff(t *testing.T) {
 
 // serialSpread is the plain spread: every charged atom in index order
 // deposits its order³ support onto grid.
-func serialSpread(p *PME, pos []vec.V, charges []float64, grid []complex128) {
+func serialSpread(p *PME, pos []vec.V, charges []float64, grid []float64) {
 	order := p.Order
 	w1, w2, w3 := make([]float64, order), make([]float64, order), make([]float64, order)
 	dw := make([]float64, order)
@@ -93,7 +93,7 @@ func serialSpread(p *PME, pos []vec.V, charges []float64, grid []complex128) {
 			for b := 0; b < order; b++ {
 				base := (mod(k01+a, p.K1)*p.K2 + mod(k02+b, p.K2)) * p.K3
 				for c := 0; c < order; c++ {
-					grid[base+mod(k03+c, p.K3)] += complex(q*w1[a]*w2[b]*w3[c], 0)
+					grid[base+mod(k03+c, p.K3)] += q * w1[a] * w2[b] * w3[c]
 				}
 			}
 		}
@@ -113,15 +113,15 @@ func TestSpreadChunkedMatchesSerial(t *testing.T) {
 	if pooled.nChunks < 4 {
 		t.Fatal("paper-scale mesh should enable chunked spread")
 	}
-	gs := make([]complex128, pooled.GridLen())
-	gp := make([]complex128, pooled.GridLen())
+	gs := make([]float64, pooled.GridLen())
+	gp := make([]float64, pooled.GridLen())
 	serialSpread(pooled, pos, charges, gs)
 	pooled.Spread(pos, charges, 0, len(pos), gp)
 	var sumS, sumP float64
 	for i := range gs {
-		sumS += real(gs[i])
-		sumP += real(gp[i])
-		if d := real(gs[i]) - real(gp[i]); math.Abs(d) > 1e-12 {
+		sumS += gs[i]
+		sumP += gp[i]
+		if d := gs[i] - gp[i]; math.Abs(d) > 1e-12 {
 			t.Fatalf("grid[%d]: serial %v pooled %v", i, gs[i], gp[i])
 		}
 	}
@@ -129,7 +129,7 @@ func TestSpreadChunkedMatchesSerial(t *testing.T) {
 		t.Fatalf("grid charge sums differ: %v vs %v", sumS, sumP)
 	}
 	// Bitwise repeatability of the pooled spread itself.
-	gp2 := make([]complex128, pooled.GridLen())
+	gp2 := make([]float64, pooled.GridLen())
 	pooled.Spread(pos, charges, 0, len(pos), gp2)
 	for i := range gp {
 		if gp[i] != gp2[i] {
@@ -142,8 +142,8 @@ func TestSpreadChunkedMatchesSerial(t *testing.T) {
 	if narrow.nChunks != 1 {
 		t.Fatalf("a 12-plane mesh at order 4 has %d chunks, want 1", narrow.nChunks)
 	}
-	gs = make([]complex128, narrow.GridLen())
-	gp = make([]complex128, narrow.GridLen())
+	gs = make([]float64, narrow.GridLen())
+	gp = make([]float64, narrow.GridLen())
 	serialSpread(narrow, pos, charges, gs)
 	narrow.Spread(pos, charges, 0, len(pos), gp)
 	for i := range gs {

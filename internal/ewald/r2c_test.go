@@ -19,9 +19,12 @@ import (
 // pipeline and returns the k-space energy and the grid-dot energy
 // ½ΣQ·conv; forces accumulate into frc when non-nil.
 func complexRecip(p *PME, pos []vec.V, charges []float64, frc []vec.V) (energy, gridDot float64) {
-	grid := make([]complex128, p.GridLen())
+	grid := make([]float64, p.GridLen())
 	p.Spread(pos, charges, 0, len(pos), grid)
-	conv := append([]complex128(nil), grid...)
+	conv := make([]complex128, len(grid))
+	for i, q := range grid {
+		conv[i] = complex(q, 0)
+	}
 	plan := fft.NewPlan3D(p.K1, p.K2, p.K3)
 	plan.Forward(conv)
 	idx := 0
@@ -39,7 +42,7 @@ func complexRecip(p *PME, pos []vec.V, charges []float64, frc []vec.V) (energy, 
 	plan.Inverse(conv)
 	p.Interpolate(conv, pos, charges, 0, len(pos), frc)
 	for i := range grid {
-		gridDot += real(grid[i]) * real(conv[i])
+		gridDot += grid[i] * real(conv[i])
 	}
 	return energy, 0.5 * gridDot
 }

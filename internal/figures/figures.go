@@ -73,7 +73,7 @@ type Config struct {
 
 	// RecoveryProcs and RecoveryCrashes shape the lost-work study: domain
 	// rank counts × injected crash counts, each run under both the global
-	// rewind and the localized buddy-restore strategy.
+	// rewind and the localized epoch-replay strategy.
 	RecoveryProcs   []int
 	RecoveryCrashes []int
 

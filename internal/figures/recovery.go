@@ -205,7 +205,7 @@ func renderRecovery(s *Suite, w io.Writer, rows []Row, csv bool) error {
 
 // textRecovery writes the sweep table and the per-cell verdicts.
 func textRecovery(w io.Writer, c *RecoveryResult) error {
-	fmt.Fprintln(w, "Surviving crashes at scale — global checkpoint rewind vs localized buddy-restore")
+	fmt.Fprintln(w, "Surviving crashes at scale — global checkpoint rewind vs localized epoch replay")
 	var cells [][]string
 	for _, r := range c.Rows {
 		if r.Err != "" {
@@ -260,11 +260,11 @@ func textRecovery(w io.Writer, c *RecoveryResult) error {
 	fmt.Fprintln(w, "\nA global rewind discards every rank's work back to the last full-cluster")
 	fmt.Fprintln(w, "checkpoint and re-tiles the domain grid over one fewer node — lost work grows")
 	fmt.Fprintln(w, "with cluster size exactly when crashes get more frequent, and the shrunken")
-	fmt.Fprintln(w, "grid changes the trajectory. The localized repair restores one domain from")
-	fmt.Fprintln(w, "its buddy's micro-checkpoint and replays it on re-sent halo messages while")
-	fmt.Fprintln(w, "the healthy ranks park at the next collective: the cluster keeps its size,")
-	fmt.Fprintln(w, "the trajectory keeps its bits, and the lost work stays bounded by one")
-	fmt.Fprintln(w, "domain's replay plus the park.")
+	fmt.Fprintln(w, "grid changes the trajectory. The localized repair respawns the crashed rank,")
+	fmt.Fprintln(w, "restores its domain at the newest completed rebuild epoch and replays it")
+	fmt.Fprintln(w, "while the healthy ranks park at the next collective: the cluster keeps its")
+	fmt.Fprintln(w, "size, the trajectory keeps its bits, and the lost work stays bounded by one")
+	fmt.Fprintln(w, "domain's replay plus the park. Halo re-send bytes are not counted.")
 	return nil
 }
 

@@ -68,7 +68,7 @@ type canonical struct {
 	plan1d *fft.Plan
 
 	// Scratch reused across evaluations (never concurrent, see above).
-	scratchGrid []complex128 // one rank's spread contribution
+	scratchGrid []float64    // one rank's spread contribution
 	fullGrid    []complex128 // assembled grid / spectrum / potential
 	partial     []vec.V
 
@@ -130,7 +130,7 @@ func newCanonical(p int, cfg Config, sh *shared, seedEngine *md.Engine, keep boo
 	c.nbk.SetPool(sh.pool)
 	c.pme.SetPool(sh.pool)
 	g := pmeCfg.K1 * pmeCfg.K2 * pmeCfg.K3
-	c.scratchGrid = make([]complex128, g)
+	c.scratchGrid = make([]float64, g)
 	c.fullGrid = make([]complex128, g)
 	c.partial = make([]vec.V, n)
 	c.geo = newDomainGeometry(p, cfg)
@@ -286,7 +286,7 @@ func (c *canonical) forceEval(st *canonState) {
 					base := (a*k2 + b) * k3
 					for _, z := range i3[:order] {
 						if s := c.scratchGrid[base+z]; s != 0 {
-							c.fullGrid[base+z] += s
+							c.fullGrid[base+z] += complex(s, 0)
 							c.scratchGrid[base+z] = 0
 						}
 					}

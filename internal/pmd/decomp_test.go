@@ -173,6 +173,53 @@ func TestFactor3Properties(t *testing.T) {
 	}
 }
 
+// TestSizeTablesTileTheMesh: the replicated ranks read the shared mesh in
+// place, so no executed copy checks the bytes the model ships for the grid
+// assembly, the two transposes and the potential all-gather. On the
+// paper's mesh, at rank counts with and without idle y-line owners, the
+// tables must tile it: no rank sends to itself, the backward transpose is
+// the forward one reversed, a rank's forward blocks plus the block it
+// keeps cover its x-slab, and the all-gather assembles the whole mesh.
+func TestSizeTablesTileTheMesh(t *testing.T) {
+	pme := md.PaperPME()
+	k1, k2, k3 := pme.K1, pme.K2, pme.K3
+	for _, p := range []int{1, 2, 3, 8, 16, 36, 37, 64, 80} {
+		xOff := kernels.Partition(k1, p, nil)
+		yOff := kernels.Partition(k2, p, nil)
+		tb := newSizeTables(kernels.Partition(3552, p, nil), xOff, yOff, k2, k3)
+		var tf, kept, conv int
+		for i := 0; i < p; i++ {
+			xW, yW := xOff[i+1]-xOff[i], yOff[i+1]-yOff[i]
+			if tb.sizesGrid[i][i] != 0 || tb.sizesTF[i][i] != 0 || tb.sizesTB[i][i] != 0 {
+				t.Fatalf("p=%d: rank %d sends to itself", p, i)
+			}
+			var rowTF, rowGrid int
+			for j := 0; j < p; j++ {
+				if tb.sizesTB[i][j] != tb.sizesTF[j][i] {
+					t.Fatalf("p=%d: sizesTB[%d][%d] = %d, sizesTF[%d][%d] = %d", p, i, j, tb.sizesTB[i][j], j, i, tb.sizesTF[j][i])
+				}
+				rowTF += tb.sizesTF[i][j]
+				rowGrid += tb.sizesGrid[i][j]
+			}
+			if want := 16 * xW * (k2 - yW) * k3; rowTF != want {
+				t.Fatalf("p=%d: rank %d ships %d forward-transpose bytes, want %d", p, i, rowTF, want)
+			}
+			if want := 8 * (k1 - xW) * k2 * k3; rowGrid != want {
+				t.Fatalf("p=%d: rank %d ships %d grid bytes, want %d", p, i, rowGrid, want)
+			}
+			tf += rowTF
+			kept += 16 * xW * yW * k3
+			conv += tb.blocksConv[i]
+		}
+		if tf+kept != 16*k1*k2*k3 {
+			t.Fatalf("p=%d: forward transpose %d + kept %d bytes, want the mesh's %d", p, tf, kept, 16*k1*k2*k3)
+		}
+		if conv != 8*k1*k2*k3 {
+			t.Fatalf("p=%d: potential all-gather %d bytes, want %d", p, conv, 8*k1*k2*k3)
+		}
+	}
+}
+
 // runDecomp executes the shared test workload under the given
 // decomposition, middleware and host-worker count.
 func runDecomp(t *testing.T, decomp DecompKind, p, steps, workers, kernelWorkers int, mw MiddlewareKind) *Result {

@@ -66,7 +66,7 @@ func spectrumLines(plan *fft.Plan, pme *ewald.PME, buf []complex128, base, strid
 }
 
 // recipForces interpolates the PME forces of atoms [lo, hi) from the
-// convolved potential into out (zeroed first), adds the excluded-pair
+// convolved potential mesh into out (zeroed first), adds the excluded-pair
 // correction of the same exclusion rows and returns its energy.
 func recipForces(pme *ewald.PME, sys *topol.System, conv []complex128, pos []vec.V,
 	charges []float64, lo, hi int, out []vec.V, wc *work.Counters) float64 {
@@ -84,9 +84,10 @@ func recipForces(pme *ewald.PME, sys *topol.System, conv []complex128, pos []vec
 // the original straight-line version, so the event sequence is unchanged),
 // each declaring an exact-where-possible work lower bound so the host-
 // parallel scheduler can overlap segments of different ranks. Everything
-// between segments — publishing shared slots, force combines, transpose
-// packing — is zero-cost bookkeeping and stays inline on the scheduler
-// thread.
+// between segments — publishing shared slots, force combines — is
+// zero-cost bookkeeping and stays inline on the scheduler thread. The PME
+// segments read and write the shared mesh under the ordering rule the
+// shared type states.
 func (w *worker) computeForces(st *StepTiming, tr phaseTracker) md.EnergyReport {
 	sys := w.cfg.System
 	n := sys.N()
@@ -181,60 +182,45 @@ func (w *worker) computeForces(st *StepTiming, tr phaseTracker) md.EnergyReport 
 
 	// Spread own atoms onto the full local accumulation grid.
 	w.seg(work.Counters{GridCharges: nOwn * o3}, func(wp *work.Counters) {
-		for i := range w.localGrid {
-			w.localGrid[i] = 0
-		}
+		clear(w.localGrid)
 		w.pme.Spread(w.pos, charges, aLo, aHi, w.localGrid)
 		wp.GridCharges += nOwn * o3
 	})
 
-	// Grid assembly: personalized all-to-all, then sum incoming slab
-	// pieces into the owned x-slab, and forward 2-D FFTs over the owned
-	// planes. Both counts are exact, so the bound is exact.
+	// Grid assembly: personalized all-to-all, then sum every rank's grid,
+	// rank-ascending, into the owned x-planes of the shared mesh, and
+	// forward 2-D FFTs over those planes in place. Both counts are exact,
+	// so the bound is exact.
 	w.c.Alltoallv(w.sizesGrid)
+	xLo, xHi := w.xOff[me]*planeLen, w.xOff[me+1]*planeLen
 	var minP2 work.Counters
 	if w.replay == nil {
 		minP2 = work.Counters{
-			RecipPoints: int64(w.p-1) * int64(len(w.slab)),
+			RecipPoints: int64(w.p-1) * int64(xHi-xLo),
 			FFTOps:      int64(w.myXW()) * w.plan2d.Ops(),
 		}
 	}
 	w.seg(minP2, func(wp *work.Counters) {
-		slabOff := w.xOff[me] * planeLen
-		for i := range w.slab {
-			w.slab[i] = 0
-		}
+		planes := w.sh.mesh[xLo:xHi]
+		clear(planes)
 		for rk := 0; rk < w.p; rk++ {
-			src := w.sh.grids[rk]
-			for i := range w.slab {
-				w.slab[i] += src[slabOff+i]
+			for i, q := range w.sh.grids[rk][xLo:xHi] {
+				planes[i] += complex(q, 0)
 			}
 		}
-		wp.RecipPoints += int64(w.p-1) * int64(len(w.slab))
-		for x := 0; x < w.myXW(); x++ {
-			w.plan2d.Forward(w.slab[x*planeLen : (x+1)*planeLen])
+		wp.RecipPoints += int64(w.p-1) * int64(len(planes))
+		for x := 0; x < len(planes); x += planeLen {
+			w.plan2d.Forward(planes[x : x+planeLen])
 		}
 		wp.FFTOps += int64(w.myXW()) * w.plan2d.Ops()
 	})
 
-	// Forward transpose: ship (myX × yW(dst) × K3) blocks.
-	w.inline(func() {
-		for dst := 0; dst < w.p; dst++ {
-			yLo, yHi := w.yOff[dst], w.yOff[dst+1]
-			block := w.packF[dst]
-			bi := 0
-			for x := 0; x < w.myXW(); x++ {
-				for y := yLo; y < yHi; y++ {
-					copy(block[bi:bi+k3], w.slab[(x*k2+y)*k3:(x*k2+y)*k3+k3])
-					bi += k3
-				}
-			}
-		}
-	})
+	// Forward transpose: the model ships (myX × yW(dst) × K3) blocks and
+	// prices their unpacking; the spectrum segment reads them in the mesh.
 	w.c.Alltoallv(w.sizesTF)
 
-	// Unpack into the transposed layout, then 1-D FFTs along x, influence
-	// multiply on the owned spectrum lines, inverse 1-D FFTs.
+	// 1-D FFTs along x, influence multiply on the owned spectrum lines,
+	// inverse 1-D FFTs.
 	var minP3 work.Counters
 	if w.replay == nil {
 		minP3 = work.Counters{
@@ -245,46 +231,18 @@ func (w *worker) computeForces(st *StepTiming, tr phaseTracker) md.EnergyReport 
 	}
 	var eRecip float64
 	w.seg(minP3, func(wp *work.Counters) {
-		for src := 0; src < w.p; src++ {
-			block := w.sh.tblocksF[src][me]
-			xw := w.xOff[src+1] - w.xOff[src]
-			bi := 0
-			for xx := 0; xx < xw; xx++ {
-				x := w.xOff[src] + xx
-				for yy := 0; yy < myYW; yy++ {
-					copy(w.xlines[(x*myYW+yy)*k3:(x*myYW+yy)*k3+k3], block[bi:bi+k3])
-					bi += k3
-				}
-			}
-		}
 		wp.Other += int64(k1 * myYW * k3)
-
-		// The x lines of one y are k3 adjacent lines of stride myYW·k3.
-		for yy := 0; yy < myYW; yy++ {
-			eRecip = spectrumLines(w.plan1d, w.pme, w.xlines, yy*k3, myYW*k3, k1, k3, w.yOff[me]+yy, eRecip)
+		// The x lines of one y are k3 adjacent lines of stride planeLen.
+		for y := w.yOff[me]; y < w.yOff[me+1]; y++ {
+			eRecip = spectrumLines(w.plan1d, w.pme, w.sh.mesh, y*k3, planeLen, k1, k3, y, eRecip)
 		}
 		wp.FFTOps += 2 * int64(myYW*k3) * w.plan1d.Ops()
 		wp.RecipPoints += int64(k1 * myYW * k3)
 	})
 
-	// Backward transpose: return (xW(dst) × myY × K3) blocks.
-	w.inline(func() {
-		for dst := 0; dst < w.p; dst++ {
-			xLo, xHi := w.xOff[dst], w.xOff[dst+1]
-			block := w.packB[dst]
-			bi := 0
-			for x := xLo; x < xHi; x++ {
-				for yy := 0; yy < myYW; yy++ {
-					copy(block[bi:bi+k3], w.xlines[(x*myYW+yy)*k3:(x*myYW+yy)*k3+k3])
-					bi += k3
-				}
-			}
-		}
-	})
+	// Backward transpose: the model returns (xW(dst) × myY × K3) blocks;
+	// inverse 2-D FFTs complete the convolution on the owned planes.
 	w.c.Alltoallv(w.sizesTB)
-
-	// Unpack, then inverse 2-D FFTs complete the convolution on the owned
-	// planes.
 	var minP4 work.Counters
 	if w.replay == nil {
 		minP4 = work.Counters{
@@ -293,20 +251,10 @@ func (w *worker) computeForces(st *StepTiming, tr phaseTracker) md.EnergyReport 
 		}
 	}
 	w.seg(minP4, func(wp *work.Counters) {
-		for src := 0; src < w.p; src++ {
-			block := w.sh.tblocksB[src][me]
-			yLo, yHi := w.yOff[src], w.yOff[src+1]
-			bi := 0
-			for xx := 0; xx < w.myXW(); xx++ {
-				for y := yLo; y < yHi; y++ {
-					copy(w.slab[(xx*k2+y)*k3:(xx*k2+y)*k3+k3], block[bi:bi+k3])
-					bi += k3
-				}
-			}
-		}
 		wp.Other += int64(w.myXW() * k2 * k3)
-		for x := 0; x < w.myXW(); x++ {
-			w.plan2d.Inverse(w.slab[x*planeLen : (x+1)*planeLen])
+		planes := w.sh.mesh[xLo:xHi]
+		for x := 0; x < len(planes); x += planeLen {
+			w.plan2d.Inverse(planes[x : x+planeLen])
 		}
 		wp.FFTOps += int64(w.myXW()) * w.plan2d.Ops()
 	})
@@ -315,10 +263,10 @@ func (w *worker) computeForces(st *StepTiming, tr phaseTracker) md.EnergyReport 
 	// forces of its own atoms.
 	w.c.Allgatherv(w.blocksConv)
 
-	// Assemble the full potential grid, interpolate PME forces for the
-	// owned atoms, add the excluded-pair correction for the owned
-	// exclusion rows (the correction's pair evaluations only add on top
-	// of the exact assembly + interpolation bound).
+	// Interpolate PME forces for the owned atoms from the assembled mesh
+	// and add the excluded-pair correction for the owned exclusion rows
+	// (the correction's pair evaluations only add on top of the exact
+	// assembly + interpolation bound).
 	var minP5 work.Counters
 	if w.replay == nil {
 		minP5 = work.Counters{
@@ -328,10 +276,9 @@ func (w *worker) computeForces(st *StepTiming, tr phaseTracker) md.EnergyReport 
 	}
 	var eExcl float64
 	w.seg(minP5, func(wp *work.Counters) {
-		conv := w.sh.conv.assembled(w.eval, w.sh.convSlabs, w.xOff, planeLen)
 		wp.Other += int64(k1 * planeLen)
 		wp.GridCharges += nOwn * o3
-		eExcl = recipForces(w.pme, sys, conv, w.pos, charges, aLo, aHi, w.partial, wp)
+		eExcl = recipForces(w.pme, sys, w.sh.mesh, w.pos, charges, aLo, aHi, w.partial, wp)
 	})
 
 	w.inline(func() {

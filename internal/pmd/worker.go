@@ -46,11 +46,7 @@ type shared struct {
 	posBlocks [][]vec.V // owned position blocks
 	partials  [][]vec.V // partial forces: classic, then PME, per evaluation
 	energy    []energyPart
-
-	grids     [][]complex128   // full-size per-rank spread accumulations
-	tblocksF  [][][]complex128 // forward transpose blocks [src][dst]
-	tblocksB  [][][]complex128 // backward transpose blocks [src][dst]
-	convSlabs [][]complex128   // final x-slabs of the convolved potential
+	grids     [][]float64 // full-size per-rank spread accumulations
 
 	lists listCache
 
@@ -61,11 +57,22 @@ type shared struct {
 	// evaluation totalEval on, the classic+PME total; the other ranks copy
 	// it. Both combines are inline code, so one rank at a time is in them,
 	// and the collectives between two combine points keep a lagging reader
-	// ahead of the next writer. conv is the same for the assembled
-	// potential grid, which the interpolation segments share.
+	// ahead of the next writer.
 	frcSum                 []vec.V
 	classicEval, totalEval int
-	conv                   convGrid
+
+	// mesh is the replicated run's one K1×K2×K3 complex PME mesh, which
+	// every rank transforms in place. Each stage of an evaluation touches
+	// only the rank's own part: the slab sum and the forward and inverse
+	// 2-D FFTs its own x-planes, the spectrum segment its own y-lines
+	// across every plane; the interpolation reads the whole mesh. The
+	// collective before each stage — the grid all-to-all, the two dense
+	// transposes, the potential all-gather — is one no rank leaves until
+	// every rank has finished the stage before. (The dense Alltoallv
+	// exchanges zero-byte blocks too, so this holds when p > K2 leaves
+	// ranks without y-lines.) The PME all-reduce separates an evaluation's
+	// interpolation from the next evaluation's slab sum.
+	mesh []complex128
 
 	// pool is the host-core kernel pool shared by every rank's kernels.
 	// Sharing one pool bounds the total helper-goroutine concurrency of an
@@ -104,31 +111,6 @@ type listEntry struct {
 	distEvals int64
 }
 
-// convGrid is the convolved potential grid assembled from every rank's
-// x-slab: once per force evaluation, by the first interpolation segment to
-// ask for it, while the others wait on the lock and then read it. One grid
-// serves every evaluation for the reason listCache gives for its
-// generations: a rank enters the all-gather that precedes the next assembly
-// only after its own interpolation segment returned, and no rank leaves
-// that all-gather before every rank entered it.
-type convGrid struct {
-	mu   sync.Mutex
-	eval int // the evaluation grid holds; evaluations count from 1
-	grid []complex128
-}
-
-func (c *convGrid) assembled(eval int, slabs [][]complex128, xOff []int, planeLen int) []complex128 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.eval != eval {
-		for rk, slab := range slabs {
-			copy(c.grid[xOff[rk]*planeLen:xOff[rk+1]*planeLen], slab)
-		}
-		c.eval = eval
-	}
-	return c.grid
-}
-
 // sharedList returns the neighbour list of generation gen, building it
 // exactly once per run across all ranks.
 func (sh *shared) sharedList(gen int, ffield *ff.ForceField, pos []vec.V) ([]space.Pair, int64) {
@@ -155,15 +137,12 @@ func newShared(p int, cfg Config, seedEngine *md.Engine, tape *Tape) *shared {
 		posBlocks: make([][]vec.V, p),
 		partials:  make([][]vec.V, p),
 		energy:    make([]energyPart, p),
-		grids:     make([][]complex128, p),
-		tblocksF:  make([][][]complex128, p),
-		tblocksB:  make([][][]complex128, p),
-		convSlabs: make([][]complex128, p),
+		grids:     make([][]float64, p),
 	}
 	sh.pool = kernels.NewPool(cfg.MD.KernelWorkers)
 	if cfg.Decomp == DecompReplicated && seedEngine != nil {
 		sh.frcSum = make([]vec.V, cfg.System.N())
-		sh.conv.grid = make([]complex128, cfg.MD.PME.K1*cfg.MD.PME.K2*cfg.MD.PME.K3)
+		sh.mesh = make([]complex128, cfg.MD.PME.K1*cfg.MD.PME.K2*cfg.MD.PME.K3)
 	}
 	if cfg.Decomp == DecompDomain && seedEngine != nil {
 		sh.canon = newCanonical(p, cfg, sh, seedEngine, tape != nil)
@@ -247,21 +226,13 @@ type worker struct {
 	pairOff    []int // nonbonded pair list (rebuilt with the list)
 	classicParts
 
-	// Collective size tables; fixed by the partitions, computed once.
-	blocks     []int   // position all-gather
-	blocksConv []int   // convolved-potential all-gather
-	sizesGrid  [][]int // grid-assembly all-to-all
-	sizesTF    [][]int // forward transpose
-	sizesTB    [][]int // backward transpose
+	sizeTables
 
-	// PME working buffers, reused across steps.
-	localGrid []complex128 // full grid, own-atom spreading
-	slab      []complex128 // owned x-slab [myX][K2][K3]
-	xlines    []complex128 // transposed layout [K1][myY][K3]
+	// PME working state, reused across steps. The rank transforms its own
+	// x-planes and y-lines of the shared mesh with its own plans.
+	localGrid []float64 // full grid, own-atom spreading
 	plan2d    *fft.Plan2D
 	plan1d    *fft.Plan
-	packF     [][]complex128 // forward transpose send blocks, per dst
-	packB     [][]complex128 // backward transpose send blocks, per dst
 
 	integ *md.Integrator // the seed engine's, shared read-only by all ranks
 }
@@ -335,29 +306,7 @@ func newWorker(r *mpi.Rank, cfg Config, sh *shared, seedEngine *md.Engine, tape 
 	w.plan2d = fft.NewPlan2D(pmeCfg.K2, pmeCfg.K3)
 	w.plan1d = fft.NewPlan(pmeCfg.K1)
 
-	w.blocks = make([]int, p)
-	w.blocksConv = make([]int, p)
-	planeLen := pmeCfg.K2 * pmeCfg.K3
-	for i := 0; i < p; i++ {
-		w.blocks[i] = bytesPerCoord * (w.atomOff[i+1] - w.atomOff[i])
-		w.blocksConv[i] = bytesPerRealPoint * (w.xOff[i+1] - w.xOff[i]) * planeLen
-	}
-	w.sizesGrid = make([][]int, p)
-	w.sizesTF = make([][]int, p)
-	w.sizesTB = make([][]int, p)
-	for i := 0; i < p; i++ {
-		w.sizesGrid[i] = make([]int, p)
-		w.sizesTF[i] = make([]int, p)
-		w.sizesTB[i] = make([]int, p)
-		for j := 0; j < p; j++ {
-			if i == j {
-				continue
-			}
-			w.sizesGrid[i][j] = bytesPerRealPoint * (w.xOff[j+1] - w.xOff[j]) * planeLen
-			w.sizesTF[i][j] = bytesPerPoint * (w.xOff[i+1] - w.xOff[i]) * (w.yOff[j+1] - w.yOff[j]) * pmeCfg.K3
-			w.sizesTB[i][j] = bytesPerPoint * (w.xOff[j+1] - w.xOff[j]) * (w.yOff[i+1] - w.yOff[i]) * pmeCfg.K3
-		}
-	}
+	w.sizeTables = newSizeTables(w.atomOff, w.xOff, w.yOff, pmeCfg.K2, pmeCfg.K3)
 
 	if w.replay != nil {
 		// Replay charges recorded counters; no physics state needed.
@@ -387,16 +336,7 @@ func newWorker(r *mpi.Rank, cfg Config, sh *shared, seedEngine *md.Engine, tape 
 	w.nbk.SetPool(sh.pool)
 	w.pme.SetPool(sh.pool)
 
-	g := pmeCfg.K1 * planeLen
-	w.localGrid = make([]complex128, g)
-	w.slab = make([]complex128, w.myXW()*planeLen)
-	w.xlines = make([]complex128, pmeCfg.K1*w.myYW()*pmeCfg.K3)
-	w.packF = make([][]complex128, p)
-	w.packB = make([][]complex128, p)
-	for dst := 0; dst < p; dst++ {
-		w.packF[dst] = make([]complex128, w.myXW()*(w.yOff[dst+1]-w.yOff[dst])*pmeCfg.K3)
-		w.packB[dst] = make([]complex128, (w.xOff[dst+1]-w.xOff[dst])*w.myYW()*pmeCfg.K3)
-	}
+	w.localGrid = make([]float64, pmeCfg.K1*pmeCfg.K2*pmeCfg.K3)
 
 	// Publish the buffers the other ranks read; they never move.
 	me := w.me()
@@ -404,9 +344,50 @@ func newWorker(r *mpi.Rank, cfg Config, sh *shared, seedEngine *md.Engine, tape 
 	sh.posBlocks[me] = w.pos[aLo:aHi]
 	sh.partials[me] = w.partial
 	sh.grids[me] = w.localGrid
-	sh.convSlabs[me] = w.slab
-	sh.tblocksF[me], sh.tblocksB[me] = w.packF, w.packB
 	return w
+}
+
+// sizeTables are the replicated path's collective size tables, fixed by
+// the partitions and computed once per rank. They are what the model
+// ships; the host moves none of these bytes, because the ranks read each
+// other's grids and the shared mesh in place.
+type sizeTables struct {
+	blocks     []int   // position all-gather
+	blocksConv []int   // convolved-potential all-gather
+	sizesGrid  [][]int // grid-assembly all-to-all
+	sizesTF    [][]int // forward transpose
+	sizesTB    [][]int // backward transpose
+}
+
+// newSizeTables builds the tables of p = len(atomOff)−1 ranks owning the
+// atom blocks of atomOff, the mesh x-planes of xOff and the spectrum
+// y-lines of yOff, on a mesh of k2·k3-point planes.
+func newSizeTables(atomOff, xOff, yOff []int, k2, k3 int) sizeTables {
+	p := len(atomOff) - 1
+	planeLen := k2 * k3
+	t := sizeTables{
+		blocks:     make([]int, p),
+		blocksConv: make([]int, p),
+		sizesGrid:  make([][]int, p),
+		sizesTF:    make([][]int, p),
+		sizesTB:    make([][]int, p),
+	}
+	for i := 0; i < p; i++ {
+		t.blocks[i] = bytesPerCoord * (atomOff[i+1] - atomOff[i])
+		t.blocksConv[i] = bytesPerRealPoint * (xOff[i+1] - xOff[i]) * planeLen
+		t.sizesGrid[i] = make([]int, p)
+		t.sizesTF[i] = make([]int, p)
+		t.sizesTB[i] = make([]int, p)
+		for j := 0; j < p; j++ {
+			if i == j {
+				continue
+			}
+			t.sizesGrid[i][j] = bytesPerRealPoint * (xOff[j+1] - xOff[j]) * planeLen
+			t.sizesTF[i][j] = bytesPerPoint * (xOff[i+1] - xOff[i]) * (yOff[j+1] - yOff[j]) * k3
+			t.sizesTB[i][j] = bytesPerPoint * (xOff[j+1] - xOff[j]) * (yOff[i+1] - yOff[i]) * k3
+		}
+	}
+	return t
 }
 
 func (w *worker) me() int             { return w.r.ID }
@@ -437,9 +418,9 @@ func (w *worker) seg(minW work.Counters, fn func(*work.Counters)) {
 }
 
 // inline runs zero-cost physics bookkeeping (publishing slots, combines,
-// replica refreshes, transpose packing) on the scheduler thread; replay
-// mode skips it. Such code may read remote slots — the collective ordering
-// guarantees their writers' segments already resolved.
+// replica refreshes) on the scheduler thread; replay mode skips it. Such
+// code may read remote slots — the collective ordering guarantees their
+// writers' segments already resolved.
 func (w *worker) inline(fn func()) {
 	if w.replay == nil {
 		fn()
