@@ -78,9 +78,9 @@ func main() {
 	if *ranks > 1 {
 		// The simulated-cluster path measures the PME workload and reports
 		// virtual time; the host-side conveniences below have no meaning
-		// there or are not wired to it (pmd has a guard of its own,
-		// pmd.Config.Guard, that no front end sets yet), so the combination
-		// is an error — not a silent ignore.
+		// there or are not wired to it (the numeric guard runs on the
+		// sequential engine only), so the combination is an error — not a
+		// silent ignore.
 		for _, bad := range []struct {
 			set  bool
 			flag string

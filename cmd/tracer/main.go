@@ -35,7 +35,7 @@ func main() {
 	width := flag.Int("width", 120, "timeline width in characters")
 	out := flag.String("o", "", "write Chrome trace JSON to this file")
 	faultSpec := flag.String("faults", "", "fault scenario DSL (see internal/fault.ParseSpec) or @file.json")
-	kindsFlag := flag.String("kinds", "", "comma-separated interval kinds to keep (compute,send,recv,sync,phase,fault,guard); empty keeps all")
+	kindsFlag := flag.String("kinds", "", "comma-separated interval kinds to keep (compute,send,recv,sync,phase,fault); empty keeps all")
 	minDur := flag.Float64("min-dur", 0, "drop intervals shorter than this (virtual seconds)")
 	app.Parse(os.Args[1:])
 
@@ -55,7 +55,7 @@ func main() {
 		for _, s := range strings.Split(*kindsFlag, ",") {
 			s = strings.TrimSpace(s)
 			if !trace.KnownKind(s) {
-				app.Usagef("unknown trace kind %q (known: compute,send,recv,sync,phase,fault,guard)", s)
+				app.Usagef("unknown trace kind %q (known: compute,send,recv,sync,phase,fault)", s)
 			}
 			kinds = append(kinds, trace.Kind(s))
 		}

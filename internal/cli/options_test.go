@@ -21,7 +21,6 @@ import (
 // allowed to stay. Anything else TestEveryOptionHasAWriter finds is an
 // option nobody can turn: wire it to a front end or delete it.
 var unsetOptions = map[string]string{
-	"pmd.Config.Guard":                "safety code: the parallel numeric guard; wiring it to a front end is its own issue",
 	"pmd.ResilientConfig.MaxRestarts": "safety code: the restart budget; every front end keeps the default of one per crash spec",
 	"serve.Config.FaultInject":        "documented test hook: the soak tests inject attempt failures through it",
 	"md.TuneOptions.Candidates":       "test seam: the tuner tests trial a short ladder",

@@ -1,14 +1,9 @@
 // Package guard implements runtime numeric guardrails for MD runs: NaN/Inf
 // detection on forces and energies and an energy-drift monitor with a
 // configurable tolerance window. A guard trip does not decide policy —
-// the engine layer re-evaluates the step on exact kernels (graceful
-// degradation) or aborts, per Config.Policy, and records the trip as an
-// Event that flows into the tracer timeline next to fault lanes.
-//
-// The monitor is deliberately cheap and deterministic: checks run on
-// replicated data that is bitwise identical on every rank, so in a
-// parallel run every rank reaches the same verdict at the same step and
-// no collective is needed to agree on it.
+// the engine layer (md.Engine.StepGuarded) re-evaluates the step on exact
+// kernels (graceful degradation) or aborts, per Config.Policy, and records
+// the trip as an Event.
 package guard
 
 import (
@@ -70,7 +65,6 @@ const defaultDriftWindow = 16
 
 // Event records one guard trip.
 type Event struct {
-	Rank      int
 	Step      int // 1-based MD step
 	Cause     Cause
 	Value     float64 // offending energy, or drift delta for CauseDrift
@@ -85,14 +79,14 @@ func (e Event) String() string {
 	}
 	switch e.Cause {
 	case CauseForceNaN:
-		return fmt.Sprintf("guard: rank %d step %d: non-finite force on atom %d (%s)",
-			e.Rank, e.Step, e.Atom, state)
+		return fmt.Sprintf("guard: step %d: non-finite force on atom %d (%s)",
+			e.Step, e.Atom, state)
 	case CauseDrift:
-		return fmt.Sprintf("guard: rank %d step %d: energy drift %.6g beyond tolerance (%s)",
-			e.Rank, e.Step, e.Value, state)
+		return fmt.Sprintf("guard: step %d: energy drift %.6g beyond tolerance (%s)",
+			e.Step, e.Value, state)
 	default:
-		return fmt.Sprintf("guard: rank %d step %d: %s value %.6g (%s)",
-			e.Rank, e.Step, e.Cause, e.Value, state)
+		return fmt.Sprintf("guard: step %d: %s value %.6g (%s)",
+			e.Step, e.Cause, e.Value, state)
 	}
 }
 
@@ -103,9 +97,8 @@ type TripError struct {
 
 func (e *TripError) Error() string { return e.Ev.String() }
 
-// Monitor holds the drift window and the trip log for one run attempt.
-// Not safe for concurrent use; in parallel runs each rank owns one, and
-// identical inputs keep them in lockstep.
+// Monitor holds the drift window and the trip log for one run.
+// Not safe for concurrent use.
 type Monitor struct {
 	cfg      Config
 	window   []float64 // ring buffer of recent total energies
@@ -139,27 +132,27 @@ func (m *Monitor) MarkExact() { m.exact = true }
 // Policy returns the configured trip policy.
 func (m *Monitor) Policy() Policy { return m.cfg.Policy }
 
-// Check inspects one completed step: frc is the full (replicated) force
-// array, total the total potential+kinetic energy. It returns the trip
-// event and true when a guard fired. The drift window is NOT updated
+// Check inspects one completed step: frc is the full force array, total
+// the total potential+kinetic energy. It returns the trip event and true
+// when a guard fired. The drift window is NOT updated
 // here — call Observe with the energy the step finally settled on, so a
 // recovered step feeds its exact-math energy to the window, not the
 // corrupt one.
-func (m *Monitor) Check(rank, step int, frc []vec.V, total float64) (Event, bool) {
+func (m *Monitor) Check(step int, frc []vec.V, total float64) (Event, bool) {
 	if !m.Enabled() {
 		return Event{}, false
 	}
 	if m.cfg.InjectStep > 0 && step == m.cfg.InjectStep && !m.injected && !m.exact {
 		m.injected = true
-		return Event{Rank: rank, Step: step, Cause: CauseInjected, Value: total, Atom: -1}, true
+		return Event{Step: step, Cause: CauseInjected, Value: total, Atom: -1}, true
 	}
 	for i, f := range frc {
 		if !finiteVec(f) {
-			return Event{Rank: rank, Step: step, Cause: CauseForceNaN, Value: worstComponent(f), Atom: i}, true
+			return Event{Step: step, Cause: CauseForceNaN, Value: worstComponent(f), Atom: i}, true
 		}
 	}
 	if math.IsNaN(total) || math.IsInf(total, 0) {
-		return Event{Rank: rank, Step: step, Cause: CauseEnergyNaN, Value: total, Atom: -1}, true
+		return Event{Step: step, Cause: CauseEnergyNaN, Value: total, Atom: -1}, true
 	}
 	if m.cfg.DriftTol > 0 && m.filled {
 		mean := 0.0
@@ -168,7 +161,7 @@ func (m *Monitor) Check(rank, step int, frc []vec.V, total float64) (Event, bool
 		}
 		mean /= float64(len(m.window))
 		if d := math.Abs(total - mean); d > m.cfg.DriftTol {
-			return Event{Rank: rank, Step: step, Cause: CauseDrift, Value: d, Atom: -1}, true
+			return Event{Step: step, Cause: CauseDrift, Value: d, Atom: -1}, true
 		}
 	}
 	return Event{}, false

@@ -20,7 +20,7 @@ func TestDisabledMonitorNeverTrips(t *testing.T) {
 	m := NewMonitor(Config{}, false)
 	bad := okForces(3)
 	bad[1].Y = math.NaN()
-	if _, ok := m.Check(0, 1, bad, math.Inf(1)); ok {
+	if _, ok := m.Check(1, bad, math.Inf(1)); ok {
 		t.Error("disabled monitor tripped")
 	}
 	var nilMon *Monitor
@@ -33,8 +33,8 @@ func TestForceNaNDetection(t *testing.T) {
 	m := NewMonitor(Config{Enabled: true}, false)
 	frc := okForces(5)
 	frc[3].Z = math.Inf(-1)
-	ev, ok := m.Check(2, 7, frc, 10)
-	if !ok || ev.Cause != CauseForceNaN || ev.Atom != 3 || ev.Rank != 2 || ev.Step != 7 {
+	ev, ok := m.Check(7, frc, 10)
+	if !ok || ev.Cause != CauseForceNaN || ev.Atom != 3 || ev.Step != 7 {
 		t.Fatalf("got %+v ok=%v", ev, ok)
 	}
 	if !math.IsInf(ev.Value, -1) {
@@ -47,7 +47,7 @@ func TestForceNaNDetection(t *testing.T) {
 
 func TestEnergyNaNDetection(t *testing.T) {
 	m := NewMonitor(Config{Enabled: true}, false)
-	ev, ok := m.Check(0, 1, okForces(2), math.NaN())
+	ev, ok := m.Check(1, okForces(2), math.NaN())
 	if !ok || ev.Cause != CauseEnergyNaN {
 		t.Fatalf("got %+v ok=%v", ev, ok)
 	}
@@ -59,7 +59,7 @@ func TestDriftWindow(t *testing.T) {
 
 	// Window not yet filled: no drift verdicts, however wild the value.
 	for i, e := range []float64{100, 101, 99, 1e6} {
-		if _, ok := m.Check(0, i+1, frc, e); ok {
+		if _, ok := m.Check(i+1, frc, e); ok {
 			t.Fatalf("tripped with unfilled window at step %d", i+1)
 		}
 		m.Observe(e)
@@ -69,13 +69,13 @@ func TestDriftWindow(t *testing.T) {
 	// values until the window is all near 100 again.
 	m2 := NewMonitor(Config{Enabled: true, DriftTol: 5, DriftWindow: 4}, false)
 	for i, e := range []float64{100, 101, 99, 100} {
-		m2.Check(0, i+1, frc, e)
+		m2.Check(i+1, frc, e)
 		m2.Observe(e)
 	}
-	if ev, ok := m2.Check(0, 5, frc, 102); ok {
+	if ev, ok := m2.Check(5, frc, 102); ok {
 		t.Fatalf("within-tolerance step tripped: %+v", ev)
 	}
-	ev, ok := m2.Check(0, 6, frc, 120)
+	ev, ok := m2.Check(6, frc, 120)
 	if !ok || ev.Cause != CauseDrift {
 		t.Fatalf("drift not caught: %+v ok=%v", ev, ok)
 	}
@@ -87,7 +87,7 @@ func TestDriftWindow(t *testing.T) {
 	m3 := NewMonitor(Config{Enabled: true}, false)
 	for i := 0; i < 40; i++ {
 		m3.Observe(1e12 * float64(i))
-		if _, ok := m3.Check(0, i+1, frc, 1e12*float64(i)); ok {
+		if _, ok := m3.Check(i+1, frc, 1e12*float64(i)); ok {
 			t.Fatal("drift tripped with DriftTol 0")
 		}
 	}
@@ -96,21 +96,21 @@ func TestDriftWindow(t *testing.T) {
 func TestInjectionConsumeOnce(t *testing.T) {
 	m := NewMonitor(Config{Enabled: true, InjectStep: 3}, false)
 	frc := okForces(1)
-	if _, ok := m.Check(0, 2, frc, 1); ok {
+	if _, ok := m.Check(2, frc, 1); ok {
 		t.Fatal("injected before InjectStep")
 	}
-	ev, ok := m.Check(0, 3, frc, 1)
+	ev, ok := m.Check(3, frc, 1)
 	if !ok || ev.Cause != CauseInjected {
 		t.Fatalf("no injection at InjectStep: %+v ok=%v", ev, ok)
 	}
-	if _, ok := m.Check(0, 3, frc, 1); ok {
+	if _, ok := m.Check(3, frc, 1); ok {
 		t.Fatal("injection fired twice")
 	}
 
 	// A monitor that starts exact never injects: the fallback path it
 	// exercises does not exist there.
 	me := NewMonitor(Config{Enabled: true, InjectStep: 3}, true)
-	if _, ok := me.Check(0, 3, frc, 1); ok {
+	if _, ok := me.Check(3, frc, 1); ok {
 		t.Fatal("injected on an exact-kernel run")
 	}
 }

@@ -250,6 +250,11 @@ func ReadDurable(path string) (*Checkpoint, DurableMeta, error) {
 	if h.err || n < 0 || ranks < 1 || ranks > 1<<20 || n > 1<<40 {
 		return corrupt("implausible header")
 	}
+	// Every allocation below is sized by counts the header claims; check
+	// first that the file holds the bytes they promise.
+	if ranks > (len(header)-h.pos)/32 {
+		return corrupt(fmt.Sprintf("%d rank quads overrun the header", ranks))
+	}
 	meta := DurableMeta{Step: step, Wall: wall, RankAcct: make([][4]float64, ranks)}
 	for i := 0; i < ranks; i++ {
 		for j := 0; j < 4; j++ {
@@ -262,6 +267,13 @@ func ReadDurable(path string) (*Checkpoint, DurableMeta, error) {
 	}
 	if h.pos != len(header) {
 		return corrupt("header length mismatch")
+	}
+	need := ranks*4 + n*9*8
+	if originCount > 0 {
+		need += originCount*3*8 + 4
+	}
+	if left := len(data) - r.pos; need > left {
+		return corrupt(fmt.Sprintf("sections need %d bytes, %d remain", need, left))
 	}
 
 	cp := &Checkpoint{
@@ -518,7 +530,7 @@ func (r *CheckpointRing) ReadProgress() (Progress, error) {
 	h := &leReader{buf: payload}
 	p := Progress{Step: int(h.i64()), Wall: h.f64()}
 	ranks := int(h.i64())
-	if h.err || ranks < 0 || ranks > 1<<20 {
+	if h.err || ranks < 0 || ranks > 1<<20 || ranks > (len(payload)-h.pos)/32 {
 		return Progress{}, ErrNoProgress
 	}
 	p.RankAcct = make([][4]float64, ranks)
@@ -528,7 +540,7 @@ func (r *CheckpointRing) ReadProgress() (Progress, error) {
 		}
 	}
 	nc := int(h.i64())
-	if h.err || nc < 0 || nc > 1<<20 {
+	if h.err || nc < 0 || nc > 1<<20 || nc > (len(payload)-h.pos)/8 {
 		return Progress{}, ErrNoProgress
 	}
 	for i := 0; i < nc; i++ {

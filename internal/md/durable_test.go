@@ -2,7 +2,9 @@ package md
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -100,6 +102,34 @@ func TestDurableGoldenFile(t *testing.T) {
 	}
 }
 
+// durableEnvelope wraps a header payload in a valid envelope: magic,
+// version, length and the payload's CRC-32C.
+func durableEnvelope(header []byte) []byte {
+	var w leWriter
+	w.buf = append(w.buf, durableMagic...)
+	w.u32(durableVersion)
+	w.u32(uint32(len(header)))
+	w.buf = append(w.buf, header...)
+	w.u32(crc32.Checksum(header, crcTable))
+	return w.buf
+}
+
+// hugeClaimHeader is a 96-byte checkpoint whose valid header claims 2^35
+// atoms and one rank, with no section bytes behind it.
+func hugeClaimHeader() []byte {
+	var h leWriter
+	h.i64(1 << 35) // N
+	h.f64(1)       // timestep
+	h.i64(0)       // step
+	h.f64(0)       // wall
+	h.i64(1)       // ranks
+	for i := 0; i < 4; i++ {
+		h.f64(0)
+	}
+	h.i64(0) // origin count
+	return durableEnvelope(h.buf)
+}
+
 func TestDurableDetectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	cp, meta := tinyCheckpoint()
@@ -127,6 +157,7 @@ func TestDurableDetectsCorruption(t *testing.T) {
 		{"truncated", func(b []byte) []byte { return b[:len(b)-13] }, ""},
 		{"trailing garbage", func(b []byte) []byte { return append(b, 0xAB) }, ""},
 		{"empty", func(b []byte) []byte { return nil }, ""},
+		{"huge atom count", func([]byte) []byte { return hugeClaimHeader() }, "sections need 2473901162500 bytes, 0 remain"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -144,6 +175,36 @@ func TestDurableDetectsCorruption(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzReadDurable feeds ReadDurable a valid envelope around a mutated
+// header, then arbitrary section bytes, so mutations reach the atom, rank
+// and origin counts instead of failing at the header checksum. Whatever
+// the counts claim, the reader returns: a *CorruptError, or a checkpoint
+// that re-encodes to exactly the bytes read.
+func FuzzReadDurable(f *testing.F) {
+	cp, meta := tinyCheckpoint()
+	enc := encodeDurable(cp, meta)
+	hlen := int(binary.LittleEndian.Uint32(enc[8:12]))
+	f.Add(enc[12:12+hlen], enc[12+hlen+4:])
+	path := filepath.Join(f.TempDir(), "f.mdc")
+	f.Fuzz(func(t *testing.T, header, body []byte) {
+		data := append(durableEnvelope(header), body...)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cp, meta, err := ReadDurable(path)
+		if err != nil {
+			var ce *CorruptError
+			if !errors.As(err, &ce) {
+				t.Fatalf("want CorruptError, got %v", err)
+			}
+			return
+		}
+		if !bytes.Equal(encodeDurable(cp, meta), data) {
+			t.Fatal("accepted checkpoint does not re-encode to the bytes read")
+		}
+	})
 }
 
 func TestDurableLeavesNoTempFiles(t *testing.T) {

@@ -41,7 +41,7 @@ func (e *Engine) StepGuarded(m *guard.Monitor, step int, w, wPME *work.Counters)
 	}
 	pre := e.Snapshot()
 	rep := e.Step(w, wPME)
-	ev, tripped := m.Check(0, step, e.Frc, rep.Total())
+	ev, tripped := m.Check(step, e.Frc, rep.Total())
 	if !tripped {
 		m.Observe(rep.Total())
 		return rep, nil

@@ -189,7 +189,7 @@ func (r *Rank) traceEvent(kind trace.Kind, label string, t0 float64) {
 }
 
 // TraceSpan emits an arbitrary labelled interval (the parallel MD uses it
-// for its phase background lanes and guard trips): the collector keeps it
+// for its phase background lanes): the collector keeps it
 // when one is attached, and the registry counts it. Intervals with
 // end < start are dropped.
 func (r *Rank) TraceSpan(kind trace.Kind, label string, start, end float64) {

@@ -11,8 +11,8 @@
 // attributes it to the classic and PME phases. This package makes that
 // decomposition a queryable property of every run instead of a one-off
 // figure: the simulated MPI transport, the CMPI middleware, the parallel
-// and sequential MD engines, the fault injector, the numeric guards and
-// the chaos harness all publish into one Registry.
+// and sequential MD engines, the fault injector and the chaos harness all
+// publish into one Registry.
 //
 // Metric naming scheme (see DESIGN.md §11):
 //

@@ -422,8 +422,8 @@ func (d *domainDecomp) kick(w *worker, rep *md.EnergyReport) {
 	d.adopt(w)
 }
 
-// adopt points the worker's state at the current snapshot (the recorder,
-// guard and FinalPos read these fields) and retires it to prev.
+// adopt points the worker's state at the current snapshot (the recorder
+// and FinalPos read these fields) and retires it to prev.
 func (d *domainDecomp) adopt(w *worker) {
 	cs := d.cur
 	w.pos, w.vel, w.frcTotal = cs.pos, cs.vel, cs.frcTotal

@@ -2,13 +2,11 @@ package pmd
 
 import (
 	"errors"
-	"math"
 	"os"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
-	"repro/internal/guard"
 	"repro/internal/md"
 	"repro/internal/netmodel"
 )
@@ -151,111 +149,6 @@ func TestRestartSurvivesCorruptNewestCheckpoint(t *testing.T) {
 		if stitched[i] != ref.Energies[i] {
 			t.Fatalf("step %d: stitched energies differ after corruption fallback", i)
 		}
-	}
-}
-
-// TestGuardFallbackInParallelRun: a seeded trip mid-run rewinds to the
-// last checkpoint, degrades to exact kernels, finishes cleanly and books
-// the redone steps as Lost.
-func TestGuardFallbackInParallelRun(t *testing.T) {
-	sys := testSystem(48, 24, 11)
-	net := netmodel.TCPGigE()
-	res, err := RunResilient(clusterCfg(3, 1, net), cluster.PentiumIII1GHz(), ResilientConfig{
-		Config: Config{
-			System:     sys,
-			MD:         testMDConfig(),
-			Steps:      5,
-			Middleware: MiddlewareMPI,
-			Guard:      guard.Config{Enabled: true, InjectStep: 3},
-		},
-		CheckpointEvery: 2,
-		RestartCost:     5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Energies) != 5 {
-		t.Fatalf("got %d energy steps, want 5", len(res.Energies))
-	}
-	for i, e := range res.Energies {
-		if math.IsNaN(e.Total()) || math.IsInf(e.Total(), 0) {
-			t.Fatalf("step %d: non-finite energy after guard recovery", i)
-		}
-	}
-	if len(res.GuardTrips) != 1 {
-		t.Fatalf("want 1 guard trip, got %+v", res.GuardTrips)
-	}
-	tr := res.GuardTrips[0]
-	if tr.Cause != guard.CauseInjected || tr.Step != 3 || !tr.Recovered {
-		t.Errorf("trip event %+v", tr)
-	}
-	if res.LostTotal() <= 0 {
-		t.Error("guard rewind booked no lost time")
-	}
-}
-
-// TestGuardAbortInParallelRun: PolicyAbort surfaces the trip instead of
-// degrading.
-func TestGuardAbortInParallelRun(t *testing.T) {
-	sys := testSystem(48, 24, 13)
-	net := netmodel.TCPGigE()
-	_, err := RunResilient(clusterCfg(3, 1, net), cluster.PentiumIII1GHz(), ResilientConfig{
-		Config: Config{
-			System:     sys,
-			MD:         testMDConfig(),
-			Steps:      4,
-			Middleware: MiddlewareMPI,
-			Guard:      guard.Config{Enabled: true, Policy: guard.PolicyAbort, InjectStep: 2},
-		},
-		CheckpointEvery: 2,
-	})
-	var te *guard.TripError
-	if !errors.As(err, &te) {
-		t.Fatalf("want TripError, got %v", err)
-	}
-	if te.Ev.Step != 2 || te.Ev.Recovered {
-		t.Errorf("abort event %+v", te.Ev)
-	}
-}
-
-// TestGuardedParallelRunWithoutTripsIsByteIdentical: arming the guards
-// must cost nothing — same energies, wall clock and positions.
-func TestGuardedParallelRunWithoutTripsIsByteIdentical(t *testing.T) {
-	sys := testSystem(48, 24, 17)
-	net := netmodel.TCPGigE()
-	run := func(g guard.Config) *ResilientResult {
-		res, err := RunResilient(clusterCfg(3, 1, net), cluster.PentiumIII1GHz(), ResilientConfig{
-			Config: Config{
-				System:     sys,
-				MD:         testMDConfig(),
-				Steps:      4,
-				Middleware: MiddlewareMPI,
-				Guard:      g,
-			},
-			CheckpointEvery: 2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	plain := run(guard.Config{})
-	guarded := run(guard.Config{Enabled: true, DriftTol: 1e9})
-	if guarded.Wall != plain.Wall {
-		t.Errorf("guarded wall %g != %g", guarded.Wall, plain.Wall)
-	}
-	for i := range plain.Energies {
-		if guarded.Energies[i] != plain.Energies[i] {
-			t.Fatalf("step %d: guarded energies differ", i)
-		}
-	}
-	for i := range plain.Final.FinalPos {
-		if guarded.Final.FinalPos[i] != plain.Final.FinalPos[i] {
-			t.Fatalf("atom %d: guarded positions differ", i)
-		}
-	}
-	if len(guarded.GuardTrips) != 0 {
-		t.Errorf("phantom trips: %+v", guarded.GuardTrips)
 	}
 }
 

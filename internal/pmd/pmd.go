@@ -22,7 +22,6 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/guard"
 	"repro/internal/md"
 	"repro/internal/mpi"
 	"repro/internal/obs"
@@ -75,12 +74,12 @@ type Config struct {
 	ModernCollectives bool
 
 	// Tracer, when non-nil, keeps every compute/communication interval of
-	// every rank plus the labelled classic/PME phase lanes and guard trips,
-	// for timeline rendering and the Chrome export.
+	// every rank plus the labelled classic/PME phase lanes, for timeline
+	// rendering and the Chrome export.
 	Tracer *trace.Collector
 
-	// Obs, when non-nil, receives the live metrics (current step, guard
-	// trips, transport histograms, idle PME ranks) and counts the same
+	// Obs, when non-nil, receives the live metrics (current step,
+	// transport histograms, idle PME ranks) and counts the same
 	// intervals a Tracer would keep, plus each whole step, per kind and
 	// rank (repro_trace_*). The counts do not depend on Tracer.
 	Obs *obs.Registry
@@ -101,8 +100,8 @@ type Config struct {
 	// run's physics (the replicated path's per-segment work counters, the
 	// domain path's canonical snapshots), a completed tape replays it
 	// instead of executing the MD kernels (the simulated timings still come
-	// out of the full event simulation). Ignored when Init, a step hook or
-	// the guard needs real physics, or when the tape was recorded for a
+	// out of the full event simulation). Ignored when Init or a step hook
+	// needs real physics, or when the tape was recorded for a
 	// different decomposition, rank count or step count.
 	Tape *Tape
 
@@ -112,18 +111,9 @@ type Config struct {
 	// everything inline.
 	HostWorkers int
 
-	// Guard enables the numeric guardrails (internal/guard): per-step
-	// NaN/Inf checks on the combined forces and total energy plus an
-	// energy-drift monitor. Checks run on replicated data (bitwise
-	// identical on every rank) and cost no virtual time, so a guarded
-	// run with no trips produces byte-identical figures. A trip ends the
-	// attempt with a *guard.TripError; RunResilient turns that into a
-	// rewind-and-degrade to exact kernels when the policy allows.
-	Guard guard.Config
-
 	// OnStep, when non-nil, runs on rank 0 after every completed step
 	// with the global step index, the step's classic/PME timing split
-	// and its energy report. Unlike Init or Guard it does not disable
+	// and its energy report. Unlike Init it does not disable
 	// the physics tape: a replayed run substitutes the taped energies
 	// before the hook fires, so a memoized run streams the same
 	// telemetry a real one does. Under RunResilient the index is global
@@ -164,11 +154,6 @@ type Result struct {
 	Wall     float64           // virtual wall clock of the whole run
 	Acct     []mpi.Accounting  // per-rank transport accounting
 	Comm     *perf.Timeline    // the communication log the run fed (Config.Perf; nil without one)
-
-	// GuardEvents are the guard trips recorded during the run (rank 0's
-	// log; verdicts are identical on every rank). A trip also surfaces as
-	// a *guard.TripError from Run.
-	GuardEvents []guard.Event
 }
 
 // RecordObs publishes the run's measured decomposition into reg as
@@ -292,11 +277,11 @@ func runAttempt(clusterCfg cluster.Config, cost cluster.CostModel, cfg Config) (
 		return nil, nil, err
 	}
 
-	// Tape eligibility: checkpoint starts, step hooks and numeric guards
-	// need the physics actually executed, and a completed tape only fits
-	// the decomposition, rank count and step count it was recorded for.
+	// Tape eligibility: checkpoint starts and step hooks need the physics
+	// actually executed, and a completed tape only fits the decomposition,
+	// rank count and step count it was recorded for.
 	tape := cfg.Tape
-	if cfg.Init != nil || cfg.onStep != nil || cfg.Guard.Enabled {
+	if cfg.Init != nil || cfg.onStep != nil {
 		tape = nil
 	}
 	if tape.Complete() && !tape.fits(cfg.Decomp, p, cfg.Steps) {
@@ -345,12 +330,6 @@ func runAttempt(clusterCfg cluster.Config, cost cluster.CostModel, cfg Config) (
 		} else {
 			tape.finish(res, sh.canon)
 		}
-	}
-	if err == nil && sh.guardTrip != nil {
-		// Every rank reached the same verdict and broke the step loop at
-		// the same step; the simulation itself completed cleanly, so the
-		// trip surfaces as a typed error around the partial result.
-		err = &guard.TripError{Ev: *sh.guardTrip}
 	}
 	return res, accts, err
 }

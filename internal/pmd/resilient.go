@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
-	"repro/internal/guard"
 	"repro/internal/kernels"
 	"repro/internal/md"
 	"repro/internal/mpi"
@@ -40,10 +39,6 @@ type ResilientResult struct {
 	Acct       []mpi.Accounting  // per surviving rank, merged across attempts
 	Recoveries []RecoveryEvent
 
-	// GuardTrips are the numeric-guard events of the whole run (recovered
-	// trips that were healed by the exact-kernel fallback included).
-	GuardTrips []guard.Event
-
 	// Resumed is set when the run restarted from an on-disk checkpoint.
 	Resumed *ResumeInfo
 
@@ -52,14 +47,14 @@ type ResilientResult struct {
 	// healthy-rank park time. It is not the whole Lost bucket of Acct:
 	//
 	//	LostTotal() + Lost of the ranks global rewinds dropped
-	//	  = Breakdown.Total() + guard-fallback rewind discards
-	//	  + Resumed.LostOnDisk + Lost the resumed checkpoint already carried
+	//	  = Breakdown.Total() + Resumed.LostOnDisk
+	//	  + Lost the resumed checkpoint already carried
 	//
-	// (up to float regrouping). The three terms no exported field reports
+	// (up to float regrouping). The two terms no exported field reports
 	// are kept below for the test of that identity.
 	Breakdown recover.LostBreakdown
 
-	lostDropped, lostGuard, lostInherited float64
+	lostDropped, lostInherited float64
 
 	// Local records the localized repairs (RecoveryLocal runs only); each
 	// entry also has a matching RecoveryEvent in Recoveries.
@@ -315,7 +310,6 @@ type driver struct {
 	stepsDone int              // globally completed steps behind the next attempt
 	offset    float64          // scenario clock at the next attempt's start
 	init      *md.Checkpoint   // state the next attempt starts from
-	exact     bool             // sticky: set by the ExactKernels config or a guard fallback
 	consumed  []int            // crash spec indices already recovered
 	carried   []mpi.Accounting // per standing rank, merged over earlier attempts; nil until a resume or rewind
 
@@ -330,10 +324,9 @@ type driver struct {
 // CheckpointDir set, checkpoints also persist to disk and an invocation
 // that finds a valid one there resumes the killed run from it. A failed
 // attempt is priced by driver.rewind and the next one starts from the
-// rewind point: after an injected rank crash on the survivors of the
+// rewind point after an injected rank crash: on the survivors of the
 // dropped node (global) or with the crashed domain repaired in place
-// (local), after a numeric guard trip under guard.PolicyFallback on exact
-// kernels. The discarded virtual time lands in the Lost accounting
+// (local). The discarded virtual time lands in the Lost accounting
 // bucket. Other errors (including watchdog timeouts with no crash behind
 // them) are returned as-is.
 func RunResilient(clusterCfg cluster.Config, cost cluster.CostModel, rcfg ResilientConfig) (*ResilientResult, error) {
@@ -349,7 +342,7 @@ func RunResilient(clusterCfg cluster.Config, cost cluster.CostModel, rcfg Resili
 	}
 	d := &driver{
 		rcfg: &rcfg, cost: cost, cfg: clusterCfg, wd: rcfg.Watchdog,
-		out: &ResilientResult{}, init: rcfg.Init, exact: rcfg.MD.FF.ExactKernels,
+		out: &ResilientResult{}, init: rcfg.Init,
 		maxRestarts: rcfg.MaxRestarts, every: rcfg.CheckpointEvery,
 	}
 	if d.maxRestarts == 0 {
@@ -463,9 +456,6 @@ func (d *driver) attempt() (*recorder, error) {
 	cfg.onStep = rec.onStep
 	// OnStep telemetry uses global step indices.
 	cfg.stepBase = d.stepsDone
-	if d.exact {
-		cfg.MD.FF.ExactKernels = true
-	}
 	rec.res, rec.accts, rec.err = runAttempt(d.cfg, d.cost, cfg)
 	if rec.persistErr != nil {
 		return nil, fmt.Errorf("pmd: durable checkpoint: %w", rec.persistErr)
@@ -487,7 +477,6 @@ func (d *driver) finish(rec *recorder) (*ResilientResult, error) {
 	out.Ranks = rec.p
 	out.Energies = append(out.Energies, res.Energies...)
 	out.Wall += res.Wall
-	out.GuardTrips = append(out.GuardTrips, res.GuardEvents...)
 	out.CheckpointInterval = d.every
 	out.IntervalTuned = d.tuner != nil && d.tuner.Tuned()
 	if rec.halted {
@@ -502,11 +491,10 @@ func (d *driver) finish(rec *recorder) (*ResilientResult, error) {
 	return out, nil
 }
 
-// rewindStrategy is all the three failure kinds differ in while
-// driver.rewind prices them; recover books the returned loss.
+// rewindStrategy is all the two crash repairs differ in while
+// driver.rewind prices them; repairCrash books the returned loss.
 //
 //	failure        extra per-rank loss      drops         clamp  loss booked to
-//	guard trip     none                     nobody        no     no Breakdown bucket
 //	crash, global  none                     crashed node  no     Breakdown.Rewind
 //	crash, local   crashed domain's replay  nobody        yes    Breakdown.Replay / Park
 type rewindStrategy struct {
@@ -572,46 +560,26 @@ func (d *driver) rewind(rec *recorder, detected float64, s rewindStrategy) rewou
 }
 
 // recover prices a failed attempt and readies the driver for the next
-// one, or returns the attempt's error when nothing here can repair it.
+// one. Only an injected rank crash is repaired; any other error comes
+// back unchanged.
 func (d *driver) recover(rec *recorder) error {
-	// The failed attempt ran until the last rank stopped accruing time;
-	// for a crash this is a lower bound refined by the crash time.
-	detected := 0.0
+	var ce *mpi.CrashError
+	if !errors.As(rec.err, &ce) {
+		return rec.err
+	}
+	d.restarts++
+	if d.restarts > d.maxRestarts {
+		return fmt.Errorf("pmd: restart budget (%d) exhausted: %w", d.maxRestarts, ce)
+	}
+	// The failed attempt ran until the last rank stopped accruing time, a
+	// lower bound the crash time refines.
+	detected := ce.At
 	for _, acct := range rec.accts {
 		if t := acct.Total(); t > detected {
 			detected = t
 		}
 	}
-	var te *guard.TripError
-	var ce *mpi.CrashError
-	switch {
-	case errors.As(rec.err, &te):
-		if d.rcfg.Guard.Policy != guard.PolicyFallback || d.exact {
-			return rec.err
-		}
-		// Degrade to exact kernels: rewind to the newest checkpoint and
-		// redo from there on exact math. The exact flag is sticky, so this
-		// branch runs at most once.
-		d.exact = true
-		ev := te.Ev
-		ev.Recovered = true
-		d.out.GuardTrips = append(d.out.GuardTrips, ev)
-		for _, li := range d.rewind(rec, detected, rewindStrategy{dropNode: -1}).lost {
-			d.out.lostGuard += li
-		}
-		d.count("repro_guard_fallbacks_total", "guard trips healed by the exact-kernel fallback", 1)
-		return nil
-	case errors.As(rec.err, &ce):
-		d.restarts++
-		if d.restarts > d.maxRestarts {
-			return fmt.Errorf("pmd: restart budget (%d) exhausted: %w", d.maxRestarts, ce)
-		}
-		if ce.At > detected {
-			detected = ce.At
-		}
-		return d.repairCrash(rec, ce, detected)
-	}
-	return rec.err
+	return d.repairCrash(rec, ce, detected)
 }
 
 // repairCrash recovers from a rank crash with the configured strategy.

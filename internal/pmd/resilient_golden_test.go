@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
-	"repro/internal/guard"
 	"repro/internal/netmodel"
 )
 
@@ -85,7 +84,10 @@ func resilientDigest(r *ResilientResult) string {
 	} else {
 		b.i(0)
 	}
-	b.i(len(r.GuardTrips), r.CheckpointInterval)
+	// The literal 0 stands where the digest hashed the count of numeric
+	// guard trips, which no run can have any more; it keeps the captured
+	// digests valid.
+	b.i(0, r.CheckpointInterval)
 	if r.IntervalTuned {
 		b.i(1)
 	} else {
@@ -205,21 +207,6 @@ func resilientGoldenRuns(t *testing.T) map[string]*ResilientResult {
 		if len(res.Recoveries) != 2 || !res.IntervalTuned {
 			t.Fatalf("local/tuned: %d recoveries, tuned=%v", len(res.Recoveries), res.IntervalTuned)
 		}
-	}
-	// Guard fallback: an injected trip rewinds onto exact kernels; with a
-	// crash behind it the guard rewind merges into carried accounting.
-	{
-		cl := clusterCfg(3, 1, net)
-		cfg := replicated(11, 5)
-		cfg.Guard = guard.Config{Enabled: true, InjectStep: 3}
-		res := run("guard/fallback", cl, ResilientConfig{Config: cfg, CheckpointEvery: 2, RestartCost: 5}, nil)
-		if len(res.GuardTrips) != 1 {
-			t.Fatalf("guard/fallback: %d trips", len(res.GuardTrips))
-		}
-		w := healthyWall(cl, replicated(11, 5))
-		run("guard/after-crash", cl, ResilientConfig{
-			Config: cfg, Scenario: spec("crash@%g,rank=1", 0.2*w), CheckpointEvery: 1, RestartCost: 5,
-		}, nil)
 	}
 	// Kill -9 after step 3, then resume from the ring.
 	{

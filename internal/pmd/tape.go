@@ -28,8 +28,8 @@ import (
 //
 // A tape must not outlive its workload: callers key tapes by decomposition
 // and rank count within one suite (fixed system, MD config and steps). Runs
-// with a checkpoint start (Init), an onStep hook or a guard bypass tapes
-// entirely — their consumers need the physics actually executed. A
+// with a checkpoint start (Init) or an onStep hook bypass tapes entirely —
+// their consumers need the physics actually executed. A
 // complete tape is read-only: any number of replays may read it at once.
 type Tape struct {
 	p, steps int

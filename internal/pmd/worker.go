@@ -8,7 +8,6 @@ import (
 	"repro/internal/ewald"
 	"repro/internal/ff"
 	"repro/internal/fft"
-	"repro/internal/guard"
 	"repro/internal/kernels"
 	"repro/internal/md"
 	"repro/internal/mpi"
@@ -80,11 +79,6 @@ type shared struct {
 	// keeps its own shard scratch, so concurrent Runs never alias state.
 	pool *kernels.Pool
 
-	// guardTrip is rank 0's record of the guard verdict that ended the
-	// attempt (every rank reaches the identical verdict independently).
-	// Written in inline (scheduler-thread) code only.
-	guardTrip *guard.Event
-
 	// canon is the shared canonical evaluator of the domain decomposition
 	// (nil on the replicated path). See canonical.go.
 	canon *canonical
@@ -151,8 +145,8 @@ func newShared(p int, cfg Config, seedEngine *md.Engine, tape *Tape) *shared {
 }
 
 // decomposition is the strategy a rank drives its step pipeline through.
-// The shared run loop in worker.run owns step intervals, guard checks, phase
-// samples and result assembly; the strategy owns how positions propagate
+// The shared run loop in worker.run owns step intervals, phase samples and
+// result assembly; the strategy owns how positions propagate
 // (replica all-gather vs halo exchange), how forces are evaluated and
 // combined, and how the reciprocal mesh is distributed (x-slabs vs 2-D
 // pencils). Both implementations keep the engine's determinism contract:
@@ -203,21 +197,13 @@ type worker struct {
 	replay    *Tape
 	replayPos int
 
-	// guard is this rank's numeric-guardrail monitor (nil when disabled).
-	// All ranks check identical replicated data, so the monitors stay in
-	// lockstep and a trip ends every rank's loop at the same step.
-	guard *guard.Monitor
-
 	// stop requests a graceful end of the step loop after the current
-	// step (guard trip, or the resilient driver's simulated kill point).
-	// Only touched from inline/onStep code on the scheduler thread.
+	// step (the resilient driver's halt or preemption point). Only touched
+	// from onStep code on the scheduler thread.
 	stop bool
 
-	// Cached live-metric handles (nil without a registry). The step
-	// gauge is rank 0's; the trip counter fires on every attempt, including
-	// ones whose partial result is later discarded.
-	mStep       *obs.Gauge
-	mGuardTrips *obs.Counter
+	// mStep is rank 0's cached current-step gauge (nil without a registry).
+	mStep *obs.Gauge
 
 	// Partitions.
 	p          int
@@ -255,20 +241,11 @@ func newWorker(r *mpi.Rank, cfg Config, sh *shared, seedEngine *md.Engine, tape 
 		// communication log.
 		w.c = perfComms{inner: w.c, tl: cfg.Perf}
 	}
-	if reg := r.Metrics(); reg != nil {
-		if r.ID == 0 {
-			w.mStep = reg.Gauge("repro_run_step", "current MD step of the live run")
-		}
-		w.mGuardTrips = reg.Counter("repro_guard_trips_total",
-			"numeric guard trips, counted once per tripped attempt")
-	}
-	if cfg.Guard.Enabled && !tape.Complete() {
-		w.guard = guard.NewMonitor(cfg.Guard, cfg.MD.FF.ExactKernels)
-	}
 	pmeCfg := cfg.MD.PME
 
 	w.atomOff = kernels.Partition(n, p, nil)
 	if reg := r.Metrics(); reg != nil && r.ID == 0 {
+		w.mStep = reg.Gauge("repro_run_step", "current MD step of the live run")
 		// Slab PME leaves ranks beyond the y-line partition idle through
 		// the spectrum stage (and ranks beyond K1 would hold no slab at
 		// all — those are rejected up front). The gauge quantifies the
@@ -488,37 +465,7 @@ func (w *worker) run(res *Result) {
 		w.d.kick(w, &rep)
 		st.PME.Add(tp.sample())
 
-		stepEnd := w.r.Now()
-		w.emitStep(step, &st, tr.t0, stepEnd)
-
-		// Numeric guardrails. frcTotal and rep are replicated bitwise
-		// identically on every rank, so every monitor reaches the same
-		// verdict and all loops end at the same step on a trip. The check
-		// charges no virtual time: an untripped guarded run keeps every
-		// figure byte-identical.
-		tripped := false
-		if w.guard.Enabled() {
-			w.inline(func() {
-				if ev, ok := w.guard.Check(w.me(), step+1, w.frcTotal, rep.Total()); ok {
-					w.guard.Record(ev)
-					tripped = true
-					if w.me() == 0 {
-						w.sh.guardTrip = &ev
-						if w.mGuardTrips != nil {
-							w.mGuardTrips.Inc()
-						}
-					}
-					w.r.TraceSpan(trace.KindGuard, "guard:"+string(ev.Cause), tr.t0, stepEnd)
-				} else {
-					w.guard.Observe(rep.Total())
-				}
-			})
-		}
-		if tripped {
-			// The tripped step's timings and energies are discarded — the
-			// step is suspect; recovery redoes it on exact math.
-			break
-		}
+		w.emitStep(step, &st, tr.t0, w.r.Now())
 
 		timings = append(timings, st)
 		if w.me() == 0 {
@@ -546,9 +493,6 @@ func (w *worker) run(res *Result) {
 			res.FinalPos = append([]vec.V(nil), w.pos...)
 		}
 		res.Wall = w.r.Now()
-		if w.guard.Enabled() {
-			res.GuardEvents = w.guard.Events()
-		}
 	}
 }
 

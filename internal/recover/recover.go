@@ -29,8 +29,8 @@ type Event struct {
 // checkpoint (the dropped ranks' share included), Replay is the crashed
 // domain's redo from its newest completed rebuild epoch, Park is healthy
 // ranks waiting at the next collective for a localized repair to finish.
-// Lost booked by a guard-fallback rewind or found on disk by a resume is
-// in no component; pmd.ResilientResult.Breakdown states the full identity.
+// Lost found on disk by a resume is in no component;
+// pmd.ResilientResult.Breakdown states the full identity.
 type LostBreakdown struct {
 	Rewind float64
 	Replay float64

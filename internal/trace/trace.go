@@ -26,7 +26,6 @@ const (
 	KindSync    Kind = "sync"
 	KindPhase   Kind = "phase"
 	KindFault   Kind = "fault" // injected fault window (topmost overlay)
-	KindGuard   Kind = "guard" // numeric guard trip (renders above faults)
 )
 
 // Event is one labelled interval on one rank's timeline.
@@ -44,7 +43,7 @@ func (e Event) Duration() float64 { return e.End - e.Start }
 // KnownKinds lists every interval kind a collector can receive, in render
 // order.
 func KnownKinds() []Kind {
-	return []Kind{KindPhase, KindSync, KindSend, KindRecv, KindCompute, KindFault, KindGuard}
+	return []Kind{KindPhase, KindSync, KindSend, KindRecv, KindCompute, KindFault}
 }
 
 // KnownKind reports whether s names one of the emitted interval kinds.
@@ -162,7 +161,6 @@ var glyph = map[Kind]rune{
 	KindSync:    '.',
 	KindPhase:   '-',
 	KindFault:   'X',
-	KindGuard:   '!',
 }
 
 // RenderTimeline writes a per-rank ASCII gantt of the trace, `width`
@@ -212,7 +210,7 @@ func (c *Collector) RenderTimeline(w io.Writer, width int) error {
 			}
 		}
 	}
-	fmt.Fprintf(w, "timeline %.6f .. %.6f s  (# compute, > send, < recv, . sync, X fault, ! guard)\n", start, end)
+	fmt.Fprintf(w, "timeline %.6f .. %.6f s  (# compute, > send, < recv, . sync, X fault)\n", start, end)
 	for _, r := range ids {
 		if _, err := fmt.Fprintf(w, "rank %2d |%s|\n", r, string(lanes[r])); err != nil {
 			return err
