@@ -67,6 +67,10 @@ type World struct {
 	Wd     Watchdog         // zero value: blocking waits are unbounded
 	ranks  []*Rank
 
+	// free holds the finished transfers newTransfer reuses. Only the
+	// process holding control touches it, so it needs no lock.
+	free []*transfer
+
 	// Registry-backed transport metrics, created once per job when Obs is
 	// attached (nil handles otherwise; every hook is nil-gated).
 	mMsgBytes *obs.Histogram

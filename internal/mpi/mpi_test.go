@@ -615,18 +615,37 @@ func TestInterleavedTagsProperty(t *testing.T) {
 	}
 }
 
-// TestSendrecvAllocCeiling keeps "no goroutine per message" from
-// regressing silently: one eager Sendrecv costs its transfer record and
-// the two callback processes that carry it (sender leg, delivery) — three
-// allocations, where a goroutine helper pair took well over a dozen
-// (closures, channels, formatted names, a scratch Rank). The ceiling
-// leaves room for amortized inbox and event-queue growth only.
+// allocCeiling is what a message may cost beyond the job's own
+// allocations: a transfer and its two callback processes are recycled
+// through the world's free list, so only the peak in flight and amortized
+// inbox, free-list and event-queue growth allocate.
+const allocCeiling = 0.1
+
+// TestSendrecvAllocCeiling holds every point-to-point path to the
+// ceiling: an eager and a rendezvous Sendrecv, and the public split API
+// (Isend, Recv, Wait) around a ring as cmpi issues it.
 func TestSendrecvAllocCeiling(t *testing.T) {
-	perSendrecv := allocsPerMessage(t, 2, 2, func(r *Rank, i int) { // both ranks of the pair call it
-		r.Sendrecv(1-r.ID, i, 512, 1-r.ID, i)
-	})
-	if perSendrecv > 3.5 {
-		t.Fatalf("%.2f allocations per eager Sendrecv, ceiling 3.5", perSendrecv)
+	const ring = 4
+	for _, c := range []struct {
+		name    string
+		p, msgs int // ranks, messages one call posts over all of them
+		call    func(r *Rank, i int)
+	}{
+		{"eager Sendrecv", 2, 2, func(r *Rank, i int) { // both ranks of the pair call it
+			r.Sendrecv(1-r.ID, i, 512, 1-r.ID, i)
+		}},
+		{"rendezvous Sendrecv of 1 MiB", 2, 2, func(r *Rank, i int) {
+			r.Sendrecv(1-r.ID, i, 1<<20, 1-r.ID, i)
+		}},
+		{"Isend/Recv/Wait ring at p=4", ring, ring, func(r *Rank, i int) {
+			req := r.Isend((r.ID+1)%ring, i, 512)
+			r.Recv((r.ID+ring-1)%ring, i)
+			r.Wait(req)
+		}},
+	} {
+		if got := allocsPerMessage(t, c.p, c.msgs, c.call); got > allocCeiling {
+			t.Errorf("%s: %.3f allocations per message, ceiling %g", c.name, got, allocCeiling)
+		}
 	}
 }
 
@@ -648,8 +667,8 @@ func TestCollectiveAllocCeiling(t *testing.T) {
 		{"eager Barrier at p=2", 2, 2, func(r *Rank, _ int) { r.Barrier() }},
 		{"AlltoallvSparse at p=8", p, p, func(r *Rank, _ int) { r.AlltoallvSparse(sparse) }},
 	} {
-		if got := allocsPerMessage(t, c.p, c.msgs, c.call); got > 3.5 {
-			t.Errorf("%s: %.2f allocations per message, ceiling 3.5", c.name, got)
+		if got := allocsPerMessage(t, c.p, c.msgs, c.call); got > allocCeiling {
+			t.Errorf("%s: %.3f allocations per message, ceiling %g", c.name, got, allocCeiling)
 		}
 	}
 }

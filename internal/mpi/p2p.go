@@ -28,6 +28,8 @@ type message struct {
 	sender     *sim.Proc // rendezvous: the process awaiting clear-to-send
 	senderPark bool
 	cleared    bool // clear-to-send granted by the receiver
+
+	xfer *transfer // the transfer carrying it, which the receiver releases
 }
 
 // call is a rank's blocking operation in step form, run by one stepper
@@ -52,7 +54,7 @@ type call struct {
 	wds        wdState   // the current wait's watchdog budget
 	msg        *message  // recv: the matched message
 	xfer       *transfer // send: the rank's own transfer
-	req        *Request  // the latest isend's handle, which a wait reads
+	req        *transfer // the latest isend, which a wait reads and releases
 	got        int       // recv: the size received
 
 	fail error // a *CrashError or *TimeoutError for await to raise
@@ -240,7 +242,7 @@ func (c *call) send(pr *prim) bool {
 		r.P.WakeIn(r.W.M.Cfg.Net.SendOverhead)
 		return false
 	case 1:
-		c.xfer, c.st = r.newTransfer(pr.peer, pr.tag, pr.bytes), 2
+		c.xfer, c.st = r.newTransfer(pr.peer, pr.tag, pr.bytes, 1), 2 // held by the receiver
 	}
 	if !c.xfer.Step(r.P) {
 		return false
@@ -261,8 +263,8 @@ func (c *call) send(pr *prim) bool {
 }
 
 // isend starts a non-blocking send. The per-message host overhead is
-// charged to the caller (it is real CPU time); the transfer proceeds in a
-// helper process and a later wait reads its handle.
+// charged to the caller (it is real CPU time); the transfer proceeds in its
+// helper process and a later wait reads it.
 func (c *call) isend(pr *prim) bool {
 	r := c.r
 	if c.st == 0 {
@@ -274,33 +276,35 @@ func (c *call) isend(pr *prim) bool {
 		return false
 	}
 	r.chargeMsg(r.Now()-c.t0, false)
-	t := r.newTransfer(pr.peer, pr.tag, pr.bytes)
-	t.req = Request{rank: r, dst: pr.peer, bytes: pr.bytes}
-	r.W.M.Env.SpawnStep(t)
+	t := r.newTransfer(pr.peer, pr.tag, pr.bytes, 2) // held by the receiver and the wait
+	r.W.M.Env.StartStep(&t.sendP, t)
 	r.acct.BytesSent += int64(pr.bytes)
 	r.W.observeMsg(pr.bytes)
-	c.req = &t.req
+	c.req = t
 	return true
 }
 
-// wait finishes once the payload of the latest isend has left.
+// wait finishes once the payload of the latest isend has left, and
+// releases the transfer.
 func (c *call) wait() bool {
-	r, req := c.r, c.req
+	r, t := c.r, c.req
 	if c.st == 0 {
 		c.t0, c.wds, c.st = r.Now(), wdState{}, 1
-	} else if !c.woken(&req.waiter) {
-		return c.failWith(c.wds.timeout(r, "wait-send", req.dst))
+	} else if !c.woken(&t.waiter) {
+		return c.failWith(c.wds.timeout(r, "wait-send", t.msg.dst))
 	}
 	if c.crashed() {
 		return true
 	}
-	if !req.done {
-		return c.park(&req.waiter)
+	if !t.done {
+		return c.park(&t.waiter)
 	}
-	if req.abandoned {
-		return c.failWith(&TimeoutError{Rank: r.ID, Partner: req.dst, Op: "send-rendezvous", At: r.Now(), Since: c.t0})
+	if t.abandoned {
+		return c.failWith(&TimeoutError{Rank: r.ID, Partner: t.msg.dst, Op: "send-rendezvous", At: r.Now(), Since: c.t0})
 	}
 	r.chargeMsg(r.Now()-c.t0, false)
+	c.req = nil
+	t.release()
 	return true
 }
 
@@ -375,6 +379,7 @@ func (c *call) recv(pr *prim) bool {
 			c.msg, c.got = nil, msg.bytes
 			r.remove(msg)
 			r.acct.BytesRecv += int64(msg.bytes)
+			msg.xfer.release()
 			r.chargeMsg(c.tMatch-c.t0, true)     // waiting for the partner
 			r.chargeMsg(r.Now()-c.tMatch, false) // data transfer
 			if c.tMatch > c.t0 {
@@ -421,15 +426,36 @@ func (r *Rank) wakeIfWaiting() {
 // transfer carries one message from deposit to arrival. Its sender leg
 // (Step) deposits the envelope, waits out the rendezvous handshake and
 // pushes the payload through both NICs: a blocking send steps it on the
-// rank's own process, an isend registers it as a callback process so the
-// rank runs on. Its delivery leg (delivery.Step: latency, stall, receive-
-// side packet processing, arrival) is always a callback process of its
-// own, started when the payload has left the sender.
+// rank's own process, an isend starts it as the callback process sendP so
+// the rank runs on. Its delivery leg (delivery.Step: latency, stall,
+// receive-side packet processing, arrival) is always the callback process
+// dlvP, started when the payload has left the sender.
+//
+// Both processes live in the transfer, and a finished transfer goes back
+// to its world's free list for newTransfer to reuse, so a run allocates
+// transfers only up to its peak in flight. A transfer is finished when
+// its last holder releases it: the receiver once it has consumed the
+// message, and for an isend also the wait once it has seen the payload
+// leave. Both legs have ended by then. A path that crashes, times out or
+// abandons never releases, and leaves its transfer to the garbage
+// collector.
 type transfer struct {
-	msg message
-	req Request // the isend handle; unused by a blocking send
-	r   *Rank   // the sending rank
-	dst *Rank
+	transit
+	sendP, dlvP sim.Proc // the isend helper and the delivery leg
+}
+
+// transit is the part of a transfer that newTransfer resets for each
+// message; the two processes StartStep resets itself.
+type transit struct {
+	msg     message
+	r       *Rank // the sending rank
+	dst     *Rank
+	holders int // claims not yet released; the last release frees the transfer
+
+	// The isend's completion, which a wait reads.
+	done      bool
+	abandoned bool // the helper gave up (watchdog) without transferring
+	waiter    bool // a wait is parked on it
 
 	state    xferState
 	parked   bool    // a guarded park of the rendezvous wait is outstanding
@@ -460,11 +486,33 @@ const (
 	dlvArrive
 )
 
-func (r *Rank) newTransfer(dst, tag, bytes int) *transfer {
-	return &transfer{
-		msg: message{src: r.ID, dst: dst, tag: tag, bytes: bytes},
-		r:   r,
-		dst: r.W.ranks[dst],
+// newTransfer takes a transfer from the world's free list, or allocates
+// one, for a message with the given number of holders.
+func (r *Rank) newTransfer(dst, tag, bytes, holders int) *transfer {
+	w := r.W
+	var t *transfer
+	if n := len(w.free); n > 0 {
+		t = w.free[n-1]
+		w.free[n-1] = nil
+		w.free = w.free[:n-1]
+	} else {
+		t = new(transfer)
+	}
+	t.transit = transit{
+		msg:     message{src: r.ID, dst: dst, tag: tag, bytes: bytes, xfer: t},
+		r:       r,
+		dst:     w.ranks[dst],
+		holders: holders,
+	}
+	return t
+}
+
+// release drops one holder's claim; the last one returns the transfer to
+// the world's free list.
+func (t *transfer) release() {
+	if t.holders--; t.holders == 0 {
+		w := t.r.W
+		w.free = append(w.free, t)
 	}
 }
 
@@ -500,7 +548,7 @@ func (t *transfer) Step(p *sim.Proc) bool {
 					if own {
 						return r.call.failWith(t.wds.timeout(r, "send-rendezvous", msg.dst))
 					}
-					t.req.abandoned = true
+					t.abandoned = true
 					return t.finish(p)
 				}
 			}
@@ -581,7 +629,7 @@ func (t *transfer) Step(p *sim.Proc) bool {
 
 		case xferLeft:
 			t.state = dlvFlight
-			m.Env.SpawnStep((*delivery)(t))
+			m.Env.StartStep(&t.dlvP, (*delivery)(t))
 			return t.finish(p)
 
 		default:
@@ -590,13 +638,13 @@ func (t *transfer) Step(p *sim.Proc) bool {
 	}
 }
 
-// finish ends the sender leg; the isend helper completes its request and
+// finish ends the sender leg; the isend helper completes the send and
 // resumes a rank blocked in a wait.
 func (t *transfer) finish(p *sim.Proc) bool {
 	if r := t.r; p != r.P {
-		t.req.done = true
-		if t.req.waiter {
-			t.req.waiter = false
+		t.done = true
+		if t.waiter {
+			t.waiter = false
 			if r.P.Parked() {
 				r.W.M.Env.Unpark(r.P)
 			}
@@ -714,15 +762,10 @@ func (r *Rank) Recv(src, tag int) int {
 	return r.call.got
 }
 
-// Request is the handle of a non-blocking send.
-type Request struct {
-	rank      *Rank
-	done      bool
-	abandoned bool // helper gave up (watchdog) without transferring
-	dst       int
-	bytes     int
-	waiter    bool
-}
+// Request is the handle of a non-blocking send: its transfer. It is waited
+// on at most once, by the rank that started it, and is invalid once Wait
+// returns: its transfer then carries a later message.
+type Request transfer
 
 // Isend starts a non-blocking send and returns once its per-message host
 // overhead is paid; Wait blocks until the payload has left.
@@ -730,18 +773,20 @@ func (r *Rank) Isend(dst, tag, bytes int) *Request {
 	r.checkPeer(dst)
 	r.add(primIsend, dst, tag, bytes)
 	r.await()
-	return r.call.req
+	return (*Request)(r.call.req)
 }
 
 // Wait blocks until the payload of the send has left and returns its size.
 func (r *Rank) Wait(req *Request) int {
-	if req.rank != r {
+	t := (*transfer)(req)
+	if t.r != r {
 		panic("mpi: waiting on another rank's request")
 	}
-	r.call.req = req
+	bytes := t.msg.bytes // read before the wait releases t
+	r.call.req = t
 	r.add(primWait, 0, 0, 0)
 	r.await()
-	return req.bytes
+	return bytes
 }
 
 // Sendrecv exchanges messages with two (possibly different) partners

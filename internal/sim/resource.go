@@ -56,11 +56,3 @@ func (r *Resource) Release() {
 	}
 	r.inUse--
 }
-
-// Use acquires the resource, advances d seconds, and releases it.
-// Reference form, see Proc.Park.
-func (r *Resource) Use(p *Proc, d float64) {
-	r.Acquire(p)
-	p.Advance(d)
-	r.Release()
-}

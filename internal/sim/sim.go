@@ -11,8 +11,10 @@
 // (SpawnStep) is a small state machine the scheduler steps inline on
 // whichever goroutine is dispatching; message transfers, timers and fault
 // injectors are callback processes, so they cost no goroutine, channel or
-// context switch. Both kinds take their IDs and sequence numbers at the same
-// points, so a body behaves identically in either form.
+// context switch, and StartStep runs one on a Proc its caller owns and
+// reuses, so it costs no allocation either. Both kinds take their IDs and
+// sequence numbers at the same points, so a body behaves identically in
+// either form.
 //
 // A goroutine process can also hand a whole blocking call to a Stepper
 // (Proc.Await): every wakeup inside the call is stepped inline like a
@@ -139,9 +141,6 @@ func (e *Env) SetWorkers(n int) {
 	e.workers = n
 }
 
-// LiveProcs returns the number of spawned processes that have not finished.
-func (e *Env) LiveProcs() int { return e.alive }
-
 // Now returns the current virtual time in seconds.
 func (e *Env) Now() float64 { return e.now }
 
@@ -170,9 +169,21 @@ func (e *Env) Spawn(name string, fn func(*Proc)) *Proc {
 // start. SpawnStep may be called before Run, from a running process or from
 // another Step.
 func (e *Env) SpawnStep(body Stepper) *Proc {
-	p := &Proc{body: body}
-	e.register(p)
+	p := &Proc{}
+	e.StartStep(p, body)
 	return p
+}
+
+// StartStep is SpawnStep on a caller-owned process, which must be zero or
+// finished: a caller that recycles its helper processes spawns them without
+// allocating. The process keeps its park generation, so a ParkTimeoutStep
+// timer left over from an earlier use never matches a later park.
+func (e *Env) StartStep(p *Proc, body Stepper) {
+	if p.env != nil && !p.finished {
+		panic(fmt.Sprintf("sim: StartStep on live process %q", p.Name()))
+	}
+	*p = Proc{body: body, parkGen: p.parkGen}
+	e.register(p)
 }
 
 // register gives p its ID and schedules its start at the current time.
@@ -536,8 +547,8 @@ func (p *Proc) ParkStep() {
 
 // Park blocks the process until another process calls Unpark on it. The
 // programs run on the step forms (ParkStep + Yield); the blocking forms
-// Park, ParkTimeout, Resource.Acquire and Resource.Use stay as the
-// reference side of TestScheduleEquivalence.
+// Park, ParkTimeout and Resource.Acquire stay as the reference side of
+// TestScheduleEquivalence.
 func (p *Proc) Park() {
 	p.ParkStep()
 	p.Yield()

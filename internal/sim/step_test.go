@@ -13,6 +13,18 @@ import (
 // Schedule equivalence: a body behaves identically as a goroutine process,
 // as a callback process and as one call a goroutine process awaits.
 
+// Use acquires the resource, advances d seconds, and releases it: the
+// blocking reference side of the 'r' op in TestScheduleEquivalence, which
+// the step form (AcquireStep, WakeIn, Release) must match pop for pop.
+func (r *Resource) Use(p *Proc, d float64) {
+	r.Acquire(p)
+	p.Advance(d)
+	r.Release()
+}
+
+// LiveProcs returns the number of spawned processes that have not finished.
+func (e *Env) LiveProcs() int { return e.alive }
+
 type progOp struct {
 	kind   byte    // 'a'dvance, 'p'ark, 'u'npark, 'r'esource use, 't'imed park, 's'pawn
 	d      float64 // duration / timeout
@@ -282,6 +294,67 @@ func TestStepWithoutWakeupPanics(t *testing.T) {
 		}
 	}()
 	env.Run()
+}
+
+// timedParker parks once under a timeout and records how the park ended.
+type timedParker struct {
+	timeout float64
+	parked  bool
+	woke    string
+}
+
+func (s *timedParker) Step(p *Proc) bool {
+	if !s.parked {
+		s.parked = true
+		p.ParkTimeoutStep(s.timeout)
+		return false
+	}
+	s.woke = fmt.Sprintf("timedOut=%v @%v", p.TimedOut(), p.Now())
+	return true
+}
+func (s *timedParker) Name() string { return "timed-parker" }
+
+// TestStartStepKeepsParkGeneration reuses one process: its first park is
+// ended early, so its timer goes stale, and the process is restarted and
+// parks again before that timer fires. The stale timer must not end the
+// second park — which it would if StartStep reset the park generation.
+func TestStartStepKeepsParkGeneration(t *testing.T) {
+	env := NewEnv()
+	var p Proc
+	first, second := &timedParker{timeout: 5}, &timedParker{timeout: 10}
+	env.StartStep(&p, first)
+	env.Spawn("driver", func(d *Proc) {
+		d.Advance(1)
+		env.Unpark(&p) // the first timer, due at t=5, goes stale
+		d.Advance(1)
+		if !p.Done() {
+			t.Error("first use not finished at t=2")
+			return
+		}
+		env.StartStep(&p, second) // parks until t=12 unless unparked
+		d.Advance(5)
+		if p.Parked() {
+			env.Unpark(&p)
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if first.woke != "timedOut=false @1" || second.woke != "timedOut=false @7" {
+		t.Fatalf("first park ended %q, second %q; want timedOut=false @1 and @7", first.woke, second.woke)
+	}
+}
+
+func TestStartStepOnLiveProcessPanics(t *testing.T) {
+	env := NewEnv()
+	var p Proc
+	env.StartStep(&p, idleStepper{})
+	defer func() {
+		if v := recover(); v == nil || !strings.Contains(fmt.Sprint(v), "live process") {
+			t.Fatalf("recovered %v, want a panic about the live process", v)
+		}
+	}()
+	env.StartStep(&p, idleStepper{})
 }
 
 func TestCallbackOnlyRunNeedsNoGoroutine(t *testing.T) {
