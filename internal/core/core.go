@@ -18,7 +18,6 @@ import (
 	"sort"
 
 	"repro/internal/figures"
-	"repro/internal/md"
 	"repro/internal/obs"
 	"repro/internal/pmd"
 	"repro/internal/topol"
@@ -148,13 +147,4 @@ func (s *Study) write(w io.Writer, format Format, sep string, figs ...figures.Fi
 		}
 	}
 	return nil
-}
-
-// RunSequential runs the sequential engine on the study's workload for the
-// given number of steps and returns the per-step energy reports — the
-// baseline the parallel engine is validated against.
-func (s *Study) RunSequential(steps int) []md.EnergyReport {
-	cfg := s.Suite.Cfg.MD
-	e := md.NewEngine(s.Suite.System(), cfg)
-	return e.Run(steps, nil, nil)
 }

@@ -141,17 +141,6 @@ func TestOptionsOverrides(t *testing.T) {
 	}
 }
 
-func TestRunSequential(t *testing.T) {
-	s := NewStudy(Options{Quick: true, Steps: 1, Procs: []int{1}})
-	reports := s.RunSequential(2)
-	if len(reports) != 2 {
-		t.Fatalf("reports = %d", len(reports))
-	}
-	if reports[0].Total() == 0 {
-		t.Fatal("zero energy")
-	}
-}
-
 func TestSystemScale(t *testing.T) {
 	if n := quickStudy().System().N(); n != 3552 {
 		t.Fatalf("system atoms = %d", n)

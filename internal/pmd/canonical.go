@@ -14,48 +14,48 @@ import (
 	"repro/internal/work"
 )
 
-// canonical is the domain decomposition's shared physics evaluator.
+// canonical is the run's one physics provider.
 //
-// The determinism contract requires the domain path to produce energies
-// and forces byte-identical to the replicated path at the same rank count
-// (the halo-exchange property test pins this). Replaying replicated-data
-// arithmetic atom-by-atom inside every domain rank would both waste host
-// work (p full evaluations per step) and make bit-equality hostage to the
-// order halo fragments arrive in. Instead, each step's physics is
-// evaluated exactly once per run, in the canonical replicated order —
-// partitions by rank count p, partial results merged rank-ascending —
-// and every domain rank serves its values from the resulting immutable
-// snapshot. The domain ranks' own segments and collectives then charge
-// the virtual time of the spatial pipeline (halo exchange, owner-computes
-// terms, pencil FFTs) without touching the numbers.
+// Both decompositions compute one trajectory: the replicated-data
+// arithmetic at rank count p, every partition cut by p and every partial
+// result merged rank-ascending, as CHARMM's ranks combine them through
+// their collectives. canonical evaluates each step of it once per run and
+// serves it to every rank as an immutable snapshot. The ranks' segments
+// and collectives then charge the virtual time of their own pipeline —
+// block partitions and slab PME, or halo exchange, owner-computes terms
+// and pencil FFTs — from the snapshot's work counters and their layouts'
+// exact counts, without touching the numbers.
+//
+// While an evaluation runs every rank waits on it, so it spends the run's
+// HostWorkers: its rank loops run W ranks at a time on W lanes of reused
+// scratch, and each wave merges rank-ascending before the next starts —
+// the same bits at every W.
 //
 // Concurrency: the first rank to need step s runs the evaluation inside
-// its drift segment's once; the per-step barrier in kick keeps all ranks
-// within one step of each other, so an evaluation never runs concurrently
-// with another (the scratch buffers and the current pair list below are
-// safely reused) and finished snapshots are immutable when read.
+// its once; the per-step barrier keeps all ranks within one step of each
+// other, so evaluations never overlap (the lanes and the current pair list
+// are safely reused) and a finished snapshot is immutable while read.
 //
-// The snapshots depend on the workload and p alone, so a recording run
-// keeps every one of them and they become its Tape: a replay serves them
-// to its ranks without building an evaluator at all. Any other run keeps a
-// two-step window.
+// The snapshots depend on the workload, the decomposition and p alone, so
+// a recording run keeps every one of them and they become its Tape: a
+// replay serves them to its ranks without building an evaluator at all.
+// Any other run keeps a two-step window.
 type canonical struct {
 	cfg Config
 	p   int
 	sys *topol.System
 
-	ffield *ff.ForceField
-	nbk    *ff.NonbondedKernel
-	pme    *ewald.PME
-	sh     *shared
-	geo    *domainGeometry
-
+	ffield  *ff.ForceField
 	charges []float64
 	integ   *md.Integrator // the seed engine's
 
 	seedPos, seedVel []vec.V
 
-	// Replicated-equivalent partitions at rank count p.
+	// The domain layout whose epochs the snapshots carry; nil on a
+	// replicated run, which builds no epochs.
+	geo *domainGeometry
+
+	// Replicated partitions at rank count p.
 	atomOff, yOff []int
 	classicParts
 
@@ -64,17 +64,27 @@ type canonical struct {
 	pairs   []space.Pair
 	pairOff []int
 
-	plan2d *fft.Plan2D
-	plan1d *fft.Plan
+	ranks *kernels.Pool // HostWorkers wide: runs the lanes of a wave
+	lanes []lane
+	xOff  []int // the mesh x-planes each lane transforms
 
-	// Scratch reused across evaluations (never concurrent, see above).
-	scratchGrid []float64    // one rank's spread contribution
-	fullGrid    []complex128 // assembled grid / spectrum / potential
-	partial     []vec.V
+	fullGrid []complex128 // assembled grid / spectrum / potential
 
 	mu     sync.Mutex
 	states map[int]*canonState
 	keep   bool // retain every snapshot: this run records a tape
+}
+
+// lane is one host worker's scratch for the rank loops of an evaluation.
+type lane struct {
+	nbk     *ff.NonbondedKernel
+	pme     *ewald.PME
+	plan1d  *fft.Plan
+	plan2d  *fft.Plan2D
+	partial []vec.V   // the lane's rank's partial forces
+	grid    []float64 // the lane's rank's spread contribution
+	e       ff.Energies
+	scalar  float64 // the lane's rank's recip or exclusion energy
 }
 
 // canonState is one step's immutable physics snapshot. Step -1 is the
@@ -91,19 +101,24 @@ type canonState struct {
 	pos, vel, frcTotal []vec.V
 	rep                md.EnergyReport
 
+	// Per rank, what the replicated arithmetic counts: the classic terms
+	// over the rank's partitions, and the interpolation plus exclusion
+	// correction over its atom block.
+	classicWork, recipWork []work.Counters
+
 	listGen    int
 	listOrigin []vec.V
 	rebuilt    bool
 	distEvals  int64 // full list-search cost when rebuilt
 
-	// Spatial view of this step: ownership epoch (fixed between list
-	// rebuilds) and, on a rebuild, the atom-migration size matrix from
-	// the previous epoch's owners to the new ones.
+	// Spatial view of this step (domain runs only): ownership epoch
+	// (fixed between list rebuilds) and, on a rebuild, the atom-migration
+	// size matrix from the previous epoch's owners to the new ones.
 	epoch     *epochData
 	migration [][]int
 }
 
-func newCanonical(p int, cfg Config, sh *shared, seedEngine *md.Engine, keep bool) *canonical {
+func newCanonical(p int, cfg Config, seedEngine *md.Engine, keep bool) *canonical {
 	sys := cfg.System
 	n := sys.N()
 	pmeCfg := cfg.MD.PME
@@ -112,28 +127,36 @@ func newCanonical(p int, cfg Config, sh *shared, seedEngine *md.Engine, keep boo
 		p:       p,
 		sys:     sys,
 		ffield:  seedEngine.FF,
-		sh:      sh,
 		integ:   seedEngine.Integrator(),
 		seedPos: append([]vec.V(nil), seedEngine.Pos...),
 		seedVel: append([]vec.V(nil), seedEngine.Vel...),
 		states:  map[int]*canonState{},
 		keep:    keep,
 	}
-	c.nbk = c.ffield.NewNonbondedKernel()
 	c.charges = c.ffield.Charges()
 	c.atomOff = kernels.Partition(n, p, nil)
 	c.classicParts = newClassicParts(sys, p)
 	c.yOff = kernels.Partition(pmeCfg.K2, p, nil)
-	c.pme = ewald.NewPME(sys.Box, pmeCfg.Beta, pmeCfg.K1, pmeCfg.K2, pmeCfg.K3, pmeCfg.Order)
-	c.plan2d = fft.NewPlan2D(pmeCfg.K2, pmeCfg.K3)
-	c.plan1d = fft.NewPlan(pmeCfg.K1)
-	c.nbk.SetPool(sh.pool)
-	c.pme.SetPool(sh.pool)
 	g := pmeCfg.K1 * pmeCfg.K2 * pmeCfg.K3
-	c.scratchGrid = make([]float64, g)
 	c.fullGrid = make([]complex128, g)
-	c.partial = make([]vec.V, n)
-	c.geo = newDomainGeometry(p, cfg)
+	pool := kernels.NewPool(cfg.MD.KernelWorkers) // shared by the lanes' kernels
+	c.ranks = kernels.NewPool(cfg.HostWorkers)
+	c.lanes = make([]lane, min(max(cfg.HostWorkers, 1), p))
+	for i := range c.lanes {
+		l := &c.lanes[i]
+		l.nbk = c.ffield.NewNonbondedKernel()
+		l.nbk.SetPool(pool)
+		l.pme = ewald.NewPME(sys.Box, pmeCfg.Beta, pmeCfg.K1, pmeCfg.K2, pmeCfg.K3, pmeCfg.Order)
+		l.pme.SetPool(pool)
+		l.plan1d = fft.NewPlan(pmeCfg.K1)
+		l.plan2d = fft.NewPlan2D(pmeCfg.K2, pmeCfg.K3)
+		l.partial = make([]vec.V, n)
+		l.grid = make([]float64, g)
+	}
+	c.xOff = kernels.Partition(pmeCfg.K1, len(c.lanes), nil)
+	if cfg.Decomp == DecompDomain {
+		c.geo = newDomainGeometry(p, cfg)
+	}
 	return c
 }
 
@@ -175,11 +198,10 @@ func (c *canonical) snapshots(steps int) []*canonState {
 	return out
 }
 
-// evalInit mirrors the replicated worker's construction + initial
-// computeForces: seed state from the sequential engine (optionally
-// restored from a checkpoint, rebuilding the pair list at the
-// checkpointed origin so the restarted trajectory stays bitwise
-// identical), then one force evaluation.
+// evalInit seeds the state from the sequential engine (optionally
+// restored from a checkpoint, rebuilding the pair list at the checkpointed
+// origin so the restarted trajectory stays bitwise identical; the
+// interrupted run already paid for that build), then evaluates the forces.
 func (c *canonical) evalInit(st *canonState) {
 	st.pos = append([]vec.V(nil), c.seedPos...)
 	st.vel = append([]vec.V(nil), c.seedVel...)
@@ -187,7 +209,7 @@ func (c *canonical) evalInit(st *canonState) {
 	if init := c.cfg.Init; init != nil && len(init.ListOrigin) == c.sys.N() {
 		st.listOrigin = append([]vec.V(nil), init.ListOrigin...)
 		st.listGen = 0
-		c.pairs, _ = c.sh.sharedList(0, c.ffield, st.listOrigin)
+		c.pairs = c.ffield.BuildPairs(st.listOrigin, nil)
 		c.pairOff = kernels.Partition(len(c.pairs), c.p, nil)
 	}
 	c.forceEval(st)
@@ -195,7 +217,7 @@ func (c *canonical) evalInit(st *canonState) {
 
 // evalStep advances prev by one velocity-Verlet step: half-kick + drift,
 // force evaluation (with neighbour-list management), second half-kick and
-// the kinetic energy — all in the replicated path's arithmetic order.
+// the kinetic energy, whose per-rank block sums merge rank-ascending.
 func (c *canonical) evalStep(st *canonState) {
 	prev := st.prev
 	n := c.sys.N()
@@ -209,8 +231,6 @@ func (c *canonical) evalStep(st *canonState) {
 	c.forceEval(st)
 
 	c.integ.Kick(st.vel, st.frcTotal, 0, n)
-	// Kinetic energy: per-rank block sums merged rank-ascending, exactly
-	// like the replicated kick + barrier combine.
 	var kinTotal float64
 	for rk := 0; rk < c.p; rk++ {
 		kinTotal += c.integ.Kinetic(st.vel, c.atomOff[rk], c.atomOff[rk+1])
@@ -218,15 +238,39 @@ func (c *canonical) evalStep(st *canonState) {
 	st.rep.Kinetic = kinTotal
 }
 
-// forceEval reproduces computeForces' arithmetic serially: the same
-// per-rank partitions evaluated rank 0..p-1 into a zeroed scratch, the
-// same rank-ascending merges. The scratch reuse is bitwise safe: every
-// accumulator starts at +0.0 and x + (−x) rounds to +0.0, so no merge
-// input ever differs from the replicated path's per-rank arrays. For the
-// same reason neither charge grid can hold −0.0 (a −0.0 product added to a
-// +0.0 accumulator gives +0.0), so adding a scratch cell that is +0.0 is a
-// bitwise no-op and the grid merge may skip every cell outside the rank's
-// B-spline footprint, and every cell inside it that summed to zero.
+// waves runs eval(rk, l) for every rank rk, one wave of len(c.lanes) ranks
+// at a time, each rank on its own lane, and after each wave merge(rk, l)
+// for the wave's ranks in ascending order.
+func (c *canonical) waves(eval, merge func(rk int, l *lane)) {
+	w := len(c.lanes)
+	for r0 := 0; r0 < c.p; r0 += w {
+		n := min(w, c.p-r0)
+		c.ranks.Run(n, func(i int) { eval(r0+i, &c.lanes[i]) })
+		for i := 0; i < n; i++ {
+			merge(r0+i, &c.lanes[i])
+		}
+	}
+}
+
+// planes runs fn over every x-plane of the mesh, the lanes splitting them.
+func (c *canonical) planes(fn func(p *fft.Plan2D, plane []complex128)) {
+	planeLen := c.cfg.MD.PME.K2 * c.cfg.MD.PME.K3
+	c.ranks.Run(len(c.lanes), func(i int) {
+		for x := c.xOff[i]; x < c.xOff[i+1]; x++ {
+			fn(c.lanes[i].plan2d, c.fullGrid[x*planeLen:(x+1)*planeLen])
+		}
+	})
+}
+
+// forceEval evaluates the forces and energies of st.pos in the replicated
+// order: the per-rank partitions, each into a zeroed lane scratch, merged
+// rank-ascending. The scratch reuse is bitwise safe: every accumulator
+// starts at +0.0 and x + (−x) rounds to +0.0, so no merge input ever
+// differs from a per-rank array of its own. For the same reason neither
+// charge grid can hold −0.0 (a −0.0 product added to a +0.0 accumulator
+// gives +0.0), so adding a scratch cell that is +0.0 is a bitwise no-op
+// and the grid merge may skip every cell outside the rank's B-spline
+// footprint, and every cell inside it that summed to zero.
 func (c *canonical) forceEval(st *canonState) {
 	sys := c.sys
 	n := sys.N()
@@ -234,88 +278,146 @@ func (c *canonical) forceEval(st *canonState) {
 	k1, k2, k3 := pmeCfg.K1, pmeCfg.K2, pmeCfg.K3
 	planeLen := k2 * k3
 
-	// Neighbour-list management; a rebuild starts a new ownership epoch.
+	// Neighbour-list management; on a domain run a rebuild starts a new
+	// ownership epoch.
 	if !c.integ.ListValid(st.pos, st.listOrigin) {
 		st.listGen++
-		c.pairs, st.distEvals = c.sh.sharedList(st.listGen, c.ffield, st.pos)
+		var wl work.Counters
+		c.pairs = c.ffield.BuildPairs(st.pos, &wl)
+		st.distEvals = wl.ListDistEvals
 		st.listOrigin = append([]vec.V(nil), st.pos...)
 		c.pairOff = kernels.Partition(len(c.pairs), c.p, nil)
 		st.rebuilt = true
-		oldEpoch := st.epoch
-		st.epoch = c.geo.buildEpoch(c, st)
-		if oldEpoch != nil {
-			st.migration = c.geo.migrationSizes(oldEpoch, st.epoch)
+		if c.geo != nil {
+			oldEpoch := st.epoch
+			st.epoch = c.geo.buildEpoch(c, st)
+			if oldEpoch != nil {
+				st.migration = c.geo.migrationSizes(oldEpoch, st.epoch)
+			}
 		}
 	}
-	if st.epoch == nil {
+	if c.geo != nil && st.epoch == nil {
 		// Checkpoint restore with a still-valid list: the epoch follows
 		// the checkpointed list origin, as it did in the interrupted run.
 		st.epoch = c.geo.buildEpoch(c, st)
 	}
 
-	// Classic terms: per-rank partials merged rank-ascending.
 	st.frcTotal = make([]vec.V, n)
-	var eAll ff.Energies
-	var wc work.Counters // the canonical evaluation charges no work; the domain ranks do
-	for rk := 0; rk < c.p; rk++ {
-		e := c.classic(rk, c.ffield, c.nbk, st.pos, c.pairs[c.pairOff[rk]:c.pairOff[rk+1]], c.partial, &wc)
-		vec.AddTo(st.frcTotal, c.partial)
-		eAll.Add(e)
-	}
-	st.rep = md.EnergyReport{FF: eAll}
+	st.classicWork = make([]work.Counters, c.p)
+	st.recipWork = make([]work.Counters, c.p)
 
-	// PME reciprocal sum. Grid assembly point p sums rank contributions
-	// rk-ascending — the same per-point order as the replicated slab
-	// assembly (including the zero adds of non-contributing ranks).
-	for i := range c.fullGrid {
-		c.fullGrid[i] = 0
-	}
-	// scratchGrid is all zero here: it starts so, and each rank's merge
-	// clears every cell the rank's spread can have touched.
+	// Classic terms, then the PME charge grid. Grid point i sums the rank
+	// contributions rank-ascending — the per-point order of the replicated
+	// slab assembly (including the zero adds of non-contributing ranks). A
+	// lane grid is all zero when its rank spreads: it starts so, and each
+	// merge clears every cell the rank's spread can have touched.
+	var eAll ff.Energies
+	clear(c.fullGrid)
 	order := pmeCfg.Order
-	for rk := 0; rk < c.p; rk++ {
-		lo, hi := c.atomOff[rk], c.atomOff[rk+1]
-		c.pme.Spread(st.pos, c.charges, lo, hi, c.scratchGrid)
-		for i := lo; i < hi; i++ {
+	c.waves(func(rk int, l *lane) {
+		l.e = c.classic(rk, c.ffield, l.nbk, st.pos, c.pairs[c.pairOff[rk]:c.pairOff[rk+1]], l.partial, &st.classicWork[rk])
+		l.pme.Spread(st.pos, c.charges, c.atomOff[rk], c.atomOff[rk+1], l.grid)
+	}, func(rk int, l *lane) {
+		vec.AddTo(st.frcTotal, l.partial)
+		eAll.Add(l.e)
+		for i := c.atomOff[rk]; i < c.atomOff[rk+1]; i++ {
 			if c.charges[i] == 0 {
 				continue // Spread skips it too
 			}
-			i1, i2, i3 := c.pme.Footprint(st.pos[i])
+			i1, i2, i3 := l.pme.Footprint(st.pos[i])
 			for _, a := range i1[:order] {
 				for _, b := range i2[:order] {
 					base := (a*k2 + b) * k3
 					for _, z := range i3[:order] {
-						if s := c.scratchGrid[base+z]; s != 0 {
+						if s := l.grid[base+z]; s != 0 {
 							c.fullGrid[base+z] += complex(s, 0)
-							c.scratchGrid[base+z] = 0
+							l.grid[base+z] = 0
 						}
 					}
 				}
 			}
 		}
-	}
-	for x := 0; x < k1; x++ {
-		c.plan2d.Forward(c.fullGrid[x*planeLen : (x+1)*planeLen])
-	}
-	// Spectrum lines in the replicated y-block order; the per-rank eRecip
+	})
+	st.rep = md.EnergyReport{FF: eAll}
+	c.planes((*fft.Plan2D).Forward)
+	// Spectrum lines in the replicated y-block order; the per-rank
 	// subtotals merge rank-ascending.
-	for rk := 0; rk < c.p; rk++ {
-		var eR float64
+	c.waves(func(rk int, l *lane) {
+		l.scalar = 0
 		for y := c.yOff[rk]; y < c.yOff[rk+1]; y++ {
-			eR = spectrumLines(c.plan1d, c.pme, c.fullGrid, y*k3, planeLen, k1, k3, y, eR)
+			l.scalar = spectrumLines(l.plan1d, l.pme, c.fullGrid, y*k3, planeLen, k1, k3, y, l.scalar)
 		}
-		st.rep.Recip += eR
+	}, func(rk int, l *lane) { st.rep.Recip += l.scalar })
+	c.planes((*fft.Plan2D).Inverse)
+	// Interpolation + exclusion correction per rank block: forces merge
+	// rank-ascending on top of the classic sum, the ExclCorr scalars too.
+	c.waves(func(rk int, l *lane) {
+		l.scalar = recipForces(l.pme, sys, c.fullGrid, st.pos, c.charges, c.atomOff[rk], c.atomOff[rk+1], l.partial, &st.recipWork[rk])
+	}, func(rk int, l *lane) {
+		vec.AddTo(st.frcTotal, l.partial)
+		st.rep.ExclCorr += l.scalar
+	})
+	st.rep.Self = ewald.SelfEnergy(c.charges, pmeCfg.Beta)
+	st.rep.Background = ewald.BackgroundEnergy(c.charges, pmeCfg.Beta, sys.Box.Volume())
+}
+
+// classicParts is the replicated block partition of the bonded terms and
+// the 1-4 pairs over the ranks.
+type classicParts struct {
+	bondOff, angOff         []int
+	dihOff, imprOff, p14Off []int
+}
+
+func newClassicParts(sys *topol.System, p int) classicParts {
+	return classicParts{
+		bondOff: kernels.Partition(len(sys.Bonds), p, nil),
+		angOff:  kernels.Partition(len(sys.Angles), p, nil),
+		dihOff:  kernels.Partition(len(sys.Dihedrals), p, nil),
+		imprOff: kernels.Partition(len(sys.Impropers), p, nil),
+		p14Off:  kernels.Partition(len(sys.Pairs14), p, nil),
 	}
-	for x := 0; x < k1; x++ {
-		c.plan2d.Inverse(c.fullGrid[x*planeLen : (x+1)*planeLen])
+}
+
+// classic evaluates rank rk's classic forces into out (zeroed first) and
+// returns its energies; pairs is the rank's block of the pair list.
+func (cp *classicParts) classic(rk int, f *ff.ForceField, nbk *ff.NonbondedKernel,
+	pos []vec.V, pairs []space.Pair, out []vec.V, wc *work.Counters) ff.Energies {
+	var e ff.Energies
+	vec.Fill(out, vec.Zero)
+	e.Bond = f.BondsRange(pos, out, wc, cp.bondOff[rk], cp.bondOff[rk+1])
+	e.Angle = f.AnglesRange(pos, out, wc, cp.angOff[rk], cp.angOff[rk+1])
+	e.Dihedral = f.DihedralsRange(pos, out, wc, cp.dihOff[rk], cp.dihOff[rk+1])
+	e.Improper = f.ImpropersRange(pos, out, wc, cp.imprOff[rk], cp.imprOff[rk+1])
+	e.Add(nbk.Compute(pos, pairs, out, wc))
+	e.Add(f.Pairs14Range(pos, out, wc, cp.p14Off[rk], cp.p14Off[rk+1]))
+	return e
+}
+
+// spectrumLines runs the reciprocal sum over the k3 x-lines of mesh row
+// m2, which start at buf[base] and step by stride along x: forward 1-D
+// FFTs, the influence multiply, inverse FFTs. The lines' energy is added
+// to eRecip term by term, z-outer and m1-inner, and the sum returned.
+func spectrumLines(plan *fft.Plan, pme *ewald.PME, buf []complex128, base, stride, k1, k3, m2 int, eRecip float64) float64 {
+	plan.ForwardLines(buf, base, stride, k3)
+	for z := 0; z < k3; z++ {
+		for m1 := 0; m1 < k1; m1++ {
+			eC, cC := pme.Psi(m1, m2, z)
+			i := base + m1*stride + z
+			v := buf[i]
+			eRecip += eC * (real(v)*real(v) + imag(v)*imag(v))
+			buf[i] = v * complex(cC, 0)
+		}
 	}
-	// Interpolation + exclusion correction per rank block, merged in the
-	// replicated order: forces rank-ascending on top of the classic sum,
-	// then the ExclCorr scalar rank-ascending.
-	for rk := 0; rk < c.p; rk++ {
-		st.rep.ExclCorr += recipForces(c.pme, sys, c.fullGrid, st.pos, c.charges, c.atomOff[rk], c.atomOff[rk+1], c.partial, &wc)
-		vec.AddTo(st.frcTotal, c.partial)
-	}
-	st.rep.Self = ewald.SelfEnergy(c.charges, c.pme.Beta)
-	st.rep.Background = ewald.BackgroundEnergy(c.charges, c.pme.Beta, sys.Box.Volume())
+	plan.InverseLines(buf, base, stride, k3)
+	return eRecip
+}
+
+// recipForces interpolates the PME forces of atoms [lo, hi) from the
+// convolved potential mesh into out (zeroed first), adds the excluded-pair
+// correction of the same exclusion rows and returns its energy.
+func recipForces(pme *ewald.PME, sys *topol.System, conv []complex128, pos []vec.V,
+	charges []float64, lo, hi int, out []vec.V, wc *work.Counters) float64 {
+	vec.Fill(out, vec.Zero)
+	pme.Interpolate(conv, pos, charges, lo, hi, out)
+	return ewald.ExclusionCorrectionRange(sys.Box, pos, charges, sys.Excl, pme.Beta, lo, hi, out, wc)
 }

@@ -269,10 +269,13 @@ func TestDomainKernelWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestDomainMatchesReplicatedBitwise is the halo-exchange property test:
-// at equal rank count the domain decomposition produces energies and
-// final positions bitwise identical to the replicated path — the physics
-// is decomposition-invariant; only the timings differ.
+// TestDomainMatchesReplicatedBitwise: at equal rank count the domain
+// decomposition reports energies and final positions bitwise identical to
+// the replicated path — the physics is decomposition-invariant; only the
+// timings differ. Both pipelines serve one provider, the canonical
+// snapshots, so what this catches is a pipeline that reads the wrong step
+// or the wrong field of them (or a provider that forks on the
+// decomposition). The arithmetic itself is pinned by TestRunGolden.
 func TestDomainMatchesReplicatedBitwise(t *testing.T) {
 	// 6 steps over the 100-water box crosses a neighbour-list rebuild, so
 	// migration epochs are exercised too.

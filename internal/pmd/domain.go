@@ -353,47 +353,26 @@ func gridIndex(f float64, d int) int {
 // pencil PME (assemble → r2c x-FFTs → transpose → y-FFTs → transpose →
 // z-FFTs + influence → the inverse chain → potential gather →
 // interpolation).
-type domainDecomp struct {
-	canon *canonical    // evaluates the snapshots; nil when replaying
-	taped []*canonState // a replay's snapshots, step s at s+1
-	geo   *domainGeometry
+type domainDecomp struct{}
 
-	cur, prev *canonState
-}
-
-func newDomainDecomp(sh *shared, tape *Tape) *domainDecomp {
-	if tape.Complete() {
-		return &domainDecomp{taped: tape.snaps, geo: tape.geo}
-	}
-	return &domainDecomp{canon: sh.canon, geo: sh.canon.geo}
-}
-
-// state returns step's snapshot.
-func (d *domainDecomp) state(step int) *canonState {
-	if d.canon == nil {
-		return d.taped[step+1]
-	}
-	return d.canon.state(step)
-}
-
-func (d *domainDecomp) initialForces(w *worker) {
-	// The snapshot evaluation happens inside a segment so its host time
-	// overlaps other ranks' schedules; it charges no virtual work (the
+func (domainDecomp) initialForces(w *worker) {
+	// The snapshot lookup happens inside a segment so an evaluation's host
+	// time overlaps other ranks' schedules; it charges no virtual work (the
 	// pipeline segments below charge the spatial model's work). A replay
-	// runs the same segment around a lookup, so its schedule is the same.
-	w.seg(work.Counters{}, func(*work.Counters) { d.cur = d.state(-1) })
-	d.pipeline(w, nil, phaseTracker{})
-	d.adopt(w)
+	// runs the same segment around a tape lookup, so its schedule is the
+	// same.
+	w.r.ComputeSeg(work.Counters{}, func(*work.Counters) { w.cur = w.sh.state(-1) })
+	domainPipeline(w, nil, phaseTracker{})
 }
 
-func (d *domainDecomp) drift(w *worker, step int) {
+func (domainDecomp) drift(w *worker, step int) {
 	me := w.me()
-	nOwn := int64(d.prev.epoch.nOwn[me])
-	w.seg(work.Counters{Integrate: nOwn}, func(wc *work.Counters) {
-		d.cur = d.state(step)
+	nOwn := int64(w.cur.epoch.nOwn[me]) // the previous step's owners move their atoms
+	w.r.ComputeSeg(work.Counters{Integrate: nOwn}, func(wc *work.Counters) {
+		w.cur = w.sh.state(step)
 		wc.Integrate += nOwn
 	})
-	st := d.cur
+	st := w.cur
 	// On a rebuild step, migrate atoms to their new owners; then exchange
 	// the half-shell halo (each domain ships its owned atoms to every
 	// higher-id coupled neighbour).
@@ -409,34 +388,21 @@ func (d *domainDecomp) drift(w *worker, step int) {
 	w.c.AlltoallvSparse(st.epoch.haloSizes)
 }
 
-func (d *domainDecomp) forces(w *worker, st *StepTiming, tr phaseTracker) md.EnergyReport {
-	return d.pipeline(w, st, tr)
+func (domainDecomp) forces(w *worker, st *StepTiming, tr phaseTracker) md.EnergyReport {
+	return domainPipeline(w, st, tr)
 }
 
-func (d *domainDecomp) kick(w *worker, rep *md.EnergyReport) {
-	cs := d.cur
-	nOwn := int64(cs.epoch.nOwn[w.me()])
-	w.r.ComputeWork(work.Counters{Integrate: nOwn})
+func (domainDecomp) kick(w *worker) {
+	w.r.ComputeWork(work.Counters{Integrate: int64(w.cur.epoch.nOwn[w.me()])})
 	w.c.Barrier()
-	rep.Kinetic = cs.rep.Kinetic
-	d.adopt(w)
 }
 
-// adopt points the worker's state at the current snapshot (the recorder
-// and FinalPos read these fields) and retires it to prev.
-func (d *domainDecomp) adopt(w *worker) {
-	cs := d.cur
-	w.pos, w.vel, w.frcTotal = cs.pos, cs.vel, cs.frcTotal
-	w.listOrigin, w.listGen = cs.listOrigin, cs.listGen
-	d.prev = cs
-}
-
-// pipeline charges the classic + pencil-PME pipeline of one evaluation.
-// When st is non-nil it closes the classic sample with tr and fills the
-// PME sample.
-func (d *domainDecomp) pipeline(w *worker, st *StepTiming, tr phaseTracker) md.EnergyReport {
-	cs := d.cur
-	geo := d.geo
+// domainPipeline charges the classic + pencil-PME pipeline of one
+// evaluation. When st is non-nil it closes the classic sample with tr and
+// fills the PME sample.
+func domainPipeline(w *worker, st *StepTiming, tr phaseTracker) md.EnergyReport {
+	cs := w.cur
+	geo := w.sh.geo
 	me := w.me()
 	ep := cs.epoch
 	cnt := &ep.counts
@@ -448,16 +414,16 @@ func (d *domainDecomp) pipeline(w *worker, st *StepTiming, tr phaseTracker) md.E
 	// Owner-computes classic terms over the domain's cell lists. On a
 	// rebuild step the rank charges its share of the distributed list
 	// search, like the replicated path.
-	minC := work.Counters{
+	classic := work.Counters{
 		BondTerms:     cnt.bonds[me],
 		AngleTerms:    cnt.angles[me],
 		DihedralTerms: cnt.dihs[me] + cnt.imprs[me],
 		PairEvals:     cnt.pairs[me] + cnt.p14[me],
 	}
 	if cs.rebuilt {
-		minC.ListDistEvals = cs.distEvals / int64(w.p)
+		classic.ListDistEvals = cs.distEvals / int64(w.p)
 	}
-	w.r.ComputeWork(minC)
+	w.r.ComputeWork(classic)
 
 	// Return the partial forces of imported halo atoms to their owners,
 	// then the per-step energy-array reduction.
@@ -476,55 +442,48 @@ func (d *domainDecomp) pipeline(w *worker, st *StepTiming, tr phaseTracker) md.E
 	zW3 := int64(geo.zOff3[b+1] - geo.zOff3[b])
 
 	// Spread own atoms onto the domain's local grid region.
-	minSpread := work.Counters{GridCharges: nOwn * o3}
-	w.r.ComputeWork(minSpread)
+	w.r.ComputeWork(work.Counters{GridCharges: nOwn * o3})
 	// Ship the contributions to the stage-1 pencil owners.
 	w.c.AlltoallvSparse(geo.sizesAssm)
 	// Stage 1: assemble the pencil's (y,z) block and run the r2c x-FFTs
 	// (half the complex plan's work on real input).
-	min1 := work.Counters{
+	w.r.ComputeWork(work.Counters{
 		RecipPoints: geo.pencilPts[me],
 		FFTOps:      yW2 * zW3 * geo.opsX / 2,
-	}
-	w.r.ComputeWork(min1)
+	})
 	w.c.AlltoallvSparse(geo.sizesT1F)
 	// Stage 2: y-FFTs on the x-spectrum pencils.
-	min2 := work.Counters{
+	w.r.ComputeWork(work.Counters{
 		Other:  xsW * int64(k2) * zW3,
 		FFTOps: xsW * zW3 * geo.opsY,
-	}
-	w.r.ComputeWork(min2)
+	})
 	w.c.AlltoallvSparse(geo.sizesT2F)
 	// Stage 3: z-FFTs, influence multiply + energy, inverse z-FFTs.
-	min3 := work.Counters{
+	w.r.ComputeWork(work.Counters{
 		Other:       xsW * ysW * int64(k3),
 		FFTOps:      2 * xsW * ysW * geo.opsZ,
 		RecipPoints: xsW * ysW * int64(k3),
-	}
-	w.r.ComputeWork(min3)
+	})
 	w.c.AlltoallvSparse(geo.sizesT2B)
 	// Inverse stage 2.
-	min4 := work.Counters{
+	w.r.ComputeWork(work.Counters{
 		Other:  xsW * int64(k2) * zW3,
 		FFTOps: xsW * zW3 * geo.opsY,
-	}
-	w.r.ComputeWork(min4)
+	})
 	w.c.AlltoallvSparse(geo.sizesT1B)
 	// Inverse stage 1 (c2r x-FFTs back to the real grid).
-	min5 := work.Counters{
+	w.r.ComputeWork(work.Counters{
 		Other:  int64(k1) * yW2 * zW3,
 		FFTOps: yW2 * zW3 * geo.opsX / 2,
-	}
-	w.r.ComputeWork(min5)
+	})
 	// Return the convolved potential cells to the domains.
 	w.c.AlltoallvSparse(geo.sizesGath)
 	// Interpolate forces for owned atoms + owned exclusion corrections.
-	min6 := work.Counters{
+	w.r.ComputeWork(work.Counters{
 		Other:       geo.domainPts[me],
 		GridCharges: nOwn * o3,
 		PairEvals:   cnt.excl[me],
-	}
-	w.r.ComputeWork(min6)
+	})
 	// Exclusion corrections touch halo atoms too: return those partial
 	// forces, then merge the reciprocal energy scalars.
 	w.c.AlltoallvSparse(ep.frcRetSizes)

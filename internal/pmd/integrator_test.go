@@ -31,10 +31,10 @@ func captureSteps(t *testing.T, cfg Config, p int) []stepState {
 	}
 	cfg.onStep = func(w *worker, step int) {
 		lo, hi := w.myAtoms()
-		copy(out[step].vel[lo:hi], w.vel[lo:hi])
+		copy(out[step].vel[lo:hi], w.cur.vel[lo:hi])
 		if w.me() == 0 {
-			out[step].pos = append([]vec.V(nil), w.pos...)
-			out[step].frc = append([]vec.V(nil), w.frcTotal...)
+			out[step].pos = append([]vec.V(nil), w.cur.pos...)
+			out[step].frc = append([]vec.V(nil), w.cur.frcTotal...)
 		}
 	}
 	res, err := Run(clusterCfg(p, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), cfg)

@@ -13,9 +13,11 @@
 //     transposes (the "all-to-all personalized communication" of Fig. 2),
 //     a gather of the convolved potential and local force interpolation.
 //
-// Every rank executes its real share of the physics (the results are
-// verified against the sequential engine) while virtual time is charged
-// through the cluster cost model and the simulated MPI/CMPI transports.
+// The physics is that arithmetic, executed once per step by one shared
+// evaluator in the ranks' partitions and merge order (the results are
+// verified against the sequential engine); every rank charges its share of
+// the work, and its messages, through the cluster cost model and the
+// simulated MPI/CMPI transports.
 package pmd
 
 import (
@@ -97,8 +99,7 @@ type Config struct {
 
 	// Tape, when non-nil, memoizes the physics across runs of the same
 	// workload, decomposition and rank count: an empty tape records this
-	// run's physics (the replicated path's per-segment work counters, the
-	// domain path's canonical snapshots), a completed tape replays it
+	// run's canonical snapshots, a completed tape replays them
 	// instead of executing the MD kernels (the simulated timings still come
 	// out of the full event simulation). Ignored when Init or a step hook
 	// needs real physics, or when the tape was recorded for a
@@ -106,9 +107,10 @@ type Config struct {
 	Tape *Tape
 
 	// HostWorkers > 1 executes compute segments of different ranks
-	// concurrently on that many host goroutines; results are bitwise
-	// identical to the serial schedule (see internal/sim). ≤ 1 runs
-	// everything inline.
+	// concurrently on that many host goroutines, and the canonical
+	// evaluation's rank loops that many ranks at a time; results are
+	// bitwise identical to the serial schedule (see internal/sim). ≤ 1
+	// runs everything inline.
 	HostWorkers int
 
 	// OnStep, when non-nil, runs on rank 0 after every completed step
@@ -293,10 +295,9 @@ func runAttempt(clusterCfg cluster.Config, cost cluster.CostModel, cfg Config) (
 	}
 
 	// The initial state comes from the sequential engine so trajectories
-	// are directly comparable; every rank starts from an identical copy.
-	// A replayed run serves its physics from the tape — the replicated
-	// path's energies and positions, the domain path's snapshots and
-	// geometry — and builds no seed engine, evaluator or geometry.
+	// are directly comparable. A replayed run serves its physics from the
+	// tape's snapshots (and, for the domain path, geometry) and builds no
+	// seed engine, evaluator or geometry.
 	var seed *md.Engine
 	if !replaying {
 		seed = md.NewEngine(cfg.System, cfg.MD)
@@ -320,15 +321,14 @@ func runAttempt(clusterCfg cluster.Config, cost cluster.CostModel, cfg Config) (
 		Watchdog: cfg.Watchdog, HostWorkers: cfg.HostWorkers,
 	}
 	accts, err := mpi.RunOpts(clusterCfg, cost, opts, func(r *mpi.Rank) {
-		w := newWorker(r, cfg, sh, seed, tape)
-		w.run(res)
+		newWorker(r, cfg, sh).run(res)
 	})
 	res.Acct = accts
 	if tape != nil && !replaying {
 		if err != nil {
 			tape.reset()
 		} else {
-			tape.finish(res, sh.canon)
+			tape.finish(sh.canon)
 		}
 	}
 	return res, accts, err

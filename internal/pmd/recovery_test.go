@@ -133,7 +133,7 @@ func TestLocalizedRecoveryMidMigration(t *testing.T) {
 			stepEnd[step] = t
 		}
 		if w.me() == 0 {
-			gens = append(gens, w.listGen)
+			gens = append(gens, w.cur.listGen)
 		}
 	}
 	healthy, err := Run(cl, cost, probe)

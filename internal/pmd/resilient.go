@@ -148,22 +148,22 @@ func (rec *recorder) onStep(w *worker, step int) {
 		e := ckptEntry{
 			step: step,
 			acct: w.r.Acct(),
-			vel:  append([]vec.V(nil), w.vel[lo:hi]...),
+			vel:  append([]vec.V(nil), w.cur.vel[lo:hi]...),
 		}
 		if me == 0 {
-			e.pos = append([]vec.V(nil), w.pos...)
-			e.frc = append([]vec.V(nil), w.frcTotal...)
-			if w.listGen >= 0 {
-				e.origin = append([]vec.V(nil), w.listOrigin...)
+			e.pos = append([]vec.V(nil), w.cur.pos...)
+			e.frc = append([]vec.V(nil), w.cur.frcTotal...)
+			if w.cur.listGen >= 0 {
+				e.origin = append([]vec.V(nil), w.cur.listOrigin...)
 			}
 		}
 		rec.hist[me] = append(rec.hist[me], e)
 	}
 	// The list generation is in lockstep on every rank and bumps exactly at
 	// rebuild (migration) epochs, so rank 0's view stands for the grid.
-	if rec.local && me == 0 && w.listGen > rec.lastGen {
+	if rec.local && me == 0 && w.cur.listGen > rec.lastGen {
 		rec.epochSteps = append(rec.epochSteps, step)
-		rec.lastGen = w.listGen
+		rec.lastGen = w.cur.listGen
 	}
 	// The halt step itself still persists: every rank completes it (each
 	// sets only its own stop flag), so its checkpoint must reach disk

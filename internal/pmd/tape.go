@@ -1,11 +1,5 @@
 package pmd
 
-import (
-	"repro/internal/md"
-	"repro/internal/vec"
-	"repro/internal/work"
-)
-
 // Tape memoizes the physics of one parallel run. The trajectory — and with
 // it every work counter and every ownership-dependent size matrix — is a
 // function of the workload (system, MD config, step count), the
@@ -17,14 +11,11 @@ import (
 // full event simulation instead of re-executing the MD kernels, which is
 // where nearly all host time goes.
 //
-// What a tape holds depends on the decomposition it was recorded under:
-//
-//   - replicated: the work counters of every compute segment of every rank,
-//     in program order, plus the per-step energies and the final positions;
-//   - domain: every canonical snapshot of the run (positions, forces,
-//     energies, ownership epochs, migration matrices) and the static
-//     domain geometry. The ranks of a replay run the whole spatial pipeline
-//     over them; only the canonical evaluation and its setup are skipped.
+// A tape holds every canonical snapshot of the recorded run (positions,
+// forces, energies, the per-rank work counters and, for the domain
+// decomposition, its ownership epochs, migration matrices and static
+// geometry). The ranks of a replay run their whole pipeline over them;
+// only the canonical evaluation and its setup are skipped.
 //
 // A tape must not outlive its workload: callers key tapes by decomposition
 // and rank count within one suite (fixed system, MD config and steps). Runs
@@ -35,12 +26,6 @@ type Tape struct {
 	p, steps int
 	decomp   DecompKind
 
-	// Replicated path.
-	segs     [][]work.Counters // [rank] → per-segment counters, program order
-	energies []md.EnergyReport
-	finalPos []vec.V
-
-	// Domain path.
 	snaps []*canonState // step s at s+1, the initial evaluation first
 	geo   *domainGeometry
 
@@ -62,30 +47,13 @@ func (t *Tape) fits(decomp DecompKind, p, steps int) bool {
 func (t *Tape) begin(decomp DecompKind, p, steps int) {
 	t.reset()
 	t.decomp, t.p, t.steps = decomp, p, steps
-	if decomp == DecompReplicated {
-		t.segs = make([][]work.Counters, p)
-	}
 }
 
 // reset discards a partial recording (e.g. after a crashed attempt).
 func (t *Tape) reset() { *t = Tape{} }
 
-// finish seals a recording with what replayed runs must serve: the
-// replicated path's energies and final positions, or the domain path's
-// snapshots and geometry.
-func (t *Tape) finish(res *Result, canon *canonical) {
-	if t.decomp == DecompDomain {
-		t.snaps, t.geo = canon.snapshots(t.steps), canon.geo
-	} else {
-		t.energies = append([]md.EnergyReport(nil), res.Energies...)
-		t.finalPos = append([]vec.V(nil), res.FinalPos...)
-	}
+// finish seals a recording with the snapshots replayed runs serve.
+func (t *Tape) finish(canon *canonical) {
+	t.snaps, t.geo = canon.snapshots(t.steps), canon.geo
 	t.complete = true
-}
-
-// record appends one segment's counters for the given rank. Each rank owns
-// its slot and appends sequentially, so concurrent segment closures of
-// different ranks never contend.
-func (t *Tape) record(rank int, w work.Counters) {
-	t.segs[rank] = append(t.segs[rank], w)
 }
