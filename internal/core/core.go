@@ -45,8 +45,9 @@ type Options struct {
 	// SystemSeed/ClusterSeed select the deterministic random streams.
 	SystemSeed  uint64
 	ClusterSeed uint64
-	// Workers sizes the host worker pool (0 = one per host CPU, 1 =
-	// serial). Figure output is identical across settings.
+	// Workers bounds the cells in flight and the canonical evaluation's
+	// lanes inside each (0 = one per host CPU, 1 = serial). Figure output
+	// is identical across settings.
 	Workers int
 	// KernelWorkers spreads the physics kernels (pair loop, FFT, PME
 	// spread/interpolate) over host cores; 0 and 1 run them inline.

@@ -219,8 +219,9 @@ func (s *Suite) Stats() RunStats {
 func (s *Suite) CellSeconds() float64 { return s.mCellSeconds.Value() }
 
 // workers resolves Cfg.Workers to the bound it sets, never below 1: the
-// cells a batch keeps in flight and, inside each, the host goroutines for
-// compute segments (0 = one per host CPU; a negative value means 1).
+// cells a batch keeps in flight and, inside each, the lanes of the
+// canonical physics evaluation (0 = one per host CPU; a negative value
+// means 1).
 func (s *Suite) workers() int {
 	if w := s.Cfg.Workers; w != 0 {
 		return max(w, 1)

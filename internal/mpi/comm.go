@@ -239,29 +239,6 @@ func (r *Rank) ComputeWork(w work.Counters) {
 	r.Compute(r.W.Cost.Seconds(w))
 }
 
-// ComputeSeg executes seg — pure computation that touches only rank-local
-// state and never the simulator — and charges the cost of the counters seg
-// fills, exactly as running seg inline followed by ComputeWork would.
-// minWork must be a guaranteed lower bound on the counters seg will produce
-// (the zero value is always safe); under host parallelism (Options.
-// HostWorkers > 1) the bound lets the scheduler overlap segments of
-// different ranks while reproducing the serial event order bit for bit.
-// Straggler faults are sampled at the segment start, like Compute.
-func (r *Rank) ComputeSeg(minWork work.Counters, seg func(*work.Counters)) {
-	r.checkCrash()
-	t0 := r.Now()
-	scale := r.W.M.ComputeScaleAt(t0, r.W.M.NodeOf(r.ID).ID)
-	lb := scale * r.W.Cost.Seconds(minWork)
-	d := r.P.Compute(lb, func() float64 {
-		var w work.Counters
-		seg(&w)
-		return scale * r.W.Cost.Seconds(w)
-	})
-	r.acct.Comp += d
-	r.checkCrash()
-	r.traceEvent(trace.KindCompute, "compute", t0)
-}
-
 // chargeMsg books d seconds of message time into Comm or Sync depending on
 // the rank's current classification.
 func (r *Rank) chargeMsg(d float64, sync bool) {
@@ -287,10 +264,7 @@ type Options struct {
 	Faults   cluster.FaultModel // optional platform degradation
 	Watchdog Watchdog           // zero value: unbounded blocking waits
 
-	// HostWorkers sizes the host worker pool for ComputeSeg closures:
-	// > 1 overlaps compute segments of different ranks on that many host
-	// goroutines (output stays bitwise-identical to the serial schedule);
-	// ≤ 1 runs every segment inline on its rank's own goroutine.
+	// HostWorkers has no effect: every rank charges its compute inline.
 	HostWorkers int
 }
 
@@ -311,7 +285,6 @@ func RunOpts(cfg cluster.Config, cost cluster.CostModel, opts Options, fn func(*
 		return nil, err
 	}
 	env := sim.NewEnv()
-	env.SetWorkers(opts.HostWorkers)
 	m := cluster.New(env, cfg)
 	m.Faults = opts.Faults
 	w := &World{M: m, Cost: cost, Tracer: opts.Tracer, Obs: opts.Obs, Wd: opts.Watchdog}

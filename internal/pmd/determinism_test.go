@@ -52,7 +52,7 @@ func mustEqualResults(t *testing.T, label string, a, b *Result) {
 }
 
 // TestHostParallelMatchesSerial is the central determinism claim of the
-// host-parallel scheduler: any worker-pool size produces bitwise-identical
+// canonical evaluation's lanes: any HostWorkers produces bitwise-identical
 // simulation results. TCP/IP is the stall-drawing network, so any event
 // reordering would shift the stall RNG stream and show up immediately.
 func TestHostParallelMatchesSerial(t *testing.T) {
@@ -63,8 +63,8 @@ func TestHostParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestHostParallelRepeatable: three repeated host-parallel runs are
-// bitwise identical to each other.
+// TestHostParallelRepeatable: three repeated runs on four canonical
+// lanes are bitwise identical to each other.
 func TestHostParallelRepeatable(t *testing.T) {
 	first := runWith(t, 4, 3, 4, nil, nil)
 	for i := 0; i < 2; i++ {
@@ -85,11 +85,10 @@ func testInjector(t *testing.T) *fault.Injector {
 	return inj
 }
 
-// TestHostParallelDeterministicUnderFaults repeats the serial-vs-parallel
+// TestHostParallelDeterministicUnderFaults repeats the one-lane-vs-four
 // and run-to-run checks with stragglers and link degradation active: the
-// fault model's time-varying compute scaling must not break the schedule
-// reproduction (segment bounds are scaled by the same factor sampled at
-// the same virtual instant).
+// fault model's time-varying compute scaling must give the same schedule
+// whatever the canonical evaluation's lane count.
 func TestHostParallelDeterministicUnderFaults(t *testing.T) {
 	serial := runWith(t, 4, 3, 0, nil, testInjector(t))
 	for i := 0; i < 2; i++ {
@@ -110,7 +109,7 @@ func TestTapeReplayMatches(t *testing.T) {
 	replay := runWith(t, 4, 3, 0, tape, nil)
 	mustEqualResults(t, "replay", rec, replay)
 
-	// Host-parallel replay too.
+	// The same replay at HostWorkers 4.
 	mustEqualResults(t, "replay-parallel", rec, runWith(t, 4, 3, 4, tape, nil))
 }
 

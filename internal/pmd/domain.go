@@ -356,22 +356,20 @@ func gridIndex(f float64, d int) int {
 type domainDecomp struct{}
 
 func (domainDecomp) initialForces(w *worker) {
-	// The snapshot lookup happens inside a segment so an evaluation's host
-	// time overlaps other ranks' schedules; it charges no virtual work (the
-	// pipeline segments below charge the spatial model's work). A replay
-	// runs the same segment around a tape lookup, so its schedule is the
-	// same.
-	w.r.ComputeSeg(work.Counters{}, func(*work.Counters) { w.cur = w.sh.state(-1) })
+	// The zero-cost charge after the lookup keeps the domain schedule's
+	// step-0 event, which the schedule goldens pin; the pipeline segments
+	// below charge the spatial model's work. A replay makes the same charge
+	// after a tape lookup, so its schedule is the same.
+	w.cur = w.sh.state(-1)
+	w.r.ComputeWork(work.Counters{})
 	domainPipeline(w, nil, phaseTracker{})
 }
 
 func (domainDecomp) drift(w *worker, step int) {
 	me := w.me()
 	nOwn := int64(w.cur.epoch.nOwn[me]) // the previous step's owners move their atoms
-	w.r.ComputeSeg(work.Counters{Integrate: nOwn}, func(wc *work.Counters) {
-		w.cur = w.sh.state(step)
-		wc.Integrate += nOwn
-	})
+	w.cur = w.sh.state(step)
+	w.r.ComputeWork(work.Counters{Integrate: nOwn})
 	st := w.cur
 	// On a rebuild step, migrate atoms to their new owners; then exchange
 	// the half-shell halo (each domain ships its owned atoms to every

@@ -198,8 +198,8 @@ func TestResilientConfigValidation(t *testing.T) {
 }
 
 // TestDeterministicAcrossHostWorkers: the same durable kill/restart
-// sequence replayed with a different host-worker count produces the same
-// on-disk state and figures.
+// sequence replayed with a different canonical lane count (HostWorkers)
+// produces the same on-disk state and figures.
 func TestDeterministicAcrossHostWorkers(t *testing.T) {
 	sys := testSystem(48, 24, 23)
 	net := netmodel.TCPGigE()

@@ -106,11 +106,9 @@ type Config struct {
 	// different decomposition, rank count or step count.
 	Tape *Tape
 
-	// HostWorkers > 1 executes compute segments of different ranks
-	// concurrently on that many host goroutines, and the canonical
-	// evaluation's rank loops that many ranks at a time; results are
-	// bitwise identical to the serial schedule (see internal/sim). ≤ 1
-	// runs everything inline.
+	// HostWorkers > 1 runs the canonical evaluation's rank loops that
+	// many ranks at a time on as many host goroutines; results are
+	// bitwise identical to the serial loop. ≤ 1 runs everything inline.
 	HostWorkers int
 
 	// OnStep, when non-nil, runs on rank 0 after every completed step
@@ -318,7 +316,7 @@ func runAttempt(clusterCfg cluster.Config, cost cluster.CostModel, cfg Config) (
 
 	opts := mpi.Options{
 		Tracer: cfg.Tracer, Obs: cfg.Obs, Faults: cfg.Faults,
-		Watchdog: cfg.Watchdog, HostWorkers: cfg.HostWorkers,
+		Watchdog: cfg.Watchdog,
 	}
 	accts, err := mpi.RunOpts(clusterCfg, cost, opts, func(r *mpi.Rank) {
 		newWorker(r, cfg, sh).run(res)

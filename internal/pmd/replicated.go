@@ -69,10 +69,8 @@ func (replicatedDecomp) drift(w *worker, step int) {
 	nOwn := int64(aHi - aLo)
 	// Half-kick + drift of the owned atom block, then the all-gather that
 	// refreshes every replica.
-	w.r.ComputeSeg(work.Counters{Integrate: nOwn}, func(wc *work.Counters) {
-		w.cur = w.sh.state(step)
-		wc.Integrate += nOwn
-	})
+	w.cur = w.sh.state(step)
+	w.r.ComputeWork(work.Counters{Integrate: nOwn})
 	w.c.Allgatherv(w.sh.blocks)
 }
 

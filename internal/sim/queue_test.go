@@ -22,18 +22,18 @@ func (r *refQueue) pop() event {
 }
 
 // TestEventQueueOrdersLikeOneHeap pushes the way Env does — a fresh seq
-// due now (a spawn, an unpark, a zero advance), a fresh seq due later, an
-// old seq due now or later (a compute resolution) — with the clock moved by
-// each pop, and demands every peek and pop of one sorted queue.
+// due now (a spawn, an unpark, a zero advance) or due later — with the
+// clock moved by each pop, and demands every pop of one sorted queue. Every
+// push due now must land in the now lane: push relies on a wakeup due now
+// carrying the newest seq.
 func TestEventQueueOrdersLikeOneHeap(t *testing.T) {
-	lanePushes, oldNow := 0, 0
+	lanePushes, nowPushes := 0, 0
 	for seed := int64(1); seed <= 200; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
 		var q eventQueue
 		var ref refQueue
 		var now float64
 		var seq int64
-		var reserved []int64 // seqs drawn for computes not yet resolved
 		delays := []float64{0.5, 1, 1, 2.5}
 		for op := 0; op < 2000; op++ {
 			p := &Proc{}
@@ -41,35 +41,21 @@ func TestEventQueueOrdersLikeOneHeap(t *testing.T) {
 			case k < 4: // due now
 				seq++
 				p.wakeAt, p.seq = now, seq
+				nowPushes++
 			case k < 6: // due later
 				seq++
 				p.wakeAt, p.seq = now+delays[rnd.Intn(len(delays))], seq
-			case k < 7: // compute submission: the seq is drawn now
-				seq++
-				reserved = append(reserved, seq)
-				continue
-			case k < 8 && len(reserved) > 0: // compute resolution, maybe due now
-				i := rnd.Intn(len(reserved))
-				p.wakeAt, p.seq = now+float64(rnd.Intn(2)), reserved[i]
-				reserved = append(reserved[:i], reserved[i+1:]...)
-				if p.wakeAt == now && q.n > 0 {
-					oldNow++
-				}
 			default:
 				if q.len() != len(ref) {
 					t.Fatalf("seed %d op %d: %d queued, want %d", seed, op, q.len(), len(ref))
 				}
 				if len(ref) == 0 {
-					if q.peek() != nil {
-						t.Fatalf("seed %d op %d: peek on an empty queue", seed, op)
-					}
 					continue
 				}
-				head := *q.peek()
 				got, want := q.pop(), ref.pop()
-				if head != want || got != want {
-					t.Fatalf("seed %d op %d: peek (%v, %d) pop (%v, %d), want (%v, %d)",
-						seed, op, head.at, head.seq, got.at, got.seq, want.at, want.seq)
+				if got != want {
+					t.Fatalf("seed %d op %d: pop (%v, %d), want (%v, %d)",
+						seed, op, got.at, got.seq, want.at, want.seq)
 				}
 				now = got.at
 				continue
@@ -82,10 +68,11 @@ func TestEventQueueOrdersLikeOneHeap(t *testing.T) {
 			ref = append(ref, event{at: p.wakeAt, seq: p.seq, p: p})
 		}
 	}
-	// Both lanes must be exercised, and so must an old seq due now while
-	// the lane holds newer ones.
-	if lanePushes < 50000 || oldNow < 1000 {
-		t.Fatalf("%d lane pushes, %d old seqs due now behind the lane; the generator lost its mix", lanePushes, oldNow)
+	if lanePushes != nowPushes {
+		t.Fatalf("%d of %d pushes due now landed in the now lane", lanePushes, nowPushes)
+	}
+	if lanePushes < 50000 {
+		t.Fatalf("%d lane pushes; the generator lost its mix", lanePushes)
 	}
 }
 

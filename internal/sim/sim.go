@@ -24,20 +24,12 @@
 // next event itself and wakes its owner directly (one goroutine switch per
 // wakeup, none when a process pops its own event). Run only starts the
 // chain and waits for the end.
-//
-// Compute segments — real host work whose virtual duration is only known
-// after running it — can optionally execute on a bounded pool of host
-// worker goroutines (SetWorkers), overlapping the physics of independent
-// processes while the dispatch order stays exactly the serial one; see
-// Proc.Compute.
 package sim
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
-	"sync"
 )
 
 // Stepper is the body of a callback process.
@@ -47,7 +39,7 @@ type Stepper interface {
 	// wakeup — WakeIn, ParkStep, ParkTimeoutStep, or a Resource.AcquireStep
 	// that reported false — immediately before returning false. Step runs
 	// on an arbitrary process's goroutine: it must not block, call the
-	// goroutine-style methods (Advance, Yield, Compute, ...) or panic.
+	// goroutine-style methods (Advance, Yield, ...) or panic.
 	Step(p *Proc) (done bool)
 	// Name labels the process in the deadlock report. It is called only
 	// when a report is rendered, never on the event path.
@@ -72,28 +64,14 @@ type Proc struct {
 	killed   bool  // goroutine released after a deadlock; it must exit
 	timedOut bool  // set by a firing timer before the timeout unpark
 	parkGen  int64 // distinguishes park episodes for ParkTimeoutStep timers
-
-	compute *computeSeg // host-parallel compute bookkeeping, lazily allocated
-}
-
-// computeSeg is one process's in-flight Compute closure (host-parallel
-// mode only).
-type computeSeg struct {
-	fn     func() float64
-	at     float64       // virtual submission time
-	min    float64       // declared lower bound on the segment cost
-	cost   float64       // closure result, read after done
-	panicV interface{}   // recovered closure panic, re-raised in Compute
-	done   chan struct{} // signalled once the closure has returned
 }
 
 type procState int
 
 const (
-	stateRunning   procState = iota
-	stateTimed               // waiting until wakeAt
-	stateParked              // waiting for Unpark
-	stateComputing           // compute closure in flight on the worker pool
+	stateRunning procState = iota
+	stateTimed             // waiting until wakeAt
+	stateParked            // waiting for Unpark
 	stateDone
 )
 
@@ -114,31 +92,11 @@ type Env struct {
 	deadlocked bool
 
 	onPop func(now float64, seq int64, id int) // test hook: the pop trace
-
-	// Host-parallel compute support.
-	workers   int        // pool size; ≤1 runs compute closures inline
-	jobs      chan *Proc // submitted segments; nil until the first one
-	pool      sync.WaitGroup
-	computing []*Proc // processes with an unresolved compute closure
 }
 
 // NewEnv returns an empty environment at time 0.
 func NewEnv() *Env {
 	return &Env{done: make(chan struct{})}
-}
-
-// SetWorkers sets the host worker pool size for Proc.Compute closures.
-// n ≤ 1 keeps the serial behaviour (closures run inline on the process's
-// goroutine); n > 1 lets up to n closures of different processes execute
-// concurrently. Must be called before Run.
-func (e *Env) SetWorkers(n int) {
-	if e.running {
-		panic("sim: SetWorkers while running")
-	}
-	if n < 0 {
-		n = 0
-	}
-	e.workers = n
 }
 
 // Now returns the current virtual time in seconds.
@@ -239,11 +197,6 @@ func (e *Env) Run() error {
 		first.wake <- struct{}{}
 		<-e.done
 	}
-	if e.jobs != nil {
-		close(e.jobs)
-		e.pool.Wait()
-		e.jobs = nil
-	}
 	if !e.deadlocked {
 		return nil
 	}
@@ -273,22 +226,6 @@ func (e *Env) next() *Proc {
 	for {
 		if e.alive == 0 {
 			return nil
-		}
-		// Host-parallel mode: before popping the head event, every pending
-		// compute whose earliest possible wakeup (submission time + declared
-		// lower bound, with the seq assigned at submission) could order
-		// before the head must be resolved. This keeps the pop sequence —
-		// and therefore every tie-break and RNG draw — identical to the
-		// serial schedule.
-		for len(e.computing) > 0 {
-			c := e.minPendingCompute()
-			if head := e.queue.peek(); head != nil {
-				bound := c.compute.at + c.compute.min
-				if head.at < bound || (head.at == bound && head.seq < c.seq) {
-					break // head provably precedes every in-flight segment
-				}
-			}
-			e.resolveCompute(c)
 		}
 		if e.queue.len() == 0 {
 			e.deadlocked = true
@@ -367,50 +304,6 @@ func (p *Proc) Await(body Stepper) {
 	p.Yield()
 }
 
-// minPendingCompute returns the in-flight compute with the smallest
-// (earliest possible wakeup, seq) key.
-func (e *Env) minPendingCompute() *Proc {
-	best := e.computing[0]
-	bestAt := best.compute.at + best.compute.min
-	for _, c := range e.computing[1:] {
-		at := c.compute.at + c.compute.min
-		if at < bestAt || (at == bestAt && c.seq < best.seq) {
-			best, bestAt = c, at
-		}
-	}
-	return best
-}
-
-// resolveCompute waits for the closure of c to finish and schedules its
-// wakeup at submission time + actual cost, under the seq assigned at
-// submission.
-func (e *Env) resolveCompute(c *Proc) {
-	seg := c.compute
-	<-seg.done
-	if seg.panicV == nil {
-		d := seg.cost
-		if math.IsNaN(d) || d < 0 {
-			seg.panicV = fmt.Sprintf("sim: invalid compute cost %g", d)
-		} else if d < seg.min {
-			seg.panicV = fmt.Sprintf("sim: compute cost %g below declared lower bound %g", d, seg.min)
-		}
-	}
-	if seg.panicV != nil {
-		// Wake as early as allowed so the panic unwinds the process.
-		c.wakeAt = seg.at + seg.min
-	} else {
-		c.wakeAt = seg.at + seg.cost
-	}
-	c.state = stateTimed
-	e.queue.push(c, e.now)
-	for i, p := range e.computing {
-		if p == c {
-			e.computing = append(e.computing[:i], e.computing[i+1:]...)
-			break
-		}
-	}
-}
-
 func (e *Env) deadlockError() error {
 	var parked []string
 	for _, p := range e.procs {
@@ -459,81 +352,6 @@ func (p *Proc) WakeIn(d float64) {
 func (p *Proc) Advance(d float64) {
 	p.WakeIn(d)
 	p.Yield()
-}
-
-// Compute executes fn — pure host-side work that must not touch the
-// simulation — and advances virtual time by its returned cost, exactly like
-// running fn inline followed by Advance(fn()). minCost must be a guaranteed
-// lower bound on the value fn will return (0 is always safe); the cost
-// being below the declared bound panics, in both modes.
-//
-// With a worker pool configured (Env.SetWorkers > 1), fn runs on a pool
-// goroutine while other processes' events proceed, but only events that
-// provably order before (submission time + minCost, seq) — the earliest
-// key this process's wakeup can take — are allowed to fire first, so the
-// event order is bitwise-identical to the serial schedule. Tighter bounds
-// buy more overlap; a zero bound serializes against same-time events.
-func (p *Proc) Compute(minCost float64, fn func() float64) float64 {
-	if math.IsNaN(minCost) || minCost < 0 {
-		panic(fmt.Sprintf("sim: invalid compute lower bound %g", minCost))
-	}
-	e := p.env
-	if e.workers <= 1 {
-		d := fn()
-		if math.IsNaN(d) || d < 0 {
-			panic(fmt.Sprintf("sim: invalid compute cost %g", d))
-		}
-		if d < minCost {
-			panic(fmt.Sprintf("sim: compute cost %g below declared lower bound %g", d, minCost))
-		}
-		p.Advance(d)
-		return d
-	}
-	if p.compute == nil {
-		p.compute = &computeSeg{done: make(chan struct{}, 1)}
-	}
-	if e.jobs == nil {
-		e.startPool()
-	}
-	seg := p.compute
-	seg.fn, seg.at, seg.min, seg.panicV = fn, e.now, minCost, nil
-	p.state = stateComputing
-	p.seq = e.nextSeq() // same numbering point as the serial Advance
-	e.computing = append(e.computing, p)
-	e.jobs <- p
-	p.Yield()
-	if v := seg.panicV; v != nil {
-		seg.panicV = nil
-		panic(v)
-	}
-	return seg.cost
-}
-
-// startPool starts the host workers; Run stops them. A process has at most
-// one segment in flight, so a queue as long as the process table never
-// blocks a submitter; processes spawned later can at worst wait for a
-// worker, which costs overlap but not correctness.
-func (e *Env) startPool() {
-	e.jobs = make(chan *Proc, max(e.alive, e.workers))
-	for i := 0; i < e.workers; i++ {
-		e.pool.Add(1)
-		go func() {
-			defer e.pool.Done()
-			for p := range e.jobs {
-				p.compute.run()
-			}
-		}()
-	}
-}
-
-func (seg *computeSeg) run() {
-	defer func() {
-		if v := recover(); v != nil {
-			seg.panicV = v
-		}
-		seg.done <- struct{}{}
-	}()
-	seg.cost = seg.fn()
 }
 
 // ParkStep marks the process parked until another process calls Unpark on
@@ -622,12 +440,11 @@ func (a *event) before(b *event) bool {
 // are unique, so the order is total and the pop sequence depends on neither
 // lane's layout.
 //
-// A wakeup due at the current time — a spawn, an unpark, a zero advance, a
-// resource handoff — carries the newest seq, so it orders after everything
-// already in the now lane, a FIFO ring, and joins it in O(1). Every other
-// wakeup goes to the heap, a binary min-heap: a later time, or a compute
-// resolution due now whose seq, drawn at submission, is older than the
-// lane's tail. pop takes the earlier of the two heads. Both lanes stay
+// Every push draws its seq at push time, so a wakeup due at the current
+// time — a spawn, an unpark, a zero advance, a resource handoff — carries
+// the newest seq: it orders after everything already in the now lane, a
+// FIFO ring, and joins it in O(1). A wakeup due later goes to the heap, a
+// binary min-heap. pop takes the earlier of the two heads. Both lanes stay
 // sorted, and the clock only moves past a time once the now lane is empty,
 // so the lane never holds two times.
 type eventQueue struct {
@@ -642,7 +459,7 @@ func (q *eventQueue) len() int { return len(q.heap) + q.n }
 // push schedules p at its (wakeAt, seq); now is the current virtual time.
 func (q *eventQueue) push(p *Proc, now float64) {
 	ev := event{at: p.wakeAt, seq: p.seq, p: p}
-	if ev.at != now || q.n > 0 && ev.seq < q.ring[(q.head+q.n-1)&(len(q.ring)-1)].seq {
+	if ev.at != now {
 		q.pushHeap(ev)
 		return
 	}
@@ -660,18 +477,6 @@ func (q *eventQueue) push(p *Proc, now float64) {
 // nowFirst reports whether the earliest event is the now lane's head.
 func (q *eventQueue) nowFirst() bool {
 	return q.n > 0 && (len(q.heap) == 0 || q.ring[q.head].before(&q.heap[0]))
-}
-
-// peek returns the earliest event, or nil when nothing is queued. The
-// pointer is valid until the next push or pop.
-func (q *eventQueue) peek() *event {
-	if q.nowFirst() {
-		return &q.ring[q.head]
-	}
-	if len(q.heap) > 0 {
-		return &q.heap[0]
-	}
-	return nil
 }
 
 // pop removes and returns the earliest event; the queue must not be empty.

@@ -332,6 +332,25 @@ func TestManyProcsScale(t *testing.T) {
 	}
 }
 
+func TestFinishedProcsAreReaped(t *testing.T) {
+	env := NewEnv()
+	env.Spawn("main", func(p *Proc) {
+		for i := 0; i < 100; i++ {
+			// Every ParkTimeout spawns a helper timer; all must be reaped.
+			p.ParkTimeout(0.001)
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := env.LiveProcs(); n != 0 {
+		t.Fatalf("%d live procs after completion, want 0", n)
+	}
+	if len(env.procs) != 0 {
+		t.Fatalf("proc table holds %d entries after completion, want 0", len(env.procs))
+	}
+}
+
 func TestRandomAdvanceSequencesProperty(t *testing.T) {
 	// For any set of processes with arbitrary advance sequences, virtual
 	// time observed by each process is non-decreasing and the run

@@ -577,23 +577,3 @@ func TestAwaitStepWithoutWakeupPanics(t *testing.T) {
 		}
 	}
 }
-
-func TestWorkerPoolStopsWithRun(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for _, deadlock := range []bool{false, true} {
-		env := NewEnv()
-		env.SetWorkers(3)
-		for i := 0; i < 6; i++ {
-			env.Spawn("w", func(p *Proc) {
-				p.Compute(0.5, func() float64 { return 1 })
-				if deadlock {
-					p.Park()
-				}
-			})
-		}
-		if err := env.Run(); (err != nil) != deadlock {
-			t.Fatalf("deadlock=%v: %v", deadlock, err)
-		}
-	}
-	waitGoroutines(t, before)
-}

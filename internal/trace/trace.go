@@ -57,9 +57,7 @@ func KnownKind(s string) bool {
 }
 
 // Collector accumulates events. The zero value is ready to use. All
-// methods are safe for concurrent use: the discrete-event simulation is
-// sequential, but the host-parallel worker pool (-workers, see
-// internal/sim) may drive instrumented segments from several goroutines.
+// methods are safe for concurrent use.
 type Collector struct {
 	mu     sync.Mutex
 	events []Event

@@ -105,9 +105,7 @@ func TestChromeJSON(t *testing.T) {
 	}
 }
 
-// The host-parallel worker pool can drive instrumented segments from
-// several goroutines; Add and the readers must tolerate that (run with
-// -race).
+// Add and the readers must tolerate concurrent use (run with -race).
 func TestCollectorConcurrentAdd(t *testing.T) {
 	c := &Collector{}
 	var wg sync.WaitGroup
