@@ -263,6 +263,20 @@ func computeGolden(t *testing.T) map[string]goldenEntry {
 	}
 	got["send_rendezvous_timeout/p8/tcp"] = e
 
+	// A rendezvous-size Allreduce rank 0 never joins: the tree's sends to
+	// it give up, each on the rank's own transfer, and the first to time
+	// out is reported.
+	e, err = goldenRun(cfg, mpi.Options{Watchdog: wd}, func(r *mpi.Rank) {
+		r.Compute(0.0007 * float64(r.ID))
+		if r.ID != 0 {
+			r.Allreduce(net.EagerLimit+1, 1e-5)
+		}
+	})
+	if !errors.As(err, &te) || te.Op != "send-rendezvous" || te.Partner != 0 {
+		t.Fatalf("allreduce without rank 0: want a send-rendezvous ErrTimeout towards rank 0, got %v", err)
+	}
+	got["allreduce_partner_missing/p8/tcp"] = e
+
 	// A crash that lands inside a Reduce merge: the rank is computing, not
 	// parked, so the crash takes effect at the merge's end.
 	e, err = goldenRun(cfg, mpi.Options{Watchdog: wd, Faults: injector(t, "crash@0.003,rank=0")}, func(r *mpi.Rank) {

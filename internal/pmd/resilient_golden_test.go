@@ -10,12 +10,15 @@ import (
 	"hash"
 	"math"
 	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
+	"repro/internal/md"
 	"repro/internal/netmodel"
+	"repro/internal/vec"
 )
 
 // The bits oracle of the recovery driver. testdata/resilient_golden.json
@@ -256,13 +259,95 @@ func resilientGoldenRuns(t *testing.T) map[string]*ResilientResult {
 	return out
 }
 
+// checkpointDigests pins what the driver checkpoints, beside what it
+// prices: one digest over Pos, Vel, Frc and ListOrigin per rewind
+// checkpoint of the matrix ("checkpoint/<case>/<recovery>"), and the bytes
+// of every file a per-step durable ring holds after four runs
+// ("ring/<run>/<file>"). These cases were captured while the recorder
+// still copied each rank's velocity block and rank 0's replica.
+func checkpointDigests(t *testing.T, runs map[string]*ResilientResult) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	for name, res := range runs {
+		for i, ev := range res.Recoveries {
+			if ev.Checkpoint != nil {
+				out[fmt.Sprintf("checkpoint/%s/%d", name, i)] = checkpointDigest(ev.Checkpoint)
+			}
+		}
+	}
+
+	net := netmodel.TCPGigE()
+	cost := cluster.PentiumIII1GHz()
+	ring := func(name string, cl cluster.Config, cfg Config, crash string, recovery RecoveryKind) {
+		t.Helper()
+		rcfg := ResilientConfig{
+			Config: cfg, CheckpointEvery: 1, KeepCheckpoints: 100, RestartCost: 5,
+			CheckpointDir: t.TempDir(), Recovery: recovery,
+		}
+		if crash != "" {
+			healthy, err := Run(cl, cost, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, err := fault.ParseSpec(fmt.Sprintf(crash, 0.45*healthy.Wall))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rcfg.Scenario = sc
+		}
+		res, err := RunResilient(cl, cost, rcfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if (crash != "") != (len(res.Recoveries) == 1) {
+			t.Fatalf("%s: %d recoveries", name, len(res.Recoveries))
+		}
+		files, err := os.ReadDir(rcfg.CheckpointDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			data, err := os.ReadFile(filepath.Join(rcfg.CheckpointDir, f.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(data)
+			out["ring/"+name+"/"+f.Name()] = hex.EncodeToString(sum[:])
+		}
+	}
+	replicated := Config{System: testSystem(48, 24, 3), MD: testMDConfig(), Steps: 6, Middleware: MiddlewareMPI}
+	domain := domainCfg(testSystem(64, 24, 7), 6)
+	ring("replicated-p4", clusterCfg(4, 1, net), replicated, "", RecoveryGlobal)
+	ring("replicated-p4-crash", clusterCfg(4, 1, net), replicated, "crash@%g,rank=1", RecoveryGlobal)
+	ring("domain-p8", clusterCfg(8, 1, net), domain, "", RecoveryLocal)
+	ring("domain-p8-local-crash", clusterCfg(8, 1, net), domain, "crash@%g,rank=3", RecoveryLocal)
+	return out
+}
+
+// checkpointDigest hashes a checkpoint's state vectors, a nil ListOrigin
+// as an empty one.
+func checkpointDigest(cp *md.Checkpoint) string {
+	b := newBitsHash()
+	for _, vs := range [][]vec.V{cp.Pos, cp.Vel, cp.Frc, cp.ListOrigin} {
+		b.i(len(vs))
+		for _, v := range vs {
+			b.f(v.X, v.Y, v.Z)
+		}
+	}
+	return b.sum()
+}
+
 func TestResilientGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("bit-for-bit digests are pinned on amd64 only")
 	}
 	got := map[string]string{}
-	for name, res := range resilientGoldenRuns(t) {
+	runs := resilientGoldenRuns(t)
+	for name, res := range runs {
 		got[name] = resilientDigest(res)
+	}
+	for key, sum := range checkpointDigests(t, runs) {
+		got[key] = sum
 	}
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		data, err := json.MarshalIndent(got, "", "  ")
