@@ -3,6 +3,7 @@ package cli
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
@@ -14,6 +15,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -37,81 +39,11 @@ var unsetOptions = map[string]string{
 // three step loops. serve.JobSpec is decoded from request JSON and is not
 // an options struct by this rule.
 func TestEveryOptionHasAWriter(t *testing.T) {
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("no go toolchain in PATH")
-	}
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The non-test package graph in dependency order, with the export data
-	// of the standard library (the repo's own packages are checked from
-	// source below, so one field is one object everywhere).
-	list := exec.Command("go", "list", "-deps", "-export",
-		"-json=ImportPath,Export,Dir,Standard,GoFiles",
-		"./internal/...", "./cmd/...", "./examples/...", "./benchmark/...")
-	list.Dir = root
-	var stderr bytes.Buffer
-	list.Stderr = &stderr
-	out, err := list.Output()
-	if err != nil {
-		t.Fatalf("go list: %v\n%s", err, stderr.Bytes())
-	}
-	type listed struct {
-		ImportPath, Export, Dir string
-		Standard                bool
-		GoFiles                 []string
-	}
-	var own []listed
-	exports := map[string]string{}
-	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
-		var p listed
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		if p.Standard {
-			exports[p.ImportPath] = p.Export
-		} else {
-			own = append(own, p)
-		}
-	}
-
-	fset := token.NewFileSet()
-	imp := &repoImporter{
-		std: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-			return os.Open(exports[path])
-		}),
-		own: map[string]*types.Package{},
-	}
-	info := &types.Info{
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Types:      map[ast.Expr]types.TypeAndValue{},
-	}
-	var files []*ast.File
-	for _, p := range own {
-		var pkgFiles []*ast.File
-		for _, name := range p.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pkgFiles = append(pkgFiles, f)
-		}
-		pkg, err := (&types.Config{Importer: imp}).Check(p.ImportPath, fset, pkgFiles, info)
-		if err != nil {
-			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
-		}
-		imp.own[p.ImportPath] = pkg
-		files = append(files, pkgFiles...)
-	}
+	g := loadGraph(t)
 
 	// The option fields.
 	options := map[*types.Var]string{}
-	for path, pkg := range imp.own {
+	for path, pkg := range g.pkgs {
 		if !strings.Contains(path, "/internal/") {
 			continue
 		}
@@ -140,12 +72,12 @@ func TestEveryOptionHasAWriter(t *testing.T) {
 	written := map[*types.Var]bool{}
 	field := func(e ast.Expr) {
 		if sel, ok := e.(*ast.SelectorExpr); ok {
-			if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+			if s := g.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
 				written[s.Obj().(*types.Var)] = true
 			}
 		}
 	}
-	for _, f := range files {
+	for _, f := range g.files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
@@ -159,13 +91,13 @@ func TestEveryOptionHasAWriter(t *testing.T) {
 					field(n.X)
 				}
 			case *ast.CompositeLit:
-				st, ok := info.Types[n].Type.Underlying().(*types.Struct)
+				st, ok := g.info.Types[n].Type.Underlying().(*types.Struct)
 				if !ok {
 					break
 				}
 				for i, el := range n.Elts {
 					if kv, ok := el.(*ast.KeyValueExpr); ok {
-						if v, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+						if v, ok := g.info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
 							written[v] = true
 						}
 					} else {
@@ -196,6 +128,108 @@ func TestEveryOptionHasAWriter(t *testing.T) {
 			t.Errorf("%s is on the allowlist but has a writer now (or is gone): drop the entry", name)
 		}
 	}
+}
+
+// repoGraph is the non-test package graph of internal/, cmd/, examples/
+// and benchmark/, type-checked from source against the export data of the
+// standard library, so one declaration is one object everywhere.
+type repoGraph struct {
+	info  *types.Info
+	files []*ast.File
+	pkgs  map[string]*types.Package // the repo's packages by import path
+}
+
+var (
+	graphOnce sync.Once
+	graph     *repoGraph
+	graphErr  error
+)
+
+// loadGraph type-checks the graph once per test binary.
+func loadGraph(t *testing.T) *repoGraph {
+	t.Helper()
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("no go toolchain in PATH")
+	}
+	graphOnce.Do(func() { graph, graphErr = buildGraph() })
+	if graphErr != nil {
+		t.Fatal(graphErr)
+	}
+	return graph
+}
+
+func buildGraph() (*repoGraph, error) {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		return nil, err
+	}
+
+	// The package graph in dependency order, with the export data of the
+	// standard library.
+	list := exec.Command("go", "list", "-deps", "-export",
+		"-json=ImportPath,Export,Dir,Standard,GoFiles",
+		"./internal/...", "./cmd/...", "./examples/...", "./benchmark/...")
+	list.Dir = root
+	var stderr bytes.Buffer
+	list.Stderr = &stderr
+	out, err := list.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.Bytes())
+	}
+	type listed struct {
+		ImportPath, Export, Dir string
+		Standard                bool
+		GoFiles                 []string
+	}
+	var own []listed
+	exports := map[string]string{}
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var p listed
+		if err := dec.Decode(&p); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, err
+		}
+		if p.Standard {
+			exports[p.ImportPath] = p.Export
+		} else {
+			own = append(own, p)
+		}
+	}
+
+	fset := token.NewFileSet()
+	imp := &repoImporter{
+		std: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+			return os.Open(exports[path])
+		}),
+		own: map[string]*types.Package{},
+	}
+	g := &repoGraph{
+		info: &types.Info{
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+		},
+		pkgs: imp.own,
+	}
+	for _, p := range own {
+		var pkgFiles []*ast.File
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			pkgFiles = append(pkgFiles, f)
+		}
+		pkg, err := (&types.Config{Importer: imp}).Check(p.ImportPath, fset, pkgFiles, g.info)
+		if err != nil {
+			return nil, fmt.Errorf("type-checking %s: %v", p.ImportPath, err)
+		}
+		imp.own[p.ImportPath] = pkg
+		g.files = append(g.files, pkgFiles...)
+	}
+	return g, nil
 }
 
 // repoImporter serves the repo's packages from the source-checked set and

@@ -17,20 +17,20 @@ import "repro/internal/mpi"
 const (
 	tagSync = 1 << 18
 	tagRing = tagSync + 1024
+
+	// fencesPerOp is how many Sync calls each fence around a collective
+	// runs: CMPI keeps its internal state machines coherent across nodes.
+	fencesPerOp = 2
 )
 
 // Middleware wraps a rank with CMPI-style operations.
 type Middleware struct {
 	R *mpi.Rank
-	// FencesPerOp is how many synchronization fences wrap each collective
-	// (CMPI fences before and after by default to keep its internal state
-	// machines coherent across nodes).
-	FencesPerOp int
 }
 
-// New returns a CMPI layer over r with the default double fence.
+// New returns a CMPI layer over r.
 func New(r *mpi.Rank) *Middleware {
-	return &Middleware{R: r, FencesPerOp: 2}
+	return &Middleware{R: r}
 }
 
 // Sync is the CMPI synchronization primitive: p−1 rounds of one-byte
@@ -63,9 +63,9 @@ func (m *Middleware) Sync() {
 	}
 }
 
-// fence runs the configured number of Sync calls.
+// fence runs fencesPerOp Sync calls.
 func (m *Middleware) fence() {
-	for i := 0; i < m.FencesPerOp; i++ {
+	for i := 0; i < fencesPerOp; i++ {
 		m.Sync()
 	}
 }

@@ -11,7 +11,7 @@ import (
 func run(t *testing.T, p int, net netmodel.Params, fn func(*Middleware)) []mpi.Accounting {
 	t.Helper()
 	cfg := cluster.Config{Nodes: p, CPUsPerNode: 1, Net: net, Seed: 1}
-	accts, err := mpi.Run(cfg, cluster.PentiumIII1GHz(), func(r *mpi.Rank) {
+	accts, err := mpi.RunOpts(cfg, cluster.PentiumIII1GHz(), mpi.Options{}, func(r *mpi.Rank) {
 		fn(New(r))
 	})
 	if err != nil {
@@ -88,7 +88,7 @@ func TestAllreduceVolumeExceedsMPI(t *testing.T) {
 		m.Allreduce(bytes, 0)
 	})
 	cfg := cluster.Config{Nodes: 8, CPUsPerNode: 1, Net: netmodel.SCoreGigE(), Seed: 1}
-	mpiAccts, err := mpi.Run(cfg, cluster.PentiumIII1GHz(), func(r *mpi.Rank) {
+	mpiAccts, err := mpi.RunOpts(cfg, cluster.PentiumIII1GHz(), mpi.Options{}, func(r *mpi.Rank) {
 		r.Allreduce(bytes, 0)
 	})
 	if err != nil {
@@ -150,7 +150,7 @@ func TestCMPISlowerThanMPIOnTCP(t *testing.T) {
 	pattern := func(useCMPI bool) float64 {
 		cfg := cluster.Config{Nodes: 8, CPUsPerNode: 1, Net: netmodel.TCPGigE(), Seed: 1}
 		var worst float64
-		_, err := mpi.Run(cfg, cluster.PentiumIII1GHz(), func(r *mpi.Rank) {
+		_, err := mpi.RunOpts(cfg, cluster.PentiumIII1GHz(), mpi.Options{}, func(r *mpi.Rank) {
 			for i := 0; i < 5; i++ {
 				if useCMPI {
 					m := New(r)

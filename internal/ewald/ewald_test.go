@@ -395,10 +395,12 @@ func TestPaperGridPMERuns(t *testing.T) {
 	// the mesh interpolation); the residual must merely be small relative
 	// to the total force magnitude.
 	var mag float64
+	var net vec.V
 	for _, f := range frc {
 		mag += f.Norm()
+		net = net.Add(f)
 	}
-	if net := vec.Sum(frc); net.Norm() > 1e-3*mag {
+	if net.Norm() > 1e-3*mag {
 		t.Fatalf("net reciprocal force %v too large vs total magnitude %g", net, mag)
 	}
 }

@@ -332,16 +332,6 @@ func (p *PME) buildHalfInfluence() {
 	}
 }
 
-// RecipEnergyGridDot returns ½ ΣQ·conv from the most recent Recip call —
-// exposed for the consistency test.
-func (p *PME) RecipEnergyGridDot() float64 {
-	var e float64
-	for i := range p.rgrid {
-		e += p.rgrid[i] * p.rconv[i]
-	}
-	return 0.5 * e
-}
-
 // Spread deposits the charges of atoms [lo, hi) onto grid (row-major
 // K1×K2×K3, not zeroed here) with B-spline weights: it buckets the atoms by
 // x chunk and runs the chunk kernel in two parity passes. Recip spreads

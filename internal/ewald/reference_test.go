@@ -11,7 +11,7 @@ import (
 
 // Reference computes the full Ewald electrostatic energy and forces by the
 // exact structure-factor sum — the O(N·M³) ground truth that validates the
-// PME mesh approximation. It is meant for small test systems only.
+// PME mesh approximation on small test systems.
 type Reference struct {
 	Box  space.Box
 	Beta float64
@@ -118,4 +118,14 @@ func (rf Reference) TotalEnergy(pos []vec.V, charges []float64, frc []vec.V) flo
 	e += SelfEnergy(charges, rf.Beta)
 	e += BackgroundEnergy(charges, rf.Beta, rf.Box.Volume())
 	return e
+}
+
+// RecipEnergyGridDot returns ½ ΣQ·conv from the most recent Recip call:
+// the same reciprocal energy as the spectrum sum, read off the grids.
+func (p *PME) RecipEnergyGridDot() float64 {
+	var e float64
+	for i := range p.rgrid {
+		e += p.rgrid[i] * p.rconv[i]
+	}
+	return 0.5 * e
 }

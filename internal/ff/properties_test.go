@@ -3,6 +3,7 @@ package ff
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -22,7 +23,7 @@ func oldFilter(sys *topol.System, raw []space.Pair) []space.Pair {
 	}
 	var out []space.Pair
 	for _, p := range raw {
-		if sys.Excl.Excluded(p.I, p.J) || is14[[2]int32{p.I, p.J}] {
+		if slices.Contains(sys.Excl.Of(int(p.I)), p.J) || is14[[2]int32{p.I, p.J}] {
 			continue
 		}
 		out = append(out, p)

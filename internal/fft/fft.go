@@ -20,11 +20,7 @@
 // scale ride on those loads and stores.
 package fft
 
-import (
-	"fmt"
-	"math"
-	"math/cmplx"
-)
+import "fmt"
 
 // lineBlock is the number of adjacent lines a plan transforms side by side.
 // Eight complex128 values are two cache lines per row: the strided loads and
@@ -57,13 +53,6 @@ func NewPlan(n int) *Plan {
 func (p *Plan) Forward(x []complex128) {
 	p.checkLen(x)
 	p.line(x, false)
-}
-
-// Inverse computes the in-place inverse DFT of x, including the 1/N
-// normalization, so that Inverse(Forward(x)) == x.
-func (p *Plan) Inverse(x []complex128) {
-	p.checkLen(x)
-	p.line(x, true)
 }
 
 func (p *Plan) checkLen(x []complex128) {
@@ -202,19 +191,3 @@ func scaleRows(s, coef []complex128, width int) {
 // Ops returns the analytic floating-point operation count of one
 // transform, Ops(N).
 func (p *Plan) Ops() int64 { return Ops(p.t.n) }
-
-// NaiveDFT computes the forward DFT by the O(n²) definition. It is the
-// ground truth for tests.
-func NaiveDFT(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		var sum complex128
-		for j := 0; j < n; j++ {
-			theta := -2 * math.Pi * float64(j*k%n) / float64(n)
-			sum += x[j] * cmplx.Exp(complex(0, theta))
-		}
-		out[k] = sum
-	}
-	return out
-}

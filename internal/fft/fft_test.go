@@ -322,12 +322,12 @@ func Test2DRoundTripAndNaive(t *testing.T) {
 }
 
 func Test3DOpsConsistent(t *testing.T) {
-	p := NewPlan3D(80, 36, 48)
-	if p.Ops() <= 0 {
+	ops := Ops3D(80, 36, 48)
+	if ops <= 0 {
 		t.Fatal("non-positive 3-D op count")
 	}
 	// A 3-D transform must cost more than any single 1-D line.
-	if p.Ops() < NewPlan(80).Ops() {
+	if ops < NewPlan(80).Ops() {
 		t.Fatal("3-D ops below 1-D ops")
 	}
 }

@@ -41,10 +41,6 @@ func (p *Plan3D) transform(x []complex128, inverse bool) {
 	p.px.lines(x, 0, plane, plane, inverse)
 }
 
-// Ops returns the analytic flop count of one full 3-D transform, the
-// quantity charged by the performance model.
-func (p *Plan3D) Ops() int64 { return Ops3D(p.nx, p.ny, p.nz) }
-
 // Plan2D computes forward/inverse 2-D DFTs on row-major ny×nz data
 // (element (iy, iz) at iy·Nz + iz). The slab-decomposed parallel FFT uses
 // it for the per-plane transforms.

@@ -29,30 +29,6 @@ func NewRealPlan(n int) *RealPlan {
 	return p
 }
 
-// SpectrumLen returns the half-spectrum length n/2+1.
-func (p *RealPlan) SpectrumLen() int { return p.n/2 + 1 }
-
-// Forward computes the half spectrum X[0..n/2] of the real input x:
-// X[k] = Σ_j x[j]·exp(−2πi jk/n). The remaining bins follow from
-// X[n−k] = conj(X[k]). spec must have length SpectrumLen().
-func (p *RealPlan) Forward(x []float64, spec []complex128) {
-	if len(x) != p.n || len(spec) != p.n/2+1 {
-		panic(fmt.Sprintf("fft: real forward lengths %d/%d for n=%d", len(x), len(spec), p.n))
-	}
-	p.forwardLines(x, spec, 0, 1, 1)
-}
-
-// Inverse reconstructs the real sequence from its half spectrum,
-// including the 1/n normalization, so Inverse(Forward(x)) == x. The
-// imaginary parts of spec[0] and spec[n/2] are ignored (they are zero for
-// any spectrum of a real sequence).
-func (p *RealPlan) Inverse(spec []complex128, x []float64) {
-	if len(x) != p.n || len(spec) != p.n/2+1 {
-		panic(fmt.Sprintf("fft: real inverse lengths %d/%d for n=%d", len(spec), len(x), p.n))
-	}
-	p.inverseLines(spec, x, 0, 1, 1)
-}
-
 // forwardLines computes the half spectra of count adjacent strided real
 // lines: line c is x[base+c+j·stride], j = 0..n−1, and its spectrum goes
 // to spec[base+c+k·stride], k = 0..n/2. Even and odd samples load as the
@@ -127,9 +103,4 @@ func (p *RealPlan) inverseLines(spec []complex128, x []float64, base, stride, co
 			}
 		}
 	}
-}
-
-// Ops returns the analytic flop count (half transform + untangling).
-func (p *RealPlan) Ops() int64 {
-	return p.half.Ops() + int64(8*(p.n/2+1))
 }

@@ -85,16 +85,6 @@ func TestRealPlanValidation(t *testing.T) {
 	p.Forward(make([]float64, 8), make([]complex128, 3))
 }
 
-func TestRealOpsHalfOfComplex(t *testing.T) {
-	// The point of R2C: roughly half the complex-transform flops.
-	n := 1024
-	real := NewRealPlan(n).Ops()
-	cplx := NewPlan(n).Ops()
-	if float64(real) > 0.75*float64(cplx) {
-		t.Fatalf("real ops %d not clearly below complex ops %d", real, cplx)
-	}
-}
-
 func BenchmarkRealFFT80(b *testing.B) {
 	p := NewRealPlan(80)
 	x := randomReal(rng.New(1), 80)

@@ -179,12 +179,3 @@ func (p *RealPlan3D) Inverse(spec []complex128, x []float64) {
 	}
 	p.rpx.inverseLines(spec, x, 0, planeLen, planeLen)
 }
-
-// Ops returns the analytic flop count of one half-spectrum transform: the
-// real x transforms plus the complex transforms of the stored planes. The
-// performance model keeps charging the complex Plan3D count (CHARMM-era
-// codes were modelled on complex transforms); this count exists for host
-// benchmarking only.
-func (p *RealPlan3D) Ops() int64 {
-	return int64(p.ny*p.nz)*p.rpx.Ops() + int64(p.hx)*p.plane.Ops()
-}

@@ -131,17 +131,6 @@ func TestRealPlan3DRejectsOddX(t *testing.T) {
 	}
 }
 
-func TestRealPlan3DOpsBelowComplex(t *testing.T) {
-	p, err := NewRealPlan3D(80, 36, 48)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := NewPlan3D(80, 36, 48).Ops()
-	if p.Ops() >= full {
-		t.Fatalf("real plan ops %d not below complex plan ops %d", p.Ops(), full)
-	}
-}
-
 func cmplxAbs(z complex128) float64 {
 	return math.Hypot(real(z), imag(z))
 }

@@ -1,7 +1,9 @@
 package fft
 
 import (
+	"fmt"
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -154,4 +156,55 @@ func TestPlannedMatchesRecursiveBits(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The 1-D whole-sequence transforms and the O(n²) definition. Production
+// transforms lines through ForwardLines/InverseLines and the real plan's
+// line passes; the tests and the bits golden drive a plan through these.
+
+// Inverse computes the in-place inverse DFT of x, including the 1/N
+// normalization, so that Inverse(Forward(x)) == x.
+func (p *Plan) Inverse(x []complex128) {
+	p.checkLen(x)
+	p.line(x, true)
+}
+
+// SpectrumLen returns the half-spectrum length n/2+1.
+func (p *RealPlan) SpectrumLen() int { return p.n/2 + 1 }
+
+// Forward computes the half spectrum X[0..n/2] of the real input x:
+// X[k] = Σ_j x[j]·exp(−2πi jk/n). The remaining bins follow from
+// X[n−k] = conj(X[k]). spec must have length SpectrumLen().
+func (p *RealPlan) Forward(x []float64, spec []complex128) {
+	if len(x) != p.n || len(spec) != p.n/2+1 {
+		panic(fmt.Sprintf("fft: real forward lengths %d/%d for n=%d", len(x), len(spec), p.n))
+	}
+	p.forwardLines(x, spec, 0, 1, 1)
+}
+
+// Inverse reconstructs the real sequence from its half spectrum,
+// including the 1/n normalization, so Inverse(Forward(x)) == x. The
+// imaginary parts of spec[0] and spec[n/2] are ignored (they are zero for
+// any spectrum of a real sequence).
+func (p *RealPlan) Inverse(spec []complex128, x []float64) {
+	if len(x) != p.n || len(spec) != p.n/2+1 {
+		panic(fmt.Sprintf("fft: real inverse lengths %d/%d for n=%d", len(spec), len(x), p.n))
+	}
+	p.inverseLines(spec, x, 0, 1, 1)
+}
+
+// NaiveDFT computes the forward DFT by the O(n²) definition. It is the
+// ground truth for tests.
+func NaiveDFT(x []complex128) []complex128 {
+	n := len(x)
+	out := make([]complex128, n)
+	for k := 0; k < n; k++ {
+		var sum complex128
+		for j := 0; j < n; j++ {
+			theta := -2 * math.Pi * float64(j*k%n) / float64(n)
+			sum += x[j] * cmplx.Exp(complex(0, theta))
+		}
+		out[k] = sum
+	}
+	return out
 }

@@ -28,7 +28,7 @@ func TestRunStatsCountUniqueConfigs(t *testing.T) {
 	}
 	for round := 0; round < 3; round++ {
 		for _, c := range cells {
-			if _, err := s.Run(c.net, c.p, 1, c.mw); err != nil {
+			if _, err := s.RunDecomp(c.net, c.p, 1, c.mw, s.Cfg.Decomp); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -79,11 +79,11 @@ func TestFaultSpecPartitionsCache(t *testing.T) {
 	cfg.FaultSpec = "straggler@0:1000,node=0,slow=3"
 	faulted := freshSuite(cfg)
 
-	a, err := healthy.Run(netmodel.MyrinetGM(), 2, 1, pmd.MiddlewareMPI)
+	a, err := healthy.RunDecomp(netmodel.MyrinetGM(), 2, 1, pmd.MiddlewareMPI, healthy.Cfg.Decomp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := faulted.Run(netmodel.MyrinetGM(), 2, 1, pmd.MiddlewareMPI)
+	b, err := faulted.RunDecomp(netmodel.MyrinetGM(), 2, 1, pmd.MiddlewareMPI, faulted.Cfg.Decomp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,10 +50,10 @@ type Config struct {
 	MD          md.Config         // PME MD configuration
 
 	// Workers bounds the host parallelism: the cells of a batch in flight
-	// together and, inside each cell, the goroutines overlapping compute
-	// segments of different simulated ranks. 0 picks GOMAXPROCS, 1 runs one
-	// cell at a time on the serial schedule. Figure output and RunStats
-	// are bitwise identical across all settings.
+	// together and, inside each cell, the lanes the canonical physics
+	// evaluation runs its rank loops on (pmd.Config.HostWorkers). 0 picks
+	// GOMAXPROCS, 1 runs one cell at a time with one lane. Figure output
+	// and RunStats are bitwise identical across all settings.
 	Workers int
 
 	// FaultSpec, when non-empty, is a fault-DSL scenario injected into
@@ -229,15 +229,9 @@ func (s *Suite) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Run returns the (cached) result of one experiment cell under the
-// suite's configured decomposition. nodes×cpus ranks run `p = nodes·cpus`
-// processors; callers pass total processors and CPUs per node.
-func (s *Suite) Run(net netmodel.Params, procs, cpusPerNode int, mw pmd.MiddlewareKind) (*pmd.Result, error) {
-	return s.RunDecomp(net, procs, cpusPerNode, mw, s.Cfg.Decomp)
-}
-
-// RunDecomp is Run with an explicit decomposition — a batch of one,
-// executed inline on the caller.
+// RunDecomp returns the (cached) result of one experiment cell under
+// decomp — a batch of one, executed inline on the caller. Callers pass
+// total processors and CPUs per node; procs/cpusPerNode nodes run them.
 func (s *Suite) RunDecomp(net netmodel.Params, procs, cpusPerNode int, mw pmd.MiddlewareKind, decomp pmd.DecompKind) (*pmd.Result, error) {
 	if procs%cpusPerNode != 0 {
 		return nil, fmt.Errorf("figures: %d processors not divisible by %d CPUs/node", procs, cpusPerNode)

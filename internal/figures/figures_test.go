@@ -234,18 +234,18 @@ func TestZeroConfigPlansEveryFigure(t *testing.T) {
 
 func TestSuiteCaching(t *testing.T) {
 	s := NewSuite(quickConfig())
-	a, err := s.Run(netmodel.MyrinetGM(), 2, 1, pmd.MiddlewareMPI)
+	a, err := s.RunDecomp(netmodel.MyrinetGM(), 2, 1, pmd.MiddlewareMPI, s.Cfg.Decomp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Run(netmodel.MyrinetGM(), 2, 1, pmd.MiddlewareMPI)
+	b, err := s.RunDecomp(netmodel.MyrinetGM(), 2, 1, pmd.MiddlewareMPI, s.Cfg.Decomp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Fatal("cache did not return the same result pointer")
 	}
-	if _, err := s.Run(netmodel.MyrinetGM(), 3, 2, pmd.MiddlewareMPI); err == nil {
+	if _, err := s.RunDecomp(netmodel.MyrinetGM(), 3, 2, pmd.MiddlewareMPI, s.Cfg.Decomp); err == nil {
 		t.Fatal("indivisible processor count accepted")
 	}
 }

@@ -44,26 +44,18 @@ func (r *Rank) barrierRound(_ *segment, i int) bool {
 	return true
 }
 
-// Bcast distributes bytes from root along a binomial tree. Returns the
-// byte count on every rank.
-func (r *Rank) Bcast(root, bytes int) int {
-	r.await(segment{rounds: (*Rank).bcastRound, root: root, bytes: bytes})
-	return bytes
-}
-
-// bcastRound is the standard MPICH binomial tree on rotated ranks: a rank
+// bcastRound is the standard MPICH binomial tree rooted at rank 0: a rank
 // receives from its parent at its lowest set bit (round 0), then forwards
 // to children at the bits below it, highest first.
 func (r *Rank) bcastRound(s *segment, i int) bool {
-	p := r.Size()
-	vrank := (r.ID - s.root + p) % p
+	p, me := r.Size(), r.ID
 	top := 1
-	for top < p && vrank&top == 0 {
+	for top < p && me&top == 0 {
 		top <<= 1
 	}
 	if i == 0 {
 		if top < p {
-			r.add(primRecv, (vrank-top+s.root+p)%p, tagBcast, 0)
+			r.add(primRecv, me-top, tagBcast, 0)
 		}
 		return true
 	}
@@ -71,32 +63,25 @@ func (r *Rank) bcastRound(s *segment, i int) bool {
 	if mask == 0 {
 		return false
 	}
-	if vrank+mask < p {
-		r.add(primSend, (vrank+mask+s.root)%p, tagBcast, s.bytes)
+	if me+mask < p {
+		r.add(primSend, me+mask, tagBcast, s.bytes)
 	}
 	return true
 }
 
-// Reduce combines bytes from every rank at root along a binomial tree;
-// each hop moves the full payload and costs reduceOp compute on the parent.
-// reduceOp is the per-merge CPU time (the caller knows its element count).
-func (r *Rank) Reduce(root, bytes int, reduceOp float64) {
-	r.await(segment{rounds: (*Rank).reduceRound, root: root, bytes: bytes, reduceOp: reduceOp})
-}
-
-// reduceRound receives from the child 2^i away (if it exists) and merges,
-// until the round at the rank's lowest set bit sends the partial result
-// to its parent.
+// reduceRound combines the payload at rank 0 along a binomial tree: it
+// receives from the child 2^i away (if it exists) and merges for reduceOp
+// seconds, until the round at the rank's lowest set bit sends the partial
+// result to its parent. Each hop moves the full payload.
 func (r *Rank) reduceRound(s *segment, i int) bool {
-	p, mask := r.Size(), 1<<i
-	vrank := (r.ID - s.root + p) % p
-	if mask >= p || vrank&(mask-1) != 0 {
+	p, me, mask := r.Size(), r.ID, 1<<i
+	if mask >= p || me&(mask-1) != 0 {
 		return false
 	}
-	if vrank&mask != 0 {
-		r.add(primSend, ((vrank&^mask)+s.root)%p, tagReduce, s.bytes)
-	} else if child := vrank | mask; child < p {
-		r.add(primRecv, (child+s.root)%p, tagReduce, 0)
+	if me&mask != 0 {
+		r.add(primSend, me&^mask, tagReduce, s.bytes)
+	} else if child := me | mask; child < p {
+		r.add(primRecv, child, tagReduce, 0)
 		r.addCompute(s.reduceOp)
 	}
 	return true
@@ -111,26 +96,21 @@ func (r *Rank) Allreduce(bytes int, reduceOp float64) {
 	r.W.observeColl("allreduce", r.Now()-t0)
 }
 
-// Gather collects per-rank blocks at root (linear algorithm: root receives
-// p−1 messages in rank order, as early MPICH did).
-func (r *Rank) Gather(root int, myBytes int) {
-	r.await(segment{rounds: (*Rank).gatherRound, root: root, bytes: myBytes})
-}
-
-// gatherRound: the root receives from rank i; every other rank sends its
-// block in round 0.
+// gatherRound collects per-rank blocks at rank 0 (linear algorithm, as
+// early MPICH did): every other rank sends its block in round 0, and rank
+// 0 receives from rank i in round i, in rank order.
 func (r *Rank) gatherRound(s *segment, i int) bool {
-	if r.ID != s.root {
+	if r.ID != 0 {
 		if i > 0 {
 			return false
 		}
-		r.add(primSend, s.root, tagGather, s.bytes)
+		r.add(primSend, 0, tagGather, s.bytes)
 		return true
 	}
 	if i >= r.Size() {
 		return false
 	}
-	if i != s.root {
+	if i != 0 {
 		r.add(primRecv, i, tagGather, 0)
 	}
 	return true

@@ -268,18 +268,13 @@ type Options struct {
 	HostWorkers int
 }
 
-// Run spawns one rank process per CPU of the configured machine, runs fn on
-// each, and returns the per-rank accounting. A simulated deadlock (or a
-// panic escaping fn) is returned as an error.
-func Run(cfg cluster.Config, cost cluster.CostModel, fn func(*Rank)) ([]Accounting, error) {
-	return RunOpts(cfg, cost, Options{}, fn)
-}
-
-// RunOpts is the full-control entry point: tracing, fault injection and
-// watchdogs. Configuration problems come back as errors (not panics), and
-// injected crashes / watchdog expiries surface as typed errors matching
-// ErrCrashed / ErrTimeout. Partial accounting is returned alongside any
-// error so overhead bookkeeping survives aborted jobs.
+// RunOpts spawns one rank process per CPU of the configured machine, runs
+// fn on each, and returns the per-rank accounting; opts adds tracing,
+// fault injection and watchdogs. A simulated deadlock (or a panic escaping
+// fn) is returned as an error. Configuration problems come back as errors
+// (not panics), and injected crashes / watchdog expiries surface as typed
+// errors matching ErrCrashed / ErrTimeout. Partial accounting is returned
+// alongside any error so overhead bookkeeping survives aborted jobs.
 func RunOpts(cfg cluster.Config, cost cluster.CostModel, opts Options, fn func(*Rank)) ([]Accounting, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

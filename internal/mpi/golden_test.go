@@ -97,24 +97,6 @@ var goldenOps = []struct {
 		r.Allreduce(8192, 2e-5)
 		r.Allreduce(net.EagerLimit+512, 1e-4)
 	}},
-	{"bcast", func(r *mpi.Rank, net netmodel.Params) {
-		r.Bcast(2, 4096)
-		r.Bcast(0, net.EagerLimit+1)
-	}},
-	{"sendrecv_blocking", func(r *mpi.Rank, net netmodel.Params) {
-		p := r.Size()
-		for _, bytes := range []int{0, 1500, net.EagerLimit, net.EagerLimit + 1, 4 * net.EagerLimit} {
-			// Odd p leaves the last rank out of the pairing.
-			switch {
-			case r.ID%2 == 0 && r.ID+1 < p:
-				r.Send(r.ID+1, 11, bytes)
-				r.Recv(r.ID+1, 12)
-			case r.ID%2 == 1:
-				r.Recv(r.ID-1, 11)
-				r.Send(r.ID-1, 12, bytes)
-			}
-		}
-	}},
 	{"ring_rendezvous", func(r *mpi.Rank, net netmodel.Params) {
 		blocks := make([]int, r.Size())
 		for i := range blocks {
@@ -250,19 +232,6 @@ func computeGolden(t *testing.T) map[string]goldenEntry {
 	}
 	got["abandoned_isend/p8/tcp"] = e
 
-	// A blocking rendezvous Send nobody receives: the rank's own transfer
-	// gives up and the sender reports it.
-	e, err = goldenRun(cfg, mpi.Options{Watchdog: wd}, func(r *mpi.Rank) {
-		r.Compute(0.0007 * float64(r.ID))
-		if r.ID == 0 {
-			r.Send(1, 9, net.EagerLimit+1)
-		}
-	})
-	if !errors.As(err, &te) || te.Op != "send-rendezvous" || te.Rank != 0 {
-		t.Fatalf("lost rendezvous send: want send-rendezvous ErrTimeout on rank 0, got %v", err)
-	}
-	got["send_rendezvous_timeout/p8/tcp"] = e
-
 	// A rendezvous-size Allreduce rank 0 never joins: the tree's sends to
 	// it give up, each on the rank's own transfer, and the first to time
 	// out is reported.
@@ -316,7 +285,7 @@ func computeGolden(t *testing.T) map[string]goldenEntry {
 	// Without a watchdog the same lost rendezvous is a simulation deadlock,
 	// and the report names the parked helper process. (End times are left
 	// out: a deadlocked rank never reaches the end of its function.)
-	accts, err := mpi.Run(cfg, cluster.PentiumIII1GHz(), func(r *mpi.Rank) {
+	accts, err := mpi.RunOpts(cfg, cluster.PentiumIII1GHz(), mpi.Options{}, func(r *mpi.Rank) {
 		switch r.ID {
 		case 0:
 			r.Wait(r.Isend(1, 9, net.EagerLimit+1))

@@ -17,11 +17,28 @@ func uniCluster(nodes int, net netmodel.Params) cluster.Config {
 
 func mustRun(t *testing.T, cfg cluster.Config, fn func(*Rank)) []Accounting {
 	t.Helper()
-	accts, err := Run(cfg, cluster.PentiumIII1GHz(), fn)
+	accts, err := RunOpts(cfg, cluster.PentiumIII1GHz(), Options{}, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return accts
+}
+
+// send and sendrecv issue the blocking send and the deadlock-free exchange
+// the collectives' rounds plan, one primitive round per call: the
+// point-to-point tests drive the transport through them.
+func send(r *Rank, dst, tag, bytes int) {
+	r.checkPeer(dst)
+	r.add(primSend, dst, tag, bytes)
+	r.await()
+}
+
+func sendrecv(r *Rank, dst, sendTag, sendBytes, src, recvTag int) int {
+	r.checkPeer(dst)
+	r.checkPeer(src)
+	r.addSendrecv(dst, sendTag, sendBytes, src, recvTag)
+	r.await()
+	return r.call.got
 }
 
 func TestPingPong(t *testing.T) {
@@ -30,14 +47,14 @@ func TestPingPong(t *testing.T) {
 		const n = 10
 		if r.ID == 0 {
 			for i := 0; i < n; i++ {
-				r.Send(1, 7, 1024)
+				send(r, 1, 7, 1024)
 				r.Recv(1, 8)
 			}
 			times = append(times, r.Now())
 		} else {
 			for i := 0; i < n; i++ {
 				r.Recv(0, 7)
-				r.Send(0, 8, 1024)
+				send(r, 0, 8, 1024)
 			}
 		}
 	})
@@ -60,14 +77,14 @@ func TestLatencyOrdering(t *testing.T) {
 		mustRun(t, uniCluster(2, net), func(r *Rank) {
 			if r.ID == 0 {
 				for i := 0; i < 20; i++ {
-					r.Send(1, 1, 64)
+					send(r, 1, 1, 64)
 					r.Recv(1, 2)
 				}
 				tEnd = r.Now()
 			} else {
 				for i := 0; i < 20; i++ {
 					r.Recv(0, 1)
-					r.Send(0, 2, 64)
+					send(r, 0, 2, 64)
 				}
 			}
 		})
@@ -89,7 +106,7 @@ func TestBandwidthOrdering(t *testing.T) {
 		const bytes = 4 << 20
 		mustRun(t, uniCluster(2, net), func(r *Rank) {
 			if r.ID == 0 {
-				r.Send(1, 1, bytes)
+				send(r, 1, 1, bytes)
 			} else {
 				r.Recv(0, 1)
 				tEnd = r.Now()
@@ -108,8 +125,8 @@ func TestMessageOrderPreserved(t *testing.T) {
 	var sizes []int
 	mustRun(t, uniCluster(2, netmodel.MyrinetGM()), func(r *Rank) {
 		if r.ID == 0 {
-			r.Send(1, 5, 100)
-			r.Send(1, 5, 200)
+			send(r, 1, 5, 100)
+			send(r, 1, 5, 200)
 		} else {
 			sizes = append(sizes, r.Recv(0, 5), r.Recv(0, 5))
 		}
@@ -125,7 +142,7 @@ func TestRendezvousBlocksUntilReceiverPosts(t *testing.T) {
 	var sendDone, recvPosted float64
 	mustRun(t, uniCluster(2, net), func(r *Rank) {
 		if r.ID == 0 {
-			r.Send(1, 1, net.EagerLimit*4)
+			send(r, 1, 1, net.EagerLimit*4)
 			sendDone = r.Now()
 		} else {
 			r.Compute(50e-3) // receiver arrives late
@@ -143,7 +160,7 @@ func TestEagerCompletesBeforeReceiverPosts(t *testing.T) {
 	var sendDone, recvPosted float64
 	mustRun(t, uniCluster(2, net), func(r *Rank) {
 		if r.ID == 0 {
-			r.Send(1, 1, 1024)
+			send(r, 1, 1, 1024)
 			sendDone = r.Now()
 		} else {
 			r.Compute(50e-3)
@@ -161,7 +178,7 @@ func TestSyncVsCommAccounting(t *testing.T) {
 	accts := mustRun(t, uniCluster(2, netmodel.SCoreGigE()), func(r *Rank) {
 		if r.ID == 0 {
 			r.Compute(10e-3)
-			r.Send(1, 1, 4096)
+			send(r, 1, 1, 4096)
 		} else {
 			r.Recv(0, 1)
 		}
@@ -219,18 +236,26 @@ func TestBarrierTimeIsSync(t *testing.T) {
 	}
 }
 
+// TestBcastReachesAll runs the binomial tree Allreduce and Allgatherv end
+// with: every rank but the root receives the payload exactly once.
 func TestBcastReachesAll(t *testing.T) {
 	for _, p := range []int{2, 3, 5, 8} {
-		for root := 0; root < p; root += 2 {
-			got := make([]int, p)
-			mustRun(t, uniCluster(p, netmodel.MyrinetGM()), func(r *Rank) {
-				got[r.ID] = r.Bcast(root, 5000)
-			})
-			for i, b := range got {
-				if b != 5000 {
-					t.Fatalf("p=%d root=%d: rank %d got %d bytes", p, root, i, b)
-				}
+		accts := mustRun(t, uniCluster(p, netmodel.MyrinetGM()), func(r *Rank) {
+			r.await(segment{rounds: (*Rank).bcastRound, bytes: 5000})
+		})
+		var sent int64
+		for i, a := range accts {
+			want := int64(5000)
+			if i == 0 {
+				want = 0
 			}
+			if a.BytesRecv != want {
+				t.Fatalf("p=%d: rank %d received %d bytes, want %d", p, i, a.BytesRecv, want)
+			}
+			sent += a.BytesSent
+		}
+		if sent != int64(5000*(p-1)) {
+			t.Fatalf("p=%d: the tree sent %d bytes, want %d", p, sent, 5000*(p-1))
 		}
 	}
 }
@@ -339,7 +364,7 @@ func TestDualProcessorSharesNIC(t *testing.T) {
 		mustRun(t, cfg, func(r *Rank) {
 			p := r.Size()
 			if r.ID < p/2 {
-				r.Send(r.ID+p/2, 1, bytes)
+				send(r, r.ID+p/2, 1, bytes)
 			} else {
 				r.Recv(r.ID-p/2, 1)
 				if r.Now() > tEnd {
@@ -366,7 +391,7 @@ func TestInterruptSerializationOnTCPDual(t *testing.T) {
 			switch r.ID {
 			case 0, 1: // senders on node 0
 				for i := 0; i < n; i++ {
-					r.Send(r.ID+2, 1, 1400)
+					send(r, r.ID+2, 1, 1400)
 				}
 			default: // receivers share node 1
 				for i := 0; i < n; i++ {
@@ -461,7 +486,7 @@ func TestAccountingConservation(t *testing.T) {
 }
 
 func TestRunPropagatesDeadlock(t *testing.T) {
-	_, err := Run(uniCluster(2, netmodel.SCoreGigE()), cluster.PentiumIII1GHz(), func(r *Rank) {
+	_, err := RunOpts(uniCluster(2, netmodel.SCoreGigE()), cluster.PentiumIII1GHz(), Options{}, func(r *Rank) {
 		if r.ID == 0 {
 			r.Recv(1, 99) // never sent
 		}
@@ -472,9 +497,9 @@ func TestRunPropagatesDeadlock(t *testing.T) {
 }
 
 func TestSelfSendPanics(t *testing.T) {
-	_, err := Run(uniCluster(2, netmodel.SCoreGigE()), cluster.PentiumIII1GHz(), func(r *Rank) {
+	_, err := RunOpts(uniCluster(2, netmodel.SCoreGigE()), cluster.PentiumIII1GHz(), Options{}, func(r *Rank) {
 		if r.ID == 0 {
-			r.Send(0, 1, 10)
+			r.Isend(0, 1, 10)
 		}
 	})
 	if err == nil {
@@ -487,7 +512,7 @@ func TestSelfSendPanics(t *testing.T) {
 // caller's goroutine instead.
 func TestRaggedMatrixRejectedByCaller(t *testing.T) {
 	sizes := [][]int{{0, 8, 8}, {8, 0, 8}, {8}}
-	_, err := Run(uniCluster(3, netmodel.SCoreGigE()), cluster.PentiumIII1GHz(), func(r *Rank) {
+	_, err := RunOpts(uniCluster(3, netmodel.SCoreGigE()), cluster.PentiumIII1GHz(), Options{}, func(r *Rank) {
 		r.AlltoallvSparse(sizes)
 	})
 	if err == nil || !strings.Contains(err.Error(), "p×p") {
@@ -560,10 +585,10 @@ func TestRandomTrafficProperty(t *testing.T) {
 			sizes[i] = int(v) * 16 // spans eager and rendezvous regimes
 		}
 		var received []int
-		accts, err := Run(uniCluster(2, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), func(r *Rank) {
+		accts, err := RunOpts(uniCluster(2, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), Options{}, func(r *Rank) {
 			if r.ID == 0 {
 				for _, sz := range sizes {
-					r.Send(1, 9, sz)
+					send(r, 1, 9, sz)
 				}
 			} else {
 				for range sizes {
@@ -595,8 +620,8 @@ func TestInterleavedTagsProperty(t *testing.T) {
 	mustRun(t, uniCluster(2, netmodel.SCoreGigE()), func(r *Rank) {
 		if r.ID == 0 {
 			for i := 0; i < 5; i++ {
-				r.Send(1, 1, 100+i)
-				r.Send(1, 2, 200+i)
+				send(r, 1, 1, 100+i)
+				send(r, 1, 2, 200+i)
 			}
 		} else {
 			// Drain tag 2 first, then tag 1: matching must not block.
@@ -621,31 +646,17 @@ func TestInterleavedTagsProperty(t *testing.T) {
 // inbox, free-list and event-queue growth allocate.
 const allocCeiling = 0.1
 
-// TestSendrecvAllocCeiling holds every point-to-point path to the
-// ceiling: an eager and a rendezvous Sendrecv, and the public split API
-// (Isend, Recv, Wait) around a ring as cmpi issues it.
+// TestSendrecvAllocCeiling holds the point-to-point API to the ceiling:
+// Isend, Recv and Wait around a ring, the exchange cmpi issues.
 func TestSendrecvAllocCeiling(t *testing.T) {
 	const ring = 4
-	for _, c := range []struct {
-		name    string
-		p, msgs int // ranks, messages one call posts over all of them
-		call    func(r *Rank, i int)
-	}{
-		{"eager Sendrecv", 2, 2, func(r *Rank, i int) { // both ranks of the pair call it
-			r.Sendrecv(1-r.ID, i, 512, 1-r.ID, i)
-		}},
-		{"rendezvous Sendrecv of 1 MiB", 2, 2, func(r *Rank, i int) {
-			r.Sendrecv(1-r.ID, i, 1<<20, 1-r.ID, i)
-		}},
-		{"Isend/Recv/Wait ring at p=4", ring, ring, func(r *Rank, i int) {
-			req := r.Isend((r.ID+1)%ring, i, 512)
-			r.Recv((r.ID+ring-1)%ring, i)
-			r.Wait(req)
-		}},
-	} {
-		if got := allocsPerMessage(t, c.p, c.msgs, c.call); got > allocCeiling {
-			t.Errorf("%s: %.3f allocations per message, ceiling %g", c.name, got, allocCeiling)
-		}
+	got := allocsPerMessage(t, ring, ring, func(r *Rank, i int) {
+		req := r.Isend((r.ID+1)%ring, i, 512)
+		r.Recv((r.ID+ring-1)%ring, i)
+		r.Wait(req)
+	})
+	if got > allocCeiling {
+		t.Errorf("Isend/Recv/Wait ring at p=%d: %.3f allocations per message, ceiling %g", ring, got, allocCeiling)
 	}
 }
 
@@ -681,7 +692,7 @@ func allocsPerMessage(t *testing.T, p, msgs int, call func(r *Rank, i int)) floa
 	cfg := uniCluster(p, netmodel.TCPGigE())
 	perRun := func(n int) float64 {
 		return testing.AllocsPerRun(5, func() {
-			_, err := Run(cfg, cluster.PentiumIII1GHz(), func(r *Rank) {
+			_, err := RunOpts(cfg, cluster.PentiumIII1GHz(), Options{}, func(r *Rank) {
 				for i := 0; i < n; i++ {
 					call(r, i)
 				}

@@ -94,7 +94,6 @@ const (
 // a round may plan nothing.
 type segment struct {
 	rounds   func(r *Rank, s *segment, i int) bool
-	root     int
 	bytes    int
 	reduceOp float64
 	sizes    [][]int // Alltoallv, AlltoallvSparse
@@ -744,15 +743,6 @@ func (r *Rank) remove(msg *message) {
 	panic("mpi: removing message not in inbox")
 }
 
-// Send transmits bytes to dst with the given tag, blocking per the
-// underlying protocol: eager sends return once the payload left the NIC;
-// rendezvous sends block until the receiver posts.
-func (r *Rank) Send(dst, tag, bytes int) {
-	r.checkPeer(dst)
-	r.add(primSend, dst, tag, bytes)
-	r.await()
-}
-
 // Recv blocks until a message from src with tag is delivered and returns
 // its size.
 func (r *Rank) Recv(src, tag int) int {
@@ -787,14 +777,4 @@ func (r *Rank) Wait(req *Request) int {
 	r.add(primWait, 0, 0, 0)
 	r.await()
 	return bytes
-}
-
-// Sendrecv exchanges messages with two (possibly different) partners
-// without deadlocking.
-func (r *Rank) Sendrecv(dst, sendTag, sendBytes, src, recvTag int) int {
-	r.checkPeer(dst)
-	r.checkPeer(src)
-	r.addSendrecv(dst, sendTag, sendBytes, src, recvTag)
-	r.await()
-	return r.call.got
 }

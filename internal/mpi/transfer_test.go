@@ -19,13 +19,13 @@ func TestLateWaitReturnsItsOwnBytes(t *testing.T) {
 		if r.ID == 1 {
 			r.Recv(0, 0)
 			for i := 1; i <= later; i++ {
-				r.Sendrecv(0, i, eager/2+i, 0, i)
+				sendrecv(r, 0, i, eager/2+i, 0, i)
 			}
 			return
 		}
 		req := r.Isend(1, 0, 777)
 		for i := 1; i <= later; i++ {
-			r.Sendrecv(1, i, eager+i, 1, i) // rendezvous one way, eager back
+			sendrecv(r, 1, i, eager+i, 1, i) // rendezvous one way, eager back
 		}
 		got = r.Wait(req)
 	})
@@ -51,13 +51,13 @@ func TestAbandonedTransferIsNotRecycled(t *testing.T) {
 			r.Compute(0.01) // the helper's budget runs out before the waiter's
 			r.Wait(req)
 		}},
-		{"timed-out send", 1, func(r *Rank) { r.Send(1, 99, big) }},
+		{"timed-out send", 1, func(r *Rank) { send(r, 1, 99, big) }},
 	} {
 		var w *World
 		_, err := RunOpts(uniCluster(2, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), wd, func(r *Rank) {
 			w = r.W
 			for i := 0; i < 4; i++ {
-				r.Sendrecv(1-r.ID, i, 512, 1-r.ID, i)
+				sendrecv(r, 1-r.ID, i, 512, 1-r.ID, i)
 			}
 			if r.ID == 0 {
 				c.send(r)

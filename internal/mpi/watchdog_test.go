@@ -80,7 +80,7 @@ func TestWatchdogRendezvousSendTimeout(t *testing.T) {
 	opts := Options{Watchdog: Watchdog{Timeout: 0.5, Retries: 0}}
 	_, err := RunOpts(cfg, cluster.PentiumIII1GHz(), opts, func(r *Rank) {
 		if r.ID == 0 {
-			r.Send(1, 7, net.EagerLimit+1) // receiver never posts
+			send(r, 1, 7, net.EagerLimit+1) // receiver never posts
 		}
 	})
 	var te *TimeoutError
@@ -102,7 +102,7 @@ func TestWatchdogRetriesSurviveLatePartner(t *testing.T) {
 			r.Recv(1, 7)
 		} else {
 			r.Compute(1.0)
-			r.Send(0, 7, 128)
+			send(r, 0, 7, 128)
 		}
 	})
 	if err != nil {
@@ -123,7 +123,7 @@ func TestInjectedCrashSurfacesTyped(t *testing.T) {
 			if r.ID == 0 {
 				r.Recv(1, i)
 			} else {
-				r.Send(0, i, 64)
+				send(r, 0, i, 64)
 			}
 		}
 	})
@@ -167,7 +167,7 @@ func TestLinkDegradationSlowsTransfer(t *testing.T) {
 		opts := Options{Faults: f}
 		_, err := RunOpts(uniCluster(2, net), cluster.PentiumIII1GHz(), opts, func(r *Rank) {
 			if r.ID == 0 {
-				r.Send(1, 1, 1<<20)
+				send(r, 1, 1, 1<<20)
 			} else {
 				r.Recv(0, 1)
 				end = r.Now()

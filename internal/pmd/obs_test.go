@@ -128,7 +128,7 @@ func TestTraceCountersIgnoreCollector(t *testing.T) {
 // nothing.
 func TestStepEmitAllocatesNothingUnobserved(t *testing.T) {
 	allocs := -1.0
-	_, err := mpi.Run(clusterCfg(1, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), func(r *mpi.Rank) {
+	_, err := mpi.RunOpts(clusterCfg(1, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), mpi.Options{}, func(r *mpi.Rank) {
 		w := &worker{r: r}
 		st := StepTiming{Classic: PhaseSample{Wall: 1}, PME: PhaseSample{Wall: 2}}
 		allocs = testing.AllocsPerRun(100, func() { w.emitStep(1234, &st, 0, 3) })

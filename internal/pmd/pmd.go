@@ -101,9 +101,10 @@ type Config struct {
 	// workload, decomposition and rank count: an empty tape records this
 	// run's canonical snapshots, a completed tape replays them
 	// instead of executing the MD kernels (the simulated timings still come
-	// out of the full event simulation). Ignored when Init or a step hook
-	// needs real physics, or when the tape was recorded for a
-	// different decomposition, rank count or step count.
+	// out of the full event simulation). Ignored when Init needs real
+	// physics, or when the tape was recorded for a different
+	// decomposition, rank count or step count; a run that fails or stops
+	// early leaves it empty.
 	Tape *Tape
 
 	// HostWorkers > 1 runs the canonical evaluation's rank loops that
@@ -128,8 +129,9 @@ type Config struct {
 	Perf *perf.Timeline
 
 	// onStep, when non-nil, runs on every rank at the end of every
-	// completed step (after the step barrier, before the next step). The
-	// resilient driver hooks its checkpoint recorder here.
+	// completed step, before the next step. The resilient driver hooks its
+	// checkpoint recorder here; it reads the rank's snapshot and
+	// accounting only, so a taped run serves it as well as a live one.
 	onStep func(w *worker, step int)
 
 	// stepBase is the global-step offset the resilient driver applies to
@@ -277,11 +279,11 @@ func runAttempt(clusterCfg cluster.Config, cost cluster.CostModel, cfg Config) (
 		return nil, nil, err
 	}
 
-	// Tape eligibility: checkpoint starts and step hooks need the physics
-	// actually executed, and a completed tape only fits the decomposition,
-	// rank count and step count it was recorded for.
+	// Tape eligibility: a checkpoint start needs the physics actually
+	// executed, and a completed tape only fits the decomposition, rank
+	// count and step count it was recorded for.
 	tape := cfg.Tape
-	if cfg.Init != nil || cfg.onStep != nil {
+	if cfg.Init != nil {
 		tape = nil
 	}
 	if tape.Complete() && !tape.fits(cfg.Decomp, p, cfg.Steps) {
@@ -323,7 +325,7 @@ func runAttempt(clusterCfg cluster.Config, cost cluster.CostModel, cfg Config) (
 	})
 	res.Acct = accts
 	if tape != nil && !replaying {
-		if err != nil {
+		if err != nil || len(res.Energies) < cfg.Steps { // failed, or halted early
 			tape.reset()
 		} else {
 			tape.finish(sh.canon)

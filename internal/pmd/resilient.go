@@ -3,14 +3,13 @@ package pmd
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
-	"repro/internal/kernels"
 	"repro/internal/md"
 	"repro/internal/mpi"
 	"repro/internal/recover"
-	"repro/internal/vec"
 )
 
 // RecoveryEvent records one crash-and-rewind cycle.
@@ -80,14 +79,11 @@ func quadToAcct(q [4]float64) mpi.Accounting {
 	return mpi.Accounting{Comp: q[0], Comm: q[1], Sync: q[2], Lost: q[3]}
 }
 
-// ckptEntry is one rank's recorded state at a checkpoint step.
+// ckptEntry is one rank's record of a checkpoint step: the step and the
+// rank's accounting when it completed it.
 type ckptEntry struct {
-	step   int
-	acct   mpi.Accounting
-	vel    []vec.V // owned atom block
-	pos    []vec.V // rank 0 only: full replica
-	frc    []vec.V // rank 0 only: combined forces
-	origin []vec.V // rank 0 only: Verlet-list origin (replicated on all ranks)
+	step int
+	acct mpi.Accounting
 }
 
 // recorder is one attempt: it collects per-rank checkpoint entries while
@@ -95,17 +91,18 @@ type ckptEntry struct {
 // globally completed checkpoint (plus a per-step progress journal) to
 // disk; afterwards it holds how the attempt ended. What an attempt starts
 // from (steps done, clocks, carried accounting, cadence) it reads from the
-// driver, which changes only between attempts. The sim engine runs onStep
-// hooks strictly one rank at a time on the scheduler thread, so plain
-// field writes are safe. Full in-memory history is kept because ranks can
-// be one checkpoint apart when a crash interrupts a collective: the rewind
-// uses the newest step every rank (including the crashed one) has
-// recorded.
+// driver, which changes only between attempts. Ranks are simulated
+// processes of which exactly one runs at a time, so onStep's plain field
+// writes are safe. Full in-memory history is kept because ranks can be one
+// checkpoint apart when a crash interrupts a collective: the rewind uses
+// the newest step every rank (including the crashed one) has recorded.
+// The state at a checkpoint is the canonical snapshot every rank served
+// for that step, one per history index.
 type recorder struct {
-	d       *driver
-	p       int
-	hist    [][]ckptEntry
-	atomOff []int
+	d     *driver
+	p     int
+	hist  [][]ckptEntry
+	snaps []*canonState // history index -> the step's snapshot
 
 	halted     bool
 	preemptAt  int // global step every rank stops after; 0 = none latched
@@ -144,20 +141,10 @@ func (rec *recorder) onStep(w *worker, step int) {
 	// newest globally completed step rather than a cadence checkpoint.
 	// ckptStep still marks the (sparser) durable cadence below.
 	if ckptStep || rec.local {
-		lo, hi := w.myAtoms()
-		e := ckptEntry{
-			step: step,
-			acct: w.r.Acct(),
-			vel:  append([]vec.V(nil), w.cur.vel[lo:hi]...),
+		rec.hist[me] = append(rec.hist[me], ckptEntry{step: step, acct: w.r.Acct()})
+		if len(rec.hist[me]) > len(rec.snaps) {
+			rec.snaps = append(rec.snaps, w.cur)
 		}
-		if me == 0 {
-			e.pos = append([]vec.V(nil), w.cur.pos...)
-			e.frc = append([]vec.V(nil), w.cur.frcTotal...)
-			if w.cur.listGen >= 0 {
-				e.origin = append([]vec.V(nil), w.cur.listOrigin...)
-			}
-		}
-		rec.hist[me] = append(rec.hist[me], e)
 	}
 	// The list generation is in lockstep on every rank and bumps exactly at
 	// rebuild (migration) epochs, so rank 0's view stands for the grid.
@@ -245,25 +232,13 @@ func (rec *recorder) rewindIndex() int {
 	return idx
 }
 
-// assemble builds the global checkpoint at history index idx: positions
-// and forces from rank 0's replica (consistent after the step's gather and
-// reduction), velocities from the per-rank owned blocks (velocities are
-// never gathered during a run, so no single replica holds them all).
+// assemble returns the global checkpoint at history index idx. It aliases
+// the step's immutable snapshot: a caller that hands it on copies it.
 func (rec *recorder) assemble(idx int) *md.Checkpoint {
-	root := rec.hist[0][idx]
-	n := len(root.pos)
-	cp := &md.Checkpoint{
-		N:          n,
-		TimestepFS: rec.d.rcfg.MD.TimestepFS,
-		Pos:        append([]vec.V(nil), root.pos...),
-		Vel:        make([]vec.V, n),
-		Frc:        append([]vec.V(nil), root.frc...),
-	}
-	for rk := range rec.hist {
-		copy(cp.Vel[rec.atomOff[rk]:rec.atomOff[rk+1]], rec.hist[rk][idx].vel)
-	}
-	if root.origin != nil {
-		cp.ListOrigin = append([]vec.V(nil), root.origin...)
+	st := rec.snaps[idx]
+	cp := &md.Checkpoint{N: len(st.pos), TimestepFS: rec.d.rcfg.MD.TimestepFS, Pos: st.pos, Vel: st.vel, Frc: st.frcTotal}
+	if st.listGen >= 0 {
+		cp.ListOrigin = st.listOrigin
 	}
 	return cp
 }
@@ -438,7 +413,7 @@ func (d *driver) attempt() (*recorder, error) {
 	rcfg := d.rcfg
 	p := d.cfg.Nodes * d.cfg.CPUsPerNode
 	rec := &recorder{
-		d: d, p: p, hist: make([][]ckptEntry, p), atomOff: kernels.Partition(rcfg.System.N(), p, nil),
+		d: d, p: p, hist: make([][]ckptEntry, p),
 		acct: make([]mpi.Accounting, p), seen: map[int]int{}, local: rcfg.Recovery == RecoveryLocal,
 	}
 	cfg := rcfg.Config
@@ -547,7 +522,12 @@ func (d *driver) rewind(rec *recorder, detected float64, s rewindStrategy) rewou
 	}
 	d.carried = standing
 	if rw.idx >= 0 {
-		rw.cp = rec.assemble(rw.idx)
+		// The rewind point leaves the attempt (RecoveryEvent.Checkpoint
+		// and the next attempt's Init): one copy off the snapshot.
+		cp := rec.assemble(rw.idx)
+		cp.Pos, cp.Vel, cp.Frc = slices.Clone(cp.Pos), slices.Clone(cp.Vel), slices.Clone(cp.Frc)
+		cp.ListOrigin = slices.Clone(cp.ListOrigin) // nil stays nil
+		rw.cp = cp
 		keep := rec.hist[0][rw.idx].step + 1 // steps of the failed attempt that survive
 		out.Energies = append(out.Energies, rec.res.Energies[:keep]...)
 		d.stepsDone += keep

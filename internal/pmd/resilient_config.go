@@ -98,7 +98,7 @@ type ResilientConfig struct {
 	HaltAfterStep int
 
 	// Preempt, when non-nil, is polled once per globally completed step
-	// on the scheduler thread (it must not block). The first time it
+	// from inside the simulation (it must not block). The first time it
 	// returns true the run latches the NEXT step boundary as the
 	// preemption point: every rank checkpoints there, the checkpoint is
 	// persisted to CheckpointDir, and RunResilient returns the completed

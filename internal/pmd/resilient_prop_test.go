@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/kernels"
 	"repro/internal/md"
 	"repro/internal/mpi"
 	"repro/internal/rng"
@@ -97,20 +96,17 @@ func TestRewindBooksEachRankOnce(t *testing.T) {
 		rcfg.System = sys
 		d := &driver{rcfg: rcfg, out: &ResilientResult{}, stepsDone: 3, offset: 10}
 		d.cfg.Nodes, d.cfg.CPUsPerNode = nodes, cpus
-		rec := &recorder{d: d, p: p, hist: make([][]ckptEntry, p), atomOff: kernels.Partition(rcfg.System.N(), p, nil),
-			res: &Result{}, accts: make([]mpi.Accounting, p)}
+		rec := &recorder{d: d, p: p, hist: make([][]ckptEntry, p), res: &Result{}, accts: make([]mpi.Accounting, p)}
 		for i := range rec.hist {
 			n := depth
 			if i == 1 {
 				n++
 			}
 			for k := 0; k < n; k++ {
-				e := ckptEntry{step: 2*k + 1, acct: acct()}
-				if i == 0 {
-					e.pos = rcfg.System.Pos
-					e.frc = rcfg.System.Pos
+				rec.hist[i] = append(rec.hist[i], ckptEntry{step: 2*k + 1, acct: acct()})
+				if k == len(rec.snaps) {
+					rec.snaps = append(rec.snaps, &canonState{pos: sys.Pos, vel: sys.Pos, frcTotal: sys.Pos, listGen: -1})
 				}
-				rec.hist[i] = append(rec.hist[i], e)
 			}
 			rec.accts[i] = acct()
 		}

@@ -19,9 +19,9 @@ package pmd
 //
 // A tape must not outlive its workload: callers key tapes by decomposition
 // and rank count within one suite (fixed system, MD config and steps). Runs
-// with a checkpoint start (Init) or an onStep hook bypass tapes entirely —
-// their consumers need the physics actually executed. A
-// complete tape is read-only: any number of replays may read it at once.
+// with a checkpoint start (Init) bypass tapes entirely — they need the
+// physics actually executed from that state. A complete tape is read-only:
+// any number of replays may read it at once.
 type Tape struct {
 	p, steps int
 	decomp   DecompKind

@@ -104,8 +104,8 @@ type worker struct {
 	cur *canonState
 
 	// stop requests a graceful end of the step loop after the current
-	// step (the resilient driver's halt or preemption point). Only touched
-	// from onStep code on the scheduler thread.
+	// step (the resilient driver's halt or preemption point). Only the
+	// onStep hook sets it, on the rank's own process.
 	stop bool
 
 	// mStep is rank 0's cached current-step gauge (nil without a registry).

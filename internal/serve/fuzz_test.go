@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"reflect"
@@ -49,6 +50,33 @@ func FuzzJobSpecNormalize(f *testing.F) {
 		}
 		if again.Key() != key || JobID(key) != JobID(again.Key()) {
 			t.Fatalf("key moved across re-normalisation: %q then %q", key, again.Key())
+		}
+	})
+}
+
+// FuzzStoreDecode feeds arbitrary store files through the validator a
+// reopened store trusts: decode either rejects the bytes, or they are
+// exactly what encode writes for the key and the payload it returns — so
+// a damaged entry is never served.
+func FuzzStoreDecode(f *testing.F) {
+	const key = `{"kind":"run","atoms":48}`
+	good := encode(key, []byte(`{"energies":[1.5,-2]}`))
+	flipped := bytes.Clone(good)
+	flipped[len(flipped)-6] ^= 1
+	f.Add(good, key)
+	f.Add(good, key+" ")                     // key mismatch
+	f.Add(good[:len(good)-1], key)           // truncated checksum
+	f.Add(append(bytes.Clone(good), 0), key) // trailing byte
+	f.Add(flipped, key)                      // payload bit flip
+	f.Add(encode("", nil), "")
+	f.Add([]byte{}, "")
+	f.Fuzz(func(t *testing.T, data []byte, key string) {
+		payload, err := decode(data, key)
+		if err != nil {
+			return
+		}
+		if got := encode(key, payload); !bytes.Equal(got, data) {
+			t.Fatalf("decode accepted %x for key %q, but encode writes %x", data, key, got)
 		}
 	})
 }

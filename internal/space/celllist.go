@@ -153,17 +153,13 @@ func (cl *CellList) cellIndex(p vec.V) int {
 	return (ix*cl.ny+iy)*cl.nz + iz
 }
 
-// Pairs returns all unordered pairs (i<j) whose minimum-image distance is
-// at most the cutoff. The work counter, if non-nil, is incremented by the
-// number of distance evaluations performed (the quantity the performance
-// model charges for neighbour-list construction).
-func (cl *CellList) Pairs(pos []vec.V, distEvals *int64) []Pair {
-	return cl.PairsAppend(pos, nil, distEvals)
-}
-
-// PairsAppend is Pairs appending into dst (reset to dst[:0]), so steady-
-// state callers can reuse one pair buffer across rebuilds; a dst without
-// capacity is sized by a sample scan first. Distances come from the
+// PairsAppend returns all unordered pairs (i<j) whose minimum-image
+// distance is at most the cutoff, appended into dst (reset to dst[:0]) so
+// steady-state callers can reuse one pair buffer across rebuilds; a dst
+// without capacity is sized by a sample scan first. The work counter, if
+// non-nil, is incremented by the number of distance evaluations performed
+// (the quantity the performance model charges for neighbour-list
+// construction). Distances come from the
 // coordinates binned at construction/Rebuild time (pos must be the same
 // array, and is retained in the signature for that contract).
 func (cl *CellList) PairsAppend(pos []vec.V, dst []Pair, distEvals *int64) []Pair {
@@ -290,19 +286,4 @@ func mod(a, n int) int {
 		a += n
 	}
 	return a
-}
-
-// BruteForcePairs returns all pairs within cutoff by the O(N²) method.
-// It exists as the ground truth for testing cell lists.
-func BruteForcePairs(box Box, cutoff float64, pos []vec.V) []Pair {
-	var pairs []Pair
-	cut2 := cutoff * cutoff
-	for i := 0; i < len(pos); i++ {
-		for j := i + 1; j < len(pos); j++ {
-			if box.Dist2(pos[i], pos[j]) <= cut2 {
-				pairs = append(pairs, Pair{int32(i), int32(j)})
-			}
-		}
-	}
-	return pairs
 }

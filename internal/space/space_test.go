@@ -161,7 +161,7 @@ func TestCellListMatchesBruteForce(t *testing.T) {
 			cutoff := math.Min(5.0, b.MaxCutoff())
 			cl := NewCellList(b, cutoff, pos)
 			var evals int64
-			got := cl.Pairs(pos, &evals)
+			got := cl.PairsAppend(pos, nil, &evals)
 			want := BruteForcePairs(b, cutoff, pos)
 			if !samePairs(got, want) {
 				t.Fatalf("box %v n=%d: cell list %d pairs, brute force %d", b.L, n, len(got), len(want))
@@ -181,7 +181,7 @@ func TestCellListSmallBoxAliasing(t *testing.T) {
 	r := rng.New(7)
 	pos := randomPositions(r, 120, b)
 	cl := NewCellList(b, 4.9, pos)
-	got := cl.Pairs(pos, nil)
+	got := cl.PairsAppend(pos, nil, nil)
 	want := BruteForcePairs(b, 4.9, pos)
 	if !samePairs(got, want) {
 		t.Fatalf("aliased cell list: %d pairs vs brute force %d", len(got), len(want))
@@ -201,7 +201,7 @@ func TestCellListPairOrdering(t *testing.T) {
 	r := rng.New(3)
 	pos := randomPositions(r, 100, b)
 	cl := NewCellList(b, 6, pos)
-	for _, p := range cl.Pairs(pos, nil) {
+	for _, p := range cl.PairsAppend(pos, nil, nil) {
 		if p.I >= p.J {
 			t.Fatalf("pair not ordered: %v", p)
 		}
@@ -231,7 +231,7 @@ func TestCellListDenseCluster(t *testing.T) {
 		pos[i] = vec.New(r.Range(0, 2), r.Range(0, 2), r.Range(0, 2))
 	}
 	cl := NewCellList(b, 8, pos)
-	got := cl.Pairs(pos, nil)
+	got := cl.PairsAppend(pos, nil, nil)
 	want := BruteForcePairs(b, 8, pos)
 	if !samePairs(got, want) {
 		t.Fatalf("dense cluster mismatch: %d vs %d", len(got), len(want))
@@ -248,7 +248,7 @@ func TestCellListRebuildMatchesFresh(t *testing.T) {
 	r := rng.New(11)
 	pos := randomPositions(r, 400, b)
 	cl := NewCellList(b, 7, pos)
-	buf := cl.Pairs(pos, nil)
+	buf := cl.PairsAppend(pos, nil, nil)
 	for i := range pos {
 		pos[i] = pos[i].Add(vec.New(r.Range(-40, 40), r.Range(-3, 3), r.Range(-3, 3)))
 	}
@@ -257,7 +257,7 @@ func TestCellListRebuildMatchesFresh(t *testing.T) {
 	}
 	var evals, wantEvals int64
 	got := cl.PairsAppend(pos, buf, &evals)
-	want := NewCellList(b, 7, pos).Pairs(pos, &wantEvals)
+	want := NewCellList(b, 7, pos).PairsAppend(pos, nil, &wantEvals)
 	if len(got) != len(want) || evals != wantEvals {
 		t.Fatalf("rebuilt list: %d pairs in %d evaluations; fresh list %d in %d", len(got), evals, len(want), wantEvals)
 	}
@@ -280,9 +280,24 @@ func TestPairsBufferSizedOnce(t *testing.T) {
 		blob[i] = vec.New(r.Range(14, 22), r.Range(14, 22), r.Range(14, 22))
 	}
 	for name, pos := range map[string][]vec.V{"uniform": uniform, "blob": blob} {
-		pairs := NewCellList(b, 10, pos).Pairs(pos, nil)
+		pairs := NewCellList(b, 10, pos).PairsAppend(pos, nil, nil)
 		if est := cap(pairs); est < len(pairs) || 10*est > 14*len(pairs) {
 			t.Errorf("%s: buffer of %d for %d pairs", name, est, len(pairs))
 		}
 	}
+}
+
+// BruteForcePairs returns all pairs within cutoff by the O(N²) method.
+// It is the ground truth the cell-list tests compare against.
+func BruteForcePairs(box Box, cutoff float64, pos []vec.V) []Pair {
+	var pairs []Pair
+	cut2 := cutoff * cutoff
+	for i := 0; i < len(pos); i++ {
+		for j := i + 1; j < len(pos); j++ {
+			if box.Dist2(pos[i], pos[j]) <= cut2 {
+				pairs = append(pairs, Pair{int32(i), int32(j)})
+			}
+		}
+	}
+	return pairs
 }

@@ -1,6 +1,7 @@
 package topol
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -75,7 +76,7 @@ func TestDeriveConnectivityRing(t *testing.T) {
 	}
 	for i := int32(0); i < 4; i++ {
 		for j := int32(0); j < 4; j++ {
-			if i != j && !s.Excl.Excluded(i, j) {
+			if i != j && !slices.Contains(s.Excl.Of(int(i)), j) {
 				t.Fatalf("ring atoms %d,%d not excluded", i, j)
 			}
 		}
@@ -88,7 +89,7 @@ func TestExclusionsSymmetry(t *testing.T) {
 	// Spot check symmetry on a sample (full n² check is too slow).
 	for i := int32(0); i < n; i += 37 {
 		for _, j := range s.Excl.Of(int(i)) {
-			if !s.Excl.Excluded(j, i) {
+			if !slices.Contains(s.Excl.Of(int(j)), i) {
 				t.Fatalf("exclusion asymmetric: %d->%d", i, j)
 			}
 		}
@@ -177,7 +178,7 @@ func TestMyoglobinGeometrySane(t *testing.T) {
 	}
 	// No two atoms closer than 0.5 Å (cheap grid check via cell list).
 	cl := space.NewCellList(s.Box, 1.0, s.Pos)
-	for _, p := range cl.Pairs(s.Pos, nil) {
+	for _, p := range cl.PairsAppend(s.Pos, nil, nil) {
 		if d := s.Box.Dist(s.Pos[p.I], s.Pos[p.J]); d < 0.5 {
 			t.Fatalf("atoms %d,%d overlap: %g Å", p.I, p.J, d)
 		}
@@ -211,12 +212,12 @@ func TestMyoglobinConnectivityScale(t *testing.T) {
 	}
 	// Every bond is excluded; no 1-4 pair is excluded.
 	for _, b := range s.Bonds {
-		if !s.Excl.Excluded(b[0], b[1]) {
+		if !slices.Contains(s.Excl.Of(int(b[0])), b[1]) {
 			t.Fatalf("bond %v not excluded", b)
 		}
 	}
 	for _, p := range s.Pairs14 {
-		if s.Excl.Excluded(p[0], p[1]) {
+		if slices.Contains(s.Excl.Of(int(p[0])), p[1]) {
 			t.Fatalf("1-4 pair %v is excluded", p)
 		}
 	}
@@ -257,18 +258,18 @@ func TestRandomChainConnectivityProperty(t *testing.T) {
 		s.DeriveConnectivity()
 		for i := 0; i < n; i++ {
 			for _, j := range s.Excl.Of(i) {
-				if !s.Excl.Excluded(j, int32(i)) {
+				if !slices.Contains(s.Excl.Of(int(j)), int32(i)) {
 					return false
 				}
 			}
 		}
 		for _, p := range s.Pairs14 {
-			if s.Excl.Excluded(p[0], p[1]) {
+			if slices.Contains(s.Excl.Of(int(p[0])), p[1]) {
 				return false
 			}
 		}
 		for _, b := range s.Bonds {
-			if !s.Excl.Excluded(b[0], b[1]) {
+			if !slices.Contains(s.Excl.Of(int(b[0])), b[1]) {
 				return false
 			}
 		}

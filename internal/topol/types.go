@@ -189,13 +189,3 @@ func NewExclusions(sets [][]int32) Exclusions {
 func (e Exclusions) Of(i int) []int32 {
 	return e.list[e.idx[i]:e.idx[i+1]]
 }
-
-// Excluded reports whether the pair (i, j) is excluded. No program calls
-// it (the kernels walk Of's rows); it stays as the membership oracle the
-// connectivity tests here and the exclusion-filter tests of internal/ff
-// compare against.
-func (e Exclusions) Excluded(i, j int32) bool {
-	l := e.Of(int(i))
-	k := sort.Search(len(l), func(m int) bool { return l[m] >= j })
-	return k < len(l) && l[k] == j
-}

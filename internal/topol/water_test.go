@@ -22,7 +22,7 @@ func TestNewWaterBox(t *testing.T) {
 	}
 	// No overlapping molecules.
 	cl := space.NewCellList(s.Box, 1.0, s.Pos)
-	for _, p := range cl.Pairs(s.Pos, nil) {
+	for _, p := range cl.PairsAppend(s.Pos, nil, nil) {
 		if d := s.Box.Dist(s.Pos[p.I], s.Pos[p.J]); d < 0.5 {
 			t.Fatalf("atoms %d,%d overlap at %g Å", p.I, p.J, d)
 		}

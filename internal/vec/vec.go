@@ -74,15 +74,6 @@ func Angle(a, b V) float64 {
 	return math.Atan2(a.Cross(b).Norm(), a.Dot(b))
 }
 
-// Sum returns the sum of the vectors in s.
-func Sum(s []V) V {
-	var t V
-	for _, v := range s {
-		t = t.Add(v)
-	}
-	return t
-}
-
 // AddTo accumulates src into dst element-wise. The slices must have equal
 // length.
 func AddTo(dst, src []V) {

@@ -19,8 +19,3 @@ type Counters struct {
 	Integrate     int64 // per-atom integrator updates
 	Other         int64 // miscellaneous per-atom passes (scaling, copies)
 }
-
-// IsZero reports whether every counter is zero.
-func (c Counters) IsZero() bool {
-	return c == Counters{}
-}
