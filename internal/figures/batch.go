@@ -29,15 +29,6 @@ func (s *Suite) cell(net netmodel.Params, procs, cpusPerNode int, mw pmd.Middlew
 // procs is the cell's processor count.
 func (k CellKey) procs() int { return k.Cluster.Nodes * k.Cluster.CPUsPerNode }
 
-// tapeKey names the physics a cell computes: everything else in a cell
-// key changes when work happens, never what is computed.
-type tapeKey struct {
-	decomp pmd.DecompKind
-	p      int
-}
-
-func (k CellKey) tape() tapeKey { return tapeKey{k.Decomp, k.procs()} }
-
 // job is one cache-missing cell of a batch. The requesting goroutine owns
 // every field except res, err and secs, which the goroutine executing the
 // cell writes before it hands the job back.
@@ -60,10 +51,10 @@ type job struct {
 //   - All bookkeeping — run cache, tapes, counters — happens here, on the
 //     requesting goroutine, in request order. Goroutines executing cells
 //     receive a (cell, tape) pair and return a (result, error) pair.
-//   - Per decomposition and rank count, the first requester whose tape is
-//     missing records it alone; the other cells of that decomposition and
-//     rank count start once it has finished and replay. A failed recorder
-//     is their error too.
+//   - Per rank count, the first requester whose tape is missing records
+//     it alone; the other cells of that rank count, under either
+//     decomposition, start once it has finished and replay. A failed
+//     recorder is their error too.
 //   - The first error in request order is the batch's error, and nothing
 //     requested after it is kept: the suite is left as if the cells had
 //     been requested one at a time up to the failure.
@@ -73,22 +64,22 @@ type job struct {
 func (s *Suite) RunCells(cells []CellKey) ([]*pmd.Result, error) {
 	keys := make([]string, len(cells))
 	var jobs []*job
-	queued := map[string]*job{}    // this batch's misses by key
-	recorder := map[tapeKey]*job{} // this batch's recording job per tape
+	queued := map[string]*job{} // this batch's misses by key
+	recorder := map[int]*job{}  // this batch's recording job per rank count
 	for i, c := range cells {
 		keys[i] = c.String()
 		if s.cache[keys[i]] != nil || queued[keys[i]] != nil {
 			continue
 		}
 		j := &job{cell: c}
-		switch tk := c.tape(); {
-		case s.tapes[tk] != nil:
-			j.tape = s.tapes[tk]
-		case recorder[tk] != nil:
-			j.tape, j.after = recorder[tk].tape, recorder[tk]
+		switch p := c.procs(); {
+		case s.tapes[p] != nil:
+			j.tape = s.tapes[p]
+		case recorder[p] != nil:
+			j.tape, j.after = recorder[p].tape, recorder[p]
 		default:
 			j.tape = pmd.NewTape()
-			recorder[tk] = j
+			recorder[p] = j
 		}
 		queued[keys[i]] = j
 		jobs = append(jobs, j)
@@ -108,11 +99,11 @@ func (s *Suite) RunCells(cells []CellKey) ([]*pmd.Result, error) {
 		}
 		s.mMisses.Inc()
 		s.mCellSeconds.Add(j.secs)
-		switch tk := j.cell.tape(); {
-		case recorder[tk] != j:
+		switch p := j.cell.procs(); {
+		case recorder[p] != j:
 			s.mReplays.Inc()
 		case j.tape.Complete():
-			s.tapes[tk] = j.tape
+			s.tapes[p] = j.tape
 			s.mRecords.Inc()
 		}
 		s.cache[key] = j.res

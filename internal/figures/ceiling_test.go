@@ -109,8 +109,9 @@ func TestCeilingRendersUntileableCells(t *testing.T) {
 // the run counters are identical between the serial schedule and every
 // number of cells in flight — the determinism contract extended past 8
 // ranks, and to domain cells, whose replays wait for their recorder as
-// replicated ones do. On the quick ladder that is one record and two
-// replays per decomposition and rank count.
+// replicated ones do. On the quick ladder that is one record per rank
+// count, by its first replicated cell, and five replays: the other two
+// replicated cells and the three domain ones.
 func TestCeilingOutputIdenticalAcrossWorkers(t *testing.T) {
 	cfgs := workerConfigs(func(c *Config) { c.CeilingProcs = []int{1, 16} })
 	identicalAcross(t, cfgs, renderFigures("ceiling"))
@@ -118,7 +119,7 @@ func TestCeilingOutputIdenticalAcrossWorkers(t *testing.T) {
 	quick := workerConfigs(nil)
 	st := identicalAcross(t, []Config{quick[0], quick[2]}, renderFigures("ceiling"))
 	cells := 3 * 2 * len(quick[0].CeilingProcs)
-	if want := (RunStats{Misses: cells, TapeRecords: cells / 3, TapeReplays: 2 * cells / 3}); st != want {
+	if want := (RunStats{Misses: cells, TapeRecords: cells / 6, TapeReplays: 5 * cells / 6}); st != want {
 		t.Fatalf("quick ceiling RunStats %+v, want %+v", st, want)
 	}
 }

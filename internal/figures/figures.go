@@ -125,9 +125,9 @@ type RunStats struct {
 // Suite runs and caches the experiment cells. Two layers of memoization
 // back it: a content-keyed run cache (platform × middleware × workload ×
 // fault scenario — every unique configuration simulates exactly once per
-// Suite lifetime) and, below it, physics tapes per decomposition and rank
-// count that let cache *misses* sharing both skip the MD kernels and
-// replay the recorded physics through the event simulation.
+// Suite lifetime) and, below it, physics tapes per rank count that let
+// cache *misses* sharing it, under either decomposition, skip the MD
+// kernels and replay the recorded physics through the event simulation.
 //
 // A Suite serves one caller at a time: its methods must not be called
 // concurrently. The concurrency is inside RunCells, which keeps a batch's
@@ -136,7 +136,7 @@ type Suite struct {
 	Cfg    Config
 	sys    *topol.System
 	cache  map[string]*pmd.Result
-	tapes  map[tapeKey]*pmd.Tape // complete tapes by decomposition and rank count
+	tapes  map[int]*pmd.Tape // complete tapes by rank count
 	faults cluster.FaultModel
 
 	// Registry-backed run counters (the RunStats view reads the first four).
@@ -174,7 +174,7 @@ func newSuite(cfg Config, sys *topol.System) *Suite {
 		Cfg:   cfg,
 		sys:   sys,
 		cache: map[string]*pmd.Result{},
-		tapes: map[tapeKey]*pmd.Tape{},
+		tapes: map[int]*pmd.Tape{},
 	}
 	reg := cfg.Obs
 	if reg == nil {

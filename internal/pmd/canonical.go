@@ -16,15 +16,15 @@ import (
 
 // canonical is the run's one physics provider.
 //
-// Both decompositions compute one trajectory: the replicated-data
-// arithmetic at rank count p, every partition cut by p and every partial
-// result merged rank-ascending, as CHARMM's ranks combine them through
-// their collectives. canonical evaluates each step of it once per run and
-// serves it to every rank as an immutable snapshot. The ranks' segments
-// and collectives then charge the virtual time of their own pipeline —
-// block partitions and slab PME, or halo exchange, owner-computes terms
-// and pencil FFTs — from the snapshot's work counters and their layouts'
-// exact counts, without touching the numbers.
+// Every run at rank count p computes one trajectory: the replicated-data
+// arithmetic at p, every partition cut by p and every partial result
+// merged rank-ascending, as CHARMM's ranks combine them through their
+// collectives. canonical evaluates each step of it once per run and serves
+// it to every rank as an immutable snapshot. The ranks' segments and
+// collectives then charge the virtual time of their own pipeline from the
+// snapshot's work counters and their layouts' exact counts, without
+// touching the numbers; a snapshot carries its list generation's pair list
+// for the layouts that derive their counts from it.
 //
 // While an evaluation runs every rank waits on it, so it spends the run's
 // HostWorkers: its rank loops run W ranks at a time on W lanes of reused
@@ -33,13 +33,13 @@ import (
 //
 // Concurrency: the first rank to need step s runs the evaluation inside
 // its once; the per-step barrier keeps all ranks within one step of each
-// other, so evaluations never overlap (the lanes and the current pair list
-// are safely reused) and a finished snapshot is immutable while read.
+// other, so evaluations never overlap (the lanes are safely reused) and
+// a finished snapshot is immutable while read.
 //
-// The snapshots depend on the workload, the decomposition and p alone, so
-// a recording run keeps every one of them and they become its Tape: a
-// replay serves them to its ranks without building an evaluator at all.
-// Any other run keeps a two-step window.
+// The snapshots depend on the workload and p alone, so a recording run
+// keeps every one of them and they become its Tape: a replay serves them
+// to its ranks without building an evaluator at all. Any other run keeps
+// a two-step window.
 type canonical struct {
 	cfg Config
 	p   int
@@ -51,18 +51,9 @@ type canonical struct {
 
 	seedPos, seedVel []vec.V
 
-	// The domain layout whose epochs the snapshots carry; nil on a
-	// replicated run, which builds no epochs.
-	geo *domainGeometry
-
 	// Replicated partitions at rank count p.
 	atomOff, yOff []int
 	classicParts
-
-	// The current neighbour list and its rank partition. Evaluations run
-	// one at a time in step order, so the next one inherits the last built.
-	pairs   []space.Pair
-	pairOff []int
 
 	ranks *kernels.Pool // HostWorkers wide: runs the lanes of a wave
 	lanes []lane
@@ -106,16 +97,14 @@ type canonState struct {
 	// correction over its atom block.
 	classicWork, recipWork []work.Counters
 
+	// The neighbour list: its generation, the positions it was built at
+	// and its pairs, all inherited unchanged by the generation's later
+	// steps.
 	listGen    int
 	listOrigin []vec.V
+	pairs      []space.Pair
 	rebuilt    bool
 	distEvals  int64 // full list-search cost when rebuilt
-
-	// Spatial view of this step (domain runs only): ownership epoch
-	// (fixed between list rebuilds) and, on a rebuild, the atom-migration
-	// size matrix from the previous epoch's owners to the new ones.
-	epoch     *epochData
-	migration [][]int
 }
 
 func newCanonical(p int, cfg Config, seedEngine *md.Engine, keep bool) *canonical {
@@ -154,9 +143,6 @@ func newCanonical(p int, cfg Config, seedEngine *md.Engine, keep bool) *canonica
 		l.grid = make([]float64, g)
 	}
 	c.xOff = kernels.Partition(pmeCfg.K1, len(c.lanes), nil)
-	if cfg.Decomp == DecompDomain {
-		c.geo = newDomainGeometry(p, cfg)
-	}
 	return c
 }
 
@@ -188,16 +174,6 @@ func (c *canonical) state(step int) *canonState {
 	return st
 }
 
-// snapshots returns a recording run's snapshots in step order, step s at
-// index s+1.
-func (c *canonical) snapshots(steps int) []*canonState {
-	out := make([]*canonState, steps+1)
-	for i := range out {
-		out[i] = c.states[i-1]
-	}
-	return out
-}
-
 // evalInit seeds the state from the sequential engine (optionally
 // restored from a checkpoint, rebuilding the pair list at the checkpointed
 // origin so the restarted trajectory stays bitwise identical; the
@@ -209,8 +185,7 @@ func (c *canonical) evalInit(st *canonState) {
 	if init := c.cfg.Init; init != nil && len(init.ListOrigin) == c.sys.N() {
 		st.listOrigin = append([]vec.V(nil), init.ListOrigin...)
 		st.listGen = 0
-		c.pairs = c.ffield.BuildPairs(st.listOrigin, nil)
-		c.pairOff = kernels.Partition(len(c.pairs), c.p, nil)
+		st.pairs = c.ffield.BuildPairs(st.listOrigin, nil)
 	}
 	c.forceEval(st)
 }
@@ -226,7 +201,7 @@ func (c *canonical) evalStep(st *canonState) {
 	c.integ.KickDrift(st.pos, st.vel, prev.frcTotal, 0, n)
 	st.listGen = prev.listGen
 	st.listOrigin = prev.listOrigin
-	st.epoch = prev.epoch
+	st.pairs = prev.pairs
 
 	c.forceEval(st)
 
@@ -278,28 +253,14 @@ func (c *canonical) forceEval(st *canonState) {
 	k1, k2, k3 := pmeCfg.K1, pmeCfg.K2, pmeCfg.K3
 	planeLen := k2 * k3
 
-	// Neighbour-list management; on a domain run a rebuild starts a new
-	// ownership epoch.
+	// Neighbour-list management: a rebuild starts a new list generation.
 	if !c.integ.ListValid(st.pos, st.listOrigin) {
 		st.listGen++
 		var wl work.Counters
-		c.pairs = c.ffield.BuildPairs(st.pos, &wl)
+		st.pairs = c.ffield.BuildPairs(st.pos, &wl)
 		st.distEvals = wl.ListDistEvals
 		st.listOrigin = append([]vec.V(nil), st.pos...)
-		c.pairOff = kernels.Partition(len(c.pairs), c.p, nil)
 		st.rebuilt = true
-		if c.geo != nil {
-			oldEpoch := st.epoch
-			st.epoch = c.geo.buildEpoch(c, st)
-			if oldEpoch != nil {
-				st.migration = c.geo.migrationSizes(oldEpoch, st.epoch)
-			}
-		}
-	}
-	if c.geo != nil && st.epoch == nil {
-		// Checkpoint restore with a still-valid list: the epoch follows
-		// the checkpointed list origin, as it did in the interrupted run.
-		st.epoch = c.geo.buildEpoch(c, st)
 	}
 
 	st.frcTotal = make([]vec.V, n)
@@ -312,10 +273,11 @@ func (c *canonical) forceEval(st *canonState) {
 	// lane grid is all zero when its rank spreads: it starts so, and each
 	// merge clears every cell the rank's spread can have touched.
 	var eAll ff.Energies
+	pairOff := kernels.Partition(len(st.pairs), c.p, nil)
 	clear(c.fullGrid)
 	order := pmeCfg.Order
 	c.waves(func(rk int, l *lane) {
-		l.e = c.classic(rk, c.ffield, l.nbk, st.pos, c.pairs[c.pairOff[rk]:c.pairOff[rk+1]], l.partial, &st.classicWork[rk])
+		l.e = c.classic(rk, c.ffield, l.nbk, st.pos, st.pairs[pairOff[rk]:pairOff[rk+1]], l.partial, &st.classicWork[rk])
 		l.pme.Spread(st.pos, c.charges, c.atomOff[rk], c.atomOff[rk+1], l.grid)
 	}, func(rk int, l *lane) {
 		vec.AddTo(st.frcTotal, l.partial)

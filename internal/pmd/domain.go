@@ -1,9 +1,12 @@
 package pmd
 
 import (
+	"sync"
+
 	"repro/internal/fft"
 	"repro/internal/kernels"
 	"repro/internal/md"
+	"repro/internal/topol"
 	"repro/internal/work"
 )
 
@@ -238,6 +241,10 @@ type epochData struct {
 	// and returns forces: frcRetSizes is the transpose).
 	haloSizes   [][]int
 	frcRetSizes [][]int
+
+	// migration is the atom-migration all-to-all that started the epoch:
+	// nil for a run's first, filled by the domain view for the others.
+	migration [][]int
 }
 
 // epochCounts are the per-domain owner-computes work counts, produced by
@@ -248,11 +255,44 @@ type epochCounts struct {
 	p14, pairs, excl           []int64
 }
 
-// buildEpoch assigns ownership from the epoch's list-origin positions
-// (the positions at rebuild time — the same input on every rank and on
-// restart) and scans the topology + pair list once for per-domain counts.
-func (g *domainGeometry) buildEpoch(c *canonical, st *canonState) *epochData {
-	sys := c.sys
+// domainView is the domain decomposition's reading of one trajectory at
+// rank count p: the geometry and the ownership epoch of each neighbour-list
+// generation, each built on first request under one mutex, so the view of
+// a tape serves every domain replay of it, concurrent ones included.
+type domainView struct {
+	mu     sync.Mutex
+	keep   bool // a tape's view keeps every epoch, a run's own the last two
+	geo    *domainGeometry
+	epochs []*epochData // by list generation
+}
+
+// at returns the geometry and the ownership epoch of st's list generation.
+// Ranks request generations in step order, so a missing one is the next,
+// and never lag the newest by more than one.
+func (v *domainView) at(p int, cfg Config, st *canonState) (*domainGeometry, *epochData) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.geo == nil {
+		v.geo = newDomainGeometry(p, cfg)
+	}
+	if k := len(v.epochs); st.listGen == k {
+		ep := buildEpoch(v.geo, cfg.System, st)
+		if k > 0 {
+			ep.migration = v.geo.migrationSizes(v.epochs[k-1], ep)
+		}
+		v.epochs = append(v.epochs, ep)
+		if !v.keep && k > 1 {
+			v.epochs[k-2] = nil
+		}
+	}
+	return v.geo, v.epochs[st.listGen]
+}
+
+// buildEpoch assigns ownership from the list-origin positions of st's
+// generation (the positions at rebuild time — the same input on every rank
+// and on restart) and scans the topology + its pair list once for
+// per-domain counts.
+func buildEpoch(g *domainGeometry, sys *topol.System, st *canonState) *epochData {
 	n := sys.N()
 	p := g.p
 	ep := &epochData{
@@ -296,7 +336,7 @@ func (g *domainGeometry) buildEpoch(c *canonical, st *canonState) *epochData {
 	for _, pr := range sys.Pairs14 {
 		cnt.p14[max(own[pr[0]], own[pr[1]])]++
 	}
-	for _, pr := range c.pairs {
+	for _, pr := range st.pairs {
 		cnt.pairs[max(own[pr.I], own[pr.J])]++
 	}
 	for i := 0; i < n; i++ {
@@ -346,63 +386,68 @@ func gridIndex(f float64, d int) int {
 
 // domainDecomp drives one rank of the spatial decomposition. All physics
 // values come from the canonical snapshots, evaluated by this run or
-// served from a tape; the rank's own segments and sparse collectives
+// served from a tape, and every ownership-dependent size from the run's
+// domain view of them; the rank's own segments and sparse collectives
 // charge the virtual time of the spatial pipeline, the same with or
 // without a tape: drift of owned atoms, migration + half-shell halo
 // exchange, owner-computes classic terms with force return, and the 2-D
 // pencil PME (assemble → r2c x-FFTs → transpose → y-FFTs → transpose →
 // z-FFTs + influence → the inverse chain → potential gather →
 // interpolation).
-type domainDecomp struct{}
+type domainDecomp struct {
+	geo *domainGeometry
+	ep  *epochData // the ownership epoch of the rank's current snapshot
+}
 
-func (domainDecomp) initialForces(w *worker) {
+// serve makes step's snapshot the rank's current one.
+func (d *domainDecomp) serve(w *worker, step int) {
+	w.cur = w.sh.state(step)
+	d.geo, d.ep = w.sh.dom.at(w.p, w.cfg, w.cur)
+}
+
+func (d *domainDecomp) initialForces(w *worker) {
 	// The zero-cost charge after the lookup keeps the domain schedule's
 	// step-0 event, which the schedule goldens pin; the pipeline segments
 	// below charge the spatial model's work. A replay makes the same charge
 	// after a tape lookup, so its schedule is the same.
-	w.cur = w.sh.state(-1)
+	d.serve(w, -1)
 	w.r.ComputeWork(work.Counters{})
-	domainPipeline(w, nil, phaseTracker{})
+	d.forces(w, nil, phaseTracker{})
 }
 
-func (domainDecomp) drift(w *worker, step int) {
+func (d *domainDecomp) drift(w *worker, step int) {
 	me := w.me()
-	nOwn := int64(w.cur.epoch.nOwn[me]) // the previous step's owners move their atoms
-	w.cur = w.sh.state(step)
+	nOwn := int64(d.ep.nOwn[me]) // the previous step's owners move their atoms
+	d.serve(w, step)
 	w.r.ComputeWork(work.Counters{Integrate: nOwn})
-	st := w.cur
 	// On a rebuild step, migrate atoms to their new owners; then exchange
 	// the half-shell halo (each domain ships its owned atoms to every
 	// higher-id coupled neighbour).
-	if st.rebuilt {
+	if w.cur.rebuilt {
 		if tl := w.cfg.Perf; tl != nil && me == 0 {
-			tl.NamedMatrix("migration", st.migration)
+			tl.NamedMatrix("migration", d.ep.migration)
 		}
-		w.c.AlltoallvSparse(st.migration)
+		w.c.AlltoallvSparse(d.ep.migration)
 	}
 	if tl := w.cfg.Perf; tl != nil && me == 0 {
-		tl.NamedMatrix("halo", st.epoch.haloSizes)
+		tl.NamedMatrix("halo", d.ep.haloSizes)
 	}
-	w.c.AlltoallvSparse(st.epoch.haloSizes)
+	w.c.AlltoallvSparse(d.ep.haloSizes)
 }
 
-func (domainDecomp) forces(w *worker, st *StepTiming, tr phaseTracker) md.EnergyReport {
-	return domainPipeline(w, st, tr)
-}
-
-func (domainDecomp) kick(w *worker) {
-	w.r.ComputeWork(work.Counters{Integrate: int64(w.cur.epoch.nOwn[w.me()])})
+func (d *domainDecomp) kick(w *worker) {
+	w.r.ComputeWork(work.Counters{Integrate: int64(d.ep.nOwn[w.me()])})
 	w.c.Barrier()
 }
 
-// domainPipeline charges the classic + pencil-PME pipeline of one
-// evaluation. When st is non-nil it closes the classic sample with tr and
-// fills the PME sample.
-func domainPipeline(w *worker, st *StepTiming, tr phaseTracker) md.EnergyReport {
+// forces charges the classic + pencil-PME pipeline of one evaluation.
+// When st is non-nil it closes the classic sample with tr and fills the
+// PME sample.
+func (d *domainDecomp) forces(w *worker, st *StepTiming, tr phaseTracker) md.EnergyReport {
 	cs := w.cur
-	geo := w.sh.geo
+	geo := d.geo
 	me := w.me()
-	ep := cs.epoch
+	ep := d.ep
 	cnt := &ep.counts
 	pmeCfg := w.cfg.MD.PME
 	k1, k2, k3 := pmeCfg.K1, pmeCfg.K2, pmeCfg.K3

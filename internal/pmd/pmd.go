@@ -98,13 +98,12 @@ type Config struct {
 	Watchdog mpi.Watchdog
 
 	// Tape, when non-nil, memoizes the physics across runs of the same
-	// workload, decomposition and rank count: an empty tape records this
-	// run's canonical snapshots, a completed tape replays them
+	// workload and rank count, under either decomposition: an empty tape
+	// records this run's canonical snapshots, a completed tape replays them
 	// instead of executing the MD kernels (the simulated timings still come
 	// out of the full event simulation). Ignored when Init needs real
-	// physics, or when the tape was recorded for a different
-	// decomposition, rank count or step count; a run that fails or stops
-	// early leaves it empty.
+	// physics, or when the tape was recorded for a different rank count or
+	// step count; a run that fails or stops early leaves it empty.
 	Tape *Tape
 
 	// HostWorkers > 1 runs the canonical evaluation's rank loops that
@@ -280,24 +279,24 @@ func runAttempt(clusterCfg cluster.Config, cost cluster.CostModel, cfg Config) (
 	}
 
 	// Tape eligibility: a checkpoint start needs the physics actually
-	// executed, and a completed tape only fits the decomposition, rank
-	// count and step count it was recorded for.
+	// executed, and a completed tape only fits the rank count and step
+	// count it was recorded for.
 	tape := cfg.Tape
 	if cfg.Init != nil {
 		tape = nil
 	}
-	if tape.Complete() && !tape.fits(cfg.Decomp, p, cfg.Steps) {
+	if tape.Complete() && !tape.fits(p, cfg.Steps) {
 		tape = nil
 	}
 	replaying := tape.Complete()
 	if tape != nil && !replaying {
-		tape.begin(cfg.Decomp, p, cfg.Steps)
+		tape.begin(p, cfg.Steps)
 	}
 
 	// The initial state comes from the sequential engine so trajectories
 	// are directly comparable. A replayed run serves its physics from the
-	// tape's snapshots (and, for the domain path, geometry) and builds no
-	// seed engine, evaluator or geometry.
+	// tape's snapshots (and, for the domain path, its view) and builds no
+	// seed engine or evaluator.
 	var seed *md.Engine
 	if !replaying {
 		seed = md.NewEngine(cfg.System, cfg.MD)

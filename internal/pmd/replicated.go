@@ -56,12 +56,12 @@ func newSizeTables(atomOff, xOff, yOff []int, k2, k3 int) sizeTables {
 // other segment from counts its partitions and plans fix.
 type replicatedDecomp struct{}
 
-func (replicatedDecomp) initialForces(w *worker) {
+func (d replicatedDecomp) initialForces(w *worker) {
 	// The lookup runs inline: the replicated schedule has no segment
 	// before the first classic one, and a zero-cost segment would add an
 	// event to it.
 	w.cur = w.sh.state(-1)
-	replicatedPipeline(w, nil, phaseTracker{})
+	d.forces(w, nil, phaseTracker{})
 }
 
 func (replicatedDecomp) drift(w *worker, step int) {
@@ -74,20 +74,16 @@ func (replicatedDecomp) drift(w *worker, step int) {
 	w.c.Allgatherv(w.sh.blocks)
 }
 
-func (replicatedDecomp) forces(w *worker, st *StepTiming, tr phaseTracker) md.EnergyReport {
-	return replicatedPipeline(w, st, tr)
-}
-
 func (replicatedDecomp) kick(w *worker) {
 	aLo, aHi := w.myAtoms()
 	w.r.ComputeWork(work.Counters{Integrate: int64(aHi - aLo)})
 	w.c.Barrier()
 }
 
-// replicatedPipeline charges the classic + slab-PME pipeline of one
-// evaluation. When st is non-nil it closes the classic sample with tr and
-// fills the PME sample.
-func replicatedPipeline(w *worker, st *StepTiming, tr phaseTracker) md.EnergyReport {
+// forces charges the classic + slab-PME pipeline of one evaluation. When
+// st is non-nil it closes the classic sample with tr and fills the PME
+// sample.
+func (replicatedDecomp) forces(w *worker, st *StepTiming, tr phaseTracker) md.EnergyReport {
 	cs := w.cur
 	sh := w.sh
 	n := w.cfg.System.N()

@@ -2,6 +2,7 @@ package pmd
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/cluster"
@@ -43,10 +44,11 @@ func tapeRun(t *testing.T, sys *topol.System, decomp DecompKind, p, steps int, n
 // indistinguishable from a fresh run — timings, accounting, wall clock,
 // energies and final positions — on every network, middleware and
 // collective flavour and at one and four host workers, although the tape
-// was recorded on one of them. The trajectory crosses a list rebuild, so
-// the tape carries a migration and a second ownership epoch. CMPI runs at
-// p = 16 only: its ring collectives make one 64-rank run cost more than
-// the rest of the test together.
+// was recorded on one of them, by a domain run or, at p = 16, by a
+// replicated one (the slab PME cannot tile p = 64). The trajectory crosses
+// a list rebuild, so the view carries a migration and a second ownership
+// epoch. CMPI runs at p = 16 only: its ring collectives make one 64-rank
+// run cost more than the rest of the test together.
 func TestDomainTapeReplayMatches(t *testing.T) {
 	sys := testSystem(100, 24, 1)
 	const steps = 3
@@ -55,17 +57,17 @@ func TestDomainTapeReplayMatches(t *testing.T) {
 		modern bool
 	}{{MiddlewareMPI, false}, {MiddlewareCMPI, false}, {MiddlewareMPI, true}}
 	for _, p := range []int{16, 64} {
-		tape := NewTape()
-		tapeRun(t, sys, DecompDomain, p, steps, netmodel.TCPGigE(), MiddlewareMPI, false, 1, tape)
-		if !tape.Complete() || len(tape.snaps) != steps+1 {
-			t.Fatalf("p=%d: recording left complete=%v with %d snapshots", p, tape.Complete(), len(tape.snaps))
+		recorders := []DecompKind{DecompDomain, DecompReplicated}
+		if p == 64 {
+			recorders = recorders[:1]
 		}
-		migrated := false
-		for _, st := range tape.snaps[1:] {
-			migrated = migrated || st.migration != nil
-		}
-		if !migrated {
-			t.Fatalf("p=%d: no migration on the tape", p)
+		tapes := make([]*Tape, len(recorders))
+		for i, decomp := range recorders {
+			tapes[i] = NewTape()
+			tapeRun(t, sys, decomp, p, steps, netmodel.TCPGigE(), MiddlewareMPI, false, 1, tapes[i])
+			if !tapes[i].Complete() || len(tapes[i].snaps) != steps+1 {
+				t.Fatalf("p=%d %v: recording left complete=%v with %d snapshots", p, decomp, tapes[i].Complete(), len(tapes[i].snaps))
+			}
 		}
 		for _, net := range netmodel.All() {
 			for _, f := range flavours {
@@ -73,33 +75,60 @@ func TestDomainTapeReplayMatches(t *testing.T) {
 					continue
 				}
 				fresh := tapeRun(t, sys, DecompDomain, p, steps, net, f.mw, f.modern, 1, nil)
-				for _, workers := range []int{1, 4} {
-					got := tapeRun(t, sys, DecompDomain, p, steps, net, f.mw, f.modern, workers, tape)
-					mustEqualResults(t, fmt.Sprintf("p=%d %s %v modern=%t workers=%d", p, net.Name, f.mw, f.modern, workers), fresh, got)
+				for i, tape := range tapes {
+					for _, workers := range []int{1, 4} {
+						got := tapeRun(t, sys, DecompDomain, p, steps, net, f.mw, f.modern, workers, tape)
+						mustEqualResults(t, fmt.Sprintf("p=%d %v tape %s %v modern=%t workers=%d", p, recorders[i], net.Name, f.mw, f.modern, workers), fresh, got)
+					}
 				}
+			}
+		}
+		for i, tape := range tapes {
+			if epochs := tape.dom.epochs; len(epochs) < 2 || epochs[1].migration == nil {
+				t.Fatalf("p=%d %v tape: the view holds %d epochs and no migration", p, recorders[i], len(epochs))
 			}
 		}
 	}
 }
 
-// TestTapeNeverCrossesDecompositions: a tape recorded under one
-// decomposition is never served to a run of the other at the same rank
-// and step count; the run executes its physics and leaves the tape as it
-// was.
-func TestTapeNeverCrossesDecompositions(t *testing.T) {
+// TestTapeServesBothDecompositions: a tape recorded under one
+// decomposition serves runs of the other at the same rank and step count,
+// in both directions, at p = 4 and 16: each replay equals a fresh run, the
+// trajectory crosses a migration, and the tape stays complete. The
+// replays, one per network, run at once, so the first domain replay of a
+// replicated tape fills its view while the others read it.
+func TestTapeServesBothDecompositions(t *testing.T) {
 	sys := testSystem(100, 24, 1)
-	tcp := netmodel.TCPGigE()
-	for _, tc := range []struct{ recorded, run DecompKind }{
-		{DecompDomain, DecompReplicated},
-		{DecompReplicated, DecompDomain},
-	} {
-		tape := NewTape()
-		tapeRun(t, sys, tc.recorded, 4, 3, tcp, MiddlewareMPI, false, 1, tape)
-		want := tapeRun(t, sys, tc.run, 4, 3, tcp, MiddlewareMPI, false, 1, nil)
-		got := tapeRun(t, sys, tc.run, 4, 3, tcp, MiddlewareMPI, false, 1, tape)
-		mustEqualResults(t, fmt.Sprintf("%v tape, %v run", tc.recorded, tc.run), want, got)
-		if !tape.Complete() || tape.decomp != tc.recorded {
-			t.Fatalf("%v tape clobbered by a %v run: complete=%v decomp=%v", tc.recorded, tc.run, tape.Complete(), tape.decomp)
+	nets := netmodel.All()
+	for _, p := range []int{4, 16} {
+		for _, tc := range []struct{ recorded, run DecompKind }{
+			{DecompDomain, DecompReplicated},
+			{DecompReplicated, DecompDomain},
+		} {
+			tape := NewTape()
+			tapeRun(t, sys, tc.recorded, p, 3, netmodel.TCPGigE(), MiddlewareMPI, false, 1, tape)
+			got := make([]*Result, len(nets))
+			errs := make([]error, len(nets))
+			var wg sync.WaitGroup
+			for i, net := range nets {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[i], errs[i] = Run(clusterCfg(p, 1, net), cluster.PentiumIII1GHz(),
+						Config{System: sys, MD: tapeMD(), Steps: 3, Decomp: tc.run, Tape: tape})
+				}()
+			}
+			wg.Wait()
+			for i, net := range nets {
+				label := fmt.Sprintf("p=%d %v tape, %v run on %s", p, tc.recorded, tc.run, net.Name)
+				if errs[i] != nil {
+					t.Fatalf("%s: %v", label, errs[i])
+				}
+				mustEqualResults(t, label, tapeRun(t, sys, tc.run, p, 3, net, MiddlewareMPI, false, 1, nil), got[i])
+			}
+			if !tape.Complete() || !tape.snaps[2].rebuilt {
+				t.Fatalf("p=%d %v tape: complete=%v, rebuilt at step 1=%v", p, tc.recorded, tape.Complete(), tape.snaps[2].rebuilt)
+			}
 		}
 	}
 }

@@ -24,7 +24,8 @@ const (
 type shared struct {
 	canon *canonical    // evaluates the snapshots; nil when replaying
 	taped []*canonState // a replay's snapshots, step s at s+1
-	geo   *domainGeometry
+
+	dom *domainView // domain runs only: the tape's view, else the run's own
 
 	atomOff []int // the replicated atom blocks (integration, checkpoints)
 
@@ -38,7 +39,8 @@ type shared struct {
 
 // newShared builds what the run's ranks share: the canonical evaluator
 // (which keeps every snapshot when the run records a tape) or a complete
-// tape's snapshots, and one copy of the replicated partitions.
+// tape's snapshots, and one copy of the replicated partitions or of the
+// domain view.
 func newShared(p int, cfg Config, seedEngine *md.Engine, tape *Tape) *shared {
 	pmeCfg := cfg.MD.PME
 	sh := &shared{atomOff: kernels.Partition(cfg.System.N(), p, nil)}
@@ -48,12 +50,16 @@ func newShared(p int, cfg Config, seedEngine *md.Engine, tape *Tape) *shared {
 		sh.sizeTables = newSizeTables(sh.atomOff, sh.xOff, sh.yOff, pmeCfg.K2, pmeCfg.K3)
 		sh.ops2d = fft.NewPlan2D(pmeCfg.K2, pmeCfg.K3).Ops()
 		sh.ops1d = fft.Ops(pmeCfg.K1)
+	} else {
+		sh.dom = &domainView{}
+		if tape != nil {
+			sh.dom = tape.dom
+		}
 	}
 	if tape.Complete() {
-		sh.taped, sh.geo = tape.snaps, tape.geo
+		sh.taped = tape.snaps
 	} else {
 		sh.canon = newCanonical(p, cfg, seedEngine, tape != nil)
-		sh.geo = sh.canon.geo
 	}
 	return sh
 }
@@ -145,7 +151,7 @@ func newWorker(r *mpi.Rank, cfg Config, sh *shared) *worker {
 			"ranks with no PME slab or spectrum lines under the current decomposition").Set(float64(idle))
 	}
 	if cfg.Decomp == DecompDomain {
-		w.d = domainDecomp{}
+		w.d = &domainDecomp{}
 	} else {
 		w.d = replicatedDecomp{}
 	}
