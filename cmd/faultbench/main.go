@@ -34,7 +34,7 @@ func main() {
 	scenarioFile := flag.String("scenario", "", "JSON fault scenario file")
 	spec := flag.String("spec", "", "fault scenario DSL (see internal/fault.ParseSpec)")
 	sevList := flag.String("severity", "1", "comma-separated severity multipliers")
-	app.ClusterFlags(1)
+	app.ClusterFlags()
 	steps := flag.Int("steps", 4, "MD steps")
 	mwName := flag.String("mw", "both", "middleware: mpi, cmpi or both")
 	app.DecompFlag("decomposition: replicated or domain")

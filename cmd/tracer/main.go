@@ -29,7 +29,7 @@ import (
 
 func main() {
 	app := cli.New("tracer", flag.CommandLine)
-	app.ClusterFlags(1)
+	app.ClusterFlags()
 	steps := flag.Int("steps", 2, "MD steps")
 	useCMPI := flag.Bool("cmpi", false, "use the CMPI middleware")
 	width := flag.Int("width", 120, "timeline width in characters")

@@ -21,6 +21,7 @@ var uncalledFuncs = map[string]string{
 	"obs.LoadManifest":            "decoder: the manifest tests of obs, cmd/mdrun and benchmark read back what the runs wrote",
 	"recover.LostBreakdown.Total": "one side of the Lost identity TestLostConservation checks",
 	"perf.Attribution.Sum":        "one side of the attribution identity compute+comm+wait+imbalance+recovery = wall",
+	"fault.Scenario.DSL":          "renderer: the chaos fuzz targets print their reproducer through it, and FuzzParseSpec pins it as a fixed point",
 }
 
 // dynamicMethods are the methods the standard library finds by type

@@ -22,6 +22,9 @@ import (
 	"repro/internal/pmd"
 )
 
+// minNodes is the fewest nodes a command's -p and -cpus may span.
+const minNodes = 1
+
 // obsDrainTimeout bounds how long exit paths wait for in-flight /metrics
 // and /runz scrapes to finish before force-closing the obs server.
 const obsDrainTimeout = 2 * time.Second
@@ -60,7 +63,7 @@ type App struct {
 
 	fs               *flag.FlagSet
 	decomp, recovery string
-	minNodes         int // > 0 once ClusterFlags registered
+	cluster          bool // ClusterFlags registered
 	ckptEveryMin     int
 	keepNeedsDir     bool
 
@@ -81,10 +84,9 @@ func (a *App) ObsFlags() {
 	a.fs.StringVar(&a.ObsManifest, "obs-manifest", "", "write the JSON run manifest (provenance + final metrics) to this file")
 }
 
-// ClusterFlags registers -net, -p and -cpus; minNodes (at least 1) is the
-// fewest nodes the command can run on.
-func (a *App) ClusterFlags(minNodes int) {
-	a.minNodes = minNodes
+// ClusterFlags registers -net, -p and -cpus.
+func (a *App) ClusterFlags() {
+	a.cluster = true
 	a.fs.StringVar(&a.NetName, "net", "tcp", "network: tcp, score, myrinet, fast")
 	a.fs.IntVar(&a.Procs, "p", 4, "processors")
 	a.fs.IntVar(&a.CPUs, "cpus", 1, "CPUs per node (1 or 2)")
@@ -152,15 +154,15 @@ func (a *App) Validate() error {
 	if err := pmd.ValidateRecovery(a.Recovery, a.Decomp); err != nil {
 		return &UsageError{err}
 	}
-	if a.minNodes > 0 {
+	if a.cluster {
 		var ok bool
 		switch a.Net, ok = netmodel.ByName(a.NetName); {
 		case !ok:
 			return Usagef("unknown network %q", a.NetName)
 		case a.CPUs != 1 && a.CPUs != 2:
 			return Usagef("-cpus must be 1 or 2 (got %d)", a.CPUs)
-		case a.Procs < a.minNodes*a.CPUs || a.Procs%a.CPUs != 0:
-			return Usagef("-p (%d) must be a multiple of -cpus (%d) spanning at least %d node(s)", a.Procs, a.CPUs, a.minNodes)
+		case a.Procs < minNodes*a.CPUs || a.Procs%a.CPUs != 0:
+			return Usagef("-p (%d) must be a multiple of -cpus (%d) spanning at least %d node(s)", a.Procs, a.CPUs, minNodes)
 		}
 	}
 	switch {

@@ -60,7 +60,7 @@ func mdrunFlags(a *App) {
 }
 
 func faultbenchFlags(a *App) {
-	a.ClusterFlags(1)
+	a.ClusterFlags()
 	a.DecompFlag("decomp")
 	a.RecoveryFlag()
 	a.CkptEveryFlag(1, 0, "every")
@@ -267,7 +267,7 @@ func TestWriteProfile(t *testing.T) {
 	}
 }
 
-// TestCommands builds the five commands that share the flag set and holds
+// TestCommands builds the four commands that share the flag set and holds
 // them to the parent commit: testdata/*.help is the -h output of the
 // binaries built before the command registered its flags through
 // internal/cli, so any flag, default or help string that moves shows
@@ -278,7 +278,7 @@ func TestCommands(t *testing.T) {
 		t.Skip("no go toolchain in PATH")
 	}
 	bin := t.TempDir()
-	names := []string{"mdrun", "faultbench", "charmmbench", "chaos", "tracer"}
+	names := []string{"mdrun", "faultbench", "charmmbench", "tracer"}
 	build := exec.Command("go", "build", "-o", bin+string(os.PathSeparator))
 	for _, n := range names {
 		build.Args = append(build.Args, "repro/cmd/"+n)
@@ -313,10 +313,7 @@ func TestCommands(t *testing.T) {
 	for _, tc := range []struct {
 		name, args, want string
 	}{
-		{"chaos", "-runs 1 -p 100 -steps 2", "chaos: " + untileable},
 		{"faultbench", "-spec crash@0.1,rank=1 -p 100 -atoms 300 -steps 2", "faultbench: " + untileable},
-		{"chaos", "-runs 1 -recovery local", "chaos: pmd: invalid Recovery: localized recovery repairs spatial domains; it needs Decomp == DecompDomain\n"},
-		{"chaos", "-runs 1 -p 2 -cpus 2", "chaos: -p (2) must be a multiple of -cpus (2) spanning at least 2 node(s)\n"},
 		{"faultbench", "-spec crash@0.1,rank=1 -net atm", "faultbench: unknown network \"atm\"\n"},
 		{"tracer", "-p 3 -cpus 2", "tracer: -p (3) must be a multiple of -cpus (2) spanning at least 1 node(s)\n"},
 		{"tracer", "-cpus 3", "tracer: -cpus must be 1 or 2 (got 3)\n"},

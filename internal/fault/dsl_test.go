@@ -49,53 +49,6 @@ func TestDSLOmitsDefaults(t *testing.T) {
 	}
 }
 
-func TestRandomScenarioDeterministicAndValid(t *testing.T) {
-	for seed := uint64(0); seed < 50; seed++ {
-		a := RandomScenario(seed, 10, 4, 1)
-		b := RandomScenario(seed, 10, 4, 1)
-		if a.DSL() != b.DSL() {
-			t.Fatalf("seed %d: generator not deterministic: %q vs %q", seed, a.DSL(), b.DSL())
-		}
-		if err := a.Validate(); err != nil {
-			t.Fatalf("seed %d: invalid scenario: %v", seed, err)
-		}
-		if len(a.Faults) < 1 || len(a.Faults) > 4 {
-			t.Fatalf("seed %d: %d faults out of range", seed, len(a.Faults))
-		}
-		crashes := 0
-		for _, f := range a.Faults {
-			if f.Kind == KindCrash {
-				crashes++
-				if f.Rank < 0 || f.Rank >= 4 {
-					t.Fatalf("seed %d: crash rank %d out of range", seed, f.Rank)
-				}
-			}
-		}
-		if crashes > 1 {
-			t.Fatalf("seed %d: %d crashes (must stay recoverable)", seed, crashes)
-		}
-		if a.Jitter != 0 {
-			t.Fatalf("seed %d: jitter %g not DSL-representable", seed, a.Jitter)
-		}
-		// Every generated scenario must round-trip through the DSL so the
-		// shrinker's reproducer output is always replayable.
-		if _, err := ParseSpec(a.DSL()); err != nil {
-			t.Fatalf("seed %d: generated DSL %q does not parse: %v", seed, a.DSL(), err)
-		}
-	}
-}
-
-func TestRandomScenarioSingleNodeNeverCrashes(t *testing.T) {
-	for seed := uint64(0); seed < 30; seed++ {
-		s := RandomScenario(seed, 10, 1, 2)
-		for _, f := range s.Faults {
-			if f.Kind == KindCrash {
-				t.Fatalf("seed %d: crash generated on a 1-node cluster", seed)
-			}
-		}
-	}
-}
-
 func TestScaleSaturatesInsteadOfOverflowing(t *testing.T) {
 	s := &Scenario{Faults: []Spec{
 		{Kind: KindStraggler, Start: 0, Node: -1, Slowdown: 1e308},

@@ -40,7 +40,7 @@ func Relax(sys *topol.System, steps int) float64 {
 }
 
 // NewSolvatedWorkload builds the solvated-box workload the fault bench,
-// the chaos harness and the job server all run: a water box of about
+// the chaos fuzz targets and the job server all run: a water box of about
 // atoms atoms, relaxed, the cutoffs clamped to the box, smooth PME on the
 // builder's recommended ≈1 Å mesh (β 0.34, order 4) and 300 K velocities;
 // seed drives both the box builder and the velocity draw. accept, when

@@ -77,8 +77,7 @@ type studyEntry struct {
 }
 
 // system returns the relaxed solvated box for (atoms, seed), building it
-// on first use. It is the chaos harness's workload with the same seed
-// convention, so serve results are comparable with the soak corpus.
+// on first use: md.NewSolvatedWorkload's box at workload seed seed+1.
 func (e *Env) system(atoms int, seed uint64) (*topol.System, md.Config) {
 	k := sysCacheKey{atoms: atoms, seed: seed}
 	e.mu.Lock()

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -77,6 +80,80 @@ func FuzzStoreDecode(f *testing.F) {
 		}
 		if got := encode(key, payload); !bytes.Equal(got, data) {
 			t.Fatalf("decode accepted %x for key %q, but encode writes %x", data, key, got)
+		}
+	})
+}
+
+// FuzzJournalReplay writes one valid entry through journal.append and one
+// fuzzed file next to it, then replays the directory: replay never
+// panics, every entry it returns re-normalises to its key, ID and file
+// name, every file present is returned, skipped or a removed .tmp
+// leftover, and the valid entry survives unless the fuzzed file took its
+// name.
+func FuzzJournalReplay(f *testing.F) {
+	spec := JobSpec{Kind: KindRun, Atoms: 48, Steps: 8}
+	if err := spec.Normalize(); err != nil {
+		f.Fatal(err)
+	}
+	valid := journalEntry{ID: JobID(spec.Key()), Tenant: "alice", Key: spec.Key(), Spec: spec, Deadline: 60_000}
+	good, err := json.Marshal(valid)
+	if err != nil {
+		f.Fatal(err)
+	}
+	stale := bytes.Replace(good, []byte(`"atoms":48`), []byte(`"atoms":96`), 1)
+	f.Add(valid.ID+".json", good)               // the valid entry, rewritten
+	f.Add(valid.ID+".json", good[:len(good)/2]) // torn over the valid entry
+	f.Add("other.json", good)                   // a copy under a name that is not its ID
+	f.Add(valid.ID+"-123.tmp", good)            // a rename the crash interrupted
+	f.Add("stale.json", stale)                  // a spec that no longer matches its key
+	f.Add(valid.ID+".json", stale)              // the same, under the valid entry's name
+	f.Add("empty.json", []byte{})
+	f.Fuzz(func(t *testing.T, name string, data []byte) {
+		if name == "" || name == "." || name == ".." || strings.ContainsAny(name, "/\x00") {
+			t.Skip("not a file name")
+		}
+		dir := t.TempDir()
+		j, err := openJournal(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.append(valid); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Skipf("the file system refuses %q: %v", name, err)
+		}
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tmps := 0
+		for _, fi := range files {
+			if strings.HasSuffix(fi.Name(), ".tmp") {
+				tmps++
+			}
+		}
+
+		entries, skipped, err := j.replay()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries)+skipped+tmps != len(files) {
+			t.Fatalf("%d files, but %d returned + %d skipped + %d .tmp removed", len(files), len(entries), skipped, tmps)
+		}
+		survived := false
+		for _, e := range entries {
+			again := e.Spec
+			if again.Normalize() != nil || again.Key() != e.Key || JobID(e.Key) != e.ID {
+				t.Fatalf("replay returned %+v, whose spec does not re-normalise to its key and ID", e)
+			}
+			if _, err := os.Stat(j.path(e.ID)); err != nil {
+				t.Fatalf("replay returned %s, which is not the name of a journal file: %v", e.ID, err)
+			}
+			survived = survived || e.ID == valid.ID
+		}
+		if !survived && name != valid.ID+".json" {
+			t.Fatalf("the valid entry was dropped next to %q", name)
 		}
 	})
 }

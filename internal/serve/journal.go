@@ -58,9 +58,11 @@ func (j *journal) remove(id string) {
 	_ = os.Remove(j.path(id))
 }
 
-// replay returns every surviving accepted job plus the count of damaged
-// files skipped (a torn write can only damage a job the client never got
-// a 202 for, so skipping is sound).
+// replay returns every surviving accepted job, its spec normalised, plus
+// the count of files skipped: unreadable, torn (a torn write can only
+// damage a job the client never got a 202 for, so skipping is sound), or
+// from an incompatible format — a spec that no longer re-normalises to
+// its own key and ID, which dropping is the only safe move for.
 func (j *journal) replay() ([]journalEntry, int, error) {
 	files, err := os.ReadDir(j.dir)
 	if err != nil {
@@ -82,7 +84,8 @@ func (j *journal) replay() ([]journalEntry, int, error) {
 			continue
 		}
 		var e journalEntry
-		if err := json.Unmarshal(buf, &e); err != nil || e.ID == "" || e.ID+".json" != f.Name() {
+		if json.Unmarshal(buf, &e) != nil || e.ID+".json" != f.Name() ||
+			e.Spec.Normalize() != nil || e.Spec.Key() != e.Key || JobID(e.Key) != e.ID {
 			skipped++
 			_ = os.Remove(filepath.Join(j.dir, f.Name()))
 			continue

@@ -295,22 +295,15 @@ func (s *Server) replay() error {
 	}
 	if skipped > 0 {
 		s.reg.Counter("repro_serve_journal_skipped_total",
-			"damaged journal files skipped on replay").Add(float64(skipped))
+			"damaged or incompatible journal files skipped on replay").Add(float64(skipped))
 	}
 	replayed := 0
 	for _, e := range entries {
-		spec := e.Spec
-		if err := spec.Normalize(); err != nil || spec.Key() != e.Key || JobID(e.Key) != e.ID {
-			// A journal whose spec no longer reproduces its own key is from
-			// an incompatible format; dropping it is the only safe move.
-			s.jnl.remove(e.ID)
-			continue
-		}
 		budget := time.Duration(e.Deadline) * time.Millisecond
 		if budget <= 0 {
 			budget = s.cfg.DefaultDeadline
 		}
-		j := newJobState(e.ID, e.Tenant, e.Key, spec, time.Now().Add(budget))
+		j := newJobState(e.ID, e.Tenant, e.Key, e.Spec, time.Now().Add(budget))
 		if payload, ok := s.store.Get(e.Key); ok {
 			j.terminate(StatusDone, nil, payload)
 			s.jnl.remove(e.ID)
