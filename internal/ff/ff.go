@@ -34,10 +34,10 @@ type Options struct {
 	Scale14LJ   float64 // scale factor for 1-4 Lennard-Jones
 	Scale14Elec float64 // scale factor for 1-4 electrostatics
 
-	// ExactKernels disables the tabulated nonbonded kernel (and, through
-	// md.Engine, the r2c FFT path), restoring the reference exact-math
-	// implementations bit for bit. Physics agrees either way to the table's
-	// measured accuracy; use this flag to validate or to reproduce
+	// ExactKernels disables the tabulated nonbonded kernel, selecting the
+	// reference exact-math pair loop bit for bit. It selects nothing else:
+	// PME and the FFT have one path. Physics agrees either way to the
+	// table's measured accuracy; use this flag to validate or to reproduce
 	// pre-table trajectories exactly.
 	ExactKernels bool
 }

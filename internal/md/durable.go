@@ -320,10 +320,13 @@ func ReadDurable(path string) (*Checkpoint, DurableMeta, error) {
 	return cp, meta, nil
 }
 
+// tmpPrefix starts the name of every temp file the ring writes through.
+const tmpPrefix = ".tmp-"
+
 // atomicWrite lands data at path; an interrupted write leaves only a
-// dot-file the ring's listing ignores.
+// dot-file the ring's listing ignores and LoadNewest removes.
 func atomicWrite(path string, data []byte) error {
-	return WriteFileAtomic(path, ".tmp-"+filepath.Base(path)+"-*", data)
+	return WriteFileAtomic(path, tmpPrefix+filepath.Base(path)+"-*", data)
 }
 
 // WriteFileAtomic is the one durable write of the tree (the checkpoint
@@ -447,7 +450,8 @@ func (r *CheckpointRing) Save(cp *Checkpoint, meta DurableMeta) error {
 // LoadNewest returns the newest checkpoint in the ring that validates,
 // scanning back across corrupt files (skipped counts how many were
 // passed over). ErrNoCheckpoint means the directory holds nothing
-// loadable at all.
+// loadable at all. A ring has one writer, so a temp file present when it
+// loads is the debris of a write a crash interrupted: it is removed first.
 func (r *CheckpointRing) LoadNewest() (cp *Checkpoint, meta DurableMeta, skipped int, err error) {
 	t0 := time.Now()
 	defer func() {
@@ -459,6 +463,13 @@ func (r *CheckpointRing) LoadNewest() (cp *Checkpoint, meta DurableMeta, skipped
 				"corrupt or torn checkpoints scanned past during restore").Add(float64(skipped))
 		}
 	}()
+	if entries, err := os.ReadDir(r.Dir); err == nil {
+		for _, e := range entries {
+			if strings.HasPrefix(e.Name(), tmpPrefix) {
+				os.Remove(filepath.Join(r.Dir, e.Name()))
+			}
+		}
+	}
 	steps, err := r.steps()
 	if err != nil {
 		return nil, DurableMeta{}, 0, err

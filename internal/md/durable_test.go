@@ -238,10 +238,20 @@ func TestRingFallsBackPastCorruption(t *testing.T) {
 		}
 	}
 
+	// A write killed before its rename leaves a temp file holding a
+	// prefix of the next checkpoint; loading removes it unread.
+	debris := filepath.Join(ring.Dir, ".tmp-"+filepath.Base(ring.Path(40))+"-1234")
+	if err := os.WriteFile(debris, []byte(durableMagic), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	// Newest valid wins when everything is intact.
 	_, m, skipped, err := ring.LoadNewest()
 	if err != nil || m.Step != 30 || skipped != 0 {
 		t.Fatalf("intact ring: step %d skipped %d err %v", m.Step, skipped, err)
+	}
+	if _, err := os.Stat(debris); !os.IsNotExist(err) {
+		t.Fatalf("crash debris survived LoadNewest: %v", err)
 	}
 
 	// A bit flip in the newest file costs one checkpoint, not the run.

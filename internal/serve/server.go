@@ -195,7 +195,7 @@ func (j *jobState) terminal() bool {
 
 // Server is the simulation job service. Open starts it; Close shuts it
 // down gracefully (draining short jobs, checkpoint-parking long ones);
-// Abort simulates a crash for chaos testing.
+// Abort, defined in the tests, simulates a crash.
 type Server struct {
 	cfg   Config
 	reg   *obs.Registry
@@ -313,6 +313,15 @@ func (s *Server) replay() error {
 			replayed++
 		}
 		s.jobs[j.id] = j
+	}
+	// A checkpoint directory no replayed job claims is debris: finish
+	// removes the journal entry before the checkpoints, and a crash can
+	// fall in between. (No directory at all is the state before any run.)
+	dirs, _ := os.ReadDir(filepath.Join(s.cfg.StateDir, "ckpt"))
+	for _, d := range dirs {
+		if s.jobs[d.Name()] == nil {
+			_ = os.RemoveAll(s.ckptDir(d.Name()))
+		}
 	}
 	if replayed > 0 {
 		s.reg.Counter("repro_serve_replayed_total",
@@ -940,27 +949,4 @@ func (s *Server) Close(ctx context.Context) error {
 		}
 	}
 	return werr
-}
-
-// Abort simulates a crash for chaos testing: the listener and every
-// connection drop immediately and no further state is persisted — the
-// journal, store and parked checkpoints stay exactly as the crash found
-// them. Unlike a real kill -9, Abort waits for worker goroutines to
-// notice and exit (long runs stop at their next step boundary) before
-// returning, because a reopened server must be the only writer of the
-// state directory; everything those workers would have persisted after
-// the abort flag is discarded, which is the part that matters for
-// crash-consistency testing.
-func (s *Server) Abort() {
-	s.mu.Lock()
-	if s.closing || s.aborted {
-		s.mu.Unlock()
-		return
-	}
-	s.aborted = true
-	s.mu.Unlock()
-	s.quitOnce.Do(func() { close(s.quit) })
-	_ = s.hsrv.Close()
-	s.queue.close()
-	s.wg.Wait()
 }

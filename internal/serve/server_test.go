@@ -47,6 +47,29 @@ func testServer(t *testing.T, mut func(*Config)) (*Server, string) {
 	return s, "http://" + s.Addr()
 }
 
+// Abort simulates a crash for chaos testing: the listener and every
+// connection drop immediately and no further state is persisted — the
+// journal, store and parked checkpoints stay exactly as the crash found
+// them. Unlike a real kill -9, Abort waits for worker goroutines to
+// notice and exit (long runs stop at their next step boundary) before
+// returning, because a reopened server must be the only writer of the
+// state directory; everything those workers would have persisted after
+// the abort flag is discarded, which is the part that matters for
+// crash-consistency testing.
+func (s *Server) Abort() {
+	s.mu.Lock()
+	if s.closing || s.aborted {
+		s.mu.Unlock()
+		return
+	}
+	s.aborted = true
+	s.mu.Unlock()
+	s.quitOnce.Do(func() { close(s.quit) })
+	_ = s.hsrv.Close()
+	s.queue.close()
+	s.wg.Wait()
+}
+
 func postJob(t *testing.T, base, tenant string, spec JobSpec, deadlineMS int64) (int, jobResponse, http.Header) {
 	t.Helper()
 	body, _ := json.Marshal(submitRequest{Tenant: tenant, Spec: spec, DeadlineMS: deadlineMS})
@@ -62,16 +85,23 @@ func postJob(t *testing.T, base, tenant string, spec JobSpec, deadlineMS int64) 
 
 func getStatus(t *testing.T, base, id string) jobResponse {
 	t.Helper()
+	jr, _ := lookupStatus(t, base, id)
+	return jr
+}
+
+// lookupStatus polls id once; known is false when the server answers 404,
+// as a reopened server does for a job that finished before the crash.
+func lookupStatus(t *testing.T, base, id string) (jr jobResponse, known bool) {
+	t.Helper()
 	resp, err := http.Get(base + "/v1/jobs/" + id)
 	if err != nil {
 		t.Fatalf("GET status: %v", err)
 	}
 	defer resp.Body.Close()
-	var jr jobResponse
 	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
 		t.Fatalf("decode status: %v", err)
 	}
-	return jr
+	return jr, resp.StatusCode != http.StatusNotFound
 }
 
 func waitStatus(t *testing.T, base, id, want string, timeout time.Duration) jobResponse {
