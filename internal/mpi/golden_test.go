@@ -149,6 +149,30 @@ var goldenOps = []struct {
 		m.AlltoallvSparse(sizes)
 		m.Barrier()
 	}},
+	{"cmpi_dense", func(r *mpi.Rank, net netmodel.Params) {
+		// The flood posts every send, empty entries included; one entry
+		// is rendezvous-sized.
+		p := r.Size()
+		sizes := make([][]int, p)
+		for i := range sizes {
+			sizes[i] = make([]int, p)
+			for j := range sizes[i] {
+				if i != j && (i+2*j)%5 != 0 {
+					sizes[i][j] = 150 + 20*i + 9*j
+				}
+			}
+		}
+		sizes[3][1] = net.EagerLimit + 1536
+		cmpi.New(r).Alltoallv(sizes)
+	}},
+	{"cmpi_allgatherv", func(r *mpi.Rank, net netmodel.Params) {
+		blocks := make([]int, r.Size())
+		for i := range blocks {
+			blocks[i] = 500 + 70*i
+		}
+		blocks[2] = net.EagerLimit + 333
+		cmpi.New(r).Allgatherv(blocks)
+	}},
 }
 
 var goldenNets = []string{"tcp", "score", "myrinet"}
@@ -216,6 +240,21 @@ func computeGolden(t *testing.T) map[string]goldenEntry {
 		t.Fatalf("crash case: want ErrCrashed on rank 3, got %v", err)
 	}
 	got["crash_watchdog/p8/tcp"] = e
+
+	// The same faults under CMPI's fenced ring: the crash surfaces
+	// through the neighbour exchanges of its Sync rounds.
+	inj = injector(t, "crash@0.02,rank=3;flap@0.005,node=5,dur=0.004,count=3,period=0.01;link@0.01:0.03,node=1,bw=4,lat=2;straggler@0:0.05,node=6,slow=3")
+	e, err = goldenRun(cfg, mpi.Options{Watchdog: wd, Faults: inj}, func(r *mpi.Rank) {
+		m := cmpi.New(r)
+		for i := 0; i < 50; i++ {
+			r.Compute(0.001)
+			m.Allreduce(4096, 2e-5)
+		}
+	})
+	if !errors.Is(err, mpi.ErrCrashed) || !errors.As(err, &ce) || ce.Rank != 3 {
+		t.Fatalf("cmpi crash case: want ErrCrashed on rank 3, got %v", err)
+	}
+	got["cmpi_crash_watchdog/p8/tcp"] = e
 
 	// A rendezvous Isend nobody receives: the helper abandons the transfer
 	// and the sender's Wait reports it.
