@@ -223,7 +223,8 @@ func TestFlapHoldsNIC(t *testing.T) {
 	inj.Install(m)
 	var acquired float64
 	env.Spawn("user", func(p *sim.Proc) {
-		p.Advance(1.5) // mid-flap
+		p.WakeIn(1.5) // mid-flap
+		p.Yield()
 		if !m.Nodes[0].NicTx.AcquireStep(p) {
 			p.Yield()
 		}

@@ -26,17 +26,17 @@ func (s *Suite) ablationRows() []Row {
 
 	var rows []Row
 	for _, v := range []struct {
-		name   string
-		net    netmodel.Params
-		modern bool
+		name string
+		net  netmodel.Params
+		mw   pmd.MiddlewareKind
 	}{
-		{"baseline (MPICH-1, stock TCP)", netmodel.TCPGigE(), false},
-		{"modern collectives", netmodel.TCPGigE(), true},
-		{"stall-free TCP stack", noStall, false},
-		{"both fixes", noStall, true},
+		{"baseline (MPICH-1, stock TCP)", netmodel.TCPGigE(), pmd.MiddlewareMPI},
+		{"modern collectives", netmodel.TCPGigE(), pmd.MiddlewareModern},
+		{"stall-free TCP stack", noStall, pmd.MiddlewareMPI},
+		{"both fixes", noStall, pmd.MiddlewareModern},
 	} {
-		r := s.row(v.net, s.topProcs(), 1, pmd.MiddlewareMPI, s.Cfg.Decomp)
-		r.Cell.Modern, r.Variant = v.modern, v.name
+		r := s.row(v.net, s.topProcs(), 1, v.mw, s.Cfg.Decomp)
+		r.Variant = v.name
 		rows = append(rows, r)
 	}
 	return rows

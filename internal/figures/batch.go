@@ -161,7 +161,7 @@ func (s *Suite) run(j *job) {
 	start := time.Now()
 	j.res, j.err = pmd.Run(j.cell.Cluster, s.Cfg.Cost, pmd.Config{
 		System: s.sys, MD: s.Cfg.MD, Steps: j.cell.Steps,
-		Middleware: j.cell.Middleware, ModernCollectives: j.cell.Modern,
+		Middleware:  j.cell.Middleware,
 		Faults:      s.faults,
 		Decomp:      j.cell.Decomp,
 		Tape:        j.tape,

@@ -11,7 +11,7 @@ import (
 // key. Bump it whenever the rendering below (or the meaning of any field
 // that feeds it) changes, so persisted results keyed under the old scheme
 // can never be mistaken for results of the new one.
-const CellKeyVersion = 2
+const CellKeyVersion = 3
 
 // CellKey identifies one fully specified experiment cell: the simulated
 // platform, the middleware variant and the measured workload. It is the
@@ -26,8 +26,7 @@ const CellKeyVersion = 2
 // share between processes.
 type CellKey struct {
 	Cluster    cluster.Config     // platform: nodes × CPUs, network, stall seed
-	Middleware pmd.MiddlewareKind // MPI or CMPI
-	Modern     bool               // post-2004 collective algorithms
+	Middleware pmd.MiddlewareKind // MPI, CMPI or MPI with modern collectives
 	Steps      int                // measured MD steps
 	FaultSpec  string             // fault-DSL scenario ("" = healthy)
 	Decomp     pmd.DecompKind     // replicated-data or spatial domains
@@ -35,6 +34,6 @@ type CellKey struct {
 
 // String renders the canonical versioned key.
 func (k CellKey) String() string {
-	return fmt.Sprintf("cell/v%d %s mw=%v modern=%t steps=%d fault=%q decomp=%v",
-		CellKeyVersion, k.Cluster.Key(), k.Middleware, k.Modern, k.Steps, k.FaultSpec, k.Decomp)
+	return fmt.Sprintf("cell/v%d %s mw=%v steps=%d fault=%q decomp=%v",
+		CellKeyVersion, k.Cluster.Key(), k.Middleware, k.Steps, k.FaultSpec, k.Decomp)
 }

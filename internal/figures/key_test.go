@@ -22,10 +22,10 @@ func baseCellKey() CellKey {
 // caches keyed under the old scheme would silently collide with the new.
 func TestCellKeyGolden(t *testing.T) {
 	got := baseCellKey().String()
-	if !strings.HasPrefix(got, "cell/v2 ") {
-		t.Fatalf("key %q does not carry the v2 version prefix", got)
+	if !strings.HasPrefix(got, "cell/v3 ") {
+		t.Fatalf("key %q does not carry the v3 version prefix", got)
 	}
-	want := "cell/v2 " + baseCellKey().Cluster.Key() + ` mw=MPI modern=false steps=10 fault="" decomp=replicated`
+	want := "cell/v3 " + baseCellKey().Cluster.Key() + ` mw=MPI steps=10 fault="" decomp=replicated`
 	if got != want {
 		t.Fatalf("rendered key drifted:\n got  %q\n want %q\n(bump CellKeyVersion if the change is intentional)", got, want)
 	}
@@ -41,7 +41,7 @@ func TestCellKeyDiscriminatesEveryField(t *testing.T) {
 		"seed":       func(k *CellKey) { k.Cluster.Seed = 2 },
 		"network":    func(k *CellKey) { k.Cluster.Net = netmodel.MyrinetGM() },
 		"middleware": func(k *CellKey) { k.Middleware = pmd.MiddlewareCMPI },
-		"modern":     func(k *CellKey) { k.Modern = true },
+		"modern":     func(k *CellKey) { k.Middleware = pmd.MiddlewareModern },
 		"steps":      func(k *CellKey) { k.Steps = 11 },
 		"fault":      func(k *CellKey) { k.FaultSpec = "crash rank 1 at 0.5" },
 		"decomp":     func(k *CellKey) { k.Decomp = pmd.DecompDomain },

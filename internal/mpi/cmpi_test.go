@@ -1,4 +1,4 @@
-package cmpi
+package mpi_test
 
 import (
 	"testing"
@@ -8,11 +8,13 @@ import (
 	"repro/internal/netmodel"
 )
 
-func run(t *testing.T, p int, net netmodel.Params, fn func(*Middleware)) []mpi.Accounting {
+// runCMPI runs fn on every rank's CMPI layer of a p-node job. The Sync
+// tests call Barrier, which is CMPI's Sync.
+func runCMPI(t *testing.T, p int, net netmodel.Params, fn func(mpi.CMPI)) []mpi.Accounting {
 	t.Helper()
 	cfg := cluster.Config{Nodes: p, CPUsPerNode: 1, Net: net, Seed: 1}
 	accts, err := mpi.RunOpts(cfg, cluster.PentiumIII1GHz(), mpi.Options{}, func(r *mpi.Rank) {
-		fn(New(r))
+		fn(r.CMPI())
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -20,11 +22,11 @@ func run(t *testing.T, p int, net netmodel.Params, fn func(*Middleware)) []mpi.A
 	return accts
 }
 
-func TestSyncCompletesAllSizes(t *testing.T) {
+func TestCMPISyncCompletesAllSizes(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 4, 8} {
 		done := 0
-		run(t, p, netmodel.SCoreGigE(), func(m *Middleware) {
-			m.Sync()
+		runCMPI(t, p, netmodel.SCoreGigE(), func(m mpi.CMPI) {
+			m.Barrier()
 			done++
 		})
 		if done != p {
@@ -33,9 +35,9 @@ func TestSyncCompletesAllSizes(t *testing.T) {
 	}
 }
 
-func TestSyncTimeIsAllSync(t *testing.T) {
-	accts := run(t, 4, netmodel.TCPGigE(), func(m *Middleware) {
-		m.Sync()
+func TestCMPISyncTimeIsAllSync(t *testing.T) {
+	accts := runCMPI(t, 4, netmodel.TCPGigE(), func(m mpi.CMPI) {
+		m.Barrier()
 	})
 	for i, a := range accts {
 		if a.Comm > 1e-12 {
@@ -47,11 +49,11 @@ func TestSyncTimeIsAllSync(t *testing.T) {
 	}
 }
 
-func TestSyncCostGrowsWithRanks(t *testing.T) {
+func TestCMPISyncCostGrowsWithRanks(t *testing.T) {
 	var prev float64
 	for _, p := range []int{2, 4, 8} {
-		accts := run(t, p, netmodel.TCPGigE(), func(m *Middleware) {
-			m.Sync()
+		accts := runCMPI(t, p, netmodel.TCPGigE(), func(m mpi.CMPI) {
+			m.Barrier()
 		})
 		var worst float64
 		for _, a := range accts {
@@ -66,10 +68,10 @@ func TestSyncCostGrowsWithRanks(t *testing.T) {
 	}
 }
 
-func TestAllreduceCompletes(t *testing.T) {
+func TestCMPIAllreduceCompletes(t *testing.T) {
 	for _, p := range []int{2, 4, 8} {
 		done := 0
-		run(t, p, netmodel.SCoreGigE(), func(m *Middleware) {
+		runCMPI(t, p, netmodel.SCoreGigE(), func(m mpi.CMPI) {
 			m.Allreduce(85000, 10e-6)
 			done++
 		})
@@ -79,12 +81,12 @@ func TestAllreduceCompletes(t *testing.T) {
 	}
 }
 
-func TestAllreduceVolumeExceedsMPI(t *testing.T) {
+func TestCMPIAllreduceVolumeExceedsMPI(t *testing.T) {
 	// The unsegmented ring moves (p−1)·bytes per rank; MPICH's reduce+bcast
 	// moves at most ~2·bytes·log p / p per hop chain. CMPI must ship more
 	// bytes overall at p=8.
 	const bytes = 85000
-	cmpiAccts := run(t, 8, netmodel.SCoreGigE(), func(m *Middleware) {
+	cmpiAccts := runCMPI(t, 8, netmodel.SCoreGigE(), func(m mpi.CMPI) {
 		m.Allreduce(bytes, 0)
 	})
 	cfg := cluster.Config{Nodes: 8, CPUsPerNode: 1, Net: netmodel.SCoreGigE(), Seed: 1}
@@ -104,14 +106,14 @@ func TestAllreduceVolumeExceedsMPI(t *testing.T) {
 	}
 }
 
-func TestAllgathervCompletes(t *testing.T) {
+func TestCMPIAllgathervCompletes(t *testing.T) {
 	for _, p := range []int{2, 3, 8} {
 		done := 0
 		blocks := make([]int, p)
 		for i := range blocks {
 			blocks[i] = 1000 + i
 		}
-		run(t, p, netmodel.MyrinetGM(), func(m *Middleware) {
+		runCMPI(t, p, netmodel.MyrinetGM(), func(m mpi.CMPI) {
 			m.Allgatherv(blocks)
 			done++
 		})
@@ -121,7 +123,7 @@ func TestAllgathervCompletes(t *testing.T) {
 	}
 }
 
-func TestAlltoallvCompletes(t *testing.T) {
+func TestCMPIAlltoallvCompletes(t *testing.T) {
 	for _, p := range []int{2, 4, 8} {
 		sizes := make([][]int, p)
 		for i := range sizes {
@@ -133,7 +135,7 @@ func TestAlltoallvCompletes(t *testing.T) {
 			}
 		}
 		done := 0
-		run(t, p, netmodel.TCPGigE(), func(m *Middleware) {
+		runCMPI(t, p, netmodel.TCPGigE(), func(m mpi.CMPI) {
 			m.Alltoallv(sizes)
 			done++
 		})
@@ -153,8 +155,7 @@ func TestCMPISlowerThanMPIOnTCP(t *testing.T) {
 		_, err := mpi.RunOpts(cfg, cluster.PentiumIII1GHz(), mpi.Options{}, func(r *mpi.Rank) {
 			for i := 0; i < 5; i++ {
 				if useCMPI {
-					m := New(r)
-					m.Allreduce(bytes, 0)
+					r.CMPI().Allreduce(bytes, 0)
 				} else {
 					r.Allreduce(bytes, 0)
 				}
@@ -175,11 +176,11 @@ func TestCMPISlowerThanMPIOnTCP(t *testing.T) {
 	}
 }
 
-func TestDeterministic(t *testing.T) {
+func TestCMPIDeterministic(t *testing.T) {
 	one := func() []mpi.Accounting {
-		return run(t, 4, netmodel.TCPGigE(), func(m *Middleware) {
+		return runCMPI(t, 4, netmodel.TCPGigE(), func(m mpi.CMPI) {
 			m.Allreduce(50000, 0)
-			m.Sync()
+			m.Barrier()
 		})
 	}
 	a, b := one(), one()

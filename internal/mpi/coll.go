@@ -27,10 +27,7 @@ func (r *Rank) Barrier() {
 		return
 	}
 	t0 := r.Now()
-	prev := r.SyncClass
-	r.SyncClass = true
-	r.await(segment{rounds: (*Rank).barrierRound})
-	r.SyncClass = prev
+	r.await(segment{rounds: (*Rank).barrierRound, sync: true})
 	r.W.observeColl("barrier", r.Now()-t0)
 }
 

@@ -1,10 +1,12 @@
 // Package mpi implements a simulated MPI subset on top of the
-// discrete-event cluster model: blocking and non-blocking point-to-point
-// messages (eager and rendezvous protocols, NIC occupancy, interrupt-CPU
-// serialization, TCP stall injection) and the MPICH-1-era collective
-// algorithms the paper's CHARMM runs used (binomial broadcast/reduce,
-// reduce+bcast allreduce, linear gather, pairwise all-to-all, dissemination
-// barrier).
+// discrete-event cluster model: point-to-point messages (eager and
+// rendezvous protocols, NIC occupancy, interrupt-CPU serialization, TCP
+// stall injection) under the MPICH-1-era collective algorithms the
+// paper's CHARMM runs used (binomial broadcast/reduce, reduce+bcast
+// allreduce, linear gather, pairwise all-to-all, dissemination barrier),
+// their post-2004 successors, and the CHARMM-MPI middleware's fenced
+// rings and floods. A rank blocks only inside a call: one Proc.Await per
+// computation or collective.
 //
 // Every rank accounts its virtual time into the paper's three buckets:
 // computation, communication (data transfer) and synchronization (control
@@ -131,7 +133,7 @@ type Rank struct {
 
 	inbox   []*message
 	waiting bool // parked inside a matching loop
-	crashed bool // set by an injected crash; next yield aborts the rank
+	crashed bool // set by an injected crash; the call's next step aborts the rank
 	acct    Accounting
 	call    call // the blocking call in flight
 
@@ -139,11 +141,6 @@ type Rank struct {
 	// created on the kind's first interval (nil without a registry). Only
 	// the rank's own process touches it.
 	mTrace map[trace.Kind]traceCounters
-
-	// SyncClass forces all message time into the Sync bucket while true —
-	// the CMPI middleware turns it on around its synchronization-by-
-	// messages pattern (§4.2 of the paper).
-	SyncClass bool
 }
 
 // Size returns the world size.
@@ -157,16 +154,14 @@ func (r *Rank) Acct() Accounting { return r.acct }
 
 // Compute advances virtual time by d seconds of computation. A straggler
 // fault in effect on the rank's node at the start of the interval scales
-// the whole interval.
+// the whole interval. Zero seconds still take one event.
 func (r *Rank) Compute(d float64) {
 	if d < 0 {
 		panic("mpi: negative compute time")
 	}
-	r.checkCrash()
-	t0 := r.Now()
-	r.P.Advance(r.chargeComp(d))
-	r.checkCrash()
-	r.traceEvent(trace.KindCompute, "compute", t0)
+	c := &r.call
+	c.plan[0], c.n = prim{kind: primCompute, d: d}, 1
+	r.await()
 }
 
 // chargeComp books d seconds of computation starting now, scaled by the
@@ -240,9 +235,9 @@ func (r *Rank) ComputeWork(w work.Counters) {
 }
 
 // chargeMsg books d seconds of message time into Comm or Sync depending on
-// the rank's current classification.
+// the classification of the call's segment.
 func (r *Rank) chargeMsg(d float64, sync bool) {
-	if r.SyncClass || sync {
+	if r.call.sync || sync {
 		r.acct.Sync += d
 	} else {
 		r.acct.Comm += d

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/cmpi"
 	"repro/internal/fault"
 	"repro/internal/mpi"
 	"repro/internal/netmodel"
@@ -107,7 +106,7 @@ var goldenOps = []struct {
 		r.Barrier()
 	}},
 	{"cmpi_ring", func(r *mpi.Rank, net netmodel.Params) {
-		cmpi.New(r).Allreduce(4096, 1e-5)
+		r.CMPI().Allreduce(4096, 1e-5)
 	}},
 	{"alltoallv_dense", func(r *mpi.Rank, net netmodel.Params) {
 		// Every round posts, empty entries included; one entry is
@@ -145,7 +144,7 @@ var goldenOps = []struct {
 				sizes[i][(i+p-3)%p] = net.EagerLimit + 64
 			}
 		}
-		m := cmpi.New(r)
+		m := r.CMPI()
 		m.AlltoallvSparse(sizes)
 		m.Barrier()
 	}},
@@ -163,7 +162,7 @@ var goldenOps = []struct {
 			}
 		}
 		sizes[3][1] = net.EagerLimit + 1536
-		cmpi.New(r).Alltoallv(sizes)
+		r.CMPI().Alltoallv(sizes)
 	}},
 	{"cmpi_allgatherv", func(r *mpi.Rank, net netmodel.Params) {
 		blocks := make([]int, r.Size())
@@ -171,7 +170,7 @@ var goldenOps = []struct {
 			blocks[i] = 500 + 70*i
 		}
 		blocks[2] = net.EagerLimit + 333
-		cmpi.New(r).Allgatherv(blocks)
+		r.CMPI().Allgatherv(blocks)
 	}},
 }
 
@@ -245,7 +244,7 @@ func computeGolden(t *testing.T) map[string]goldenEntry {
 	// through the neighbour exchanges of its Sync rounds.
 	inj = injector(t, "crash@0.02,rank=3;flap@0.005,node=5,dur=0.004,count=3,period=0.01;link@0.01:0.03,node=1,bw=4,lat=2;straggler@0:0.05,node=6,slow=3")
 	e, err = goldenRun(cfg, mpi.Options{Watchdog: wd, Faults: inj}, func(r *mpi.Rank) {
-		m := cmpi.New(r)
+		m := r.CMPI()
 		for i := 0; i < 50; i++ {
 			r.Compute(0.001)
 			m.Allreduce(4096, 2e-5)

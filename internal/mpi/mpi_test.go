@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -22,6 +23,56 @@ func mustRun(t *testing.T, cfg cluster.Config, fn func(*Rank)) []Accounting {
 		t.Fatal(err)
 	}
 	return accts
+}
+
+// checkPeer panics, on the rank's own goroutine, on a partner that is not
+// another rank of the world: the point-to-point calls below name theirs,
+// a collective computes its partners modulo the world size.
+func (r *Rank) checkPeer(peer int) {
+	if peer == r.ID || peer < 0 || peer >= r.Size() {
+		panic(fmt.Sprintf("mpi: rank %d names invalid partner %d", r.ID, peer))
+	}
+}
+
+// Recv blocks until a message from src with tag is delivered and returns
+// its size.
+func (r *Rank) Recv(src, tag int) int {
+	r.checkPeer(src)
+	r.add(primRecv, src, tag, 0)
+	r.await()
+	return r.call.got
+}
+
+// Request is the handle of a non-blocking send: its transfer. It is waited
+// on at most once, by the rank that started it, and is invalid once Wait
+// returns: its transfer then carries a later message.
+type Request transfer
+
+// Isend starts a non-blocking send and returns once its per-message host
+// overhead is paid; Wait blocks until the payload has left. The send
+// leaves the rank's queue of isends, which every collective drains, until
+// its Wait.
+func (r *Rank) Isend(dst, tag, bytes int) *Request {
+	r.checkPeer(dst)
+	r.add(primIsend, dst, tag, bytes)
+	r.await()
+	c := &r.call
+	t := c.reqs[len(c.reqs)-1]
+	c.reqs = c.reqs[:len(c.reqs)-1]
+	return (*Request)(t)
+}
+
+// Wait blocks until the payload of the send has left and returns its size.
+func (r *Rank) Wait(req *Request) int {
+	t := (*transfer)(req)
+	if t.r != r {
+		panic("mpi: waiting on another rank's request")
+	}
+	bytes := t.msg.bytes // read before the wait releases t
+	r.call.reqs = append(r.call.reqs, t)
+	r.add(primWait, 0, 0, 0)
+	r.await()
+	return bytes
 }
 
 // send and sendrecv issue the blocking send and the deadlock-free exchange
@@ -647,51 +698,89 @@ func TestInterleavedTagsProperty(t *testing.T) {
 const allocCeiling = 0.1
 
 // TestSendrecvAllocCeiling holds the point-to-point API to the ceiling:
-// Isend, Recv and Wait around a ring, the exchange cmpi issues.
+// Isend, Recv and Wait around a ring, the exchange of a CMPI ring round.
 func TestSendrecvAllocCeiling(t *testing.T) {
 	const ring = 4
-	got := allocsPerMessage(t, ring, ring, func(r *Rank, i int) {
+	perCall, _ := allocsPerCall(t, ring, 500, func(r *Rank, i int) {
 		req := r.Isend((r.ID+1)%ring, i, 512)
 		r.Recv((r.ID+ring-1)%ring, i)
 		r.Wait(req)
 	})
-	if got > allocCeiling {
+	if got := perCall / ring; got > allocCeiling {
 		t.Errorf("Isend/Recv/Wait ring at p=%d: %.3f allocations per message, ceiling %g", ring, got, allocCeiling)
 	}
 }
 
 // TestCollectiveAllocCeiling holds collectives to the same ceiling per
 // message posted: a call's plan and step state live in its rank and are
-// reused, so a call costs its messages and nothing of its own.
+// reused, so a call costs its messages and nothing of its own — once the
+// transfers and queues have grown to the peak, a call allocates less than
+// once per rank. The CMPI floods post every send before their first wait,
+// so their isend queue must be the rank's, not the call's.
 func TestCollectiveAllocCeiling(t *testing.T) {
-	const p = 8
-	sparse := make([][]int, p)
-	for i := range sparse {
-		sparse[i] = make([]int, p)
-		sparse[i][(i+3)%p] = 512
+	type allocCase struct {
+		name       string
+		p, n, msgs int // ranks, calls per run, messages one call posts over all ranks
+		call       func(r *Rank)
 	}
-	for _, c := range []struct {
-		name    string
-		p, msgs int // ranks, messages one call posts over all of them
-		call    func(r *Rank, i int)
-	}{
-		{"eager Barrier at p=2", 2, 2, func(r *Rank, _ int) { r.Barrier() }},
-		{"AlltoallvSparse at p=8", p, p, func(r *Rank, _ int) { r.AlltoallvSparse(sparse) }},
-	} {
-		if got := allocsPerMessage(t, c.p, c.msgs, c.call); got > allocCeiling {
-			t.Errorf("%s: %.3f allocations per message, ceiling %g", c.name, got, allocCeiling)
+	sparse := func(p int) [][]int {
+		sizes := make([][]int, p)
+		for i := range sizes {
+			sizes[i] = make([]int, p)
+			sizes[i][(i+3)%p] = 512
+		}
+		return sizes
+	}
+	halo8 := sparse(8)
+	cases := []allocCase{
+		{"eager Barrier", 2, 500, 2, func(r *Rank) { r.Barrier() }},
+		{"AlltoallvSparse", 8, 500, 8, func(r *Rank) { r.AlltoallvSparse(halo8) }},
+	}
+	for _, pn := range [][2]int{{8, 10}, {64, 2}} {
+		p, n := pn[0], pn[1]
+		dense, blocks, halo := make([][]int, p), make([]int, p), sparse(p)
+		for i := range dense {
+			dense[i] = make([]int, p)
+			for j := range dense[i] {
+				if j != i {
+					dense[i][j] = 256
+				}
+			}
+			blocks[i] = 512
+		}
+		sync := 2 * p * (p - 1) // two one-byte messages per rank and round
+		cases = append(cases,
+			allocCase{"CMPI Barrier", p, n, sync, func(r *Rank) { r.CMPI().Barrier() }},
+			allocCase{"CMPI Allreduce", p, n, 4*sync + p*(p-1), func(r *Rank) { r.CMPI().Allreduce(512, 1e-6) }},
+			allocCase{"CMPI Allgatherv", p, n, 4*sync + p*(p-1), func(r *Rank) { r.CMPI().Allgatherv(blocks) }},
+			allocCase{"CMPI Alltoallv", p, n, 4*sync + p*(p-1), func(r *Rank) { r.CMPI().Alltoallv(dense) }},
+			allocCase{"CMPI AlltoallvSparse", p, n, 4*sync + p, func(r *Rank) { r.CMPI().AlltoallvSparse(halo) }})
+	}
+	for _, c := range cases {
+		first, steady := allocsPerCall(t, c.p, c.n, func(r *Rank, _ int) { c.call(r) })
+		if got := first / float64(c.msgs); got > allocCeiling {
+			t.Errorf("%s at p=%d: %.3f allocations per message, ceiling %g", c.name, c.p, got, allocCeiling)
+		}
+		if steady >= float64(c.p) {
+			t.Errorf("%s at p=%d: %.2f allocations per call once grown, not fewer than one per rank", c.name, c.p, steady)
 		}
 	}
 }
 
-// allocsPerMessage runs call n times on every rank of a p-rank TCP job and
-// returns the allocations beyond the job's own per message posted, msgs
-// being the messages one round of calls posts.
-func allocsPerMessage(t *testing.T, p, msgs int, call func(r *Rank, i int)) float64 {
+// allocsPerCall runs call n and 2n times on every rank of a p-rank TCP job
+// and returns the allocations beyond the job's own per round of calls over
+// the first n rounds, growth included, and over the n after them.
+func allocsPerCall(t *testing.T, p, n int, call func(r *Rank, i int)) (first, steady float64) {
 	t.Helper()
 	cfg := uniCluster(p, netmodel.TCPGigE())
+	// A 64-rank job's count moves by an allocation at most between runs,
+	// and one run of it costs more than all the small jobs together.
+	runs := 5
+	if p > 8 {
+		runs = 1
+	}
 	perRun := func(n int) float64 {
-		return testing.AllocsPerRun(5, func() {
+		return testing.AllocsPerRun(runs, func() {
 			_, err := RunOpts(cfg, cluster.PentiumIII1GHz(), Options{}, func(r *Rank) {
 				for i := 0; i < n; i++ {
 					call(r, i)
@@ -702,6 +791,6 @@ func allocsPerMessage(t *testing.T, p, msgs int, call func(r *Rank, i int)) floa
 			}
 		})
 	}
-	const n = 500
-	return (perRun(n) - perRun(0)) / float64(n*msgs)
+	base, once, twice := perRun(0), perRun(n), perRun(2*n)
+	return (once - base) / float64(n), (twice - once) / float64(n)
 }

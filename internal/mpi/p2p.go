@@ -34,33 +34,34 @@ type message struct {
 
 // call is a rank's blocking operation in step form, run by one stepper
 // while the rank awaits it, so the rank's goroutine resumes once per call
-// however often the call waits. A point-to-point operation is one round of
-// primitives; a collective is one segment per algorithm it runs, and a
-// segment plans its rounds one at a time, each when the one before is
-// done, so a p-round algorithm needs room for one round, not p. The call
-// lives in the Rank and a round has at most four primitives, so a call
-// allocates nothing of its own.
+// however often the call waits. A computation is one primitive; a
+// collective is one segment per algorithm it runs, and a segment plans its
+// rounds one at a time, each when the one before is done, so a p-round
+// algorithm needs room for one round, not p. The call lives in the Rank, a
+// round has at most six primitives and the queue of isends grows to the
+// rank's peak and is reused, so a call allocates nothing of its own.
 type call struct {
 	r *Rank
 
-	segs      [2]segment // Allreduce and Allgatherv compose two
+	segs      [5]segment // a fenced CMPI collective composes five
 	nseg, seg int
 	round     int     // the segment's next round
-	plan      [4]prim // the round running
+	plan      [6]prim // the round running
 	n, pc     int     // its length; the primitive running
 	st        uint8   // that primitive's state
+	sync      bool    // the segment's message time is synchronization
 
-	t0, tMatch float64   // the primitive's start; recv: when its envelope matched
-	wds        wdState   // the current wait's watchdog budget
-	msg        *message  // recv: the matched message
-	xfer       *transfer // send: the rank's own transfer
-	req        *transfer // the latest isend, which a wait reads and releases
-	got        int       // recv: the size received
+	t0, tMatch float64     // the primitive's start; recv: when its envelope matched
+	wds        wdState     // the current wait's watchdog budget
+	msg        *message    // recv: the matched message
+	xfer       *transfer   // send: the rank's own transfer
+	reqs       []*transfer // the isends not yet waited for, oldest first
+	got        int         // recv: the size received
 
 	fail error // a *CrashError or *TimeoutError for await to raise
 }
 
-// prim is one point-to-point primitive of a call.
+// prim is one primitive of a call.
 type prim struct {
 	kind      primKind
 	peer, tag int
@@ -96,17 +97,11 @@ type segment struct {
 	rounds   func(r *Rank, s *segment, i int) bool
 	bytes    int
 	reduceOp float64
-	sizes    [][]int // Alltoallv, AlltoallvSparse
-	blocks   []int   // AllgathervRing
-}
-
-// checkPeer panics on a partner that is not another rank of the world. The
-// point-to-point calls check on the rank's own goroutine, before awaiting;
-// a collective computes its partners modulo the world size.
-func (r *Rank) checkPeer(peer int) {
-	if peer == r.ID || peer < 0 || peer >= r.Size() {
-		panic(fmt.Sprintf("mpi: rank %d names invalid partner %d", r.ID, peer))
-	}
+	sizes    [][]int // the all-to-alls
+	blocks   []int   // the ring allgather
+	sync     bool    // all its message time is synchronization
+	sparse   bool    // the CMPI flood skips what moves nothing
+	t0       float64 // a CMPI Sync's start
 }
 
 // add appends a primitive to the round being planned.
@@ -139,8 +134,8 @@ func (r *Rank) await(segs ...segment) {
 	c := &r.call
 	c.nseg = copy(c.segs[:], segs)
 	r.P.Await(c)
-	c.segs = [2]segment{} // keep none of the caller's slices
-	c.n, c.pc, c.st, c.nseg, c.seg, c.round = 0, 0, 0, 0, 0, 0
+	clear(c.segs[:c.nseg]) // keep none of the caller's slices
+	c.n, c.pc, c.st, c.nseg, c.seg, c.round, c.sync = 0, 0, 0, 0, 0, 0, false
 	if err := c.fail; err != nil {
 		c.fail = nil
 		panic(err)
@@ -178,12 +173,13 @@ func (c *call) Step(*sim.Proc) bool {
 	}
 }
 
-// next plans the following round of the call's segments and reports
-// whether there is one.
+// next plans the following round of the call's segments, under the
+// segment's classification, and reports whether there is one.
 func (c *call) next() bool {
 	c.n, c.pc = 0, 0
 	for ; c.seg < c.nseg; c.seg, c.round = c.seg+1, 0 {
 		s := &c.segs[c.seg]
+		c.sync = s.sync
 		if s.rounds(c.r, s, c.round) {
 			c.round++
 			return true
@@ -196,7 +192,8 @@ func (c *call) next() bool {
 func (c *call) Name() string { return c.r.P.Name() }
 
 // crashed records an injected crash that has taken effect as the call's
-// failure — the step form of checkCrash — and reports whether it did.
+// failure, which the rank raises as a *CrashError, and reports whether it
+// did. Other ranks notice the loss through their watchdogs.
 func (c *call) crashed() bool {
 	if c.r.crashed {
 		c.fail = &CrashError{Rank: c.r.ID, At: c.r.Now()}
@@ -254,7 +251,7 @@ func (c *call) send(pr *prim) bool {
 	r.W.observeMsg(pr.bytes)
 	r.chargeMsg(r.Now()-c.t0, false)
 	kind := trace.KindSend
-	if r.SyncClass {
+	if c.sync {
 		kind = trace.KindSync
 	}
 	r.traceEvent(kind, "send", c.t0)
@@ -279,14 +276,14 @@ func (c *call) isend(pr *prim) bool {
 	r.W.M.Env.StartStep(&t.sendP, t)
 	r.acct.BytesSent += int64(pr.bytes)
 	r.W.observeMsg(pr.bytes)
-	c.req = t
+	c.reqs = append(c.reqs, t)
 	return true
 }
 
-// wait finishes once the payload of the latest isend has left, and
-// releases the transfer.
+// wait finishes once the payload of the oldest isend not yet waited for
+// has left, and releases the transfer.
 func (c *call) wait() bool {
-	r, t := c.r, c.req
+	r, t := c.r, c.reqs[0]
 	if c.st == 0 {
 		c.t0, c.wds, c.st = r.Now(), wdState{}, 1
 	} else if !c.woken(&t.waiter) {
@@ -302,7 +299,7 @@ func (c *call) wait() bool {
 		return c.failWith(&TimeoutError{Rank: r.ID, Partner: t.msg.dst, Op: "send-rendezvous", At: r.Now(), Since: c.t0})
 	}
 	r.chargeMsg(r.Now()-c.t0, false)
-	c.req = nil
+	c.reqs = c.reqs[:copy(c.reqs, c.reqs[1:])]
 	t.release()
 	return true
 }
@@ -385,7 +382,7 @@ func (c *call) recv(pr *prim) bool {
 				r.traceEvent(trace.KindSync, "wait", c.t0)
 			}
 			kind := trace.KindRecv
-			if r.SyncClass {
+			if c.sync {
 				kind = trace.KindSync
 			}
 			r.traceEvent(kind, "recv", c.tMatch)
@@ -394,8 +391,8 @@ func (c *call) recv(pr *prim) bool {
 	}
 }
 
-// compute is a reduce merge: d seconds of computation, scaled by a
-// straggler fault in effect at its start, as Rank.Compute.
+// compute is d seconds of computation, scaled by a straggler fault in
+// effect at its start: Rank.Compute, or a reduce merge.
 func (c *call) compute(pr *prim) bool {
 	r := c.r
 	if c.crashed() {
@@ -741,40 +738,4 @@ func (r *Rank) remove(msg *message) {
 		}
 	}
 	panic("mpi: removing message not in inbox")
-}
-
-// Recv blocks until a message from src with tag is delivered and returns
-// its size.
-func (r *Rank) Recv(src, tag int) int {
-	r.checkPeer(src)
-	r.add(primRecv, src, tag, 0)
-	r.await()
-	return r.call.got
-}
-
-// Request is the handle of a non-blocking send: its transfer. It is waited
-// on at most once, by the rank that started it, and is invalid once Wait
-// returns: its transfer then carries a later message.
-type Request transfer
-
-// Isend starts a non-blocking send and returns once its per-message host
-// overhead is paid; Wait blocks until the payload has left.
-func (r *Rank) Isend(dst, tag, bytes int) *Request {
-	r.checkPeer(dst)
-	r.add(primIsend, dst, tag, bytes)
-	r.await()
-	return (*Request)(r.call.req)
-}
-
-// Wait blocks until the payload of the send has left and returns its size.
-func (r *Rank) Wait(req *Request) int {
-	t := (*transfer)(req)
-	if t.r != r {
-		panic("mpi: waiting on another rank's request")
-	}
-	bytes := t.msg.bytes // read before the wait releases t
-	r.call.req = t
-	r.add(primWait, 0, 0, 0)
-	r.await()
-	return bytes
 }

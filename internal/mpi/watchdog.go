@@ -113,13 +113,3 @@ func (w *World) parkOutcome(p *sim.Proc, s *wdState) bool {
 func (s *wdState) timeout(r *Rank, op string, partner int) *TimeoutError {
 	return &TimeoutError{Rank: r.ID, Partner: partner, Op: op, At: r.Now(), Since: s.t0}
 }
-
-// checkCrash aborts the rank with a *CrashError once an injected crash has
-// taken effect. The panic unwinds the rank's function and is converted to
-// a typed error by Run; other ranks notice the loss through their
-// watchdogs.
-func (r *Rank) checkCrash() {
-	if r.crashed {
-		panic(&CrashError{Rank: r.ID, At: r.Now()})
-	}
-}

@@ -45,11 +45,20 @@ const (
 	// layer (split non-blocking calls, ring collectives, synchronization
 	// by repeated 1-byte neighbour exchanges).
 	MiddlewareCMPI
+	// MiddlewareModern is raw MPI with the post-2004 collective
+	// algorithms (recursive-doubling allreduce, ring allgather) in place
+	// of the MPICH-1-era ones — the ablation that asks how much of the
+	// scalability loss was library algorithms rather than network
+	// hardware.
+	MiddlewareModern
 )
 
 func (m MiddlewareKind) String() string {
-	if m == MiddlewareCMPI {
+	switch m {
+	case MiddlewareCMPI:
 		return "CMPI"
+	case MiddlewareModern:
+		return "MPI-modern"
 	}
 	return "MPI"
 }
@@ -68,12 +77,6 @@ type Config struct {
 	// the rank count against the decomposition's tiling constraints and
 	// returns a *DecompError when it cannot tile.
 	Decomp DecompKind
-
-	// ModernCollectives replaces the MPICH-1-era algorithms with the
-	// post-2004 ones (recursive-doubling allreduce, ring allgather) — the
-	// ablation that asks how much of the scalability loss was library
-	// algorithms rather than network hardware. MPI middleware only.
-	ModernCollectives bool
 
 	// Tracer, when non-nil, keeps every compute/communication interval of
 	// every rank plus the labelled classic/PME phase lanes, for timeline
@@ -221,7 +224,7 @@ func (r *Result) PhaseTotals() (classic, pme PhaseSample) {
 }
 
 // comms is the middleware abstraction the engine drives; *mpi.Rank (the
-// raw MPI collectives) and *cmpi.Middleware both satisfy it.
+// raw MPI collectives) and mpi.CMPI both satisfy it.
 type comms interface {
 	Allreduce(bytes int, reduceOp float64)
 	Allgatherv(blocks []int)

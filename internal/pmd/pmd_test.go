@@ -300,7 +300,7 @@ func TestModernCollectivesPreservePhysics(t *testing.T) {
 	base := runParallel(t, sys, 4, 3, MiddlewareMPI, netmodel.TCPGigE())
 	res, err := Run(clusterCfg(4, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), Config{
 		System: sys, MD: testMDConfig(), Steps: 3,
-		Middleware: MiddlewareMPI, ModernCollectives: true,
+		Middleware: MiddlewareModern,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -36,32 +36,31 @@ type runGoldenCase struct {
 
 func runGoldenCases() []runGoldenCase {
 	var out []runGoldenCase
-	base := func(decomp DecompKind, mw MiddlewareKind, modern bool) Config {
-		return Config{Decomp: decomp, Middleware: mw, ModernCollectives: modern}
+	base := func(decomp DecompKind, mw MiddlewareKind) Config {
+		return Config{Decomp: decomp, Middleware: mw}
 	}
 	for _, p := range []int{1, 2, 3, 5, 8} {
 		for _, v := range []struct {
-			tag    string
-			mw     MiddlewareKind
-			modern bool
-		}{{"mpi", MiddlewareMPI, false}, {"cmpi", MiddlewareCMPI, false}, {"modern", MiddlewareMPI, true}} {
+			tag string
+			mw  MiddlewareKind
+		}{{"mpi", MiddlewareMPI}, {"cmpi", MiddlewareCMPI}, {"modern", MiddlewareModern}} {
 			out = append(out, runGoldenCase{
 				name: fmt.Sprintf("replicated/%s/p%d", v.tag, p), p: p, steps: 8,
-				cfg: base(DecompReplicated, v.mw, v.modern),
+				cfg: base(DecompReplicated, v.mw),
 			})
 		}
 	}
 	for _, p := range []int{4, 8} {
 		out = append(out, runGoldenCase{
 			name: fmt.Sprintf("domain/mpi/p%d", p), p: p, steps: 8,
-			cfg: base(DecompDomain, MiddlewareMPI, false),
+			cfg: base(DecompDomain, MiddlewareMPI),
 		})
 	}
 	// The workload of the pair-list cache's generation test: three list
 	// rebuilds in 20 steps.
 	out = append(out, runGoldenCase{
 		name: "replicated/mpi/p2/rebuilds", p: 2, steps: 20,
-		cfg: base(DecompReplicated, MiddlewareMPI, false),
+		cfg: base(DecompReplicated, MiddlewareMPI),
 	})
 	return out
 }

@@ -19,20 +19,19 @@ func tapeMD() md.Config {
 	return cfg
 }
 
-// tapeRun runs sys under one decomposition, network, middleware and
-// collective flavour at p ranks with the given tape.
+// tapeRun runs sys under one decomposition, network and middleware at p
+// ranks with the given tape.
 func tapeRun(t *testing.T, sys *topol.System, decomp DecompKind, p, steps int, net netmodel.Params,
-	mw MiddlewareKind, modern bool, workers int, tape *Tape) *Result {
+	mw MiddlewareKind, workers int, tape *Tape) *Result {
 	t.Helper()
 	res, err := Run(clusterCfg(p, 1, net), cluster.PentiumIII1GHz(), Config{
-		System:            sys,
-		MD:                tapeMD(),
-		Steps:             steps,
-		Middleware:        mw,
-		ModernCollectives: modern,
-		Decomp:            decomp,
-		HostWorkers:       workers,
-		Tape:              tape,
+		System:      sys,
+		MD:          tapeMD(),
+		Steps:       steps,
+		Middleware:  mw,
+		Decomp:      decomp,
+		HostWorkers: workers,
+		Tape:        tape,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -52,10 +51,7 @@ func tapeRun(t *testing.T, sys *topol.System, decomp DecompKind, p, steps int, n
 func TestDomainTapeReplayMatches(t *testing.T) {
 	sys := testSystem(100, 24, 1)
 	const steps = 3
-	flavours := []struct {
-		mw     MiddlewareKind
-		modern bool
-	}{{MiddlewareMPI, false}, {MiddlewareCMPI, false}, {MiddlewareMPI, true}}
+	flavours := []MiddlewareKind{MiddlewareMPI, MiddlewareCMPI, MiddlewareModern}
 	for _, p := range []int{16, 64} {
 		recorders := []DecompKind{DecompDomain, DecompReplicated}
 		if p == 64 {
@@ -64,21 +60,21 @@ func TestDomainTapeReplayMatches(t *testing.T) {
 		tapes := make([]*Tape, len(recorders))
 		for i, decomp := range recorders {
 			tapes[i] = NewTape()
-			tapeRun(t, sys, decomp, p, steps, netmodel.TCPGigE(), MiddlewareMPI, false, 1, tapes[i])
+			tapeRun(t, sys, decomp, p, steps, netmodel.TCPGigE(), MiddlewareMPI, 1, tapes[i])
 			if !tapes[i].Complete() || len(tapes[i].snaps) != steps+1 {
 				t.Fatalf("p=%d %v: recording left complete=%v with %d snapshots", p, decomp, tapes[i].Complete(), len(tapes[i].snaps))
 			}
 		}
 		for _, net := range netmodel.All() {
-			for _, f := range flavours {
-				if p == 64 && f.mw == MiddlewareCMPI {
+			for _, mw := range flavours {
+				if p == 64 && mw == MiddlewareCMPI {
 					continue
 				}
-				fresh := tapeRun(t, sys, DecompDomain, p, steps, net, f.mw, f.modern, 1, nil)
+				fresh := tapeRun(t, sys, DecompDomain, p, steps, net, mw, 1, nil)
 				for i, tape := range tapes {
 					for _, workers := range []int{1, 4} {
-						got := tapeRun(t, sys, DecompDomain, p, steps, net, f.mw, f.modern, workers, tape)
-						mustEqualResults(t, fmt.Sprintf("p=%d %v tape %s %v modern=%t workers=%d", p, recorders[i], net.Name, f.mw, f.modern, workers), fresh, got)
+						got := tapeRun(t, sys, DecompDomain, p, steps, net, mw, workers, tape)
+						mustEqualResults(t, fmt.Sprintf("p=%d %v tape %s %v workers=%d", p, recorders[i], net.Name, mw, workers), fresh, got)
 					}
 				}
 			}
@@ -106,7 +102,7 @@ func TestTapeServesBothDecompositions(t *testing.T) {
 			{DecompReplicated, DecompDomain},
 		} {
 			tape := NewTape()
-			tapeRun(t, sys, tc.recorded, p, 3, netmodel.TCPGigE(), MiddlewareMPI, false, 1, tape)
+			tapeRun(t, sys, tc.recorded, p, 3, netmodel.TCPGigE(), MiddlewareMPI, 1, tape)
 			got := make([]*Result, len(nets))
 			errs := make([]error, len(nets))
 			var wg sync.WaitGroup
@@ -124,7 +120,7 @@ func TestTapeServesBothDecompositions(t *testing.T) {
 				if errs[i] != nil {
 					t.Fatalf("%s: %v", label, errs[i])
 				}
-				mustEqualResults(t, label, tapeRun(t, sys, tc.run, p, 3, net, MiddlewareMPI, false, 1, nil), got[i])
+				mustEqualResults(t, label, tapeRun(t, sys, tc.run, p, 3, net, MiddlewareMPI, 1, nil), got[i])
 			}
 			if !tape.Complete() || !tape.snaps[2].rebuilt {
 				t.Fatalf("p=%d %v tape: complete=%v, rebuilt at step 1=%v", p, tc.recorded, tape.Complete(), tape.snaps[2].rebuilt)
@@ -139,10 +135,10 @@ func TestDomainTapeShapeMismatchIgnored(t *testing.T) {
 	sys := testSystem(100, 24, 1)
 	tcp := netmodel.TCPGigE()
 	tape := NewTape()
-	tapeRun(t, sys, DecompDomain, 4, 3, tcp, MiddlewareMPI, false, 1, tape)
+	tapeRun(t, sys, DecompDomain, 4, 3, tcp, MiddlewareMPI, 1, tape)
 	for _, shape := range []struct{ p, steps int }{{4, 2}, {2, 3}} {
-		want := tapeRun(t, sys, DecompDomain, shape.p, shape.steps, tcp, MiddlewareMPI, false, 1, nil)
-		got := tapeRun(t, sys, DecompDomain, shape.p, shape.steps, tcp, MiddlewareMPI, false, 1, tape)
+		want := tapeRun(t, sys, DecompDomain, shape.p, shape.steps, tcp, MiddlewareMPI, 1, nil)
+		got := tapeRun(t, sys, DecompDomain, shape.p, shape.steps, tcp, MiddlewareMPI, 1, tape)
 		mustEqualResults(t, fmt.Sprintf("p=%d steps=%d", shape.p, shape.steps), want, got)
 		if tape.p != 4 || tape.steps != 3 || len(tape.snaps) != 4 {
 			t.Fatalf("tape clobbered: p=%d steps=%d snapshots=%d", tape.p, tape.steps, len(tape.snaps))

@@ -3,7 +3,6 @@ package pmd
 import (
 	"fmt"
 
-	"repro/internal/cmpi"
 	"repro/internal/fft"
 	"repro/internal/kernels"
 	"repro/internal/md"
@@ -120,10 +119,10 @@ type worker struct {
 
 func newWorker(r *mpi.Rank, cfg Config, sh *shared) *worker {
 	w := &worker{r: r, cfg: cfg, sh: sh, p: r.Size()}
-	switch {
-	case cfg.Middleware == MiddlewareCMPI:
-		w.c = cmpi.New(r)
-	case cfg.ModernCollectives:
+	switch cfg.Middleware {
+	case MiddlewareCMPI:
+		w.c = r.CMPI()
+	case MiddlewareModern:
 		w.c = mpiModernComms{r: r}
 	default:
 		w.c = r

@@ -39,7 +39,7 @@ type Stepper interface {
 	// wakeup — WakeIn, ParkStep, ParkTimeoutStep, or a Resource.AcquireStep
 	// that reported false — immediately before returning false. Step runs
 	// on an arbitrary process's goroutine: it must not block, call the
-	// goroutine-style methods (Advance, Yield, ...) or panic.
+	// goroutine-style methods (Yield, Await) or panic.
 	Step(p *Proc) (done bool)
 	// Name labels the process in the deadlock report. It is called only
 	// when a report is rendered, never on the event path.
@@ -268,9 +268,8 @@ func (e *Env) switchTo(p *Proc) {
 
 // Yield blocks a goroutine process until the wakeup it has just scheduled
 // with WakeIn, ParkStep, ParkTimeoutStep or a Resource.AcquireStep that
-// reported false: Advance is WakeIn followed by Yield. The yielding
-// goroutine dispatches the following events itself; when the next one is
-// its own it simply continues.
+// reported false. The yielding goroutine dispatches the following events
+// itself; when the next one is its own it simply continues.
 func (p *Proc) Yield() {
 	if p.killed {
 		runtime.Goexit() // a deferred call of a released process tried to block
@@ -291,8 +290,11 @@ func (p *Proc) Yield() {
 // a goroutine process. The first Step runs here; every later wakeup is
 // stepped inline by whichever goroutine is dispatching, as for a callback
 // process, and only the Step that reports done resumes the goroutine. The
-// pop sequence is the one the same call gets written with Advance,
-// ParkStep and Yield; the goroutine switches drop to at most one per call.
+// pop sequence is the one the same call gets written with WakeIn, ParkStep
+// and Yield; the goroutine switches drop to at most one per call. The
+// goroutine resumes at the pop of the Step that finished the call, so a
+// next call takes its first step at that pop: a sequence of calls and one
+// call stepping through the same sequence pop the same events.
 func (p *Proc) Await(body Stepper) {
 	if body.Step(p) {
 		return
@@ -345,13 +347,6 @@ func (p *Proc) WakeIn(d float64) {
 	p.wakeAt = p.env.now + d
 	p.seq = p.env.nextSeq()
 	p.env.queue.push(p, p.env.now)
-}
-
-// Advance blocks the process for d seconds of virtual time. d must be
-// non-negative.
-func (p *Proc) Advance(d float64) {
-	p.WakeIn(d)
-	p.Yield()
 }
 
 // ParkStep marks the process parked until another process calls Unpark on

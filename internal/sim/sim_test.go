@@ -6,6 +6,13 @@ import (
 	"testing/quick"
 )
 
+// Advance blocks the process for d seconds of virtual time, the plain
+// blocking form the tests write their goroutine processes in.
+func (p *Proc) Advance(d float64) {
+	p.WakeIn(d)
+	p.Yield()
+}
+
 func TestSingleProcAdvance(t *testing.T) {
 	env := NewEnv()
 	var times []float64
