@@ -29,12 +29,12 @@ func NewRealPlan(n int) *RealPlan {
 	return p
 }
 
-// forwardLines computes the half spectra of count adjacent strided real
+// ForwardLines computes the half spectra of count adjacent strided real
 // lines: line c is x[base+c+j·stride], j = 0..n−1, and its spectrum goes
 // to spec[base+c+k·stride], k = 0..n/2. Even and odd samples load as the
 // real and imaginary parts of the half-length complex transform; the
 // untangling pass is its store.
-func (p *RealPlan) forwardLines(x []float64, spec []complex128, base, stride, count int) {
+func (p *RealPlan) ForwardLines(x []float64, spec []complex128, base, stride, count int) {
 	m := p.n / 2
 	for c0 := 0; c0 < count; c0 += lineBlock {
 		width := min(lineBlock, count-c0)
@@ -70,10 +70,10 @@ func (p *RealPlan) forwardLines(x []float64, spec []complex128, base, stride, co
 	}
 }
 
-// inverseLines is forwardLines' mirror: the re-tangling pass is the load
-// (conjugated, as the inverse of the half transform wants it) and the
-// 1/(n/2) scale rides on the store.
-func (p *RealPlan) inverseLines(spec []complex128, x []float64, base, stride, count int) {
+// InverseLines is ForwardLines' mirror, the 1/n normalization included:
+// the re-tangling pass is the load (conjugated, as the inverse of the half
+// transform wants it) and the 1/(n/2) scale rides on the store.
+func (p *RealPlan) InverseLines(spec []complex128, x []float64, base, stride, count int) {
 	m := p.n / 2
 	scale := 1 / float64(m)
 	for c0 := 0; c0 < count; c0 += lineBlock {

@@ -100,13 +100,13 @@ func (p *RealPlan3D) SetPool(pool *kernels.Pool) {
 	p.fwdLines = func(s int) {
 		rpx := p.shards[s].rpx
 		for j0 := s * lineBlock; j0 < planeLen; j0 += lineStep {
-			rpx.forwardLines(p.cx, p.cspec, j0, planeLen, min(lineBlock, planeLen-j0))
+			rpx.ForwardLines(p.cx, p.cspec, j0, planeLen, min(lineBlock, planeLen-j0))
 		}
 	}
 	p.invLines = func(s int) {
 		rpx := p.shards[s].rpx
 		for j0 := s * lineBlock; j0 < planeLen; j0 += lineStep {
-			rpx.inverseLines(p.cspec, p.cx, j0, planeLen, min(lineBlock, planeLen-j0))
+			rpx.InverseLines(p.cspec, p.cx, j0, planeLen, min(lineBlock, planeLen-j0))
 		}
 	}
 	p.fwdPlanes = func(s int) {
@@ -152,7 +152,7 @@ func (p *RealPlan3D) Forward(x []float64, spec []complex128) {
 	}
 	// Real transforms along x, then complex transforms over the stored
 	// (contiguous) y×z planes.
-	p.rpx.forwardLines(x, spec, 0, planeLen, planeLen)
+	p.rpx.ForwardLines(x, spec, 0, planeLen, planeLen)
 	for ix := 0; ix < p.hx; ix++ {
 		p.plane.Forward(spec[ix*planeLen : (ix+1)*planeLen])
 	}
@@ -177,5 +177,5 @@ func (p *RealPlan3D) Inverse(spec []complex128, x []float64) {
 	for ix := 0; ix < p.hx; ix++ {
 		p.plane.Inverse(spec[ix*planeLen : (ix+1)*planeLen])
 	}
-	p.rpx.inverseLines(spec, x, 0, planeLen, planeLen)
+	p.rpx.InverseLines(spec, x, 0, planeLen, planeLen)
 }

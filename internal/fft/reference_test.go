@@ -179,7 +179,7 @@ func (p *RealPlan) Forward(x []float64, spec []complex128) {
 	if len(x) != p.n || len(spec) != p.n/2+1 {
 		panic(fmt.Sprintf("fft: real forward lengths %d/%d for n=%d", len(x), len(spec), p.n))
 	}
-	p.forwardLines(x, spec, 0, 1, 1)
+	p.ForwardLines(x, spec, 0, 1, 1)
 }
 
 // Inverse reconstructs the real sequence from its half spectrum,
@@ -190,7 +190,7 @@ func (p *RealPlan) Inverse(spec []complex128, x []float64) {
 	if len(x) != p.n || len(spec) != p.n/2+1 {
 		panic(fmt.Sprintf("fft: real inverse lengths %d/%d for n=%d", len(spec), len(x), p.n))
 	}
-	p.inverseLines(spec, x, 0, 1, 1)
+	p.InverseLines(spec, x, 0, 1, 1)
 }
 
 // NaiveDFT computes the forward DFT by the O(n²) definition. It is the

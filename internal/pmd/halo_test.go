@@ -2,12 +2,15 @@ package pmd
 
 import (
 	"math"
+	"math/cmplx"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/ewald"
 	"repro/internal/ff"
+	"repro/internal/fft"
 	"repro/internal/md"
 	"repro/internal/space"
 	"repro/internal/topol"
@@ -326,6 +329,214 @@ func haloOracle(t *testing.T, c *canonical, st *canonState, ep *epochData) {
 	} {
 		if math.Abs(e.got-e.want) > 1e-10*math.Abs(e.want) {
 			t.Fatalf("p=%d gen %d: %s energy %.17g, full arrays %.17g", p, st.listGen, e.name, e.got, e.want)
+		}
+	}
+}
+
+// TestDomainPencilFFTOracle executes the pencil FFT the domain pipeline
+// charges: one 3-D FFT of the paper's 80×36×48 mesh and its inverse,
+// through the pencil blocks of every rank count up to 64 that
+// ValidateDecomp accepts and of 256 and 1024. Stage-1 pencil q = (a, b)
+// r2c-transforms the x-lines of yOff2[a] × zOff3[b]; transpose 1 hands
+// each pencil the xsOff[a] × zOff3[b] y-lines it transforms next,
+// transpose 2 the xsOff[a] × ysOff[b] z-lines, and the inverse goes back
+// the same way. A transpose copies the overlap of what each pencil holds
+// with what each pencil reads, so the pairs that exchange nothing are
+// found, not assumed. The gathered spectrum must equal RealPlan3D's to
+// 1e-12 relative and the round trip the input, the bytes each pair copied
+// must equal the size matrices the transposes charge, zeros included,
+// and the lines each rank transformed the counts it charges FFTOps for.
+func TestDomainPencilFFTOracle(t *testing.T) {
+	mdc := paperMD()
+	k1, k2, k3 := mdc.PME.K1, mdc.PME.K2, mdc.PME.K3
+	rng := rand.New(rand.NewSource(1))
+	grid := make([]float64, k1*k2*k3)
+	for i := range grid {
+		grid[i] = rng.Float64() - 0.5
+	}
+	plan, err := fft.NewRealPlan3D(k1, k2, k3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]complex128, plan.SpectrumLen())
+	plan.Forward(grid, want)
+	var ps []int
+	for p := 1; p <= 64; p++ {
+		if ValidateDecomp(DecompDomain, p, mdc.PME) == nil {
+			ps = append(ps, p)
+		}
+	}
+	for _, p := range append(ps, 256, 1024) {
+		if err := ValidateDecomp(DecompDomain, p, mdc.PME); err != nil {
+			t.Fatal(err)
+		}
+		pencilOracle(t, newDomainGeometry(p, Config{System: paperSystem(), MD: mdc}), mdc.PME, grid, want)
+	}
+}
+
+// block is a box of mesh indices, [lo, hi) along x (or kx), y (or ky) and
+// z, stored row-major.
+type block struct{ lo, hi [3]int }
+
+func (b block) n(d int) int { return b.hi[d] - b.lo[d] }
+func (b block) size() int   { return b.n(0) * b.n(1) * b.n(2) }
+func (b block) at(i, j, k int) int {
+	return ((i-b.lo[0])*b.n(1)+j-b.lo[1])*b.n(2) + k - b.lo[2]
+}
+
+// transpose gives each pencil q2 its to-block, copied from the from-blocks
+// that overlap it, and returns the bytes each pair q ≠ q2 copied.
+func transpose(t *testing.T, from, to []block, data [][]complex128) ([][]complex128, [][]int) {
+	t.Helper()
+	out, moved := make([][]complex128, len(to)), zeroMatrix(len(to))
+	for q2, dst := range to {
+		out[q2] = make([]complex128, dst.size())
+		filled := 0
+		for q, src := range from {
+			var ov block
+			for d := range 3 {
+				ov.lo[d], ov.hi[d] = max(src.lo[d], dst.lo[d]), min(src.hi[d], dst.hi[d])
+			}
+			if ov.n(0) <= 0 || ov.n(1) <= 0 || ov.n(2) <= 0 {
+				continue
+			}
+			for i := ov.lo[0]; i < ov.hi[0]; i++ {
+				for j := ov.lo[1]; j < ov.hi[1]; j++ {
+					s, d := src.at(i, j, ov.lo[2]), dst.at(i, j, ov.lo[2])
+					copy(out[q2][d:d+ov.n(2)], data[q][s:s+ov.n(2)])
+				}
+			}
+			filled += ov.size()
+			if q != q2 {
+				moved[q][q2] += bytesPerPoint * ov.size()
+			}
+		}
+		if filled != dst.size() {
+			t.Fatalf("pencil %d assembled %d of its %d points", q2, filled, dst.size())
+		}
+	}
+	return out, moved
+}
+
+// pencilOracle runs TestDomainPencilFFTOracle at geo's rank count.
+func pencilOracle(t *testing.T, geo *domainGeometry, pme md.PMEConfig, grid []float64, want []complex128) {
+	t.Helper()
+	p, k1, k2, k3, h1 := geo.p, pme.K1, pme.K2, pme.K3, geo.h1
+	rx, py, pz := fft.NewRealPlan(k1), fft.NewPlan(k2), fft.NewPlan(k3)
+	s1, s2, s3 := make([]block, p), make([]block, p), make([]block, p)
+	lines := make([][3]int, p) // per stage, forward and inverse
+	data := make([][]complex128, p)
+	for q := range p {
+		a, b := q/geo.p3, q%geo.p3
+		s1[q] = block{[3]int{0, geo.yOff2[a], geo.zOff3[b]}, [3]int{h1, geo.yOff2[a+1], geo.zOff3[b+1]}}
+		s2[q] = block{[3]int{geo.xsOff[a], 0, geo.zOff3[b]}, [3]int{geo.xsOff[a+1], k2, geo.zOff3[b+1]}}
+		s3[q] = block{[3]int{geo.xsOff[a], geo.ysOff[b], 0}, [3]int{geo.xsOff[a+1], geo.ysOff[b+1], k3}}
+
+		// Stage 1: the pencil's real x-lines, r2c.
+		plane := s1[q].n(1) * s1[q].n(2)
+		x := make([]float64, k1*plane)
+		for i := range k1 {
+			for j := s1[q].lo[1]; j < s1[q].hi[1]; j++ {
+				for k := s1[q].lo[2]; k < s1[q].hi[2]; k++ {
+					x[s1[q].at(i, j, k)] = grid[(i*k2+j)*k3+k]
+				}
+			}
+		}
+		data[q] = make([]complex128, s1[q].size())
+		rx.ForwardLines(x, data[q], 0, plane, plane)
+		lines[q][0] += plane
+	}
+	// yLines and zLines transform a pencil's y- or z-lines in place and
+	// count them.
+	yLines := func(q int, inverse bool) {
+		b, n := s2[q], s2[q].n(2)
+		for i := range b.n(0) {
+			if inverse {
+				py.InverseLines(data[q], i*k2*n, n, n)
+			} else {
+				py.ForwardLines(data[q], i*k2*n, n, n)
+			}
+		}
+		lines[q][1] += b.n(0) * n
+	}
+	zLines := func(q int, inverse bool) {
+		for l := range s3[q].size() / k3 {
+			if inverse {
+				pz.InverseLines(data[q], l*k3, 1, 1)
+			} else {
+				pz.ForwardLines(data[q], l*k3, 1, 1)
+			}
+			lines[q][2]++
+		}
+	}
+
+	var t1f, t2f, t2b, t1b [][]int
+	data, t1f = transpose(t, s1, s2, data)
+	for q := range p {
+		yLines(q, false)
+	}
+	data, t2f = transpose(t, s2, s3, data)
+	got := make([]complex128, len(want))
+	for q := range p {
+		zLines(q, false)
+		b := s3[q]
+		for i := b.lo[0]; i < b.hi[0]; i++ {
+			for j := b.lo[1]; j < b.hi[1]; j++ {
+				copy(got[(i*k2+j)*k3:][:k3], data[q][b.at(i, j, 0):][:k3])
+			}
+		}
+		zLines(q, true)
+	}
+	data, t2b = transpose(t, s3, s2, data)
+	for q := range p {
+		yLines(q, true)
+	}
+	data, t1b = transpose(t, s2, s1, data)
+	back := make([]float64, len(grid))
+	for q := range p {
+		plane := s1[q].n(1) * s1[q].n(2)
+		x := make([]float64, k1*plane)
+		rx.InverseLines(data[q], x, 0, plane, plane)
+		lines[q][0] += plane
+		for i := range k1 {
+			for j := s1[q].lo[1]; j < s1[q].hi[1]; j++ {
+				for k := s1[q].lo[2]; k < s1[q].hi[2]; k++ {
+					back[(i*k2+j)*k3+k] = x[s1[q].at(i, j, k)]
+				}
+			}
+		}
+	}
+
+	var dSpec, sSpec, dGrid, sGrid float64
+	for i, w := range want {
+		dSpec, sSpec = max(dSpec, cmplx.Abs(got[i]-w)), max(sSpec, cmplx.Abs(w))
+	}
+	for i, g := range grid {
+		dGrid, sGrid = max(dGrid, math.Abs(back[i]-g)), max(sGrid, math.Abs(g))
+	}
+	if dSpec > 1e-12*sSpec || dGrid > 1e-12*sGrid {
+		t.Fatalf("p=%d: spectrum off by %g of %g, round trip by %g of %g", p, dSpec, sSpec, dGrid, sGrid)
+	}
+	for _, m := range []struct {
+		name          string
+		moved, charge [][]int
+	}{{"T1F", t1f, geo.sizesT1F}, {"T2F", t2f, geo.sizesT2F}, {"T2B", t2b, geo.sizesT2B}, {"T1B", t1b, geo.sizesT1B}} {
+		for q := range p {
+			for q2 := range p {
+				if m.moved[q][q2] != m.charge[q][q2] {
+					t.Fatalf("p=%d %s: pencil %d copied %d bytes to %d, the transpose charges %d",
+						p, m.name, q, m.moved[q][q2], q2, m.charge[q][q2])
+				}
+			}
+		}
+	}
+	// forces charges each stage's lines forward and inverse.
+	for q := range p {
+		a, b := q/geo.p3, q%geo.p3
+		xsW, yW2 := geo.xsOff[a+1]-geo.xsOff[a], geo.yOff2[a+1]-geo.yOff2[a]
+		ysW, zW3 := geo.ysOff[b+1]-geo.ysOff[b], geo.zOff3[b+1]-geo.zOff3[b]
+		if charged := [3]int{2 * yW2 * zW3, 2 * xsW * zW3, 2 * xsW * ysW}; lines[q] != charged {
+			t.Fatalf("p=%d: pencil %d transformed %v x-, y- and z-lines, the pipeline charges %v", p, q, lines[q], charged)
 		}
 	}
 }
