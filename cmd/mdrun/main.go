@@ -2,7 +2,7 @@
 // and prints an energy trace — the physical baseline of the study. It can
 // persist a checksummed checkpoint ring (-ckpt-dir) so a killed run
 // restarts from the newest valid checkpoint, and run under the numeric
-// guardrails (-guard) with exact-kernel fallback on a trip.
+// guardrails (-guard), which stop the run at the first step that trips.
 //
 // Usage:
 //
@@ -46,10 +46,8 @@ func main() {
 	app.CkptRingFlags("durable checkpoint ring directory (resumes a killed run found there)", "checkpoint ring depth (0 = default)", false)
 	app.CkptEveryFlag(10, 1, "checkpoint interval in steps")
 	guardOn := flag.Bool("guard", false, "enable numeric guardrails (NaN/Inf + energy drift)")
-	guardPolicy := flag.String("guard-policy", "fallback", "on a guard trip: fallback (redo step on exact kernels) or abort")
 	guardDrift := flag.Float64("guard-drift", 0, "energy-drift tolerance in kcal/mol (0 disables drift checks)")
 	guardWindow := flag.Int("guard-window", 0, "drift window in steps (0 = default)")
-	guardInject := flag.Int("guard-inject", 0, "force a synthetic guard trip at this step (test hook)")
 	app.ObsFlags()
 	app.KernelWorkersFlag("spread the physics kernels over this many host cores (0 and 1 run them inline; results identical for every value)")
 	app.SkinFlags("auto-tune the neighbour-list skin before the run (choice recorded in the manifest; replay it with -skin)")
@@ -69,6 +67,15 @@ func main() {
 	}
 	if *ranks < 1 {
 		app.Usagef("-ranks must be >= 1 (got %d)", *ranks)
+	}
+	if *guardDrift < 0 {
+		app.Usagef("-guard-drift must be >= 0 (got %g)", *guardDrift)
+	}
+	if *guardWindow < 0 {
+		app.Usagef("-guard-window must be >= 0 (got %d)", *guardWindow)
+	}
+	if !*guardOn && (*guardDrift != 0 || *guardWindow != 0) {
+		app.Usagef("-guard-drift and -guard-window need -guard")
 	}
 	if app.ProfileOut != "" && *ranks == 1 {
 		// Attribution needs the per-rank phase decomposition of the
@@ -98,16 +105,6 @@ func main() {
 		// the system.
 		app.Tiling(*ranks, md.PaperPME())
 	}
-	var policy guard.Policy
-	switch *guardPolicy {
-	case "fallback":
-		policy = guard.PolicyFallback
-	case "abort":
-		policy = guard.PolicyAbort
-	default:
-		app.Usagef("-guard-policy must be fallback or abort (got %q)", *guardPolicy)
-	}
-
 	reg := app.Reg
 	stepGauge := reg.Gauge("repro_run_step", "current MD step of the live run")
 	// The attribution profile is computed after the run; until then the
@@ -276,13 +273,10 @@ func main() {
 		return
 	}
 
-	mon := guard.NewMonitor(guard.Config{
-		Enabled:     *guardOn,
-		Policy:      policy,
-		DriftTol:    *guardDrift,
-		DriftWindow: *guardWindow,
-		InjectStep:  *guardInject,
-	}, cfg.FF.ExactKernels)
+	var mon *guard.Monitor
+	if *guardOn {
+		mon = guard.NewMonitor(guard.Config{DriftTol: *guardDrift, DriftWindow: *guardWindow})
+	}
 
 	var traj *os.File
 	if *xyz != "" {
@@ -299,8 +293,8 @@ func main() {
 	engine.ComputeForces(&wc, &wp)
 	for s := startStep + 1; s <= *steps; s++ {
 		stepGauge.Set(float64(s))
-		rep, err := engine.StepGuarded(mon, s, &wc, &wp)
-		if err != nil {
+		rep := engine.Step(&wc, &wp)
+		if err := mon.Check(s, engine.Frc, rep.Total()); err != nil {
 			app.Fail(err)
 		}
 		fmt.Printf("%6d %14.3f %14.3f %14.3f %14.3f %10.1f\n",
@@ -316,9 +310,6 @@ func main() {
 				app.Fail(fmt.Errorf("checkpoint: %w", err))
 			}
 		}
-	}
-	for _, ev := range mon.Events() {
-		fmt.Println(ev)
 	}
 	fmt.Printf("work: %d pair evals, %d list dist evals, %d FFT flops\n",
 		wc.PairEvals, wc.ListDistEvals, wp.FFTOps)

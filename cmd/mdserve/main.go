@@ -47,23 +47,18 @@ func main() {
 		drain      = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget before force-close")
 	)
 	app.KernelWorkersFlag("spread each job's physics kernels over this many host cores (0 and 1 run them inline; results identical for every value)")
-	flag.Parse()
-
-	die := func(args ...interface{}) {
-		fmt.Fprintln(os.Stderr, append([]interface{}{"mdserve:"}, args...)...)
-		os.Exit(1)
-	}
+	app.Parse(os.Args[1:])
 
 	tw := map[string]float64{}
 	if *weights != "" {
 		for _, pair := range strings.Split(*weights, ",") {
 			name, val, ok := strings.Cut(pair, "=")
 			if !ok {
-				die("bad -weights entry:", pair)
+				app.Usagef("bad -weights entry: %s", pair)
 			}
 			w, err := strconv.ParseFloat(val, 64)
 			if err != nil || w <= 0 {
-				die("bad -weights value:", pair)
+				app.Usagef("bad -weights value: %s", pair)
 			}
 			tw[name] = w
 		}
@@ -83,7 +78,7 @@ func main() {
 		Obs:             app.Reg,
 	})
 	if err != nil {
-		die(err)
+		app.Fail(err)
 	}
 	fmt.Printf("mdserve: listening on %s (state %s)\n", srv.Addr(), *state)
 
@@ -94,8 +89,7 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := srv.Close(ctx); err != nil {
-		fmt.Fprintln(os.Stderr, "mdserve: shutdown:", err)
-		os.Exit(1)
+		app.Fail(fmt.Errorf("shutdown: %w", err))
 	}
 	fmt.Println("mdserve: drained cleanly; journaled work resumes on restart")
 }

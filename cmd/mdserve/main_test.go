@@ -2,9 +2,12 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -13,19 +16,27 @@ import (
 	"time"
 )
 
+// build compiles the command into a temporary directory and returns the
+// directory and the binary.
+func build(t *testing.T) (dir, bin string) {
+	t.Helper()
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("no go toolchain in PATH")
+	}
+	dir = t.TempDir()
+	bin = filepath.Join(dir, "mdserve")
+	if out, err := exec.Command("go", "build", "-o", bin, "repro/cmd/mdserve").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return dir, bin
+}
+
 // TestServeSubmitFetchDrain builds the command and walks the quickstart of
 // its doc comment against the real process: listen on a picked port,
 // accept a run job, serve its result, answer the same spec from the store,
 // and drain cleanly on SIGINT.
 func TestServeSubmitFetchDrain(t *testing.T) {
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("no go toolchain in PATH")
-	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "mdserve")
-	if out, err := exec.Command("go", "build", "-o", bin, "repro/cmd/mdserve").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	dir, bin := build(t)
 	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-state", filepath.Join(dir, "state"), "-drain-timeout", "20s")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
@@ -101,5 +112,32 @@ func TestServeSubmitFetchDrain(t *testing.T) {
 	}
 	if n := len(rest); n == 0 || !strings.Contains(rest[n-1], "drained cleanly") {
 		t.Errorf("after SIGINT mdserve printed %q, want the clean-drain line last", rest)
+	}
+}
+
+// TestUsageErrorsExit2: a command line mdserve rejects exits 2 with the
+// reason on stderr, before it opens any state.
+func TestUsageErrorsExit2(t *testing.T) {
+	dir, bin := build(t)
+	for _, tc := range []struct{ args, want string }{
+		{"-kernel-workers -1", "mdserve: -kernel-workers must be >= 0 (got -1)\n"},
+		{"-weights alice", "mdserve: bad -weights entry: alice\n"},
+		{"-weights alice=0", "mdserve: bad -weights value: alice=0\n"},
+	} {
+		// A command line mdserve accepts would serve until killed.
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		cmd := exec.CommandContext(ctx, bin, append(strings.Fields(tc.args), "-addr", "127.0.0.1:0", "-state", filepath.Join(dir, "state"))...)
+		out, err := cmd.CombinedOutput()
+		var ee *exec.ExitError
+		if err != nil && !errors.As(err, &ee) {
+			t.Fatalf("mdserve %s: %v", tc.args, err)
+		}
+		if code := cmd.ProcessState.ExitCode(); code != 2 || string(out) != tc.want {
+			t.Errorf("mdserve %s: exit %d, output %q; want exit 2, %q", tc.args, code, out, tc.want)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "state")); !os.IsNotExist(err) {
+		t.Errorf("a rejected command line left a state directory behind (stat: %v)", err)
 	}
 }

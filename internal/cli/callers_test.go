@@ -16,6 +16,7 @@ var uncalledFuncs = map[string]string{
 	"fft.NewPlan3D":               "test oracle: ewald's complex reciprocal reference transforms through it, and the fft bits golden pins it",
 	"fft.Plan3D.Forward":          "test oracle: ewald's complex reciprocal reference transforms through it, and the fft bits golden pins it",
 	"fft.Plan3D.Inverse":          "test oracle: ewald's complex reciprocal reference transforms through it, and the fft bits golden pins it",
+	"ff.ForceField.Nonbonded":     "test oracle: the exact pair loop the table kernel is held to, and the ff bits golden pins it",
 	"vec.MaxNormDiff":             "comparator: the md and pmd tests measure force and trajectory differences with it",
 	"perf.Parse":                  "decoder: the profile tests read back what the encoders wrote",
 	"obs.LoadManifest":            "decoder: the manifest tests of obs, cmd/mdrun and benchmark read back what the runs wrote",

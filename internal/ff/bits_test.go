@@ -26,7 +26,7 @@ import (
 // The bits oracle of the classic half of the step. testdata/bits_golden.json
 // holds one SHA-256 per case over the math.Float64bits of the energies and
 // every force component NonbondedKernel.Compute returns (at 1, 2 and 4
-// workers, and the ExactKernels reference loop), and one over the pair
+// workers, and the ForceField.Nonbonded reference loop), and one over the pair
 // sequence and ListDistEvals of PairLister.Build. The list digests were
 // captured from the implementation that rounded three image shifts per
 // listed pair and filtered the raw list through a binary search and a map
@@ -175,7 +175,11 @@ func computeDigest(f *ff.ForceField, workers int, pos []vec.V, pairs []space.Pai
 		k.SetPool(kernels.NewPool(workers))
 	}
 	frc := make([]vec.V, len(pos))
-	e := k.Compute(pos, pairs, frc, nil)
+	return energyDigest(k.Compute(pos, pairs, frc, nil), frc)
+}
+
+// energyDigest hashes the energies and every force component.
+func energyDigest(e ff.Energies, frc []vec.V) string {
 	h := newBitsHash()
 	h.floats(e.Bond, e.Angle, e.Dihedral, e.Improper, e.LJ, e.Elec, e.LJ14, e.Elec14)
 	for _, v := range frc {
@@ -204,9 +208,8 @@ func bitsDigests() map[string]string {
 		for _, workers := range []int{1, 2, 4} {
 			out[fmt.Sprintf("%s/pool%d", c.name, workers)] = computeDigest(f, workers, c.pos, pairs)
 		}
-		exact := c.opts
-		exact.ExactKernels = true
-		out[c.name+"/exact"] = computeDigest(ff.New(c.sys, exact), 0, c.pos, pairs)
+		frc := make([]vec.V, len(c.pos))
+		out[c.name+"/exact"] = energyDigest(f.Nonbonded(c.pos, pairs, frc, nil), frc)
 	}
 	return out
 }

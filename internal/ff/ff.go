@@ -30,16 +30,6 @@ type Options struct {
 	ListCutoff float64  // neighbour-list cutoff (≥ CutOff; the margin is the skin)
 	ElecMode   ElecMode //
 	Beta       float64  // Ewald splitting parameter (1/Å), ElecEwaldDirect only
-
-	Scale14LJ   float64 // scale factor for 1-4 Lennard-Jones
-	Scale14Elec float64 // scale factor for 1-4 electrostatics
-
-	// ExactKernels disables the tabulated nonbonded kernel, selecting the
-	// reference exact-math pair loop bit for bit. It selects nothing else:
-	// PME and the FFT have one path. Physics agrees either way to the
-	// table's measured accuracy; use this flag to validate or to reproduce
-	// pre-table trajectories exactly.
-	ExactKernels bool
 }
 
 // DefaultOptions matches the paper's setup: shift truncation at 10 Å with
@@ -48,7 +38,6 @@ func DefaultOptions() Options {
 	return Options{
 		CutOn: 8, CutOff: 10, ListCutoff: 12,
 		ElecMode: ElecShift, Beta: 0.34,
-		Scale14LJ: 1, Scale14Elec: 1,
 	}
 }
 
@@ -109,7 +98,7 @@ type ForceField struct {
 	// skipList[skipIdx[i]:skipIdx[i+1]].
 	skipIdx, skipList []int32
 
-	// Tabulated-kernel data, nil/empty when Opts.ExactKernels is set.
+	// Tabulated-kernel data.
 	table  *InteractionTable
 	typ    []int32 // atom → type index
 	ntypes int
@@ -153,24 +142,22 @@ func New(sys *topol.System, opts Options) *ForceField {
 		f.rminHalf[i] = t.RminHalf
 	}
 	f.skipIdx, f.skipList = buildSkipList(sys)
-	if !opts.ExactKernels {
-		f.table = NewInteractionTable(opts, defaultTableIntervals)
-		f.ntypes = len(sys.Types)
-		f.typ = make([]int32, n)
-		for i, a := range sys.Atoms {
-			f.typ[i] = int32(a.Type)
-		}
-		f.ljA = make([]float64, f.ntypes*f.ntypes)
-		f.ljB = make([]float64, f.ntypes*f.ntypes)
-		for ti := 0; ti < f.ntypes; ti++ {
-			for tj := 0; tj < f.ntypes; tj++ {
-				eps := math.Sqrt(sys.Types[ti].Eps * sys.Types[tj].Eps)
-				rmin := sys.Types[ti].RminHalf + sys.Types[tj].RminHalf
-				r3 := rmin * rmin * rmin
-				r6 := r3 * r3
-				f.ljA[ti*f.ntypes+tj] = eps * r6 * r6
-				f.ljB[ti*f.ntypes+tj] = 2 * eps * r6
-			}
+	f.table = NewInteractionTable(opts, defaultTableIntervals)
+	f.ntypes = len(sys.Types)
+	f.typ = make([]int32, n)
+	for i, a := range sys.Atoms {
+		f.typ[i] = int32(a.Type)
+	}
+	f.ljA = make([]float64, f.ntypes*f.ntypes)
+	f.ljB = make([]float64, f.ntypes*f.ntypes)
+	for ti := 0; ti < f.ntypes; ti++ {
+		for tj := 0; tj < f.ntypes; tj++ {
+			eps := math.Sqrt(sys.Types[ti].Eps * sys.Types[tj].Eps)
+			rmin := sys.Types[ti].RminHalf + sys.Types[tj].RminHalf
+			r3 := rmin * rmin * rmin
+			r6 := r3 * r3
+			f.ljA[ti*f.ntypes+tj] = eps * r6 * r6
+			f.ljB[ti*f.ntypes+tj] = 2 * eps * r6
 		}
 	}
 	return f

@@ -139,14 +139,6 @@ func TestForcesMatchGradientEwaldDirect(t *testing.T) {
 	checkForcesMatchGradient(t, f, pos, 2e-5)
 }
 
-func TestForcesMatchGradientScaled14(t *testing.T) {
-	sys, pos := smallSystem(3)
-	o := DefaultOptions()
-	o.Scale14LJ, o.Scale14Elec = 0.5, 0.4
-	f := New(sys, o)
-	checkForcesMatchGradient(t, f, pos, 2e-5)
-}
-
 func TestNewtonThirdLaw(t *testing.T) {
 	sys, pos := smallSystem(4)
 	f := New(sys, DefaultOptions())
@@ -307,8 +299,8 @@ func TestEnergiesAddAndTotals(t *testing.T) {
 func TestInvalidOptionsPanic(t *testing.T) {
 	sys, _ := smallSystem(11)
 	for _, o := range []Options{
-		{CutOn: 10, CutOff: 8, ListCutoff: 12, Scale14LJ: 1, Scale14Elec: 1},
-		{CutOn: 8, CutOff: 10, ListCutoff: 9, Scale14LJ: 1, Scale14Elec: 1},
+		{CutOn: 10, CutOff: 8, ListCutoff: 12},
+		{CutOn: 8, CutOff: 10, ListCutoff: 9},
 	} {
 		func() {
 			defer func() {

@@ -12,9 +12,7 @@ import (
 // NonbondedKernel is the table-driven structure-of-arrays pair kernel. It
 // owns the SoA scratch (positions and per-block force accumulators as
 // separate x/y/z slices) so the immutable ForceField stays safe for
-// concurrent use: hold one kernel per goroutine/rank. When the force field
-// was built with ExactKernels, Compute transparently delegates to the
-// reference ForceField.Nonbonded.
+// concurrent use: hold one kernel per goroutine/rank.
 //
 // Compute splits the pair list into pairShards(len(pairs)) contiguous
 // blocks; each block accumulates into its own force arrays and energy
@@ -113,12 +111,6 @@ func (k *NonbondedKernel) block(s int, a *blockForces) {
 // the table's measured accuracy; pairs closer than √U0 fall back to exact
 // math in place.
 func (k *NonbondedKernel) Compute(pos []vec.V, pairs []space.Pair, frc []vec.V, w *work.Counters) Energies {
-	f := k.f
-	if f.table == nil {
-		// ExactKernels reference path: always serial, bit-for-bit,
-		// regardless of any attached pool.
-		return f.Nonbonded(pos, pairs, frc, w)
-	}
 	n := len(pos)
 	k.shards = pairShards(len(pairs))
 	// Blocks running one after another need two sets of force arrays, not

@@ -139,32 +139,6 @@ func TestKernelPooledMatchesSerialToRoundoff(t *testing.T) {
 	}
 }
 
-// With ExactKernels the kernel delegates to the reference loop; a pool
-// must not change a bit of it.
-func TestKernelPoolIgnoredInExactMode(t *testing.T) {
-	sys, pos := smallSystem(4)
-	o := PMEOptions()
-	o.ExactKernels = true
-	f := New(sys, o)
-	pairs := f.BuildPairs(pos, nil)
-
-	frcRef := make([]vec.V, len(pos))
-	eRef := f.Nonbonded(pos, pairs, frcRef, nil)
-
-	k := f.NewNonbondedKernel()
-	k.SetPool(kernels.NewPool(4))
-	frc := make([]vec.V, len(pos))
-	e := k.Compute(pos, pairs, frc, nil)
-	if e != eRef {
-		t.Fatalf("exact-mode pooled energies %+v != reference %+v", e, eRef)
-	}
-	for i := range frc {
-		if frc[i] != frcRef[i] {
-			t.Fatalf("exact-mode pooled frc[%d] differs", i)
-		}
-	}
-}
-
 // Steady-state Compute must not allocate (scratch is sized on the first
 // call and reused).
 func TestKernelPooledDoesNotAllocateSteadyState(t *testing.T) {

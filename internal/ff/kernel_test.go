@@ -15,16 +15,13 @@ import (
 func TestKernelMatchesExactNonbonded(t *testing.T) {
 	for _, opts := range []Options{DefaultOptions(), PMEOptions()} {
 		sys, pos := smallSystem(3)
-		fTab := New(sys, opts)
-		exact := opts
-		exact.ExactKernels = true
-		fEx := New(sys, exact)
+		f := New(sys, opts)
 
-		pairs := fTab.BuildPairs(pos, nil)
+		pairs := f.BuildPairs(pos, nil)
 		frcTab := make([]vec.V, len(pos))
 		frcEx := make([]vec.V, len(pos))
-		eTab := fTab.NewNonbondedKernel().Compute(pos, pairs, frcTab, nil)
-		eEx := fEx.Nonbonded(pos, pairs, frcEx, nil)
+		eTab := f.NewNonbondedKernel().Compute(pos, pairs, frcTab, nil)
+		eEx := f.Nonbonded(pos, pairs, frcEx, nil)
 
 		scale := math.Abs(eEx.LJ) + math.Abs(eEx.Elec) + 1
 		if math.Abs(eTab.LJ-eEx.LJ) > 1e-4*scale {
@@ -37,34 +34,6 @@ func TestKernelMatchesExactNonbonded(t *testing.T) {
 			if frcTab[i].Sub(frcEx[i]).Norm() > 1e-3*(1+frcEx[i].Norm()) {
 				t.Fatalf("mode %v atom %d: force %v vs exact %v", opts.ElecMode, i, frcTab[i], frcEx[i])
 			}
-		}
-	}
-}
-
-// TestKernelExactFlagBitwise: with ExactKernels set, the kernel must
-// reproduce the reference implementation bit for bit (it routes straight
-// through it).
-func TestKernelExactFlagBitwise(t *testing.T) {
-	sys, pos := smallSystem(4)
-	o := PMEOptions()
-	o.ExactKernels = true
-	f := New(sys, o)
-	pairs := f.BuildPairs(pos, nil)
-
-	frcA := make([]vec.V, len(pos))
-	frcB := make([]vec.V, len(pos))
-	var wA, wB work.Counters
-	eA := f.NewNonbondedKernel().Compute(pos, pairs, frcA, &wA)
-	eB := f.Nonbonded(pos, pairs, frcB, &wB)
-	if eA != eB {
-		t.Fatalf("energies differ: kernel %+v vs exact %+v", eA, eB)
-	}
-	if wA != wB {
-		t.Fatalf("counters differ: kernel %+v vs exact %+v", wA, wB)
-	}
-	for i := range frcA {
-		if frcA[i] != frcB[i] {
-			t.Fatalf("atom %d: force %v vs %v not bitwise equal", i, frcA[i], frcB[i])
 		}
 	}
 }
@@ -156,16 +125,13 @@ func TestKernelPairEvalsCounted(t *testing.T) {
 func TestKernelMyoglobinMatchesExact(t *testing.T) {
 	sys := topol.NewMyoglobinSystem(topol.MyoglobinConfig{Seed: 1})
 	opts := PMEOptions()
-	fTab := New(sys, opts)
-	exact := opts
-	exact.ExactKernels = true
-	fEx := New(sys, exact)
+	f := New(sys, opts)
 
-	pairs := fTab.BuildPairs(sys.Pos, nil)
+	pairs := f.BuildPairs(sys.Pos, nil)
 	frcTab := make([]vec.V, sys.N())
 	frcEx := make([]vec.V, sys.N())
-	eTab := fTab.NewNonbondedKernel().Compute(sys.Pos, pairs, frcTab, nil)
-	eEx := fEx.Nonbonded(sys.Pos, pairs, frcEx, nil)
+	eTab := f.NewNonbondedKernel().Compute(sys.Pos, pairs, frcTab, nil)
+	eEx := f.Nonbonded(sys.Pos, pairs, frcEx, nil)
 
 	if rel := math.Abs(eTab.LJ-eEx.LJ) / (1 + math.Abs(eEx.LJ)); rel > 1e-5 {
 		t.Fatalf("myoglobin LJ %g vs exact %g (rel %g)", eTab.LJ, eEx.LJ, rel)

@@ -11,6 +11,8 @@ import (
 // Nonbonded evaluates LJ (switched) and electrostatics (shifted or Ewald
 // direct) over the given prefiltered pair list, accumulating forces into
 // frc. Pairs beyond CutOff contribute nothing (the list carries a skin).
+// It is the exact-math reference loop: programs run the tabulated
+// NonbondedKernel, and the tests hold that kernel to this loop.
 func (ff *ForceField) Nonbonded(pos []vec.V, pairs []space.Pair, frc []vec.V, w *work.Counters) Energies {
 	var e Energies
 	box := ff.Sys.Box
@@ -48,7 +50,7 @@ func (ff *ForceField) Nonbonded(pos []vec.V, pairs []space.Pair, frc []vec.V, w 
 	return e
 }
 
-// Pairs14 evaluates the scaled 1-4 interactions (removed from the main
+// Pairs14 evaluates the unscaled 1-4 interactions (removed from the main
 // list) with no cutoff — 1-4 partners are always within bonded range.
 func (ff *ForceField) Pairs14(pos []vec.V, frc []vec.V, w *work.Counters) Energies {
 	return ff.Pairs14Range(pos, frc, w, 0, len(ff.Sys.Pairs14))
@@ -66,14 +68,14 @@ func (ff *ForceField) Pairs14Range(pos []vec.V, frc []vec.V, w *work.Counters, l
 			continue
 		}
 		elj, dlj := ff.ljKernel(p[0], p[1], r)
-		e.LJ14 += ff.Opts.Scale14LJ * elj
-		dedr := ff.Opts.Scale14LJ * dlj
+		e.LJ14 += elj
+		dedr := dlj
 
 		qq := ff.charge[p[0]] * ff.charge[p[1]]
 		if qq != 0 {
 			ee, de := ff.elecKernel(r)
-			e.Elec14 += ff.Opts.Scale14Elec * qq * ee
-			dedr += ff.Opts.Scale14Elec * qq * de
+			e.Elec14 += qq * ee
+			dedr += qq * de
 		}
 
 		fv := d.Scale(-dedr / r)

@@ -101,18 +101,3 @@ func TestInteractionTableContinuity(t *testing.T) {
 		}
 	}
 }
-
-// TestExactKernelsSkipsTable: the fallback flag must disable table
-// construction entirely, so the kernel routes through exact math.
-func TestExactKernelsSkipsTable(t *testing.T) {
-	sys, _ := smallSystem(5)
-	o := DefaultOptions()
-	o.ExactKernels = true
-	f := New(sys, o)
-	if f.table != nil {
-		t.Fatal("ExactKernels force field must not build a table")
-	}
-	if New(sys, DefaultOptions()).table == nil {
-		t.Fatal("default force field must build a table")
-	}
-}
