@@ -157,39 +157,60 @@ func (r *Rank) alltoallvRound(s *segment, i int) bool {
 	return true
 }
 
-// AlltoallvSparse is Alltoallv for mostly-zero size matrices (halo
-// exchanges, atom migration, pencil transposes): it walks the same
-// pairwise schedule but posts nothing in a round whose send AND receive
-// are both empty, so the event count scales with the number of non-zero
-// entries instead of p². The skip decision only reads the globally known
-// size matrix, so partners always agree: whenever sizes[i][j] > 0, rank i
-// posts the send in the round where rank j posts the matching receive.
+// AlltoallvPartners is Alltoallv for a sparse size matrix (halo
+// exchanges, atom migration, pencil transposes): it walks the pairwise
+// schedule's rounds in ascending shift, but only the rounds where the rank
+// sends or receives, one per entry of its row of m. The tag of a round is
+// its shift, so every post is the one the full p−1-round walk would make
+// and partners always agree: whenever rank i sends rank j bytes, i posts
+// the send in the round where j posts the matching receive. Both the
+// events and the host work of a call scale with the rank's partners, not
+// with p, and m's shape was checked when it was built.
+func (r *Rank) AlltoallvPartners(m *Sparse) {
+	if r.Size() == 1 {
+		return
+	}
+	r.alltoallvSparse(m.rowOf(r), m.t)
+}
+
+// AlltoallvSparse is AlltoallvPartners over a dense size matrix: it fills
+// the rank's entries into a buffer the rank reuses across calls, one walk
+// over its row and column, and runs the same rounds. Its one caller is the
+// benchmark's collective skeleton; ROADMAP item 10 deletes it.
 func (r *Rank) AlltoallvSparse(sizes [][]int) {
 	if r.Size() == 1 {
 		return
 	}
 	r.checkMatrix(sizes, "AlltoallvSparse")
+	r.partners = fillPartners(r.partners, sizes, r.ID)
+	r.alltoallvSparse(r.partners, false)
+}
+
+// alltoallvSparse runs the rounds of the rank's entries row, read
+// transposed if flip.
+func (r *Rank) alltoallvSparse(row []sparseEntry, flip bool) {
 	t0 := r.Now()
-	r.await(segment{rounds: (*Rank).alltoallvSparseRound, sizes: sizes})
+	r.await(segment{rounds: (*Rank).alltoallvSparseRound, row: row, flip: flip})
 	r.W.observeColl("alltoallv", r.Now()-t0)
 }
 
-// alltoallvSparseRound posts the non-empty halves of alltoallvRound.
+// alltoallvSparseRound posts the non-empty halves of alltoallvRound at the
+// shift of the rank's entry i.
 func (r *Rank) alltoallvSparseRound(s *segment, i int) bool {
-	p, shift := r.Size(), i+1
-	if shift >= p {
+	if i >= len(s.row) {
 		return false
 	}
-	dst, src := (r.ID+shift)%p, (r.ID-shift+p)%p
-	sendB, recvB := s.sizes[r.ID][dst], s.sizes[src][r.ID]
+	p := r.Size()
+	shift, sendB, recvB := partner(s.row, s.flip, p, i)
+	dst, src, tag := (r.ID+shift)%p, (r.ID-shift+p)%p, tagAlltoall+shift
 	switch {
 	case sendB > 0 && recvB > 0:
-		r.addSendrecv(dst, tagAlltoall+shift, sendB, src, tagAlltoall+shift)
+		r.addSendrecv(dst, tag, sendB, src, tag)
 	case sendB > 0:
-		r.add(primIsend, dst, tagAlltoall+shift, sendB)
+		r.add(primIsend, dst, tag, sendB)
 		r.add(primWait, 0, 0, 0)
-	case recvB > 0:
-		r.add(primRecv, src, tagAlltoall+shift, 0)
+	default:
+		r.add(primRecv, src, tag, 0)
 	}
 	return true
 }

@@ -108,14 +108,14 @@ func (m CMPI) Alltoallv(sizes [][]int) {
 	m.fenced(segment{rounds: (*Rank).floodRound, sizes: sizes})
 }
 
-// AlltoallvSparse is Alltoallv for mostly-zero size matrices: the flood
-// only posts sends to partners the matrix addresses and drains only
-// sources that address this rank (the matrix is global knowledge, so both
-// sides agree). The fences still bracket the exchange — CMPI never loosens
-// its grip on the communication system.
-func (m CMPI) AlltoallvSparse(sizes [][]int) {
-	m.r.checkMatrix(sizes, "CMPI AlltoallvSparse")
-	m.fenced(segment{rounds: (*Rank).floodRound, sizes: sizes, sparse: true})
+// AlltoallvSparse is Alltoallv for a sparse size matrix: the flood posts
+// sends only to the partners the rank's entries of sizes address and
+// drains only the sources that address it (the matrix is global knowledge, so both
+// sides agree), so its host work scales with the rank's partners, not with
+// p. The fences still bracket the exchange — CMPI never loosens its grip on
+// the communication system.
+func (m CMPI) AlltoallvSparse(sizes *Sparse) {
+	m.fenced(segment{rounds: (*Rank).sparseFloodRound, row: sizes.rowOf(m.r), flip: sizes.t})
 }
 
 // floodRound plans one primitive a round: the isends to the ranks 1 … p−1
@@ -127,19 +127,43 @@ func (r *Rank) floodRound(s *segment, i int) bool {
 	switch i / (p - 1) {
 	case 0:
 		dst := (r.ID + off) % p
-		if b := s.sizes[r.ID][dst]; b > 0 || !s.sparse {
-			r.add(primIsend, dst, tagFlood+r.ID, b)
-		}
+		r.add(primIsend, dst, tagFlood+r.ID, s.sizes[r.ID][dst])
 	case 1:
 		src := (r.ID - off + p) % p
-		if s.sizes[src][r.ID] > 0 || !s.sparse {
+		r.add(primRecv, src, tagFlood+src, 0)
+	default:
+		return r.floodWait()
+	}
+	return true
+}
+
+// sparseFloodRound is floodRound over the rank's entries: the isends in
+// ascending shift where it sends, then the receives in ascending shift
+// where it receives, then the waits. A round without a primitive plans
+// nothing.
+func (r *Rank) sparseFloodRound(s *segment, i int) bool {
+	p, n := r.Size(), len(s.row)
+	switch {
+	case i < n:
+		if shift, send, _ := partner(s.row, s.flip, p, i); send > 0 {
+			r.add(primIsend, (r.ID+shift)%p, tagFlood+r.ID, send)
+		}
+	case i < 2*n:
+		if shift, _, recv := partner(s.row, s.flip, p, i-n); recv > 0 {
+			src := (r.ID - shift + p) % p
 			r.add(primRecv, src, tagFlood+src, 0)
 		}
 	default:
-		if len(r.call.reqs) == 0 {
-			return false
-		}
-		r.add(primWait, 0, 0, 0)
+		return r.floodWait()
 	}
+	return true
+}
+
+// floodWait plans a wait for the oldest isend of a flood, if one is left.
+func (r *Rank) floodWait() bool {
+	if len(r.call.reqs) == 0 {
+		return false
+	}
+	r.add(primWait, 0, 0, 0)
 	return true
 }

@@ -137,6 +137,10 @@ type Rank struct {
 	acct    Accounting
 	call    call // the blocking call in flight
 
+	// partners holds the rank's entries of AlltoallvSparse's dense
+	// matrix, reused across calls.
+	partners []sparseEntry
+
 	// mTrace caches the rank's repro_trace_* handles per interval kind,
 	// created on the kind's first interval (nil without a registry). Only
 	// the rank's own process touches it.

@@ -68,6 +68,17 @@ func summarize(ends []float64, accts []mpi.Accounting, err error) goldenEntry {
 	return e
 }
 
+// sparseOf builds the planned form of a dense size matrix.
+func sparseOf(sizes [][]int) *mpi.Sparse {
+	return mpi.NewSparse(len(sizes), func(add func(i, j, bytes int)) {
+		for i, row := range sizes {
+			for j, b := range row {
+				add(i, j, b)
+			}
+		}
+	})
+}
+
 // goldenOps are the pinned rank programs. Each starts with a rank-dependent
 // compute stagger so partners arrive out of step and short watchdog rounds
 // genuinely expire and retry.
@@ -89,8 +100,9 @@ var goldenOps = []struct {
 			}
 		}
 		sizes[1][2] = net.EagerLimit + 4096
-		r.AlltoallvSparse(sizes)
-		r.AlltoallvSparse(sizes)
+		m := sparseOf(sizes)
+		r.AlltoallvPartners(m)
+		r.AlltoallvPartners(m)
 	}},
 	{"allreduce", func(r *mpi.Rank, net netmodel.Params) {
 		r.Allreduce(8192, 2e-5)
@@ -145,7 +157,7 @@ var goldenOps = []struct {
 			}
 		}
 		m := r.CMPI()
-		m.AlltoallvSparse(sizes)
+		m.AlltoallvSparse(sparseOf(sizes))
 		m.Barrier()
 	}},
 	{"cmpi_dense", func(r *mpi.Rank, net netmodel.Params) {
@@ -309,9 +321,10 @@ func computeGolden(t *testing.T) map[string]goldenEntry {
 			sizes[i][(i+8)%p] = 400
 		}
 		sizes[5][6] = net.EagerLimit + 1000
+		m := sparseOf(sizes)
 		for i := 0; i < 30; i++ {
 			r.Compute(0.0005)
-			r.AlltoallvSparse(sizes)
+			r.AlltoallvPartners(m)
 			r.Allreduce(4096, 1e-5)
 		}
 	})

@@ -731,14 +731,35 @@ func TestCollectiveAllocCeiling(t *testing.T) {
 		}
 		return sizes
 	}
-	halo8 := sparse(8)
+	halo8 := sparseOf(sparse(8))
 	cases := []allocCase{
 		{"eager Barrier", 2, 500, 2, func(r *Rank) { r.Barrier() }},
-		{"AlltoallvSparse", 8, 500, 8, func(r *Rank) { r.AlltoallvSparse(halo8) }},
+		{"AlltoallvPartners", 8, 500, 8, func(r *Rank) { r.AlltoallvPartners(halo8) }},
+	}
+	// The domain pipeline's patterns at the ceiling's rank counts: a
+	// 26-neighbour halo and a pencil-row transpose, with calls enough to
+	// amortize the growth of a world's queues over a rank's few messages.
+	for _, c := range []struct {
+		name  string
+		sizes [][]int
+		n     int
+	}{
+		{"halo", haloSizes(4, 4, 4), 6}, {"halo", haloSizes(8, 8, 4), 6},
+		{"pencil rows", pencilSizes(8, 8, true), 16}, {"pencil rows", pencilSizes(16, 16, true), 16},
+	} {
+		m, msgs := sparseOf(c.sizes), 0
+		for _, row := range c.sizes {
+			for _, b := range row {
+				if b > 0 {
+					msgs++
+				}
+			}
+		}
+		cases = append(cases, allocCase{"AlltoallvPartners " + c.name, len(c.sizes), c.n, msgs, func(r *Rank) { r.AlltoallvPartners(m) }})
 	}
 	for _, pn := range [][2]int{{8, 10}, {64, 2}} {
 		p, n := pn[0], pn[1]
-		dense, blocks, halo := make([][]int, p), make([]int, p), sparse(p)
+		dense, blocks, halo := make([][]int, p), make([]int, p), sparseOf(sparse(p))
 		for i := range dense {
 			dense[i] = make([]int, p)
 			for j := range dense[i] {

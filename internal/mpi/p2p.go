@@ -97,11 +97,12 @@ type segment struct {
 	rounds   func(r *Rank, s *segment, i int) bool
 	bytes    int
 	reduceOp float64
-	sizes    [][]int // the all-to-alls
-	blocks   []int   // the ring allgather
-	sync     bool    // all its message time is synchronization
-	sparse   bool    // the CMPI flood skips what moves nothing
-	t0       float64 // a CMPI Sync's start
+	sizes    [][]int       // the dense all-to-alls
+	row      []sparseEntry // the sparse all-to-alls: the rank's entries
+	blocks   []int         // the ring allgather
+	flip     bool          // read row transposed
+	sync     bool          // all its message time is synchronization
+	t0       float64       // a CMPI Sync's start
 }
 
 // add appends a primitive to the round being planned.

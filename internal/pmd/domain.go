@@ -6,6 +6,7 @@ import (
 	"repro/internal/fft"
 	"repro/internal/kernels"
 	"repro/internal/md"
+	"repro/internal/mpi"
 	"repro/internal/topol"
 	"repro/internal/work"
 )
@@ -39,13 +40,14 @@ type domainGeometry struct {
 	yOff2, zOff3, xsOff, ysOff []int
 
 	// Static collective size matrices (diagonals zero — local data does
-	// not travel).
-	sizesAssm [][]int // domain grid contribution → stage-1 pencils
-	sizesGath [][]int // convolved potential back → domains
-	sizesT1F  [][]int // transpose 1 forward (and transposed for inverse)
-	sizesT1B  [][]int
-	sizesT2F  [][]int // transpose 2 forward
-	sizesT2B  [][]int
+	// not travel). Each backward matrix is its forward one transposed and
+	// shares its storage.
+	sizesAssm *mpi.Sparse // domain grid contribution → stage-1 pencils
+	sizesGath *mpi.Sparse // convolved potential back → domains
+	sizesT1F  *mpi.Sparse // transpose 1 forward, within pencil columns
+	sizesT1B  *mpi.Sparse
+	sizesT2F  *mpi.Sparse // transpose 2 forward, within pencil rows
+	sizesT2B  *mpi.Sparse
 
 	// pencilPts[q] is the assembled grid points of stage-1 pencil q
 	// (sum of every domain's overlapping footprint, own region included).
@@ -106,50 +108,58 @@ func newDomainGeometry(p int, cfg Config) *domainGeometry {
 		g.domainPts[d] = int64(k1) * int64(g.yLen[d]) * int64(g.zLen[d])
 	}
 
-	// Grid assembly / potential gather between domains and pencils.
-	g.sizesAssm = zeroMatrix(p)
-	g.sizesGath = zeroMatrix(p)
+	// Grid assembly / potential gather between domains and pencils: the
+	// grid points of domain d's footprint in stage-1 pencil q.
+	overlap := func(d, q int) int {
+		a, b := q/g.p3, q%g.p3
+		ovY := wrapOverlap(g.yLo[d], g.yLen[d], k2, g.yOff2[a], g.yOff2[a+1])
+		ovZ := wrapOverlap(g.zLo[d], g.zLen[d], k3, g.zOff3[b], g.zOff3[b+1])
+		return k1 * ovY * ovZ
+	}
 	g.pencilPts = make([]int64, p)
 	for d := 0; d < p; d++ {
 		for q := 0; q < p; q++ {
-			a, b := q/g.p3, q%g.p3
-			ovY := wrapOverlap(g.yLo[d], g.yLen[d], k2, g.yOff2[a], g.yOff2[a+1])
-			ovZ := wrapOverlap(g.zLo[d], g.zLen[d], k3, g.zOff3[b], g.zOff3[b+1])
-			pts := k1 * ovY * ovZ
-			g.pencilPts[q] += int64(pts)
-			if d != q {
-				g.sizesAssm[d][q] = bytesPerRealPoint * pts
-				g.sizesGath[q][d] = bytesPerRealPoint * pts
-			}
+			g.pencilPts[q] += int64(overlap(d, q))
 		}
 	}
+	g.sizesAssm = mpi.NewSparse(p, func(add func(d, q, bytes int)) {
+		for d := 0; d < p; d++ {
+			for q := 0; q < p; q++ {
+				if d != q {
+					add(d, q, bytesPerRealPoint*overlap(d, q))
+				}
+			}
+		}
+	})
+	g.sizesGath = g.sizesAssm.T()
 
-	// Pencil transposes: personalized all-to-alls within pencil rows and
-	// columns on the half-spectrum grid.
-	g.sizesT1F = zeroMatrix(p)
-	g.sizesT1B = zeroMatrix(p)
-	g.sizesT2F = zeroMatrix(p)
-	g.sizesT2B = zeroMatrix(p)
-	for q := 0; q < p; q++ {
-		a, b := q/g.p3, q%g.p3
-		zW := g.zOff3[b+1] - g.zOff3[b]
-		for q2 := 0; q2 < p; q2++ {
-			if q2 == q {
-				continue
-			}
-			a2, b2 := q2/g.p3, q2%g.p3
-			if b2 == b { // same z-block column: x-spectrum ↔ y re-split
-				n := bytesPerPoint * (g.xsOff[a2+1] - g.xsOff[a2]) * (g.yOff2[a+1] - g.yOff2[a]) * zW
-				g.sizesT1F[q][q2] = n
-				g.sizesT1B[q2][q] = n
-			}
-			if a2 == a { // same x-spectrum row: y ↔ z re-split
-				n := bytesPerPoint * (g.xsOff[a+1] - g.xsOff[a]) * (g.ysOff[b2+1] - g.ysOff[b2]) * zW
-				g.sizesT2F[q][q2] = n
-				g.sizesT2B[q2][q] = n
+	// Pencil transposes: personalized all-to-alls within pencil columns
+	// (same z-block: x-spectrum ↔ y re-split) and rows (same x-spectrum
+	// block: y ↔ z re-split) on the half-spectrum grid.
+	g.sizesT1F = mpi.NewSparse(p, func(add func(q, q2, bytes int)) {
+		for q := 0; q < p; q++ {
+			a, b := q/g.p3, q%g.p3
+			zW := g.zOff3[b+1] - g.zOff3[b]
+			for a2 := 0; a2 < g.p2; a2++ {
+				if q2 := a2*g.p3 + b; q2 != q {
+					add(q, q2, bytesPerPoint*(g.xsOff[a2+1]-g.xsOff[a2])*(g.yOff2[a+1]-g.yOff2[a])*zW)
+				}
 			}
 		}
-	}
+	})
+	g.sizesT1B = g.sizesT1F.T()
+	g.sizesT2F = mpi.NewSparse(p, func(add func(q, q2, bytes int)) {
+		for q := 0; q < p; q++ {
+			a, b := q/g.p3, q%g.p3
+			zW := g.zOff3[b+1] - g.zOff3[b]
+			for b2 := 0; b2 < g.p3; b2++ {
+				if q2 := a*g.p3 + b2; q2 != q {
+					add(q, q2, bytesPerPoint*(g.xsOff[a+1]-g.xsOff[a])*(g.ysOff[b2+1]-g.ysOff[b2])*zW)
+				}
+			}
+		}
+	})
+	g.sizesT2B = g.sizesT2F.T()
 	return g
 }
 
@@ -218,14 +228,6 @@ func segOverlap(s0, s1, k, c0, c1 int) int {
 	return s1 - s0
 }
 
-func zeroMatrix(p int) [][]int {
-	m := make([][]int, p)
-	for i := range m {
-		m[i] = make([]int, p)
-	}
-	return m
-}
-
 // epochData is the ownership-dependent state of one neighbour-list epoch:
 // the owner map, per-domain work counts and the halo-exchange size
 // matrices. Ownership is fixed between list rebuilds (atoms migrate at
@@ -236,15 +238,15 @@ type epochData struct {
 
 	counts epochCounts
 
-	// haloSizes[i][j]: domain i ships all its owned atoms to each
-	// half-shell neighbour j > i (the importer computes the shared pairs
-	// and returns forces: frcRetSizes is the transpose).
-	haloSizes   [][]int
-	frcRetSizes [][]int
+	// haloSizes: domain i ships all its owned atoms to each half-shell
+	// neighbour j > i (the importer computes the shared pairs and returns
+	// forces: frcRetSizes is the transpose).
+	haloSizes   *mpi.Sparse
+	frcRetSizes *mpi.Sparse
 
 	// migration is the atom-migration all-to-all that started the epoch:
 	// nil for a run's first, filled by the domain view for the others.
-	migration [][]int
+	migration *mpi.Sparse
 }
 
 // epochCounts are the per-domain owner-computes work counts, produced by
@@ -347,30 +349,35 @@ func buildEpoch(g *domainGeometry, sys *topol.System, st *canonState) *epochData
 		}
 	}
 
-	ep.haloSizes = zeroMatrix(p)
-	ep.frcRetSizes = zeroMatrix(p)
-	for i := 0; i < p; i++ {
-		for _, j := range g.nbrs[i] {
-			if j > i {
-				b := bytesPerCoord * ep.nOwn[i]
-				ep.haloSizes[i][j] = b
-				ep.frcRetSizes[j][i] = b
+	ep.haloSizes = g.haloMatrix(ep.nOwn)
+	ep.frcRetSizes = ep.haloSizes.T()
+	return ep
+}
+
+// haloMatrix is the half-shell halo exchange of an epoch whose domains own
+// nOwn atoms: each domain ships them to every coupled neighbour above it.
+func (g *domainGeometry) haloMatrix(nOwn []int) *mpi.Sparse {
+	return mpi.NewSparse(g.p, func(add func(i, j, bytes int)) {
+		for i, nbrs := range g.nbrs {
+			for _, j := range nbrs {
+				if j > i {
+					add(i, j, bytesPerCoord*nOwn[i])
+				}
 			}
 		}
-	}
-	return ep
+	})
 }
 
 // migrationSizes is the atom-migration all-to-all at a rebuild: each atom
 // whose owner changed moves with position + velocity.
-func (g *domainGeometry) migrationSizes(old, neu *epochData) [][]int {
-	m := zeroMatrix(g.p)
-	for i := range neu.own {
-		if old.own[i] != neu.own[i] {
-			m[old.own[i]][neu.own[i]] += 2 * bytesPerCoord
+func (g *domainGeometry) migrationSizes(old, neu *epochData) *mpi.Sparse {
+	return mpi.NewSparse(g.p, func(add func(i, j, bytes int)) {
+		for i := range neu.own {
+			if old.own[i] != neu.own[i] {
+				add(int(old.own[i]), int(neu.own[i]), 2*bytesPerCoord)
+			}
 		}
-	}
-	return m
+	})
 }
 
 func gridIndex(f float64, d int) int {
@@ -425,12 +432,12 @@ func (d *domainDecomp) drift(w *worker, step int) {
 	// higher-id coupled neighbour).
 	if w.cur.rebuilt {
 		if tl := w.cfg.Perf; tl != nil && me == 0 {
-			tl.NamedMatrix("migration", d.ep.migration)
+			tl.NamedMatrix("migration", d.ep.migration.Dense())
 		}
 		w.c.AlltoallvSparse(d.ep.migration)
 	}
 	if tl := w.cfg.Perf; tl != nil && me == 0 {
-		tl.NamedMatrix("halo", d.ep.haloSizes)
+		tl.NamedMatrix("halo", d.ep.haloSizes.Dense())
 	}
 	w.c.AlltoallvSparse(d.ep.haloSizes)
 }

@@ -110,6 +110,7 @@ func haloCover(t *testing.T, sys *topol.System, st *canonState, ep *epochData) (
 	t.Helper()
 	n := int64(sys.N())
 	imports := map[int64]bool{} // computing domain · N + imported atom
+	halo := ep.haloSizes.Dense()
 	needed = zeroMatrix(len(ep.nOwn))
 	ownerComputes(sys, st, ep, func(kind string, d int32, atoms ...int32) {
 		for _, a := range atoms {
@@ -117,7 +118,7 @@ func haloCover(t *testing.T, sys *topol.System, st *canonState, ep *epochData) (
 			if o == d {
 				continue
 			}
-			if ep.haloSizes[o][d] == 0 {
+			if halo[o][d] == 0 {
 				t.Fatalf("%s %v: domain %d computes it, but atom %d's owner %d ships no halo to it", kind, atoms, d, a, o)
 			}
 			if k := int64(d)*n + int64(a); !imports[k] {
@@ -126,12 +127,15 @@ func haloCover(t *testing.T, sys *topol.System, st *canonState, ep *epochData) (
 			}
 		}
 	})
-	for _, row := range ep.haloSizes {
-		for _, b := range row {
-			charged += b
-		}
+	return sum(halo), needed
+}
+
+func zeroMatrix(p int) [][]int {
+	m := make([][]int, p)
+	for i := range m {
+		m[i] = make([]int, p)
 	}
-	return charged, needed
+	return m
 }
 
 func sum(m [][]int) (s int) {
@@ -234,6 +238,7 @@ func haloOracle(t *testing.T, c *canonical, st *canonState, ep *epochData) {
 	for i, d := range ep.own {
 		doms[d].add(int32(i))
 	}
+	halo, frcRet := ep.haloSizes.Dense(), ep.frcRetSizes.Dense()
 	copied := zeroMatrix(p)
 	ownerComputes(sys, st, ep, func(kind string, d int32, atoms ...int32) {
 		l := &doms[d]
@@ -241,7 +246,7 @@ func haloOracle(t *testing.T, c *canonical, st *canonState, ep *epochData) {
 		for k, a := range atoms {
 			if o := ep.own[a]; o != d {
 				if _, ok := l.loc[a]; !ok {
-					if ep.haloSizes[o][d] == 0 {
+					if halo[o][d] == 0 {
 						t.Fatalf("%s %v: domain %d imports atom %d from %d, which ships it no halo", kind, atoms, d, a, o)
 					}
 					copied[o][d] += bytesPerCoord
@@ -303,7 +308,7 @@ func haloOracle(t *testing.T, c *canonical, st *canonState, ep *epochData) {
 			t.Fatalf("p=%d gen %d: domain %d executed %+v and %d exclusions, the epoch counts differ", p, st.listGen, d, classic, excl.PairEvals)
 		}
 		for k, g := range l.glob {
-			if o := ep.own[g]; o != int32(d) && ep.frcRetSizes[d][o] == 0 {
+			if o := ep.own[g]; o != int32(d) && frcRet[d][o] == 0 {
 				t.Fatalf("p=%d: domain %d holds a partial force of atom %d but returns none to its owner %d", p, d, g, o)
 			}
 			got[g] = got[g].Add(frc[k])
@@ -520,7 +525,7 @@ func pencilOracle(t *testing.T, geo *domainGeometry, pme md.PMEConfig, grid []fl
 	for _, m := range []struct {
 		name          string
 		moved, charge [][]int
-	}{{"T1F", t1f, geo.sizesT1F}, {"T2F", t2f, geo.sizesT2F}, {"T2B", t2b, geo.sizesT2B}, {"T1B", t1b, geo.sizesT1B}} {
+	}{{"T1F", t1f, geo.sizesT1F.Dense()}, {"T2F", t2f, geo.sizesT2F.Dense()}, {"T2B", t2b, geo.sizesT2B.Dense()}, {"T1B", t1b, geo.sizesT1B.Dense()}} {
 		for q := range p {
 			for q2 := range p {
 				if m.moved[q][q2] != m.charge[q][q2] {
@@ -537,6 +542,22 @@ func pencilOracle(t *testing.T, geo *domainGeometry, pme md.PMEConfig, grid []fl
 		ysW, zW3 := geo.ysOff[b+1]-geo.ysOff[b], geo.zOff3[b+1]-geo.zOff3[b]
 		if charged := [3]int{2 * yW2 * zW3, 2 * xsW * zW3, 2 * xsW * ysW}; lines[q] != charged {
 			t.Fatalf("p=%d: pencil %d transformed %v x-, y- and z-lines, the pipeline charges %v", p, q, lines[q], charged)
+		}
+	}
+}
+
+// TestHaloMatrixAllocatesNoMatrix: an epoch's halo matrix is built from
+// the neighbour lists in at most six allocations at p = 64 and 256, so no
+// p×p intermediate exists.
+func TestHaloMatrixAllocatesNoMatrix(t *testing.T) {
+	for _, p := range []int{64, 256} {
+		geo := newDomainGeometry(p, Config{System: paperSystem(), MD: paperMD()})
+		nOwn := make([]int, p)
+		for d := range nOwn {
+			nOwn[d] = 10 + d%7
+		}
+		if got := testing.AllocsPerRun(5, func() { geo.haloMatrix(nOwn) }); got > 6 {
+			t.Errorf("p=%d: building the halo matrix takes %g allocations, want at most 6", p, got)
 		}
 	}
 }

@@ -223,21 +223,31 @@ func (r *Result) PhaseTotals() (classic, pme PhaseSample) {
 	return classic, pme
 }
 
-// comms is the middleware abstraction the engine drives; *mpi.Rank (the
-// raw MPI collectives) and mpi.CMPI both satisfy it.
+// comms is the middleware abstraction the engine drives: the raw MPI
+// collectives (mpiComms), their post-2004 successors (mpiModernComms) and
+// mpi.CMPI.
 type comms interface {
 	Allreduce(bytes int, reduceOp float64)
 	Allgatherv(blocks []int)
 	Alltoallv(sizes [][]int)
-	// AlltoallvSparse is a personalized all-to-all over a mostly-zero
-	// size matrix (halo exchanges, migration, pencil transposes): pairs
-	// that move no bytes in either direction skip their exchange round
-	// entirely, so the event count scales with the neighbourhood size
-	// rather than p². The dense Alltoallv keeps the replicated path's
+	// AlltoallvSparse is a personalized all-to-all over a sparse size
+	// matrix (halo exchanges, migration, pencil transposes): a rank posts
+	// only to and from the partners its entries of sizes list, so both the
+	// events and the host work of a call scale with the neighbourhood
+	// size rather than p. The dense Alltoallv keeps the replicated path's
 	// published event sequence byte-stable.
-	AlltoallvSparse(sizes [][]int)
+	AlltoallvSparse(sizes *mpi.Sparse)
 	Barrier()
 }
+
+// mpiComms is the raw MPI collectives of the paper's era.
+type mpiComms struct{ r *mpi.Rank }
+
+func (c mpiComms) Allreduce(bytes int, reduceOp float64) { c.r.Allreduce(bytes, reduceOp) }
+func (c mpiComms) Allgatherv(blocks []int)               { c.r.Allgatherv(blocks) }
+func (c mpiComms) Alltoallv(sizes [][]int)               { c.r.Alltoallv(sizes) }
+func (c mpiComms) AlltoallvSparse(sizes *mpi.Sparse)     { c.r.AlltoallvPartners(sizes) }
+func (c mpiComms) Barrier()                              { c.r.Barrier() }
 
 // mpiModernComms swaps in the post-2004 collective algorithms.
 type mpiModernComms struct{ r *mpi.Rank }
@@ -245,10 +255,10 @@ type mpiModernComms struct{ r *mpi.Rank }
 func (c mpiModernComms) Allreduce(bytes int, reduceOp float64) {
 	c.r.AllreduceRecursiveDoubling(bytes, reduceOp)
 }
-func (c mpiModernComms) Allgatherv(blocks []int)       { c.r.AllgathervRing(blocks) }
-func (c mpiModernComms) Alltoallv(sizes [][]int)       { c.r.Alltoallv(sizes) }
-func (c mpiModernComms) AlltoallvSparse(sizes [][]int) { c.r.AlltoallvSparse(sizes) }
-func (c mpiModernComms) Barrier()                      { c.r.Barrier() }
+func (c mpiModernComms) Allgatherv(blocks []int)           { c.r.AllgathervRing(blocks) }
+func (c mpiModernComms) Alltoallv(sizes [][]int)           { c.r.Alltoallv(sizes) }
+func (c mpiModernComms) AlltoallvSparse(sizes *mpi.Sparse) { c.r.AlltoallvPartners(sizes) }
+func (c mpiModernComms) Barrier()                          { c.r.Barrier() }
 
 // Run executes the parallel MD under the given cluster configuration.
 func Run(clusterCfg cluster.Config, cost cluster.CostModel, cfg Config) (*Result, error) {

@@ -1,6 +1,7 @@
 package pmd
 
 import (
+	"repro/internal/mpi"
 	"repro/internal/perf"
 )
 
@@ -30,8 +31,8 @@ func (c perfComms) Alltoallv(sizes [][]int) {
 	c.inner.Alltoallv(sizes)
 }
 
-func (c perfComms) AlltoallvSparse(sizes [][]int) {
-	c.tl.Matrix("alltoallv_sparse", sizes)
+func (c perfComms) AlltoallvSparse(sizes *mpi.Sparse) {
+	c.tl.Matrix("alltoallv_sparse", sizes.Dense())
 	c.inner.AlltoallvSparse(sizes)
 }
 

@@ -50,11 +50,18 @@ func runGoldenCases() []runGoldenCase {
 			})
 		}
 	}
+	// The domain cases pin the sparse all-to-alls over real halo, migration
+	// and pencil matrices: MPI's pairwise rounds and CMPI's fenced flood.
 	for _, p := range []int{4, 8} {
-		out = append(out, runGoldenCase{
-			name: fmt.Sprintf("domain/mpi/p%d", p), p: p, steps: 8,
-			cfg: base(DecompDomain, MiddlewareMPI),
-		})
+		for _, v := range []struct {
+			tag string
+			mw  MiddlewareKind
+		}{{"mpi", MiddlewareMPI}, {"cmpi", MiddlewareCMPI}} {
+			out = append(out, runGoldenCase{
+				name: fmt.Sprintf("domain/%s/p%d", v.tag, p), p: p, steps: 8,
+				cfg: base(DecompDomain, v.mw),
+			})
+		}
 	}
 	// The workload of the pair-list cache's generation test: three list
 	// rebuilds in 20 steps.

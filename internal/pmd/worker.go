@@ -125,7 +125,7 @@ func newWorker(r *mpi.Rank, cfg Config, sh *shared) *worker {
 	case MiddlewareModern:
 		w.c = mpiModernComms{r: r}
 	default:
-		w.c = r
+		w.c = mpiComms{r: r}
 	}
 	if cfg.Perf != nil && r.ID == 0 {
 		// One observer per collective: rank 0's comms feed the
