@@ -39,8 +39,7 @@ func main() {
 	mwName := flag.String("mw", "both", "middleware: mpi, cmpi or both")
 	app.DecompFlag("decomposition: replicated or domain")
 	app.RecoveryFlag()
-	tuneCkpt := flag.Bool("tune-ckpt", false, "retune the checkpoint cadence from the observed failure rate (Young/Daly)")
-	ckptCost := flag.Float64("ckpt-cost", 0, "virtual seconds one checkpoint costs, the C in the Young/Daly formula (needed by -tune-ckpt)")
+	ckptCost := flag.Float64("ckpt-cost", 0, "virtual seconds one checkpoint costs, the C in the Young/Daly formula; > 0 retunes the checkpoint cadence from the observed failure rate")
 	atoms := flag.Int("atoms", 600, "solvated-box size in atoms")
 	seed := flag.Uint64("seed", 1, "deterministic seed")
 	wdTimeout := flag.Float64("timeout", 30, "watchdog timeout (virtual s); 0 disables")
@@ -100,8 +99,8 @@ func main() {
 		app.Usagef("-mw must be mpi, cmpi or both (got %q)", *mwName)
 	}
 
-	if *tuneCkpt && *ckptCost <= 0 {
-		app.Usagef("-tune-ckpt needs a positive -ckpt-cost (the Young/Daly formula prices a checkpoint)")
+	if *ckptCost < 0 {
+		app.Usagef("-ckpt-cost must be >= 0 (got %g)", *ckptCost)
 	}
 
 	// The PME mesh depends on the solvated-box size, so the tiling check
@@ -140,7 +139,6 @@ func main() {
 			KeepCheckpoints: app.CkptKeep,
 			RestartCost:     *restartCost,
 			Recovery:        app.Recovery,
-			TuneCheckpoint:  *tuneCkpt,
 			CheckpointCost:  *ckptCost,
 		})
 		if err != nil {

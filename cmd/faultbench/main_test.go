@@ -1,25 +1,34 @@
 package main
 
 import (
+	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 )
+
+// build compiles the command into a temp directory.
+func build(t *testing.T) string {
+	t.Helper()
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("no go toolchain in PATH")
+	}
+	bin := filepath.Join(t.TempDir(), "faultbench")
+	if out, err := exec.Command("go", "build", "-o", bin, "repro/cmd/faultbench").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
 
 // TestLinkFaultSlowsTheRun builds the command and runs a link fault at
 // severities 0 and 1: the table has one row per severity, the severity-0
 // row is the healthy baseline (1.00x) and the faulted one is slower.
 func TestLinkFaultSlowsTheRun(t *testing.T) {
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("no go toolchain in PATH")
-	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "faultbench")
-	if out, err := exec.Command("go", "build", "-o", bin, "repro/cmd/faultbench").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := build(t)
 	out, err := exec.Command(bin, "-spec", "link@0,node=1,bw=8", "-severity", "0,1",
 		"-p", "4", "-steps", "2", "-atoms", "300", "-mw", "mpi").CombinedOutput()
 	if err != nil {
@@ -31,5 +40,33 @@ func TestLinkFaultSlowsTheRun(t *testing.T) {
 	}
 	if slowdown, err := strconv.ParseFloat(rows[1][2], 64); err != nil || slowdown <= 1 {
 		t.Fatalf("the faulted run's slowdown is %sx, want above 1:\n%s", rows[1][2], out)
+	}
+}
+
+// TestCkptCostArmsTheTuner: a positive -ckpt-cost alone retunes the
+// cadence after a crash (the manifest records it), and a negative one is
+// a usage error.
+func TestCkptCostArmsTheTuner(t *testing.T) {
+	bin := build(t)
+	manifest := filepath.Join(t.TempDir(), "m.json")
+	out, err := exec.Command(bin, "-spec", "crash@0.18,rank=1", "-mw", "mpi", "-p", "8", "-steps", "3",
+		"-atoms", "300", "-decomp", "domain", "-recovery", "local", "-ckpt-cost", "0.05",
+		"-obs-manifest", manifest).CombinedOutput()
+	if err != nil {
+		t.Fatalf("faultbench: %v\n%s", err, out)
+	}
+	m, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(m), `"interval_tuned": true`) {
+		t.Fatalf("-ckpt-cost 0.05 left the tuner unarmed:\n%s\n%s", out, m)
+	}
+
+	out, err = exec.Command(bin, "-spec", "crash@0.18,rank=1", "-mw", "mpi", "-p", "4", "-steps", "1",
+		"-atoms", "300", "-ckpt-cost", "-1").CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 || !strings.Contains(string(out), "-ckpt-cost") {
+		t.Fatalf("negative -ckpt-cost: want a usage error (exit 2) naming the flag, got %v:\n%s", err, out)
 	}
 }

@@ -23,11 +23,10 @@ import (
 // allowed to stay. Anything else TestEveryOptionHasAWriter finds is an
 // option nobody can turn: wire it to a front end or delete it.
 var unsetOptions = map[string]string{
-	"pmd.ResilientConfig.MaxRestarts":   "safety code: the restart budget; every front end keeps the default of one per crash spec",
-	"serve.Config.FaultInject":          "documented test hook: the soak tests inject attempt failures through it",
-	"md.TuneOptions.Candidates":         "test seam: the tuner tests trial a short ladder",
-	"figures.Config.FaultSpec":          "test seam: the cache-partition and failed-batch tests run a faulted suite",
-	"pmd.ResilientConfig.HaltAfterStep": "test seam: the durable-restart tests and the chaos fuzz targets simulate a kill -9 through it",
+	"pmd.ResilientConfig.MaxRestarts": "safety code: the restart budget; every front end keeps the default of one per crash spec",
+	"serve.Config.FaultInject":        "documented test hook: the soak tests inject attempt failures through it",
+	"md.TuneOptions.Candidates":       "test seam: the tuner tests trial a short ladder",
+	"figures.Config.FaultSpec":        "test seam: the cache-partition and failed-batch tests run a faulted suite",
 }
 
 // TestEveryOptionHasAWriter keeps options nothing sets from coming back:

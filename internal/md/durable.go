@@ -21,6 +21,10 @@ package md
 //	         then, when originCount = N, one section of N × 3 float64
 //	         (the Verlet-list origin) with its own uint32 CRC32C
 //
+// The progress mark (progress.mdp) is the same frame — magic "MDPG",
+// version, hlen, payload, CRC32C — whose payload is int64 step, float64
+// wall, int64 ranks, ranks × 4 float64, int64 crashes, crashes × int64.
+//
 // The per-rank sections mirror the parallel engine's block partition, so
 // a validation failure names the rank whose state is damaged. The list
 // origin travels with the checkpoint so a restarted trajectory reuses the
@@ -108,6 +112,16 @@ func (w *leWriter) f64(v float64) {
 }
 func (w *leWriter) vec(v vec.V) { w.f64(v.X); w.f64(v.Y); w.f64(v.Z) }
 
+// frame appends the frame both durable records open with: magic,
+// version, payload length, the payload, then its CRC32C.
+func (w *leWriter) frame(magic string, payload []byte) {
+	w.buf = append(w.buf, magic...)
+	w.u32(durableVersion)
+	w.u32(uint32(len(payload)))
+	w.buf = append(w.buf, payload...)
+	w.u32(crc32.Checksum(payload, crcTable))
+}
+
 type leReader struct {
 	buf []byte
 	pos int
@@ -148,6 +162,27 @@ func (r *leReader) vec() vec.V {
 	return vec.V{X: r.f64(), Y: r.f64(), Z: r.f64()}
 }
 
+// frame reads what leWriter.frame wrote and returns its validated
+// payload, or why it has none.
+func (r *leReader) frame(magic string) (payload []byte, reason string) {
+	if m := r.take(4); m == nil || string(m) != magic {
+		return nil, "bad magic"
+	}
+	if v := r.u32(); r.err {
+		return nil, "truncated header"
+	} else if v != durableVersion {
+		return nil, fmt.Sprintf("unsupported version %d", v)
+	}
+	payload = r.take(int(r.u32()))
+	if payload == nil {
+		return nil, "truncated header"
+	}
+	if got, want := crc32.Checksum(payload, crcTable), r.u32(); r.err || got != want {
+		return nil, "header checksum mismatch"
+	}
+	return payload, ""
+}
+
 // encodeDurable serializes cp + meta into the on-disk layout.
 func encodeDurable(cp *Checkpoint, meta DurableMeta) []byte {
 	ranks := len(meta.RankAcct)
@@ -165,11 +200,7 @@ func encodeDurable(cp *Checkpoint, meta DurableMeta) []byte {
 	h.i64(int64(len(cp.ListOrigin)))
 
 	var w leWriter
-	w.buf = append(w.buf, durableMagic...)
-	w.u32(durableVersion)
-	w.u32(uint32(len(h.buf)))
-	w.buf = append(w.buf, h.buf...)
-	w.u32(crc32.Checksum(h.buf, crcTable))
+	w.frame(durableMagic, h.buf)
 
 	off := kernels.Partition(cp.N, ranks, nil)
 	for r := 0; r < ranks; r++ {
@@ -224,21 +255,9 @@ func ReadDurable(path string) (*Checkpoint, DurableMeta, error) {
 	}
 
 	r := &leReader{buf: data}
-	if magic := r.take(4); magic == nil || string(magic) != durableMagic {
-		return corrupt("bad magic")
-	}
-	if v := r.u32(); r.err {
-		return corrupt("truncated header")
-	} else if v != durableVersion {
-		return corrupt(fmt.Sprintf("unsupported version %d", v))
-	}
-	hlen := int(r.u32())
-	header := r.take(hlen)
+	header, reason := r.frame(durableMagic)
 	if header == nil {
-		return corrupt("truncated header")
-	}
-	if got, want := crc32.Checksum(header, crcTable), r.u32(); r.err || got != want {
-		return corrupt("header checksum mismatch")
+		return corrupt(reason)
 	}
 
 	h := &leReader{buf: header}
@@ -507,11 +526,7 @@ func (r *CheckpointRing) MarkProgress(p Progress) error {
 		h.i64(int64(c))
 	}
 	var w leWriter
-	w.buf = append(w.buf, progressMagic...)
-	w.u32(durableVersion)
-	w.u32(uint32(len(h.buf)))
-	w.buf = append(w.buf, h.buf...)
-	w.u32(crc32.Checksum(h.buf, crcTable))
+	w.frame(progressMagic, h.buf)
 	return atomicWrite(r.progressPath(), w.buf)
 }
 
@@ -524,18 +539,8 @@ func (r *CheckpointRing) ReadProgress() (Progress, error) {
 		return Progress{}, ErrNoProgress
 	}
 	rd := &leReader{buf: data}
-	if magic := rd.take(4); magic == nil || string(magic) != progressMagic {
-		return Progress{}, ErrNoProgress
-	}
-	if v := rd.u32(); rd.err || v != durableVersion {
-		return Progress{}, ErrNoProgress
-	}
-	hlen := int(rd.u32())
-	payload := rd.take(hlen)
+	payload, _ := rd.frame(progressMagic)
 	if payload == nil {
-		return Progress{}, ErrNoProgress
-	}
-	if got, want := crc32.Checksum(payload, crcTable), rd.u32(); rd.err || got != want {
 		return Progress{}, ErrNoProgress
 	}
 	h := &leReader{buf: payload}

@@ -308,7 +308,7 @@ func TestDomainKillRestartBitwiseIdentical(t *testing.T) {
 	cost := cluster.PentiumIII1GHz()
 	cl := clusterCfg(4, 1, netmodel.TCPGigE())
 	const steps, halt = 6, 3
-	mk := func(dir string, halt int) ResilientConfig {
+	mk := func(dir string, steps int) ResilientConfig {
 		return ResilientConfig{
 			Config: Config{
 				System:     sys,
@@ -320,22 +320,21 @@ func TestDomainKillRestartBitwiseIdentical(t *testing.T) {
 			CheckpointEvery: 2,
 			RestartCost:     5,
 			CheckpointDir:   dir,
-			HaltAfterStep:   halt,
 		}
 	}
 
-	ref, err := RunResilient(cl, cost, mk("", 0))
+	ref, err := RunResilient(cl, cost, mk("", steps))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	dir := t.TempDir()
-	halted, err := RunResilient(cl, cost, mk(dir, halt))
-	if !errors.Is(err, ErrHalted) {
-		t.Fatalf("want ErrHalted, got %v", err)
+	halted, err := RunResilient(cl, cost, mk(dir, halt)) // killed after step 3
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	resumed, err := RunResilient(cl, cost, mk(dir, 0))
+	resumed, err := RunResilient(cl, cost, mk(dir, steps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +425,8 @@ func gaugeValue(reg *obs.Registry, name string) (float64, bool) {
 // deliveries and watchdog timers — hundreds in flight at any instant of a
 // 64-rank exchange — are callback processes, and every rank charges its
 // compute inline. Sampled at every step boundary, where deliveries and
-// stale timers of the step's collectives are still pending; the canonical
+// stale timers of the step's collectives are still pending (the driver's
+// OnStep fires as the last rank completes the step); the canonical
 // evaluation's lanes have returned by then, at any HostWorkers.
 func TestGoroutineBudget(t *testing.T) {
 	const p = 64
@@ -445,11 +445,12 @@ func TestGoroutineBudget(t *testing.T) {
 		cfg.HostWorkers = tc.workers
 		base := runtime.NumGoroutine()
 		peak, samples := 0, 0
-		cfg.OnStep = func(int, StepTiming, md.EnergyReport) {
+		rcfg := ResilientConfig{Config: cfg, OnStep: func(int, StepTiming, md.EnergyReport) bool {
 			peak = max(peak, runtime.NumGoroutine())
 			samples++
-		}
-		if _, err := Run(clusterCfg(p, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), cfg); err != nil {
+			return false
+		}}
+		if _, err := RunResilient(clusterCfg(p, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), rcfg); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if samples != cfg.Steps {

@@ -12,7 +12,7 @@ import (
 )
 
 // TestKillRestartBitwiseIdentical is the acceptance path: run, get killed
-// mid-flight (simulated kill -9 after step 3), restart from the on-disk
+// mid-flight (a kill -9 after step 3 is a 3-step run), restart from the on-disk
 // ring, and the stitched figures must match an uninterrupted run bitwise
 // — with the post-checkpoint work booked as Lost.
 func TestKillRestartBitwiseIdentical(t *testing.T) {
@@ -21,7 +21,7 @@ func TestKillRestartBitwiseIdentical(t *testing.T) {
 	cost := cluster.PentiumIII1GHz()
 	cl := clusterCfg(4, 1, net)
 	const steps, halt = 6, 3
-	mk := func(dir string, halt int) ResilientConfig {
+	mk := func(dir string, steps int) ResilientConfig {
 		return ResilientConfig{
 			Config: Config{
 				System:     sys,
@@ -32,25 +32,24 @@ func TestKillRestartBitwiseIdentical(t *testing.T) {
 			CheckpointEvery: 2,
 			RestartCost:     5,
 			CheckpointDir:   dir,
-			HaltAfterStep:   halt,
 		}
 	}
 
-	ref, err := RunResilient(cl, cost, mk("", 0))
+	ref, err := RunResilient(cl, cost, mk("", steps))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	dir := t.TempDir()
 	halted, err := RunResilient(cl, cost, mk(dir, halt))
-	if !errors.Is(err, ErrHalted) {
-		t.Fatalf("want ErrHalted, got %v", err)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(halted.Energies) != halt {
 		t.Fatalf("halted run reports %d steps, want %d", len(halted.Energies), halt)
 	}
 
-	resumed, err := RunResilient(cl, cost, mk(dir, 0))
+	resumed, err := RunResilient(cl, cost, mk(dir, steps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +96,7 @@ func TestRestartSurvivesCorruptNewestCheckpoint(t *testing.T) {
 	cost := cluster.PentiumIII1GHz()
 	cl := clusterCfg(4, 1, net)
 	const steps = 6
-	mk := func(dir string, halt int) ResilientConfig {
+	mk := func(dir string, steps int) ResilientConfig {
 		return ResilientConfig{
 			Config: Config{
 				System:     sys,
@@ -108,18 +107,17 @@ func TestRestartSurvivesCorruptNewestCheckpoint(t *testing.T) {
 			CheckpointEvery: 1, // a checkpoint per step: corruption costs exactly one step
 			RestartCost:     5,
 			CheckpointDir:   dir,
-			HaltAfterStep:   halt,
 		}
 	}
 
-	ref, err := RunResilient(cl, cost, mk("", 0))
+	ref, err := RunResilient(cl, cost, mk("", steps))
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	halted, err := RunResilient(cl, cost, mk(dir, 4))
-	if !errors.Is(err, ErrHalted) {
-		t.Fatalf("want ErrHalted, got %v", err)
+	halted, err := RunResilient(cl, cost, mk(dir, 4)) // killed after step 4
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	// Flip one byte in the newest checkpoint (step 4).
@@ -133,7 +131,7 @@ func TestRestartSurvivesCorruptNewestCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resumed, err := RunResilient(cl, cost, mk(dir, 0))
+	resumed, err := RunResilient(cl, cost, mk(dir, steps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +169,6 @@ func TestResilientConfigValidation(t *testing.T) {
 		{"negative ring depth", "KeepCheckpoints", func(c *ResilientConfig) { c.KeepCheckpoints = -2 }},
 		{"negative restart cost", "RestartCost", func(c *ResilientConfig) { c.RestartCost = -5 }},
 		{"negative restart budget", "MaxRestarts", func(c *ResilientConfig) { c.MaxRestarts = -1 }},
-		{"negative halt step", "HaltAfterStep", func(c *ResilientConfig) { c.HaltAfterStep = -3 }},
-		{"halt without directory", "HaltAfterStep", func(c *ResilientConfig) { c.HaltAfterStep = 1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -212,19 +208,18 @@ func TestDeterministicAcrossHostWorkers(t *testing.T) {
 		dir := t.TempDir()
 		cfg := ResilientConfig{
 			Config: Config{
-				System: sys, MD: testMDConfig(), Steps: 4,
+				System: sys, MD: testMDConfig(), Steps: 2, // killed after step 2
 				Middleware: MiddlewareMPI, HostWorkers: workers,
 			},
 			Scenario:        sc,
 			CheckpointEvery: 2,
 			RestartCost:     5,
 			CheckpointDir:   dir,
-			HaltAfterStep:   2,
 		}
-		if _, err := RunResilient(clusterCfg(4, 1, net), cost, cfg); !errors.Is(err, ErrHalted) {
-			t.Fatalf("want ErrHalted, got %v", err)
+		if _, err := RunResilient(clusterCfg(4, 1, net), cost, cfg); err != nil {
+			t.Fatal(err)
 		}
-		cfg.HaltAfterStep = 0
+		cfg.Steps = 4
 		res, err := RunResilient(clusterCfg(4, 1, net), cost, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -242,5 +237,44 @@ func TestDeterministicAcrossHostWorkers(t *testing.T) {
 	}
 	if a.LostTotal() != b.LostTotal() {
 		t.Errorf("lost differs across workers: %g vs %g", a.LostTotal(), b.LostTotal())
+	}
+}
+
+// TestOnStepFiresOnceTheStepIsDurable: the driver's hook sees each step
+// once, in order, and only after the step's checkpoint and progress mark
+// are on disk — a consumer that streams a step may rely on a restart not
+// losing it.
+func TestOnStepFiresOnceTheStepIsDurable(t *testing.T) {
+	const steps = 5
+	dir := t.TempDir()
+	ring := &md.CheckpointRing{Dir: dir}
+	var fired []int
+	_, err := RunResilient(clusterCfg(4, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), ResilientConfig{
+		Config: Config{
+			System: testSystem(48, 24, 43), MD: testMDConfig(), Steps: steps, Middleware: MiddlewareMPI,
+		},
+		CheckpointEvery: 1,
+		CheckpointDir:   dir,
+		OnStep: func(step int, _ StepTiming, _ md.EnergyReport) bool {
+			fired = append(fired, step)
+			if _, meta, _, err := ring.LoadNewest(); err != nil || meta.Step != step+1 {
+				t.Errorf("step %d streamed with newest checkpoint at %d (%v), want %d", step, meta.Step, err, step+1)
+			}
+			if prog, err := ring.ReadProgress(); err != nil || prog.Step != step+1 {
+				t.Errorf("step %d streamed with progress mark at %d (%v), want %d", step, prog.Step, err, step+1)
+			}
+			return false
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fired) != steps {
+		t.Fatalf("OnStep fired for steps %v, want each of 0..%d once", fired, steps-1)
+	}
+	for i, s := range fired {
+		if s != i {
+			t.Fatalf("OnStep fired for steps %v, want each of 0..%d once", fired, steps-1)
+		}
 	}
 }

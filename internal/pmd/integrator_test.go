@@ -29,7 +29,7 @@ func captureSteps(t *testing.T, cfg Config, p int) []stepState {
 	for s := range out {
 		out[s].vel = make([]vec.V, cfg.System.N())
 	}
-	cfg.onStep = func(w *worker, step int) {
+	cfg.onStep = func(w *worker, step int, _ StepTiming, _ md.EnergyReport) {
 		lo, hi := w.myAtoms()
 		copy(out[step].vel[lo:hi], w.cur.vel[lo:hi])
 		if w.me() == 0 {

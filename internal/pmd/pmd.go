@@ -114,16 +114,6 @@ type Config struct {
 	// bitwise identical to the serial loop. ≤ 1 runs everything inline.
 	HostWorkers int
 
-	// OnStep, when non-nil, runs on rank 0 after every completed step
-	// with the global step index, the step's classic/PME timing split
-	// and its energy report. Unlike Init it does not disable
-	// the physics tape: a replayed run substitutes the taped energies
-	// before the hook fires, so a memoized run streams the same
-	// telemetry a real one does. Under RunResilient the index is global
-	// across attempts, and steps replayed after a rewind re-fire —
-	// consumers that need each step once must filter monotonically.
-	OnStep func(step int, timing StepTiming, energy md.EnergyReport)
-
 	// Perf, when non-nil, is the communication log the run feeds: every
 	// collective's kind and byte matrix, recorded once per invocation from
 	// rank 0's view. It adds the comm aggregates to Result.Profile; the
@@ -131,14 +121,11 @@ type Config struct {
 	Perf *perf.Timeline
 
 	// onStep, when non-nil, runs on every rank at the end of every
-	// completed step, before the next step. The resilient driver hooks its
+	// completed step, before the next step, with the rank's timing split
+	// and energy report of the step. The resilient driver hooks its
 	// checkpoint recorder here; it reads the rank's snapshot and
 	// accounting only, so a taped run serves it as well as a live one.
-	onStep func(w *worker, step int)
-
-	// stepBase is the global-step offset the resilient driver applies to
-	// the OnStep indices of resumed attempts.
-	stepBase int
+	onStep func(w *worker, step int, timing StepTiming, energy md.EnergyReport)
 }
 
 // PhaseSample is the measured decomposition of one phase of one step on

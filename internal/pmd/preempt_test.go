@@ -19,7 +19,7 @@ func TestPreemptResumeBitwiseIdentical(t *testing.T) {
 	cost := cluster.PentiumIII1GHz()
 	cl := clusterCfg(4, 1, net)
 	const steps = 6
-	mk := func(dir string, preempt func() bool) ResilientConfig {
+	mk := func(dir string, onStep func(int, StepTiming, md.EnergyReport) bool) ResilientConfig {
 		return ResilientConfig{
 			Config: Config{
 				System:     sys,
@@ -30,7 +30,7 @@ func TestPreemptResumeBitwiseIdentical(t *testing.T) {
 			CheckpointEvery: 4, // step 3 is off-cadence: only the forced boundary ckpt can park it
 			RestartCost:     5,
 			CheckpointDir:   dir,
-			Preempt:         preempt,
+			OnStep:          onStep,
 		}
 	}
 
@@ -42,10 +42,8 @@ func TestPreemptResumeBitwiseIdentical(t *testing.T) {
 	// Ask for preemption after the 2nd completed step: the run must latch
 	// the next boundary (step 3) and stop exactly there.
 	dir := t.TempDir()
-	polls := 0
-	parked, err := RunResilient(cl, cost, mk(dir, func() bool {
-		polls++
-		return polls >= 2
+	parked, err := RunResilient(cl, cost, mk(dir, func(step int, _ StepTiming, _ md.EnergyReport) bool {
+		return step >= 1
 	}))
 	if !errors.Is(err, ErrPreempted) {
 		t.Fatalf("want ErrPreempted, got %v", err)
@@ -95,7 +93,7 @@ func TestPreemptRepeatedCycles(t *testing.T) {
 	cost := cluster.PentiumIII1GHz()
 	cl := clusterCfg(3, 1, net)
 	const steps = 5
-	mk := func(dir string, preempt func() bool) ResilientConfig {
+	mk := func(dir string, onStep func(int, StepTiming, md.EnergyReport) bool) ResilientConfig {
 		return ResilientConfig{
 			Config: Config{
 				System:     sys,
@@ -106,7 +104,7 @@ func TestPreemptRepeatedCycles(t *testing.T) {
 			CheckpointEvery: 2,
 			RestartCost:     5,
 			CheckpointDir:   dir,
-			Preempt:         preempt,
+			OnStep:          onStep,
 		}
 	}
 	ref, err := RunResilient(cl, cost, mk("", nil))
@@ -115,7 +113,7 @@ func TestPreemptRepeatedCycles(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	greedy := func() bool { return true } // preempt at the first boundary of every cycle
+	greedy := func(int, StepTiming, md.EnergyReport) bool { return true } // preempt at the first boundary of every cycle
 	var last *ResilientResult
 	cycles := 0
 	var got []md.EnergyReport
@@ -160,7 +158,6 @@ func TestPreemptAtFinalBoundaryCompletes(t *testing.T) {
 	sys := testSystem(48, 24, 37)
 	net := netmodel.TCPGigE()
 	const steps = 3
-	polls := 0
 	res, err := RunResilient(clusterCfg(2, 1, net), cluster.PentiumIII1GHz(), ResilientConfig{
 		Config: Config{
 			System:     sys,
@@ -170,9 +167,8 @@ func TestPreemptAtFinalBoundaryCompletes(t *testing.T) {
 		},
 		CheckpointEvery: 1,
 		CheckpointDir:   t.TempDir(),
-		Preempt: func() bool {
-			polls++
-			return polls >= steps // fires at the last boundary: nothing left to cut
+		OnStep: func(step int, _ StepTiming, _ md.EnergyReport) bool {
+			return step == steps-1 // fires at the last boundary: nothing left to cut
 		},
 	})
 	if err != nil {
@@ -183,8 +179,9 @@ func TestPreemptAtFinalBoundaryCompletes(t *testing.T) {
 	}
 }
 
-// TestPreemptValidation: Preempt without a durable directory is a typed
-// ConfigError — there would be nowhere to park the run.
+// TestPreemptValidation: an OnStep asking for preemption on a run without
+// a durable directory fails it with a typed ConfigError — there would be
+// nowhere to park the run.
 func TestPreemptValidation(t *testing.T) {
 	sys := testSystem(27, 24, 41)
 	net := netmodel.TCPGigE()
@@ -192,13 +189,13 @@ func TestPreemptValidation(t *testing.T) {
 		Config: Config{
 			System: sys, MD: testMDConfig(), Steps: 2, Middleware: MiddlewareMPI,
 		},
-		Preempt: func() bool { return true },
+		OnStep: func(int, StepTiming, md.EnergyReport) bool { return true },
 	})
 	var ce *ConfigError
 	if !errors.As(err, &ce) {
 		t.Fatalf("want ConfigError, got %v", err)
 	}
-	if ce.Field != "Preempt" {
-		t.Errorf("error names field %q, want Preempt", ce.Field)
+	if ce.Field != "OnStep" {
+		t.Errorf("error names field %q, want OnStep", ce.Field)
 	}
 }

@@ -2,7 +2,6 @@ package pmd
 
 import (
 	"bytes"
-	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -29,24 +28,28 @@ func TestProfileIdentityAndTelemetry(t *testing.T) {
 	const steps, p = 3, 4
 	var hookSteps []int
 	var hookEnergies []md.EnergyReport
-	cfg := Config{
-		System:     sys,
-		MD:         testMDConfig(),
-		Steps:      steps,
-		Middleware: MiddlewareMPI,
-		Perf:       perf.NewTimeline(p),
-		OnStep: func(step int, st StepTiming, e md.EnergyReport) {
+	rcfg := ResilientConfig{
+		Config: Config{
+			System:     sys,
+			MD:         testMDConfig(),
+			Steps:      steps,
+			Middleware: MiddlewareMPI,
+			Perf:       perf.NewTimeline(p),
+		},
+		OnStep: func(step int, st StepTiming, e md.EnergyReport) bool {
 			hookSteps = append(hookSteps, step)
 			hookEnergies = append(hookEnergies, e)
 			if st.Classic.Wall <= 0 {
 				t.Errorf("step %d: hook got empty classic sample", step)
 			}
+			return false
 		},
 	}
-	res, err := Run(clusterCfg(p, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), cfg)
+	rr, err := RunResilient(clusterCfg(p, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := rr.Final
 
 	if len(hookSteps) != steps {
 		t.Fatalf("OnStep fired %d times, want %d", len(hookSteps), steps)
@@ -156,9 +159,11 @@ func TestOnStepKeepsTapeEligible(t *testing.T) {
 	// (replays charge recorded counters) and the hook must stream the
 	// taped energies.
 	var got []md.EnergyReport
-	cfg := base
-	cfg.OnStep = func(step int, _ StepTiming, e md.EnergyReport) { got = append(got, e) }
-	r2, err := Run(clusterCfg(p, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), cfg)
+	rcfg := ResilientConfig{Config: base, OnStep: func(step int, _ StepTiming, e md.EnergyReport) bool {
+		got = append(got, e)
+		return false
+	}}
+	r2, err := RunResilient(clusterCfg(p, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,14 +268,13 @@ func TestResilientProfileCoversTheStepsThatRan(t *testing.T) {
 	}
 	const steps = 6
 	cl, cost := clusterCfg(4, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz()
-	mk := func(sc *fault.Scenario, dir string, halt int) ResilientConfig {
+	mk := func(sc *fault.Scenario, dir string, steps int) ResilientConfig {
 		return ResilientConfig{
 			Config:          Config{System: sys, MD: testMDConfig(), Steps: steps, Middleware: MiddlewareMPI},
 			Scenario:        sc,
 			CheckpointEvery: 2,
 			RestartCost:     5,
 			CheckpointDir:   dir,
-			HaltAfterStep:   halt,
 		}
 	}
 	for _, tc := range []struct {
@@ -278,7 +282,7 @@ func TestResilientProfileCoversTheStepsThatRan(t *testing.T) {
 		run  func(t *testing.T) *ResilientResult
 	}{
 		{"crash rewind", func(t *testing.T) *ResilientResult {
-			res, err := RunResilient(cl, cost, mk(sc, "", 0))
+			res, err := RunResilient(cl, cost, mk(sc, "", steps))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -286,10 +290,10 @@ func TestResilientProfileCoversTheStepsThatRan(t *testing.T) {
 		}},
 		{"halt then resume", func(t *testing.T) *ResilientResult {
 			dir := t.TempDir()
-			if _, err := RunResilient(cl, cost, mk(nil, dir, 3)); !errors.Is(err, ErrHalted) {
-				t.Fatalf("want ErrHalted, got %v", err)
+			if _, err := RunResilient(cl, cost, mk(nil, dir, 3)); err != nil { // killed after step 3
+				t.Fatal(err)
 			}
-			res, err := RunResilient(cl, cost, mk(nil, dir, 0))
+			res, err := RunResilient(cl, cost, mk(nil, dir, steps))
 			if err != nil {
 				t.Fatal(err)
 			}

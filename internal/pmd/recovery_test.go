@@ -128,7 +128,7 @@ func TestLocalizedRecoveryMidMigration(t *testing.T) {
 	stepEnd := make([]float64, steps)
 	var gens []int
 	probe := cfg
-	probe.onStep = func(w *worker, step int) {
+	probe.onStep = func(w *worker, step int, _ StepTiming, _ md.EnergyReport) {
 		if t := w.r.Now(); t > stepEnd[step] {
 			stepEnd[step] = t
 		}
@@ -177,7 +177,7 @@ func TestLocalizedRecoveryMidMigration(t *testing.T) {
 
 // TestLocalizedRecoveryPreemptRace runs the CheckpointRing, a localized
 // repair and a graceful preemption in the same run: a crash is
-// repaired locally, the Preempt hook parks the run at the next boundary,
+// repaired locally, the OnStep hook parks the run at the next boundary,
 // and the resumed run stitches bitwise into the fault-free trajectory.
 func TestLocalizedRecoveryPreemptRace(t *testing.T) {
 	sys := testSystem(64, 24, 17)
@@ -192,7 +192,7 @@ func TestLocalizedRecoveryPreemptRace(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	mk := func(preempt func() bool, scenario *fault.Scenario) ResilientConfig {
+	mk := func(onStep func(int, StepTiming, md.EnergyReport) bool, scenario *fault.Scenario) ResilientConfig {
 		return ResilientConfig{
 			Config:          domainCfg(sys, steps),
 			Scenario:        scenario,
@@ -200,7 +200,7 @@ func TestLocalizedRecoveryPreemptRace(t *testing.T) {
 			RestartCost:     5,
 			CheckpointDir:   dir,
 			Recovery:        RecoveryLocal,
-			Preempt:         preempt,
+			OnStep:          onStep,
 		}
 	}
 
@@ -208,7 +208,7 @@ func TestLocalizedRecoveryPreemptRace(t *testing.T) {
 	// already passed: the park must checkpoint post-recovery state.
 	sc := crashSpec(t, 0.1*healthy.Wall, 2)
 	polls := 0
-	parked, err := RunResilient(cl, cost, mk(func() bool {
+	parked, err := RunResilient(cl, cost, mk(func(int, StepTiming, md.EnergyReport) bool {
 		polls++
 		return polls >= 4
 	}, sc))
@@ -261,7 +261,6 @@ func TestCheckpointTunerPinnedReplay(t *testing.T) {
 		CheckpointEvery: 3,
 		RestartCost:     5,
 		Recovery:        RecoveryLocal,
-		TuneCheckpoint:  true,
 		CheckpointCost:  2,
 	})
 	if err != nil {
@@ -282,18 +281,17 @@ func TestCheckpointTunerPinnedReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(every int, tune bool) ResilientConfig {
+	mk := func(every int, ckptCost float64) ResilientConfig {
 		return ResilientConfig{
 			Config:          domainCfg(sys, steps),
 			Scenario:        sc,
 			CheckpointEvery: every,
 			RestartCost:     5,
 			Recovery:        RecoveryLocal,
-			TuneCheckpoint:  tune,
-			CheckpointCost:  2,
+			CheckpointCost:  ckptCost,
 		}
 	}
-	tuned, err := RunResilient(cl, cost, mk(3, true))
+	tuned, err := RunResilient(cl, cost, mk(3, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,8 +307,8 @@ func TestCheckpointTunerPinnedReplay(t *testing.T) {
 	sameTrajectory(t, "tuned", tuned.Energies, healthy, tuned.Final)
 
 	// Pinned replay: the tuned interval as a fixed cadence reproduces the
-	// trajectory bit for bit.
-	pinned, err := RunResilient(cl, cost, mk(tuned.CheckpointInterval, false))
+	// trajectory bit for bit; no checkpoint price leaves the tuner unarmed.
+	pinned, err := RunResilient(cl, cost, mk(tuned.CheckpointInterval, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +328,6 @@ func TestRecoveryConfigValidation(t *testing.T) {
 		field string
 	}{
 		{"local needs domain", ResilientConfig{Config: base, Recovery: RecoveryLocal}, "Recovery"},
-		{"tuner needs cost", ResilientConfig{Config: base, TuneCheckpoint: true}, "TuneCheckpoint"},
 		{"negative cost", ResilientConfig{Config: base, CheckpointCost: -1}, "CheckpointCost"},
 	}
 	for _, tc := range cases {

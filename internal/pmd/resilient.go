@@ -104,13 +104,14 @@ type recorder struct {
 	hist  [][]ckptEntry
 	snaps []*canonState // history index -> the step's snapshot
 
-	halted     bool
-	preemptAt  int // global step every rank stops after; 0 = none latched
-	preempted  bool
-	nowMax     float64
-	acct       []mpi.Accounting // current attempt accounting, refreshed every onStep
-	seen       map[int]int      // local step -> ranks that completed it
-	persistErr error
+	preemptAt int // global step every rank stops after; 0 = none latched
+	preempted bool
+	nowMax    float64
+	acct      []mpi.Accounting // current attempt accounting, refreshed every onStep
+	seen      map[int]int      // local step -> ranks that completed it
+	timing    StepTiming       // rank 0's split of the newest step it completed
+	energy    md.EnergyReport  // rank 0's energies of that step
+	fatal     error            // first persistence or hook error; ends the invocation
 
 	// Localized-recovery bookkeeping (RecoveryLocal only). In local mode
 	// the recorder keeps a full entry for EVERY completed step — the
@@ -128,9 +129,8 @@ type recorder struct {
 	err   error            // nil means it completed
 }
 
-func (rec *recorder) onStep(w *worker, step int) {
+func (rec *recorder) onStep(w *worker, step int, timing StepTiming, energy md.EnergyReport) {
 	me := w.me()
-	haltAfter := rec.d.rcfg.HaltAfterStep
 	global := rec.d.stepsDone + step + 1
 	// A preemption boundary forces a checkpoint regardless of cadence:
 	// preemptAt was latched before any rank started this step (see below),
@@ -152,34 +152,34 @@ func (rec *recorder) onStep(w *worker, step int) {
 		rec.epochSteps = append(rec.epochSteps, step)
 		rec.lastGen = w.cur.listGen
 	}
-	// The halt step itself still persists: every rank completes it (each
-	// sets only its own stop flag), so its checkpoint must reach disk
-	// before the simulated kill — that is the state the restart resumes.
-	if rec.d.ring != nil && (haltAfter == 0 || global <= haltAfter) {
-		rec.acct[me] = w.r.Acct()
-		if now := w.r.Now(); now > rec.nowMax {
-			rec.nowMax = now
-		}
-		rec.seen[step]++
-		if rec.seen[step] == rec.p {
-			// Collective ordering guarantees every rank finished this step
-			// before any rank reaches the next one, so the state gathered
-			// across ranks is globally consistent here.
-			delete(rec.seen, step)
-			rec.persist(global, ckptStep)
-			if preempt := rec.d.rcfg.Preempt; preempt != nil && rec.preemptAt == 0 && preempt() {
-				// Latch the stop point one boundary ahead: the other ranks
-				// already passed their stop check for this step, so the next
-				// boundary is the earliest one all ranks still observe. No
-				// rank has started the next step yet (same ordering as the
-				// persist above), so they all see the latched value.
-				rec.preemptAt = global + 1
-			}
-		}
+	if me == 0 {
+		rec.timing, rec.energy = timing, energy
 	}
-	if haltAfter > 0 && global >= haltAfter {
-		rec.halted = true
-		w.stop = true
+	rec.acct[me] = w.r.Acct()
+	if now := w.r.Now(); now > rec.nowMax {
+		rec.nowMax = now
+	}
+	rec.seen[step]++
+	if rec.seen[step] == rec.p {
+		// Collective ordering guarantees every rank finished this step
+		// before any rank reaches the next one, so the state gathered
+		// across ranks is globally consistent here, and rank 0's stash is
+		// this step's.
+		delete(rec.seen, step)
+		if rec.d.ring != nil {
+			rec.persist(global, ckptStep)
+		}
+		if hook := rec.d.rcfg.OnStep; hook != nil && hook(global-1, rec.timing, rec.energy) && rec.preemptAt == 0 {
+			if rec.d.ring == nil {
+				rec.fatal = &ConfigError{"OnStep", "graceful preemption needs CheckpointDir to park the run in"}
+			}
+			// Latch the stop point one boundary ahead: the other ranks
+			// already passed their stop check for this step, so the next
+			// boundary is the earliest one all ranks still observe. No
+			// rank has started the next step yet (same ordering as the
+			// persist above), so they all see the latched value.
+			rec.preemptAt = global + 1
+		}
 	}
 	if rec.preemptAt > 0 && global >= rec.preemptAt {
 		rec.preempted = true
@@ -191,7 +191,7 @@ func (rec *recorder) onStep(w *worker, step int) {
 // and, on checkpoint steps, the durable checkpoint itself. Persistence
 // errors are remembered (first one wins) and surfaced after the attempt.
 func (rec *recorder) persist(global int, ckptStep bool) {
-	if rec.persistErr != nil {
+	if rec.fatal != nil {
 		return
 	}
 	d := rec.d
@@ -209,13 +209,13 @@ func (rec *recorder) persist(global int, ckptStep bool) {
 		cp := rec.assemble(len(rec.hist[0]) - 1)
 		meta := md.DurableMeta{Step: global, Wall: wall, RankAcct: quads}
 		if err := d.ring.Save(cp, meta); err != nil {
-			rec.persistErr = err
+			rec.fatal = fmt.Errorf("pmd: durable checkpoint: %w", err)
 			return
 		}
 	}
 	prog := md.Progress{Step: global, Wall: wall, RankAcct: quads, ConsumedCrashes: d.consumed}
 	if err := d.ring.MarkProgress(prog); err != nil {
-		rec.persistErr = err
+		rec.fatal = fmt.Errorf("pmd: durable checkpoint: %w", err)
 	}
 }
 
@@ -291,7 +291,8 @@ type driver struct {
 	restarts, maxRestarts int
 
 	every int            // durable cadence in effect: CheckpointEvery until the tuner re-derives it
-	tuner *recover.Tuner // nil unless TuneCheckpoint
+	tuned bool           // every came from the Young/Daly formula
+	tuner *recover.Tuner // nil unless CheckpointCost > 0
 }
 
 // RunResilient executes the parallel MD under fault injection with
@@ -329,7 +330,7 @@ func RunResilient(clusterCfg cluster.Config, cost cluster.CostModel, rcfg Resili
 		// deadlock instead of a recoverable typed error.
 		d.wd = mpi.DefaultWatchdog()
 	}
-	if rcfg.TuneCheckpoint {
+	if rcfg.CheckpointCost > 0 {
 		d.tuner = &recover.Tuner{Fixed: rcfg.CheckpointEvery, CkptCost: rcfg.CheckpointCost, MaxSteps: rcfg.Steps}
 	}
 	if rcfg.CheckpointDir != "" {
@@ -429,11 +430,9 @@ func (d *driver) attempt() (*recorder, error) {
 	cfg.Init = d.init
 	cfg.Watchdog = d.wd
 	cfg.onStep = rec.onStep
-	// OnStep telemetry uses global step indices.
-	cfg.stepBase = d.stepsDone
 	rec.res, rec.accts, rec.err = runAttempt(d.cfg, d.cost, cfg)
-	if rec.persistErr != nil {
-		return nil, fmt.Errorf("pmd: durable checkpoint: %w", rec.persistErr)
+	if rec.fatal != nil {
+		return nil, rec.fatal
 	}
 	return rec, nil
 }
@@ -452,11 +451,7 @@ func (d *driver) finish(rec *recorder) (*ResilientResult, error) {
 	out.Ranks = rec.p
 	out.Energies = append(out.Energies, res.Energies...)
 	out.Wall += res.Wall
-	out.CheckpointInterval = d.every
-	out.IntervalTuned = d.tuner != nil && d.tuner.Tuned()
-	if rec.halted {
-		return out, ErrHalted
-	}
+	out.CheckpointInterval, out.IntervalTuned = d.every, d.tuned
 	// Preemption at the final boundary is indistinguishable from
 	// finishing — only an actually shortened run reports it.
 	if rec.preempted && d.stepsDone+len(res.Energies) < d.rcfg.Steps {
@@ -646,7 +641,7 @@ func (d *driver) repairCrash(rec *recorder, ce *mpi.CrashError, detected float64
 	if d.tuner != nil {
 		d.tuner.Fail(out.Wall)
 		d.tuner.Progress(out.Wall, d.stepsDone)
-		d.every, _ = d.tuner.Interval()
+		d.every, d.tuned = d.tuner.Interval()
 		if reg := rcfg.Obs; reg != nil {
 			if mttf, ok := d.tuner.Estimate(); ok {
 				reg.Gauge("repro_mttf_seconds", "online mean-time-to-failure estimate (virtual s)").Set(mttf)

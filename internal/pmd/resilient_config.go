@@ -91,37 +91,32 @@ type ResilientConfig struct {
 	// negative values are a *ConfigError.
 	KeepCheckpoints int
 
-	// HaltAfterStep > 0 simulates a kill -9 for tests and examples: the
-	// run stops right after that global step completes (persistence is
-	// current up to it, nothing later reaches disk) and RunResilient
-	// returns the partial result with ErrHalted. Requires CheckpointDir.
-	HaltAfterStep int
-
-	// Preempt, when non-nil, is polled once per globally completed step
-	// from inside the simulation (it must not block). The first time it
-	// returns true the run latches the NEXT step boundary as the
-	// preemption point: every rank checkpoints there, the checkpoint is
-	// persisted to CheckpointDir, and RunResilient returns the completed
-	// prefix with ErrPreempted. A later invocation with the same
-	// CheckpointDir resumes from that checkpoint with zero lost work —
-	// this is the graceful-preemption hook the serve layer uses to yield
-	// a long run to waiting tenants. Requires CheckpointDir.
-	Preempt func() bool
+	// OnStep, when non-nil, runs once per globally completed step, after
+	// the step is persisted to CheckpointDir (when set), from inside the
+	// simulation (it must not block). It receives the
+	// global step index, rank 0's classic/PME timing split and the step's
+	// energy report; a taped run streams the same values a live one does.
+	// Steps replayed after a rewind re-fire, so a consumer that needs each
+	// step once filters monotonically. The first true answer latches the
+	// NEXT step boundary as the preemption point: every rank checkpoints
+	// there, the checkpoint is persisted to CheckpointDir, and
+	// RunResilient returns the completed prefix with ErrPreempted. A later
+	// invocation with the same CheckpointDir resumes from that checkpoint
+	// with zero lost work — the graceful-preemption hook the serve layer
+	// uses to yield a long run to waiting tenants. A true answer on a run
+	// without CheckpointDir fails it with a *ConfigError.
+	OnStep func(step int, timing StepTiming, energy md.EnergyReport) (stop bool)
 
 	// Recovery selects the crash-repair strategy. RecoveryLocal requires
 	// Decomp == DecompDomain (the repair unit is a spatial domain).
 	Recovery RecoveryKind
 
-	// TuneCheckpoint enables the failure-rate-aware cadence tuner: after
-	// the first observed crash the durable-checkpoint interval is re-set
-	// from the online MTTF estimate via the Young/Daly formula
-	// (CheckpointEvery remains the zero-failure fallback). Requires
-	// CheckpointCost > 0 — the formula needs the checkpoint's price.
-	TuneCheckpoint bool
-
-	// CheckpointCost is the virtual seconds one durable checkpoint costs,
-	// the C in the Young/Daly interval √(2·C·MTTF). Negative values are a
-	// *ConfigError.
+	// CheckpointCost > 0 is the virtual seconds one durable checkpoint
+	// costs, the C in the Young/Daly interval √(2·C·MTTF), and arms the
+	// failure-rate-aware cadence tuner: after the first observed crash the
+	// durable-checkpoint interval is re-set from the online MTTF estimate
+	// (CheckpointEvery remains the zero-failure fallback). 0 keeps the
+	// fixed cadence; negative values are a *ConfigError.
 	CheckpointCost float64
 }
 
@@ -133,16 +128,10 @@ type ConfigError struct {
 
 func (e *ConfigError) Error() string { return fmt.Sprintf("pmd: invalid %s: %s", e.Field, e.Msg) }
 
-// ErrHalted marks a run stopped at the configured HaltAfterStep kill
-// point. The result returned alongside it holds the completed prefix; a
-// follow-up RunResilient with the same CheckpointDir resumes from disk.
-var ErrHalted = errors.New("pmd: run halted at the simulated kill point")
-
-// ErrPreempted marks a run stopped at a Preempt-requested checkpoint
-// boundary. Unlike ErrHalted (a simulated crash that loses the work past
-// the last periodic checkpoint), a preempted run checkpoints the exact
-// boundary it stops at: resuming with the same CheckpointDir loses
-// nothing. The result alongside holds the completed prefix.
+// ErrPreempted marks a run stopped at a boundary OnStep asked for. The
+// run checkpoints the exact boundary it stops at, so resuming with the
+// same CheckpointDir loses nothing. The result alongside holds the
+// completed prefix.
 var ErrPreempted = errors.New("pmd: run preempted at a checkpoint boundary")
 
 // validate checks the resilience knobs and applies defaults in place.
@@ -161,16 +150,8 @@ func (rcfg *ResilientConfig) validate() error {
 		return &ConfigError{"RestartCost", fmt.Sprintf("must be >= 0, got %g", rcfg.RestartCost)}
 	case rcfg.MaxRestarts < 0:
 		return &ConfigError{"MaxRestarts", fmt.Sprintf("must be >= 0, got %d", rcfg.MaxRestarts)}
-	case rcfg.HaltAfterStep < 0:
-		return &ConfigError{"HaltAfterStep", fmt.Sprintf("must be >= 0, got %d", rcfg.HaltAfterStep)}
-	case rcfg.HaltAfterStep > 0 && rcfg.CheckpointDir == "":
-		return &ConfigError{"HaltAfterStep", "simulated kill needs CheckpointDir to resume from"}
-	case rcfg.Preempt != nil && rcfg.CheckpointDir == "":
-		return &ConfigError{"Preempt", "graceful preemption needs CheckpointDir to park the run in"}
 	case rcfg.CheckpointCost < 0:
 		return &ConfigError{"CheckpointCost", fmt.Sprintf("must be >= 0, got %g", rcfg.CheckpointCost)}
-	case rcfg.TuneCheckpoint && rcfg.CheckpointCost <= 0:
-		return &ConfigError{"TuneCheckpoint", "the Young/Daly interval needs CheckpointCost > 0"}
 	}
 	if rcfg.CheckpointEvery == 0 {
 		rcfg.CheckpointEvery = 1

@@ -205,24 +205,23 @@ func resilientGoldenRuns(t *testing.T) map[string]*ResilientResult {
 			Config:          cfg,
 			Scenario:        spec("crash@%g,rank=2;crash@%g,rank=6", 0.55*w, 0.85*w),
 			CheckpointEvery: 3, RestartCost: 5, Recovery: RecoveryLocal,
-			TuneCheckpoint: true, CheckpointCost: 2,
+			CheckpointCost: 2,
 		}, nil)
 		if len(res.Recoveries) != 2 || !res.IntervalTuned {
 			t.Fatalf("local/tuned: %d recoveries, tuned=%v", len(res.Recoveries), res.IntervalTuned)
 		}
 	}
-	// Kill -9 after step 3, then resume from the ring.
+	// Kill -9 after step 3 — a 3-step run — then resume from the ring.
 	{
 		cl := clusterCfg(4, 1, net)
-		mk := func(dir string, halt int) ResilientConfig {
+		mk := func(dir string, steps int) ResilientConfig {
 			return ResilientConfig{
-				Config: replicated(3, 6), CheckpointEvery: 2, RestartCost: 5,
-				CheckpointDir: dir, HaltAfterStep: halt,
+				Config: replicated(3, steps), CheckpointEvery: 2, RestartCost: 5, CheckpointDir: dir,
 			}
 		}
 		dir := t.TempDir()
-		run("kill/halted", cl, mk(dir, 3), ErrHalted)
-		res := run("kill/resumed", cl, mk(dir, 0), nil)
+		run("kill/halted", cl, mk(dir, 3), nil)
+		res := run("kill/resumed", cl, mk(dir, 6), nil)
 		if res.Resumed == nil || res.Resumed.LostOnDisk <= 0 {
 			t.Fatalf("kill/resumed: resume info %+v", res.Resumed)
 		}
@@ -234,8 +233,8 @@ func resilientGoldenRuns(t *testing.T) map[string]*ResilientResult {
 		dir = t.TempDir()
 		halted := mk(dir, 5)
 		halted.Scenario = sc
-		run("kill-after-crash/halted", cl, halted, ErrHalted)
-		resumed := mk(dir, 0)
+		run("kill-after-crash/halted", cl, halted, nil)
+		resumed := mk(dir, 6)
 		resumed.Scenario = sc
 		res = run("kill-after-crash/resumed", cl, resumed, nil)
 		if res.Resumed == nil || res.Ranks != 3 || len(res.Recoveries) != 0 {
@@ -245,15 +244,14 @@ func resilientGoldenRuns(t *testing.T) map[string]*ResilientResult {
 	// One graceful preempt/resume cycle.
 	{
 		cl := clusterCfg(4, 1, net)
-		mk := func(dir string, preempt func() bool) ResilientConfig {
+		mk := func(dir string, onStep func(int, StepTiming, md.EnergyReport) bool) ResilientConfig {
 			return ResilientConfig{
 				Config: replicated(29, 6), CheckpointEvery: 4, RestartCost: 5,
-				CheckpointDir: dir, Preempt: preempt,
+				CheckpointDir: dir, OnStep: onStep,
 			}
 		}
 		dir := t.TempDir()
-		polls := 0
-		run("preempt/parked", cl, mk(dir, func() bool { polls++; return polls >= 2 }), ErrPreempted)
+		run("preempt/parked", cl, mk(dir, func(step int, _ StepTiming, _ md.EnergyReport) bool { return step >= 1 }), ErrPreempted)
 		run("preempt/resumed", cl, mk(dir, nil), nil)
 	}
 	return out

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/md"
 	"repro/internal/netmodel"
 )
 
@@ -97,7 +98,7 @@ func (c runGoldenCase) rebuilds(t *testing.T) int {
 	cfg.MD.FF.ListCutoff = 9.5
 	cfg.Steps = c.steps
 	gen := 0
-	cfg.onStep = func(w *worker, step int) {
+	cfg.onStep = func(w *worker, step int, _ StepTiming, _ md.EnergyReport) {
 		if w.me() == 0 {
 			gen = w.cur.listGen
 		}

@@ -226,12 +226,9 @@ func (w *worker) run(res *Result) {
 		timings = append(timings, st)
 		if w.me() == 0 {
 			res.Energies = append(res.Energies, rep)
-			if w.cfg.OnStep != nil {
-				w.cfg.OnStep(w.cfg.stepBase+step, st, rep)
-			}
 		}
 		if w.cfg.onStep != nil {
-			w.cfg.onStep(w, step)
+			w.cfg.onStep(w, step, st, rep)
 		}
 		if w.stop {
 			break

@@ -72,15 +72,10 @@ func (t *Tuner) Fail(wall float64) { t.est.Fail(wall) }
 // Estimate exposes the underlying MTTF estimate.
 func (t *Tuner) Estimate() (mttf float64, ok bool) { return t.est.Estimate() }
 
-// Tuned reports whether the tuner has ever had grounds to deviate from
-// the fixed cadence.
-func (t *Tuner) Tuned() bool {
-	_, ok := t.est.Estimate()
-	return ok && t.CkptCost > 0 && t.stepCost > 0
-}
-
 // Interval returns the cadence in steps: the fixed fallback until the
 // first failure, then round(τ_opt / stepCost) clamped to [1, MaxSteps].
+// tuned reports whether the tuner has had grounds to deviate from the
+// fixed cadence.
 func (t *Tuner) Interval() (steps int, tuned bool) {
 	mttf, ok := t.est.Estimate()
 	if !ok || t.CkptCost <= 0 || t.stepCost <= 0 {

@@ -43,8 +43,11 @@ func TestTunerFixedFallback(t *testing.T) {
 	if steps != 4 || tuned {
 		t.Fatalf("zero-failure Interval = (%d, %v), want (4, false)", steps, tuned)
 	}
-	if tu.Tuned() {
-		t.Fatal("Tuned should be false before any failure")
+	// A failure before any step cost was measured gives no grounds either.
+	tu = &Tuner{Fixed: 4, CkptCost: 1, MaxSteps: 100}
+	tu.Fail(10)
+	if steps, tuned := tu.Interval(); steps != 4 || tuned {
+		t.Fatalf("unmeasured Interval = (%d, %v), want (4, false)", steps, tuned)
 	}
 }
 
@@ -56,9 +59,6 @@ func TestTunerYoungDalyCadence(t *testing.T) {
 	want := int(math.Round(math.Sqrt(2*2*100) / 5)) // = round(20/5) = 4
 	if !tuned || steps != want {
 		t.Fatalf("Interval = (%d, %v), want (%d, true)", steps, tuned, want)
-	}
-	if !tu.Tuned() {
-		t.Fatal("Tuned should be true after a failure with cost data")
 	}
 
 	// More failures shrink MTTF and the cadence with it, floored at 1.

@@ -211,6 +211,15 @@ func (e *Env) ExecRun(spec JobSpec, ckptDir string, preempt func() bool, onStep 
 		}
 	}
 
+	var hook func(int, pmd.StepTiming, md.EnergyReport) bool
+	if onStep != nil || preempt != nil {
+		hook = func(step int, timing pmd.StepTiming, energy md.EnergyReport) bool {
+			if onStep != nil {
+				onStep(step, timing, energy)
+			}
+			return preempt != nil && preempt()
+		}
+	}
 	res, err := pmd.RunResilient(clusterFor(spec, spec.Net), cluster.PentiumIII1GHz(), pmd.ResilientConfig{
 		Config: pmd.Config{
 			System:     sys,
@@ -219,11 +228,10 @@ func (e *Env) ExecRun(spec JobSpec, ckptDir string, preempt func() bool, onStep 
 			Middleware: middleware(spec.MW),
 			Decomp:     dk,
 			Perf:       perf.NewTimeline(spec.Procs),
-			OnStep:     onStep,
 		},
 		CheckpointEvery: 1,
 		CheckpointDir:   ckptDir,
-		Preempt:         preempt,
+		OnStep:          hook,
 	})
 	if err != nil {
 		var resumed *pmd.ResumeInfo
