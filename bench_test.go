@@ -84,7 +84,7 @@ func BenchmarkPMEReciprocal(b *testing.B) {
 func BenchmarkNonbondedKernel(b *testing.B) {
 	sys := topol.NewMyoglobinSystem(topol.MyoglobinConfig{Seed: 1})
 	md.Relax(sys, 40)
-	f := ff.New(sys, ff.PMEOptions())
+	f := ff.New(sys, ff.DefaultOptions(), md.PaperPME().Beta)
 	pairs := f.BuildPairs(sys.Pos, nil)
 	k := f.NewNonbondedKernel()
 	frc := make([]vec.V, sys.N())
@@ -101,7 +101,7 @@ func BenchmarkNonbondedKernel(b *testing.B) {
 func BenchmarkNeighbourListBuild(b *testing.B) {
 	sys := topol.NewMyoglobinSystem(topol.MyoglobinConfig{Seed: 1})
 	md.Relax(sys, 40)
-	pl := ff.New(sys, ff.PMEOptions()).NewPairLister()
+	pl := ff.New(sys, ff.DefaultOptions(), md.PaperPME().Beta).NewPairLister()
 	pl.Build(sys.Pos, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -184,7 +184,7 @@ func BenchmarkPMEReciprocalParallel(b *testing.B) {
 func BenchmarkNonbondedKernelParallel(b *testing.B) {
 	sys := topol.NewMyoglobinSystem(topol.MyoglobinConfig{Seed: 1})
 	md.Relax(sys, 40)
-	f := ff.New(sys, ff.PMEOptions())
+	f := ff.New(sys, ff.DefaultOptions(), md.PaperPME().Beta)
 	pairs := f.BuildPairs(sys.Pos, nil)
 	k := f.NewNonbondedKernel()
 	k.SetPool(kernels.NewPool(benchPoolWorkers()))

@@ -9,7 +9,7 @@
 // Usage:
 //
 //	faultbench -spec 'straggler@0,node=1,slow=4' -severity 0.5,1,2
-//	faultbench -scenario faults.json -mw both -p 8 -net tcp
+//	faultbench -spec @faults.json -mw both -p 8 -net tcp
 package main
 
 import (
@@ -31,8 +31,7 @@ import (
 
 func main() {
 	app := cli.New("faultbench", flag.CommandLine)
-	scenarioFile := flag.String("scenario", "", "JSON fault scenario file")
-	spec := flag.String("spec", "", "fault scenario DSL (see internal/fault.ParseSpec)")
+	spec := flag.String("spec", "", "fault scenario DSL (see internal/fault.ParseSpec) or @file.json")
 	sevList := flag.String("severity", "1", "comma-separated severity multipliers")
 	app.ClusterFlags()
 	steps := flag.Int("steps", 4, "MD steps")
@@ -60,19 +59,10 @@ func main() {
 	if *format != "text" && *format != "csv" {
 		app.Usagef("-format must be text or csv (got %q)", *format)
 	}
-	if *scenarioFile != "" && *spec != "" {
-		app.Usagef("-scenario and -spec are mutually exclusive")
+	if *spec == "" {
+		app.Usagef("need -spec")
 	}
-	var sc *fault.Scenario
-	var err error
-	switch {
-	case *scenarioFile != "":
-		sc, err = fault.LoadFile(*scenarioFile)
-	case *spec != "":
-		sc, err = fault.ParseSpec(*spec)
-	default:
-		app.Usagef("need -scenario or -spec")
-	}
+	sc, err := fault.ParseFlag(*spec)
 	if err != nil {
 		app.Usagef("%v", err)
 	}
@@ -103,10 +93,12 @@ func main() {
 		app.Usagef("-ckpt-cost must be >= 0 (got %g)", *ckptCost)
 	}
 
-	// The PME mesh depends on the solvated-box size, so the tiling check
-	// has to wait until the mesh is known.
-	sys, mdCfg, _ := md.NewSolvatedWorkload(*atoms, *seed, nil)
-	app.Tiling(procs, mdCfg.PME)
+	// The PME mesh depends on the solvated-box size: the tiling check sees
+	// it before the box is relaxed.
+	sys, mdCfg, _ := md.NewSolvatedWorkload(*atoms, *seed, func(pme md.PMEConfig) error {
+		app.Tiling(procs, pme)
+		return nil
+	})
 
 	clCfg := cluster.Config{Nodes: procs / cpus, CPUsPerNode: cpus, Net: net, Seed: *seed}
 	wd := mpi.Watchdog{Timeout: *wdTimeout, Retries: *wdRetries, Backoff: *wdBackoff}

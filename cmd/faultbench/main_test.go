@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"os"
 	"os/exec"
@@ -9,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // build compiles the command into a temp directory.
@@ -68,5 +71,52 @@ func TestCkptCostArmsTheTuner(t *testing.T) {
 	var ee *exec.ExitError
 	if !errors.As(err, &ee) || ee.ExitCode() != 2 || !strings.Contains(string(out), "-ckpt-cost") {
 		t.Fatalf("negative -ckpt-cost: want a usage error (exit 2) naming the flag, got %v:\n%s", err, out)
+	}
+}
+
+// TestSpecFromFile: -spec @file.json reads the JSON scenario, and the
+// scenario the DSL spells gives the same report byte for byte; a missing
+// file is a usage error.
+func TestSpecFromFile(t *testing.T) {
+	bin := build(t)
+	file := filepath.Join(t.TempDir(), "link.json")
+	scenario := `{"name": "cli", "seed": 1, "faults": [{"kind": "link", "start": 0, "node": 1, "bandwidth": 8}]}`
+	if err := os.WriteFile(file, []byte(scenario), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-severity", "0,1", "-p", "4", "-steps", "2", "-atoms", "300", "-mw", "mpi"}
+	fromFile, err := exec.Command(bin, append([]string{"-spec", "@" + file}, args...)...).Output()
+	if err != nil {
+		t.Fatalf("faultbench -spec @%s: %v", file, err)
+	}
+	fromDSL, err := exec.Command(bin, append([]string{"-spec", "link@0,node=1,bw=8"}, args...)...).Output()
+	if err != nil {
+		t.Fatalf("faultbench -spec link@0,node=1,bw=8: %v", err)
+	}
+	if string(fromFile) != string(fromDSL) {
+		t.Fatalf("the file and the DSL spell one scenario, the reports differ:\n%s\n%s", fromFile, fromDSL)
+	}
+
+	out, err := exec.Command(bin, append([]string{"-spec", "@" + file + ".missing"}, args...)...).CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 || !strings.Contains(string(out), "link.json.missing") {
+		t.Fatalf("missing scenario file: want a usage error (exit 2) naming it, got %v:\n%s", err, out)
+	}
+}
+
+// TestUntransformableMeshFailsBeforeRelaxing: 300 000 atoms give a 148 =
+// 4·37 PME mesh, which the FFT cannot transform. faultbench checks the mesh
+// before it relaxes the box, so the usage error comes at once.
+func TestUntransformableMeshFailsBeforeRelaxing(t *testing.T) {
+	bin := build(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var stderr bytes.Buffer
+	cmd := exec.CommandContext(ctx, bin, "-atoms", "300000", "-p", "4", "-spec", "crash@0.18,rank=1")
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if ctx.Err() != nil || !errors.As(err, &ee) || ee.ExitCode() != 2 || !strings.Contains(stderr.String(), "148×148×148") {
+		t.Fatalf("want exit 2 within 30 s naming the 148×148×148 mesh, got %v (deadline: %v):\n%s", err, ctx.Err(), stderr.String())
 	}
 }

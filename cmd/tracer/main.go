@@ -63,13 +63,7 @@ func main() {
 
 	var inj *fault.Injector
 	if *faultSpec != "" {
-		var sc *fault.Scenario
-		var err error
-		if (*faultSpec)[0] == '@' {
-			sc, err = fault.LoadFile((*faultSpec)[1:])
-		} else {
-			sc, err = fault.ParseSpec(*faultSpec)
-		}
+		sc, err := fault.ParseFlag(*faultSpec)
 		if err != nil {
 			app.Usagef("%v", err)
 		}

@@ -80,9 +80,10 @@ type splineScratch struct{ w1, w2, w3, dw1, dw2, dw3 []float64 }
 
 // NewPME builds a PME engine for the given box, splitting parameter β
 // (1/Å), mesh dimensions and interpolation order (≥ 3; the paper-era
-// CHARMM default is 4). It panics on a mesh it cannot transform — a
-// dimension below 2·order or an odd K1 — which pmd.ValidateDecomp rejects
-// as a typed error before any engine is built.
+// CHARMM default is 4). It panics on a non-positive β, an order outside
+// 3..8, and a mesh it cannot transform — a dimension below 2·order, an odd
+// K1, or a dimension with a prime factor above 31 (fft.Smooth) — which
+// pmd.ValidateDecomp rejects as a typed error before any engine is built.
 func NewPME(box space.Box, beta float64, k1, k2, k3, order int) *PME {
 	if beta <= 0 {
 		panic("ewald: non-positive beta")

@@ -135,17 +135,17 @@ func TestRealRecipCountersUnchanged(t *testing.T) {
 }
 
 // TestOpsNeedsNoComplexPlan: Ops is answered from the mesh dimensions —
-// the integer the recursive FFT's plans gave for the paper mesh, and the
-// count a built complex plan reports for a mesh with a Bluestein axis.
+// the integer the recursive FFT's plans gave for the paper mesh, and two
+// modelled complex transforms on a mesh with a generic-radix axis.
 func TestOpsNeedsNoComplexPlan(t *testing.T) {
 	box := space.NewBox(56.702, 25.181, 33.575)
 	p := NewPME(box, 0.34, 80, 36, 48, 4)
 	if got := p.Ops(); got != 23597568 {
 		t.Fatalf("paper-mesh Ops = %d, recorded 23597568", got)
 	}
-	blu := NewPME(box, 0.34, 74, 37, 10, 4)
-	if got, want := blu.Ops(), 2*fft.Ops3D(74, 37, 10); got != want {
-		t.Fatalf("Bluestein-mesh Ops = %d, a built plan gives %d", got, want)
+	odd := NewPME(box, 0.34, 62, 31, 10, 4)
+	if got, want := odd.Ops(), 2*fft.Ops3D(62, 31, 10); got != want {
+		t.Fatalf("62×31×10 Ops = %d, the model gives %d", got, want)
 	}
 }
 

@@ -204,8 +204,13 @@ func Load(r io.Reader) (*Scenario, error) {
 	return &s, nil
 }
 
-// LoadFile reads a JSON scenario from disk.
-func LoadFile(path string) (*Scenario, error) {
+// ParseFlag reads a fault script given on a command line: "@path" is the
+// JSON scenario file at path (see Load), anything else the ParseSpec DSL.
+func ParseFlag(arg string) (*Scenario, error) {
+	path, ok := strings.CutPrefix(arg, "@")
+	if !ok {
+		return ParseSpec(arg)
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err

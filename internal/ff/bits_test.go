@@ -50,6 +50,7 @@ type bitsCase struct {
 	sys   *topol.System
 	pos   []vec.V
 	opts  ff.Options
+	beta  float64 // the Ewald β of ff.New; 0 is SHIFT
 	pairs []space.Pair
 }
 
@@ -70,17 +71,17 @@ func bitsCases() []bitsCase {
 	// raw coordinate difference of a listed pair is beyond 0.49·L on some
 	// axis about as often as not.
 	small, _ := topol.NewSolvatedBox(240, 3)
-	smallOpts := md.ClampCutoffs(md.PMEDefaultConfig(), small.Box).FF
-	if small.Box.L.X >= 2.1*smallOpts.ListCutoff {
+	smallCfg := md.ClampCutoffs(md.PMEDefaultConfig(), small.Box)
+	if small.Box.L.X >= 2.1*smallCfg.FF.ListCutoff {
 		panic("bits oracle: the small box no longer crowds its list cutoff")
 	}
 
 	edge, edgePairs := edgeSystem()
 	return []bitsCase{
-		{name: "myoglobin", sys: sys, pos: relaxed, opts: cfg.FF},
-		{name: "myoglobin-unwrapped", sys: sys, pos: drifted, opts: cfg.FF},
-		{name: "smallbox", sys: small, pos: small.Pos, opts: smallOpts},
-		{name: "edges", sys: edge, pos: edge.Pos, opts: ff.PMEOptions(), pairs: edgePairs},
+		{name: "myoglobin", sys: sys, pos: relaxed, opts: cfg.FF, beta: cfg.PME.Beta},
+		{name: "myoglobin-unwrapped", sys: sys, pos: drifted, opts: cfg.FF, beta: cfg.PME.Beta},
+		{name: "smallbox", sys: small, pos: small.Pos, opts: smallCfg.FF, beta: smallCfg.PME.Beta},
+		{name: "edges", sys: edge, pos: edge.Pos, opts: ff.DefaultOptions(), beta: cfg.PME.Beta, pairs: edgePairs},
 		{name: "edges-shift", sys: edge, pos: edge.Pos, opts: ff.DefaultOptions(), pairs: edgePairs},
 	}
 }
@@ -193,7 +194,7 @@ func energyDigest(e ff.Energies, frc []vec.V) string {
 func bitsDigests() map[string]string {
 	out := map[string]string{}
 	for _, c := range bitsCases() {
-		f := ff.New(c.sys, c.opts)
+		f := ff.New(c.sys, c.opts, c.beta)
 		pairs := c.pairs
 		if pairs == nil {
 			var w work.Counters

@@ -11,41 +11,18 @@ import (
 	"repro/internal/work"
 )
 
-// ElecMode selects the electrostatic truncation scheme.
-type ElecMode int
-
-const (
-	// ElecShift is CHARMM's SHIFT function: E = qq/r · (1 − (r/rc)²)²,
-	// zero at the cutoff — the paper's classic (non-PME) mode.
-	ElecShift ElecMode = iota
-	// ElecEwaldDirect is the PME direct-space term qq·erfc(βr)/r; the
-	// reciprocal part lives in internal/ewald.
-	ElecEwaldDirect
-)
-
-// Options configures nonbonded evaluation.
+// Options configures nonbonded evaluation: the cutoffs. The
+// electrostatic treatment is New's ewaldBeta.
 type Options struct {
-	CutOn      float64  // LJ switching starts here (Å)
-	CutOff     float64  // interactions end here (Å)
-	ListCutoff float64  // neighbour-list cutoff (≥ CutOff; the margin is the skin)
-	ElecMode   ElecMode //
-	Beta       float64  // Ewald splitting parameter (1/Å), ElecEwaldDirect only
+	CutOn      float64 // LJ switching starts here (Å)
+	CutOff     float64 // interactions end here (Å)
+	ListCutoff float64 // neighbour-list cutoff (≥ CutOff; the margin is the skin)
 }
 
-// DefaultOptions matches the paper's setup: shift truncation at 10 Å with
-// LJ switching from 8 Å, 12 Å list.
+// DefaultOptions matches the paper's setup: 10 Å cutoff with LJ switching
+// from 8 Å, 12 Å list.
 func DefaultOptions() Options {
-	return Options{
-		CutOn: 8, CutOff: 10, ListCutoff: 12,
-		ElecMode: ElecShift, Beta: 0.34,
-	}
-}
-
-// PMEOptions is DefaultOptions with the electrostatics split for PME.
-func PMEOptions() Options {
-	o := DefaultOptions()
-	o.ElecMode = ElecEwaldDirect
-	return o
+	return Options{CutOn: 8, CutOff: 10, ListCutoff: 12}
 }
 
 // Energies holds the force-field energy decomposition in kcal/mol.
@@ -84,6 +61,10 @@ type ForceField struct {
 	Sys  *topol.System
 	Opts Options
 
+	// beta is the Ewald splitting parameter (1/Å) of the PME sum whose
+	// direct-space term the electrostatics are; 0 selects SHIFT.
+	beta float64
+
 	bonds  []BondParam
 	angles []AngleParam
 	dihs   []DihedralParam
@@ -106,15 +87,18 @@ type ForceField struct {
 	ljB    []float64 // 2·eps·rmin⁶ per type pair
 }
 
-// New resolves all parameters for sys.
-func New(sys *topol.System, opts Options) *ForceField {
+// New resolves all parameters for sys. ewaldBeta > 0 makes the
+// electrostatics the direct-space term qq·erfc(βr)/r of a PME sum with that
+// splitting parameter (1/Å; the reciprocal part lives in internal/ewald);
+// 0 selects CHARMM's SHIFT truncation, the paper's classic (non-PME) mode.
+func New(sys *topol.System, opts Options, ewaldBeta float64) *ForceField {
 	if opts.CutOff <= 0 || opts.CutOn <= 0 || opts.CutOn >= opts.CutOff {
 		panic(fmt.Sprintf("ff: invalid switch region [%g, %g]", opts.CutOn, opts.CutOff))
 	}
 	if opts.ListCutoff < opts.CutOff {
 		panic("ff: list cutoff below interaction cutoff")
 	}
-	f := &ForceField{Sys: sys, Opts: opts}
+	f := &ForceField{Sys: sys, Opts: opts, beta: ewaldBeta}
 	f.bonds = make([]BondParam, len(sys.Bonds))
 	for i, b := range sys.Bonds {
 		f.bonds[i] = bondParam(sys.Atoms[b[0]].Type, sys.Atoms[b[1]].Type)
@@ -142,7 +126,7 @@ func New(sys *topol.System, opts Options) *ForceField {
 		f.rminHalf[i] = t.RminHalf
 	}
 	f.skipIdx, f.skipList = buildSkipList(sys)
-	f.table = NewInteractionTable(opts, defaultTableIntervals)
+	f.table = NewInteractionTable(opts, ewaldBeta, defaultTableIntervals)
 	f.ntypes = len(sys.Types)
 	f.typ = make([]int32, n)
 	for i, a := range sys.Atoms {
@@ -279,32 +263,29 @@ func (pl *PairLister) Build(pos []vec.V, w *work.Counters) []space.Pair {
 // elecKernel returns energy and dE/dr for a unit charge product at
 // distance r under the configured truncation.
 func (f *ForceField) elecKernel(r float64) (e, dedr float64) {
-	return elecValue(f.Opts, r)
+	return elecValue(f.Opts, f.beta, r)
 }
 
 // elecValue is the exact electrostatic kernel as a standalone function, so
 // the interaction-table constructor evaluates the same math as the exact
-// path.
-func elecValue(o Options, r float64) (e, dedr float64) {
-	switch o.ElecMode {
-	case ElecShift:
-		rc := o.CutOff
-		if r >= rc {
-			return 0, 0
-		}
-		s := 1 - (r/rc)*(r/rc)
-		e = units.CoulombConst * s * s / r
-		// d/dr [ (1/r)(1 - r²/rc²)² ] = -1/r² + 3r²/rc⁴ - 2/rc²
-		dedr = units.CoulombConst * (-1/(r*r) - 2/(rc*rc) + 3*r*r/(rc*rc*rc*rc))
-		return e, dedr
-	case ElecEwaldDirect:
-		b := o.Beta
-		erfc := math.Erfc(b * r)
+// path: the Ewald direct-space term for beta > 0, otherwise CHARMM's SHIFT
+// function E = qq/r · (1 − (r/rc)²)², zero at the cutoff.
+func elecValue(o Options, beta, r float64) (e, dedr float64) {
+	if beta > 0 {
+		erfc := math.Erfc(beta * r)
 		e = units.CoulombConst * erfc / r
-		dedr = -units.CoulombConst * (erfc/(r*r) + 2*b/math.SqrtPi*math.Exp(-b*b*r*r)/r)
+		dedr = -units.CoulombConst * (erfc/(r*r) + 2*beta/math.SqrtPi*math.Exp(-beta*beta*r*r)/r)
 		return e, dedr
 	}
-	panic("ff: unknown elec mode")
+	rc := o.CutOff
+	if r >= rc {
+		return 0, 0
+	}
+	s := 1 - (r/rc)*(r/rc)
+	e = units.CoulombConst * s * s / r
+	// d/dr [ (1/r)(1 - r²/rc²)² ] = -1/r² + 3r²/rc⁴ - 2/rc²
+	dedr = units.CoulombConst * (-1/(r*r) - 2/(rc*rc) + 3*r*r/(rc*rc*rc*rc))
+	return e, dedr
 }
 
 // ljKernel returns the raw (unswitched) LJ energy and dE/dr for the pair

@@ -129,19 +129,19 @@ func checkForcesMatchGradient(t *testing.T, f *ForceField, pos []vec.V, tol floa
 
 func TestForcesMatchGradientShift(t *testing.T) {
 	sys, pos := smallSystem(1)
-	f := New(sys, DefaultOptions())
+	f := New(sys, DefaultOptions(), 0)
 	checkForcesMatchGradient(t, f, pos, 2e-5)
 }
 
 func TestForcesMatchGradientEwaldDirect(t *testing.T) {
 	sys, pos := smallSystem(2)
-	f := New(sys, PMEOptions())
+	f := New(sys, DefaultOptions(), testBeta)
 	checkForcesMatchGradient(t, f, pos, 2e-5)
 }
 
 func TestNewtonThirdLaw(t *testing.T) {
 	sys, pos := smallSystem(4)
-	f := New(sys, DefaultOptions())
+	f := New(sys, DefaultOptions(), 0)
 	frc := forces(f, pos)
 	sum := netForce(frc)
 	if sum.Norm() > 1e-9 {
@@ -151,7 +151,7 @@ func TestNewtonThirdLaw(t *testing.T) {
 
 func TestSwitchFunctionProperties(t *testing.T) {
 	sys, _ := smallSystem(5)
-	f := New(sys, DefaultOptions())
+	f := New(sys, DefaultOptions(), 0)
 	if s, ds := f.switchFn(5); s != 1 || ds != 0 {
 		t.Fatalf("S inside CutOn = %v, %v", s, ds)
 	}
@@ -184,9 +184,9 @@ func TestSwitchFunctionProperties(t *testing.T) {
 	}
 }
 
-func TestElecShiftZeroAtCutoff(t *testing.T) {
+func TestShiftElecZeroAtCutoff(t *testing.T) {
 	sys, _ := smallSystem(6)
-	f := New(sys, DefaultOptions())
+	f := New(sys, DefaultOptions(), 0)
 	e, _ := f.elecKernel(9.999999)
 	if math.Abs(e) > 1e-10 {
 		t.Fatalf("shift energy at cutoff = %g", e)
@@ -205,7 +205,7 @@ func TestElecShiftZeroAtCutoff(t *testing.T) {
 
 func TestEwaldDirectKernel(t *testing.T) {
 	sys, _ := smallSystem(7)
-	f := New(sys, PMEOptions())
+	f := New(sys, DefaultOptions(), testBeta)
 	// erfc decays: direct term must be far below bare Coulomb at 8 Å with
 	// β = 0.34.
 	e, _ := f.elecKernel(8)
@@ -223,7 +223,7 @@ func TestEwaldDirectKernel(t *testing.T) {
 
 func TestLJMinimumAtRmin(t *testing.T) {
 	sys, _ := smallSystem(8)
-	f := New(sys, DefaultOptions())
+	f := New(sys, DefaultOptions(), 0)
 	// For two OW atoms: rmin = 2·1.768, depth = 0.152.
 	i, j := int32(7), int32(10) // both water oxygens
 	if sys.Atoms[i].Name != "OW" || sys.Atoms[j].Name != "OW" {
@@ -248,7 +248,7 @@ func TestLJMinimumAtRmin(t *testing.T) {
 
 func TestBuildPairsExcludesBondedAnd14(t *testing.T) {
 	sys, pos := smallSystem(9)
-	f := New(sys, DefaultOptions())
+	f := New(sys, DefaultOptions(), 0)
 	pairs := f.BuildPairs(pos, nil)
 	is14 := map[[2]int32]bool{}
 	for _, p := range sys.Pairs14 {
@@ -266,7 +266,7 @@ func TestBuildPairsExcludesBondedAnd14(t *testing.T) {
 
 func TestWorkCountersAccumulate(t *testing.T) {
 	sys, pos := smallSystem(10)
-	f := New(sys, DefaultOptions())
+	f := New(sys, DefaultOptions(), 0)
 	var w work.Counters
 	pairs := f.BuildPairs(pos, &w)
 	frc := make([]vec.V, len(pos))
@@ -308,14 +308,14 @@ func TestInvalidOptionsPanic(t *testing.T) {
 					t.Errorf("options %+v did not panic", o)
 				}
 			}()
-			New(sys, o)
+			New(sys, o, 0)
 		}()
 	}
 }
 
 func TestMyoglobinEnergyFinite(t *testing.T) {
 	sys := topol.NewMyoglobinSystem(topol.MyoglobinConfig{Seed: 1})
-	f := New(sys, DefaultOptions())
+	f := New(sys, DefaultOptions(), 0)
 	frc := make([]vec.V, sys.N())
 	var w work.Counters
 	pairs := f.BuildPairs(sys.Pos, &w)

@@ -8,7 +8,7 @@ import (
 
 func TestIsolateTerms(t *testing.T) {
 	sys, pos := smallSystem(1)
-	f := New(sys, DefaultOptions())
+	f := New(sys, DefaultOptions(), 0)
 	terms := map[string]struct {
 		energy func([]vec.V) float64
 		force  func([]vec.V) []vec.V

@@ -41,7 +41,7 @@ func TestPairShards(t *testing.T) {
 // where the blocks run inline and fold into two sets of force arrays.
 func TestKernelPooledBitwiseStableAcrossWorkers(t *testing.T) {
 	sys, pos := smallSystem(4)
-	f := New(sys, PMEOptions())
+	f := New(sys, DefaultOptions(), testBeta)
 	pairs := longList(f.BuildPairs(pos, nil), 3*pairsPerShard+1)
 
 	run := func(workers int) (Energies, []vec.V, work.Counters) {
@@ -74,7 +74,7 @@ func TestKernelPooledBitwiseStableAcrossWorkers(t *testing.T) {
 // nonzero force added to frc.
 func TestOneShardIsTheSerialLoop(t *testing.T) {
 	sys, pos := smallSystem(4)
-	f := New(sys, PMEOptions())
+	f := New(sys, DefaultOptions(), testBeta)
 	pairs := f.BuildPairs(pos, nil)
 	if pairShards(len(pairs)) != 1 {
 		t.Fatalf("%d pairs are more than one shard", len(pairs))
@@ -113,7 +113,7 @@ func TestOneShardIsTheSerialLoop(t *testing.T) {
 // its one-shard pieces, and agrees with it to roundoff.
 func TestKernelPooledMatchesSerialToRoundoff(t *testing.T) {
 	sys, pos := smallSystem(4)
-	f := New(sys, PMEOptions())
+	f := New(sys, DefaultOptions(), testBeta)
 	pairs := longList(f.BuildPairs(pos, nil), 3*pairsPerShard+1)
 
 	frcS := make([]vec.V, len(pos))
@@ -143,7 +143,7 @@ func TestKernelPooledMatchesSerialToRoundoff(t *testing.T) {
 // call and reused).
 func TestKernelPooledDoesNotAllocateSteadyState(t *testing.T) {
 	sys, pos := smallSystem(4)
-	f := New(sys, PMEOptions())
+	f := New(sys, DefaultOptions(), testBeta)
 	pairs := longList(f.BuildPairs(pos, nil), 3*pairsPerShard+1)
 	k := f.NewNonbondedKernel()
 	k.SetPool(kernels.NewPool(1))

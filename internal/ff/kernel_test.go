@@ -13,9 +13,9 @@ import (
 // reference pair loop on the small test system for both electrostatic
 // modes: energies inside the table accuracy, forces close per atom.
 func TestKernelMatchesExactNonbonded(t *testing.T) {
-	for _, opts := range []Options{DefaultOptions(), PMEOptions()} {
+	for _, beta := range []float64{0, testBeta} {
 		sys, pos := smallSystem(3)
-		f := New(sys, opts)
+		f := New(sys, DefaultOptions(), beta)
 
 		pairs := f.BuildPairs(pos, nil)
 		frcTab := make([]vec.V, len(pos))
@@ -25,14 +25,14 @@ func TestKernelMatchesExactNonbonded(t *testing.T) {
 
 		scale := math.Abs(eEx.LJ) + math.Abs(eEx.Elec) + 1
 		if math.Abs(eTab.LJ-eEx.LJ) > 1e-4*scale {
-			t.Fatalf("mode %v: LJ %g vs exact %g", opts.ElecMode, eTab.LJ, eEx.LJ)
+			t.Fatalf("beta %v: LJ %g vs exact %g", beta, eTab.LJ, eEx.LJ)
 		}
 		if math.Abs(eTab.Elec-eEx.Elec) > 1e-4*scale {
-			t.Fatalf("mode %v: Elec %g vs exact %g", opts.ElecMode, eTab.Elec, eEx.Elec)
+			t.Fatalf("beta %v: Elec %g vs exact %g", beta, eTab.Elec, eEx.Elec)
 		}
 		for i := range frcTab {
 			if frcTab[i].Sub(frcEx[i]).Norm() > 1e-3*(1+frcEx[i].Norm()) {
-				t.Fatalf("mode %v atom %d: force %v vs exact %v", opts.ElecMode, i, frcTab[i], frcEx[i])
+				t.Fatalf("beta %v atom %d: force %v vs exact %v", beta, i, frcTab[i], frcEx[i])
 			}
 		}
 	}
@@ -41,7 +41,7 @@ func TestKernelMatchesExactNonbonded(t *testing.T) {
 // TestKernelNewtonThirdLaw: the SoA accumulation must conserve momentum.
 func TestKernelNewtonThirdLaw(t *testing.T) {
 	sys, pos := smallSystem(6)
-	f := New(sys, DefaultOptions())
+	f := New(sys, DefaultOptions(), 0)
 	pairs := f.BuildPairs(pos, nil)
 	frc := make([]vec.V, len(pos))
 	f.NewNonbondedKernel().Compute(pos, pairs, frc, nil)
@@ -59,7 +59,7 @@ func TestKernelNewtonThirdLaw(t *testing.T) {
 // energy — the C¹ property that keeps NVE energy conserved with tables on.
 func TestKernelForceIsTableGradient(t *testing.T) {
 	sys, pos := smallSystem(7)
-	f := New(sys, PMEOptions())
+	f := New(sys, DefaultOptions(), testBeta)
 	k := f.NewNonbondedKernel()
 	pairs := f.BuildPairs(pos, nil)
 
@@ -110,7 +110,7 @@ func TestKernelForceIsTableGradient(t *testing.T) {
 // pair, exactly like the exact path, independent of cutoff skips.
 func TestKernelPairEvalsCounted(t *testing.T) {
 	sys, pos := smallSystem(8)
-	f := New(sys, DefaultOptions())
+	f := New(sys, DefaultOptions(), 0)
 	pairs := f.BuildPairs(pos, nil)
 	frc := make([]vec.V, len(pos))
 	var w work.Counters
@@ -124,8 +124,7 @@ func TestKernelPairEvalsCounted(t *testing.T) {
 // path on the full myoglobin system — a dense, realistic pair list.
 func TestKernelMyoglobinMatchesExact(t *testing.T) {
 	sys := topol.NewMyoglobinSystem(topol.MyoglobinConfig{Seed: 1})
-	opts := PMEOptions()
-	f := New(sys, opts)
+	f := New(sys, DefaultOptions(), testBeta)
 
 	pairs := f.BuildPairs(sys.Pos, nil)
 	frcTab := make([]vec.V, sys.N())

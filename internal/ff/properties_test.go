@@ -77,7 +77,7 @@ func TestFilterMatchesOldPredicate(t *testing.T) {
 		rng.Shuffle(len(raw), func(a, b int) { raw[a], raw[b] = raw[b], raw[a] })
 
 		want := oldFilter(sys, raw)
-		got := New(sys, DefaultOptions()).filterPairs(append([]space.Pair(nil), raw...))
+		got := New(sys, DefaultOptions(), 0).filterPairs(append([]space.Pair(nil), raw...))
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: kept %d of %d pairs, the old predicate keeps %d", seed, len(got), len(raw), len(want))
 		}
@@ -94,7 +94,7 @@ func TestFilterMatchesOldPredicate(t *testing.T) {
 // pool.Run calls cost by themselves (the helper goroutines).
 func TestComputeAllocations(t *testing.T) {
 	sys, pos := smallSystem(4)
-	f := New(sys, PMEOptions())
+	f := New(sys, DefaultOptions(), testBeta)
 	pairs := f.BuildPairs(pos, nil)
 	frc := make([]vec.V, len(pos))
 
@@ -124,7 +124,7 @@ func TestComputeAllocations(t *testing.T) {
 // and a PairLister rebuilding at the same positions allocates nothing.
 func TestListBuildAllocations(t *testing.T) {
 	sys := topol.NewMyoglobinSystem(topol.MyoglobinConfig{Seed: 1})
-	f := New(sys, PMEOptions())
+	f := New(sys, DefaultOptions(), testBeta)
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

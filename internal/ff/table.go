@@ -8,14 +8,6 @@ import "math"
 // TestInteractionTableAccuracy).
 const defaultTableIntervals = 4096
 
-// tableRelErrBound is the documented accuracy contract: the tabulated
-// kernels reproduce the exact switched-LJ and electrostatic values to
-// better than this relative error everywhere on the table domain
-// (relative to the larger of the local exact value and 10⁻⁶ of the
-// function's domain maximum, so the bound stays meaningful where the
-// switching function approaches zero).
-const tableRelErrBound = 1e-5
-
 // InteractionTable tabulates the three radial kernels of the nonbonded
 // loop on a uniform grid in u = r², CHARMM-style, with per-interval cubic
 // Hermite interpolation (C¹, so tabulated forces are the exact gradient of
@@ -39,15 +31,11 @@ type InteractionTable struct {
 	// (value, h·d0, 3Δ−h(2d0+d1), −2Δ+h(d0+d1)) of f12, f6 and fe, so one
 	// pair evaluation touches a single contiguous 96-byte run.
 	coef []float64
-
-	// MaxRelErr is the accuracy the constructor measured by sweeping
-	// off-node points against the exact kernels.
-	MaxRelErr float64
 }
 
-// NewInteractionTable builds a table for the given options with n uniform
-// intervals and measures its accuracy against the exact kernels.
-func NewInteractionTable(o Options, n int) *InteractionTable {
+// NewInteractionTable builds a table for the given cutoffs and
+// electrostatics (ewaldBeta as in New) with n uniform intervals.
+func NewInteractionTable(o Options, ewaldBeta float64, n int) *InteractionTable {
 	u1 := o.CutOff * o.CutOff
 	u0 := 0.25 * u1
 	if u0 > 1 {
@@ -65,7 +53,7 @@ func NewInteractionTable(o Options, n int) *InteractionTable {
 	de := make([]float64, n+1)
 	for i := 0; i <= n; i++ {
 		u := u0 + float64(i)*h
-		f12[i], d12[i], f6[i], d6[i], fe[i], de[i] = exactKernels(o, u)
+		f12[i], d12[i], f6[i], d6[i], fe[i], de[i] = exactKernels(o, ewaldBeta, u)
 	}
 	t.coef = make([]float64, n*12)
 	for i := 0; i < n; i++ {
@@ -74,13 +62,12 @@ func NewInteractionTable(o Options, n int) *InteractionTable {
 		hermite(c[4:8], f6[i], f6[i+1], d6[i], d6[i+1], h)
 		hermite(c[8:12], fe[i], fe[i+1], de[i], de[i+1], h)
 	}
-	t.measure(o, f12, f6, fe)
 	return t
 }
 
 // exactKernels returns the three tabulated functions and their exact
 // du-derivatives at u = r².
-func exactKernels(o Options, u float64) (f12, d12, f6, d6, fe, de float64) {
+func exactKernels(o Options, beta, u float64) (f12, d12, f6, d6, fe, de float64) {
 	r := math.Sqrt(u)
 	s, dsdr := switchValue(o, r)
 	dsdu := dsdr / (2 * r)
@@ -90,7 +77,7 @@ func exactKernels(o Options, u float64) (f12, d12, f6, d6, fe, de float64) {
 	d12 = dsdu/u6 - 6*s/(u6*u)
 	f6 = s / u3
 	d6 = dsdu/u3 - 3*s/(u3*u)
-	e, dedr := elecValue(o, r)
+	e, dedr := elecValue(o, beta, r)
 	fe = e
 	de = dedr / (2 * r)
 	return
@@ -104,68 +91,4 @@ func hermite(dst []float64, f0, f1, d0, d1, h float64) {
 	dst[1] = h * d0
 	dst[2] = 3*(f1-f0) - h*(2*d0+d1)
 	dst[3] = 2*(f0-f1) + h*(d0+d1)
-}
-
-// Eval interpolates the three kernels and their du-derivatives at u, which
-// must lie in [U0, U1]. Exposed for accuracy tests; the pair kernel
-// inlines the same arithmetic.
-func (t *InteractionTable) Eval(u float64) (f12, d12, f6, d6, fe, de float64) {
-	ui := (u - t.U0) * t.inv
-	i := int(ui)
-	if i >= t.n {
-		i = t.n - 1
-	}
-	if i < 0 {
-		i = 0
-	}
-	x := ui - float64(i)
-	c := t.coef[i*12 : i*12+12]
-	f12 = ((c[3]*x+c[2])*x+c[1])*x + c[0]
-	d12 = ((3*c[3]*x+2*c[2])*x + c[1]) * t.inv
-	f6 = ((c[7]*x+c[6])*x+c[5])*x + c[4]
-	d6 = ((3*c[7]*x+2*c[6])*x + c[5]) * t.inv
-	fe = ((c[11]*x+c[10])*x+c[9])*x + c[8]
-	de = ((3*c[11]*x+2*c[10])*x + c[9]) * t.inv
-	return
-}
-
-// measure sweeps off-node points over every interval and records the worst
-// relative deviation from the exact kernels. The floor of the relative
-// denominator is 10⁻⁶ of each function's domain maximum so the metric
-// stays finite where switching drives the exact value to zero.
-func (t *InteractionTable) measure(o Options, f12, f6, fe []float64) {
-	floor12 := 1e-6 * maxAbs(f12)
-	floor6 := 1e-6 * maxAbs(f6)
-	floorE := 1e-6 * maxAbs(fe)
-	h := (t.U1 - t.U0) / float64(t.n)
-	var worst float64
-	for i := 0; i < t.n; i++ {
-		for _, x := range [3]float64{0.21, 0.5, 0.82} {
-			u := t.U0 + (float64(i)+x)*h
-			g12, _, g6, _, ge, _ := t.Eval(u)
-			e12, _, e6, _, ee, _ := exactKernels(o, u)
-			worst = math.Max(worst, relErr(g12, e12, floor12))
-			worst = math.Max(worst, relErr(g6, e6, floor6))
-			worst = math.Max(worst, relErr(ge, ee, floorE))
-		}
-	}
-	t.MaxRelErr = worst
-}
-
-func relErr(got, want, floor float64) float64 {
-	den := math.Abs(want)
-	if den < floor {
-		den = floor
-	}
-	return math.Abs(got-want) / den
-}
-
-func maxAbs(xs []float64) float64 {
-	var m float64
-	for _, x := range xs {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
 }

@@ -1,9 +1,10 @@
-// Package fft implements complex discrete Fourier transforms of arbitrary
-// length: mixed-radix Cooley–Tukey for smooth sizes and Bluestein's chirp-z
-// algorithm for sizes with large prime factors. It provides 1-D, 2-D and 3-D
-// plans; the 3-D plan is the engine under the particle-mesh-Ewald grid
-// (80×36×48 in the paper's myoglobin system, which factors as 2⁴·5, 2²·3²
-// and 2⁴·3).
+// Package fft implements complex discrete Fourier transforms by
+// mixed-radix Cooley–Tukey, for every length whose prime factors are at
+// most 31 (Smooth); a plan of any other length panics. It provides 1-D,
+// 2-D and 3-D plans; the real 3-D plan is the engine under the
+// particle-mesh-Ewald grid (80×36×48 in the paper's myoglobin system, which
+// factors as 2⁴·5, 2²·3² and 2⁴·3; a solvated box gets its first mesh with
+// a larger prime, 148 = 4·37, at about 300 000 atoms).
 //
 // A plan is two things. Its tables — the input permutation and one twiddle
 // table per butterfly level (tables.go) — are immutable, depend on the
@@ -33,32 +34,15 @@ const lineBlock = 8
 type Plan struct {
 	t       *tables
 	scratch []complex128 // rows under transformation; grown on first use
-	conv    *Plan        // Bluestein only: the power-of-two convolution plan
 }
 
-// NewPlan returns a plan for transforms of length n ≥ 1.
+// NewPlan returns a plan for transforms of length n. It panics unless
+// Smooth(n).
 func NewPlan(n int) *Plan {
-	if n < 1 {
-		panic(fmt.Sprintf("fft: invalid length %d", n))
+	if !Smooth(n) {
+		panic(fmt.Sprintf("fft: cannot transform length %d: need n ≥ 1 with no prime factor above %d", n, maxRadix))
 	}
-	p := &Plan{t: tablesFor(n)}
-	if c := p.t.chirp; c != nil {
-		p.conv = NewPlan(c.m)
-	}
-	return p
-}
-
-// Forward computes the in-place forward DFT of x (len(x) must equal N):
-// X[k] = Σ_j x[j]·exp(-2πi jk/N).
-func (p *Plan) Forward(x []complex128) {
-	p.checkLen(x)
-	p.line(x, false)
-}
-
-func (p *Plan) checkLen(x []complex128) {
-	if len(x) != p.t.n {
-		panic(fmt.Sprintf("fft: length %d does not match plan length %d", len(x), p.t.n))
-	}
+	return &Plan{t: tablesFor(n)}
 }
 
 // ForwardLines transforms count adjacent strided lines in place: line c,
@@ -93,7 +77,7 @@ func (p *Plan) line(x []complex128, inverse bool) {
 			s[pos] = x[src]
 		}
 	}
-	p.run(s, 1)
+	p.t.butterflies(s, 1)
 	if inverse {
 		scale := 1 / float64(n)
 		for k, v := range s[:n] {
@@ -129,7 +113,7 @@ func (p *Plan) lines(x []complex128, base, stride, count int, inverse bool) {
 				copy(row, in)
 			}
 		}
-		p.run(s, width)
+		p.t.butterflies(s, width)
 		for k := 0; k < n; k++ {
 			row := s[k*width : (k+1)*width]
 			out := x[at+k*stride:][:width]
@@ -146,46 +130,13 @@ func (p *Plan) lines(x []complex128, base, stride, count int, inverse bool) {
 
 // rows returns the scratch for `width` side-by-side transforms: row
 // p.t.perm-position pos is s[pos·width : (pos+1)·width]. A caller fills
-// every row, calls run, and reads output bin k from row k.
+// every row, runs the butterflies, and reads output bin k from row k.
 func (p *Plan) rows(width int) []complex128 {
 	need := p.t.n * width
-	if c := p.t.chirp; c != nil {
-		need = c.m * width
-	}
 	if cap(p.scratch) < need {
 		p.scratch = make([]complex128, need)
 	}
 	return p.scratch[:need]
-}
-
-// run computes the forward DFT of the loaded rows in place.
-func (p *Plan) run(s []complex128, width int) {
-	c := p.t.chirp
-	if c == nil {
-		p.t.butterflies(s, width)
-		return
-	}
-	// Bluestein: chirp, convolve with the conjugate chirp through the
-	// power-of-two plan, chirp again. Rows past n are the zero padding.
-	scaleRows(s, c.a, width)
-	pad := s[p.t.n*width:]
-	for i := range pad {
-		pad[i] = 0
-	}
-	p.conv.lines(s, 0, width, width, false)
-	scaleRows(s, c.bf, width)
-	p.conv.lines(s, 0, width, width, true)
-	scaleRows(s, c.a, width)
-}
-
-// scaleRows multiplies row j of s by coef[j].
-func scaleRows(s, coef []complex128, width int) {
-	for j, a := range coef {
-		row := s[j*width : (j+1)*width]
-		for i := range row {
-			row[i] *= a
-		}
-	}
 }
 
 // Ops returns the analytic floating-point operation count of one

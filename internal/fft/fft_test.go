@@ -28,10 +28,10 @@ func maxErr(a, b []complex128) float64 {
 }
 
 // Sizes exercised everywhere: powers of two, the paper's grid dimensions
-// (80, 36, 48), odd smooth sizes, primes below and above maxRadix
-// (Bluestein), and awkward composites.
+// (80, 36, 48), odd smooth sizes, primes up to maxRadix, and awkward
+// composites.
 var testSizes = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 16, 20, 25, 27,
-	32, 36, 45, 48, 64, 80, 81, 100, 11, 13, 17, 31, 37, 41, 97, 2 * 37, 3 * 41}
+	32, 36, 45, 48, 64, 80, 81, 100, 11, 13, 17, 29, 31, 2 * 29, 3 * 31, 23 * 29}
 
 func TestForwardMatchesNaiveDFT(t *testing.T) {
 	r := rng.New(1)
@@ -62,7 +62,7 @@ func TestInverseRoundTrip(t *testing.T) {
 
 func TestLinearity(t *testing.T) {
 	r := rng.New(3)
-	for _, n := range []int{16, 36, 37, 80} {
+	for _, n := range []int{16, 36, 31, 80} {
 		p := NewPlan(n)
 		x := randomComplex(r, n)
 		y := randomComplex(r, n)
@@ -90,7 +90,7 @@ func TestLinearity(t *testing.T) {
 
 func TestParseval(t *testing.T) {
 	r := rng.New(4)
-	for _, n := range []int{8, 36, 48, 80, 97} {
+	for _, n := range []int{8, 36, 48, 80, 93} {
 		p := NewPlan(n)
 		x := randomComplex(r, n)
 		var inE float64
@@ -111,7 +111,7 @@ func TestParseval(t *testing.T) {
 func TestImpulseResponse(t *testing.T) {
 	// DFT of a unit impulse at 0 is all ones; at position j it is the
 	// twiddle ramp.
-	for _, n := range []int{5, 36, 41} {
+	for _, n := range []int{5, 36, 29} {
 		p := NewPlan(n)
 		x := make([]complex128, n)
 		x[0] = 1
@@ -218,8 +218,26 @@ func TestOpsPositiveAndMonotone(t *testing.T) {
 		}
 		prev = ops
 	}
-	if NewPlan(97).Ops() <= NewPlan(64).Ops() {
-		t.Fatal("Bluestein ops should exceed smooth ops of smaller size")
+}
+
+// A length is transformable exactly when it is Smooth: n ≥ 1 with no
+// prime factor above maxRadix. NewPlan panics on any other length.
+func TestNewPlanRejectsUnsmoothLengths(t *testing.T) {
+	for n, want := range map[int]bool{-4: false, 0: false, 1: true, 31: true, 62: true, 37: false, 74: false, 148: false, 2 * 3 * 5 * 7 * 11 * 13: true, 1369: false} {
+		if Smooth(n) != want {
+			t.Errorf("Smooth(%d) = %v, want %v", n, !want, want)
+		}
+		if want {
+			continue
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewPlan(%d) did not panic", n)
+				}
+			}()
+			NewPlan(n)
+		}()
 	}
 }
 

@@ -9,16 +9,11 @@ import (
 )
 
 // A serial transform of any plan kind runs in its plan's scratch: after the
-// first call has sized it, Forward and Inverse allocate nothing. 37 and 74
-// route through Bluestein.
+// first call has sized it, Forward and Inverse allocate nothing.
 func TestSerialTransformsDoNotAllocate(t *testing.T) {
 	cases := map[string]func() func(){
 		"Plan/48": func() func() {
 			p, x := NewPlan(48), make([]complex128, 48)
-			return func() { p.Forward(x); p.Inverse(x) }
-		},
-		"Plan/37": func() func() {
-			p, x := NewPlan(37), make([]complex128, 37)
 			return func() { p.Forward(x); p.Inverse(x) }
 		},
 		"Plan.Lines/80x48": func() func() {
@@ -29,16 +24,12 @@ func TestSerialTransformsDoNotAllocate(t *testing.T) {
 			p, x, spec := NewRealPlan(80), make([]float64, 80), make([]complex128, 41)
 			return func() { p.Forward(x, spec); p.Inverse(spec, x) }
 		},
-		"RealPlan/74": func() func() {
-			p, x, spec := NewRealPlan(74), make([]float64, 74), make([]complex128, 38)
-			return func() { p.Forward(x, spec); p.Inverse(spec, x) }
-		},
 		"Plan2D/36x48": func() func() {
 			p, x := NewPlan2D(36, 48), make([]complex128, 36*48)
 			return func() { p.Forward(x); p.Inverse(x) }
 		},
-		"Plan3D/8x37x10": func() func() {
-			p, x := NewPlan3D(8, 37, 10), make([]complex128, 8*37*10)
+		"Plan3D/8x31x10": func() func() {
+			p, x := NewPlan3D(8, 31, 10), make([]complex128, 8*31*10)
 			return func() { p.Forward(x); p.Inverse(x) }
 		},
 		"RealPlan3D/80x36x48": func() func() {
@@ -106,17 +97,14 @@ func TestPlansOfOneLengthShareTables(t *testing.T) {
 			t.Fatalf("shard %d holds its own tables", i)
 		}
 	}
-	if x, y := NewPlan(37), NewPlan(37); x.t.chirp != y.t.chirp || x.conv == y.conv {
-		t.Fatal("Bluestein plans must share the chirp and own their convolution plan")
-	}
 }
 
 // Simulated ranks build their plans from several host goroutines at once.
 // Whoever builds a length first, every plan ends up on one set of tables,
 // and transforming through them concurrently (each plan on its own scratch)
-// is race-free. 222 = 2·3·37 takes the Bluestein route.
+// is race-free. 186 = 2·3·31 takes the generic radix loop.
 func TestTablesMemoConcurrentBuilders(t *testing.T) {
-	lengths := []int{210, 222, 330, 390}
+	lengths := []int{210, 186, 330, 390}
 	const builders = 8
 	plans := make([][]*Plan, builders)
 	var wg sync.WaitGroup
@@ -158,7 +146,6 @@ func TestOpsPinnedForPaperMesh(t *testing.T) {
 		{"Plan(80)", NewPlan(80).Ops(), 2528},
 		{"Plan(36)", NewPlan(36).Ops(), 930},
 		{"Plan(48)", NewPlan(48).Ops(), 1340},
-		{"Plan(37) Bluestein", NewPlan(37).Ops(), 14464},
 		{"Plan2D(36,48)", NewPlan2D(36, 48).Ops(), 92880},
 		{"Ops3D(80,36,48)", Ops3D(80, 36, 48), 11798784},
 	} {
@@ -168,22 +155,19 @@ func TestOpsPinnedForPaperMesh(t *testing.T) {
 	}
 }
 
-// Ops(n) answers from the length alone. It must agree with what a built
-// plan actually is: the smooth count for a plan with butterfly levels, the
-// three-convolution count at the built chirp's size for a Bluestein plan.
+// Ops(n) answers from the length alone, and a built plan reports the same
+// count.
 func TestOpsFromLengthMatchesBuiltPlan(t *testing.T) {
 	for n := 1; n <= 200; n++ {
-		p := NewPlan(n)
+		if !Smooth(n) {
+			continue
+		}
 		want := int64(1)
-		switch c := p.t.chirp; {
-		case c != nil:
-			m := float64(c.m)
-			want = int64(3*5*m*math.Log2(m) + 8*m)
-		case n >= 2:
+		if n >= 2 {
 			want = int64(5 * float64(n) * math.Log2(float64(n)))
 		}
-		if got := Ops(n); got != want || p.Ops() != want {
-			t.Errorf("n=%d: Ops(n) = %d, plan.Ops() = %d, built plan implies %d", n, got, p.Ops(), want)
+		if got, p := Ops(n), NewPlan(n); got != want || p.Ops() != want {
+			t.Errorf("n=%d: Ops(n) = %d, plan.Ops() = %d, want %d", n, got, p.Ops(), want)
 		}
 	}
 }

@@ -48,7 +48,7 @@ func (p *RealPlan) ForwardLines(x []float64, spec []complex128, base, stride, co
 				row[c] = complex(even[c], odd[c])
 			}
 		}
-		p.half.run(s, width)
+		p.half.t.butterflies(s, width)
 		for k := 0; k <= m; k++ {
 			// Bin m of the half transform is bin 0 again.
 			ks, kt := k, m-k
@@ -92,7 +92,7 @@ func (p *RealPlan) InverseLines(spec []complex128, x []float64, base, stride, co
 				row[c] = cmplx.Conj(0.5 * ((a + b) + 1i*wk*(a-b)))
 			}
 		}
-		p.half.run(s, width)
+		p.half.t.butterflies(s, width)
 		for k := 0; k < m; k++ {
 			row := s[k*width : (k+1)*width]
 			even := x[at+2*k*stride:][:width]

@@ -50,15 +50,20 @@ type realShard3D struct {
 
 // NewRealPlan3D returns a plan for an nx×ny×nz real grid. nx must be even
 // (the 1-D real transform packs x pairs into a half-length complex
-// transform); odd nx returns an error so callers can fall back to a
-// complex Plan3D. ny and nz may be any positive size, including ones that
-// route through Bluestein.
+// transform) and every dimension Smooth; any other grid returns an error,
+// which ewald.NewPME turns into its panic and pmd.ValidateDecomp reports
+// before any engine is built.
 func NewRealPlan3D(nx, ny, nz int) (*RealPlan3D, error) {
 	if nx < 1 || ny < 1 || nz < 1 {
 		return nil, fmt.Errorf("fft: invalid 3-D dims %d×%d×%d", nx, ny, nz)
 	}
 	if nx%2 != 0 {
 		return nil, fmt.Errorf("fft: real 3-D transform needs even x dim, got %d", nx)
+	}
+	for _, n := range [3]int{nx, ny, nz} {
+		if !Smooth(n) {
+			return nil, fmt.Errorf("fft: cannot transform %d×%d×%d: %d has a prime factor above %d", nx, ny, nz, n, maxRadix)
+		}
 	}
 	return &RealPlan3D{
 		nx: nx, ny: ny, nz: nz, hx: nx/2 + 1,

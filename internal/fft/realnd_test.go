@@ -3,6 +3,7 @@ package fft
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -32,8 +33,8 @@ func TestRealPlan3DMatchesComplexPlan(t *testing.T) {
 		{2, 1, 1},
 		{4, 5, 3},
 		{6, 7, 7},   // odd y/z dims
-		{14, 37, 9}, // y through Bluestein (37 is prime > 31)
-		{74, 5, 4},  // x/2 = 37 through Bluestein
+		{14, 31, 9}, // y through the generic radix loop (31 = maxRadix)
+		{62, 5, 4},  // x/2 = 31 through the generic radix loop
 	}
 	for _, c := range cases {
 		nx, ny, nz := c[0], c[1], c[2]
@@ -97,7 +98,7 @@ func TestRealPlan3DHermitianReconstruction(t *testing.T) {
 }
 
 func TestRealPlan3DRoundTrip(t *testing.T) {
-	for _, c := range [][3]int{{80, 36, 48}, {10, 9, 4}, {74, 37, 9}} {
+	for _, c := range [][3]int{{80, 36, 48}, {10, 9, 4}, {62, 31, 9}} {
 		nx, ny, nz := c[0], c[1], c[2]
 		p, err := NewRealPlan3D(nx, ny, nz)
 		if err != nil {
@@ -128,6 +129,12 @@ func TestRealPlan3DRejectsOddX(t *testing.T) {
 	}
 	if _, err := NewRealPlan3D(0, 4, 4); err == nil {
 		t.Fatal("zero dim must be rejected")
+	}
+	// So is a dimension with a prime factor above maxRadix, on any axis.
+	for _, d := range [][3]int{{148, 148, 148}, {74, 36, 48}, {80, 37, 48}, {80, 36, 41}} {
+		if _, err := NewRealPlan3D(d[0], d[1], d[2]); err == nil || !strings.Contains(err.Error(), "prime factor above 31") {
+			t.Errorf("NewRealPlan3D%v: err = %v, want the prime-factor error", d, err)
+		}
 	}
 }
 

@@ -113,7 +113,7 @@ func TestPlannedMatchesRecursiveBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for trial := 0; trial < 300; trial++ {
 		n := 2 + rng.Intn(511)
-		for !smooth(n) {
+		for !Smooth(n) {
 			n = 2 + rng.Intn(511)
 		}
 		plan, ref := NewPlan(n), newRecPlan(n)
@@ -162,11 +162,24 @@ func TestPlannedMatchesRecursiveBits(t *testing.T) {
 // transforms lines through ForwardLines/InverseLines and the real plan's
 // line passes; the tests and the bits golden drive a plan through these.
 
+// Forward computes the in-place forward DFT of x (len(x) must equal N):
+// X[k] = Σ_j x[j]·exp(-2πi jk/N).
+func (p *Plan) Forward(x []complex128) {
+	p.checkLen(x)
+	p.line(x, false)
+}
+
 // Inverse computes the in-place inverse DFT of x, including the 1/N
 // normalization, so that Inverse(Forward(x)) == x.
 func (p *Plan) Inverse(x []complex128) {
 	p.checkLen(x)
 	p.line(x, true)
+}
+
+func (p *Plan) checkLen(x []complex128) {
+	if len(x) != p.t.n {
+		panic(fmt.Sprintf("fft: length %d does not match plan length %d", len(x), p.t.n))
+	}
 }
 
 // SpectrumLen returns the half-spectrum length n/2+1.

@@ -6,8 +6,8 @@ import (
 	"sync"
 )
 
-// maxRadix is the largest prime handled by the direct mixed-radix butterfly;
-// sizes containing a larger prime factor go through Bluestein.
+// maxRadix is the largest prime the mixed-radix butterfly handles, and so
+// the largest prime factor of a length this package transforms.
 const maxRadix = 31
 
 // tables is the immutable half of a plan: everything about a length-n
@@ -23,8 +23,7 @@ const maxRadix = 31
 type tables struct {
 	n      int
 	perm   []int32 // perm[p] = index of the input element loaded to position p
-	levels []level // deepest level first; empty for n = 1 and for Bluestein
-	chirp  *chirp  // non-nil when n has a prime factor > maxRadix
+	levels []level // deepest level first; empty for n = 1
 }
 
 // level is one butterfly pass: every block of r·m elements holds r finished
@@ -42,14 +41,6 @@ type level struct {
 	tw   []complex128
 }
 
-// chirp holds the constants of Bluestein's algorithm for length n: a DFT
-// as a cyclic convolution of size m, the next power of two ≥ 2n−1.
-type chirp struct {
-	m  int
-	a  []complex128 // exp(−πi j²/n)
-	bf []complex128 // length-m transform of the conjugate chirp
-}
-
 // memo shares tables between plans of equal length. Every simulated rank
 // builds the same handful of plans, so without it a figure run computes and
 // stores the same twiddles hundreds of times. Entries are never dropped:
@@ -62,36 +53,20 @@ var memo struct {
 
 func tablesFor(n int) *tables {
 	memo.Lock()
-	t := memo.byLen[n]
-	memo.Unlock()
-	if t != nil {
-		return t
-	}
-	// Built outside the lock: a Bluestein length builds the plan of its
-	// power-of-two convolution on the way. Two goroutines may both build;
-	// the first to store wins and the other's copy is dropped.
-	t = newTables(n)
-	memo.Lock()
 	defer memo.Unlock()
-	if prev := memo.byLen[n]; prev != nil {
-		return prev
+	t := memo.byLen[n]
+	if t == nil {
+		if memo.byLen == nil {
+			memo.byLen = map[int]*tables{}
+		}
+		t = newTables(n)
+		memo.byLen[n] = t
 	}
-	if memo.byLen == nil {
-		memo.byLen = map[int]*tables{}
-	}
-	memo.byLen[n] = t
 	return t
 }
 
 func newTables(n int) *tables {
 	t := &tables{n: n, perm: make([]int32, n)}
-	if !smooth(n) {
-		for i := range t.perm {
-			t.perm[i] = int32(i)
-		}
-		t.chirp = newChirp(n)
-		return t
-	}
 	f := factorize(n)
 	// Position p, read as mixed-radix digits q₀ q₁ … with q₀ most
 	// significant (radices f₀ f₁ …), holds input element
@@ -127,30 +102,6 @@ func newTables(n int) *tables {
 	return t
 }
 
-func newChirp(n int) *chirp {
-	m := 1
-	for m < 2*n-1 {
-		m *= 2
-	}
-	c := &chirp{m: m, a: make([]complex128, n)}
-	for j := 0; j < n; j++ {
-		// j² mod 2n keeps the argument small for large n.
-		e := (int64(j) * int64(j)) % int64(2*n)
-		theta := -math.Pi * float64(e) / float64(n)
-		c.a[j] = cmplx.Exp(complex(0, theta))
-	}
-	bvec := make([]complex128, m)
-	bvec[0] = complex(real(c.a[0]), -imag(c.a[0]))
-	for j := 1; j < n; j++ {
-		v := complex(real(c.a[j]), -imag(c.a[j]))
-		bvec[j] = v
-		bvec[m-j] = v
-	}
-	NewPlan(m).Forward(bvec)
-	c.bf = bvec
-	return c
-}
-
 func twiddles(n int) []complex128 {
 	w := make([]complex128, n)
 	for j := range w {
@@ -180,8 +131,13 @@ func factorize(n int) []int {
 	return f
 }
 
-// smooth reports whether every prime factor of n is at most maxRadix.
-func smooth(n int) bool {
+// Smooth reports whether this package transforms length n: n ≥ 1 and
+// every prime factor of n is at most maxRadix (31). pmd.ValidateDecomp
+// rejects a PME mesh with a dimension that is not.
+func Smooth(n int) bool {
+	if n < 1 {
+		return false
+	}
 	for _, q := range [...]int{2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31} {
 		for n%q == 0 {
 			n /= q
@@ -191,17 +147,9 @@ func smooth(n int) bool {
 }
 
 // Ops returns the analytic floating-point operation count of one length-n
-// transform, the quantity the performance model charges: ~5·n·log₂(n) for
-// smooth sizes, and the cost of the three embedded power-of-two transforms
-// for Bluestein. It needs no plan.
+// transform, the quantity the performance model charges: ~5·n·log₂(n). It
+// needs no plan.
 func Ops(n int) int64 {
-	if !smooth(n) {
-		m := 1.0
-		for m < float64(2*n-1) {
-			m *= 2
-		}
-		return int64(3*5*m*math.Log2(m) + 8*m)
-	}
 	if n < 2 {
 		return 1
 	}

@@ -35,7 +35,10 @@ func PaperPME() PMEConfig {
 
 // Config configures an Engine.
 type Config struct {
-	FF          ff.Options
+	FF ff.Options
+	// UsePME adds the PME reciprocal sum and makes the force field's
+	// electrostatics its direct-space term at PME.Beta; without it they
+	// are CHARMM's SHIFT truncation.
 	UsePME      bool
 	PME         PMEConfig
 	TimestepFS  float64 // integration step in femtoseconds
@@ -49,7 +52,7 @@ type Config struct {
 	KernelWorkers int
 }
 
-// DefaultConfig is the paper's classic setup (shift truncation, no PME).
+// DefaultConfig is the paper's classic setup (SHIFT truncation, no PME).
 func DefaultConfig() Config {
 	return Config{
 		FF:          ff.DefaultOptions(),
@@ -62,10 +65,8 @@ func DefaultConfig() Config {
 // PMEDefaultConfig is the paper's PME setup.
 func PMEDefaultConfig() Config {
 	c := DefaultConfig()
-	c.FF = ff.PMEOptions()
 	c.UsePME = true
 	c.PME = PaperPME()
-	c.FF.Beta = c.PME.Beta
 	return c
 }
 
@@ -129,13 +130,14 @@ func NewEngine(sys *topol.System, cfg Config) *Engine {
 	if cfg.TimestepFS <= 0 {
 		panic(fmt.Sprintf("md: invalid timestep %g fs", cfg.TimestepFS))
 	}
-	if cfg.UsePME && cfg.FF.ElecMode != ff.ElecEwaldDirect {
-		panic("md: PME requires ff.ElecEwaldDirect for the direct-space sum")
+	var beta float64 // SHIFT
+	if cfg.UsePME {
+		beta = cfg.PME.Beta
 	}
 	e := &Engine{
 		Sys: sys,
 		Cfg: cfg,
-		FF:  ff.New(sys, cfg.FF),
+		FF:  ff.New(sys, cfg.FF, beta),
 		Pos: append([]vec.V(nil), sys.Pos...),
 		Vel: make([]vec.V, sys.N()),
 		Frc: make([]vec.V, sys.N()),

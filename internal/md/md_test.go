@@ -115,7 +115,6 @@ func TestEnergyConservationPME(t *testing.T) {
 	// β large enough that erfc at the 4.5 Å cutoff is ~1e-5 — otherwise the
 	// truncation step destroys NVE conservation.
 	cfg.PME = PMEConfig{Beta: 0.7, K1: 24, K2: 24, K3: 24, Order: 4}
-	cfg.FF.Beta = 0.7
 	e := NewEngine(sys, cfg)
 	e.Minimize(300, 0.2)
 	e.InitVelocities(150, 9)
@@ -205,7 +204,6 @@ func TestWorkCountersSplit(t *testing.T) {
 	sys := waterBox(27, 12, 8)
 	cfg := smallCutoffs(PMEDefaultConfig())
 	cfg.PME = PMEConfig{Beta: 0.45, K1: 24, K2: 24, K3: 24, Order: 4}
-	cfg.FF.Beta = 0.45
 	e := NewEngine(sys, cfg)
 	var wc, wp work.Counters
 	e.Run(3, &wc, &wp)
@@ -241,25 +239,32 @@ func TestInvalidConfigPanics(t *testing.T) {
 	sys := waterBox(8, 10, 9)
 	bad := smallCutoffs(DefaultConfig())
 	bad.TimestepFS = 0
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("zero timestep did not panic")
-			}
-		}()
-		NewEngine(sys, bad)
+	defer func() {
+		if recover() == nil {
+			t.Error("zero timestep did not panic")
+		}
 	}()
-	bad2 := smallCutoffs(DefaultConfig())
-	bad2.UsePME = true // but ElecMode still Shift
-	bad2.PME = PMEConfig{Beta: 0.4, K1: 20, K2: 20, K3: 20, Order: 4}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("PME+Shift did not panic")
-			}
-		}()
-		NewEngine(sys, bad2)
-	}()
+	NewEngine(sys, bad)
+}
+
+// TestEwaldSumIndependentOfBeta: the Ewald split moves Coulomb energy
+// between the direct and reciprocal sums but not the total, so setting
+// cfg.PME.Beta alone must retune both halves. A direct-space term left at
+// another β (the paper's 0.34) puts the two totals 2 % apart here.
+func TestEwaldSumIndependentOfBeta(t *testing.T) {
+	sys := waterBox(27, 12, 12)
+	coulomb := func(beta float64) float64 {
+		cfg := PMEDefaultConfig()
+		cfg.FF.CutOn, cfg.FF.CutOff, cfg.FF.ListCutoff = 4.5, 5.5, 6.0
+		cfg.Temperature = 0
+		cfg.PME = PMEConfig{Beta: beta, K1: 32, K2: 32, K3: 32, Order: 4}
+		r := NewEngine(sys, cfg).ComputeForces(nil, nil)
+		return r.FF.Elec + r.FF.Elec14 + r.PME()
+	}
+	a, b := coulomb(0.60), coulomb(0.65)
+	if rel := math.Abs(a-b) / math.Abs(a); rel > 5e-3 {
+		t.Fatalf("Coulomb total %g at β 0.60 vs %g at β 0.65 (rel %.2g)", a, b, rel)
+	}
 }
 
 func TestMyoglobinTenStepsRuns(t *testing.T) {

@@ -51,7 +51,6 @@ func NewSolvatedWorkload(atoms int, seed uint64, accept func(PMEConfig) error) (
 	sys, mesh := topol.NewSolvatedBox(atoms, seed)
 	cfg := ClampCutoffs(PMEDefaultConfig(), sys.Box)
 	cfg.PME = PMEConfig{Beta: 0.34, K1: mesh, K2: mesh, K3: mesh, Order: 4}
-	cfg.FF.Beta = cfg.PME.Beta
 	cfg.Temperature = 300
 	cfg.Seed = seed
 	if accept != nil {

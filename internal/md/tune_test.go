@@ -10,7 +10,6 @@ func pooledConfig(workers int) Config {
 	cfg := smallCutoffs(PMEDefaultConfig())
 	cfg.Temperature = 0
 	cfg.PME = PMEConfig{Beta: 0.45, K1: 24, K2: 24, K3: 24, Order: 4}
-	cfg.FF.Beta = 0.45
 	cfg.KernelWorkers = workers
 	return cfg
 }

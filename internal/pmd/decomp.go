@@ -3,6 +3,7 @@ package pmd
 import (
 	"fmt"
 
+	"repro/internal/fft"
 	"repro/internal/md"
 )
 
@@ -64,8 +65,9 @@ func (e *DecompError) Error() string {
 // cannot.
 //
 // Any decomposition: the mesh must be one the engine's PME can transform —
-// every dimension at least 2·Order points, and K1 even for the real
-// half-spectrum transform (there is no complex fallback).
+// every dimension at least 2·Order points, K1 even for the real
+// half-spectrum transform (there is no complex fallback), and no dimension
+// with a prime factor above the FFT's largest radix (fft.Smooth).
 //
 // Replicated/slab: the PME forward transform assigns whole x-slabs, so
 // more ranks than K1 slabs leaves ranks with no slab at all (CHARMM's
@@ -90,6 +92,12 @@ func ValidateDecomp(kind DecompKind, p int, pme md.PMEConfig) error {
 	if pme.K1%2 != 0 {
 		return &DecompError{Decomp: kind, Ranks: p, Constraint: fmt.Sprintf(
 			"PME mesh K1=%d is odd; the half-spectrum transform needs an even K1", pme.K1)}
+	}
+	for i, k := range [3]int{pme.K1, pme.K2, pme.K3} {
+		if !fft.Smooth(k) {
+			return &DecompError{Decomp: kind, Ranks: p, Constraint: fmt.Sprintf(
+				"PME mesh %d×%d×%d: K%d=%d has a prime factor above 31, which the FFT cannot transform", pme.K1, pme.K2, pme.K3, i+1, k)}
+		}
 	}
 	switch kind {
 	case DecompReplicated:

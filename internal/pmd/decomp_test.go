@@ -36,6 +36,37 @@ func TestParseDecomp(t *testing.T) {
 	}
 }
 
+// TestValidateDecompRejectsUntransformableMesh: a mesh dimension with a
+// prime factor above the FFT's largest radix is a typed error naming that
+// dimension, for both decompositions and before any per-decomposition
+// check; a solvated box reaches the first such mesh, 148 = 4·37, at about
+// 300 000 atoms.
+func TestValidateDecompRejectsUntransformableMesh(t *testing.T) {
+	for _, kind := range []DecompKind{DecompReplicated, DecompDomain} {
+		for _, tc := range []struct {
+			pme  md.PMEConfig
+			want string // substring of the constraint, "" for a valid mesh
+		}{
+			{md.PMEConfig{K1: 74, K2: 37, K3: 10, Order: 4}, "K1=74 has a prime factor above 31"},
+			{md.PMEConfig{K1: 80, K2: 37, K3: 10, Order: 4}, "K2=37 has a prime factor above 31"},
+			{md.PMEConfig{K1: 148, K2: 148, K3: 148, Order: 4}, "K1=148 has a prime factor above 31"},
+			{md.PMEConfig{K1: 28, K2: 28, K3: 28, Order: 4}, ""},
+		} {
+			err := ValidateDecomp(kind, 4, tc.pme)
+			if tc.want == "" {
+				if err != nil {
+					t.Errorf("%v on %+v: %v", kind, tc.pme, err)
+				}
+				continue
+			}
+			var de *DecompError
+			if !errors.As(err, &de) || !strings.Contains(de.Constraint, tc.want) {
+				t.Errorf("%v on %+v: got %v, want a *DecompError with %q", kind, tc.pme, err, tc.want)
+			}
+		}
+	}
+}
+
 func TestValidateDecomp(t *testing.T) {
 	paper := md.PaperPME() // K1=80, K2=36, K3=48
 	small := md.PMEConfig{K1: 24, K2: 24, K3: 24, Order: 4}

@@ -294,7 +294,7 @@ func haloOracle(t *testing.T, c *canonical, st *canonState, ep *epochData) {
 			sets[e[1]] = append(sets[e[1]], e[0])
 		}
 		l.sys.Excl = topol.NewExclusions(sets)
-		lff := ff.New(&l.sys, c.ffield.Opts)
+		lff := ff.New(&l.sys, c.ffield.Opts, beta)
 		frc := make([]vec.V, n)
 		var classic, excl work.Counters
 		eGot.Add(lff.Bonded(lpos, frc, &classic))

@@ -58,7 +58,6 @@ func testMDConfig() md.Config {
 	cfg := md.PMEDefaultConfig()
 	cfg.FF.CutOn, cfg.FF.CutOff, cfg.FF.ListCutoff = 7, 9, 11
 	cfg.PME = md.PMEConfig{Beta: 0.4, K1: 24, K2: 24, K3: 24, Order: 4}
-	cfg.FF.Beta = 0.4
 	cfg.Temperature = 200
 	cfg.Seed = 11
 	return cfg
