@@ -33,14 +33,11 @@ func (k CellKey) procs() int { return k.Cluster.Nodes * k.Cluster.CPUsPerNode }
 // every field except res, err and secs, which the goroutine executing the
 // cell writes before it hands the job back.
 type job struct {
-	cell  CellKey
-	tape  *pmd.Tape
-	after *job // the job of this batch recording tape; nil if tape was complete, or this job records it
-
-	started, done bool
-	res           *pmd.Result
-	err           error
-	secs          float64 // host seconds inside the cell
+	cell CellKey
+	tape *pmd.Tape
+	res  *pmd.Result
+	err  error
+	secs float64 // host seconds inside the cell
 }
 
 // RunCells is the suite's one way to execute cells: it returns the
@@ -51,12 +48,12 @@ type job struct {
 //   - All bookkeeping — run cache, tapes, counters — happens here, on the
 //     requesting goroutine, in request order. Goroutines executing cells
 //     receive a (cell, tape) pair and return a (result, error) pair.
-//   - Per rank count, the first requester whose tape is missing records
-//     it alone; the other cells of that rank count, under either
-//     decomposition, start once it has finished and replay. A failed
-//     recorder is their error too.
+//   - One tape per rank count, shared from its first request: a rank count
+//     without a tape gets one here, which every miss of the batch at that
+//     rank count, under either decomposition, runs over at once. It is
+//     kept, and counts as recorded, only if the miss that opened it is.
 //   - The first error in request order is the batch's error, and nothing
-//     requested after it is kept: the suite is left as if the cells had
+//     requested later is kept: the suite is left as if the cells had
 //     been requested one at a time up to the failure.
 //
 // A batch with at most one miss, or Workers = 1, runs inline on the caller
@@ -65,7 +62,7 @@ func (s *Suite) RunCells(cells []CellKey) ([]*pmd.Result, error) {
 	keys := make([]string, len(cells))
 	var jobs []*job
 	queued := map[string]*job{} // this batch's misses by key
-	recorder := map[int]*job{}  // this batch's recording job per rank count
+	opener := map[int]*job{}    // the job that opened this batch's tape per rank count
 	for i, c := range cells {
 		keys[i] = c.String()
 		if s.cache[keys[i]] != nil || queued[keys[i]] != nil {
@@ -75,11 +72,11 @@ func (s *Suite) RunCells(cells []CellKey) ([]*pmd.Result, error) {
 		switch p := c.procs(); {
 		case s.tapes[p] != nil:
 			j.tape = s.tapes[p]
-		case recorder[p] != nil:
-			j.tape, j.after = recorder[p].tape, recorder[p]
+		case opener[p] != nil:
+			j.tape = opener[p].tape
 		default:
 			j.tape = pmd.NewTape()
-			recorder[p] = j
+			opener[p] = j
 		}
 		queued[keys[i]] = j
 		jobs = append(jobs, j)
@@ -99,12 +96,11 @@ func (s *Suite) RunCells(cells []CellKey) ([]*pmd.Result, error) {
 		}
 		s.mMisses.Inc()
 		s.mCellSeconds.Add(j.secs)
-		switch p := j.cell.procs(); {
-		case recorder[p] != j:
-			s.mReplays.Inc()
-		case j.tape.Complete():
+		if p := j.cell.procs(); opener[p] == j {
 			s.tapes[p] = j.tape
 			s.mRecords.Inc()
+		} else {
+			s.mReplays.Inc()
 		}
 		s.cache[key] = j.res
 		out[i] = j.res
@@ -113,8 +109,8 @@ func (s *Suite) RunCells(cells []CellKey) ([]*pmd.Result, error) {
 }
 
 // execute runs the jobs (in request order) with at most workers() of them
-// in flight and returns when none is. After a failure no job requested
-// later than the failed one is started.
+// in flight and returns when none is. Once a job fails no job requested
+// later is started.
 func (s *Suite) execute(jobs []*job) {
 	limit := min(s.workers(), len(jobs))
 	if limit <= 1 {
@@ -126,27 +122,19 @@ func (s *Suite) execute(jobs []*job) {
 		return
 	}
 	finished := make(chan *job)
-	for inFlight := 0; ; {
-		for _, j := range jobs {
-			if inFlight == limit {
-				break
-			}
-			if j.started || (j.after != nil && !j.after.done) {
-				continue
-			}
-			j.started = true
+	for next, inFlight := 0, 0; ; {
+		for ; inFlight < limit && next < len(jobs); next++ {
 			inFlight++
 			go func(j *job) {
 				s.run(j)
 				finished <- j
-			}(j)
+			}(jobs[next])
 		}
 		if inFlight == 0 {
 			return
 		}
 		j := <-finished
 		inFlight--
-		j.done = true
 		if j.err != nil {
 			if i := slices.Index(jobs, j); i >= 0 {
 				jobs = jobs[:i]

@@ -105,11 +105,12 @@ func TestBatchErrorIsFirstInRequestOrder(t *testing.T) {
 	}
 }
 
-// TestFailedRecorderLeavesNoTape: a recorder that crashes fails the cells
-// waiting to replay it and leaves no tape behind, half-recorded or
-// otherwise — the next request for that rank count records from scratch.
-// The replicated recorder leads the batch and the domain cells behind it
-// wait for its tape; a batch led by a domain recorder crashes too.
+// TestFailedRecorderLeavesNoTape: a crashing run that opens its rank
+// count's tape fails the batch, nothing requested after it is kept, and
+// no tape is left behind, partly evaluated or otherwise — the next request
+// for that rank count opens a fresh one. The replicated opener leads the
+// batch and the domain cells of its rank count run over its tape at once;
+// a batch led by a domain opener crashes too.
 func TestFailedRecorderLeavesNoTape(t *testing.T) {
 	cfg := quickConfig()
 	cfg.Workers = 4

@@ -113,21 +113,23 @@ func Quick() Config {
 }
 
 // RunStats counts the suite's simulation work: how often the run cache
-// served a figure from memory and how often the physics tape replaced a
-// kernel execution with a counter replay.
+// served a figure from memory and how often a physics tape served a
+// cache miss.
 type RunStats struct {
 	Misses      int // unique configurations actually simulated
 	Hits        int // cells served from the run cache
-	TapeRecords int // runs that recorded a physics tape
-	TapeReplays int // runs that replayed one instead of executing kernels
+	TapeRecords int // rank counts whose tape a kept run opened
+	TapeReplays int // the other misses, each run over its rank count's tape
 }
 
 // Suite runs and caches the experiment cells. Two layers of memoization
 // back it: a content-keyed run cache (platform × middleware × workload ×
 // fault scenario — every unique configuration simulates exactly once per
-// Suite lifetime) and, below it, physics tapes per rank count that let
-// cache *misses* sharing it, under either decomposition, skip the MD
-// kernels and replay the recorded physics through the event simulation.
+// Suite lifetime) and, below it, one physics tape per rank count, built
+// on its first request and shared by every cache *miss* at that rank
+// count, under either decomposition and concurrent ones included, so the
+// MD kernels evaluate each step once and the other misses only run the
+// event simulation.
 //
 // A Suite serves one caller at a time: its methods must not be called
 // concurrently. The concurrency is inside RunCells, which keeps a batch's
@@ -136,7 +138,7 @@ type Suite struct {
 	Cfg    Config
 	sys    *topol.System
 	cache  map[string]*pmd.Result
-	tapes  map[int]*pmd.Tape // complete tapes by rank count
+	tapes  map[int]*pmd.Tape // by rank count, each entered once the run that opened it is kept
 	faults cluster.FaultModel
 
 	// Registry-backed run counters (the RunStats view reads the first four).

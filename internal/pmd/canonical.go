@@ -14,56 +14,58 @@ import (
 	"repro/internal/work"
 )
 
-// canonical is the run's one physics provider.
+// canonical is the one physics provider of the runs at rank count p.
 //
 // Every run at rank count p computes one trajectory: the replicated-data
 // arithmetic at p, every partition cut by p and every partial result
 // merged rank-ascending, as CHARMM's ranks combine them through their
-// collectives. canonical evaluates each step of it once per run and serves
-// it to every rank as an immutable snapshot. The ranks' segments and
-// collectives then charge the virtual time of their own pipeline from the
-// snapshot's work counters and their layouts' exact counts, without
-// touching the numbers; a snapshot carries its list generation's pair list
-// for the layouts that derive their counts from it.
+// collectives. canonical evaluates each step of it once and serves it to
+// every rank as an immutable snapshot. The ranks' segments and collectives
+// then charge the virtual time of their own pipeline from the snapshot's
+// work counters and their layouts' exact counts, without touching the
+// numbers; a snapshot carries its list generation's pair list for the
+// layouts that derive their counts from it.
 //
-// While an evaluation runs every rank waits on it, so it spends the run's
-// HostWorkers: its rank loops run W ranks at a time on W lanes of reused
+// While an evaluation runs every rank waits on it, so it spends the
+// HostWorkers of the run that built c: its rank loops run W ranks at a time on W lanes of reused
 // scratch, and each wave merges rank-ascending before the next starts —
 // the same bits at every W.
 //
-// Concurrency: the first rank to need step s runs the evaluation inside
-// its once; the per-step barrier keeps all ranks within one step of each
-// other, so evaluations never overlap (the lanes are safely reused) and
-// a finished snapshot is immutable while read.
-//
-// The snapshots depend on the workload and p alone, so a recording run
-// keeps every one of them and they become its Tape: a replay serves them
-// to its ranks without building an evaluator at all. Any other run keeps
-// a two-step window.
+// Concurrency: the first rank to need step s, of whichever run sharing the
+// evaluator (a Tape's), evaluates it inside the step's once; every other
+// caller waits on that once. A rank asks for step s only once step s-1 is
+// evaluated, so at most one evaluation is ever in flight (the lanes are
+// safely reused), and a finished snapshot is immutable while read. A
+// tape's evaluator keeps every snapshot and holds nothing of the run that
+// built it; a run's own keeps a two-step window.
 type canonical struct {
-	cfg Config
 	p   int
 	sys *topol.System
+	pme md.PMEConfig
 
 	ffield  *ff.ForceField
 	charges []float64
 	integ   *md.Integrator // the seed engine's
 
 	seedPos, seedVel []vec.V
+	seedOrigin       []vec.V // a checkpoint start's list origin, else nil
 
 	// Replicated partitions at rank count p.
 	atomOff, yOff []int
 	classicParts
 
 	ranks *kernels.Pool // HostWorkers wide: runs the lanes of a wave
-	lanes []lane
-	xOff  []int // the mesh x-planes each lane transforms
+	pool  *kernels.Pool // shared by the lanes' kernels
+	xOff  []int         // the mesh x-planes each lane transforms
 
+	// The evaluation scratch, built by the first evaluation that finds
+	// none; a tape releases it when no run over it is in flight.
+	lanes    []lane
 	fullGrid []complex128 // assembled grid / spectrum / potential
 
 	mu     sync.Mutex
 	states map[int]*canonState
-	keep   bool // retain every snapshot: this run records a tape
+	keep   bool // retain every snapshot: a tape's evaluator
 }
 
 // lane is one host worker's scratch for the rank loops of an evaluation.
@@ -82,8 +84,8 @@ type lane struct {
 // initial force evaluation of velocity Verlet. All slices are freshly
 // allocated per step (or inherited unchanged from the previous step) so
 // a rank still reading step s races with nothing while another rank's
-// drift segment evaluates step s+1, and a taped snapshot serves any number
-// of replays at once.
+// drift segment evaluates step s+1, and a tape's snapshot serves any
+// number of runs at once.
 type canonState struct {
 	step int
 	once sync.Once
@@ -112,9 +114,9 @@ func newCanonical(p int, cfg Config, seedEngine *md.Engine, keep bool) *canonica
 	n := sys.N()
 	pmeCfg := cfg.MD.PME
 	c := &canonical{
-		cfg:     cfg,
 		p:       p,
 		sys:     sys,
+		pme:     pmeCfg,
 		ffield:  seedEngine.FF,
 		integ:   seedEngine.Integrator(),
 		seedPos: append([]vec.V(nil), seedEngine.Pos...),
@@ -122,33 +124,45 @@ func newCanonical(p int, cfg Config, seedEngine *md.Engine, keep bool) *canonica
 		states:  map[int]*canonState{},
 		keep:    keep,
 	}
+	if init := cfg.Init; init != nil && len(init.ListOrigin) == n {
+		c.seedOrigin = append([]vec.V(nil), init.ListOrigin...)
+	}
 	c.charges = c.ffield.Charges()
 	c.atomOff = kernels.Partition(n, p, nil)
 	c.classicParts = newClassicParts(sys, p)
 	c.yOff = kernels.Partition(pmeCfg.K2, p, nil)
+	c.pool = kernels.NewPool(cfg.MD.KernelWorkers)
+	c.ranks = kernels.NewPool(cfg.HostWorkers)
+	c.xOff = kernels.Partition(pmeCfg.K1, min(c.ranks.Workers(), p), nil)
+	return c
+}
+
+// scratch builds the lanes and the assembled grid if there are none.
+func (c *canonical) scratch() {
+	if c.lanes != nil {
+		return
+	}
+	n, pmeCfg := c.sys.N(), c.pme
 	g := pmeCfg.K1 * pmeCfg.K2 * pmeCfg.K3
 	c.fullGrid = make([]complex128, g)
-	pool := kernels.NewPool(cfg.MD.KernelWorkers) // shared by the lanes' kernels
-	c.ranks = kernels.NewPool(cfg.HostWorkers)
-	c.lanes = make([]lane, min(max(cfg.HostWorkers, 1), p))
+	c.lanes = make([]lane, len(c.xOff)-1)
 	for i := range c.lanes {
 		l := &c.lanes[i]
 		l.nbk = c.ffield.NewNonbondedKernel()
-		l.nbk.SetPool(pool)
-		l.pme = ewald.NewPME(sys.Box, pmeCfg.Beta, pmeCfg.K1, pmeCfg.K2, pmeCfg.K3, pmeCfg.Order)
-		l.pme.SetPool(pool)
+		l.nbk.SetPool(c.pool)
+		l.pme = ewald.NewPME(c.sys.Box, pmeCfg.Beta, pmeCfg.K1, pmeCfg.K2, pmeCfg.K3, pmeCfg.Order)
+		l.pme.SetPool(c.pool)
 		l.plan1d = fft.NewPlan(pmeCfg.K1)
 		l.plan2d = fft.NewPlan2D(pmeCfg.K2, pmeCfg.K3)
 		l.partial = make([]vec.V, n)
 		l.grid = make([]float64, g)
 	}
-	c.xOff = kernels.Partition(pmeCfg.K1, len(c.lanes), nil)
-	return c
 }
 
 // state returns step's snapshot, evaluating it exactly once across all
-// ranks. step -1 is the initial evaluation; step s > -1 requires step
-// s-1 to have been evaluated (guaranteed by the per-step barrier).
+// ranks of every run sharing c. step -1 is the initial evaluation; step
+// s > -1 requires step s-1 to have been evaluated (guaranteed by the
+// per-step barrier and by runs advancing a step at a time).
 func (c *canonical) state(step int) *canonState {
 	c.mu.Lock()
 	st, ok := c.states[step]
@@ -182,8 +196,8 @@ func (c *canonical) evalInit(st *canonState) {
 	st.pos = append([]vec.V(nil), c.seedPos...)
 	st.vel = append([]vec.V(nil), c.seedVel...)
 	st.listGen = -1
-	if init := c.cfg.Init; init != nil && len(init.ListOrigin) == c.sys.N() {
-		st.listOrigin = append([]vec.V(nil), init.ListOrigin...)
+	if c.seedOrigin != nil {
+		st.listOrigin = c.seedOrigin
 		st.listGen = 0
 		st.pairs = c.ffield.BuildPairs(st.listOrigin, nil)
 	}
@@ -229,7 +243,7 @@ func (c *canonical) waves(eval, merge func(rk int, l *lane)) {
 
 // planes runs fn over every x-plane of the mesh, the lanes splitting them.
 func (c *canonical) planes(fn func(p *fft.Plan2D, plane []complex128)) {
-	planeLen := c.cfg.MD.PME.K2 * c.cfg.MD.PME.K3
+	planeLen := c.pme.K2 * c.pme.K3
 	c.ranks.Run(len(c.lanes), func(i int) {
 		for x := c.xOff[i]; x < c.xOff[i+1]; x++ {
 			fn(c.lanes[i].plan2d, c.fullGrid[x*planeLen:(x+1)*planeLen])
@@ -249,9 +263,10 @@ func (c *canonical) planes(fn func(p *fft.Plan2D, plane []complex128)) {
 func (c *canonical) forceEval(st *canonState) {
 	sys := c.sys
 	n := sys.N()
-	pmeCfg := c.cfg.MD.PME
+	pmeCfg := c.pme
 	k1, k2, k3 := pmeCfg.K1, pmeCfg.K2, pmeCfg.K3
 	planeLen := k2 * k3
+	c.scratch()
 
 	// Neighbour-list management: a rebuild starts a new list generation.
 	if !c.integ.ListValid(st.pos, st.listOrigin) {

@@ -122,7 +122,7 @@ func TestTapeShapeMismatchIgnored(t *testing.T) {
 	ref := runWith(t, 2, 3, 0, nil, nil)
 	got := runWith(t, 2, 3, 0, tape, nil)
 	mustEqualResults(t, "mismatch", ref, got)
-	if tape.p != 4 {
-		t.Fatalf("tape clobbered: p=%d", tape.p)
+	if tape.canon.p != 4 {
+		t.Fatalf("tape clobbered: p=%d", tape.canon.p)
 	}
 }

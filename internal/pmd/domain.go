@@ -260,7 +260,7 @@ type epochCounts struct {
 // domainView is the domain decomposition's reading of one trajectory at
 // rank count p: the geometry and the ownership epoch of each neighbour-list
 // generation, each built on first request under one mutex, so the view of
-// a tape serves every domain replay of it, concurrent ones included.
+// a tape serves every domain run over it, concurrent ones included.
 type domainView struct {
 	mu     sync.Mutex
 	keep   bool // a tape's view keeps every epoch, a run's own the last two
@@ -392,8 +392,8 @@ func gridIndex(f float64, d int) int {
 }
 
 // domainDecomp drives one rank of the spatial decomposition. All physics
-// values come from the canonical snapshots, evaluated by this run or
-// served from a tape, and every ownership-dependent size from the run's
+// values come from the canonical snapshots, of the run's own evaluator
+// or its tape's, and every ownership-dependent size from the run's
 // domain view of them; the rank's own segments and sparse collectives
 // charge the virtual time of the spatial pipeline, the same with or
 // without a tape: drift of owned atoms, migration + half-shell halo
@@ -408,15 +408,15 @@ type domainDecomp struct {
 
 // serve makes step's snapshot the rank's current one.
 func (d *domainDecomp) serve(w *worker, step int) {
-	w.cur = w.sh.state(step)
+	w.cur = w.sh.canon.state(step)
 	d.geo, d.ep = w.sh.dom.at(w.p, w.cfg, w.cur)
 }
 
 func (d *domainDecomp) initialForces(w *worker) {
 	// The zero-cost charge after the lookup keeps the domain schedule's
 	// step-0 event, which the schedule goldens pin; the pipeline segments
-	// below charge the spatial model's work. A replay makes the same charge
-	// after a tape lookup, so its schedule is the same.
+	// below charge the spatial model's work. The charge is the same whether
+	// the run evaluated the snapshot or a tape served it, so the schedule is.
 	d.serve(w, -1)
 	w.r.ComputeWork(work.Counters{})
 	d.forces(w, nil, phaseTracker{})

@@ -221,7 +221,7 @@ func (l *localDomain) add(g int32) int32 {
 func haloOracle(t *testing.T, c *canonical, st *canonState, ep *epochData) {
 	t.Helper()
 	sys, p, pos := c.sys, len(ep.nOwn), st.pos
-	beta := c.cfg.MD.PME.Beta
+	beta := c.pme.Beta
 
 	// Reference: every term over the full arrays.
 	want := make([]vec.V, sys.N())

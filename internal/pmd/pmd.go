@@ -101,12 +101,12 @@ type Config struct {
 	Watchdog mpi.Watchdog
 
 	// Tape, when non-nil, memoizes the physics across runs of the same
-	// workload and rank count, under either decomposition: an empty tape
-	// records this run's canonical snapshots, a completed tape replays them
-	// instead of executing the MD kernels (the simulated timings still come
-	// out of the full event simulation). Ignored when Init needs real
-	// physics, or when the tape was recorded for a different rank count or
-	// step count; a run that fails or stops early leaves it empty.
+	// workload and rank count, under either decomposition: the first run
+	// over the tape builds its evaluator, and every run at that rank count,
+	// concurrent ones included, is served the snapshots it holds or
+	// evaluates the next one into it (the simulated timings still come out
+	// of the full event simulation). Ignored when Init needs real physics,
+	// or when the tape belongs to another rank count.
 	Tape *Tape
 
 	// HostWorkers > 1 runs the canonical evaluation's rank loops that
@@ -278,36 +278,22 @@ func runAttempt(clusterCfg cluster.Config, cost cluster.CostModel, cfg Config) (
 		return nil, nil, err
 	}
 
-	// Tape eligibility: a checkpoint start needs the physics actually
-	// executed, and a completed tape only fits the rank count and step
-	// count it was recorded for.
+	// A run no tape serves evaluates its own physics, seeded like a tape's
+	// from the sequential engine so trajectories are directly comparable.
 	tape := cfg.Tape
-	if cfg.Init != nil {
+	canon := tape.open(p, cfg)
+	if canon == nil {
 		tape = nil
-	}
-	if tape.Complete() && !tape.fits(p, cfg.Steps) {
-		tape = nil
-	}
-	replaying := tape.Complete()
-	if tape != nil && !replaying {
-		tape.begin(p, cfg.Steps)
-	}
-
-	// The initial state comes from the sequential engine so trajectories
-	// are directly comparable. A replayed run serves its physics from the
-	// tape's snapshots (and, for the domain path, its view) and builds no
-	// seed engine or evaluator.
-	var seed *md.Engine
-	if !replaying {
-		seed = md.NewEngine(cfg.System, cfg.MD)
+		seed := md.NewEngine(cfg.System, cfg.MD)
 		if cfg.Init != nil {
 			if err := seed.Restore(cfg.Init); err != nil {
 				return nil, nil, err
 			}
 		}
+		canon = newCanonical(p, cfg, seed, false)
 	}
 
-	sh := newShared(p, cfg, seed, tape)
+	sh := newShared(p, cfg, canon, tape)
 	res := &Result{
 		P:        p,
 		Timings:  make([][]StepTiming, p),
@@ -323,11 +309,10 @@ func runAttempt(clusterCfg cluster.Config, cost cluster.CostModel, cfg Config) (
 		newWorker(r, cfg, sh).run(res)
 	})
 	res.Acct = accts
-	if tape != nil && !replaying {
-		if err != nil || len(res.Energies) < cfg.Steps { // failed, or halted early
-			tape.reset()
-		} else {
-			tape.finish(sh.canon)
+	if tape != nil {
+		tape.close()
+		if err == nil && len(res.Energies) == cfg.Steps {
+			tape.complete.Store(true)
 		}
 	}
 	return res, accts, err

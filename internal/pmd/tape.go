@@ -1,59 +1,79 @@
 package pmd
 
-// Tape memoizes the physics of one parallel run. The trajectory — and with
-// it every work counter and every ownership-dependent size matrix — is a
-// function of the workload (system, MD config, step count) and the rank
+import (
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/md"
+)
+
+// Tape memoizes the physics of the runs at one rank count. The trajectory
+// — and with it every work counter and every ownership-dependent size
+// matrix — is a function of the workload (system, MD config) and the rank
 // count only: the decomposition, networks, middleware, collective
 // algorithms, CPUs per node and fault scenarios change when work happens
-// and how long it takes, never what is computed or how many bytes move. A
-// completed tape therefore lets any same-workload run at the same rank
-// count, under either decomposition, replay the recorded physics through
-// the full event simulation instead of re-executing the MD kernels, which
-// is where nearly all host time goes.
+// and how long it takes, never what is computed or how many bytes move.
+// Every run over a tape therefore serves its ranks from one evaluation of
+// that trajectory, under either decomposition, and only the first run to
+// reach a step executes the MD kernels for it, which is where nearly all
+// host time goes.
 //
-// A tape holds every canonical snapshot of the recorded run (positions,
-// forces, energies, the per-rank work counters and each list generation's
-// pair list) and the domain view derived from them: the geometry, the
-// ownership epochs and the migration matrices, filled by a domain recorder
-// or by the first domain replay and shared by every later one. The ranks
-// of a replay run their whole pipeline over them; only the canonical
-// evaluation and its setup are skipped.
+// A tape has two halves, each built on first request and shared from then
+// on by every run at its rank count, concurrent ones included: the
+// canonical evaluator, which keeps every step's state, and the domain view
+// derived from them (the geometry, the ownership epochs and the migration
+// matrices). The first run over the tape fixes its rank count; a run at
+// another one, or with a checkpoint start (Init), which needs the physics
+// executed from that state, bypasses the tape. A longer run extends the
+// tape, and a run that fails leaves only fully evaluated steps behind.
 //
 // A tape must not outlive its workload: callers key tapes by rank count
-// within one suite (fixed system, MD config and steps). Runs with a
-// checkpoint start (Init) bypass tapes entirely — they need the physics
-// actually executed from that state. A complete tape is read-only apart
-// from its view, which locks: any number of replays may read it at once.
+// within one suite (fixed system and MD config).
 type Tape struct {
-	p, steps int
-
-	snaps []*canonState // step s at s+1, the initial evaluation first
+	once  sync.Once
+	canon *canonical
 	dom   *domainView
 
-	complete bool
+	mu   sync.Mutex
+	runs int // runs over the tape in flight
+
+	complete atomic.Bool
 }
 
-// NewTape returns an empty tape; the first eligible run records into it.
+// NewTape returns an empty tape; the first eligible run over it builds it.
 func NewTape() *Tape { return &Tape{} }
 
-// Complete reports whether the tape holds a full recording.
-func (t *Tape) Complete() bool { return t != nil && t.complete }
+// Complete reports whether a run over the tape has run all its steps.
+func (t *Tape) Complete() bool { return t != nil && t.complete.Load() }
 
-// fits reports whether the tape was recorded for this run's shape.
-func (t *Tape) fits(p, steps int) bool { return t.p == p && t.steps == steps }
-
-// begin prepares the tape to record a run of p ranks over steps steps.
-func (t *Tape) begin(p, steps int) { *t = Tape{p: p, steps: steps, dom: &domainView{keep: true}} }
-
-// reset discards a partial recording (e.g. after a crashed attempt).
-func (t *Tape) reset() { *t = Tape{} }
-
-// finish seals a recording with the snapshots replayed runs serve, step s
-// at index s+1.
-func (t *Tape) finish(canon *canonical) {
-	t.snaps = make([]*canonState, t.steps+1)
-	for i := range t.snaps {
-		t.snaps[i] = canon.states[i-1]
+// open enters a run into the tape and returns the tape's evaluator, built
+// from a fresh seed engine by the first run over it; nil, and the run
+// bypasses the tape, when there is none, when the run starts from a
+// checkpoint or when the tape belongs to another rank count.
+func (t *Tape) open(p int, cfg Config) *canonical {
+	if t == nil || cfg.Init != nil {
+		return nil
 	}
-	t.complete = true
+	t.once.Do(func() {
+		t.canon = newCanonical(p, cfg, md.NewEngine(cfg.System, cfg.MD), true)
+		t.dom = &domainView{keep: true}
+	})
+	if t.canon.p != p {
+		return nil
+	}
+	t.mu.Lock()
+	t.runs++
+	t.mu.Unlock()
+	return t.canon
+}
+
+// close ends a run opened over the tape. The last run in flight drops the
+// evaluator's scratch, keeping every evaluated step; a later run that
+// needs a step no run before it reached builds the scratch again.
+func (t *Tape) close() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.runs--; t.runs == 0 {
+		t.canon.lanes, t.canon.fullGrid = nil, nil
+	}
 }

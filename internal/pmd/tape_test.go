@@ -61,8 +61,8 @@ func TestDomainTapeReplayMatches(t *testing.T) {
 		for i, decomp := range recorders {
 			tapes[i] = NewTape()
 			tapeRun(t, sys, decomp, p, steps, netmodel.TCPGigE(), MiddlewareMPI, 1, tapes[i])
-			if !tapes[i].Complete() || len(tapes[i].snaps) != steps+1 {
-				t.Fatalf("p=%d %v: recording left complete=%v with %d snapshots", p, decomp, tapes[i].Complete(), len(tapes[i].snaps))
+			if !tapes[i].Complete() || len(tapes[i].canon.states) != steps+1 {
+				t.Fatalf("p=%d %v: recording left complete=%v with %d snapshots", p, decomp, tapes[i].Complete(), len(tapes[i].canon.states))
 			}
 		}
 		for _, net := range netmodel.All() {
@@ -122,26 +122,89 @@ func TestTapeServesBothDecompositions(t *testing.T) {
 				}
 				mustEqualResults(t, label, tapeRun(t, sys, tc.run, p, 3, net, MiddlewareMPI, 1, nil), got[i])
 			}
-			if !tape.Complete() || !tape.snaps[2].rebuilt {
-				t.Fatalf("p=%d %v tape: complete=%v, rebuilt at step 1=%v", p, tc.recorded, tape.Complete(), tape.snaps[2].rebuilt)
+			if !tape.Complete() || !tape.canon.states[1].rebuilt {
+				t.Fatalf("p=%d %v tape: complete=%v, rebuilt at step 1=%v", p, tc.recorded, tape.Complete(), tape.canon.states[1].rebuilt)
 			}
 		}
 	}
 }
 
-// TestDomainTapeShapeMismatchIgnored: a domain tape recorded for another
-// step or rank count is ignored, as a replicated one is.
+// TestDomainTapeShapeMismatchIgnored: a domain tape built at another rank
+// count is ignored, as a replicated one is, and left untouched.
 func TestDomainTapeShapeMismatchIgnored(t *testing.T) {
 	sys := testSystem(100, 24, 1)
 	tcp := netmodel.TCPGigE()
 	tape := NewTape()
 	tapeRun(t, sys, DecompDomain, 4, 3, tcp, MiddlewareMPI, 1, tape)
-	for _, shape := range []struct{ p, steps int }{{4, 2}, {2, 3}} {
-		want := tapeRun(t, sys, DecompDomain, shape.p, shape.steps, tcp, MiddlewareMPI, 1, nil)
-		got := tapeRun(t, sys, DecompDomain, shape.p, shape.steps, tcp, MiddlewareMPI, 1, tape)
-		mustEqualResults(t, fmt.Sprintf("p=%d steps=%d", shape.p, shape.steps), want, got)
-		if tape.p != 4 || tape.steps != 3 || len(tape.snaps) != 4 {
-			t.Fatalf("tape clobbered: p=%d steps=%d snapshots=%d", tape.p, tape.steps, len(tape.snaps))
+	want := tapeRun(t, sys, DecompDomain, 2, 3, tcp, MiddlewareMPI, 1, nil)
+	got := tapeRun(t, sys, DecompDomain, 2, 3, tcp, MiddlewareMPI, 1, tape)
+	mustEqualResults(t, "p=2", want, got)
+	if tape.canon.p != 4 || len(tape.canon.states) != 4 {
+		t.Fatalf("tape clobbered: p=%d snapshots=%d", tape.canon.p, len(tape.canon.states))
+	}
+}
+
+// TestDomainTapeExtendedByLongerRun: a 5-step run over a 3-step tape is
+// served the tape's steps, evaluates the next two into it and equals an
+// untaped 5-step run; a 2-step run over the tape equals its untaped run.
+func TestDomainTapeExtendedByLongerRun(t *testing.T) {
+	sys := testSystem(100, 24, 1)
+	tcp := netmodel.TCPGigE()
+	tape := NewTape()
+	tapeRun(t, sys, DecompDomain, 4, 3, tcp, MiddlewareMPI, 1, tape)
+	for _, steps := range []int{5, 2} {
+		want := tapeRun(t, sys, DecompDomain, 4, steps, tcp, MiddlewareMPI, 1, nil)
+		got := tapeRun(t, sys, DecompDomain, 4, steps, tcp, MiddlewareMPI, 1, tape)
+		mustEqualResults(t, fmt.Sprintf("steps=%d", steps), want, got)
+	}
+	if n := len(tape.canon.states); n != 6 {
+		t.Fatalf("the tape holds %d snapshots after a 5-step run, want 6", n)
+	}
+}
+
+// TestTapeSharedByConcurrentRuns: runs at one rank count started at once
+// over one fresh tape — replicated and domain, TCP and Myrinet, one and
+// four host workers — each equal their untaped run, and the tape ends
+// with one snapshot per evaluation: whichever run reaches a step first
+// evaluates it for all.
+func TestTapeSharedByConcurrentRuns(t *testing.T) {
+	sys := testSystem(100, 24, 1)
+	const p, steps = 4, 3
+	type run struct {
+		decomp  DecompKind
+		net     netmodel.Params
+		workers int
+	}
+	var runs []run
+	for _, decomp := range []DecompKind{DecompReplicated, DecompDomain} {
+		for _, net := range []netmodel.Params{netmodel.TCPGigE(), netmodel.MyrinetGM()} {
+			for _, workers := range []int{1, 4} {
+				runs = append(runs, run{decomp, net, workers})
+			}
 		}
+	}
+	tape := NewTape()
+	got := make([]*Result, len(runs))
+	errs := make([]error, len(runs))
+	var wg sync.WaitGroup
+	for i, r := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = Run(clusterCfg(p, 1, r.net), cluster.PentiumIII1GHz(), Config{
+				System: sys, MD: tapeMD(), Steps: steps, Decomp: r.decomp, HostWorkers: r.workers, Tape: tape,
+			})
+		}()
+	}
+	wg.Wait()
+	for i, r := range runs {
+		label := fmt.Sprintf("%v on %s, workers=%d", r.decomp, r.net.Name, r.workers)
+		if errs[i] != nil {
+			t.Fatalf("%s: %v", label, errs[i])
+		}
+		mustEqualResults(t, label, tapeRun(t, sys, r.decomp, p, steps, r.net, MiddlewareMPI, r.workers, nil), got[i])
+	}
+	if n := len(tape.canon.states); !tape.Complete() || n != steps+1 {
+		t.Fatalf("complete=%v with %d snapshots, want %d", tape.Complete(), n, steps+1)
 	}
 }

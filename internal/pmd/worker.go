@@ -21,10 +21,8 @@ const (
 // shared is what every rank of a run reads: the one snapshot source and
 // the layouts fixed by the rank count.
 type shared struct {
-	canon *canonical    // evaluates the snapshots; nil when replaying
-	taped []*canonState // a replay's snapshots, step s at s+1
-
-	dom *domainView // domain runs only: the tape's view, else the run's own
+	canon *canonical  // the tape's evaluator, else the run's own
+	dom   *domainView // domain runs only: the tape's view, else the run's own
 
 	atomOff []int // the replicated atom blocks (integration, checkpoints)
 
@@ -36,13 +34,12 @@ type shared struct {
 	ops2d, ops1d int64
 }
 
-// newShared builds what the run's ranks share: the canonical evaluator
-// (which keeps every snapshot when the run records a tape) or a complete
-// tape's snapshots, and one copy of the replicated partitions or of the
-// domain view.
-func newShared(p int, cfg Config, seedEngine *md.Engine, tape *Tape) *shared {
+// newShared builds what the run's ranks share: the evaluator, and one copy
+// of the replicated partitions or the domain view, the tape's when the run
+// has one.
+func newShared(p int, cfg Config, canon *canonical, tape *Tape) *shared {
 	pmeCfg := cfg.MD.PME
-	sh := &shared{atomOff: kernels.Partition(cfg.System.N(), p, nil)}
+	sh := &shared{canon: canon, atomOff: kernels.Partition(cfg.System.N(), p, nil)}
 	if cfg.Decomp == DecompReplicated {
 		sh.xOff = kernels.Partition(pmeCfg.K1, p, nil)
 		sh.yOff = kernels.Partition(pmeCfg.K2, p, nil)
@@ -55,20 +52,7 @@ func newShared(p int, cfg Config, seedEngine *md.Engine, tape *Tape) *shared {
 			sh.dom = tape.dom
 		}
 	}
-	if tape.Complete() {
-		sh.taped = tape.snaps
-	} else {
-		sh.canon = newCanonical(p, cfg, seedEngine, tape != nil)
-	}
 	return sh
-}
-
-// state returns step's snapshot, from the tape or the evaluator.
-func (sh *shared) state(step int) *canonState {
-	if sh.canon == nil {
-		return sh.taped[step+1]
-	}
-	return sh.canon.state(step)
 }
 
 // decomposition is the strategy a rank drives its step pipeline through.
