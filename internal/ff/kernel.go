@@ -2,6 +2,7 @@ package ff
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/kernels"
 	"repro/internal/space"
@@ -10,31 +11,37 @@ import (
 )
 
 // NonbondedKernel is the table-driven structure-of-arrays pair kernel. It
-// owns the SoA scratch (positions and per-block force accumulators as
-// separate x/y/z slices) so the immutable ForceField stays safe for
-// concurrent use: hold one kernel per goroutine/rank.
+// owns the SoA scratch (positions and force accumulators as separate
+// x/y/z slices) so the immutable ForceField stays safe for concurrent
+// use: hold one kernel per goroutine/rank.
 //
 // Compute splits the pair list into pairShards(len(pairs)) contiguous
-// blocks; each block accumulates into its own force arrays and energy
-// partial, and every atom's force is the sum of the blocks' arrays in
-// ascending block order, added to the caller's force once. The
-// decomposition depends only on the pair count, so results are
-// byte-identical at every worker count; the pool only decides how many
-// blocks run at once. A list of at most pairsPerShard pairs is one block,
-// which is the plain serial loop bit for bit: its sum is added to +0,
-// which is exact because pairRange's accumulators start at +0 and so
-// never hold −0.
+// blocks, each with its own energy partial. Block 0 accumulates into the
+// force set acc[0], every later block into a zeroed spare set that is
+// folded into acc[0] in ascending block order, so every atom's force is
+// ((a0 + a1) + a2) + …, added to the caller's force once. The
+// decomposition and the fold order depend only on the pair count, so
+// results are byte-identical at every worker count; the pool only decides
+// how many blocks run at once. A list of at most pairsPerShard pairs is
+// one block, which is the plain serial loop bit for bit.
 type NonbondedKernel struct {
 	f          *ForceField
 	x, y, z    []float64
-	acc        []blockForces               // force arrays, one per block in flight
+	acc        []blockForces               // acc[0] sums the blocks; the rest are spare sets
 	eLJ, eElec [kernels.ShardCount]float64 // per-block energy partials
 
 	pool    *kernels.Pool
 	shards  int // pair blocks of the current Compute
-	merged  int // force arrays the merge sums: shards, or 1 after an inline fold
+	spares  int // spare force sets of the current Compute
 	atomOff []int
 	pairOff []int
+
+	// The fold: blocks below next are summed into acc[0], done marks the
+	// finished blocks, and freed is signalled each time next advances.
+	mu    sync.Mutex
+	freed sync.Cond
+	next  int
+	done  [kernels.ShardCount]bool
 
 	// Shard closures bound once by NewNonbondedKernel; per-call args in c* fields.
 	fillFn, pairFn, mergeFn func(int)
@@ -43,7 +50,7 @@ type NonbondedKernel struct {
 	cFrc                    []vec.V
 }
 
-// blockForces is one pair block's force accumulators.
+// blockForces is one set of per-atom force accumulators.
 type blockForces struct{ fx, fy, fz []float64 }
 
 // pairsPerShard is how many pairs one block of the list carries before
@@ -62,8 +69,9 @@ func pairShards(n int) int {
 // runs its blocks inline until SetPool attaches a pool of several workers.
 func (f *ForceField) NewNonbondedKernel() *NonbondedKernel {
 	k := &NonbondedKernel{f: f}
+	k.freed.L = &k.mu
 	// Fill and merge shard s covers atoms [atomOff[s], atomOff[s+1]) of
-	// the merged force arrays; pair shard s owns block s.
+	// acc[0]; pair shard s owns block s.
 	k.fillFn = func(s int) {
 		lo, hi := k.atomOff[s], k.atomOff[s+1]
 		x, y, z := k.x, k.y, k.z
@@ -71,23 +79,47 @@ func (f *ForceField) NewNonbondedKernel() *NonbondedKernel {
 			p := k.cPos[i]
 			x[i], y[i], z[i] = p.X, p.Y, p.Z
 		}
-		for _, a := range k.acc[:k.merged] {
-			clear(a.fx[lo:hi])
-			clear(a.fy[lo:hi])
-			clear(a.fz[lo:hi])
-		}
+		sum := &k.acc[0]
+		clear(sum.fx[lo:hi])
+		clear(sum.fy[lo:hi])
+		clear(sum.fz[lo:hi])
 	}
-	k.pairFn = func(s int) { k.block(s, &k.acc[s]) }
-	k.mergeFn = func(s int) {
-		acc := k.acc[:k.merged]
-		for i := k.atomOff[s]; i < k.atomOff[s+1]; i++ {
-			var sx, sy, sz float64
-			for _, a := range acc {
-				sx += a.fx[i]
-				sy += a.fy[i]
-				sz += a.fz[i]
+	k.pairFn = func(s int) {
+		a := &k.acc[0]
+		if s > 0 {
+			// Block s's spare set last held block s − spares, which must
+			// be folded out of it first.
+			k.mu.Lock()
+			for s > k.spares && k.next <= s-k.spares {
+				k.freed.Wait()
 			}
-			if sx != 0 || sy != 0 || sz != 0 {
+			k.mu.Unlock()
+			a = k.spare(s)
+			clear(a.fx)
+			clear(a.fy)
+			clear(a.fz)
+		}
+		k.block(s, a)
+		// Whoever finishes the next block in order folds it and every
+		// finished block after it; the others leave theirs to that one.
+		k.mu.Lock()
+		k.done[s] = true
+		if s == k.next {
+			for ; k.next < k.shards && k.done[k.next]; k.next++ {
+				if b := k.next; b > 0 {
+					k.mu.Unlock()
+					k.fold(k.spare(b))
+					k.mu.Lock()
+				}
+				k.freed.Broadcast()
+			}
+		}
+		k.mu.Unlock()
+	}
+	k.mergeFn = func(s int) {
+		sum := &k.acc[0]
+		for i := k.atomOff[s]; i < k.atomOff[s+1]; i++ {
+			if sx, sy, sz := sum.fx[i], sum.fy[i], sum.fz[i]; sx != 0 || sy != 0 || sz != 0 {
 				k.cFrc[i] = k.cFrc[i].Add(vec.New(sx, sy, sz))
 			}
 		}
@@ -105,6 +137,20 @@ func (k *NonbondedKernel) block(s int, a *blockForces) {
 		k.cPairs[k.pairOff[s]:k.pairOff[s+1]], a.fx, a.fy, a.fz)
 }
 
+// spare returns the spare set block s ≥ 1 accumulates into.
+func (k *NonbondedKernel) spare(s int) *blockForces { return &k.acc[1+(s-1)%k.spares] }
+
+// fold adds a block's spare set into acc[0].
+func (k *NonbondedKernel) fold(a *blockForces) {
+	sum := &k.acc[0]
+	fx, fy, fz := a.fx[:len(sum.fx)], a.fy[:len(sum.fx)], a.fz[:len(sum.fx)]
+	for i := range sum.fx {
+		sum.fx[i] += fx[i]
+		sum.fy[i] += fy[i]
+		sum.fz[i] += fz[i]
+	}
+}
+
 // Compute evaluates the prefiltered pair list like ForceField.Nonbonded:
 // switched LJ plus truncated electrostatics, forces accumulated into frc,
 // one PairEval charged per listed pair. Energies match the exact path to
@@ -113,24 +159,20 @@ func (k *NonbondedKernel) block(s int, a *blockForces) {
 func (k *NonbondedKernel) Compute(pos []vec.V, pairs []space.Pair, frc []vec.V, w *work.Counters) Energies {
 	n := len(pos)
 	k.shards = pairShards(len(pairs))
-	// Blocks running one after another need two sets of force arrays, not
-	// one per block: see the fold below.
-	inline := k.shards > 1 && k.pool.Workers() <= 1
-	sets := k.shards
-	k.merged = k.shards
-	if inline {
-		sets, k.merged = 2, 1
-	}
+	// W workers hold at most W blocks in flight and W − 1 finished ones
+	// waiting for an earlier block's fold: 2W − 1 spare sets, one at one
+	// worker, none for a one-block list.
+	k.spares = min(2*max(k.pool.Workers(), 1)-1, k.shards-1)
 	if cap(k.x) < n {
 		k.x = make([]float64, n)
 		k.y = make([]float64, n)
 		k.z = make([]float64, n)
 	}
 	k.x, k.y, k.z = k.x[:n], k.y[:n], k.z[:n]
-	for len(k.acc) < sets {
+	for len(k.acc) < 1+k.spares {
 		k.acc = append(k.acc, blockForces{})
 	}
-	for s := range k.acc[:sets] {
+	for s := range k.acc[:1+k.spares] {
 		a := &k.acc[s]
 		if cap(a.fx) < n {
 			a.fx = make([]float64, n)
@@ -142,29 +184,10 @@ func (k *NonbondedKernel) Compute(pos []vec.V, pairs []space.Pair, frc []vec.V, 
 	k.atomOff = kernels.Partition(n, k.shards, k.atomOff)
 	k.pairOff = kernels.Partition(len(pairs), k.shards, k.pairOff)
 	k.cPos, k.cPairs, k.cFrc = pos, pairs, frc
+	k.next = 0
+	clear(k.done[:k.shards])
 	k.pool.Run(k.shards, k.fillFn)
-	if inline {
-		// Block 0 accumulates into acc[0]; every later block into a zeroed
-		// acc[1], which is then added into acc[0]. Each atom's sum is
-		// ((a0 + a1) + a2) + …, the merge's 0 + a0 + a1 + … in the same
-		// order (0 + a0 is exact: a0 is never −0), so the bits are the
-		// parallel path's.
-		sum, b := &k.acc[0], &k.acc[1]
-		k.block(0, sum)
-		for s := 1; s < k.shards; s++ {
-			clear(b.fx)
-			clear(b.fy)
-			clear(b.fz)
-			k.block(s, b)
-			for i := range sum.fx {
-				sum.fx[i] += b.fx[i]
-				sum.fy[i] += b.fy[i]
-				sum.fz[i] += b.fz[i]
-			}
-		}
-	} else {
-		k.pool.Run(k.shards, k.pairFn)
-	}
+	k.pool.Run(k.shards, k.pairFn)
 	k.pool.Run(k.shards, k.mergeFn)
 	var eLJ, eElec float64
 	for s := 0; s < k.shards; s++ {

@@ -3,6 +3,7 @@ package ff
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/kernels"
@@ -36,9 +37,8 @@ func TestPairShards(t *testing.T) {
 }
 
 // The pair loop must be byte-identical at every worker count: the shard
-// decomposition is fixed by the pair count, and the per-shard forces and
-// energies merge in ascending shard order — including at one worker,
-// where the blocks run inline and fold into two sets of force arrays.
+// decomposition is fixed by the pair count, and the blocks' forces fold
+// and their energies sum in ascending block order at every width.
 func TestKernelPooledBitwiseStableAcrossWorkers(t *testing.T) {
 	sys, pos := smallSystem(4)
 	f := New(sys, DefaultOptions(), testBeta)
@@ -139,20 +139,69 @@ func TestKernelPooledMatchesSerialToRoundoff(t *testing.T) {
 	}
 }
 
+// A kernel holds one force set for a one-block list at any width, two
+// for a longer list at one worker, and at most 2W at W workers: the fold
+// reuses a spare set once its block is summed. On a 16-block list every
+// width below 8 reuses spare sets, and the forces keep the 1-worker bits.
+func TestKernelForceSets(t *testing.T) {
+	sys, pos := smallSystem(4)
+	f := New(sys, DefaultOptions(), testBeta)
+	short := f.BuildPairs(pos, nil)
+	long := longList(short, 15*pairsPerShard+1)
+	if pairShards(len(short)) != 1 || pairShards(len(long)) != kernels.ShardCount {
+		t.Fatalf("lists of %d and %d pairs are not one and %d blocks", len(short), len(long), kernels.ShardCount)
+	}
+	compute := func(workers int, pairs []space.Pair) (*NonbondedKernel, []vec.V) {
+		k := f.NewNonbondedKernel()
+		k.SetPool(kernels.NewPool(workers))
+		frc := make([]vec.V, len(pos))
+		k.Compute(pos, pairs, frc, nil)
+		return k, frc
+	}
+	_, want1 := compute(1, long)
+	for _, workers := range []int{0, 1, 2, 3, 4, kernels.ShardCount + 2} {
+		for _, pairs := range [][]space.Pair{short, long} {
+			k, frc := compute(workers, pairs)
+			want := min(2*max(workers, 1), kernels.ShardCount)
+			if pairShards(len(pairs)) == 1 {
+				want = 1
+			}
+			if len(k.acc) != want {
+				t.Errorf("workers=%d, %d blocks: %d force sets, want %d",
+					workers, pairShards(len(pairs)), len(k.acc), want)
+			}
+			if len(pairs) == len(long) && !slices.Equal(frc, want1) {
+				t.Errorf("workers=%d: forces differ from the 1-worker fold", workers)
+			}
+		}
+	}
+}
+
 // Steady-state Compute must not allocate (scratch is sized on the first
-// call and reused).
+// call and reused); a pooled Compute allocates no more than its three bare
+// pool.Run calls do.
 func TestKernelPooledDoesNotAllocateSteadyState(t *testing.T) {
 	sys, pos := smallSystem(4)
 	f := New(sys, DefaultOptions(), testBeta)
 	pairs := longList(f.BuildPairs(pos, nil), 3*pairsPerShard+1)
-	k := f.NewNonbondedKernel()
-	k.SetPool(kernels.NewPool(1))
-	frc := make([]vec.V, len(pos))
-	k.Compute(pos, pairs, frc, nil)
-	allocs := testing.AllocsPerRun(10, func() {
+	nop := func(int) {}
+	for _, workers := range []int{1, 2, 4} {
+		pool := kernels.NewPool(workers)
+		k := f.NewNonbondedKernel()
+		k.SetPool(pool)
+		frc := make([]vec.V, len(pos))
 		k.Compute(pos, pairs, frc, nil)
-	})
-	if allocs > 0 {
-		t.Fatalf("pooled Compute allocates %v per call in steady state", allocs)
+		bare := testing.AllocsPerRun(10, func() {
+			for range 3 {
+				pool.Run(pairShards(len(pairs)), nop)
+			}
+		})
+		allocs := testing.AllocsPerRun(10, func() {
+			k.Compute(pos, pairs, frc, nil)
+		})
+		if allocs > bare {
+			t.Fatalf("workers=%d: Compute allocates %v per call in steady state, its three bare pool.Run calls %v",
+				workers, allocs, bare)
+		}
 	}
 }

@@ -96,8 +96,10 @@ func (p *Pool) SetObs(reg *obs.Registry) {
 // once every shard has completed. Shards are claimed dynamically (an
 // imbalanced shard does not idle the other workers), which is safe
 // because shard *assignment* never affects results — each fn(i) owns
-// shard i's scratch exclusively and all merging happens in the caller
-// afterwards, in index order. With a nil pool, one worker, or n == 1 the
+// shard i's scratch exclusively while it runs, and all merging happens
+// in index order, in the caller afterwards or (the pair kernel's fold)
+// by whichever fn finds the next shard in order finished. With a nil
+// pool, one worker, or n == 1 the
 // loop runs inline with zero goroutines and zero allocations.
 func (p *Pool) Run(n int, fn func(shard int)) {
 	w := p.Workers()

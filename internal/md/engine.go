@@ -314,14 +314,19 @@ func (e *Engine) Run(n int, w, wPME *work.Counters) []EnergyReport {
 
 // Minimize runs steepest descent with an adaptive step: accepted moves grow
 // the step 20%, rejected moves halve it. Returns the final potential
-// energy. Velocities are untouched.
+// energy. Velocities are untouched. A rejected move restores the forces
+// its step started from instead of evaluating them again, unless its
+// evaluation rebuilt the neighbour list: the list order sets the bits, so
+// then the forces are recomputed on the new list.
 func (e *Engine) Minimize(maxSteps int, initialStep float64) float64 {
 	step := initialStep
 	rep := e.ComputeForces(nil, nil)
 	prev := rep.Potential()
 	saved := make([]vec.V, len(e.Pos))
+	savedFrc := make([]vec.V, len(e.Frc))
 	for s := 0; s < maxSteps && step > 1e-8; s++ {
 		copy(saved, e.Pos)
+		copy(savedFrc, e.Frc)
 		// Normalized steepest-descent move capped at `step` per atom.
 		var fmax float64
 		for _, f := range e.Frc {
@@ -340,11 +345,14 @@ func (e *Engine) Minimize(maxSteps int, initialStep float64) float64 {
 		if cur := rep.Potential(); cur < prev {
 			prev = cur
 			step *= 1.2
+			continue
+		}
+		copy(e.Pos, saved)
+		step *= 0.5
+		if e.ListWasRebuilt() {
+			e.ComputeForces(nil, nil)
 		} else {
-			copy(e.Pos, saved)
-			step *= 0.5
-			// Forces correspond to rejected positions; restore.
-			rep = e.ComputeForces(nil, nil)
+			copy(e.Frc, savedFrc)
 		}
 	}
 	return prev

@@ -1,6 +1,8 @@
 package md
 
 import (
+	"runtime"
+
 	"repro/internal/space"
 	"repro/internal/topol"
 )
@@ -29,10 +31,13 @@ func ClampCutoffs(cfg Config, box space.Box) Config {
 // coordinates back into sys.Pos. The synthetic builder produces strained
 // serpentine turns; benchmark and dynamics runs call Relax once so the
 // measured workload is a physically stable trajectory. Returns the final
-// potential energy.
+// potential energy. The descent's kernels run on runtime.GOMAXPROCS(0)
+// workers, which decides how many cores relax the system, never a result
+// bit.
 func Relax(sys *topol.System, steps int) float64 {
 	cfg := ClampCutoffs(DefaultConfig(), sys.Box)
 	cfg.Temperature = 0
+	cfg.KernelWorkers = runtime.GOMAXPROCS(0)
 	e := NewEngine(sys, cfg)
 	final := e.Minimize(steps, 0.1)
 	copy(sys.Pos, e.Pos)

@@ -109,27 +109,48 @@ func newDomainGeometry(p int, cfg Config) *domainGeometry {
 	}
 
 	// Grid assembly / potential gather between domains and pencils: the
-	// grid points of domain d's footprint in stage-1 pencil q.
-	overlap := func(d, q int) int {
-		a, b := q/g.p3, q%g.p3
-		ovY := wrapOverlap(g.yLo[d], g.yLen[d], k2, g.yOff2[a], g.yOff2[a+1])
-		ovZ := wrapOverlap(g.zLo[d], g.zLen[d], k3, g.zOff3[b], g.zOff3[b+1])
-		return k1 * ovY * ovZ
-	}
-	g.pencilPts = make([]int64, p)
-	for d := 0; d < p; d++ {
-		for q := 0; q < p; q++ {
-			g.pencilPts[q] += int64(overlap(d, q))
+	// grid points of domain d's footprint in stage-1 pencil q = a·p3 + b,
+	// k1 times its y overlap with block a times its z overlap with block
+	// b. A footprint's y (z) interval depends only on the domain's y (z)
+	// grid index, so each axis overlap is evaluated once, and a domain
+	// visits only the pencils both of its overlaps reach.
+	ovY := make([]int, g.dy*g.p2)
+	for iy := 0; iy < g.dy; iy++ {
+		lo, n := cellFootprint(iy, g.dy, k2, order)
+		for a := 0; a < g.p2; a++ {
+			ovY[iy*g.p2+a] = wrapOverlap(lo, n, k2, g.yOff2[a], g.yOff2[a+1])
 		}
 	}
-	g.sizesAssm = mpi.NewSparse(p, func(add func(d, q, bytes int)) {
+	ovZ := make([]int, g.dz*g.p3)
+	for iz := 0; iz < g.dz; iz++ {
+		lo, n := cellFootprint(iz, g.dz, k3, order)
+		for b := 0; b < g.p3; b++ {
+			ovZ[iz*g.p3+b] = wrapOverlap(lo, n, k3, g.zOff3[b], g.zOff3[b+1])
+		}
+	}
+	overlaps := func(visit func(d, q, pts int)) {
 		for d := 0; d < p; d++ {
-			for q := 0; q < p; q++ {
-				if d != q {
-					add(d, q, bytesPerRealPoint*overlap(d, q))
+			_, iy, iz := g.domainCoords(d)
+			for a, oy := range ovY[iy*g.p2 : (iy+1)*g.p2] {
+				if oy == 0 {
+					continue
+				}
+				for b, oz := range ovZ[iz*g.p3 : (iz+1)*g.p3] {
+					if oz != 0 {
+						visit(d, a*g.p3+b, k1*oy*oz)
+					}
 				}
 			}
 		}
+	}
+	g.pencilPts = make([]int64, p)
+	overlaps(func(_, q, pts int) { g.pencilPts[q] += int64(pts) })
+	g.sizesAssm = mpi.NewSparse(p, func(add func(d, q, bytes int)) {
+		overlaps(func(d, q, pts int) {
+			if d != q {
+				add(d, q, bytesPerRealPoint*pts)
+			}
+		})
 	})
 	g.sizesGath = g.sizesAssm.T()
 

@@ -5,6 +5,7 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -558,6 +559,33 @@ func TestHaloMatrixAllocatesNoMatrix(t *testing.T) {
 		}
 		if got := testing.AllocsPerRun(5, func() { geo.haloMatrix(nOwn) }); got > 6 {
 			t.Errorf("p=%d: building the halo matrix takes %g allocations, want at most 6", p, got)
+		}
+	}
+}
+
+// TestAssemblyOverlapsOracle: the assembly matrix and the pencil point
+// counts, built from each axis overlap evaluated once, equal the walk over
+// every (domain, pencil) pair of the domains' footprints.
+func TestAssemblyOverlapsOracle(t *testing.T) {
+	cfg := Config{System: paperSystem(), MD: paperMD()}
+	k1, k2, k3 := cfg.MD.PME.K1, cfg.MD.PME.K2, cfg.MD.PME.K3
+	for _, p := range []int{1, 2, 3, 4, 6, 8, 12, 16, 24, 64, 256} {
+		geo := newDomainGeometry(p, cfg)
+		pts := make([]int64, p)
+		assm := geo.sizesAssm.Dense()
+		for d := range p {
+			for q := range p {
+				a, b := q/geo.p3, q%geo.p3
+				n := k1 * wrapOverlap(geo.yLo[d], geo.yLen[d], k2, geo.yOff2[a], geo.yOff2[a+1]) *
+					wrapOverlap(geo.zLo[d], geo.zLen[d], k3, geo.zOff3[b], geo.zOff3[b+1])
+				pts[q] += int64(n)
+				if want := bytesPerRealPoint * n; d != q && assm[d][q] != want {
+					t.Fatalf("p=%d: domain %d sends pencil %d %d bytes, its footprint overlap %d", p, d, q, assm[d][q], want)
+				}
+			}
+		}
+		if !slices.Equal(geo.pencilPts, pts) {
+			t.Fatalf("p=%d: pencil points %v, footprint overlaps %v", p, geo.pencilPts, pts)
 		}
 	}
 }
