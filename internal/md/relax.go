@@ -44,6 +44,13 @@ func Relax(sys *topol.System, steps int) float64 {
 	return final
 }
 
+// SolvatedPME is the PME setup of NewSolvatedWorkload(atoms, ·, ·), known
+// from the atom count alone, before any box is built.
+func SolvatedPME(atoms int) PMEConfig {
+	mesh := topol.SolvatedMesh(atoms)
+	return PMEConfig{Beta: 0.34, K1: mesh, K2: mesh, K3: mesh, Order: 4}
+}
+
 // NewSolvatedWorkload builds the solvated-box workload the fault bench,
 // the chaos fuzz targets and the job server all run: a water box of about
 // atoms atoms, relaxed, the cutoffs clamped to the box, smooth PME on the
@@ -53,9 +60,9 @@ func Relax(sys *topol.System, steps int) float64 {
 // reject a mesh its rank count cannot tile without paying for the
 // relaxation; its error is returned as it is.
 func NewSolvatedWorkload(atoms int, seed uint64, accept func(PMEConfig) error) (*topol.System, Config, error) {
-	sys, mesh := topol.NewSolvatedBox(atoms, seed)
+	sys, _ := topol.NewSolvatedBox(atoms, seed)
 	cfg := ClampCutoffs(PMEDefaultConfig(), sys.Box)
-	cfg.PME = PMEConfig{Beta: 0.34, K1: mesh, K2: mesh, K3: mesh, Order: 4}
+	cfg.PME = SolvatedPME(atoms)
 	cfg.Temperature = 300
 	cfg.Seed = seed
 	if accept != nil {

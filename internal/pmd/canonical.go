@@ -2,6 +2,8 @@ package pmd
 
 import (
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/ewald"
 	"repro/internal/ff"
@@ -65,7 +67,7 @@ type canonical struct {
 
 	mu     sync.Mutex
 	states map[int]*canonState
-	keep   bool // retain every snapshot: a tape's evaluator
+	kept   *atomic.Int64 // a tape's evaluator retains every snapshot and counts its bytes here; nil for a run's own
 }
 
 // lane is one host worker's scratch for the rank loops of an evaluation.
@@ -109,7 +111,7 @@ type canonState struct {
 	distEvals  int64 // full list-search cost when rebuilt
 }
 
-func newCanonical(p int, cfg Config, seedEngine *md.Engine, keep bool) *canonical {
+func newCanonical(p int, cfg Config, seedEngine *md.Engine, kept *atomic.Int64) *canonical {
 	sys := cfg.System
 	n := sys.N()
 	pmeCfg := cfg.MD.PME
@@ -122,7 +124,7 @@ func newCanonical(p int, cfg Config, seedEngine *md.Engine, keep bool) *canonica
 		seedPos: append([]vec.V(nil), seedEngine.Pos...),
 		seedVel: append([]vec.V(nil), seedEngine.Vel...),
 		states:  map[int]*canonState{},
-		keep:    keep,
+		kept:    kept,
 	}
 	if init := cfg.Init; init != nil && len(init.ListOrigin) == n {
 		c.seedOrigin = append([]vec.V(nil), init.ListOrigin...)
@@ -172,7 +174,7 @@ func (c *canonical) state(step int) *canonState {
 			st.prev = c.states[step-1]
 		}
 		c.states[step] = st
-		if !c.keep {
+		if c.kept == nil {
 			delete(c.states, step-2) // ranks never lag more than one step
 		}
 	}
@@ -184,8 +186,23 @@ func (c *canonical) state(step int) *canonState {
 			c.evalStep(st)
 		}
 		st.prev = nil
+		if c.kept != nil {
+			c.kept.Add(st.bytes())
+		}
 	})
 	return st
+}
+
+// bytes is what st holds beyond the step before it: its per-step arrays
+// and, when it starts a list generation, the list and the list origin.
+func (st *canonState) bytes() int64 {
+	const v, wc, pair = int64(unsafe.Sizeof(vec.V{})), int64(unsafe.Sizeof(work.Counters{})), int64(unsafe.Sizeof(space.Pair{}))
+	b := int64(unsafe.Sizeof(*st)) + v*int64(len(st.pos)+len(st.vel)+len(st.frcTotal)) +
+		wc*int64(len(st.classicWork)+len(st.recipWork))
+	if st.rebuilt || st.step == -1 {
+		b += v*int64(len(st.listOrigin)) + pair*int64(len(st.pairs))
+	}
+	return b
 }
 
 // evalInit seeds the state from the sequential engine (optionally

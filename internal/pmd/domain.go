@@ -2,6 +2,8 @@ package pmd
 
 import (
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/fft"
 	"repro/internal/kernels"
@@ -284,7 +286,7 @@ type epochCounts struct {
 // a tape serves every domain run over it, concurrent ones included.
 type domainView struct {
 	mu     sync.Mutex
-	keep   bool // a tape's view keeps every epoch, a run's own the last two
+	kept   *atomic.Int64 // a tape's view keeps every epoch and counts its bytes here; a run's own (nil) the last two
 	geo    *domainGeometry
 	epochs []*epochData // by list generation
 }
@@ -297,6 +299,9 @@ func (v *domainView) at(p int, cfg Config, st *canonState) (*domainGeometry, *ep
 	defer v.mu.Unlock()
 	if v.geo == nil {
 		v.geo = newDomainGeometry(p, cfg)
+		if v.kept != nil {
+			v.kept.Add(4 * sparseBytes(p)) // the assembly, gather and two transpose matrices
+		}
 	}
 	if k := len(v.epochs); st.listGen == k {
 		ep := buildEpoch(v.geo, cfg.System, st)
@@ -304,12 +309,25 @@ func (v *domainView) at(p int, cfg Config, st *canonState) (*domainGeometry, *ep
 			ep.migration = v.geo.migrationSizes(v.epochs[k-1], ep)
 		}
 		v.epochs = append(v.epochs, ep)
-		if !v.keep && k > 1 {
+		if v.kept != nil {
+			v.kept.Add(ep.bytes())
+		} else if k > 1 {
 			v.epochs[k-2] = nil
 		}
 	}
 	return v.geo, v.epochs[st.listGen]
 }
+
+// bytes is what ep holds: the ownership, the per-domain counts, and the
+// halo and migration matrices at their capacity.
+func (ep *epochData) bytes() int64 {
+	p := len(ep.nOwn)
+	return int64(unsafe.Sizeof(*ep)) + 4*int64(len(ep.own)) + 8*8*int64(p) + 2*sparseBytes(p) // nOwn and the seven count arrays: 8 of p words
+}
+
+// sparseBytes bounds a p×p size matrix: a rank stores at most p−1
+// entries of three int32 each, and the row offsets add p+1 more.
+func sparseBytes(p int) int64 { return 4*int64(p+1) + 12*int64(p)*int64(p-1) }
 
 // buildEpoch assigns ownership from the list-origin positions of st's
 // generation (the positions at rebuild time — the same input on every rank

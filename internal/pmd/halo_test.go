@@ -49,7 +49,7 @@ func walkEpochs(t *testing.T, name string, sys *topol.System, mdc md.Config, ste
 	t.Helper()
 	cfg := Config{System: sys, MD: mdc, Steps: steps, Decomp: DecompDomain}
 	geo := newDomainGeometry(p, cfg)
-	c := newCanonical(p, cfg, md.NewEngine(sys, mdc), false)
+	c := newCanonical(p, cfg, md.NewEngine(sys, mdc), nil)
 	for s := -1; s < steps; s++ {
 		if st := c.state(s); st.listGen == epochs {
 			fn(c, st, buildEpoch(geo, sys, st))

@@ -290,7 +290,7 @@ func runAttempt(clusterCfg cluster.Config, cost cluster.CostModel, cfg Config) (
 				return nil, nil, err
 			}
 		}
-		canon = newCanonical(p, cfg, seed, false)
+		canon = newCanonical(p, cfg, seed, nil)
 	}
 
 	sh := newShared(p, cfg, canon, tape)

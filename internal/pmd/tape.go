@@ -28,7 +28,7 @@ import (
 // tape, and a run that fails leaves only fully evaluated steps behind.
 //
 // A tape must not outlive its workload: callers key tapes by rank count
-// within one suite (fixed system and MD config).
+// within one workload (system and MD config).
 type Tape struct {
 	once  sync.Once
 	canon *canonical
@@ -38,6 +38,7 @@ type Tape struct {
 	runs int // runs over the tape in flight
 
 	complete atomic.Bool
+	bytes    atomic.Int64 // what the kept steps and epochs hold
 }
 
 // NewTape returns an empty tape; the first eligible run over it builds it.
@@ -45,6 +46,13 @@ func NewTape() *Tape { return &Tape{} }
 
 // Complete reports whether a run over the tape has run all its steps.
 func (t *Tape) Complete() bool { return t != nil && t.complete.Load() }
+
+// Bytes reports what the tape holds: every evaluated step's arrays, each
+// list generation's pair list, and the domain view's epochs, its size
+// matrices counted at their p×p capacity. The evaluation scratch, held
+// only while a run over the tape is in flight, is not counted. Safe to
+// call while runs extend the tape.
+func (t *Tape) Bytes() int64 { return t.bytes.Load() }
 
 // open enters a run into the tape and returns the tape's evaluator, built
 // from a fresh seed engine by the first run over it; nil, and the run
@@ -55,8 +63,8 @@ func (t *Tape) open(p int, cfg Config) *canonical {
 		return nil
 	}
 	t.once.Do(func() {
-		t.canon = newCanonical(p, cfg, md.NewEngine(cfg.System, cfg.MD), true)
-		t.dom = &domainView{keep: true}
+		t.canon = newCanonical(p, cfg, md.NewEngine(cfg.System, cfg.MD), &t.bytes)
+		t.dom = &domainView{kept: &t.bytes}
 	})
 	if t.canon.p != p {
 		return nil

@@ -147,11 +147,17 @@ func TestDomainTapeShapeMismatchIgnored(t *testing.T) {
 // TestDomainTapeExtendedByLongerRun: a 5-step run over a 3-step tape is
 // served the tape's steps, evaluates the next two into it and equals an
 // untaped 5-step run; a 2-step run over the tape equals its untaped run.
+// Bytes counts every kept snapshot and epoch once: it grows with the
+// extension and not with the replay.
 func TestDomainTapeExtendedByLongerRun(t *testing.T) {
 	sys := testSystem(100, 24, 1)
 	tcp := netmodel.TCPGigE()
 	tape := NewTape()
+	if tape.Bytes() != 0 {
+		t.Fatalf("an empty tape holds %d bytes", tape.Bytes())
+	}
 	tapeRun(t, sys, DecompDomain, 4, 3, tcp, MiddlewareMPI, 1, tape)
+	recorded := tape.Bytes()
 	for _, steps := range []int{5, 2} {
 		want := tapeRun(t, sys, DecompDomain, 4, steps, tcp, MiddlewareMPI, 1, nil)
 		got := tapeRun(t, sys, DecompDomain, 4, steps, tcp, MiddlewareMPI, 1, tape)
@@ -159,6 +165,16 @@ func TestDomainTapeExtendedByLongerRun(t *testing.T) {
 	}
 	if n := len(tape.canon.states); n != 6 {
 		t.Fatalf("the tape holds %d snapshots after a 5-step run, want 6", n)
+	}
+	recount := 4 * sparseBytes(4)
+	for _, st := range tape.canon.states {
+		recount += st.bytes()
+	}
+	for _, ep := range tape.dom.epochs {
+		recount += ep.bytes()
+	}
+	if b := tape.Bytes(); recorded <= 0 || b <= recorded || b != recount {
+		t.Fatalf("Bytes: %d after 3 steps, %d after 5 and a replay; the kept snapshots and epochs hold %d", recorded, b, recount)
 	}
 }
 

@@ -84,7 +84,7 @@ func TestServeCrashPoints(t *testing.T) {
 	stage := t.TempDir()
 	writeState(t, stage, prev)
 	var rings []map[string][]byte
-	payload, profile, _, err := NewEnv().ExecRun(spec, filepath.Join(stage, "ckpt", id), func() bool {
+	payload, profile, _, err := NewEnv().Execute(spec, filepath.Join(stage, "ckpt", id), func() bool {
 		rings = append(rings, readState(t, stage))
 		return false
 	}, nil)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -9,13 +10,17 @@ import (
 	"errors"
 	"math"
 	"os"
+	"slices"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/analysis"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/md"
 	"repro/internal/netmodel"
+	"repro/internal/obs"
 	"repro/internal/perf"
 	"repro/internal/pmd"
 	"repro/internal/topol"
@@ -24,8 +29,14 @@ import (
 
 // Env executes job specs on the deterministic engine. It caches the
 // expensive immutable inputs — relaxed solvated systems and figure
-// studies — across jobs; the caches affect speed only, never results.
-// Safe for concurrent use.
+// studies — across jobs, and memoizes the trajectories jobs compute: a
+// pmd.Tape per (system, ranks) that every run and every network of a
+// sweep at that rank count shares, and a sequential frame log per system
+// that analysis jobs slice. A tape or a log serves one workload (system
+// and MD config), which its key fixes. The memo is held under one LRU
+// byte budget (memoBudget). The caches affect speed only, never results;
+// ComputeReference bypasses the memo and computes directly. Safe for
+// concurrent use.
 type Env struct {
 	// KernelWorkers is threaded into every built md.Config and study
 	// (md.Config.KernelWorkers). Set before first use: caches key on the
@@ -36,6 +47,12 @@ type Env struct {
 	mu      sync.Mutex
 	systems map[sysCacheKey]*sysEntry
 	studies map[studyCacheKey]*studyEntry
+	memos   map[memoKey]*memo
+	lru     list.List // of *memo, most recently used first
+
+	// The server's memo metrics; nil outside a server.
+	memoBytes     *obs.Gauge
+	memoEvictions *obs.Counter
 }
 
 // NewEnv builds an empty executor environment.
@@ -43,6 +60,7 @@ func NewEnv() *Env {
 	return &Env{
 		systems: map[sysCacheKey]*sysEntry{},
 		studies: map[studyCacheKey]*studyEntry{},
+		memos:   map[memoKey]*memo{},
 	}
 }
 
@@ -59,6 +77,146 @@ type sysEntry struct {
 	once  sync.Once
 	sys   *topol.System
 	mdCfg md.Config
+}
+
+// memoBudget bounds the bytes the memo keeps, tapes and frame logs
+// together. After every job the Env evicts whole least-recently-used
+// memos until the rest fit.
+const memoBudget = 64 << 20
+
+// memoBytesPerAtomStep bounds what a memo holds per atom and kept step
+// (steps+1 of them). The worst case is the one-step job on the largest
+// box, a whole pair list over two steps (about 1.8 kB per atom-step);
+// TestMemoEstimateBoundsBytes pins the bound. Long jobs hold far less
+// (about 200 B at 16 steps), so the rule is conservative for them.
+const memoBytesPerAtomStep = 2048
+
+// memoEligible reports whether a job over atoms atoms and steps steps
+// joins the memo: its estimate must fit the budget, so no one job can
+// grow a memo past it. Any other job runs directly.
+func memoEligible(atoms, steps int) bool {
+	return int64(atoms)*int64(steps+1)*memoBytesPerAtomStep <= memoBudget
+}
+
+// memoKey names one memo of a system: the tape of procs ranks, or the
+// frame log (procs 0).
+type memoKey struct {
+	sys   sysCacheKey
+	procs int
+}
+
+// memo is one memoized trajectory: a tape or a frame log.
+type memo struct {
+	key  memoKey
+	tape *pmd.Tape
+	log  *frameLog
+	elem *list.Element // its place in Env.lru
+	size int64         // bytes() at the last trim
+}
+
+func (m *memo) bytes() int64 {
+	if m.tape != nil {
+		return m.tape.Bytes()
+	}
+	return m.log.bytes.Load()
+}
+
+// frameLog is one system's sequential trajectory, frames[0..k], and the
+// engine that extends it; mu serializes extensions.
+type frameLog struct {
+	mu     sync.Mutex
+	eng    *md.Engine
+	frames [][]vec.V
+	bytes  atomic.Int64
+}
+
+// upTo returns frames[0..steps] of the trajectory from sys's build-time
+// state with mdCfg's velocities, stepping the engine for the frames no
+// earlier call reached. The frames are never written again.
+func (l *frameLog) upTo(sys *topol.System, mdCfg md.Config, steps int) [][]vec.V {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.eng == nil {
+		l.eng = md.NewEngine(sys, mdCfg)
+		l.eng.InitVelocities(mdCfg.Temperature, mdCfg.Seed)
+		l.frames = append(l.frames, slices.Clone(l.eng.Pos))
+	}
+	for len(l.frames) <= steps {
+		l.eng.Step(nil, nil)
+		l.frames = append(l.frames, slices.Clone(l.eng.Pos))
+	}
+	// The frames, the engine's positions, velocities, forces and list
+	// origin, its pair list and its PME grids.
+	const v = int64(unsafe.Sizeof(vec.V{}))
+	pme := mdCfg.PME
+	l.bytes.Store(v*int64(sys.N())*int64(len(l.frames)+4) + 8*int64(l.eng.PairCount()) + 32*int64(pme.K1*pme.K2*pme.K3))
+	return l.frames[: steps+1 : steps+1]
+}
+
+// memo returns the memo of key, making it the most recently used, or
+// nil when memoize is off or the job is over the eligibility bound.
+func (e *Env) memo(key memoKey, steps int, memoize bool) *memo {
+	if !memoize || !memoEligible(key.sys.atoms, steps) {
+		return nil
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	m, ok := e.memos[key]
+	if !ok {
+		m = &memo{key: key}
+		if key.procs > 0 {
+			m.tape = pmd.NewTape()
+		} else {
+			m.log = &frameLog{}
+		}
+		e.memos[key] = m
+		m.elem = e.lru.PushFront(m)
+	} else {
+		e.lru.MoveToFront(m.elem)
+	}
+	return m
+}
+
+// tape is the run or sweep spec's tape, nil for a direct run.
+func (e *Env) tape(spec JobSpec, memoize bool) *pmd.Tape {
+	if m := e.memo(memoKey{sysCacheKey{spec.Atoms, spec.Seed}, spec.Procs}, spec.Steps, memoize); m != nil {
+		return m.tape
+	}
+	return nil
+}
+
+// frameLog is the analysis spec's frame log, a fresh one for a direct
+// computation.
+func (e *Env) frameLog(spec JobSpec, memoize bool) *frameLog {
+	if m := e.memo(memoKey{sys: sysCacheKey{spec.Atoms, spec.Seed}}, spec.Steps, memoize); m != nil {
+		return m.log
+	}
+	return &frameLog{}
+}
+
+// trim evicts least-recently-used memos until the rest fit budget. A run
+// still holding an evicted tape finishes over it; the memory goes with
+// the last holder.
+func (e *Env) trim(budget int64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var total int64
+	for el := e.lru.Front(); el != nil; el = el.Next() {
+		m := el.Value.(*memo)
+		m.size = m.bytes()
+		total += m.size
+	}
+	for total > budget {
+		m := e.lru.Remove(e.lru.Back()).(*memo)
+		delete(e.memos, m.key)
+		total -= m.size
+		if e.memoEvictions != nil {
+			e.memoEvictions.Add(1)
+		}
+	}
+	if e.memoBytes != nil {
+		e.memoBytes.Set(float64(total))
+	}
 }
 
 type studyCacheKey struct {
@@ -88,7 +246,7 @@ func (e *Env) system(atoms int, seed uint64) (*topol.System, md.Config) {
 	}
 	e.mu.Unlock()
 	ent.once.Do(func() {
-		sys, cfg, _ := md.NewSolvatedWorkload(atoms, seed+1, nil) // nothing to veto: tiling is per job, in decompFor
+		sys, cfg, _ := md.NewSolvatedWorkload(atoms, seed+1, nil) // nothing to veto: tiling is per job, checked at admission
 		cfg.KernelWorkers = e.KernelWorkers
 		ent.sys, ent.mdCfg = sys, cfg
 	})
@@ -122,10 +280,11 @@ func middleware(name string) pmd.MiddlewareKind {
 }
 
 // decompFor resolves the spec's decomposition and checks it can tile the
-// requested ranks on the job's actual PME mesh. Normalize already vetted
-// the name, but the mesh depends on the solvated-box size, so the tiling
-// check can only happen here — a failure is the client's request asking
-// for impossible geometry, hence KindBadRequest, not an internal error.
+// requested ranks on the job's actual PME mesh. Normalize runs the same
+// check on md.SolvatedPME, and admission, journal replay and
+// ComputeReference all normalize, so it fails only for a direct Execute
+// of a spec that skipped Normalize — still the client's impossible
+// geometry, hence KindBadRequest, not an internal error.
 func decompFor(spec JobSpec, mdCfg md.Config) (pmd.DecompKind, error) {
 	dk, err := pmd.ParseDecomp(spec.Decomp)
 	if err != nil {
@@ -182,16 +341,17 @@ type runPayload struct {
 // scheduler thread — keep it fast and never block.
 type StepFunc func(step int, timing pmd.StepTiming, energy md.EnergyReport)
 
-// ExecRun runs the resilient parallel MD for spec. ckptDir, when
-// non-empty, durably checkpoints the run there (resuming any parked state
-// found); preempt, when non-nil, gracefully parks the run at a checkpoint
-// boundary (the returned error is pmd.ErrPreempted); onStep, when
-// non-nil, streams each completed step. The returned ResumeInfo reports
-// whether this invocation resumed from disk. The second payload is the
-// encoded bottleneck-attribution profile of the successful run —
-// telemetry about this execution (wall clocks, restarts), deliberately
-// separate from the resume-invariant result bytes.
-func (e *Env) ExecRun(spec JobSpec, ckptDir string, preempt func() bool, onStep StepFunc) ([]byte, []byte, *pmd.ResumeInfo, error) {
+// execRun runs the resilient parallel MD for spec over tape (nil: direct).
+// ckptDir, when non-empty, durably checkpoints the run there (resuming
+// any parked state found, which bypasses the tape); preempt, when
+// non-nil, gracefully parks the run at a checkpoint boundary (the
+// returned error is pmd.ErrPreempted); onStep, when non-nil, streams each
+// completed step. The returned ResumeInfo reports whether this invocation
+// resumed from disk. The second payload is the encoded
+// bottleneck-attribution profile of the successful run — telemetry about
+// this execution (wall clocks, restarts), deliberately separate from the
+// resume-invariant result bytes.
+func (e *Env) execRun(spec JobSpec, ckptDir string, preempt func() bool, onStep StepFunc, tape *pmd.Tape) ([]byte, []byte, *pmd.ResumeInfo, error) {
 	sys, mdCfg := e.system(spec.Atoms, spec.Seed)
 	dk, derr := decompFor(spec, mdCfg)
 	if derr != nil {
@@ -228,6 +388,7 @@ func (e *Env) ExecRun(spec JobSpec, ckptDir string, preempt func() bool, onStep 
 			Middleware: middleware(spec.MW),
 			Decomp:     dk,
 			Perf:       perf.NewTimeline(spec.Procs),
+			Tape:       tape,
 		},
 		CheckpointEvery: 1,
 		CheckpointDir:   ckptDir,
@@ -277,7 +438,9 @@ type sweepRow struct {
 	Sync float64 `json:"sync_s"`
 }
 
-func (e *Env) execSweep(spec JobSpec) ([]byte, error) {
+// execSweep runs every network of spec over tape (nil: each directly):
+// the networks change the timing of one trajectory, never its physics.
+func (e *Env) execSweep(spec JobSpec, tape *pmd.Tape) ([]byte, error) {
 	sys, mdCfg := e.system(spec.Atoms, spec.Seed)
 	dk, derr := decompFor(spec, mdCfg)
 	if derr != nil {
@@ -292,6 +455,7 @@ func (e *Env) execSweep(spec JobSpec) ([]byte, error) {
 			Steps:      spec.Steps,
 			Middleware: middleware(spec.MW),
 			Decomp:     dk,
+			Tape:       tape,
 		})
 		if err != nil {
 			return nil, Errf(KindInternal, "sweep %s: %v", name, err)
@@ -320,16 +484,11 @@ type analysisPayload struct {
 	MSD        []float64 `json:"msd,omitempty"` // per-lag mean square displacement (Å²)
 }
 
-func (e *Env) execAnalysis(spec JobSpec) ([]byte, error) {
+// execAnalysis computes spec's observable over the first spec.Steps+1
+// frames of log.
+func (e *Env) execAnalysis(spec JobSpec, log *frameLog) ([]byte, error) {
 	sys, mdCfg := e.system(spec.Atoms, spec.Seed)
-	eng := md.NewEngine(sys, mdCfg)
-	eng.InitVelocities(mdCfg.Temperature, mdCfg.Seed)
-	frames := make([][]vec.V, 0, spec.Steps+1)
-	frames = append(frames, append([]vec.V(nil), eng.Pos...))
-	for s := 0; s < spec.Steps; s++ {
-		eng.Step(nil, nil)
-		frames = append(frames, append([]vec.V(nil), eng.Pos...))
-	}
+	frames := log.upTo(sys, mdCfg, spec.Steps)
 
 	names := make([]string, sys.N())
 	for i, a := range sys.Atoms {
@@ -374,19 +533,26 @@ func (e *Env) execFigure(spec JobSpec) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Execute dispatches spec to its executor. Only KindRun jobs use the
-// checkpoint directory, the preempt hook and the step callback, and only
-// they return an attribution profile; the other kinds are short and
-// atomic.
+// Execute dispatches spec to its executor over the memo, then trims the
+// memo to its budget. Only KindRun jobs use the checkpoint directory, the
+// preempt hook and the step callback, and only they return an attribution
+// profile; the other kinds are short and atomic.
 func (e *Env) Execute(spec JobSpec, ckptDir string, preempt func() bool, onStep StepFunc) (payload, profile []byte, resumed *pmd.ResumeInfo, err error) {
+	defer e.trim(memoBudget)
+	return e.execute(spec, ckptDir, preempt, onStep, true)
+}
+
+// execute dispatches spec to its executor, over the memo when memoize is
+// set and the job is eligible, else directly.
+func (e *Env) execute(spec JobSpec, ckptDir string, preempt func() bool, onStep StepFunc, memoize bool) (payload, profile []byte, resumed *pmd.ResumeInfo, err error) {
 	switch spec.Kind {
 	case KindRun:
-		return e.ExecRun(spec, ckptDir, preempt, onStep)
+		return e.execRun(spec, ckptDir, preempt, onStep, e.tape(spec, memoize))
 	case KindSweep:
-		buf, err := e.execSweep(spec)
+		buf, err := e.execSweep(spec, e.tape(spec, memoize))
 		return buf, nil, nil, err
 	case KindAnalysis:
-		buf, err := e.execAnalysis(spec)
+		buf, err := e.execAnalysis(spec, e.frameLog(spec, memoize))
 		return buf, nil, nil, err
 	case KindFigure:
 		buf, err := e.execFigure(spec)
@@ -396,13 +562,15 @@ func (e *Env) Execute(spec JobSpec, ckptDir string, preempt func() bool, onStep 
 }
 
 // ComputeReference computes spec's result directly, outside any server —
-// the ground truth the chaos harness compares served bytes against. The
-// spec is normalized first; the computation never touches disk.
+// the ground truth the chaos harness compares served bytes against. It
+// shares the relaxed systems but never a tape or a frame log, so served
+// bytes are checked against ones no memo touched. The spec is normalized
+// first; the computation never touches disk.
 func (e *Env) ComputeReference(spec JobSpec) ([]byte, error) {
 	if err := spec.Normalize(); err != nil {
 		return nil, err
 	}
-	buf, _, _, err := e.Execute(spec, "", nil, nil)
+	buf, _, _, err := e.execute(spec, "", nil, nil, false)
 	return buf, err
 }
 

@@ -9,12 +9,16 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/md"
 )
 
 // FuzzJobSpecNormalize feeds arbitrary request bodies through the spec
 // gate of POST /v1/jobs: Normalize never panics, rejects with a
 // KindBadRequest *JobError, and a spec it accepts is canonical —
-// normalising it again changes nothing and its store key is stable.
+// normalising it again changes nothing and its store key is stable — and
+// executable: its decomposition tiles the mesh of the box the executor
+// builds.
 func FuzzJobSpecNormalize(f *testing.F) {
 	for _, seed := range []string{
 		`{"kind":"run"}`,
@@ -25,6 +29,8 @@ func FuzzJobSpecNormalize(f *testing.F) {
 		`{"kind":"figure","figure":"1"}`,
 		`{"kind":"run","procs":-4,"cpus":0,"atoms":-1,"steps":99999}`,
 		`{"kind":"run","procs":3,"cpus":2,"net":"atm","mw":"pvm","decomp":"slab"}`,
+		`{"kind":"run","atoms":99,"procs":31}`,
+		`{"kind":"sweep","atoms":99,"procs":31,"decomp":"domain"}`,
 		`{"kind":""}`,
 		`{}`,
 	} {
@@ -54,8 +60,22 @@ func FuzzJobSpecNormalize(f *testing.F) {
 		if again.Key() != key || JobID(key) != JobID(again.Key()) {
 			t.Fatalf("key moved across re-normalisation: %q then %q", key, again.Key())
 		}
+		if spec.Kind != KindRun && spec.Kind != KindSweep {
+			return
+		}
+		// The executor's own box (Env.system's), vetoed before the relax.
+		var pme md.PMEConfig
+		_, _, _ = md.NewSolvatedWorkload(spec.Atoms, spec.Seed+1, func(c md.PMEConfig) error {
+			pme = c
+			return errVetoRelax
+		})
+		if _, err := decompFor(spec, md.Config{PME: pme}); err != nil {
+			t.Fatalf("accepted spec %+v fails at execution: %v", spec, err)
+		}
 	})
 }
+
+var errVetoRelax = errors.New("skip the relax")
 
 // FuzzStoreDecode feeds arbitrary store files through the validator a
 // reopened store trusts: decode either rejects the bytes, or they are

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/figures"
+	"repro/internal/md"
 	"repro/internal/netmodel"
 	"repro/internal/pmd"
 )
@@ -126,8 +127,14 @@ func (s *JobSpec) Normalize() error {
 		if s.Decomp == "" {
 			s.Decomp = "replicated"
 		}
-		if _, err := pmd.ParseDecomp(s.Decomp); err != nil {
+		if dk, err := pmd.ParseDecomp(s.Decomp); err != nil {
 			bad("decomp must be replicated or domain (got %q)", s.Decomp)
+		} else if len(probs) == 0 {
+			// The box's mesh is a function of the atom count alone, so the
+			// tiling is checked here, before the job is journaled.
+			if err := pmd.ValidateDecomp(dk, s.Procs, md.SolvatedPME(s.Atoms)); err != nil {
+				bad("%v", err)
+			}
 		}
 	}
 

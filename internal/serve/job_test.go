@@ -49,6 +49,8 @@ func TestSpecNormalizeRejects(t *testing.T) {
 		{"bad-mw", JobSpec{Kind: KindRun, MW: "smoke-signals"}, "mw must be"},
 		{"bad-decomp", JobSpec{Kind: KindRun, Decomp: "astral"}, "decomp must be"},
 		{"bad-sweep-net", JobSpec{Kind: KindSweep, Nets: []string{"tcp", "nope"}}, "unknown net"},
+		{"untileable", JobSpec{Kind: KindRun, Atoms: 99, Procs: 31}, "cannot tile 31 ranks"},
+		{"untileable-sweep", JobSpec{Kind: KindSweep, Atoms: 99, Procs: 31, Decomp: "domain"}, "pencil grid"},
 		{"bad-observable", JobSpec{Kind: KindAnalysis, Observable: "vibes"}, "observable must be"},
 		{"figure-missing", JobSpec{Kind: KindFigure}, "figure id is required"},
 		{"figure-diagram", JobSpec{Kind: KindFigure, Figure: "1"}, "minus the diagrams"},
@@ -151,9 +153,9 @@ func TestSpecKeyDiscriminates(t *testing.T) {
 	}
 }
 
-// TestExecRejectsUntileableDecomp: the tiling check depends on the job's
-// actual PME mesh (12³ for the 120-atom default box), so it happens at
-// execution time — and surfaces as the client's fault, not the server's.
+// TestExecRejectsUntileableDecomp: the tiling check runs on the job's PME
+// mesh (12³ for the 120-atom default box), known from the atom count at
+// admission, and surfaces as the client's fault, not the server's.
 func TestExecRejectsUntileableDecomp(t *testing.T) {
 	e := NewEnv()
 	spec := JobSpec{Kind: KindRun, Procs: 16} // replicated, K1=12 < 16 slabs

@@ -1,0 +1,307 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/pmd"
+)
+
+// memoMix is a run, sweep and analysis mix over two 120-atom systems:
+// procs 2, 4 and 8, both decompositions and middlewares, all four
+// networks, and several step counts per memo key.
+func memoMix(t *testing.T) []JobSpec {
+	t.Helper()
+	nets := []string{"tcp", "score", "myrinet", "fast"}
+	decomps := []string{"replicated", "domain"}
+	mws := []string{"mpi", "cmpi"}
+	var specs []JobSpec
+	for _, seed := range []uint64{1, 2} {
+		for i, procs := range []int{2, 4, 8} {
+			for j, steps := range []int{2, 5, 3} {
+				specs = append(specs, JobSpec{
+					Kind: KindRun, Atoms: 120, Steps: steps, Seed: seed, Procs: procs,
+					Net: nets[(i+j)%len(nets)], MW: mws[j%2], Decomp: decomps[(i+j+int(seed))%2],
+				})
+			}
+			specs = append(specs, JobSpec{
+				Kind: KindSweep, Atoms: 120, Steps: 4, Seed: seed, Procs: procs,
+				MW: mws[i%2], Decomp: decomps[i%2], Nets: nets,
+			})
+		}
+		for k, steps := range []int{2, 6, 4} {
+			specs = append(specs, JobSpec{Kind: KindAnalysis, Atoms: 120, Steps: steps, Seed: seed, Observable: []string{"rdf", "msd"}[k%2]})
+		}
+	}
+	for i := range specs {
+		if err := specs[i].Normalize(); err != nil {
+			t.Fatalf("spec %d: %v", i, err)
+		}
+	}
+	return specs
+}
+
+func memoKeyOf(spec JobSpec) memoKey {
+	k := memoKey{sys: sysCacheKey{spec.Atoms, spec.Seed}}
+	if spec.Kind != KindAnalysis {
+		k.procs = spec.Procs
+	}
+	return k
+}
+
+// references computes every spec directly on one fresh Env.
+func references(t *testing.T, specs []JobSpec) [][]byte {
+	t.Helper()
+	ref := NewEnv()
+	want := make([][]byte, len(specs))
+	for i, spec := range specs {
+		buf, err := ref.ComputeReference(spec)
+		if err != nil {
+			t.Fatalf("reference %+v: %v", spec, err)
+		}
+		want[i] = buf
+	}
+	return want
+}
+
+func memoTotal(e *Env) int64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var total int64
+	for el := e.lru.Front(); el != nil; el = el.Next() {
+		total += el.Value.(*memo).bytes()
+	}
+	return total
+}
+
+// TestEnvMemoMatchesDirect: a shuffled mix on one Env, each memo key met
+// by longer jobs after shorter ones and shorter after longer, serves
+// every result byte-equal to a direct computation on a fresh Env.
+func TestEnvMemoMatchesDirect(t *testing.T) {
+	specs := memoMix(t)
+	want := references(t, specs)
+	order := rand.New(rand.NewSource(1)).Perm(len(specs))
+
+	longest := map[memoKey]int{}
+	var longer, shorter bool
+	for _, i := range order {
+		k := memoKeyOf(specs[i])
+		if n, ok := longest[k]; ok {
+			longer = longer || specs[i].Steps > n
+			shorter = shorter || specs[i].Steps < n
+		}
+		longest[k] = max(longest[k], specs[i].Steps)
+	}
+	if !longer || !shorter {
+		t.Fatalf("the order meets no key longer after shorter (%v) or shorter after longer (%v)", longer, shorter)
+	}
+
+	env := NewEnv()
+	for _, i := range order {
+		got, _, _, err := env.Execute(specs[i], "", nil, nil)
+		if err != nil {
+			t.Fatalf("%+v: %v", specs[i], err)
+		}
+		if !bytes.Equal(got, want[i]) {
+			t.Fatalf("%+v: memoized bytes differ from the direct computation\n got  %s\n want %s", specs[i], got, want[i])
+		}
+	}
+	if n := len(env.memos); n != len(longest) {
+		t.Fatalf("%d memos, want one per key (%d)", n, len(longest))
+	}
+}
+
+// TestEnvMemoMatchesDirectConcurrent: 8 goroutines run the mix in their
+// own orders over one Env, so runs extend and replay the same tapes and
+// frame logs at once; every result is the direct computation's bytes.
+func TestEnvMemoMatchesDirectConcurrent(t *testing.T) {
+	specs := memoMix(t)
+	want := references(t, specs)
+	env := NewEnv()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for _, i := range rand.New(rand.NewSource(int64(g))).Perm(len(specs)) {
+				got, _, _, err := env.Execute(specs[i], "", nil, nil)
+				if err != nil {
+					t.Errorf("%+v: %v", specs[i], err)
+					return
+				}
+				if !bytes.Equal(got, want[i]) {
+					t.Errorf("%+v: memoized bytes differ from the direct computation", specs[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestEnvMemoBounded: the memo stays within its budget after every job,
+// eviction takes the least recently used memo first, an evicted tape
+// still serves the run holding it, and a job over the eligibility bound
+// runs directly.
+func TestEnvMemoBounded(t *testing.T) {
+	// Eligibility is a pure function of the spec: no 4096-atom run needed.
+	for _, c := range []struct {
+		atoms, steps int
+		want         bool
+	}{
+		{480, 8, true}, {4096, 7, true}, {4096, 8, false}, {4096, 512, false}, {24, 512, true},
+	} {
+		if got := memoEligible(c.atoms, c.steps); got != c.want {
+			t.Errorf("memoEligible(%d, %d) = %v, want %v", c.atoms, c.steps, got, c.want)
+		}
+	}
+	env := NewEnv()
+	reg := obs.NewRegistry()
+	env.memoBytes = reg.Gauge("repro_serve_memo_bytes", "")
+	env.memoEvictions = reg.Counter("repro_serve_memo_evictions_total", "")
+	big := JobSpec{Kind: KindRun, Atoms: 4096, Steps: 512, Procs: 8}
+	if env.tape(big, true) != nil || len(env.frameLog(JobSpec{Kind: KindAnalysis, Atoms: 4096, Steps: 512}, true).frames) != 0 || len(env.memos) != 0 {
+		t.Fatal("an over-budget job joined the memo")
+	}
+
+	// Three frame logs and a tape, each used in turn; then the first log
+	// again, so the LRU order is a, tp, c, b (most recent first).
+	a := JobSpec{Kind: KindAnalysis, Atoms: 48, Steps: 3, Seed: 1}
+	b := JobSpec{Kind: KindAnalysis, Atoms: 48, Steps: 3, Seed: 2}
+	c := JobSpec{Kind: KindAnalysis, Atoms: 48, Steps: 3, Seed: 3}
+	tp := JobSpec{Kind: KindRun, Atoms: 48, Steps: 2, Seed: 1, Procs: 2}
+	for _, spec := range []*JobSpec{&a, &b, &c, &tp} {
+		if err := spec.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, spec := range []JobSpec{a, b, c, tp, a} {
+		if _, _, _, err := env.Execute(spec, "", nil, nil); err != nil {
+			t.Fatalf("%+v: %v", spec, err)
+		}
+		if total := memoTotal(env); total > memoBudget || float64(total) != reg.Value("repro_serve_memo_bytes") {
+			t.Fatalf("memo holds %d bytes (gauge %g), budget %d", total, reg.Value("repro_serve_memo_bytes"), memoBudget)
+		}
+	}
+	size := func(spec JobSpec) int64 { return env.memos[memoKeyOf(spec)].bytes() }
+	held := env.memos[memoKeyOf(tp)].tape
+
+	evict := func(budget int64, gone ...JobSpec) {
+		t.Helper()
+		env.trim(budget)
+		for _, spec := range gone {
+			if _, ok := env.memos[memoKeyOf(spec)]; ok {
+				t.Fatalf("trim(%d) kept %+v", budget, spec)
+			}
+		}
+	}
+	total := memoTotal(env)
+	evict(total-size(b), b)
+	if len(env.memos) != 3 {
+		t.Fatalf("trim to all but b left %d memos, want 3", len(env.memos))
+	}
+	evict(size(a)+size(tp), c)
+	evict(size(a), tp)
+	if _, ok := env.memos[memoKeyOf(a)]; !ok || reg.Value("repro_serve_memo_evictions_total") != 3 {
+		t.Fatalf("after three evictions: a kept %v, counter %g", ok, reg.Value("repro_serve_memo_evictions_total"))
+	}
+
+	// The evicted tape still serves a longer run over it.
+	longer := tp
+	longer.Steps = 4
+	want, err := NewEnv().ComputeReference(longer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, _, err := env.execRun(longer, "", nil, nil, held)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("run over an evicted tape: err %v, bytes equal %v", err, bytes.Equal(got, want))
+	}
+}
+
+// TestSweepSharesOneTape: a sweep's networks run over one tape, which
+// holds the steps+1 states of one run, and its bytes are those of one
+// direct single-network sweep per network.
+func TestSweepSharesOneTape(t *testing.T) {
+	spec := JobSpec{Kind: KindSweep, Atoms: 120, Steps: 3, Procs: 4, Nets: []string{"tcp", "score", "myrinet", "fast"}}
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	env := NewEnv()
+	got, _, _, err := env.Execute(spec, "", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := NewEnv()
+	want := sweepPayload{Kind: string(KindSweep)}
+	for _, net := range spec.Nets {
+		one := spec
+		one.Nets = []string{net}
+		buf, err := fresh.ComputeReference(one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var p sweepPayload
+		if err := json.Unmarshal(buf, &p); err != nil {
+			t.Fatal(err)
+		}
+		want.Rows = append(want.Rows, p.Rows...)
+	}
+	wantBuf, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, wantBuf) {
+		t.Fatalf("4-network sweep differs from four single-network sweeps\n got  %s\n want %s", got, wantBuf)
+	}
+
+	if len(env.memos) != 1 {
+		t.Fatalf("%d memos after one sweep, want its one tape", len(env.memos))
+	}
+	one := spec
+	one.Nets = spec.Nets[:1]
+	single := pmd.NewTape()
+	if _, err := fresh.execSweep(one, single); err != nil {
+		t.Fatal(err)
+	}
+	if tape := env.memos[memoKeyOf(spec)].tape; single.Bytes() == 0 || tape.Bytes() != single.Bytes() {
+		t.Fatalf("the sweep's tape holds %d bytes, one %d-step run's %d", tape.Bytes(), spec.Steps, single.Bytes())
+	}
+}
+
+// TestMemoEstimateBoundsBytes pins memoBytesPerAtomStep as an upper bound
+// of what a memo holds, at its worst cases: one step on the largest box,
+// whose pair list is the densest, and the most ranks on the smallest box,
+// whose size matrices outweigh its atoms.
+func TestMemoEstimateBoundsBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("relaxes a 4096-atom box")
+	}
+	env := NewEnv()
+	for _, spec := range []JobSpec{
+		{Kind: KindSweep, Atoms: 4096, Steps: 1, Procs: 8, Decomp: "domain", Nets: []string{"tcp"}},
+		{Kind: KindSweep, Atoms: 4096, Steps: 1, Procs: 2, Nets: []string{"tcp"}},
+		{Kind: KindAnalysis, Atoms: 4096, Steps: 1},
+		{Kind: KindSweep, Atoms: 24, Steps: 1, Procs: 32, Decomp: "domain", Nets: []string{"tcp"}},
+		{Kind: KindSweep, Atoms: 480, Steps: 8, Procs: 8, Decomp: "domain", Nets: []string{"tcp"}},
+	} {
+		if err := spec.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := env.Execute(spec, "", nil, nil); err != nil {
+			t.Fatalf("%+v: %v", spec, err)
+		}
+		got := env.memos[memoKeyOf(spec)].bytes()
+		est := int64(spec.Atoms) * int64(spec.Steps+1) * memoBytesPerAtomStep
+		t.Logf("%s atoms=%d steps=%d procs=%d %s: %d bytes, %.0f per atom-step", spec.Kind, spec.Atoms, spec.Steps, spec.Procs, spec.Decomp,
+			got, float64(got)/float64(spec.Atoms*(spec.Steps+1)))
+		if got <= 0 || got > est {
+			t.Errorf("%+v holds %d bytes, estimate %d", spec, got, est)
+		}
+	}
+}

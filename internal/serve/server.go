@@ -240,6 +240,8 @@ func Open(cfg Config) (*Server, error) {
 	}
 	env := NewEnv()
 	env.KernelWorkers = c.KernelWorkers
+	env.memoBytes = c.Obs.Gauge("repro_serve_memo_bytes", "bytes the memoized tapes and frame logs hold")
+	env.memoEvictions = c.Obs.Counter("repro_serve_memo_evictions_total", "memoized trajectories evicted over the byte budget")
 	s := &Server{
 		cfg:   c,
 		reg:   c.Obs,

@@ -263,7 +263,7 @@ func TestServeRunByteIdentity(t *testing.T) {
 }
 
 func TestServeAnalysisAndSweep(t *testing.T) {
-	_, base := testServer(t, nil)
+	s, base := testServer(t, nil)
 	env := NewEnv()
 	for _, spec := range []JobSpec{analysisSpec(), sweepSpec()} {
 		code, jr, _ := postJob(t, base, "alice", spec, 0)
@@ -279,6 +279,16 @@ func TestServeAnalysisAndSweep(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s bytes differ from direct computation", spec.Kind)
 		}
+	}
+	// Both jobs memoized a trajectory, and the memo fits its budget.
+	txt := metricsText(t, base)
+	for _, name := range []string{"repro_serve_memo_bytes", "repro_serve_memo_evictions_total"} {
+		if !strings.Contains(txt, name) {
+			t.Errorf("%s missing from /metrics", name)
+		}
+	}
+	if v := s.reg.Value("repro_serve_memo_bytes"); v <= 0 || v > memoBudget {
+		t.Errorf("repro_serve_memo_bytes = %g, want in (0, %d]", v, memoBudget)
 	}
 }
 
@@ -850,7 +860,23 @@ func TestServeValidationAndRouting(t *testing.T) {
 	if code != http.StatusBadRequest {
 		t.Fatalf("bad spec = %d %+v, want 400", code, jr)
 	}
-	resp, err := http.Get(base + "/v1/jobs/no-such-id")
+	// Geometry the box's mesh cannot tile (99 atoms: K1=12 slabs for 31
+	// replicated ranks) is refused at admission and never journaled.
+	body, _ := json.Marshal(submitRequest{Tenant: "alice", Spec: JobSpec{Kind: KindRun, Atoms: 99, Procs: 31}})
+	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var je JobError
+	_ = json.NewDecoder(resp.Body).Decode(&je)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || je.Kind != KindBadRequest || !strings.Contains(je.Msg, "K1=12") {
+		t.Fatalf("untileable spec = %d %+v, want 400 bad_request naming K1=12", resp.StatusCode, je)
+	}
+	if ents, err := os.ReadDir(s.jnl.dir); err != nil || len(ents) != 0 {
+		t.Fatalf("journal after a refused spec: %d entries, err %v", len(ents), err)
+	}
+	resp, err = http.Get(base + "/v1/jobs/no-such-id")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,13 +44,20 @@ func NewWaterBox(nw int, l float64, seed uint64) *System {
 // scaling study of the paper's §5 discussion ("good scalability for larger
 // problems").
 func NewSolvatedBox(natoms int, seed uint64) (*System, int) {
-	nw := natoms / 3
-	if nw < 8 {
-		nw = 8
-	}
+	nw, l := solvatedShape(natoms)
+	return NewWaterBox(nw, l, seed), SolvatedMesh(natoms)
+}
+
+// SolvatedMesh is the PME mesh dimension of NewSolvatedBox(natoms, ·),
+// without building the box: a function of the atom count alone.
+func SolvatedMesh(natoms int) int {
+	_, l := solvatedShape(natoms)
+	return int(math.Ceil(l/4)) * 4
+}
+
+// solvatedShape is the water count and the cube edge of a solvated box.
+func solvatedShape(natoms int) (waters int, edge float64) {
+	waters = max(natoms/3, 8)
 	const density = 0.0334 // waters per Å³
-	l := math.Cbrt(float64(nw) / density)
-	sys := NewWaterBox(nw, l, seed)
-	k := int(math.Ceil(l/4)) * 4
-	return sys, k
+	return waters, math.Cbrt(float64(waters) / density)
 }
