@@ -9,6 +9,7 @@ package figures
 import (
 	"fmt"
 	"runtime"
+	"unsafe"
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pmd"
 	"repro/internal/topol"
+	"repro/internal/vec"
 )
 
 // Breakdown is a comp/comm/sync time split in seconds.
@@ -219,6 +221,22 @@ func (s *Suite) Stats() RunStats {
 // Divided by the wall time of the batches that ran them it is the mean
 // number of cells in flight.
 func (s *Suite) CellSeconds() float64 { return s.mCellSeconds.Value() }
+
+// Bytes estimates what the suite holds beyond its system: every tape's
+// Bytes and every cached result's final positions and step timings.
+func (s *Suite) Bytes() int64 {
+	var b int64
+	for _, t := range s.tapes {
+		b += t.Bytes()
+	}
+	for _, r := range s.cache {
+		b += int64(len(r.FinalPos)) * int64(unsafe.Sizeof(vec.V{}))
+		for _, ts := range r.Timings {
+			b += int64(len(ts)) * int64(unsafe.Sizeof(pmd.StepTiming{}))
+		}
+	}
+	return b
+}
 
 // workers resolves Cfg.Workers to the bound it sets, never below 1: the
 // cells a batch keeps in flight and, inside each, the lanes of the

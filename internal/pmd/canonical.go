@@ -33,13 +33,14 @@ import (
 // scratch, and each wave merges rank-ascending before the next starts —
 // the same bits at every W.
 //
-// Concurrency: the first rank to need step s, of whichever run sharing the
-// evaluator (a Tape's), evaluates it inside the step's once; every other
-// caller waits on that once. A rank asks for step s only once step s-1 is
-// evaluated, so at most one evaluation is ever in flight (the lanes are
-// safely reused), and a finished snapshot is immutable while read. A
+// Concurrency: the first caller to need step s — a rank, or the
+// evalAhead goroutine of a run over the tape, of whichever run sharing
+// the evaluator (a Tape's) — evaluates it inside the step's once; every
+// other caller waits on that once. A caller asks for step s only once step
+// s-1 is evaluated, so at most one evaluation is ever in flight (the lanes
+// are safely reused), and a finished snapshot is immutable while read. A
 // tape's evaluator keeps every snapshot and holds nothing of the run that
-// built it; a run's own keeps a two-step window.
+// built it; a run's own keeps a two-step window and is never run ahead.
 type canonical struct {
 	p   int
 	sys *topol.System
@@ -191,6 +192,28 @@ func (c *canonical) state(step int) *canonState {
 		}
 	})
 	return st
+}
+
+// evalAhead evaluates states -1 … steps-1 in order on a goroutine of its
+// own, so step s+1's physics runs on another core while the ranks
+// simulate step s; a rank that reaches a step first evaluates it itself,
+// and the goroutine waits on that step's once. Only a tape's evaluator,
+// which keeps every state, may run ahead. The returned stop ends the
+// goroutine once its evaluation in flight, if any, is done, and waits for
+// it: after stop, every state of c is fully evaluated.
+func (c *canonical) evalAhead(steps int) (stop func()) {
+	var quit atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for s := -1; s < steps && !quit.Load(); s++ {
+			c.state(s)
+		}
+	}()
+	return func() {
+		quit.Store(true)
+		<-done
+	}
 }
 
 // bytes is what st holds beyond the step before it: its per-step arrays

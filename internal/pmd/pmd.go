@@ -105,8 +105,10 @@ type Config struct {
 	// over the tape builds its evaluator, and every run at that rank count,
 	// concurrent ones included, is served the snapshots it holds or
 	// evaluates the next one into it (the simulated timings still come out
-	// of the full event simulation). Ignored when Init needs real physics,
-	// or when the tape belongs to another rank count.
+	// of the full event simulation). A run over a tape evaluates ahead of
+	// its ranks on one more goroutine, up to its last step. Ignored when
+	// Init needs real physics, or when the tape belongs to another rank
+	// count.
 	Tape *Tape
 
 	// HostWorkers > 1 runs the canonical evaluation's rank loops that
@@ -305,11 +307,16 @@ func runAttempt(clusterCfg cluster.Config, cost cluster.CostModel, cfg Config) (
 		Tracer: cfg.Tracer, Obs: cfg.Obs, Faults: cfg.Faults,
 		Watchdog: cfg.Watchdog,
 	}
+	var stopAhead func()
+	if tape != nil {
+		stopAhead = canon.evalAhead(cfg.Steps)
+	}
 	accts, err := mpi.RunOpts(clusterCfg, cost, opts, func(r *mpi.Rank) {
 		newWorker(r, cfg, sh).run(res)
 	})
 	res.Acct = accts
 	if tape != nil {
+		stopAhead()
 		tape.close()
 		if err == nil && len(res.Energies) == cfg.Steps {
 			tape.complete.Store(true)

@@ -1,12 +1,16 @@
 package pmd
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/fault"
 	"repro/internal/md"
+	"repro/internal/mpi"
 	"repro/internal/netmodel"
 	"repro/internal/topol"
 )
@@ -222,5 +226,61 @@ func TestTapeSharedByConcurrentRuns(t *testing.T) {
 	}
 	if n := len(tape.canon.states); !tape.Complete() || n != steps+1 {
 		t.Fatalf("complete=%v with %d snapshots, want %d", tape.Complete(), n, steps+1)
+	}
+}
+
+// TestTapeRunAheadStopsWithItsRun: a taped run that a crash fault ends
+// returns with no evaluation in flight — the states on the tape stay put
+// after it returns — and leaves only fully evaluated states behind, -1 up
+// to some step short of the run's last, which a later run over the tape
+// is served bit for bit. Under -race, a state still being written after
+// the run returned is a reported race.
+func TestTapeRunAheadStopsWithItsRun(t *testing.T) {
+	sys := testSystem(100, 24, 1)
+	const p, steps = 4, 12
+	cl, cost := clusterCfg(p, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz()
+	cfg := Config{System: sys, MD: tapeMD(), Steps: steps, Middleware: MiddlewareMPI}
+	healthy, err := Run(cl, cost, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := fault.NewInjector(crashSpec(t, 0.25*healthy.Wall, 1), fault.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tape := NewTape()
+	crashed := cfg
+	crashed.Faults, crashed.Watchdog, crashed.Tape = inj, mpi.DefaultWatchdog(), tape
+	if _, err := Run(cl, cost, crashed); !errors.Is(err, mpi.ErrCrashed) {
+		t.Fatalf("want ErrCrashed, got %v", err)
+	}
+	if tape.Complete() {
+		t.Fatal("a crashed run completed its tape")
+	}
+	c := tape.canon
+	evaluated := func() int {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		for s := -1; s < len(c.states)-1; s++ {
+			st := c.states[s]
+			if st == nil || st.prev != nil || len(st.frcTotal) != sys.N() || len(st.classicWork) != p {
+				t.Fatalf("state %d of %d is not fully evaluated", s, len(c.states))
+			}
+		}
+		return len(c.states)
+	}
+	n := evaluated()
+	time.Sleep(50 * time.Millisecond)
+	if later := evaluated(); n < 2 || later != n || n > steps {
+		t.Fatalf("the tape holds %d states as the run returns and %d later; want the same count in [2, %d]", n, later, steps)
+	}
+	cfg.Tape = tape
+	got, err := Run(cl, cost, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustEqualResults(t, "after the crash", healthy, got)
+	if !tape.Complete() || len(c.states) != steps+1 {
+		t.Fatalf("complete=%v with %d states, want %d", tape.Complete(), len(c.states), steps+1)
 	}
 }

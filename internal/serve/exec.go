@@ -33,10 +33,11 @@ import (
 // pmd.Tape per (system, ranks) that every run and every network of a
 // sweep at that rank count shares, and a sequential frame log per system
 // that analysis jobs slice. A tape or a log serves one workload (system
-// and MD config), which its key fixes. The memo is held under one LRU
-// byte budget (memoBudget). The caches affect speed only, never results;
-// ComputeReference bypasses the memo and computes directly. Safe for
-// concurrent use.
+// and MD config), which its key fixes. Systems, studies, tapes and logs
+// are the entries of one memo, held under one LRU byte budget
+// (memoBudget). The caches affect speed only, never results;
+// ComputeReference bypasses the tapes and logs and computes directly.
+// Safe for concurrent use.
 type Env struct {
 	// KernelWorkers is threaded into every built md.Config and study
 	// (md.Config.KernelWorkers). Set before first use: caches key on the
@@ -44,11 +45,9 @@ type Env struct {
 	// built under the old setting (with the same result bytes).
 	KernelWorkers int
 
-	mu      sync.Mutex
-	systems map[sysCacheKey]*sysEntry
-	studies map[studyCacheKey]*studyEntry
-	memos   map[memoKey]*memo
-	lru     list.List // of *memo, most recently used first
+	mu    sync.Mutex
+	memos map[any]*memo // by memoKey, sysCacheKey or studyCacheKey
+	lru   list.List     // of *memo, most recently used first
 
 	// The server's memo metrics; nil outside a server.
 	memoBytes     *obs.Gauge
@@ -57,11 +56,7 @@ type Env struct {
 
 // NewEnv builds an empty executor environment.
 func NewEnv() *Env {
-	return &Env{
-		systems: map[sysCacheKey]*sysEntry{},
-		studies: map[studyCacheKey]*studyEntry{},
-		memos:   map[memoKey]*memo{},
-	}
+	return &Env{memos: map[any]*memo{}}
 }
 
 type sysCacheKey struct {
@@ -77,11 +72,27 @@ type sysEntry struct {
 	once  sync.Once
 	sys   *topol.System
 	mdCfg md.Config
+	bytes atomic.Int64 // systemBytes, once built
 }
 
-// memoBudget bounds the bytes the memo keeps, tapes and frame logs
-// together. After every job the Env evicts whole least-recently-used
-// memos until the rest fit.
+// systemBytes is what a relaxed box holds: its per-atom arrays and its
+// topology lists.
+func systemBytes(sys *topol.System) int64 {
+	b := int64(unsafe.Sizeof(*sys)) +
+		int64(len(sys.Atoms))*int64(unsafe.Sizeof(topol.Atom{})) +
+		int64(len(sys.Pos))*int64(unsafe.Sizeof(vec.V{})) +
+		int64(len(sys.Residues))*int64(unsafe.Sizeof(topol.Residue{})) +
+		int64(len(sys.Types))*int64(unsafe.Sizeof(topol.AtomType{})) +
+		4*int64(2*len(sys.Bonds)+3*len(sys.Angles)+4*len(sys.Dihedrals)+4*len(sys.Impropers)+2*len(sys.Pairs14))
+	for i := range sys.Atoms {
+		b += 4 * int64(1+len(sys.Excl.Of(i)))
+	}
+	return b
+}
+
+// memoBudget bounds the bytes the memo keeps: systems, studies, tapes and
+// frame logs together. After every job the Env evicts whole
+// least-recently-used entries until the rest fit.
 const memoBudget = 64 << 20
 
 // memoBytesPerAtomStep bounds what a memo holds per atom and kept step
@@ -98,24 +109,32 @@ func memoEligible(atoms, steps int) bool {
 	return int64(atoms)*int64(steps+1)*memoBytesPerAtomStep <= memoBudget
 }
 
-// memoKey names one memo of a system: the tape of procs ranks, or the
-// frame log (procs 0).
+// memoKey names one trajectory of a system: the tape of procs ranks, or
+// the frame log (procs 0).
 type memoKey struct {
 	sys   sysCacheKey
 	procs int
 }
 
-// memo is one memoized trajectory: a tape or a frame log.
+// memo is one entry of the memo: a relaxed system, a figure study, or a
+// trajectory — a tape or a frame log. Exactly one of the four is set.
 type memo struct {
-	key  memoKey
-	tape *pmd.Tape
-	log  *frameLog
-	elem *list.Element // its place in Env.lru
-	size int64         // bytes() at the last trim
+	key   any // sysCacheKey, studyCacheKey or memoKey
+	sys   *sysEntry
+	study *studyEntry
+	tape  *pmd.Tape
+	log   *frameLog
+	elem  *list.Element // its place in Env.lru
+	size  int64         // bytes() at the last trim
 }
 
 func (m *memo) bytes() int64 {
-	if m.tape != nil {
+	switch {
+	case m.sys != nil:
+		return m.sys.bytes.Load()
+	case m.study != nil:
+		return m.study.bytes.Load()
+	case m.tape != nil:
 		return m.tape.Bytes()
 	}
 	return m.log.bytes.Load()
@@ -153,28 +172,35 @@ func (l *frameLog) upTo(sys *topol.System, mdCfg md.Config, steps int) [][]vec.V
 	return l.frames[: steps+1 : steps+1]
 }
 
-// memo returns the memo of key, making it the most recently used, or
-// nil when memoize is off or the job is over the eligibility bound.
-func (e *Env) memo(key memoKey, steps int, memoize bool) *memo {
-	if !memoize || !memoEligible(key.sys.atoms, steps) {
-		return nil
-	}
+// entry returns the memo's entry of key, built by fresh when there is
+// none, and makes it the most recently used.
+func (e *Env) entry(key any, fresh func() *memo) *memo {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	m, ok := e.memos[key]
 	if !ok {
-		m = &memo{key: key}
-		if key.procs > 0 {
-			m.tape = pmd.NewTape()
-		} else {
-			m.log = &frameLog{}
-		}
+		m = fresh()
+		m.key = key
 		e.memos[key] = m
 		m.elem = e.lru.PushFront(m)
 	} else {
 		e.lru.MoveToFront(m.elem)
 	}
 	return m
+}
+
+// memo returns the trajectory of key, or nil when memoize is off or the
+// job is over the eligibility bound.
+func (e *Env) memo(key memoKey, steps int, memoize bool) *memo {
+	if !memoize || !memoEligible(key.sys.atoms, steps) {
+		return nil
+	}
+	return e.entry(key, func() *memo {
+		if key.procs > 0 {
+			return &memo{tape: pmd.NewTape()}
+		}
+		return &memo{log: &frameLog{}}
+	})
 }
 
 // tape is the run or sweep spec's tape, nil for a direct run.
@@ -194,9 +220,9 @@ func (e *Env) frameLog(spec JobSpec, memoize bool) *frameLog {
 	return &frameLog{}
 }
 
-// trim evicts least-recently-used memos until the rest fit budget. A run
-// still holding an evicted tape finishes over it; the memory goes with
-// the last holder.
+// trim evicts least-recently-used entries until the rest fit budget. A
+// job still holding an evicted entry finishes over it; the memory goes
+// with the last holder.
 func (e *Env) trim(budget int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -232,23 +258,18 @@ type studyEntry struct {
 	once  sync.Once
 	mu    sync.Mutex
 	study *core.Study
+	bytes atomic.Int64 // its system's and suite's, as of its last figure
 }
 
 // system returns the relaxed solvated box for (atoms, seed), building it
 // on first use: md.NewSolvatedWorkload's box at workload seed seed+1.
 func (e *Env) system(atoms int, seed uint64) (*topol.System, md.Config) {
-	k := sysCacheKey{atoms: atoms, seed: seed}
-	e.mu.Lock()
-	ent, ok := e.systems[k]
-	if !ok {
-		ent = &sysEntry{}
-		e.systems[k] = ent
-	}
-	e.mu.Unlock()
+	ent := e.entry(sysCacheKey{atoms: atoms, seed: seed}, func() *memo { return &memo{sys: &sysEntry{}} }).sys
 	ent.once.Do(func() {
 		sys, cfg, _ := md.NewSolvatedWorkload(atoms, seed+1, nil) // nothing to veto: tiling is per job, checked at admission
 		cfg.KernelWorkers = e.KernelWorkers
 		ent.sys, ent.mdCfg = sys, cfg
+		ent.bytes.Store(systemBytes(sys))
 	})
 	return ent.sys, ent.mdCfg
 }
@@ -256,13 +277,7 @@ func (e *Env) system(atoms int, seed uint64) (*topol.System, md.Config) {
 // study returns the shared figure study for the key, building its
 // 3552-atom system on first use.
 func (e *Env) study(k studyCacheKey) *studyEntry {
-	e.mu.Lock()
-	ent, ok := e.studies[k]
-	if !ok {
-		ent = &studyEntry{}
-		e.studies[k] = ent
-	}
-	e.mu.Unlock()
+	ent := e.entry(k, func() *memo { return &memo{study: &studyEntry{}} }).study
 	ent.once.Do(func() {
 		ent.study = core.NewStudy(core.Options{
 			Quick: k.quick, Steps: k.steps, SystemSeed: k.seed, ClusterSeed: k.seed,
@@ -527,7 +542,9 @@ func (e *Env) execFigure(spec JobSpec) ([]byte, error) {
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
 	var buf bytes.Buffer
-	if err := ent.study.Figure(spec.Figure, &buf, core.FormatCSV); err != nil {
+	err := ent.study.Figure(spec.Figure, &buf, core.FormatCSV)
+	ent.bytes.Store(systemBytes(ent.study.System()) + ent.study.Suite.Bytes())
+	if err != nil {
 		return nil, Errf(KindInternal, "figure %s: %v", spec.Figure, err)
 	}
 	return buf.Bytes(), nil

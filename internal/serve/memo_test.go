@@ -68,6 +68,17 @@ func references(t *testing.T, specs []JobSpec) [][]byte {
 	return want
 }
 
+// trajectories counts the memo's tapes and frame logs.
+func trajectories(e *Env) int {
+	n := 0
+	for key := range e.memos {
+		if _, ok := key.(memoKey); ok {
+			n++
+		}
+	}
+	return n
+}
+
 func memoTotal(e *Env) int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -110,7 +121,7 @@ func TestEnvMemoMatchesDirect(t *testing.T) {
 			t.Fatalf("%+v: memoized bytes differ from the direct computation\n got  %s\n want %s", specs[i], got, want[i])
 		}
 	}
-	if n := len(env.memos); n != len(longest) {
+	if n := trajectories(env); n != len(longest) {
 		t.Fatalf("%d memos, want one per key (%d)", n, len(longest))
 	}
 }
@@ -144,9 +155,10 @@ func TestEnvMemoMatchesDirectConcurrent(t *testing.T) {
 }
 
 // TestEnvMemoBounded: the memo stays within its budget after every job,
-// eviction takes the least recently used memo first, an evicted tape
-// still serves the run holding it, and a job over the eligibility bound
-// runs directly.
+// eviction takes the least recently used entry first — a system after
+// every trajectory of it, since each job touches its system last — an
+// evicted tape still serves the run holding it, and a job over the
+// eligibility bound runs directly.
 func TestEnvMemoBounded(t *testing.T) {
 	// Eligibility is a pure function of the spec: no 4096-atom run needed.
 	for _, c := range []struct {
@@ -169,7 +181,8 @@ func TestEnvMemoBounded(t *testing.T) {
 	}
 
 	// Three frame logs and a tape, each used in turn; then the first log
-	// again, so the LRU order is a, tp, c, b (most recent first).
+	// again, so the LRU order is a's system, a, tp, c's system, c, b's
+	// system, b (most recent first).
 	a := JobSpec{Kind: KindAnalysis, Atoms: 48, Steps: 3, Seed: 1}
 	b := JobSpec{Kind: KindAnalysis, Atoms: 48, Steps: 3, Seed: 2}
 	c := JobSpec{Kind: KindAnalysis, Atoms: 48, Steps: 3, Seed: 3}
@@ -187,27 +200,38 @@ func TestEnvMemoBounded(t *testing.T) {
 			t.Fatalf("memo holds %d bytes (gauge %g), budget %d", total, reg.Value("repro_serve_memo_bytes"), memoBudget)
 		}
 	}
-	size := func(spec JobSpec) int64 { return env.memos[memoKeyOf(spec)].bytes() }
+	sysOf := func(spec JobSpec) sysCacheKey { return sysCacheKey{spec.Atoms, spec.Seed} }
+	size := func(keys ...any) int64 {
+		var b int64
+		for _, key := range keys {
+			b += env.memos[key].bytes()
+		}
+		return b
+	}
 	held := env.memos[memoKeyOf(tp)].tape
+	if size(sysOf(a)) <= 0 {
+		t.Fatalf("a system entry holds %d bytes", size(sysOf(a)))
+	}
 
-	evict := func(budget int64, gone ...JobSpec) {
+	evict := func(budget int64, gone ...any) {
 		t.Helper()
 		env.trim(budget)
-		for _, spec := range gone {
-			if _, ok := env.memos[memoKeyOf(spec)]; ok {
-				t.Fatalf("trim(%d) kept %+v", budget, spec)
+		for _, key := range gone {
+			if _, ok := env.memos[key]; ok {
+				t.Fatalf("trim(%d) kept %+v", budget, key)
 			}
 		}
 	}
 	total := memoTotal(env)
-	evict(total-size(b), b)
-	if len(env.memos) != 3 {
-		t.Fatalf("trim to all but b left %d memos, want 3", len(env.memos))
+	evict(total-size(memoKeyOf(b), sysOf(b)), memoKeyOf(b), sysOf(b))
+	if n := trajectories(env); n != 3 || len(env.memos) != 5 {
+		t.Fatalf("trim to all but b left %d trajectories of %d entries, want 3 of 5", n, len(env.memos))
 	}
-	evict(size(a)+size(tp), c)
-	evict(size(a), tp)
-	if _, ok := env.memos[memoKeyOf(a)]; !ok || reg.Value("repro_serve_memo_evictions_total") != 3 {
-		t.Fatalf("after three evictions: a kept %v, counter %g", ok, reg.Value("repro_serve_memo_evictions_total"))
+	evict(size(sysOf(a), memoKeyOf(a), memoKeyOf(tp)), memoKeyOf(c), sysOf(c))
+	evict(size(sysOf(a), memoKeyOf(a)), memoKeyOf(tp))
+	_, kept := env.memos[memoKeyOf(a)]
+	if _, ok := env.memos[sysOf(a)]; !kept || !ok || reg.Value("repro_serve_memo_evictions_total") != 5 {
+		t.Fatalf("after five evictions: a kept %v, its system %v, counter %g", kept, ok, reg.Value("repro_serve_memo_evictions_total"))
 	}
 
 	// The evicted tape still serves a longer run over it.
@@ -260,8 +284,8 @@ func TestSweepSharesOneTape(t *testing.T) {
 		t.Fatalf("4-network sweep differs from four single-network sweeps\n got  %s\n want %s", got, wantBuf)
 	}
 
-	if len(env.memos) != 1 {
-		t.Fatalf("%d memos after one sweep, want its one tape", len(env.memos))
+	if n := trajectories(env); n != 1 {
+		t.Fatalf("%d trajectories after one sweep, want its one tape", n)
 	}
 	one := spec
 	one.Nets = spec.Nets[:1]
@@ -303,5 +327,56 @@ func TestMemoEstimateBoundsBytes(t *testing.T) {
 		if got <= 0 || got > est {
 			t.Errorf("%+v holds %d bytes, estimate %d", spec, got, est)
 		}
+	}
+}
+
+// TestEnvMemoHoldsSystemsUnderTheBudget: a server fed more distinct seeds
+// than the budget holds keeps its held bytes — relaxed systems, a figure
+// study and frame logs together — within the budget after every job, by
+// evicting the least recently used: the study, then the oldest seeds. A smaller budget stands in
+// for memoBudget, which would take thousands of small boxes to fill.
+func TestEnvMemoHoldsSystemsUnderTheBudget(t *testing.T) {
+	env := NewEnv()
+	job := func(spec JobSpec, budget int64) {
+		t.Helper()
+		if err := spec.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := env.execute(spec, "", nil, nil, true); err != nil {
+			t.Fatalf("%+v: %v", spec, err)
+		}
+		env.trim(budget)
+		if total := memoTotal(env); total > budget {
+			t.Fatalf("after %+v the memo holds %d bytes, budget %d", spec, total, budget)
+		}
+	}
+	analysis := func(seed uint64) JobSpec {
+		return JobSpec{Kind: KindAnalysis, Atoms: 48, Steps: 1, Seed: seed, Observable: "msd"}
+	}
+	job(analysis(1), memoBudget)
+	perSeed := memoTotal(env)
+	if perSeed <= 0 || len(env.memos) != 2 {
+		t.Fatalf("one seed holds %d bytes in %d entries, want > 0 in 2", perSeed, len(env.memos))
+	}
+
+	fig := JobSpec{Kind: KindFigure, Figure: "3", Quick: true, Steps: 1, Seed: 1}
+	job(fig, memoBudget)
+	study := env.memos[studyCacheKey{quick: true, steps: 1, seed: 1}]
+	if study == nil || study.bytes() <= systemBytes(study.study.study.System()) {
+		t.Fatal("the figure study holds no more than its system's bytes")
+	}
+
+	budget := 3*perSeed + perSeed/2
+	const seeds = 12
+	for seed := uint64(2); seed <= seeds; seed++ {
+		job(analysis(seed), budget)
+	}
+	for _, key := range []any{sysCacheKey{48, 1}, studyCacheKey{quick: true, steps: 1, seed: 1}, sysCacheKey{48, seeds - 5}} {
+		if _, ok := env.memos[key]; ok {
+			t.Fatalf("%+v outlived newer seeds", key)
+		}
+	}
+	if _, ok := env.memos[sysCacheKey{48, seeds}]; !ok || len(env.memos) < 6 || len(env.memos) > 8 {
+		t.Fatalf("after %d seeds: newest system kept %v, %d entries; want true and 3 or 4 seeds' worth", seeds, ok, len(env.memos))
 	}
 }

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"container/heap"
+	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // refQueue is the one-heap order the two lanes must reproduce: every
@@ -76,36 +79,137 @@ func TestEventQueueOrdersLikeOneHeap(t *testing.T) {
 	}
 }
 
-// TestNowLaneGrowsWhileWrapped grows the ring while its head is past
-// the start, then drains it in FIFO order.
-func TestNowLaneGrowsWhileWrapped(t *testing.T) {
+// before is the (at, seq) order the queue pops in.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// binHeap is the binary heap the event queue replaced, kept as the fuzz
+// oracle: a min-heap on (at, seq).
+type binHeap []event
+
+func (h binHeap) Len() int           { return len(h) }
+func (h binHeap) Less(i, j int) bool { return h[i].before(&h[j]) }
+func (h binHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *binHeap) Push(x any)        { *h = append(*h, x.(event)) }
+func (h *binHeap) Pop() any {
+	old := *h
+	ev := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return ev
+}
+
+// FuzzEventQueue pushes a monotone (at, seq) stream into the event queue
+// and into a binary heap and requires the same pops. Each input byte is
+// one operation: a push due now, a push due a short delay later from a
+// table whose repeats make ties, a push due a gap of 2^-30 to 2^33 seconds
+// later, which forces redistributions across many key bits, or a pop
+// that moves the clock; the queue is drained at the end.
+func FuzzEventQueue(f *testing.F) {
+	f.Add([]byte{0, 1, 5, 2, 3, 3, 0, 0, 3, 3, 3})
+	f.Add([]byte{2, 6, 130, 254, 3, 0, 0, 1, 3, 0, 3, 3, 3, 3})
+	f.Add([]byte{1, 1, 1, 5, 5, 9, 3, 0, 0, 3, 1, 3, 3, 3, 3, 3, 3, 3})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		var q eventQueue
+		var ref binHeap
+		var now float64
+		var seq int64
+		pops := 0
+		pop := func() {
+			got, want := q.pop(), heap.Pop(&ref).(event)
+			if got != want {
+				t.Fatalf("pop %d: (%v, %d), want (%v, %d)", pops, got.at, got.seq, want.at, want.seq)
+			}
+			pops++
+			now = got.at
+		}
+		for _, c := range ops {
+			var at float64
+			switch c % 4 {
+			case 0:
+				at = now
+			case 1:
+				at = now + []float64{0.5, 1, 1, 2.5}[c>>2&3]
+			case 2:
+				at = now + math.Ldexp(1, int(c>>2)%64-30)
+			case 3:
+				if len(ref) > 0 {
+					pop()
+				}
+				continue
+			}
+			seq++
+			p := &Proc{wakeAt: at, seq: seq}
+			q.push(p, now)
+			heap.Push(&ref, event{at: at, seq: seq, p: p})
+			if q.len() != len(ref) {
+				t.Fatalf("%d queued, want %d", q.len(), len(ref))
+			}
+		}
+		for len(ref) > 0 {
+			pop()
+		}
+		if q.len() != 0 {
+			t.Fatalf("%d left after the heap drained", q.len())
+		}
+	})
+}
+
+// TestPushDueNowAppends: with wakeups pending in the higher buckets, a
+// push due now is an append to bucket 0 that leaves every other bucket as
+// it was, and its pops drain bucket 0 in seq order without a
+// redistribution. Once the node array has grown, such pushes and pops allocate
+// nothing.
+func TestPushDueNowAppends(t *testing.T) {
 	var q eventQueue
 	var p Proc // the queue copies the key, so one process serves every push
-	want := int64(1)
-	push := func(n int) {
-		for ; n > 0; n-- {
-			p.seq++
-			q.push(&p, 0)
-		}
+	for _, at := range []float64{1, 2, 3, 0.5, 64} {
+		p.seq++
+		p.wakeAt = at
+		q.push(&p, 0)
 	}
-	pop := func(n int) {
-		for ; n > 0; n-- {
-			if ev := q.pop(); ev.seq != want {
-				t.Fatalf("popped seq %d, want %d", ev.seq, want)
+	now := q.pop().at // redistributes: 0.5 is due now
+	if now != 0.5 || q.n != 0 {
+		t.Fatalf("popped %v with %d left due then; want 0.5 and 0", now, q.n)
+	}
+	pending := q.size
+	type snapshot struct {
+		last, full uint64
+		first, end [64]int32
+	}
+	snap := func() snapshot {
+		s := snapshot{last: q.last, full: q.full}
+		copy(s.first[:], q.first[1:])
+		copy(s.end[:], q.end[1:])
+		return s
+	}
+	before := snap()
+	want := p.seq + 1
+	cycle := func(n int) {
+		for i := 0; i < n; i++ {
+			p.seq++
+			p.wakeAt = now
+			q.push(&p, now)
+			if q.n != i+1 || q.nodes[q.end[0]-1].ev.seq != p.seq {
+				t.Fatalf("push %d due now: bucket 0 holds %d events and does not end with it", i, q.n)
+			}
+		}
+		for i := 0; i < n; i++ {
+			if ev := q.pop(); ev.seq != want || ev.at != now {
+				t.Fatalf("popped (%v, %d), want (%v, %d)", ev.at, ev.seq, now, want)
 			}
 			want++
 		}
 	}
-	push(12)
-	pop(10)
-	push(14) // wraps: 16 slots, all full, head at 10
-	push(40) // grows to 32 while wrapped, then to 64
-	pop(56)
-	if q.len() != 0 || len(q.ring) != 64 || cap(q.heap) != 0 {
-		t.Fatalf("%d left, ring of %d, heap of %d; want 0, 64 and 0", q.len(), len(q.ring), cap(q.heap))
+	cycle(40)
+	if after := snap(); after != before || q.size != pending {
+		t.Fatalf("pushes due now moved the other buckets: %+v, then %+v; %d queued, want %d", before, after, q.size, pending)
 	}
-	if n := testing.AllocsPerRun(100, func() { push(64); pop(64) }); n != 0 {
-		t.Fatalf("a warm now lane allocates %v times per 64 wakeups", n)
+	if n := testing.AllocsPerRun(100, func() { cycle(40) }); n != 0 {
+		t.Fatalf("a warm bucket 0 allocates %v times per 40 wakeups", n)
 	}
 }
 
@@ -151,7 +255,7 @@ func (r *relay) Step(p *Proc) bool {
 func (r *relay) Name() string { return "relay" }
 
 // runRelay passes the token hops times around n relays, while timers
-// pending wakeups hold the heap at that size.
+// pending wakeups stay queued beside the token.
 func runRelay(n, timers, hops int) (*Env, error) {
 	env := NewEnv()
 	for i := 0; i < timers; i++ {
@@ -164,21 +268,57 @@ func runRelay(n, timers, hops int) (*Env, error) {
 	return env, env.Run()
 }
 
-// TestSameTimeWakeupsSkipTheHeap: spawns, unparks and zero advances are
-// all due now, so a run made of nothing else never touches the heap.
-func TestSameTimeWakeupsSkipTheHeap(t *testing.T) {
-	env, err := runRelay(64, 0, 10000)
-	if err != nil {
+// TestSameTimeWakeupsStayInBucketZero: spawns, unparks and zero advances
+// are all due now, so a run made of nothing else keeps every wakeup in
+// bucket 0 and never redistributes.
+func TestSameTimeWakeupsStayInBucketZero(t *testing.T) {
+	env := NewEnv()
+	hops := 10000
+	ring := make([]*Proc, 64)
+	for i := range ring {
+		ring[i] = env.SpawnStep(&relay{ring: ring, i: i, hops: &hops})
+	}
+	pops, higher := 0, 0
+	env.onPop = func(float64, int64, int) {
+		pops++
+		if env.queue.full != 0 || env.queue.n != env.queue.size {
+			higher++
+		}
+	}
+	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if cap(env.queue.heap) != 0 || len(env.queue.ring) != 64 || env.Now() != 0 {
-		t.Fatalf("heap capacity %d, now lane %d slots, now %v; want 0, 64, 0",
-			cap(env.queue.heap), len(env.queue.ring), env.Now())
+	if higher != 0 || pops < 10000 || env.Now() != 0 {
+		t.Fatalf("%d of %d pops saw a wakeup outside bucket 0, now %v; want none and 0", higher, pops, env.Now())
+	}
+}
+
+// TestSecondEnvReusesQueueStorage: a drained Env hands its node array back
+// at the end of Run, and the next Env to push takes it.
+func TestSecondEnvReusesQueueStorage(t *testing.T) {
+	storage := func() *node {
+		env := NewEnv()
+		var b *node
+		env.onPop = func(float64, int64, int) { b = unsafe.SliceData(env.queue.nodes) }
+		for i := 0; i < 16; i++ {
+			env.SpawnStep(&ticker{d: 1 + float64(i)/16, n: 4})
+		}
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if env.queue.nodes != nil {
+			t.Fatal("a drained Env kept its nodes")
+		}
+		return b
+	}
+	first, second := storage(), storage()
+	if first == nil || first != second {
+		t.Fatalf("the second Env queued into %p, the first into %p", second, first)
 	}
 }
 
 // TestWarmEnvAllocatesNothing reruns a relay and a set of tickers on one
-// Env with recycled processes: once both lanes have grown, spawns, unparks,
+// Env with recycled processes: once the node array has grown, spawns, unparks,
 // zero and timed advances and their pops allocate nothing.
 func TestWarmEnvAllocatesNothing(t *testing.T) {
 	env := NewEnv()
@@ -236,7 +376,7 @@ func (k *ticker) Step(p *Proc) bool {
 func (k *ticker) Name() string { return "ticker" }
 
 // BenchmarkTimedWakeups is one wakeup of 256 processes advancing by
-// distinct periods: a push onto and a pop from a 256-event heap.
+// distinct periods: a push into and a pop from a queue of 256 events.
 func BenchmarkTimedWakeups(b *testing.B) {
 	env := NewEnv()
 	for i := 0; i < 256; i++ {

@@ -28,8 +28,11 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"runtime"
 	"sort"
+	"sync"
 )
 
 // Stepper is the body of a callback process.
@@ -193,6 +196,7 @@ func (e *Env) Run() error {
 	e.running = true
 	defer func() { e.running = false }()
 	e.deadlocked = false
+	defer e.queue.release()
 	if first := e.next(); first != nil {
 		first.wake <- struct{}{}
 		<-e.done
@@ -232,9 +236,6 @@ func (e *Env) next() *Proc {
 			return nil
 		}
 		ev := e.queue.pop()
-		if ev.at < e.now {
-			panic(fmt.Sprintf("sim: time went backwards: %g -> %g", e.now, ev.at))
-		}
 		e.now = ev.at
 		p := ev.p
 		p.state = stateRunning
@@ -416,118 +417,158 @@ func (e *Env) Unpark(p *Proc) {
 	e.queue.push(p, e.now)
 }
 
-// event is one scheduled wakeup. The key is stored inline so ordering
-// comparisons do not chase the process pointer.
+// event is one scheduled wakeup. Its time is stored inline so the queue
+// keys it without chasing the process pointer.
 type event struct {
 	at  float64
 	seq int64
 	p   *Proc
 }
 
-func (a *event) before(b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// eventQueue orders wakeups by (at, seq) in two lanes. Sequence numbers
-// are unique, so the order is total and the pop sequence depends on neither
-// lane's layout.
+// eventQueue is a monotone radix heap of wakeups (Ahuja, Mehlhorn, Orlin
+// and Tarjan, JACM 1990), keyed on math.Float64bits(at): non-negative
+// doubles order as their bit patterns, and no wakeup is ever due before
+// the last popped time, whose key is last.
 //
-// Every push draws its seq at push time, so a wakeup due at the current
-// time — a spawn, an unpark, a zero advance, a resource handoff — carries
-// the newest seq: it orders after everything already in the now lane, a
-// FIFO ring, and joins it in O(1). A wakeup due later goes to the heap, a
-// binary min-heap. pop takes the earlier of the two heads. Both lanes stay
-// sorted, and the clock only moves past a time once the now lane is empty,
-// so the lane never holds two times.
+// Bucket 0 holds the events due at last; bucket b ≥ 1 those whose key's
+// highest bit differing from last is bit b-1, so every key of bucket b is
+// below every key of bucket b+1. pop takes bucket 0's front. When bucket 0 is
+// empty, pop makes the smallest key of the lowest non-empty bucket the new
+// last and spreads that bucket over the empty buckets below it; an event
+// only ever moves down, so at most 64 times.
+//
+// Every bucket is in seq order: each push draws the newest seq and
+// appends, and a redistribution keeps the order of the bucket it spreads.
+// So bucket 0 pops ties by seq, the pop sequence is the (at, seq) order,
+// and a wakeup due now — a spawn, an unpark, a zero advance, a resource
+// handoff — is an append to bucket 0.
+//
+// A bucket is a list threaded through one node array, so the queue holds
+// one node per queued event whichever buckets they sit in. A drained queue
+// hands the array back at the end of Run, and the next queue to push
+// takes it: one array serves every Env of a warm process.
 type eventQueue struct {
-	heap []event
-	ring []event // the now lane; its length is zero or a power of two
-	head int     // index of the now lane's first event in ring
-	n    int     // events in the now lane
+	last uint64 // key of the last popped event
+	n    int    // events in bucket 0
+	size int    // events queued
+	full uint64 // bit b-1 set iff bucket b ≥ 1 holds events
+
+	// Node indices are stored plus one, so 0 ends a list.
+	first, end [65]int32  // each bucket's first and last node
+	low        [65]uint64 // each bucket's smallest key; bucket 0's is last
+	free       int32      // the list of free nodes
+	nodes      []node
 }
 
-func (q *eventQueue) len() int { return len(q.heap) + q.n }
+type node struct {
+	ev   event
+	next int32 // the next node of its bucket or of the free list
+}
 
-// push schedules p at its (wakeAt, seq); now is the current virtual time.
+// spareNodes holds the node arrays of the drained queues.
+var spareNodes struct {
+	sync.Mutex
+	free [][]node
+}
+
+func (q *eventQueue) len() int { return q.size }
+
+// push schedules p at its (wakeAt, seq); now is the current virtual time,
+// and p's seq is the newest drawn.
 func (q *eventQueue) push(p *Proc, now float64) {
-	ev := event{at: p.wakeAt, seq: p.seq, p: p}
-	if ev.at != now {
-		q.pushHeap(ev)
-		return
+	if p.wakeAt < now {
+		panic(fmt.Sprintf("sim: wakeup at %g before the clock at %g", p.wakeAt, now))
 	}
-	if q.n == len(q.ring) {
-		ring := make([]event, max(16, 2*len(q.ring)))
-		for i := 0; i < q.n; i++ {
-			ring[i] = q.ring[(q.head+i)&(len(q.ring)-1)]
+	i := q.free
+	if i != 0 {
+		q.free = q.nodes[i-1].next
+	} else {
+		if q.nodes == nil {
+			q.nodes = takeNodes()
 		}
-		q.ring, q.head = ring, 0
+		q.nodes = append(q.nodes, node{})
+		i = int32(len(q.nodes))
 	}
-	q.ring[(q.head+q.n)&(len(q.ring)-1)] = ev
-	q.n++
+	q.nodes[i-1] = node{ev: event{at: p.wakeAt, seq: p.seq, p: p}}
+	q.link(math.Float64bits(p.wakeAt), i)
+	q.size++
 }
 
-// nowFirst reports whether the earliest event is the now lane's head.
-func (q *eventQueue) nowFirst() bool {
-	return q.n > 0 && (len(q.heap) == 0 || q.ring[q.head].before(&q.heap[0]))
+// link appends node i, whose next is 0 and whose key is key, to its
+// bucket.
+func (q *eventQueue) link(key uint64, i int32) {
+	b := bits.Len64(key ^ q.last)
+	if q.end[b] == 0 {
+		q.first[b] = i
+		q.low[b] = key
+	} else {
+		q.nodes[q.end[b]-1].next = i
+		q.low[b] = min(q.low[b], key)
+	}
+	q.end[b] = i
+	if b == 0 {
+		q.n++
+	} else {
+		q.full |= 1 << (b - 1)
+	}
 }
 
 // pop removes and returns the earliest event; the queue must not be empty.
 func (q *eventQueue) pop() event {
-	if q.nowFirst() {
-		ev := q.ring[q.head]
-		q.ring[q.head] = event{} // drop the process reference
-		q.head = (q.head + 1) & (len(q.ring) - 1)
-		q.n--
-		return ev
+	if q.n == 0 {
+		q.redistribute()
 	}
-	return q.popHeap()
+	i := q.first[0]
+	nd := &q.nodes[i-1]
+	ev := nd.ev
+	if q.first[0] = nd.next; nd.next == 0 {
+		q.end[0] = 0
+	}
+	*nd = node{next: q.free} // drops the process reference
+	q.free = i
+	q.n--
+	q.size--
+	return ev
 }
 
-// pushHeap adds ev to the heap.
-func (q *eventQueue) pushHeap(ev event) {
-	h := append(q.heap, ev)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !ev.before(&h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
+// redistribute refills the empty bucket 0 from the lowest non-empty
+// bucket.
+func (q *eventQueue) redistribute() {
+	b := bits.TrailingZeros64(q.full) + 1
+	q.last = q.low[b]
+	q.full &^= 1 << (b - 1)
+	i := q.first[b]
+	q.first[b], q.end[b] = 0, 0
+	for i != 0 {
+		nd := &q.nodes[i-1]
+		next := nd.next
+		nd.next = 0
+		q.link(math.Float64bits(nd.ev.at), i)
+		i = next
 	}
-	h[i] = ev
-	q.heap = h
 }
 
-// popHeap removes and returns the heap's earliest event.
-func (q *eventQueue) popHeap() event {
-	h := q.heap
-	top := h[0]
-	n := len(h) - 1
-	ev := h[n]
-	h[n] = event{} // drop the process reference
-	h = h[:n]
-	if n > 0 {
-		i := 0
-		for {
-			child := 2*i + 1
-			if child >= n {
-				break
-			}
-			if r := child + 1; r < n && h[r].before(&h[child]) {
-				child = r
-			}
-			if !h[child].before(&ev) {
-				break
-			}
-			h[i] = h[child]
-			i = child
-		}
-		h[i] = ev
+// release hands the node array of a drained queue back for reuse.
+func (q *eventQueue) release() {
+	if q.nodes == nil || q.size > 0 {
+		return
 	}
-	q.heap = h
-	return top
+	spareNodes.Lock()
+	spareNodes.free = append(spareNodes.free, q.nodes[:0])
+	spareNodes.Unlock()
+	q.nodes, q.free = nil, 0
+}
+
+// takeNodes returns the node array a drained queue released, if any.
+func takeNodes() []node {
+	spareNodes.Lock()
+	defer spareNodes.Unlock()
+	n := len(spareNodes.free)
+	if n == 0 {
+		return nil
+	}
+	nodes := spareNodes.free[n-1]
+	spareNodes.free[n-1] = nil
+	spareNodes.free = spareNodes.free[:n-1]
+	return nodes
 }
