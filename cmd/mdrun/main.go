@@ -194,23 +194,22 @@ func main() {
 		// Simulated cluster run: the minimized, heated state seeds every
 		// rank; the run reports per-step energies plus the virtual wall
 		// clock and phase split of the simulated platform.
-		var tl *perf.Timeline
+		pcfg := pmd.Config{
+			System:     sys,
+			MD:         cfg,
+			Steps:      *steps,
+			Middleware: pmd.MiddlewareMPI,
+			Decomp:     app.Decomp,
+			Init:       engine.Snapshot(),
+			Obs:        reg,
+		}
 		if app.ProfileOut != "" {
-			tl = perf.NewTimeline(*ranks)
+			pcfg.Observer = perf.NewTimeline()
 		}
 		res, err := pmd.Run(
 			cluster.Config{Nodes: *ranks, CPUsPerNode: 1, Net: netmodel.TCPGigE(), Seed: *seed},
 			cluster.PentiumIII1GHz(),
-			pmd.Config{
-				System:     sys,
-				MD:         cfg,
-				Steps:      *steps,
-				Middleware: pmd.MiddlewareMPI,
-				Decomp:     app.Decomp,
-				Init:       engine.Snapshot(),
-				Obs:        reg,
-				Perf:       tl,
-			})
+			pcfg)
 		if err != nil {
 			app.Fail(err)
 		}

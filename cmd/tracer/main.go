@@ -78,7 +78,7 @@ func main() {
 	cfg.Temperature = 300
 
 	col := &trace.Collector{}
-	pcfg := pmd.Config{System: sys, MD: cfg, Steps: *steps, Middleware: mw, Tracer: col}
+	pcfg := pmd.Config{System: sys, MD: cfg, Steps: *steps, Middleware: mw, Observer: col}
 	if inj != nil {
 		pcfg.Faults = inj
 		pcfg.Watchdog = mpi.DefaultWatchdog()

@@ -1,5 +1,11 @@
 package mpi
 
+import (
+	"strings"
+
+	"repro/internal/trace"
+)
+
 // Collective operations with the algorithms MPICH 1.2 shipped in the
 // paper's era. The data volumes are what matters to the performance model,
 // so collectives carry byte counts, not buffers — the MD layer moves the
@@ -8,7 +14,7 @@ package mpi
 //
 // Each algorithm is a round planner (the *Round methods: round i's
 // point-to-point primitives, planned with the add methods); a collective
-// awaits its algorithms as the segments of one call.
+// awaits its algorithms as the segments of one call, through collective.
 
 const (
 	collTagBase = 1 << 20
@@ -20,15 +26,31 @@ const (
 	tagAlltoall
 )
 
+// collective runs one call of a collective on the rank. Rank 0 reports c
+// to the world's observer, once for all ranks; the segments run when the
+// world has more than one rank; and every rank books its latency through
+// the call into the collective histogram. Every public collective of the
+// three middlewares enters here, so the log and the histograms count the
+// same calls.
+func (r *Rank) collective(c trace.Call, segs ...segment) {
+	w := r.W
+	if w.Observer != nil && r.ID == 0 {
+		c.Ranks = r.Size()
+		w.Observer.Collective(c)
+	}
+	t0 := r.Now()
+	if r.Size() > 1 {
+		r.await(segs...)
+	}
+	if w.mColl != nil {
+		w.mColl[strings.TrimSuffix(c.Kind, "_sparse")].Observe(r.Now() - t0)
+	}
+}
+
 // Barrier synchronizes all ranks (dissemination algorithm, ⌈log2 p⌉ rounds
 // of empty messages). All time inside is synchronization.
 func (r *Rank) Barrier() {
-	if r.Size() == 1 {
-		return
-	}
-	t0 := r.Now()
-	r.await(segment{rounds: (*Rank).barrierRound, sync: true})
-	r.W.observeColl("barrier", r.Now()-t0)
+	r.collective(trace.Call{Kind: "barrier"}, segment{rounds: (*Rank).barrierRound, sync: true})
 }
 
 // barrierRound exchanges with the ranks 2^i away on either side.
@@ -87,10 +109,9 @@ func (r *Rank) reduceRound(s *segment, i int) bool {
 // Allreduce is MPICH-1's reduce-to-root plus broadcast — the inefficiency
 // the paper's reference platform actually ran.
 func (r *Rank) Allreduce(bytes int, reduceOp float64) {
-	t0 := r.Now()
-	r.await(segment{rounds: (*Rank).reduceRound, bytes: bytes, reduceOp: reduceOp},
+	r.collective(trace.Call{Kind: "allreduce", Bytes: bytes},
+		segment{rounds: (*Rank).reduceRound, bytes: bytes, reduceOp: reduceOp},
 		segment{rounds: (*Rank).bcastRound, bytes: bytes})
-	r.W.observeColl("allreduce", r.Now()-t0)
 }
 
 // gatherRound collects per-rank blocks at rank 0 (linear algorithm, as
@@ -116,34 +137,25 @@ func (r *Rank) gatherRound(s *segment, i int) bool {
 // Allgatherv gathers variable-size blocks to rank 0 and broadcasts the
 // concatenation (gather+bcast, the MPICH-1 allgather).
 func (r *Rank) Allgatherv(blockBytes []int) {
-	p := r.Size()
-	if p == 1 {
-		return
-	}
-	if len(blockBytes) != p {
+	if len(blockBytes) != r.Size() {
 		panic("mpi: Allgatherv needs one block size per rank")
 	}
 	total := 0
 	for _, b := range blockBytes {
 		total += b
 	}
-	t0 := r.Now()
-	r.await(segment{rounds: (*Rank).gatherRound, bytes: blockBytes[r.ID]},
+	r.collective(trace.Call{Kind: "allgatherv", Blocks: blockBytes},
+		segment{rounds: (*Rank).gatherRound, bytes: blockBytes[r.ID]},
 		segment{rounds: (*Rank).bcastRound, bytes: total})
-	r.W.observeColl("allgatherv", r.Now()-t0)
 }
 
 // Alltoallv performs personalized all-to-all exchange: rank i sends
 // sizes[i][j] bytes to rank j. Pairwise-exchange schedule (p−1 rounds,
 // partner = rank XOR-free rotation), the classic MPICH implementation.
 func (r *Rank) Alltoallv(sizes [][]int) {
-	if r.Size() == 1 {
-		return
-	}
 	r.checkMatrix(sizes, "Alltoallv")
-	t0 := r.Now()
-	r.await(segment{rounds: (*Rank).alltoallvRound, sizes: sizes})
-	r.W.observeColl("alltoallv", r.Now()-t0)
+	r.collective(trace.Call{Kind: "alltoallv", Sizes: sizes},
+		segment{rounds: (*Rank).alltoallvRound, sizes: sizes})
 }
 
 // alltoallvRound exchanges with the ranks i+1 away on either side.
@@ -167,10 +179,7 @@ func (r *Rank) alltoallvRound(s *segment, i int) bool {
 // events and the host work of a call scale with the rank's partners, not
 // with p, and m's shape was checked when it was built.
 func (r *Rank) AlltoallvPartners(m *Sparse) {
-	if r.Size() == 1 {
-		return
-	}
-	r.alltoallvSparse(m.rowOf(r), m.t)
+	r.collective(m.call(), segment{rounds: (*Rank).alltoallvSparseRound, row: m.rowOf(r), flip: m.t})
 }
 
 // AlltoallvSparse is AlltoallvPartners over a dense size matrix: it fills
@@ -178,20 +187,10 @@ func (r *Rank) AlltoallvPartners(m *Sparse) {
 // over its row and column, and runs the same rounds. Its one caller is the
 // benchmark's collective skeleton; ROADMAP item 10 deletes it.
 func (r *Rank) AlltoallvSparse(sizes [][]int) {
-	if r.Size() == 1 {
-		return
-	}
 	r.checkMatrix(sizes, "AlltoallvSparse")
 	r.partners = fillPartners(r.partners, sizes, r.ID)
-	r.alltoallvSparse(r.partners, false)
-}
-
-// alltoallvSparse runs the rounds of the rank's entries row, read
-// transposed if flip.
-func (r *Rank) alltoallvSparse(row []sparseEntry, flip bool) {
-	t0 := r.Now()
-	r.await(segment{rounds: (*Rank).alltoallvSparseRound, row: row, flip: flip})
-	r.W.observeColl("alltoallv", r.Now()-t0)
+	r.collective(trace.Call{Kind: "alltoallv_sparse", Sizes: sizes},
+		segment{rounds: (*Rank).alltoallvSparseRound, row: r.partners})
 }
 
 // alltoallvSparseRound posts the non-empty halves of alltoallvRound at the

@@ -13,6 +13,8 @@ package mpi
 // synchronization fences around them, rather than the tuned trees of the
 // underlying MPI library. Each is one call of round planners.
 
+import "repro/internal/trace"
+
 const (
 	tagSync  = 1 << 18
 	tagRing  = tagSync + 1024
@@ -29,18 +31,14 @@ type CMPI struct{ r *Rank }
 // CMPI returns the rank's CMPI layer.
 func (r *Rank) CMPI() CMPI { return CMPI{r} }
 
-// fenced runs op between two fences.
-func (m CMPI) fenced(op segment) {
-	if m.r.Size() > 1 {
-		m.r.await(syncSeg, syncSeg, op, syncSeg, syncSeg)
-	}
+// fenced runs op between two fences as the collective c.
+func (m CMPI) fenced(c trace.Call, op segment) {
+	m.r.collective(c, syncSeg, syncSeg, op, syncSeg, syncSeg)
 }
 
 // Barrier is CMPI's Sync.
 func (m CMPI) Barrier() {
-	if m.r.Size() > 1 {
-		m.r.await(syncSeg)
-	}
+	m.r.collective(trace.Call{Kind: "barrier"}, syncSeg)
 }
 
 // syncRound is round i of a Sync, the CMPI synchronization primitive: p−1
@@ -73,7 +71,8 @@ func (r *Rank) syncRound(s *segment, i int) bool {
 // full buffer p−1 times, merging at each hop (volume (p−1)·bytes per rank,
 // the unsegmented portable ring).
 func (m CMPI) Allreduce(bytes int, reduceOp float64) {
-	m.fenced(segment{rounds: (*Rank).ringReduceRound, bytes: bytes, reduceOp: reduceOp})
+	m.fenced(trace.Call{Kind: "allreduce", Bytes: bytes},
+		segment{rounds: (*Rank).ringReduceRound, bytes: bytes, reduceOp: reduceOp})
 }
 
 // ringReduceRound sends the buffer right, takes one from the left and
@@ -97,7 +96,7 @@ func (m CMPI) Allgatherv(blocks []int) {
 	if len(blocks) != m.r.Size() {
 		panic("mpi: CMPI Allgatherv needs one block size per rank")
 	}
-	m.fenced(segment{rounds: (*Rank).ringRound, blocks: blocks})
+	m.fenced(trace.Call{Kind: "allgatherv", Blocks: blocks}, segment{rounds: (*Rank).ringRound, blocks: blocks})
 }
 
 // Alltoallv posts split sends to every partner at once and then drains the
@@ -105,7 +104,7 @@ func (m CMPI) Allgatherv(blocks []int) {
 // the communication system" the paper describes.
 func (m CMPI) Alltoallv(sizes [][]int) {
 	m.r.checkMatrix(sizes, "CMPI Alltoallv")
-	m.fenced(segment{rounds: (*Rank).floodRound, sizes: sizes})
+	m.fenced(trace.Call{Kind: "alltoallv", Sizes: sizes}, segment{rounds: (*Rank).floodRound, sizes: sizes})
 }
 
 // AlltoallvSparse is Alltoallv for a sparse size matrix: the flood posts
@@ -115,7 +114,7 @@ func (m CMPI) Alltoallv(sizes [][]int) {
 // p. The fences still bracket the exchange — CMPI never loosens its grip on
 // the communication system.
 func (m CMPI) AlltoallvSparse(sizes *Sparse) {
-	m.fenced(segment{rounds: (*Rank).sparseFloodRound, row: sizes.rowOf(m.r), flip: sizes.t})
+	m.fenced(sizes.call(), segment{rounds: (*Rank).sparseFloodRound, row: sizes.rowOf(m.r), flip: sizes.t})
 }
 
 // floodRound plans one primitive a round: the isends to the ranks 1 … p−1

@@ -1,6 +1,10 @@
 package mpi
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"repro/internal/trace"
+)
 
 // Modern collective algorithms (Thakur/Rabenseifner era, post-2004) used by
 // the ablation study: they answer "how much of the paper's scalability
@@ -12,10 +16,8 @@ const tagModern = collTagBase + 4096
 // allreduce: ⌈log2 p⌉ bidirectional exchanges of the whole payload, with a
 // pre/post fold for non-power-of-two sizes.
 func (r *Rank) AllreduceRecursiveDoubling(bytes int, reduceOp float64) {
-	if r.Size() == 1 {
-		return
-	}
-	r.await(segment{rounds: (*Rank).recursiveDoublingRound, bytes: bytes, reduceOp: reduceOp})
+	r.collective(trace.Call{Kind: "allreduce", Bytes: bytes},
+		segment{rounds: (*Rank).recursiveDoublingRound, bytes: bytes, reduceOp: reduceOp})
 }
 
 // recursiveDoublingRound: round 0 folds the remainder — ranks ≥ pow2 send
@@ -59,14 +61,11 @@ func (r *Rank) recursiveDoublingRound(s *segment, i int) bool {
 // AllgathervRing circulates the blocks around the rank ring (p−1 rounds),
 // the bandwidth-optimal large-message allgather.
 func (r *Rank) AllgathervRing(blockBytes []int) {
-	p := r.Size()
-	if p == 1 {
-		return
-	}
-	if len(blockBytes) != p {
+	if len(blockBytes) != r.Size() {
 		panic("mpi: AllgathervRing needs one block size per rank")
 	}
-	r.await(segment{rounds: (*Rank).ringRound, blocks: blockBytes})
+	r.collective(trace.Call{Kind: "allgatherv", Blocks: blockBytes},
+		segment{rounds: (*Rank).ringRound, blocks: blockBytes})
 }
 
 // ringRound passes block ID−i to the right and takes one from the left.

@@ -60,14 +60,23 @@ func (a *Accounting) Add(b Accounting) {
 	a.BytesRecv += b.BytesRecv
 }
 
+// Observer receives a job's events: every interval of every rank, and
+// every collective call once, as rank 0 makes it. A *trace.Collector
+// keeps the intervals and a *perf.Timeline the calls; each ignores the
+// other event.
+type Observer interface {
+	Interval(trace.Event)
+	Collective(trace.Call)
+}
+
 // World is one simulated MPI job.
 type World struct {
-	M      *cluster.Machine
-	Cost   cluster.CostModel
-	Tracer *trace.Collector // optional: keeps every interval for timeline rendering
-	Obs    *obs.Registry    // optional: transport metrics and per-(kind, rank) interval counters
-	Wd     Watchdog         // zero value: blocking waits are unbounded
-	ranks  []*Rank
+	M        *cluster.Machine
+	Cost     cluster.CostModel
+	Observer Observer      // optional: the job's intervals and collective calls
+	Obs      *obs.Registry // optional: transport metrics and per-(kind, rank) interval counters
+	Wd       Watchdog      // zero value: blocking waits are unbounded
+	ranks    []*Rank
 
 	// free holds the finished transfers newTransfer reuses. Only the
 	// process holding control touches it, so it needs no lock.
@@ -80,8 +89,8 @@ type World struct {
 	mColl     map[string]*obs.Histogram
 }
 
-// collOps are the instrumented collective operations, in the latency
-// histograms' op label.
+// collOps are the latency histograms' op labels: a collective's kind, a
+// sparse all-to-all's counted as alltoallv.
 var collOps = []string{"barrier", "allreduce", "allgatherv", "alltoallv"}
 
 // initMetrics creates the world's transport metric handles on the
@@ -112,14 +121,6 @@ func (w *World) observeMsg(bytes int) {
 	}
 	w.mMsgs.Inc()
 	w.mMsgBytes.Observe(float64(bytes))
-}
-
-// observeColl books one rank's latency through a collective.
-func (w *World) observeColl(op string, d float64) {
-	if w.mColl == nil {
-		return
-	}
-	w.mColl[op].Observe(d)
 }
 
 // Size returns the number of ranks.
@@ -185,19 +186,19 @@ type traceCounters struct {
 // traceEvent emits [t0, now]: every compute, send, recv and sync interval
 // of the transport goes through here, so an unobserved job leaves at once.
 func (r *Rank) traceEvent(kind trace.Kind, label string, t0 float64) {
-	if r.W.Tracer == nil && r.W.Obs == nil {
+	if r.W.Observer == nil && r.W.Obs == nil {
 		return
 	}
 	r.TraceSpan(kind, label, t0, r.Now())
 }
 
 // TraceSpan emits an arbitrary labelled interval (the parallel MD uses it
-// for its phase background lanes): the collector keeps it
-// when one is attached, and the registry counts it. Intervals with
-// end < start are dropped.
+// for its phase background lanes): the observer receives it when one is
+// attached, and the registry counts it. Intervals with end < start are
+// dropped.
 func (r *Rank) TraceSpan(kind trace.Kind, label string, start, end float64) {
-	if r.W.Tracer != nil {
-		_ = r.W.Tracer.Add(trace.Event{Rank: r.ID, Kind: kind, Label: label, Start: start, End: end})
+	if r.W.Observer != nil {
+		r.W.Observer.Interval(trace.Event{Rank: r.ID, Kind: kind, Label: label, Start: start, End: end})
 	}
 	r.CountSpan(kind, start, end)
 }
@@ -206,7 +207,7 @@ func (r *Rank) TraceSpan(kind trace.Kind, label string, start, end float64) {
 // and event counters without keeping it — for intervals that cover others
 // (a whole step) and would only paint over them on a timeline. It is the
 // one place the repro_trace_* families are fed, so they read the same
-// whether or not a collector is attached.
+// whether or not an observer is attached.
 func (r *Rank) CountSpan(kind trace.Kind, start, end float64) {
 	if r.W.Obs == nil || end < start {
 		return
@@ -250,14 +251,16 @@ func (r *Rank) chargeMsg(d float64, sync bool) {
 
 // Options configures one simulated job beyond the machine and cost model.
 type Options struct {
-	// Tracer keeps every compute/send/recv/sync interval of every rank
-	// (and whatever the layers above emit through Rank.TraceSpan) for
-	// timeline rendering and the Chrome export.
-	Tracer *trace.Collector
+	// Observer receives every compute/send/recv/sync interval of every
+	// rank (and whatever the layers above emit through Rank.TraceSpan)
+	// and every collective call once: a *trace.Collector for timeline
+	// rendering and the Chrome export, a *perf.Timeline for the
+	// communication log.
+	Observer Observer
 
 	// Obs receives the transport metrics (message sizes, collective
 	// latencies) and the per-(kind, rank) second and event counters of
-	// the same intervals, whether or not a Tracer is attached.
+	// the same intervals, whether or not an Observer is attached.
 	Obs *obs.Registry
 
 	Faults   cluster.FaultModel // optional platform degradation
@@ -281,7 +284,7 @@ func RunOpts(cfg cluster.Config, cost cluster.CostModel, opts Options, fn func(*
 	env := sim.NewEnv()
 	m := cluster.New(env, cfg)
 	m.Faults = opts.Faults
-	w := &World{M: m, Cost: cost, Tracer: opts.Tracer, Obs: opts.Obs, Wd: opts.Watchdog}
+	w := &World{M: m, Cost: cost, Observer: opts.Observer, Obs: opts.Obs, Wd: opts.Watchdog}
 	w.initMetrics()
 	var panics []interface{}
 	for i := 0; i < m.Ranks(); i++ {

@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -757,8 +758,12 @@ func TestCollectiveAllocCeiling(t *testing.T) {
 		}
 		cases = append(cases, allocCase{"AlltoallvPartners " + c.name, len(c.sizes), c.n, msgs, func(r *Rank) { r.AlltoallvPartners(m) }})
 	}
-	for _, pn := range [][2]int{{8, 10}, {64, 2}} {
-		p, n := pn[0], pn[1]
+	// MPI's own collectives and their modern successors post few messages
+	// a call (a tree 2(p−1), recursive doubling p·log2 p), so they take
+	// more calls, nt, to amortize the growth of a world's queues, as the
+	// domain patterns do.
+	for _, pn := range [][3]int{{8, 10, 40}, {64, 2, 24}} {
+		p, n, nt := pn[0], pn[1], pn[2]
 		dense, blocks, halo := make([][]int, p), make([]int, p), sparseOf(sparse(p))
 		for i := range dense {
 			dense[i] = make([]int, p)
@@ -769,8 +774,14 @@ func TestCollectiveAllocCeiling(t *testing.T) {
 			}
 			blocks[i] = 512
 		}
-		sync := 2 * p * (p - 1) // two one-byte messages per rank and round
+		sync := 2 * p * (p - 1)       // two one-byte messages per rank and round
+		logp := bits.Len(uint(p)) - 1 // p is a power of two
 		cases = append(cases,
+			allocCase{"Allreduce", p, nt, 2 * (p - 1), func(r *Rank) { r.Allreduce(512, 1e-6) }},
+			allocCase{"Allgatherv", p, nt, 2 * (p - 1), func(r *Rank) { r.Allgatherv(blocks) }},
+			allocCase{"Alltoallv", p, nt, p * (p - 1), func(r *Rank) { r.Alltoallv(dense) }},
+			allocCase{"AllreduceRecursiveDoubling", p, nt, p * logp, func(r *Rank) { r.AllreduceRecursiveDoubling(512, 1e-6) }},
+			allocCase{"AllgathervRing", p, nt, p * (p - 1), func(r *Rank) { r.AllgathervRing(blocks) }},
 			allocCase{"CMPI Barrier", p, n, sync, func(r *Rank) { r.CMPI().Barrier() }},
 			allocCase{"CMPI Allreduce", p, n, 4*sync + p*(p-1), func(r *Rank) { r.CMPI().Allreduce(512, 1e-6) }},
 			allocCase{"CMPI Allgatherv", p, n, 4*sync + p*(p-1), func(r *Rank) { r.CMPI().Allgatherv(blocks) }},

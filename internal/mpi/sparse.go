@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"repro/internal/trace"
 )
 
 // Sparse is the size matrix of a sparse personalized all-to-all (halo
@@ -19,7 +21,8 @@ type Sparse struct {
 	p    int
 	off  []int32 // rank id's entries are ents[off[id]:off[id+1]]
 	ents []sparseEntry
-	t    bool // read transposed: see T
+	t    bool   // read transposed: see T
+	name string // the exchange pattern: see Named
 }
 
 // sparseEntry is a rank's round with the ranks shift away on either side.
@@ -113,11 +116,27 @@ func checkEntry(p, i, j, b int) {
 // T returns the transpose of m, in which rank i sends rank j what j sends
 // i in m. It shares m's storage: a rank's round at shift s in the
 // transpose is its round at shift p−s in m with send and receive swapped,
-// so it reads its entries backwards.
+// so it reads its entries backwards. The transpose is another exchange,
+// so it is unnamed.
 func (m *Sparse) T() *Sparse {
 	t := *m
-	t.t = !m.t
+	t.t, t.name = !m.t, ""
 	return &t
+}
+
+// Named returns m as the exchange pattern name (halo, migration): a
+// collective over it reports the name, so the communication log
+// attributes its bytes to the pattern as well as to the transport
+// collective. It shares m's storage.
+func (m *Sparse) Named(name string) *Sparse {
+	n := *m
+	n.name = name
+	return &n
+}
+
+// call is the collective call of a sparse all-to-all over m.
+func (m *Sparse) call() trace.Call {
+	return trace.Call{Kind: "alltoallv_sparse", Pairs: m, Name: m.name}
 }
 
 // row returns rank id's entries as stored.
@@ -131,20 +150,17 @@ func (m *Sparse) rowOf(r *Rank) []sparseEntry {
 	return m.row(r.ID)
 }
 
-// Dense returns m as a p×p matrix, sizes[i][j] the bytes rank i sends
-// rank j, for the communication log.
-func (m *Sparse) Dense() [][]int {
-	d := make([][]int, m.p)
-	for i := range d {
-		d[i] = make([]int, m.p)
-		row := m.row(i)
+// Each calls fn once for every positive entry of m, the bytes rank src
+// sends rank dst, by ascending src and then shift. It allocates nothing.
+func (m *Sparse) Each(fn func(src, dst, bytes int)) {
+	for src := range m.p {
+		row := m.row(src)
 		for k := range row {
 			if shift, send, _ := partner(row, m.t, m.p, k); send > 0 {
-				d[i][(i+shift)%m.p] = send
+				fn(src, (src+shift)%m.p, send)
 			}
 		}
 	}
-	return d
 }
 
 // partner returns round k of a rank's entries, read transposed if flip:

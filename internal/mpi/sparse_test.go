@@ -19,6 +19,17 @@ func sparseOf(sizes [][]int) *Sparse {
 	})
 }
 
+// denseOf returns m as a p×p matrix, sizes[i][j] the bytes rank i sends
+// rank j, through the walk the communication log reads it by.
+func denseOf(m *Sparse) [][]int {
+	d := make([][]int, m.p)
+	for i := range d {
+		d[i] = make([]int, m.p)
+	}
+	m.Each(func(src, dst, bytes int) { d[src][dst] = bytes })
+	return d
+}
+
 // fullWalkRound is the reference the planned sparse all-to-all must match:
 // the pairwise schedule's every shift 1 … p−1 over the dense matrix,
 // posting the non-empty halves of each round.
@@ -105,8 +116,8 @@ func checkPlans(t *testing.T, sizes [][]int) {
 	t.Helper()
 	p := len(sizes)
 	m := sparseOf(sizes)
-	if got := m.Dense(); !slices.EqualFunc(got, sizes, slices.Equal) {
-		t.Fatalf("p=%d: Dense() of the planned matrix differs from the matrix", p)
+	if got := denseOf(m); !slices.EqualFunc(got, sizes, slices.Equal) {
+		t.Fatalf("p=%d: the walk of the planned matrix differs from the matrix", p)
 	}
 	var partners []sparseEntry
 	for _, v := range []struct {
@@ -114,8 +125,8 @@ func checkPlans(t *testing.T, sizes [][]int) {
 		dense [][]int
 		m     *Sparse
 	}{{"matrix", sizes, m}, {"transpose", transposed(sizes), m.T()}} {
-		if got := v.m.Dense(); !slices.EqualFunc(got, v.dense, slices.Equal) {
-			t.Fatalf("p=%d %s: Dense() differs", p, v.name)
+		if got := denseOf(v.m); !slices.EqualFunc(got, v.dense, slices.Equal) {
+			t.Fatalf("p=%d %s: the walk differs", p, v.name)
 		}
 		for id := range p {
 			row := v.m.row(id)
@@ -306,7 +317,7 @@ func TestSparseRejectsBadEntries(t *testing.T) {
 		add(2, 0, 5)
 		add(2, 0, 7)
 	})
-	if got := m.Dense(); !slices.EqualFunc(got, [][]int{{0, 0, 0}, {0, 0, 0}, {12, 0, 0}}, slices.Equal) {
+	if got := denseOf(m); !slices.EqualFunc(got, [][]int{{0, 0, 0}, {0, 0, 0}, {12, 0, 0}}, slices.Equal) {
 		t.Fatalf("zeros dropped and repeats summed: got %v", got)
 	}
 }
@@ -343,5 +354,36 @@ func TestSparseBuildAllocatesNoMatrix(t *testing.T) {
 		if got, want := after.TotalAlloc-before.TotalAlloc, uint64(32*26*p+8*p+1024); got > want {
 			t.Errorf("p=%d: building a halo allocates %d B, want at most %d", p, got, want)
 		}
+	}
+}
+
+// TestSparseEachAllocatesNothing: the walk the communication log reads a
+// sparse all-to-all by allocates nothing, in either orientation, and visits
+// every byte once. A named matrix keeps its name; its transpose, another
+// exchange, has none.
+func TestSparseEachAllocatesNothing(t *testing.T) {
+	sizes := haloSizes(4, 4, 4)
+	total := 0
+	for _, row := range sizes {
+		for _, b := range row {
+			total += b
+		}
+	}
+	m := sparseOf(sizes).Named("halo")
+	for _, v := range []*Sparse{m, m.T()} {
+		sum := 0
+		walk := func() {
+			sum = 0
+			v.Each(func(_, _, bytes int) { sum += bytes })
+		}
+		if got := testing.AllocsPerRun(10, walk); got != 0 {
+			t.Errorf("the walk allocates %g times", got)
+		}
+		if sum != total {
+			t.Errorf("the walk visits %d bytes of %d", sum, total)
+		}
+	}
+	if c, ct := m.call(), m.T().call(); c.Name != "halo" || ct.Name != "" || c.Pairs != m {
+		t.Errorf("a named matrix reports %+v and its transpose %+v", c, ct)
 	}
 }

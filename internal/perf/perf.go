@@ -18,8 +18,9 @@
 package perf
 
 import (
-	"fmt"
 	"sync"
+
+	"repro/internal/trace"
 )
 
 // Schema identifies the profile JSON document version. Bump on any
@@ -81,8 +82,9 @@ type NamedMatrix struct {
 
 // Timeline is the communication log of one run: per-kind collective
 // counts and the rank-to-rank byte matrices, recorded once per collective
-// invocation (from rank 0's view — collectives are symmetric). It holds no
-// time samples; those are the run result's timing table.
+// invocation (from rank 0's view — collectives are symmetric). It is an
+// mpi.Observer that ignores intervals: it holds no time samples; those
+// are the run result's timing table.
 type Timeline struct {
 	mu    sync.Mutex
 	colls map[string]*CollectiveStat
@@ -90,17 +92,10 @@ type Timeline struct {
 	named map[string]*NamedMatrix
 }
 
-// NewTimeline returns an empty communication log for a run of the given
-// rank count.
-func NewTimeline(ranks int) *Timeline {
-	if ranks < 1 {
-		panic(fmt.Sprintf("perf: non-positive rank count %d", ranks))
-	}
-	return &Timeline{
-		colls: map[string]*CollectiveStat{},
-		named: map[string]*NamedMatrix{},
-		mat:   newMatrix(ranks),
-	}
+// NewTimeline returns an empty communication log. Its matrices take the
+// world size of the first call it records.
+func NewTimeline() *Timeline {
+	return &Timeline{colls: map[string]*CollectiveStat{}, named: map[string]*NamedMatrix{}}
 }
 
 // newMatrix returns a zeroed ranks × ranks byte matrix.
@@ -112,81 +107,62 @@ func newMatrix(ranks int) [][]int64 {
 	return m
 }
 
-// addSizes adds the positive entries of sizes[src][dst] that fall inside m
-// to it and returns their sum.
-func addSizes(m [][]int64, sizes [][]int) (total int64) {
-	for src := 0; src < len(sizes) && src < len(m); src++ {
-		row := sizes[src]
-		for dst := 0; dst < len(row) && dst < len(m); dst++ {
-			if b := row[dst]; b > 0 {
-				m[src][dst] += int64(b)
-				total += int64(b)
+// Interval ignores an interval: the log keeps no time samples.
+func (tl *Timeline) Interval(trace.Event) {}
+
+// Collective records one invocation of a collective: a call and its bytes
+// under c.Kind, its rank-to-rank bytes into the run's matrix and, when
+// the exchange is named (halo, migration), into the pattern's own matrix.
+// A reduction's payload counts as its bytes and moves no pair.
+func (tl *Timeline) Collective(c trace.Call) {
+	tl.mu.Lock()
+	defer tl.mu.Unlock()
+	if tl.mat == nil {
+		tl.mat = newMatrix(c.Ranks)
+	}
+	var named [][]int64
+	if c.Name != "" {
+		nm := tl.named[c.Name]
+		if nm == nil {
+			nm = &NamedMatrix{Name: c.Name, Bytes: newMatrix(c.Ranks)}
+			tl.named[c.Name] = nm
+		}
+		nm.Calls++
+		named = nm.Bytes
+	}
+	total := int64(c.Bytes)
+	add := func(src, dst, bytes int) {
+		tl.mat[src][dst] += int64(bytes)
+		total += int64(bytes)
+		if named != nil {
+			named[src][dst] += int64(bytes)
+		}
+	}
+	switch {
+	case c.Pairs != nil:
+		c.Pairs.Each(add)
+	case c.Sizes != nil:
+		for src, row := range c.Sizes {
+			for dst, b := range row {
+				if b > 0 {
+					add(src, dst, b)
+				}
+			}
+		}
+	case c.Blocks != nil:
+		for src, b := range c.Blocks {
+			for dst := 0; dst < c.Ranks && b > 0; dst++ {
+				if dst != src {
+					add(src, dst, b)
+				}
 			}
 		}
 	}
-	return total
-}
-
-// Collective records one invocation of a collective with its aggregate
-// payload (bytes moved by the slowest participant, or the reduction
-// size). Call once per collective, not once per rank.
-func (tl *Timeline) Collective(kind string, bytes int64) {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	tl.collLocked(kind, bytes)
-}
-
-func (tl *Timeline) collLocked(kind string, bytes int64) {
-	c := tl.colls[kind]
-	if c == nil {
-		c = &CollectiveStat{Kind: kind}
-		tl.colls[kind] = c
+	stat := tl.colls[c.Kind]
+	if stat == nil {
+		stat = &CollectiveStat{Kind: c.Kind}
+		tl.colls[c.Kind] = stat
 	}
-	c.Calls++
-	c.Bytes += bytes
-}
-
-// Matrix records one personalized all-to-all (sizes[src][dst] bytes)
-// into the run's aggregate rank-to-rank communication matrix. Call once
-// per collective invocation.
-func (tl *Timeline) Matrix(kind string, sizes [][]int) {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	tl.collLocked(kind, addSizes(tl.mat, sizes))
-}
-
-// Blocks records one all-gather (blocks[src] bytes broadcast by each
-// rank to every other) into the aggregate matrix.
-func (tl *Timeline) Blocks(kind string, blocks []int) {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	var total int64
-	for src := 0; src < len(blocks) && src < len(tl.mat); src++ {
-		b := int64(blocks[src])
-		if b <= 0 {
-			continue
-		}
-		for dst := range tl.mat {
-			if dst != src {
-				tl.mat[src][dst] += b
-				total += b
-			}
-		}
-	}
-	tl.collLocked(kind, total)
-}
-
-// NamedMatrix additionally aggregates sizes under a decomposition-level
-// name (halo, migration) so the profile can attribute bytes to the
-// exchange pattern, not just the transport collective that carried it.
-func (tl *Timeline) NamedMatrix(name string, sizes [][]int) {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	nm := tl.named[name]
-	if nm == nil {
-		nm = &NamedMatrix{Name: name, Bytes: newMatrix(len(tl.mat))}
-		tl.named[name] = nm
-	}
-	nm.Calls++
-	addSizes(nm.Bytes, sizes)
+	stat.Calls++
+	stat.Bytes += total
 }

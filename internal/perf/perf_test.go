@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 // synthetic builds a 2-rank, 3-step timing table with rank 1 computing
@@ -88,18 +89,24 @@ func TestAnalyzeDominant(t *testing.T) {
 }
 
 func TestCommAggregates(t *testing.T) {
-	tl := NewTimeline(3)
-	tl.Matrix("alltoallv", [][]int{{0, 10, 0}, {0, 0, 20}, {0, 0, 0}})
-	tl.Matrix("alltoallv", [][]int{{0, 10, 0}, {0, 0, 20}, {0, 0, 0}})
-	tl.Blocks("allgatherv", []int{5, 5, 5})
-	tl.Collective("allreduce", 64)
-	tl.NamedMatrix("halo", [][]int{{0, 3, 0}, {3, 0, 0}, {0, 0, 0}})
+	tl := NewTimeline()
+	dense := [][]int{{0, 10, 0}, {0, 0, 20}, {0, 0, 0}}
+	tl.Collective(trace.Call{Kind: "alltoallv", Ranks: 3, Sizes: dense})
+	tl.Collective(trace.Call{Kind: "alltoallv", Ranks: 3, Sizes: dense})
+	tl.Collective(trace.Call{Kind: "allgatherv", Ranks: 3, Blocks: []int{5, 5, 5}})
+	tl.Collective(trace.Call{Kind: "allreduce", Ranks: 3, Bytes: 64})
+	halo := mpi.NewSparse(3, func(add func(i, j, bytes int)) {
+		add(0, 1, 3)
+		add(1, 0, 3)
+	})
+	tl.Collective(trace.Call{Kind: "alltoallv_sparse", Ranks: 3, Pairs: halo, Name: "halo"})
+	tl.Interval(trace.Event{Rank: 1, Kind: trace.KindCompute, End: 1}) // kept by no one
 	p := Analyze(make([][]StepTiming, 3), 0, 1, nil, nil, tl)
 
-	if len(p.Collectives) != 3 {
+	if len(p.Collectives) != 4 {
 		t.Fatalf("collectives: %+v", p.Collectives)
 	}
-	// Sorted by kind: allgatherv, allreduce, alltoallv.
+	// Sorted by kind: allgatherv, allreduce, alltoallv, alltoallv_sparse.
 	if p.Collectives[0].Kind != "allgatherv" || p.Collectives[0].Bytes != 30 {
 		t.Fatalf("allgatherv stat: %+v", p.Collectives[0])
 	}
@@ -109,10 +116,14 @@ func TestCommAggregates(t *testing.T) {
 	if p.Collectives[2].Kind != "alltoallv" || p.Collectives[2].Calls != 2 || p.Collectives[2].Bytes != 60 {
 		t.Fatalf("alltoallv stat: %+v", p.Collectives[2])
 	}
-	if p.CommMatrix[0][1] != 25 || p.CommMatrix[1][2] != 45 {
+	if p.Collectives[3].Kind != "alltoallv_sparse" || p.Collectives[3].Calls != 1 || p.Collectives[3].Bytes != 6 {
+		t.Fatalf("alltoallv_sparse stat: %+v", p.Collectives[3])
+	}
+	if p.CommMatrix[0][1] != 28 || p.CommMatrix[1][2] != 45 || p.CommMatrix[1][0] != 8 {
 		t.Fatalf("matrix: %v", p.CommMatrix)
 	}
-	if len(p.NamedMatrices) != 1 || p.NamedMatrices[0].Bytes[0][1] != 3 || p.NamedMatrices[0].Calls != 1 {
+	if len(p.NamedMatrices) != 1 || p.NamedMatrices[0].Bytes[0][1] != 3 || p.NamedMatrices[0].Bytes[1][2] != 0 ||
+		p.NamedMatrices[0].Calls != 1 {
 		t.Fatalf("named: %+v", p.NamedMatrices)
 	}
 }
@@ -171,7 +182,7 @@ func TestProfileIsAFunctionOfTheRecord(t *testing.T) {
 	acct := make([]mpi.Accounting, ranks)
 	build := func(order []int) []byte {
 		rows := make([][]StepTiming, ranks)
-		tl := NewTimeline(ranks)
+		tl := NewTimeline()
 		turn := make([]chan struct{}, ranks+1)
 		for i := range turn {
 			turn[i] = make(chan struct{})
@@ -189,8 +200,8 @@ func TestProfileIsAFunctionOfTheRecord(t *testing.T) {
 						PME:     Sample{Comp: 1, Comm: w / 2, Wall: 1 + w/2},
 					})
 					if r == 0 {
-						tl.Collective("allreduce", 8)
-						tl.Blocks("allgatherv", []int{1, 2, 3, 4})
+						tl.Collective(trace.Call{Kind: "allreduce", Ranks: ranks, Bytes: 8})
+						tl.Collective(trace.Call{Kind: "allgatherv", Ranks: ranks, Blocks: []int{1, 2, 3, 4}})
 					}
 				}
 				<-turn[i] // finish in the order given

@@ -306,7 +306,7 @@ func (v *domainView) at(p int, cfg Config, st *canonState) (*domainGeometry, *ep
 	if k := len(v.epochs); st.listGen == k {
 		ep := buildEpoch(v.geo, cfg.System, st)
 		if k > 0 {
-			ep.migration = v.geo.migrationSizes(v.epochs[k-1], ep)
+			ep.migration = v.geo.migrationSizes(v.epochs[k-1], ep).Named("migration")
 		}
 		v.epochs = append(v.epochs, ep)
 		if v.kept != nil {
@@ -388,7 +388,7 @@ func buildEpoch(g *domainGeometry, sys *topol.System, st *canonState) *epochData
 		}
 	}
 
-	ep.haloSizes = g.haloMatrix(ep.nOwn)
+	ep.haloSizes = g.haloMatrix(ep.nOwn).Named("halo")
 	ep.frcRetSizes = ep.haloSizes.T()
 	return ep
 }
@@ -462,21 +462,14 @@ func (d *domainDecomp) initialForces(w *worker) {
 }
 
 func (d *domainDecomp) drift(w *worker, step int) {
-	me := w.me()
-	nOwn := int64(d.ep.nOwn[me]) // the previous step's owners move their atoms
+	nOwn := int64(d.ep.nOwn[w.me()]) // the previous step's owners move their atoms
 	d.serve(w, step)
 	w.r.ComputeWork(work.Counters{Integrate: nOwn})
 	// On a rebuild step, migrate atoms to their new owners; then exchange
 	// the half-shell halo (each domain ships its owned atoms to every
 	// higher-id coupled neighbour).
 	if w.cur.rebuilt {
-		if tl := w.cfg.Perf; tl != nil && me == 0 {
-			tl.NamedMatrix("migration", d.ep.migration.Dense())
-		}
 		w.c.AlltoallvSparse(d.ep.migration)
-	}
-	if tl := w.cfg.Perf; tl != nil && me == 0 {
-		tl.NamedMatrix("halo", d.ep.haloSizes.Dense())
 	}
 	w.c.AlltoallvSparse(d.ep.haloSizes)
 }

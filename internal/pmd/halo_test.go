@@ -13,6 +13,7 @@ import (
 	"repro/internal/ff"
 	"repro/internal/fft"
 	"repro/internal/md"
+	"repro/internal/mpi"
 	"repro/internal/space"
 	"repro/internal/topol"
 	"repro/internal/vec"
@@ -111,7 +112,7 @@ func haloCover(t *testing.T, sys *topol.System, st *canonState, ep *epochData) (
 	t.Helper()
 	n := int64(sys.N())
 	imports := map[int64]bool{} // computing domain · N + imported atom
-	halo := ep.haloSizes.Dense()
+	halo := denseOf(len(ep.nOwn), ep.haloSizes)
 	needed = zeroMatrix(len(ep.nOwn))
 	ownerComputes(sys, st, ep, func(kind string, d int32, atoms ...int32) {
 		for _, a := range atoms {
@@ -137,6 +138,14 @@ func zeroMatrix(p int) [][]int {
 		m[i] = make([]int, p)
 	}
 	return m
+}
+
+// denseOf returns the p-rank size matrix m as sizes[i][j], the bytes rank
+// i sends rank j, through the walk the communication log reads it by.
+func denseOf(p int, m *mpi.Sparse) [][]int {
+	d := zeroMatrix(p)
+	m.Each(func(src, dst, bytes int) { d[src][dst] = bytes })
+	return d
 }
 
 func sum(m [][]int) (s int) {
@@ -239,7 +248,7 @@ func haloOracle(t *testing.T, c *canonical, st *canonState, ep *epochData) {
 	for i, d := range ep.own {
 		doms[d].add(int32(i))
 	}
-	halo, frcRet := ep.haloSizes.Dense(), ep.frcRetSizes.Dense()
+	halo, frcRet := denseOf(p, ep.haloSizes), denseOf(p, ep.frcRetSizes)
 	copied := zeroMatrix(p)
 	ownerComputes(sys, st, ep, func(kind string, d int32, atoms ...int32) {
 		l := &doms[d]
@@ -526,7 +535,7 @@ func pencilOracle(t *testing.T, geo *domainGeometry, pme md.PMEConfig, grid []fl
 	for _, m := range []struct {
 		name          string
 		moved, charge [][]int
-	}{{"T1F", t1f, geo.sizesT1F.Dense()}, {"T2F", t2f, geo.sizesT2F.Dense()}, {"T2B", t2b, geo.sizesT2B.Dense()}, {"T1B", t1b, geo.sizesT1B.Dense()}} {
+	}{{"T1F", t1f, denseOf(p, geo.sizesT1F)}, {"T2F", t2f, denseOf(p, geo.sizesT2F)}, {"T2B", t2b, denseOf(p, geo.sizesT2B)}, {"T1B", t1b, denseOf(p, geo.sizesT1B)}} {
 		for q := range p {
 			for q2 := range p {
 				if m.moved[q][q2] != m.charge[q][q2] {
@@ -572,7 +581,7 @@ func TestAssemblyOverlapsOracle(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 4, 6, 8, 12, 16, 24, 64, 256} {
 		geo := newDomainGeometry(p, cfg)
 		pts := make([]int64, p)
-		assm := geo.sizesAssm.Dense()
+		assm := denseOf(p, geo.sizesAssm)
 		for d := range p {
 			for q := range p {
 				a, b := q/geo.p3, q%geo.p3

@@ -46,8 +46,12 @@ func obsSnapshot(t *testing.T, p, steps, workers int, mw MiddlewareKind, decomp 
 // repro_trace_*, repro_mpi_*, repro_run_step, repro_pme_idle_ranks,
 // repro_cmpi_* — to testdata/obs_points.json, which was written by this
 // test's runs on the last commit whose Obs was a span recorder around the
-// registry (commit 04a89a6; nothing else different). Names, label sets
-// and float64 bits must all match, for one and for two host workers.
+// registry (commit 04a89a6; nothing else different), except the four
+// repro_mpi_collective_seconds points of replicated_cmpi_p4. Those read 0
+// until every CMPI collective entered the transport's one collective
+// helper, and were rewritten then (TestCollectiveViewsAgree holds their
+// counts to the communication log's). Names, label sets and float64 bits
+// must all match, for one and for two host workers.
 func TestObsPointsGolden(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "obs_points.json"))
 	if err != nil {
@@ -84,13 +88,13 @@ func TestObsPointsGolden(t *testing.T) {
 
 // TestTraceCountersIgnoreCollector: the repro_trace_* families count the
 // same intervals whether or not a collector keeps them. (With the span
-// recorder, attaching a Tracer beside Obs silently dropped every compute,
-// send, recv and sync interval from the counters.)
+// recorder, attaching a collector beside Obs silently dropped every
+// compute, send, recv and sync interval from the counters.)
 func TestTraceCountersIgnoreCollector(t *testing.T) {
-	tracePoints := func(col *trace.Collector) []obs.Point {
+	tracePoints := func(o mpi.Observer) []obs.Point {
 		reg := obs.NewRegistry()
 		cfg := domainCfg(testSystem(100, 24, 1), 2)
-		cfg.Obs, cfg.Tracer = reg, col
+		cfg.Obs, cfg.Observer = reg, o
 		if _, err := Run(clusterCfg(4, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), cfg); err != nil {
 			t.Fatal(err)
 		}

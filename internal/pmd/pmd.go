@@ -29,7 +29,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/perf"
 	"repro/internal/topol"
-	"repro/internal/trace"
 	"repro/internal/vec"
 )
 
@@ -78,15 +77,19 @@ type Config struct {
 	// returns a *DecompError when it cannot tile.
 	Decomp DecompKind
 
-	// Tracer, when non-nil, keeps every compute/communication interval of
-	// every rank plus the labelled classic/PME phase lanes, for timeline
-	// rendering and the Chrome export.
-	Tracer *trace.Collector
+	// Observer, when non-nil, receives every compute/communication
+	// interval of every rank plus the labelled classic/PME phase lanes,
+	// and every collective call once, from rank 0. A *trace.Collector
+	// keeps the intervals for timeline rendering and the Chrome export; a
+	// *perf.Timeline is the communication log, which adds the comm
+	// aggregates to Result.Profile (the profile's time samples are
+	// Result.Timings with or without it).
+	Observer mpi.Observer
 
 	// Obs, when non-nil, receives the live metrics (current step,
 	// transport histograms, idle PME ranks) and counts the same
-	// intervals a Tracer would keep, plus each whole step, per kind and
-	// rank (repro_trace_*). The counts do not depend on Tracer.
+	// intervals an Observer receives, plus each whole step, per kind and
+	// rank (repro_trace_*). The counts do not depend on Observer.
 	Obs *obs.Registry
 
 	// Init, when non-nil, starts the run from a checkpoint instead of the
@@ -116,12 +119,6 @@ type Config struct {
 	// bitwise identical to the serial loop. ≤ 1 runs everything inline.
 	HostWorkers int
 
-	// Perf, when non-nil, is the communication log the run feeds: every
-	// collective's kind and byte matrix, recorded once per invocation from
-	// rank 0's view. It adds the comm aggregates to Result.Profile; the
-	// profile's time samples are Result.Timings with or without it.
-	Perf *perf.Timeline
-
 	// onStep, when non-nil, runs on every rank at the end of every
 	// completed step, before the next step, with the rank's timing split
 	// and energy report of the step. The resilient driver hooks its
@@ -146,7 +143,7 @@ type Result struct {
 	FinalPos []vec.V           // rank 0 replica after the run
 	Wall     float64           // virtual wall clock of the whole run
 	Acct     []mpi.Accounting  // per-rank transport accounting
-	Comm     *perf.Timeline    // the communication log the run fed (Config.Perf; nil without one)
+	Comm     *perf.Timeline    // Config.Observer when it is a communication log; nil otherwise
 }
 
 // RecordObs publishes the run's measured decomposition into reg as
@@ -300,11 +297,11 @@ func runAttempt(clusterCfg cluster.Config, cost cluster.CostModel, cfg Config) (
 		P:        p,
 		Timings:  make([][]StepTiming, p),
 		Energies: make([]md.EnergyReport, 0, cfg.Steps),
-		Comm:     cfg.Perf,
 	}
+	res.Comm, _ = cfg.Observer.(*perf.Timeline)
 
 	opts := mpi.Options{
-		Tracer: cfg.Tracer, Obs: cfg.Obs, Faults: cfg.Faults,
+		Observer: cfg.Observer, Obs: cfg.Obs, Faults: cfg.Faults,
 		Watchdog: cfg.Watchdog,
 	}
 	var stopAhead func()

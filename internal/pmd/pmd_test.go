@@ -275,7 +275,7 @@ func TestTracerCollectsEvents(t *testing.T) {
 	sys := testSystem(64, 24, 12)
 	col := &trace.Collector{}
 	_, err := Run(clusterCfg(2, 1, netmodel.MyrinetGM()), cluster.PentiumIII1GHz(), Config{
-		System: sys, MD: testMDConfig(), Steps: 2, Middleware: MiddlewareMPI, Tracer: col,
+		System: sys, MD: testMDConfig(), Steps: 2, Middleware: MiddlewareMPI, Observer: col,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,45 +1,6 @@
 package pmd
 
-import (
-	"repro/internal/mpi"
-	"repro/internal/perf"
-)
-
-// perfComms wraps a middleware for the communication log: rank 0's
-// comms record every collective (kind, byte matrix) before forwarding,
-// so the communication matrix covers the halo exchanges, migrations and
-// pencil transposes without the decompositions knowing about perf.
-// Only rank 0 is wrapped — collectives are symmetric, so one observer
-// records each invocation exactly once.
-type perfComms struct {
-	inner comms
-	tl    *perf.Timeline
-}
-
-func (c perfComms) Allreduce(bytes int, reduceOp float64) {
-	c.tl.Collective("allreduce", int64(bytes))
-	c.inner.Allreduce(bytes, reduceOp)
-}
-
-func (c perfComms) Allgatherv(blocks []int) {
-	c.tl.Blocks("allgatherv", blocks)
-	c.inner.Allgatherv(blocks)
-}
-
-func (c perfComms) Alltoallv(sizes [][]int) {
-	c.tl.Matrix("alltoallv", sizes)
-	c.inner.Alltoallv(sizes)
-}
-
-func (c perfComms) AlltoallvSparse(sizes *mpi.Sparse) {
-	c.tl.Matrix("alltoallv_sparse", sizes.Dense())
-	c.inner.AlltoallvSparse(sizes)
-}
-
-func (c perfComms) Barrier() {
-	c.tl.Collective("barrier", 0)
-	c.inner.Barrier()
-}
+import "repro/internal/perf"
 
 // Profile builds the attribution profile of a completed run from its own
 // record: the samples are r.Timings, the buckets come from r.Acct (so

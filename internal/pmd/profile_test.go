@@ -34,7 +34,7 @@ func TestProfileIdentityAndTelemetry(t *testing.T) {
 			MD:         testMDConfig(),
 			Steps:      steps,
 			Middleware: MiddlewareMPI,
-			Perf:       perf.NewTimeline(p),
+			Observer:   perf.NewTimeline(),
 		},
 		OnStep: func(step int, st StepTiming, e md.EnergyReport) bool {
 			hookSteps = append(hookSteps, step)
@@ -115,7 +115,7 @@ func TestProfileDomainNamedMatrices(t *testing.T) {
 		Steps:      steps,
 		Middleware: MiddlewareMPI,
 		Decomp:     DecompDomain,
-		Perf:       perf.NewTimeline(p),
+		Observer:   perf.NewTimeline(),
 	}
 	res, err := Run(clusterCfg(p, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), cfg)
 	if err != nil {
@@ -192,7 +192,7 @@ func TestProfileBytesDeterministicAcrossHostWorkers(t *testing.T) {
 			Steps:       steps,
 			Middleware:  MiddlewareMPI,
 			HostWorkers: hostWorkers,
-			Perf:        perf.NewTimeline(p),
+			Observer:    perf.NewTimeline(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -217,6 +217,54 @@ func TestProfileBytesDeterministicAcrossHostWorkers(t *testing.T) {
 		if got := run(c[0], c[1]); !bytes.Equal(got, ref) {
 			t.Fatalf("profile bytes differ at hostWorkers=%d kernelWorkers=%d", c[0], c[1])
 		}
+	}
+}
+
+// TestDomainProfileGolden pins the profile of a domain run whose list
+// rebuild moves atoms between domains, so the log records a migration
+// matrix beside the halo. The thin skin rebuilds the list within four
+// steps, and the 100-water lattice puts molecules on the domain faces.
+// testdata/profile_domain_p8_steps4.json was captured at commit 4559052,
+// when a wrapper around rank 0's middleware and the decomposition's own
+// calls fed the log.
+func TestDomainProfileGolden(t *testing.T) {
+	mdc := testMDConfig()
+	mdc.FF.ListCutoff = 9.2
+	res, err := Run(clusterCfg(8, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), Config{
+		System:     testSystem(100, 24, 1),
+		MD:         mdc,
+		Steps:      4,
+		Middleware: MiddlewareMPI,
+		Decomp:     DecompDomain,
+		Observer:   perf.NewTimeline(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := res.Profile()
+	var moved int64
+	for _, nm := range prof.NamedMatrices {
+		if nm.Name == "migration" {
+			for _, row := range nm.Bytes {
+				for _, b := range row {
+					moved += b
+				}
+			}
+		}
+	}
+	if moved == 0 {
+		t.Fatalf("the run migrated no atom: %+v", prof.NamedMatrices)
+	}
+	got, err := prof.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "profile_domain_p8_steps4.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, golden) {
+		t.Fatalf("profile bytes differ from testdata/profile_domain_p8_steps4.json:\n%s", got)
 	}
 }
 

@@ -111,11 +111,6 @@ func newWorker(r *mpi.Rank, cfg Config, sh *shared) *worker {
 	default:
 		w.c = mpiComms{r: r}
 	}
-	if cfg.Perf != nil && r.ID == 0 {
-		// One observer per collective: rank 0's comms feed the
-		// communication log.
-		w.c = perfComms{inner: w.c, tl: cfg.Perf}
-	}
 	if reg := r.Metrics(); reg != nil && r.ID == 0 {
 		w.mStep = reg.Gauge("repro_run_step", "current MD step of the live run")
 		// Slab PME leaves ranks beyond the y-line partition idle through
@@ -166,11 +161,11 @@ func (t phaseTracker) sample() PhaseSample {
 
 // emitStep publishes a completed step's intervals: the classic and PME
 // phase lanes (the background of the timeline; the labels exist only for
-// a collector, so they are only built for one) and then the step as a
+// an observer, so they are only built for one) and then the step as a
 // whole, which is counted but never drawn — it would cover its own lanes.
 func (w *worker) emitStep(step int, st *StepTiming, stepStart, stepEnd float64) {
 	var classic, pme string
-	if w.cfg.Tracer != nil {
+	if w.cfg.Observer != nil {
 		classic, pme = fmt.Sprintf("classic %d", step), fmt.Sprintf("pme %d", step)
 	}
 	w.r.TraceSpan(trace.KindPhase, classic, stepStart, stepStart+st.Classic.Wall)

@@ -402,7 +402,7 @@ func (e *Env) execRun(spec JobSpec, ckptDir string, preempt func() bool, onStep 
 			Steps:      spec.Steps,
 			Middleware: middleware(spec.MW),
 			Decomp:     dk,
-			Perf:       perf.NewTimeline(spec.Procs),
+			Observer:   perf.NewTimeline(),
 			Tape:       tape,
 		},
 		CheckpointEvery: 1,

@@ -2,7 +2,8 @@
 // renders them as per-rank text timelines or Chrome trace-event JSON
 // (load chrome://tracing or Perfetto to inspect a run). The paper's
 // methodology is exactly this kind of instrumentation — decomposing wall
-// time into labelled intervals per processor.
+// time into labelled intervals per processor. It also declares the other
+// event a run reports, one collective Call, which the Collector ignores.
 package trace
 
 import (
@@ -40,6 +41,26 @@ type Event struct {
 // Duration returns End − Start.
 func (e Event) Duration() float64 { return e.End - e.Start }
 
+// Call is one invocation of a collective, reported once for all the ranks
+// that made it. Its byte pattern is Pairs, Sizes or Blocks, whichever is
+// set, and else the payload Bytes.
+type Call struct {
+	Kind  string // the transport collective: barrier, allreduce, allgatherv, alltoallv or alltoallv_sparse
+	Ranks int    // the world size
+
+	Bytes  int     // a reduction's payload
+	Blocks []int   // an all-gather: Blocks[src] bytes sent to every other rank
+	Sizes  [][]int // a dense all-to-all: Sizes[src][dst] bytes
+	Pairs  Pairs   // a sparse all-to-all
+	Name   string  // the exchange pattern Pairs carries (halo, migration), if it has one
+}
+
+// Pairs is a sparse rank-to-rank byte matrix: Each calls fn once for every
+// positive entry, bytes sent from rank src to rank dst.
+type Pairs interface {
+	Each(fn func(src, dst, bytes int))
+}
+
 // KnownKinds lists every interval kind a collector can receive, in render
 // order.
 func KnownKinds() []Kind {
@@ -73,6 +94,12 @@ func (c *Collector) Add(e Event) error {
 	c.mu.Unlock()
 	return nil
 }
+
+// Interval keeps e, dropping it when End < Start.
+func (c *Collector) Interval(e Event) { _ = c.Add(e) }
+
+// Collective ignores a collective call: a timeline draws intervals only.
+func (c *Collector) Collective(Call) {}
 
 // snapshot copies the current event slice under the lock.
 func (c *Collector) snapshot() []Event {
