@@ -85,7 +85,7 @@ func BenchmarkNonbondedKernel(b *testing.B) {
 	sys := topol.NewMyoglobinSystem(topol.MyoglobinConfig{Seed: 1})
 	md.Relax(sys, 40)
 	f := ff.New(sys, ff.DefaultOptions(), md.PaperPME().Beta)
-	pairs := f.BuildPairs(sys.Pos, nil)
+	pairs := f.NewPairLister().Build(sys.Pos, nil)
 	k := f.NewNonbondedKernel()
 	frc := make([]vec.V, sys.N())
 	b.ResetTimer()
@@ -185,7 +185,7 @@ func BenchmarkNonbondedKernelParallel(b *testing.B) {
 	sys := topol.NewMyoglobinSystem(topol.MyoglobinConfig{Seed: 1})
 	md.Relax(sys, 40)
 	f := ff.New(sys, ff.DefaultOptions(), md.PaperPME().Beta)
-	pairs := f.BuildPairs(sys.Pos, nil)
+	pairs := f.NewPairLister().Build(sys.Pos, nil)
 	k := f.NewNonbondedKernel()
 	k.SetPool(kernels.NewPool(benchPoolWorkers()))
 	frc := make([]vec.V, sys.N())

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/kernels"
 	"repro/internal/space"
 	"repro/internal/topol"
 	"repro/internal/units"
@@ -198,15 +199,6 @@ func buildSkipList(sys *topol.System) (idx, list []int32) {
 	return idx, list
 }
 
-// BuildPairs constructs the nonbonded neighbour list at the list cutoff,
-// with excluded (1-2, 1-3) and 1-4 pairs removed — 1-4 interactions are
-// evaluated separately with their scale factors. Each call allocates a
-// fresh list; steady-state callers rebuilding every few steps should hold
-// a PairLister instead.
-func (f *ForceField) BuildPairs(pos []vec.V, w *work.Counters) []space.Pair {
-	return f.NewPairLister().Build(pos, w)
-}
-
 // filterPairs drops excluded and 1-4 pairs in place. A pair (I < J) can
 // only be in I's skip row when J is no larger than the row's last entry,
 // which rules out all but the bonded neighbourhood without a scan.
@@ -229,35 +221,55 @@ pairs:
 	return raw[:n]
 }
 
-// PairLister builds neighbour lists repeatedly over one topology without
-// steady-state allocation: the cell grid, its occupancy storage and the
-// pair buffer are all reused across Build calls. The slice returned by
-// Build is valid until the next Build on the same lister.
+// PairLister builds the nonbonded neighbour list at the list cutoff, with
+// excluded (1-2, 1-3) and 1-4 pairs removed — 1-4 interactions are
+// evaluated separately with their scale factors. It builds repeatedly over
+// one topology without steady-state allocation: the cell grid, its
+// occupancy storage and the pair buffer are all reused across Build
+// calls. The slice returned by Build is valid until the next Build on the
+// same lister.
 type PairLister struct {
 	f    *ForceField
 	cl   *space.CellList
+	pool *kernels.Pool
 	pair []space.Pair
 }
 
 // NewPairLister returns a reusable list builder for this force field.
 func (f *ForceField) NewPairLister() *PairLister { return &PairLister{f: f} }
 
-// Build constructs the filtered nonbonded list at pos, charging the
-// distance evaluations into w (when non-nil).
+// SetPool attaches (or with nil detaches) the pool whose workers scan the
+// cell grid's lanes. It changes which goroutines scan, never the list.
+func (pl *PairLister) SetPool(p *kernels.Pool) {
+	pl.pool = p
+	if pl.cl != nil {
+		pl.cl.SetPool(p)
+	}
+}
+
+// Build constructs the filtered nonbonded list at pos into the lister's
+// buffer, charging the distance evaluations into w (when non-nil).
 func (pl *PairLister) Build(pos []vec.V, w *work.Counters) []space.Pair {
+	pl.pair = pl.Append(pos, pl.pair, w)
+	return pl.pair
+}
+
+// Append is Build into dst's storage (reset to dst[:0]) instead of the
+// lister's: a nil dst gets a fresh list, which the lister does not keep.
+func (pl *PairLister) Append(pos []vec.V, dst []space.Pair, w *work.Counters) []space.Pair {
 	f := pl.f
 	if pl.cl == nil {
 		pl.cl = space.NewCellList(f.Sys.Box, f.Opts.ListCutoff, pos)
+		pl.cl.SetPool(pl.pool)
 	} else {
 		pl.cl.Rebuild(pos)
 	}
 	var distEvals int64
-	pl.pair = pl.cl.PairsAppend(pos, pl.pair, &distEvals)
+	pairs := pl.cl.PairsAppend(pos, dst, &distEvals)
 	if w != nil {
 		w.ListDistEvals += distEvals
 	}
-	pl.pair = f.filterPairs(pl.pair)
-	return pl.pair
+	return f.filterPairs(pairs)
 }
 
 // elecKernel returns energy and dE/dr for a unit charge product at

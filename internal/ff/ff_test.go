@@ -13,6 +13,12 @@ import (
 	"repro/internal/work"
 )
 
+// BuildPairs is the serial list build with a fresh lister: the reference
+// the tests hold the kernels and the lane scan to.
+func (f *ForceField) BuildPairs(pos []vec.V, w *work.Counters) []space.Pair {
+	return f.NewPairLister().Build(pos, w)
+}
+
 // smallSystem builds a compact 2-residue-chain-plus-waters system, small
 // enough for finite-difference force checks.
 func smallSystem(seed uint64) (*topol.System, []vec.V) {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/space"
 	"repro/internal/topol"
 	"repro/internal/vec"
+	"repro/internal/work"
 )
 
 // oldFilter is the predicate filterPairs applied per raw pair before the
@@ -139,5 +140,60 @@ func TestListBuildAllocations(t *testing.T) {
 	pl.Build(sys.Pos, nil)
 	if allocs := testing.AllocsPerRun(3, func() { pl.Build(sys.Pos, nil) }); allocs != 0 {
 		t.Errorf("steady-state PairLister.Build allocates %v per call", allocs)
+	}
+}
+
+// The list built on W lanes is the serial scan's: the same pairs in the
+// same order and the same distance-evaluation count, at every W — on the
+// protein, on a water box, and on the 24-atom water box, whose 8 cells
+// leave some of 9 lanes without a home cell. A lane build allocates the
+// list and nothing else beyond its two pool runs, and a lister building
+// into a buffer that holds the list allocates nothing.
+func TestLaneListMatchesSerialScan(t *testing.T) {
+	small, _ := topol.NewSolvatedBox(24, 1)
+	smallOpts := DefaultOptions()
+	smallOpts.ListCutoff = small.Box.MaxCutoff()
+	smallOpts.CutOff = smallOpts.ListCutoff - 1
+	smallOpts.CutOn = smallOpts.CutOff - 1.5
+	water, _ := topol.NewSolvatedBox(2000, 2)
+	cases := []struct {
+		name  string
+		f     *ForceField
+		lanes []int
+	}{
+		{"myoglobin", New(topol.NewMyoglobinSystem(topol.MyoglobinConfig{Seed: 1}), DefaultOptions(), testBeta), []int{1, 2, 3, 4}},
+		{"water2000", New(water, DefaultOptions(), testBeta), []int{1, 2, 3, 4}},
+		{"water24", New(small, smallOpts, testBeta), []int{1, 2, 3, 4, 9}},
+	}
+	for _, c := range cases {
+		pos := c.f.Sys.Pos
+		var wantW work.Counters
+		want := c.f.BuildPairs(pos, &wantW)
+		for _, w := range c.lanes {
+			pool := kernels.NewPool(w)
+			pl := c.f.NewPairLister()
+			pl.SetPool(pool)
+			var gotW work.Counters
+			got := pl.Append(pos, nil, &gotW)
+			if !slices.Equal(got, want) || gotW.ListDistEvals != wantW.ListDistEvals {
+				t.Fatalf("%s at %d lanes: %d pairs and %d distance evaluations, the serial scan %d and %d",
+					c.name, w, len(got), gotW.ListDistEvals, len(want), wantW.ListDistEvals)
+			}
+			if again := pl.Build(pos, nil); !slices.Equal(again, want) {
+				t.Fatalf("%s at %d lanes: a rebuild over the same cells differs", c.name, w)
+			}
+
+			nop := func(int) {}
+			bare := testing.AllocsPerRun(3, func() {
+				pool.Run(w, nop)
+				pool.Run(w, nop)
+			})
+			if allocs := testing.AllocsPerRun(3, func() { pl.Append(pos, nil, nil) }); allocs > bare+1 {
+				t.Errorf("%s at %d lanes: a fresh list costs %v allocations, its two bare pool runs %v", c.name, w, allocs, bare)
+			}
+			if allocs := testing.AllocsPerRun(3, func() { pl.Append(pos, got, nil) }); allocs > bare {
+				t.Errorf("%s at %d lanes: a list into a buffer that holds it costs %v allocations, its two bare pool runs %v", c.name, w, allocs, bare)
+			}
+		}
 	}
 }

@@ -28,19 +28,26 @@ import (
 // numbers; a snapshot carries its list generation's pair list for the
 // layouts that derive their counts from it.
 //
-// While an evaluation runs every rank waits on it, so it spends the
-// HostWorkers of the run that built c: its rank loops run W ranks at a time on W lanes of reused
-// scratch, and each wave merges rank-ascending before the next starts —
-// the same bits at every W.
+// An evaluation spends the HostWorkers of the run that built c: the list
+// build scans W ranges of home cells at once, the rank loops run W ranks
+// at a time on W lanes of reused scratch, and each wave merges
+// rank-ascending before the next starts — the same bits at every W. A
+// rank's merge visits only the atoms its terms write: per list generation,
+// each rank keeps the atoms its classic blocks reference.
 //
-// Concurrency: the first caller to need step s — a rank, or the
-// evalAhead goroutine of a run over the tape, of whichever run sharing
-// the evaluator (a Tape's) — evaluates it inside the step's once; every
-// other caller waits on that once. A caller asks for step s only once step
-// s-1 is evaluated, so at most one evaluation is ever in flight (the lanes
-// are safely reused), and a finished snapshot is immutable while read. A
-// tape's evaluator keeps every snapshot and holds nothing of the run that
-// built it; a run's own keeps a two-step window and is never run ahead.
+// Concurrency: a snapshot is published in two steps, its list generation
+// (the listed point) and then the whole state (done); see canonState.
+// Step s is evaluated inside its once, by the first caller of state(s): a
+// replicated rank, a run's own domain rank, or the evalAhead goroutine of
+// a run over the tape, of whichever run sharing the evaluator (a Tape's).
+// A taped domain rank never evaluates: it waits in list only for the
+// listed point, which the running evaluation passes before its forces,
+// and for done only at the end of its step's force pipeline. Every other
+// caller waits on the once. A caller asks for step s only once step s-1 is
+// done, so at most one evaluation is ever in flight (the lanes are safely
+// reused), and a published field is immutable while read. A tape's
+// evaluator keeps every snapshot and holds nothing of the run that built
+// it; a run's own keeps a two-step window and is never run ahead.
 type canonical struct {
 	p   int
 	sys *topol.System
@@ -53,8 +60,11 @@ type canonical struct {
 	seedPos, seedVel []vec.V
 	seedOrigin       []vec.V // a checkpoint start's list origin, else nil
 
-	// Replicated partitions at rank count p.
+	// Replicated partitions at rank count p. Rank rk's interpolation and
+	// exclusion correction write atoms [atomOff[rk], recipHi[rk]): its
+	// block and the exclusion partners above it.
 	atomOff, yOff []int
+	recipHi       []int
 	classicParts
 
 	ranks *kernels.Pool // HostWorkers wide: runs the lanes of a wave
@@ -64,7 +74,12 @@ type canonical struct {
 	// The evaluation scratch, built by the first evaluation that finds
 	// none; a tape releases it when no run over it is in flight.
 	lanes    []lane
-	fullGrid []complex128 // assembled grid / spectrum / potential
+	fullGrid []complex128   // assembled grid / spectrum / potential
+	lister   *ff.PairLister // scans on the ranks' lanes
+	// Per rank, the atoms its classic blocks of list generation touchGen
+	// reference, each once.
+	touched  [][]int32
+	touchGen int
 
 	mu     sync.Mutex
 	states map[int]*canonState
@@ -77,8 +92,11 @@ type lane struct {
 	pme     *ewald.PME
 	plan1d  *fft.Plan
 	plan2d  *fft.Plan2D
-	partial []vec.V   // the lane's rank's partial forces
+	partial []vec.V   // the lane's rank's partial forces, zero outside its evaluation
 	grid    []float64 // the lane's rank's spread contribution
+	seen    []int32   // per atom, the last stamp that listed it
+	stamp   int32
+	atoms   []int32 // the atoms refs lists
 	e       ff.Energies
 	scalar  float64 // the lane's rank's recip or exclusion energy
 }
@@ -89,10 +107,16 @@ type lane struct {
 // a rank still reading step s races with nothing while another rank's
 // drift segment evaluates step s+1, and a tape's snapshot serves any
 // number of runs at once.
+//
+// A snapshot is published in two steps. Closing listed publishes pos and
+// the list generation (listGen, listOrigin, pairs, rebuilt, distEvals);
+// closing done publishes the rest (vel, frcTotal, rep and the work
+// counters), which the evaluator writes in between.
 type canonState struct {
-	step int
-	once sync.Once
-	prev *canonState // cleared after evaluation
+	step         int
+	once         sync.Once
+	listed, done chan struct{}
+	prev         *canonState // cleared after evaluation
 
 	pos, vel, frcTotal []vec.V
 	rep                md.EnergyReport
@@ -132,6 +156,16 @@ func newCanonical(p int, cfg Config, seedEngine *md.Engine, kept *atomic.Int64) 
 	}
 	c.charges = c.ffield.Charges()
 	c.atomOff = kernels.Partition(n, p, nil)
+	c.recipHi = make([]int, p)
+	for rk := range c.recipHi {
+		hi := c.atomOff[rk+1]
+		for i := c.atomOff[rk]; i < c.atomOff[rk+1]; i++ {
+			for _, j := range sys.Excl.Of(i) {
+				hi = max(hi, int(j)+1)
+			}
+		}
+		c.recipHi[rk] = hi
+	}
 	c.classicParts = newClassicParts(sys, p)
 	c.yOff = kernels.Partition(pmeCfg.K2, p, nil)
 	c.pool = kernels.NewPool(cfg.MD.KernelWorkers)
@@ -140,7 +174,8 @@ func newCanonical(p int, cfg Config, seedEngine *md.Engine, kept *atomic.Int64) 
 	return c
 }
 
-// scratch builds the lanes and the assembled grid if there are none.
+// scratch builds the lanes, the assembled grid and the list builder if
+// there are none.
 func (c *canonical) scratch() {
 	if c.lanes != nil {
 		return
@@ -148,6 +183,9 @@ func (c *canonical) scratch() {
 	n, pmeCfg := c.sys.N(), c.pme
 	g := pmeCfg.K1 * pmeCfg.K2 * pmeCfg.K3
 	c.fullGrid = make([]complex128, g)
+	c.lister = c.ffield.NewPairLister()
+	c.lister.SetPool(c.ranks)
+	c.touchGen = -1
 	c.lanes = make([]lane, len(c.xOff)-1)
 	for i := range c.lanes {
 		l := &c.lanes[i]
@@ -159,28 +197,26 @@ func (c *canonical) scratch() {
 		l.plan2d = fft.NewPlan2D(pmeCfg.K2, pmeCfg.K3)
 		l.partial = make([]vec.V, n)
 		l.grid = make([]float64, g)
+		l.seen = make([]int32, n)
+		l.atoms = make([]int32, n)
 	}
 }
 
-// state returns step's snapshot, evaluating it exactly once across all
-// ranks of every run sharing c. step -1 is the initial evaluation; step
-// s > -1 requires step s-1 to have been evaluated (guaranteed by the
-// per-step barrier and by runs advancing a step at a time).
+// dropScratch releases the evaluation scratch; the next evaluation builds
+// it again.
+func (c *canonical) dropScratch() {
+	c.lanes, c.fullGrid, c.lister, c.touched = nil, nil, nil, nil
+}
+
+// state returns step's snapshot once it is wholly published, evaluating
+// it exactly once across all ranks of every run sharing c. step -1 is the
+// initial evaluation; step s > -1 requires step s-1 to have been evaluated
+// (guaranteed by the per-step barrier and by runs advancing a step at a
+// time).
 func (c *canonical) state(step int) *canonState {
-	c.mu.Lock()
-	st, ok := c.states[step]
-	if !ok {
-		st = &canonState{step: step}
-		if step > -1 {
-			st.prev = c.states[step-1]
-		}
-		c.states[step] = st
-		if c.kept == nil {
-			delete(c.states, step-2) // ranks never lag more than one step
-		}
-	}
-	c.mu.Unlock()
+	st := c.lookup(step)
 	st.once.Do(func() {
+		c.scratch()
 		if st.step == -1 {
 			c.evalInit(st)
 		} else {
@@ -190,17 +226,63 @@ func (c *canonical) state(step int) *canonState {
 		if c.kept != nil {
 			c.kept.Add(st.bytes())
 		}
+		close(st.done)
 	})
 	return st
 }
 
+// list returns step's snapshot once its positions and list generation are
+// published, without evaluating it: on a tape's evaluator every run has
+// an evalAhead goroutine that evaluates each of its steps, so the caller
+// waits only for the list while the forces are still being computed. A
+// run's own evaluator has no such goroutine and returns state(step).
+func (c *canonical) list(step int) *canonState {
+	if c.kept == nil {
+		return c.state(step)
+	}
+	st := c.lookup(step)
+	<-st.listed
+	return st
+}
+
+// energies waits for st to be wholly published and returns its energies.
+func (st *canonState) energies() md.EnergyReport {
+	<-st.done
+	return st.rep
+}
+
+// lookup returns step's snapshot, entering an unevaluated one if there is
+// none yet.
+func (c *canonical) lookup(step int) *canonState {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st, ok := c.states[step]
+	if !ok {
+		st = &canonState{step: step, listed: make(chan struct{}), done: make(chan struct{})}
+		if step > -1 {
+			st.prev = c.states[step-1]
+		}
+		c.states[step] = st
+		if c.kept == nil {
+			delete(c.states, step-2) // ranks never lag more than one step
+		}
+	}
+	return st
+}
+
+// onListed, when set (by tests), runs on the evaluating goroutine between
+// a snapshot's list publication and its forces.
+var onListed func(step int)
+
 // evalAhead evaluates states -1 … steps-1 in order on a goroutine of its
 // own, so step s+1's physics runs on another core while the ranks
-// simulate step s; a rank that reaches a step first evaluates it itself,
-// and the goroutine waits on that step's once. Only a tape's evaluator,
-// which keeps every state, may run ahead. The returned stop ends the
-// goroutine once its evaluation in flight, if any, is done, and waits for
-// it: after stop, every state of c is fully evaluated.
+// simulate step s, and a domain rank that asks only for a step's list
+// (list) finds the step being evaluated; a replicated rank that reaches a
+// step first evaluates it itself, and the goroutine waits on that step's
+// once. Only a tape's evaluator, which keeps every state, may run ahead.
+// The returned stop ends the goroutine once its evaluation in flight, if
+// any, is done, and waits for it: after stop, every state of c is fully
+// evaluated.
 func (c *canonical) evalAhead(steps int) (stop func()) {
 	var quit atomic.Bool
 	done := make(chan struct{})
@@ -239,7 +321,7 @@ func (c *canonical) evalInit(st *canonState) {
 	if c.seedOrigin != nil {
 		st.listOrigin = c.seedOrigin
 		st.listGen = 0
-		st.pairs = c.ffield.BuildPairs(st.listOrigin, nil)
+		st.pairs = c.lister.Append(st.listOrigin, nil, nil)
 	}
 	c.forceEval(st)
 }
@@ -295,27 +377,32 @@ func (c *canonical) planes(fn func(p *fft.Plan2D, plane []complex128)) {
 // order: the per-rank partitions, each into a zeroed lane scratch, merged
 // rank-ascending. The scratch reuse is bitwise safe: every accumulator
 // starts at +0.0 and x + (−x) rounds to +0.0, so no merge input ever
-// differs from a per-rank array of its own. For the same reason neither
-// charge grid can hold −0.0 (a −0.0 product added to a +0.0 accumulator
-// gives +0.0), so adding a scratch cell that is +0.0 is a bitwise no-op
-// and the grid merge may skip every cell outside the rank's B-spline
-// footprint, and every cell inside it that summed to zero.
+// differs from a per-rank array of its own. For the same reason no
+// accumulator — force or charge grid — can hold −0.0 (a −0.0 term added
+// to a +0.0 accumulator gives +0.0), so adding a scratch entry that is
+// +0.0 is a bitwise no-op: a rank's force merge visits only the atoms its
+// terms write, clearing each as it goes, and the grid merge skips every
+// cell outside the rank's B-spline footprint, and every cell inside it
+// that summed to zero.
 func (c *canonical) forceEval(st *canonState) {
 	sys := c.sys
 	n := sys.N()
 	pmeCfg := c.pme
 	k1, k2, k3 := pmeCfg.K1, pmeCfg.K2, pmeCfg.K3
 	planeLen := k2 * k3
-	c.scratch()
 
 	// Neighbour-list management: a rebuild starts a new list generation.
 	if !c.integ.ListValid(st.pos, st.listOrigin) {
 		st.listGen++
 		var wl work.Counters
-		st.pairs = c.ffield.BuildPairs(st.pos, &wl)
+		st.pairs = c.lister.Append(st.pos, nil, &wl)
 		st.distEvals = wl.ListDistEvals
 		st.listOrigin = append([]vec.V(nil), st.pos...)
 		st.rebuilt = true
+	}
+	close(st.listed)
+	if onListed != nil {
+		onListed(st.step)
 	}
 
 	st.frcTotal = make([]vec.V, n)
@@ -329,13 +416,20 @@ func (c *canonical) forceEval(st *canonState) {
 	// merge clears every cell the rank's spread can have touched.
 	var eAll ff.Energies
 	pairOff := kernels.Partition(len(st.pairs), c.p, nil)
+	if c.touchGen != st.listGen {
+		c.touch(st.pairs, pairOff)
+		c.touchGen = st.listGen
+	}
 	clear(c.fullGrid)
 	order := pmeCfg.Order
 	c.waves(func(rk int, l *lane) {
-		l.e = c.classic(rk, c.ffield, l.nbk, st.pos, st.pairs[pairOff[rk]:pairOff[rk+1]], l.partial, &st.classicWork[rk])
+		l.e = c.classic(rk, c.ffield, l.nbk, st.pos, st.pairs[pairOff[rk]:pairOff[rk+1]], c.touched[rk], l.partial, &st.classicWork[rk])
 		l.pme.Spread(st.pos, c.charges, c.atomOff[rk], c.atomOff[rk+1], l.grid)
 	}, func(rk int, l *lane) {
-		vec.AddTo(st.frcTotal, l.partial)
+		for _, i := range c.touched[rk] {
+			st.frcTotal[i] = st.frcTotal[i].Add(l.partial[i])
+			l.partial[i] = vec.Zero
+		}
 		eAll.Add(l.e)
 		for i := c.atomOff[rk]; i < c.atomOff[rk+1]; i++ {
 			if c.charges[i] == 0 {
@@ -371,7 +465,10 @@ func (c *canonical) forceEval(st *canonState) {
 	c.waves(func(rk int, l *lane) {
 		l.scalar = recipForces(l.pme, sys, c.fullGrid, st.pos, c.charges, c.atomOff[rk], c.atomOff[rk+1], l.partial, &st.recipWork[rk])
 	}, func(rk int, l *lane) {
-		vec.AddTo(st.frcTotal, l.partial)
+		for i := c.atomOff[rk]; i < c.recipHi[rk]; i++ {
+			st.frcTotal[i] = st.frcTotal[i].Add(l.partial[i])
+			l.partial[i] = vec.Zero
+		}
 		st.rep.ExclCorr += l.scalar
 	})
 	st.rep.Self = ewald.SelfEnergy(c.charges, pmeCfg.Beta)
@@ -395,17 +492,73 @@ func newClassicParts(sys *topol.System, p int) classicParts {
 	}
 }
 
-// classic evaluates rank rk's classic forces into out (zeroed first) and
-// returns its energies; pairs is the rank's block of the pair list.
+// touch lists, per rank, the atoms its classic blocks reference — its
+// bonded terms, its 1-4 pairs and its block of pairs — each once, in the
+// order of their first reference.
+func (c *canonical) touch(pairs []space.Pair, pairOff []int) {
+	if len(c.touched) != c.p {
+		c.touched = make([][]int32, c.p)
+	}
+	c.waves(func(rk int, l *lane) {
+		c.touched[rk] = append(c.touched[rk][:0], c.refs(rk, pairs[pairOff[rk]:pairOff[rk+1]], l)...)
+	}, func(int, *lane) {})
+}
+
+// refs returns, in l's scratch, each atom that rank rk's classic blocks
+// reference once; pairs is the rank's block of the pair list.
+func (c *canonical) refs(rk int, pairs []space.Pair, l *lane) []int32 {
+	l.stamp++
+	seen, stamp, out := l.seen, l.stamp, l.atoms[:0]
+	add := func(i int32) {
+		if seen[i] != stamp {
+			seen[i] = stamp
+			out = append(out, i)
+		}
+	}
+	sys := c.sys
+	for _, t := range sys.Bonds[c.bondOff[rk]:c.bondOff[rk+1]] {
+		for _, i := range t {
+			add(i)
+		}
+	}
+	for _, t := range sys.Angles[c.angOff[rk]:c.angOff[rk+1]] {
+		for _, i := range t {
+			add(i)
+		}
+	}
+	for _, t := range sys.Dihedrals[c.dihOff[rk]:c.dihOff[rk+1]] {
+		for _, i := range t {
+			add(i)
+		}
+	}
+	for _, t := range sys.Impropers[c.imprOff[rk]:c.imprOff[rk+1]] {
+		for _, i := range t {
+			add(i)
+		}
+	}
+	for _, t := range sys.Pairs14[c.p14Off[rk]:c.p14Off[rk+1]] {
+		for _, i := range t {
+			add(i)
+		}
+	}
+	for _, p := range pairs {
+		add(p.I)
+		add(p.J)
+	}
+	return out
+}
+
+// classic evaluates rank rk's classic forces into out, which must be zero
+// on atoms, and returns its energies; pairs is the rank's block of the
+// pair list and atoms what rank rk's classic blocks reference.
 func (cp *classicParts) classic(rk int, f *ff.ForceField, nbk *ff.NonbondedKernel,
-	pos []vec.V, pairs []space.Pair, out []vec.V, wc *work.Counters) ff.Energies {
+	pos []vec.V, pairs []space.Pair, atoms []int32, out []vec.V, wc *work.Counters) ff.Energies {
 	var e ff.Energies
-	vec.Fill(out, vec.Zero)
 	e.Bond = f.BondsRange(pos, out, wc, cp.bondOff[rk], cp.bondOff[rk+1])
 	e.Angle = f.AnglesRange(pos, out, wc, cp.angOff[rk], cp.angOff[rk+1])
 	e.Dihedral = f.DihedralsRange(pos, out, wc, cp.dihOff[rk], cp.dihOff[rk+1])
 	e.Improper = f.ImpropersRange(pos, out, wc, cp.imprOff[rk], cp.imprOff[rk+1])
-	e.Add(nbk.Compute(pos, pairs, out, wc))
+	e.Add(nbk.ComputeAtoms(pos, pairs, atoms, out, wc))
 	e.Add(f.Pairs14Range(pos, out, wc, cp.p14Off[rk], cp.p14Off[rk+1]))
 	return e
 }
@@ -430,11 +583,11 @@ func spectrumLines(plan *fft.Plan, pme *ewald.PME, buf []complex128, base, strid
 }
 
 // recipForces interpolates the PME forces of atoms [lo, hi) from the
-// convolved potential mesh into out (zeroed first), adds the excluded-pair
-// correction of the same exclusion rows and returns its energy.
+// convolved potential mesh into out, adds the excluded-pair correction of
+// the same exclusion rows and returns its energy. It writes atoms [lo, hi)
+// and their exclusion partners above hi, where out must be zero.
 func recipForces(pme *ewald.PME, sys *topol.System, conv []complex128, pos []vec.V,
 	charges []float64, lo, hi int, out []vec.V, wc *work.Counters) float64 {
-	vec.Fill(out, vec.Zero)
 	pme.Interpolate(conv, pos, charges, lo, hi, out)
 	return ewald.ExclusionCorrectionRange(sys.Box, pos, charges, sys.Excl, pme.Beta, lo, hi, out, wc)
 }

@@ -445,9 +445,11 @@ type domainDecomp struct {
 	ep  *epochData // the ownership epoch of the rank's current snapshot
 }
 
-// serve makes step's snapshot the rank's current one.
+// serve makes step's snapshot the rank's current one. It waits only for
+// the snapshot's list generation, which is all the rank reads until forces
+// returns the step's energies.
 func (d *domainDecomp) serve(w *worker, step int) {
-	w.cur = w.sh.canon.state(step)
+	w.cur = w.sh.canon.list(step)
 	d.geo, d.ep = w.sh.dom.at(w.p, w.cfg, w.cur)
 }
 
@@ -573,5 +575,5 @@ func (d *domainDecomp) forces(w *worker, st *StepTiming, tr phaseTracker) md.Ene
 	if st != nil {
 		st.PME = trP.sample()
 	}
-	return cs.rep
+	return cs.energies()
 }

@@ -82,6 +82,6 @@ func (t *Tape) close() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.runs--; t.runs == 0 {
-		t.canon.lanes, t.canon.fullGrid = nil, nil
+		t.canon.dropScratch()
 	}
 }

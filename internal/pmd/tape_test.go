@@ -13,6 +13,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/netmodel"
 	"repro/internal/topol"
+	"repro/internal/trace"
 )
 
 // tapeMD is the test MD configuration with a thin list skin: the list is
@@ -282,5 +283,81 @@ func TestTapeRunAheadStopsWithItsRun(t *testing.T) {
 	mustEqualResults(t, "after the crash", healthy, got)
 	if !tape.Complete() || len(c.states) != steps+1 {
 		t.Fatalf("complete=%v with %d states, want %d", tape.Complete(), len(c.states), steps+1)
+	}
+}
+
+// callLog is an mpi observer that keeps the collective calls rank 0
+// makes, and closes past when the first all-reduce is among them.
+type callLog struct {
+	mu    sync.Mutex
+	calls []trace.Call
+	past  chan struct{}
+}
+
+func (l *callLog) Interval(trace.Event) {}
+
+func (l *callLog) Collective(c trace.Call) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.calls = append(l.calls, c)
+	if c.Kind == "allreduce" && l.past != nil {
+		close(l.past)
+		l.past = nil
+	}
+}
+
+func (l *callLog) count() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.calls)
+}
+
+// TestDomainRanksWaitOnlyForTheList: with a tape's step −1 held between
+// its list and its forces, a domain run's ranks get past the step's first
+// force-return all-to-all — rank 0 reaches the all-reduce after it —
+// while a replicated run's ranks make no collective call at all, since
+// their first segment reads the per-rank work counters of the forces.
+// Every result equals an untaped run's bit for bit.
+func TestDomainRanksWaitOnlyForTheList(t *testing.T) {
+	sys := testSystem(100, 24, 1)
+	const p, steps = 8, 3
+	defer func() { onListed = nil }()
+	for _, decomp := range []DecompKind{DecompDomain, DecompReplicated} {
+		want := tapeRun(t, sys, decomp, p, steps, netmodel.TCPGigE(), MiddlewareMPI, 2, nil)
+
+		log := &callLog{past: make(chan struct{})}
+		past := log.past
+		calls := make(chan int, 1) // rank 0's calls as the forces are released, -1 if it never got past
+		onListed = func(step int) {
+			if step != -1 {
+				return
+			}
+			hold := 30 * time.Second // a domain run gets past at once; only a hang takes this long
+			if decomp == DecompReplicated {
+				hold = 100 * time.Millisecond // what a replicated run would need to make its first call
+			}
+			select {
+			case <-past:
+				calls <- log.count()
+			case <-time.After(hold):
+				calls <- -1
+			}
+		}
+		got, err := Run(clusterCfg(p, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), Config{
+			System: sys, MD: tapeMD(), Steps: steps, Middleware: MiddlewareMPI,
+			Decomp: decomp, HostWorkers: 2, Tape: NewTape(), Observer: log,
+		})
+		onListed = nil
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := <-calls
+		switch {
+		case decomp == DecompDomain && n < 2:
+			t.Fatalf("domain: rank 0 never got past the force-return all-to-all while step -1's forces were held")
+		case decomp == DecompReplicated && n != -1:
+			t.Fatalf("replicated: rank 0 made %d collective calls while step -1's forces were held", n)
+		}
+		mustEqualResults(t, fmt.Sprintf("%v over a tape", decomp), want, got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/kernels"
 	"repro/internal/vec"
 )
 
@@ -33,6 +34,16 @@ type CellList struct {
 	// so distances are bitwise identical to box.Dist2.
 	sx, sy, sz []float64
 	cellOf     []int32 // cell index per atom
+
+	// The scan's lanes: the pool they run on, each lane's home cells
+	// [cellOff[r], cellOff[r+1]) and buffer region [region[r],
+	// region[r+1]), and what it found; the closures are bound once.
+	pool               *kernels.Pool
+	cellOff, region    []int
+	lanePairs          [][]Pair
+	laneEvals          []int64
+	cBuf               []Pair // the buffer of the scan in progress
+	estimateFn, scanFn func(r int)
 }
 
 // NewCellList builds a cell list for the given positions. cutoff must be
@@ -52,6 +63,7 @@ func NewCellList(box Box, cutoff float64, pos []vec.V) *CellList {
 	cl.nz = maxInt(1, int(box.L.Z/cutoff))
 	cl.start = make([]int32, cl.nx*cl.ny*cl.nz+1)
 	cl.buildStencil()
+	cl.bindLanes()
 	cl.Rebuild(pos)
 	return cl
 }
@@ -153,25 +165,132 @@ func (cl *CellList) cellIndex(p vec.V) int {
 	return (ix*cl.ny+iy)*cl.nz + iz
 }
 
+// SetPool attaches (or with nil detaches) the pool whose workers scan the
+// list's lanes. It changes which goroutines scan, never a pair or its
+// place in the list.
+func (cl *CellList) SetPool(p *kernels.Pool) { cl.pool = p }
+
 // PairsAppend returns all unordered pairs (i<j) whose minimum-image
 // distance is at most the cutoff, appended into dst (reset to dst[:0]) so
-// steady-state callers can reuse one pair buffer across rebuilds; a dst
-// without capacity is sized by a sample scan first. The work counter, if
-// non-nil, is incremented by the number of distance evaluations performed
-// (the quantity the performance model charges for neighbour-list
-// construction). Distances come from the
-// coordinates binned at construction/Rebuild time (pos must be the same
-// array, and is retained in the signature for that contract).
+// steady-state callers can reuse one pair buffer across rebuilds. The work
+// counter, if non-nil, is incremented by the number of distance
+// evaluations performed (the quantity the performance model charges for
+// neighbour-list construction). Distances come from the coordinates
+// binned at construction/Rebuild time (pos must be the same array, and is
+// retained in the signature for that contract).
+//
+// The pool's W workers scan W contiguous ranges of home cells, each into
+// its own region of one buffer sized by a sample scan of its range, and
+// the regions are then closed up in place: the pairs, their order and the
+// count are the serial scan's at every W. One worker scans into dst's
+// storage and sizes a buffer only when dst has none. A region that still
+// turns out short grows by append; several lanes are then copied into a
+// buffer of the list's length.
 func (cl *CellList) PairsAppend(pos []vec.V, dst []Pair, distEvals *int64) []Pair {
-	if cap(dst) == 0 {
-		dst = make([]Pair, 0, cl.pairsEstimate())
+	lanes := max(cl.pool.Workers(), 1)
+	cl.splitCells(lanes)
+	if len(cl.region) < lanes+1 {
+		cl.region = make([]int, lanes+1)
+		cl.lanePairs = make([][]Pair, lanes)
+		cl.laneEvals = make([]int64, lanes)
 	}
-	pairs := dst[:0]
+	if lanes == 1 && cap(dst) > 0 {
+		cl.region[1] = cap(dst)
+	} else {
+		cl.pool.Run(lanes, cl.estimateFn)
+		for r := 0; r < lanes; r++ {
+			cl.region[r+1] += cl.region[r]
+		}
+		if cap(dst) < cl.region[lanes] {
+			dst = make([]Pair, 0, cl.region[lanes])
+		}
+	}
+	cl.cBuf = dst[:cap(dst)]
+	cl.pool.Run(lanes, cl.scanFn)
+	cl.cBuf = nil
+
+	n, short := 0, false
+	for r := 0; r < lanes; r++ {
+		n += len(cl.lanePairs[r])
+		short = short || len(cl.lanePairs[r]) > cl.region[r+1]-cl.region[r]
+		if distEvals != nil {
+			*distEvals += cl.laneEvals[r]
+		}
+	}
+	var pairs []Pair
+	rest := cl.lanePairs[:lanes]
+	switch {
+	case !short:
+		// Lane 0's region starts the buffer; every later one moves down to
+		// follow it (or stays put), never over a region not yet moved.
+		pairs, rest = dst[:len(rest[0])], rest[1:]
+	case lanes == 1:
+		pairs, rest = rest[0], nil // grown by append, with its headroom
+	default:
+		pairs = make([]Pair, 0, n)
+	}
+	for _, lp := range rest {
+		pairs = append(pairs, lp...)
+	}
+	clear(cl.lanePairs)
+	return pairs
+}
+
+// splitCells cuts the home cells into lanes contiguous ranges
+// [cellOff[r], cellOff[r+1]) of about equal scan work: a home cell of k
+// atoms evaluates k(k−1)/2 distances in itself and k·m against each
+// half-shell neighbour of m.
+func (cl *CellList) splitCells(lanes int) {
+	ncell := len(cl.start) - 1
+	cl.cellOff = append(cl.cellOff[:0], 0)
+	occ := func(c int32) int64 { return int64(cl.start[c+1] - cl.start[c]) }
+	evals := func(home int) int64 {
+		k := occ(int32(home))
+		e := k * (k - 1) / 2
+		for _, nb := range cl.nbCells[cl.nbStart[home]:cl.nbStart[home+1]] {
+			e += k * occ(nb)
+		}
+		return e
+	}
+	var total int64
+	if lanes > 1 {
+		for home := 0; home < ncell; home++ {
+			total += evals(home)
+		}
+	}
+	var done int64
+	for home := 0; home < ncell && len(cl.cellOff) < lanes; home++ {
+		done += evals(home)
+		for len(cl.cellOff) < lanes && done*int64(lanes) >= total*int64(len(cl.cellOff)) {
+			cl.cellOff = append(cl.cellOff, home+1)
+		}
+	}
+	for len(cl.cellOff) <= lanes {
+		cl.cellOff = append(cl.cellOff, ncell)
+	}
+}
+
+// bindLanes binds the lane closures PairsAppend runs on the pool, so that
+// a scan allocates nothing but its buffer.
+func (cl *CellList) bindLanes() {
+	// Lane r's region estimate, stored at region[r+1] for the prefix sum.
+	cl.estimateFn = func(r int) {
+		cl.region[r+1] = cl.pairsEstimate(cl.cellOff[r], cl.cellOff[r+1])
+	}
+	cl.scanFn = func(r int) {
+		lo, hi := cl.region[r], cl.region[r+1]
+		cl.lanePairs[r], cl.laneEvals[r] = cl.scan(cl.cellOff[r], cl.cellOff[r+1], cl.cBuf[lo:lo:hi])
+	}
+}
+
+// scan appends to pairs the pairs of home cells [c0, c1), in the serial
+// scan's order, and counts its distance evaluations.
+func (cl *CellList) scan(c0, c1 int, pairs []Pair) ([]Pair, int64) {
 	cut2 := cl.cutoff * cl.cutoff
 	lx, ly, lz := cl.box.L.X, cl.box.L.Y, cl.box.L.Z
 	hx, hy, hz := 0.49*lx, 0.49*ly, 0.49*lz
 	var evals int64
-	for home := 0; home < len(cl.start)-1; home++ {
+	for home := c0; home < c1; home++ {
 		lo, hi := cl.start[home], cl.start[home+1]
 		own := cl.atoms[lo:hi]
 		ox, oy, oz := cl.sx[lo:hi], cl.sy[lo:hi], cl.sz[lo:hi]
@@ -209,23 +328,20 @@ func (cl *CellList) PairsAppend(pos []vec.V, dst []Pair, distEvals *int64) []Pai
 			}
 		}
 	}
-	if distEvals != nil {
-		*distEvals += evals
-	}
-	return pairs
+	return pairs, evals
 }
 
-// pairsEstimate sizes a pair buffer by running the scan on a sample: every
-// 16th atom of each cell against the atoms the full scan pairs that cell
-// with, scaled back up, plus a fifth (on a water lattice the sample reads
-// up to 7 % low). Cell occupancies alone will not do: against a uniform
-// fill of its cells the solvated protein lists 1.55 times the pairs, and
-// 1.8 times what the box-wide density N²·(4/3)πr³/2V gives. A buffer that
-// still turns out short grows by append.
-func (cl *CellList) pairsEstimate() int {
+// pairsEstimate sizes the pair buffer of home cells [c0, c1) by running
+// the scan on a sample: every 16th atom of each cell against the atoms
+// the full scan pairs that cell with, scaled back up, plus a fifth (on a
+// water lattice the sample reads up to 7 % low). Cell occupancies alone
+// will not do: against a uniform fill of its cells the solvated protein
+// lists 1.55 times the pairs, and 1.8 times what the box-wide density
+// N²·(4/3)πr³/2V gives.
+func (cl *CellList) pairsEstimate(c0, c1 int) int {
 	const stride = 16
 	var est float64
-	for home := 0; home < len(cl.start)-1; home++ {
+	for home := c0; home < c1; home++ {
 		lo, hi := cl.start[home], cl.start[home+1]
 		var inCell, across, sampled int
 		for a := lo; a < hi; a += stride {

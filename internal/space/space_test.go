@@ -2,10 +2,12 @@ package space
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/kernels"
 	"repro/internal/rng"
 	"repro/internal/vec"
 )
@@ -283,6 +285,38 @@ func TestPairsBufferSizedOnce(t *testing.T) {
 		pairs := NewCellList(b, 10, pos).PairsAppend(pos, nil, nil)
 		if est := cap(pairs); est < len(pairs) || 10*est > 14*len(pairs) {
 			t.Errorf("%s: buffer of %d for %d pairs", name, est, len(pairs))
+		}
+	}
+}
+
+// A lane whose sample misses its cell's blob outgrows its region by
+// append; the regions are then copied into one buffer of the list's
+// length, which is still the serial scan's list, at every lane count.
+func TestLaneScanShortRegion(t *testing.T) {
+	b := NewBox(40, 40, 40)
+	r := rng.New(9)
+	pos := randomPositions(r, 400, b)
+	// Cell (2,2,2) spans [20,30)³. Its first 320 atoms in index order are
+	// the sample's every 16th alone at one corner and a blob at the other.
+	for i := 0; i < 320; i++ {
+		if i%16 == 0 {
+			pos[i] = vec.New(r.Range(20.1, 20.3), r.Range(20.1, 20.3), r.Range(20.1, 20.3))
+		} else {
+			pos[i] = vec.New(r.Range(29.3, 29.7), r.Range(29.3, 29.7), r.Range(29.3, 29.7))
+		}
+	}
+	var wantEvals int64
+	want := NewCellList(b, 10, pos).PairsAppend(pos, nil, &wantEvals)
+	for _, w := range []int{1, 2, 3, 4} {
+		cl := NewCellList(b, 10, pos)
+		cl.SetPool(kernels.NewPool(w))
+		var evals int64
+		got := cl.PairsAppend(pos, nil, &evals)
+		if !slices.Equal(got, want) || evals != wantEvals {
+			t.Fatalf("%d lanes: %d pairs and %d evaluations, the serial scan %d and %d", w, len(got), evals, len(want), wantEvals)
+		}
+		if w > 1 && cap(got) != len(got) {
+			t.Fatalf("%d lanes: a short region left a buffer of %d for %d pairs, not one copy of the list", w, cap(got), len(got))
 		}
 	}
 }

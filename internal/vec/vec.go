@@ -74,17 +74,6 @@ func Angle(a, b V) float64 {
 	return math.Atan2(a.Cross(b).Norm(), a.Dot(b))
 }
 
-// AddTo accumulates src into dst element-wise. The slices must have equal
-// length.
-func AddTo(dst, src []V) {
-	if len(dst) != len(src) {
-		panic("vec: AddTo length mismatch")
-	}
-	for i, v := range src {
-		dst[i] = dst[i].Add(v)
-	}
-}
-
 // Fill sets every element of s to v.
 func Fill(s []V, v V) {
 	for i := range s {

@@ -112,13 +112,8 @@ func TestAngle(t *testing.T) {
 	}
 }
 
-func TestSumAddToFill(t *testing.T) {
-	s := []V{New(1, 0, 0), New(0, 2, 0), New(0, 0, 3)}
+func TestFill(t *testing.T) {
 	dst := []V{New(1, 1, 1), New(2, 2, 2), Zero}
-	AddTo(dst, s)
-	if dst[0] != New(2, 1, 1) || dst[2] != New(0, 0, 3) {
-		t.Fatalf("AddTo = %v", dst)
-	}
 	Fill(dst, Zero)
 	for _, v := range dst {
 		if v != Zero {
@@ -137,7 +132,6 @@ func TestMaxNormDiff(t *testing.T) {
 
 func TestMismatchedLengthsPanic(t *testing.T) {
 	for name, f := range map[string]func(){
-		"AddTo":       func() { AddTo(make([]V, 1), make([]V, 2)) },
 		"MaxNormDiff": func() { MaxNormDiff(make([]V, 1), make([]V, 2)) },
 	} {
 		func() {
