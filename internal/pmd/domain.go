@@ -291,10 +291,9 @@ type domainView struct {
 	epochs []*epochData // by list generation
 }
 
-// at returns the geometry and the ownership epoch of st's list generation.
-// Ranks request generations in step order, so a missing one is the next,
-// and never lag the newest by more than one.
-func (v *domainView) at(p int, cfg Config, st *canonState) (*domainGeometry, *epochData) {
+// geometry returns the view's geometry, built on first request. It needs
+// no snapshot, so a rank asks for it before it waits for a step's list.
+func (v *domainView) geometry(p int, cfg Config) *domainGeometry {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if v.geo == nil {
@@ -303,6 +302,15 @@ func (v *domainView) at(p int, cfg Config, st *canonState) (*domainGeometry, *ep
 			v.kept.Add(4 * sparseBytes(p)) // the assembly, gather and two transpose matrices
 		}
 	}
+	return v.geo
+}
+
+// epoch returns the ownership epoch of st's list generation. Ranks request
+// generations in step order, after the geometry, so a missing one is the
+// next, and never lag the newest by more than one.
+func (v *domainView) epoch(cfg Config, st *canonState) *epochData {
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	if k := len(v.epochs); st.listGen == k {
 		ep := buildEpoch(v.geo, cfg.System, st)
 		if k > 0 {
@@ -315,7 +323,7 @@ func (v *domainView) at(p int, cfg Config, st *canonState) (*domainGeometry, *ep
 			v.epochs[k-2] = nil
 		}
 	}
-	return v.geo, v.epochs[st.listGen]
+	return v.epochs[st.listGen]
 }
 
 // bytes is what ep holds: the ownership, the per-domain counts, and the
@@ -447,10 +455,12 @@ type domainDecomp struct {
 
 // serve makes step's snapshot the rank's current one. It waits only for
 // the snapshot's list generation, which is all the rank reads until forces
-// returns the step's energies.
+// returns the step's energies, and builds the geometry, which needs no
+// snapshot, before it waits.
 func (d *domainDecomp) serve(w *worker, step int) {
+	d.geo = w.sh.dom.geometry(w.p, w.cfg)
 	w.cur = w.sh.canon.list(step)
-	d.geo, d.ep = w.sh.dom.at(w.p, w.cfg, w.cur)
+	d.ep = w.sh.dom.epoch(w.cfg, w.cur)
 }
 
 func (d *domainDecomp) initialForces(w *worker) {
