@@ -121,6 +121,7 @@ func main() {
 	study := core.NewStudy(opts)
 	// Skin pinning / tuning mutate the suite's MD config before the first
 	// figure triggers a simulation; the choice applies to every run.
+	app.SkinFits(study.Suite.Cfg.MD.FF.CutOff, study.System().Box)
 	if app.Skin > 0 {
 		study.Suite.Cfg.MD.FF.ListCutoff = study.Suite.Cfg.MD.FF.CutOff + app.Skin
 	}

@@ -145,6 +145,7 @@ func main() {
 	cfg.TimestepFS = *dt
 	cfg.Seed = *seed
 	cfg.KernelWorkers = app.KernelWorkers
+	app.SkinFits(cfg.FF.CutOff, sys.Box)
 	if app.Skin > 0 {
 		cfg.FF.ListCutoff = cfg.FF.CutOff + app.Skin
 	}

@@ -20,6 +20,7 @@ import (
 	"repro/internal/netmodel"
 	"repro/internal/obs"
 	"repro/internal/pmd"
+	"repro/internal/space"
 )
 
 // minNodes is the fewest nodes a command's -p and -cpus may span.
@@ -189,6 +190,14 @@ func (a *App) Validate() error {
 func (a *App) Tiling(p int, pme md.PMEConfig) {
 	if err := pmd.ValidateDecomp(a.Decomp, p, pme); err != nil {
 		a.Fail(&UsageError{err})
+	}
+}
+
+// SkinFits exits 2 when -skin takes the neighbour-list cutoff, cutoff
+// plus the skin, past the minimum-image limit of the workload's box.
+func (a *App) SkinFits(cutoff float64, box space.Box) {
+	if list := cutoff + a.Skin; a.Skin > 0 && list > box.MaxCutoff() {
+		a.Usagef("-skin %g puts the list cutoff at %g Å, past the box's minimum-image limit %g Å", a.Skin, list, box.MaxCutoff())
 	}
 }
 

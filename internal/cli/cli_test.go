@@ -18,6 +18,7 @@ import (
 	"repro/internal/md"
 	"repro/internal/obs"
 	"repro/internal/pmd"
+	"repro/internal/space"
 )
 
 // exited is what the test exit function panics with, so that a Fail stops
@@ -180,6 +181,29 @@ func TestExitConvention(t *testing.T) {
 	}
 }
 
+// TestSkinBeyondBoxIsUsageError: a -skin that puts the list cutoff past
+// the box's minimum-image limit exits 2 with a message instead of reaching
+// the cell list's panic; a skin that fits, and no skin, pass.
+func TestSkinBeyondBoxIsUsageError(t *testing.T) {
+	box := space.NewBox(36, 40, 44) // minimum-image limit 18 Å
+	for _, tc := range []struct {
+		skin   string
+		code   int
+		stderr string
+	}{
+		{"0", -1, ""},
+		{"8", -1, ""},
+		{"12", 2, "tool: -skin 12 puts the list cutoff at 22 Å, past the box's minimum-image limit 18 Å\n"},
+	} {
+		a, stderr := testApp("tool")
+		a.SkinFlags("tune")
+		a.Parse([]string{"-skin", tc.skin})
+		if code := exitCode(func() { a.SkinFits(10, box) }); code != tc.code || stderr.String() != tc.stderr {
+			t.Errorf("-skin %s: exit %d, stderr %q; want exit %d, %q", tc.skin, code, stderr, tc.code, tc.stderr)
+		}
+	}
+}
+
 func TestFailDrainsObsOnceBeforeExit(t *testing.T) {
 	a, stderr := testApp("tool")
 	a.ObsFlags()
@@ -309,6 +333,7 @@ func TestCommands(t *testing.T) {
 		}
 	}
 
+	const skinPastBox = "-skin 12 puts the list cutoff at 22 Å, past the box's minimum-image limit 18 Å\n"
 	const untileable = "pmd: replicated decomposition cannot tile 100 ranks: slab PME assigns whole x-slabs; ranks must not exceed the K1=16 mesh slabs\n"
 	for _, tc := range []struct {
 		name, args, want string
@@ -318,11 +343,13 @@ func TestCommands(t *testing.T) {
 		{"tracer", "-p 3 -cpus 2", "tracer: -p (3) must be a multiple of -cpus (2) spanning at least 1 node(s)\n"},
 		{"tracer", "-cpus 3", "tracer: -cpus must be 1 or 2 (got 3)\n"},
 		{"mdrun", "-ranks 16 -xyz t.xyz", "mdrun: -xyz is not supported with -ranks > 1\n"},
+		{"mdrun", "-skin 12 -steps 1", "mdrun: " + skinPastBox},
 		{"charmmbench", "-profile-out p.json", "charmmbench: -profile-out requires -figure attribution\n"},
 		{"charmmbench", "-figure 3 -quick -workers -3", "charmmbench: -workers must be >= 0, got -3\n"},
 		{"charmmbench", "-format csv -figure all", "charmmbench: -format csv needs a single -figure\n"},
 		{"charmmbench", "-figure bogus", "charmmbench: unknown figure \"bogus\" (known: [1 2 3 4 5 6 7 8 9 ablation attribution ceiling effects factorial recovery scalelimit], all)\n"},
 		{"charmmbench", "-figure 1 -format csv", "charmmbench: figure 1 is a diagram and has no CSV form\n"},
+		{"charmmbench", "-figure 3 -skin 12 -steps 1", "charmmbench: " + skinPastBox},
 	} {
 		if got, code := run(tc.name, strings.Fields(tc.args)...); got != tc.want || code != 2 {
 			t.Errorf("%s %s: exit %d, stderr %q; want exit 2, %q", tc.name, tc.args, code, got, tc.want)

@@ -2,7 +2,6 @@ package pmd
 
 import (
 	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/ewald"
@@ -37,17 +36,18 @@ import (
 //
 // Concurrency: a snapshot is published in two steps, its list generation
 // (the listed point) and then the whole state (done); see canonState.
-// Step s is evaluated inside its once, by the first caller of state(s): a
-// replicated rank, a run's own domain rank, or the evalAhead goroutine of
-// a run over the tape, of whichever run sharing the evaluator (a Tape's).
-// A taped domain rank never evaluates: it waits in list only for the
-// listed point, which the running evaluation passes before its forces,
-// and for done only at the end of its step's force pipeline. Every other
-// caller waits on the once. A caller asks for step s only once step s-1 is
-// done, so at most one evaluation is ever in flight (the lanes are safely
-// reused), and a published field is immutable while read. A tape's
-// evaluator keeps every snapshot and holds nothing of the run that built
-// it; a run's own keeps a two-step window and is never run ahead.
+// Step s is evaluated inside its once, by whichever evalAhead goroutine of
+// the runs over c's tape reaches it first; the others wait on the once. A
+// rank never evaluates: it waits in list only for the listed point, which
+// the running evaluation passes before its forces, and for done in
+// energies, which a domain rank calls at the end of its step's force
+// pipeline and a replicated one before its first classic segment. A
+// goroutine enters step s only once step s-1 is done, so at most one
+// evaluation is ever in flight (the lanes are safely reused), and a
+// published field is immutable while read. c keeps the snapshots its tape
+// keeps (Tape.stale): every one on a shared tape, a two-step window on a
+// run's private one, whose run-ahead therefore never gets more than one
+// step past the ranks (await).
 type canonical struct {
 	p   int
 	sys *topol.System
@@ -81,9 +81,12 @@ type canonical struct {
 	touched  [][]int32
 	touchGen int
 
+	t *Tape // the tape c evaluates for, which counts its bytes
+
 	mu     sync.Mutex
 	states map[int]*canonState
-	kept   *atomic.Int64 // a tape's evaluator retains every snapshot and counts its bytes here; nil for a run's own
+	ahead  int       // the last step a window tape's run-ahead may evaluate: one past the latest a rank asked for, 0 before any
+	wake   sync.Cond // on mu; broadcast when ahead grows or a run-ahead stops
 }
 
 // lane is one host worker's scratch for the rank loops of an evaluation.
@@ -104,9 +107,9 @@ type lane struct {
 // canonState is one step's immutable physics snapshot. Step -1 is the
 // initial force evaluation of velocity Verlet. All slices are freshly
 // allocated per step (or inherited unchanged from the previous step) so
-// a rank still reading step s races with nothing while another rank's
-// drift segment evaluates step s+1, and a tape's snapshot serves any
-// number of runs at once.
+// a rank still reading step s races with nothing while the run-ahead
+// evaluates step s+1, and a tape's snapshot serves any number of runs at
+// once.
 //
 // A snapshot is published in two steps. Closing listed publishes pos and
 // the list generation (listGen, listOrigin, pairs, rebuilt, distEvals);
@@ -136,7 +139,7 @@ type canonState struct {
 	distEvals  int64 // full list-search cost when rebuilt
 }
 
-func newCanonical(p int, cfg Config, seedEngine *md.Engine, kept *atomic.Int64) *canonical {
+func newCanonical(p int, cfg Config, seedEngine *md.Engine, t *Tape) *canonical {
 	sys := cfg.System
 	n := sys.N()
 	pmeCfg := cfg.MD.PME
@@ -148,9 +151,10 @@ func newCanonical(p int, cfg Config, seedEngine *md.Engine, kept *atomic.Int64) 
 		integ:   seedEngine.Integrator(),
 		seedPos: append([]vec.V(nil), seedEngine.Pos...),
 		seedVel: append([]vec.V(nil), seedEngine.Vel...),
+		t:       t,
 		states:  map[int]*canonState{},
-		kept:    kept,
 	}
+	c.wake.L = &c.mu
 	if init := cfg.Init; init != nil && len(init.ListOrigin) == n {
 		c.seedOrigin = append([]vec.V(nil), init.ListOrigin...)
 	}
@@ -208,13 +212,20 @@ func (c *canonical) dropScratch() {
 	c.lanes, c.fullGrid, c.lister, c.touched = nil, nil, nil, nil
 }
 
-// state returns step's snapshot once it is wholly published, evaluating
-// it exactly once across all ranks of every run sharing c. step -1 is the
-// initial evaluation; step s > -1 requires step s-1 to have been evaluated
-// (guaranteed by the per-step barrier and by runs advancing a step at a
-// time).
-func (c *canonical) state(step int) *canonState {
-	st := c.lookup(step)
+// list returns step's snapshot once its positions and list generation are
+// published: every run has an evalAhead goroutine that evaluates each of
+// its steps, so a rank never evaluates; it waits only for the list while
+// the forces are still being computed, and for the rest in energies.
+func (c *canonical) list(step int) *canonState {
+	st := c.lookup(step, true)
+	<-st.listed
+	return st
+}
+
+// eval evaluates st exactly once across the run-ahead goroutines of every
+// run sharing c and returns it wholly published. step -1 is the initial
+// evaluation; step s > -1 requires step s-1 to have been evaluated.
+func (c *canonical) eval(st *canonState) *canonState {
 	st.once.Do(func() {
 		c.scratch()
 		if st.step == -1 {
@@ -223,25 +234,9 @@ func (c *canonical) state(step int) *canonState {
 			c.evalStep(st)
 		}
 		st.prev = nil
-		if c.kept != nil {
-			c.kept.Add(st.bytes())
-		}
+		c.t.bytes.Add(st.bytes())
 		close(st.done)
 	})
-	return st
-}
-
-// list returns step's snapshot once its positions and list generation are
-// published, without evaluating it: on a tape's evaluator every run has
-// an evalAhead goroutine that evaluates each of its steps, so the caller
-// waits only for the list while the forces are still being computed. A
-// run's own evaluator has no such goroutine and returns state(step).
-func (c *canonical) list(step int) *canonState {
-	if c.kept == nil {
-		return c.state(step)
-	}
-	st := c.lookup(step)
-	<-st.listed
 	return st
 }
 
@@ -252,10 +247,15 @@ func (st *canonState) energies() md.EnergyReport {
 }
 
 // lookup returns step's snapshot, entering an unevaluated one if there is
-// none yet.
-func (c *canonical) lookup(step int) *canonState {
+// none yet and letting go of the one the tape no longer keeps. A rank's
+// lookup lets the run-ahead evaluate the step after step.
+func (c *canonical) lookup(step int, rank bool) *canonState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if rank && step >= c.ahead {
+		c.ahead = step + 1
+		c.wake.Broadcast()
+	}
 	st, ok := c.states[step]
 	if !ok {
 		st = &canonState{step: step, listed: make(chan struct{}), done: make(chan struct{})}
@@ -263,8 +263,8 @@ func (c *canonical) lookup(step int) *canonState {
 			st.prev = c.states[step-1]
 		}
 		c.states[step] = st
-		if c.kept == nil {
-			delete(c.states, step-2) // ranks never lag more than one step
+		if old, ok := c.t.stale(step); ok {
+			delete(c.states, old)
 		}
 	}
 	return st
@@ -272,30 +272,45 @@ func (c *canonical) lookup(step int) *canonState {
 
 // onListed, when set (by tests), runs on the evaluating goroutine between
 // a snapshot's list publication and its forces.
-var onListed func(step int)
+var onListed func(c *canonical, step int)
 
 // evalAhead evaluates states -1 … steps-1 in order on a goroutine of its
 // own, so step s+1's physics runs on another core while the ranks
-// simulate step s, and a domain rank that asks only for a step's list
-// (list) finds the step being evaluated; a replicated rank that reaches a
-// step first evaluates it itself, and the goroutine waits on that step's
-// once. Only a tape's evaluator, which keeps every state, may run ahead.
-// The returned stop ends the goroutine once its evaluation in flight, if
-// any, is done, and waits for it: after stop, every state of c is fully
-// evaluated.
+// simulate step s, and a rank that asks for a step's list (list) finds the
+// step being evaluated; where another run's goroutine reached a step
+// first, this one waits on that step's once. On a window tape the
+// goroutine evaluates step s > 0 only once a rank has asked for step s-1,
+// so it never lets go of a snapshot a rank has yet to read (entering step
+// 0 lets go of none). The returned stop
+// ends the goroutine once its evaluation in flight, if any, is done, and
+// waits for it: after stop, every state of c is fully evaluated.
 func (c *canonical) evalAhead(steps int) (stop func()) {
-	var quit atomic.Bool
+	quit := false // under c.mu
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for s := -1; s < steps && !quit.Load(); s++ {
-			c.state(s)
+		for s := -1; s < steps && c.await(s, &quit); s++ {
+			c.eval(c.lookup(s, false))
 		}
 	}()
 	return func() {
-		quit.Store(true)
+		c.mu.Lock()
+		quit = true
+		c.wake.Broadcast()
+		c.mu.Unlock()
 		<-done
 	}
+}
+
+// await waits, on a window tape, until the run-ahead may evaluate step or
+// quit is set, and reports whether it goes on.
+func (c *canonical) await(step int, quit *bool) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.t.window && step > c.ahead && !*quit {
+		c.wake.Wait()
+	}
+	return !*quit
 }
 
 // bytes is what st holds beyond the step before it: its per-step arrays
@@ -402,7 +417,7 @@ func (c *canonical) forceEval(st *canonState) {
 	}
 	close(st.listed)
 	if onListed != nil {
-		onListed(st.step)
+		onListed(c, st.step)
 	}
 
 	st.frcTotal = make([]vec.V, n)

@@ -457,10 +457,10 @@ func gaugeValue(reg *obs.Registry, name string) (float64, bool) {
 // 64-rank exchange — are callback processes, and every rank charges its
 // compute inline. Sampled at every step boundary, where deliveries and
 // stale timers of the step's collectives are still pending (the driver's
-// OnStep fires as the last rank completes the step); the canonical
-// evaluation's lanes have returned by then, at any HostWorkers. A run over
-// a tape adds one goroutine, which evaluates ahead of the ranks (at one
-// host worker its lanes are that goroutine).
+// OnStep fires as the last rank completes the step). Every run, over its
+// own tape or a shared one, adds one goroutine, which evaluates ahead of
+// the ranks and may be evaluating at a step boundary: at one host worker
+// its lanes are that goroutine, at W > 1 a wave adds W-1 more.
 func TestGoroutineBudget(t *testing.T) {
 	const p = 64
 	sys := testSystem(100, 24, 1)
@@ -492,13 +492,9 @@ func TestGoroutineBudget(t *testing.T) {
 		if samples != cfg.Steps {
 			t.Fatalf("%s: sampled %d of %d steps", tc.name, samples, cfg.Steps)
 		}
-		ahead := 0
-		if tc.tape != nil {
-			ahead = 1
-		}
-		if budget := base + p + 2 + ahead; peak > budget {
-			t.Errorf("%s: %d goroutines at a step boundary, budget %d (%d before the run + %d ranks + 2 + %d ahead)",
-				tc.name, peak, budget, base, p, ahead)
+		if budget := base + p + 2 + max(1, tc.workers); peak > budget {
+			t.Errorf("%s: %d goroutines at a step boundary, budget %d (%d before the run + %d ranks + 2 + %d lanes of the run-ahead)",
+				tc.name, peak, budget, base, p, max(1, tc.workers))
 		}
 	}
 }

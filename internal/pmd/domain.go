@@ -2,7 +2,6 @@ package pmd
 
 import (
 	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/fft"
@@ -285,8 +284,8 @@ type epochCounts struct {
 // generation, each built on first request under one mutex, so the view of
 // a tape serves every domain run over it, concurrent ones included.
 type domainView struct {
+	t      *Tape // the tape v is the view of, which counts its bytes and keeps its epochs
 	mu     sync.Mutex
-	kept   *atomic.Int64 // a tape's view keeps every epoch and counts its bytes here; a run's own (nil) the last two
 	geo    *domainGeometry
 	epochs []*epochData // by list generation
 }
@@ -298,9 +297,7 @@ func (v *domainView) geometry(p int, cfg Config) *domainGeometry {
 	defer v.mu.Unlock()
 	if v.geo == nil {
 		v.geo = newDomainGeometry(p, cfg)
-		if v.kept != nil {
-			v.kept.Add(4 * sparseBytes(p)) // the assembly, gather and two transpose matrices
-		}
+		v.t.bytes.Add(4 * sparseBytes(p)) // the assembly, gather and two transpose matrices
 	}
 	return v.geo
 }
@@ -317,10 +314,9 @@ func (v *domainView) epoch(cfg Config, st *canonState) *epochData {
 			ep.migration = v.geo.migrationSizes(v.epochs[k-1], ep).Named("migration")
 		}
 		v.epochs = append(v.epochs, ep)
-		if v.kept != nil {
-			v.kept.Add(ep.bytes())
-		} else if k > 1 {
-			v.epochs[k-2] = nil
+		v.t.bytes.Add(ep.bytes())
+		if old, ok := v.t.stale(k); ok && old >= 0 {
+			v.epochs[old] = nil
 		}
 	}
 	return v.epochs[st.listGen]
@@ -439,15 +435,14 @@ func gridIndex(f float64, d int) int {
 }
 
 // domainDecomp drives one rank of the spatial decomposition. All physics
-// values come from the canonical snapshots, of the run's own evaluator
-// or its tape's, and every ownership-dependent size from the run's
-// domain view of them; the rank's own segments and sparse collectives
-// charge the virtual time of the spatial pipeline, the same with or
-// without a tape: drift of owned atoms, migration + half-shell halo
-// exchange, owner-computes classic terms with force return, and the 2-D
-// pencil PME (assemble → r2c x-FFTs → transpose → y-FFTs → transpose →
-// z-FFTs + influence → the inverse chain → potential gather →
-// interpolation).
+// values come from the canonical snapshots of the run's tape, and every
+// ownership-dependent size from the tape's domain view of them; the
+// rank's own segments and sparse collectives charge the virtual time of
+// the spatial pipeline, the same whichever run evaluated a step: drift of
+// owned atoms, migration + half-shell halo exchange, owner-computes
+// classic terms with force return, and the 2-D pencil PME (assemble →
+// r2c x-FFTs → transpose → y-FFTs → transpose → z-FFTs + influence → the
+// inverse chain → potential gather → interpolation).
 type domainDecomp struct {
 	geo *domainGeometry
 	ep  *epochData // the ownership epoch of the rank's current snapshot
@@ -458,16 +453,16 @@ type domainDecomp struct {
 // returns the step's energies, and builds the geometry, which needs no
 // snapshot, before it waits.
 func (d *domainDecomp) serve(w *worker, step int) {
-	d.geo = w.sh.dom.geometry(w.p, w.cfg)
-	w.cur = w.sh.canon.list(step)
-	d.ep = w.sh.dom.epoch(w.cfg, w.cur)
+	d.geo = w.sh.tape.dom.geometry(w.p, w.cfg)
+	w.cur = w.sh.tape.canon.list(step)
+	d.ep = w.sh.tape.dom.epoch(w.cfg, w.cur)
 }
 
 func (d *domainDecomp) initialForces(w *worker) {
 	// The zero-cost charge after the lookup keeps the domain schedule's
 	// step-0 event, which the schedule goldens pin; the pipeline segments
 	// below charge the spatial model's work. The charge is the same whether
-	// the run evaluated the snapshot or a tape served it, so the schedule is.
+	// this run or an earlier one evaluated the snapshot, so the schedule is.
 	d.serve(w, -1)
 	w.r.ComputeWork(work.Counters{})
 	d.forces(w, nil, phaseTracker{})

@@ -80,8 +80,8 @@ func TestRankMergeMatchesFullLength(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		for _, p := range []int{1, 2, 7, 8, 64, 256, 1024} {
 			label := fmt.Sprintf("p=%d HostWorkers=%d", p, workers)
-			c := newCanonical(p, Config{System: sys, MD: mdc, HostWorkers: workers}, seed, nil)
-			st := c.state(-1)
+			c := newCanonical(p, Config{System: sys, MD: mdc, HostWorkers: workers}, seed, &Tape{window: true})
+			st := c.eval(c.lookup(-1, false))
 			frc, rep, classicWork, recipWork := fullLengthForces(c, st.pos, st.pairs)
 			mustEqual(t, label+": total force", st.frcTotal, frc)
 			mustEqual(t, label+": energies", st.rep, rep)

@@ -108,10 +108,11 @@ type Config struct {
 	// over the tape builds its evaluator, and every run at that rank count,
 	// concurrent ones included, is served the snapshots it holds or
 	// evaluates the next one into it (the simulated timings still come out
-	// of the full event simulation). A run over a tape evaluates ahead of
-	// its ranks on one more goroutine, up to its last step. Ignored when
-	// Init needs real physics, or when the tape belongs to another rank
-	// count.
+	// of the full event simulation). When it is nil, when Init needs the
+	// physics executed from a checkpoint, or when it belongs to another
+	// rank count, the run opens a private tape that keeps a two-step
+	// window. Either way the run evaluates ahead of its ranks on one more
+	// goroutine, up to its last step.
 	Tape *Tape
 
 	// HostWorkers > 1 runs the canonical evaluation's rank loops that
@@ -123,7 +124,8 @@ type Config struct {
 	// completed step, before the next step, with the rank's timing split
 	// and energy report of the step. The resilient driver hooks its
 	// checkpoint recorder here; it reads the rank's snapshot and
-	// accounting only, so a taped run serves it as well as a live one.
+	// accounting only, so a step an earlier run evaluated serves it as well
+	// as one this run evaluates.
 	onStep func(w *worker, step int, timing StepTiming, energy md.EnergyReport)
 }
 
@@ -277,22 +279,14 @@ func runAttempt(clusterCfg cluster.Config, cost cluster.CostModel, cfg Config) (
 		return nil, nil, err
 	}
 
-	// A run no tape serves evaluates its own physics, seeded like a tape's
-	// from the sequential engine so trajectories are directly comparable.
-	tape := cfg.Tape
-	canon := tape.open(p, cfg)
-	if canon == nil {
-		tape = nil
-		seed := md.NewEngine(cfg.System, cfg.MD)
-		if cfg.Init != nil {
-			if err := seed.Restore(cfg.Init); err != nil {
-				return nil, nil, err
-			}
-		}
-		canon = newCanonical(p, cfg, seed, nil)
+	// Every run is a run over a tape, seeded from the sequential engine so
+	// trajectories are directly comparable: cfg.Tape when it serves the
+	// run, else a private one.
+	tape, err := cfg.Tape.open(p, cfg)
+	if err != nil {
+		return nil, nil, err
 	}
-
-	sh := newShared(p, cfg, canon, tape)
+	sh := newShared(p, cfg, tape)
 	res := &Result{
 		P:        p,
 		Timings:  make([][]StepTiming, p),
@@ -304,20 +298,12 @@ func runAttempt(clusterCfg cluster.Config, cost cluster.CostModel, cfg Config) (
 		Observer: cfg.Observer, Obs: cfg.Obs, Faults: cfg.Faults,
 		Watchdog: cfg.Watchdog,
 	}
-	var stopAhead func()
-	if tape != nil {
-		stopAhead = canon.evalAhead(cfg.Steps)
-	}
+	stopAhead := tape.canon.evalAhead(cfg.Steps)
 	accts, err := mpi.RunOpts(clusterCfg, cost, opts, func(r *mpi.Rank) {
 		newWorker(r, cfg, sh).run(res)
 	})
 	res.Acct = accts
-	if tape != nil {
-		stopAhead()
-		tape.close()
-		if err == nil && len(res.Energies) == cfg.Steps {
-			tape.complete.Store(true)
-		}
-	}
+	stopAhead()
+	tape.close(err == nil && len(res.Energies) == cfg.Steps)
 	return res, accts, err
 }

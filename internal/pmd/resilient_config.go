@@ -95,7 +95,8 @@ type ResilientConfig struct {
 	// the step is persisted to CheckpointDir (when set), from inside the
 	// simulation (it must not block). It receives the
 	// global step index, rank 0's classic/PME timing split and the step's
-	// energy report; a taped run streams the same values a live one does.
+	// energy report; a replay of a shared tape streams the same values as
+	// the run that evaluated it.
 	// Steps replayed after a rewind re-fire, so a consumer that needs each
 	// step once filters monotonically. The first true answer latches the
 	// NEXT step boundary as the preemption point: every rank checkpoints

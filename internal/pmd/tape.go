@@ -20,12 +20,15 @@ import (
 //
 // A tape has two halves, each built on first request and shared from then
 // on by every run at its rank count, concurrent ones included: the
-// canonical evaluator, which keeps every step's state, and the domain view
-// derived from them (the geometry, the ownership epochs and the migration
-// matrices). The first run over the tape fixes its rank count; a run at
-// another one, or with a checkpoint start (Init), which needs the physics
-// executed from that state, bypasses the tape. A longer run extends the
-// tape, and a run that fails leaves only fully evaluated steps behind.
+// canonical evaluator and the domain view derived from its states (the
+// geometry, the ownership epochs and the migration matrices). Every run is
+// a run over a tape: one the run is given (Config.Tape) keeps every step's
+// state and epoch, and its first run fixes its rank count; a run given
+// none, or one of another rank count, or one with a checkpoint start
+// (Init), which needs the physics executed from that state, runs over a
+// private tape of its own, which keeps a two-step window. A longer run
+// extends a tape, and a run that fails leaves only fully evaluated steps
+// behind.
 //
 // A tape must not outlive its workload: callers key tapes by rank count
 // within one workload (system and MD config).
@@ -33,6 +36,13 @@ type Tape struct {
 	once  sync.Once
 	canon *canonical
 	dom   *domainView
+
+	// window marks a run's private tape, which keeps only the two newest
+	// snapshots and epochs (stale). That suffices: its ranks never lag one
+	// another by more than a step, and its run-ahead evaluates a step only
+	// once a rank has asked for the one before. A shared tape keeps every
+	// snapshot and epoch.
+	window bool
 
 	mu   sync.Mutex
 	runs int // runs over the tape in flight
@@ -54,34 +64,52 @@ func (t *Tape) Complete() bool { return t != nil && t.complete.Load() }
 // call while runs extend the tape.
 func (t *Tape) Bytes() int64 { return t.bytes.Load() }
 
-// open enters a run into the tape and returns the tape's evaluator, built
-// from a fresh seed engine by the first run over it; nil, and the run
-// bypasses the tape, when there is none, when the run starts from a
-// checkpoint or when the tape belongs to another rank count.
-func (t *Tape) open(p int, cfg Config) *canonical {
+// open enters a run at rank count p into t and returns the tape that
+// serves it: t, built from a fresh seed engine by the first run over it,
+// or, when t is nil, belongs to another rank count or the run starts from
+// a checkpoint, a private window tape, whose seed engine is restored to
+// cfg.Init when that is set.
+func (t *Tape) open(p int, cfg Config) (*Tape, error) {
 	if t == nil || cfg.Init != nil {
-		return nil
+		t = &Tape{window: true}
 	}
+	var err error
 	t.once.Do(func() {
-		t.canon = newCanonical(p, cfg, md.NewEngine(cfg.System, cfg.MD), &t.bytes)
-		t.dom = &domainView{kept: &t.bytes}
+		seed := md.NewEngine(cfg.System, cfg.MD)
+		if cfg.Init != nil {
+			err = seed.Restore(cfg.Init) // a failed restore discards the private tape
+		}
+		t.canon = newCanonical(p, cfg, seed, t)
+		t.dom = &domainView{t: t}
 	})
+	if err != nil {
+		return nil, err
+	}
 	if t.canon.p != p {
-		return nil
+		return (*Tape)(nil).open(p, cfg)
 	}
 	t.mu.Lock()
 	t.runs++
 	t.mu.Unlock()
-	return t.canon
+	return t, nil
 }
 
-// close ends a run opened over the tape. The last run in flight drops the
-// evaluator's scratch, keeping every evaluated step; a later run that
-// needs a step no run before it reached builds the scratch again.
-func (t *Tape) close() {
+// stale returns the entry of a sequence — the steps' snapshots, the list
+// generations' epochs — that entering entry k lets go of: k-2 on a window
+// tape, none (false) on a shared one.
+func (t *Tape) stale(k int) (int, bool) { return k - 2, t.window }
+
+// close ends a run opened over the tape, marking the tape complete when
+// the run ran all its steps. The last run in flight drops the evaluator's
+// scratch, keeping every evaluated step; a later run that needs a step no
+// run before it reached builds the scratch again.
+func (t *Tape) close(complete bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.runs--; t.runs == 0 {
 		t.canon.dropScratch()
+	}
+	if complete {
+		t.complete.Store(true)
 	}
 }

@@ -3,6 +3,7 @@ package pmd
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -150,8 +151,9 @@ func TestDomainTapeShapeMismatchIgnored(t *testing.T) {
 }
 
 // TestDomainTapeExtendedByLongerRun: a 5-step run over a 3-step tape is
-// served the tape's steps, evaluates the next two into it and equals an
-// untaped 5-step run; a 2-step run over the tape equals its untaped run.
+// served the tape's steps, evaluates the next two into it and equals a
+// 5-step run given no tape; a 2-step run over the tape equals its run
+// given none.
 // Bytes counts every kept snapshot and epoch once: it grows with the
 // extension and not with the replay.
 func TestDomainTapeExtendedByLongerRun(t *testing.T) {
@@ -185,7 +187,7 @@ func TestDomainTapeExtendedByLongerRun(t *testing.T) {
 
 // TestTapeSharedByConcurrentRuns: runs at one rank count started at once
 // over one fresh tape — replicated and domain, TCP and Myrinet, one and
-// four host workers — each equal their untaped run, and the tape ends
+// four host workers — each equal their run given no tape, and the tape ends
 // with one snapshot per evaluation: whichever run reaches a step first
 // evaluates it for all.
 func TestTapeSharedByConcurrentRuns(t *testing.T) {
@@ -317,7 +319,7 @@ func (l *callLog) count() int {
 // force-return all-to-all — rank 0 reaches the all-reduce after it —
 // while a replicated run's ranks make no collective call at all, since
 // their first segment reads the per-rank work counters of the forces.
-// Every result equals an untaped run's bit for bit.
+// Every result equals a run's given no tape bit for bit.
 func TestDomainRanksWaitOnlyForTheList(t *testing.T) {
 	sys := testSystem(100, 24, 1)
 	const p, steps = 8, 3
@@ -328,7 +330,7 @@ func TestDomainRanksWaitOnlyForTheList(t *testing.T) {
 		log := &callLog{past: make(chan struct{})}
 		past := log.past
 		calls := make(chan int, 1) // rank 0's calls as the forces are released, -1 if it never got past
-		onListed = func(step int) {
+		onListed = func(_ *canonical, step int) {
 			if step != -1 {
 				return
 			}
@@ -359,5 +361,94 @@ func TestDomainRanksWaitOnlyForTheList(t *testing.T) {
 			t.Fatalf("replicated: rank 0 made %d collective calls while step -1's forces were held", n)
 		}
 		mustEqualResults(t, fmt.Sprintf("%v over a tape", decomp), want, got)
+	}
+}
+
+// TestPrivateTapeKeepsAWindow: a run given no tape opens a private one
+// that keeps a two-step window, and its run-ahead evaluates a step only
+// once a rank has asked for the one before, so the window always holds
+// what the ranks read. The ranks are held back at every step boundary, so
+// an evaluator that ran ahead unbounded would let go of snapshots they
+// have yet to read, and they would wait for them forever. Over 40 steps of
+// a replicated and of a domain run, the evaluator never gets more than one
+// step past the ranks and never holds more than two snapshots, the domain
+// view never more than two epochs, and the energies and final positions
+// equal a shared-tape run's bit for bit.
+func TestPrivateTapeKeepsAWindow(t *testing.T) {
+	sys := testSystem(100, 24, 1)
+	const p, steps, window = 4, 40, 2
+	defer func() { onListed = nil }()
+	for _, decomp := range []DecompKind{DecompReplicated, DecompDomain} {
+		want := tapeRun(t, sys, decomp, p, steps, netmodel.TCPGigE(), MiddlewareMPI, 1, NewTape())
+
+		var mu sync.Mutex
+		var canon *canonical
+		lead, snapshots, epochs, generations := 0, 0, 0, 0 // the most seen at once, and the list generations
+		sample := func(c *canonical) {
+			mu.Lock()
+			defer mu.Unlock()
+			if c == nil {
+				return
+			}
+			canon = c
+			c.mu.Lock()
+			snapshots = max(snapshots, len(c.states))
+			c.mu.Unlock()
+			v := c.t.dom
+			v.mu.Lock()
+			held := 0
+			for _, ep := range v.epochs {
+				if ep != nil {
+					held++
+				}
+			}
+			epochs, generations = max(epochs, held), len(v.epochs)
+			v.mu.Unlock()
+		}
+		onListed = func(c *canonical, step int) {
+			c.mu.Lock()
+			past := step - (c.ahead - 1) // steps past the latest a rank asked for
+			c.mu.Unlock()
+			mu.Lock()
+			lead = max(lead, past)
+			mu.Unlock()
+			sample(c)
+		}
+		var res *ResilientResult
+		var err error
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			res, err = RunResilient(clusterCfg(p, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), ResilientConfig{
+				Config: Config{System: sys, MD: tapeMD(), Steps: steps, Middleware: MiddlewareMPI, Decomp: decomp},
+				OnStep: func(int, StepTiming, md.EnergyReport) bool {
+					time.Sleep(2 * time.Millisecond)
+					mu.Lock()
+					c := canon
+					mu.Unlock()
+					sample(c)
+					return false
+				},
+			})
+		}()
+		select {
+		case <-done:
+		case <-time.After(time.Minute):
+			t.Fatalf("%v: the run hangs: a rank waits for a snapshot the run-ahead let go of", decomp)
+		}
+		onListed = nil
+		if err != nil {
+			t.Fatalf("%v: %v", decomp, err)
+		}
+		if lead > 1 || snapshots > window || epochs > window {
+			t.Errorf("%v: the run-ahead got %d steps past the ranks and the private tape held %d snapshots and %d epochs at once, want at most 1 and %d",
+				decomp, lead, snapshots, epochs, window)
+		}
+		if decomp == DecompDomain && generations <= window {
+			t.Errorf("domain: %d list generations in %d steps leave the epoch window untested", generations, steps)
+		}
+		if !reflect.DeepEqual(res.Energies, want.Energies) || !reflect.DeepEqual(res.Final.FinalPos, want.FinalPos) {
+			t.Errorf("%v: the private tape's energies or final positions differ from a shared tape's", decomp)
+		}
 	}
 }

@@ -21,8 +21,7 @@ const (
 // shared is what every rank of a run reads: the one snapshot source and
 // the layouts fixed by the rank count.
 type shared struct {
-	canon *canonical  // the tape's evaluator, else the run's own
-	dom   *domainView // domain runs only: the tape's view, else the run's own
+	tape *Tape // its evaluator serves every rank, its domain view the domain ranks
 
 	atomOff []int // the replicated atom blocks (integration, checkpoints)
 
@@ -34,23 +33,17 @@ type shared struct {
 	ops2d, ops1d int64
 }
 
-// newShared builds what the run's ranks share: the evaluator, and one copy
-// of the replicated partitions or the domain view, the tape's when the run
-// has one.
-func newShared(p int, cfg Config, canon *canonical, tape *Tape) *shared {
+// newShared builds what the run's ranks share: the run's tape, and one
+// copy of the replicated partitions for a replicated run.
+func newShared(p int, cfg Config, t *Tape) *shared {
 	pmeCfg := cfg.MD.PME
-	sh := &shared{canon: canon, atomOff: kernels.Partition(cfg.System.N(), p, nil)}
+	sh := &shared{tape: t, atomOff: kernels.Partition(cfg.System.N(), p, nil)}
 	if cfg.Decomp == DecompReplicated {
 		sh.xOff = kernels.Partition(pmeCfg.K1, p, nil)
 		sh.yOff = kernels.Partition(pmeCfg.K2, p, nil)
 		sh.sizeTables = newSizeTables(sh.atomOff, sh.xOff, sh.yOff, pmeCfg.K2, pmeCfg.K3)
 		sh.ops2d = fft.NewPlan2D(pmeCfg.K2, pmeCfg.K3).Ops()
 		sh.ops1d = fft.Ops(pmeCfg.K1)
-	} else {
-		sh.dom = &domainView{}
-		if tape != nil {
-			sh.dom = tape.dom
-		}
 	}
 	return sh
 }

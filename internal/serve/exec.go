@@ -36,7 +36,8 @@ import (
 // and MD config), which its key fixes. Systems, studies, tapes and logs
 // are the entries of one memo, held under one LRU byte budget
 // (memoBudget). The caches affect speed only, never results;
-// ComputeReference bypasses the tapes and logs and computes directly.
+// ComputeReference bypasses the memo: each of its runs opens a private
+// tape and each analysis a fresh frame log.
 // Safe for concurrent use.
 type Env struct {
 	// KernelWorkers is threaded into every built md.Config and study
@@ -356,10 +357,10 @@ type runPayload struct {
 // scheduler thread — keep it fast and never block.
 type StepFunc func(step int, timing pmd.StepTiming, energy md.EnergyReport)
 
-// execRun runs the resilient parallel MD for spec over tape (nil: direct).
-// ckptDir, when non-empty, durably checkpoints the run there (resuming
-// any parked state found, which bypasses the tape); preempt, when
-// non-nil, gracefully parks the run at a checkpoint boundary (the
+// execRun runs the resilient parallel MD for spec over tape (nil: over a
+// private one). ckptDir, when non-empty, durably checkpoints the run there
+// (resuming any parked state found, which opens a private tape); preempt,
+// when non-nil, gracefully parks the run at a checkpoint boundary (the
 // returned error is pmd.ErrPreempted); onStep, when non-nil, streams each
 // completed step. The returned ResumeInfo reports whether this invocation
 // resumed from disk. The second payload is the encoded
@@ -580,8 +581,9 @@ func (e *Env) execute(spec JobSpec, ckptDir string, preempt func() bool, onStep 
 
 // ComputeReference computes spec's result directly, outside any server —
 // the ground truth the chaos harness compares served bytes against. It
-// shares the relaxed systems but never a tape or a frame log, so served
-// bytes are checked against ones no memo touched. The spec is normalized
+// shares the relaxed systems but no memoized tape or frame log (its runs
+// open private tapes), so served bytes are checked against ones no memo
+// touched. The spec is normalized
 // first; the computation never touches disk.
 func (e *Env) ComputeReference(spec JobSpec) ([]byte, error) {
 	if err := spec.Normalize(); err != nil {
