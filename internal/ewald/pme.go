@@ -220,10 +220,11 @@ func (p *PME) GridLen() int { return p.K1 * p.K2 * p.K3 }
 // influence coefficients → inverse FFT → interpolate forces. The energy
 // sums eCoefH·|F(Q)|² over the stored half spectrum only; eCoefH carries
 // weight 2 on interior kx planes (each stands in for its conjugate mirror
-// F(K1−kx, −ky, −kz) = conj F, which has the same |F|² and — because
-// signedFreq is odd and the moduli are even — the same ψ) and weight 1 on
-// the self-conjugate kx = 0 and kx = K1/2 planes. The per-shard energy
-// partials merge in shard order. Counters, if non-nil, record the work.
+// F(K1−kx, −ky, −kz) = conj F, which has the same |F|² and — because ψ
+// reads the frequencies only squared and the moduli are even — the same ψ)
+// and weight 1 on the self-conjugate kx = 0 and kx = K1/2 planes. The
+// per-shard energy partials merge in shard order. Counters, if non-nil,
+// record the work.
 func (p *PME) Recip(pos []vec.V, charges []float64, frc []vec.V, w *work.Counters) float64 {
 	if p.rgrid == nil {
 		p.allocRecip()
@@ -310,24 +311,26 @@ func (p *PME) interpolate(pos []vec.V, charges []float64, lo, hi int, frc []vec.
 }
 
 // buildHalfInfluence precomputes the influence coefficients over the
-// stored half spectrum, folding the Hermitian energy weight into eCoefH.
-// One-time cost; it removes every exp/ψ evaluation from the step loop.
+// stored half spectrum from p's factored table, folding the Hermitian
+// energy weight into eCoefH. One-time cost; it removes every exp/ψ
+// evaluation from the step loop.
 func (p *PME) buildHalfInfluence() {
 	hx := p.rplan.HX()
 	p.eCoefH = make([]float64, hx*p.K2*p.K3)
 	p.cCoefH = make([]float64, hx*p.K2*p.K3)
-	idx := 0
-	for m1 := 0; m1 < hx; m1++ {
-		weight := 2.0
-		if m1 == 0 || 2*m1 == p.K1 {
-			weight = 1.0
-		}
-		for m2 := 0; m2 < p.K2; m2++ {
-			for m3 := 0; m3 < p.K3; m3++ {
-				eCoef, cCoef := p.Psi(m1, m2, m3)
-				p.eCoefH[idx] = weight * eCoef
-				p.cCoefH[idx] = cCoef
-				idx++
+	psi := p.Influence()
+	eC, cC := make([]float64, p.K1), make([]float64, p.K1)
+	for m2 := 0; m2 < p.K2; m2++ {
+		for m3 := 0; m3 < p.K3; m3++ {
+			psi.Line(m2, m3, eC, cC)
+			for m1 := 0; m1 < hx; m1++ {
+				weight := 2.0
+				if m1 == 0 || 2*m1 == p.K1 {
+					weight = 1.0
+				}
+				idx := (m1*p.K2+m2)*p.K3 + m3
+				p.eCoefH[idx] = weight * eC[m1]
+				p.cCoefH[idx] = cC[m1]
 			}
 		}
 	}
@@ -374,37 +377,72 @@ func (p *PME) Footprint(r vec.V) (i1, i2, i3 [maxOrder]int) {
 	return i1, i2, i3
 }
 
-// Psi returns the two influence coefficients at mesh frequency
-// (m1, m2, m3): eCoef such that the reciprocal energy is Σ eCoef·|F(Q)|²,
-// and cCoef, the factor applied to the spectrum before the normalized
-// inverse FFT so the resulting conv grid drives force interpolation
-// (cCoef = 2·N·eCoef, zero at the origin). Exposed for the slab-distributed
-// PME, which owns only part of the spectrum.
-func (p *PME) Psi(m1, m2, m3 int) (eCoef, cCoef float64) {
-	if m1 == 0 && m2 == 0 && m3 == 0 {
-		return 0, 0
-	}
-	v := p.Box.Volume()
-	n := float64(p.GridLen())
-	pref := units.CoulombConst / (2 * math.Pi * v)
-	betaFac := math.Pi * math.Pi / (p.Beta * p.Beta)
-	mx := signedFreq(m1, p.K1) / p.Box.L.X
-	my := signedFreq(m2, p.K2) / p.Box.L.Y
-	mz := signedFreq(m3, p.K3) / p.Box.L.Z
-	m2norm := mx*mx + my*my + mz*mz
-	b := p.bsq1[m1] * p.bsq2[m2] * p.bsq3[m3]
-	a := math.Exp(-betaFac*m2norm) / m2norm * b
-	eCoef = pref * a
-	return eCoef, 2 * eCoef * n
+// Influence is the PME influence function ψ of one mesh, factored the way
+// its arithmetic splits: at mesh frequency (m1, m2, m3),
+//
+//	eCoef = pref·(g·((b1[m1]·b2[m2])·b3[m3])),  cCoef = 2·eCoef·N,
+//
+// with g = exp(−π²m²/β²)/m² and b the B-spline moduli. The signed
+// frequencies enter g only squared, so g is bitwise the same at m and K−m
+// in each dimension and is tabulated once over the folded octant
+// (|f1|, |f2|, |f3|), (K1/2+1)·(K2/2+1)·(K3/2+1) entries, |f1| fastest.
+// eCoef is the coefficient of |F(Q)|² in the reciprocal energy; cCoef
+// scales the spectrum before the normalized inverse FFT so the resulting
+// conv grid drives force interpolation. Both are zero at the origin, where
+// the table holds g = 0. An Influence is immutable once built, so any
+// number of goroutines may read it at once.
+type Influence struct {
+	k1, k2, k3       int
+	g                []float64
+	bsq1, bsq2, bsq3 []float64 // shared with the PME that built it
+	pref, n          float64
 }
 
-// signedFreq maps mesh index m to the signed frequency in [−K/2, K/2).
-func signedFreq(m, k int) float64 {
-	if m <= k/2 {
-		return float64(m)
+// Influence tabulates ψ of p's mesh: one exp per folded frequency.
+func (p *PME) Influence() *Influence {
+	h1, h2, h3 := p.K1/2+1, p.K2/2+1, p.K3/2+1
+	in := &Influence{
+		k1: p.K1, k2: p.K2, k3: p.K3,
+		g:    make([]float64, h1*h2*h3),
+		bsq1: p.bsq1, bsq2: p.bsq2, bsq3: p.bsq3,
+		pref: units.CoulombConst / (2 * math.Pi * p.Box.Volume()),
+		n:    float64(p.GridLen()),
 	}
-	return float64(m - k)
+	betaFac := math.Pi * math.Pi / (p.Beta * p.Beta)
+	i := 0
+	for f2 := 0; f2 < h2; f2++ {
+		my := float64(f2) / p.Box.L.Y
+		for f3 := 0; f3 < h3; f3++ {
+			mz := float64(f3) / p.Box.L.Z
+			for f1 := 0; f1 < h1; f1++ {
+				mx := float64(f1) / p.Box.L.X
+				if m2norm := mx*mx + my*my + mz*mz; m2norm > 0 {
+					in.g[i] = math.Exp(-betaFac*m2norm) / m2norm
+				}
+				i++
+			}
+		}
+	}
+	return in
 }
+
+// Line writes ψ along the x-line (·, m2, m3): eC[m1] and cC[m1] are eCoef
+// and cCoef at (m1, m2, m3) for m1 = 0..K1−1.
+func (in *Influence) Line(m2, m3 int, eC, cC []float64) {
+	h1 := in.k1/2 + 1
+	base := (fold(m2, in.k2)*(in.k3/2+1) + fold(m3, in.k3)) * h1
+	g := in.g[base : base+h1]
+	b2, b3 := in.bsq2[m2], in.bsq3[m3]
+	eC, cC = eC[:in.k1], cC[:in.k1]
+	for m1, b1 := range in.bsq1 {
+		e := in.pref * (g[fold(m1, in.k1)] * (b1 * b2 * b3))
+		eC[m1], cC[m1] = e, 2*e*in.n
+	}
+}
+
+// fold maps mesh index m to |f|, the magnitude of its signed frequency in
+// [−K/2, K/2).
+func fold(m, k int) int { return min(m, k-m) }
 
 // Interpolate differentiates the B-spline interpolant of the real part of
 // the given conv grid at the charge sites of atoms [lo, hi): F = −q·∇θ,

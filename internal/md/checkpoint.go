@@ -49,10 +49,11 @@ func (e *Engine) Snapshot() *Checkpoint {
 // Restore rewinds the engine to an in-memory checkpoint. The checkpoint
 // must come from an engine over a system with the same atom count and the
 // same timestep; anything else is an error, not a silent
-// reinterpretation. When the checkpoint carries a list origin the pair
-// list is rebuilt at those positions, reproducing the interrupted run's
-// list state exactly; otherwise the list is invalidated so the next
-// evaluation rebuilds it.
+// reinterpretation. When the checkpoint carries a list origin, the next
+// evaluation builds the pair list at those positions, reproducing the
+// interrupted run's list state exactly (a caller that only reads the
+// restored state builds none); otherwise the list is invalidated so the
+// next evaluation rebuilds it at its own positions.
 func (e *Engine) Restore(cp *Checkpoint) error {
 	if cp.N != e.Sys.N() {
 		return fmt.Errorf("md: checkpoint has %d atoms, engine has %d", cp.N, e.Sys.N())
@@ -71,15 +72,12 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 	copy(e.Pos, cp.Pos)
 	copy(e.Vel, cp.Vel)
 	copy(e.Frc, cp.Frc)
-	if len(cp.ListOrigin) == cp.N {
+	e.listPending = len(cp.ListOrigin) == cp.N
+	if e.listPending {
 		if e.listOrigin == nil {
 			e.listOrigin = make([]vec.V, cp.N)
 		}
 		copy(e.listOrigin, cp.ListOrigin)
-		if e.lister == nil {
-			e.lister = e.FF.NewPairLister()
-		}
-		e.pairs = e.lister.Build(e.listOrigin, nil)
 	} else {
 		e.listOrigin = nil // force a list rebuild at the next evaluation
 	}

@@ -1,6 +1,10 @@
 package md
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/work"
+)
 
 func TestCheckpointRoundTripContinuesTrajectory(t *testing.T) {
 	build := func() *Engine {
@@ -49,5 +53,34 @@ func TestCheckpointValidation(t *testing.T) {
 	cfg2.TimestepFS = 2
 	if err := NewEngine(sysA, cfg2).Restore(cp); err == nil {
 		t.Fatal("timestep mismatch accepted")
+	}
+}
+
+// TestRestoreBuildsTheListOnFirstUse: Restore builds no pair list; the
+// first evaluation builds it at the checkpointed origin without counting
+// it, so the restarted step's work counters are the straight run's.
+func TestRestoreBuildsTheListOnFirstUse(t *testing.T) {
+	build := func() *Engine {
+		cfg := smallCutoffs(DefaultConfig())
+		cfg.Temperature = 200
+		cfg.Seed = 3
+		return NewEngine(waterBox(27, 12, 51), cfg)
+	}
+	a := build()
+	a.Run(5, nil, nil)
+	b := build()
+	if err := b.Restore(a.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if b.lister != nil || b.PairCount() != 0 {
+		t.Fatalf("Restore built a pair list (%d pairs)", b.PairCount())
+	}
+	var wa, wb work.Counters
+	ra, rb := a.Step(&wa, nil), b.Step(&wb, nil)
+	if a.ListWasRebuilt() {
+		t.Fatal("the straight run rebuilt its list at the compared step; pick another")
+	}
+	if ra != rb || wa != wb {
+		t.Fatalf("restarted step %+v / %+v, straight %+v / %+v", rb, wb, ra, wa)
 	}
 }

@@ -109,10 +109,11 @@ type Engine struct {
 	nbk  *ff.NonbondedKernel // table-driven pair kernel (exact when configured)
 	pool *kernels.Pool       // the host cores the kernels' shards run on
 
-	pairs      []space.Pair
-	lister     *ff.PairLister // reusable list builder (no steady-state allocs)
-	listOrigin []vec.V        // positions at last list build
-	listFresh  bool
+	pairs       []space.Pair
+	lister      *ff.PairLister // reusable list builder (no steady-state allocs)
+	listOrigin  []vec.V        // positions at last list build
+	listFresh   bool
+	listPending bool // Restore set listOrigin; its list is built on first use
 
 	// Host-time phase counters, installed by SetObs (nil otherwise). The
 	// sequential engine runs on the host clock, so its §3.2 decomposition
@@ -185,15 +186,21 @@ func (e *Engine) Integrator() *Integrator { return e.integ }
 
 // RefreshList rebuilds the neighbour list unconditionally.
 func (e *Engine) RefreshList(w *work.Counters) {
-	if e.lister == nil {
-		e.lister = e.FF.NewPairLister()
-	}
-	e.pairs = e.lister.Build(e.Pos, w)
+	e.buildList(e.Pos, w)
 	if e.listOrigin == nil {
 		e.listOrigin = make([]vec.V, len(e.Pos))
 	}
 	copy(e.listOrigin, e.Pos)
 	e.listFresh = true
+}
+
+// buildList builds the pair list at pos.
+func (e *Engine) buildList(pos []vec.V, w *work.Counters) {
+	if e.lister == nil {
+		e.lister = e.FF.NewPairLister()
+	}
+	e.pairs = e.lister.Build(pos, w)
+	e.listPending = false
 }
 
 // ListWasRebuilt reports whether the last ComputeForces call rebuilt the
@@ -247,6 +254,10 @@ func (e *Engine) ComputeForces(w, wPME *work.Counters) EnergyReport {
 	}
 	if !e.integ.ListValid(e.Pos, e.listOrigin) {
 		e.RefreshList(w)
+	} else if e.listPending {
+		// A restored list, rebuilt at its checkpointed origin and not
+		// counted: the interrupted run already paid for that build.
+		e.buildList(e.listOrigin, nil)
 	}
 	vec.Fill(e.Frc, vec.Zero)
 	var rep EnergyReport

@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 
+	"repro/internal/netmodel"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -261,20 +262,29 @@ func (c *call) send(pr *prim) bool {
 
 // isend starts a non-blocking send. The per-message host overhead is
 // charged to the caller (it is real CPU time); the transfer proceeds in its
-// helper process and a later wait reads it.
+// helper process and a later wait reads it. An eager envelope needs no
+// handshake, so the rank deposits it on its own step and the helper starts
+// at the end of the packet processing.
 func (c *call) isend(pr *prim) bool {
 	r := c.r
+	net := &r.W.M.Cfg.Net
 	if c.st == 0 {
 		if c.crashed() {
 			return true
 		}
 		c.t0, c.st = r.Now(), 1
-		r.P.WakeIn(r.W.M.Cfg.Net.SendOverhead)
+		r.P.WakeIn(net.SendOverhead)
 		return false
 	}
 	r.chargeMsg(r.Now()-c.t0, false)
 	t := r.newTransfer(pr.peer, pr.tag, pr.bytes, 2) // held by the receiver and the wait
-	r.W.M.Env.StartStep(&t.sendP, t)
+	if pr.bytes > net.EagerLimit {
+		r.W.M.Env.StartStep(&t.sendP, t)
+	} else {
+		t.deposit()
+		t.state = xferWire
+		r.W.M.Env.StartStepIn(&t.sendP, t, t.packets(net))
+	}
 	r.acct.BytesSent += int64(pr.bytes)
 	r.W.observeMsg(pr.bytes)
 	c.reqs = append(c.reqs, t)
@@ -425,8 +435,9 @@ func (r *Rank) wakeIfWaiting() {
 // pushes the payload through both NICs: a blocking send steps it on the
 // rank's own process, an isend starts it as the callback process sendP so
 // the rank runs on. Its delivery leg (delivery.Step: latency, stall,
-// receive-side packet processing, arrival) is always the callback process
-// dlvP, started when the payload has left the sender.
+// receive-side packet processing, arrival) starts when the payload has left
+// the sender: an isend's sendP steps on into it, while a blocking send's
+// rank moves on and leaves it to the callback process dlvP.
 //
 // Both processes live in the transfer, and a finished transfer goes back
 // to its world's free list for newTransfer to reuse, so a run allocates
@@ -438,7 +449,7 @@ func (r *Rank) wakeIfWaiting() {
 // collector.
 type transfer struct {
 	transit
-	sendP, dlvP sim.Proc // the isend helper and the delivery leg
+	sendP, dlvP sim.Proc // the isend helper and a blocking send's delivery leg
 }
 
 // transit is the part of a transfer that newTransfer resets for each
@@ -517,7 +528,8 @@ func (t *transfer) release() {
 // crash or an exhausted watchdog ends the leg as the rank's recorded
 // failure. The isend helper is stepped on some other process's stack, so
 // it abandons the transfer quietly and leaves the report to the sender's
-// wait and to the receiver's own watchdog.
+// wait and to the receiver's own watchdog; once the payload has left, it
+// steps on as the delivery leg.
 func (t *transfer) Step(p *sim.Proc) bool {
 	r, msg := t.r, &t.msg
 	m := r.W.M
@@ -534,8 +546,7 @@ func (t *transfer) Step(p *sim.Proc) bool {
 				msg.sender = p
 				t.state = xferAwaitClear
 			}
-			t.dst.inbox = append(t.dst.inbox, msg)
-			t.dst.wakeIfWaiting()
+			t.deposit()
 
 		case xferAwaitClear:
 			if t.parked {
@@ -561,10 +572,8 @@ func (t *transfer) Step(p *sim.Proc) bool {
 			t.state = xferPackets
 
 		case xferPackets:
-			// Per-packet send processing on the sender CPU.
-			t.pkts = net.Packets(msg.bytes)
 			t.state = xferWire
-			p.WakeIn(float64(t.pkts) * net.PerPacketSend)
+			p.WakeIn(t.packets(net))
 			return false
 
 		case xferWire:
@@ -626,13 +635,31 @@ func (t *transfer) Step(p *sim.Proc) bool {
 
 		case xferLeft:
 			t.state = dlvFlight
-			m.Env.StartStep(&t.dlvP, (*delivery)(t))
-			return t.finish(p)
+			if own {
+				m.Env.StartStep(&t.dlvP, (*delivery)(t))
+				return true
+			}
+			t.finish(p)
 
 		default:
-			panic("mpi: sender leg stepped after the payload left")
+			// The isend helper carries its message on as the delivery leg.
+			return (*delivery)(t).Step(p)
 		}
 	}
+}
+
+// deposit puts the envelope in the receiver's inbox and wakes the receiver
+// if it waits for one.
+func (t *transfer) deposit() {
+	t.dst.inbox = append(t.dst.inbox, &t.msg)
+	t.dst.wakeIfWaiting()
+}
+
+// packets counts the message's packets and returns their send processing
+// time on the sender CPU.
+func (t *transfer) packets(net *netmodel.Params) float64 {
+	t.pkts = net.Packets(t.msg.bytes)
+	return float64(t.pkts) * net.PerPacketSend
 }
 
 // finish ends the sender leg; the isend helper completes the send and
@@ -653,7 +680,8 @@ func (t *transfer) finish(p *sim.Proc) bool {
 // Name is the helper's label in a deadlock report.
 func (t *transfer) Name() string { return fmt.Sprintf("isend %d->%d", t.msg.src, t.msg.dst) }
 
-// delivery is the receive leg of a transfer, stepped as its own process.
+// delivery is the receive leg of a transfer: the process dlvP of a
+// blocking send, the rest of an isend's helper.
 type delivery transfer
 
 func (d *delivery) Step(p *sim.Proc) bool {

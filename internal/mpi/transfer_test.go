@@ -143,3 +143,68 @@ func TestFreeListBoundedByMessagesInFlight(t *testing.T) {
 			inFlight, len(allocated), len(w.free), peak)
 	}
 }
+
+// TestIsendDeliversOnItsOwnProcess: an isend's helper process steps on
+// into its message's delivery leg, eager and rendezvous alike, so its
+// transfer never starts the delivery process of its own that a blocking
+// send's transfer does, the rank's process having moved on.
+func TestIsendDeliversOnItsOwnProcess(t *testing.T) {
+	eager := netmodel.TCPGigE().EagerLimit
+	for _, c := range []struct {
+		name     string
+		dlvProcs bool // the transfer started its dlvP
+		send     func(r *Rank, bytes int)
+	}{
+		{"isend", false, func(r *Rank, bytes int) { r.Wait(r.Isend(1, 0, bytes)) }},
+		{"blocking send", true, func(r *Rank, bytes int) { send(r, 1, 0, bytes) }},
+	} {
+		for _, bytes := range []int{eager / 2, eager + 1} {
+			var w *World
+			mustRun(t, uniCluster(2, netmodel.TCPGigE()), func(r *Rank) {
+				w = r.W
+				if r.ID == 0 {
+					c.send(r, bytes)
+				} else {
+					r.Recv(0, 0)
+				}
+			})
+			if len(w.free) != 1 {
+				t.Fatalf("%s of %d B: %d transfers on the free list, want the one", c.name, bytes, len(w.free))
+			}
+			x := w.free[0]
+			if started := x.dlvP.Done(); started != c.dlvProcs {
+				t.Errorf("%s of %d B: separate delivery process started %v, want %v", c.name, bytes, started, c.dlvProcs)
+			}
+			if !c.dlvProcs && !x.sendP.Done() {
+				t.Errorf("%s of %d B: the helper process did not finish", c.name, bytes)
+			}
+		}
+	}
+}
+
+// TestEagerIsendDepositsOnTheRanksStep: an eager isend's envelope is in
+// the receiver's inbox when the isend returns, before its helper process
+// has run; a rendezvous envelope waits for the helper, which parks on the
+// handshake.
+func TestEagerIsendDepositsOnTheRanksStep(t *testing.T) {
+	eager := netmodel.TCPGigE().EagerLimit
+	for _, c := range []struct {
+		bytes int
+		want  bool
+	}{{eager, true}, {eager + 1, false}} {
+		var deposited bool
+		mustRun(t, uniCluster(2, netmodel.TCPGigE()), func(r *Rank) {
+			if r.ID == 1 {
+				r.Recv(0, 7)
+				return
+			}
+			req := r.Isend(1, 7, c.bytes)
+			inbox := r.W.ranks[1].inbox
+			deposited = len(inbox) == 1 && inbox[0].tag == 7
+			r.Wait(req)
+		})
+		if deposited != c.want {
+			t.Errorf("isend of %d B: envelope in the inbox on return %v, want %v", c.bytes, deposited, c.want)
+		}
+	}
+}

@@ -74,8 +74,9 @@ type canonical struct {
 	// The evaluation scratch, built by the first evaluation that finds
 	// none; a tape releases it when no run over it is in flight.
 	lanes    []lane
-	fullGrid []complex128   // assembled grid / spectrum / potential
-	lister   *ff.PairLister // scans on the ranks' lanes
+	fullGrid []complex128     // assembled grid / spectrum / potential
+	psi      *ewald.Influence // the mesh's ψ, read by every lane
+	lister   *ff.PairLister   // scans on the ranks' lanes
 	// Per rank, the atoms its classic blocks of list generation touchGen
 	// reference, each once.
 	touched  [][]int32
@@ -97,6 +98,7 @@ type lane struct {
 	plan2d  *fft.Plan2D
 	partial []vec.V   // the lane's rank's partial forces, zero outside its evaluation
 	grid    []float64 // the lane's rank's spread contribution
+	eC, cC  []float64 // ψ along the x-line in hand
 	seen    []int32   // per atom, the last stamp that listed it
 	stamp   int32
 	atoms   []int32 // the atoms refs lists
@@ -178,8 +180,8 @@ func newCanonical(p int, cfg Config, seedEngine *md.Engine, t *Tape) *canonical 
 	return c
 }
 
-// scratch builds the lanes, the assembled grid and the list builder if
-// there are none.
+// scratch builds the lanes, the assembled grid, the ψ table and the list
+// builder if there are none.
 func (c *canonical) scratch() {
 	if c.lanes != nil {
 		return
@@ -201,15 +203,17 @@ func (c *canonical) scratch() {
 		l.plan2d = fft.NewPlan2D(pmeCfg.K2, pmeCfg.K3)
 		l.partial = make([]vec.V, n)
 		l.grid = make([]float64, g)
+		l.eC, l.cC = make([]float64, pmeCfg.K1), make([]float64, pmeCfg.K1)
 		l.seen = make([]int32, n)
 		l.atoms = make([]int32, n)
 	}
+	c.psi = c.lanes[0].pme.Influence()
 }
 
 // dropScratch releases the evaluation scratch; the next evaluation builds
 // it again.
 func (c *canonical) dropScratch() {
-	c.lanes, c.fullGrid, c.lister, c.touched = nil, nil, nil, nil
+	c.lanes, c.fullGrid, c.psi, c.lister, c.touched = nil, nil, nil, nil, nil
 }
 
 // list returns step's snapshot once its positions and list generation are
@@ -471,7 +475,7 @@ func (c *canonical) forceEval(st *canonState) {
 	c.waves(func(rk int, l *lane) {
 		l.scalar = 0
 		for y := c.yOff[rk]; y < c.yOff[rk+1]; y++ {
-			l.scalar = spectrumLines(l.plan1d, l.pme, c.fullGrid, y*k3, planeLen, k1, k3, y, l.scalar)
+			l.scalar = spectrumLines(l.plan1d, c.psi, l.eC, l.cC, c.fullGrid, y*k3, planeLen, k1, k3, y, l.scalar)
 		}
 	}, func(rk int, l *lane) { st.rep.Recip += l.scalar })
 	c.planes((*fft.Plan2D).Inverse)
@@ -580,17 +584,18 @@ func (cp *classicParts) classic(rk int, f *ff.ForceField, nbk *ff.NonbondedKerne
 
 // spectrumLines runs the reciprocal sum over the k3 x-lines of mesh row
 // m2, which start at buf[base] and step by stride along x: forward 1-D
-// FFTs, the influence multiply, inverse FFTs. The lines' energy is added
-// to eRecip term by term, z-outer and m1-inner, and the sum returned.
-func spectrumLines(plan *fft.Plan, pme *ewald.PME, buf []complex128, base, stride, k1, k3, m2 int, eRecip float64) float64 {
+// FFTs, the influence multiply with ψ read line by line into eC and cC
+// (k1 long), inverse FFTs. The lines' energy is added to eRecip term by
+// term, z-outer and m1-inner, and the sum returned.
+func spectrumLines(plan *fft.Plan, psi *ewald.Influence, eC, cC []float64, buf []complex128, base, stride, k1, k3, m2 int, eRecip float64) float64 {
 	plan.ForwardLines(buf, base, stride, k3)
 	for z := 0; z < k3; z++ {
+		psi.Line(m2, z, eC, cC)
 		for m1 := 0; m1 < k1; m1++ {
-			eC, cC := pme.Psi(m1, m2, z)
 			i := base + m1*stride + z
 			v := buf[i]
-			eRecip += eC * (real(v)*real(v) + imag(v)*imag(v))
-			buf[i] = v * complex(cC, 0)
+			eRecip += eC[m1] * (real(v)*real(v) + imag(v)*imag(v))
+			buf[i] = v * complex(cC[m1], 0)
 		}
 	}
 	plan.InverseLines(buf, base, stride, k3)

@@ -29,6 +29,7 @@ func fullLengthForces(c *canonical, pos []vec.V, pairs []space.Pair) ([]vec.V, m
 	pme := ewald.NewPME(c.sys.Box, pmeCfg.Beta, k1, k2, k3, pmeCfg.Order)
 	plan1d, plan2d := fft.NewPlan(k1), fft.NewPlan2D(k2, k3)
 	grid, spread := make([]complex128, k1*k2*k3), make([]float64, k1*k2*k3)
+	psi, eC, cC := pme.Influence(), make([]float64, k1), make([]float64, k1)
 
 	var eAll ff.Energies
 	pairOff := kernels.Partition(len(pairs), c.p, nil)
@@ -50,7 +51,7 @@ func fullLengthForces(c *canonical, pos []vec.V, pairs []space.Pair) ([]vec.V, m
 	for rk := 0; rk < c.p; rk++ {
 		var e float64
 		for y := c.yOff[rk]; y < c.yOff[rk+1]; y++ {
-			e = spectrumLines(plan1d, pme, grid, y*k3, planeLen, k1, k3, y, e)
+			e = spectrumLines(plan1d, psi, eC, cC, grid, y*k3, planeLen, k1, k3, y, e)
 		}
 		rep.Recip += e
 	}
@@ -105,5 +106,50 @@ func mustEqual(t *testing.T, label string, got, want any) {
 	t.Helper()
 	if g, w := fmt.Sprintf("%v", got), fmt.Sprintf("%v", want); g != w {
 		t.Fatalf("%s differs from the full-length merge", label)
+	}
+}
+
+// TestLanesReadOneInfluence: the lanes of an evaluation read one ψ table
+// at once — the race detector's case — built with the evaluation scratch
+// and dropped with it, and a three-lane evaluation is the one-lane one bit
+// for bit.
+func TestLanesReadOneInfluence(t *testing.T) {
+	sys := topol.NewMyoglobinSystem(topol.MyoglobinConfig{Seed: 1})
+	mdc := md.PMEDefaultConfig()
+	mdc.Temperature = 300
+	seed := md.NewEngine(sys, mdc)
+	var states []*canonState
+	for _, workers := range []int{1, 3} {
+		c := newCanonical(8, Config{System: sys, MD: mdc, HostWorkers: workers}, seed, &Tape{window: true})
+		states = append(states, c.eval(c.lookup(-1, false)))
+		if c.psi == nil || len(c.lanes) != workers {
+			t.Fatalf("HostWorkers=%d: %d lanes, table built %v", workers, len(c.lanes), c.psi != nil)
+		}
+		c.dropScratch()
+		if c.psi != nil {
+			t.Fatalf("HostWorkers=%d: the table outlives the scratch", workers)
+		}
+	}
+	mustEqual(t, "total force", states[1].frcTotal, states[0].frcTotal)
+	mustEqual(t, "energies", states[1].rep, states[0].rep)
+}
+
+// TestWarmSpectrumLinesAllocatesNothing: with the ψ table and a lane's
+// line scratch in hand, a row of the spectrum allocates nothing.
+func TestWarmSpectrumLinesAllocatesNothing(t *testing.T) {
+	pc := md.PMEDefaultConfig().PME
+	k1, k2, k3 := pc.K1, pc.K2, pc.K3
+	pme := ewald.NewPME(space.NewBox(40, 30, 35), pc.Beta, k1, k2, k3, pc.Order)
+	psi, eC, cC := pme.Influence(), make([]float64, k1), make([]float64, k1)
+	plan := fft.NewPlan(k1)
+	grid := make([]complex128, k1*k2*k3)
+	for i := range grid {
+		grid[i] = complex(float64(i%7)-3, 0)
+	}
+	const y = 5
+	row := func() { spectrumLines(plan, psi, eC, cC, grid, y*k3, k2*k3, k1, k3, y, 0) }
+	row()
+	if allocs := testing.AllocsPerRun(5, row); allocs != 0 {
+		t.Fatalf("a warm spectrumLines allocates %v times", allocs)
 	}
 }

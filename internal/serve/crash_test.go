@@ -228,7 +228,8 @@ func tempName(rel string) string {
 
 // TestServeLoadContract drives a small server with a concurrent mix of
 // three tenants and a bursting fourth through one crash. The queue is
-// small, so admission sheds; the store holds 1 MiB; a 5 ms quantum
+// small, and the burst first fills its queue while both workers are held,
+// so admission sheds; the store holds 1 MiB; a 5 ms quantum
 // preempts long runs. The load is bounded by accepted submissions: once
 // crashAt jobs are accepted the clients stop, the server is aborted, a
 // byte flips in each of up to three stored results, and the server
@@ -239,14 +240,19 @@ func tempName(rel string) string {
 // event stream's terminal frame carried the reference bytes, and the one
 // restart replayed journaled work and caught the flipped bytes.
 func TestServeLoadContract(t *testing.T) {
-	const crashAt = 24
+	const crashAt, queueDepth = 24, 4
 	dir := t.TempDir()
+	hold, release := blockingFault(KindRun)
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(unblock)
 	open := func() (*Server, string) {
 		cfg := testConfig(dir)
 		cfg.StoreMaxBytes = 1 << 20
-		cfg.QueueDepth = 4
+		cfg.QueueDepth = queueDepth
 		cfg.MaxRetries = 2
 		cfg.PreemptQuantum = 5 * time.Millisecond
+		cfg.FaultInject = hold
 		s, err := Open(cfg)
 		if err != nil {
 			t.Fatalf("Open: %v", err)
@@ -322,9 +328,24 @@ func TestServeLoadContract(t *testing.T) {
 		}
 	}
 
+	s, base := open()
+	// The forced shed: a run per worker holds the workers in their first
+	// attempt, so nothing drains the burst's queue while it submits one
+	// distinct run more than the queue holds.
+	for w := 0; w < testConfig(dir).Workers; w++ {
+		id, ok := submit(t, base, "hold", runSpec(8+int(nBurst.Add(1))))
+		if !ok {
+			t.Fatal("a holding run was shed")
+		}
+		waitStatus(t, base, id, StatusRunning, time.Minute)
+	}
+	for i := 0; i < queueDepth+1; i++ {
+		submit(t, base, "burst", runSpec(8+int(nBurst.Add(1))))
+	}
+	unblock()
+
 	// Each client is a subtest; t.Run may be called from many goroutines at
 	// once, and subtests that do not call t.Parallel escape its -parallel cap.
-	s, base := open()
 	var clients sync.WaitGroup
 	client := func(name string, body func(t *testing.T)) {
 		clients.Add(1)

@@ -110,7 +110,7 @@ func (e *Env) Now() float64 { return e.now }
 // before Run or from inside a running process.
 func (e *Env) Spawn(name string, fn func(*Proc)) *Proc {
 	p := &Proc{name: name, wake: make(chan struct{})}
-	e.register(p)
+	e.register(p, 0)
 	go func() {
 		defer func() {
 			if p.killed {
@@ -139,16 +139,24 @@ func (e *Env) SpawnStep(body Stepper) *Proc {
 // finished: a caller that recycles its helper processes spawns them without
 // allocating. The process keeps its park generation, so a ParkTimeoutStep
 // timer left over from an earlier use never matches a later park.
-func (e *Env) StartStep(p *Proc, body Stepper) {
+func (e *Env) StartStep(p *Proc, body Stepper) { e.StartStepIn(p, body, 0) }
+
+// StartStepIn is StartStep with the first Step d ≥ 0 seconds from now: a
+// process whose first act is a known wait starts with one event, where
+// StartStep and a first Step that only calls WakeIn(d) take two.
+func (e *Env) StartStepIn(p *Proc, body Stepper, d float64) {
 	if p.env != nil && !p.finished {
 		panic(fmt.Sprintf("sim: StartStep on live process %q", p.Name()))
 	}
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative advance %g", d))
+	}
 	*p = Proc{body: body, parkGen: p.parkGen}
-	e.register(p)
+	e.register(p, d)
 }
 
-// register gives p its ID and schedules its start at the current time.
-func (e *Env) register(p *Proc) {
+// register gives p its ID and schedules its start d seconds from now.
+func (e *Env) register(p *Proc, d float64) {
 	p.env = e
 	p.id = e.spawned
 	p.slot = len(e.procs)
@@ -156,7 +164,7 @@ func (e *Env) register(p *Proc) {
 	e.alive++
 	e.procs = append(e.procs, p)
 	p.state = stateTimed
-	p.wakeAt = e.now
+	p.wakeAt = e.now + d
 	p.seq = e.nextSeq()
 	e.queue.push(p, e.now)
 }

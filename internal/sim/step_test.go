@@ -446,6 +446,64 @@ func TestStartStepOnLiveProcessPanics(t *testing.T) {
 	env.StartStep(&p, idleStepper{})
 }
 
+// stepAt finishes on the Step that finds its lead wait, if any, done and
+// records when that was.
+type stepAt struct {
+	lead float64
+	led  bool
+	at   float64
+}
+
+func (s *stepAt) Step(p *Proc) bool {
+	if s.lead > 0 && !s.led {
+		s.led = true
+		p.WakeIn(s.lead)
+		return false
+	}
+	s.at = p.Now()
+	return true
+}
+
+func (s *stepAt) Name() string { return "stepAt" }
+
+// TestStartStepInIsOneEvent: StartStepIn(p, body, d) runs body's first
+// Step when StartStep's body would run its second if its first only
+// called WakeIn(d), with one pop of p where that takes two; a negative d
+// panics.
+func TestStartStepInIsOneEvent(t *testing.T) {
+	const start, d = 0.25, 0.1
+	run := func(launch func(env *Env, p *Proc)) (pops int) {
+		env := NewEnv()
+		var p Proc
+		env.Spawn("driver", func(dr *Proc) {
+			dr.Advance(start)
+			launch(env, &p)
+		})
+		env.onPop = func(_ float64, _ int64, id int) {
+			if id == 1 {
+				pops++
+			}
+		}
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return pops
+	}
+	wake, in := &stepAt{lead: d}, &stepAt{}
+	wakePops := run(func(env *Env, p *Proc) { env.StartStep(p, wake) })
+	inPops := run(func(env *Env, p *Proc) { env.StartStepIn(p, in, d) })
+	if wakePops != 2 || inPops != 1 || in.at != wake.at || in.at != start+d {
+		t.Fatalf("StartStep+WakeIn: %d pops, body at %v; StartStepIn: %d pops, body at %v; want 2, 1 and %v",
+			wakePops, wake.at, inPops, in.at, start+d)
+	}
+	defer func() {
+		if v := recover(); v == nil || !strings.Contains(fmt.Sprint(v), "negative advance") {
+			t.Fatalf("recovered %v, want a panic about the negative advance", v)
+		}
+	}()
+	NewEnv().StartStepIn(&Proc{}, &stepAt{}, -1)
+}
+
 func TestCallbackOnlyRunNeedsNoGoroutine(t *testing.T) {
 	env := NewEnv()
 	before := runtime.NumGoroutine()
