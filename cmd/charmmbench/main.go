@@ -40,7 +40,6 @@ func main() {
 	seed := flag.Uint64("seed", 0, "override the deterministic seeds")
 	outdir := flag.String("outdir", "", "also write every figure as CSV into this directory")
 	workers := flag.Int("workers", 0, "cells in flight and physics lanes per cell; 0 = one per CPU, 1 = serial; output is identical")
-	app.KernelWorkersFlag("spread the physics kernels over this many host cores (0 and 1 run them inline; figure bytes identical for every value)")
 	app.SkinFlags("auto-tune the neighbour-list skin on the study workload before any figure runs")
 	verbose := flag.Bool("v", false, "print run-cache and physics-tape statistics to stderr")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -57,7 +56,7 @@ func main() {
 		app.Usagef("-workers must be >= 0, got %d", *workers)
 	}
 	opts := core.Options{Quick: *quick, Steps: *steps, SystemSeed: *seed, ClusterSeed: *seed,
-		Workers: *workers, KernelWorkers: app.KernelWorkers, Obs: app.Reg, Decomp: app.Decomp}
+		Workers: *workers, Obs: app.Reg, Decomp: app.Decomp}
 	if *procs != "" {
 		for _, tok := range strings.Split(*procs, ",") {
 			v, err := strconv.Atoi(strings.TrimSpace(tok))
@@ -193,7 +192,6 @@ func main() {
 		m.Config["steps"] = *steps
 		m.Config["quick"] = *quick
 		m.Config["workers"] = *workers
-		m.Config["kernel_workers"] = app.KernelWorkers
 		m.Config["decomp"] = app.Decomp.String()
 		m.Config["skin_angstrom"] = study.Suite.Cfg.MD.FF.ListCutoff - study.Suite.Cfg.MD.FF.CutOff
 		m.Config["skin_tuned"] = app.TuneSkin

@@ -49,7 +49,7 @@ func main() {
 	guardDrift := flag.Float64("guard-drift", 0, "energy-drift tolerance in kcal/mol (0 disables drift checks)")
 	guardWindow := flag.Int("guard-window", 0, "drift window in steps (0 = default)")
 	app.ObsFlags()
-	app.KernelWorkersFlag("spread the physics kernels over this many host cores (0 and 1 run them inline; results identical for every value)")
+	app.KernelWorkersFlag("spread the physics over this many host cores: the kernels, or with -ranks > 1 the simulated ranks' evaluation (0 and 1 run inline; results identical for every value)")
 	app.SkinFlags("auto-tune the neighbour-list skin before the run (choice recorded in the manifest; replay it with -skin)")
 	ranks := flag.Int("ranks", 1, "simulated MPI ranks (1 = the plain sequential engine; > 1 runs the simulated cluster over Gigabit TCP)")
 	app.DecompFlag("decomposition for -ranks > 1: replicated or domain")
@@ -196,13 +196,14 @@ func main() {
 		// rank; the run reports per-step energies plus the virtual wall
 		// clock and phase split of the simulated platform.
 		pcfg := pmd.Config{
-			System:     sys,
-			MD:         cfg,
-			Steps:      *steps,
-			Middleware: pmd.MiddlewareMPI,
-			Decomp:     app.Decomp,
-			Init:       engine.Snapshot(),
-			Obs:        reg,
+			System:      sys,
+			MD:          cfg,
+			Steps:       *steps,
+			Middleware:  pmd.MiddlewareMPI,
+			Decomp:      app.Decomp,
+			Init:        engine.Snapshot(),
+			Obs:         reg,
+			HostWorkers: app.KernelWorkers,
 		}
 		if app.ProfileOut != "" {
 			pcfg.Observer = perf.NewTimeline()
@@ -218,7 +219,6 @@ func main() {
 			*ranks, netmodel.TCPGigE().Name, app.Decomp)
 		fmt.Printf("%6s %14s %14s %14s %10s\n", "step", "classic", "pme", "total", "temp(K)")
 		for s, rep := range res.Energies {
-			stepGauge.Set(float64(s + 1))
 			fmt.Printf("%6d %14.3f %14.3f %14.3f %10s\n",
 				s+1, rep.Classic(), rep.PME(), rep.Total(), "-")
 		}

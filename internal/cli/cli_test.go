@@ -355,6 +355,19 @@ func TestCommands(t *testing.T) {
 			t.Errorf("%s %s: exit %d, stderr %q; want exit 2, %q", tc.name, tc.args, code, got, tc.want)
 		}
 	}
+
+	// With -ranks > 1, -kernel-workers sizes the simulated run's
+	// evaluation lanes, which move no byte.
+	stdout := func(kw string) []byte {
+		out, err := exec.Command(filepath.Join(bin, "mdrun"), "-ranks", "4", "-steps", "2", "-kernel-workers", kw).Output()
+		if err != nil {
+			t.Fatalf("mdrun -ranks 4 -steps 2 -kernel-workers %s: %v", kw, err)
+		}
+		return out
+	}
+	if inline, lanes := stdout("0"), stdout("2"); !bytes.Equal(inline, lanes) {
+		t.Errorf("mdrun -ranks 4 prints different output at -kernel-workers 0 and 2:\n%s\nvs\n%s", inline, lanes)
+	}
 }
 
 // TestFigureHelpNamesEveryFigure: charmmbench's -figure help (the golden

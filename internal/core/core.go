@@ -46,13 +46,10 @@ type Options struct {
 	SystemSeed  uint64
 	ClusterSeed uint64
 	// Workers bounds the cells in flight and the canonical evaluation's
-	// lanes inside each (0 = one per host CPU, 1 = serial). Figure output
-	// is identical across settings.
+	// lanes inside each, whose kernels run inline (0 = one per host CPU,
+	// 1 = serial). It is the study's one host-concurrency setting; figure
+	// output is identical across settings.
 	Workers int
-	// KernelWorkers spreads the physics kernels (pair loop, FFT, PME
-	// spread/interpolate) over host cores; 0 and 1 run them inline.
-	// Figure output is identical for every value.
-	KernelWorkers int
 	// Obs, when non-nil, receives the suite's cache/tape counters
 	// (repro_figures_*). Metrics never alter figure output.
 	Obs *obs.Registry
@@ -86,7 +83,6 @@ func NewStudy(o Options) *Study {
 		cfg.ClusterSeed = o.ClusterSeed
 	}
 	cfg.Workers = o.Workers
-	cfg.MD.KernelWorkers = o.KernelWorkers
 	cfg.Obs = o.Obs
 	cfg.Decomp = o.Decomp
 	return &Study{Suite: figures.NewSuite(cfg)}

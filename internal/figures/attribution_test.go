@@ -105,16 +105,11 @@ func TestAttributionRendersUntileableCells(t *testing.T) {
 }
 
 // TestAttributionOutputIdenticalAcrossWorkers: rendered attribution
-// bytes and run counters are identical between the serial schedule, every
-// number of cells in flight, and the pooled kernels — the acceptance
+// bytes and run counters are identical between the serial schedule and
+// every number of cells in flight and evaluation lanes — the acceptance
 // determinism contract.
 func TestAttributionOutputIdenticalAcrossWorkers(t *testing.T) {
 	cfgs := workerConfigs(func(c *Config) { c.CeilingProcs = []int{1, 16} })
-	for _, workers := range []int{1, 4} {
-		pooled := cfgs[0]
-		pooled.Workers, pooled.MD.KernelWorkers = workers, 2
-		cfgs = append(cfgs, pooled)
-	}
 	identicalAcross(t, cfgs, renderFigures("attribution"))
 }
 

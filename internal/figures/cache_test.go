@@ -125,10 +125,10 @@ func identicalAcross(t *testing.T, cfgs []Config, render func(s *Suite, w io.Wri
 			continue
 		}
 		if !bytes.Equal(buf.Bytes(), refBytes) {
-			t.Fatalf("bytes differ at workers=%d kernel-workers=%d", cfg.Workers, cfg.MD.KernelWorkers)
+			t.Fatalf("bytes differ at workers=%d", cfg.Workers)
 		}
 		if got := s.Stats(); got != refStats {
-			t.Fatalf("RunStats %+v at workers=%d kernel-workers=%d, serial %+v", got, cfg.Workers, cfg.MD.KernelWorkers, refStats)
+			t.Fatalf("RunStats %+v at workers=%d, serial %+v", got, cfg.Workers, refStats)
 		}
 	}
 	return refStats

@@ -29,10 +29,12 @@ import (
 //
 // An evaluation spends the HostWorkers of the run that built c: the list
 // build scans W ranges of home cells at once, the rank loops run W ranks
-// at a time on W lanes of reused scratch, and each wave merges
-// rank-ascending before the next starts — the same bits at every W. A
-// rank's merge visits only the atoms its terms write: per list generation,
-// each rank keeps the atoms its classic blocks reference.
+// at a time on W lanes of reused scratch, each lane running its rank's
+// kernels inline, and each wave merges rank-ascending before the next
+// starts — the same bits at every W. HostWorkers is the one host bound an
+// evaluation reads. A rank's merge visits only the atoms its terms write:
+// per list generation, each rank keeps the atoms its classic blocks
+// reference.
 //
 // Concurrency: a snapshot is published in two steps, its list generation
 // (the listed point) and then the whole state (done); see canonState.
@@ -68,7 +70,6 @@ type canonical struct {
 	classicParts
 
 	ranks *kernels.Pool // HostWorkers wide: runs the lanes of a wave
-	pool  *kernels.Pool // shared by the lanes' kernels
 	xOff  []int         // the mesh x-planes each lane transforms
 
 	// The evaluation scratch, built by the first evaluation that finds
@@ -174,7 +175,6 @@ func newCanonical(p int, cfg Config, seedEngine *md.Engine, t *Tape) *canonical 
 	}
 	c.classicParts = newClassicParts(sys, p)
 	c.yOff = kernels.Partition(pmeCfg.K2, p, nil)
-	c.pool = kernels.NewPool(cfg.MD.KernelWorkers)
 	c.ranks = kernels.NewPool(cfg.HostWorkers)
 	c.xOff = kernels.Partition(pmeCfg.K1, min(c.ranks.Workers(), p), nil)
 	return c
@@ -196,9 +196,7 @@ func (c *canonical) scratch() {
 	for i := range c.lanes {
 		l := &c.lanes[i]
 		l.nbk = c.ffield.NewNonbondedKernel()
-		l.nbk.SetPool(c.pool)
 		l.pme = ewald.NewPME(c.sys.Box, pmeCfg.Beta, pmeCfg.K1, pmeCfg.K2, pmeCfg.K3, pmeCfg.Order)
-		l.pme.SetPool(c.pool)
 		l.plan1d = fft.NewPlan(pmeCfg.K1)
 		l.plan2d = fft.NewPlan2D(pmeCfg.K2, pmeCfg.K3)
 		l.partial = make([]vec.V, n)

@@ -252,14 +252,11 @@ func TestSizeTablesTileTheMesh(t *testing.T) {
 
 // runDecomp executes the shared test workload under the given
 // decomposition, middleware and host-worker count.
-func runDecomp(t *testing.T, decomp DecompKind, p, steps, workers, kernelWorkers int, mw MiddlewareKind) *Result {
+func runDecomp(t *testing.T, decomp DecompKind, p, steps, workers int, mw MiddlewareKind) *Result {
 	t.Helper()
-	sys := testSystem(100, 24, 1)
-	cfg := testMDConfig()
-	cfg.KernelWorkers = kernelWorkers
 	res, err := Run(clusterCfg(p, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), Config{
-		System:      sys,
-		MD:          cfg,
+		System:      testSystem(100, 24, 1),
+		MD:          testMDConfig(),
 		Steps:       steps,
 		Middleware:  mw,
 		Decomp:      decomp,
@@ -279,23 +276,12 @@ func TestDecompDeterminismMatrix(t *testing.T) {
 	workers := []int{0, 1, 2, runtime.GOMAXPROCS(0) + 1}
 	for _, decomp := range []DecompKind{DecompReplicated, DecompDomain} {
 		for _, mw := range []MiddlewareKind{MiddlewareMPI, MiddlewareCMPI} {
-			ref := runDecomp(t, decomp, 4, 3, workers[0], 0, mw)
+			ref := runDecomp(t, decomp, 4, 3, workers[0], mw)
 			for _, w := range workers[1:] {
-				got := runDecomp(t, decomp, 4, 3, w, 0, mw)
+				got := runDecomp(t, decomp, 4, 3, w, mw)
 				mustEqualResults(t, fmt.Sprintf("%v/%v workers=%d", decomp, mw, w), ref, got)
 			}
 		}
-	}
-}
-
-// TestDomainKernelWorkerInvariance: the domain path's canonical physics
-// is byte-identical for every kernel-workers value (same contract as
-// md.Engine).
-func TestDomainKernelWorkerInvariance(t *testing.T) {
-	ref := runDecomp(t, DecompDomain, 4, 3, 2, 1, MiddlewareMPI)
-	for _, kw := range []int{2, 4, runtime.GOMAXPROCS(0) + 3} {
-		got := runDecomp(t, DecompDomain, 4, 3, 2, kw, MiddlewareMPI)
-		mustEqualResults(t, fmt.Sprintf("kernel-workers=%d", kw), ref, got)
 	}
 }
 
@@ -460,24 +446,28 @@ func gaugeValue(reg *obs.Registry, name string) (float64, bool) {
 // OnStep fires as the last rank completes the step). Every run, over its
 // own tape or a shared one, adds one goroutine, which evaluates ahead of
 // the ranks and may be evaluating at a step boundary: at one host worker
-// its lanes are that goroutine, at W > 1 a wave adds W-1 more.
+// its lanes are that goroutine, at W > 1 a wave adds W-1 more. HostWorkers
+// is the one bound: MD.KernelWorkers adds no goroutine to a run.
 func TestGoroutineBudget(t *testing.T) {
 	const p = 64
 	sys := testSystem(100, 24, 1)
 	for _, tc := range []struct {
-		name    string
-		wd      mpi.Watchdog
-		workers int
-		tape    *Tape
+		name          string
+		wd            mpi.Watchdog
+		workers       int
+		kernelWorkers int
+		tape          *Tape
 	}{
-		{"plain", mpi.Watchdog{}, 0, nil},
-		{"watchdog", mpi.DefaultWatchdog(), 0, nil},
-		{"watchdog+host-workers", mpi.DefaultWatchdog(), 3, nil},
-		{"watchdog+tape", mpi.DefaultWatchdog(), 0, NewTape()},
+		{"plain", mpi.Watchdog{}, 0, 0, nil},
+		{"watchdog", mpi.DefaultWatchdog(), 0, 0, nil},
+		{"watchdog+host-workers", mpi.DefaultWatchdog(), 3, 0, nil},
+		{"watchdog+kernel-workers", mpi.DefaultWatchdog(), 0, 4, nil},
+		{"watchdog+tape", mpi.DefaultWatchdog(), 0, 0, NewTape()},
 	} {
 		cfg := domainCfg(sys, 3)
 		cfg.Watchdog = tc.wd
 		cfg.HostWorkers = tc.workers
+		cfg.MD.KernelWorkers = tc.kernelWorkers
 		cfg.Tape = tc.tape
 		base := runtime.NumGoroutine()
 		peak, samples := 0, 0

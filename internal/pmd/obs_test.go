@@ -46,12 +46,15 @@ func obsSnapshot(t *testing.T, p, steps, workers int, mw MiddlewareKind, decomp 
 // repro_trace_*, repro_mpi_*, repro_run_step, repro_pme_idle_ranks,
 // repro_cmpi_* — to testdata/obs_points.json, which was written by this
 // test's runs on the last commit whose Obs was a span recorder around the
-// registry (commit 04a89a6; nothing else different), except the four
-// repro_mpi_collective_seconds points of replicated_cmpi_p4. Those read 0
-// until every CMPI collective entered the transport's one collective
-// helper, and were rewritten then (TestCollectiveViewsAgree holds their
-// counts to the communication log's). Names, label sets and float64 bits
-// must all match, for one and for two host workers.
+// registry (commit 04a89a6; nothing else different), except two sets of
+// points. The four repro_mpi_collective_seconds points of
+// replicated_cmpi_p4 read 0 until every CMPI collective entered the
+// transport's one collective helper, and were rewritten then
+// (TestCollectiveViewsAgree holds their counts to the communication
+// log's). The three repro_run_step points read the 0-based local step
+// until rank 0 published the 1-based global step in progress, and were
+// raised by one then. Names, label sets and float64 bits must all match,
+// for one and for two host workers.
 func TestObsPointsGolden(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "obs_points.json"))
 	if err != nil {

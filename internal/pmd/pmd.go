@@ -115,9 +115,11 @@ type Config struct {
 	// goroutine, up to its last step.
 	Tape *Tape
 
-	// HostWorkers > 1 runs the canonical evaluation's rank loops that
-	// many ranks at a time on as many host goroutines; results are
-	// bitwise identical to the serial loop. ≤ 1 runs everything inline.
+	// HostWorkers > 1 runs the canonical evaluation's rank loops, each
+	// rank's kernels inline, that many ranks at a time on as many host
+	// goroutines; results are bitwise identical to the serial loop. ≤ 1
+	// runs everything inline. It is a run's one host bound (MD.KernelWorkers
+	// is not read), set by the run that builds the tape's evaluator.
 	HostWorkers int
 
 	// onStep, when non-nil, runs on every rank at the end of every
@@ -127,6 +129,9 @@ type Config struct {
 	// accounting only, so a step an earlier run evaluated serves it as well
 	// as one this run evaluates.
 	onStep func(w *worker, step int, timing StepTiming, energy md.EnergyReport)
+	// stepBase counts the steps done before the run's first (the resilient
+	// driver's stepsDone), so repro_run_step reads the global step.
+	stepBase int
 }
 
 // PhaseSample is the measured decomposition of one phase of one step on

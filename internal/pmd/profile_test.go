@@ -182,13 +182,11 @@ func TestOnStepKeepsTapeEligible(t *testing.T) {
 
 func TestProfileBytesDeterministicAcrossHostWorkers(t *testing.T) {
 	sys := testSystem(64, 24, 24)
-	run := func(hostWorkers, kernelWorkers int) []byte {
+	run := func(hostWorkers int) []byte {
 		const steps, p = 2, 4
-		mdc := testMDConfig()
-		mdc.KernelWorkers = kernelWorkers
 		res, err := Run(clusterCfg(p, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), Config{
 			System:      sys,
-			MD:          mdc,
+			MD:          testMDConfig(),
 			Steps:       steps,
 			Middleware:  MiddlewareMPI,
 			HostWorkers: hostWorkers,
@@ -203,7 +201,7 @@ func TestProfileBytesDeterministicAcrossHostWorkers(t *testing.T) {
 		}
 		return b
 	}
-	ref := run(1, 0)
+	ref := run(1)
 	// Captured from this test at commit be9ebb8, when the samples still
 	// came from a store the timeline kept beside Result.Timings.
 	golden, err := os.ReadFile(filepath.Join("testdata", "profile_p4_steps2.json"))
@@ -213,10 +211,8 @@ func TestProfileBytesDeterministicAcrossHostWorkers(t *testing.T) {
 	if !bytes.Equal(ref, golden) {
 		t.Fatalf("profile bytes differ from testdata/profile_p4_steps2.json:\n%s", ref)
 	}
-	for _, c := range [][2]int{{3, 0}, {1, 2}, {3, 2}} {
-		if got := run(c[0], c[1]); !bytes.Equal(got, ref) {
-			t.Fatalf("profile bytes differ at hostWorkers=%d kernelWorkers=%d", c[0], c[1])
-		}
+	if got := run(3); !bytes.Equal(got, ref) {
+		t.Fatal("profile bytes differ at hostWorkers=3")
 	}
 }
 

@@ -429,7 +429,7 @@ func (d *driver) attempt() (*recorder, error) {
 	cfg.Steps = rcfg.Steps - d.stepsDone
 	cfg.Init = d.init
 	cfg.Watchdog = d.wd
-	cfg.onStep = rec.onStep
+	cfg.onStep, cfg.stepBase = rec.onStep, d.stepsDone
 	rec.res, rec.accts, rec.err = runAttempt(d.cfg, d.cost, cfg)
 	if rec.fatal != nil {
 		return nil, rec.fatal

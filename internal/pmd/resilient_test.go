@@ -9,6 +9,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/mpi"
 	"repro/internal/netmodel"
+	"repro/internal/obs"
 )
 
 func TestCrashRecoveryMatchesUninterrupted(t *testing.T) {
@@ -79,6 +80,31 @@ func TestCrashRecoveryMatchesUninterrupted(t *testing.T) {
 		if p != res.Final.FinalPos[i] {
 			t.Fatalf("atom %d: final position differs from uninterrupted reference", i)
 		}
+	}
+}
+
+// TestRunStepGaugeCountsGlobalSteps: rank 0 publishes the 1-based global
+// step in progress, so after a crash and a rewind the resumed attempt
+// counts on from its checkpoint and the gauge ends at Steps.
+func TestRunStepGaugeCountsGlobalSteps(t *testing.T) {
+	sc, err := fault.ParseSpec("crash@0.2,rank=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	res, err := RunResilient(clusterCfg(4, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), ResilientConfig{
+		Config:          Config{System: testSystem(64, 24, 7), MD: testMDConfig(), Steps: 6, Obs: reg},
+		Scenario:        sc,
+		CheckpointEvery: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Recoveries) != 1 || res.Recoveries[0].RewindStep == 0 {
+		t.Fatalf("want one rewind to a checkpoint past step 0, got %+v", res.Recoveries)
+	}
+	if got := reg.Value("repro_run_step"); got != 6 {
+		t.Fatalf("repro_run_step = %g after the run, want 6", got)
 	}
 }
 

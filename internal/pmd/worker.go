@@ -90,7 +90,7 @@ type worker struct {
 	// onStep hook sets it, on the rank's own process.
 	stop bool
 
-	// mStep is rank 0's cached current-step gauge (nil without a registry).
+	// mStep is rank 0's 1-based global step gauge (nil without a registry).
 	mStep *obs.Gauge
 }
 
@@ -177,7 +177,7 @@ func (w *worker) run(res *Result) {
 	for step := 0; step < w.cfg.Steps; step++ {
 		var st StepTiming
 		if w.mStep != nil {
-			w.mStep.Set(float64(step))
+			w.mStep.Set(float64(w.cfg.stepBase + step + 1))
 		}
 
 		// ---- Classic phase ---------------------------------------------

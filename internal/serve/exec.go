@@ -40,10 +40,11 @@ import (
 // tape and each analysis a fresh frame log.
 // Safe for concurrent use.
 type Env struct {
-	// KernelWorkers is threaded into every built md.Config and study
-	// (md.Config.KernelWorkers). Set before first use: caches key on the
-	// job inputs only, so flipping it mid-life would hand out configs
-	// built under the old setting (with the same result bytes).
+	// KernelWorkers bounds one job's host goroutines: its simulations'
+	// HostWorkers, an analysis engine's md.Config.KernelWorkers. Set
+	// before first use: caches key on the job inputs only, so flipping it
+	// mid-life would hand out configs and tapes built under the old
+	// setting (with the same result bytes).
 	KernelWorkers int
 
 	mu    sync.Mutex
@@ -280,10 +281,7 @@ func (e *Env) system(atoms int, seed uint64) (*topol.System, md.Config) {
 func (e *Env) study(k studyCacheKey) *studyEntry {
 	ent := e.entry(k, func() *memo { return &memo{study: &studyEntry{}} }).study
 	ent.once.Do(func() {
-		ent.study = core.NewStudy(core.Options{
-			Quick: k.quick, Steps: k.steps, SystemSeed: k.seed, ClusterSeed: k.seed,
-			KernelWorkers: e.KernelWorkers,
-		})
+		ent.study = core.NewStudy(core.Options{Quick: k.quick, Steps: k.steps, SystemSeed: k.seed, ClusterSeed: k.seed})
 	})
 	return ent
 }
@@ -398,13 +396,14 @@ func (e *Env) execRun(spec JobSpec, ckptDir string, preempt func() bool, onStep 
 	}
 	res, err := pmd.RunResilient(clusterFor(spec, spec.Net), cluster.PentiumIII1GHz(), pmd.ResilientConfig{
 		Config: pmd.Config{
-			System:     sys,
-			MD:         mdCfg,
-			Steps:      spec.Steps,
-			Middleware: middleware(spec.MW),
-			Decomp:     dk,
-			Observer:   perf.NewTimeline(),
-			Tape:       tape,
+			System:      sys,
+			MD:          mdCfg,
+			Steps:       spec.Steps,
+			Middleware:  middleware(spec.MW),
+			Decomp:      dk,
+			Observer:    perf.NewTimeline(),
+			Tape:        tape,
+			HostWorkers: e.KernelWorkers,
 		},
 		CheckpointEvery: 1,
 		CheckpointDir:   ckptDir,
@@ -466,12 +465,13 @@ func (e *Env) execSweep(spec JobSpec, tape *pmd.Tape) ([]byte, error) {
 	p.Kind = string(KindSweep)
 	for _, name := range spec.Nets {
 		res, err := pmd.Run(clusterFor(spec, name), cluster.PentiumIII1GHz(), pmd.Config{
-			System:     sys,
-			MD:         mdCfg,
-			Steps:      spec.Steps,
-			Middleware: middleware(spec.MW),
-			Decomp:     dk,
-			Tape:       tape,
+			System:      sys,
+			MD:          mdCfg,
+			Steps:       spec.Steps,
+			Middleware:  middleware(spec.MW),
+			Decomp:      dk,
+			Tape:        tape,
+			HostWorkers: e.KernelWorkers,
 		})
 		if err != nil {
 			return nil, Errf(KindInternal, "sweep %s: %v", name, err)

@@ -111,10 +111,10 @@ type Config struct {
 	// Workers is the number of concurrent job executors. 0 means 2.
 	Workers int
 
-	// KernelWorkers spreads each job's physics kernels over host cores
-	// (see md.Config.KernelWorkers). Results are byte-identical for every
-	// value, so the result store keys on the job spec alone. 0 and
-	// negative values mean one worker.
+	// KernelWorkers spreads each job's physics over host cores: a run or
+	// sweep's evaluation lanes, an analysis job's kernels. Results are
+	// byte-identical for every value, so the result store keys on the job
+	// spec alone. 0 and negative values mean one worker.
 	KernelWorkers int
 
 	// QueueDepth bounds each tenant's queue; a submission past it is shed
