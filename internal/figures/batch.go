@@ -34,7 +34,6 @@ func (k CellKey) procs() int { return k.Cluster.Nodes * k.Cluster.CPUsPerNode }
 // cell writes before it hands the job back.
 type job struct {
 	cell CellKey
-	tape *pmd.Tape
 	res  *pmd.Result
 	err  error
 	secs float64 // host seconds inside the cell
@@ -45,13 +44,17 @@ type job struct {
 // the cache misses with at most Cfg.Workers of them in flight. Three rules
 // keep figure bytes and RunStats independent of the worker count:
 //
-//   - All bookkeeping — run cache, tapes, counters — happens here, on the
-//     requesting goroutine, in request order. Goroutines executing cells
-//     receive a (cell, tape) pair and return a (result, error) pair.
-//   - One tape per rank count, shared from its first request: a rank count
-//     without a tape gets one here, which every miss of the batch at that
-//     rank count, under either decomposition, runs over at once. It is
-//     kept, and counts as recorded, only if the miss that opened it is.
+//   - All bookkeeping — run cache, recorded rank counts, counters —
+//     happens here, on the requesting goroutine, in request order.
+//     Goroutines executing cells receive a cell and return a (result,
+//     error) pair.
+//   - One tape per workload, and on it one trajectory per rank count,
+//     shared from its first request: every miss of the batch, at any rank
+//     count and under either decomposition, runs over the suite's tape at
+//     once. The first miss at a rank count no kept run has recorded opens
+//     its trajectory; the rank count counts as recorded only if that miss
+//     is kept. A failed run leaves only fully evaluated steps on the tape,
+//     which serve later runs bit for bit.
 //   - The first error in request order is the batch's error, and nothing
 //     requested later is kept: the suite is left as if the cells had
 //     been requested one at a time up to the failure.
@@ -62,20 +65,14 @@ func (s *Suite) RunCells(cells []CellKey) ([]*pmd.Result, error) {
 	keys := make([]string, len(cells))
 	var jobs []*job
 	queued := map[string]*job{} // this batch's misses by key
-	opener := map[int]*job{}    // the job that opened this batch's tape per rank count
+	opener := map[int]*job{}    // per rank count no kept run recorded, the job that opens its trajectory
 	for i, c := range cells {
 		keys[i] = c.String()
 		if s.cache[keys[i]] != nil || queued[keys[i]] != nil {
 			continue
 		}
 		j := &job{cell: c}
-		switch p := c.procs(); {
-		case s.tapes[p] != nil:
-			j.tape = s.tapes[p]
-		case opener[p] != nil:
-			j.tape = opener[p].tape
-		default:
-			j.tape = pmd.NewTape()
+		if p := c.procs(); !s.recorded[p] && opener[p] == nil {
 			opener[p] = j
 		}
 		queued[keys[i]] = j
@@ -97,7 +94,7 @@ func (s *Suite) RunCells(cells []CellKey) ([]*pmd.Result, error) {
 		s.mMisses.Inc()
 		s.mCellSeconds.Add(j.secs)
 		if p := j.cell.procs(); opener[p] == j {
-			s.tapes[p] = j.tape
+			s.recorded[p] = true
 			s.mRecords.Inc()
 		} else {
 			s.mReplays.Inc()
@@ -152,7 +149,7 @@ func (s *Suite) run(j *job) {
 		Middleware:  j.cell.Middleware,
 		Faults:      s.faults,
 		Decomp:      j.cell.Decomp,
-		Tape:        j.tape,
+		Tape:        s.tape,
 		HostWorkers: s.workers(),
 	})
 	j.secs = time.Since(start).Seconds()

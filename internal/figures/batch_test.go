@@ -105,13 +105,15 @@ func TestBatchErrorIsFirstInRequestOrder(t *testing.T) {
 	}
 }
 
-// TestFailedRecorderLeavesNoTape: a crashing run that opens its rank
-// count's tape fails the batch, nothing requested after it is kept, and
-// no tape is left behind, partly evaluated or otherwise — the next request
-// for that rank count opens a fresh one. The replicated opener leads the
-// batch and the domain cells of its rank count run over its tape at once;
-// a batch led by a domain opener crashes too.
-func TestFailedRecorderLeavesNoTape(t *testing.T) {
+// TestFailedRecorderLeavesNoRecord: a crashing run that opens its rank
+// count's trajectory fails the batch, nothing requested after it is kept,
+// and no rank count is left recorded — the next request for that rank
+// count records it again, and is served the fully evaluated steps the
+// crashed runs left on the workload tape bit for bit, as a fresh suite's
+// equal cells show. The replicated opener leads the batch and the domain
+// cells of its rank count run over its trajectory at once; a batch led by
+// a domain opener crashes too.
+func TestFailedRecorderLeavesNoRecord(t *testing.T) {
 	cfg := quickConfig()
 	cfg.Workers = 4
 	cfg.FaultSpec = "crash@0.05,rank=3" // no recovery loop here: fatal to every p ≥ 4 run
@@ -130,8 +132,8 @@ func TestFailedRecorderLeavesNoTape(t *testing.T) {
 		if _, err := s.RunCells(batch); !errors.Is(err, mpi.ErrCrashed) {
 			t.Fatalf("batch led by a crashing recorder: %v, want a crash", err)
 		}
-		if st := s.Stats(); st != (RunStats{}) || len(s.tapes) != 0 {
-			t.Fatalf("after the crashed recorder %+v and %d tapes, want nothing kept", st, len(s.tapes))
+		if st := s.Stats(); st != (RunStats{}) || len(s.recorded) != 0 {
+			t.Fatalf("after the crashed recorder %+v and %d recorded rank counts, want nothing kept", st, len(s.recorded))
 		}
 	}
 
@@ -163,5 +165,39 @@ func TestFailedRecorderLeavesNoTape(t *testing.T) {
 				t.Fatalf("%v cell %d after the crashed recorder differs from a fresh suite's", decomp, i)
 			}
 		}
+	}
+}
+
+// TestSuiteTapeCountsTheSeedOnce: a suite keeps one tape for its workload,
+// so its Bytes counts the seed — the initial state, the step −1 pair list
+// and the ψ table — once, however many rank counts its cells span: two
+// suites' Bytes over rank counts {1} and {p} exceed one suite's over both
+// by one seed, the same seed for p = 2 and p = 4.
+func TestSuiteTapeCountsTheSeedOnce(t *testing.T) {
+	bytesOver := func(procs ...int) int64 {
+		s := freshSuite(quickConfig())
+		var cells []CellKey
+		for _, p := range procs {
+			cells = append(cells, s.cell(netmodel.TCPGigE(), p, 1, pmd.MiddlewareMPI, pmd.DecompReplicated))
+		}
+		if _, err := s.RunCells(cells); err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st.TapeRecords != len(procs) {
+			t.Fatalf("%v: %d trajectories recorded", procs, st.TapeRecords)
+		}
+		return s.Bytes()
+	}
+	one := bytesOver(1)
+	var seeds []int64
+	for _, p := range []int{2, 4} {
+		seeds = append(seeds, one+bytesOver(p)-bytesOver(1, p))
+	}
+	if seeds[0] <= 0 || seeds[1] != seeds[0] {
+		t.Fatalf("the suites over two rank counts hold %v bytes less than two suites over one each, want one seed's, twice the same", seeds)
+	}
+	// The positions, velocities and pair list of the 3552-atom system.
+	if seeds[0] < 2*24*3552+8*3552 {
+		t.Fatalf("one seed holds %d bytes", seeds[0])
 	}
 }

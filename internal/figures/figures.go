@@ -120,28 +120,30 @@ func Quick() Config {
 type RunStats struct {
 	Misses      int // unique configurations actually simulated
 	Hits        int // cells served from the run cache
-	TapeRecords int // rank counts whose tape a kept run opened
-	TapeReplays int // the other misses, each run over its rank count's tape
+	TapeRecords int // rank counts whose trajectory a kept run opened
+	TapeReplays int // the other misses, each run over its rank count's trajectory
 }
 
 // Suite runs and caches the experiment cells. Two layers of memoization
 // back it: a content-keyed run cache (platform × middleware × workload ×
 // fault scenario — every unique configuration simulates exactly once per
-// Suite lifetime) and, below it, one physics tape per rank count, built
-// on its first request and shared by every cache *miss* at that rank
-// count, under either decomposition and concurrent ones included, so the
-// MD kernels evaluate each step once and the other misses only run the
-// event simulation.
+// Suite lifetime) and, below it, the workload's one physics tape: a seed
+// every rank count shares, and a trajectory per rank count, built on its
+// first request and shared by every cache *miss* at that rank count, under
+// either decomposition and concurrent ones included, so the MD kernels
+// evaluate each step once and the other misses only run the event
+// simulation.
 //
 // A Suite serves one caller at a time: its methods must not be called
 // concurrently. The concurrency is inside RunCells, which keeps a batch's
 // cache misses in flight together and all bookkeeping on the caller.
 type Suite struct {
-	Cfg    Config
-	sys    *topol.System
-	cache  map[string]*pmd.Result
-	tapes  map[int]*pmd.Tape // by rank count, each entered once the run that opened it is kept
-	faults cluster.FaultModel
+	Cfg      Config
+	sys      *topol.System
+	cache    map[string]*pmd.Result
+	tape     *pmd.Tape    // the workload's
+	recorded map[int]bool // the rank counts whose trajectory a kept run opened
+	faults   cluster.FaultModel
 
 	// Registry-backed run counters (the RunStats view reads the first four).
 	mHits, mMisses, mRecords, mReplays, mCellSeconds *obs.Counter
@@ -175,10 +177,11 @@ func newSuite(cfg Config, sys *topol.System) *Suite {
 		cfg.RecoveryCrashes = paper.RecoveryCrashes
 	}
 	s := &Suite{
-		Cfg:   cfg,
-		sys:   sys,
-		cache: map[string]*pmd.Result{},
-		tapes: map[int]*pmd.Tape{},
+		Cfg:      cfg,
+		sys:      sys,
+		cache:    map[string]*pmd.Result{},
+		tape:     pmd.NewTape(),
+		recorded: map[int]bool{},
 	}
 	reg := cfg.Obs
 	if reg == nil {
@@ -222,13 +225,10 @@ func (s *Suite) Stats() RunStats {
 // number of cells in flight.
 func (s *Suite) CellSeconds() float64 { return s.mCellSeconds.Value() }
 
-// Bytes estimates what the suite holds beyond its system: every tape's
+// Bytes estimates what the suite holds beyond its system: its tape's
 // Bytes and every cached result's final positions and step timings.
 func (s *Suite) Bytes() int64 {
-	var b int64
-	for _, t := range s.tapes {
-		b += t.Bytes()
-	}
+	b := s.tape.Bytes()
 	for _, r := range s.cache {
 		b += int64(len(r.FinalPos)) * int64(unsafe.Sizeof(vec.V{}))
 		for _, ts := range r.Timings {

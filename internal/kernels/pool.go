@@ -53,6 +53,13 @@ type Pool struct {
 	hist  atomic.Pointer[obs.Histogram] // shard imbalance, when attached
 }
 
+// Mark, when set, sees the helper goroutines of every pooled Run, all
+// pools together: it is called with +1 before a helper starts and with −1
+// as it ends, so the running sum is the number of helpers in flight.
+// Tests set it, while no pool runs, to take the peak of that sum; unset,
+// it costs a pooled Run one load.
+var Mark func(delta int)
+
 // NewPool returns a pool that runs up to workers shards concurrently.
 // workers <= 0 is treated as 1 (serial).
 func NewPool(workers int) *Pool {
@@ -122,11 +129,18 @@ func (p *Pool) Run(n int, fn func(shard int)) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	mark := Mark
 	for i := 0; i < w-1; i++ {
 		wg.Add(1)
+		if mark != nil {
+			mark(+1)
+		}
 		go func() {
 			defer wg.Done()
 			drain(&next, int64(n), fn, durs)
+			if mark != nil {
+				mark(-1)
+			}
 		}()
 	}
 	drain(&next, int64(n), fn, durs)

@@ -140,3 +140,27 @@ func TestObsMetrics(t *testing.T) {
 		t.Fatal("SetObs(nil) did not detach the histogram")
 	}
 }
+
+// TestPoolMarkSeesEveryHelper: Mark sees each helper of a pooled Run
+// start and end — a four-worker Run whose shards wait for one another has
+// three in flight at its peak, none once it returns — and a one-worker Run
+// none.
+func TestPoolMarkSeesEveryHelper(t *testing.T) {
+	var inFlight, peak atomic.Int64
+	Mark = func(delta int) {
+		if n := inFlight.Add(int64(delta)); n > peak.Load() {
+			peak.Store(n)
+		}
+	}
+	defer func() { Mark = nil }()
+	var arrived sync.WaitGroup
+	arrived.Add(4)
+	NewPool(4).Run(4, func(int) {
+		arrived.Done()
+		arrived.Wait() // every shard in flight at once
+	})
+	NewPool(1).Run(4, func(int) {})
+	if peak.Load() != 3 || inFlight.Load() != 0 {
+		t.Fatalf("peak %d helpers in flight, %d after the Runs; want 3 and 0", peak.Load(), inFlight.Load())
+	}
+}

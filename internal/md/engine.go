@@ -194,10 +194,11 @@ func (e *Engine) RefreshList(w *work.Counters) {
 	e.listFresh = true
 }
 
-// buildList builds the pair list at pos.
+// buildList builds the pair list at pos, its scan on the engine's pool.
 func (e *Engine) buildList(pos []vec.V, w *work.Counters) {
 	if e.lister == nil {
 		e.lister = e.FF.NewPairLister()
+		e.lister.SetPool(e.pool)
 	}
 	e.pairs = e.lister.Build(pos, w)
 	e.listPending = false

@@ -1,8 +1,12 @@
 package md
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/space"
 )
 
 // pooledConfig returns a PME config with KernelWorkers set.
@@ -42,6 +46,53 @@ func TestEngineBitwiseStableAcrossKernelWorkers(t *testing.T) {
 			if p[i] != wantP[i] {
 				t.Fatalf("workers=%d: coordinate %d differs bitwise", workers, i)
 			}
+		}
+	}
+}
+
+// TestListBuildScansOnThePool: the sequential engine's list builds scan
+// on its kernel pool — a four-worker engine's RefreshList runs pooled
+// shards — and every step's pair list and energies are the one-worker
+// engine's, across list rebuilds.
+func TestListBuildScansOnThePool(t *testing.T) {
+	const steps = 30
+	sys := waterBox(300, 22, 3)
+	run := func(workers int) ([][]space.Pair, []EnergyReport, uint64) {
+		cfg := pooledConfig(workers)
+		cfg.Temperature = 1500
+		e := NewEngine(sys, cfg)
+		reg := obs.NewRegistry()
+		e.SetObs(reg)
+		shards := reg.Histogram("repro_kernel_shard_imbalance_ratio", "", []float64{1})
+		_, _, before := shards.Snapshot()
+		e.RefreshList(nil)
+		_, _, after := shards.Snapshot()
+		var lists [][]space.Pair
+		var reps []EnergyReport
+		rebuilds := 0
+		for s := 0; s < steps; s++ {
+			reps = append(reps, e.Step(nil, nil))
+			lists = append(lists, append([]space.Pair(nil), e.pairs...))
+			if e.ListWasRebuilt() {
+				rebuilds++
+			}
+		}
+		if rebuilds < 2 {
+			t.Fatalf("workers=%d: %d list rebuilds in %d steps, want at least 2", workers, rebuilds, steps)
+		}
+		return lists, reps, after - before
+	}
+	wantLists, wantReps, _ := run(1)
+	lists, reps, pooled := run(4)
+	if pooled == 0 {
+		t.Fatal("a four-worker engine's list build ran no pooled shards")
+	}
+	for s := range wantLists {
+		if !reflect.DeepEqual(lists[s], wantLists[s]) {
+			t.Fatalf("step %d: the four-worker pair list differs from the one-worker list", s)
+		}
+		if reps[s] != wantReps[s] {
+			t.Fatalf("step %d: report %+v != one-worker %+v", s, reps[s], wantReps[s])
 		}
 	}
 }

@@ -15,7 +15,9 @@ import (
 	"repro/internal/work"
 )
 
-// canonical is the one physics provider of the runs at rank count p.
+// canonical is the one physics provider of the runs at rank count p over
+// its tape, which holds the seed it starts from and the scratch it
+// evaluates on.
 //
 // Every run at rank count p computes one trajectory: the replicated-data
 // arithmetic at p, every partition cut by p and every partial result
@@ -29,10 +31,10 @@ import (
 //
 // An evaluation spends the HostWorkers of the run that built c: the list
 // build scans W ranges of home cells at once, the rank loops run W ranks
-// at a time on W lanes of reused scratch, each lane running its rank's
-// kernels inline, and each wave merges rank-ascending before the next
-// starts — the same bits at every W. HostWorkers is the one host bound an
-// evaluation reads. A rank's merge visits only the atoms its terms write:
+// at a time on W lanes of a scratch off the tape's free list, each lane
+// running its rank's kernels inline, and each wave merges rank-ascending
+// before the next starts — the same bits at every W. HostWorkers is the
+// one host bound an evaluation reads. A rank's merge visits only the atoms its terms write:
 // per list generation, each rank keeps the atoms its classic blocks
 // reference.
 //
@@ -45,22 +47,16 @@ import (
 // energies, which a domain rank calls at the end of its step's force
 // pipeline and a replicated one before its first classic segment. A
 // goroutine enters step s only once step s-1 is done, so at most one
-// evaluation is ever in flight (the lanes are safely reused), and a
-// published field is immutable while read. c keeps the snapshots its tape
-// keeps (Tape.stale): every one on a shared tape, a two-step window on a
-// run's private one, whose run-ahead therefore never gets more than one
-// step past the ranks (await).
+// evaluation of c is ever in flight (it holds sc alone), and a published
+// field is immutable while read. c keeps the snapshots its tape keeps
+// (Tape.stale): every one on a shared tape, a two-step window on a run's
+// private one, whose run-ahead therefore never gets more than one step
+// past the ranks (await).
 type canonical struct {
 	p   int
 	sys *topol.System
 	pme md.PMEConfig
-
-	ffield  *ff.ForceField
-	charges []float64
-	integ   *md.Integrator // the seed engine's
-
-	seedPos, seedVel []vec.V
-	seedOrigin       []vec.V // a checkpoint start's list origin, else nil
+	*seed
 
 	// Replicated partitions at rank count p. Rank rk's interpolation and
 	// exclusion correction write atoms [atomOff[rk], recipHi[rk]): its
@@ -72,18 +68,14 @@ type canonical struct {
 	ranks *kernels.Pool // HostWorkers wide: runs the lanes of a wave
 	xOff  []int         // the mesh x-planes each lane transforms
 
-	// The evaluation scratch, built by the first evaluation that finds
-	// none; a tape releases it when no run over it is in flight.
-	lanes    []lane
-	fullGrid []complex128     // assembled grid / spectrum / potential
-	psi      *ewald.Influence // the mesh's ψ, read by every lane
-	lister   *ff.PairLister   // scans on the ranks' lanes
+	sc *scratch // the scratch of the evaluation in flight, nil between evaluations
 	// Per rank, the atoms its classic blocks of list generation touchGen
-	// reference, each once.
+	// reference, each once; the tape drops them when no run is in flight.
 	touched  [][]int32
 	touchGen int
 
-	t *Tape // the tape c evaluates for, which counts its bytes
+	t   *Tape       // the tape c evaluates for, which counts its bytes
+	dom *domainView // the domain decomposition's reading of c's states
 
 	mu     sync.Mutex
 	states map[int]*canonState
@@ -91,28 +83,12 @@ type canonical struct {
 	wake   sync.Cond // on mu; broadcast when ahead grows or a run-ahead stops
 }
 
-// lane is one host worker's scratch for the rank loops of an evaluation.
-type lane struct {
-	nbk     *ff.NonbondedKernel
-	pme     *ewald.PME
-	plan1d  *fft.Plan
-	plan2d  *fft.Plan2D
-	partial []vec.V   // the lane's rank's partial forces, zero outside its evaluation
-	grid    []float64 // the lane's rank's spread contribution
-	eC, cC  []float64 // ψ along the x-line in hand
-	seen    []int32   // per atom, the last stamp that listed it
-	stamp   int32
-	atoms   []int32 // the atoms refs lists
-	e       ff.Energies
-	scalar  float64 // the lane's rank's recip or exclusion energy
-}
-
 // canonState is one step's immutable physics snapshot. Step -1 is the
 // initial force evaluation of velocity Verlet. All slices are freshly
-// allocated per step (or inherited unchanged from the previous step) so
-// a rank still reading step s races with nothing while the run-ahead
-// evaluates step s+1, and a tape's snapshot serves any number of runs at
-// once.
+// allocated per step (or inherited unchanged from the previous step, or,
+// at step -1, the seed's) so a rank still reading step s races with
+// nothing while the run-ahead evaluates step s+1, and a tape's snapshot
+// serves any number of runs at once.
 //
 // A snapshot is published in two steps. Closing listed publishes pos and
 // the list generation (listGen, listOrigin, pairs, rebuilt, distEvals);
@@ -132,9 +108,13 @@ type canonState struct {
 	// correction over its atom block.
 	classicWork, recipWork []work.Counters
 
-	// The neighbour list: its generation, the positions it was built at
-	// and its pairs, all inherited unchanged by the generation's later
-	// steps.
+	listing
+}
+
+// listing is a snapshot's neighbour list: its generation, the positions it
+// was built at and its pairs, all inherited unchanged by the generation's
+// later steps.
+type listing struct {
 	listGen    int
 	listOrigin []vec.V
 	pairs      []space.Pair
@@ -142,26 +122,21 @@ type canonState struct {
 	distEvals  int64 // full list-search cost when rebuilt
 }
 
-func newCanonical(p int, cfg Config, seedEngine *md.Engine, t *Tape) *canonical {
+// newCanonical returns the empty trajectory at rank count p over t's seed.
+func newCanonical(p int, cfg Config, t *Tape) *canonical {
 	sys := cfg.System
 	n := sys.N()
 	pmeCfg := cfg.MD.PME
 	c := &canonical{
-		p:       p,
-		sys:     sys,
-		pme:     pmeCfg,
-		ffield:  seedEngine.FF,
-		integ:   seedEngine.Integrator(),
-		seedPos: append([]vec.V(nil), seedEngine.Pos...),
-		seedVel: append([]vec.V(nil), seedEngine.Vel...),
-		t:       t,
-		states:  map[int]*canonState{},
+		p:      p,
+		sys:    sys,
+		pme:    pmeCfg,
+		seed:   t.seed,
+		t:      t,
+		dom:    &domainView{t: t},
+		states: map[int]*canonState{},
 	}
 	c.wake.L = &c.mu
-	if init := cfg.Init; init != nil && len(init.ListOrigin) == n {
-		c.seedOrigin = append([]vec.V(nil), init.ListOrigin...)
-	}
-	c.charges = c.ffield.Charges()
 	c.atomOff = kernels.Partition(n, p, nil)
 	c.recipHi = make([]int, p)
 	for rk := range c.recipHi {
@@ -180,39 +155,9 @@ func newCanonical(p int, cfg Config, seedEngine *md.Engine, t *Tape) *canonical 
 	return c
 }
 
-// scratch builds the lanes, the assembled grid, the ψ table and the list
-// builder if there are none.
-func (c *canonical) scratch() {
-	if c.lanes != nil {
-		return
-	}
-	n, pmeCfg := c.sys.N(), c.pme
-	g := pmeCfg.K1 * pmeCfg.K2 * pmeCfg.K3
-	c.fullGrid = make([]complex128, g)
-	c.lister = c.ffield.NewPairLister()
-	c.lister.SetPool(c.ranks)
-	c.touchGen = -1
-	c.lanes = make([]lane, len(c.xOff)-1)
-	for i := range c.lanes {
-		l := &c.lanes[i]
-		l.nbk = c.ffield.NewNonbondedKernel()
-		l.pme = ewald.NewPME(c.sys.Box, pmeCfg.Beta, pmeCfg.K1, pmeCfg.K2, pmeCfg.K3, pmeCfg.Order)
-		l.plan1d = fft.NewPlan(pmeCfg.K1)
-		l.plan2d = fft.NewPlan2D(pmeCfg.K2, pmeCfg.K3)
-		l.partial = make([]vec.V, n)
-		l.grid = make([]float64, g)
-		l.eC, l.cC = make([]float64, pmeCfg.K1), make([]float64, pmeCfg.K1)
-		l.seen = make([]int32, n)
-		l.atoms = make([]int32, n)
-	}
-	c.psi = c.lanes[0].pme.Influence()
-}
-
-// dropScratch releases the evaluation scratch; the next evaluation builds
-// it again.
-func (c *canonical) dropScratch() {
-	c.lanes, c.fullGrid, c.psi, c.lister, c.touched = nil, nil, nil, nil, nil
-}
+// lanes returns the lanes of the evaluation in flight: the first of its
+// scratch's, one per x-block of the mesh.
+func (c *canonical) lanes() []lane { return c.sc.lanes[:len(c.xOff)-1] }
 
 // list returns step's snapshot once its positions and list generation are
 // published: every run has an evalAhead goroutine that evaluates each of
@@ -229,12 +174,14 @@ func (c *canonical) list(step int) *canonState {
 // evaluation; step s > -1 requires step s-1 to have been evaluated.
 func (c *canonical) eval(st *canonState) *canonState {
 	st.once.Do(func() {
-		c.scratch()
+		c.sc = c.t.take(c)
 		if st.step == -1 {
 			c.evalInit(st)
 		} else {
 			c.evalStep(st)
 		}
+		c.t.put(c.sc)
+		c.sc = nil
 		st.prev = nil
 		c.t.bytes.Add(st.bytes())
 		close(st.done)
@@ -315,31 +262,27 @@ func (c *canonical) await(step int, quit *bool) bool {
 	return !*quit
 }
 
-// bytes is what st holds beyond the step before it: its per-step arrays
-// and, when it starts a list generation, the list and the list origin.
+// bytes is what st holds beyond the step before it and the seed: its
+// per-step arrays and, when it starts a list generation after step -1, the
+// list and the list origin.
 func (st *canonState) bytes() int64 {
-	const v, wc, pair = int64(unsafe.Sizeof(vec.V{})), int64(unsafe.Sizeof(work.Counters{})), int64(unsafe.Sizeof(space.Pair{}))
-	b := int64(unsafe.Sizeof(*st)) + v*int64(len(st.pos)+len(st.vel)+len(st.frcTotal)) +
-		wc*int64(len(st.classicWork)+len(st.recipWork))
-	if st.rebuilt || st.step == -1 {
-		b += v*int64(len(st.listOrigin)) + pair*int64(len(st.pairs))
+	const wc = int64(unsafe.Sizeof(work.Counters{}))
+	b := int64(unsafe.Sizeof(*st)) + vecBytes*int64(len(st.frcTotal)) + wc*int64(len(st.classicWork)+len(st.recipWork))
+	if st.step > -1 {
+		b += vecBytes * int64(len(st.pos)+len(st.vel))
+		if st.rebuilt {
+			b += vecBytes*int64(len(st.listOrigin)) + pairBytes*int64(len(st.pairs))
+		}
 	}
 	return b
 }
 
-// evalInit seeds the state from the sequential engine (optionally
-// restored from a checkpoint, rebuilding the pair list at the checkpointed
-// origin so the restarted trajectory stays bitwise identical; the
-// interrupted run already paid for that build), then evaluates the forces.
+// evalInit starts the state from the seed — the sequential engine's
+// state, optionally restored from a checkpoint, and the step −1 list
+// generation every rank count shares — then evaluates the forces.
 func (c *canonical) evalInit(st *canonState) {
-	st.pos = append([]vec.V(nil), c.seedPos...)
-	st.vel = append([]vec.V(nil), c.seedVel...)
-	st.listGen = -1
-	if c.seedOrigin != nil {
-		st.listOrigin = c.seedOrigin
-		st.listGen = 0
-		st.pairs = c.lister.Append(st.listOrigin, nil, nil)
-	}
+	st.pos, st.vel = c.seedPos, c.seedVel
+	st.listing = c.t.listing(c.sc.lister)
 	c.forceEval(st)
 }
 
@@ -366,16 +309,17 @@ func (c *canonical) evalStep(st *canonState) {
 	st.rep.Kinetic = kinTotal
 }
 
-// waves runs eval(rk, l) for every rank rk, one wave of len(c.lanes) ranks
+// waves runs eval(rk, l) for every rank rk, one wave of len(c.lanes()) ranks
 // at a time, each rank on its own lane, and after each wave merge(rk, l)
 // for the wave's ranks in ascending order.
 func (c *canonical) waves(eval, merge func(rk int, l *lane)) {
-	w := len(c.lanes)
+	lanes := c.lanes()
+	w := len(lanes)
 	for r0 := 0; r0 < c.p; r0 += w {
 		n := min(w, c.p-r0)
-		c.ranks.Run(n, func(i int) { eval(r0+i, &c.lanes[i]) })
+		c.ranks.Run(n, func(i int) { eval(r0+i, &lanes[i]) })
 		for i := 0; i < n; i++ {
-			merge(r0+i, &c.lanes[i])
+			merge(r0+i, &lanes[i])
 		}
 	}
 }
@@ -383,9 +327,10 @@ func (c *canonical) waves(eval, merge func(rk int, l *lane)) {
 // planes runs fn over every x-plane of the mesh, the lanes splitting them.
 func (c *canonical) planes(fn func(p *fft.Plan2D, plane []complex128)) {
 	planeLen := c.pme.K2 * c.pme.K3
-	c.ranks.Run(len(c.lanes), func(i int) {
+	lanes := c.lanes()
+	c.ranks.Run(len(lanes), func(i int) {
 		for x := c.xOff[i]; x < c.xOff[i+1]; x++ {
-			fn(c.lanes[i].plan2d, c.fullGrid[x*planeLen:(x+1)*planeLen])
+			fn(lanes[i].plan2d, c.sc.fullGrid[x*planeLen:(x+1)*planeLen])
 		}
 	})
 }
@@ -412,7 +357,7 @@ func (c *canonical) forceEval(st *canonState) {
 	if !c.integ.ListValid(st.pos, st.listOrigin) {
 		st.listGen++
 		var wl work.Counters
-		st.pairs = c.lister.Append(st.pos, nil, &wl)
+		st.pairs = c.sc.lister.Append(st.pos, nil, &wl)
 		st.distEvals = wl.ListDistEvals
 		st.listOrigin = append([]vec.V(nil), st.pos...)
 		st.rebuilt = true
@@ -433,11 +378,12 @@ func (c *canonical) forceEval(st *canonState) {
 	// merge clears every cell the rank's spread can have touched.
 	var eAll ff.Energies
 	pairOff := kernels.Partition(len(st.pairs), c.p, nil)
-	if c.touchGen != st.listGen {
+	if c.touched == nil || c.touchGen != st.listGen {
 		c.touch(st.pairs, pairOff)
 		c.touchGen = st.listGen
 	}
-	clear(c.fullGrid)
+	fullGrid := c.sc.fullGrid
+	clear(fullGrid)
 	order := pmeCfg.Order
 	c.waves(func(rk int, l *lane) {
 		l.e = c.classic(rk, c.ffield, l.nbk, st.pos, st.pairs[pairOff[rk]:pairOff[rk+1]], c.touched[rk], l.partial, &st.classicWork[rk])
@@ -458,7 +404,7 @@ func (c *canonical) forceEval(st *canonState) {
 					base := (a*k2 + b) * k3
 					for _, z := range i3[:order] {
 						if s := l.grid[base+z]; s != 0 {
-							c.fullGrid[base+z] += complex(s, 0)
+							fullGrid[base+z] += complex(s, 0)
 							l.grid[base+z] = 0
 						}
 					}
@@ -473,14 +419,14 @@ func (c *canonical) forceEval(st *canonState) {
 	c.waves(func(rk int, l *lane) {
 		l.scalar = 0
 		for y := c.yOff[rk]; y < c.yOff[rk+1]; y++ {
-			l.scalar = spectrumLines(l.plan1d, c.psi, l.eC, l.cC, c.fullGrid, y*k3, planeLen, k1, k3, y, l.scalar)
+			l.scalar = spectrumLines(l.plan1d, c.psi, l.eC, l.cC, fullGrid, y*k3, planeLen, k1, k3, y, l.scalar)
 		}
 	}, func(rk int, l *lane) { st.rep.Recip += l.scalar })
 	c.planes((*fft.Plan2D).Inverse)
 	// Interpolation + exclusion correction per rank block: forces merge
 	// rank-ascending on top of the classic sum, the ExclCorr scalars too.
 	c.waves(func(rk int, l *lane) {
-		l.scalar = recipForces(l.pme, sys, c.fullGrid, st.pos, c.charges, c.atomOff[rk], c.atomOff[rk+1], l.partial, &st.recipWork[rk])
+		l.scalar = recipForces(l.pme, sys, fullGrid, st.pos, c.charges, c.atomOff[rk], c.atomOff[rk+1], l.partial, &st.recipWork[rk])
 	}, func(rk int, l *lane) {
 		for i := c.atomOff[rk]; i < c.recipHi[rk]; i++ {
 			st.frcTotal[i] = st.frcTotal[i].Add(l.partial[i])

@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cluster"
@@ -448,9 +449,24 @@ func gaugeValue(reg *obs.Registry, name string) (float64, bool) {
 // the ranks and may be evaluating at a step boundary: at one host worker
 // its lanes are that goroutine, at W > 1 a wave adds W-1 more. HostWorkers
 // is the one bound: MD.KernelWorkers adds no goroutine to a run.
+//
+// Inside an evaluation, where a boundary sample cannot see, the peak of
+// the pooled Runs' helpers (kernels.Mark) bounds the goroutines the
+// evaluation spawns and joins: the run-ahead goroutine and its helpers are
+// at most max(1, HostWorkers) at any instant, over lanes drawn from the
+// tape's free list — also from a scratch another rank count's run built
+// and gave back while the two were in flight together.
 func TestGoroutineBudget(t *testing.T) {
 	const p = 64
 	sys := testSystem(100, 24, 1)
+	var inFlight, peak atomic.Int64
+	kernels.Mark = func(delta int) {
+		if n := inFlight.Add(int64(delta)); delta > 0 {
+			for old := peak.Load(); n > old && !peak.CompareAndSwap(old, n); old = peak.Load() {
+			}
+		}
+	}
+	defer func() { kernels.Mark = nil }()
 	for _, tc := range []struct {
 		name          string
 		wd            mpi.Watchdog
@@ -463,28 +479,55 @@ func TestGoroutineBudget(t *testing.T) {
 		{"watchdog+host-workers", mpi.DefaultWatchdog(), 3, 0, nil},
 		{"watchdog+kernel-workers", mpi.DefaultWatchdog(), 0, 4, nil},
 		{"watchdog+tape", mpi.DefaultWatchdog(), 0, 0, NewTape()},
+		{"watchdog+host-workers+tape", mpi.DefaultWatchdog(), 3, 0, NewTape()},
 	} {
 		cfg := domainCfg(sys, 3)
 		cfg.Watchdog = tc.wd
 		cfg.HostWorkers = tc.workers
 		cfg.MD.KernelWorkers = tc.kernelWorkers
 		cfg.Tape = tc.tape
+		lanes := max(1, tc.workers)
 		base := runtime.NumGoroutine()
-		peak, samples := 0, 0
-		rcfg := ResilientConfig{Config: cfg, OnStep: func(int, StepTiming, md.EnergyReport) bool {
-			peak = max(peak, runtime.NumGoroutine())
+		bound, samples := 0, 0
+		var otherErr error
+		rcfg := ResilientConfig{Config: cfg, OnStep: func(step int, _ StepTiming, _ md.EnergyReport) bool {
+			bound = max(bound, runtime.NumGoroutine())
 			samples++
+			if step == 0 && tc.tape != nil {
+				// A run at another rank count over the same tape, wholly in
+				// flight while the 64-rank run evaluates ahead, builds a
+				// scratch and gives it back to the free list the 64-rank
+				// run draws from.
+				_, otherErr = Run(clusterCfg(4, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), Config{
+					System: sys, MD: cfg.MD, Steps: 1, Decomp: DecompDomain, HostWorkers: tc.workers, Tape: tc.tape,
+				})
+			}
 			return false
 		}}
-		if _, err := RunResilient(clusterCfg(p, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), rcfg); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+		peak.Store(0)
+		if _, err := RunResilient(clusterCfg(p, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), rcfg); err != nil || otherErr != nil {
+			t.Fatalf("%s: %v; the 4-rank run: %v", tc.name, err, otherErr)
 		}
 		if samples != cfg.Steps {
 			t.Fatalf("%s: sampled %d of %d steps", tc.name, samples, cfg.Steps)
 		}
-		if budget := base + p + 2 + max(1, tc.workers); peak > budget {
+		if budget := base + p + 2 + lanes; bound > budget {
 			t.Errorf("%s: %d goroutines at a step boundary, budget %d (%d before the run + %d ranks + 2 + %d lanes of the run-ahead)",
-				tc.name, peak, budget, base, p, max(1, tc.workers))
+				tc.name, bound, budget, base, p, lanes)
+		}
+		evals := 1
+		if tc.tape != nil {
+			evals = 2 // the two runs' evaluations may overlap
+			if built := tc.tape.built; built > evals {
+				t.Errorf("%s: the tape built %d scratches for at most %d evaluations in flight", tc.name, built, evals)
+			}
+		}
+		if helpers := peak.Load(); helpers > int64(evals*(lanes-1)) {
+			t.Errorf("%s: %d pooled helpers in flight inside the evaluations, budget %d (%d evaluations of %d lanes, one the run-ahead goroutine)",
+				tc.name, helpers, evals*(lanes-1), evals, lanes)
+		}
+		if n := inFlight.Load(); n != 0 {
+			t.Fatalf("%s: %d helpers still in flight after the runs", tc.name, n)
 		}
 	}
 }

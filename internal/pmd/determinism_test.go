@@ -113,16 +113,16 @@ func TestTapeReplayMatches(t *testing.T) {
 	mustEqualResults(t, "replay-parallel", rec, runWith(t, 4, 3, 4, tape, nil))
 }
 
-// TestTapeShapeMismatchIgnored: a tape recorded for one rank count must
-// not corrupt a run at another; the run silently falls back to real
-// physics and leaves the tape untouched.
+// TestTapeShapeMismatchIgnored: a tape recorded at one rank count must
+// not corrupt a run at another; the run is served a trajectory of its own
+// and leaves the first untouched.
 func TestTapeShapeMismatchIgnored(t *testing.T) {
 	tape := NewTape()
 	runWith(t, 4, 3, 0, tape, nil)
 	ref := runWith(t, 2, 3, 0, nil, nil)
 	got := runWith(t, 2, 3, 0, tape, nil)
 	mustEqualResults(t, "mismatch", ref, got)
-	if tape.canon.p != 4 {
-		t.Fatalf("tape clobbered: p=%d", tape.canon.p)
+	if c := canonAt(tape, 4); c.p != 4 || len(c.states) != 4 || canonAt(tape, 2).p != 2 {
+		t.Fatalf("tape clobbered: p=%d with %d snapshots", c.p, len(c.states))
 	}
 }

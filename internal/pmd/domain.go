@@ -282,9 +282,10 @@ type epochCounts struct {
 // domainView is the domain decomposition's reading of one trajectory at
 // rank count p: the geometry and the ownership epoch of each neighbour-list
 // generation, each built on first request under one mutex, so the view of
-// a tape serves every domain run over it, concurrent ones included.
+// a trajectory serves every domain run at its rank count, concurrent ones
+// included.
 type domainView struct {
-	t      *Tape // the tape v is the view of, which counts its bytes and keeps its epochs
+	t      *Tape // the tape of v's trajectory, which counts its bytes and keeps its epochs
 	mu     sync.Mutex
 	geo    *domainGeometry
 	epochs []*epochData // by list generation
@@ -453,9 +454,9 @@ type domainDecomp struct {
 // returns the step's energies, and builds the geometry, which needs no
 // snapshot, before it waits.
 func (d *domainDecomp) serve(w *worker, step int) {
-	d.geo = w.sh.tape.dom.geometry(w.p, w.cfg)
-	w.cur = w.sh.tape.canon.list(step)
-	d.ep = w.sh.tape.dom.epoch(w.cfg, w.cur)
+	d.geo = w.sh.canon.dom.geometry(w.p, w.cfg)
+	w.cur = w.sh.canon.list(step)
+	d.ep = w.sh.canon.dom.epoch(w.cfg, w.cur)
 }
 
 func (d *domainDecomp) initialForces(w *worker) {

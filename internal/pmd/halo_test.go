@@ -50,7 +50,7 @@ func walkEpochs(t *testing.T, name string, sys *topol.System, mdc md.Config, ste
 	t.Helper()
 	cfg := Config{System: sys, MD: mdc, Steps: steps, Decomp: DecompDomain}
 	geo := newDomainGeometry(p, cfg)
-	c := newCanonical(p, cfg, md.NewEngine(sys, mdc), &Tape{window: true})
+	c := openCanonical(t, nil, p, cfg)
 	for s := -1; s < steps; s++ {
 		if st := c.eval(c.lookup(s, false)); st.listGen == epochs {
 			fn(c, st, buildEpoch(geo, sys, st))

@@ -77,11 +77,11 @@ func TestRankMergeMatchesFullLength(t *testing.T) {
 	sys := topol.NewMyoglobinSystem(topol.MyoglobinConfig{Seed: 1})
 	mdc := md.PMEDefaultConfig()
 	mdc.Temperature = 300
-	seed := md.NewEngine(sys, mdc)
 	for _, workers := range []int{1, 3} {
+		tape := NewTape()
 		for _, p := range []int{1, 2, 7, 8, 64, 256, 1024} {
 			label := fmt.Sprintf("p=%d HostWorkers=%d", p, workers)
-			c := newCanonical(p, Config{System: sys, MD: mdc, HostWorkers: workers}, seed, &Tape{window: true})
+			c := openCanonical(t, tape, p, Config{System: sys, MD: mdc, HostWorkers: workers})
 			st := c.eval(c.lookup(-1, false))
 			frc, rep, classicWork, recipWork := fullLengthForces(c, st.pos, st.pairs)
 			mustEqual(t, label+": total force", st.frcTotal, frc)
@@ -110,24 +110,25 @@ func mustEqual(t *testing.T, label string, got, want any) {
 }
 
 // TestLanesReadOneInfluence: the lanes of an evaluation read one ψ table
-// at once — the race detector's case — built with the evaluation scratch
-// and dropped with it, and a three-lane evaluation is the one-lane one bit
-// for bit.
+// at once — the race detector's case — the tape's, built by its first
+// evaluation and kept when the scratch goes back to the free list and the
+// free list is dropped, and a three-lane evaluation is the one-lane one
+// bit for bit.
 func TestLanesReadOneInfluence(t *testing.T) {
 	sys := topol.NewMyoglobinSystem(topol.MyoglobinConfig{Seed: 1})
 	mdc := md.PMEDefaultConfig()
 	mdc.Temperature = 300
-	seed := md.NewEngine(sys, mdc)
 	var states []*canonState
 	for _, workers := range []int{1, 3} {
-		c := newCanonical(8, Config{System: sys, MD: mdc, HostWorkers: workers}, seed, &Tape{window: true})
+		c := openCanonical(t, NewTape(), 8, Config{System: sys, MD: mdc, HostWorkers: workers})
 		states = append(states, c.eval(c.lookup(-1, false)))
-		if c.psi == nil || len(c.lanes) != workers {
-			t.Fatalf("HostWorkers=%d: %d lanes, table built %v", workers, len(c.lanes), c.psi != nil)
+		if c.psi == nil || len(c.t.free) != 1 || len(c.t.free[0].lanes) != workers {
+			t.Fatalf("HostWorkers=%d: the free list holds %d scratches, table built %v", workers, len(c.t.free), c.psi != nil)
 		}
-		c.dropScratch()
-		if c.psi != nil {
-			t.Fatalf("HostWorkers=%d: the table outlives the scratch", workers)
+		psi := c.psi
+		c.t.close(false)
+		if c.t.free != nil || c.psi != psi {
+			t.Fatalf("HostWorkers=%d: the free list outlives the last run, or the table does not", workers)
 		}
 	}
 	mustEqual(t, "total force", states[1].frcTotal, states[0].frcTotal)

@@ -104,22 +104,23 @@ type Config struct {
 	Watchdog mpi.Watchdog
 
 	// Tape, when non-nil, memoizes the physics across runs of the same
-	// workload and rank count, under either decomposition: the first run
-	// over the tape builds its evaluator, and every run at that rank count,
-	// concurrent ones included, is served the snapshots it holds or
-	// evaluates the next one into it (the simulated timings still come out
-	// of the full event simulation). When it is nil, when Init needs the
-	// physics executed from a checkpoint, or when it belongs to another
-	// rank count, the run opens a private tape that keeps a two-step
-	// window. Either way the run evaluates ahead of its ranks on one more
-	// goroutine, up to its last step.
+	// workload, at any rank count and under either decomposition: the
+	// first run over the tape builds the seed every rank count starts from,
+	// the first run at a rank count builds that rank count's evaluator, and
+	// every run at it, concurrent ones included, is served the snapshots it
+	// holds or evaluates the next one into it (the simulated timings still
+	// come out of the full event simulation). When it is nil, or when Init
+	// needs the physics executed from a checkpoint, the run opens a private
+	// tape that keeps a two-step window. Either way the run evaluates ahead
+	// of its ranks on one more goroutine, up to its last step.
 	Tape *Tape
 
 	// HostWorkers > 1 runs the canonical evaluation's rank loops, each
 	// rank's kernels inline, that many ranks at a time on as many host
 	// goroutines; results are bitwise identical to the serial loop. ≤ 1
 	// runs everything inline. It is a run's one host bound (MD.KernelWorkers
-	// is not read), set by the run that builds the tape's evaluator.
+	// is not read), set by the run that builds the evaluator at its rank
+	// count.
 	HostWorkers int
 
 	// onStep, when non-nil, runs on every rank at the end of every
@@ -287,11 +288,11 @@ func runAttempt(clusterCfg cluster.Config, cost cluster.CostModel, cfg Config) (
 	// Every run is a run over a tape, seeded from the sequential engine so
 	// trajectories are directly comparable: cfg.Tape when it serves the
 	// run, else a private one.
-	tape, err := cfg.Tape.open(p, cfg)
+	c, err := cfg.Tape.open(p, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	sh := newShared(p, cfg, tape)
+	sh := newShared(p, cfg, c)
 	res := &Result{
 		P:        p,
 		Timings:  make([][]StepTiming, p),
@@ -303,12 +304,12 @@ func runAttempt(clusterCfg cluster.Config, cost cluster.CostModel, cfg Config) (
 		Observer: cfg.Observer, Obs: cfg.Obs, Faults: cfg.Faults,
 		Watchdog: cfg.Watchdog,
 	}
-	stopAhead := tape.canon.evalAhead(cfg.Steps)
+	stopAhead := c.evalAhead(cfg.Steps)
 	accts, err := mpi.RunOpts(clusterCfg, cost, opts, func(r *mpi.Rank) {
 		newWorker(r, cfg, sh).run(res)
 	})
 	res.Acct = accts
 	stopAhead()
-	tape.close(err == nil && len(res.Energies) == cfg.Steps)
+	c.t.close(err == nil && len(res.Energies) == cfg.Steps)
 	return res, accts, err
 }

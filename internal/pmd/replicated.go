@@ -60,7 +60,7 @@ func (d replicatedDecomp) initialForces(w *worker) {
 	// The lookup runs inline: the replicated schedule has no segment
 	// before the first classic one, and a zero-cost segment would add an
 	// event to it.
-	w.cur = w.sh.tape.canon.list(-1)
+	w.cur = w.sh.canon.list(-1)
 	d.forces(w, nil, phaseTracker{})
 }
 
@@ -69,7 +69,7 @@ func (replicatedDecomp) drift(w *worker, step int) {
 	nOwn := int64(aHi - aLo)
 	// Half-kick + drift of the owned atom block, then the all-gather that
 	// refreshes every replica.
-	w.cur = w.sh.tape.canon.list(step)
+	w.cur = w.sh.canon.list(step)
 	w.r.ComputeWork(work.Counters{Integrate: nOwn})
 	w.c.Allgatherv(w.sh.blocks)
 }

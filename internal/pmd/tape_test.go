@@ -45,6 +45,38 @@ func tapeRun(t *testing.T, sys *topol.System, decomp DecompKind, p, steps int, n
 	return res
 }
 
+// canonAt returns tape's trajectory at rank count p, nil before a run at p
+// opened it.
+func canonAt(tape *Tape, p int) *canonical {
+	tape.mu.Lock()
+	defer tape.mu.Unlock()
+	return tape.canons[p]
+}
+
+// openCanonical opens tape's trajectory at rank count p over cfg's
+// workload, a private window tape's when tape is nil, for a test that
+// drives the evaluator itself.
+func openCanonical(t testing.TB, tape *Tape, p int, cfg Config) *canonical {
+	t.Helper()
+	c, err := tape.open(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// seedBytes recounts what tape's seed holds: its positions, velocities and
+// checkpointed list origin, its step −1 pair list, and the ψ table of
+// mesh pme once an evaluation built it.
+func seedBytes(tape *Tape, pme md.PMEConfig) int64 {
+	s := tape.seed
+	b := vecBytes*int64(len(s.seedPos)+len(s.seedVel)+len(s.seedOrigin)) + pairBytes*int64(len(s.initList.pairs))
+	if s.psi != nil {
+		b += psiBytes(pme)
+	}
+	return b
+}
+
 // TestDomainTapeReplayMatches: a domain run served from a tape is
 // indistinguishable from a fresh run — timings, accounting, wall clock,
 // energies and final positions — on every network, middleware and
@@ -67,8 +99,8 @@ func TestDomainTapeReplayMatches(t *testing.T) {
 		for i, decomp := range recorders {
 			tapes[i] = NewTape()
 			tapeRun(t, sys, decomp, p, steps, netmodel.TCPGigE(), MiddlewareMPI, 1, tapes[i])
-			if !tapes[i].Complete() || len(tapes[i].canon.states) != steps+1 {
-				t.Fatalf("p=%d %v: recording left complete=%v with %d snapshots", p, decomp, tapes[i].Complete(), len(tapes[i].canon.states))
+			if !tapes[i].Complete() || len(canonAt(tapes[i], p).states) != steps+1 {
+				t.Fatalf("p=%d %v: recording left complete=%v with %d snapshots", p, decomp, tapes[i].Complete(), len(canonAt(tapes[i], p).states))
 			}
 		}
 		for _, net := range netmodel.All() {
@@ -86,7 +118,7 @@ func TestDomainTapeReplayMatches(t *testing.T) {
 			}
 		}
 		for i, tape := range tapes {
-			if epochs := tape.dom.epochs; len(epochs) < 2 || epochs[1].migration == nil {
+			if epochs := canonAt(tape, p).dom.epochs; len(epochs) < 2 || epochs[1].migration == nil {
 				t.Fatalf("p=%d %v tape: the view holds %d epochs and no migration", p, recorders[i], len(epochs))
 			}
 		}
@@ -128,15 +160,16 @@ func TestTapeServesBothDecompositions(t *testing.T) {
 				}
 				mustEqualResults(t, label, tapeRun(t, sys, tc.run, p, 3, net, MiddlewareMPI, 1, nil), got[i])
 			}
-			if !tape.Complete() || !tape.canon.states[1].rebuilt {
-				t.Fatalf("p=%d %v tape: complete=%v, rebuilt at step 1=%v", p, tc.recorded, tape.Complete(), tape.canon.states[1].rebuilt)
+			if !tape.Complete() || !canonAt(tape, p).states[1].rebuilt {
+				t.Fatalf("p=%d %v tape: complete=%v, rebuilt at step 1=%v", p, tc.recorded, tape.Complete(), canonAt(tape, p).states[1].rebuilt)
 			}
 		}
 	}
 }
 
-// TestDomainTapeShapeMismatchIgnored: a domain tape built at another rank
-// count is ignored, as a replicated one is, and left untouched.
+// TestDomainTapeShapeMismatchIgnored: a domain run over a tape recorded at
+// another rank count is served a trajectory of its own, as a replicated
+// one is, and leaves the recorded one untouched.
 func TestDomainTapeShapeMismatchIgnored(t *testing.T) {
 	sys := testSystem(100, 24, 1)
 	tcp := netmodel.TCPGigE()
@@ -145,8 +178,8 @@ func TestDomainTapeShapeMismatchIgnored(t *testing.T) {
 	want := tapeRun(t, sys, DecompDomain, 2, 3, tcp, MiddlewareMPI, 1, nil)
 	got := tapeRun(t, sys, DecompDomain, 2, 3, tcp, MiddlewareMPI, 1, tape)
 	mustEqualResults(t, "p=2", want, got)
-	if tape.canon.p != 4 || len(tape.canon.states) != 4 {
-		t.Fatalf("tape clobbered: p=%d snapshots=%d", tape.canon.p, len(tape.canon.states))
+	if c := canonAt(tape, 4); c.p != 4 || len(c.states) != 4 {
+		t.Fatalf("tape clobbered: p=%d snapshots=%d", c.p, len(c.states))
 	}
 }
 
@@ -154,8 +187,8 @@ func TestDomainTapeShapeMismatchIgnored(t *testing.T) {
 // served the tape's steps, evaluates the next two into it and equals a
 // 5-step run given no tape; a 2-step run over the tape equals its run
 // given none.
-// Bytes counts every kept snapshot and epoch once: it grows with the
-// extension and not with the replay.
+// Bytes counts the seed and every kept snapshot and epoch once: it grows
+// with the extension and not with the replay.
 func TestDomainTapeExtendedByLongerRun(t *testing.T) {
 	sys := testSystem(100, 24, 1)
 	tcp := netmodel.TCPGigE()
@@ -170,14 +203,15 @@ func TestDomainTapeExtendedByLongerRun(t *testing.T) {
 		got := tapeRun(t, sys, DecompDomain, 4, steps, tcp, MiddlewareMPI, 1, tape)
 		mustEqualResults(t, fmt.Sprintf("steps=%d", steps), want, got)
 	}
-	if n := len(tape.canon.states); n != 6 {
+	c := canonAt(tape, 4)
+	if n := len(c.states); n != 6 {
 		t.Fatalf("the tape holds %d snapshots after a 5-step run, want 6", n)
 	}
-	recount := 4 * sparseBytes(4)
-	for _, st := range tape.canon.states {
+	recount := seedBytes(tape, c.pme) + 4*sparseBytes(4)
+	for _, st := range c.states {
 		recount += st.bytes()
 	}
-	for _, ep := range tape.dom.epochs {
+	for _, ep := range c.dom.epochs {
 		recount += ep.bytes()
 	}
 	if b := tape.Bytes(); recorded <= 0 || b <= recorded || b != recount {
@@ -227,7 +261,7 @@ func TestTapeSharedByConcurrentRuns(t *testing.T) {
 		}
 		mustEqualResults(t, label, tapeRun(t, sys, r.decomp, p, steps, r.net, MiddlewareMPI, r.workers, nil), got[i])
 	}
-	if n := len(tape.canon.states); !tape.Complete() || n != steps+1 {
+	if n := len(canonAt(tape, p).states); !tape.Complete() || n != steps+1 {
 		t.Fatalf("complete=%v with %d snapshots, want %d", tape.Complete(), n, steps+1)
 	}
 }
@@ -260,7 +294,7 @@ func TestTapeRunAheadStopsWithItsRun(t *testing.T) {
 	if tape.Complete() {
 		t.Fatal("a crashed run completed its tape")
 	}
-	c := tape.canon
+	c := canonAt(tape, p)
 	evaluated := func() int {
 		c.mu.Lock()
 		defer c.mu.Unlock()
@@ -394,7 +428,7 @@ func TestPrivateTapeKeepsAWindow(t *testing.T) {
 			c.mu.Lock()
 			snapshots = max(snapshots, len(c.states))
 			c.mu.Unlock()
-			v := c.t.dom
+			v := c.dom
 			v.mu.Lock()
 			held := 0
 			for _, ep := range v.epochs {
@@ -450,5 +484,135 @@ func TestPrivateTapeKeepsAWindow(t *testing.T) {
 		if !reflect.DeepEqual(res.Energies, want.Energies) || !reflect.DeepEqual(res.Final.FinalPos, want.FinalPos) {
 			t.Errorf("%v: the private tape's energies or final positions differ from a shared tape's", decomp)
 		}
+	}
+}
+
+// tapeBytes recounts what tape holds: its seed once, and per rank count
+// every kept snapshot, the domain view's geometry and epochs.
+func tapeBytes(tape *Tape, pme md.PMEConfig) int64 {
+	b := seedBytes(tape, pme)
+	for p, c := range tape.canons {
+		for _, st := range c.states {
+			b += st.bytes()
+		}
+		if c.dom.geo != nil {
+			b += 4 * sparseBytes(p)
+		}
+		for _, ep := range c.dom.epochs {
+			b += ep.bytes()
+		}
+	}
+	return b
+}
+
+// TestTapeSharesTheSeed: runs at p = 1, 2, 8 and 32, started at once over
+// one workload tape at two host workers, evaluate over one seed: their
+// step −1 states read the seed's positions, velocities and pair list — one
+// backing array, built once — and every state of every rank count equals
+// the state of a run over a tape of its own bit for bit: positions,
+// velocities, forces, energies, the list generation and every work
+// counter, the list search's distance evaluations included. The workload
+// tape's Bytes counts the seed once: it is the own tapes' sum less the
+// seed's bytes for every rank count but one.
+func TestTapeSharesTheSeed(t *testing.T) {
+	sys := testSystem(100, 24, 1)
+	const steps = 3
+	procs := []int{1, 2, 8, 32}
+	cfgAt := func(p int, tape *Tape) Config {
+		return Config{System: sys, MD: tapeMD(), Steps: steps, Decomp: DecompDomain, HostWorkers: 2, Tape: tape}
+	}
+	run := func(p int, tape *Tape) error {
+		_, err := Run(clusterCfg(p, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), cfgAt(p, tape))
+		return err
+	}
+	shared := NewTape()
+	errs := make([]error, len(procs))
+	var wg sync.WaitGroup
+	for i, p := range procs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = run(p, shared)
+		}()
+	}
+	wg.Wait()
+	var ownBytes int64
+	seed := canonAt(shared, procs[0]).states[-1]
+	for i, p := range procs {
+		if errs[i] != nil {
+			t.Fatalf("p=%d: %v", p, errs[i])
+		}
+		own := NewTape()
+		if err := run(p, own); err != nil {
+			t.Fatalf("p=%d over its own tape: %v", p, err)
+		}
+		ownBytes += own.Bytes()
+		got, want := canonAt(shared, p), canonAt(own, p)
+		if init := got.states[-1]; &init.pairs[0] != &seed.pairs[0] || &init.pos[0] != &shared.seed.seedPos[0] || !init.rebuilt {
+			t.Fatalf("p=%d: step -1 does not read the seed's list and state", p)
+		}
+		if len(got.states) != steps+1 || !got.states[1].rebuilt {
+			t.Fatalf("p=%d: %d states, rebuilt at step 1 %v; want %d and a rebuild", p, len(got.states), got.states[1].rebuilt, steps+1)
+		}
+		for s := -1; s < steps; s++ {
+			g, w := got.states[s], want.states[s]
+			for _, f := range []struct {
+				name      string
+				got, want any
+			}{
+				{"positions", g.pos, w.pos}, {"velocities", g.vel, w.vel}, {"forces", g.frcTotal, w.frcTotal},
+				{"energies", g.rep, w.rep}, {"classic work", g.classicWork, w.classicWork}, {"reciprocal work", g.recipWork, w.recipWork},
+				{"pairs", g.pairs, w.pairs}, {"list generation", []any{g.listGen, g.rebuilt, g.distEvals}, []any{w.listGen, w.rebuilt, w.distEvals}},
+			} {
+				if gs, ws := fmt.Sprintf("%v", f.got), fmt.Sprintf("%v", f.want); gs != ws {
+					t.Fatalf("p=%d step %d: %s differ from a run over its own tape", p, s, f.name)
+				}
+			}
+		}
+	}
+	if seed.distEvals <= 0 {
+		t.Fatalf("the seed's list counts %d distance evaluations", seed.distEvals)
+	}
+	pme := tapeMD().PME
+	if b, want := shared.Bytes(), ownBytes-int64(len(procs)-1)*seedBytes(shared, pme); b != want || b != tapeBytes(shared, pme) {
+		t.Fatalf("the workload tape holds %d bytes, its recount %d; %d own tapes hold %d, less %d seeds %d",
+			b, tapeBytes(shared, pme), len(procs), ownBytes, len(procs)-1, want)
+	}
+}
+
+// TestTapeScratchPerEvaluationInFlight: a sweep of p = 1 … 32 at two host
+// workers, one rank count after another over one tape while a 4-rank run
+// over it is in flight, builds at most two scratches — one per evaluation
+// that can be in flight at once, not one per rank count — grown to the
+// widest rank count's lanes; the free list goes when the last run does.
+func TestTapeScratchPerEvaluationInFlight(t *testing.T) {
+	sys := testSystem(100, 24, 1)
+	tape := NewTape()
+	cfg := Config{System: sys, MD: tapeMD(), Steps: 3, Decomp: DecompDomain, HostWorkers: 2, Tape: tape}
+	var sweepErr error
+	rcfg := ResilientConfig{Config: cfg, OnStep: func(step int, _ StepTiming, _ md.EnergyReport) bool {
+		if step == 0 {
+			for _, p := range []int{1, 2, 8, 16, 32} {
+				if _, err := Run(clusterCfg(p, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), cfg); err != nil {
+					sweepErr = fmt.Errorf("p=%d: %w", p, err)
+					return false
+				}
+			}
+			tape.mu.Lock()
+			defer tape.mu.Unlock()
+			for _, sc := range tape.free {
+				if len(sc.lanes) > 2 {
+					sweepErr = fmt.Errorf("a scratch of %d lanes at two host workers", len(sc.lanes))
+				}
+			}
+		}
+		return false
+	}}
+	if _, err := RunResilient(clusterCfg(4, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), rcfg); err != nil || sweepErr != nil {
+		t.Fatalf("the 4-rank run: %v; the sweep: %v", err, sweepErr)
+	}
+	if len(tape.canons) != 6 || tape.built > 2 || tape.built < 1 || tape.free != nil {
+		t.Fatalf("%d rank counts built %d scratches, %d left on the free list; want 6 over at most 2, none left",
+			len(tape.canons), tape.built, len(tape.free))
 	}
 }

@@ -21,7 +21,7 @@ const (
 // shared is what every rank of a run reads: the one snapshot source and
 // the layouts fixed by the rank count.
 type shared struct {
-	tape *Tape // its evaluator serves every rank, its domain view the domain ranks
+	canon *canonical // the run's trajectory: it serves every rank, its domain view the domain ranks
 
 	atomOff []int // the replicated atom blocks (integration, checkpoints)
 
@@ -33,11 +33,11 @@ type shared struct {
 	ops2d, ops1d int64
 }
 
-// newShared builds what the run's ranks share: the run's tape, and one
-// copy of the replicated partitions for a replicated run.
-func newShared(p int, cfg Config, t *Tape) *shared {
+// newShared builds what the run's ranks share: the run's trajectory, and
+// one copy of the replicated partitions for a replicated run.
+func newShared(p int, cfg Config, c *canonical) *shared {
 	pmeCfg := cfg.MD.PME
-	sh := &shared{tape: t, atomOff: kernels.Partition(cfg.System.N(), p, nil)}
+	sh := &shared{canon: c, atomOff: kernels.Partition(cfg.System.N(), p, nil)}
 	if cfg.Decomp == DecompReplicated {
 		sh.xOff = kernels.Partition(pmeCfg.K1, p, nil)
 		sh.yOff = kernels.Partition(pmeCfg.K2, p, nil)

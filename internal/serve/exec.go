@@ -30,9 +30,10 @@ import (
 // Env executes job specs on the deterministic engine. It caches the
 // expensive immutable inputs — relaxed solvated systems and figure
 // studies — across jobs, and memoizes the trajectories jobs compute: a
-// pmd.Tape per (system, ranks) that every run and every network of a
-// sweep at that rank count shares, and a sequential frame log per system
-// that analysis jobs slice. A tape or a log serves one workload (system
+// pmd.Tape per system, whose seed every rank count shares and whose
+// trajectory at a rank count every run and every network of a sweep at
+// that rank count shares, and a sequential frame log per system that
+// analysis jobs slice. A tape or a log serves one workload (system
 // and MD config), which its key fixes. Systems, studies, tapes and logs
 // are the entries of one memo, held under one LRU byte budget
 // (memoBudget). The caches affect speed only, never results;
@@ -97,25 +98,40 @@ func systemBytes(sys *topol.System) int64 {
 // least-recently-used entries until the rest fit.
 const memoBudget = 64 << 20
 
-// memoBytesPerAtomStep bounds what a memo holds per atom and kept step
-// (steps+1 of them). The worst case is the one-step job on the largest
-// box, a whole pair list over two steps (about 1.8 kB per atom-step);
-// TestMemoEstimateBoundsBytes pins the bound. Long jobs hold far less
-// (about 200 B at 16 steps), so the rule is conservative for them.
-const memoBytesPerAtomStep = 2048
+// What a job adds to the memo, per atom, is bounded by two terms that
+// TestMemoEstimateBoundsBytes pins:
+//
+//   - memoListBytes for its first list generation: on a tape the seed's
+//     state, step −1 pair list and ψ table, which every rank count shares,
+//     and its rank count's geometry and first ownership epoch; in a frame
+//     log the engine's arrays, list and PME grids. The worst case is the
+//     pair list of the largest box (about 3.2 kB per atom), and the size
+//     matrices of the most ranks on the smallest box.
+//   - memoStateBytes for each kept state (steps+1 of them): its positions,
+//     velocities and forces, its per-rank work counters, and its share of
+//     the later list generations, one every 4 steps at the fastest on the
+//     served boxes (the smallest with the most ranks is the worst case).
+const (
+	memoListBytes  = 4096
+	memoStateBytes = 640
+)
+
+// memoEstimate bounds what a job over atoms atoms and steps steps adds to
+// the memo.
+func memoEstimate(atoms, steps int) int64 {
+	return int64(atoms) * (memoListBytes + int64(steps+1)*memoStateBytes)
+}
 
 // memoEligible reports whether a job over atoms atoms and steps steps
 // joins the memo: its estimate must fit the budget, so no one job can
 // grow a memo past it. Any other job runs directly.
-func memoEligible(atoms, steps int) bool {
-	return int64(atoms)*int64(steps+1)*memoBytesPerAtomStep <= memoBudget
-}
+func memoEligible(atoms, steps int) bool { return memoEstimate(atoms, steps) <= memoBudget }
 
-// memoKey names one trajectory of a system: the tape of procs ranks, or
-// the frame log (procs 0).
+// memoKey names where a system's trajectories are kept: its tape, which
+// serves every rank count, or its frame log.
 type memoKey struct {
-	sys   sysCacheKey
-	procs int
+	sys sysCacheKey
+	log bool
 }
 
 // memo is one entry of the memo: a relaxed system, a figure study, or a
@@ -198,16 +214,16 @@ func (e *Env) memo(key memoKey, steps int, memoize bool) *memo {
 		return nil
 	}
 	return e.entry(key, func() *memo {
-		if key.procs > 0 {
-			return &memo{tape: pmd.NewTape()}
+		if key.log {
+			return &memo{log: &frameLog{}}
 		}
-		return &memo{log: &frameLog{}}
+		return &memo{tape: pmd.NewTape()}
 	})
 }
 
 // tape is the run or sweep spec's tape, nil for a direct run.
 func (e *Env) tape(spec JobSpec, memoize bool) *pmd.Tape {
-	if m := e.memo(memoKey{sysCacheKey{spec.Atoms, spec.Seed}, spec.Procs}, spec.Steps, memoize); m != nil {
+	if m := e.memo(memoKey{sys: sysCacheKey{spec.Atoms, spec.Seed}}, spec.Steps, memoize); m != nil {
 		return m.tape
 	}
 	return nil
@@ -216,7 +232,7 @@ func (e *Env) tape(spec JobSpec, memoize bool) *pmd.Tape {
 // frameLog is the analysis spec's frame log, a fresh one for a direct
 // computation.
 func (e *Env) frameLog(spec JobSpec, memoize bool) *frameLog {
-	if m := e.memo(memoKey{sys: sysCacheKey{spec.Atoms, spec.Seed}}, spec.Steps, memoize); m != nil {
+	if m := e.memo(memoKey{sysCacheKey{spec.Atoms, spec.Seed}, true}, spec.Steps, memoize); m != nil {
 		return m.log
 	}
 	return &frameLog{}

@@ -46,11 +46,7 @@ func memoMix(t *testing.T) []JobSpec {
 }
 
 func memoKeyOf(spec JobSpec) memoKey {
-	k := memoKey{sys: sysCacheKey{spec.Atoms, spec.Seed}}
-	if spec.Kind != KindAnalysis {
-		k.procs = spec.Procs
-	}
-	return k
+	return memoKey{sysCacheKey{spec.Atoms, spec.Seed}, spec.Kind == KindAnalysis}
 }
 
 // references computes every spec directly on one fresh Env.
@@ -165,7 +161,7 @@ func TestEnvMemoBounded(t *testing.T) {
 		atoms, steps int
 		want         bool
 	}{
-		{480, 8, true}, {4096, 7, true}, {4096, 8, false}, {4096, 512, false}, {24, 512, true},
+		{480, 8, true}, {4096, 7, true}, {4096, 18, true}, {4096, 19, false}, {4096, 512, false}, {24, 512, true},
 	} {
 		if got := memoEligible(c.atoms, c.steps); got != c.want {
 			t.Errorf("memoEligible(%d, %d) = %v, want %v", c.atoms, c.steps, got, c.want)
@@ -298,34 +294,61 @@ func TestSweepSharesOneTape(t *testing.T) {
 	}
 }
 
-// TestMemoEstimateBoundsBytes pins memoBytesPerAtomStep as an upper bound
-// of what a memo holds, at its worst cases: one step on the largest box,
-// whose pair list is the densest, and the most ranks on the smallest box,
-// whose size matrices outweigh its atoms.
+// TestMemoEstimateBoundsBytes pins memoEstimate as an upper bound of
+// what a job adds to the memo, term by term, at the worst cases: the
+// largest box, whose pair list is the densest, and the most ranks on the
+// smallest box, whose size matrices outweigh its atoms and whose list is
+// rebuilt the most often. On a fresh Env, a one-step job holds at most its
+// first list generation and two states, and the longer job over the same
+// entry then adds at most memoStateBytes per atom and state. A 4096-atom
+// job over 18 steps joins the memo.
 func TestMemoEstimateBoundsBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("relaxes a 4096-atom box")
 	}
-	env := NewEnv()
-	for _, spec := range []JobSpec{
-		{Kind: KindSweep, Atoms: 4096, Steps: 1, Procs: 8, Decomp: "domain", Nets: []string{"tcp"}},
-		{Kind: KindSweep, Atoms: 4096, Steps: 1, Procs: 2, Nets: []string{"tcp"}},
-		{Kind: KindAnalysis, Atoms: 4096, Steps: 1},
-		{Kind: KindSweep, Atoms: 24, Steps: 1, Procs: 32, Decomp: "domain", Nets: []string{"tcp"}},
-		{Kind: KindSweep, Atoms: 480, Steps: 8, Procs: 8, Decomp: "domain", Nets: []string{"tcp"}},
+	if !memoEligible(4096, 18) || memoEligible(4096, 19) {
+		t.Fatalf("memoEligible(4096, 18) = %v, (4096, 19) = %v; want true, false", memoEligible(4096, 18), memoEligible(4096, 19))
+	}
+	for _, c := range []struct {
+		spec  JobSpec
+		steps int // the longer job's
+	}{
+		{JobSpec{Kind: KindSweep, Atoms: 4096, Steps: 1, Procs: 8, Decomp: "domain", Nets: []string{"tcp"}}, 18},
+		{JobSpec{Kind: KindSweep, Atoms: 4096, Steps: 1, Procs: 2, Nets: []string{"tcp"}}, 0},
+		{JobSpec{Kind: KindAnalysis, Atoms: 4096, Steps: 1}, 18},
+		{JobSpec{Kind: KindSweep, Atoms: 24, Steps: 1, Procs: 32, Decomp: "domain", Nets: []string{"tcp"}}, 64},
+		{JobSpec{Kind: KindSweep, Atoms: 480, Steps: 1, Procs: 8, Decomp: "domain", Nets: []string{"tcp"}}, 32},
 	} {
-		if err := spec.Normalize(); err != nil {
-			t.Fatal(err)
+		env := NewEnv()
+		held := func(spec JobSpec) int64 {
+			t.Helper()
+			if err := spec.Normalize(); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, _, err := env.Execute(spec, "", nil, nil); err != nil {
+				t.Fatalf("%+v: %v", spec, err)
+			}
+			m := env.memos[memoKeyOf(spec)]
+			if m == nil {
+				t.Fatalf("%+v did not join the memo", spec)
+			}
+			return m.bytes()
 		}
-		if _, _, _, err := env.Execute(spec, "", nil, nil); err != nil {
-			t.Fatalf("%+v: %v", spec, err)
+		spec, atoms := c.spec, int64(c.spec.Atoms)
+		one := held(spec)
+		t.Logf("%s atoms=%d procs=%d %s: %d bytes in one step, %.0f per atom", spec.Kind, spec.Atoms, spec.Procs, spec.Decomp, one, float64(one)/float64(atoms))
+		if est := memoEstimate(spec.Atoms, 1); one <= 0 || one > est {
+			t.Errorf("%+v holds %d bytes, estimate %d", spec, one, est)
 		}
-		got := env.memos[memoKeyOf(spec)].bytes()
-		est := int64(spec.Atoms) * int64(spec.Steps+1) * memoBytesPerAtomStep
-		t.Logf("%s atoms=%d steps=%d procs=%d %s: %d bytes, %.0f per atom-step", spec.Kind, spec.Atoms, spec.Steps, spec.Procs, spec.Decomp,
-			got, float64(got)/float64(spec.Atoms*(spec.Steps+1)))
-		if got <= 0 || got > est {
-			t.Errorf("%+v holds %d bytes, estimate %d", spec, got, est)
+		if c.steps == 0 {
+			continue
+		}
+		spec.Steps = c.steps
+		long := held(spec)
+		perState := float64(long-one) / float64(atoms) / float64(c.steps-1)
+		t.Logf("  %d steps: %d bytes, %.0f per atom and further state", c.steps, long, perState)
+		if est := memoEstimate(spec.Atoms, c.steps); long > est || perState > memoStateBytes {
+			t.Errorf("%+v holds %d bytes (%.0f per atom and further state), estimate %d (%d per atom and state)", spec, long, perState, est, memoStateBytes)
 		}
 	}
 }

@@ -180,12 +180,13 @@ func (cl *CellList) SetPool(p *kernels.Pool) { cl.pool = p }
 // retained in the signature for that contract).
 //
 // The pool's W workers scan W contiguous ranges of home cells, each into
-// its own region of one buffer sized by a sample scan of its range, and
-// the regions are then closed up in place: the pairs, their order and the
-// count are the serial scan's at every W. One worker scans into dst's
-// storage and sizes a buffer only when dst has none. A region that still
-// turns out short grows by append; several lanes are then copied into a
-// buffer of the list's length.
+// its own region of one buffer, and the regions are then closed up in
+// place: the pairs, their order and the count are the serial scan's at
+// every W. The regions follow a sample scan of each range: they cut dst's
+// storage in that proportion, or size a new buffer when dst has none. A
+// region that still turns out short grows by append; several lanes are
+// then copied into a new buffer, of the list's length, with append's
+// headroom when dst had storage to reuse.
 func (cl *CellList) PairsAppend(pos []vec.V, dst []Pair, distEvals *int64) []Pair {
 	lanes := max(cl.pool.Workers(), 1)
 	cl.splitCells(lanes)
@@ -194,15 +195,22 @@ func (cl *CellList) PairsAppend(pos []vec.V, dst []Pair, distEvals *int64) []Pai
 		cl.lanePairs = make([][]Pair, lanes)
 		cl.laneEvals = make([]int64, lanes)
 	}
-	if lanes == 1 && cap(dst) > 0 {
+	reuse := cap(dst) > 0
+	if lanes == 1 && reuse {
 		cl.region[1] = cap(dst)
 	} else {
 		cl.pool.Run(lanes, cl.estimateFn)
 		for r := 0; r < lanes; r++ {
 			cl.region[r+1] += cl.region[r]
 		}
-		if cap(dst) < cl.region[lanes] {
-			dst = make([]Pair, 0, cl.region[lanes])
+		if want := cl.region[lanes]; !reuse {
+			dst = make([]Pair, 0, want)
+		} else {
+			// Reused storage is cut in proportion to the estimates, all of
+			// it, as one worker's scan uses all of it.
+			for r := 1; r <= lanes; r++ {
+				cl.region[r] = int(int64(cl.region[r]) * int64(cap(dst)) / int64(want))
+			}
 		}
 	}
 	cl.cBuf = dst[:cap(dst)]
@@ -226,6 +234,8 @@ func (cl *CellList) PairsAppend(pos []vec.V, dst []Pair, distEvals *int64) []Pai
 		pairs, rest = dst[:len(rest[0])], rest[1:]
 	case lanes == 1:
 		pairs, rest = rest[0], nil // grown by append, with its headroom
+	case reuse:
+		pairs = make([]Pair, 0, n+n/4) // the headroom append would give
 	default:
 		pairs = make([]Pair, 0, n)
 	}

@@ -335,3 +335,30 @@ func BruteForcePairs(box Box, cutoff float64, pos []vec.V) []Pair {
 	}
 	return pairs
 }
+
+// TestLaneScanReusesStorage: a scan on several lanes into storage that
+// holds the list with an eighth to spare — less than the sample
+// estimate's headroom — fills that storage rather than a new buffer, and
+// storage too small for the list is replaced by one with append's
+// headroom, so a rebuild that reuses it allocates no list either.
+func TestLaneScanReusesStorage(t *testing.T) {
+	b := NewBox(40, 40, 40)
+	pos := randomPositions(rng.New(5), 3000, b)
+	want := NewCellList(b, 10, pos).PairsAppend(pos, nil, nil)
+	for _, w := range []int{2, 3, 4} {
+		cl := NewCellList(b, 10, pos)
+		cl.SetPool(kernels.NewPool(w))
+		roomy := make([]Pair, 0, len(want)+len(want)/8)
+		if got := cl.PairsAppend(pos, roomy, nil); !slices.Equal(got, want) || &got[:1][0] != &roomy[:1][0] {
+			t.Fatalf("%d lanes: into storage with an eighth to spare, %d pairs (the serial scan's %v), in that storage %v",
+				w, len(got), slices.Equal(got, want), &got[:1][0] == &roomy[:1][0])
+		}
+		grown := cl.PairsAppend(pos, make([]Pair, 0, len(want)/2), nil)
+		if !slices.Equal(grown, want) || cap(grown) < len(want)+len(want)/4 {
+			t.Fatalf("%d lanes: storage for half the list grew to %d for %d pairs, want append's headroom", w, cap(grown), len(grown))
+		}
+		if again := cl.PairsAppend(pos, grown, nil); &again[:1][0] != &grown[:1][0] {
+			t.Fatalf("%d lanes: a rebuild into the grown storage allocated a new list", w)
+		}
+	}
+}
