@@ -6,7 +6,7 @@
 //	charmmbench -figure all            # every figure, text tables
 //	charmmbench -figure 5 -format csv  # one figure as CSV
 //	charmmbench -figure 3 -steps 10 -procs 1,2,4,8
-//	charmmbench -figure all -v -workers 4 -cpuprofile cpu.pprof
+//	charmmbench -figure all -v -kernel-workers 4 -cpuprofile cpu.pprof
 package main
 
 import (
@@ -39,7 +39,7 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced protocol (2 steps, p ≤ 4) for smoke runs")
 	seed := flag.Uint64("seed", 0, "override the deterministic seeds")
 	outdir := flag.String("outdir", "", "also write every figure as CSV into this directory")
-	workers := flag.Int("workers", 0, "cells in flight and physics lanes per cell; 0 = one per CPU, 1 = serial; output is identical")
+	app.KernelWorkersFlag()
 	app.SkinFlags("auto-tune the neighbour-list skin on the study workload before any figure runs")
 	verbose := flag.Bool("v", false, "print run-cache and physics-tape statistics to stderr")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -52,11 +52,8 @@ func main() {
 	if app.ProfileOut != "" && *figure != "attribution" {
 		app.Usagef("-profile-out requires -figure attribution")
 	}
-	if *workers < 0 {
-		app.Usagef("-workers must be >= 0, got %d", *workers)
-	}
 	opts := core.Options{Quick: *quick, Steps: *steps, SystemSeed: *seed, ClusterSeed: *seed,
-		Workers: *workers, Obs: app.Reg, Decomp: app.Decomp}
+		Workers: app.KernelWorkers, Obs: app.Reg, Decomp: app.Decomp}
 	if *procs != "" {
 		for _, tok := range strings.Split(*procs, ",") {
 			v, err := strconv.Atoi(strings.TrimSpace(tok))
@@ -191,7 +188,7 @@ func main() {
 		m.Config["figure"] = *figure
 		m.Config["steps"] = *steps
 		m.Config["quick"] = *quick
-		m.Config["workers"] = *workers
+		m.Config["kernel_workers"] = app.KernelWorkers
 		m.Config["decomp"] = app.Decomp.String()
 		m.Config["skin_angstrom"] = study.Suite.Cfg.MD.FF.ListCutoff - study.Suite.Cfg.MD.FF.CutOff
 		m.Config["skin_tuned"] = app.TuneSkin

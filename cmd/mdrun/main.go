@@ -49,7 +49,7 @@ func main() {
 	guardDrift := flag.Float64("guard-drift", 0, "energy-drift tolerance in kcal/mol (0 disables drift checks)")
 	guardWindow := flag.Int("guard-window", 0, "drift window in steps (0 = default)")
 	app.ObsFlags()
-	app.KernelWorkersFlag("spread the physics over this many host cores: the kernels, or with -ranks > 1 the simulated ranks' evaluation (0 and 1 run inline; results identical for every value)")
+	app.KernelWorkersFlag()
 	app.SkinFlags("auto-tune the neighbour-list skin before the run (choice recorded in the manifest; replay it with -skin)")
 	ranks := flag.Int("ranks", 1, "simulated MPI ranks (1 = the plain sequential engine; > 1 runs the simulated cluster over Gigabit TCP)")
 	app.DecompFlag("decomposition for -ranks > 1: replicated or domain")

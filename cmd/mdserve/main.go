@@ -46,7 +46,7 @@ func main() {
 		weights    = flag.String("weights", "", "fair-queue tenant weights, e.g. alice=2,bob=1")
 		drain      = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget before force-close")
 	)
-	app.KernelWorkersFlag("spread each job's physics over this many host cores: an analysis job's kernels, a run or sweep job's evaluation lanes (0 and 1 run inline; results identical for every value)")
+	app.KernelWorkersFlag()
 	app.Parse(os.Args[1:])
 
 	tw := map[string]float64{}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sync"
 	"time"
 
@@ -99,9 +100,12 @@ func (a *App) ProfileOutFlag(help string) { a.fs.StringVar(&a.ProfileOut, "profi
 // DecompFlag registers -decomp.
 func (a *App) DecompFlag(help string) { a.fs.StringVar(&a.decomp, "decomp", "replicated", help) }
 
-// KernelWorkersFlag registers -kernel-workers.
-func (a *App) KernelWorkersFlag(help string) {
-	a.fs.IntVar(&a.KernelWorkers, "kernel-workers", 0, help)
+// KernelWorkersFlag registers -kernel-workers, the one host bound of
+// every command that runs physics: the kernel pool of the engine that
+// evaluates it and, in charmmbench, the cells in flight. Validate resolves
+// 0 to one per CPU.
+func (a *App) KernelWorkersFlag() {
+	a.fs.IntVar(&a.KernelWorkers, "kernel-workers", 0, "host cores to run on (0 = one per CPU, 1 = serial); results are identical for every value")
 }
 
 // RecoveryFlag registers -recovery.
@@ -165,6 +169,9 @@ func (a *App) Validate() error {
 		case a.Procs < minNodes*a.CPUs || a.Procs%a.CPUs != 0:
 			return Usagef("-p (%d) must be a multiple of -cpus (%d) spanning at least %d node(s)", a.Procs, a.CPUs, minNodes)
 		}
+	}
+	if a.KernelWorkers == 0 && a.fs.Lookup("kernel-workers") != nil {
+		a.KernelWorkers = runtime.GOMAXPROCS(0)
 	}
 	switch {
 	case a.KernelWorkers < 0:

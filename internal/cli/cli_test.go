@@ -54,7 +54,7 @@ func mdrunFlags(a *App) {
 	a.CkptRingFlags("dir", "keep", false)
 	a.CkptEveryFlag(10, 1, "every")
 	a.ObsFlags()
-	a.KernelWorkersFlag("kw")
+	a.KernelWorkersFlag()
 	a.SkinFlags("tune")
 	a.DecompFlag("decomp")
 	a.ProfileOutFlag("profile")
@@ -345,7 +345,7 @@ func TestCommands(t *testing.T) {
 		{"mdrun", "-ranks 16 -xyz t.xyz", "mdrun: -xyz is not supported with -ranks > 1\n"},
 		{"mdrun", "-skin 12 -steps 1", "mdrun: " + skinPastBox},
 		{"charmmbench", "-profile-out p.json", "charmmbench: -profile-out requires -figure attribution\n"},
-		{"charmmbench", "-figure 3 -quick -workers -3", "charmmbench: -workers must be >= 0, got -3\n"},
+		{"charmmbench", "-figure 3 -quick -kernel-workers -3", "charmmbench: -kernel-workers must be >= 0 (got -3)\n"},
 		{"charmmbench", "-format csv -figure all", "charmmbench: -format csv needs a single -figure\n"},
 		{"charmmbench", "-figure bogus", "charmmbench: unknown figure \"bogus\" (known: [1 2 3 4 5 6 7 8 9 ablation attribution ceiling effects factorial recovery scalelimit], all)\n"},
 		{"charmmbench", "-figure 1 -format csv", "charmmbench: figure 1 is a diagram and has no CSV form\n"},
@@ -356,8 +356,8 @@ func TestCommands(t *testing.T) {
 		}
 	}
 
-	// With -ranks > 1, -kernel-workers sizes the simulated run's
-	// evaluation lanes, which move no byte.
+	// With -ranks > 1, -kernel-workers sizes the kernel pool of the engine
+	// that evaluates the simulated run's physics, which moves no byte.
 	stdout := func(kw string) []byte {
 		out, err := exec.Command(filepath.Join(bin, "mdrun"), "-ranks", "4", "-steps", "2", "-kernel-workers", kw).Output()
 		if err != nil {

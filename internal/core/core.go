@@ -45,9 +45,9 @@ type Options struct {
 	// SystemSeed/ClusterSeed select the deterministic random streams.
 	SystemSeed  uint64
 	ClusterSeed uint64
-	// Workers bounds the cells in flight and the canonical evaluation's
-	// lanes inside each, whose kernels run inline (0 = one per host CPU,
-	// 1 = serial). It is the study's one host-concurrency setting; figure
+	// Workers bounds the cells in flight and the kernel workers of the
+	// engine that evaluates the physics (0 = one per host CPU, 1 =
+	// serial). It is the study's one host-concurrency setting; figure
 	// output is identical across settings.
 	Workers int
 	// Obs, when non-nil, receives the suite's cache/tape counters

@@ -195,42 +195,6 @@ func TestPMERecipTranslationInvariance(t *testing.T) {
 	}
 }
 
-func TestFootprintCoversSpread(t *testing.T) {
-	// Every cell Spread writes lies in the atom's Footprint, for both
-	// spline code paths and for positions outside the primary cell.
-	box := space.NewBox(10, 12, 14)
-	r := rng.New(9)
-	for _, order := range []int{4, 5} {
-		p := NewPME(box, 0.5, 20, 24, 28, order)
-		grid := make([]float64, p.GridLen())
-		for trial := 0; trial < 200; trial++ {
-			pos := []vec.V{vec.New(r.Float64()*40-15, r.Float64()*40-15, r.Float64()*40-15)}
-			p.Spread(pos, []float64{-0.7}, 0, 1, grid)
-			i1, i2, i3 := p.Footprint(pos[0])
-			touched := 0
-			for _, a := range i1[:order] {
-				for _, b := range i2[:order] {
-					for _, c := range i3[:order] {
-						i := (a*p.K2+b)*p.K3 + c
-						if grid[i] != 0 {
-							touched++
-							grid[i] = 0
-						}
-					}
-				}
-			}
-			if touched == 0 {
-				t.Fatalf("order %d at %v: footprint holds no charge", order, pos[0])
-			}
-			for i, v := range grid {
-				if v != 0 {
-					t.Fatalf("order %d at %v: cell %d written outside the footprint", order, pos[0], i)
-				}
-			}
-		}
-	}
-}
-
 func TestPMERecipNonNegative(t *testing.T) {
 	// The reciprocal sum is a sum of |S|²·positive terms.
 	box := space.NewBox(10, 10, 10)

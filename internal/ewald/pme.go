@@ -65,13 +65,11 @@ type PME struct {
 	// c* fields below, set immediately before each pool.Run.
 	zeroFn, enerFn        func(int)
 	spreadEven, spreadOdd func(int)
-	interpRFn, interpCFn  func(int)
+	interpFn              func(int)
 	cPos                  []vec.V
 	cQ                    []float64
 	cFrc                  []vec.V
 	cGrid                 []float64
-	cConv                 []complex128
-	cLo                   int
 }
 
 // splineScratch is one shard's B-spline weights and their derivatives,
@@ -137,8 +135,8 @@ func NewPME(box space.Box, beta float64, k1, k2, k3, order int) *PME {
 	return p
 }
 
-// SetPool attaches (or with nil detaches) the kernel pool Recip, Spread
-// and Interpolate run their shards on, and hands it to the FFT plan. It
+// SetPool attaches (or with nil detaches) the kernel pool Recip and Spread
+// run their shards on, and hands it to the FFT plan. It
 // decides which goroutines run the shards, never a result bit.
 func (p *PME) SetPool(pool *kernels.Pool) {
 	p.pool = pool
@@ -162,19 +160,15 @@ func (p *PME) bindShards() {
 	}
 	p.spreadEven = func(s int) { p.spreadChunk(2*s, p.cPos, p.cQ, p.cGrid) }
 	p.spreadOdd = func(s int) { p.spreadChunk(2*s+1, p.cPos, p.cQ, p.cGrid) }
-	p.interpRFn = func(s int) {
-		p.interpolateRealRange(p.rconv, p.cPos, p.cQ, p.cLo+p.atomOff[s], p.cLo+p.atomOff[s+1], p.cFrc, &p.scratch[s])
-	}
-	p.interpCFn = func(s int) {
-		p.interpolateRange(p.cConv, p.cPos, p.cQ, p.cLo+p.atomOff[s], p.cLo+p.atomOff[s+1], p.cFrc, &p.scratch[s])
+	p.interpFn = func(s int) {
+		p.interpolateRange(p.rconv, p.cPos, p.cQ, p.atomOff[s], p.atomOff[s+1], p.cFrc, &p.scratch[s])
 	}
 }
 
 // allocRecip sizes Recip's grid, convolution and spectrum buffers, the
 // half-spectrum influence tables and their shard offsets. Recip calls it
-// once, before its first fan-out, so no shard races on a first touch; the
-// per-rank PMEs of the parallel engine only spread and interpolate, and
-// never pay for it.
+// once, before its first fan-out, so no shard races on a first touch; a
+// PME that only spreads never pays for it.
 func (p *PME) allocRecip() {
 	p.rgrid = make([]float64, p.GridLen())
 	p.rconv = make([]float64, p.GridLen())
@@ -230,7 +224,7 @@ func (p *PME) Recip(pos []vec.V, charges []float64, frc []vec.V, w *work.Counter
 		p.allocRecip()
 	}
 	p.pool.Run(kernels.ShardCount, p.zeroFn)
-	p.Spread(pos, charges, 0, len(pos), p.rgrid)
+	p.Spread(pos, charges, p.rgrid)
 	p.rplan.Forward(p.rgrid, p.spec) // rgrid preserved for the grid-dot check
 	p.pool.Run(kernels.ShardCount, p.enerFn)
 	var energy float64
@@ -238,7 +232,7 @@ func (p *PME) Recip(pos []vec.V, charges []float64, frc []vec.V, w *work.Counter
 		energy += e
 	}
 	p.rplan.Inverse(p.spec, p.rconv)
-	p.interpolate(pos, charges, 0, len(pos), frc, p.interpRFn)
+	p.interpolate(pos, charges, frc)
 	// The counters charge the modelled cost — complex-transform flops and
 	// full-mesh influence points — not the half-spectrum work the host
 	// does, so virtual-time figures are independent of host-side
@@ -253,14 +247,14 @@ func (p *PME) Recip(pos []vec.V, charges []float64, frc []vec.V, w *work.Counter
 	return energy
 }
 
-// bucketByChunk fills p.buckets with the atoms of [lo, hi) keyed by the
-// x chunk owning their B-spline support base, in ascending atom order.
-func (p *PME) bucketByChunk(pos []vec.V, charges []float64, lo, hi int) {
+// bucketByChunk fills p.buckets with the atoms keyed by the x chunk owning
+// their B-spline support base, in ascending atom order.
+func (p *PME) bucketByChunk(pos []vec.V, charges []float64) {
 	for c := range p.buckets {
 		p.buckets[c] = p.buckets[c][:0]
 	}
 	k1f := float64(p.K1)
-	for i := lo; i < hi; i++ {
+	for i := range pos {
 		if charges[i] == 0 {
 			continue
 		}
@@ -302,12 +296,14 @@ func (p *PME) spreadChunk(c int, pos []vec.V, charges []float64, grid []float64)
 	}
 }
 
-// interpolate runs fn over kernels.ShardCount fixed ranges of the atoms
-// [lo, hi); each atom's force is written by exactly one shard.
-func (p *PME) interpolate(pos []vec.V, charges []float64, lo, hi int, frc []vec.V, fn func(int)) {
-	p.atomOff = kernels.Partition(hi-lo, kernels.ShardCount, p.atomOff)
-	p.cPos, p.cQ, p.cFrc, p.cLo = pos, charges, frc, lo
-	p.pool.Run(kernels.ShardCount, fn)
+// interpolate differentiates the B-spline interpolant of Recip's real
+// conv grid at the charge sites, F = −q·∇θ with ∂u/∂x = K/L per
+// dimension, over kernels.ShardCount fixed ranges of the atoms; each
+// atom's force is written by exactly one shard.
+func (p *PME) interpolate(pos []vec.V, charges []float64, frc []vec.V) {
+	p.atomOff = kernels.Partition(len(pos), kernels.ShardCount, p.atomOff)
+	p.cPos, p.cQ, p.cFrc = pos, charges, frc
+	p.pool.Run(kernels.ShardCount, p.interpFn)
 }
 
 // buildHalfInfluence precomputes the influence coefficients over the
@@ -336,13 +332,11 @@ func (p *PME) buildHalfInfluence() {
 	}
 }
 
-// Spread deposits the charges of atoms [lo, hi) onto grid (row-major
-// K1×K2×K3, not zeroed here) with B-spline weights: it buckets the atoms by
-// x chunk and runs the chunk kernel in two parity passes. Recip spreads
-// through it, and the distributed PME per atom block onto a rank's own
-// accumulation grid.
-func (p *PME) Spread(pos []vec.V, charges []float64, lo, hi int, grid []float64) {
-	p.bucketByChunk(pos, charges, lo, hi)
+// Spread deposits the charges onto grid (row-major K1×K2×K3, not zeroed
+// here) with B-spline weights: it buckets the atoms by x chunk and runs
+// the chunk kernel in two parity passes. Recip spreads through it.
+func (p *PME) Spread(pos []vec.V, charges []float64, grid []float64) {
+	p.bucketByChunk(pos, charges)
 	p.cPos, p.cQ, p.cGrid = pos, charges, grid
 	p.pool.Run((p.nChunks+1)/2, p.spreadEven)
 	p.pool.Run(p.nChunks/2, p.spreadOdd)
@@ -360,21 +354,6 @@ func (p *PME) wrapIndices(k01, k02, k03 int, i1, i2, i3 *[maxOrder]int) {
 		i2[t] = mod(k02+t, p.K2)
 		i3[t] = mod(k03+t, p.K3)
 	}
-}
-
-// Footprint returns, per dimension, the wrapped mesh indices of the B-spline
-// support of a charge at r (the first Order entries of each array): Spread
-// adds to exactly the Order³ cells (i1[a]·K2 + i2[b])·K3 + i3[c]. Callers
-// that merge a sparsely filled accumulation grid visit those cells instead
-// of the whole mesh.
-func (p *PME) Footprint(r vec.V) (i1, i2, i3 [maxOrder]int) {
-	f := p.Box.Frac(r)
-	p.wrapIndices(
-		splineBase(p.Order, f.X*float64(p.K1)),
-		splineBase(p.Order, f.Y*float64(p.K2)),
-		splineBase(p.Order, f.Z*float64(p.K3)),
-		&i1, &i2, &i3)
-	return i1, i2, i3
 }
 
 // Influence is the PME influence function ψ of one mesh, factored the way
@@ -444,61 +423,10 @@ func (in *Influence) Line(m2, m3 int, eC, cC []float64) {
 // [−K/2, K/2).
 func fold(m, k int) int { return min(m, k-m) }
 
-// Interpolate differentiates the B-spline interpolant of the real part of
-// the given conv grid at the charge sites of atoms [lo, hi): F = −q·∇θ,
-// with ∂u/∂x = K/L per dimension. Forces accumulate into frc (when
-// non-nil). The distributed PME calls it per atom block with the shared
-// convolved mesh.
-func (p *PME) Interpolate(conv []complex128, pos []vec.V, charges []float64, lo, hi int, frc []vec.V) {
-	p.cConv = conv
-	p.interpolate(pos, charges, lo, hi, frc, p.interpCFn)
-}
-
-// interpolateRange is Interpolate over atoms [lo, hi) with one shard's
-// spline scratch.
-func (p *PME) interpolateRange(conv []complex128, pos []vec.V, charges []float64, lo, hi int, frc []vec.V, sc *splineScratch) {
-	w1, w2, w3, dw1, dw2, dw3 := sc.w1, sc.w2, sc.w3, sc.dw1, sc.dw2, sc.dw3
-	order := p.Order
-	s1 := float64(p.K1) / p.Box.L.X
-	s2 := float64(p.K2) / p.Box.L.Y
-	s3 := float64(p.K3) / p.Box.L.Z
-	var i1, i2, i3 [maxOrder]int
-	for i := lo; i < hi; i++ {
-		r := pos[i]
-		q := charges[i]
-		if q == 0 {
-			continue
-		}
-		f := p.Box.Frac(r)
-		u1 := f.X * float64(p.K1)
-		u2 := f.Y * float64(p.K2)
-		u3 := f.Z * float64(p.K3)
-		k01 := splineWeights(order, u1, w1, dw1)
-		k02 := splineWeights(order, u2, w2, dw2)
-		k03 := splineWeights(order, u3, w3, dw3)
-		p.wrapIndices(k01, k02, k03, &i1, &i2, &i3)
-		var gx, gy, gz float64
-		for a := 0; a < order; a++ {
-			for b := 0; b < order; b++ {
-				base := (i1[a]*p.K2 + i2[b]) * p.K3
-				for c := 0; c < order; c++ {
-					t := real(conv[base+i3[c]])
-					gx += dw1[a] * w2[b] * w3[c] * t
-					gy += w1[a] * dw2[b] * w3[c] * t
-					gz += w1[a] * w2[b] * dw3[c] * t
-				}
-			}
-		}
-		if frc != nil {
-			frc[i] = frc[i].Add(vec.New(-q*gx*s1, -q*gy*s2, -q*gz*s3))
-		}
-	}
-}
-
-// interpolateRealRange is interpolateRange over Recip's real conv grid,
-// with the products regrouped to hoist the a/b spline factors out of the
-// inner loop.
-func (p *PME) interpolateRealRange(conv []float64, pos []vec.V, charges []float64, lo, hi int, frc []vec.V, sc *splineScratch) {
+// interpolateRange is interpolate over atoms [lo, hi) with one shard's
+// spline scratch, the products grouped to hoist the a/b spline factors
+// out of the inner loop.
+func (p *PME) interpolateRange(conv []float64, pos []vec.V, charges []float64, lo, hi int, frc []vec.V, sc *splineScratch) {
 	w1, w2, w3, dw1, dw2, dw3 := sc.w1, sc.w2, sc.w3, sc.dw1, sc.dw2, sc.dw3
 	order := p.Order
 	s1 := float64(p.K1) / p.Box.L.X
@@ -578,20 +506,12 @@ type Excluder interface {
 
 // ExclusionCorrection removes the reciprocal-space contribution of excluded
 // (1-2, 1-3) pairs: E = −Σ qiqj·erf(βr)/r, with matching forces
-// accumulated into frc. Counters record one pair evaluation per excluded
-// pair.
+// accumulated into frc. Each pair is visited once, in the row of its
+// lower index. Counters record one pair evaluation per excluded pair.
 func ExclusionCorrection(box space.Box, pos []vec.V, charges []float64, excl Excluder, beta float64, frc []vec.V, w *work.Counters) float64 {
-	return ExclusionCorrectionRange(box, pos, charges, excl, beta, 0, len(pos), frc, w)
-}
-
-// ExclusionCorrectionRange is ExclusionCorrection restricted to exclusion
-// rows i ∈ [lo, hi) (each pair is owned by its lower index, so row
-// partitions cover every pair exactly once). The parallel engine assigns
-// row blocks to ranks.
-func ExclusionCorrectionRange(box space.Box, pos []vec.V, charges []float64, excl Excluder, beta float64, lo, hi int, frc []vec.V, w *work.Counters) float64 {
 	var e float64
 	var pairs int64
-	for i := lo; i < hi; i++ {
+	for i := range pos {
 		for _, j32 := range excl.Of(i) {
 			j := int(j32)
 			if j <= i {

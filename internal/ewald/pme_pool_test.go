@@ -116,7 +116,7 @@ func TestSpreadChunkedMatchesSerial(t *testing.T) {
 	gs := make([]float64, pooled.GridLen())
 	gp := make([]float64, pooled.GridLen())
 	serialSpread(pooled, pos, charges, gs)
-	pooled.Spread(pos, charges, 0, len(pos), gp)
+	pooled.Spread(pos, charges, gp)
 	var sumS, sumP float64
 	for i := range gs {
 		sumS += gs[i]
@@ -130,7 +130,7 @@ func TestSpreadChunkedMatchesSerial(t *testing.T) {
 	}
 	// Bitwise repeatability of the pooled spread itself.
 	gp2 := make([]float64, pooled.GridLen())
-	pooled.Spread(pos, charges, 0, len(pos), gp2)
+	pooled.Spread(pos, charges, gp2)
 	for i := range gp {
 		if gp[i] != gp2[i] {
 			t.Fatalf("pooled spread not repeatable at grid[%d]", i)
@@ -145,7 +145,7 @@ func TestSpreadChunkedMatchesSerial(t *testing.T) {
 	gs = make([]float64, narrow.GridLen())
 	gp = make([]float64, narrow.GridLen())
 	serialSpread(narrow, pos, charges, gs)
-	narrow.Spread(pos, charges, 0, len(pos), gp)
+	narrow.Spread(pos, charges, gp)
 	for i := range gs {
 		if gs[i] != gp[i] {
 			t.Fatalf("one-chunk grid[%d]: serial %v, Spread %v", i, gs[i], gp[i])

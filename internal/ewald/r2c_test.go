@@ -20,7 +20,7 @@ import (
 // ½ΣQ·conv; forces accumulate into frc when non-nil.
 func complexRecip(p *PME, pos []vec.V, charges []float64, frc []vec.V) (energy, gridDot float64) {
 	grid := make([]float64, p.GridLen())
-	p.Spread(pos, charges, 0, len(pos), grid)
+	p.Spread(pos, charges, grid)
 	conv := make([]complex128, len(grid))
 	for i, q := range grid {
 		conv[i] = complex(q, 0)
@@ -40,7 +40,11 @@ func complexRecip(p *PME, pos []vec.V, charges []float64, frc []vec.V) (energy, 
 		}
 	}
 	plan.Inverse(conv)
-	p.Interpolate(conv, pos, charges, 0, len(pos), frc)
+	p.allocRecip()
+	for i, v := range conv {
+		p.rconv[i] = real(v)
+	}
+	p.interpolate(pos, charges, frc)
 	for i := range grid {
 		gridDot += grid[i] * real(conv[i])
 	}

@@ -21,15 +21,9 @@ func (ff *ForceField) Bonded(pos []vec.V, frc []vec.V, w *work.Counters) Energie
 }
 
 func (ff *ForceField) bondForces(pos, frc []vec.V, w *work.Counters) float64 {
-	return ff.BondsRange(pos, frc, w, 0, len(ff.Sys.Bonds))
-}
-
-// BondsRange evaluates bonds [lo, hi) — the unit of work the parallel
-// engine partitions across ranks.
-func (ff *ForceField) BondsRange(pos, frc []vec.V, w *work.Counters, lo, hi int) float64 {
 	box := ff.Sys.Box
 	var e float64
-	for bi := lo; bi < hi; bi++ {
+	for bi := range ff.Sys.Bonds {
 		b := ff.Sys.Bonds[bi]
 		p := ff.bonds[bi]
 		d := box.MinImage(pos[b[0]], pos[b[1]])
@@ -45,20 +39,15 @@ func (ff *ForceField) BondsRange(pos, frc []vec.V, w *work.Counters, lo, hi int)
 		}
 	}
 	if w != nil {
-		w.BondTerms += int64(hi - lo)
+		w.BondTerms += int64(len(ff.Sys.Bonds))
 	}
 	return e
 }
 
 func (ff *ForceField) angleForces(pos, frc []vec.V, w *work.Counters) float64 {
-	return ff.AnglesRange(pos, frc, w, 0, len(ff.Sys.Angles))
-}
-
-// AnglesRange evaluates angles [lo, hi).
-func (ff *ForceField) AnglesRange(pos, frc []vec.V, w *work.Counters, lo, hi int) float64 {
 	box := ff.Sys.Box
 	var e float64
-	for ai := lo; ai < hi; ai++ {
+	for ai := range ff.Sys.Angles {
 		a := ff.Sys.Angles[ai]
 		p := ff.angles[ai]
 		u := box.MinImage(pos[a[0]], pos[a[1]]) // j→i
@@ -83,7 +72,7 @@ func (ff *ForceField) AnglesRange(pos, frc []vec.V, w *work.Counters, lo, hi int
 		frc[a[2]] = frc[a[2]].Sub(gk.Scale(dedt))
 	}
 	if w != nil {
-		w.AngleTerms += int64(hi - lo)
+		w.AngleTerms += int64(len(ff.Sys.Angles))
 	}
 	return e
 }
@@ -118,13 +107,8 @@ func torsionGrad(box space.Box, ri, rj, rk, rl vec.V) (phi float64, gi, gj, gk, 
 }
 
 func (ff *ForceField) dihedralForces(pos, frc []vec.V, w *work.Counters) float64 {
-	return ff.DihedralsRange(pos, frc, w, 0, len(ff.Sys.Dihedrals))
-}
-
-// DihedralsRange evaluates proper torsions [lo, hi).
-func (ff *ForceField) DihedralsRange(pos, frc []vec.V, w *work.Counters, lo, hi int) float64 {
 	var e float64
-	for di := lo; di < hi; di++ {
+	for di := range ff.Sys.Dihedrals {
 		d := ff.Sys.Dihedrals[di]
 		p := ff.dihs[di]
 		phi, gi, gj, gk, gl, ok := torsionGrad(ff.Sys.Box, pos[d[0]], pos[d[1]], pos[d[2]], pos[d[3]])
@@ -140,19 +124,14 @@ func (ff *ForceField) DihedralsRange(pos, frc []vec.V, w *work.Counters, lo, hi 
 		frc[d[3]] = frc[d[3]].Sub(gl.Scale(dedphi))
 	}
 	if w != nil {
-		w.DihedralTerms += int64(hi - lo)
+		w.DihedralTerms += int64(len(ff.Sys.Dihedrals))
 	}
 	return e
 }
 
 func (ff *ForceField) improperForces(pos, frc []vec.V, w *work.Counters) float64 {
-	return ff.ImpropersRange(pos, frc, w, 0, len(ff.Sys.Impropers))
-}
-
-// ImpropersRange evaluates impropers [lo, hi).
-func (ff *ForceField) ImpropersRange(pos, frc []vec.V, w *work.Counters, lo, hi int) float64 {
 	var e float64
-	for ii := lo; ii < hi; ii++ {
+	for ii := range ff.Sys.Impropers {
 		im := ff.Sys.Impropers[ii]
 		p := ff.imprs[ii]
 		phi, gi, gj, gk, gl, ok := torsionGrad(ff.Sys.Box, pos[im[0]], pos[im[1]], pos[im[2]], pos[im[3]])
@@ -169,7 +148,7 @@ func (ff *ForceField) ImpropersRange(pos, frc []vec.V, w *work.Counters, lo, hi 
 		frc[im[3]] = frc[im[3]].Sub(gl.Scale(dedphi))
 	}
 	if w != nil {
-		w.DihedralTerms += int64(hi - lo)
+		w.DihedralTerms += int64(len(ff.Sys.Impropers))
 	}
 	return e
 }

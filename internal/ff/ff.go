@@ -247,16 +247,13 @@ func (pl *PairLister) SetPool(p *kernels.Pool) {
 	}
 }
 
+// Release gives the buffer of the last Build to its caller: the next
+// Build writes a new one, so the list it returned is never overwritten.
+func (pl *PairLister) Release() { pl.pair = nil }
+
 // Build constructs the filtered nonbonded list at pos into the lister's
 // buffer, charging the distance evaluations into w (when non-nil).
 func (pl *PairLister) Build(pos []vec.V, w *work.Counters) []space.Pair {
-	pl.pair = pl.Append(pos, pl.pair, w)
-	return pl.pair
-}
-
-// Append is Build into dst's storage (reset to dst[:0]) instead of the
-// lister's: a nil dst gets a fresh list, which the lister does not keep.
-func (pl *PairLister) Append(pos []vec.V, dst []space.Pair, w *work.Counters) []space.Pair {
 	f := pl.f
 	if pl.cl == nil {
 		pl.cl = space.NewCellList(f.Sys.Box, f.Opts.ListCutoff, pos)
@@ -265,11 +262,11 @@ func (pl *PairLister) Append(pos []vec.V, dst []space.Pair, w *work.Counters) []
 		pl.cl.Rebuild(pos)
 	}
 	var distEvals int64
-	pairs := pl.cl.PairsAppend(pos, dst, &distEvals)
+	pl.pair = f.filterPairs(pl.cl.PairsAppend(pos, pl.pair, &distEvals))
 	if w != nil {
 		w.ListDistEvals += distEvals
 	}
-	return f.filterPairs(pairs)
+	return pl.pair
 }
 
 // elecKernel returns energy and dE/dr for a unit charge product at

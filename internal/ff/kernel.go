@@ -35,7 +35,6 @@ type NonbondedKernel struct {
 	spares  int // spare force sets of the current Compute
 	atomOff []int
 	pairOff []int
-	all     []int32 // 0 … n−1: the atoms of a call that names none
 
 	// The fold: blocks below next are summed into acc[0], done marks the
 	// finished blocks, and freed is signalled each time next advances.
@@ -48,7 +47,6 @@ type NonbondedKernel struct {
 	fillFn, pairFn, mergeFn func(int)
 	cPos                    []vec.V
 	cPairs                  []space.Pair
-	cAtoms                  []int32
 	cFrc                    []vec.V
 }
 
@@ -72,12 +70,12 @@ func pairShards(n int) int {
 func (f *ForceField) NewNonbondedKernel() *NonbondedKernel {
 	k := &NonbondedKernel{f: f}
 	k.freed.L = &k.mu
-	// Fill and merge shard s covers the call's atoms
-	// cAtoms[atomOff[s]:atomOff[s+1]] of acc[0]; pair shard s owns block s.
+	// Fill and merge shard s covers atoms [atomOff[s], atomOff[s+1]) of
+	// acc[0]; pair shard s owns block s.
 	k.fillFn = func(s int) {
 		x, y, z := k.x, k.y, k.z
 		sum := &k.acc[0]
-		for _, i := range k.cAtoms[k.atomOff[s]:k.atomOff[s+1]] {
+		for i := k.atomOff[s]; i < k.atomOff[s+1]; i++ {
 			p := k.cPos[i]
 			x[i], y[i], z[i] = p.X, p.Y, p.Z
 			sum.fx[i], sum.fy[i], sum.fz[i] = 0, 0, 0
@@ -94,9 +92,9 @@ func (f *ForceField) NewNonbondedKernel() *NonbondedKernel {
 			}
 			k.mu.Unlock()
 			a = k.spare(s)
-			for _, i := range k.cAtoms {
-				a.fx[i], a.fy[i], a.fz[i] = 0, 0, 0
-			}
+			clear(a.fx)
+			clear(a.fy)
+			clear(a.fz)
 		}
 		k.block(s, a)
 		// Whoever finishes the next block in order folds it and every
@@ -117,7 +115,7 @@ func (f *ForceField) NewNonbondedKernel() *NonbondedKernel {
 	}
 	k.mergeFn = func(s int) {
 		sum := &k.acc[0]
-		for _, i := range k.cAtoms[k.atomOff[s]:k.atomOff[s+1]] {
+		for i := k.atomOff[s]; i < k.atomOff[s+1]; i++ {
 			if sx, sy, sz := sum.fx[i], sum.fy[i], sum.fz[i]; sx != 0 || sy != 0 || sz != 0 {
 				k.cFrc[i] = k.cFrc[i].Add(vec.New(sx, sy, sz))
 			}
@@ -139,10 +137,10 @@ func (k *NonbondedKernel) block(s int, a *blockForces) {
 // spare returns the spare set block s ≥ 1 accumulates into.
 func (k *NonbondedKernel) spare(s int) *blockForces { return &k.acc[1+(s-1)%k.spares] }
 
-// fold adds a block's spare set into acc[0] over the call's atoms.
+// fold adds a block's spare set into acc[0].
 func (k *NonbondedKernel) fold(a *blockForces) {
 	sum := &k.acc[0]
-	for _, i := range k.cAtoms {
+	for i := range a.fx {
 		sum.fx[i] += a.fx[i]
 		sum.fy[i] += a.fy[i]
 		sum.fz[i] += a.fz[i]
@@ -155,25 +153,7 @@ func (k *NonbondedKernel) fold(a *blockForces) {
 // the table's measured accuracy; pairs closer than √U0 fall back to exact
 // math in place.
 func (k *NonbondedKernel) Compute(pos []vec.V, pairs []space.Pair, frc []vec.V, w *work.Counters) Energies {
-	return k.ComputeAtoms(pos, pairs, nil, frc, w)
-}
-
-// ComputeAtoms is Compute with every per-atom pass — the position fill,
-// the accumulator clears, the fold and the merge into frc — over atoms
-// only, which must hold every atom of pairs and none twice (nil: every
-// atom). An atom outside it keeps its frc; the forces of the atoms in it
-// are Compute's bit for bit.
-func (k *NonbondedKernel) ComputeAtoms(pos []vec.V, pairs []space.Pair, atoms []int32, frc []vec.V, w *work.Counters) Energies {
 	n := len(pos)
-	if atoms == nil {
-		if len(k.all) < n {
-			k.all = make([]int32, n)
-			for i := range k.all {
-				k.all[i] = int32(i)
-			}
-		}
-		atoms = k.all[:n]
-	}
 	k.shards = pairShards(len(pairs))
 	// W workers hold at most W blocks in flight and W − 1 finished ones
 	// waiting for an earlier block's fold: 2W − 1 spare sets, one at one
@@ -197,9 +177,9 @@ func (k *NonbondedKernel) ComputeAtoms(pos []vec.V, pairs []space.Pair, atoms []
 		}
 		a.fx, a.fy, a.fz = a.fx[:n], a.fy[:n], a.fz[:n]
 	}
-	k.atomOff = kernels.Partition(len(atoms), k.shards, k.atomOff)
+	k.atomOff = kernels.Partition(n, k.shards, k.atomOff)
 	k.pairOff = kernels.Partition(len(pairs), k.shards, k.pairOff)
-	k.cPos, k.cPairs, k.cAtoms, k.cFrc = pos, pairs, atoms, frc
+	k.cPos, k.cPairs, k.cFrc = pos, pairs, frc
 	k.next = 0
 	clear(k.done[:k.shards])
 	k.pool.Run(k.shards, k.fillFn)

@@ -53,15 +53,9 @@ func (ff *ForceField) Nonbonded(pos []vec.V, pairs []space.Pair, frc []vec.V, w 
 // Pairs14 evaluates the unscaled 1-4 interactions (removed from the main
 // list) with no cutoff — 1-4 partners are always within bonded range.
 func (ff *ForceField) Pairs14(pos []vec.V, frc []vec.V, w *work.Counters) Energies {
-	return ff.Pairs14Range(pos, frc, w, 0, len(ff.Sys.Pairs14))
-}
-
-// Pairs14Range evaluates the 1-4 pairs [lo, hi).
-func (ff *ForceField) Pairs14Range(pos []vec.V, frc []vec.V, w *work.Counters, lo, hi int) Energies {
 	var e Energies
 	box := ff.Sys.Box
-	for pi := lo; pi < hi; pi++ {
-		p := ff.Sys.Pairs14[pi]
+	for _, p := range ff.Sys.Pairs14 {
 		d := box.MinImage(pos[p[0]], pos[p[1]])
 		r := d.Norm()
 		if r == 0 {
@@ -83,7 +77,7 @@ func (ff *ForceField) Pairs14Range(pos []vec.V, frc []vec.V, w *work.Counters, l
 		frc[p[1]] = frc[p[1]].Sub(fv)
 	}
 	if w != nil {
-		w.PairEvals += int64(hi - lo)
+		w.PairEvals += int64(len(ff.Sys.Pairs14))
 	}
 	return e
 }

@@ -45,19 +45,6 @@ func NewPlan(n int) *Plan {
 	return &Plan{t: tablesFor(n)}
 }
 
-// ForwardLines transforms count adjacent strided lines in place: line c,
-// c = 0..count−1, is x[base+c+j·stride] for j = 0..N−1. It is the transform
-// of one axis of a row-major grid whose faster axes hold count values, at
-// the speed of contiguous data.
-func (p *Plan) ForwardLines(x []complex128, base, stride, count int) {
-	p.lines(x, base, stride, count, false)
-}
-
-// InverseLines is ForwardLines for the inverse transform, 1/N included.
-func (p *Plan) InverseLines(x []complex128, base, stride, count int) {
-	p.lines(x, base, stride, count, true)
-}
-
 // line is lines for the one contiguous line x[0..N), without the column
 // loops: the z axis of every grid goes through it.
 func (p *Plan) line(x []complex128, inverse bool) {
@@ -88,10 +75,11 @@ func (p *Plan) line(x []complex128, inverse bool) {
 	}
 }
 
-// lines transforms count adjacent strided lines (see ForwardLines),
-// lineBlock at a time: a permuting load of whole rows — conjugated for the
-// inverse — the butterflies, and a store that carries the inverse's
-// conjugate and 1/N.
+// lines transforms count adjacent strided lines in place — line c,
+// c = 0..count−1, is x[base+c+j·stride] for j = 0..N−1: one axis of a
+// row-major grid whose faster axes hold count values — lineBlock at a
+// time: a permuting load of whole rows — conjugated for the inverse — the
+// butterflies, and a store that carries the inverse's conjugate and 1/N.
 func (p *Plan) lines(x []complex128, base, stride, count int, inverse bool) {
 	n := p.t.n
 	if n == 1 {

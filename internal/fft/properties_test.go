@@ -18,7 +18,7 @@ func TestSerialTransformsDoNotAllocate(t *testing.T) {
 		},
 		"Plan.Lines/80x48": func() func() {
 			p, x := NewPlan(80), make([]complex128, 80*48)
-			return func() { p.ForwardLines(x, 0, 48, 48); p.InverseLines(x, 0, 48, 48) }
+			return func() { p.lines(x, 0, 48, 48, false); p.lines(x, 0, 48, 48, true) }
 		},
 		"RealPlan/80": func() func() {
 			p, x, spec := NewRealPlan(80), make([]float64, 80), make([]complex128, 41)

@@ -139,10 +139,10 @@ func TestPlannedMatchesRecursiveBits(t *testing.T) {
 			}
 			if inverse {
 				plan.Inverse(single)
-				plan.InverseLines(grid, 0, count, count)
+				plan.lines(grid, 0, count, count, true)
 			} else {
 				plan.Forward(single)
-				plan.ForwardLines(grid, 0, count, count)
+				plan.lines(grid, 0, count, count, false)
 			}
 			for j := 0; j < n; j++ {
 				if !sameBits(single[j], want[0][j]) {
@@ -159,7 +159,7 @@ func TestPlannedMatchesRecursiveBits(t *testing.T) {
 }
 
 // The 1-D whole-sequence transforms and the O(n²) definition. Production
-// transforms lines through ForwardLines/InverseLines and the real plan's
+// transforms blocks of strided lines (lines) and the real plan's
 // line passes; the tests and the bits golden drive a plan through these.
 
 // Forward computes the in-place forward DFT of x (len(x) must equal N):

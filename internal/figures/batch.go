@@ -44,17 +44,16 @@ type job struct {
 // the cache misses with at most Cfg.Workers of them in flight. Three rules
 // keep figure bytes and RunStats independent of the worker count:
 //
-//   - All bookkeeping — run cache, recorded rank counts, counters —
-//     happens here, on the requesting goroutine, in request order.
-//     Goroutines executing cells receive a cell and return a (result,
-//     error) pair.
-//   - One tape per workload, and on it one trajectory per rank count,
-//     shared from its first request: every miss of the batch, at any rank
-//     count and under either decomposition, runs over the suite's tape at
-//     once. The first miss at a rank count no kept run has recorded opens
-//     its trajectory; the rank count counts as recorded only if that miss
-//     is kept. A failed run leaves only fully evaluated steps on the tape,
-//     which serve later runs bit for bit.
+//   - All bookkeeping — run cache, whether the tape is recorded,
+//     counters — happens here, on the requesting goroutine, in request
+//     order. Goroutines executing cells receive a cell and return a
+//     (result, error) pair.
+//   - One tape per workload, with one trajectory: every miss of the
+//     batch, at any rank count and under either decomposition, runs over
+//     the suite's tape at once. The first miss while no kept run has
+//     recorded the tape opens its trajectory; the tape counts as recorded
+//     only if that miss is kept. A failed run leaves only fully evaluated
+//     steps on the tape, which serve later runs bit for bit.
 //   - The first error in request order is the batch's error, and nothing
 //     requested later is kept: the suite is left as if the cells had
 //     been requested one at a time up to the failure.
@@ -65,15 +64,15 @@ func (s *Suite) RunCells(cells []CellKey) ([]*pmd.Result, error) {
 	keys := make([]string, len(cells))
 	var jobs []*job
 	queued := map[string]*job{} // this batch's misses by key
-	opener := map[int]*job{}    // per rank count no kept run recorded, the job that opens its trajectory
+	var opener *job             // while no kept run recorded the tape, the job that opens its trajectory
 	for i, c := range cells {
 		keys[i] = c.String()
 		if s.cache[keys[i]] != nil || queued[keys[i]] != nil {
 			continue
 		}
 		j := &job{cell: c}
-		if p := c.procs(); !s.recorded[p] && opener[p] == nil {
-			opener[p] = j
+		if !s.recorded && opener == nil {
+			opener = j
 		}
 		queued[keys[i]] = j
 		jobs = append(jobs, j)
@@ -93,8 +92,8 @@ func (s *Suite) RunCells(cells []CellKey) ([]*pmd.Result, error) {
 		}
 		s.mMisses.Inc()
 		s.mCellSeconds.Add(j.secs)
-		if p := j.cell.procs(); opener[p] == j {
-			s.recorded[p] = true
+		if j == opener {
+			s.recorded = true
 			s.mRecords.Inc()
 		} else {
 			s.mReplays.Inc()

@@ -105,14 +105,13 @@ func TestBatchErrorIsFirstInRequestOrder(t *testing.T) {
 	}
 }
 
-// TestFailedRecorderLeavesNoRecord: a crashing run that opens its rank
-// count's trajectory fails the batch, nothing requested after it is kept,
-// and no rank count is left recorded — the next request for that rank
-// count records it again, and is served the fully evaluated steps the
-// crashed runs left on the workload tape bit for bit, as a fresh suite's
-// equal cells show. The replicated opener leads the batch and the domain
-// cells of its rank count run over its trajectory at once; a batch led by
-// a domain opener crashes too.
+// TestFailedRecorderLeavesNoRecord: a crashing run that opens the
+// workload's trajectory fails the batch, nothing requested after it is
+// kept, and the tape is not left recorded — the next request records it
+// again, and is served the fully evaluated steps the crashed runs left on
+// the workload tape bit for bit, as a fresh suite's equal cells show. The
+// replicated opener leads the batch and the other cells run over its
+// trajectory at once; a batch led by a domain opener crashes too.
 func TestFailedRecorderLeavesNoRecord(t *testing.T) {
 	cfg := quickConfig()
 	cfg.Workers = 4
@@ -132,15 +131,15 @@ func TestFailedRecorderLeavesNoRecord(t *testing.T) {
 		if _, err := s.RunCells(batch); !errors.Is(err, mpi.ErrCrashed) {
 			t.Fatalf("batch led by a crashing recorder: %v, want a crash", err)
 		}
-		if st := s.Stats(); st != (RunStats{}) || len(s.recorded) != 0 {
-			t.Fatalf("after the crashed recorder %+v and %d recorded rank counts, want nothing kept", st, len(s.recorded))
+		if st := s.Stats(); st != (RunStats{}) || s.recorded {
+			t.Fatalf("after the crashed recorder %+v, recorded %v; want nothing kept", st, s.recorded)
 		}
 	}
 
 	// Lift the fault (the spec is part of the cell key) and ask again.
 	s.Cfg.FaultSpec, s.faults = "", nil
 	healthy := freshSuite(quickConfig())
-	// The replicated batch records the p=4 tape; the domain batch replays it.
+	// The replicated batch records the tape; the domain batch replays it.
 	var want RunStats
 	for _, decomp := range []pmd.DecompKind{pmd.DecompReplicated, pmd.DecompDomain} {
 		res, err := s.RunCells(cells(4, decomp))
@@ -169,10 +168,10 @@ func TestFailedRecorderLeavesNoRecord(t *testing.T) {
 }
 
 // TestSuiteTapeCountsTheSeedOnce: a suite keeps one tape for its workload,
-// so its Bytes counts the seed — the initial state, the step −1 pair list
-// and the ψ table — once, however many rank counts its cells span: two
-// suites' Bytes over rank counts {1} and {p} exceed one suite's over both
-// by one seed, the same seed for p = 2 and p = 4.
+// with one trajectory, so its Bytes counts the trajectory — the initial
+// state and pair list on — once, however many rank counts its cells span:
+// two suites' Bytes over rank counts {1} and {p} exceed one suite's over
+// both by one trajectory, the same for p = 2 and p = 4.
 func TestSuiteTapeCountsTheSeedOnce(t *testing.T) {
 	bytesOver := func(procs ...int) int64 {
 		s := freshSuite(quickConfig())
@@ -183,7 +182,7 @@ func TestSuiteTapeCountsTheSeedOnce(t *testing.T) {
 		if _, err := s.RunCells(cells); err != nil {
 			t.Fatal(err)
 		}
-		if st := s.Stats(); st.TapeRecords != len(procs) {
+		if st := s.Stats(); st.TapeRecords != 1 {
 			t.Fatalf("%v: %d trajectories recorded", procs, st.TapeRecords)
 		}
 		return s.Bytes()
@@ -194,10 +193,10 @@ func TestSuiteTapeCountsTheSeedOnce(t *testing.T) {
 		seeds = append(seeds, one+bytesOver(p)-bytesOver(1, p))
 	}
 	if seeds[0] <= 0 || seeds[1] != seeds[0] {
-		t.Fatalf("the suites over two rank counts hold %v bytes less than two suites over one each, want one seed's, twice the same", seeds)
+		t.Fatalf("the suites over two rank counts hold %v bytes less than two suites over one each, want one trajectory's, twice the same", seeds)
 	}
 	// The positions, velocities and pair list of the 3552-atom system.
 	if seeds[0] < 2*24*3552+8*3552 {
-		t.Fatalf("one seed holds %d bytes", seeds[0])
+		t.Fatalf("one trajectory holds %d bytes", seeds[0])
 	}
 }

@@ -52,10 +52,10 @@ type Config struct {
 	MD          md.Config         // PME MD configuration
 
 	// Workers bounds the host parallelism: the cells of a batch in flight
-	// together and, inside each cell, the lanes the canonical physics
-	// evaluation runs its rank loops on (pmd.Config.HostWorkers). 0 picks
-	// GOMAXPROCS, 1 runs one cell at a time with one lane. Figure output
-	// and RunStats are bitwise identical across all settings.
+	// together and the kernel workers of the engine that evaluates the
+	// tape's physics (pmd.Config.HostWorkers). 0 picks GOMAXPROCS, 1 runs
+	// one cell at a time with the kernels inline. Figure output and
+	// RunStats are bitwise identical across all settings.
 	Workers int
 
 	// FaultSpec, when non-empty, is a fault-DSL scenario injected into
@@ -120,19 +120,18 @@ func Quick() Config {
 type RunStats struct {
 	Misses      int // unique configurations actually simulated
 	Hits        int // cells served from the run cache
-	TapeRecords int // rank counts whose trajectory a kept run opened
-	TapeReplays int // the other misses, each run over its rank count's trajectory
+	TapeRecords int // kept runs that opened the workload's trajectory: 1 once any run is kept
+	TapeReplays int // the other misses, each run over that trajectory
 }
 
 // Suite runs and caches the experiment cells. Two layers of memoization
 // back it: a content-keyed run cache (platform × middleware × workload ×
 // fault scenario — every unique configuration simulates exactly once per
-// Suite lifetime) and, below it, the workload's one physics tape: a seed
-// every rank count shares, and a trajectory per rank count, built on its
-// first request and shared by every cache *miss* at that rank count, under
-// either decomposition and concurrent ones included, so the MD kernels
-// evaluate each step once and the other misses only run the event
-// simulation.
+// Suite lifetime) and, below it, the workload's one physics tape: one
+// trajectory, built by the first miss and shared by every cache *miss*,
+// at any rank count, under either decomposition and concurrent ones
+// included, so the MD kernels evaluate each step once and the other misses
+// only run the event simulation.
 //
 // A Suite serves one caller at a time: its methods must not be called
 // concurrently. The concurrency is inside RunCells, which keeps a batch's
@@ -141,8 +140,8 @@ type Suite struct {
 	Cfg      Config
 	sys      *topol.System
 	cache    map[string]*pmd.Result
-	tape     *pmd.Tape    // the workload's
-	recorded map[int]bool // the rank counts whose trajectory a kept run opened
+	tape     *pmd.Tape // the workload's
+	recorded bool      // whether a kept run opened the tape's trajectory
 	faults   cluster.FaultModel
 
 	// Registry-backed run counters (the RunStats view reads the first four).
@@ -177,11 +176,10 @@ func newSuite(cfg Config, sys *topol.System) *Suite {
 		cfg.RecoveryCrashes = paper.RecoveryCrashes
 	}
 	s := &Suite{
-		Cfg:      cfg,
-		sys:      sys,
-		cache:    map[string]*pmd.Result{},
-		tape:     pmd.NewTape(),
-		recorded: map[int]bool{},
+		Cfg:   cfg,
+		sys:   sys,
+		cache: map[string]*pmd.Result{},
+		tape:  pmd.NewTape(),
 	}
 	reg := cfg.Obs
 	if reg == nil {
@@ -239,9 +237,8 @@ func (s *Suite) Bytes() int64 {
 }
 
 // workers resolves Cfg.Workers to the bound it sets, never below 1: the
-// cells a batch keeps in flight and, inside each, the lanes of the
-// canonical physics evaluation (0 = one per host CPU; a negative value
-// means 1).
+// cells a batch keeps in flight and the kernel workers of the tape's
+// engine (0 = one per host CPU; a negative value means 1).
 func (s *Suite) workers() int {
 	if w := s.Cfg.Workers; w != 0 {
 		return max(w, 1)

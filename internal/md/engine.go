@@ -211,6 +211,35 @@ func (e *Engine) ListWasRebuilt() bool { return e.listFresh }
 // PairCount returns the current neighbour-list length.
 func (e *Engine) PairCount() int { return len(e.pairs) }
 
+// Pairs returns the current neighbour list. It is the engine's reused
+// buffer: the next list build overwrites it.
+func (e *Engine) Pairs() []space.Pair { return e.pairs }
+
+// ReleasePairs returns the current neighbour list and gives its storage
+// to the caller: the engine reads it until its next list build, which
+// writes a new buffer, so the list is never overwritten.
+func (e *Engine) ReleasePairs() []space.Pair {
+	e.lister.Release()
+	return e.pairs
+}
+
+// ManageList readies the neighbour list for the current positions, as
+// ComputeForces does first: it rebuilds the list, charging the search into
+// w, when an atom has moved more than half the skin since the last build,
+// and otherwise builds a restored checkpoint's list at its origin,
+// uncounted (the interrupted run already paid for that build). It reports
+// whether it rebuilt. A caller that manages the list before ComputeForces
+// leaves that call nothing to rebuild.
+func (e *Engine) ManageList(w *work.Counters) bool {
+	e.listFresh = false
+	if !e.integ.ListValid(e.Pos, e.listOrigin) {
+		e.RefreshList(w)
+	} else if e.listPending {
+		e.buildList(e.listOrigin, nil)
+	}
+	return e.listFresh
+}
+
 // SetObs installs host-time phase counters into reg: every ComputeForces
 // call adds the wall-clock seconds of its classic and PME force sections
 // to repro_phase_seconds_total{rank="0",phase,bucket="compute"}. The comm
@@ -248,18 +277,11 @@ func (e *Engine) SetObs(reg *obs.Registry) {
 // positions, managing the neighbour list. Work is recorded into w
 // (classic-phase work) and wPME (PME-phase work) when non-nil.
 func (e *Engine) ComputeForces(w, wPME *work.Counters) EnergyReport {
-	e.listFresh = false
 	var t0 time.Time
 	if e.mClassic != nil {
 		t0 = time.Now()
 	}
-	if !e.integ.ListValid(e.Pos, e.listOrigin) {
-		e.RefreshList(w)
-	} else if e.listPending {
-		// A restored list, rebuilt at its checkpointed origin and not
-		// counted: the interrupted run already paid for that build.
-		e.buildList(e.listOrigin, nil)
-	}
+	e.ManageList(w)
 	vec.Fill(e.Frc, vec.Zero)
 	var rep EnergyReport
 	rep.FF = e.FF.Bonded(e.Pos, e.Frc, w)

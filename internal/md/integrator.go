@@ -8,13 +8,11 @@ import (
 
 // Integrator is the tree's one velocity-Verlet arithmetic: the half-kick,
 // the drift, the kinetic-energy term and the Verlet-skin check, each over
-// an atom range [lo, hi). Engine.Step runs them over every atom; the
-// parallel engine (internal/pmd) runs the same methods over one rank's
-// block and merges the kinetic partials rank-ascending, so a trajectory
-// can only differ between the two by the forces it is handed.
+// an atom range [lo, hi). Engine.Step runs them over every atom, and so
+// does the parallel engine's tape (internal/pmd), which steps an Engine
+// with its list published between the drift and the forces.
 //
-// An Integrator is read-only after construction; every simulated rank of
-// a run shares its engine's.
+// An Integrator is read-only after construction.
 type Integrator struct {
 	sys     *topol.System
 	invMass []float64

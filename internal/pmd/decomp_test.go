@@ -3,7 +3,6 @@ package pmd
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -15,7 +14,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/netmodel"
 	"repro/internal/obs"
-	"repro/internal/vec"
 )
 
 func TestParseDecomp(t *testing.T) {
@@ -287,8 +285,8 @@ func TestDecompDeterminismMatrix(t *testing.T) {
 }
 
 // TestDomainMatchesSequential closes the loop against the sequential
-// engine the same way the replicated path is validated: to tolerance,
-// since rank-partitioned summation orders differ from the serial ones.
+// engine the same way the replicated path is validated: bit for bit,
+// since every run's trajectory is the engine's.
 func TestDomainMatchesSequential(t *testing.T) {
 	sys := testSystem(100, 24, 1)
 	const steps = 5
@@ -304,18 +302,7 @@ func TestDomainMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Energies) != len(want) {
-		t.Fatalf("step count: %d vs %d", len(res.Energies), len(want))
-	}
-	for s := range want {
-		g, w := res.Energies[s], want[s]
-		if rel := math.Abs(g.Total()-w.Total()) / math.Abs(w.Total()); rel > 1e-6 {
-			t.Fatalf("step %d: total %g vs sequential %g (rel %g)", s, g.Total(), w.Total(), rel)
-		}
-	}
-	if d := vec.MaxNormDiff(res.FinalPos, seq.Pos); d > 1e-6 {
-		t.Fatalf("final positions deviate by %g Å from the sequential engine", d)
-	}
+	mustMatchEngine(t, "domain p=4", res, want, seq.Pos)
 }
 
 // TestDomainKillRestartBitwiseIdentical: the checkpoint/restart machinery
@@ -447,15 +434,16 @@ func gaugeValue(reg *obs.Registry, name string) (float64, bool) {
 // OnStep fires as the last rank completes the step). Every run, over its
 // own tape or a shared one, adds one goroutine, which evaluates ahead of
 // the ranks and may be evaluating at a step boundary: at one host worker
-// its lanes are that goroutine, at W > 1 a wave adds W-1 more. HostWorkers
-// is the one bound: MD.KernelWorkers adds no goroutine to a run.
+// the engine's kernels run on that goroutine, at W > 1 a kernel adds W-1
+// more. HostWorkers is the one bound: MD.KernelWorkers adds no goroutine
+// to a run.
 //
 // Inside an evaluation, where a boundary sample cannot see, the peak of
 // the pooled Runs' helpers (kernels.Mark) bounds the goroutines the
 // evaluation spawns and joins: the run-ahead goroutine and its helpers are
-// at most max(1, HostWorkers) at any instant, over lanes drawn from the
-// tape's free list — also from a scratch another rank count's run built
-// and gave back while the two were in flight together.
+// at most max(1, HostWorkers) at any instant, on the tape's one engine —
+// also while a run at another rank count over the same tape is in flight
+// with it.
 func TestGoroutineBudget(t *testing.T) {
 	const p = 64
 	sys := testSystem(100, 24, 1)
@@ -495,9 +483,8 @@ func TestGoroutineBudget(t *testing.T) {
 			samples++
 			if step == 0 && tc.tape != nil {
 				// A run at another rank count over the same tape, wholly in
-				// flight while the 64-rank run evaluates ahead, builds a
-				// scratch and gives it back to the free list the 64-rank
-				// run draws from.
+				// flight while the 64-rank run evaluates ahead, is served
+				// by the same engine.
 				_, otherErr = Run(clusterCfg(4, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), Config{
 					System: sys, MD: cfg.MD, Steps: 1, Decomp: DecompDomain, HostWorkers: tc.workers, Tape: tc.tape,
 				})
@@ -512,19 +499,15 @@ func TestGoroutineBudget(t *testing.T) {
 			t.Fatalf("%s: sampled %d of %d steps", tc.name, samples, cfg.Steps)
 		}
 		if budget := base + p + 2 + lanes; bound > budget {
-			t.Errorf("%s: %d goroutines at a step boundary, budget %d (%d before the run + %d ranks + 2 + %d lanes of the run-ahead)",
+			t.Errorf("%s: %d goroutines at a step boundary, budget %d (%d before the run + %d ranks + 2 + %d kernel workers of the run-ahead)",
 				tc.name, bound, budget, base, p, lanes)
 		}
-		evals := 1
-		if tc.tape != nil {
-			evals = 2 // the two runs' evaluations may overlap
-			if built := tc.tape.built; built > evals {
-				t.Errorf("%s: the tape built %d scratches for at most %d evaluations in flight", tc.name, built, evals)
-			}
+		if tc.tape != nil && tc.tape.built != 1 {
+			t.Errorf("%s: the tape built %d engines for two runs in flight together", tc.name, tc.tape.built)
 		}
-		if helpers := peak.Load(); helpers > int64(evals*(lanes-1)) {
-			t.Errorf("%s: %d pooled helpers in flight inside the evaluations, budget %d (%d evaluations of %d lanes, one the run-ahead goroutine)",
-				tc.name, helpers, evals*(lanes-1), evals, lanes)
+		if helpers := peak.Load(); helpers > int64(lanes-1) {
+			t.Errorf("%s: %d pooled helpers in flight inside the evaluations, budget %d (%d kernel workers, one the run-ahead goroutine)",
+				tc.name, helpers, lanes-1, lanes)
 		}
 		if n := inFlight.Load(); n != 0 {
 			t.Fatalf("%s: %d helpers still in flight after the runs", tc.name, n)

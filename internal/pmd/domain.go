@@ -279,10 +279,10 @@ type epochCounts struct {
 	p14, pairs, excl           []int64
 }
 
-// domainView is the domain decomposition's reading of one trajectory at
-// rank count p: the geometry and the ownership epoch of each neighbour-list
-// generation, each built on first request under one mutex, so the view of
-// a trajectory serves every domain run at its rank count, concurrent ones
+// domainView is the domain decomposition's reading of a tape's trajectory
+// at rank count p: the geometry and the ownership epoch of each
+// neighbour-list generation, each built on first request under one mutex,
+// so the view serves every domain run at its rank count, concurrent ones
 // included.
 type domainView struct {
 	t      *Tape // the tape of v's trajectory, which counts its bytes and keeps its epochs
@@ -306,7 +306,7 @@ func (v *domainView) geometry(p int, cfg Config) *domainGeometry {
 // epoch returns the ownership epoch of st's list generation. Ranks request
 // generations in step order, after the geometry, so a missing one is the
 // next, and never lag the newest by more than one.
-func (v *domainView) epoch(cfg Config, st *canonState) *epochData {
+func (v *domainView) epoch(cfg Config, st *snapshot) *epochData {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if k := len(v.epochs); st.listGen == k {
@@ -338,7 +338,7 @@ func sparseBytes(p int) int64 { return 4*int64(p+1) + 12*int64(p)*int64(p-1) }
 // generation (the positions at rebuild time — the same input on every rank
 // and on restart) and scans the topology + its pair list once for
 // per-domain counts.
-func buildEpoch(g *domainGeometry, sys *topol.System, st *canonState) *epochData {
+func buildEpoch(g *domainGeometry, sys *topol.System, st *snapshot) *epochData {
 	n := sys.N()
 	p := g.p
 	ep := &epochData{
@@ -436,7 +436,7 @@ func gridIndex(f float64, d int) int {
 }
 
 // domainDecomp drives one rank of the spatial decomposition. All physics
-// values come from the canonical snapshots of the run's tape, and every
+// values come from the states of the run's tape, and every
 // ownership-dependent size from the tape's domain view of them; the
 // rank's own segments and sparse collectives charge the virtual time of
 // the spatial pipeline, the same whichever run evaluated a step: drift of
@@ -454,9 +454,9 @@ type domainDecomp struct {
 // returns the step's energies, and builds the geometry, which needs no
 // snapshot, before it waits.
 func (d *domainDecomp) serve(w *worker, step int) {
-	d.geo = w.sh.canon.dom.geometry(w.p, w.cfg)
-	w.cur = w.sh.canon.list(step)
-	d.ep = w.sh.canon.dom.epoch(w.cfg, w.cur)
+	d.geo = w.sh.dom.geometry(w.p, w.cfg)
+	w.cur = w.sh.tape.list(step)
+	d.ep = w.sh.dom.epoch(w.cfg, w.cur)
 }
 
 func (d *domainDecomp) initialForces(w *worker) {

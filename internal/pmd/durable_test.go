@@ -194,7 +194,7 @@ func TestResilientConfigValidation(t *testing.T) {
 }
 
 // TestDeterministicAcrossHostWorkers: the same durable kill/restart
-// sequence replayed with a different canonical lane count (HostWorkers)
+// sequence replayed with a different engine worker count (HostWorkers)
 // produces the same on-disk state and figures.
 func TestDeterministicAcrossHostWorkers(t *testing.T) {
 	sys := testSystem(48, 24, 23)

@@ -41,19 +41,23 @@ func paperMD() md.Config {
 	return mdc
 }
 
-// walkEpochs runs the canonical evaluator at rank count p over the first
-// steps+1 evaluations and calls fn once per list generation, on the
-// snapshot that starts it, with the epoch buildEpoch derives from that
-// snapshot. A run of steps > 0 must cross a rebuild.
+// walkEpochs evaluates the first steps+1 states of a private tape over
+// sys and calls fn once per list generation, on the state that starts it,
+// with the epoch buildEpoch derives from that state at rank count p. A
+// run of steps > 0 must cross a rebuild.
 func walkEpochs(t *testing.T, name string, sys *topol.System, mdc md.Config, steps, p int,
-	fn func(c *canonical, st *canonState, ep *epochData)) (epochs int) {
+	fn func(st *snapshot, ep *epochData)) (epochs int) {
 	t.Helper()
 	cfg := Config{System: sys, MD: mdc, Steps: steps, Decomp: DecompDomain}
 	geo := newDomainGeometry(p, cfg)
-	c := openCanonical(t, nil, p, cfg)
+	tape, err := NewTape().open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for s := -1; s < steps; s++ {
-		if st := c.eval(c.lookup(s, false)); st.listGen == epochs {
-			fn(c, st, buildEpoch(geo, sys, st))
+		st := tape.lookup(s, false)
+		if tape.eval(st, cfg); st.listGen == epochs {
+			fn(st, buildEpoch(geo, sys, st))
 			epochs++
 		}
 	}
@@ -67,7 +71,7 @@ func walkEpochs(t *testing.T, name string, sys *topol.System, mdc md.Config, ste
 // generation with the atoms it reads and the domain that computes it: the
 // domain owning the highest-numbered owner among the term's atoms, which
 // holds every remote atom of the term in its half-shell halo.
-func ownerComputes(sys *topol.System, st *canonState, ep *epochData, term func(kind string, d int32, atoms ...int32)) {
+func ownerComputes(sys *topol.System, st *snapshot, ep *epochData, term func(kind string, d int32, atoms ...int32)) {
 	at := func(kind string, atoms ...int32) {
 		d := ep.own[atoms[0]]
 		for _, a := range atoms[1:] {
@@ -108,7 +112,7 @@ func ownerComputes(sys *topol.System, st *canonState, ep *epochData, term func(k
 // the bytes the model charges (the sum of haloSizes) and the bytes each
 // (exporter, importer) pair needs to move: 24 B per distinct atom the
 // importer's terms read from the exporter.
-func haloCover(t *testing.T, sys *topol.System, st *canonState, ep *epochData) (charged int, needed [][]int) {
+func haloCover(t *testing.T, sys *topol.System, st *snapshot, ep *epochData) (charged int, needed [][]int) {
 	t.Helper()
 	n := int64(sys.N())
 	imports := map[int64]bool{} // computing domain · N + imported atom
@@ -159,7 +163,7 @@ func sum(m [][]int) (s int) {
 
 // TestDomainHaloCoversEveryTerm: no domain computes a term with an atom
 // outside its own block and the halo it is charged for, in every epoch of
-// the canonical trajectory (the spans between neighbour-list rebuilds, so
+// the tape's trajectory (the spans between neighbour-list rebuilds, so
 // the epochs after atoms migrate too), at prime, composite and power-of-two
 // rank counts up to the ceiling's p = 1024. Each p logs the halo bytes the
 // model charges against the bytes the domains need.
@@ -167,7 +171,7 @@ func TestDomainHaloCoversEveryTerm(t *testing.T) {
 	cover := func(name string, sys *topol.System, mdc md.Config, steps int, ps []int) {
 		for _, p := range ps {
 			charged, needed := 0, 0
-			epochs := walkEpochs(t, name, sys, mdc, steps, p, func(_ *canonical, st *canonState, ep *epochData) {
+			epochs := walkEpochs(t, name, sys, mdc, steps, p, func(st *snapshot, ep *epochData) {
 				ch, ne := haloCover(t, sys, st, ep)
 				charged, needed = charged+ch, needed+sum(ne)
 			})
@@ -197,8 +201,8 @@ func TestDomainHaloCoversEveryTerm(t *testing.T) {
 func TestDomainHaloForcesOracle(t *testing.T) {
 	oracle := func(name string, sys *topol.System, mdc md.Config, steps int, ps []int) {
 		for _, p := range ps {
-			walkEpochs(t, name, sys, mdc, steps, p, func(c *canonical, st *canonState, ep *epochData) {
-				haloOracle(t, c, st, ep)
+			walkEpochs(t, name, sys, mdc, steps, p, func(st *snapshot, ep *epochData) {
+				haloOracle(t, sys, mdc, st, ep)
 			})
 		}
 	}
@@ -228,17 +232,18 @@ func (l *localDomain) add(g int32) int32 {
 }
 
 // haloOracle runs the oracle of TestDomainHaloForcesOracle on one epoch.
-func haloOracle(t *testing.T, c *canonical, st *canonState, ep *epochData) {
+func haloOracle(t *testing.T, sys *topol.System, mdc md.Config, st *snapshot, ep *epochData) {
 	t.Helper()
-	sys, p, pos := c.sys, len(ep.nOwn), st.pos
-	beta := c.pme.Beta
+	p, pos := len(ep.nOwn), st.pos
+	beta := mdc.PME.Beta
+	f := ff.New(sys, mdc.FF, beta)
 
 	// Reference: every term over the full arrays.
 	want := make([]vec.V, sys.N())
-	eWant := c.ffield.Bonded(pos, want, nil)
-	eWant.Add(c.ffield.Nonbonded(pos, st.pairs, want, nil))
-	eWant.Add(c.ffield.Pairs14(pos, want, nil))
-	exWant := ewald.ExclusionCorrection(sys.Box, pos, c.charges, sys.Excl, beta, want, nil)
+	eWant := f.Bonded(pos, want, nil)
+	eWant.Add(f.Nonbonded(pos, st.pairs, want, nil))
+	eWant.Add(f.Pairs14(pos, want, nil))
+	exWant := ewald.ExclusionCorrection(sys.Box, pos, f.Charges(), sys.Excl, beta, want, nil)
 
 	// Owned atoms first, then the halo each domain's terms import.
 	doms := make([]localDomain, p)
@@ -304,7 +309,7 @@ func haloOracle(t *testing.T, c *canonical, st *canonState, ep *epochData) {
 			sets[e[1]] = append(sets[e[1]], e[0])
 		}
 		l.sys.Excl = topol.NewExclusions(sets)
-		lff := ff.New(&l.sys, c.ffield.Opts, beta)
+		lff := ff.New(&l.sys, mdc.FF, beta)
 		frc := make([]vec.V, n)
 		var classic, excl work.Counters
 		eGot.Add(lff.Bonded(lpos, frc, &classic))
@@ -433,11 +438,30 @@ func transpose(t *testing.T, from, to []block, data [][]complex128) ([][]complex
 	return out, moved
 }
 
+// strided transforms count adjacent strided lines of x in place with
+// plan, an n×1 plan: line c is x[base+c+j·stride] for j = 0..n−1.
+func strided(plan *fft.Plan2D, n int, x []complex128, base, stride, count int, inverse bool) {
+	line := make([]complex128, n)
+	for c := range count {
+		for j := range line {
+			line[j] = x[base+c+j*stride]
+		}
+		if inverse {
+			plan.Inverse(line)
+		} else {
+			plan.Forward(line)
+		}
+		for j, v := range line {
+			x[base+c+j*stride] = v
+		}
+	}
+}
+
 // pencilOracle runs TestDomainPencilFFTOracle at geo's rank count.
 func pencilOracle(t *testing.T, geo *domainGeometry, pme md.PMEConfig, grid []float64, want []complex128) {
 	t.Helper()
 	p, k1, k2, k3, h1 := geo.p, pme.K1, pme.K2, pme.K3, geo.h1
-	rx, py, pz := fft.NewRealPlan(k1), fft.NewPlan(k2), fft.NewPlan(k3)
+	rx, py, pz := fft.NewRealPlan(k1), fft.NewPlan2D(k2, 1), fft.NewPlan2D(k3, 1)
 	s1, s2, s3 := make([]block, p), make([]block, p), make([]block, p)
 	lines := make([][3]int, p) // per stage, forward and inverse
 	data := make([][]complex128, p)
@@ -466,21 +490,13 @@ func pencilOracle(t *testing.T, geo *domainGeometry, pme md.PMEConfig, grid []fl
 	yLines := func(q int, inverse bool) {
 		b, n := s2[q], s2[q].n(2)
 		for i := range b.n(0) {
-			if inverse {
-				py.InverseLines(data[q], i*k2*n, n, n)
-			} else {
-				py.ForwardLines(data[q], i*k2*n, n, n)
-			}
+			strided(py, k2, data[q], i*k2*n, n, n, inverse)
 		}
 		lines[q][1] += b.n(0) * n
 	}
 	zLines := func(q int, inverse bool) {
 		for l := range s3[q].size() / k3 {
-			if inverse {
-				pz.InverseLines(data[q], l*k3, 1, 1)
-			} else {
-				pz.ForwardLines(data[q], l*k3, 1, 1)
-			}
+			strided(pz, k3, data[q], l*k3, 1, 1, inverse)
 			lines[q][2]++
 		}
 	}

@@ -13,10 +13,10 @@
 //     transposes (the "all-to-all personalized communication" of Fig. 2),
 //     a gather of the convolved potential and local force interpolation.
 //
-// The physics is that arithmetic, executed once per step by one shared
-// evaluator in the ranks' partitions and merge order (the results are
-// verified against the sequential engine); every rank charges its share of
-// the work, and its messages, through the cluster cost model and the
+// The physics is the sequential engine's (md.Engine), executed once per
+// step on the workload's tape, so every run's trajectory is md.Engine.Run's
+// bit for bit; every rank charges its share of the work, counted from its
+// partitions, and its messages through the cluster cost model and the
 // simulated MPI/CMPI transports.
 package pmd
 
@@ -104,23 +104,20 @@ type Config struct {
 	Watchdog mpi.Watchdog
 
 	// Tape, when non-nil, memoizes the physics across runs of the same
-	// workload, at any rank count and under either decomposition: the
-	// first run over the tape builds the seed every rank count starts from,
-	// the first run at a rank count builds that rank count's evaluator, and
-	// every run at it, concurrent ones included, is served the snapshots it
-	// holds or evaluates the next one into it (the simulated timings still
-	// come out of the full event simulation). When it is nil, or when Init
+	// workload, at any rank count and under either decomposition: every
+	// run over it, concurrent ones included, is served the states it holds
+	// or evaluates the next one into it (the simulated timings still come
+	// out of the full event simulation). When it is nil, or when Init
 	// needs the physics executed from a checkpoint, the run opens a private
 	// tape that keeps a two-step window. Either way the run evaluates ahead
 	// of its ranks on one more goroutine, up to its last step.
 	Tape *Tape
 
-	// HostWorkers > 1 runs the canonical evaluation's rank loops, each
-	// rank's kernels inline, that many ranks at a time on as many host
-	// goroutines; results are bitwise identical to the serial loop. ≤ 1
-	// runs everything inline. It is a run's one host bound (MD.KernelWorkers
-	// is not read), set by the run that builds the evaluator at its rank
-	// count.
+	// HostWorkers sizes the kernel pool of the engine that evaluates the
+	// run's physics; results are bitwise identical at every value, and
+	// ≤ 1 runs the kernels inline. It is a run's one host bound
+	// (MD.KernelWorkers is not read), set by the run that builds its
+	// tape's engine.
 	HostWorkers int
 
 	// onStep, when non-nil, runs on every rank at the end of every
@@ -285,14 +282,13 @@ func runAttempt(clusterCfg cluster.Config, cost cluster.CostModel, cfg Config) (
 		return nil, nil, err
 	}
 
-	// Every run is a run over a tape, seeded from the sequential engine so
-	// trajectories are directly comparable: cfg.Tape when it serves the
-	// run, else a private one.
-	c, err := cfg.Tape.open(p, cfg)
+	// Every run is a run over a tape, whose trajectory is the sequential
+	// engine's: cfg.Tape when it serves the run, else a private one.
+	t, err := cfg.Tape.open(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	sh := newShared(p, cfg, c)
+	sh := newShared(p, cfg, t)
 	res := &Result{
 		P:        p,
 		Timings:  make([][]StepTiming, p),
@@ -304,12 +300,12 @@ func runAttempt(clusterCfg cluster.Config, cost cluster.CostModel, cfg Config) (
 		Observer: cfg.Observer, Obs: cfg.Obs, Faults: cfg.Faults,
 		Watchdog: cfg.Watchdog,
 	}
-	stopAhead := c.evalAhead(cfg.Steps)
+	stopAhead := t.evalAhead(cfg)
 	accts, err := mpi.RunOpts(clusterCfg, cost, opts, func(r *mpi.Rank) {
 		newWorker(r, cfg, sh).run(res)
 	})
 	res.Acct = accts
 	stopAhead()
-	c.t.close(err == nil && len(res.Energies) == cfg.Steps)
+	t.close(err == nil && len(res.Energies) == cfg.Steps)
 	return res, accts, err
 }

@@ -1,7 +1,9 @@
 package pmd
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
@@ -89,24 +91,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 	for _, p := range []int{1, 2, 4} {
 		res := runParallel(t, sys, p, steps, MiddlewareMPI, netmodel.MyrinetGM())
-		if len(res.Energies) != steps {
-			t.Fatalf("p=%d: %d step energies", p, len(res.Energies))
-		}
-		for s := 0; s < steps; s++ {
-			g, w := res.Energies[s], want[s]
-			if rel := math.Abs(g.Total()-w.Total()) / math.Abs(w.Total()); rel > 1e-6 {
-				t.Fatalf("p=%d step %d: total %g vs sequential %g (rel %g)", p, s, g.Total(), w.Total(), rel)
-			}
-			if rel := math.Abs(g.Recip-w.Recip) / (1 + math.Abs(w.Recip)); rel > 1e-6 {
-				t.Fatalf("p=%d step %d: recip %g vs %g", p, s, g.Recip, w.Recip)
-			}
-			if rel := math.Abs(g.Classic()-w.Classic()) / (1 + math.Abs(w.Classic())); rel > 1e-6 {
-				t.Fatalf("p=%d step %d: classic %g vs %g", p, s, g.Classic(), w.Classic())
-			}
-		}
-		if d := vec.MaxNormDiff(res.FinalPos, seq.Pos); d > 1e-6 {
-			t.Fatalf("p=%d: final positions deviate by %g Å", p, d)
-		}
+		mustMatchEngine(t, fmt.Sprintf("p=%d", p), res, want, seq.Pos)
 	}
 }
 
@@ -114,13 +99,8 @@ func TestParallelConsistentAcrossP(t *testing.T) {
 	sys := testSystem(100, 24, 2)
 	a := runParallel(t, sys, 2, 4, MiddlewareMPI, netmodel.TCPGigE())
 	b := runParallel(t, sys, 4, 4, MiddlewareMPI, netmodel.TCPGigE())
-	for s := range a.Energies {
-		if rel := math.Abs(a.Energies[s].Total()-b.Energies[s].Total()) / math.Abs(a.Energies[s].Total()); rel > 1e-8 {
-			t.Fatalf("step %d: p=2 vs p=4 energies differ by rel %g", s, rel)
-		}
-	}
-	if d := vec.MaxNormDiff(a.FinalPos, b.FinalPos); d > 1e-8 {
-		t.Fatalf("p=2 vs p=4 positions deviate by %g", d)
+	if !reflect.DeepEqual(a.Energies, b.Energies) || !reflect.DeepEqual(a.FinalPos, b.FinalPos) {
+		t.Fatal("p=2 and p=4 trajectories differ")
 	}
 }
 

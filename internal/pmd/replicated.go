@@ -2,13 +2,50 @@ package pmd
 
 import (
 	"repro/internal/md"
+	"repro/internal/topol"
 	"repro/internal/work"
 )
+
+// partitionWork returns, per rank of the atom blocks atomOff, the work of
+// its fixed partitions that the replicated arithmetic counts: its blocks
+// of the bonded terms and the 1-4 pairs (classic), and the excluded pairs
+// (j > i) of its atom rows, whose reciprocal correction it computes
+// (recip). A rank's block of the pair list changes with the list; forces
+// adds it.
+func partitionWork(sys *topol.System, atomOff []int) (classic, recip []work.Counters) {
+	p := len(atomOff) - 1
+	classic, recip = make([]work.Counters, p), make([]work.Counters, p)
+	for rk := range classic {
+		block := func(n int) int64 { return int64(blockLen(n, p, rk)) }
+		classic[rk] = work.Counters{
+			BondTerms:     block(len(sys.Bonds)),
+			AngleTerms:    block(len(sys.Angles)),
+			DihedralTerms: block(len(sys.Dihedrals)) + block(len(sys.Impropers)),
+			PairEvals:     block(len(sys.Pairs14)),
+		}
+		for i := atomOff[rk]; i < atomOff[rk+1]; i++ {
+			for _, j := range sys.Excl.Of(i) {
+				if int(j) > i {
+					recip[rk].PairEvals++
+				}
+			}
+		}
+	}
+	return classic, recip
+}
+
+// blockLen is the length of block rk of kernels.Partition(n, p).
+func blockLen(n, p, rk int) int {
+	if rk < n%p {
+		return n/p + 1
+	}
+	return n / p
+}
 
 // sizeTables are the replicated path's collective size tables, fixed by
 // the partitions and computed once per run. They are what the model
 // ships; the host moves none of these bytes, because the ranks read every
-// number from the canonical snapshots.
+// number from the tape's states.
 type sizeTables struct {
 	blocks     []int   // position all-gather
 	blocksConv []int   // convolved-potential all-gather
@@ -51,16 +88,15 @@ func newSizeTables(atomOff, xOff, yOff []int, k2, k3 int) sizeTables {
 // replicatedDecomp is the paper's replicated-data decomposition: every
 // rank holds a full replica, positions propagate with an all-gather, the
 // classic terms are block-partitioned and PME runs slab-decomposed. The
-// rank charges that pipeline from the canonical snapshots: the classic and
-// interpolation segments from the snapshot's per-rank counters, every
-// other segment from counts its partitions and plans fix.
+// rank charges that pipeline from counts its partitions and plans fix and,
+// for its block of the pair list, the length of the state's list.
 type replicatedDecomp struct{}
 
 func (d replicatedDecomp) initialForces(w *worker) {
 	// The lookup runs inline: the replicated schedule has no segment
 	// before the first classic one, and a zero-cost segment would add an
 	// event to it.
-	w.cur = w.sh.canon.list(-1)
+	w.cur = w.sh.tape.list(-1)
 	d.forces(w, nil, phaseTracker{})
 }
 
@@ -69,7 +105,7 @@ func (replicatedDecomp) drift(w *worker, step int) {
 	nOwn := int64(aHi - aLo)
 	// Half-kick + drift of the owned atom block, then the all-gather that
 	// refreshes every replica.
-	w.cur = w.sh.canon.list(step)
+	w.cur = w.sh.tape.list(step)
 	w.r.ComputeWork(work.Counters{Integrate: nOwn})
 	w.c.Allgatherv(w.sh.blocks)
 }
@@ -85,7 +121,6 @@ func (replicatedDecomp) kick(w *worker) {
 // sample.
 func (replicatedDecomp) forces(w *worker, st *StepTiming, tr phaseTracker) md.EnergyReport {
 	cs := w.cur
-	rep := cs.energies() // waits for the whole snapshot: the counters below come with the energies
 	sh := w.sh
 	n := w.cfg.System.N()
 	me := w.me()
@@ -101,7 +136,8 @@ func (replicatedDecomp) forces(w *worker, st *StepTiming, tr phaseTracker) md.En
 	// Partial classic forces and energies over the rank's partitions. On a
 	// rebuild step the list is built once and every rank charges its 1/p
 	// share of the distributed search, like CHARMM's parallel list builder.
-	wc := cs.classicWork[me]
+	wc := sh.classicWork[me]
+	wc.PairEvals += int64(blockLen(len(cs.pairs), w.p, me))
 	if cs.rebuilt {
 		wc.ListDistEvals += cs.distEvals / int64(w.p)
 	}
@@ -148,7 +184,7 @@ func (replicatedDecomp) forces(w *worker, st *StepTiming, tr phaseTracker) md.En
 	w.c.Allgatherv(sh.blocksConv)
 	// Interpolate PME forces for the owned atoms from the assembled mesh
 	// and add the excluded-pair correction for the owned exclusion rows.
-	wp := cs.recipWork[me]
+	wp := sh.recipWork[me]
 	wp.Other += int64(k1 * planeLen)
 	wp.GridCharges += nOwn * o3
 	w.r.ComputeWork(wp)
@@ -157,5 +193,5 @@ func (replicatedDecomp) forces(w *worker, st *StepTiming, tr phaseTracker) md.En
 	if st != nil {
 		st.PME = trP.sample()
 	}
-	return rep
+	return cs.energies()
 }

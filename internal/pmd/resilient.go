@@ -96,13 +96,13 @@ type ckptEntry struct {
 // writes are safe. Full in-memory history is kept because ranks can be one
 // checkpoint apart when a crash interrupts a collective: the rewind uses
 // the newest step every rank (including the crashed one) has recorded.
-// The state at a checkpoint is the canonical snapshot every rank served
-// for that step, one per history index.
+// The state at a checkpoint is the tape's state every rank served for
+// that step, one per history index.
 type recorder struct {
 	d     *driver
 	p     int
 	hist  [][]ckptEntry
-	snaps []*canonState // history index -> the step's snapshot
+	snaps []*snapshot // history index -> the step's state
 
 	preemptAt int // global step every rank stops after; 0 = none latched
 	preempted bool
@@ -235,12 +235,7 @@ func (rec *recorder) rewindIndex() int {
 // assemble returns the global checkpoint at history index idx. It aliases
 // the step's immutable snapshot: a caller that hands it on copies it.
 func (rec *recorder) assemble(idx int) *md.Checkpoint {
-	st := rec.snaps[idx]
-	cp := &md.Checkpoint{N: len(st.pos), TimestepFS: rec.d.rcfg.MD.TimestepFS, Pos: st.pos, Vel: st.vel, Frc: st.frcTotal}
-	if st.listGen >= 0 {
-		cp.ListOrigin = st.listOrigin
-	}
-	return cp
+	return rec.snaps[idx].checkpoint(rec.d.rcfg.MD.TimestepFS)
 }
 
 // replayPrice prices the localized repair of rank c when the cluster

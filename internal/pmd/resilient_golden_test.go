@@ -34,7 +34,11 @@ import (
 // held. The three local/* digests were recaptured once more when the
 // unpriced byte fields (buddy rank, restored and re-sent bytes) left
 // recover.Event; a digest of the remaining fields was equal before and
-// after. UPDATE_GOLDEN=1 rewrites the file; do that only to add cases,
+// after. Every digest, and every checkpoint file's, was recaptured once
+// more when every run's trajectory became the sequential engine's: the
+// energies, final positions and checkpointed states moved, and a digest
+// of every priced float (wall, accounting, Lost breakdown, events) was
+// equal before and after. UPDATE_GOLDEN=1 rewrites the file; do that only to add cases,
 // from a tree where the existing ones pass.
 const resilientGoldenPath = "testdata/resilient_golden.json"
 

@@ -105,7 +105,7 @@ func TestRewindBooksEachRankOnce(t *testing.T) {
 			for k := 0; k < n; k++ {
 				rec.hist[i] = append(rec.hist[i], ckptEntry{step: 2*k + 1, acct: acct()})
 				if k == len(rec.snaps) {
-					rec.snaps = append(rec.snaps, &canonState{pos: sys.Pos, vel: sys.Pos, frcTotal: sys.Pos, listing: listing{listGen: -1}})
+					rec.snaps = append(rec.snaps, &snapshot{pos: sys.Pos, vel: sys.Pos, frc: sys.Pos})
 				}
 			}
 			rec.accts[i] = acct()

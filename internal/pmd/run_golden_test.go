@@ -18,11 +18,13 @@ import (
 // step timing, the energies and the final positions. It was captured while
 // the replicated ranks still evaluated their own partitions of the physics
 // (every rank its classic block, spread, slab FFTs, spectrum lines and
-// interpolation, merged through the simulated collectives), so it pins the
-// one physics provider both decompositions now serve to that executed
-// rank-by-rank arithmetic, and every virtual second to the counters those
-// ranks charged. Each case must produce its digest four ways: recording a
-// tape and replaying it, at HostWorkers 1 and at 4. UPDATE_GOLDEN=1
+// interpolation, merged through the simulated collectives), which pins
+// every virtual second to the counters those ranks charged. It was
+// recaptured once when every run's trajectory became the sequential
+// engine's: the energies and final positions moved, and a digest of the
+// wall, accounting and step timings alone was equal before and after.
+// Each case must produce its digest four ways: recording a tape and
+// replaying it, at HostWorkers 1 and at 4. UPDATE_GOLDEN=1
 // rewrites the file; do that only to add cases, from a tree where the
 // existing ones pass.
 const runGoldenPath = "testdata/run_golden.json"

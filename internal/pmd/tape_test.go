@@ -45,36 +45,11 @@ func tapeRun(t *testing.T, sys *topol.System, decomp DecompKind, p, steps int, n
 	return res
 }
 
-// canonAt returns tape's trajectory at rank count p, nil before a run at p
-// opened it.
-func canonAt(tape *Tape, p int) *canonical {
+// held returns the number of states tape holds.
+func held(tape *Tape) int {
 	tape.mu.Lock()
 	defer tape.mu.Unlock()
-	return tape.canons[p]
-}
-
-// openCanonical opens tape's trajectory at rank count p over cfg's
-// workload, a private window tape's when tape is nil, for a test that
-// drives the evaluator itself.
-func openCanonical(t testing.TB, tape *Tape, p int, cfg Config) *canonical {
-	t.Helper()
-	c, err := tape.open(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
-// seedBytes recounts what tape's seed holds: its positions, velocities and
-// checkpointed list origin, its step −1 pair list, and the ψ table of
-// mesh pme once an evaluation built it.
-func seedBytes(tape *Tape, pme md.PMEConfig) int64 {
-	s := tape.seed
-	b := vecBytes*int64(len(s.seedPos)+len(s.seedVel)+len(s.seedOrigin)) + pairBytes*int64(len(s.initList.pairs))
-	if s.psi != nil {
-		b += psiBytes(pme)
-	}
-	return b
+	return len(tape.states)
 }
 
 // TestDomainTapeReplayMatches: a domain run served from a tape is
@@ -99,8 +74,8 @@ func TestDomainTapeReplayMatches(t *testing.T) {
 		for i, decomp := range recorders {
 			tapes[i] = NewTape()
 			tapeRun(t, sys, decomp, p, steps, netmodel.TCPGigE(), MiddlewareMPI, 1, tapes[i])
-			if !tapes[i].Complete() || len(canonAt(tapes[i], p).states) != steps+1 {
-				t.Fatalf("p=%d %v: recording left complete=%v with %d snapshots", p, decomp, tapes[i].Complete(), len(canonAt(tapes[i], p).states))
+			if !tapes[i].Complete() || held(tapes[i]) != steps+1 {
+				t.Fatalf("p=%d %v: recording left complete=%v with %d states", p, decomp, tapes[i].Complete(), held(tapes[i]))
 			}
 		}
 		for _, net := range netmodel.All() {
@@ -118,7 +93,7 @@ func TestDomainTapeReplayMatches(t *testing.T) {
 			}
 		}
 		for i, tape := range tapes {
-			if epochs := canonAt(tape, p).dom.epochs; len(epochs) < 2 || epochs[1].migration == nil {
+			if epochs := tape.doms[p].epochs; len(epochs) < 2 || epochs[1].migration == nil {
 				t.Fatalf("p=%d %v tape: the view holds %d epochs and no migration", p, recorders[i], len(epochs))
 			}
 		}
@@ -160,16 +135,16 @@ func TestTapeServesBothDecompositions(t *testing.T) {
 				}
 				mustEqualResults(t, label, tapeRun(t, sys, tc.run, p, 3, net, MiddlewareMPI, 1, nil), got[i])
 			}
-			if !tape.Complete() || !canonAt(tape, p).states[1].rebuilt {
-				t.Fatalf("p=%d %v tape: complete=%v, rebuilt at step 1=%v", p, tc.recorded, tape.Complete(), canonAt(tape, p).states[1].rebuilt)
+			if !tape.Complete() || !tape.states[1].rebuilt {
+				t.Fatalf("p=%d %v tape: complete=%v, rebuilt at step 1=%v", p, tc.recorded, tape.Complete(), tape.states[1].rebuilt)
 			}
 		}
 	}
 }
 
 // TestDomainTapeShapeMismatchIgnored: a domain run over a tape recorded at
-// another rank count is served a trajectory of its own, as a replicated
-// one is, and leaves the recorded one untouched.
+// another rank count is served the recorded trajectory, as a replicated
+// one is: it equals a run given no tape and evaluates nothing.
 func TestDomainTapeShapeMismatchIgnored(t *testing.T) {
 	sys := testSystem(100, 24, 1)
 	tcp := netmodel.TCPGigE()
@@ -178,8 +153,8 @@ func TestDomainTapeShapeMismatchIgnored(t *testing.T) {
 	want := tapeRun(t, sys, DecompDomain, 2, 3, tcp, MiddlewareMPI, 1, nil)
 	got := tapeRun(t, sys, DecompDomain, 2, 3, tcp, MiddlewareMPI, 1, tape)
 	mustEqualResults(t, "p=2", want, got)
-	if c := canonAt(tape, 4); c.p != 4 || len(c.states) != 4 {
-		t.Fatalf("tape clobbered: p=%d snapshots=%d", c.p, len(c.states))
+	if n := held(tape); n != 4 || tape.built != 1 {
+		t.Fatalf("the tape holds %d states from %d engines, want 4 from 1", n, tape.built)
 	}
 }
 
@@ -187,8 +162,8 @@ func TestDomainTapeShapeMismatchIgnored(t *testing.T) {
 // served the tape's steps, evaluates the next two into it and equals a
 // 5-step run given no tape; a 2-step run over the tape equals its run
 // given none.
-// Bytes counts the seed and every kept snapshot and epoch once: it grows
-// with the extension and not with the replay.
+// Bytes counts every kept state and epoch once: it grows with the
+// extension and not with the replay.
 func TestDomainTapeExtendedByLongerRun(t *testing.T) {
 	sys := testSystem(100, 24, 1)
 	tcp := netmodel.TCPGigE()
@@ -203,18 +178,10 @@ func TestDomainTapeExtendedByLongerRun(t *testing.T) {
 		got := tapeRun(t, sys, DecompDomain, 4, steps, tcp, MiddlewareMPI, 1, tape)
 		mustEqualResults(t, fmt.Sprintf("steps=%d", steps), want, got)
 	}
-	c := canonAt(tape, 4)
-	if n := len(c.states); n != 6 {
-		t.Fatalf("the tape holds %d snapshots after a 5-step run, want 6", n)
+	if n := held(tape); n != 6 {
+		t.Fatalf("the tape holds %d states after a 5-step run, want 6", n)
 	}
-	recount := seedBytes(tape, c.pme) + 4*sparseBytes(4)
-	for _, st := range c.states {
-		recount += st.bytes()
-	}
-	for _, ep := range c.dom.epochs {
-		recount += ep.bytes()
-	}
-	if b := tape.Bytes(); recorded <= 0 || b <= recorded || b != recount {
+	if b, recount := tape.Bytes(), tapeBytes(tape); recorded <= 0 || b <= recorded || b != recount {
 		t.Fatalf("Bytes: %d after 3 steps, %d after 5 and a replay; the kept snapshots and epochs hold %d", recorded, b, recount)
 	}
 }
@@ -222,7 +189,7 @@ func TestDomainTapeExtendedByLongerRun(t *testing.T) {
 // TestTapeSharedByConcurrentRuns: runs at one rank count started at once
 // over one fresh tape — replicated and domain, TCP and Myrinet, one and
 // four host workers — each equal their run given no tape, and the tape ends
-// with one snapshot per evaluation: whichever run reaches a step first
+// with one state per evaluation: whichever run reaches a step first
 // evaluates it for all.
 func TestTapeSharedByConcurrentRuns(t *testing.T) {
 	sys := testSystem(100, 24, 1)
@@ -261,8 +228,8 @@ func TestTapeSharedByConcurrentRuns(t *testing.T) {
 		}
 		mustEqualResults(t, label, tapeRun(t, sys, r.decomp, p, steps, r.net, MiddlewareMPI, r.workers, nil), got[i])
 	}
-	if n := len(canonAt(tape, p).states); !tape.Complete() || n != steps+1 {
-		t.Fatalf("complete=%v with %d snapshots, want %d", tape.Complete(), n, steps+1)
+	if n := held(tape); !tape.Complete() || n != steps+1 {
+		t.Fatalf("complete=%v with %d states, want %d", tape.Complete(), n, steps+1)
 	}
 }
 
@@ -294,17 +261,16 @@ func TestTapeRunAheadStopsWithItsRun(t *testing.T) {
 	if tape.Complete() {
 		t.Fatal("a crashed run completed its tape")
 	}
-	c := canonAt(tape, p)
 	evaluated := func() int {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		for s := -1; s < len(c.states)-1; s++ {
-			st := c.states[s]
-			if st == nil || st.prev != nil || len(st.frcTotal) != sys.N() || len(st.classicWork) != p {
-				t.Fatalf("state %d of %d is not fully evaluated", s, len(c.states))
+		tape.mu.Lock()
+		defer tape.mu.Unlock()
+		for s := -1; s < len(tape.states)-1; s++ {
+			st := tape.states[s]
+			if st == nil || st.prev != nil || len(st.frc) != sys.N() {
+				t.Fatalf("state %d of %d is not fully evaluated", s, len(tape.states))
 			}
 		}
-		return len(c.states)
+		return len(tape.states)
 	}
 	n := evaluated()
 	time.Sleep(50 * time.Millisecond)
@@ -317,8 +283,8 @@ func TestTapeRunAheadStopsWithItsRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustEqualResults(t, "after the crash", healthy, got)
-	if !tape.Complete() || len(c.states) != steps+1 {
-		t.Fatalf("complete=%v with %d states, want %d", tape.Complete(), len(c.states), steps+1)
+	if n := held(tape); !tape.Complete() || n != steps+1 {
+		t.Fatalf("complete=%v with %d states, want %d", tape.Complete(), n, steps+1)
 	}
 }
 
@@ -348,13 +314,13 @@ func (l *callLog) count() int {
 	return len(l.calls)
 }
 
-// TestDomainRanksWaitOnlyForTheList: with a tape's step −1 held between
-// its list and its forces, a domain run's ranks get past the step's first
-// force-return all-to-all — rank 0 reaches the all-reduce after it —
-// while a replicated run's ranks make no collective call at all, since
-// their first segment reads the per-rank work counters of the forces.
-// Every result equals a run's given no tape bit for bit.
-func TestDomainRanksWaitOnlyForTheList(t *testing.T) {
+// TestRanksWaitOnlyForTheList: with a tape's step −1 held between its
+// list and its forces, the ranks of a domain run get past the step's first
+// force-return all-to-all, and those of a replicated run past their
+// classic segment, which they charge from the list's length: rank 0
+// reaches the first all-reduce under either decomposition. Every result
+// equals a run's given no tape bit for bit.
+func TestRanksWaitOnlyForTheList(t *testing.T) {
 	sys := testSystem(100, 24, 1)
 	const p, steps = 8, 3
 	defer func() { onListed = nil }()
@@ -364,18 +330,14 @@ func TestDomainRanksWaitOnlyForTheList(t *testing.T) {
 		log := &callLog{past: make(chan struct{})}
 		past := log.past
 		calls := make(chan int, 1) // rank 0's calls as the forces are released, -1 if it never got past
-		onListed = func(_ *canonical, step int) {
+		onListed = func(_ *Tape, step int) {
 			if step != -1 {
 				return
-			}
-			hold := 30 * time.Second // a domain run gets past at once; only a hang takes this long
-			if decomp == DecompReplicated {
-				hold = 100 * time.Millisecond // what a replicated run would need to make its first call
 			}
 			select {
 			case <-past:
 				calls <- log.count()
-			case <-time.After(hold):
+			case <-time.After(30 * time.Second): // the ranks get past at once; only a hang takes this long
 				calls <- -1
 			}
 		}
@@ -387,12 +349,8 @@ func TestDomainRanksWaitOnlyForTheList(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := <-calls
-		switch {
-		case decomp == DecompDomain && n < 2:
-			t.Fatalf("domain: rank 0 never got past the force-return all-to-all while step -1's forces were held")
-		case decomp == DecompReplicated && n != -1:
-			t.Fatalf("replicated: rank 0 made %d collective calls while step -1's forces were held", n)
+		if n := <-calls; n < 1 {
+			t.Fatalf("%v: rank 0 never reached the all-reduce while step -1's forces were held", decomp)
 		}
 		mustEqualResults(t, fmt.Sprintf("%v over a tape", decomp), want, got)
 	}
@@ -402,10 +360,10 @@ func TestDomainRanksWaitOnlyForTheList(t *testing.T) {
 // that keeps a two-step window, and its run-ahead evaluates a step only
 // once a rank has asked for the one before, so the window always holds
 // what the ranks read. The ranks are held back at every step boundary, so
-// an evaluator that ran ahead unbounded would let go of snapshots they
-// have yet to read, and they would wait for them forever. Over 40 steps of
-// a replicated and of a domain run, the evaluator never gets more than one
-// step past the ranks and never holds more than two snapshots, the domain
+// an evaluator that ran ahead unbounded would let go of states they have
+// yet to read, and they would wait for them forever. Over 40 steps of a
+// replicated and of a domain run, the evaluator never gets more than one
+// step past the ranks and never holds more than two states, the domain
 // view never more than two epochs, and the energies and final positions
 // equal a shared-tape run's bit for bit.
 func TestPrivateTapeKeepsAWindow(t *testing.T) {
@@ -416,19 +374,22 @@ func TestPrivateTapeKeepsAWindow(t *testing.T) {
 		want := tapeRun(t, sys, decomp, p, steps, netmodel.TCPGigE(), MiddlewareMPI, 1, NewTape())
 
 		var mu sync.Mutex
-		var canon *canonical
+		var private *Tape
 		lead, snapshots, epochs, generations := 0, 0, 0, 0 // the most seen at once, and the list generations
-		sample := func(c *canonical) {
+		sample := func(tp *Tape) {
 			mu.Lock()
 			defer mu.Unlock()
-			if c == nil {
+			if tp == nil {
 				return
 			}
-			canon = c
-			c.mu.Lock()
-			snapshots = max(snapshots, len(c.states))
-			c.mu.Unlock()
-			v := c.dom
+			private = tp
+			tp.mu.Lock()
+			snapshots = max(snapshots, len(tp.states))
+			v := tp.doms[p]
+			tp.mu.Unlock()
+			if v == nil {
+				return
+			}
 			v.mu.Lock()
 			held := 0
 			for _, ep := range v.epochs {
@@ -439,14 +400,14 @@ func TestPrivateTapeKeepsAWindow(t *testing.T) {
 			epochs, generations = max(epochs, held), len(v.epochs)
 			v.mu.Unlock()
 		}
-		onListed = func(c *canonical, step int) {
-			c.mu.Lock()
-			past := step - (c.ahead - 1) // steps past the latest a rank asked for
-			c.mu.Unlock()
+		onListed = func(tp *Tape, step int) {
+			tp.mu.Lock()
+			past := step - (tp.ahead - 1) // steps past the latest a rank asked for
+			tp.mu.Unlock()
 			mu.Lock()
 			lead = max(lead, past)
 			mu.Unlock()
-			sample(c)
+			sample(tp)
 		}
 		var res *ResilientResult
 		var err error
@@ -458,9 +419,9 @@ func TestPrivateTapeKeepsAWindow(t *testing.T) {
 				OnStep: func(int, StepTiming, md.EnergyReport) bool {
 					time.Sleep(2 * time.Millisecond)
 					mu.Lock()
-					c := canon
+					tp := private
 					mu.Unlock()
-					sample(c)
+					sample(tp)
 					return false
 				},
 			})
@@ -468,14 +429,14 @@ func TestPrivateTapeKeepsAWindow(t *testing.T) {
 		select {
 		case <-done:
 		case <-time.After(time.Minute):
-			t.Fatalf("%v: the run hangs: a rank waits for a snapshot the run-ahead let go of", decomp)
+			t.Fatalf("%v: the run hangs: a rank waits for a state the run-ahead let go of", decomp)
 		}
 		onListed = nil
 		if err != nil {
 			t.Fatalf("%v: %v", decomp, err)
 		}
 		if lead > 1 || snapshots > window || epochs > window {
-			t.Errorf("%v: the run-ahead got %d steps past the ranks and the private tape held %d snapshots and %d epochs at once, want at most 1 and %d",
+			t.Errorf("%v: the run-ahead got %d steps past the ranks and the private tape held %d states and %d epochs at once, want at most 1 and %d",
 				decomp, lead, snapshots, epochs, window)
 		}
 		if decomp == DecompDomain && generations <= window {
@@ -487,42 +448,44 @@ func TestPrivateTapeKeepsAWindow(t *testing.T) {
 	}
 }
 
-// tapeBytes recounts what tape holds: its seed once, and per rank count
-// every kept snapshot, the domain view's geometry and epochs.
-func tapeBytes(tape *Tape, pme md.PMEConfig) int64 {
-	b := seedBytes(tape, pme)
-	for p, c := range tape.canons {
-		for _, st := range c.states {
-			b += st.bytes()
-		}
-		if c.dom.geo != nil {
+// tapeBytes recounts what tape holds: every kept state, and per rank
+// count the domain view's geometry and epochs.
+func tapeBytes(tape *Tape) int64 {
+	b := statesBytes(tape)
+	for p, v := range tape.doms {
+		if v.geo != nil {
 			b += 4 * sparseBytes(p)
 		}
-		for _, ep := range c.dom.epochs {
+		for _, ep := range v.epochs {
 			b += ep.bytes()
 		}
 	}
 	return b
 }
 
+// statesBytes recounts what tape's kept states hold.
+func statesBytes(tape *Tape) (b int64) {
+	for _, st := range tape.states {
+		b += st.bytes()
+	}
+	return b
+}
+
 // TestTapeSharesTheSeed: runs at p = 1, 2, 8 and 32, started at once over
-// one workload tape at two host workers, evaluate over one seed: their
-// step −1 states read the seed's positions, velocities and pair list — one
-// backing array, built once — and every state of every rank count equals
-// the state of a run over a tape of its own bit for bit: positions,
-// velocities, forces, energies, the list generation and every work
-// counter, the list search's distance evaluations included. The workload
-// tape's Bytes counts the seed once: it is the own tapes' sum less the
-// seed's bytes for every rank count but one.
+// one workload tape at two host workers, are served one trajectory, from
+// its initial state on, built by one engine: every state equals the state
+// of a run over a tape of its own bit for bit — positions, velocities,
+// forces, energies, the pair list and its generation, the list search's
+// distance evaluations included. The workload tape's Bytes counts the
+// trajectory once: it is the own tapes' sum less the trajectory's bytes
+// for every rank count but one.
 func TestTapeSharesTheSeed(t *testing.T) {
 	sys := testSystem(100, 24, 1)
 	const steps = 3
 	procs := []int{1, 2, 8, 32}
-	cfgAt := func(p int, tape *Tape) Config {
-		return Config{System: sys, MD: tapeMD(), Steps: steps, Decomp: DecompDomain, HostWorkers: 2, Tape: tape}
-	}
 	run := func(p int, tape *Tape) error {
-		_, err := Run(clusterCfg(p, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), cfgAt(p, tape))
+		_, err := Run(clusterCfg(p, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz(),
+			Config{System: sys, MD: tapeMD(), Steps: steps, Decomp: DecompDomain, HostWorkers: 2, Tape: tape})
 		return err
 	}
 	shared := NewTape()
@@ -536,8 +499,13 @@ func TestTapeSharesTheSeed(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	var ownBytes int64
-	seed := canonAt(shared, procs[0]).states[-1]
+	if n := held(shared); n != steps+1 || shared.built != 1 || !shared.states[-1].rebuilt || !shared.states[1].rebuilt {
+		t.Fatalf("%d states from %d engines; want %d from 1, a list built at step -1 and rebuilt at step 1", n, shared.built, steps+1)
+	}
+	if shared.states[-1].distEvals <= 0 {
+		t.Fatalf("the initial list counts %d distance evaluations", shared.states[-1].distEvals)
+	}
+	var ownBytes, trajectory int64
 	for i, p := range procs {
 		if errs[i] != nil {
 			t.Fatalf("p=%d: %v", p, errs[i])
@@ -546,22 +514,14 @@ func TestTapeSharesTheSeed(t *testing.T) {
 		if err := run(p, own); err != nil {
 			t.Fatalf("p=%d over its own tape: %v", p, err)
 		}
-		ownBytes += own.Bytes()
-		got, want := canonAt(shared, p), canonAt(own, p)
-		if init := got.states[-1]; &init.pairs[0] != &seed.pairs[0] || &init.pos[0] != &shared.seed.seedPos[0] || !init.rebuilt {
-			t.Fatalf("p=%d: step -1 does not read the seed's list and state", p)
-		}
-		if len(got.states) != steps+1 || !got.states[1].rebuilt {
-			t.Fatalf("p=%d: %d states, rebuilt at step 1 %v; want %d and a rebuild", p, len(got.states), got.states[1].rebuilt, steps+1)
-		}
+		ownBytes, trajectory = ownBytes+own.Bytes(), statesBytes(own)
 		for s := -1; s < steps; s++ {
-			g, w := got.states[s], want.states[s]
+			g, w := shared.states[s], own.states[s]
 			for _, f := range []struct {
 				name      string
 				got, want any
 			}{
-				{"positions", g.pos, w.pos}, {"velocities", g.vel, w.vel}, {"forces", g.frcTotal, w.frcTotal},
-				{"energies", g.rep, w.rep}, {"classic work", g.classicWork, w.classicWork}, {"reciprocal work", g.recipWork, w.recipWork},
+				{"positions", g.pos, w.pos}, {"velocities", g.vel, w.vel}, {"forces", g.frc, w.frc}, {"energies", g.rep, w.rep},
 				{"pairs", g.pairs, w.pairs}, {"list generation", []any{g.listGen, g.rebuilt, g.distEvals}, []any{w.listGen, w.rebuilt, w.distEvals}},
 			} {
 				if gs, ws := fmt.Sprintf("%v", f.got), fmt.Sprintf("%v", f.want); gs != ws {
@@ -570,21 +530,18 @@ func TestTapeSharesTheSeed(t *testing.T) {
 			}
 		}
 	}
-	if seed.distEvals <= 0 {
-		t.Fatalf("the seed's list counts %d distance evaluations", seed.distEvals)
-	}
-	pme := tapeMD().PME
-	if b, want := shared.Bytes(), ownBytes-int64(len(procs)-1)*seedBytes(shared, pme); b != want || b != tapeBytes(shared, pme) {
-		t.Fatalf("the workload tape holds %d bytes, its recount %d; %d own tapes hold %d, less %d seeds %d",
-			b, tapeBytes(shared, pme), len(procs), ownBytes, len(procs)-1, want)
+	if b, want := shared.Bytes(), ownBytes-int64(len(procs)-1)*trajectory; b != want || b != tapeBytes(shared) {
+		t.Fatalf("the workload tape holds %d bytes, its recount %d; %d own tapes hold %d, less %d trajectories %d",
+			b, tapeBytes(shared), len(procs), ownBytes, len(procs)-1, want)
 	}
 }
 
 // TestTapeScratchPerEvaluationInFlight: a sweep of p = 1 … 32 at two host
 // workers, one rank count after another over one tape while a 4-rank run
-// over it is in flight, builds at most two scratches — one per evaluation
-// that can be in flight at once, not one per rank count — grown to the
-// widest rank count's lanes; the free list goes when the last run does.
+// over it is in flight, is served by the one engine the 4-rank run's
+// evaluation built — the engine is an evaluation's working memory, and at
+// most one evaluation is ever in flight — and the engine goes when the
+// last run does.
 func TestTapeScratchPerEvaluationInFlight(t *testing.T) {
 	sys := testSystem(100, 24, 1)
 	tape := NewTape()
@@ -598,21 +555,14 @@ func TestTapeScratchPerEvaluationInFlight(t *testing.T) {
 					return false
 				}
 			}
-			tape.mu.Lock()
-			defer tape.mu.Unlock()
-			for _, sc := range tape.free {
-				if len(sc.lanes) > 2 {
-					sweepErr = fmt.Errorf("a scratch of %d lanes at two host workers", len(sc.lanes))
-				}
-			}
 		}
 		return false
 	}}
 	if _, err := RunResilient(clusterCfg(4, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), rcfg); err != nil || sweepErr != nil {
 		t.Fatalf("the 4-rank run: %v; the sweep: %v", err, sweepErr)
 	}
-	if len(tape.canons) != 6 || tape.built > 2 || tape.built < 1 || tape.free != nil {
-		t.Fatalf("%d rank counts built %d scratches, %d left on the free list; want 6 over at most 2, none left",
-			len(tape.canons), tape.built, len(tape.free))
+	if len(tape.doms) != 6 || tape.built != 1 || tape.eng != nil {
+		t.Fatalf("%d rank counts built %d engines, engine left %v; want 6 over 1, none left",
+			len(tape.doms), tape.built, tape.eng != nil)
 	}
 }

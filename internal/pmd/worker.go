@@ -10,6 +10,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/vec"
+	"repro/internal/work"
 )
 
 const (
@@ -18,33 +19,41 @@ const (
 	bytesPerCoord     = 24 // one vec.V
 )
 
-// shared is what every rank of a run reads: the one snapshot source and
-// the layouts fixed by the rank count.
+// shared is what every rank of a run reads: the tape that serves the
+// states and the layouts fixed by the rank count.
 type shared struct {
-	canon *canonical // the run's trajectory: it serves every rank, its domain view the domain ranks
+	tape *Tape       // serves every rank the trajectory's states
+	dom  *domainView // the tape's domain view at the run's rank count (domain runs only)
 
-	atomOff []int // the replicated atom blocks (integration, checkpoints)
+	atomOff []int // the replicated atom blocks (integration)
 
-	// The replicated pipeline's slab partitions, the collective size
-	// tables they fix and the op counts of the plans that would transform
-	// a rank's planes and lines (replicated runs only).
-	xOff, yOff []int
+	// The replicated pipeline's partitions: the work its fixed blocks of
+	// the bonded terms, the 1-4 pairs and the exclusion rows hold, per
+	// rank; the slab partitions, the collective size tables they fix and
+	// the op counts of the plans that would transform a rank's planes and
+	// lines (replicated runs only).
+	classicWork, recipWork []work.Counters
+	xOff, yOff             []int
 	sizeTables
 	ops2d, ops1d int64
 }
 
-// newShared builds what the run's ranks share: the run's trajectory, and
-// one copy of the replicated partitions for a replicated run.
-func newShared(p int, cfg Config, c *canonical) *shared {
+// newShared builds what the run's ranks share: the run's tape, and one
+// copy of the replicated partitions for a replicated run or the tape's
+// domain view for a domain one.
+func newShared(p int, cfg Config, t *Tape) *shared {
 	pmeCfg := cfg.MD.PME
-	sh := &shared{canon: c, atomOff: kernels.Partition(cfg.System.N(), p, nil)}
-	if cfg.Decomp == DecompReplicated {
-		sh.xOff = kernels.Partition(pmeCfg.K1, p, nil)
-		sh.yOff = kernels.Partition(pmeCfg.K2, p, nil)
-		sh.sizeTables = newSizeTables(sh.atomOff, sh.xOff, sh.yOff, pmeCfg.K2, pmeCfg.K3)
-		sh.ops2d = fft.NewPlan2D(pmeCfg.K2, pmeCfg.K3).Ops()
-		sh.ops1d = fft.Ops(pmeCfg.K1)
+	sh := &shared{tape: t, atomOff: kernels.Partition(cfg.System.N(), p, nil)}
+	if cfg.Decomp == DecompDomain {
+		sh.dom = t.domain(p)
+		return sh
 	}
+	sh.classicWork, sh.recipWork = partitionWork(cfg.System, sh.atomOff)
+	sh.xOff = kernels.Partition(pmeCfg.K1, p, nil)
+	sh.yOff = kernels.Partition(pmeCfg.K2, p, nil)
+	sh.sizeTables = newSizeTables(sh.atomOff, sh.xOff, sh.yOff, pmeCfg.K2, pmeCfg.K3)
+	sh.ops2d = fft.NewPlan2D(pmeCfg.K2, pmeCfg.K3).Ops()
+	sh.ops1d = fft.Ops(pmeCfg.K1)
 	return sh
 }
 
@@ -54,8 +63,8 @@ func newShared(p int, cfg Config, c *canonical) *shared {
 // propagate (replica all-gather vs halo exchange), how the force
 // evaluation is distributed and combined, and how the reciprocal mesh is
 // distributed (x-slabs vs 2-D pencils). Both serve every number from the
-// canonical snapshots and charge work that is a pure function of problem
-// + rank count, so both keep the engine's determinism contract.
+// tape's states and charge work that is a pure function of problem + rank
+// count, so both keep the engine's determinism contract.
 type decomposition interface {
 	// initialForces charges the unmeasured step-0 force evaluation of
 	// velocity Verlet, leaving the rank ready for the first drift.
@@ -80,10 +89,10 @@ type worker struct {
 	d   decomposition
 	p   int
 
-	// The snapshot the rank serves: the drift segment looks up the step's,
+	// The state the rank serves: the drift segment looks up the step's,
 	// and between steps it is the last completed step's, which the
 	// checkpoint recorder and FinalPos read.
-	cur *canonState
+	cur *snapshot
 
 	// stop requests a graceful end of the step loop after the current
 	// step (the resilient driver's halt or preemption point). Only the

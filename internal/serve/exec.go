@@ -30,10 +30,9 @@ import (
 // Env executes job specs on the deterministic engine. It caches the
 // expensive immutable inputs — relaxed solvated systems and figure
 // studies — across jobs, and memoizes the trajectories jobs compute: a
-// pmd.Tape per system, whose seed every rank count shares and whose
-// trajectory at a rank count every run and every network of a sweep at
-// that rank count shares, and a sequential frame log per system that
-// analysis jobs slice. A tape or a log serves one workload (system
+// pmd.Tape per system, whose one trajectory every run and every network
+// of a sweep shares at any rank count, and a sequential frame log per
+// system that analysis jobs slice. A tape or a log serves one workload (system
 // and MD config), which its key fixes. Systems, studies, tapes and logs
 // are the entries of one memo, held under one LRU byte budget
 // (memoBudget). The caches affect speed only, never results;
@@ -101,16 +100,16 @@ const memoBudget = 64 << 20
 // What a job adds to the memo, per atom, is bounded by two terms that
 // TestMemoEstimateBoundsBytes pins:
 //
-//   - memoListBytes for its first list generation: on a tape the seed's
-//     state, step −1 pair list and ψ table, which every rank count shares,
-//     and its rank count's geometry and first ownership epoch; in a frame
-//     log the engine's arrays, list and PME grids. The worst case is the
-//     pair list of the largest box (about 3.2 kB per atom), and the size
-//     matrices of the most ranks on the smallest box.
+//   - memoListBytes for its first list generation: on a tape the step −1
+//     pair list, which every rank count shares, and its rank count's
+//     geometry and first ownership epoch; in a frame log the engine's
+//     arrays, list and PME grids. Both count a list at its capacity. The
+//     worst case is the pair list of the largest box (about 3.2 kB per
+//     atom), and the size matrices of the most ranks on the smallest box.
 //   - memoStateBytes for each kept state (steps+1 of them): its positions,
-//     velocities and forces, its per-rank work counters, and its share of
-//     the later list generations, one every 4 steps at the fastest on the
-//     served boxes (the smallest with the most ranks is the worst case).
+//     velocities and forces, and its share of the later list
+//     generations, one every 4 steps at the fastest on the served boxes
+//     (the smallest with the most ranks is the worst case).
 const (
 	memoListBytes  = 4096
 	memoStateBytes = 640
@@ -183,10 +182,10 @@ func (l *frameLog) upTo(sys *topol.System, mdCfg md.Config, steps int) [][]vec.V
 		l.frames = append(l.frames, slices.Clone(l.eng.Pos))
 	}
 	// The frames, the engine's positions, velocities, forces and list
-	// origin, its pair list and its PME grids.
+	// origin, its pair list at its capacity and its PME grids.
 	const v = int64(unsafe.Sizeof(vec.V{}))
 	pme := mdCfg.PME
-	l.bytes.Store(v*int64(sys.N())*int64(len(l.frames)+4) + 8*int64(l.eng.PairCount()) + 32*int64(pme.K1*pme.K2*pme.K3))
+	l.bytes.Store(v*int64(sys.N())*int64(len(l.frames)+4) + 8*int64(cap(l.eng.Pairs())) + 32*int64(pme.K1*pme.K2*pme.K3))
 	return l.frames[: steps+1 : steps+1]
 }
 

@@ -300,8 +300,10 @@ func TestSweepSharesOneTape(t *testing.T) {
 // smallest box, whose size matrices outweigh its atoms and whose list is
 // rebuilt the most often. On a fresh Env, a one-step job holds at most its
 // first list generation and two states, and the longer job over the same
-// entry then adds at most memoStateBytes per atom and state. A 4096-atom
-// job over 18 steps joins the memo.
+// entry then adds at most memoStateBytes per atom and state; what an entry
+// holds counts every pair list at its capacity, and TestTapeBytesBoundsItsHeap
+// (internal/pmd) holds a tape's count to its heap. A 4096-atom job over 18
+// steps joins the memo.
 func TestMemoEstimateBoundsBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("relaxes a 4096-atom box")

@@ -111,8 +111,8 @@ type Config struct {
 	// Workers is the number of concurrent job executors. 0 means 2.
 	Workers int
 
-	// KernelWorkers spreads each job's physics over host cores: a run or
-	// sweep's evaluation lanes, an analysis job's kernels. Results are
+	// KernelWorkers spreads each job's physics over host cores: the
+	// kernels of the engine that evaluates it. Results are
 	// byte-identical for every value, so the result store keys on the job
 	// spec alone. 0 and negative values mean one worker.
 	KernelWorkers int
