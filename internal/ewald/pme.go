@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/fft"
 	"repro/internal/kernels"
+	"repro/internal/memo"
 	"repro/internal/space"
 	"repro/internal/units"
 	"repro/internal/vec"
@@ -40,8 +41,8 @@ type PME struct {
 	rgrid  []float64       // Recip's buffers, allocated by its first call
 	rconv  []float64
 	spec   []complex128 // half spectrum, (K1/2+1)·K2·K3
-	eCoefH []float64    // Hermitian-weighted energy coefs, half spectrum
-	cCoefH []float64    // convolution coefs, half spectrum
+	eCoefH []float64    // Hermitian-weighted energy coefs, half spectrum (shared, read-only)
+	cCoefH []float64    // convolution coefs, half spectrum (shared, read-only)
 
 	bsq1 []float64 // |b(m)|² per dimension
 	bsq2 []float64
@@ -165,15 +166,18 @@ func (p *PME) bindShards() {
 	}
 }
 
-// allocRecip sizes Recip's grid, convolution and spectrum buffers, the
-// half-spectrum influence tables and their shard offsets. Recip calls it
-// once, before its first fan-out, so no shard races on a first touch; a
-// PME that only spreads never pays for it.
+// allocRecip sizes Recip's grid, convolution and spectrum buffers and
+// their shard offsets, and takes the half-spectrum influence tables from
+// halfTables. Recip calls it once, before its first fan-out, so no shard
+// races on a first touch; a PME that only spreads never pays for it.
 func (p *PME) allocRecip() {
 	p.rgrid = make([]float64, p.GridLen())
 	p.rconv = make([]float64, p.GridLen())
 	p.spec = make([]complex128, p.rplan.SpectrumLen())
-	p.buildHalfInfluence()
+	bits := math.Float64bits
+	key := halfKey{bits(p.Box.L.X), bits(p.Box.L.Y), bits(p.Box.L.Z), bits(p.Beta), p.K1, p.K2, p.K3, p.Order}
+	h := halfTables.Get(key, p.buildHalfInfluence)
+	p.eCoefH, p.cCoefH = h.e, h.c
 	p.gridOff = kernels.Partition(len(p.rgrid), kernels.ShardCount, nil)
 	p.specOff = kernels.Partition(len(p.spec), kernels.ShardCount, nil)
 }
@@ -306,14 +310,28 @@ func (p *PME) interpolate(pos []vec.V, charges []float64, frc []vec.V) {
 	p.pool.Run(kernels.ShardCount, p.interpFn)
 }
 
+// halfTables shares the half-spectrum influence coefficients among the
+// PMEs of a process with equal box edges, β, mesh and order (1.25 MB on
+// the paper mesh): Recip only reads them, and every engine built over one
+// workload asks for the same ones.
+var halfTables memo.Map[halfKey, halfCoefs]
+
+// halfKey is what buildHalfInfluence builds from, the floats by their bits.
+type halfKey struct {
+	lx, ly, lz, beta  uint64
+	k1, k2, k3, order int
+}
+
+// halfCoefs is a PME's eCoefH and cCoefH.
+type halfCoefs struct{ e, c []float64 }
+
 // buildHalfInfluence precomputes the influence coefficients over the
 // stored half spectrum from p's factored table, folding the Hermitian
-// energy weight into eCoefH. One-time cost; it removes every exp/ψ
-// evaluation from the step loop.
-func (p *PME) buildHalfInfluence() {
+// energy weight into eCoefH. One-time cost per process and key; it
+// removes every exp/ψ evaluation from the step loop.
+func (p *PME) buildHalfInfluence() halfCoefs {
 	hx := p.rplan.HX()
-	p.eCoefH = make([]float64, hx*p.K2*p.K3)
-	p.cCoefH = make([]float64, hx*p.K2*p.K3)
+	h := halfCoefs{make([]float64, hx*p.K2*p.K3), make([]float64, hx*p.K2*p.K3)}
 	psi := p.Influence()
 	eC, cC := make([]float64, p.K1), make([]float64, p.K1)
 	for m2 := 0; m2 < p.K2; m2++ {
@@ -325,11 +343,12 @@ func (p *PME) buildHalfInfluence() {
 					weight = 1.0
 				}
 				idx := (m1*p.K2+m2)*p.K3 + m3
-				p.eCoefH[idx] = weight * eC[m1]
-				p.cCoefH[idx] = cC[m1]
+				h.e[idx] = weight * eC[m1]
+				h.c[idx] = cC[m1]
 			}
 		}
 	}
+	return h
 }
 
 // Spread deposits the charges onto grid (row-major K1×K2×K3, not zeroed

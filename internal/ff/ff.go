@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/kernels"
+	"repro/internal/memo"
 	"repro/internal/space"
 	"repro/internal/topol"
 	"repro/internal/units"
@@ -88,6 +89,18 @@ type ForceField struct {
 	ljB    []float64 // 2·eps·rmin⁶ per type pair
 }
 
+// tables shares one InteractionTable among a process's force fields of
+// equal cutoffs, β and interval count (0.62 MB at New's count): a table
+// is only read once built.
+var tables memo.Map[tableKey, *InteractionTable]
+
+// tableKey is what NewInteractionTable builds from, β by its bits.
+type tableKey struct {
+	o    Options
+	beta uint64
+	n    int
+}
+
 // New resolves all parameters for sys. ewaldBeta > 0 makes the
 // electrostatics the direct-space term qq·erfc(βr)/r of a PME sum with that
 // splitting parameter (1/Å; the reciprocal part lives in internal/ewald);
@@ -127,7 +140,9 @@ func New(sys *topol.System, opts Options, ewaldBeta float64) *ForceField {
 		f.rminHalf[i] = t.RminHalf
 	}
 	f.skipIdx, f.skipList = buildSkipList(sys)
-	f.table = NewInteractionTable(opts, ewaldBeta, defaultTableIntervals)
+	f.table = tables.Get(tableKey{opts, math.Float64bits(ewaldBeta), defaultTableIntervals}, func() *InteractionTable {
+		return NewInteractionTable(opts, ewaldBeta, defaultTableIntervals)
+	})
 	f.ntypes = len(sys.Types)
 	f.typ = make([]int32, n)
 	for i, a := range sys.Atoms {

@@ -3,7 +3,8 @@ package fft
 import (
 	"math"
 	"math/cmplx"
-	"sync"
+
+	"repro/internal/memo"
 )
 
 // maxRadix is the largest prime the mixed-radix butterfly handles, and so
@@ -41,28 +42,15 @@ type level struct {
 	tw   []complex128
 }
 
-// memo shares tables between plans of equal length. Every simulated rank
+// byLen shares tables between plans of equal length. Every simulated rank
 // builds the same handful of plans, so without it a figure run computes and
-// stores the same twiddles hundreds of times. Entries are never dropped:
-// the lengths a process transforms are its PME mesh dimensions, a small
-// set, and one entry costs O(n·Σ(r−1)) complex values.
-var memo struct {
-	sync.Mutex
-	byLen map[int]*tables
-}
+// stores the same twiddles hundreds of times. The lengths a process
+// transforms are its PME mesh dimensions, a small set, and one entry costs
+// O(n·Σ(r−1)) complex values.
+var byLen memo.Map[int, *tables]
 
 func tablesFor(n int) *tables {
-	memo.Lock()
-	defer memo.Unlock()
-	t := memo.byLen[n]
-	if t == nil {
-		if memo.byLen == nil {
-			memo.byLen = map[int]*tables{}
-		}
-		t = newTables(n)
-		memo.byLen[n] = t
-	}
-	return t
+	return byLen.Get(n, func() *tables { return newTables(n) })
 }
 
 func newTables(n int) *tables {

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/mpi"
 	"repro/internal/netmodel"
@@ -34,7 +35,7 @@ func TestBatchOfOneRunsInline(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	direct() // fills the process-wide FFT tables either side would pay for
+	direct() // fills the process-wide FFT, force-field and PME tables either side would pay for
 
 	a0 := totalAlloc()
 	direct()
@@ -198,5 +199,31 @@ func TestSuiteTapeCountsTheSeedOnce(t *testing.T) {
 	// The positions, velocities and pair list of the 3552-atom system.
 	if seeds[0] < 2*24*3552+8*3552 {
 		t.Fatalf("one trajectory holds %d bytes", seeds[0])
+	}
+}
+
+// TestSuiteBytesCountsTheTapeOnce: a cached result's final positions are
+// the tape's last state, so two runs at two rank counts return one array,
+// and the suite's Bytes is its tape's plus the results' step timings.
+func TestSuiteBytesCountsTheTapeOnce(t *testing.T) {
+	s := freshSuite(quickConfig())
+	res, err := s.RunCells([]CellKey{
+		s.cell(netmodel.TCPGigE(), 2, 1, pmd.MiddlewareMPI, pmd.DecompReplicated),
+		s.cell(netmodel.MyrinetGM(), 4, 1, pmd.MiddlewareMPI, pmd.DecompDomain),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &res[0].FinalPos[0] != &res[1].FinalPos[0] {
+		t.Fatal("two runs over the suite's tape hold two copies of the final positions")
+	}
+	want := s.tape.Bytes()
+	for _, r := range res {
+		for _, ts := range r.Timings {
+			want += int64(len(ts)) * int64(unsafe.Sizeof(pmd.StepTiming{}))
+		}
+	}
+	if got := s.Bytes(); got != want {
+		t.Fatalf("the suite counts %d bytes, its tape and step timings %d", got, want)
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pmd"
 	"repro/internal/topol"
-	"repro/internal/vec"
 )
 
 // Breakdown is a comp/comm/sync time split in seconds.
@@ -224,11 +223,11 @@ func (s *Suite) Stats() RunStats {
 func (s *Suite) CellSeconds() float64 { return s.mCellSeconds.Value() }
 
 // Bytes estimates what the suite holds beyond its system: its tape's
-// Bytes and every cached result's final positions and step timings.
+// Bytes and every cached result's step timings. A result's final
+// positions are a state of the tape, which Bytes counts already.
 func (s *Suite) Bytes() int64 {
 	b := s.tape.Bytes()
 	for _, r := range s.cache {
-		b += int64(len(r.FinalPos)) * int64(unsafe.Sizeof(vec.V{}))
 		for _, ts := range r.Timings {
 			b += int64(len(ts)) * int64(unsafe.Sizeof(pmd.StepTiming{}))
 		}

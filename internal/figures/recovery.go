@@ -259,12 +259,13 @@ func textRecovery(w io.Writer, c *RecoveryResult) error {
 
 	fmt.Fprintln(w, "\nA global rewind discards every rank's work back to the last full-cluster")
 	fmt.Fprintln(w, "checkpoint and re-tiles the domain grid over one fewer node — lost work grows")
-	fmt.Fprintln(w, "with cluster size exactly when crashes get more frequent, and the shrunken")
-	fmt.Fprintln(w, "grid changes the trajectory. The localized repair respawns the crashed rank,")
+	fmt.Fprintln(w, "with cluster size exactly when crashes get more frequent. Every rank count")
+	fmt.Fprintln(w, "reads the workload's one trajectory, so a rewind that finishes on the smaller")
+	fmt.Fprintln(w, "grid keeps its bits too. The localized repair respawns the crashed rank,")
 	fmt.Fprintln(w, "restores its domain at the newest completed rebuild epoch and replays it")
 	fmt.Fprintln(w, "while the healthy ranks park at the next collective: the cluster keeps its")
-	fmt.Fprintln(w, "size, the trajectory keeps its bits, and the lost work stays bounded by one")
-	fmt.Fprintln(w, "domain's replay plus the park. Halo re-send bytes are not counted.")
+	fmt.Fprintln(w, "size, and the lost work stays bounded by one domain's replay plus the park.")
+	fmt.Fprintln(w, "Halo re-send bytes are not counted.")
 	return nil
 }
 

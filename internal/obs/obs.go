@@ -28,7 +28,7 @@ import (
 	"math"
 	"regexp"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -201,18 +201,25 @@ func NewRegistry() *Registry {
 // signature serializes labels into a stable map key (sorted by key).
 // Every field is length-prefixed: separator bytes alone are not injective
 // when label VALUES may contain them — {a:"x", b:"y"} and
-// {a:"x<sep>b<sep>y"} would collide and silently merge two series.
+// {a:"x<sep>b<sep>y"} would collide and silently merge two series. Every
+// series lookup runs it, so it allocates only the key it returns.
 func signature(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
+	var sorted [8]Label
+	ls := append(sorted[:0], labels...)
+	for i := 1; i < len(ls); i++ {
+		for j := i; j > 0 && ls[j].K < ls[j-1].K; j-- {
+			ls[j], ls[j-1] = ls[j-1], ls[j]
+		}
 	}
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].K < ls[j].K })
-	var b strings.Builder
+	var buf [256]byte
+	b := buf[:0]
 	for _, l := range ls {
-		fmt.Fprintf(&b, "%d:%s=%d:%s;", len(l.K), l.K, len(l.V), l.V)
+		b = strconv.AppendInt(b, int64(len(l.K)), 10)
+		b = append(append(append(b, ':'), l.K...), '=')
+		b = strconv.AppendInt(b, int64(len(l.V)), 10)
+		b = append(append(append(b, ':'), l.V...), ';')
 	}
-	return b.String()
+	return string(b)
 }
 
 func validate(name string, labels []Label) {

@@ -150,7 +150,9 @@ func TestStepEmitAllocatesNothingUnobserved(t *testing.T) {
 
 // TestRegistryAllocationOverhead bounds what attaching a registry costs a
 // domain p=64 run in allocated bytes. The span recorder, which stored
-// every interval twice, took the same run to 2.2x.
+// every interval twice, took the same run to 2.2x. An unmeasured run goes
+// first, so the tables the process builds once per workload (the force
+// field's, PME's and the FFT's) weigh on neither side.
 func TestRegistryAllocationOverhead(t *testing.T) {
 	sys := testSystem(100, 24, 1)
 	allocated := func(reg *obs.Registry) uint64 {
@@ -164,6 +166,7 @@ func TestRegistryAllocationOverhead(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
+	allocated(nil)
 	plain, observed := allocated(nil), allocated(obs.NewRegistry())
 	ratio := float64(observed) / float64(plain)
 	t.Logf("plain %d B, observed %d B, ratio %.3f", plain, observed, ratio)

@@ -145,7 +145,7 @@ type Result struct {
 	P        int               // ranks
 	Timings  [][]StepTiming    // [rank][step]
 	Energies []md.EnergyReport // per step (identical on all ranks; rank 0's copy)
-	FinalPos []vec.V           // rank 0 replica after the run
+	FinalPos []vec.V           // rank 0 replica after the run: the tape's state, shared and read-only
 	Wall     float64           // virtual wall clock of the whole run
 	Acct     []mpi.Accounting  // per-rank transport accounting
 	Comm     *perf.Timeline    // Config.Observer when it is a communication log; nil otherwise

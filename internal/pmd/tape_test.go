@@ -142,6 +142,24 @@ func TestTapeServesBothDecompositions(t *testing.T) {
 	}
 }
 
+// TestResultSharesTheTapeState: a run's final positions are the tape's
+// last state, not a copy of it — two runs over one tape, at two rank
+// counts and under both decompositions, return FinalPos backed by that
+// state's array, so a study of many runs holds one copy.
+func TestResultSharesTheTapeState(t *testing.T) {
+	sys := testSystem(100, 24, 1)
+	const steps = 3
+	tape := NewTape()
+	a := tapeRun(t, sys, DecompReplicated, 2, steps, netmodel.TCPGigE(), MiddlewareMPI, 1, tape)
+	b := tapeRun(t, sys, DecompDomain, 4, steps, netmodel.MyrinetGM(), MiddlewareMPI, 1, tape)
+	last := tape.states[steps-1].pos
+	for _, r := range []*Result{a, b} {
+		if len(r.FinalPos) != len(last) || &r.FinalPos[0] != &last[0] {
+			t.Fatalf("p=%d: FinalPos is not the tape's step %d state", r.P, steps-1)
+		}
+	}
+}
+
 // TestDomainTapeShapeMismatchIgnored: a domain run over a tape recorded at
 // another rank count is served the recorded trajectory, as a replicated
 // one is: it equals a run given no tape and evaluates nothing.

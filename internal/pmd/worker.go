@@ -9,7 +9,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/trace"
-	"repro/internal/vec"
 	"repro/internal/work"
 )
 
@@ -218,7 +217,7 @@ func (w *worker) run(res *Result) {
 
 	res.Timings[w.me()] = timings
 	if w.me() == 0 {
-		res.FinalPos = append([]vec.V(nil), w.cur.pos...)
+		res.FinalPos = w.cur.pos
 		res.Wall = w.r.Now()
 	}
 }
