@@ -211,10 +211,6 @@ func (e *Engine) ListWasRebuilt() bool { return e.listFresh }
 // PairCount returns the current neighbour-list length.
 func (e *Engine) PairCount() int { return len(e.pairs) }
 
-// Pairs returns the current neighbour list. It is the engine's reused
-// buffer: the next list build overwrites it.
-func (e *Engine) Pairs() []space.Pair { return e.pairs }
-
 // ReleasePairs returns the current neighbour list and gives its storage
 // to the caller: the engine reads it until its next list build, which
 // writes a new buffer, so the list is never overwritten.

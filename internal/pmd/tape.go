@@ -41,13 +41,13 @@ import (
 // Concurrency: a step's state is published in two steps, its list
 // generation (listed) and then the whole state (done); see snapshot. Step
 // s is evaluated inside its once, by whichever evalAhead goroutine of the
-// runs over the tape reaches it first; the others wait on the once. A rank
-// never evaluates: it waits in list only for the listed point, which the
-// running evaluation passes before its forces, and for done in energies,
-// at the end of its step's force pipeline. A goroutine enters step s only
-// once step s-1 is done, so at most one evaluation is ever in flight (it
-// alone drives the engine), and a published field is immutable while
-// read.
+// runs over the tape, or Positions reader, reaches it first; the others
+// wait on the once. A rank never evaluates: it waits in list only for the
+// listed point, which the running evaluation passes before its forces, and
+// for done in energies, at the end of its step's force pipeline. A
+// goroutine enters step s only once step s-1 is done, so at most one
+// evaluation is ever in flight (it alone drives the engine), and a
+// published field is immutable while read.
 //
 // A tape must not outlive its workload: callers keep one tape per workload
 // (system and MD config).
@@ -250,6 +250,27 @@ func (t *Tape) evalAhead(cfg Config) (stop func()) {
 		t.mu.Unlock()
 		<-done
 	}
+}
+
+// Positions returns the workload's first steps+1 frames, frame k the
+// positions after k steps: the pos of states -1 … steps-1 of t's
+// trajectory (of a private window tape when t is nil), evaluated in order
+// where no run has reached them. The slices are the states' own, shared
+// and read-only. Like evalAhead, it enters step s only once step s-1 is
+// done.
+func (t *Tape) Positions(cfg Config, steps int) ([][]vec.V, error) {
+	t, err := t.open(cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer t.close(false)
+	frames := make([][]vec.V, 0, steps+1)
+	for s := -1; s < steps; s++ {
+		st := t.lookup(s, false)
+		t.eval(st, cfg)
+		frames = append(frames, st.pos)
+	}
+	return frames, nil
 }
 
 // await waits, on a window tape, until the run-ahead may evaluate step or

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/netmodel"
 	"repro/internal/topol"
 	"repro/internal/trace"
+	"repro/internal/vec"
 )
 
 // tapeMD is the test MD configuration with a thin list skin: the list is
@@ -248,6 +250,53 @@ func TestTapeSharedByConcurrentRuns(t *testing.T) {
 	}
 	if n := held(tape); !tape.Complete() || n != steps+1 {
 		t.Fatalf("complete=%v with %d states, want %d", tape.Complete(), n, steps+1)
+	}
+}
+
+// TestTapePositionsSharedWithRuns: Positions reads the one trajectory —
+// md.Engine's, ComputeForces then k Steps for frame k — whether it reads a
+// private tape or one that runs share. A reader of more steps started at
+// once with a run over a fresh tape extends the run's states, and the run
+// equals its run given no tape.
+func TestTapePositionsSharedWithRuns(t *testing.T) {
+	sys := testSystem(100, 24, 1)
+	const steps = 4
+	seq := md.NewEngine(sys, tapeMD())
+	seq.ComputeForces(nil, nil)
+	want := [][]vec.V{slices.Clone(seq.Pos)}
+	for range steps {
+		seq.Step(nil, nil)
+		want = append(want, slices.Clone(seq.Pos))
+	}
+	cfg := Config{System: sys, MD: tapeMD(), HostWorkers: 4}
+	private, err := (*Tape)(nil).Positions(cfg, steps)
+	if err != nil || !reflect.DeepEqual(private, want) {
+		t.Fatalf("Positions over a private tape (err %v) differ from md.Engine's frames", err)
+	}
+
+	tape := NewTape()
+	var got [][]vec.V
+	var run *Result
+	var runErr error
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		got, err = tape.Positions(cfg, steps)
+	}()
+	go func() {
+		defer wg.Done()
+		runCfg := cfg
+		runCfg.Steps, runCfg.Decomp, runCfg.Tape = steps-1, DecompDomain, tape
+		run, runErr = Run(clusterCfg(4, 1, netmodel.TCPGigE()), cluster.PentiumIII1GHz(), runCfg)
+	}()
+	wg.Wait()
+	if err != nil || runErr != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Positions over a shared tape (err %v, the run's %v) differ from md.Engine's frames", err, runErr)
+	}
+	mustEqualResults(t, "run beside a reader", tapeRun(t, sys, DecompDomain, 4, steps-1, netmodel.TCPGigE(), MiddlewareMPI, 1, nil), run)
+	if n := held(tape); n != steps+1 {
+		t.Fatalf("the tape holds %d states, want %d", n, steps+1)
 	}
 }
 

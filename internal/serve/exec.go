@@ -10,7 +10,6 @@ import (
 	"errors"
 	"math"
 	"os"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -29,26 +28,24 @@ import (
 
 // Env executes job specs on the deterministic engine. It caches the
 // expensive immutable inputs — relaxed solvated systems and figure
-// studies — across jobs, and memoizes the trajectories jobs compute: a
-// pmd.Tape per system, whose one trajectory every run and every network
-// of a sweep shares at any rank count, and a sequential frame log per
-// system that analysis jobs slice. A tape or a log serves one workload (system
-// and MD config), which its key fixes. Systems, studies, tapes and logs
-// are the entries of one memo, held under one LRU byte budget
+// studies — across jobs, and memoizes the trajectories jobs compute: each
+// relaxed box is a workload whose one pmd.Tape every run, every network
+// of a sweep and every analysis reads, at any rank count. Workloads and
+// studies are the entries of one memo, held under one LRU byte budget
 // (memoBudget). The caches affect speed only, never results;
-// ComputeReference bypasses the memo: each of its runs opens a private
-// tape and each analysis a fresh frame log.
+// ComputeReference bypasses the tapes: each of its runs and analyses
+// reads a private one.
 // Safe for concurrent use.
 type Env struct {
-	// KernelWorkers bounds one job's host goroutines: its simulations'
-	// HostWorkers, an analysis engine's md.Config.KernelWorkers. Set
-	// before first use: caches key on the job inputs only, so flipping it
-	// mid-life would hand out configs and tapes built under the old
-	// setting (with the same result bytes).
+	// KernelWorkers bounds one job's host goroutines: the HostWorkers of
+	// its simulations and trajectory reads. Set before first use: a tape's
+	// engine lives while jobs over it are in flight, so flipping it
+	// mid-life would extend a trajectory under the old setting (with the
+	// same result bytes).
 	KernelWorkers int
 
 	mu    sync.Mutex
-	memos map[any]*memo // by memoKey, sysCacheKey or studyCacheKey
+	memos map[any]*memo // by sysCacheKey or studyCacheKey
 	lru   list.List     // of *memo, most recently used first
 
 	// The server's memo metrics; nil outside a server.
@@ -66,14 +63,15 @@ type sysCacheKey struct {
 	seed  uint64
 }
 
-// sysEntry is one relaxed solvated box. Relax mutates positions in place,
-// so the build runs exactly once; afterwards the system is read-only and
-// shared by every concurrent run (pmd treats System as shared read-only
-// topology, and the sequential path copies positions into its Engine).
-type sysEntry struct {
+// workload is one relaxed solvated box, its MD config and the tape of its
+// one trajectory. Relax mutates positions in place, so the build runs
+// exactly once; afterwards the system is read-only and shared by every
+// concurrent job (pmd treats System as shared read-only topology).
+type workload struct {
 	once  sync.Once
 	sys   *topol.System
 	mdCfg md.Config
+	tape  *pmd.Tape
 	bytes atomic.Int64 // systemBytes, once built
 }
 
@@ -92,20 +90,19 @@ func systemBytes(sys *topol.System) int64 {
 	return b
 }
 
-// memoBudget bounds the bytes the memo keeps: systems, studies, tapes and
-// frame logs together. After every job the Env evicts whole
+// memoBudget bounds the bytes the memo keeps: workloads (boxes and tapes)
+// and studies together. After every job the Env evicts whole
 // least-recently-used entries until the rest fit.
 const memoBudget = 64 << 20
 
-// What a job adds to the memo, per atom, is bounded by two terms that
-// TestMemoEstimateBoundsBytes pins:
+// What a job adds to its workload's tape, per atom, is bounded by two
+// terms that TestMemoEstimateBoundsBytes pins:
 //
-//   - memoListBytes for its first list generation: on a tape the step −1
-//     pair list, which every rank count shares, and its rank count's
-//     geometry and first ownership epoch; in a frame log the engine's
-//     arrays, list and PME grids. Both count a list at its capacity. The
-//     worst case is the pair list of the largest box (about 3.2 kB per
-//     atom), and the size matrices of the most ranks on the smallest box.
+//   - memoListBytes for its first list generation: the step −1 pair list,
+//     which every rank count shares, and its rank count's geometry and
+//     first ownership epoch, the list counted at its capacity. The worst
+//     case is the pair list of the largest box (about 3.2 kB per atom),
+//     and the size matrices of the most ranks on the smallest box.
 //   - memoStateBytes for each kept state (steps+1 of them): its positions,
 //     velocities and forces, and its share of the later list
 //     generations, one every 4 steps at the fastest on the served boxes
@@ -122,71 +119,25 @@ func memoEstimate(atoms, steps int) int64 {
 }
 
 // memoEligible reports whether a job over atoms atoms and steps steps
-// joins the memo: its estimate must fit the budget, so no one job can
-// grow a memo past it. Any other job runs directly.
+// reads its workload's tape: its estimate must fit the budget, so no one
+// job can grow a memo past it. Any other job reads a private tape.
 func memoEligible(atoms, steps int) bool { return memoEstimate(atoms, steps) <= memoBudget }
 
-// memoKey names where a system's trajectories are kept: its tape, which
-// serves every rank count, or its frame log.
-type memoKey struct {
-	sys sysCacheKey
-	log bool
-}
-
-// memo is one entry of the memo: a relaxed system, a figure study, or a
-// trajectory — a tape or a frame log. Exactly one of the four is set.
+// memo is one entry of the memo: a workload or a figure study. Exactly
+// one of the two is set.
 type memo struct {
-	key   any // sysCacheKey, studyCacheKey or memoKey
-	sys   *sysEntry
+	key   any // sysCacheKey or studyCacheKey
+	wl    *workload
 	study *studyEntry
-	tape  *pmd.Tape
-	log   *frameLog
 	elem  *list.Element // its place in Env.lru
 	size  int64         // bytes() at the last trim
 }
 
 func (m *memo) bytes() int64 {
-	switch {
-	case m.sys != nil:
-		return m.sys.bytes.Load()
-	case m.study != nil:
-		return m.study.bytes.Load()
-	case m.tape != nil:
-		return m.tape.Bytes()
+	if m.wl != nil {
+		return m.wl.bytes.Load() + m.wl.tape.Bytes()
 	}
-	return m.log.bytes.Load()
-}
-
-// frameLog is one system's sequential trajectory, frames[0..k], and the
-// engine that extends it; mu serializes extensions.
-type frameLog struct {
-	mu     sync.Mutex
-	eng    *md.Engine
-	frames [][]vec.V
-	bytes  atomic.Int64
-}
-
-// upTo returns frames[0..steps] of the trajectory from sys's build-time
-// state with mdCfg's velocities, stepping the engine for the frames no
-// earlier call reached. The frames are never written again.
-func (l *frameLog) upTo(sys *topol.System, mdCfg md.Config, steps int) [][]vec.V {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.eng == nil {
-		l.eng = md.NewEngine(sys, mdCfg)
-		l.eng.InitVelocities(mdCfg.Temperature, mdCfg.Seed)
-		l.frames = append(l.frames, slices.Clone(l.eng.Pos))
-	}
-	for len(l.frames) <= steps {
-		l.eng.Step(nil, nil)
-		l.frames = append(l.frames, slices.Clone(l.eng.Pos))
-	}
-	// The frames, the engine's positions, velocities, forces and list
-	// origin, its pair list at its capacity and its PME grids.
-	const v = int64(unsafe.Sizeof(vec.V{}))
-	pme := mdCfg.PME
-	l.bytes.Store(v*int64(sys.N())*int64(len(l.frames)+4) + 8*int64(cap(l.eng.Pairs())) + 32*int64(pme.K1*pme.K2*pme.K3))
-	return l.frames[: steps+1 : steps+1]
+	return m.study.bytes.Load()
 }
 
 // entry returns the memo's entry of key, built by fresh when there is
@@ -206,35 +157,31 @@ func (e *Env) entry(key any, fresh func() *memo) *memo {
 	return m
 }
 
-// memo returns the trajectory of key, or nil when memoize is off or the
-// job is over the eligibility bound.
-func (e *Env) memo(key memoKey, steps int, memoize bool) *memo {
-	if !memoize || !memoEligible(key.sys.atoms, steps) {
+// workload returns the workload of (atoms, seed), building its box on
+// first use: md.NewSolvatedWorkload's box at workload seed seed+1.
+func (e *Env) workload(atoms int, seed uint64) *workload {
+	wl := e.entry(sysCacheKey{atoms: atoms, seed: seed}, func() *memo { return &memo{wl: &workload{tape: pmd.NewTape()}} }).wl
+	wl.once.Do(func() {
+		sys, cfg, _ := md.NewSolvatedWorkload(atoms, seed+1, nil) // nothing to veto: tiling is per job, checked at admission
+		wl.sys, wl.mdCfg = sys, cfg
+		wl.bytes.Store(systemBytes(sys))
+	})
+	return wl
+}
+
+// system returns the relaxed box of (atoms, seed) and its MD config.
+func (e *Env) system(atoms int, seed uint64) (*topol.System, md.Config) {
+	wl := e.workload(atoms, seed)
+	return wl.sys, wl.mdCfg
+}
+
+// tape is the spec's tape, its workload's, or nil (a private one) when
+// memoize is off or the job is over the eligibility bound.
+func (e *Env) tape(spec JobSpec, memoize bool) *pmd.Tape {
+	if !memoize || !memoEligible(spec.Atoms, spec.Steps) {
 		return nil
 	}
-	return e.entry(key, func() *memo {
-		if key.log {
-			return &memo{log: &frameLog{}}
-		}
-		return &memo{tape: pmd.NewTape()}
-	})
-}
-
-// tape is the run or sweep spec's tape, nil for a direct run.
-func (e *Env) tape(spec JobSpec, memoize bool) *pmd.Tape {
-	if m := e.memo(memoKey{sys: sysCacheKey{spec.Atoms, spec.Seed}}, spec.Steps, memoize); m != nil {
-		return m.tape
-	}
-	return nil
-}
-
-// frameLog is the analysis spec's frame log, a fresh one for a direct
-// computation.
-func (e *Env) frameLog(spec JobSpec, memoize bool) *frameLog {
-	if m := e.memo(memoKey{sysCacheKey{spec.Atoms, spec.Seed}, true}, spec.Steps, memoize); m != nil {
-		return m.log
-	}
-	return &frameLog{}
+	return e.workload(spec.Atoms, spec.Seed).tape
 }
 
 // trim evicts least-recently-used entries until the rest fit budget. A
@@ -276,19 +223,6 @@ type studyEntry struct {
 	mu    sync.Mutex
 	study *core.Study
 	bytes atomic.Int64 // its system's and suite's, as of its last figure
-}
-
-// system returns the relaxed solvated box for (atoms, seed), building it
-// on first use: md.NewSolvatedWorkload's box at workload seed seed+1.
-func (e *Env) system(atoms int, seed uint64) (*topol.System, md.Config) {
-	ent := e.entry(sysCacheKey{atoms: atoms, seed: seed}, func() *memo { return &memo{sys: &sysEntry{}} }).sys
-	ent.once.Do(func() {
-		sys, cfg, _ := md.NewSolvatedWorkload(atoms, seed+1, nil) // nothing to veto: tiling is per job, checked at admission
-		cfg.KernelWorkers = e.KernelWorkers
-		ent.sys, ent.mdCfg = sys, cfg
-		ent.bytes.Store(systemBytes(sys))
-	})
-	return ent.sys, ent.mdCfg
 }
 
 // study returns the shared figure study for the key, building its
@@ -516,19 +450,27 @@ type analysisPayload struct {
 }
 
 // execAnalysis computes spec's observable over the first spec.Steps+1
-// frames of log.
-func (e *Env) execAnalysis(spec JobSpec, log *frameLog) ([]byte, error) {
+// frames of tape's trajectory (nil: of a private tape's).
+func (e *Env) execAnalysis(spec JobSpec, tape *pmd.Tape) ([]byte, error) {
 	sys, mdCfg := e.system(spec.Atoms, spec.Seed)
-	frames := log.upTo(sys, mdCfg, spec.Steps)
+	frames, err := tape.Positions(pmd.Config{System: sys, MD: mdCfg, HostWorkers: e.KernelWorkers}, spec.Steps)
+	if err != nil {
+		return nil, Errf(KindInternal, "trajectory: %v", err)
+	}
+	return analyze(spec.Observable, sys, frames)
+}
 
+// analyze encodes the analysis payload of observable over frames of sys's
+// water oxygens.
+func analyze(observable string, sys *topol.System, frames [][]vec.V) ([]byte, error) {
 	names := make([]string, sys.N())
 	for i, a := range sys.Atoms {
 		names[i] = a.Name
 	}
 	sel := analysis.SelectByName(names, "OW")
 
-	p := analysisPayload{Kind: string(KindAnalysis), Observable: spec.Observable}
-	switch spec.Observable {
+	p := analysisPayload{Kind: string(KindAnalysis), Observable: observable}
+	switch observable {
 	case "rdf":
 		rmax := math.Min(6.0, sys.Box.MaxCutoff())
 		r, g, err := analysis.RDFFrames(sys.Box, frames, sel, sel, rmax, 0.25)
@@ -585,7 +527,7 @@ func (e *Env) execute(spec JobSpec, ckptDir string, preempt func() bool, onStep 
 		buf, err := e.execSweep(spec, e.tape(spec, memoize))
 		return buf, nil, nil, err
 	case KindAnalysis:
-		buf, err := e.execAnalysis(spec, e.frameLog(spec, memoize))
+		buf, err := e.execAnalysis(spec, e.tape(spec, memoize))
 		return buf, nil, nil, err
 	case KindFigure:
 		buf, err := e.execFigure(spec)
@@ -596,10 +538,10 @@ func (e *Env) execute(spec JobSpec, ckptDir string, preempt func() bool, onStep 
 
 // ComputeReference computes spec's result directly, outside any server —
 // the ground truth the chaos harness compares served bytes against. It
-// shares the relaxed systems but no memoized tape or frame log (its runs
-// open private tapes), so served bytes are checked against ones no memo
-// touched. The spec is normalized
-// first; the computation never touches disk.
+// shares the relaxed systems but no memoized tape (its runs and analyses
+// read private tapes), so served bytes are checked against ones no memo
+// touched. The spec is normalized first; the computation never touches
+// disk.
 func (e *Env) ComputeReference(spec JobSpec) ([]byte, error) {
 	if err := spec.Normalize(); err != nil {
 		return nil, err

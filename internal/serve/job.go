@@ -21,8 +21,11 @@ import (
 // as figures.CellKeyVersion, which governs the in-memory run cache this
 // store extends onto disk. Version 3: the kernels lost their serial path,
 // so a run or analysis stored under version 2 at KernelWorkers 0 holds
-// bytes no server computes any more.
-const SpecKeyVersion = 3
+// bytes no server computes any more. Version 4: every run's trajectory
+// became the sequential engine's, which changed every run and sweep
+// payload, and analyses read the runs' trajectory, which changed every
+// analysis payload; a version 3 entry holds bytes no server computes.
+const SpecKeyVersion = 4
 
 // JobKind selects what a job computes.
 type JobKind string
@@ -35,8 +38,8 @@ const (
 	// KindSweep runs one short parallel MD per requested network and
 	// reports the virtual wall time and comp/comm/sync split of each.
 	KindSweep JobKind = "sweep"
-	// KindAnalysis integrates a short sequential trajectory and computes
-	// a structural observable (rdf or msd) over it.
+	// KindAnalysis computes a structural observable (rdf or msd) over the
+	// first frames of its box's trajectory, the one its runs step.
 	KindAnalysis JobKind = "analysis"
 	// KindFigure regenerates one paper figure as CSV from the shared
 	// myoglobin study.

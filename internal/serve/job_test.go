@@ -98,13 +98,13 @@ func TestSpecKeyGolden(t *testing.T) {
 		spec JobSpec
 		want string
 	}{
-		{JobSpec{Kind: KindRun}, "serve/v3 run atoms=120 steps=4 seed=1 p=4 cpus=1 net=tcp mw=mpi decomp=replicated"},
+		{JobSpec{Kind: KindRun}, "serve/v4 run atoms=120 steps=4 seed=1 p=4 cpus=1 net=tcp mw=mpi decomp=replicated"},
 		{JobSpec{Kind: KindRun, Decomp: "domain"},
-			"serve/v3 run atoms=120 steps=4 seed=1 p=4 cpus=1 net=tcp mw=mpi decomp=domain"},
+			"serve/v4 run atoms=120 steps=4 seed=1 p=4 cpus=1 net=tcp mw=mpi decomp=domain"},
 		{JobSpec{Kind: KindAnalysis, Atoms: 48, Steps: 2, Observable: "msd"},
-			"serve/v3 analysis atoms=48 steps=2 seed=1 obs=msd"},
+			"serve/v4 analysis atoms=48 steps=2 seed=1 obs=msd"},
 		{JobSpec{Kind: KindFigure, Figure: "3", Quick: true, Steps: 2, Seed: 7},
-			"serve/v3 figure id=3 quick=true steps=2 seed=7"},
+			"serve/v4 figure id=3 quick=true steps=2 seed=7"},
 	}
 	for _, tc := range cases {
 		s := tc.spec

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/md"
 	"repro/internal/obs"
 	"repro/internal/pmd"
+	"repro/internal/vec"
 )
 
 // memoMix is a run, sweep and analysis mix over two 120-atom systems:
@@ -45,9 +48,8 @@ func memoMix(t *testing.T) []JobSpec {
 	return specs
 }
 
-func memoKeyOf(spec JobSpec) memoKey {
-	return memoKey{sysCacheKey{spec.Atoms, spec.Seed}, spec.Kind == KindAnalysis}
-}
+// sysOf is the memo key of spec's workload.
+func sysOf(spec JobSpec) sysCacheKey { return sysCacheKey{spec.Atoms, spec.Seed} }
 
 // references computes every spec directly on one fresh Env.
 func references(t *testing.T, specs []JobSpec) [][]byte {
@@ -64,11 +66,11 @@ func references(t *testing.T, specs []JobSpec) [][]byte {
 	return want
 }
 
-// trajectories counts the memo's tapes and frame logs.
+// trajectories counts the memo's workloads whose tape holds states.
 func trajectories(e *Env) int {
 	n := 0
-	for key := range e.memos {
-		if _, ok := key.(memoKey); ok {
+	for _, m := range e.memos {
+		if m.wl != nil && m.wl.tape.Bytes() > 0 {
 			n++
 		}
 	}
@@ -93,10 +95,10 @@ func TestEnvMemoMatchesDirect(t *testing.T) {
 	want := references(t, specs)
 	order := rand.New(rand.NewSource(1)).Perm(len(specs))
 
-	longest := map[memoKey]int{}
+	longest := map[sysCacheKey]int{}
 	var longer, shorter bool
 	for _, i := range order {
-		k := memoKeyOf(specs[i])
+		k := sysOf(specs[i])
 		if n, ok := longest[k]; ok {
 			longer = longer || specs[i].Steps > n
 			shorter = shorter || specs[i].Steps < n
@@ -118,13 +120,13 @@ func TestEnvMemoMatchesDirect(t *testing.T) {
 		}
 	}
 	if n := trajectories(env); n != len(longest) {
-		t.Fatalf("%d memos, want one per key (%d)", n, len(longest))
+		t.Fatalf("%d trajectories, want one per box (%d)", n, len(longest))
 	}
 }
 
 // TestEnvMemoMatchesDirectConcurrent: 8 goroutines run the mix in their
-// own orders over one Env, so runs extend and replay the same tapes and
-// frame logs at once; every result is the direct computation's bytes.
+// own orders over one Env, so runs and analyses extend and replay the same
+// tapes at once; every result is the direct computation's bytes.
 func TestEnvMemoMatchesDirectConcurrent(t *testing.T) {
 	specs := memoMix(t)
 	want := references(t, specs)
@@ -151,10 +153,9 @@ func TestEnvMemoMatchesDirectConcurrent(t *testing.T) {
 }
 
 // TestEnvMemoBounded: the memo stays within its budget after every job,
-// eviction takes the least recently used entry first — a system after
-// every trajectory of it, since each job touches its system last — an
-// evicted tape still serves the run holding it, and a job over the
-// eligibility bound runs directly.
+// eviction takes the least recently used box first, an evicted tape still
+// serves the run holding it, and a job over the eligibility bound reads a
+// private tape.
 func TestEnvMemoBounded(t *testing.T) {
 	// Eligibility is a pure function of the spec: no 4096-atom run needed.
 	for _, c := range []struct {
@@ -172,17 +173,17 @@ func TestEnvMemoBounded(t *testing.T) {
 	env.memoBytes = reg.Gauge("repro_serve_memo_bytes", "")
 	env.memoEvictions = reg.Counter("repro_serve_memo_evictions_total", "")
 	big := JobSpec{Kind: KindRun, Atoms: 4096, Steps: 512, Procs: 8}
-	if env.tape(big, true) != nil || len(env.frameLog(JobSpec{Kind: KindAnalysis, Atoms: 4096, Steps: 512}, true).frames) != 0 || len(env.memos) != 0 {
+	if env.tape(big, true) != nil || env.tape(JobSpec{Kind: KindAnalysis, Atoms: 4096, Steps: 512}, true) != nil || len(env.memos) != 0 {
 		t.Fatal("an over-budget job joined the memo")
 	}
 
-	// Three frame logs and a tape, each used in turn; then the first log
-	// again, so the LRU order is a's system, a, tp, c's system, c, b's
-	// system, b (most recent first).
+	// Three analyses and a run, each over its own box, used in turn; then
+	// the first analysis again, so the LRU order is a, tp, c, b (most
+	// recent first).
 	a := JobSpec{Kind: KindAnalysis, Atoms: 48, Steps: 3, Seed: 1}
 	b := JobSpec{Kind: KindAnalysis, Atoms: 48, Steps: 3, Seed: 2}
 	c := JobSpec{Kind: KindAnalysis, Atoms: 48, Steps: 3, Seed: 3}
-	tp := JobSpec{Kind: KindRun, Atoms: 48, Steps: 2, Seed: 1, Procs: 2}
+	tp := JobSpec{Kind: KindRun, Atoms: 48, Steps: 2, Seed: 4, Procs: 2}
 	for _, spec := range []*JobSpec{&a, &b, &c, &tp} {
 		if err := spec.Normalize(); err != nil {
 			t.Fatal(err)
@@ -196,7 +197,6 @@ func TestEnvMemoBounded(t *testing.T) {
 			t.Fatalf("memo holds %d bytes (gauge %g), budget %d", total, reg.Value("repro_serve_memo_bytes"), memoBudget)
 		}
 	}
-	sysOf := func(spec JobSpec) sysCacheKey { return sysCacheKey{spec.Atoms, spec.Seed} }
 	size := func(keys ...any) int64 {
 		var b int64
 		for _, key := range keys {
@@ -204,9 +204,9 @@ func TestEnvMemoBounded(t *testing.T) {
 		}
 		return b
 	}
-	held := env.memos[memoKeyOf(tp)].tape
-	if size(sysOf(a)) <= 0 {
-		t.Fatalf("a system entry holds %d bytes", size(sysOf(a)))
+	held := env.memos[sysOf(tp)].wl.tape
+	if box := env.memos[sysOf(a)].wl.bytes.Load(); box <= 0 || size(sysOf(a)) <= box {
+		t.Fatalf("a's workload holds %d bytes, its box %d", size(sysOf(a)), box)
 	}
 
 	evict := func(budget int64, gone ...any) {
@@ -218,16 +218,14 @@ func TestEnvMemoBounded(t *testing.T) {
 			}
 		}
 	}
-	total := memoTotal(env)
-	evict(total-size(memoKeyOf(b), sysOf(b)), memoKeyOf(b), sysOf(b))
-	if n := trajectories(env); n != 3 || len(env.memos) != 5 {
-		t.Fatalf("trim to all but b left %d trajectories of %d entries, want 3 of 5", n, len(env.memos))
+	evict(memoTotal(env)-size(sysOf(b)), sysOf(b))
+	if n := trajectories(env); n != 3 || len(env.memos) != 3 {
+		t.Fatalf("trim to all but b left %d trajectories of %d entries, want 3 of 3", n, len(env.memos))
 	}
-	evict(size(sysOf(a), memoKeyOf(a), memoKeyOf(tp)), memoKeyOf(c), sysOf(c))
-	evict(size(sysOf(a), memoKeyOf(a)), memoKeyOf(tp))
-	_, kept := env.memos[memoKeyOf(a)]
-	if _, ok := env.memos[sysOf(a)]; !kept || !ok || reg.Value("repro_serve_memo_evictions_total") != 5 {
-		t.Fatalf("after five evictions: a kept %v, its system %v, counter %g", kept, ok, reg.Value("repro_serve_memo_evictions_total"))
+	evict(size(sysOf(a), sysOf(tp)), sysOf(c))
+	evict(size(sysOf(a)), sysOf(tp))
+	if _, kept := env.memos[sysOf(a)]; !kept || reg.Value("repro_serve_memo_evictions_total") != 3 {
+		t.Fatalf("after three evictions: a kept %v, counter %g", kept, reg.Value("repro_serve_memo_evictions_total"))
 	}
 
 	// The evicted tape still serves a longer run over it.
@@ -240,6 +238,54 @@ func TestEnvMemoBounded(t *testing.T) {
 	got, _, _, err := env.execRun(longer, "", nil, nil, held)
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("run over an evicted tape: err %v, bytes equal %v", err, bytes.Equal(got, want))
+	}
+}
+
+// TestEnvMemoAnalysisReadsTheRunTape: an analysis job reads its box's one
+// trajectory, md.Engine's — ComputeForces, then k Steps for frame k — bit
+// for bit. Over a box a run job has stepped as far, it reads the run's
+// tape: the tape gains no bytes and the memo holds one trajectory.
+func TestEnvMemoAnalysisReadsTheRunTape(t *testing.T) {
+	const steps = 4
+	run := JobSpec{Kind: KindRun, Atoms: 120, Steps: steps, Seed: 1, Procs: 4}
+	rdf := JobSpec{Kind: KindAnalysis, Atoms: 120, Steps: steps, Seed: 1, Observable: "rdf"}
+	msd := JobSpec{Kind: KindAnalysis, Atoms: 120, Steps: steps - 1, Seed: 1, Observable: "msd"}
+	for _, spec := range []*JobSpec{&run, &rdf, &msd} {
+		if err := spec.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	env := NewEnv()
+	if _, _, _, err := env.Execute(run, "", nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	tape := env.memos[sysOf(run)].wl.tape
+	recorded := tape.Bytes()
+
+	sys, mdCfg := env.system(run.Atoms, run.Seed)
+	eng := md.NewEngine(sys, mdCfg)
+	eng.ComputeForces(nil, nil)
+	frames := [][]vec.V{slices.Clone(eng.Pos)}
+	for range steps {
+		eng.Step(nil, nil)
+		frames = append(frames, slices.Clone(eng.Pos))
+	}
+	for _, spec := range []JobSpec{rdf, msd} {
+		got, _, _, err := env.Execute(spec, "", nil, nil)
+		if err != nil {
+			t.Fatalf("%+v: %v", spec, err)
+		}
+		want, err := analyze(spec.Observable, sys, frames[:spec.Steps+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s over %d steps: the job's frames are not md.Engine's\n got  %s\n want %s", spec.Observable, spec.Steps, got, want)
+		}
+	}
+	if b := tape.Bytes(); recorded <= 0 || b != recorded || len(env.memos) != 1 || trajectories(env) != 1 {
+		t.Fatalf("after the analyses the run's tape holds %d bytes (%d before) and the memo %d entries, %d trajectories; want no change, 1 and 1",
+			b, recorded, len(env.memos), trajectories(env))
 	}
 }
 
@@ -289,18 +335,18 @@ func TestSweepSharesOneTape(t *testing.T) {
 	if _, err := fresh.execSweep(one, single); err != nil {
 		t.Fatal(err)
 	}
-	if tape := env.memos[memoKeyOf(spec)].tape; single.Bytes() == 0 || tape.Bytes() != single.Bytes() {
+	if tape := env.memos[sysOf(spec)].wl.tape; single.Bytes() == 0 || tape.Bytes() != single.Bytes() {
 		t.Fatalf("the sweep's tape holds %d bytes, one %d-step run's %d", tape.Bytes(), spec.Steps, single.Bytes())
 	}
 }
 
 // TestMemoEstimateBoundsBytes pins memoEstimate as an upper bound of
-// what a job adds to the memo, term by term, at the worst cases: the
+// what a job adds to its workload's tape, term by term, at the worst cases: the
 // largest box, whose pair list is the densest, and the most ranks on the
 // smallest box, whose size matrices outweigh its atoms and whose list is
 // rebuilt the most often. On a fresh Env, a one-step job holds at most its
 // first list generation and two states, and the longer job over the same
-// entry then adds at most memoStateBytes per atom and state; what an entry
+// tape then adds at most memoStateBytes per atom and state; what a tape
 // holds counts every pair list at its capacity, and TestTapeBytesBoundsItsHeap
 // (internal/pmd) holds a tape's count to its heap. A 4096-atom job over 18
 // steps joins the memo.
@@ -330,11 +376,11 @@ func TestMemoEstimateBoundsBytes(t *testing.T) {
 			if _, _, _, err := env.Execute(spec, "", nil, nil); err != nil {
 				t.Fatalf("%+v: %v", spec, err)
 			}
-			m := env.memos[memoKeyOf(spec)]
+			m := env.memos[sysOf(spec)]
 			if m == nil {
 				t.Fatalf("%+v did not join the memo", spec)
 			}
-			return m.bytes()
+			return m.wl.tape.Bytes()
 		}
 		spec, atoms := c.spec, int64(c.spec.Atoms)
 		one := held(spec)
@@ -356,10 +402,11 @@ func TestMemoEstimateBoundsBytes(t *testing.T) {
 }
 
 // TestEnvMemoHoldsSystemsUnderTheBudget: a server fed more distinct seeds
-// than the budget holds keeps its held bytes — relaxed systems, a figure
-// study and frame logs together — within the budget after every job, by
-// evicting the least recently used: the study, then the oldest seeds. A smaller budget stands in
-// for memoBudget, which would take thousands of small boxes to fill.
+// than the budget holds keeps its held bytes — workloads (relaxed boxes
+// and their tapes) and a figure study together — within the budget after
+// every job, by evicting the least recently used: the study, then the
+// oldest seeds. A smaller budget stands in for memoBudget, which would
+// take thousands of small boxes to fill.
 func TestEnvMemoHoldsSystemsUnderTheBudget(t *testing.T) {
 	env := NewEnv()
 	job := func(spec JobSpec, budget int64) {
@@ -380,8 +427,8 @@ func TestEnvMemoHoldsSystemsUnderTheBudget(t *testing.T) {
 	}
 	job(analysis(1), memoBudget)
 	perSeed := memoTotal(env)
-	if perSeed <= 0 || len(env.memos) != 2 {
-		t.Fatalf("one seed holds %d bytes in %d entries, want > 0 in 2", perSeed, len(env.memos))
+	if perSeed <= 0 || len(env.memos) != 1 {
+		t.Fatalf("one seed holds %d bytes in %d entries, want > 0 in 1", perSeed, len(env.memos))
 	}
 
 	fig := JobSpec{Kind: KindFigure, Figure: "3", Quick: true, Steps: 1, Seed: 1}
@@ -401,7 +448,7 @@ func TestEnvMemoHoldsSystemsUnderTheBudget(t *testing.T) {
 			t.Fatalf("%+v outlived newer seeds", key)
 		}
 	}
-	if _, ok := env.memos[sysCacheKey{48, seeds}]; !ok || len(env.memos) < 6 || len(env.memos) > 8 {
+	if _, ok := env.memos[sysCacheKey{48, seeds}]; !ok || len(env.memos) < 3 || len(env.memos) > 4 {
 		t.Fatalf("after %d seeds: newest system kept %v, %d entries; want true and 3 or 4 seeds' worth", seeds, ok, len(env.memos))
 	}
 }
