@@ -343,6 +343,50 @@ func TestProgressRoundTrip(t *testing.T) {
 	}
 }
 
+// TestProgressGoldenFile pins the progress mark's encoding byte for byte,
+// as TestDurableGoldenFile pins the checkpoint's, and holds ReadProgress to
+// the pinned bytes.
+func TestProgressGoldenFile(t *testing.T) {
+	p := Progress{
+		Step:            9,
+		Wall:            0.3125 + 1e-9,
+		RankAcct:        [][4]float64{{0.5, 0.25, 0.125, 0}, {0.75, 0.1, 0.05, 0.2}},
+		ConsumedCrashes: []int{1, 4},
+	}
+	ring := &CheckpointRing{Dir: t.TempDir()}
+	if err := ring.MarkProgress(p); err != nil {
+		t.Fatal(err)
+	}
+	enc, err := os.ReadFile(ring.progressPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "golden.mdp")
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(golden, enc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("golden file missing (regenerate with UPDATE_GOLDEN=1): %v", err)
+	}
+	if !bytes.Equal(enc, want) {
+		t.Fatalf("progress encoding diverged from golden file (len %d vs %d) — format change without a version bump?",
+			len(enc), len(want))
+	}
+	if err := os.WriteFile(ring.progressPath(), want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ring.ReadProgress()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, p) {
+		t.Errorf("golden progress decodes to %+v, want %+v", got, p)
+	}
+}
+
 // TestRestartBitwiseIdentical is the sequential restart-equivalence
 // property the whole durable layer exists for: run A steps 1..m, durably
 // checkpoint at k, restore into a fresh engine, and steps k+1..m must be
