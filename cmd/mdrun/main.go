@@ -30,6 +30,7 @@ import (
 	"repro/internal/perf"
 	"repro/internal/pmd"
 	"repro/internal/topol"
+	"repro/internal/units"
 	"repro/internal/work"
 )
 
@@ -64,6 +65,12 @@ func main() {
 	}
 	if *dt <= 0 {
 		app.Usagef("-dt must be > 0 (got %g)", *dt)
+	}
+	if *minimize < 0 {
+		app.Usagef("-minimize must be >= 0 (got %d)", *minimize)
+	}
+	if *temp < 0 {
+		app.Usagef("-temp must be >= 0 (got %g)", *temp)
 	}
 	if *ranks < 1 {
 		app.Usagef("-ranks must be >= 1 (got %d)", *ranks)
@@ -217,10 +224,9 @@ func main() {
 		}
 		fmt.Printf("simulated cluster: %d ranks over %s, %s decomposition\n",
 			*ranks, netmodel.TCPGigE().Name, app.Decomp)
-		fmt.Printf("%6s %14s %14s %14s %10s\n", "step", "classic", "pme", "total", "temp(K)")
+		printEnergyHeader()
 		for s, rep := range res.Energies {
-			fmt.Printf("%6d %14.3f %14.3f %14.3f %10s\n",
-				s+1, rep.Classic(), rep.PME(), rep.Total(), "-")
+			printEnergyRow(s+1, rep, engine.DegreesOfFreedom())
 		}
 		// The run's decomposition for /metrics, /runz and the manifest: the
 		// same rows the split below is summed from.
@@ -289,7 +295,7 @@ func main() {
 	}
 
 	var wc, wp work.Counters
-	fmt.Printf("%6s %14s %14s %14s %14s %10s\n", "step", "potential", "classic", "pme", "total", "temp(K)")
+	printEnergyHeader()
 	engine.ComputeForces(&wc, &wp)
 	for s := startStep + 1; s <= *steps; s++ {
 		stepGauge.Set(float64(s))
@@ -297,8 +303,7 @@ func main() {
 		if err := mon.Check(s, engine.Frc, rep.Total()); err != nil {
 			app.Fail(err)
 		}
-		fmt.Printf("%6d %14.3f %14.3f %14.3f %14.3f %10.1f\n",
-			s, rep.Potential(), rep.Classic(), rep.PME(), rep.Total(), engine.Temperature())
+		printEnergyRow(s, rep, engine.DegreesOfFreedom())
 		if traj != nil && s%*every == 0 {
 			if err := sys.WriteXYZ(traj, engine.Pos, fmt.Sprintf("step %d E=%.3f", s, rep.Total())); err != nil {
 				app.Fail(err)
@@ -325,4 +330,16 @@ func main() {
 		decomp("pme", "compute"), decomp("pme", "comm"), decomp("pme", "sync"))
 
 	writeManifest()
+}
+
+// printEnergyHeader and printEnergyRow print the one energy table of both
+// paths; the temperature is read off the report's kinetic energy, which the
+// simulated cluster's reports carry as the sequential engine's do.
+func printEnergyHeader() {
+	fmt.Printf("%6s %14s %14s %14s %14s %10s\n", "step", "potential", "classic", "pme", "total", "temp(K)")
+}
+
+func printEnergyRow(step int, rep md.EnergyReport, dof int) {
+	fmt.Printf("%6d %14.3f %14.3f %14.3f %14.3f %10.1f\n",
+		step, rep.Potential(), rep.Classic(), rep.PME(), rep.Total(), units.KineticTemperature(rep.Kinetic, dof))
 }

@@ -66,6 +66,12 @@ func TestRanksRunPublishesItsDecomposition(t *testing.T) {
 	if split == nil {
 		t.Fatalf("no virtual wall line:\n%s", out)
 	}
+	// Both paths print one table, and the simulated cluster's trajectory is
+	// the sequential engine's, temperature column included.
+	want, got := energyRow.FindAllString(run("-steps", "2", "-minimize", "0"), -1), energyRow.FindAllString(out, -1)
+	if len(want) != 2 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("-ranks %d rows\n%s\nwant the sequential engine's\n%s", ranks, strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
 	m, err := obs.LoadManifest(filepath.Join(dir, "m.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +108,7 @@ func TestRanksRunPublishesItsDecomposition(t *testing.T) {
 	}
 }
 
-// energyRow matches one row of the sequential engine's energy table.
+// energyRow matches one row of the energy table both paths print.
 var energyRow = regexp.MustCompile(`(?m)^ +\d+( +\S+){5}$`)
 
 // TestGuardFlags: an armed guard that never trips prints the energy rows

@@ -344,6 +344,8 @@ func TestCommands(t *testing.T) {
 		{"tracer", "-cpus 3", "tracer: -cpus must be 1 or 2 (got 3)\n"},
 		{"mdrun", "-ranks 16 -xyz t.xyz", "mdrun: -xyz is not supported with -ranks > 1\n"},
 		{"mdrun", "-skin 12 -steps 1", "mdrun: " + skinPastBox},
+		{"mdrun", "-temp -5 -steps 2", "mdrun: -temp must be >= 0 (got -5)\n"},
+		{"mdrun", "-minimize -1", "mdrun: -minimize must be >= 0 (got -1)\n"},
 		{"charmmbench", "-profile-out p.json", "charmmbench: -profile-out requires -figure attribution\n"},
 		{"charmmbench", "-figure 3 -quick -kernel-workers -3", "charmmbench: -kernel-workers must be >= 0 (got -3)\n"},
 		{"charmmbench", "-format csv -figure all", "charmmbench: -format csv needs a single -figure\n"},

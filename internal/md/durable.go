@@ -38,6 +38,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -112,15 +113,22 @@ func (w *leWriter) f64(v float64) {
 }
 func (w *leWriter) vec(v vec.V) { w.f64(v.X); w.f64(v.Y); w.f64(v.Z) }
 
-// frame appends the frame both durable records open with: magic,
-// version, payload length, the payload, then its CRC32C.
-func (w *leWriter) frame(magic string, payload []byte) {
+// frameBytes is what a frame adds to its payload: magic, version, payload
+// length and CRC32C, four bytes each.
+const frameBytes = 16
+
+// open appends the start of the frame both durable records open with —
+// magic, version, payload length — and returns where the payload starts.
+// The caller appends the payload, then sum closes the frame.
+func (w *leWriter) open(magic string, payloadLen int) int {
 	w.buf = append(w.buf, magic...)
 	w.u32(durableVersion)
-	w.u32(uint32(len(payload)))
-	w.buf = append(w.buf, payload...)
-	w.u32(crc32.Checksum(payload, crcTable))
+	w.u32(uint32(payloadLen))
+	return len(w.buf)
 }
+
+// sum appends the CRC32C of the bytes appended since offset from.
+func (w *leWriter) sum(from int) { w.u32(crc32.Checksum(w.buf[from:], crcTable)) }
 
 type leReader struct {
 	buf []byte
@@ -162,7 +170,7 @@ func (r *leReader) vec() vec.V {
 	return vec.V{X: r.f64(), Y: r.f64(), Z: r.f64()}
 }
 
-// frame reads what leWriter.frame wrote and returns its validated
+// frame reads what leWriter.open and sum wrote and returns its validated
 // payload, or why it has none.
 func (r *leReader) frame(magic string) (payload []byte, reason string) {
 	if m := r.take(4); m == nil || string(m) != magic {
@@ -183,52 +191,56 @@ func (r *leReader) frame(magic string) (payload []byte, reason string) {
 	return payload, ""
 }
 
-// encodeDurable serializes cp + meta into the on-disk layout.
-func encodeDurable(cp *Checkpoint, meta DurableMeta) []byte {
-	ranks := len(meta.RankAcct)
-	var h leWriter
-	h.i64(int64(cp.N))
-	h.f64(cp.TimestepFS)
-	h.i64(int64(meta.Step))
-	h.f64(meta.Wall)
-	h.i64(int64(ranks))
+// encodeDurable serializes cp + meta into the on-disk layout in buf's
+// storage: buf grows once to the exact size, every byte is appended in
+// place and each CRC32C is taken over the buffer's own sub-slice.
+func encodeDurable(buf []byte, cp *Checkpoint, meta DurableMeta) []byte {
+	ranks, origin := len(meta.RankAcct), len(cp.ListOrigin)
+	hlen := 6*8 + ranks*4*8
+	size := frameBytes + hlen + ranks*4 + cp.N*9*8
+	if origin > 0 {
+		size += origin*3*8 + 4
+	}
+	w := leWriter{buf: slices.Grow(buf[:0], size)}
+	from := w.open(durableMagic, hlen)
+	w.i64(int64(cp.N))
+	w.f64(cp.TimestepFS)
+	w.i64(int64(meta.Step))
+	w.f64(meta.Wall)
+	w.i64(int64(ranks))
 	for _, a := range meta.RankAcct {
 		for _, v := range a {
-			h.f64(v)
+			w.f64(v)
 		}
 	}
-	h.i64(int64(len(cp.ListOrigin)))
-
-	var w leWriter
-	w.frame(durableMagic, h.buf)
+	w.i64(int64(origin))
+	w.sum(from)
 
 	off := kernels.Partition(cp.N, ranks, nil)
 	for r := 0; r < ranks; r++ {
-		var s leWriter
+		from = len(w.buf)
 		for i := off[r]; i < off[r+1]; i++ {
-			s.vec(cp.Pos[i])
-			s.vec(cp.Vel[i])
-			s.vec(cp.Frc[i])
+			w.vec(cp.Pos[i])
+			w.vec(cp.Vel[i])
+			w.vec(cp.Frc[i])
 		}
-		w.buf = append(w.buf, s.buf...)
-		w.u32(crc32.Checksum(s.buf, crcTable))
+		w.sum(from)
 	}
-	if len(cp.ListOrigin) > 0 {
-		var s leWriter
+	if origin > 0 {
+		from = len(w.buf)
 		for _, v := range cp.ListOrigin {
-			s.vec(v)
+			w.vec(v)
 		}
-		w.buf = append(w.buf, s.buf...)
-		w.u32(crc32.Checksum(s.buf, crcTable))
+		w.sum(from)
 	}
 	return w.buf
 }
 
-// WriteDurable writes cp + meta to path atomically: the bytes land in a
-// temp file in the same directory, are synced, and replace path with a
-// rename, so a crash mid-write never leaves a half-written checkpoint
-// under the real name.
-func WriteDurable(path string, cp *Checkpoint, meta DurableMeta) error {
+// writeDurable checks cp + meta, encodes them into the ring's buffer and
+// writes them to path atomically: the bytes land in a temp file in the
+// same directory, are synced, and replace path with a rename, so a crash
+// mid-write never leaves a half-written checkpoint under the real name.
+func (r *CheckpointRing) writeDurable(path string, cp *Checkpoint, meta DurableMeta) error {
 	if len(meta.RankAcct) < 1 {
 		return fmt.Errorf("md: durable checkpoint needs at least one rank in meta")
 	}
@@ -240,7 +252,8 @@ func WriteDurable(path string, cp *Checkpoint, meta DurableMeta) error {
 		return fmt.Errorf("md: durable checkpoint list origin has %d atoms for N=%d",
 			len(cp.ListOrigin), cp.N)
 	}
-	return atomicWrite(path, encodeDurable(cp, meta))
+	r.buf = encodeDurable(r.buf, cp, meta)
+	return atomicWrite(path, r.buf)
 }
 
 // ReadDurable loads and fully validates a durable checkpoint. Any
@@ -387,6 +400,11 @@ type CheckpointRing struct {
 	// histograms, repro_checkpoint_writes_total and
 	// repro_checkpoint_corrupt_skipped_total counters.
 	Obs *obs.Registry
+
+	// buf holds the encoding of the last Save or MarkProgress; the next
+	// one encodes over it, so a ring allocates only to outgrow its largest
+	// record.
+	buf []byte
 }
 
 func (r *CheckpointRing) observe(name, help string, d time.Duration) {
@@ -446,7 +464,7 @@ func (r *CheckpointRing) Save(cp *Checkpoint, meta DurableMeta) error {
 	if err := os.MkdirAll(r.Dir, 0o755); err != nil {
 		return err
 	}
-	if err := WriteDurable(r.Path(meta.Step), cp, meta); err != nil {
+	if err := r.writeDurable(r.Path(meta.Step), cp, meta); err != nil {
 		return err
 	}
 	r.observe("repro_checkpoint_write_seconds", "durable checkpoint write latency (host seconds)", time.Since(t0))
@@ -512,22 +530,24 @@ func (r *CheckpointRing) MarkProgress(p Progress) error {
 	if err := os.MkdirAll(r.Dir, 0o755); err != nil {
 		return err
 	}
-	var h leWriter
-	h.i64(int64(p.Step))
-	h.f64(p.Wall)
-	h.i64(int64(len(p.RankAcct)))
+	plen := 4*8 + len(p.RankAcct)*4*8 + len(p.ConsumedCrashes)*8
+	w := leWriter{buf: slices.Grow(r.buf[:0], frameBytes+plen)}
+	from := w.open(progressMagic, plen)
+	w.i64(int64(p.Step))
+	w.f64(p.Wall)
+	w.i64(int64(len(p.RankAcct)))
 	for _, a := range p.RankAcct {
 		for _, v := range a {
-			h.f64(v)
+			w.f64(v)
 		}
 	}
-	h.i64(int64(len(p.ConsumedCrashes)))
+	w.i64(int64(len(p.ConsumedCrashes)))
 	for _, c := range p.ConsumedCrashes {
-		h.i64(int64(c))
+		w.i64(int64(c))
 	}
-	var w leWriter
-	w.frame(progressMagic, h.buf)
-	return atomicWrite(r.progressPath(), w.buf)
+	w.sum(from)
+	r.buf = w.buf
+	return atomicWrite(r.progressPath(), r.buf)
 }
 
 // ReadProgress loads the progress mark; a missing or invalid file is

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -37,13 +38,12 @@ func tinyCheckpoint() (*Checkpoint, DurableMeta) {
 }
 
 func TestDurableRoundTrip(t *testing.T) {
-	dir := t.TempDir()
+	ring := &CheckpointRing{Dir: t.TempDir()}
 	cp, meta := tinyCheckpoint()
-	path := filepath.Join(dir, "rt.mdc")
-	if err := WriteDurable(path, cp, meta); err != nil {
+	if err := ring.Save(cp, meta); err != nil {
 		t.Fatal(err)
 	}
-	got, gotMeta, err := ReadDurable(path)
+	got, gotMeta, err := ReadDurable(ring.Path(meta.Step))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +57,12 @@ func TestDurableRoundTrip(t *testing.T) {
 	// Without a list origin the optional section is simply absent.
 	cp2 := *cp
 	cp2.ListOrigin = nil
-	path2 := filepath.Join(dir, "rt2.mdc")
-	if err := WriteDurable(path2, &cp2, meta); err != nil {
+	meta2 := meta
+	meta2.Step++
+	if err := ring.Save(&cp2, meta2); err != nil {
 		t.Fatal(err)
 	}
-	got2, _, err := ReadDurable(path2)
+	got2, _, err := ReadDurable(ring.Path(meta2.Step))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestDurableRoundTrip(t *testing.T) {
 // regenerate with -update-golden, and teach ReadDurable the old version.
 func TestDurableGoldenFile(t *testing.T) {
 	cp, meta := tinyCheckpoint()
-	enc := encodeDurable(cp, meta)
+	enc := encodeDurable(nil, cp, meta)
 	golden := filepath.Join("testdata", "golden.mdc")
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -131,12 +132,12 @@ func hugeClaimHeader() []byte {
 }
 
 func TestDurableDetectsCorruption(t *testing.T) {
-	dir := t.TempDir()
+	ring := &CheckpointRing{Dir: t.TempDir()}
 	cp, meta := tinyCheckpoint()
-	path := filepath.Join(dir, "c.mdc")
-	if err := WriteDurable(path, cp, meta); err != nil {
+	if err := ring.Save(cp, meta); err != nil {
 		t.Fatal(err)
 	}
+	path := ring.Path(meta.Step)
 	pristine, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -181,10 +182,11 @@ func TestDurableDetectsCorruption(t *testing.T) {
 // header, then arbitrary section bytes, so mutations reach the atom, rank
 // and origin counts instead of failing at the header checksum. Whatever
 // the counts claim, the reader returns: a *CorruptError, or a checkpoint
-// that re-encodes to exactly the bytes read.
+// that re-encodes to exactly the bytes read, both fresh and as saved by a
+// ring whose buffer already holds a larger checkpoint.
 func FuzzReadDurable(f *testing.F) {
 	cp, meta := tinyCheckpoint()
-	enc := encodeDurable(cp, meta)
+	enc := encodeDurable(nil, cp, meta)
 	hlen := int(binary.LittleEndian.Uint32(enc[8:12]))
 	f.Add(enc[12:12+hlen], enc[12+hlen+4:])
 	path := filepath.Join(f.TempDir(), "f.mdc")
@@ -201,8 +203,20 @@ func FuzzReadDurable(f *testing.F) {
 			}
 			return
 		}
-		if !bytes.Equal(encodeDurable(cp, meta), data) {
+		if !bytes.Equal(encodeDurable(nil, cp, meta), data) {
 			t.Fatal("accepted checkpoint does not re-encode to the bytes read")
+		}
+		ring := &CheckpointRing{Dir: t.TempDir()}
+		big, bigMeta := ringCheckpoint(cp.N+1, len(meta.RankAcct), true)
+		bigMeta.Step = meta.Step
+		if err := ring.Save(big, bigMeta); err != nil {
+			t.Fatal(err)
+		}
+		if err := ring.Save(cp, meta); err != nil {
+			t.Fatal(err)
+		}
+		if saved, err := os.ReadFile(ring.Path(meta.Step)); err != nil || !bytes.Equal(saved, data) {
+			t.Fatalf("accepted checkpoint saved over a larger one does not re-encode to the bytes read (err %v)", err)
 		}
 	})
 }
@@ -210,7 +224,7 @@ func FuzzReadDurable(f *testing.F) {
 func TestDurableLeavesNoTempFiles(t *testing.T) {
 	dir := t.TempDir()
 	cp, meta := tinyCheckpoint()
-	if err := WriteDurable(filepath.Join(dir, "a.mdc"), cp, meta); err != nil {
+	if err := (&CheckpointRing{Dir: dir}).Save(cp, meta); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -224,6 +238,100 @@ func TestDurableLeavesNoTempFiles(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Errorf("want exactly the checkpoint file, got %d entries", len(entries))
+	}
+}
+
+// ringCheckpoint builds an n-atom checkpoint over the given ranks with
+// values distinct per atom and, when origin is set, a list origin.
+func ringCheckpoint(n, ranks int, origin bool) (*Checkpoint, DurableMeta) {
+	cp := &Checkpoint{N: n, TimestepFS: 0.5 + float64(n)}
+	for i := 0; i < n; i++ {
+		f := float64(i + n)
+		cp.Pos = append(cp.Pos, vec.New(f, -f, f/7))
+		cp.Vel = append(cp.Vel, vec.New(f/3, f*f, -0.5))
+		cp.Frc = append(cp.Frc, vec.New(-f, f/11, 2))
+		if origin {
+			cp.ListOrigin = append(cp.ListOrigin, vec.New(f+0.1, f, -f))
+		}
+	}
+	meta := DurableMeta{Step: n, Wall: float64(n) / 3, RankAcct: make([][4]float64, ranks)}
+	for r := range meta.RankAcct {
+		meta.RankAcct[r] = [4]float64{float64(r), 0.5, float64(n), 0.25}
+	}
+	return cp, meta
+}
+
+// TestRingWritesFreshBytesFromOneBuffer holds a ring that encodes every
+// record over one buffer to what a fresh encoder writes: checkpoints that
+// shrink and grow, with and without a list origin, between progress marks
+// leave no stale tail. A warm Save of an unchanged size allocates only
+// the file-system calls' small change, not the checkpoint's bytes.
+func TestRingWritesFreshBytesFromOneBuffer(t *testing.T) {
+	ring := &CheckpointRing{Dir: t.TempDir(), Keep: 10}
+	crashes := []int{2, 0, 5}
+	for i, c := range []struct {
+		n, ranks int
+		origin   bool
+	}{{7, 3, true}, {4, 2, false}, {2, 1, true}, {7, 3, false}, {4, 2, true}, {2, 1, false}, {7, 3, true}} {
+		cp, meta := ringCheckpoint(c.n, c.ranks, c.origin)
+		meta.Step = i
+		if err := ring.Save(cp, meta); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(ring.Path(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := encodeDurable(nil, cp, meta); !bytes.Equal(got, want) {
+			t.Errorf("save %d (N=%d, %d ranks, origin %v): %d bytes differ from a fresh encoding's %d",
+				i, c.n, c.ranks, c.origin, len(got), len(want))
+		}
+		p := Progress{Step: i, Wall: meta.Wall, RankAcct: meta.RankAcct, ConsumedCrashes: crashes[:i%3+1]}
+		if err := ring.MarkProgress(p); err != nil {
+			t.Fatal(err)
+		}
+		if back, err := ring.ReadProgress(); err != nil || !reflect.DeepEqual(back, p) {
+			t.Errorf("progress %d reads back as %+v (err %v), want %+v", i, back, err, p)
+		}
+	}
+
+	cp, meta := ringCheckpoint(1000, 4, true)
+	size := len(encodeDurable(nil, cp, meta))
+	if err := ring.Save(cp, meta); err != nil {
+		t.Fatal(err)
+	}
+	const saves = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < saves; i++ {
+		meta.Step++
+		if err := ring.Save(cp, meta); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / saves; per*4 >= uint64(size) {
+		t.Errorf("a warm Save of a %d-byte checkpoint allocates %d bytes, want < a quarter of it", size, per)
+	}
+}
+
+// TestSaveRejectsInconsistentCheckpoints: a checkpoint whose arrays do not
+// match its N, or meta without a rank, is refused before any byte lands.
+func TestSaveRejectsInconsistentCheckpoints(t *testing.T) {
+	ring := &CheckpointRing{Dir: t.TempDir()}
+	for name, mutate := range map[string]func(*Checkpoint, *DurableMeta){
+		"no ranks":       func(_ *Checkpoint, m *DurableMeta) { m.RankAcct = nil },
+		"short velocity": func(cp *Checkpoint, _ *DurableMeta) { cp.Vel = cp.Vel[:3] },
+		"short origin":   func(cp *Checkpoint, _ *DurableMeta) { cp.ListOrigin = cp.ListOrigin[:1] },
+	} {
+		cp, meta := tinyCheckpoint()
+		mutate(cp, &meta)
+		if err := ring.Save(cp, meta); err == nil {
+			t.Errorf("%s: Save accepted the checkpoint", name)
+		}
+	}
+	if steps, err := ring.steps(); err != nil || len(steps) != 0 {
+		t.Errorf("refused saves left checkpoints %v (err %v)", steps, err)
 	}
 }
 

@@ -308,13 +308,9 @@ func (e *Engine) ComputeForces(w, wPME *work.Counters) EnergyReport {
 // KineticEnergy returns ½Σmv² in kcal/mol.
 func (e *Engine) KineticEnergy() float64 { return e.integ.Kinetic(e.Vel, 0, len(e.Vel)) }
 
-// DegreesOfFreedom returns the 3N degrees of freedom Temperature counts.
+// DegreesOfFreedom returns the 3N degrees of freedom an instantaneous
+// temperature (units.KineticTemperature) counts.
 func (e *Engine) DegreesOfFreedom() int { return 3 * e.Sys.N() }
-
-// Temperature returns the instantaneous temperature in K.
-func (e *Engine) Temperature() float64 {
-	return units.KineticTemperature(e.KineticEnergy(), e.DegreesOfFreedom())
-}
 
 // Step advances one velocity-Verlet step and returns the energies at the
 // new positions. Forces must be current on entry (call ComputeForces once

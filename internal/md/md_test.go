@@ -8,6 +8,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/space"
 	"repro/internal/topol"
+	"repro/internal/units"
 	"repro/internal/vec"
 	"repro/internal/work"
 )
@@ -146,7 +147,7 @@ func TestVelocityInitialization(t *testing.T) {
 		t.Fatalf("net momentum %v", p)
 	}
 	// Temperature in the right ballpark (finite sample).
-	if tK := e.Temperature(); tK < 200 || tK > 400 {
+	if tK := units.KineticTemperature(e.KineticEnergy(), e.DegreesOfFreedom()); tK < 200 || tK > 400 {
 		t.Fatalf("initial temperature %g K", tK)
 	}
 }

@@ -216,7 +216,7 @@ func writeState(t *testing.T, dir string, files map[string][]byte) {
 
 // tempName is the temp file a crash before the rename onto rel leaves,
 // named by its writer's os.CreateTemp pattern: the checkpoint ring's
-// (md.WriteDurable, MarkProgress), or the journal's and the store's
+// (Save, MarkProgress), or the journal's and the store's
 // (journal.append, Store.Put).
 func tempName(rel string) string {
 	dir, base := filepath.Split(rel)
